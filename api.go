@@ -4,9 +4,7 @@ import (
 	"context"
 	"time"
 
-	"dynq/internal/core"
-	"dynq/internal/geom"
-	"dynq/internal/rtree"
+	"dynq/internal/obs"
 	"dynq/internal/stats"
 )
 
@@ -32,90 +30,42 @@ type QueryOptions struct {
 	Stats func(stats.Snapshot)
 }
 
-// begin applies the per-query deadline and arms the stats sink against
-// the database's cumulative cost snapshot; finish must be called
-// (deferred) when the query completes.
-func (o QueryOptions) begin(ctx context.Context, snap func() stats.Snapshot) (context.Context, func()) {
+// beginOp applies a per-operation deadline and arms a stats sink against
+// the database's cumulative cost snapshot; the returned finish must be
+// called (deferred) when the operation completes. It serves QueryOptions
+// and WriteOptions alike.
+func (e *engine) beginOp(ctx context.Context, deadline time.Duration, sink func(stats.Snapshot)) (context.Context, func()) {
 	cancel := func() {}
-	if o.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, o.Deadline)
+	if deadline > 0 {
+		ctx, cancel = context.WithTimeout(ctx, deadline)
 	}
-	if o.Stats == nil {
+	if sink == nil {
 		return ctx, cancel
 	}
-	before := snap()
+	before := e.units.CostSnapshot()
 	return ctx, func() {
-		o.Stats(snap().Sub(before))
+		sink(e.units.CostSnapshot().Sub(before))
 		cancel()
 	}
 }
 
-// SnapshotCtx is Snapshot with cooperative cancellation and per-query
-// options. The context is checked once per index node visited, so a
-// cancelled or expired query stops within one page fetch.
-func (db *DB) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opts QueryOptions) ([]Result, error) {
-	box, err := db.toBox(view)
-	if err != nil {
-		return nil, err
-	}
-	ctx, finish := opts.begin(ctx, db.counters.Snapshot)
-	defer finish()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	ms, err := db.tree.RangeSearchCtx(ctx, box, geom.Interval{Lo: t0, Hi: t1},
-		rtree.SearchOptions{Limit: opts.Limit}, &db.counters)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(ms))
-	for i, m := range ms {
-		out[i] = Result{
-			ID:        ObjectID(m.ID),
-			Segment:   fromSegment(m.Seg),
-			Appear:    m.Overlap.Lo,
-			Disappear: m.Overlap.Hi,
-		}
-	}
-	return out, nil
-}
-
-// KNNCtx is KNN with cooperative cancellation and per-query options.
-func (db *DB) KNNCtx(ctx context.Context, point []float64, t float64, k int, opts QueryOptions) ([]Neighbor, error) {
-	if opts.Limit > 0 && opts.Limit < k {
-		k = opts.Limit
-	}
-	ctx, finish := opts.begin(ctx, db.counters.Snapshot)
-	defer finish()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	nbs, err := core.KNNCtx(ctx, db.tree, geom.Point(point), t, k, &db.counters)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Neighbor, len(nbs))
-	for i, n := range nbs {
-		out[i] = Neighbor{ID: ObjectID(n.ID), Segment: fromSegment(n.Seg), Dist: n.Dist}
-	}
-	return out, nil
-}
-
-// PredictiveCursor is the predictive dynamic query session surface shared
-// by *PredictiveSession (single tree) and *ShardedPredictiveSession.
+// PredictiveCursor is the predictive dynamic query session surface
+// (*PredictiveSession implements it).
 type PredictiveCursor interface {
 	Next(t0, t1 float64) (*Result, error)
 	Fetch(t0, t1 float64) ([]Result, error)
 	Close()
 }
 
-// NonPredictiveCursor is the non-predictive session surface shared by
-// *NonPredictiveSession and *ShardedNonPredictiveSession.
+// NonPredictiveCursor is the non-predictive session surface
+// (*NonPredictiveSession implements it).
 type NonPredictiveCursor interface {
 	Snapshot(view Rect, t0, t1 float64) ([]Result, error)
 	Reset()
 }
 
-// AdaptiveCursor is the adaptive session surface shared by
-// *AdaptiveSession and *ShardedAdaptiveSession.
+// AdaptiveCursor is the adaptive session surface (*AdaptiveSession
+// implements it).
 type AdaptiveCursor interface {
 	Frame(view Rect, t0, t1 float64) ([]Result, error)
 	Predictive() bool
@@ -136,6 +86,8 @@ type Database interface {
 	ApplyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error
 	BulkLoadUpdates(updates []MotionUpdate) error
 	BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error
+	// Sync persists every page file and checkpoints every armed log.
+	Sync() error
 	Snapshot(view Rect, t0, t1 float64) ([]Result, error)
 	SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opts QueryOptions) ([]Result, error)
 	KNN(point []float64, t float64, k int) ([]Neighbor, error)
@@ -143,10 +95,23 @@ type Database interface {
 	Predictive(waypoints []Waypoint, opts PredictiveOptions) (PredictiveCursor, error)
 	NonPredictive(opts NonPredictiveOptions) NonPredictiveCursor
 	Adaptive(opts AdaptiveOptions) (AdaptiveCursor, error)
+	Dims() int
+	Len() int
 	Stats() (IndexStats, error)
 	CostSnapshot() stats.Snapshot
 	BufferStats() BufferStats
 	BufferSegments() []BufferSegmentStats
+	// WALTelemetry snapshots the armed logs' instrumentation; ok is false
+	// when the database runs without a write-ahead log.
+	WALTelemetry(windows []time.Duration) (obs.WALTelemetry, bool)
+	// MaintenanceTelemetry snapshots the self-healing loop; ok is false
+	// when none is running.
+	MaintenanceTelemetry() (obs.MaintenanceTelemetry, bool)
+	// RegisterWALMetrics and RegisterMaintenanceMetrics expose the logs'
+	// and the maintenance loop's series in a registry, reporting whether
+	// there was anything to register.
+	RegisterWALMetrics(reg *obs.Registry) bool
+	RegisterMaintenanceMetrics(reg *obs.Registry) bool
 	// Degraded reports whether the database entered read-only mode after
 	// persistent storage write failures (mutations return ErrReadOnly).
 	Degraded() bool
@@ -155,21 +120,8 @@ type Database interface {
 	Close() error
 }
 
-// Predictive starts a predictive dynamic query and returns it as the
-// interface form shared with ShardedDB (PredictiveQuery returns the
-// concrete session).
-func (db *DB) Predictive(waypoints []Waypoint, opts PredictiveOptions) (PredictiveCursor, error) {
-	return db.PredictiveQuery(waypoints, opts)
-}
-
-// NonPredictive starts a non-predictive session in the interface form
-// shared with ShardedDB.
-func (db *DB) NonPredictive(opts NonPredictiveOptions) NonPredictiveCursor {
-	return db.NonPredictiveQuery(opts)
-}
-
-// Adaptive starts an adaptive session in the interface form shared with
-// ShardedDB.
-func (db *DB) Adaptive(opts AdaptiveOptions) (AdaptiveCursor, error) {
-	return db.AdaptiveQuery(opts)
-}
+// Compile-time check: both flavours present the same surface.
+var (
+	_ Database = (*DB)(nil)
+	_ Database = (*ShardedDB)(nil)
+)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dynq/internal/pager"
-	"dynq/internal/wal"
 )
 
 // ChaosSoakOptions configure ChaosSoak, the combined adversary behind
@@ -161,44 +160,17 @@ func (f *chaosWALFault) fault(string) error {
 // interposed on the page path, a fault-hooked WAL, and a manually ticked
 // maintenance loop under the injected clock.
 func openChaos(path, walPath string, bufferPages int, mopts MaintenanceOptions,
-	now func() time.Time, walFault func(string) error) (*DB, *pager.FileStore, *pager.FaultStore, *RecoveryReport, error) {
-	fail := func(err error) (*DB, *pager.FileStore, *pager.FaultStore, *RecoveryReport, error) {
-		return nil, nil, nil, nil, err
-	}
-	fs, err := pager.OpenFileStore(path)
-	if err != nil {
-		return fail(err)
-	}
-	faults := pager.NewFaultStore(fs)
-	db, rep, err := recoverFileStore(fs, faults)
-	if err != nil {
-		fs.Close()
-		return fail(err)
-	}
-	db.health.after = 2 // degrade on the second consecutive write failure
-	if bufferPages > 0 {
-		if err := db.tree.UseBuffer(bufferPages); err != nil {
-			fs.Close()
-			return fail(err)
-		}
-		db.bufferPages = bufferPages
-	}
-	if err := db.armWALWith(walPath, wal.Options{Fault: walFault}, rep); err != nil {
-		fs.Close()
-		return fail(err)
-	}
-	db.maint = startMaintainer(db, mopts)
-	if db.maint != nil {
-		db.maint.now = now
-	}
-	return db, fs, faults, rep, nil
-}
-
-// chaosCrash abandons the database as a power cut would: the log and the
-// page file are dropped without a final sync.
-func chaosCrash(db *DB, fs *pager.FileStore) error {
-	db.wal.Crash()
-	return fs.Crash()
+	now func() time.Time, walFault func(string) error) (*DB, *pager.FileStore, *pager.FaultStore, error) {
+	return recoverFaulted(recoverSpec{
+		lay:          singleLayout(path, walPath),
+		units:        1,
+		forceWAL:     true,
+		bufferPages:  bufferPages,
+		degradeAfter: 2, // degrade on the second consecutive write failure
+		maint:        mopts,
+		walFault:     walFault,
+		clock:        now,
+	}, nil)
 }
 
 // ChaosSoak runs the combined crash + disk-full + self-healing soak.
@@ -271,12 +243,13 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 
 	var rep ChaosSoakReport
 	var committed []soakSeg
-	replica, err := Open(Options{})
+	lay := singleLayout(path, walPath)
+	replica, err := createEngine(Options{}, 1, 0, layout{}, false)
 	if err != nil {
 		return rep, err
 	}
 	defer func() { replica.Close() }()
-	if err := rebuildFileWAL(path, walPath, committed, opts.BufferPages); err != nil {
+	if err := rebuildLogged(lay, 1, committed, opts.BufferPages); err != nil {
 		return rep, err
 	}
 
@@ -287,10 +260,11 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 		rep.Cycles++
 
 		// Recovery phase: reopen, replay, reconcile, compare.
-		db, fs, faults, rrep, err := openChaos(path, walPath, opts.BufferPages, mopts, clk.Now, hook.fault)
+		db, _, faults, err := openChaos(path, walPath, opts.BufferPages, mopts, clk.Now, hook.fault)
 		if err != nil {
 			return rep, fmt.Errorf("cycle %d: reopen: %w", cycle, err)
 		}
+		rrep := db.LastRecovery()
 		if !rrep.WALArmed {
 			return rep, fmt.Errorf("cycle %d: reopen did not arm the wal sidecar", cycle)
 		}
@@ -299,7 +273,7 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 		if rrep.WALTornTail {
 			rep.TornTails++
 		}
-		survived, err := reconcileAsync(db, replica, &committed, pendingAsync)
+		survived, err := reconcileAsync(db.engine, replica, &committed, pendingAsync)
 		if err != nil {
 			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
 		}
@@ -364,54 +338,18 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 		}
 
 		// Acknowledged write phase: concurrent batches, group-committed.
-		acked := make([][]soakSeg, opts.AckedBatches)
-		ackedUps := make([][]MotionUpdate, opts.AckedBatches)
-		for i := range acked {
-			acked[i] = genSoakBatch(wrand, opts.Batch, &nextID)
-			ackedUps[i] = toUpdates(acked[i])
-			if wrand.Intn(3) == 0 {
-				ackedUps[i] = withChurn(ackedUps[i])
-			}
+		acked, err := soakAckedPhase(db.engine, replica, wrand, &nextID, opts.AckedBatches, opts.Batch, opts.Writers)
+		if err != nil {
+			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
 		}
-		var wg sync.WaitGroup
-		errs := make([]error, opts.Writers)
-		for w := 0; w < opts.Writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(ackedUps); i += opts.Writers {
-					d := DurabilityGroupCommit
-					if i%5 == 4 {
-						d = DurabilitySync
-					}
-					if err := db.ApplyUpdates(ctx, ackedUps[i], WriteOptions{Durability: d}); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return rep, fmt.Errorf("cycle %d: acked batch: %w", cycle, err)
-			}
-		}
-		rep.BatchesAcked += len(acked)
-		for _, b := range acked {
-			committed = append(committed, b...)
-			for _, s := range b {
-				if err := replica.Insert(s.id, s.seg); err != nil {
-					return rep, fmt.Errorf("cycle %d: replica insert: %w", cycle, err)
-				}
-			}
-		}
+		rep.BatchesAcked += opts.AckedBatches
+		committed = append(committed, acked...)
 
 		// The soak never calls Sync itself: one maintenance tick must keep
 		// the log under the checkpoint policy's byte cap.
 		clk.Advance(defaultMaintInterval)
 		db.maint.tick()
-		if db.wal.LiveBytes() >= opts.MaxWALBytes {
+		if db.logs[0].LiveBytes() >= opts.MaxWALBytes {
 			rep.WALBoundViolations++
 		}
 
@@ -556,7 +494,7 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 		}
 		rep.BatchesAsync += len(pendingAsync)
 
-		if err := chaosCrash(db, fs); err != nil {
+		if err := db.crash(); err != nil {
 			return rep, fmt.Errorf("cycle %d: crash: %w", cycle, err)
 		}
 		torn, err := tearWALTail(walPath, ackedSize, wrand)
@@ -571,10 +509,10 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 			committed = committed[:0]
 			pendingAsync = nil
 			replica.Close()
-			if replica, err = Open(Options{}); err != nil {
+			if replica, err = createEngine(Options{}, 1, 0, layout{}, false); err != nil {
 				return rep, err
 			}
-			if err := rebuildFileWAL(path, walPath, committed, opts.BufferPages); err != nil {
+			if err := rebuildLogged(lay, 1, committed, opts.BufferPages); err != nil {
 				return rep, err
 			}
 			rep.Rotations++

@@ -290,14 +290,22 @@ func openDB(path string, scale float64, seed int64, dual bool, shards int, walAr
 	}
 	if path != "" && shards > 1 {
 		// A sharded on-disk database: one page file and one log per shard
-		// under <path>.shard<i>. Created fresh when absent; otherwise every
-		// shard file is verified and its log replayed before serving.
+		// under <path>.shard<i>. Every shard file is verified and its log
+		// replayed before serving; when none exist yet the database is
+		// created fresh, with the tree shape the flags ask for.
 		db, reps, err := dynq.OpenShardedRecover(path, dynq.ShardRecoverOptions{
 			Shards:            shards,
 			WAL:               walArm,
 			GroupCommitWindow: gcWin,
 			Maintenance:       maint,
 		})
+		if errors.Is(err, os.ErrNotExist) {
+			db, err = dynq.OpenSharded(dynq.ShardOptions{
+				Options: dynq.Options{Path: path, DualTimeAxes: dual, GroupCommitWindow: gcWin, Maintenance: maint},
+				Shards:  shards,
+				WAL:     walArm,
+			})
+		}
 		if err != nil {
 			return nil, nil, err
 		}

@@ -106,3 +106,26 @@ func TestOpenDBShardedDurable(t *testing.T) {
 		t.Fatalf("wrong-count error should explain the shard-count rule, got: %v", err)
 	}
 }
+
+// TestOpenDBShardedKeepsTreeShape: a fresh -db X -shards N -wal -dual
+// database gets the dual-time-axis tree (internal fanout 113, not 145),
+// and a reopen recovers that shape from the files.
+func TestOpenDBShardedKeepsTreeShape(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dual.dynq")
+	for _, pass := range []string{"fresh", "reopen"} {
+		db, _, err := openDB(path, 0, 1, true, 2, true, 0, dynq.MaintenanceOptions{}, discardLogger())
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		st, err := db.Stats()
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		if st.IntFanout != 113 {
+			t.Errorf("%s: internal fanout %d, want 113 (dual time axes)", pass, st.IntFanout)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+	}
+}

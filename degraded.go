@@ -38,8 +38,7 @@ func wrapDiskFull(err error) error {
 const defaultDegradeAfter = 3
 
 // degradeState tracks consecutive storage write failures and the
-// degraded (read-only) flag. It is embedded by DB and ShardedDB; all
-// methods are safe for concurrent use.
+// degraded (read-only) flag; all methods are safe for concurrent use.
 type degradeState struct {
 	degraded   atomic.Bool
 	writeFails atomic.Int32
@@ -59,7 +58,7 @@ func (d *degradeState) gate() error {
 // the consecutive-failure counter, failure advances it and trips
 // degraded mode at the threshold. ENOSPC-rooted failures come back
 // stamped with ErrDiskFull; other errors return unchanged, so callers
-// can `return db.noteWriteResult(err)`.
+// can `return e.health.note(err)`.
 func (d *degradeState) note(err error) error {
 	if err == nil {
 		d.writeFails.Store(0)
@@ -129,18 +128,8 @@ func (d *degradeState) set(on bool) {
 }
 
 // Degraded reports whether the database has entered read-only mode.
-func (db *DB) Degraded() bool { return db.health.degraded.Load() }
+func (e *engine) Degraded() bool { return e.health.degraded.Load() }
 
 // SetReadOnly manually enters (true) or clears (false) read-only mode.
 // Clearing also forgets accumulated write failures.
-func (db *DB) SetReadOnly(on bool) { db.health.set(on) }
-
-func (db *DB) writeGate() error                { return db.health.gate() }
-func (db *DB) noteWriteResult(err error) error { return db.health.note(err) }
-
-// Degraded reports whether the database has entered read-only mode.
-func (db *ShardedDB) Degraded() bool { return db.health.degraded.Load() }
-
-// SetReadOnly manually enters (true) or clears (false) read-only mode.
-// Clearing also forgets accumulated write failures.
-func (db *ShardedDB) SetReadOnly(on bool) { db.health.set(on) }
+func (e *engine) SetReadOnly(on bool) { e.health.set(on) }

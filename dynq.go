@@ -27,18 +27,12 @@
 package dynq
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"dynq/internal/core"
 	"dynq/internal/geom"
-	"dynq/internal/pager"
 	"dynq/internal/rtree"
-	"dynq/internal/stats"
-	"dynq/internal/wal"
 )
 
 // ObjectID identifies a mobile object across all of its motion updates.
@@ -131,50 +125,15 @@ type Options struct {
 }
 
 // DB is a mobile-object database: an NSI R-tree plus the dynamic query
-// engines.
-//
-// Concurrency: read-only operations (Snapshot, SnapshotCtx, KNN, KNNCtx,
-// Within, JoinWith, CountSeries, Stats, Validate, Len) hold a shared lock
-// and run in parallel with each other; mutating operations (Insert,
-// Delete, BulkLoad, Sync) hold the exclusive lock, so every query
-// observes the index either entirely before or entirely after a given
-// write. Stats accessors (Cost, CostSnapshot, BufferStats) are atomic and
-// lock-free. Session types (PredictiveQuery, NonPredictiveQuery,
-// AdaptiveQuery) are each single-goroutine but may run alongside queries
-// and writers, synchronizing at index-node granularity as the paper's
-// live-update semantics require.
+// engines, stored in memory or in one page file (Options.Path) with an
+// optional write-ahead log beside it (Options.WALPath). It is the
+// one-unit case of the engine ShardedDB runs with many; everything but
+// the file layout and the accessors declared here is shared — see the
+// engine type for the method set and the concurrency model.
 type DB struct {
-	// mu isolates whole operations: queries share it, writers own it.
-	// The index beneath has its own reader-writer lock at node-load
-	// granularity, used by dynamic query sessions.
-	mu          sync.RWMutex
-	tree        *rtree.Tree
-	cfg         rtree.Config
-	store       pager.Store
-	counters    stats.Counters
-	bufferPages int
-	health      degradeState
-	// wal is the armed write-ahead log, nil when the database runs
-	// without one (Options.WALPath empty and no sidecar found on open).
-	wal *wal.Log
-	// appliedLSN is the WAL position the committed page state had
-	// absorbed when the database was opened; replay starts above it.
-	appliedLSN uint64
-	// recovery holds the open-time verification report when the database
-	// was opened through OpenFileRecover, nil otherwise.
-	recovery *RecoveryReport
-	// maint is the self-healing maintenance loop, nil when
-	// Options.Maintenance left it disabled.
-	maint *maintainer
+	*engine
 }
 
-// LastRecovery returns the report from open-time recovery, or nil when
-// the database was not opened through OpenFileRecover.
-func (db *DB) LastRecovery() *RecoveryReport { return db.recovery }
-
-// Open creates a database. With Options.Path set, a new page file is
-// created, TRUNCATING any existing file at that path; use OpenFile to
-// reattach an existing one.
 // defaultWALBufferPages is the page buffer capacity a WAL-armed database
 // gets when Options.BufferPages is left 0. Unbuffered writes rewrite
 // committed pages in place; after a crash the page file then carries
@@ -184,55 +143,41 @@ func (db *DB) LastRecovery() *RecoveryReport { return db.recovery }
 // survives any crash.
 const defaultWALBufferPages = 1024
 
+// Open creates a database. With Options.Path set, a new page file is
+// created, TRUNCATING any existing file at that path; use OpenFile to
+// reattach an existing one.
 func Open(opts Options) (*DB, error) {
-	cfg, err := opts.toConfig()
+	e, err := createEngine(opts, 1, 0, singleLayout(opts.Path, opts.WALPath), opts.WALPath != "")
 	if err != nil {
 		return nil, err
 	}
-	bufferPages := opts.BufferPages
-	if opts.WALPath != "" && bufferPages == 0 {
-		bufferPages = defaultWALBufferPages
+	return &DB{e}, nil
+}
+
+// LastRecovery returns the report from open-time recovery, or nil when
+// the database was not opened through OpenFileRecover.
+func (db *DB) LastRecovery() *RecoveryReport {
+	if db.recovery == nil {
+		return nil
 	}
-	var store pager.Store
-	if opts.Path != "" {
-		fs, err := pager.CreateFileStore(opts.Path)
-		if err != nil {
-			return nil, err
-		}
-		store = fs
-	} else {
-		store = pager.NewMemStore()
+	return db.recovery[0]
+}
+
+// WALInfo reports the armed write-ahead log's header state; ok is false
+// when the database has no WAL.
+func (db *DB) WALInfo() (WALInfo, bool) {
+	if db.logs == nil {
+		return WALInfo{}, false
 	}
-	tree, err := rtree.NewBuffered(cfg, store, bufferPages)
-	if err != nil {
-		return nil, err
-	}
-	db := &DB{tree: tree, cfg: cfg, store: store, bufferPages: bufferPages}
-	db.health.after = int32(opts.DegradeAfter)
-	tree.SetCounters(&db.counters)
-	if fs, ok := store.(*pager.FileStore); ok {
-		// Commit the empty base state immediately: a crash before the
-		// first Sync must leave an openable (empty) file — with a WAL
-		// armed, that base is what replay rebuilds from.
-		cerr := fs.SetAux(encodeMeta(tree.Meta(), 0))
-		if cerr == nil {
-			cerr = fs.Sync()
-		}
-		if cerr != nil {
-			store.Close()
-			return nil, cerr
-		}
-	}
-	if opts.WALPath != "" {
-		w, err := wal.Create(opts.WALPath, wal.Options{GroupCommitWindow: opts.GroupCommitWindow})
-		if err != nil {
-			store.Close()
-			return nil, fmt.Errorf("dynq: create wal: %w", err)
-		}
-		db.wal = w
-	}
-	db.maint = startMaintainer(db, opts.Maintenance)
-	return db, nil
+	return walInfo(db.logs[0]), true
+}
+
+// JoinWith finds every pair (a ∈ db, b ∈ other) within delta of each
+// other at time t. Both databases must have the same dimensionality.
+// Only the receiver is read-locked; concurrent writes to other
+// synchronize at its index level, so they may land mid-join.
+func (db *DB) JoinWith(other *DB, delta, t float64) ([]Pair, error) {
+	return db.joinWith(other.engine, delta, t)
 }
 
 func (o Options) toConfig() (rtree.Config, error) {
@@ -260,107 +205,8 @@ func (o Options) toConfig() (rtree.Config, error) {
 	return cfg, nil
 }
 
-// Close releases the underlying page store and the write-ahead log.
-// Close does NOT Sync: with a WAL armed the log itself carries the
-// unsynced tail across the restart; without one, unsynced writes are
-// lost as before.
-func (db *DB) Close() error {
-	db.maint.stop()
-	var werr error
-	if db.wal != nil {
-		werr = db.wal.Close()
-	}
-	return errors.Join(werr, db.store.Close())
-}
-
-// WALStats returns the armed write-ahead log's counters, or zero when no
-// WAL is armed.
-func (db *DB) WALStats() (wal.Stats, bool) {
-	if db.wal == nil {
-		return wal.Stats{}, false
-	}
-	return db.wal.Stats(), true
-}
-
-// Dims returns the spatial dimensionality.
-func (db *DB) Dims() int { return db.cfg.Dims }
-
-// Len returns the number of indexed motion segments.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.tree.Size()
-}
-
-// Insert records one motion update for an object. Coordinates are stored
-// at float32 precision (the on-disk key format). It is a thin wrapper
-// over ApplyUpdates with default (group-commit) durability; batch
-// updates through ApplyUpdates when ingesting at rate.
-func (db *DB) Insert(id ObjectID, seg Segment) error {
-	return db.InsertCtx(context.Background(), id, seg, WriteOptions{})
-}
-
-// BulkLoad builds the index from a segment set at a 0.5 fill factor,
-// replacing any current contents. It is far faster than repeated Insert
-// for large historical loads. The db must be empty.
-//
-// Deprecated: the map form loses input order. Use BulkLoadUpdates (or
-// BulkLoadCtx), which shares the ordered MotionUpdate batch form with
-// ApplyUpdates; this wrapper flattens the map sorted by (object, start
-// time) and delegates.
-func (db *DB) BulkLoad(segs map[ObjectID][]Segment) error {
-	return db.BulkLoadUpdates(sortedUpdates(segs))
-}
-
-// Delete removes the motion update of an object that started at t0.
-// It returns ErrNotFound if no such segment is indexed. Like Insert it
-// is a thin wrapper over ApplyUpdates.
-func (db *DB) Delete(id ObjectID, t0 float64) error {
-	return db.DeleteCtx(context.Background(), id, t0, WriteOptions{})
-}
-
 // ErrNotFound is returned by Delete for a missing segment.
 var ErrNotFound = rtree.ErrNotFound
-
-// Snapshot answers one spatio-temporal range query: all objects whose
-// trajectory passes through view during [t0, t1].
-func (db *DB) Snapshot(view Rect, t0, t1 float64) ([]Result, error) {
-	box, err := db.toBox(view)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	ms, err := db.tree.RangeSearch(box, geom.Interval{Lo: t0, Hi: t1}, rtree.SearchOptions{}, &db.counters)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(ms))
-	for i, m := range ms {
-		out[i] = Result{
-			ID:        ObjectID(m.ID),
-			Segment:   fromSegment(m.Seg),
-			Appear:    m.Overlap.Lo,
-			Disappear: m.Overlap.Hi,
-		}
-	}
-	return out, nil
-}
-
-// KNN returns the k objects nearest to point at time t.
-func (db *DB) KNN(point []float64, t float64, k int) ([]Neighbor, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	nbs, err := core.KNN(db.tree, geom.Point(point), t, k, &db.counters)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Neighbor, len(nbs))
-	for i, n := range nbs {
-		out[i] = Neighbor{ID: ObjectID(n.ID), Segment: fromSegment(n.Seg), Dist: n.Dist}
-	}
-	return out, nil
-}
 
 // CostReport is the cumulative query cost since the last ResetCost, in
 // the paper's metrics.
@@ -371,11 +217,6 @@ type CostReport struct {
 	DistanceComps int64 // geometric predicate evaluations
 	Results       int64 // objects returned
 }
-
-// CostSnapshot returns the raw cumulative counter snapshot (all paper
-// metrics plus buffer hits, page writes, and pruned nodes). Two
-// snapshots bracket an operation: after.Sub(before) is its cost.
-func (db *DB) CostSnapshot() stats.Snapshot { return db.counters.Snapshot() }
 
 // BufferStats describes the server-side page buffer pool.
 type BufferStats struct {
@@ -394,22 +235,6 @@ func (b BufferStats) HitRatio() float64 {
 		return 0
 	}
 	return float64(b.Hits) / float64(total)
-}
-
-// BufferStats reports the buffer pool's live accounting. Safe to call
-// concurrently with queries.
-func (db *DB) BufferStats() BufferStats {
-	db.mu.RLock()
-	p := db.tree.Pool()
-	db.mu.RUnlock()
-	return BufferStats{
-		Hits:       p.Hits(),
-		Misses:     p.Misses(),
-		Evictions:  p.Evictions(),
-		WriteBacks: p.WriteBacks(),
-		Len:        p.Len(),
-		Capacity:   p.Capacity(),
-	}
 }
 
 // BufferSegmentStats is a point-in-time view of one lock segment of the
@@ -431,36 +256,6 @@ func (b BufferSegmentStats) HitRatio() float64 {
 	return float64(b.Hits) / float64(total)
 }
 
-// BufferSegments reports the buffer pool's per-segment accounting, in
-// segment order (empty for a bufferless pass-through pool). Safe to call
-// concurrently with queries.
-func (db *DB) BufferSegments() []BufferSegmentStats {
-	db.mu.RLock()
-	p := db.tree.Pool()
-	db.mu.RUnlock()
-	segs := p.SegmentStats()
-	out := make([]BufferSegmentStats, len(segs))
-	for i, s := range segs {
-		out[i] = BufferSegmentStats{Hits: s.Hits, Misses: s.Misses, Len: s.Len, Capacity: s.Capacity}
-	}
-	return out
-}
-
-// Cost returns the accumulated query cost counters.
-func (db *DB) Cost() CostReport {
-	s := db.counters.Snapshot()
-	return CostReport{
-		DiskReads:     s.Reads(),
-		LeafReads:     s.LeafReads,
-		InternalReads: s.InternalReads,
-		DistanceComps: s.DistanceComps,
-		Results:       s.Results,
-	}
-}
-
-// ResetCost zeroes the cost counters.
-func (db *DB) ResetCost() { db.counters.Reset() }
-
 // IndexStats describes the physical index shape.
 type IndexStats struct {
 	Height        int
@@ -471,37 +266,6 @@ type IndexStats struct {
 	IntFanout     int
 	AvgLeafFill   float64
 	AvgIntFill    float64
-}
-
-// Stats walks the index and reports its shape.
-func (db *DB) Stats() (IndexStats, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	st, err := db.tree.Stats()
-	if err != nil {
-		return IndexStats{}, err
-	}
-	return IndexStats{
-		Height:        st.Height,
-		Segments:      st.Segments,
-		LeafNodes:     st.LeafNodes,
-		InternalNodes: st.InternalNodes,
-		LeafFanout:    st.MaxLeafFan,
-		IntFanout:     st.MaxIntFan,
-		AvgLeafFill:   st.AvgLeafFill,
-		AvgIntFill:    st.AvgIntFill,
-	}, nil
-}
-
-// Validate checks the index's structural invariants (tests/tools).
-func (db *DB) Validate() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.tree.Validate()
-}
-
-func (db *DB) toSegment(s Segment) (geom.Segment, error) {
-	return toSegmentDims(s, db.Dims())
 }
 
 func toSegmentDims(s Segment, d int) (geom.Segment, error) {
@@ -527,10 +291,6 @@ func fromSegment(g geom.Segment) Segment {
 	}
 }
 
-func (db *DB) toBox(r Rect) (geom.Box, error) {
-	return toBoxDims(r, db.Dims())
-}
-
 func toBoxDims(r Rect, d int) (geom.Box, error) {
 	if len(r.Min) != d || len(r.Max) != d {
 		return nil, fmt.Errorf("dynq: rect must have %d dims", d)
@@ -549,4 +309,12 @@ func fromResult(r core.Result) Result {
 		Appear:    r.Appear,
 		Disappear: r.Disappear,
 	}
+}
+
+func fromResults(rs []core.Result) []Result {
+	out := make([]Result, len(rs))
+	for i, r := range rs {
+		out[i] = fromResult(r)
+	}
+	return out
 }

@@ -106,19 +106,18 @@ func TestDelete(t *testing.T) {
 func TestBulkLoadAndStats(t *testing.T) {
 	db := newTestDB(t, Options{})
 	r := rand.New(rand.NewSource(2))
-	segs := map[ObjectID][]Segment{}
+	var segs []MotionUpdate
 	for i := 0; i < 200; i++ {
-		id := ObjectID(i)
 		for k := 0; k < 20; k++ {
 			t0 := float64(k)
 			x, y := r.Float64()*100, r.Float64()*100
-			segs[id] = append(segs[id], Segment{
+			segs = append(segs, MotionUpdate{ID: ObjectID(i), Segment: Segment{
 				T0: t0, T1: t0 + 1,
 				From: []float64{x, y}, To: []float64{x + 1, y + 1},
-			})
+			}})
 		}
 	}
-	if err := db.BulkLoad(segs); err != nil {
+	if err := db.BulkLoadUpdates(segs); err != nil {
 		t.Fatal(err)
 	}
 	if db.Len() != 4000 {
@@ -135,7 +134,7 @@ func TestBulkLoadAndStats(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// Bulk load on a non-empty database is refused.
-	if err := db.BulkLoad(segs); err == nil {
+	if err := db.BulkLoadUpdates(segs); err == nil {
 		t.Error("bulk load over existing data should be refused")
 	}
 }

@@ -70,14 +70,14 @@ func buildDatabase() *dynq.DB {
 	if err != nil {
 		log.Fatal(err)
 	}
-	byObject := map[dynq.ObjectID][]dynq.Segment{}
-	for _, s := range segs {
-		byObject[s.ObjID] = append(byObject[s.ObjID], dynq.Segment{
+	updates := make([]dynq.MotionUpdate, len(segs))
+	for i, s := range segs {
+		updates[i] = dynq.MotionUpdate{ID: s.ObjID, Segment: dynq.Segment{
 			T0: s.Seg.T.Lo, T1: s.Seg.T.Hi,
 			From: s.Seg.Start, To: s.Seg.End,
-		})
+		}}
 	}
-	if err := db.BulkLoad(byObject); err != nil {
+	if err := db.BulkLoadUpdates(updates); err != nil {
 		log.Fatal(err)
 	}
 	st, err := db.Stats()

@@ -28,8 +28,8 @@ func (e *Engine) Snapshot(ctx context.Context, spatial geom.Box, tw geom.Interva
 	if err != nil {
 		return nil, err
 	}
-	var out []rtree.Match
-	for _, ms := range parts {
+	out := parts[0] // one part is the answer: nothing to copy
+	for _, ms := range parts[1:] {
 		out = append(out, ms...)
 	}
 	if limit > 0 && len(out) > limit {
@@ -52,6 +52,9 @@ func (e *Engine) KNN(ctx context.Context, p geom.Point, t float64, k int) ([]cor
 	})
 	if err != nil {
 		return nil, err
+	}
+	if len(parts) == 1 {
+		return parts[0], nil // already sorted and at most k long
 	}
 	var out []core.Neighbor
 	for _, nbs := range parts {

@@ -86,46 +86,54 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (*core.Result, error) {
 	return r, nil
 }
 
-// refill pulls a head from every shard cursor that has none, fanning the
-// pulls out in parallel (the heavy per-window seeding touches every
-// shard; subsequent refills touch only the shard just popped). Buffered
-// heads whose visibility ended before the window are dropped and
-// re-pulled, mirroring the expiry rule of core.PDQ.GetNext.
+// refill pulls a head from every shard cursor that has none. The
+// per-window seeding touches every shard and fans out in parallel; the
+// refill after a pop touches only the shard just popped and is called
+// directly. Buffered heads whose visibility ended before the window are
+// dropped and re-pulled, mirroring the expiry rule of core.PDQ.GetNext.
 func (p *PDQ) refill() error {
-	var idx []int
+	need, last := 0, 0
 	for i := range p.cursors {
 		if p.heads[i] != nil && p.heads[i].Disappear < p.t0 {
 			p.heads[i] = nil // expired between windows
 		}
 		if p.heads[i] == nil && !p.done[i] {
-			idx = append(idx, i)
+			need, last = need+1, i
 		}
 	}
-	if len(idx) == 0 {
-		return nil
+	if need <= 1 {
+		if need == 0 {
+			return nil
+		}
+		return p.pull(last)
 	}
-	fns := make([]func() error, len(idx))
-	for j, i := range idx {
-		i := i
-		fns[j] = func() error {
-			for {
-				r, err := p.cursors[i].GetNext(p.t0, p.t1)
-				if err != nil {
-					return err
-				}
-				if r == nil {
-					p.done[i] = true
-					return nil
-				}
-				if r.Disappear < p.t0 {
-					continue
-				}
-				p.heads[i] = r
-				return nil
-			}
+	fns := make([]func() error, 0, need)
+	for i := range p.cursors {
+		if p.heads[i] == nil && !p.done[i] {
+			i := i
+			fns = append(fns, func() error { return p.pull(i) })
 		}
 	}
 	return p.e.run(fns)
+}
+
+// pull advances shard i's cursor to its next result still visible in the
+// current window, buffering it as the shard's head.
+func (p *PDQ) pull(i int) error {
+	for {
+		r, err := p.cursors[i].GetNext(p.t0, p.t1)
+		if err != nil {
+			return err
+		}
+		if r == nil {
+			p.done[i] = true
+			return nil
+		}
+		if r.Disappear >= p.t0 {
+			p.heads[i] = r
+			return nil
+		}
+	}
 }
 
 // headLess orders buffered heads by appearance time, ties broken by
@@ -290,8 +298,12 @@ func (a *Adaptive) Close() {
 }
 
 // mergeResults flattens per-shard result batches and sorts them by
-// appearance time (ties by id, then segment start).
+// appearance time (ties by id, then segment start); a single batch is
+// returned as it is.
 func mergeResults(parts [][]core.Result) []core.Result {
+	if len(parts) == 1 {
+		return parts[0] // one session's own order is the answer
+	}
 	var out []core.Result
 	for _, rs := range parts {
 		out = append(out, rs...)

@@ -3,10 +3,13 @@
 // (a splitmix64 hash, so consecutive ids spread evenly), each shard owns
 // its own pager store, buffer pool and cost counters, and queries fan out
 // across a bounded worker pool shared by every operation on the engine.
+// One shard is the degenerate case every single-file database runs on:
+// no pool, every task on the caller's goroutine, every merge the
+// identity.
 //
-// Point operations (Insert, Delete) route to one shard. Set queries
-// (Snapshot, KNN, distance joins) run per shard in parallel and merge
-// deterministically. Dynamic-query sessions (PDQ, NPDQ, adaptive) drive
+// Writes (ApplyBatch, UpdateShards) touch only the shards owning the
+// batch's objects. Set queries (Snapshot, KNN, distance joins) run per
+// shard in parallel and merge deterministically. Dynamic-query sessions (PDQ, NPDQ, adaptive) drive
 // one per-shard cursor each and merge their streams through an
 // appearance-time min-heap, preserving the paper's "each object reported
 // once, in order of appearance" contract: an object lives in exactly one
@@ -68,8 +71,8 @@ func (o Options) withDefaults() (Options, error) {
 // counters so per-shard load is observable.
 //
 // mu serializes writers per shard and isolates readers from half-applied
-// write batches: point writes and ApplyBatch sub-batches hold it
-// exclusively, single-shard query tasks hold it shared. Because every
+// write batches: a batch's per-shard portion holds it exclusively,
+// single-shard query tasks hold it shared. Because every
 // writer holds at most ONE shard lock at a time and multi-shard readers
 // (self joins) acquire theirs in ascending shard order, no lock cycle
 // can form — which is what lets a write on shard 3 proceed while reads
@@ -89,6 +92,8 @@ type Engine struct {
 	opts   Options
 	shards []*Shard
 
+	// tasks feeds the bounded worker pool; nil on a one-shard engine,
+	// whose tasks all run on the calling goroutine.
 	tasks   chan func()
 	workers sync.WaitGroup
 
@@ -106,39 +111,32 @@ func New(cfg rtree.Config, opts Options, storeFor func(i int) (pager.Store, erro
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:     cfg,
-		opts:    opts,
-		shards:  make([]*Shard, opts.Shards),
-		latency: make([]*obs.Histogram, opts.Shards),
-		tasks:   make(chan func()),
+	trees := make([]*rtree.Tree, opts.Shards)
+	stores := make([]pager.Store, 0, opts.Shards)
+	fail := func(err error) (*Engine, error) {
+		for _, s := range stores {
+			s.Close()
+		}
+		return nil, err
 	}
-	for i := range e.shards {
+	for i := range trees {
 		store, err := storeFor(i)
 		if err != nil {
-			e.closeStores()
-			return nil, err
+			return fail(err)
 		}
-		tree, err := rtree.NewBuffered(cfg, store, opts.BufferPages)
-		if err != nil {
-			store.Close()
-			e.closeStores()
-			return nil, err
+		stores = append(stores, store)
+		if trees[i], err = rtree.NewBuffered(cfg, store, opts.BufferPages); err != nil {
+			return fail(err)
 		}
-		sh := &Shard{Tree: tree, store: store}
-		tree.SetCounters(&sh.Counters)
-		e.shards[i] = sh
-		e.latency[i] = obs.NewHistogram(nil)
 	}
-	e.startWorkers()
-	return e, nil
+	return NewFromShards(cfg, opts, trees, stores)
 }
 
 // NewFromShards builds an engine over pre-built trees and their stores —
 // the recovery path, where each shard's tree was restored from its own
 // verified file rather than created empty. trees[i] must already read
 // through stores[i]; opts.Shards must match len(trees). The engine wires
-// each shard's counters into its tree, exactly as New does.
+// each shard's counters into its tree.
 func NewFromShards(cfg rtree.Config, opts Options, trees []*rtree.Tree, stores []pager.Store) (*Engine, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -153,7 +151,6 @@ func NewFromShards(cfg rtree.Config, opts Options, trees []*rtree.Tree, stores [
 		opts:    opts,
 		shards:  make([]*Shard, opts.Shards),
 		latency: make([]*obs.Histogram, opts.Shards),
-		tasks:   make(chan func()),
 	}
 	for i := range e.shards {
 		sh := &Shard{Tree: trees[i], store: stores[i]}
@@ -161,20 +158,21 @@ func NewFromShards(cfg rtree.Config, opts Options, trees []*rtree.Tree, stores [
 		e.shards[i] = sh
 		e.latency[i] = obs.NewHistogram(nil)
 	}
-	e.startWorkers()
-	return e, nil
-}
-
-func (e *Engine) startWorkers() {
-	e.workers.Add(e.opts.Workers)
-	for w := 0; w < e.opts.Workers; w++ {
-		go func() {
-			defer e.workers.Done()
-			for fn := range e.tasks {
-				fn()
-			}
-		}()
+	// One shard never has two tasks to overlap: run executes them on the
+	// caller's goroutine, so a pool would only sit idle.
+	if opts.Shards > 1 {
+		e.tasks = make(chan func())
+		e.workers.Add(opts.Workers)
+		for w := 0; w < opts.Workers; w++ {
+			go func() {
+				defer e.workers.Done()
+				for fn := range e.tasks {
+					fn()
+				}
+			}()
+		}
 	}
+	return e, nil
 }
 
 // Config returns the shared tree configuration.
@@ -216,25 +214,6 @@ func (e *Engine) ShardFor(id rtree.ObjectID) int {
 	return Place(id, len(e.shards))
 }
 
-// Insert routes one motion update to its owner shard, locking only that
-// shard: writes on one partition run concurrently with queries and
-// writes on every other.
-func (e *Engine) Insert(en rtree.LeafEntry) error {
-	sh := e.shards[e.ShardFor(en.ID)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.Tree.Insert(en.ID, en.Seg)
-}
-
-// Delete removes the segment of an object starting at t0 from its owner
-// shard. It returns rtree.ErrNotFound when no such segment is indexed.
-func (e *Engine) Delete(id rtree.ObjectID, t0 float64) error {
-	sh := e.shards[e.ShardFor(id)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.Tree.Delete(id, t0)
-}
-
 // Update is one element of an ApplyBatch write batch: an insertion, or
 // (with Delete set) the removal of the object's segment starting at T0.
 type Update struct {
@@ -256,24 +235,21 @@ type Update struct {
 // other shards may have applied their sub-batches fully.
 func (e *Engine) ApplyBatch(updates []Update) error {
 	parts := make([][]Update, len(e.shards))
+	touched := make([]bool, len(e.shards))
 	for _, u := range updates {
 		i := e.ShardFor(u.ID)
 		parts[i] = append(parts[i], u)
+		touched[i] = true
 	}
-	return e.fanOut(func(i int, sh *Shard) error {
-		if len(parts[i]) == 0 {
-			return nil
-		}
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+	return e.UpdateShards(touched, func(i int, sh *Shard) error {
 		for _, u := range parts[i] {
+			var err error
 			if u.Delete {
-				if err := sh.Tree.Delete(u.ID, u.T0); err != nil {
-					return err
-				}
-				continue
+				err = sh.Tree.Delete(u.ID, u.T0)
+			} else {
+				err = sh.Tree.Insert(u.ID, u.Seg)
 			}
-			if err := sh.Tree.Insert(u.ID, u.Seg); err != nil {
+			if err != nil {
 				return err
 			}
 		}
@@ -283,13 +259,13 @@ func (e *Engine) ApplyBatch(updates []Update) error {
 
 // UpdateShards runs fn once per shard where touched[i] is true, on the
 // worker pool, each invocation holding that shard's exclusive lock and
-// timed into its latency histogram. It is the primitive behind
-// WAL-logged batch writes: the caller partitions the batch itself and
+// timed into its latency histogram. It is the primitive behind every
+// batch write: the caller partitions the batch itself and, when logging,
 // must append each sub-batch to the shard's log under the SAME lock
 // acquisition that applies it, so the log's record order matches the
-// order mutations became visible on that shard. Like ApplyBatch,
-// cross-shard visibility is not atomic; the first error in shard order
-// is returned and other shards may have completed.
+// order mutations became visible on that shard. Cross-shard visibility
+// is not atomic; the first error in shard order is returned and other
+// shards may have completed.
 func (e *Engine) UpdateShards(touched []bool, fn func(i int, sh *Shard) error) error {
 	fns := make([]func() error, 0, len(e.shards))
 	for i := range e.shards {
@@ -329,10 +305,13 @@ func (e *Engine) BulkLoad(entries []rtree.LeafEntry) error {
 			return fmt.Errorf("shard: BulkLoad requires empty shards")
 		}
 	}
-	parts := make([][]rtree.LeafEntry, len(e.shards))
-	for _, en := range entries {
-		i := e.ShardFor(en.ID)
-		parts[i] = append(parts[i], en)
+	parts := [][]rtree.LeafEntry{entries} // one shard owns everything: no copy
+	if len(e.shards) > 1 {
+		parts = make([][]rtree.LeafEntry, len(e.shards))
+		for _, en := range entries {
+			i := e.ShardFor(en.ID)
+			parts[i] = append(parts[i], en)
+		}
 	}
 	return e.fanOut(func(i int, sh *Shard) error {
 		sh.mu.Lock()
@@ -405,8 +384,10 @@ func (e *Engine) Close() error {
 // stores mid-write and a clean Close would mask the simulated failure.
 // The engine must not be used afterwards.
 func (e *Engine) Shutdown() {
-	close(e.tasks)
-	e.workers.Wait()
+	if e.tasks != nil {
+		close(e.tasks)
+		e.workers.Wait()
+	}
 }
 
 func (e *Engine) closeStores() error {
@@ -421,8 +402,21 @@ func (e *Engine) closeStores() error {
 
 // run executes the given tasks on the bounded worker pool and blocks
 // until all finish, returning the first error in task order. It is the
-// fan-out primitive behind every parallel operation.
+// fan-out primitive behind every parallel operation. A single task runs
+// on the calling goroutine: handing it to a worker and waiting buys no
+// overlap and costs two goroutine switches, which is most of a 15µs
+// predictive frame. (A one-shard engine has no pool at all; the few
+// multi-task operations it can see — a join against a sharded engine —
+// run their tasks in order.)
 func (e *Engine) run(fns []func() error) error {
+	if len(fns) == 1 || e.tasks == nil {
+		for _, fn := range fns {
+			if err := fn(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	errs := make([]error, len(fns))
 	var wg sync.WaitGroup
 	wg.Add(len(fns))
@@ -464,11 +458,13 @@ func (e *Engine) fanOut(fn func(i int, sh *Shard) error) error {
 // cost deltas measured around the task. Shard counters are shared by all
 // queries on the shard, so under concurrency a span's delta may include
 // work charged by overlapping operations (same caveat as the server-wide
-// op spans). Without a trace in the context it degrades to plain fanOut.
+// op spans). Without a trace in the context, or with a single shard —
+// whose one child would only repeat the caller's own span — it degrades
+// to plain fanOut.
 func (e *Engine) fanOutTraced(ctx context.Context, op, engine string, fn func(i int, sh *Shard) error) error {
 	tc, okTrace := obs.TraceFromContext(ctx)
 	tracer, okTracer := obs.TracerFromContext(ctx)
-	if !okTrace || !okTracer {
+	if !okTrace || !okTracer || len(e.shards) == 1 {
 		return e.fanOut(fn)
 	}
 	fns := make([]func() error, len(e.shards))

@@ -33,6 +33,16 @@ func testEntries(n int) []rtree.LeafEntry {
 	return entries
 }
 
+// insertAll applies the entries one update per batch, like point inserts.
+func insertAll(t *testing.T, e *Engine, entries []rtree.LeafEntry) {
+	t.Helper()
+	for _, en := range entries {
+		if err := e.ApplyBatch([]Update{{ID: en.ID, Seg: en.Seg}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestOptionsValidation(t *testing.T) {
 	if _, err := New(rtree.DefaultConfig(), Options{Shards: 0}, memStores); err == nil {
 		t.Fatal("Shards=0 accepted")
@@ -64,11 +74,7 @@ func TestRoutingAndDistribution(t *testing.T) {
 	}
 
 	entries := testEntries(200)
-	for _, en := range entries {
-		if err := e.Insert(en); err != nil {
-			t.Fatal(err)
-		}
-	}
+	insertAll(t, e, entries)
 	if e.Size() != len(entries) {
 		t.Fatalf("Size=%d after %d inserts", e.Size(), len(entries))
 	}
@@ -82,13 +88,14 @@ func TestRoutingAndDistribution(t *testing.T) {
 
 	// Delete routes to the owner shard.
 	en := entries[17]
-	if err := e.Delete(en.ID, en.Seg.T.Lo); err != nil {
+	del := []Update{{ID: en.ID, T0: en.Seg.T.Lo, Delete: true}}
+	if err := e.ApplyBatch(del); err != nil {
 		t.Fatal(err)
 	}
 	if e.Size() != len(entries)-1 {
 		t.Fatalf("Size=%d after delete", e.Size())
 	}
-	if err := e.Delete(en.ID, en.Seg.T.Lo); !errors.Is(err, rtree.ErrNotFound) {
+	if err := e.ApplyBatch(del); !errors.Is(err, rtree.ErrNotFound) {
 		t.Fatalf("second delete: %v", err)
 	}
 }
@@ -118,11 +125,7 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inc.Close()
-	for _, en := range entries {
-		if err := inc.Insert(en); err != nil {
-			t.Fatal(err)
-		}
-	}
+	insertAll(t, inc, entries)
 
 	ctx := context.Background()
 	window := geom.Box{{Lo: 10, Hi: 50}, {Lo: 10, Hi: 50}}
@@ -241,11 +244,7 @@ func TestFanOutRecordsPerShardSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	for _, en := range testEntries(300) {
-		if err := e.Insert(en); err != nil {
-			t.Fatal(err)
-		}
-	}
+	insertAll(t, e, testEntries(300))
 
 	// Without a trace in the context, no spans are recorded.
 	tracer := obs.NewTracer(64)

@@ -15,8 +15,8 @@ package dynq
 //   - Auto-checkpoint: when a write-ahead log crosses a CheckpointPolicy
 //     threshold (live bytes, record lag, or age of the oldest
 //     un-checkpointed record), the loop checkpoints it through the same
-//     Sync machinery callers use — worst-pressure log first on a sharded
-//     database — so the log stays bounded with no caller cooperation.
+//     Sync machinery callers use — worst-pressure log first when there
+//     are several — so the log stays bounded with no caller cooperation.
 //
 //   - Degraded-mode probe: once the database trips read-only, the loop
 //     periodically clears sticky log sync errors, re-verifies the page
@@ -132,38 +132,11 @@ const maintProbeID ObjectID = 1<<61 + 1
 // capability (an in-memory database); the scrubber disables itself.
 var errScrubUnsupported = errors.New("dynq: store does not support scrubbing (no page epochs)")
 
-// maintLogStat is one write-ahead log's checkpoint pressure inputs.
-type maintLogStat struct {
-	liveBytes int64
-	lag       uint64
-}
-
-// maintainable is what the maintenance loop needs from a database
-// flavor; *DB and *ShardedDB both implement it.
-type maintainable interface {
-	maintHealth() *degradeState
-	// maintLogs reports each armed log's live bytes and record lag, in
-	// log order; nil when the database runs without a WAL.
-	maintLogs() []maintLogStat
-	// maintCheckpoint checkpoints the given log indexes (already sorted
-	// worst pressure first); a single-log database ignores the indexes.
-	maintCheckpoint(idx []int) error
-	// maintRepair clears recoverable fault state before a probe: sticky
-	// log sync errors are retried and the page header re-verified.
-	maintRepair() error
-	// maintProbe attempts the self-canceling durable write while the
-	// database is degraded (the write path runs ungated).
-	maintProbe() error
-	// maintScrub verifies up to budget reachable pages under the
-	// database's exclusive lock, advancing the cursor in s.
-	maintScrub(s *scrubState, budget int) scrubResult
-}
-
 // maintainer is the background maintenance loop's state. One per
 // database; tick runs on a single goroutine (or is driven manually),
 // telemetry readers synchronize through atomics and mu.
 type maintainer struct {
-	target   maintainable
+	target   *engine
 	opts     MaintenanceOptions
 	interval time.Duration // resolved tick spacing, for scrub budgeting
 	now      func() time.Time
@@ -203,7 +176,7 @@ type maintainer struct {
 
 // startMaintainer builds (and, unless manual, starts) the maintenance
 // loop for a database. Returns nil when the options disable it.
-func startMaintainer(t maintainable, opts MaintenanceOptions) *maintainer {
+func startMaintainer(t *engine, opts MaintenanceOptions) *maintainer {
 	if !opts.Enabled() {
 		return nil
 	}
@@ -264,7 +237,7 @@ func (m *maintainer) stop() {
 func (m *maintainer) tick() {
 	m.ticks.Add(1)
 	now := m.now()
-	if m.target.maintHealth().degraded.Load() {
+	if m.target.Degraded() {
 		m.mu.Lock()
 		corrupt := m.corrupt
 		m.mu.Unlock()
@@ -292,13 +265,13 @@ func (m *maintainer) checkpointTick(now time.Time) {
 	if !m.opts.Checkpoint.enabled() {
 		return
 	}
-	stats := m.target.maintLogs()
-	if len(stats) == 0 {
+	logs := m.target.logs
+	if logs == nil {
 		return
 	}
 	m.mu.Lock()
-	if len(m.lagSince) != len(stats) {
-		m.lagSince = make([]time.Time, len(stats))
+	if len(m.lagSince) != len(logs) {
+		m.lagSince = make([]time.Time, len(logs))
 	}
 	type dueLog struct {
 		idx      int
@@ -306,13 +279,14 @@ func (m *maintainer) checkpointTick(now time.Time) {
 	}
 	var due []dueLog
 	var maxP float64
-	for i, st := range stats {
-		if st.lag == 0 {
+	for i, w := range logs {
+		lag := w.CheckpointLag()
+		if lag == 0 {
 			m.lagSince[i] = time.Time{}
 		} else if m.lagSince[i].IsZero() {
 			m.lagSince[i] = now
 		}
-		p := m.opts.Checkpoint.pressure(st.liveBytes, st.lag, m.lagSince[i], now)
+		p := m.opts.Checkpoint.pressure(w.LiveBytes(), lag, m.lagSince[i], now)
 		if p > maxP {
 			maxP = p
 		}
@@ -330,7 +304,7 @@ func (m *maintainer) checkpointTick(now time.Time) {
 	for i, d := range due {
 		idx[i] = d.idx
 	}
-	if err := m.target.maintCheckpoint(idx); err != nil {
+	if err := m.target.autoCheckpoint(idx); err != nil {
 		m.checkpointFailures.Add(1)
 		obs.DefaultJournal().Record(obs.EventAutoCheckpoint, obs.SeverityWarn,
 			"auto-checkpoint failed", map[string]string{
@@ -377,9 +351,9 @@ func (m *maintainer) probeTick(now time.Time) {
 	m.mu.Unlock()
 
 	m.probeCount.Add(1)
-	err := m.target.maintRepair()
+	err := m.target.repair()
 	if err == nil {
-		err = m.target.maintProbe()
+		err = m.target.probe()
 	}
 	if err != nil {
 		m.probeFailures.Add(1)
@@ -402,7 +376,7 @@ func (m *maintainer) probeTick(now time.Time) {
 	}
 	downtime := now.Sub(degradedAt)
 	m.downtimeNS.Add(int64(downtime))
-	if m.target.maintHealth().heal(attempt, downtime) {
+	if m.target.health.heal(attempt, downtime) {
 		m.heals.Add(1)
 	}
 	m.mu.Lock()
@@ -439,7 +413,7 @@ func (m *maintainer) scrubTick(now time.Time) {
 
 	// The cursor is only ever touched by tick (single goroutine), so the
 	// target may mutate it outside m.mu.
-	res := m.target.maintScrub(s, budget)
+	res := m.target.scrub(s, budget)
 	m.scrubPageCount.Add(int64(res.pages))
 	m.scrubCorruptCount.Add(int64(res.corruptions))
 	if res.passDone {
@@ -466,7 +440,7 @@ func (m *maintainer) scrubTick(now time.Time) {
 			fields["error"] = res.lastErr.Error()
 		}
 		obs.DefaultJournal().Record(obs.EventScrub, obs.SeverityError, msg, fields)
-		m.target.maintHealth().trip(msg, fields)
+		m.target.health.trip(msg, fields)
 		return
 	}
 	if res.passDone {
@@ -502,7 +476,7 @@ func (m *maintainer) telemetry() obs.MaintenanceTelemetry {
 		Checkpoints:          m.autoCheckpoints.Load(),
 		CheckpointFailures:   m.checkpointFailures.Load(),
 		CheckpointPressure:   math.Float64frombits(m.pressureBits.Load()),
-		Degraded:             m.target.maintHealth().degraded.Load(),
+		Degraded:             m.target.Degraded(),
 		Probes:               m.probeCount.Load(),
 		ProbeFailures:        m.probeFailures.Load(),
 		Heals:                m.heals.Load(),
@@ -576,12 +550,12 @@ type scrubWalk struct {
 	seen    map[pager.PageID]struct{}
 }
 
-// scrubResult reports one maintScrub call's work.
+// scrubResult reports one scrub call's work.
 type scrubResult struct {
 	pages       int
 	corruptions int
 	unitDone    bool  // current unit's walk completed
-	passDone    bool  // every unit's walk completed (set by the caller)
+	passDone    bool  // every unit's walk completed (set by engine.scrub)
 	lastErr     error // most recent corruption detail
 	err         error // non-corruption failure (disables scrubbing)
 }
@@ -687,180 +661,75 @@ func scrubStep(store pager.Store, w *scrubWalk, budget int) scrubResult {
 }
 
 // ---------------------------------------------------------------------
-// DB: the single-tree maintainable.
+// What the loop does to its engine.
 
-func (db *DB) maintHealth() *degradeState { return &db.health }
-
-func (db *DB) maintLogs() []maintLogStat {
-	if db.wal == nil {
-		return nil
-	}
-	return []maintLogStat{{liveBytes: db.wal.LiveBytes(), lag: db.wal.CheckpointLag()}}
-}
-
-func (db *DB) maintCheckpoint([]int) error { return db.Sync() }
-
-func (db *DB) maintRepair() error {
-	if db.wal != nil {
-		if err := db.wal.RetrySync(); err != nil {
-			return fmt.Errorf("dynq: probe retry sync: %w", err)
-		}
-	}
-	if v, ok := db.store.(interface{ VerifyHeader() error }); ok {
-		if err := v.VerifyHeader(); err != nil {
-			return fmt.Errorf("dynq: probe header check: %w", err)
-		}
-	}
-	return nil
-}
-
-// maintApply runs a batch through the ungated write path (the probe
-// writes while the database is degraded).
-func (db *DB) maintApply(ctx context.Context, ups []MotionUpdate, opts WriteOptions) error {
-	ws := beginWriteSpan(ctx)
-	err := db.applyUpdates(ctx, ups, opts, &ws, false)
-	ws.finish(len(ups), err)
-	return err
-}
-
-func (db *DB) maintProbe() error {
-	ctx := context.Background()
-	pt := make([]float64, db.Dims())
-	ins := []MotionUpdate{{ID: maintProbeID, Segment: Segment{From: pt, To: pt}}}
-	del := []MotionUpdate{{ID: maintProbeID, Delete: true}}
-	// Clear a probe segment a previously half-failed probe left behind.
-	if err := db.maintApply(ctx, del, WriteOptions{}); err != nil && !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	opts := WriteOptions{}
-	if db.wal != nil {
-		opts.Durability = DurabilitySync
-	}
-	if err := db.maintApply(ctx, ins, opts); err != nil {
-		return err
-	}
-	if err := db.maintApply(ctx, del, WriteOptions{}); err != nil {
-		return err
-	}
-	// Prove the checkpoint path too: degradations caused by a failed
-	// Sync must not heal while Sync still fails — and the checkpoint
-	// truncates the probe records out of the log.
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.syncLocked()
-}
-
-func (db *DB) maintScrub(s *scrubState, budget int) scrubResult {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	res := scrubStep(db.store, &s.walk, budget)
-	res.passDone = res.unitDone
-	return res
-}
-
-// MaintenanceTelemetry returns the self-healing loop's snapshot; ok is
-// false when no maintenance loop is running.
-func (db *DB) MaintenanceTelemetry() (obs.MaintenanceTelemetry, bool) {
-	if db.maint == nil {
-		return obs.MaintenanceTelemetry{}, false
-	}
-	return db.maint.telemetry(), true
-}
-
-// RegisterMaintenanceMetrics exposes the maintenance loop's counters in
-// a metric registry, reporting whether a loop was running to register.
-func (db *DB) RegisterMaintenanceMetrics(reg *obs.Registry) bool {
-	if db.maint == nil {
-		return false
-	}
-	db.maint.registerMetrics(reg)
-	return true
-}
-
-// ---------------------------------------------------------------------
-// ShardedDB: the sharded maintainable.
-
-func (db *ShardedDB) maintHealth() *degradeState { return &db.health }
-
-func (db *ShardedDB) maintLogs() []maintLogStat {
-	if db.wals == nil {
-		return nil
-	}
-	out := make([]maintLogStat, len(db.wals))
-	for i, w := range db.wals {
-		out[i] = maintLogStat{liveBytes: w.LiveBytes(), lag: w.CheckpointLag()}
-	}
-	return out
-}
-
-// maintCheckpoint checkpoints only the listed shards (already worst
+// autoCheckpoint checkpoints only the listed units (already worst
 // pressure first), paying for the lagging logs instead of all of them.
-func (db *ShardedDB) maintCheckpoint(idx []int) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.health.gate(); err != nil {
+func (e *engine) autoCheckpoint(units []int) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.health.gate(); err != nil {
 		return err
 	}
-	for _, i := range idx {
-		if _, err := db.syncShardLocked(i); err != nil {
-			return err
-		}
-	}
-	return db.health.note(nil)
+	return e.checkpointLocked(units)
 }
 
-func (db *ShardedDB) maintRepair() error {
-	for i, w := range db.wals {
+// repair clears recoverable fault state before a probe: sticky log sync
+// errors are retried and every page file's header re-verified.
+func (e *engine) repair() error {
+	n := e.units.Shards()
+	for i, w := range e.logs {
 		if err := w.RetrySync(); err != nil {
-			return fmt.Errorf("dynq: probe retry sync (shard %d): %w", i, err)
+			return fmt.Errorf("dynq: probe retry sync%s: %w", where(i, n), err)
 		}
 	}
-	for i := 0; i < db.engine.Shards(); i++ {
-		if v, ok := db.engine.Shard(i).Store().(interface{ VerifyHeader() error }); ok {
+	for i := 0; i < n; i++ {
+		if v, ok := e.units.Shard(i).Store().(interface{ VerifyHeader() error }); ok {
 			if err := v.VerifyHeader(); err != nil {
-				return fmt.Errorf("dynq: probe header check (shard %d): %w", i, err)
+				return fmt.Errorf("dynq: probe header check%s: %w", where(i, n), err)
 			}
 		}
 	}
 	return nil
 }
 
-func (db *ShardedDB) maintApply(ctx context.Context, ups []MotionUpdate, opts WriteOptions) error {
-	ws := beginWriteSpan(ctx)
-	err := db.applyUpdates(ctx, ups, opts, &ws, false)
-	ws.finish(len(ups), err)
-	return err
-}
-
-func (db *ShardedDB) maintProbe() error {
+// probe attempts a small self-canceling durable write while the database
+// is degraded (the write path runs ungated), then a checkpoint.
+func (e *engine) probe() error {
 	ctx := context.Background()
-	pt := make([]float64, db.dims)
+	pt := make([]float64, e.dims)
 	ins := []MotionUpdate{{ID: maintProbeID, Segment: Segment{From: pt, To: pt}}}
 	del := []MotionUpdate{{ID: maintProbeID, Delete: true}}
-	if err := db.maintApply(ctx, del, WriteOptions{}); err != nil && !errors.Is(err, ErrNotFound) {
+	// Clear a probe segment a previously half-failed probe left behind.
+	if err := e.applyUpdates(ctx, del, WriteOptions{}, false); err != nil && !errors.Is(err, ErrNotFound) {
 		return err
 	}
 	opts := WriteOptions{}
-	if db.wals != nil {
+	if e.logs != nil {
 		opts.Durability = DurabilitySync
 	}
-	if err := db.maintApply(ctx, ins, opts); err != nil {
+	if err := e.applyUpdates(ctx, ins, opts, false); err != nil {
 		return err
 	}
-	if err := db.maintApply(ctx, del, WriteOptions{}); err != nil {
+	if err := e.applyUpdates(ctx, del, WriteOptions{}, false); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.syncLocked()
+	// Prove the checkpoint path too: degradations caused by a failed
+	// Sync must not heal while Sync still fails — and the checkpoint
+	// truncates the probe records out of the log.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.checkpointLocked(nil)
 }
 
-func (db *ShardedDB) maintScrub(s *scrubState, budget int) scrubResult {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+// scrub verifies up to budget reachable pages under the database's
+// exclusive lock, walking unit after unit from the cursor in s.
+func (e *engine) scrub(s *scrubState, budget int) scrubResult {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	var total scrubResult
 	for budget > 0 {
-		r := scrubStep(db.engine.Shard(s.unit).Store(), &s.walk, budget)
+		r := scrubStep(e.units.Shard(s.unit).Store(), &s.walk, budget)
 		total.add(r)
 		if r.err != nil {
 			total.err = r.err
@@ -872,7 +741,7 @@ func (db *ShardedDB) maintScrub(s *scrubState, budget int) scrubResult {
 		}
 		s.unit++
 		s.walk = scrubWalk{}
-		if s.unit >= db.engine.Shards() {
+		if s.unit >= e.units.Shards() {
 			s.unit = 0
 			total.passDone = true
 			break
@@ -883,25 +752,19 @@ func (db *ShardedDB) maintScrub(s *scrubState, budget int) scrubResult {
 
 // MaintenanceTelemetry returns the self-healing loop's snapshot; ok is
 // false when no maintenance loop is running.
-func (db *ShardedDB) MaintenanceTelemetry() (obs.MaintenanceTelemetry, bool) {
-	if db.maint == nil {
+func (e *engine) MaintenanceTelemetry() (obs.MaintenanceTelemetry, bool) {
+	if e.maint == nil {
 		return obs.MaintenanceTelemetry{}, false
 	}
-	return db.maint.telemetry(), true
+	return e.maint.telemetry(), true
 }
 
 // RegisterMaintenanceMetrics exposes the maintenance loop's counters in
 // a metric registry, reporting whether a loop was running to register.
-func (db *ShardedDB) RegisterMaintenanceMetrics(reg *obs.Registry) bool {
-	if db.maint == nil {
+func (e *engine) RegisterMaintenanceMetrics(reg *obs.Registry) bool {
+	if e.maint == nil {
 		return false
 	}
-	db.maint.registerMetrics(reg)
+	e.maint.registerMetrics(reg)
 	return true
 }
-
-// Compile-time checks.
-var (
-	_ maintainable = (*DB)(nil)
-	_ maintainable = (*ShardedDB)(nil)
-)

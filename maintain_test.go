@@ -22,10 +22,10 @@ func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStor
 	walPath := path + ".wal"
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 	mopts.Interval = -1 // manual ticks
-	if err := rebuildFileWAL(path, walPath, nil, 0); err != nil {
+	if err := rebuildLogged(singleLayout(path, walPath), 1, nil, 0); err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	db, fs, faults, _, err := openChaos(path, walPath, 0, mopts, clk.Now, nil)
+	db, fs, faults, err := openChaos(path, walPath, 0, mopts, clk.Now, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestAutoCheckpointBoundsWAL(t *testing.T) {
 		db.maint.tick()
 		// Right after a tick the log is either under threshold or was
 		// just truncated by the policy checkpoint; either way bounded.
-		if lb := db.wal.LiveBytes(); lb >= maxBytes {
+		if lb := db.logs[0].LiveBytes(); lb >= maxBytes {
 			t.Fatalf("batch %d: %d live bytes after a maintenance tick, policy MaxBytes %d", i, lb, maxBytes)
 		}
 	}
@@ -89,7 +89,7 @@ func TestAutoCheckpointMaxAge(t *testing.T) {
 	if n := db.maint.autoCheckpoints.Load(); n != 1 {
 		t.Fatalf("auto-checkpoints after MaxAge elapsed = %d, want 1", n)
 	}
-	if lb := db.wal.LiveBytes(); lb != 0 {
+	if lb := db.logs[0].LiveBytes(); lb != 0 {
 		t.Fatalf("%d live bytes after the age-policy checkpoint, want 0", lb)
 	}
 }
@@ -253,10 +253,10 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 	// old committed tree + intact log.
 	const bufPages = 256
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
-	if err := rebuildFileWAL(path, walPath, nil, bufPages); err != nil {
+	if err := rebuildLogged(singleLayout(path, walPath), 1, nil, bufPages); err != nil {
 		t.Fatal(err)
 	}
-	db, fs, faults, _, err := openChaos(path, walPath, bufPages, MaintenanceOptions{}, clk.Now, nil)
+	db, _, faults, err := openChaos(path, walPath, bufPages, MaintenanceOptions{}, clk.Now, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,30 +276,31 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 	}
 	want := db.Len()
 
-	ckptBefore := db.wal.CheckpointLSN()
-	liveBefore := db.wal.LiveBytes()
+	ckptBefore := db.logs[0].CheckpointLSN()
+	liveBefore := db.logs[0].LiveBytes()
 	faults.ArmNoSpace(1, true)
 	if err := db.Sync(); err == nil {
 		t.Fatal("checkpoint on a full device succeeded")
 	}
-	if got := db.wal.CheckpointLSN(); got != ckptBefore {
+	if got := db.logs[0].CheckpointLSN(); got != ckptBefore {
 		t.Fatalf("failed checkpoint advanced the checkpoint LSN %d -> %d", ckptBefore, got)
 	}
-	if got := db.wal.LiveBytes(); got < liveBefore {
+	if got := db.logs[0].LiveBytes(); got < liveBefore {
 		t.Fatalf("failed checkpoint truncated live records (%d -> %d bytes)", liveBefore, got)
 	}
 	faults.DisarmNoSpace()
 
 	// Crash with the page file mid-flush: recovery must replay batch B
 	// from the log the failed checkpoint left intact.
-	if err := chaosCrash(db, fs); err != nil {
+	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
-	db2, _, _, rep, err := openChaos(path, walPath, bufPages, MaintenanceOptions{}, clk.Now, nil)
+	db2, _, _, err := openChaos(path, walPath, bufPages, MaintenanceOptions{}, clk.Now, nil)
 	if err != nil {
 		t.Fatalf("reopen after failed checkpoint + crash: %v", err)
 	}
 	defer db2.Close()
+	rep := db2.LastRecovery()
 	if rep.WALRecordsReplayed == 0 {
 		t.Fatal("recovery replayed nothing though the checkpoint failed")
 	}
@@ -313,14 +314,17 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 // database; the race detector referees.
 func TestShardedMaintenanceRace(t *testing.T) {
 	dir := t.TempDir()
-	db, _, err := OpenShardedRecover(filepath.Join(dir, "db.dynq"), ShardRecoverOptions{
+	db, err := OpenSharded(ShardOptions{
+		Options: Options{
+			Path: filepath.Join(dir, "db.dynq"),
+			Maintenance: MaintenanceOptions{
+				Checkpoint:   CheckpointPolicy{MaxBytes: 8 << 10},
+				ProbeBackoff: time.Second,
+				Interval:     2 * time.Millisecond,
+			},
+		},
 		Shards: 4,
 		WAL:    true,
-		Maintenance: MaintenanceOptions{
-			Checkpoint:   CheckpointPolicy{MaxBytes: 8 << 10},
-			ProbeBackoff: time.Second,
-			Interval:     2 * time.Millisecond,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)

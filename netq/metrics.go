@@ -136,30 +136,12 @@ func newServerMetrics(reg *obs.Registry, db dynq.Database) *serverMetrics {
 		sdb.RegisterMetrics(reg)
 	}
 	// A database with a WAL armed exposes the log's group-commit
-	// instrumentation (fsync latency, batch sizes, checkpoint lag).
-	if wdb, ok := db.(walMetricsSource); ok {
-		wdb.RegisterWALMetrics(reg)
-	}
-	// A database running the self-healing maintenance loop exposes its
-	// checkpoint/probe/scrub counters.
-	if mdb, ok := db.(maintMetricsSource); ok {
-		mdb.RegisterMaintenanceMetrics(reg)
-	}
+	// instrumentation (fsync latency, batch sizes, checkpoint lag), one
+	// running the self-healing maintenance loop its checkpoint/probe/scrub
+	// counters; both are no-ops otherwise.
+	db.RegisterWALMetrics(reg)
+	db.RegisterMaintenanceMetrics(reg)
 	return m
-}
-
-// maintMetricsSource is the optional Database capability registering
-// the maintenance loop's metrics (registration is a no-op when no loop
-// is running).
-type maintMetricsSource interface {
-	RegisterMaintenanceMetrics(reg *obs.Registry) bool
-}
-
-// walMetricsSource is the optional Database capability registering an
-// armed write-ahead log's metrics (*dynq.DB implements it; registration
-// is a no-op when no WAL is armed).
-type walMetricsSource interface {
-	RegisterWALMetrics(reg *obs.Registry) bool
 }
 
 // isWriteOp classifies the ops that mutate the index through the batched

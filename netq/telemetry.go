@@ -136,24 +136,6 @@ func (t *serverTelemetry) record(op Op, elapsed time.Duration, failed bool, span
 	t.slowLog.Record(span)
 }
 
-// walTelemetrySource is the optional Database capability exposing an
-// armed write-ahead log's telemetry. *dynq.DB implements it for its
-// single log; *dynq.ShardedDB implements it by aggregating the
-// per-shard logs (totals summed, quantiles from the worst shard, with
-// Logs saying how many were merged). Databases without a log return
-// ok=false and their snapshots omit the section.
-type walTelemetrySource interface {
-	WALTelemetry(windows []time.Duration) (obs.WALTelemetry, bool)
-}
-
-// maintenanceTelemetrySource is the optional Database capability
-// exposing the self-healing maintenance loop's snapshot. Both dynq
-// database flavors implement it; databases without a loop running
-// return ok=false and their snapshots omit the section.
-type maintenanceTelemetrySource interface {
-	MaintenanceTelemetry() (obs.MaintenanceTelemetry, bool)
-}
-
 // noteOverload aggregates admission-control rejections into journal
 // burst events: the first rejection of a quiet period is journaled
 // immediately, then further rejections accumulate until
@@ -302,15 +284,11 @@ func (s *Server) Telemetry() Telemetry {
 		sample := s.tel.collector.SampleOnce()
 		tel.Runtime = &sample
 	}
-	if src, ok := s.db.(walTelemetrySource); ok {
-		if w, ok := src.WALTelemetry(s.tel.winSpans); ok {
-			tel.WAL = &w
-		}
+	if w, ok := s.db.WALTelemetry(s.tel.winSpans); ok {
+		tel.WAL = &w
 	}
-	if src, ok := s.db.(maintenanceTelemetrySource); ok {
-		if mt, ok := src.MaintenanceTelemetry(); ok {
-			tel.Maintenance = &mt
-		}
+	if mt, ok := s.db.MaintenanceTelemetry(); ok {
+		tel.Maintenance = &mt
 	}
 	for _, op := range knownOps {
 		w := s.tel.windows[op]

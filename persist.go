@@ -128,78 +128,107 @@ type auxStore interface {
 	Aux() []byte
 }
 
-// Sync persists index metadata and flushes pages; on a FileStore the
-// commit is atomic (dual header slots), so a crash mid-Sync leaves the
-// previous committed state intact. For a memory-backed database it is a
-// no-op. With a WAL armed, a successful Sync also checkpoints the log:
-// the metadata commit records the highest applied LSN, so the now
-// redundant records are truncated away and recovery replays only what
-// the page commit missed.
+// Sync persists every unit and checkpoints its log, unit by unit: flush
+// the unit's dirty pages, commit its metadata carrying its log's highest
+// applied LSN (atomic dual-header commit, so a crash mid-Sync leaves the
+// previous committed state intact), then truncate the log to that LSN —
+// recovery replays only what the page commit missed. For a memory-backed
+// database it is a no-op. The database lock is held exclusively; writers
+// hold it shared, which is exactly Checkpoint's no-concurrent-Append
+// precondition.
+//
+// A crash between unit i's commit and unit j's leaves unit j's log
+// longer than necessary, never inconsistent: each unit's metadata and
+// log agree pairwise, and recovery replays each pair independently.
 //
 // Persistent storage failures eventually degrade the database to
-// read-only (see Degraded) — and with a WAL armed, a single Sync failure
+// read-only (see Degraded) — and with logs armed, a single failed stage
 // degrades immediately: the log would otherwise grow unboundedly while
 // silent retries mask a checkpoint that can never advance.
-func (db *DB) Sync() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeGate(); err != nil {
+func (e *engine) Sync() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.health.gate(); err != nil {
 		return err
 	}
-	return db.syncLocked()
+	return e.checkpointLocked(nil)
 }
 
-// syncLocked is Sync's body without the degraded-mode gate, under the
-// already-held exclusive lock. The maintenance loop uses it directly:
-// auto-checkpoints run it through the gate via Sync, while the recovery
-// probe must flush and commit exactly while the database is degraded.
-func (db *DB) syncLocked() error {
-	var lsn uint64
-	if db.wal != nil {
-		lsn = db.wal.LastLSN()
-	}
-	if err := db.tree.Pool().Flush(); err != nil {
-		return db.syncFailure("flush pages", err)
-	}
-	if s, ok := db.store.(auxStore); ok {
-		if err := s.SetAux(encodeMeta(db.tree.Meta(), lsn)); err != nil {
-			return db.syncFailure("stage metadata", err)
+// checkpointLocked flushes, commits and checkpoints the listed units (nil
+// means all) under the already-held exclusive lock, without the
+// degraded-mode gate: Sync and the auto-checkpoint policy gate first,
+// the recovery probe must commit exactly while the database is degraded.
+func (e *engine) checkpointLocked(units []int) error {
+	if units == nil {
+		for i := 0; i < e.units.Shards(); i++ {
+			units = append(units, i)
 		}
 	}
-	if err := db.store.Sync(); err != nil {
-		return db.syncFailure("commit", err)
-	}
-	if db.wal != nil {
-		truncated := db.wal.LiveBytes()
-		start := time.Now()
-		if err := db.wal.Checkpoint(lsn); err != nil {
-			return db.syncFailure("wal checkpoint", err)
+	start := time.Now()
+	var truncated int64
+	for _, i := range units {
+		n, err := e.checkpointUnit(i)
+		if err != nil {
+			return err
 		}
+		truncated += n
+	}
+	if e.logs != nil {
 		obs.DefaultJournal().Record(obs.EventCheckpoint, obs.SeverityInfo,
 			"wal checkpoint committed; log truncated",
 			map[string]string{
-				"lsn":             strconv.FormatUint(lsn, 10),
+				"logs":            strconv.Itoa(len(units)),
 				"truncated_bytes": strconv.FormatInt(truncated, 10),
 				"duration":        time.Since(start).String(),
 			})
 	}
-	return db.noteWriteResult(nil)
+	return e.health.note(nil)
 }
 
-// syncFailure classifies a failed Sync stage. Without a WAL it feeds the
-// ordinary consecutive-failure degradation counter. With a WAL armed it
-// degrades the database to read-only IMMEDIATELY and journals the event:
-// writers keep appending to a log whose checkpoint cannot advance, so
-// "retry later" silently trades durability for an unbounded log.
-func (db *DB) syncFailure(stage string, cause error) error {
-	err := wrapDiskFull(fmt.Errorf("dynq: %s: %w", stage, cause))
-	if db.wal == nil {
-		return db.noteWriteResult(err)
+// checkpointUnit is the flush → commit → checkpoint sequence for ONE unit,
+// returning the log bytes truncated.
+func (e *engine) checkpointUnit(i int) (int64, error) {
+	sh := e.units.Shard(i)
+	var lsn uint64
+	if e.logs != nil {
+		lsn = e.logs[i].LastLSN()
+	}
+	if err := sh.Tree.Pool().Flush(); err != nil {
+		return 0, e.syncFailure(i, "flush pages", err)
+	}
+	if s, ok := sh.Store().(auxStore); ok {
+		if err := s.SetAux(encodeMeta(sh.Tree.Meta(), lsn)); err != nil {
+			return 0, e.syncFailure(i, "stage metadata", err)
+		}
+	}
+	if err := sh.Store().Sync(); err != nil {
+		return 0, e.syncFailure(i, "commit", err)
+	}
+	if e.logs == nil {
+		return 0, nil
+	}
+	truncated := e.logs[i].LiveBytes()
+	if err := e.logs[i].Checkpoint(lsn); err != nil {
+		return 0, e.syncFailure(i, "wal checkpoint", err)
+	}
+	return truncated, nil
+}
+
+// syncFailure classifies a failed checkpoint stage. Without logs it feeds
+// the ordinary consecutive-failure degradation counter. With logs armed
+// it degrades the database to read-only IMMEDIATELY and journals the
+// event: writers keep appending to a log whose checkpoint cannot
+// advance, so "retry later" silently trades durability for an unbounded
+// log.
+func (e *engine) syncFailure(unit int, stage string, cause error) error {
+	err := wrapDiskFull(fmt.Errorf("dynq: %s%s: %w", stage, where(unit, e.units.Shards()), cause))
+	if e.logs == nil {
+		return e.health.note(err)
 	}
 	obs.DefaultJournal().Record(obs.EventSyncFailure, obs.SeverityError,
 		"checkpoint sync failed with WAL armed; degrading to read-only",
-		map[string]string{"stage": stage, "error": cause.Error()})
-	db.health.set(true)
+		map[string]string{"unit": strconv.Itoa(unit), "stage": stage, "error": cause.Error()})
+	e.health.set(true)
 	return err
 }
 

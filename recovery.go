@@ -11,6 +11,7 @@ import (
 	"dynq/internal/obs"
 	"dynq/internal/pager"
 	"dynq/internal/rtree"
+	"dynq/internal/shard"
 	"dynq/internal/wal"
 )
 
@@ -126,83 +127,178 @@ func OpenFileRecoverWith(path string, opts RecoverOptions) (*DB, *RecoveryReport
 	if opts.BufferPages < 0 {
 		return nil, nil, fmt.Errorf("dynq: RecoverOptions.BufferPages must be >= 0, got %d", opts.BufferPages)
 	}
-	fs, err := pager.OpenFileStore(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	db, rep, err := recoverFileStore(fs, fs)
-	if err != nil {
-		fs.Close()
-		return nil, nil, err
-	}
-	db.health.after = int32(opts.DegradeAfter)
 	walPath := opts.WALPath
 	if walPath == "" {
-		sidecar := path + ".wal"
-		if _, serr := os.Stat(sidecar); serr == nil {
-			walPath = sidecar
-		}
+		walPath = path + ".wal"
 	}
-	bufferPages := opts.BufferPages
-	if walPath != "" && bufferPages == 0 {
-		// Same default as Open: a logged database buffers dirty pages so
-		// crashes cannot tear the committed base the log replays onto.
+	e, err := recoverEngine(recoverSpec{
+		lay:          singleLayout(path, walPath),
+		units:        1,
+		forceWAL:     opts.WALPath != "",
+		window:       opts.GroupCommitWindow,
+		bufferPages:  opts.BufferPages,
+		degradeAfter: opts.DegradeAfter,
+		maint:        opts.Maintenance,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &DB{e}, e.recovery[0], nil
+}
+
+// recoverSpec is what a recovering open needs to know; both flavours'
+// exported options reduce to it.
+type recoverSpec struct {
+	lay            layout
+	units, workers int
+	// forceWAL arms a log per unit (created when missing). Without it logs
+	// are auto-detected: if ANY unit's sidecar exists every unit is armed —
+	// a database is logged as a whole or not at all.
+	forceWAL     bool
+	window       time.Duration
+	bufferPages  int
+	degradeAfter int
+	maint        MaintenanceOptions
+
+	// Soak hooks. wrapStore interposes a store (a pager.FaultStore)
+	// between unit i's tree and its verified file; walFault hooks the
+	// logs' physical writes; clock replaces the maintenance loop's.
+	wrapStore func(i int, fs *pager.FileStore) pager.Store
+	walFault  func(string) error
+	clock     func() time.Time
+}
+
+// recoverEngine is the one recovering open: for every unit, verify the
+// committed page file, restore its tree, then (when logs are armed)
+// replay the unit's log past the committed applied-LSN — each unit
+// independently, since no record on one depends on state held by
+// another.
+func recoverEngine(s recoverSpec) (_ *engine, err error) {
+	n := s.units
+	trees := make([]*rtree.Tree, n)
+	stores := make([]pager.Store, 0, n)
+	applied := make([]uint64, n)
+	reps := make([]*RecoveryReport, n)
+	var logs []*wal.Log
+	defer func() {
+		if err == nil {
+			return
+		}
+		for _, w := range logs {
+			if w != nil {
+				w.Close()
+			}
+		}
+		for _, st := range stores {
+			st.Close()
+		}
+	}()
+	var cfg rtree.Config
+	for i := 0; i < n; i++ {
+		fs, err := pager.OpenFileStore(s.lay.page(i))
+		if err != nil {
+			return nil, fmt.Errorf("dynq: open%s: %w", where(i, n), err)
+		}
+		var store pager.Store = fs
+		if s.wrapStore != nil {
+			store = s.wrapStore(i, fs)
+		}
+		stores = append(stores, store)
+		tree, m, lsn, rep, err := recoverStoreTree(fs, store)
+		if err != nil {
+			return nil, fmt.Errorf("dynq: recover%s: %w", where(i, n), err)
+		}
+		if i == 0 {
+			cfg = m.Config
+		} else if m.Config != cfg {
+			return nil, fmt.Errorf("%w: shard %d config %+v disagrees with shard 0 config %+v", ErrCorrupt, i, m.Config, cfg)
+		}
+		trees[i], applied[i], reps[i] = tree, lsn, rep
+	}
+
+	armed := s.forceWAL
+	for i := 0; i < n && !armed; i++ {
+		_, serr := os.Stat(s.lay.log(i))
+		armed = serr == nil
+	}
+	bufferPages := s.bufferPages
+	if armed && bufferPages == 0 {
+		// Same default as a fresh open: a logged database buffers dirty
+		// pages so crashes cannot tear the committed base the log replays
+		// onto.
 		bufferPages = defaultWALBufferPages
 	}
 	if bufferPages > 0 {
-		if err := db.tree.UseBuffer(bufferPages); err != nil {
-			db.Close()
-			return nil, nil, err
-		}
-		db.bufferPages = bufferPages
-	}
-	if walPath != "" {
-		if err := db.armWAL(walPath, opts.GroupCommitWindow, rep); err != nil {
-			db.Close()
-			return nil, nil, err
+		for _, tree := range trees {
+			if err := tree.UseBuffer(bufferPages); err != nil {
+				return nil, err
+			}
 		}
 	}
-	db.maint = startMaintainer(db, opts.Maintenance)
-	return db, rep, nil
+	if armed {
+		logs = make([]*wal.Log, n)
+		wopts := wal.Options{GroupCommitWindow: s.window, Fault: s.walFault}
+		for i := range logs {
+			if logs[i], err = replayLog(s.lay.log(i), wopts, trees[i], cfg.Dims, i, n, applied[i], reps[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	units, err := shard.NewFromShards(cfg, shard.Options{Shards: n, Workers: s.workers, BufferPages: bufferPages}, trees, stores)
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{units: units, dims: cfg.Dims, logs: logs, walLabel: s.lay.logs, recovery: reps}
+	e.health.after = int32(s.degradeAfter)
+	for _, rep := range reps {
+		rep.journal()
+	}
+	e.maint = startMaintainer(e, s.maint)
+	if e.maint != nil && s.clock != nil {
+		e.maint.now = s.clock
+	}
+	return e, nil
 }
 
-// armWAL opens (or creates) the write-ahead log, replays every record
-// the committed page state has not yet absorbed, and attaches the log so
-// subsequent writes append to it. Replay happens before the database is
-// visible, so no locking is needed; deletes of missing segments are
-// tolerated (the segment may have died to a later record before the
-// crash). The replayed state lives in memory until the next Sync
-// checkpoints it — exactly like writes that never crashed.
-func (db *DB) armWAL(path string, window time.Duration, rep *RecoveryReport) error {
-	return db.armWALWith(path, wal.Options{GroupCommitWindow: window}, rep)
-}
-
-// armWALWith is armWAL with the full log option set; the chaos soak uses
-// it to interpose a fault hook on the log's physical writes.
-func (db *DB) armWALWith(path string, wopts wal.Options, rep *RecoveryReport) error {
+// replayLog opens (or creates) unit i's log, replays every record past
+// the unit's committed applied-LSN onto its tree, and returns the armed
+// log. Replay happens before the database is visible, so no locking is
+// needed; deletes of missing segments are tolerated (the segment may
+// have died to a later record before the crash). The replayed state
+// lives in memory until the next Sync checkpoints it — exactly like
+// writes that never crashed. Every replayed object must place on this
+// unit: a record routing elsewhere means the log was written under a
+// different shard count, and replaying it would materialize objects
+// where no lookup finds them.
+func replayLog(path string, wopts wal.Options, tree *rtree.Tree, dims, unit, units int, appliedLSN uint64, rep *RecoveryReport) (*wal.Log, error) {
+	at := where(unit, units)
 	w, scan, err := wal.Open(path, wopts)
 	if err != nil {
-		return fmt.Errorf("dynq: open wal: %w", err)
+		return nil, fmt.Errorf("dynq: open wal%s: %w", at, err)
 	}
 	records, updates := 0, 0
-	err = w.Replay(db.appliedLSN, func(lsn uint64, payload []byte) error {
-		ups, derr := decodeUpdates(payload, db.cfg.Dims)
+	err = w.Replay(appliedLSN, func(lsn uint64, payload []byte) error {
+		ups, derr := decodeUpdates(payload, dims)
 		if derr != nil {
-			return fmt.Errorf("%w: wal record %d: %v", ErrCorrupt, lsn, derr)
+			return fmt.Errorf("%w: wal record %d%s: %v", ErrCorrupt, lsn, at, derr)
 		}
 		segs := make([]geom.Segment, len(ups))
 		for i, u := range ups {
+			if got := shard.Place(rtree.ObjectID(u.ID), units); got != unit {
+				return fmt.Errorf("%w: wal record %d%s routes object %d to shard %d — log written under a different shard count?",
+					ErrCorrupt, lsn, at, u.ID, got)
+			}
 			if u.Delete {
 				continue
 			}
-			g, serr := toSegmentDims(u.Segment, db.cfg.Dims)
+			g, serr := toSegmentDims(u.Segment, dims)
 			if serr != nil {
-				return fmt.Errorf("%w: wal record %d: %v", ErrCorrupt, lsn, serr)
+				return fmt.Errorf("%w: wal record %d%s: %v", ErrCorrupt, lsn, at, serr)
 			}
 			segs[i] = g
 		}
-		if aerr := db.applyLocked(ups, segs, true); aerr != nil {
-			return fmt.Errorf("dynq: wal replay record %d: %w", lsn, aerr)
+		if aerr := applyToTree(tree, ups, segs, true); aerr != nil {
+			return fmt.Errorf("dynq: wal replay record %d%s: %w", lsn, at, aerr)
 		}
 		records++
 		updates += len(ups)
@@ -210,57 +306,40 @@ func (db *DB) armWALWith(path string, wopts wal.Options, rep *RecoveryReport) er
 	})
 	if err != nil {
 		w.Close()
-		return err
+		return nil, err
 	}
-	db.wal = w
-	if rep != nil {
-		rep.WALArmed = true
-		rep.WALCheckpointLSN = scan.Checkpoint
-		rep.WALRecordsReplayed = records
-		rep.WALUpdatesReplayed = updates
-		rep.WALTornTail = scan.TornTail
-	}
+	rep.WALArmed = true
+	rep.WALCheckpointLSN = scan.Checkpoint
+	rep.WALRecordsReplayed = records
+	rep.WALUpdatesReplayed = updates
+	rep.WALTornTail = scan.TornTail
 	if records > 0 || scan.TornTail {
 		sev := obs.SeverityInfo
 		if scan.TornTail {
 			sev = obs.SeverityWarn
 		}
 		obs.DefaultJournal().Record(obs.EventWALReplay, sev,
-			fmt.Sprintf("wal replay: %d records (%d updates) past checkpoint %d, torn tail: %v",
-				records, updates, scan.Checkpoint, scan.TornTail),
+			fmt.Sprintf("wal replay%s: %d records (%d updates) past checkpoint %d, torn tail: %v",
+				at, records, updates, scan.Checkpoint, scan.TornTail),
 			map[string]string{
+				"unit":        strconv.Itoa(unit),
 				"records":     strconv.Itoa(records),
 				"updates":     strconv.Itoa(updates),
 				"checkpoint":  strconv.FormatUint(scan.Checkpoint, 10),
 				"torn_tail":   strconv.FormatBool(scan.TornTail),
 				"last_lsn":    strconv.FormatUint(scan.LastLSN, 10),
-				"applied_lsn": strconv.FormatUint(db.appliedLSN, 10),
+				"applied_lsn": strconv.FormatUint(appliedLSN, 10),
 			})
 	}
-	return nil
+	return w, nil
 }
 
-// recoverFileStore verifies the committed state of fs and builds a DB
-// whose tree reads through treeStore — normally fs itself, but tests and
-// the fault soak pass a FaultStore wrapping it.
-func recoverFileStore(fs *pager.FileStore, treeStore pager.Store) (*DB, *RecoveryReport, error) {
-	tree, m, appliedLSN, rep, err := recoverStoreTree(fs, treeStore)
-	if err != nil {
-		return nil, nil, err
-	}
-	db := &DB{tree: tree, cfg: m.Config, store: treeStore, appliedLSN: appliedLSN}
-	tree.SetCounters(&db.counters)
-	db.recovery = rep
-	rep.journal()
-	return db, rep, nil
-}
-
-// recoverStoreTree is the tree-level half of recovery, shared by the
-// single-tree and sharded reopen paths: it verifies the committed state
-// of fs (checksums, epochs, structure, free list), repairs what it can,
-// and restores the tree reading through treeStore. The returned
-// applied-LSN is the committed metadata's WAL watermark — replay starts
-// past it.
+// recoverStoreTree is the tree-level half of recovery: it verifies the
+// committed state of fs (checksums, epochs, structure, free list),
+// repairs what it can, and restores the tree reading through treeStore —
+// normally fs itself, but the soaks pass a FaultStore wrapping it. The
+// returned applied-LSN is the committed metadata's WAL watermark —
+// replay starts past it.
 func recoverStoreTree(fs *pager.FileStore, treeStore pager.Store) (*rtree.Tree, rtree.Meta, uint64, *RecoveryReport, error) {
 	fail := func(err error) (*rtree.Tree, rtree.Meta, uint64, *RecoveryReport, error) {
 		return nil, rtree.Meta{}, 0, nil, err

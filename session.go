@@ -5,6 +5,7 @@ import (
 
 	"dynq/internal/core"
 	"dynq/internal/geom"
+	"dynq/internal/shard"
 	"dynq/internal/trajectory"
 )
 
@@ -31,17 +32,16 @@ type PredictiveOptions struct {
 	Slack func(t float64) float64
 }
 
-// PredictiveSession is a running predictive dynamic query (PDQ). Results
-// are pulled with Next or Fetch in order of appearance; each index node
-// is read at most once over the session's lifetime. Not safe for
-// concurrent use by multiple goroutines.
+// PredictiveSession is a running predictive dynamic query (PDQ): one
+// cursor per unit, merged in order of appearance. Results are pulled
+// with Next or Fetch; each index node is read at most once over the
+// session's lifetime. Not safe for concurrent use by multiple goroutines.
 type PredictiveSession struct {
-	pdq *core.PDQ
+	pdq *shard.PDQ
 }
 
 // buildTrajectory converts API waypoints into the core trajectory form,
-// applying the optional slack inflation. Shared by the single-tree and
-// sharded predictive queries.
+// applying the optional slack inflation.
 func buildTrajectory(waypoints []Waypoint, dims int, slack func(t float64) float64) (*trajectory.Trajectory, error) {
 	keys := make([]trajectory.Key, len(waypoints))
 	for i, w := range waypoints {
@@ -63,21 +63,26 @@ func buildTrajectory(waypoints []Waypoint, dims int, slack func(t float64) float
 
 // PredictiveQuery registers an observer trajectory and starts a
 // predictive dynamic query over it.
-func (db *DB) PredictiveQuery(waypoints []Waypoint, opts PredictiveOptions) (*PredictiveSession, error) {
-	traj, err := buildTrajectory(waypoints, db.Dims(), opts.Slack)
+func (e *engine) PredictiveQuery(waypoints []Waypoint, opts PredictiveOptions) (*PredictiveSession, error) {
+	traj, err := buildTrajectory(waypoints, e.dims, opts.Slack)
 	if err != nil {
 		return nil, err
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	pdq, err := core.NewPDQ(db.tree, traj, core.PDQOptions{
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	pdq, err := e.units.NewPDQ(traj, core.PDQOptions{
 		LiveUpdates:        opts.Live,
 		RebuildOnRootSplit: opts.RebuildOnRootSplit,
-	}, &db.counters)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &PredictiveSession{pdq: pdq}, nil
+}
+
+// Predictive is PredictiveQuery in the interface form of Database.
+func (e *engine) Predictive(waypoints []Waypoint, opts PredictiveOptions) (PredictiveCursor, error) {
+	return e.PredictiveQuery(waypoints, opts)
 }
 
 // Next returns the next object becoming visible during [t0, t1], or nil
@@ -99,14 +104,10 @@ func (s *PredictiveSession) Fetch(t0, t1 float64) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
+	return fromResults(rs), nil
 }
 
-// Close releases the session (and its live-update subscription).
+// Close releases the session (and its live-update subscriptions).
 func (s *PredictiveSession) Close() { s.pdq.Close() }
 
 // NonPredictiveOptions tune a non-predictive session.
@@ -125,27 +126,32 @@ type NonPredictiveOptions struct {
 // not delivered by the immediately preceding snapshot. Not safe for
 // concurrent use by multiple goroutines.
 type NonPredictiveSession struct {
-	db   *DB
-	npdq *core.NPDQ
+	dims int
+	npdq *shard.NPDQ
 }
 
 // NonPredictiveQuery starts a non-predictive dynamic query session.
-func (db *DB) NonPredictiveQuery(opts NonPredictiveOptions) *NonPredictiveSession {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+func (e *engine) NonPredictiveQuery(opts NonPredictiveOptions) *NonPredictiveSession {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return &NonPredictiveSession{
-		db: db,
-		npdq: core.NewNPDQ(db.tree, core.NPDQOptions{
+		dims: e.dims,
+		npdq: e.units.NewNPDQ(core.NPDQOptions{
 			TrackIDs:     opts.TrackIDs,
 			ExactAnswers: opts.ExactAnswers,
-		}, &db.counters),
+		}),
 	}
+}
+
+// NonPredictive is NonPredictiveQuery in the interface form of Database.
+func (e *engine) NonPredictive(opts NonPredictiveOptions) NonPredictiveCursor {
+	return e.NonPredictiveQuery(opts)
 }
 
 // Snapshot evaluates the next snapshot of the dynamic query and returns
 // the additional answers not delivered by the previous snapshot.
 func (s *NonPredictiveSession) Snapshot(view Rect, t0, t1 float64) ([]Result, error) {
-	box, err := s.db.toBox(view)
+	box, err := toBoxDims(view, s.dims)
 	if err != nil {
 		return nil, err
 	}
@@ -153,13 +159,76 @@ func (s *NonPredictiveSession) Snapshot(view Rect, t0, t1 float64) ([]Result, er
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
+	return fromResults(rs), nil
 }
 
 // Reset forgets the previous snapshot (observer teleported): the next
 // Snapshot returns a full answer.
 func (s *NonPredictiveSession) Reset() { s.npdq.Reset() }
+
+// AdaptiveOptions tune the automatic PDQ↔NPDQ hand-off of an adaptive
+// session (the paper's future work (iv)).
+type AdaptiveOptions struct {
+	// Slack is the deviation tolerated before a prediction is abandoned;
+	// predictive phases run as SPDQ with views inflated by this much.
+	Slack float64
+	// Horizon is how far ahead (time units) each prediction extends.
+	Horizon float64
+	// StableFrames is how many consecutive consistent frames are needed
+	// before switching to predictive mode (default 3).
+	StableFrames int
+}
+
+// AdaptiveSession evaluates a dynamic query without a registered
+// trajectory: it starts non-predictive, switches to a semi-predictive
+// session whenever the observer's recent motion extrapolates, and falls
+// back when the observer deviates; each unit predicts and hands off
+// independently. Not safe for concurrent use.
+type AdaptiveSession struct {
+	dims int
+	a    *shard.Adaptive
+}
+
+// AdaptiveQuery starts an adaptive dynamic query session.
+func (e *engine) AdaptiveQuery(opts AdaptiveOptions) (*AdaptiveSession, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	a, err := e.units.NewAdaptive(core.AdaptiveOptions{
+		Slack:        opts.Slack,
+		Horizon:      opts.Horizon,
+		StableFrames: opts.StableFrames,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &AdaptiveSession{dims: e.dims, a: a}, nil
+}
+
+// Adaptive is AdaptiveQuery in the interface form of Database.
+func (e *engine) Adaptive(opts AdaptiveOptions) (AdaptiveCursor, error) {
+	return e.AdaptiveQuery(opts)
+}
+
+// Frame reports the observer's actual view for one frame and returns the
+// newly visible objects. Frames must advance monotonically in time.
+func (s *AdaptiveSession) Frame(view Rect, t0, t1 float64) ([]Result, error) {
+	box, err := toBoxDims(view, s.dims)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := s.a.Frame(box, geom.Interval{Lo: t0, Hi: t1})
+	if err != nil {
+		return nil, err
+	}
+	return fromResults(rs), nil
+}
+
+// Predictive reports whether the session (every unit's part of it) is
+// currently running on a predicted trajectory.
+func (s *AdaptiveSession) Predictive() bool { return s.a.Predictive() }
+
+// Handoffs reports how many PDQ↔NPDQ switches have happened.
+func (s *AdaptiveSession) Handoffs() int { return s.a.Switches() }
+
+// Close releases any live predictive sub-session.
+func (s *AdaptiveSession) Close() { s.a.Close() }

@@ -1,21 +1,12 @@
 package dynq
 
 import (
-	"context"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"dynq/internal/core"
-	"dynq/internal/geom"
 	"dynq/internal/obs"
-	"dynq/internal/pager"
 	"dynq/internal/rtree"
-	"dynq/internal/shard"
-	"dynq/internal/stats"
-	"dynq/internal/wal"
 )
 
 // ShardOptions configure a sharded database: the single-tree Options plus
@@ -40,44 +31,13 @@ type ShardOptions struct {
 
 // ShardedDB partitions the object population across Shards independent
 // NSI R-trees and answers every query by fanning out over a bounded
-// worker pool, merging the per-shard answers deterministically. It
-// mirrors the DB API (and satisfies Database), so a server can swap one
-// for the other without protocol changes.
-//
-// Concurrency: writes synchronize per shard, not per database. Data
-// mutations (Insert, Delete, ApplyUpdates) hold the database lock in
-// SHARED mode and serialize on their owner shard's lock inside the
-// engine, so a write burst on shard 3 never blocks a read on shard 7 —
-// only on shard 3, and only for the duration of that batch. Queries
-// hold the shared database lock plus per-shard read locks inside their
-// fan-out tasks. Structural operations (BulkLoad, Close) take the
-// database lock exclusively. Stats accessors are atomic, and session
-// types are single-goroutine.
+// worker pool, merging the per-shard answers deterministically. It is
+// the same engine as DB with N units instead of one, stored as
+// "<Path>.shard<i>" page files with "<Path>.shard<i>.wal" logs; a
+// server can swap one for the other without protocol changes. See the
+// engine type for the shared method set and the concurrency model.
 type ShardedDB struct {
-	mu     sync.RWMutex
-	engine *shard.Engine
-	dims   int
-	health degradeState
-
-	// wals holds the per-shard write-ahead logs, index-aligned with the
-	// engine's shards; nil when the database runs without logs. The slice
-	// is immutable after open: either every shard has a log or none does.
-	wals     []*wal.Log
-	path     string
-	recovery []*RecoveryReport
-	// maint is the self-healing maintenance loop, nil when
-	// Options.Maintenance left it disabled.
-	maint *maintainer
-}
-
-// shardFilePath names shard i's page file under a sharded database path.
-func shardFilePath(path string, i int) string {
-	return fmt.Sprintf("%s.shard%d", path, i)
-}
-
-// shardWALPath names shard i's write-ahead log sidecar.
-func shardWALPath(path string, i int) string {
-	return shardFilePath(path, i) + ".wal"
+	*engine
 }
 
 // OpenSharded creates a NEW sharded database. With Options.Path set,
@@ -100,478 +60,189 @@ func OpenSharded(opts ShardOptions) (*ShardedDB, error) {
 	if opts.WAL && opts.Path == "" {
 		return nil, fmt.Errorf("dynq: ShardOptions.WAL requires Options.Path: per-shard logs recover against the shard page files")
 	}
-	cfg, err := opts.Options.toConfig()
-	if err != nil {
-		return nil, err
-	}
+	lay := shardLayout(opts.Path)
 	if opts.Path != "" {
 		// Fresh-create is explicit: silently truncating a previous run's
 		// shard files on reopen destroyed data. Any existing shard file —
 		// including one from a run with a different shard count — is a
 		// refusal, not a truncation.
-		if existing, err := existingShardFiles(opts.Path); err != nil {
+		if existing, err := existingShardFiles(lay); err != nil {
 			return nil, err
-		} else if len(existing) > 0 {
-			return nil, fmt.Errorf("dynq: sharded database files already exist at %q (found %s): use OpenShardedRecover to reopen, or remove them for a fresh database", opts.Path, existing[0])
+		} else if existing > 0 {
+			return nil, fmt.Errorf("dynq: sharded database files already exist at %q (found %s): use OpenShardedRecover to reopen, or remove them for a fresh database", opts.Path, lay.page(0))
 		}
 	}
-	bufferPages := opts.BufferPages
-	if opts.WAL && bufferPages == 0 {
-		// Same rationale as the single-tree WAL default: with a log armed,
-		// an unbuffered tree would write every dirty page straight through,
-		// defeating the point of logging before checkpointing.
-		bufferPages = defaultWALBufferPages
-	}
-	storeFor := func(i int) (pager.Store, error) {
-		if opts.Path == "" {
-			return pager.NewMemStore(), nil
-		}
-		return pager.CreateFileStore(shardFilePath(opts.Path, i))
-	}
-	engine, err := shard.New(cfg, shard.Options{
-		Shards:      opts.Shards,
-		Workers:     opts.Workers,
-		BufferPages: bufferPages,
-	}, storeFor)
+	e, err := createEngine(opts.Options, opts.Shards, opts.Workers, lay, opts.WAL)
 	if err != nil {
 		return nil, err
 	}
-	db := &ShardedDB{engine: engine, dims: cfg.Dims, path: opts.Path}
-	db.health.after = int32(opts.DegradeAfter)
-	if opts.WAL {
-		// Commit each shard's empty base state BEFORE arming its log, so a
-		// crash between open and the first Sync recovers an empty tree and
-		// replays the log against it — never a zero-length unrecoverable
-		// file (the same ordering Open uses for the single-tree WAL).
-		for i := 0; i < opts.Shards; i++ {
-			sh := engine.Shard(i)
-			fs, ok := sh.Store().(auxStore)
-			if !ok {
-				engine.Close()
-				return nil, fmt.Errorf("dynq: shard %d store cannot persist metadata", i)
-			}
-			if err := fs.SetAux(encodeMeta(sh.Tree.Meta(), 0)); err != nil {
-				engine.Close()
-				return nil, err
-			}
-			if err := sh.Store().Sync(); err != nil {
-				engine.Close()
-				return nil, err
-			}
-		}
-		db.wals = make([]*wal.Log, opts.Shards)
-		for i := range db.wals {
-			w, err := wal.Create(shardWALPath(opts.Path, i), wal.Options{GroupCommitWindow: opts.GroupCommitWindow})
-			if err != nil {
-				db.closeWALs()
-				engine.Close()
-				return nil, err
-			}
-			db.wals[i] = w
-		}
-	}
-	db.maint = startMaintainer(db, opts.Maintenance)
-	return db, nil
+	return &ShardedDB{e}, nil
 }
 
-// existingShardFiles lists the shard page files already present for a
-// database path, in shard order ("<path>.shard0", "<path>.shard1", ...).
-// The scan stops at the first gap; a gap with higher-numbered files
-// present is reported as an error rather than treated as absence, so a
-// partially deleted shard set is never mistaken for a fresh directory.
-func existingShardFiles(path string) ([]string, error) {
-	var files []string
-	for i := 0; ; i++ {
-		p := shardFilePath(path, i)
-		if _, err := os.Stat(p); err != nil {
+// existingShardFiles counts the shard page files already present under a
+// layout, in shard order. The scan stops at the first gap; a gap at the
+// front with a higher-numbered file present is reported as an error
+// rather than treated as absence, so a partially deleted shard set is
+// never mistaken for a fresh directory.
+func existingShardFiles(lay layout) (int, error) {
+	n := 0
+	for ; ; n++ {
+		if _, err := os.Stat(lay.page(n)); err != nil {
 			if os.IsNotExist(err) {
 				break
 			}
-			return nil, err
-		}
-		files = append(files, p)
-	}
-	// A hole at the front (shard0 missing, shard1 present) would otherwise
-	// read as "no database here".
-	if len(files) == 0 {
-		if _, err := os.Stat(shardFilePath(path, 1)); err == nil {
-			return nil, fmt.Errorf("dynq: shard file %q exists but %q is missing: partial shard set", shardFilePath(path, 1), shardFilePath(path, 0))
+			return 0, err
 		}
 	}
-	return files, nil
+	if n == 0 {
+		if _, err := os.Stat(lay.page(1)); err == nil {
+			return 0, fmt.Errorf("dynq: shard file %q exists but %q is missing: partial shard set", lay.page(1), lay.page(0))
+		}
+	}
+	return n, nil
 }
 
-func (db *ShardedDB) closeWALs() error {
-	var first error
-	for _, w := range db.wals {
-		if w == nil {
+// ShardRecoverOptions tune OpenShardedRecover. Shards is required and
+// must match the count the database was created with; everything else
+// mirrors RecoverOptions per shard.
+type ShardRecoverOptions struct {
+	// Shards is the number of partitions the database was created with.
+	// A mismatch against the on-disk shard file set is an error: objects
+	// are placed by hash-mod-shards, so opening under a different count
+	// would silently misroute every lookup.
+	Shards int
+	// Workers bounds the worker pool (see ShardOptions.Workers).
+	Workers int
+	// WAL force-arms a log sidecar per shard (created when missing,
+	// replayed when not). Without it, logs are auto-detected: if ANY
+	// "<path>.shard<i>.wal" exists, every shard is armed — a database is
+	// logged as a whole or not at all.
+	WAL bool
+	// GroupCommitWindow is each armed log's coalescing window (see
+	// Options.GroupCommitWindow).
+	GroupCommitWindow time.Duration
+	// BufferPages gives every shard its own LRU page buffer (see
+	// Options.BufferPages); defaults to the WAL buffering floor when
+	// logs are armed.
+	BufferPages int
+	// DegradeAfter is the consecutive-write-failure threshold (see
+	// Options.DegradeAfter).
+	DegradeAfter int
+	// Maintenance configures the self-healing maintenance loop (see
+	// Options.Maintenance).
+	Maintenance MaintenanceOptions
+}
+
+// OpenShardedRecover reopens a sharded database created by OpenSharded
+// with Options.Path, verifying each shard's page file through the same
+// recovery machinery as OpenFileRecover and replaying each shard's log
+// sidecar independently. The returned reports describe the per-shard
+// verification in shard order (MergeRecoveryReports folds them into one
+// for single-report consumers).
+//
+// A path with no shard files fails with an error satisfying
+// errors.Is(err, os.ErrNotExist): creating a database takes the tree
+// shape only OpenSharded's options carry.
+func OpenShardedRecover(path string, opts ShardRecoverOptions) (*ShardedDB, []*RecoveryReport, error) {
+	if path == "" {
+		return nil, nil, fmt.Errorf("dynq: OpenShardedRecover requires a path")
+	}
+	if opts.Shards < 1 {
+		return nil, nil, fmt.Errorf("dynq: ShardRecoverOptions.Shards must be >= 1, got %d", opts.Shards)
+	}
+	if opts.BufferPages < 0 {
+		return nil, nil, fmt.Errorf("dynq: ShardRecoverOptions.BufferPages must be >= 0, got %d", opts.BufferPages)
+	}
+	lay := shardLayout(path)
+	existing, err := existingShardFiles(lay)
+	if err != nil {
+		return nil, nil, err
+	}
+	if existing == 0 {
+		return nil, nil, fmt.Errorf("dynq: no sharded database at %q (%s): %w", path, lay.page(0), os.ErrNotExist)
+	}
+	if existing != opts.Shards {
+		return nil, nil, fmt.Errorf("dynq: database at %q was created with %d shards, opened with %d: the shard count cannot change (objects are placed by hash mod shards, so a different count would misroute them); reopen with -shards %d or rebuild",
+			path, existing, opts.Shards, existing)
+	}
+	e, err := recoverEngine(recoverSpec{
+		lay:          lay,
+		units:        opts.Shards,
+		workers:      opts.Workers,
+		forceWAL:     opts.WAL,
+		window:       opts.GroupCommitWindow,
+		bufferPages:  opts.BufferPages,
+		degradeAfter: opts.DegradeAfter,
+		maint:        opts.Maintenance,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &ShardedDB{e}, e.recovery, nil
+}
+
+// MergeRecoveryReports folds per-shard reports into one database-level
+// report for consumers built around a single report (dqserver's
+// dynq_recovery_* gauges): counts sum, repair flags OR, and HeaderSeq is
+// the maximum. A nil or empty slice yields nil.
+func MergeRecoveryReports(reps []*RecoveryReport) *RecoveryReport {
+	var out *RecoveryReport
+	for _, r := range reps {
+		if r == nil {
 			continue
 		}
-		if err := w.Close(); err != nil && first == nil {
-			first = err
+		if out == nil {
+			cp := *r
+			out = &cp
+			continue
 		}
+		if r.HeaderSeq > out.HeaderSeq {
+			out.HeaderSeq = r.HeaderSeq
+		}
+		out.TornHeaderRepaired = out.TornHeaderRepaired || r.TornHeaderRepaired
+		out.PagesChecked += r.PagesChecked
+		out.LeafPages += r.LeafPages
+		out.InternalPages += r.InternalPages
+		out.Segments += r.Segments
+		out.FreePages += r.FreePages
+		out.FreeListRebuilt = out.FreeListRebuilt || r.FreeListRebuilt
+		out.OrphanPages += r.OrphanPages
+		out.WALArmed = out.WALArmed || r.WALArmed
+		out.WALCheckpointLSN += r.WALCheckpointLSN
+		out.WALRecordsReplayed += r.WALRecordsReplayed
+		out.WALUpdatesReplayed += r.WALUpdatesReplayed
+		out.WALTornTail = out.WALTornTail || r.WALTornTail
 	}
-	return first
-}
-
-// Close shuts the worker pool down and releases every shard's store and
-// log.
-func (db *ShardedDB) Close() error {
-	db.maint.stop()
-	err := db.engine.Close()
-	if werr := db.closeWALs(); werr != nil && err == nil {
-		err = werr
-	}
-	return err
-}
-
-// Dims returns the spatial dimensionality.
-func (db *ShardedDB) Dims() int { return db.dims }
-
-// Len returns the number of indexed motion segments across all shards.
-func (db *ShardedDB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.engine.Size()
+	return out
 }
 
 // Shards returns the number of partitions.
-func (db *ShardedDB) Shards() int { return db.engine.Shards() }
+func (db *ShardedDB) Shards() int { return db.units.Shards() }
 
 // Workers returns the worker-pool bound.
-func (db *ShardedDB) Workers() int { return db.engine.Workers() }
+func (db *ShardedDB) Workers() int { return db.units.Workers() }
 
 // ShardFor returns the partition owning an object's motion segments.
-func (db *ShardedDB) ShardFor(id ObjectID) int {
-	return db.engine.ShardFor(rtree.ObjectID(id))
-}
+func (db *ShardedDB) ShardFor(id ObjectID) int { return db.units.ShardFor(rtree.ObjectID(id)) }
 
-// Insert records one motion update for an object on its owner shard.
-func (db *ShardedDB) Insert(id ObjectID, seg Segment) error {
-	return db.InsertCtx(context.Background(), id, seg, WriteOptions{})
-}
+// LastRecovery returns the per-shard reports from the OpenShardedRecover
+// that produced this database, nil for a fresh or in-memory database.
+func (db *ShardedDB) LastRecovery() []*RecoveryReport { return db.recovery }
 
-// InsertCtx is Insert with a context and per-write options.
-func (db *ShardedDB) InsertCtx(ctx context.Context, id ObjectID, seg Segment, opts WriteOptions) error {
-	return db.ApplyUpdates(ctx, []MotionUpdate{{ID: id, Segment: seg}}, opts)
-}
+// WALArmed reports whether the database carries per-shard logs.
+func (db *ShardedDB) WALArmed() bool { return db.logs != nil }
 
-// Delete removes the motion update of an object that started at t0 from
-// its owner shard. It returns ErrNotFound if no such segment is indexed.
-func (db *ShardedDB) Delete(id ObjectID, t0 float64) error {
-	return db.DeleteCtx(context.Background(), id, t0, WriteOptions{})
-}
-
-// DeleteCtx is Delete with a context and per-write options.
-func (db *ShardedDB) DeleteCtx(ctx context.Context, id ObjectID, t0 float64, opts WriteOptions) error {
-	return db.ApplyUpdates(ctx, []MotionUpdate{{ID: id, Segment: Segment{T0: t0}, Delete: true}}, opts)
-}
-
-// ApplyUpdates applies a batch of motion updates as one write. The batch
-// is partitioned by owner shard and each shard's portion applies under
-// that shard's lock alone, in slice order within the shard — so
-// concurrent batches touching disjoint shards proceed fully in
-// parallel, and readers of untouched shards are never blocked.
-// Cross-shard order within one batch is unspecified; per-object order
-// is preserved (an object lives on exactly one shard).
-//
-// With per-shard WALs armed (ShardOptions.WAL) every shard's sub-batch
-// is appended to that shard's log as ONE record, under the same lock
-// acquisition that applies it to the shard's tree, then the call waits
-// according to opts.Durability — fsyncs on the touched logs run in
-// parallel. Each shard's sub-batch is crash-atomic: recovery replays
-// the whole record or none of it. Cross-shard atomicity is NOT
-// promised, across crashes or live: shards log and apply independently,
-// and an error on one shard (including ErrNotFound from a delete of a
-// missing segment) does not undo sub-batches already applied — and
-// logged — on other shards.
-//
-// Without logs, explicit DurabilityGroupCommit/DurabilitySync requests
-// fail with ErrNoWAL; DurabilityDefault and DurabilityAsync apply in
-// memory as before.
-func (db *ShardedDB) ApplyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error {
-	if len(updates) == 0 {
-		return nil
+// WALInfoByShard reports each shard log's header state in shard order;
+// ok is false when the database runs without logs.
+func (db *ShardedDB) WALInfoByShard() ([]WALInfo, bool) {
+	if db.logs == nil {
+		return nil, false
 	}
-	ws := beginWriteSpan(ctx)
-	err := db.applyUpdates(ctx, updates, opts, &ws, true)
-	ws.finish(len(updates), err)
-	return err
-}
-
-// applyUpdates is the batch write path. gated controls the degraded
-// read-only check; the maintenance probe passes false to attempt a write
-// while the database is degraded.
-func (db *ShardedDB) applyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions, ws *writeSpan, gated bool) error {
-	ctx, finish := opts.begin(ctx, db.engine.CostSnapshot)
-	defer finish()
-	// db.wals is immutable after open: requesting an explicit durability
-	// level with no logs armed fails here, before anything is applied.
-	if err := checkDurability(opts.Durability, db.wals != nil); err != nil {
-		return err
+	out := make([]WALInfo, len(db.logs))
+	for i, w := range db.logs {
+		out[i] = walInfo(w)
 	}
-	if db.wals == nil {
-		return db.applyUnlogged(ctx, updates, ws, gated)
-	}
-	return db.applyLogged(ctx, updates, opts, ws, gated)
-}
-
-// applyUnlogged is the in-memory write path: one engine batch, no log.
-func (db *ShardedDB) applyUnlogged(ctx context.Context, updates []MotionUpdate, ws *writeSpan, gated bool) error {
-	mark := ws.now()
-	ups := make([]shard.Update, len(updates))
-	for i, u := range updates {
-		if u.Delete {
-			ups[i] = shard.Update{ID: rtree.ObjectID(u.ID), T0: u.Segment.T0, Delete: true}
-			continue
-		}
-		g, err := toSegmentDims(u.Segment, db.dims)
-		if err != nil {
-			return err
-		}
-		ups[i] = shard.Update{ID: rtree.ObjectID(u.ID), Seg: g}
-	}
-	ws.stage(stageValidate, ws.since(mark))
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if gated {
-		if err := db.health.gate(); err != nil {
-			return err
-		}
-	}
-	mark = ws.now()
-	err := db.engine.ApplyBatch(ups)
-	ws.stage(stageTreeApply, ws.since(mark))
-	if err == rtree.ErrNotFound {
-		// A missing segment is an answer, not a storage failure.
-		return ErrNotFound
-	}
-	return db.health.note(err)
-}
-
-// applyLogged is the durable write path: the batch is partitioned by
-// owner shard, and each touched shard — under its own write lock, on the
-// engine's worker pool — validates its sub-batch, appends it to its log
-// as one record (write-ahead), and applies it to its tree. The
-// durability wait runs after every shard lock is released, in parallel
-// across the touched logs.
-func (db *ShardedDB) applyLogged(ctx context.Context, updates []MotionUpdate, opts WriteOptions, ws *writeSpan, gated bool) error {
-	nShards := db.engine.Shards()
-	mark := ws.now()
-	parts := make([][]MotionUpdate, nShards)
-	partSegs := make([][]geom.Segment, nShards)
-	touched := make([]bool, nShards)
-	for _, u := range updates {
-		var g geom.Segment
-		if !u.Delete {
-			var err error
-			g, err = toSegmentDims(u.Segment, db.dims)
-			if err != nil {
-				return err
-			}
-		}
-		s := shard.Place(rtree.ObjectID(u.ID), nShards)
-		parts[s] = append(parts[s], u)
-		partSegs[s] = append(partSegs[s], g)
-		touched[s] = true
-	}
-	ws.stage(stageValidate, ws.since(mark))
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	db.mu.RLock()
-	if gated {
-		if err := db.health.gate(); err != nil {
-			db.mu.RUnlock()
-			return err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		db.mu.RUnlock()
-		return err
-	}
-	// lsns[i] records shard i's appended record (0 = shard untouched or
-	// its append failed); the durability wait below covers exactly these.
-	lsns := make([]uint64, nShards)
-	var walNS atomic.Int64
-	mark = ws.now()
-	err := db.engine.UpdateShards(touched, func(i int, sh *shard.Shard) error {
-		if err := validateDeletesOn(sh.Tree, parts[i]); err != nil {
-			return err
-		}
-		t := time.Now()
-		lsn, werr := db.wals[i].Append(encodeUpdates(db.dims, parts[i]))
-		walNS.Add(time.Since(t).Nanoseconds())
-		if werr != nil {
-			return fmt.Errorf("dynq: wal append (shard %d): %w", i, werr)
-		}
-		lsns[i] = lsn
-		return applyToTree(sh.Tree, parts[i], partSegs[i], false)
-	})
-	total := ws.since(mark)
-	walDur := time.Duration(walNS.Load())
-	ws.stage(stageWALAppend, walDur)
-	if total > walDur {
-		ws.stage(stageTreeApply, total-walDur)
-	} else {
-		ws.stage(stageTreeApply, total)
-	}
-	db.mu.RUnlock()
-	if err != nil {
-		if err == ErrNotFound || err == rtree.ErrNotFound {
-			return ErrNotFound
-		}
-		return db.health.note(err)
-	}
-	// The durability wait runs OUTSIDE every lock: an fsync never blocks
-	// readers or a checkpoint, and concurrent writers pile into each
-	// log's group-commit round. Touched logs sync in parallel — the wait
-	// is the slowest shard, not the sum.
-	if opts.Durability != DurabilityAsync {
-		mark = ws.now()
-		werrs := make([]error, nShards)
-		var wg sync.WaitGroup
-		for i := range lsns {
-			if lsns[i] == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if opts.Durability == DurabilitySync {
-					werrs[i] = db.wals[i].SyncNow(lsns[i])
-				} else {
-					werrs[i] = db.wals[i].Sync(lsns[i])
-				}
-			}(i)
-		}
-		wg.Wait()
-		ws.stage(stageFsyncWait, ws.since(mark))
-		for i, werr := range werrs {
-			if werr != nil {
-				return db.health.note(fmt.Errorf("dynq: wal commit (shard %d): %w", i, werr))
-			}
-		}
-	}
-	return db.health.note(nil)
-}
-
-// BulkLoad partitions the segment set by owner shard and bulk-loads every
-// shard in parallel, replacing current contents. The db must be empty.
-//
-// Deprecated: the map form loses insertion order. Use BulkLoadUpdates.
-func (db *ShardedDB) BulkLoad(segs map[ObjectID][]Segment) error {
-	return db.BulkLoadUpdates(sortedUpdates(segs))
-}
-
-// BulkLoadUpdates is BulkLoadCtx without a context: the order-preserving
-// bulk load form sharing MotionUpdate with ApplyUpdates.
-func (db *ShardedDB) BulkLoadUpdates(updates []MotionUpdate) error {
-	return db.BulkLoadCtx(context.Background(), updates, WriteOptions{})
-}
-
-// BulkLoadCtx bulk-loads an ordered batch into every shard in parallel,
-// replacing current contents; the database must be empty and the batch
-// must contain no deletions. Unlike the per-shard data writes it holds
-// the database lock exclusively: every shard's tree is swapped at once.
-func (db *ShardedDB) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error {
-	ctx, finish := opts.begin(ctx, db.engine.CostSnapshot)
-	defer finish()
-	entries := make([]rtree.LeafEntry, len(updates))
-	for i, u := range updates {
-		if u.Delete {
-			return fmt.Errorf("dynq: BulkLoad batch contains a deletion (object %d); deletions need an existing index", u.ID)
-		}
-		g, err := toSegmentDims(u.Segment, db.dims)
-		if err != nil {
-			return err
-		}
-		entries[i] = rtree.LeafEntry{ID: rtree.ObjectID(u.ID), Seg: g}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.health.gate(); err != nil {
-		return err
-	}
-	return db.health.note(db.engine.BulkLoad(entries))
-}
-
-// Snapshot answers one spatio-temporal range query across all shards.
-func (db *ShardedDB) Snapshot(view Rect, t0, t1 float64) ([]Result, error) {
-	return db.SnapshotCtx(context.Background(), view, t0, t1, QueryOptions{})
-}
-
-// SnapshotCtx is Snapshot with cooperative cancellation and per-query
-// options; every shard's traversal checks the context at node-visit
-// granularity.
-func (db *ShardedDB) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opts QueryOptions) ([]Result, error) {
-	box, err := toBoxDims(view, db.dims)
-	if err != nil {
-		return nil, err
-	}
-	ctx, finish := opts.begin(ctx, db.engine.CostSnapshot)
-	defer finish()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	ms, err := db.engine.Snapshot(ctx, box, geom.Interval{Lo: t0, Hi: t1}, opts.Limit)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(ms))
-	for i, m := range ms {
-		out[i] = Result{
-			ID:        ObjectID(m.ID),
-			Segment:   fromSegment(m.Seg),
-			Appear:    m.Overlap.Lo,
-			Disappear: m.Overlap.Hi,
-		}
-	}
-	return out, nil
-}
-
-// KNN returns the k objects nearest to point at time t, k-way merging the
-// per-shard best-first searches.
-func (db *ShardedDB) KNN(point []float64, t float64, k int) ([]Neighbor, error) {
-	return db.KNNCtx(context.Background(), point, t, k, QueryOptions{})
-}
-
-// KNNCtx is KNN with cooperative cancellation and per-query options.
-func (db *ShardedDB) KNNCtx(ctx context.Context, point []float64, t float64, k int, opts QueryOptions) ([]Neighbor, error) {
-	if opts.Limit > 0 && opts.Limit < k {
-		k = opts.Limit
-	}
-	ctx, finish := opts.begin(ctx, db.engine.CostSnapshot)
-	defer finish()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	nbs, err := db.engine.KNN(ctx, geom.Point(point), t, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Neighbor, len(nbs))
-	for i, n := range nbs {
-		out[i] = Neighbor{ID: ObjectID(n.ID), Segment: fromSegment(n.Seg), Dist: n.Dist}
-	}
-	return out, nil
-}
-
-// Within finds every pair of objects whose positions at time t lie within
-// delta of each other, running the per-shard self-joins and all
-// cross-shard joins in parallel. Pairs are reported once, with A < B.
-func (db *ShardedDB) Within(delta, t float64) ([]Pair, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	pairs, err := db.engine.SelfJoin(delta, t)
-	if err != nil {
-		return nil, err
-	}
-	return fromJoinPairs(pairs), nil
+	return out, true
 }
 
 // JoinWith finds every pair (a ∈ db, b ∈ other) within delta of each
@@ -579,360 +250,23 @@ func (db *ShardedDB) Within(delta, t float64) ([]Pair, error) {
 // Only the receiver is read-locked; concurrent writes to other
 // synchronize at its index level, so they may land mid-join.
 func (db *ShardedDB) JoinWith(other *ShardedDB, delta, t float64) ([]Pair, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	pairs, err := db.engine.CrossJoin(other.engine, delta, t)
-	if err != nil {
-		return nil, err
-	}
-	return fromJoinPairs(pairs), nil
+	return db.joinWith(other.engine, delta, t)
 }
 
-func fromJoinPairs(pairs []core.JoinPair) []Pair {
-	out := make([]Pair, len(pairs))
-	for i, p := range pairs {
-		out[i] = Pair{
-			A: ObjectID(p.A), B: ObjectID(p.B),
-			SegmentA: fromSegment(p.SegA), SegmentB: fromSegment(p.SegB),
-			Dist: p.Dist,
-		}
-	}
-	return out
-}
-
-// ShardedPredictiveSession is a predictive dynamic query over a sharded
-// database: one per-shard cursor each, merged in order of appearance.
-// Not safe for concurrent use by multiple goroutines.
-type ShardedPredictiveSession struct {
-	pdq *shard.PDQ
-}
-
-// PredictiveQuery registers an observer trajectory and starts a
-// predictive dynamic query over every shard.
-func (db *ShardedDB) PredictiveQuery(waypoints []Waypoint, opts PredictiveOptions) (*ShardedPredictiveSession, error) {
-	traj, err := buildTrajectory(waypoints, db.dims, opts.Slack)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	pdq, err := db.engine.NewPDQ(traj, core.PDQOptions{
-		LiveUpdates:        opts.Live,
-		RebuildOnRootSplit: opts.RebuildOnRootSplit,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedPredictiveSession{pdq: pdq}, nil
-}
-
-// Next returns the next object becoming visible during [t0, t1] across
-// all shards, or nil when no further object appears in that window.
-func (s *ShardedPredictiveSession) Next(t0, t1 float64) (*Result, error) {
-	r, err := s.pdq.GetNext(t0, t1)
-	if err != nil || r == nil {
-		return nil, err
-	}
-	out := fromResult(*r)
-	return &out, nil
-}
-
-// Fetch returns every object becoming visible during [t0, t1].
-func (s *ShardedPredictiveSession) Fetch(t0, t1 float64) ([]Result, error) {
-	rs, err := s.pdq.Drain(t0, t1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
-}
-
-// Close releases every per-shard cursor.
-func (s *ShardedPredictiveSession) Close() { s.pdq.Close() }
-
-// ShardedNonPredictiveSession is a non-predictive dynamic query over a
-// sharded database. Not safe for concurrent use by multiple goroutines.
-type ShardedNonPredictiveSession struct {
-	db   *ShardedDB
-	npdq *shard.NPDQ
-}
-
-// NonPredictiveQuery starts a non-predictive dynamic query session with
-// one per-shard sub-session.
-func (db *ShardedDB) NonPredictiveQuery(opts NonPredictiveOptions) *ShardedNonPredictiveSession {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return &ShardedNonPredictiveSession{
-		db: db,
-		npdq: db.engine.NewNPDQ(core.NPDQOptions{
-			TrackIDs:     opts.TrackIDs,
-			ExactAnswers: opts.ExactAnswers,
-		}),
-	}
-}
-
-// Snapshot evaluates the next snapshot of the dynamic query on every
-// shard in parallel and returns the additional answers not delivered by
-// the previous snapshot.
-func (s *ShardedNonPredictiveSession) Snapshot(view Rect, t0, t1 float64) ([]Result, error) {
-	box, err := toBoxDims(view, s.db.dims)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := s.npdq.Next(box, geom.Interval{Lo: t0, Hi: t1})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
-}
-
-// Reset forgets every shard's previous snapshot (observer teleported).
-func (s *ShardedNonPredictiveSession) Reset() { s.npdq.Reset() }
-
-// ShardedAdaptiveSession is an adaptive dynamic query over a sharded
-// database; each shard predicts and hands off independently. Not safe
-// for concurrent use.
-type ShardedAdaptiveSession struct {
-	db *ShardedDB
-	a  *shard.Adaptive
-}
-
-// AdaptiveQuery starts an adaptive dynamic query session.
-func (db *ShardedDB) AdaptiveQuery(opts AdaptiveOptions) (*ShardedAdaptiveSession, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	a, err := db.engine.NewAdaptive(core.AdaptiveOptions{
-		Slack:        opts.Slack,
-		Horizon:      opts.Horizon,
-		StableFrames: opts.StableFrames,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedAdaptiveSession{db: db, a: a}, nil
-}
-
-// Frame reports the observer's actual view for one frame and returns the
-// newly visible objects, merged across shards.
-func (s *ShardedAdaptiveSession) Frame(view Rect, t0, t1 float64) ([]Result, error) {
-	box, err := toBoxDims(view, s.db.dims)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := s.a.Frame(box, geom.Interval{Lo: t0, Hi: t1})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = fromResult(r)
-	}
-	return out, nil
-}
-
-// Predictive reports whether every shard session is currently running on
-// a predicted trajectory.
-func (s *ShardedAdaptiveSession) Predictive() bool { return s.a.Predictive() }
-
-// Handoffs reports the PDQ↔NPDQ switches summed across shards.
-func (s *ShardedAdaptiveSession) Handoffs() int { return s.a.Switches() }
-
-// Close releases every shard session.
-func (s *ShardedAdaptiveSession) Close() { s.a.Close() }
-
-// CountSeries evaluates the continuous COUNT(*) of a moving view, summing
-// the per-shard series evaluated in parallel.
-func (db *ShardedDB) CountSeries(waypoints []Waypoint, times []float64) ([]int, error) {
-	traj, err := buildTrajectory(waypoints, db.dims, nil)
-	if err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.engine.CountSeries(traj, times)
-}
-
-// Predictive starts a predictive dynamic query in the interface form
-// shared with DB.
-func (db *ShardedDB) Predictive(waypoints []Waypoint, opts PredictiveOptions) (PredictiveCursor, error) {
-	return db.PredictiveQuery(waypoints, opts)
-}
-
-// NonPredictive starts a non-predictive session in the interface form
-// shared with DB.
-func (db *ShardedDB) NonPredictive(opts NonPredictiveOptions) NonPredictiveCursor {
-	return db.NonPredictiveQuery(opts)
-}
-
-// Adaptive starts an adaptive session in the interface form shared with
-// DB.
-func (db *ShardedDB) Adaptive(opts AdaptiveOptions) (AdaptiveCursor, error) {
-	return db.AdaptiveQuery(opts)
-}
-
-// CostSnapshot returns the cost counters summed across shards.
-func (db *ShardedDB) CostSnapshot() stats.Snapshot { return db.engine.CostSnapshot() }
-
-// Cost returns the accumulated query cost counters summed across shards.
-func (db *ShardedDB) Cost() CostReport { return costReport(db.engine.CostSnapshot()) }
+// StatsByShard walks every shard and reports the per-shard index shapes,
+// in shard order.
+func (db *ShardedDB) StatsByShard() ([]IndexStats, error) { return db.statsByUnit() }
 
 // ShardCost returns shard i's own accumulated cost counters.
-func (db *ShardedDB) ShardCost(i int) CostReport { return costReport(db.engine.ShardCost(i)) }
-
-// ResetCost zeroes every shard's cost counters.
-func (db *ShardedDB) ResetCost() { db.engine.ResetCost() }
-
-func costReport(s stats.Snapshot) CostReport {
-	return CostReport{
-		DiskReads:     s.Reads(),
-		LeafReads:     s.LeafReads,
-		InternalReads: s.InternalReads,
-		DistanceComps: s.DistanceComps,
-		Results:       s.Results,
-	}
-}
-
-// BufferStats reports the buffer-pool accounting summed across shards.
-func (db *ShardedDB) BufferStats() BufferStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out BufferStats
-	for i := 0; i < db.engine.Shards(); i++ {
-		b := db.shardBufferStats(i)
-		out.Hits += b.Hits
-		out.Misses += b.Misses
-		out.Evictions += b.Evictions
-		out.WriteBacks += b.WriteBacks
-		out.Len += b.Len
-		out.Capacity += b.Capacity
-	}
-	return out
-}
+func (db *ShardedDB) ShardCost(i int) CostReport { return costReport(db.units.ShardCost(i)) }
 
 // ShardBufferStats reports shard i's own buffer-pool accounting.
 func (db *ShardedDB) ShardBufferStats(i int) BufferStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.shardBufferStats(i)
-}
-
-func (db *ShardedDB) shardBufferStats(i int) BufferStats {
-	p := db.engine.Shard(i).Tree.Pool()
-	return BufferStats{
-		Hits:       p.Hits(),
-		Misses:     p.Misses(),
-		Evictions:  p.Evictions(),
-		WriteBacks: p.WriteBacks(),
-		Len:        p.Len(),
-		Capacity:   p.Capacity(),
-	}
-}
-
-// BufferSegments reports per-segment buffer-pool accounting summed
-// across shards by segment index (every shard's pool has the same
-// segment layout).
-func (db *ShardedDB) BufferSegments() []BufferSegmentStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []BufferSegmentStats
-	for i := 0; i < db.engine.Shards(); i++ {
-		segs := db.engine.Shard(i).Tree.Pool().SegmentStats()
-		if out == nil {
-			out = make([]BufferSegmentStats, len(segs))
-		}
-		for j, s := range segs {
-			if j >= len(out) {
-				break
-			}
-			out[j].Hits += s.Hits
-			out[j].Misses += s.Misses
-			out[j].Len += s.Len
-			out[j].Capacity += s.Capacity
-		}
-	}
-	return out
-}
-
-// Stats walks every shard and reports the aggregate index shape: node and
-// segment counts summed, height and fanout taken as the maximum, fill
-// factors weighted by node count.
-func (db *ShardedDB) Stats() (IndexStats, error) {
-	per, err := db.StatsByShard()
-	if err != nil {
-		return IndexStats{}, err
-	}
-	var out IndexStats
-	var leafFill, intFill float64
-	for _, st := range per {
-		out.Segments += st.Segments
-		out.LeafNodes += st.LeafNodes
-		out.InternalNodes += st.InternalNodes
-		if st.Height > out.Height {
-			out.Height = st.Height
-		}
-		if st.LeafFanout > out.LeafFanout {
-			out.LeafFanout = st.LeafFanout
-		}
-		if st.IntFanout > out.IntFanout {
-			out.IntFanout = st.IntFanout
-		}
-		leafFill += st.AvgLeafFill * float64(st.LeafNodes)
-		intFill += st.AvgIntFill * float64(st.InternalNodes)
-	}
-	if out.LeafNodes > 0 {
-		out.AvgLeafFill = leafFill / float64(out.LeafNodes)
-	}
-	if out.InternalNodes > 0 {
-		out.AvgIntFill = intFill / float64(out.InternalNodes)
-	}
-	return out, nil
-}
-
-// StatsByShard walks every shard and reports the per-shard index shapes,
-// in shard order.
-func (db *ShardedDB) StatsByShard() ([]IndexStats, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	per, err := db.engine.Stats()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]IndexStats, len(per))
-	for i, st := range per {
-		out[i] = IndexStats{
-			Height:        st.Height,
-			Segments:      st.Segments,
-			LeafNodes:     st.LeafNodes,
-			InternalNodes: st.InternalNodes,
-			LeafFanout:    st.MaxLeafFan,
-			IntFanout:     st.MaxIntFan,
-			AvgLeafFill:   st.AvgLeafFill,
-			AvgIntFill:    st.AvgIntFill,
-		}
-	}
-	return out, nil
-}
-
-// Validate checks every shard's structural invariants (tests/tools).
-func (db *ShardedDB) Validate() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.engine.Validate()
+	return db.unitBufferStats(i)
 }
 
 // RegisterMetrics exposes the per-shard gauges and fan-out latency
 // histograms through a metric registry.
-func (db *ShardedDB) RegisterMetrics(reg *obs.Registry) { db.engine.Register(reg) }
-
-// Compile-time check: both database flavors present the same surface.
-var (
-	_ Database = (*DB)(nil)
-	_ Database = (*ShardedDB)(nil)
-)
+func (db *ShardedDB) RegisterMetrics(reg *obs.Registry) { db.units.Register(reg) }

@@ -8,31 +8,30 @@ import (
 )
 
 // randomPopulation generates nObj objects with contiguous piecewise-linear
-// motion over t ∈ [0, ~duration] in a 100×100 space.
-func randomPopulation(r *rand.Rand, nObj, segsPer int) map[ObjectID][]Segment {
-	segs := make(map[ObjectID][]Segment, nObj)
+// motion over t ∈ [0, ~duration] in a 100×100 space, ordered by object
+// then time.
+func randomPopulation(r *rand.Rand, nObj, segsPer int) []MotionUpdate {
+	var segs []MotionUpdate
 	for id := 0; id < nObj; id++ {
 		x, y := r.Float64()*100, r.Float64()*100
 		t := r.Float64() * 2
-		var list []Segment
 		for s := 0; s < segsPer; s++ {
 			dt := 0.5 + r.Float64()*1.5
 			nx := x + (r.Float64()*4 - 2)
 			ny := y + (r.Float64()*4 - 2)
-			list = append(list, Segment{
+			segs = append(segs, MotionUpdate{ID: ObjectID(id), Segment: Segment{
 				T0: t, T1: t + dt,
 				From: []float64{x, y}, To: []float64{nx, ny},
-			})
+			}})
 			x, y, t = nx, ny, t+dt
 		}
-		segs[ObjectID(id)] = list
 	}
 	return segs
 }
 
 // equivPair builds a single-tree DB and an N-shard ShardedDB over the
 // same population.
-func equivPair(t *testing.T, segs map[ObjectID][]Segment, shards int, bulk bool) (*DB, *ShardedDB) {
+func equivPair(t *testing.T, segs []MotionUpdate, shards int, bulk bool) (*DB, *ShardedDB) {
 	t.Helper()
 	db, err := Open(Options{})
 	if err != nil {
@@ -45,21 +44,19 @@ func equivPair(t *testing.T, segs map[ObjectID][]Segment, shards int, bulk bool)
 	}
 	t.Cleanup(func() { sdb.Close() })
 	if bulk {
-		if err := db.BulkLoad(segs); err != nil {
+		if err := db.BulkLoadUpdates(segs); err != nil {
 			t.Fatal(err)
 		}
-		if err := sdb.BulkLoad(segs); err != nil {
+		if err := sdb.BulkLoadUpdates(segs); err != nil {
 			t.Fatal(err)
 		}
 	} else {
-		for id, list := range segs {
-			for _, s := range list {
-				if err := db.Insert(id, s); err != nil {
-					t.Fatal(err)
-				}
-				if err := sdb.Insert(id, s); err != nil {
-					t.Fatal(err)
-				}
+		for _, u := range segs {
+			if err := db.Insert(u.ID, u.Segment); err != nil {
+				t.Fatal(err)
+			}
+			if err := sdb.Insert(u.ID, u.Segment); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -212,7 +209,7 @@ func TestShardedPredictiveEquivalence(t *testing.T) {
 
 // collectShardedPDQ drains one window via Next, checking the appearance
 // ordering contract along the way.
-func collectShardedPDQ(t *testing.T, s *ShardedPredictiveSession, t0, t1 float64) []Result {
+func collectShardedPDQ(t *testing.T, s *PredictiveSession, t0, t1 float64) []Result {
 	t.Helper()
 	var out []Result
 	last := -1.0

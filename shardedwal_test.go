@@ -60,7 +60,7 @@ func TestDurabilityRequiresWAL(t *testing.T) {
 				t.Errorf("%s: durability %d without a WAL = %v, want ErrNoWAL", name, d, err)
 			}
 		}
-		if db.(interface{ Len() int }).Len() != 0 {
+		if db.Len() != 0 {
 			t.Errorf("%s: rejected batch was partially applied", name)
 		}
 		for _, d := range []Durability{DurabilityDefault, DurabilityAsync} {
@@ -115,6 +115,22 @@ func TestOpenShardedRefusesExistingFiles(t *testing.T) {
 	}
 	if reps == nil {
 		t.Fatal("recovering an existing set returned no reports")
+	}
+}
+
+// TestOpenShardedRecoverNeedsFiles: recovery never creates — a path with
+// no shard files is os.ErrNotExist, exactly as for a single-file database,
+// and leaves nothing behind.
+func TestOpenShardedRecoverNeedsFiles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "absent.dynq")
+	if _, _, err := OpenShardedRecover(path, ShardRecoverOptions{Shards: 2, WAL: true}); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("OpenShardedRecover on an absent path: %v, want os.ErrNotExist", err)
+	}
+	if _, _, err := OpenFileRecover(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("OpenFileRecover on an absent path: %v, want os.ErrNotExist", err)
+	}
+	if left, _ := filepath.Glob(path + "*"); len(left) != 0 {
+		t.Fatalf("refused opens left files behind: %v", left)
 	}
 }
 
@@ -218,7 +234,7 @@ func TestShardedWALCrashReplay(t *testing.T) {
 	if err := db.ApplyUpdates(context.Background(), shardBatch(1, 48), WriteOptions{Durability: DurabilityGroupCommit}); err != nil {
 		t.Fatal(err)
 	}
-	if err := crashShardedDB(db); err != nil {
+	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,7 +267,7 @@ func TestShardedWALOneTornLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	ackedLen := db.Len()
-	ackedSize, err := fileSize(shardWALPath(path, 0))
+	ackedSize, err := fileSize(shardLayout(path).log(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,16 +285,16 @@ func TestShardedWALOneTornLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := crashShardedDB(db); err != nil {
+	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Tear shard 0's log back into its un-acked region; leave 1 and 2.
-	f, err := os.OpenFile(shardWALPath(path, 0), os.O_RDWR, 0)
+	f, err := os.OpenFile(shardLayout(path).log(0), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := fileSize(shardWALPath(path, 0))
+	total, err := fileSize(shardLayout(path).log(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +364,7 @@ func TestShardedWALCheckpointLagDivergence(t *testing.T) {
 		t.Fatalf("shard 1 should be flush with its checkpoint: %+v", infos[1])
 	}
 	want := db.Len()
-	if err := crashShardedDB(db); err != nil {
+	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
 

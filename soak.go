@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"dynq/internal/pager"
-	"dynq/internal/rtree"
 )
 
 // SoakOptions configure FaultSoak, the crash/reopen loop behind
@@ -232,34 +231,34 @@ func isTypedCorruption(err error) bool {
 // openFaulted reopens the committed file with a scripted FaultStore
 // interposed between the tree and the FileStore, so the write phase sees
 // injected faults while the file beneath stays a real FileStore the
-// harness can Crash.
+// harness can Crash. Degradation is off: the soak handles failures
+// itself.
 func openFaulted(path string, plan *pager.FaultPlan, bufferPages int) (*DB, *pager.FileStore, *pager.FaultStore, error) {
-	fs, err := pager.OpenFileStore(path)
+	return recoverFaulted(recoverSpec{
+		lay:          singleLayout(path, path+".wal"),
+		units:        1,
+		bufferPages:  bufferPages,
+		degradeAfter: -1,
+	}, plan)
+}
+
+// recoverFaulted runs the recovering open with the soaks' per-unit store
+// hook installed, returning the file and the interposer next to the
+// database. Verification reads the file directly, so the script only
+// bites once the database is in use.
+func recoverFaulted(s recoverSpec, plan *pager.FaultPlan) (*DB, *pager.FileStore, *pager.FaultStore, error) {
+	var fs *pager.FileStore
+	var faults *pager.FaultStore
+	s.wrapStore = func(_ int, f *pager.FileStore) pager.Store {
+		fs, faults = f, pager.NewFaultStore(f)
+		faults.Script(plan)
+		return faults
+	}
+	e, err := recoverEngine(s)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	faults := pager.NewFaultStore(fs)
-	faults.Script(plan)
-	m, appliedLSN, err := decodeMeta(fs.Aux())
-	if err != nil {
-		fs.Close()
-		return nil, nil, nil, err
-	}
-	tree, err := rtree.Restore(m.Config, faults, m.Root, m.Height, m.Size, m.ModSeq)
-	if err != nil {
-		fs.Close()
-		return nil, nil, nil, err
-	}
-	if bufferPages > 0 {
-		if err := tree.UseBuffer(bufferPages); err != nil {
-			fs.Close()
-			return nil, nil, nil, err
-		}
-	}
-	db := &DB{tree: tree, cfg: m.Config, store: faults, bufferPages: bufferPages, appliedLSN: appliedLSN}
-	db.health.after = -1 // the soak handles failures itself
-	tree.SetCounters(&db.counters)
-	return db, fs, faults, nil
+	return &DB{e}, fs, faults, nil
 }
 
 // rebuildFile recreates path from the committed sequence with the same

@@ -1,7 +1,6 @@
 package dynq
 
 import (
-	"fmt"
 	"sync"
 
 	"dynq/internal/geom"
@@ -110,7 +109,7 @@ func (tk *Tracker) At(view Rect, t float64) ([]Anticipated, error) {
 // During returns every object anticipated inside the view at some time
 // in [t0, t1], each with the interval it stays inside.
 func (tk *Tracker) During(view Rect, t0, t1 float64) ([]Anticipated, error) {
-	box, err := toTrackerBox(view, tk.dims)
+	box, err := toBoxDims(view, tk.dims)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +127,7 @@ func (tk *Tracker) During(view Rect, t0, t1 float64) ([]Anticipated, error) {
 func (tk *Tracker) Along(waypoints []Waypoint) ([]Anticipated, error) {
 	keys := make([]trajectory.Key, len(waypoints))
 	for i, w := range waypoints {
-		box, err := toTrackerBox(w.View, tk.dims)
+		box, err := toBoxDims(w.View, tk.dims)
 		if err != nil {
 			return nil, err
 		}
@@ -148,30 +147,10 @@ func (tk *Tracker) Along(waypoints []Waypoint) ([]Anticipated, error) {
 }
 
 // Cost returns the tracker's accumulated query cost.
-func (tk *Tracker) Cost() CostReport {
-	s := tk.counters.Snapshot()
-	return CostReport{
-		DiskReads:     s.Reads(),
-		LeafReads:     s.LeafReads,
-		InternalReads: s.InternalReads,
-		DistanceComps: s.DistanceComps,
-		Results:       s.Results,
-	}
-}
+func (tk *Tracker) Cost() CostReport { return costReport(tk.counters.Snapshot()) }
 
 // ResetCost zeroes the tracker's cost counters.
 func (tk *Tracker) ResetCost() { tk.counters.Reset() }
-
-func toTrackerBox(r Rect, dims int) (geom.Box, error) {
-	if len(r.Min) != dims || len(r.Max) != dims {
-		return nil, fmt.Errorf("dynq: rect must have %d dims", dims)
-	}
-	b := make(geom.Box, dims)
-	for i := 0; i < dims; i++ {
-		b[i] = geom.Interval{Lo: r.Min[i], Hi: r.Max[i]}
-	}
-	return b, nil
-}
 
 func fromMatches(ms []tpr.Match) []Anticipated {
 	out := make([]Anticipated, len(ms))

@@ -1,12 +1,14 @@
 package dynq
 
 import (
+	"strconv"
 	"time"
 
 	"dynq/internal/obs"
+	"dynq/internal/wal"
 )
 
-// WALInfo is a point-in-time view of the armed write-ahead log's header
+// WALInfo is a point-in-time view of one armed write-ahead log's header
 // state, for inspection tools (dqload inspect prints it next to the
 // recovery report).
 type WALInfo struct {
@@ -20,42 +22,54 @@ type WALInfo struct {
 	Size          int64  // total log file size, headers included
 }
 
-// WALInfo reports the armed write-ahead log's header state; ok is false
-// when the database has no WAL.
-func (db *DB) WALInfo() (WALInfo, bool) {
-	if db.wal == nil {
-		return WALInfo{}, false
-	}
+func walInfo(w *wal.Log) WALInfo {
 	return WALInfo{
-		Path:          db.wal.Path(),
-		Epoch:         db.wal.Epoch(),
-		LastLSN:       db.wal.LastLSN(),
-		DurableLSN:    db.wal.DurableLSN(),
-		CheckpointLSN: db.wal.CheckpointLSN(),
-		LiveRecords:   db.wal.CheckpointLag(),
-		LiveBytes:     db.wal.LiveBytes(),
-		Size:          db.wal.Size(),
-	}, true
+		Path:          w.Path(),
+		Epoch:         w.Epoch(),
+		LastLSN:       w.LastLSN(),
+		DurableLSN:    w.DurableLSN(),
+		CheckpointLSN: w.CheckpointLSN(),
+		LiveRecords:   w.CheckpointLag(),
+		LiveBytes:     w.LiveBytes(),
+		Size:          w.Size(),
+	}
 }
 
-// WALTelemetry snapshots the armed write-ahead log's instrumentation —
+// WALTelemetry snapshots the armed write-ahead logs' instrumentation —
 // fsync latency, batch sizes, coalesce ratio, checkpoint state — with
-// rolling histogram windows over the given spans. ok is false when the
-// database has no WAL; the netq server uses that to omit the section.
-func (db *DB) WALTelemetry(windows []time.Duration) (obs.WALTelemetry, bool) {
-	if db.wal == nil {
+// rolling histogram windows over the given spans. Several logs fold into
+// one section (see obs.MergeWALTelemetry: totals sum, quantiles report
+// the worst log, Logs says how many were merged). ok is false when the
+// database has no WAL; the netq server then omits the section.
+func (e *engine) WALTelemetry(windows []time.Duration) (obs.WALTelemetry, bool) {
+	if e.logs == nil {
 		return obs.WALTelemetry{}, false
 	}
-	return db.wal.Telemetry(windows), true
+	agg := e.logs[0].Telemetry(windows)
+	if len(e.logs) == 1 {
+		return agg, true
+	}
+	for _, w := range e.logs[1:] {
+		agg = obs.MergeWALTelemetry(agg, w.Telemetry(windows))
+	}
+	agg.Path = e.walLabel
+	agg.Logs = len(e.logs)
+	return agg, true
 }
 
-// RegisterWALMetrics exposes the armed write-ahead log's histograms,
-// counters, and gauges in a registry, reporting whether a WAL was
-// present to register.
-func (db *DB) RegisterWALMetrics(reg *obs.Registry) bool {
-	if db.wal == nil {
+// RegisterWALMetrics exposes the armed logs' histograms, counters, and
+// gauges in a registry — one {shard="i"}-labeled series per log when
+// there are several — reporting whether a WAL was present to register.
+func (e *engine) RegisterWALMetrics(reg *obs.Registry) bool {
+	if e.logs == nil {
 		return false
 	}
-	db.wal.RegisterMetrics(reg)
+	if len(e.logs) == 1 {
+		e.logs[0].RegisterMetrics(reg)
+		return true
+	}
+	for i, w := range e.logs {
+		w.RegisterMetricsLabeled(reg, obs.L("shard", strconv.Itoa(i)))
+	}
 	return true
 }

@@ -2,13 +2,14 @@ package dynq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
 
-	"dynq/internal/pager"
+	"dynq/internal/rtree"
 )
 
 // WALSoakOptions configure WALSoak, the crash/reopen loop behind
@@ -49,11 +50,11 @@ type WALSoakOptions struct {
 	// MaxSegments rotates to a fresh file + log once the committed set
 	// grows past it (default 8192).
 	MaxSegments int
-	// Shards > 1 runs the soak against a sharded database: one page file
-	// and one log per shard, each crash tearing a random subset of the
-	// logs independently. Acked batches must survive across ALL logs;
-	// async sub-batches survive per shard, record-aligned in that
-	// shard's log.
+	// Shards is the number of units (default 1, the single-file layout;
+	// more: one page file and one log per shard). Each crash tears a
+	// random subset of the logs independently. Acked batches must survive
+	// across ALL logs; async sub-batches survive per unit, record-aligned
+	// in that unit's log.
 	Shards int
 	// Dir is the working directory (default: a fresh temp dir).
 	Dir string
@@ -90,17 +91,20 @@ func (r WALSoakReport) String() string {
 		r.LostAcked, r.WrongAnswers, r.QueriesCompared)
 }
 
-// WALSoak runs crash/reopen cycles against a WAL-armed file database.
-// Each cycle reopens with recovery (replaying the log), verifies the
-// recovered answers against an in-memory replica fed the same batches,
-// then writes a new round: concurrently group-committed batches that
-// must survive, a checkpoint every few cycles, and a tail of
-// DurabilityAsync batches. The cycle ends in a hard crash — the page
-// file and log are abandoned without a sync — followed, most cycles, by
-// a tear: truncating or flipping bytes strictly after the last
-// acknowledged (fsynced) log offset, simulating a torn append or a
-// group commit that died mid-write. Acknowledged data is never touched,
-// because a completed fsync means those bytes survive a real crash.
+// WALSoak runs crash/reopen cycles against a WAL-armed file database of
+// opts.Shards units (one: the single-file layout). Each cycle reopens
+// with recovery (replaying every log), verifies the recovered answers
+// against an in-memory replica of the same unit count fed the same
+// batches, then writes a new round: concurrently group-committed batches
+// that must survive, a checkpoint every few cycles, and a tail of
+// DurabilityAsync batches. The cycle ends in a hard crash — page files
+// and logs abandoned without a sync — followed, most cycles, by tears:
+// each log independently truncated or bit-flipped strictly after its
+// last acknowledged (fsynced) offset, simulating a torn append or a
+// group commit that died mid-write, so recovery must replay logs that
+// diverged (one torn mid-record, one clean, one freshly checkpointed).
+// Acknowledged data is never touched, because a completed fsync means
+// those bytes survive a real crash.
 func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
 	if opts.Cycles <= 0 {
 		opts.Cycles = 50
@@ -129,6 +133,9 @@ func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
 	if opts.MaxSegments <= 0 {
 		opts.MaxSegments = 8192
 	}
+	if opts.Shards <= 0 {
+		opts.Shards = 1
+	}
 	dir := opts.Dir
 	if dir == "" {
 		var err error
@@ -138,44 +145,51 @@ func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
 		}
 		defer os.RemoveAll(dir)
 	}
-	if opts.Shards > 1 {
-		return walSoakSharded(opts, filepath.Join(dir, "walsoak.dynq"))
-	}
 	path := filepath.Join(dir, "walsoak.dynq")
-	walPath := path + ".wal"
+	n := opts.Shards
+	lay := shardLayout(path)
+	if n == 1 {
+		lay = singleLayout(path, path+".wal")
+	}
 
 	var rep WALSoakReport
 	var committed []soakSeg // acknowledged state, for rotation rebuilds
-	replica, err := Open(Options{})
+	replica, err := createEngine(Options{}, n, 0, layout{}, false)
 	if err != nil {
 		return rep, err
 	}
 	defer func() { replica.Close() }()
-	if err := rebuildFileWAL(path, walPath, committed, opts.BufferPages); err != nil {
+	if err := rebuildLogged(lay, n, committed, opts.BufferPages); err != nil {
 		return rep, err
 	}
 
 	wrand := rand.New(rand.NewSource(opts.Seed))
 	var nextID ObjectID
 	// pendingAsync holds the async batches appended before the last
-	// crash, in append order; replay keeps a per-record prefix of them.
+	// crash, in append order; replay keeps a per-record prefix of each
+	// log's share of them.
 	var pendingAsync [][]soakSeg
 	for cycle := 0; cycle < opts.Cycles; cycle++ {
 		rep.Cycles++
 
-		// Recovery phase: reopen, replay, reconcile the replica with the
+		// Recovery phase: reopen every unit, replay every log (found by
+		// auto-detection), reconcile the replica with each unit's
 		// surviving async prefix, and compare answers.
-		db, rrep, err := OpenFileRecoverWith(path, RecoverOptions{BufferPages: opts.BufferPages})
+		db, err := recoverEngine(recoverSpec{lay: lay, units: n, bufferPages: opts.BufferPages})
 		if err != nil {
 			return rep, fmt.Errorf("cycle %d: reopen: %w", cycle, err)
 		}
-		if !rrep.WALArmed {
-			db.Close()
-			return rep, fmt.Errorf("cycle %d: reopen did not arm the wal sidecar", cycle)
+		torn := false
+		for i, rrep := range db.recovery {
+			if !rrep.WALArmed {
+				db.Close()
+				return rep, fmt.Errorf("cycle %d: reopen did not arm the wal sidecar%s", cycle, where(i, n))
+			}
+			rep.RecordsReplayed += rrep.WALRecordsReplayed
+			rep.UpdatesReplayed += rrep.WALUpdatesReplayed
+			torn = torn || rrep.WALTornTail
 		}
-		rep.RecordsReplayed += rrep.WALRecordsReplayed
-		rep.UpdatesReplayed += rrep.WALUpdatesReplayed
-		if rrep.WALTornTail {
+		if torn {
 			rep.TornTails++
 		}
 		survived, err := reconcileAsync(db, replica, &committed, pendingAsync)
@@ -198,56 +212,15 @@ func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
 		rep.WrongAnswers += wrong
 		rep.QueriesCompared += compared
 
-		// Acknowledged write phase: concurrent batches, group-committed.
-		// Batches use disjoint fresh ids, so they commute — the replica
-		// can apply them in any order and still answer identically. A
-		// third of the batches carry churn (delete + reinsert of their
-		// own first segment) so replay exercises the delete path without
-		// changing the final state.
-		acked := make([][]soakSeg, opts.AckedBatches)
-		ackedUps := make([][]MotionUpdate, opts.AckedBatches)
-		for i := range acked {
-			acked[i] = genSoakBatch(wrand, opts.Batch, &nextID)
-			ackedUps[i] = toUpdates(acked[i])
-			if wrand.Intn(3) == 0 {
-				ackedUps[i] = withChurn(ackedUps[i])
-			}
+		// Acknowledged write phase: concurrent batches, group-committed
+		// across every touched log.
+		acked, err := soakAckedPhase(db, replica, wrand, &nextID, opts.AckedBatches, opts.Batch, opts.Writers)
+		if err != nil {
+			db.Close()
+			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
 		}
-		var wg sync.WaitGroup
-		errs := make([]error, opts.Writers)
-		for w := 0; w < opts.Writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(ackedUps); i += opts.Writers {
-					d := DurabilityGroupCommit
-					if i%5 == 4 {
-						d = DurabilitySync
-					}
-					if err := db.ApplyUpdates(context.Background(), ackedUps[i], WriteOptions{Durability: d}); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				db.Close()
-				return rep, fmt.Errorf("cycle %d: acked batch: %w", cycle, err)
-			}
-		}
-		rep.BatchesAcked += len(acked)
-		for _, b := range acked {
-			committed = append(committed, b...)
-			for _, s := range b {
-				if err := replica.Insert(s.id, s.seg); err != nil {
-					db.Close()
-					return rep, fmt.Errorf("cycle %d: replica insert: %w", cycle, err)
-				}
-			}
-		}
+		rep.BatchesAcked += opts.AckedBatches
+		committed = append(committed, acked...)
 
 		if opts.CheckpointEvery > 0 && cycle%opts.CheckpointEvery == opts.CheckpointEvery-1 {
 			if err := db.Sync(); err != nil {
@@ -257,16 +230,19 @@ func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
 			rep.Checkpoints++
 		}
 
-		// The durable boundary: every log byte on disk right now is
-		// covered by a completed fsync (the soak is quiescent), so the
-		// tear must land strictly beyond this offset.
-		ackedSize, err := fileSize(walPath)
-		if err != nil {
-			db.Close()
-			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
+		// The durable boundaries: every byte of every log on disk right now
+		// is covered by a completed fsync (the soak is quiescent), so the
+		// tears must land strictly beyond these offsets.
+		ackedSizes := make([]int64, n)
+		for i := range ackedSizes {
+			if ackedSizes[i], err = fileSize(lay.log(i)); err != nil {
+				db.Close()
+				return rep, fmt.Errorf("cycle %d: %w", cycle, err)
+			}
 		}
 
-		// Async tail: appended, applied in memory, never awaited.
+		// Async tail: appended, applied in memory, never awaited. Each
+		// batch leaves one record in every log it touches.
 		for i := 0; i < opts.AsyncBatches; i++ {
 			b := genSoakBatch(wrand, opts.Batch, &nextID)
 			if err := db.ApplyUpdates(context.Background(), toUpdates(b), WriteOptions{Durability: DurabilityAsync}); err != nil {
@@ -277,14 +253,18 @@ func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
 		}
 		rep.BatchesAsync += len(pendingAsync)
 
-		if err := crashDB(db); err != nil {
+		if err := db.crash(); err != nil {
 			return rep, fmt.Errorf("cycle %d: crash: %w", cycle, err)
 		}
-		torn, err := tearWALTail(walPath, ackedSize, wrand)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: tear: %w", cycle, err)
+		tornAny := false
+		for i := 0; i < n; i++ {
+			torn, err := tearWALTail(lay.log(i), ackedSizes[i], wrand)
+			if err != nil {
+				return rep, fmt.Errorf("cycle %d: tear%s: %w", cycle, where(i, n), err)
+			}
+			tornAny = tornAny || torn
 		}
-		if torn {
+		if tornAny {
 			rep.Tears++
 		}
 
@@ -292,51 +272,149 @@ func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
 			committed = committed[:0]
 			pendingAsync = nil
 			replica.Close()
-			if replica, err = Open(Options{}); err != nil {
+			if replica, err = createEngine(Options{}, n, 0, layout{}, false); err != nil {
 				return rep, err
 			}
-			if err := rebuildFileWAL(path, walPath, committed, opts.BufferPages); err != nil {
+			if err := rebuildLogged(lay, n, committed, opts.BufferPages); err != nil {
 				return rep, err
 			}
 			rep.Rotations++
 		}
 		if opts.Log != nil && (cycle+1)%25 == 0 {
-			opts.Log("wal soak cycle %d/%d: %s", cycle+1, opts.Cycles, rep)
+			opts.Log("wal soak cycle %d/%d (%d logs): %s", cycle+1, opts.Cycles, n, rep)
 		}
 	}
 	return rep, nil
 }
 
-// reconcileAsync determines, from the recovered database's size, how
-// many of the pre-crash async batches survived replay (the log keeps a
-// record-aligned prefix), applies exactly those to the replica, and
-// returns the count. A negative return means acknowledged data is
-// missing — the invariant violation the soak exists to catch.
-func reconcileAsync(db, replica *DB, committed *[]soakSeg, pendingAsync [][]soakSeg) (int, error) {
-	base := replica.Len()
-	got := db.Len()
-	if got < base {
-		return -1, nil
-	}
-	extra := got - base
-	if len(pendingAsync) == 0 {
-		if extra != 0 {
-			return 0, fmt.Errorf("recovered %d unexplained segments (no async batches were pending)", extra)
+// soakAckedPhase generates batches and applies them to db from writers
+// concurrent goroutines with explicit durability, then mirrors them into
+// the replica and returns their segments. Batches use disjoint fresh
+// ids, so they commute — the replica can apply them in any order and
+// still answer identically. A third of the batches carry churn (delete +
+// reinsert of their own first segment) so replay exercises the delete
+// path without changing the final state.
+func soakAckedPhase(db, replica *engine, wrand *rand.Rand, nextID *ObjectID, batches, size, writers int) ([]soakSeg, error) {
+	var acked []soakSeg
+	ups := make([][]MotionUpdate, batches)
+	for i := range ups {
+		b := genSoakBatch(wrand, size, nextID)
+		acked = append(acked, b...)
+		ups[i] = toUpdates(b)
+		if wrand.Intn(3) == 0 {
+			ups[i] = withChurn(ups[i])
 		}
-		return 0, nil
 	}
-	per := len(pendingAsync[0]) // async batches are insert-only, fixed size
-	if per == 0 || extra%per != 0 || extra/per > len(pendingAsync) {
-		return 0, fmt.Errorf("recovered %d extra segments, not a record-aligned prefix of %d async batches of %d",
-			extra, len(pendingAsync), per)
-	}
-	survived := extra / per
-	for _, b := range pendingAsync[:survived] {
-		*committed = append(*committed, b...)
-		for _, s := range b {
-			if err := replica.Insert(s.id, s.seg); err != nil {
-				return 0, fmt.Errorf("replica insert: %w", err)
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(ups); i += writers {
+				d := DurabilityGroupCommit
+				if i%5 == 4 {
+					d = DurabilitySync
+				}
+				if err := db.ApplyUpdates(context.Background(), ups[i], WriteOptions{Durability: d}); err != nil {
+					errs[w] = err
+					return
+				}
 			}
+		}(w)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, fmt.Errorf("acked batch: %w", err)
+	}
+	for _, s := range acked {
+		if err := replica.Insert(s.id, s.seg); err != nil {
+			return nil, fmt.Errorf("replica insert: %w", err)
+		}
+	}
+	return acked, nil
+}
+
+// reconcileAsync determines, per unit, how many of the pre-crash async
+// records survived replay (each log keeps a record-aligned prefix of ITS
+// OWN records, independent of the others), applies exactly those
+// segments to the replica, and returns the number of async batches that
+// survived on every unit they touched. A negative return means a unit
+// recovered fewer segments than its acknowledged state — lost acked
+// data, the invariant the soak exists to catch.
+func reconcileAsync(db, replica *engine, committed *[]soakSeg, pendingAsync [][]soakSeg) (int, error) {
+	gotStats, err := db.statsByUnit()
+	if err != nil {
+		return 0, err
+	}
+	baseStats, err := replica.statsByUnit()
+	if err != nil {
+		return 0, err
+	}
+	n := len(gotStats)
+
+	// Partition each pending batch by owner unit: subs[s] is the ordered
+	// list of this crash window's async records in unit s's log, and
+	// batchOf[s][j] says which batch record j came from.
+	subs := make([][][]soakSeg, n)
+	batchOf := make([][]int, n)
+	for b, batch := range pendingAsync {
+		parts := make([][]soakSeg, n)
+		for _, s := range batch {
+			u := db.units.ShardFor(rtree.ObjectID(s.id))
+			parts[u] = append(parts[u], s)
+		}
+		for s, p := range parts {
+			if len(p) > 0 {
+				subs[s] = append(subs[s], p)
+				batchOf[s] = append(batchOf[s], b)
+			}
+		}
+	}
+
+	// Each unit's extra segments must be an exact prefix sum of its
+	// async record sizes: replay keeps whole records, in order.
+	survivedRecords := make([]int, n)
+	for s := 0; s < n; s++ {
+		extra := gotStats[s].Segments - baseStats[s].Segments
+		if extra < 0 {
+			return -1, nil
+		}
+		sum, m := 0, 0
+		for m < len(subs[s]) && sum < extra {
+			sum += len(subs[s][m])
+			m++
+		}
+		if sum != extra {
+			return 0, fmt.Errorf("recovered %d extra segments%s, not a record-aligned prefix of its %d async records",
+				extra, where(s, n), len(subs[s]))
+		}
+		survivedRecords[s] = m
+	}
+
+	// Fold the surviving per-unit records into the replica and the
+	// committed set; count the batches intact on every unit they touch.
+	fullBatch := make([]bool, len(pendingAsync))
+	for i := range fullBatch {
+		fullBatch[i] = true
+	}
+	for s := 0; s < n; s++ {
+		for j := 0; j < survivedRecords[s]; j++ {
+			for _, seg := range subs[s][j] {
+				*committed = append(*committed, seg)
+				if err := replica.Insert(seg.id, seg.seg); err != nil {
+					return 0, fmt.Errorf("replica insert: %w", err)
+				}
+			}
+		}
+		for j := survivedRecords[s]; j < len(subs[s]); j++ {
+			fullBatch[batchOf[s][j]] = false
+		}
+	}
+	survived := 0
+	for _, ok := range fullBatch {
+		if ok {
+			survived++
 		}
 	}
 	return survived, nil
@@ -359,17 +437,6 @@ func withChurn(ups []MotionUpdate) []MotionUpdate {
 	return append(ups,
 		MotionUpdate{ID: u.ID, Segment: Segment{T0: u.Segment.T0}, Delete: true},
 		u)
-}
-
-// crashDB abandons the database without flushing: the page store and
-// the log are closed as a real crash would leave them — no final sync,
-// buffered pages lost, log ending wherever the last append stopped.
-func crashDB(db *DB) error {
-	db.wal.Crash()
-	if fs, ok := db.store.(*pager.FileStore); ok {
-		return fs.Crash()
-	}
-	return db.store.Close()
 }
 
 // tearWALTail damages the crash-exposed region of the log — the bytes
@@ -427,16 +494,25 @@ func fileSize(path string) (int64, error) {
 	return st.Size(), nil
 }
 
-// rebuildFileWAL recreates the page file from the committed sequence
-// and leaves a clean (checkpointed) log beside it, so the next
-// recovering open arms the sidecar with nothing to replay.
-func rebuildFileWAL(path, walPath string, committed []soakSeg, bufferPages int) error {
-	db, err := Open(Options{Path: path, WALPath: walPath, BufferPages: bufferPages})
+// rebuildLogged removes any previous files under the layout and creates
+// a fresh logged database holding the committed sequence, checkpointed
+// so the next recovering open arms the sidecars with nothing to replay.
+func rebuildLogged(lay layout, n int, committed []soakSeg, bufferPages int) error {
+	for i := 0; i < n; i++ {
+		for _, p := range []string{lay.page(i), lay.log(i)} {
+			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		}
+	}
+	db, err := createEngine(Options{BufferPages: bufferPages}, n, 0, lay, true)
 	if err != nil {
 		return err
 	}
-	for _, s := range committed {
-		if err := db.Insert(s.id, s.seg); err != nil {
+	if len(committed) > 0 {
+		// One async batch, then a checkpoint: the contents are durable by
+		// the Sync below, so per-insert fsync waits buy nothing.
+		if err := db.ApplyUpdates(context.Background(), toUpdates(committed), WriteOptions{Durability: DurabilityAsync}); err != nil {
 			db.Close()
 			return err
 		}

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynq/internal/geom"
 	"dynq/internal/rtree"
+	"dynq/internal/shard"
 	"dynq/internal/stats"
 )
 
@@ -107,163 +109,220 @@ type WriteOptions struct {
 	Stats func(stats.Snapshot)
 }
 
-// begin mirrors QueryOptions.begin: apply the deadline, arm the stats
-// sink; finish must be called (deferred) when the write completes.
-func (o WriteOptions) begin(ctx context.Context, snap func() stats.Snapshot) (context.Context, func()) {
-	cancel := func() {}
-	if o.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, o.Deadline)
-	}
-	if o.Stats == nil {
-		return ctx, cancel
-	}
-	before := snap()
-	return ctx, func() {
-		o.Stats(snap().Sub(before))
-		cancel()
-	}
+// Insert records one motion update for an object. Coordinates are stored
+// at float32 precision (the on-disk key format). It is a thin wrapper
+// over ApplyUpdates with default durability; batch updates through
+// ApplyUpdates when ingesting at rate.
+func (e *engine) Insert(id ObjectID, seg Segment) error {
+	return e.InsertCtx(context.Background(), id, seg, WriteOptions{})
 }
 
-// ApplyUpdates applies a batch of motion updates as one write: one lock
-// acquisition, one WAL record, one durability wait — the high-rate
-// ingest path for dead-reckoning bursts. Updates apply in slice order,
-// so a delete-then-reinsert of the same object works within one batch.
+// InsertCtx is Insert with a context and per-write options.
+func (e *engine) InsertCtx(ctx context.Context, id ObjectID, seg Segment, opts WriteOptions) error {
+	return e.ApplyUpdates(ctx, []MotionUpdate{{ID: id, Segment: seg}}, opts)
+}
+
+// Delete removes the motion update of an object that started at t0. It
+// returns ErrNotFound if no such segment is indexed. Like Insert it is a
+// thin wrapper over ApplyUpdates.
+func (e *engine) Delete(id ObjectID, t0 float64) error {
+	return e.DeleteCtx(context.Background(), id, t0, WriteOptions{})
+}
+
+// DeleteCtx is Delete with a context and per-write options.
+func (e *engine) DeleteCtx(ctx context.Context, id ObjectID, t0 float64, opts WriteOptions) error {
+	return e.ApplyUpdates(ctx, []MotionUpdate{{ID: id, Segment: Segment{T0: t0}, Delete: true}}, opts)
+}
+
+// ApplyUpdates applies a batch of motion updates as one write — the
+// high-rate ingest path for dead-reckoning bursts. The batch is
+// partitioned by owner unit and each unit's portion applies under that
+// unit's lock alone, in slice order within the unit (a delete-then-
+// reinsert of the same object works within one batch) — so concurrent
+// batches touching disjoint units proceed in parallel and readers of
+// untouched units are never blocked. Cross-unit order within one batch
+// is unspecified; per-object order is preserved (an object lives on
+// exactly one unit).
 //
-// The batch is validated upfront, before anything is applied or logged:
-// a malformed segment, or a delete with no matching segment (in the
-// index or earlier in the batch), fails the whole batch — the latter
-// with ErrNotFound — and nothing of it survives a crash.
+// Every unit validates its portion before anything of it is applied or
+// logged: a malformed segment fails the whole batch up front, and a
+// delete with no matching segment (in the index or earlier in the
+// batch) fails that unit's portion with ErrNotFound, leaving the unit
+// untouched — nothing of a portion the caller saw fail survives a crash.
 //
-// With a WAL armed the record is appended BEFORE the updates touch the
-// index (write-ahead), then the call waits according to
-// opts.Durability. The batch is atomic across crashes: recovery replays
-// either the whole record or none of it. The one non-atomic case is a
-// storage error mid-apply: the earlier updates stay applied and, because
-// the record is already logged, crash recovery replays the WHOLE batch —
-// possibly more of it than was applied in-process. Storage errors also
-// count toward degraded read-only mode, so the database does not keep
-// accepting writes onto a diverging index.
+// With logs armed each unit's portion is appended to that unit's log as
+// ONE record, before it touches the index (write-ahead) and under the
+// same lock acquisition, then the call waits according to
+// opts.Durability, the touched logs fsyncing in parallel. Each portion
+// is crash-atomic: recovery replays the whole record or none of it.
+// Atomicity ACROSS units is not promised, across crashes or live: units
+// log and apply independently, and an error on one does not undo
+// portions already applied — and logged — on others. The one non-atomic
+// case within a unit is a storage error mid-apply: the earlier updates
+// stay applied and, because the record is already logged, crash recovery
+// replays the WHOLE portion. Storage errors also count toward degraded
+// read-only mode, so the database does not keep accepting writes onto a
+// diverging index.
+//
+// Without logs, explicit DurabilityGroupCommit/DurabilitySync requests
+// fail with ErrNoWAL; DurabilityDefault and DurabilityAsync apply in
+// memory.
 //
 // When ctx carries a tracer (netq threads one per request), the batch is
 // recorded as a traced span with validate / wal-append / tree-apply /
 // fsync-wait stage deltas, continuing any trace context in ctx.
-func (db *DB) ApplyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error {
+func (e *engine) ApplyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error {
+	return e.applyUpdates(ctx, updates, opts, true)
+}
+
+// applyUpdates is the one write path. gated controls the degraded
+// read-only check: public writes pass true; the maintenance probe passes
+// false, because its whole purpose is to attempt a write while the
+// database is degraded.
+func (e *engine) applyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions, gated bool) (err error) {
 	if len(updates) == 0 {
 		return nil
 	}
 	ws := beginWriteSpan(ctx)
-	err := db.applyUpdates(ctx, updates, opts, &ws, true)
-	ws.finish(len(updates), err)
-	return err
-}
-
-// applyUpdates is the batch write path. gated controls the degraded
-// read-only check: public writes pass true; the maintenance probe passes
-// false, because its whole purpose is to attempt a write while the
-// database is degraded.
-func (db *DB) applyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions, ws *writeSpan, gated bool) error {
-	ctx, finish := opts.begin(ctx, db.counters.Snapshot)
+	defer func() { ws.finish(len(updates), err) }()
+	ctx, finish := e.beginOp(ctx, opts.Deadline, opts.Stats)
 	defer finish()
-	// db.wal is immutable after open, so the durability contract can be
+	// e.logs is immutable after open, so the durability contract can be
 	// checked before any work: an explicit sync level with no log armed
 	// must fail rather than ack an in-memory write as durable.
-	if err := checkDurability(opts.Durability, db.wal != nil); err != nil {
+	if err := checkDurability(opts.Durability, e.logs != nil); err != nil {
 		return err
 	}
-	// Validate and convert every update before taking the lock, so a bad
-	// batch costs nothing and a logged batch never fails validation on
-	// replay.
+	// Convert every update before taking a lock, so a bad batch costs
+	// nothing and a logged batch never fails conversion on replay.
 	mark := ws.now()
+	n := e.units.Shards()
 	segs := make([]geom.Segment, len(updates))
 	for i, u := range updates {
-		if u.Delete {
-			continue
+		if !u.Delete {
+			if segs[i], err = toSegmentDims(u.Segment, e.dims); err != nil {
+				return err
+			}
 		}
-		g, err := db.toSegment(u.Segment)
-		if err != nil {
-			return err
-		}
-		segs[i] = g
 	}
-	validate := ws.since(mark)
+	// One unit owns the whole batch as it stands; several get a portion
+	// each, in slice order.
+	parts, partSegs, touched := [][]MotionUpdate{updates}, [][]geom.Segment{segs}, []bool{true}
+	if n > 1 {
+		parts, partSegs, touched = make([][]MotionUpdate, n), make([][]geom.Segment, n), make([]bool, n)
+		for i, u := range updates {
+			s := shard.Place(rtree.ObjectID(u.ID), n)
+			parts[s] = append(parts[s], u)
+			partSegs[s] = append(partSegs[s], segs[i])
+			touched[s] = true
+		}
+	}
+	ws.stage(stageValidate, ws.since(mark))
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	db.mu.Lock()
+	e.mu.RLock()
 	if gated {
-		if err := db.writeGate(); err != nil {
-			db.mu.Unlock()
-			return err
-		}
+		err = e.health.gate()
 	}
-	if err := ctx.Err(); err != nil {
-		db.mu.Unlock()
-		return err
+	if err == nil {
+		err = ctx.Err()
 	}
-	// The validate stage spans both intervals: pre-lock conversion and
-	// the in-lock delete balance check (lock wait is not attributed).
-	mark = ws.now()
-	verr := db.validateDeletesLocked(updates)
-	ws.stage(stageValidate, validate+ws.since(mark))
-	if verr != nil {
-		db.mu.Unlock()
-		return verr
-	}
-	var lsn uint64
-	if db.wal != nil {
-		mark = ws.now()
-		var err error
-		lsn, err = db.wal.Append(encodeUpdates(db.cfg.Dims, updates))
-		ws.stage(stageWALAppend, ws.since(mark))
-		if err != nil {
-			err = db.noteWriteResult(fmt.Errorf("dynq: wal append: %w", err))
-			db.mu.Unlock()
-			return err
-		}
-	}
-	mark = ws.now()
-	err := db.applyLocked(updates, segs, false)
-	ws.stage(stageTreeApply, ws.since(mark))
-	db.mu.Unlock()
 	if err != nil {
+		e.mu.RUnlock()
 		return err
 	}
-	// The durability wait runs OUTSIDE the database lock: an fsync never
-	// blocks readers, and concurrent writers can pile into the same
-	// group-commit round.
-	if db.wal != nil && opts.Durability != DurabilityAsync {
+	// lsns[i] records unit i's appended record (0 = unit untouched, its
+	// portion refused, or no logs); the durability wait covers these.
+	lsns := make([]uint64, n)
+	var walNS atomic.Int64
+	mark = ws.now()
+	err = e.units.UpdateShards(touched, func(i int, sh *shard.Shard) error {
+		// The delete balance check runs under the unit's write lock, so
+		// ErrNotFound surfaces BEFORE the portion is logged: a batch the
+		// caller saw fail must not replay after a crash.
+		if err := validateDeletesOn(sh.Tree, parts[i]); err != nil {
+			return err
+		}
+		if e.logs != nil {
+			t := ws.now()
+			lsn, werr := e.logs[i].Append(encodeUpdates(e.dims, parts[i]))
+			walNS.Add(int64(ws.since(t)))
+			if werr != nil {
+				return fmt.Errorf("dynq: wal append%s: %w", where(i, n), werr)
+			}
+			lsns[i] = lsn
+		}
+		return applyToTree(sh.Tree, parts[i], partSegs[i], false)
+	})
+	e.mu.RUnlock()
+	walDur := time.Duration(walNS.Load())
+	if e.logs != nil {
+		ws.stage(stageWALAppend, walDur)
+	}
+	apply := ws.since(mark)
+	if apply > walDur { // appends on several units overlap; their sum can exceed the wall time
+		apply -= walDur
+	}
+	ws.stage(stageTreeApply, apply)
+	if err != nil {
+		if err == ErrNotFound {
+			return err // a missing segment is an answer, not a storage failure
+		}
+		return e.health.note(err)
+	}
+	// The durability wait runs OUTSIDE every lock: an fsync never blocks
+	// readers or a checkpoint, and concurrent writers pile into each
+	// log's group-commit round.
+	if e.logs != nil && opts.Durability != DurabilityAsync {
 		mark = ws.now()
-		var werr error
-		if opts.Durability == DurabilitySync {
-			werr = db.wal.SyncNow(lsn)
-		} else {
-			werr = db.wal.Sync(lsn)
-		}
+		err = e.waitDurable(lsns, opts.Durability == DurabilitySync)
 		ws.stage(stageFsyncWait, ws.since(mark))
-		if werr != nil {
-			return db.noteWriteResult(fmt.Errorf("dynq: wal commit: %w", werr))
+	}
+	return e.health.note(err)
+}
+
+// waitDurable blocks until every appended record in lsns is fsynced.
+// Several touched logs sync in parallel — the wait is the slowest unit,
+// not the sum; a single one is waited on directly.
+func (e *engine) waitDurable(lsns []uint64, now bool) error {
+	wait := func(i int) error {
+		var err error
+		if now {
+			err = e.logs[i].SyncNow(lsns[i])
+		} else {
+			err = e.logs[i].Sync(lsns[i])
+		}
+		if err != nil {
+			return fmt.Errorf("dynq: wal commit%s: %w", where(i, len(lsns)), err)
+		}
+		return nil
+	}
+	var touched []int
+	for i, lsn := range lsns {
+		if lsn != 0 {
+			touched = append(touched, i)
 		}
 	}
-	return nil
-}
-
-// validateDeletesLocked checks, under the held write lock, that every
-// deletion in the batch has a segment to remove — already indexed, or
-// inserted earlier in the batch and not yet consumed — so ErrNotFound
-// surfaces BEFORE the batch is WAL-logged. Without this check a batch
-// the caller saw fail would still replay in full after a crash,
-// durably resurrecting a write that was never acknowledged.
-func (db *DB) validateDeletesLocked(updates []MotionUpdate) error {
-	err := validateDeletesOn(db.tree, updates)
-	if err != nil && err != ErrNotFound {
-		return db.noteWriteResult(err)
+	if len(touched) == 1 {
+		return wait(touched[0])
 	}
-	return err
+	errs := make([]error, len(touched))
+	var wg sync.WaitGroup
+	for j, i := range touched {
+		wg.Add(1)
+		go func(j, i int) {
+			defer wg.Done()
+			errs[j] = wait(i)
+		}(j, i)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
-// validateDeletesOn is the tree-level delete balance check shared by the
-// single-tree and per-shard write paths; the caller must hold the lock
-// guarding tree and attribute storage errors to its own health state.
+// validateDeletesOn checks, under the held unit lock, that every deletion
+// in the portion has a segment to remove — already indexed, or inserted
+// earlier in the portion and not yet consumed.
 func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) error {
 	hasDelete := false
 	for _, u := range updates {
@@ -308,35 +367,19 @@ func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) error {
 	return nil
 }
 
-// applyLocked applies converted updates to the index under the held
-// write lock. segs[i] holds the pre-converted geometry for insert
-// updates. In replay mode a delete of a missing segment is skipped
-// rather than failed: the segment may have been removed by a later
-// replayed record the first time around, then checkpointed.
-func (db *DB) applyLocked(updates []MotionUpdate, segs []geom.Segment, replay bool) error {
-	err := applyToTree(db.tree, updates, segs, replay)
-	if err != nil && err != ErrNotFound {
-		return db.noteWriteResult(err)
-	}
-	if err == nil {
-		db.noteWriteResult(nil)
-	}
-	return err
-}
-
 // applyToTree applies converted updates to one tree in slice order — the
-// shared mutation loop behind the single-tree and per-shard write paths.
-// The caller holds the lock guarding tree and owns health accounting.
+// mutation loop behind live writes and log replay. segs[i] holds the
+// pre-converted geometry for insert updates. In replay mode a delete of
+// a missing segment is skipped rather than failed: the segment may have
+// been removed by a later replayed record the first time around, then
+// checkpointed. The caller holds the lock guarding tree and owns health
+// accounting.
 func applyToTree(tree *rtree.Tree, updates []MotionUpdate, segs []geom.Segment, replay bool) error {
 	for i, u := range updates {
 		if u.Delete {
 			err := tree.Delete(rtree.ObjectID(u.ID), u.Segment.T0)
-			if err == rtree.ErrNotFound {
-				if replay {
-					continue
-				}
-				// A missing segment is an answer, not a storage failure.
-				return ErrNotFound
+			if err == rtree.ErrNotFound && replay {
+				continue
 			}
 			if err != nil {
 				return err
@@ -350,31 +393,22 @@ func applyToTree(tree *rtree.Tree, updates []MotionUpdate, segs []geom.Segment, 
 	return nil
 }
 
-// InsertCtx is Insert with a context and per-write options.
-func (db *DB) InsertCtx(ctx context.Context, id ObjectID, seg Segment, opts WriteOptions) error {
-	return db.ApplyUpdates(ctx, []MotionUpdate{{ID: id, Segment: seg}}, opts)
-}
-
-// DeleteCtx is Delete with a context and per-write options.
-func (db *DB) DeleteCtx(ctx context.Context, id ObjectID, t0 float64, opts WriteOptions) error {
-	return db.ApplyUpdates(ctx, []MotionUpdate{{ID: id, Segment: Segment{T0: t0}, Delete: true}}, opts)
-}
-
 // BulkLoadCtx builds the index from an ordered batch at a 0.5 fill
-// factor, replacing any current contents; the database must be empty and
-// the batch must contain no deletions. It is far faster than repeated
-// inserts for large historical loads. The load itself is NOT WAL-logged
-// (a log entry per bulk segment would defeat the point); call Sync to
-// make it durable, exactly as before the WAL existed.
-func (db *DB) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error {
-	ctx, finish := opts.begin(ctx, db.counters.Snapshot)
+// factor, every unit loading its share in parallel; the database must be
+// empty and the batch must contain no deletions. It is far faster than
+// repeated inserts for large historical loads. The load itself is NOT
+// WAL-logged (a log entry per bulk segment would defeat the point); call
+// Sync to make it durable. Unlike the data writes it holds the database
+// lock exclusively: every unit's tree is swapped at once.
+func (e *engine) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error {
+	ctx, finish := e.beginOp(ctx, opts.Deadline, opts.Stats)
 	defer finish()
 	entries := make([]rtree.LeafEntry, len(updates))
 	for i, u := range updates {
 		if u.Delete {
 			return fmt.Errorf("dynq: BulkLoad batch contains a deletion (object %d); deletions need an existing index", u.ID)
 		}
-		g, err := db.toSegment(u.Segment)
+		g, err := toSegmentDims(u.Segment, e.dims)
 		if err != nil {
 			return err
 		}
@@ -383,52 +417,17 @@ func (db *DB) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts Writ
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeGate(); err != nil {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.health.gate(); err != nil {
 		return err
 	}
-	if db.tree.Size() != 0 {
-		return fmt.Errorf("dynq: BulkLoad requires an empty database")
-	}
-	tree, err := rtree.BulkLoad(db.tree.Config(), db.store, entries)
-	if err != nil {
-		return db.noteWriteResult(err)
-	}
-	db.noteWriteResult(nil)
-	if db.bufferPages > 0 {
-		if err := tree.UseBuffer(db.bufferPages); err != nil {
-			return err
-		}
-	}
-	tree.SetCounters(&db.counters)
-	db.tree = tree
-	return nil
+	return e.health.note(e.units.BulkLoad(entries))
 }
 
-// BulkLoadUpdates is BulkLoadCtx without a context: the order-preserving
-// bulk load form sharing MotionUpdate with ApplyUpdates and WAL replay.
-func (db *DB) BulkLoadUpdates(updates []MotionUpdate) error {
-	return db.BulkLoadCtx(context.Background(), updates, WriteOptions{})
-}
-
-// sortedUpdates flattens the legacy map form into the ordered form,
-// sorted by (object, start time) for determinism.
-func sortedUpdates(segs map[ObjectID][]Segment) []MotionUpdate {
-	ids := make([]ObjectID, 0, len(segs))
-	for id := range segs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var updates []MotionUpdate
-	for _, id := range ids {
-		list := append([]Segment(nil), segs[id]...)
-		sort.Slice(list, func(i, j int) bool { return list[i].T0 < list[j].T0 })
-		for _, s := range list {
-			updates = append(updates, MotionUpdate{ID: id, Segment: s})
-		}
-	}
-	return updates
+// BulkLoadUpdates is BulkLoadCtx without a context.
+func (e *engine) BulkLoadUpdates(updates []MotionUpdate) error {
+	return e.BulkLoadCtx(context.Background(), updates, WriteOptions{})
 }
 
 // WAL record payload: a batch of motion updates in slice order.

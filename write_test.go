@@ -147,10 +147,10 @@ func TestWALRecoverReplaysUnsyncedWrites(t *testing.T) {
 	}
 	// 6 appends: the pre-checkpoint base insert also logged before Sync
 	// truncated it away, then 4 writes + 1 delete after the checkpoint.
-	if st, ok := db.WALStats(); !ok || st.Appends != 6 {
-		t.Fatalf("WALStats = %+v, %v; want 6 appends", st, ok)
+	if st := db.logs[0].Stats(); st.Appends != 6 {
+		t.Fatalf("wal stats = %+v; want 6 appends", st)
 	}
-	if err := crashDB(db); err != nil {
+	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,7 +189,7 @@ func TestWALRecoverReplaysUnsyncedWrites(t *testing.T) {
 	if err := rdb.InsertCtx(context.Background(), 6, seg2(0, 10, 6, 6), WriteOptions{Durability: DurabilitySync}); err != nil {
 		t.Fatal(err)
 	}
-	if err := crashDB(rdb); err != nil {
+	if err := rdb.crash(); err != nil {
 		t.Fatal(err)
 	}
 	rdb2, rep2, err := OpenFileRecover(path)
@@ -222,7 +222,7 @@ func TestWALCheckpointBoundsReplay(t *testing.T) {
 	if err := db.Insert(9, seg2(0, 10, 9, 9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := crashDB(db); err != nil {
+	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
 	rdb, rep, err := OpenFileRecover(path)
@@ -261,7 +261,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	if err := db.InsertCtx(context.Background(), 2, seg2(0, 10, 2, 2), WriteOptions{Durability: DurabilityAsync}); err != nil {
 		t.Fatal(err)
 	}
-	if err := crashDB(db); err != nil {
+	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
 	total, err := fileSize(walPath)
@@ -296,7 +296,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	if err := rdb.InsertCtx(context.Background(), 3, seg2(0, 10, 3, 3), WriteOptions{Durability: DurabilitySync}); err != nil {
 		t.Fatal(err)
 	}
-	if err := crashDB(rdb); err != nil {
+	if err := rdb.crash(); err != nil {
 		t.Fatal(err)
 	}
 	rdb2, _, err := OpenFileRecover(path)
@@ -322,16 +322,12 @@ func TestSyncFailureWithWALDegradesImmediately(t *testing.T) {
 	// A DB with a scripted FaultStore between tree and file, plus an
 	// armed WAL — the configuration where a failed checkpoint must not
 	// be retried silently.
-	db, fs, faults, err := openFaulted(path, nil, 0)
+	db, _, faults, err := openChaos(path, path+".wal", 0, MaintenanceOptions{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.health.after = 0 // default threshold, not the soak's "never"
-	defer fs.Close()
-	if err := db.armWAL(path+".wal", 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	defer db.wal.Close()
+	db.health.after = 0 // default threshold
+	defer db.Close()
 	if err := db.Insert(1, seg2(0, 10, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +453,7 @@ func TestFailedBatchNotReplayed(t *testing.T) {
 		t.Fatalf("in-batch insert+delete rejected: %v", err)
 	}
 
-	if err := crashDB(db); err != nil {
+	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
 	rdb, rep, err := OpenFileRecover(path)
