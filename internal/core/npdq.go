@@ -56,11 +56,17 @@ type NPDQ struct {
 	opts NPDQOptions
 
 	hasPrev   bool
-	prevQ     geom.Box // previous query in dual key space
-	prevExact geom.Box // previous query spatial extents + time (exact test)
-	prevSeq   uint64   // tree.ModSeq() observed before the previous query ran
+	cur, prev rtree.Query // double-buffered: Next fills cur, then swaps
+	prevSeq   uint64      // tree.ModSeq() observed before the previous query ran
 	prevIDs   map[rtree.ObjectID]struct{}
 	curIDs    map[rtree.ObjectID]struct{}
+
+	// Scratch reused across visits and frames; only delivered results are
+	// copied out of it.
+	stack []pager.PageID  // nodes still to visit, next on top
+	box   geom.Box        // one child box, for the discardability test
+	entry rtree.LeafEntry // the leaf entry under test
+	out   []Result        // the running frame's answer
 }
 
 // NewNPDQ starts a non-predictive session over the tree, charging costs
@@ -69,7 +75,7 @@ type NPDQ struct {
 // still correct but discardability almost never fires, which is exactly
 // the problem Figure 5 illustrates (the ablation benchmark measures it).
 func NewNPDQ(tree *rtree.Tree, opts NPDQOptions, c *stats.Counters) *NPDQ {
-	n := &NPDQ{tree: tree, c: c, opts: opts}
+	n := &NPDQ{tree: tree, c: c, opts: opts, box: make(geom.Box, tree.Config().Dims+2)}
 	if opts.TrackIDs {
 		n.prevIDs = make(map[rtree.ObjectID]struct{})
 		n.curIDs = make(map[rtree.ObjectID]struct{})
@@ -87,28 +93,35 @@ func (nq *NPDQ) Next(window geom.Box, tw geom.Interval) ([]Result, error) {
 	if tw.Empty() {
 		return nil, fmt.Errorf("core: query time window is empty")
 	}
-	q := rtree.QueryBox(window, tw)
-	qExact := append(window.Clone(), tw)
+	nq.cur.Fill(window, tw)
 	// Observe the modification sequence before traversal: any node
 	// modified at or after this point will carry a larger stamp, and a
 	// future query must not discard it on this query's authority.
 	seqBefore := nq.tree.ModSeq()
 
-	var out []Result
 	if nq.opts.TrackIDs {
 		clear(nq.curIDs)
 	}
-	root, _, ok := nq.tree.Root()
-	if ok {
-		if err := nq.visit(root, q, qExact, &out); err != nil {
+	// Depth-first in entry order, off an explicit stack: each node is read
+	// under its own Tree.View, which may not nest.
+	nq.stack = nq.stack[:0]
+	if root, _, ok := nq.tree.Root(); ok {
+		nq.stack = append(nq.stack, root)
+	}
+	nq.out = nil
+	for len(nq.stack) > 0 {
+		id := nq.stack[len(nq.stack)-1]
+		nq.stack = nq.stack[:len(nq.stack)-1]
+		if err := nq.tree.View(id, nq.c, nq.visit); err != nil {
 			return nil, err
 		}
 	}
+	out := nq.out
+	nq.out = nil // the answer is the caller's
 	nq.c.AddResults(len(out))
 
 	nq.hasPrev = true
-	nq.prevQ = q
-	nq.prevExact = qExact
+	nq.cur, nq.prev = nq.prev, nq.cur
 	nq.prevSeq = seqBefore
 	if nq.opts.TrackIDs {
 		nq.prevIDs, nq.curIDs = nq.curIDs, nq.prevIDs
@@ -126,49 +139,56 @@ func (nq *NPDQ) Reset() {
 	}
 }
 
-func (nq *NPDQ) visit(id pager.PageID, q, qExact geom.Box, out *[]Result) error {
-	n, err := nq.tree.Load(id, nq.c)
-	if err != nil {
-		return err
-	}
-	if n.Leaf() {
-		nq.collectLeaf(n, q, qExact, out)
+// visit examines one node in place: a leaf's new answers go to nq.out, an
+// internal node's surviving children onto the stack.
+func (nq *NPDQ) visit(v rtree.NodeView) error {
+	// One distance computation per entry examined.
+	nq.c.AddDistanceComps(v.Len())
+	if v.Leaf() {
+		nq.collectLeaf(v)
 		return nil
 	}
 	// Timestamp guard (Section 4.2's update management). Every insertion
 	// stamps all nodes along its path, so an ancestor's stamp dominates
-	// its descendants': n.Stamp ≤ prevSeq proves nothing under n changed
-	// since the previous query ran, making Lemma 1 applicable to n's
-	// children. A dirty node's children must all be visited — each loaded
-	// child then re-reads its own stamp, so pruning resumes in clean
-	// subtrees below.
-	canDiscard := nq.hasPrev && !nq.opts.ExactAnswers && n.Stamp <= nq.prevSeq
-	for _, ch := range n.Children {
-		nq.c.AddDistanceComps(1)
-		if !ch.Box.Overlaps(q) {
+	// its descendants': Stamp ≤ prevSeq proves nothing under the node
+	// changed since the previous query ran, making Lemma 1 applicable to
+	// its children. A dirty node's children must all be visited — each
+	// visited child then re-reads its own stamp, so pruning resumes in
+	// clean subtrees below.
+	canDiscard := nq.hasPrev && !nq.opts.ExactAnswers && v.Stamp() <= nq.prevSeq
+	base, pruned := len(nq.stack), 0
+	for k := 0; k < v.Len(); k++ {
+		if !v.ChildOverlaps(k, nq.cur.Box) {
 			continue
 		}
-		if canDiscard && nq.discardable(ch.Box, q) {
-			nq.c.AddPruned(1)
+		if canDiscard && nq.discardable(v, k) {
+			pruned++
 			continue
 		}
-		if err := nq.visit(ch.ID, q, qExact, out); err != nil {
-			return err
-		}
+		nq.stack = append(nq.stack, v.ChildID(k))
+	}
+	nq.c.AddPruned(pruned)
+	// The first surviving child is visited next.
+	for i, j := base, len(nq.stack)-1; i < j; i, j = i+1, j-1 {
+		nq.stack[i], nq.stack[j] = nq.stack[j], nq.stack[i]
 	}
 	return nil
 }
 
-// discardable implements Lemma 1: R may be skipped iff every point of
-// Q∩R lies inside P — everything of R relevant to Q was already
-// retrieved by the previous query. The caller has established that R's
-// subtree is unchanged since P ran.
-func (nq *NPDQ) discardable(box, q geom.Box) bool {
-	return nq.prevQ.Contains(q.Intersect(box))
+// discardable implements Lemma 1 for child k's box R: R may be skipped iff
+// every point of Q∩R lies inside P — everything of R relevant to Q was
+// already retrieved by the previous query. The caller has established
+// that R's subtree is unchanged since P ran.
+func (nq *NPDQ) discardable(v rtree.NodeView, k int) bool {
+	v.ChildBox(k, nq.box)
+	for i, iv := range nq.cur.Box {
+		nq.box[i] = iv.Intersect(nq.box[i])
+	}
+	return nq.prev.Box.Contains(nq.box)
 }
 
-func (nq *NPDQ) collectLeaf(n *rtree.Node, q, qExact geom.Box, out *[]Result) {
-	d := nq.tree.Config().Dims
+func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
+	q, qExact, tw := nq.cur.Box, nq.cur.Exact, nq.cur.Window()
 	// Geometric suppression ("this segment also satisfied P, so the
 	// client already has it") is only valid for segments that were
 	// present when P ran. A per-entry insertion time is not stored, but
@@ -176,26 +196,28 @@ func (nq *NPDQ) collectLeaf(n *rtree.Node, q, qExact geom.Box, out *[]Result) {
 	// might be new, so everything matching Q is delivered (over-delivery
 	// is safe — the client cache upserts by object id). TrackIDs mode is
 	// immune: it suppresses against P's actually-computed answer.
-	leafClean := nq.hasPrev && n.Stamp <= nq.prevSeq
-	for _, e := range n.Entries {
-		nq.c.AddDistanceComps(1)
+	leafClean := nq.hasPrev && v.Stamp() <= nq.prevSeq
+	e := &nq.entry
+	for k := 0; k < v.Len(); k++ {
 		var ov geom.Interval
 		if nq.opts.ExactAnswers {
+			v.Entry(k, e)
 			ov = e.Seg.OverlapTimeInBox(qExact)
 			if ov.Empty() {
 				continue
 			}
 		} else {
-			if !e.Box(d).Overlaps(q) {
+			if !v.EntryOverlaps(k, q) {
 				continue
 			}
+			v.Entry(k, e)
 			// Candidate semantics: report the exact episode when the
 			// trajectory really crosses the window, otherwise the
 			// conservative validity∩query window for the client to
 			// re-check.
 			ov = e.Seg.OverlapTimeInBox(qExact)
 			if ov.Empty() {
-				ov = e.Seg.T.Intersect(qExact[d])
+				ov = e.Seg.T.Intersect(tw)
 			}
 		}
 		if nq.opts.TrackIDs {
@@ -203,20 +225,20 @@ func (nq *NPDQ) collectLeaf(n *rtree.Node, q, qExact geom.Box, out *[]Result) {
 			if _, seen := nq.prevIDs[e.ID]; seen {
 				continue
 			}
-		} else if leafClean && nq.satisfiedPrev(e) {
+		} else if leafClean && nq.satisfiedPrev(v, k) {
 			// Segment-level suppression: this segment was part of the
 			// previous answer, so the client already has the object.
 			continue
 		}
-		*out = append(*out, Result{ID: e.ID, Seg: e.Seg, Appear: ov.Lo, Disappear: ov.Hi})
+		nq.out = append(nq.out, Result{ID: e.ID, Seg: e.Seg.Clone(), Appear: ov.Lo, Disappear: ov.Hi})
 	}
 }
 
-// satisfiedPrev reports whether the previous query delivered this
-// segment, at the same granularity used for delivery.
-func (nq *NPDQ) satisfiedPrev(e rtree.LeafEntry) bool {
+// satisfiedPrev reports whether the previous query delivered leaf entry k
+// (decoded in nq.entry), at the same granularity used for delivery.
+func (nq *NPDQ) satisfiedPrev(v rtree.NodeView, k int) bool {
 	if nq.opts.ExactAnswers {
-		return !e.Seg.OverlapTimeInBox(nq.prevExact).Empty()
+		return !nq.entry.Seg.OverlapTimeInBox(nq.prev.Exact).Empty()
 	}
-	return e.Box(nq.tree.Config().Dims).Overlaps(nq.prevQ)
+	return v.EntryOverlaps(k, nq.prev.Box)
 }

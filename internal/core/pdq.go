@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 
@@ -48,6 +47,11 @@ type PDQ struct {
 	inboxMu sync.Mutex
 	inbox   []rtree.Update
 	rebuild bool
+
+	// Scratch reused across expansions; only queued items are copied out.
+	set   geom.IntervalSet // one entry's visibility episodes
+	box   geom.Box         // one child box
+	entry rtree.LeafEntry  // the leaf entry under test
 }
 
 // NewPDQ starts a predictive dynamic query session over the tree for the
@@ -56,7 +60,7 @@ func NewPDQ(tree *rtree.Tree, traj *trajectory.Trajectory, opts PDQOptions, c *s
 	if traj.Dims() != tree.Config().Dims {
 		return nil, fmt.Errorf("core: trajectory has %d dims, index has %d", traj.Dims(), tree.Config().Dims)
 	}
-	p := &PDQ{tree: tree, traj: traj, c: c, opts: opts}
+	p := &PDQ{tree: tree, traj: traj, c: c, opts: opts, box: make(geom.Box, traj.Dims()+2)}
 	p.seedFromRoot()
 	if opts.LiveUpdates {
 		p.unsub = tree.OnUpdate(p.enqueueUpdate)
@@ -77,13 +81,14 @@ func (p *PDQ) seedFromRoot() {
 	p.pushNode(root, level, p.traj.TimeSpan())
 }
 
-// enqueueUpdate receives insertion notifications. It runs under the tree
+// enqueueUpdate receives update notifications. It runs under the tree
 // lock, so it only records the update; GetNext integrates the inbox before
-// consulting the queue.
+// consulting the queue. A reseed notification (a deletion freed pages the
+// queue may name) always forces the rebuild a root split only suggests.
 func (p *PDQ) enqueueUpdate(u rtree.Update) {
 	p.inboxMu.Lock()
 	defer p.inboxMu.Unlock()
-	if u.RootSplit && p.opts.RebuildOnRootSplit {
+	if u.Kind == rtree.UpdateReseed || (u.RootSplit && p.opts.RebuildOnRootSplit) {
 		p.rebuild = true
 		p.inbox = p.inbox[:0]
 		return
@@ -108,19 +113,19 @@ func (p *PDQ) drainInbox() {
 		p.seedFromRoot()
 		return
 	}
-	var set geom.IntervalSet
+	set := &p.set
 	for _, u := range inbox {
 		set.Reset()
 		switch u.Kind {
 		case rtree.UpdateEntry:
 			p.c.AddDistanceComps(1)
-			p.traj.OverlapSegment(u.Entry.Seg, &set)
+			p.traj.OverlapSegment(u.Entry.Seg, set)
 			for _, iv := range set.Intervals() {
 				p.pushObject(u.Entry, iv)
 			}
 		case rtree.UpdateSubtree:
 			p.c.AddDistanceComps(1)
-			p.traj.OverlapBox(u.Box, &set)
+			p.traj.OverlapBox(u.Box, set)
 			for _, iv := range set.Intervals() {
 				p.pushNode(u.Node, u.Level, iv)
 			}
@@ -146,7 +151,7 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (*Result, error) {
 	}
 	p.drainInbox()
 	for len(p.pq) > 0 && tEnd >= p.pq[0].key.iv.Lo {
-		item := heap.Pop(&p.pq).(pdqItem)
+		item := p.pq.pop()
 		// Duplicate elimination (Section 4.1): duplicates share a priority
 		// and therefore pop adjacently.
 		if p.havePop && item.key == p.lastPop {
@@ -175,44 +180,53 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (*Result, error) {
 	return nil, nil
 }
 
-// expand loads a node (one disk access) and enqueues every child whose
-// visibility has not already ended.
+// expand reads a node in place (one disk access) and enqueues every child
+// whose visibility has not already ended.
 func (p *PDQ) expand(item pdqItem, tStart float64) error {
-	n, err := p.tree.Load(item.key.node, p.c)
-	if err != nil {
-		return err
-	}
-	var set geom.IntervalSet
-	if n.Leaf() {
-		for _, e := range n.Entries {
-			p.c.AddDistanceComps(1)
+	return p.tree.View(item.key.node, p.c, func(v rtree.NodeView) error {
+		// One distance computation per entry examined.
+		p.c.AddDistanceComps(v.Len())
+		set := &p.set
+		if v.Leaf() {
+			for k := 0; k < v.Len(); k++ {
+				v.Entry(k, &p.entry)
+				set.Reset()
+				p.traj.OverlapSegment(p.entry.Seg, set)
+				// The queue outlives the view: the entry's episodes share
+				// one copy of it, made when the first is queued.
+				var kept rtree.LeafEntry
+				for _, iv := range set.Intervals() {
+					if tStart > iv.Hi {
+						continue
+					}
+					if kept.Seg.Start == nil {
+						kept = rtree.LeafEntry{ID: p.entry.ID, Seg: p.entry.Seg.Clone()}
+					}
+					p.pushObject(kept, iv)
+				}
+			}
+			return nil
+		}
+		pruned := 0
+		for k := 0; k < v.Len(); k++ {
+			v.ChildBox(k, p.box)
 			set.Reset()
-			p.traj.OverlapSegment(e.Seg, &set)
+			p.traj.OverlapBox(p.box, set)
+			if set.Empty() {
+				// The trajectory never meets this subtree: pruned without
+				// ever being loaded.
+				pruned++
+				continue
+			}
 			for _, iv := range set.Intervals() {
 				if tStart <= iv.Hi {
-					p.pushObject(e, iv)
+					p.pushNode(v.ChildID(k), v.Level()-1, iv)
 				}
 			}
 		}
+		p.c.AddPruned(pruned)
 		return nil
-	}
-	for _, ch := range n.Children {
-		p.c.AddDistanceComps(1)
-		set.Reset()
-		p.traj.OverlapBox(ch.Box, &set)
-		if len(set.Intervals()) == 0 {
-			// The trajectory never meets this subtree: pruned without
-			// ever being loaded.
-			p.c.AddPruned(1)
-			continue
-		}
-		for _, iv := range set.Intervals() {
-			if tStart <= iv.Hi {
-				p.pushNode(ch.ID, n.Level-1, iv)
-			}
-		}
-	}
-	return nil
+	})
 }
 
 // Drain pulls every remaining result visible during [tStart, tEnd],
@@ -253,7 +267,7 @@ func (p *PDQ) pushNode(id pager.PageID, level int, iv geom.Interval) {
 		return
 	}
 	p.seq++
-	heap.Push(&p.pq, pdqItem{
+	p.pq.push(pdqItem{
 		key: pdqKey{iv: iv, node: id, level: level},
 		seq: p.seq,
 	})
@@ -264,7 +278,7 @@ func (p *PDQ) pushObject(e rtree.LeafEntry, iv geom.Interval) {
 		return
 	}
 	p.seq++
-	heap.Push(&p.pq, pdqItem{
+	p.pq.push(pdqItem{
 		key:   pdqKey{iv: iv, isObj: true, obj: e.ID, segStart: e.Seg.T.Lo},
 		entry: e,
 		seq:   p.seq,
@@ -289,41 +303,73 @@ type pdqItem struct {
 	seq   uint64
 }
 
+// pdqHeap is a binary min-heap of queue items under less, typed so that
+// pushing and popping box nothing.
 type pdqHeap []pdqItem
 
-func (h pdqHeap) Len() int { return len(h) }
-func (h pdqHeap) Less(i, j int) bool {
-	a, b := h[i].key, h[j].key
-	if a.iv.Lo != b.iv.Lo {
-		return a.iv.Lo < b.iv.Lo
+// less is a strict total order (seq is unique), so the pop order does not
+// depend on how the heap arranges equal priorities.
+func (a *pdqItem) less(b *pdqItem) bool {
+	ka, kb := &a.key, &b.key
+	if ka.iv.Lo != kb.iv.Lo {
+		return ka.iv.Lo < kb.iv.Lo
 	}
 	// Total order among equal priorities so duplicates are adjacent.
-	if a.isObj != b.isObj {
-		return !a.isObj // nodes first: they may reveal earlier objects
+	if ka.isObj != kb.isObj {
+		return !ka.isObj // nodes first: they may reveal earlier objects
 	}
-	if a.isObj {
-		if a.obj != b.obj {
-			return a.obj < b.obj
+	if ka.isObj {
+		if ka.obj != kb.obj {
+			return ka.obj < kb.obj
 		}
-		if a.segStart != b.segStart {
-			return a.segStart < b.segStart
+		if ka.segStart != kb.segStart {
+			return ka.segStart < kb.segStart
 		}
 	} else {
-		if a.node != b.node {
-			return a.node < b.node
+		if ka.node != kb.node {
+			return ka.node < kb.node
 		}
 	}
-	if a.iv.Hi != b.iv.Hi {
-		return a.iv.Hi < b.iv.Hi
+	if ka.iv.Hi != kb.iv.Hi {
+		return ka.iv.Hi < kb.iv.Hi
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h pdqHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pdqHeap) Push(x any)   { *h = append(*h, x.(pdqItem)) }
-func (h *pdqHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *pdqHeap) push(it pdqItem) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].less(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the least item of a non-empty heap.
+func (h *pdqHeap) pop() pdqItem {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = pdqItem{} // drop the segment reference
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q[l].less(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q[r].less(&q[least]) {
+			least = r
+		}
+		if least == i {
+			return top
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 }

@@ -1,0 +1,394 @@
+package core
+
+import (
+	"container/heap"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"dynq/internal/geom"
+	"dynq/internal/pager"
+	"dynq/internal/rtree"
+	"dynq/internal/stats"
+	"dynq/internal/trajectory"
+)
+
+// churnedIndex grows a tree the ways a live index grows: a bulk load, then
+// inserts (splitting nodes) interleaved with deletes (dissolving them).
+func churnedIndex(t testing.TB, cfg rtree.Config, seed int64) (*rtree.Tree, []rtree.LeafEntry) {
+	t.Helper()
+	tree, entries := buildIndex(t, cfg, 300, 100, seed)
+	entries = append([]rtree.LeafEntry(nil), entries...)
+	r := rand.New(rand.NewSource(seed))
+	for i := 0; i < 3000; i++ {
+		e := randomEntry(r, rtree.ObjectID(100000+i))
+		if err := tree.Insert(e.ID, e.Seg); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+		if i%2 == 0 {
+			k := r.Intn(len(entries))
+			if err := tree.Delete(entries[k].ID, entries[k].Seg.T.Lo); err != nil {
+				t.Fatal(err)
+			}
+			entries[k] = entries[len(entries)-1]
+			entries = entries[:len(entries)-1]
+		}
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return tree, entries
+}
+
+func randomEntry(r *rand.Rand, id rtree.ObjectID) rtree.LeafEntry {
+	t0, dt := r.Float64()*99, 0.2+r.Float64()*2
+	x, y := r.Float64()*100, r.Float64()*100
+	return rtree.LeafEntry{ID: id, Seg: rtree.QuantizeSegment(geom.Segment{
+		T:     geom.Interval{Lo: t0, Hi: t0 + dt},
+		Start: geom.Point{x, y},
+		End:   geom.Point{x + (r.Float64()*2-1)*dt, y + (r.Float64()*2-1)*dt},
+	})}
+}
+
+// refNPDQ is the non-predictive session as it was before node views: a
+// recursive descent materialising every visited node through Tree.Load.
+type refNPDQ struct {
+	tree *rtree.Tree
+	c    *stats.Counters
+	opts NPDQOptions
+
+	hasPrev          bool
+	prevQ, prevExact geom.Box
+	prevSeq          uint64
+	prevIDs, curIDs  map[rtree.ObjectID]struct{}
+}
+
+func (nq *refNPDQ) next(window geom.Box, tw geom.Interval) ([]Result, error) {
+	q := rtree.QueryBox(window, tw)
+	qExact := append(window.Clone(), tw)
+	seqBefore := nq.tree.ModSeq()
+	nq.curIDs = map[rtree.ObjectID]struct{}{}
+	var out []Result
+	if root, _, ok := nq.tree.Root(); ok {
+		if err := nq.visit(root, q, qExact, &out); err != nil {
+			return nil, err
+		}
+	}
+	nq.c.AddResults(len(out))
+	nq.hasPrev, nq.prevQ, nq.prevExact, nq.prevSeq = true, q, qExact, seqBefore
+	nq.prevIDs = nq.curIDs
+	return out, nil
+}
+
+func (nq *refNPDQ) visit(id pager.PageID, q, qExact geom.Box, out *[]Result) error {
+	n, err := nq.tree.Load(id, nq.c)
+	if err != nil {
+		return err
+	}
+	d := nq.tree.Config().Dims
+	clean := nq.hasPrev && n.Stamp <= nq.prevSeq
+	for _, e := range n.Entries {
+		nq.c.AddDistanceComps(1)
+		ov := e.Seg.OverlapTimeInBox(qExact)
+		if nq.opts.ExactAnswers {
+			if ov.Empty() {
+				continue
+			}
+		} else {
+			if !e.Box(d).Overlaps(q) {
+				continue
+			}
+			if ov.Empty() {
+				ov = e.Seg.T.Intersect(qExact[d])
+			}
+		}
+		if nq.opts.TrackIDs {
+			nq.curIDs[e.ID] = struct{}{}
+			if _, seen := nq.prevIDs[e.ID]; seen {
+				continue
+			}
+		} else if clean {
+			if nq.opts.ExactAnswers && !e.Seg.OverlapTimeInBox(nq.prevExact).Empty() {
+				continue
+			}
+			if !nq.opts.ExactAnswers && e.Box(d).Overlaps(nq.prevQ) {
+				continue
+			}
+		}
+		*out = append(*out, Result{ID: e.ID, Seg: e.Seg, Appear: ov.Lo, Disappear: ov.Hi})
+	}
+	for _, ch := range n.Children {
+		nq.c.AddDistanceComps(1)
+		if !ch.Box.Overlaps(q) {
+			continue
+		}
+		if clean && !nq.opts.ExactAnswers && nq.prevQ.Contains(q.Intersect(ch.Box)) {
+			nq.c.AddPruned(1)
+			continue
+		}
+		if err := nq.visit(ch.ID, q, qExact, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refHeap orders queue items as the session does, through container/heap.
+type refHeap []pdqItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].less(&h[j]) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(pdqItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// refPDQDrain is a whole predictive query over an unchanging tree as it was
+// before node views: container/heap, every popped node materialised through
+// Tree.Load.
+func refPDQDrain(tree *rtree.Tree, traj *trajectory.Trajectory, tStart, tEnd float64, c *stats.Counters) ([]Result, error) {
+	var (
+		pq      refHeap
+		seq     uint64
+		lastPop pdqKey
+		havePop bool
+		out     []Result
+		set     geom.IntervalSet
+	)
+	push := func(it pdqItem) {
+		if !it.key.iv.Empty() {
+			seq++
+			it.seq = seq
+			heap.Push(&pq, it)
+		}
+	}
+	if root, level, ok := tree.Root(); ok {
+		push(pdqItem{key: pdqKey{iv: traj.TimeSpan(), node: root, level: level}})
+	}
+	for len(pq) > 0 && tEnd >= pq[0].key.iv.Lo {
+		item := heap.Pop(&pq).(pdqItem)
+		if havePop && item.key == lastPop {
+			continue
+		}
+		lastPop, havePop = item.key, true
+		if tStart > item.key.iv.Hi {
+			continue
+		}
+		if item.key.isObj {
+			c.AddResults(1)
+			out = append(out, Result{ID: item.entry.ID, Seg: item.entry.Seg, Appear: item.key.iv.Lo, Disappear: item.key.iv.Hi})
+			continue
+		}
+		n, err := tree.Load(item.key.node, c)
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range n.Entries {
+			c.AddDistanceComps(1)
+			set.Reset()
+			traj.OverlapSegment(e.Seg, &set)
+			for _, iv := range set.Intervals() {
+				if tStart <= iv.Hi {
+					push(pdqItem{key: pdqKey{iv: iv, isObj: true, obj: e.ID, segStart: e.Seg.T.Lo}, entry: e})
+				}
+			}
+		}
+		for _, ch := range n.Children {
+			c.AddDistanceComps(1)
+			set.Reset()
+			traj.OverlapBox(ch.Box, &set)
+			if set.Empty() {
+				c.AddPruned(1)
+			}
+			for _, iv := range set.Intervals() {
+				if tStart <= iv.Hi {
+					push(pdqItem{key: pdqKey{iv: iv, node: ch.ID, level: n.Level - 1}})
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+func sameResults(t *testing.T, what string, got, want []Result, gc, wc *stats.Counters) {
+	t.Helper()
+	if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("%s: %d results, reference %d, or order differs", what, len(got), len(want))
+	}
+	if gc.Snapshot() != wc.Snapshot() {
+		t.Fatalf("%s: cost %+v, reference %+v", what, gc.Snapshot(), wc.Snapshot())
+	}
+}
+
+// Sessions on node views deliver the same results in the same order at the
+// same cost as the Load-based references, over trees grown by churn, with
+// inserts landing between frames.
+func TestSessionsMatchLoadReference(t *testing.T) {
+	for _, dual := range []bool{false, true} {
+		cfg := rtree.DefaultConfig()
+		cfg.DualTime = dual
+		tree, _ := churnedIndex(t, cfg, 21)
+		r := rand.New(rand.NewSource(22))
+		nextID := rtree.ObjectID(200000)
+
+		for _, opts := range []NPDQOptions{{}, {TrackIDs: true}, {ExactAnswers: true}} {
+			var gc, wc stats.Counters
+			nq := NewNPDQ(tree, opts, &gc)
+			ref := &refNPDQ{tree: tree, c: &wc, opts: opts}
+			wins, tws := frameWindows(20, 40, 10, 0.6, 10, 0.5, 80)
+			for f := range wins {
+				if f%4 == 3 { // dirty some stamps
+					e := randomEntry(r, nextID)
+					nextID++
+					if err := tree.Insert(e.ID, e.Seg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := nq.Next(wins[f], tws[f])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.next(wins[f], tws[f])
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResults(t, "npdq", got, want, &gc, &wc)
+			}
+		}
+
+		for i, tr := range []*trajectory.Trajectory{
+			straightTraj(t, 10, 30, 12, 0.7, 5, 95),
+			straightTraj(t, 60, 60, 6, -0.5, 20, 70),
+		} {
+			var gc, wc stats.Counters
+			pdq, err := NewPDQ(tree, tr, PDQOptions{}, &gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			span := tr.TimeSpan()
+			// Frame by frame on one side, in one piece on the other: the
+			// pop order does not depend on where the frames fall.
+			var got []Result
+			for f := 0; f < 10; f++ {
+				lo := span.Lo + span.Length()*float64(f)/10
+				rs, err := pdq.Drain(lo, lo+span.Length()/10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, rs...)
+			}
+			pdq.Close()
+			want, err := refPDQDrain(tree, tr, span.Lo, span.Hi, &wc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatalf("trajectory %d sees nothing", i)
+			}
+			sameResults(t, "pdq", got, want, &gc, &wc)
+		}
+	}
+}
+
+// Deleting under a live predictive session until leaves empty and their
+// pages are freed (and reused by later inserts) must not break it: no
+// error, and what it delivers covers what a fresh scan of the surviving
+// segments says is visible from the deletion on.
+func TestPDQLiveSurvivesPageFreeingDeletes(t *testing.T) {
+	tree, entries := buildIndex(t, rtree.DefaultConfig(), 100, 100, 31)
+	tr := straightTraj(t, 10, 30, 30, 0.5, 5, 95)
+	var c stats.Counters
+	pdq, err := NewPDQ(tree, tr, PDQOptions{LiveUpdates: true}, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pdq.Close()
+	if _, err := pdq.Drain(5, 30); err != nil {
+		t.Fatal(err)
+	}
+	if pdq.Pending() == 0 {
+		t.Fatal("nothing queued: the deletes below would not touch the session")
+	}
+
+	reseeds := 0
+	defer tree.OnUpdate(func(u rtree.Update) {
+		if u.Kind == rtree.UpdateReseed {
+			reseeds++
+		}
+	})()
+	// Delete four fifths of the index, then reuse the freed pages.
+	r := rand.New(rand.NewSource(32))
+	r.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	cut := len(entries) / 5
+	for _, e := range entries[cut:] {
+		if err := tree.Delete(e.ID, e.Seg.T.Lo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reseeds == 0 {
+		t.Fatal("no deletion freed a page: the test exercises nothing")
+	}
+	live := append([]rtree.LeafEntry(nil), entries[:cut]...)
+	for i := 0; i < 2000; i++ {
+		e := randomEntry(r, rtree.ObjectID(300000+i))
+		if err := tree.Insert(e.ID, e.Seg); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, e)
+	}
+
+	rest, err := pdq.Drain(30, 95)
+	if err != nil {
+		t.Fatalf("drain after page-freeing deletes: %v", err)
+	}
+	got := map[episodeKey]bool{}
+	for _, r := range rest {
+		got[episodeKey{id: r.ID, segStart: r.Seg.T.Lo, appear: r.Appear}] = true
+	}
+	missing := 0
+	for k, iv := range bruteEpisodes(live, tr) {
+		if iv.Hi >= 30 && !got[k] {
+			missing++
+		}
+	}
+	if missing > 0 {
+		t.Errorf("%d episodes visible from t=30 on were never delivered (%d delivered)", missing, len(rest))
+	}
+}
+
+// A non-predictive frame allocates for what it delivers, not for the nodes
+// it visits.
+func TestNPDQFrameAllocationBudget(t *testing.T) {
+	cfg := rtree.DefaultConfig()
+	cfg.DualTime = true
+	tree, _ := buildIndex(t, cfg, 1000, 100, 61)
+	var c stats.Counters
+	nq := NewNPDQ(tree, NPDQOptions{}, &c)
+	wins, tws := frameWindows(20, 40, 8, 0.08, 10, 0.1, 400)
+	if _, err := nq.Next(wins[0], tws[0]); err != nil {
+		t.Fatal(err)
+	}
+	f, delivered := 1, 0
+	allocs := testing.AllocsPerRun(len(wins)-2, func() {
+		rs, err := nq.Next(wins[f], tws[f])
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered += len(rs)
+		f++
+	})
+	reads := c.Snapshot().Reads()
+	if reads < int64(2*f) {
+		t.Fatalf("frames too small to mean anything: %d reads over %d frames", reads, f)
+	}
+	perFrame := float64(delivered) / float64(f-1)
+	if budget := 2*perFrame + 8; allocs > budget {
+		t.Errorf("NPDQ.Next: %.1f allocs per frame for %.1f results over %.1f node reads, budget %.1f",
+			allocs, perFrame, float64(reads)/float64(f), budget)
+	}
+}

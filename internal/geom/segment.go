@@ -16,6 +16,16 @@ type Segment struct {
 // Dims returns the spatial dimensionality of the segment.
 func (s Segment) Dims() int { return len(s.Start) }
 
+// Clone returns a deep copy of the segment; both points share one backing
+// array, capacity-clipped so appending to one never reaches the other.
+func (s Segment) Clone() Segment {
+	d := len(s.Start)
+	pts := make(Point, d+len(s.End))
+	copy(pts, s.Start)
+	copy(pts[d:], s.End)
+	return Segment{T: s.T, Start: pts[:d:d], End: pts[d:]}
+}
+
 // At returns the object's location at time t, which must lie inside s.T
 // (clamped otherwise). This is the location function f of Equation 1.
 func (s Segment) At(t float64) Point {

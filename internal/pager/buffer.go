@@ -30,6 +30,7 @@ import (
 // per-session buffer.
 type BufferPool struct {
 	store    Store
+	lender   PageLender // store, when it can lend pages; else nil
 	capacity int
 	segs     []*poolSegment
 
@@ -82,6 +83,7 @@ func numSegments(capacity int) int {
 // pages.
 func NewBufferPool(store Store, capacity int) *BufferPool {
 	bp := &BufferPool{store: store, capacity: capacity}
+	bp.lender, _ = store.(PageLender)
 	n := numSegments(capacity)
 	bp.segs = make([]*poolSegment, n)
 	for i := range bp.segs {
@@ -125,6 +127,61 @@ func (bp *BufferPool) GetHit(id PageID) ([]byte, bool, error) {
 		}
 		return buf, false, nil
 	}
+	return bp.getBuffered(id)
+}
+
+// PageLender is implemented by stores that can hand out a page's bytes
+// without copying them. The lent slice is read-only and stays valid only
+// until the store's next write-class call (WritePage, Alloc, Free, Close).
+type PageLender interface {
+	LendPage(id PageID) ([]byte, error)
+}
+
+// Lease is a page lent by Lend: Page is read-only and valid until Release
+// or the next write through the pool, whichever comes first.
+type Lease struct {
+	Page    []byte
+	Hit     bool
+	scratch *[PageSize]byte
+}
+
+// Release ends the lease. The zero Lease may be released.
+func (l Lease) Release() {
+	if l.scratch != nil {
+		leaseScratch.Put(l.scratch)
+	}
+}
+
+// leaseScratch recycles the read buffers of pass-through leases over
+// stores that cannot lend; nested leases (a descent holds one per level)
+// each take their own.
+var leaseScratch = sync.Pool{New: func() any { return new([PageSize]byte) }}
+
+// Lend is GetHit without the copy a pass-through pool makes: a buffered
+// pool lends its frame (frames are copy-on-write), a pass-through pool
+// lends the store's own page when the store is a PageLender and otherwise
+// reads into a recycled buffer. The caller must exclude writers for the
+// life of the lease — the index layer holds its tree lock — and must not
+// retain Page past Release.
+func (bp *BufferPool) Lend(id PageID) (Lease, error) {
+	if bp.capacity > 0 {
+		page, hit, err := bp.getBuffered(id)
+		return Lease{Page: page, Hit: hit}, err
+	}
+	bp.misses.Add(1)
+	if bp.lender != nil {
+		page, err := bp.lender.LendPage(id)
+		return Lease{Page: page}, err
+	}
+	scratch := leaseScratch.Get().(*[PageSize]byte)
+	if err := bp.store.ReadPage(id, scratch[:]); err != nil {
+		leaseScratch.Put(scratch)
+		return Lease{}, err
+	}
+	return Lease{Page: scratch[:], scratch: scratch}, nil
+}
+
+func (bp *BufferPool) getBuffered(id PageID) ([]byte, bool, error) {
 	seg := bp.segment(id)
 	seg.mu.Lock()
 	if el, ok := seg.frames[id]; ok {

@@ -233,3 +233,57 @@ func TestBufferPoolModelProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Lend serves the same bytes and the same hit/miss accounting as GetHit,
+// copying only where it must: a pass-through pool over a lending store
+// hands out the store's own page, over any other store a buffer that no
+// overlapping lease shares, and a buffered pool its frame.
+func TestLend(t *testing.T) {
+	stores := map[string]func() Store{
+		"lending":     func() Store { return NewMemStore() },
+		"non-lending": func() Store { return NewFaultStore(NewMemStore()) },
+	}
+	for name, mk := range stores {
+		for _, capacity := range []int{0, 4} {
+			s := mk()
+			bp := NewBufferPool(s, capacity)
+			a, _ := bp.Alloc()
+			b, _ := bp.Alloc()
+			if err := bp.Put(a, fillPage(0xA1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := bp.Put(b, fillPage(0xB2)); err != nil {
+				t.Fatal(err)
+			}
+			la, err := bp.Lend(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb, err := bp.Lend(b) // a nested lease, as a descent holds one per level
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(la.Page, fillPage(0xA1)) || !bytes.Equal(lb.Page, fillPage(0xB2)) {
+				t.Errorf("%s/%d: lent pages hold the wrong bytes", name, capacity)
+			}
+			if hit := capacity > 0; la.Hit != hit || lb.Hit != hit {
+				t.Errorf("%s/%d: hit flags %v %v, want %v", name, capacity, la.Hit, lb.Hit, hit)
+			}
+			if capacity == 0 {
+				if bp.Hits() != 0 || bp.Misses() != 2 {
+					t.Errorf("%s/0: hits=%d misses=%d, want 0 and 2", name, bp.Hits(), bp.Misses())
+				}
+				_, lends := s.(PageLender)
+				if lent := la.scratch == nil; lent != lends {
+					t.Errorf("%s/0: page lent by the store: %v, want %v", name, lent, lends)
+				}
+			}
+			la.Release()
+			lb.Release()
+			if _, err := bp.Lend(PageID(99)); err == nil {
+				t.Errorf("%s/%d: lending a page that does not exist succeeded", name, capacity)
+			}
+		}
+	}
+	Lease{}.Release()
+}

@@ -95,6 +95,14 @@ func (m *MemStore) ReadPage(id PageID, buf []byte) error {
 	return nil
 }
 
+// LendPage implements PageLender: the store's own copy of the page.
+func (m *MemStore) LendPage(id PageID) ([]byte, error) {
+	if err := m.check(id); err != nil {
+		return nil, err
+	}
+	return m.pages[id], nil
+}
+
 // WritePage implements Store.
 func (m *MemStore) WritePage(id PageID, buf []byte) error {
 	if len(buf) != PageSize {

@@ -13,7 +13,8 @@ import (
 // The paper's workload is insert-only (motion updates append segments);
 // deletion is provided for library completeness using Guttman's
 // condense-tree: under-full nodes are dissolved and their entries
-// reinserted.
+// reinserted. A deletion that frees a page (a dissolved node, a shrunk
+// root) notifies update listeners with UpdateReseed.
 func (t *Tree) Delete(id ObjectID, tStart float64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -23,11 +24,16 @@ func (t *Tree) Delete(id ObjectID, tStart float64) error {
 	tStart = float64(float32(tStart)) // match on-disk quantization
 	t.modSeq++
 
-	var orphanEntries []LeafEntry
-	var orphanSubtrees []Child // with levels parallel in orphanLevels
-	var orphanLevels []int
+	var cd condense
+	// Sessions learn of freed pages however the deletion ends: a failure
+	// after the free leaves their queues just as stale.
+	defer func() {
+		if cd.freed {
+			t.notify(Update{Kind: UpdateReseed})
+		}
+	}()
 
-	found, _, err := t.deleteRec(t.root, t.height-1, id, tStart, &orphanEntries, &orphanSubtrees, &orphanLevels)
+	found, _, err := t.deleteRec(t.root, id, tStart, &cd)
 	if err != nil {
 		return err
 	}
@@ -45,7 +51,7 @@ func (t *Tree) Delete(id ObjectID, tStart float64) error {
 		}
 		if n.Leaf() {
 			if len(n.Entries) == 0 {
-				if err := t.pool.Free(t.root); err != nil {
+				if err := t.free(t.root, &cd); err != nil {
 					return err
 				}
 				t.root = pager.InvalidPage
@@ -57,7 +63,7 @@ func (t *Tree) Delete(id ObjectID, tStart float64) error {
 			break
 		}
 		child := n.Children[0].ID
-		if err := t.pool.Free(t.root); err != nil {
+		if err := t.free(t.root, &cd); err != nil {
 			return err
 		}
 		t.root = child
@@ -66,12 +72,12 @@ func (t *Tree) Delete(id ObjectID, tStart float64) error {
 
 	// Reinsert orphans. Subtrees go back at their original level so the
 	// tree stays balanced; their entries keep their boxes.
-	for k, ch := range orphanSubtrees {
-		if err := t.reinsertSubtree(ch, orphanLevels[k]); err != nil {
+	for k, ch := range cd.subtrees {
+		if err := t.reinsertSubtree(ch, cd.levels[k]); err != nil {
 			return err
 		}
 	}
-	for _, e := range orphanEntries {
+	for _, e := range cd.entries {
 		if err := t.reinsertEntry(e); err != nil {
 			return err
 		}
@@ -92,37 +98,41 @@ func (t *Tree) Contains(id ObjectID, tStart float64) (bool, error) {
 	return t.containsRec(t.root, id, float64(float32(tStart)))
 }
 
-func (t *Tree) containsRec(page pager.PageID, id ObjectID, tStart float64) (bool, error) {
-	n, err := t.load(page, nil)
-	if err != nil {
-		return false, err
-	}
-	if n.Leaf() {
-		for _, e := range n.Entries {
-			if e.ID == id && e.Seg.T.Lo == tStart {
-				return true, nil
+func (t *Tree) containsRec(page pager.PageID, id ObjectID, tStart float64) (found bool, err error) {
+	err = t.view(page, nil, func(v NodeView) (err error) {
+		for k := 0; k < v.Len() && !found && err == nil; k++ {
+			if v.Leaf() {
+				eid, eStart := v.EntryKey(k)
+				found = eid == id && eStart == tStart
+			} else if v.ChildStartTimes(k).ContainsValue(tStart) {
+				found, err = t.containsRec(v.ChildID(k), id, tStart)
 			}
 		}
-		return false, nil
-	}
-	for _, ch := range n.Children {
-		if ch.Box[t.cfg.Dims].Lo > tStart || ch.Box[t.cfg.Dims].Hi < tStart {
-			continue
-		}
-		found, err := t.containsRec(ch.ID, id, tStart)
-		if err != nil || found {
-			return found, err
-		}
-	}
-	return false, nil
+		return err
+	})
+	return found, err
+}
+
+// condense is what one deletion's condense-tree pass accumulates: the
+// contents of dissolved nodes, to be reinserted, and whether any page was
+// freed.
+type condense struct {
+	entries  []LeafEntry
+	subtrees []Child
+	levels   []int // level of subtrees[k]'s root
+	freed    bool
+}
+
+// free releases a node page on behalf of the deletion cd.
+func (t *Tree) free(id pager.PageID, cd *condense) error {
+	cd.freed = true
+	return t.pool.Free(id)
 }
 
 // deleteRec removes the target from the subtree rooted at page. It
 // returns whether the target was found and the subtree's updated MBR
 // (empty if the node dissolved into orphans).
-func (t *Tree) deleteRec(page pager.PageID, level int, id ObjectID, tStart float64,
-	orphanEntries *[]LeafEntry, orphanSubtrees *[]Child, orphanLevels *[]int) (bool, geom.Box, error) {
-
+func (t *Tree) deleteRec(page pager.PageID, id ObjectID, tStart float64, cd *condense) (bool, geom.Box, error) {
 	n, err := t.load(page, nil)
 	if err != nil {
 		return false, nil, err
@@ -149,7 +159,7 @@ func (t *Tree) deleteRec(page pager.PageID, level int, id ObjectID, tStart float
 		if ch.Box[t.cfg.Dims].Lo > tStart || ch.Box[t.cfg.Dims].Hi < tStart {
 			continue
 		}
-		found, childMBR, err := t.deleteRec(ch.ID, level-1, id, tStart, orphanEntries, orphanSubtrees, orphanLevels)
+		found, childMBR, err := t.deleteRec(ch.ID, id, tStart, cd)
 		if err != nil {
 			return false, nil, err
 		}
@@ -167,14 +177,14 @@ func (t *Tree) deleteRec(page pager.PageID, level int, id ObjectID, tStart float
 		}
 		if childNode.Len() < minFill {
 			if childNode.Leaf() {
-				*orphanEntries = append(*orphanEntries, childNode.Entries...)
+				cd.entries = append(cd.entries, childNode.Entries...)
 			} else {
 				for _, gc := range childNode.Children {
-					*orphanSubtrees = append(*orphanSubtrees, gc)
-					*orphanLevels = append(*orphanLevels, childNode.Level-1)
+					cd.subtrees = append(cd.subtrees, gc)
+					cd.levels = append(cd.levels, childNode.Level-1)
 				}
 			}
-			if err := t.pool.Free(ch.ID); err != nil {
+			if err := t.free(ch.ID, cd); err != nil {
 				return false, nil, err
 			}
 			n.Children = append(n.Children[:ci], n.Children[ci+1:]...)
@@ -211,7 +221,7 @@ func (t *Tree) reinsertEntry(e LeafEntry) error {
 		return err
 	}
 	if res.sibling != nil {
-		t.heightGrew(res)
+		return t.heightGrew(res)
 	}
 	return nil
 }
@@ -250,7 +260,7 @@ func (t *Tree) reinsertSubtree(ch Child, level int) error {
 		return err
 	}
 	if res.sibling != nil {
-		t.heightGrew(res)
+		return t.heightGrew(res)
 	}
 	return nil
 }

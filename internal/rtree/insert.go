@@ -51,7 +51,7 @@ func (t *Tree) Insert(id ObjectID, seg geom.Segment) error {
 	case res.sibling != nil:
 		// The split chain reached the root: grow the tree. The root's new
 		// sibling is the top new node; heightGrew sends the notification.
-		t.heightGrew(res)
+		return t.heightGrew(res)
 	case !res.notified:
 		// No structural change anywhere: announce just the new segment.
 		t.notify(Update{Kind: UpdateEntry, Entry: e})
@@ -75,20 +75,20 @@ type insertResult struct {
 // sibling; running sessions that already explored the old root only miss
 // nodes under the sibling, so notifying it (with RootSplit set, letting
 // sessions opt to rebuild per Section 4.1) keeps their queues complete.
-func (t *Tree) heightGrew(res insertResult) {
+func (t *Tree) heightGrew(res insertResult) error {
+	// A failure here strands the sibling (its entries are unreachable from
+	// the old root) like any write failing mid-split; the caller learns of
+	// it and the engine above recovers from its log.
 	newRoot, err := t.alloc(res.sibling.Level + 1)
 	if err != nil {
-		// Allocation failure at this point would strand the sibling; the
-		// store is memory- or file-backed and allocation failures are
-		// programming errors in practice.
-		panic(fmt.Sprintf("rtree: root grow allocation failed: %v", err))
+		return fmt.Errorf("rtree: grow root: %w", err)
 	}
 	newRoot.Children = []Child{
 		{Box: res.mbr, ID: t.root},
 		{Box: res.siblingMBR, ID: res.sibling.ID},
 	}
 	if err := t.write(newRoot); err != nil {
-		panic(fmt.Sprintf("rtree: root grow write failed: %v", err))
+		return fmt.Errorf("rtree: grow root: %w", err)
 	}
 	t.root = newRoot.ID
 	t.height++
@@ -99,6 +99,7 @@ func (t *Tree) heightGrew(res insertResult) {
 		Box:       res.siblingMBR,
 		RootSplit: true,
 	})
+	return nil
 }
 
 func (t *Tree) notify(u Update) {

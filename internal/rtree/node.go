@@ -116,74 +116,14 @@ func DecodePage(cfg Config, id pager.PageID, buf []byte) (*Node, error) {
 	return decodeNode(cfg, id, buf)
 }
 
+// decodeNode is "open the view, materialise every entry": the view owns
+// the page format's header and bounds checks.
 func decodeNode(cfg Config, id pager.PageID, buf []byte) (*Node, error) {
-	if len(buf) != pager.PageSize {
-		return nil, pager.ErrBadPageData
+	v, err := openView(cfg, id, buf)
+	if err != nil {
+		return nil, err
 	}
-	level := int(buf[0])
-	dual := buf[1]&flagDualTime != 0
-	if dual != cfg.DualTime {
-		return nil, fmt.Errorf("rtree: page %d temporal layout (dual=%v) does not match tree config (dual=%v)", id, dual, cfg.DualTime)
-	}
-	count := int(binary.LittleEndian.Uint16(buf[2:]))
-	n := &Node{
-		ID:    id,
-		Level: level,
-		Stamp: binary.LittleEndian.Uint64(buf[4:]),
-	}
-	off := nodeHeaderSize
-	getF32 := func() float64 {
-		v := math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		return float64(v)
-	}
-	d := cfg.Dims
-	if level == 0 {
-		if count > cfg.MaxLeafEntries() {
-			return nil, fmt.Errorf("rtree: page %d leaf count %d exceeds fanout", id, count)
-		}
-		n.Entries = make([]LeafEntry, count)
-		for k := range n.Entries {
-			e := &n.Entries[k]
-			e.ID = ObjectID(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-			e.Seg.Start = make(geom.Point, d)
-			e.Seg.End = make(geom.Point, d)
-			for i := 0; i < d; i++ {
-				e.Seg.Start[i] = getF32()
-			}
-			for i := 0; i < d; i++ {
-				e.Seg.End[i] = getF32()
-			}
-			e.Seg.T.Lo = getF32()
-			e.Seg.T.Hi = getF32()
-		}
-		return n, nil
-	}
-	if count > cfg.MaxInternalEntries() {
-		return nil, fmt.Errorf("rtree: page %d internal count %d exceeds fanout", id, count)
-	}
-	n.Children = make([]Child, count)
-	for k := range n.Children {
-		c := &n.Children[k]
-		c.Box = make(geom.Box, d+2)
-		for i := 0; i < d; i++ {
-			c.Box[i] = geom.Interval{Lo: getF32(), Hi: getF32()}
-		}
-		if cfg.DualTime {
-			c.Box[d] = geom.Interval{Lo: getF32(), Hi: getF32()}
-			c.Box[d+1] = geom.Interval{Lo: getF32(), Hi: getF32()}
-		} else {
-			// Reconstruct a conservative dual box from the stored union
-			// interval: both temporal axes span the whole hull.
-			hull := geom.Interval{Lo: getF32(), Hi: getF32()}
-			c.Box[d] = hull
-			c.Box[d+1] = hull
-		}
-		c.ID = pager.PageID(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-	}
-	return n, nil
+	return v.node(), nil
 }
 
 // QuantizeSegment rounds a segment's coordinates to float32, the on-disk

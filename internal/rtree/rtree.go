@@ -86,9 +86,12 @@ func DefaultConfig() Config {
 	return Config{Dims: 2, Split: SplitQuadratic, MinFill: 0.4, BulkFill: 0.5}
 }
 
+// maxDims is the largest Config.Dims accepted.
+const maxDims = 8
+
 func (c Config) validate() error {
-	if c.Dims < 1 || c.Dims > 8 {
-		return fmt.Errorf("rtree: Dims must be in [1,8], got %d", c.Dims)
+	if c.Dims < 1 || c.Dims > maxDims {
+		return fmt.Errorf("rtree: Dims must be in [1,%d], got %d", maxDims, c.Dims)
 	}
 	if c.MinFill <= 0 || c.MinFill > 0.5 {
 		return fmt.Errorf("rtree: MinFill must be in (0,0.5], got %g", c.MinFill)
@@ -154,6 +157,13 @@ type LeafEntry struct {
 // d spatial extents, then the degenerate start-time and end-time extents.
 func (e LeafEntry) Box(dims int) geom.Box {
 	b := make(geom.Box, dims+2)
+	e.fillBox(b)
+	return b
+}
+
+// fillBox is Box into caller-owned storage of dims+2 extents.
+func (e LeafEntry) fillBox(b geom.Box) {
+	dims := len(b) - 2
 	for i := 0; i < dims; i++ {
 		lo, hi := e.Seg.Start[i], e.Seg.End[i]
 		if lo > hi {
@@ -163,7 +173,6 @@ func (e LeafEntry) Box(dims int) geom.Box {
 	}
 	b[dims] = geom.IntervalOf(e.Seg.T.Lo)
 	b[dims+1] = geom.IntervalOf(e.Seg.T.Hi)
-	return b
 }
 
 // Child is an internal-node entry: a subtree bounding box in dual space
@@ -199,8 +208,11 @@ func (n *Node) Len() int {
 func (n *Node) MBR(dims int) geom.Box {
 	mbr := geom.NewBox(dims + 2)
 	if n.Leaf() {
+		var scratch [maxDims + 2]geom.Interval
+		box := geom.Box(scratch[:dims+2])
 		for _, e := range n.Entries {
-			mbr.CoverInPlace(e.Box(dims))
+			e.fillBox(box)
+			mbr.CoverInPlace(box)
 		}
 	} else {
 		for _, c := range n.Children {
@@ -210,7 +222,7 @@ func (n *Node) MBR(dims int) geom.Box {
 	return mbr
 }
 
-// UpdateKind distinguishes the two shapes of PDQ update notifications.
+// UpdateKind distinguishes the shapes of PDQ update notifications.
 type UpdateKind int
 
 // Notification kinds.
@@ -221,10 +233,15 @@ const (
 	// UpdateSubtree reports the top-most newly created node. Everything
 	// new — including the inserted segment — lies beneath it.
 	UpdateSubtree
+	// UpdateReseed reports that a deletion freed at least one node page:
+	// a page id a session still holds may now be free or re-used, so the
+	// session must forget its queue and start again from the root. No
+	// other field is meaningful.
+	UpdateReseed
 )
 
-// Update describes one insertion to a running dynamic query (Section 4.1,
-// Figure 4). Either Entry is meaningful (UpdateEntry) or Node/Level/Box
+// Update describes one index change to a running dynamic query (Section
+// 4.1, Figure 4). Either Entry is meaningful (UpdateEntry) or Node/Level/Box
 // are (UpdateSubtree). RootSplit additionally signals that the tree grew a
 // new root, which sessions may use to decide to rebuild their queues.
 type Update struct {
@@ -355,10 +372,10 @@ func (t *Tree) Root() (id pager.PageID, level int, ok bool) {
 }
 
 // OnUpdate registers a listener invoked (synchronously, under the tree
-// lock) for every insertion. Running PDQ sessions use it to keep their
-// priority queues complete under concurrent updates. The returned
-// function unregisters the listener; listeners must not call back into
-// the tree.
+// lock) for every insertion, and for every deletion that frees a page.
+// Running PDQ sessions use it to keep their priority queues complete under
+// concurrent updates. The returned function unregisters the listener;
+// listeners must not call back into the tree.
 func (t *Tree) OnUpdate(fn func(Update)) (unsubscribe func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -381,23 +398,12 @@ func (t *Tree) Load(id pager.PageID, c *stats.Counters) (*Node, error) {
 }
 
 func (t *Tree) load(id pager.PageID, c *stats.Counters) (*Node, error) {
-	buf, hit, err := t.pool.GetHit(id)
-	if err != nil {
-		return nil, fmt.Errorf("rtree: load page %d: %w", id, err)
-	}
-	n, err := decodeNode(t.cfg, id, buf)
-	if err != nil {
-		return nil, err
-	}
-	// The paper's I/O metric counts every node fetch; the buffer-hit
-	// counter additionally records which of those the pool absorbed. The
-	// pool reports the hit per call, since global counter deltas are
-	// meaningless with concurrent readers.
-	if hit {
-		c.AddBufferHit()
-	}
-	c.AddRead(n.Leaf())
-	return n, nil
+	var n *Node
+	err := t.view(id, c, func(v NodeView) error {
+		n = v.node()
+		return nil
+	})
+	return n, err
 }
 
 func (t *Tree) write(n *Node) error {
@@ -421,13 +427,40 @@ func (t *Tree) alloc(level int) (*Node, error) {
 // spatial extents overlap the range, its start time is ≤ the query's end,
 // and its end time is ≥ the query's start.
 func QueryBox(spatial geom.Box, tw geom.Interval) geom.Box {
+	q := make(geom.Box, len(spatial)+2)
+	fillQueryBox(q, spatial, tw)
+	return q
+}
+
+func fillQueryBox(q, spatial geom.Box, tw geom.Interval) {
 	d := len(spatial)
-	q := make(geom.Box, d+2)
 	copy(q, spatial)
 	q[d] = geom.Interval{Lo: math.Inf(-1), Hi: tw.Hi}  // start-time axis
 	q[d+1] = geom.Interval{Lo: tw.Lo, Hi: math.Inf(1)} // end-time axis
-	return q
 }
+
+// Query is one snapshot query in the two forms a traversal tests against,
+// both slices of one slab that Fill allocates once and then reuses.
+type Query struct {
+	Box   geom.Box // dual key space (QueryBox): what node and entry boxes are tested against
+	Exact geom.Box // spatial extents + the time window, for the exact leaf test
+}
+
+// Fill sets the query to the spatial range during tw. Every Fill of one
+// Query must use the same dimensionality.
+func (q *Query) Fill(spatial geom.Box, tw geom.Interval) {
+	d := len(spatial)
+	if q.Box == nil {
+		slab := make(geom.Box, 2*d+3)
+		q.Box, q.Exact = slab[:d+2:d+2], slab[d+2:]
+	}
+	fillQueryBox(q.Box, spatial, tw)
+	copy(q.Exact, spatial)
+	q.Exact[d] = tw
+}
+
+// Window returns the query's time window.
+func (q *Query) Window() geom.Interval { return q.Exact[len(q.Exact)-1] }
 
 // TimeHull returns the single-axis validity interval [min start, max end]
 // of a dual-space box.

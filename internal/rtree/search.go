@@ -51,62 +51,82 @@ func (t *Tree) RangeSearchCtx(ctx context.Context, spatial geom.Box, tw geom.Int
 	if t.root == pager.InvalidPage {
 		return nil, nil
 	}
-	q := QueryBox(spatial, tw)
-	qst := geom.Box(append(geom.Box{}, spatial...))
-	qst = append(qst, tw) // spatial extents + single time extent, for the exact test
-	var out []Match
-	err := t.searchNode(ctx, t.root, q, qst, opts, c, &out)
-	if err != nil {
+	s := search{ctx: ctx, t: t, opts: opts, c: c}
+	s.q.Fill(spatial, tw)
+	if err := s.node(t.root); err != nil {
 		return nil, err
 	}
-	c.AddResults(len(out))
-	return out, nil
+	c.AddResults(len(s.out))
+	return s.out, nil
+}
+
+// search is the state of one range search. entry is the scratch every
+// leaf entry is read into; only matches are copied out of it.
+type search struct {
+	ctx   context.Context
+	t     *Tree
+	opts  SearchOptions
+	c     *stats.Counters
+	q     Query
+	entry LeafEntry
+	out   []Match
 }
 
 // full reports whether the match set has reached the search limit.
-func (opts SearchOptions) full(out []Match) bool {
-	return opts.Limit > 0 && len(out) >= opts.Limit
+func (s *search) full() bool {
+	return s.opts.Limit > 0 && len(s.out) >= s.opts.Limit
 }
 
-func (t *Tree) searchNode(ctx context.Context, id pager.PageID, q, qst geom.Box, opts SearchOptions, c *stats.Counters, out *[]Match) error {
-	if err := ctx.Err(); err != nil {
+// node visits one node in place. One distance computation is charged per
+// entry examined, once per node: the counter is an atomic.
+func (s *search) node(id pager.PageID) error {
+	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	n, err := t.load(id, c)
-	if err != nil {
-		return err
-	}
-	if n.Leaf() {
-		for _, e := range n.Entries {
-			if opts.full(*out) {
-				return nil
-			}
-			c.AddDistanceComps(1)
-			if opts.BBOnlyLeaf {
-				if e.Box(t.cfg.Dims).Overlaps(q) {
-					ov := e.Seg.T.Intersect(qst[t.cfg.Dims])
-					*out = append(*out, Match{ID: e.ID, Seg: e.Seg, Overlap: ov})
-				}
-				continue
-			}
-			if ov := e.Seg.OverlapTimeInBox(qst); !ov.Empty() {
-				*out = append(*out, Match{ID: e.ID, Seg: e.Seg, Overlap: ov})
-			}
-		}
-		return nil
-	}
-	for _, ch := range n.Children {
-		if opts.full(*out) {
+	return s.t.view(id, s.c, func(v NodeView) error {
+		if v.Leaf() {
+			s.leaf(v)
 			return nil
 		}
-		c.AddDistanceComps(1)
-		if ch.Box.Overlaps(q) {
-			if err := t.searchNode(ctx, ch.ID, q, qst, opts, c, out); err != nil {
-				return err
+		var err error
+		k := 0
+		for ; k < v.Len() && err == nil && !s.full(); k++ {
+			if v.ChildOverlaps(k, s.q.Box) {
+				err = s.node(v.ChildID(k))
 			}
 		}
+		s.c.AddDistanceComps(k)
+		return err
+	})
+}
+
+func (s *search) leaf(v NodeView) {
+	e := &s.entry
+	tw := s.q.Window()
+	k := 0
+	for ; k < v.Len() && !s.full(); k++ {
+		var ov geom.Interval
+		if s.opts.BBOnlyLeaf {
+			if !v.EntryOverlaps(k, s.q.Box) {
+				continue
+			}
+			v.Entry(k, e)
+			ov = e.Seg.T.Intersect(tw)
+		} else {
+			// The exact test starts by clipping the segment's validity to
+			// the time window and looks no further if nothing is left, so
+			// an entry that fails there is not worth decoding.
+			if v.EntryTime(k).Intersect(tw).Empty() {
+				continue
+			}
+			v.Entry(k, e)
+			if ov = e.Seg.OverlapTimeInBox(s.q.Exact); ov.Empty() {
+				continue
+			}
+		}
+		s.out = append(s.out, Match{ID: e.ID, Seg: e.Seg.Clone(), Overlap: ov})
 	}
-	return nil
+	s.c.AddDistanceComps(k)
 }
 
 // TreeStats summarizes the physical shape of the tree, mirroring the

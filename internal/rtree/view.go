@@ -1,0 +1,236 @@
+package rtree
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"dynq/internal/geom"
+	"dynq/internal/pager"
+	"dynq/internal/stats"
+)
+
+// NodeView is a read-only view of one encoded node page: it answers
+// questions about the node by reading the page bytes in place, so a query
+// visits a node without materialising it. openView is the only parser of
+// the page header; once it has accepted a page every accessor below is in
+// bounds for 0 ≤ k < Len().
+//
+// A view aliases the page it was opened on. Views handed out by Tree.View
+// die with the callback; nothing read through one may be retained without
+// copying (Entry and ChildBox fill caller-owned storage for that reason).
+//
+// The view is four words on purpose: it is passed and received by value
+// in the per-entry loops of every query.
+type NodeView struct {
+	page   []byte // the whole page; header fields are read from it on demand
+	id     pager.PageID
+	stride uint16 // entry size at this node's level
+	dims   uint8
+	dual   bool
+}
+
+// openView validates a page against cfg and returns its view. It rejects
+// a wrong page length, a temporal layout other than the tree's, and an
+// entry count beyond the level's fanout — which is what bounds every
+// later access.
+func openView(cfg Config, id pager.PageID, buf []byte) (NodeView, error) {
+	if len(buf) != pager.PageSize {
+		return NodeView{}, pager.ErrBadPageData
+	}
+	v := NodeView{page: buf, id: id, dims: uint8(cfg.Dims), dual: buf[1]&flagDualTime != 0}
+	if v.dual != cfg.DualTime {
+		return NodeView{}, fmt.Errorf("rtree: page %d temporal layout (dual=%v) does not match tree config (dual=%v)", id, v.dual, cfg.DualTime)
+	}
+	if v.Leaf() {
+		if v.Len() > cfg.MaxLeafEntries() {
+			return NodeView{}, fmt.Errorf("rtree: page %d leaf count %d exceeds fanout", id, v.Len())
+		}
+		v.stride = uint16(cfg.leafEntrySize())
+	} else {
+		if v.Len() > cfg.MaxInternalEntries() {
+			return NodeView{}, fmt.Errorf("rtree: page %d internal count %d exceeds fanout", id, v.Len())
+		}
+		v.stride = uint16(cfg.internalEntrySize())
+	}
+	return v, nil
+}
+
+// Level returns the node's level (0 = leaf).
+func (v NodeView) Level() int { return int(v.page[0]) }
+
+// Leaf reports whether the node is at the leaf level.
+func (v NodeView) Leaf() bool { return v.page[0] == 0 }
+
+// Len returns the number of entries (children or segments).
+func (v NodeView) Len() int { return int(binary.LittleEndian.Uint16(v.page[2:])) }
+
+// Stamp returns the modification sequence number at the node's last write.
+func (v NodeView) Stamp() uint64 { return binary.LittleEndian.Uint64(v.page[4:]) }
+
+func (v NodeView) entry(k int) []byte {
+	off := nodeHeaderSize + k*int(v.stride)
+	return v.page[off : off+int(v.stride)]
+}
+
+func f32At(b []byte, off int) float64 {
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off:])))
+}
+
+func intervalAt(b []byte, off int) geom.Interval {
+	return geom.Interval{Lo: f32At(b, off), Hi: f32At(b, off+4)}
+}
+
+// ChildID returns the page of internal entry k's subtree.
+func (v NodeView) ChildID(k int) pager.PageID {
+	e := v.entry(k)
+	return pager.PageID(binary.LittleEndian.Uint32(e[len(e)-4:]))
+}
+
+// timeAxes returns internal entry e's start-time and end-time extents. The
+// single-axis layout stores only their hull, which stands in for both.
+func (v NodeView) timeAxes(e []byte) (ts, te geom.Interval) {
+	ts = intervalAt(e, 8*int(v.dims))
+	if !v.dual {
+		return ts, ts
+	}
+	return ts, intervalAt(e, 8*int(v.dims)+8)
+}
+
+// ChildOverlaps reports whether internal entry k's box shares a point with
+// q, a box in the dual key space (see QueryBox).
+func (v NodeView) ChildOverlaps(k int, q geom.Box) bool {
+	e := v.entry(k)
+	d := int(v.dims)
+	for i := 0; i < d; i++ {
+		if !intervalAt(e, 8*i).Overlaps(q[i]) {
+			return false
+		}
+	}
+	ts, te := v.timeAxes(e)
+	return ts.Overlaps(q[d]) && te.Overlaps(q[d+1])
+}
+
+// ChildStartTimes returns internal entry k's start-time extent: the range
+// of validity start times beneath it.
+func (v NodeView) ChildStartTimes(k int) geom.Interval {
+	return intervalAt(v.entry(k), 8*int(v.dims))
+}
+
+// ChildBox fills dst (Dims+2 extents, caller-owned) with internal entry
+// k's box in the dual key space.
+func (v NodeView) ChildBox(k int, dst geom.Box) {
+	e := v.entry(k)
+	d := int(v.dims)
+	for i := 0; i < d; i++ {
+		dst[i] = intervalAt(e, 8*i)
+	}
+	dst[d], dst[d+1] = v.timeAxes(e)
+}
+
+// EntryKey returns what identifies leaf entry k: its object and validity
+// start time.
+func (v NodeView) EntryKey(k int) (ObjectID, float64) {
+	e := v.entry(k)
+	return ObjectID(binary.LittleEndian.Uint64(e)), f32At(e, 8+8*int(v.dims))
+}
+
+// Entry fills the caller-owned dst with leaf entry k, reusing the capacity
+// of dst's points. dst stays valid after the view dies, until the next
+// Entry call on it; clone the segment to keep a match.
+func (v NodeView) Entry(k int, dst *LeafEntry) {
+	e := v.entry(k)
+	d := int(v.dims)
+	dst.ID = ObjectID(binary.LittleEndian.Uint64(e))
+	dst.Seg.Start = dst.Seg.Start[:0]
+	dst.Seg.End = dst.Seg.End[:0]
+	for i := 0; i < d; i++ {
+		dst.Seg.Start = append(dst.Seg.Start, f32At(e, 8+4*i))
+		dst.Seg.End = append(dst.Seg.End, f32At(e, 8+4*(d+i)))
+	}
+	dst.Seg.T = intervalAt(e, 8+8*d)
+}
+
+// EntryOverlaps reports whether leaf entry k's box (LeafEntry.Box) shares
+// a point with q, a box in the dual key space, without decoding the entry.
+func (v NodeView) EntryOverlaps(k int, q geom.Box) bool {
+	e := v.entry(k)
+	d := int(v.dims)
+	for i := 0; i < d; i++ {
+		lo, hi := f32At(e, 8+4*i), f32At(e, 8+4*(d+i))
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if !(geom.Interval{Lo: lo, Hi: hi}).Overlaps(q[i]) {
+			return false
+		}
+	}
+	t := intervalAt(e, 8+8*d)
+	return geom.IntervalOf(t.Lo).Overlaps(q[d]) && geom.IntervalOf(t.Hi).Overlaps(q[d+1])
+}
+
+// EntryTime returns leaf entry k's validity interval.
+func (v NodeView) EntryTime(k int) geom.Interval {
+	return intervalAt(v.entry(k), 8+8*int(v.dims))
+}
+
+// node materialises the whole node into its mutable form. All child boxes
+// share one slab of extents and all leaf points one slab of coordinates
+// (capacity-clipped, so appending to one never reaches its neighbour):
+// three allocations per node whatever its fanout.
+func (v NodeView) node() *Node {
+	n := &Node{ID: v.id, Level: v.Level(), Stamp: v.Stamp()}
+	d, count := int(v.dims), v.Len()
+	if v.Leaf() {
+		n.Entries = make([]LeafEntry, count)
+		pts := make([]float64, 2*d*count)
+		for k := range n.Entries {
+			e := &n.Entries[k]
+			e.Seg.Start, e.Seg.End, pts = pts[:0:d], pts[d:d:2*d], pts[2*d:]
+			v.Entry(k, e)
+		}
+		return n
+	}
+	n.Children = make([]Child, count)
+	slab := make(geom.Box, (d+2)*count)
+	for k := range n.Children {
+		c := &n.Children[k]
+		c.Box, slab = slab[:d+2:d+2], slab[d+2:]
+		v.ChildBox(k, c.Box)
+		c.ID = v.ChildID(k)
+	}
+	return n
+}
+
+// View runs fn on a view of node id under the tree's read lock, charging
+// one disk access to c exactly as Load does. The view is valid only until
+// fn returns, and fn must not call back into the tree: a writer queued
+// behind the read lock would deadlock a nested acquisition.
+func (t *Tree) View(id pager.PageID, c *stats.Counters, fn func(NodeView) error) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.view(id, c, fn)
+}
+
+// view is View for callers already holding the tree lock. The page is
+// borrowed from the pool for the duration of fn, never copied.
+func (t *Tree) view(id pager.PageID, c *stats.Counters, fn func(NodeView) error) error {
+	lease, err := t.pool.Lend(id)
+	if err != nil {
+		return fmt.Errorf("rtree: load page %d: %w", id, err)
+	}
+	defer lease.Release()
+	v, err := openView(t.cfg, id, lease.Page)
+	if err != nil {
+		return err
+	}
+	// The paper's I/O metric counts every node fetch; the buffer-hit
+	// counter additionally records which of those the pool absorbed. The
+	// pool reports the hit per call, since global counter deltas are
+	// meaningless with concurrent readers.
+	if lease.Hit {
+		c.AddBufferHit()
+	}
+	c.AddRead(v.Leaf())
+	return fn(v)
+}

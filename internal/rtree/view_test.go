@@ -1,0 +1,237 @@
+package rtree
+
+import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"dynq/internal/geom"
+	"dynq/internal/pager"
+	"dynq/internal/stats"
+)
+
+// churnedTree grows a tree the ways a live index grows: a bulk load, then
+// inserts (splitting nodes) interleaved with deletes (dissolving them).
+func churnedTree(t testing.TB, cfg Config, seed int64) *Tree {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	entries := make([]LeafEntry, 3000)
+	for i := range entries {
+		entries[i] = LeafEntry{ID: ObjectID(i), Seg: QuantizeSegment(randSegment(r))}
+	}
+	tree, err := BulkLoad(cfg, pager.NewMemStore(), entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1500; i++ {
+		e := LeafEntry{ID: ObjectID(len(entries)), Seg: QuantizeSegment(randSegment(r))}
+		if err := tree.Insert(e.ID, e.Seg); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+		if i%2 == 0 {
+			k := r.Intn(len(entries))
+			if err := tree.Delete(entries[k].ID, entries[k].Seg.T.Lo); err != nil {
+				t.Fatal(err)
+			}
+			entries[k] = entries[len(entries)-1]
+			entries = entries[:len(entries)-1]
+		}
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// refRangeSearch is the range search as it was before node views: every
+// visited node materialised through Tree.Load.
+func refRangeSearch(t *Tree, id pager.PageID, q, qst geom.Box, opts SearchOptions, c *stats.Counters, out *[]Match) error {
+	full := func() bool { return opts.Limit > 0 && len(*out) >= opts.Limit }
+	n, err := t.Load(id, c)
+	if err != nil {
+		return err
+	}
+	d := t.Config().Dims
+	for _, e := range n.Entries {
+		if full() {
+			return nil
+		}
+		c.AddDistanceComps(1)
+		if opts.BBOnlyLeaf {
+			if e.Box(d).Overlaps(q) {
+				*out = append(*out, Match{ID: e.ID, Seg: e.Seg, Overlap: e.Seg.T.Intersect(qst[d])})
+			}
+		} else if ov := e.Seg.OverlapTimeInBox(qst); !ov.Empty() {
+			*out = append(*out, Match{ID: e.ID, Seg: e.Seg, Overlap: ov})
+		}
+	}
+	for _, ch := range n.Children {
+		if full() {
+			return nil
+		}
+		c.AddDistanceComps(1)
+		if ch.Box.Overlaps(q) {
+			if err := refRangeSearch(t, ch.ID, q, qst, opts, c, out); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// The view-based search returns the same matches in the same order at the
+// same cost as the Load-based reference, in both layouts, with and without
+// the ablation options.
+func TestRangeSearchMatchesLoadReference(t *testing.T) {
+	for _, dual := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.DualTime = dual
+		tree := churnedTree(t, cfg, 11)
+		root, _, _ := tree.Root()
+		r := rand.New(rand.NewSource(12))
+		for i := 0; i < 200; i++ {
+			x, y, t0 := r.Float64()*90, r.Float64()*90, r.Float64()*99
+			spatial := geom.Box{{Lo: x, Hi: x + 10}, {Lo: y, Hi: y + 10}}
+			tw := geom.Interval{Lo: t0, Hi: t0 + 1}
+			opts := SearchOptions{BBOnlyLeaf: i%3 == 1}
+			if i%5 == 4 {
+				opts.Limit = 1 + r.Intn(20)
+			}
+			var gc, wc stats.Counters
+			got, err := tree.RangeSearch(spatial, tw, opts, &gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Match
+			if err := refRangeSearch(tree, root, QueryBox(spatial, tw), append(spatial.Clone(), tw), opts, &wc, &want); err != nil {
+				t.Fatal(err)
+			}
+			wc.AddResults(len(want))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("dual=%v query %d (%+v): %d matches, reference %d, or order differs", dual, i, opts, len(got), len(want))
+			}
+			if gc.Snapshot() != wc.Snapshot() {
+				t.Fatalf("dual=%v query %d (%+v): cost %+v, reference %+v", dual, i, opts, gc.Snapshot(), wc.Snapshot())
+			}
+		}
+	}
+}
+
+// A root split whose new root cannot be allocated or written is a storage
+// failure like any other: Insert returns it, nothing panics.
+func TestRootGrowFailureReturnsError(t *testing.T) {
+	cfg := DefaultConfig()
+	arm := map[string]func(*pager.FaultStore){
+		// The overflowing insert allocates the leaf's sibling, then the root.
+		"alloc": func(fs *pager.FaultStore) { fs.ArmAllocs(2) },
+		// It writes the leaf, the sibling, then the root.
+		"write":   func(fs *pager.FaultStore) { fs.ArmWrites(3) },
+		"nospace": func(fs *pager.FaultStore) { fs.ArmNoSpace(4, true) },
+	}
+	for name, arm := range arm {
+		t.Run(name, func(t *testing.T) {
+			fs := pager.NewFaultStore(pager.NewMemStore())
+			tree, err := New(cfg, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(3))
+			for i := 0; i < cfg.MaxLeafEntries(); i++ {
+				if err := tree.Insert(ObjectID(i), randSegment(r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			arm(fs)
+			err = tree.Insert(ObjectID(cfg.MaxLeafEntries()), randSegment(r))
+			if err == nil {
+				t.Fatal("Insert succeeded although the new root could not be stored")
+			}
+			if !errors.Is(err, pager.ErrInjected) && !errors.Is(err, pager.ErrNoSpace) {
+				t.Fatalf("Insert error %v does not wrap the store's", err)
+			}
+			if tree.Height() != 1 {
+				t.Errorf("height %d after a failed root grow, want 1", tree.Height())
+			}
+		})
+	}
+}
+
+// A deletion that frees a node page tells listeners to re-seed; one that
+// only shrinks a leaf says nothing.
+func TestDeleteFreeingPageNotifiesReseed(t *testing.T) {
+	tree, entries := buildRandomTree(t, DefaultConfig(), 400, 9)
+	reseeds := 0
+	defer tree.OnUpdate(func(u Update) {
+		if u.Kind == UpdateReseed {
+			reseeds++
+		}
+	})()
+	pages := tree.storeRef.NumPages()
+	for _, e := range entries {
+		if err := tree.Delete(e.ID, e.Seg.T.Lo); err != nil {
+			t.Fatal(err)
+		}
+		freed := tree.storeRef.NumPages() < pages
+		pages = tree.storeRef.NumPages()
+		want := 0
+		if freed {
+			want = 1
+		}
+		if reseeds != want {
+			t.Fatalf("deleting %d: %d reseed notifications, want %d (page freed: %v)", e.ID, reseeds, want, freed)
+		}
+		reseeds = 0
+	}
+	if tree.Size() != 0 || tree.Height() != 0 {
+		t.Fatalf("tree not empty: size %d height %d", tree.Size(), tree.Height())
+	}
+}
+
+// The view's win, guarded: a range search allocates for its matches, not
+// for the nodes it visits, and decoding a page costs its three slabs.
+func TestAllocationBudget(t *testing.T) {
+	tree, err := BulkLoad(DefaultConfig(), pager.NewMemStore(), benchEntries(100000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spatial := geom.Box{{Lo: 40, Hi: 48}, {Lo: 40, Hi: 48}}
+	tw := geom.Interval{Lo: 50, Hi: 50.5}
+	var c stats.Counters
+	ms, err := tree.RangeSearch(spatial, tw, SearchOptions{}, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := c.Snapshot().Reads()
+	if reads < 5 || len(ms) == 0 {
+		t.Fatalf("query too small to mean anything: %d reads, %d matches", reads, len(ms))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := tree.RangeSearch(spatial, tw, SearchOptions{}, &c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget := float64(2*len(ms) + 8); allocs > budget {
+		t.Errorf("RangeSearch: %.0f allocs for %d matches over %d node reads, budget %.0f", allocs, len(ms), reads, budget)
+	}
+
+	cfg := DefaultConfig()
+	leaf := &Node{ID: 1}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < cfg.MaxLeafEntries(); i++ {
+		leaf.Entries = append(leaf.Entries, LeafEntry{ID: ObjectID(i), Seg: randSegment(r)})
+	}
+	page := make([]byte, pager.PageSize)
+	if err := encodeNode(cfg, leaf, page); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		if _, err := DecodePage(cfg, 1, page); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("DecodePage of a full leaf: %.0f allocs, budget 4", allocs)
+	}
+}
