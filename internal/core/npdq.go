@@ -94,27 +94,35 @@ func (nq *NPDQ) Next(window geom.Box, tw geom.Interval) ([]Result, error) {
 		return nil, fmt.Errorf("core: query time window is empty")
 	}
 	nq.cur.Fill(window, tw)
-	// Observe the modification sequence before traversal: any node
-	// modified at or after this point will carry a larger stamp, and a
-	// future query must not discard it on this query's authority.
-	seqBefore := nq.tree.ModSeq()
-
 	if nq.opts.TrackIDs {
 		clear(nq.curIDs)
 	}
-	// Depth-first in entry order, off an explicit stack: each node is read
-	// under its own Tree.View, which may not nest.
-	nq.stack = nq.stack[:0]
-	if root, _, ok := nq.tree.Root(); ok {
-		nq.stack = append(nq.stack, root)
-	}
 	nq.out = nil
-	for len(nq.stack) > 0 {
-		id := nq.stack[len(nq.stack)-1]
-		nq.stack = nq.stack[:len(nq.stack)-1]
-		if err := nq.tree.View(id, nq.c, nq.visit); err != nil {
-			return nil, err
+	var seqBefore uint64
+	// The whole frame is one read of the tree: a concurrent deletion may
+	// free or re-use pages, and a page id on the stack must stay the node
+	// it was when its parent was read.
+	err := nq.tree.Read(func(r rtree.Reader) error {
+		// Observe the modification sequence before traversal: any node
+		// modified at or after this point will carry a larger stamp, and a
+		// future query must not discard it on this query's authority.
+		seqBefore = r.ModSeq()
+		// Depth-first in entry order, off an explicit stack.
+		nq.stack = nq.stack[:0]
+		if root, _, ok := r.Root(); ok {
+			nq.stack = append(nq.stack, root)
 		}
+		for len(nq.stack) > 0 {
+			id := nq.stack[len(nq.stack)-1]
+			nq.stack = nq.stack[:len(nq.stack)-1]
+			if err := r.View(id, nq.c, nq.visit); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := nq.out
 	nq.out = nil // the answer is the caller's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -174,16 +175,41 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (*Result, error) {
 			}, nil
 		}
 		if err := p.expand(item, tStart); err != nil {
+			if p.stale() {
+				// A deletion freed pages after the inbox was drained: the
+				// node just asked for may be one of them, or re-used by
+				// now. Start over from the root, as the notification asks.
+				p.drainInbox()
+				continue
+			}
 			return nil, err
 		}
 	}
 	return nil, nil
 }
 
+// errStale ends an expansion that found a reseed notification pending.
+var errStale = errors.New("core: predictive queue names freed pages")
+
+// stale reports whether a reseed notification is waiting in the inbox.
+// Notifications are sent under the tree's exclusive lock, so inside a View
+// (which holds the shared lock) the answer covers every deletion so far.
+func (p *PDQ) stale() bool {
+	if p.unsub == nil {
+		return false
+	}
+	p.inboxMu.Lock()
+	defer p.inboxMu.Unlock()
+	return p.rebuild
+}
+
 // expand reads a node in place (one disk access) and enqueues every child
 // whose visibility has not already ended.
 func (p *PDQ) expand(item pdqItem, tStart float64) error {
 	return p.tree.View(item.key.node, p.c, func(v rtree.NodeView) error {
+		if p.stale() {
+			return errStale // the page may have been re-used: v is not the node that was queued
+		}
 		// One distance computation per entry examined.
 		p.c.AddDistanceComps(v.Len())
 		set := &p.set

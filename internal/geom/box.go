@@ -156,7 +156,37 @@ func (b Box) Margin() float64 {
 // Enlargement returns how much b's area would grow if it were extended to
 // also cover o (the Guttman insertion heuristic).
 func (b Box) Enlargement(o Box) float64 {
-	return b.Cover(o).Area() - b.Area()
+	return b.CoverArea(o) - b.Area()
+}
+
+// CoverArea is b.Cover(o).Area() without building the cover.
+func (b Box) CoverArea(o Box) float64 {
+	if b.Empty() {
+		return o.Area()
+	}
+	if o.Empty() {
+		return b.Area()
+	}
+	a := 1.0
+	for i := range b {
+		a *= b[i].Cover(o[i]).Length()
+	}
+	return a
+}
+
+// CoverMargin is b.Cover(o).Margin() without building the cover.
+func (b Box) CoverMargin(o Box) float64 {
+	if b.Empty() {
+		return o.Margin()
+	}
+	if o.Empty() {
+		return b.Margin()
+	}
+	m := 0.0
+	for i := range b {
+		m += b[i].Cover(o[i]).Length()
+	}
+	return m
 }
 
 // Expand returns a copy of the box grown by delta on every side of every

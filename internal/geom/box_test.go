@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -86,6 +87,26 @@ func TestBoxAreaMarginEnlargement(t *testing.T) {
 	// Cover is [0,6]x[0,3] = 18; enlargement = 18-6 = 12.
 	if got := a.Enlargement(b); got != 12 {
 		t.Errorf("enlargement = %v, want 12", got)
+	}
+}
+
+// CoverArea and CoverMargin are Cover(o).Area() and .Margin() without the
+// box: the same values, bit for bit, for overlapping, disjoint, degenerate
+// and empty operands alike.
+func TestBoxCoverAreaMatchesCover(t *testing.T) {
+	boxes := []Box{
+		box2(0, 2, 0, 3), box2(4, 6, 0, 3), box2(1, 1, 1, 1), box2(-3.5, -0.25, 2, 2),
+		box2(0.1, 0.3, 1e-9, 1e9), NewBox(2), {Interval{0, 1}, EmptyInterval()},
+	}
+	for _, a := range boxes {
+		for _, b := range boxes {
+			if got, want := a.CoverArea(b), a.Cover(b).Area(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v.CoverArea(%v) = %v, Cover().Area() = %v", a, b, got, want)
+			}
+			if got, want := a.CoverMargin(b), a.Cover(b).Margin(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v.CoverMargin(%v) = %v, Cover().Margin() = %v", a, b, got, want)
+			}
+		}
 	}
 }
 

@@ -21,9 +21,15 @@ import (
 // eviction tests and the paper's tiny-buffer ablations rely on.
 //
 // Concurrent Gets of distinct pages never block each other beyond their
-// segment lock. A Get racing a Put of the same page may observe either
-// the old or the new contents; the index layer excludes that case by
-// holding its writer lock across structural changes.
+// segment lock.
+//
+// Aliasing rule: a buffered frame is ONE buffer for its whole residency.
+// Get, GetHit and Lend hand that buffer out, Put copies into it and Edit
+// lends it for modification in place — frames are not copy-on-write. A
+// slice obtained from the pool is therefore only stable while nothing
+// writes that page, and a write must not run beside a reader of the same
+// pool. The index layer guarantees both: every lease lives inside
+// rtree.Tree's lock, which writers hold exclusively.
 //
 // A BufferPool with capacity 0 is a pass-through (every Get is a miss):
 // this models the paper's experimental setting, where the server keeps no
@@ -107,8 +113,8 @@ func (bp *BufferPool) segment(id PageID) *poolSegment {
 }
 
 // Get returns the contents of a page. The returned slice must be treated
-// as read-only; it stays valid until the page is evicted and re-read
-// (writers install fresh buffers rather than mutating cached ones).
+// as read-only; on a buffered pool it is the frame itself, so it holds the
+// page's contents only until the next write of that page (Put or Edit).
 func (bp *BufferPool) Get(id PageID) ([]byte, error) {
 	buf, _, err := bp.GetHit(id)
 	return buf, err
@@ -131,8 +137,9 @@ func (bp *BufferPool) GetHit(id PageID) ([]byte, bool, error) {
 }
 
 // PageLender is implemented by stores that can hand out a page's bytes
-// without copying them. The lent slice is read-only and stays valid only
-// until the store's next write-class call (WritePage, Alloc, Free, Close).
+// without copying them. The lent slice IS the store's copy of the page —
+// writing to it writes the page, which only Edit does — and it stays valid
+// until that page is freed or the store closed.
 type PageLender interface {
 	LendPage(id PageID) ([]byte, error)
 }
@@ -158,11 +165,11 @@ func (l Lease) Release() {
 var leaseScratch = sync.Pool{New: func() any { return new([PageSize]byte) }}
 
 // Lend is GetHit without the copy a pass-through pool makes: a buffered
-// pool lends its frame (frames are copy-on-write), a pass-through pool
-// lends the store's own page when the store is a PageLender and otherwise
-// reads into a recycled buffer. The caller must exclude writers for the
-// life of the lease — the index layer holds its tree lock — and must not
-// retain Page past Release.
+// pool lends its frame, a pass-through pool lends the store's own page
+// when the store is a PageLender and otherwise reads into a recycled
+// buffer. The caller must exclude writers of the page for the life of the
+// lease — the index layer holds its tree lock — and must not retain Page
+// past Release.
 func (bp *BufferPool) Lend(id PageID) (Lease, error) {
 	if bp.capacity > 0 {
 		page, hit, err := bp.getBuffered(id)
@@ -179,6 +186,77 @@ func (bp *BufferPool) Lend(id PageID) (Lease, error) {
 		return Lease{}, err
 	}
 	return Lease{Page: scratch[:], scratch: scratch}, nil
+}
+
+// Edit is a page lent for modification in place by BufferPool.Edit. The
+// caller changes Page, then calls Commit; an Edit that is dropped without
+// Commit may or may not have taken effect.
+type Edit struct {
+	Page    []byte
+	store   Store // set iff Page is a scratch copy Commit must write out
+	id      PageID
+	scratch *[PageSize]byte
+}
+
+// Commit publishes the modified page and ends the lease.
+func (e Edit) Commit() error {
+	if e.scratch == nil {
+		return nil
+	}
+	err := e.store.WritePage(e.id, e.scratch[:])
+	leaseScratch.Put(e.scratch)
+	return err
+}
+
+// Edit lends a page for modification in place, the mutable counterpart of
+// Lend: a buffered pool hands out its own frame and marks it dirty (the
+// write half of a Get+Put pair, so a resident page counts neither hit nor
+// miss), a pass-through pool over a PageLender hands out the store's page,
+// and over any other store it reads the page into a recycled buffer that
+// Commit writes back whole — so a FileStore still sees one WritePage per
+// changed page and computes its checksum trailer there. The caller must
+// exclude every other user of the page until Commit (see the aliasing rule
+// on BufferPool) and call Edit only for a page it will change.
+func (bp *BufferPool) Edit(id PageID) (Edit, error) {
+	if bp.capacity > 0 {
+		page, err := bp.editBuffered(id)
+		return Edit{Page: page}, err
+	}
+	if bp.lender != nil {
+		page, err := bp.lender.LendPage(id)
+		return Edit{Page: page}, err
+	}
+	bp.misses.Add(1)
+	scratch := leaseScratch.Get().(*[PageSize]byte)
+	if err := bp.store.ReadPage(id, scratch[:]); err != nil {
+		leaseScratch.Put(scratch)
+		return Edit{}, err
+	}
+	return Edit{Page: scratch[:], store: bp.store, id: id, scratch: scratch}, nil
+}
+
+// editBuffered returns page id's frame, marked dirty and most recently
+// used, reading the page in first if it is not resident.
+func (bp *BufferPool) editBuffered(id PageID) ([]byte, error) {
+	seg := bp.segment(id)
+	seg.mu.Lock()
+	defer seg.mu.Unlock()
+	if el, ok := seg.frames[id]; ok {
+		f := el.Value.(*frame)
+		f.dirty = true
+		seg.lru.MoveToFront(el)
+		return f.data, nil
+	}
+	bp.misses.Add(1)
+	seg.misses.Add(1)
+	buf := make([]byte, PageSize)
+	if err := bp.store.ReadPage(id, buf); err != nil {
+		return nil, err
+	}
+	if err := bp.insertLocked(seg, &frame{id: id, data: buf, dirty: true}); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 func (bp *BufferPool) getBuffered(id PageID) ([]byte, bool, error) {
@@ -214,9 +292,8 @@ func (bp *BufferPool) getBuffered(id PageID) ([]byte, bool, error) {
 }
 
 // Put replaces the contents of a page. The write is buffered if the pool
-// has capacity, otherwise it goes straight to the store. A buffered
-// frame gets a fresh backing array, so slices handed out by earlier Gets
-// keep their old contents instead of mutating under a concurrent reader.
+// has capacity, otherwise it goes straight to the store. A resident frame
+// is overwritten where it lies (see the aliasing rule on BufferPool).
 func (bp *BufferPool) Put(id PageID, data []byte) error {
 	if len(data) != PageSize {
 		return ErrBadPageData
@@ -224,18 +301,18 @@ func (bp *BufferPool) Put(id PageID, data []byte) error {
 	if bp.capacity == 0 {
 		return bp.store.WritePage(id, data)
 	}
-	buf := make([]byte, PageSize)
-	copy(buf, data)
 	seg := bp.segment(id)
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if el, ok := seg.frames[id]; ok {
 		f := el.Value.(*frame)
-		f.data = buf
+		copy(f.data, data)
 		f.dirty = true
 		seg.lru.MoveToFront(el)
 		return nil
 	}
+	buf := make([]byte, PageSize)
+	copy(buf, data)
 	return bp.insertLocked(seg, &frame{id: id, data: buf, dirty: true})
 }
 

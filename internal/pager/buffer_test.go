@@ -287,3 +287,108 @@ func TestLend(t *testing.T) {
 	}
 	Lease{}.Release()
 }
+
+// Edit lends a page for modification where it lies: on every kind of pool
+// the change is what later readers see and what reaches the store, a
+// buffered frame is dirtied without an allocation or a hit/miss of its
+// own, and a store that cannot lend sees exactly one whole-page WritePage.
+func TestEdit(t *testing.T) {
+	stores := map[string]func() Store{
+		"lending":     func() Store { return NewMemStore() },
+		"non-lending": func() Store { return NewFaultStore(NewMemStore()) },
+	}
+	for name, mk := range stores {
+		for _, capacity := range []int{0, 2} {
+			s := mk()
+			bp := NewBufferPool(s, capacity)
+			a, _ := bp.Alloc()
+			b, _ := bp.Alloc()
+			c, _ := bp.Alloc()
+			for i, id := range []PageID{a, b, c} {
+				if err := bp.Put(id, fillPage(0xA1+byte(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bp.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			bp.ResetStats()
+			fs, _ := s.(*FaultStore)
+			var writes int64
+			if fs != nil {
+				writes = fs.Stats().Writes
+			}
+
+			// b and c are resident in the 2-frame pool, a is not.
+			for _, id := range []PageID{b, a} {
+				resident := capacity > 0 && id == b
+				e, err := bp.Edit(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Page[7] = 0x77
+				if err := e.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				got, err := bp.Get(id)
+				if err != nil || got[7] != 0x77 || got[8] == 0x77 {
+					t.Fatalf("%s/%d: page %d after Edit: byte 7 = %#x (err %v)", name, capacity, id, got[7], err)
+				}
+				if resident && (bp.Misses() != 0 || bp.Hits() != 1) {
+					t.Errorf("%s/%d: editing a resident frame counted hits=%d misses=%d before the Get's hit", name, capacity, bp.Hits(), bp.Misses())
+				}
+			}
+			if fs != nil && capacity == 0 {
+				if got := fs.Stats().Writes - writes; got != 2 {
+					t.Errorf("%s/0: %d WritePage calls for two edits, want 2", name, got)
+				}
+			}
+			if capacity > 0 {
+				// Editing a brought in by evicting c; both edits are still
+				// only in their frames until the flush.
+				raw := make([]byte, PageSize)
+				if err := s.ReadPage(b, raw); err != nil || raw[7] == 0x77 {
+					t.Errorf("%s/%d: an edit reached the store before write-back (err %v)", name, capacity, err)
+				}
+				if bp.Evictions() != 1 {
+					t.Errorf("%s/%d: %d evictions, want 1", name, capacity, bp.Evictions())
+				}
+			}
+			if err := bp.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []PageID{a, b} {
+				raw := make([]byte, PageSize)
+				if err := s.ReadPage(id, raw); err != nil || raw[7] != 0x77 {
+					t.Errorf("%s/%d: edit of page %d did not reach the store (err %v)", name, capacity, id, err)
+				}
+			}
+			if _, err := bp.Edit(PageID(99)); err == nil {
+				t.Errorf("%s/%d: editing a page that does not exist succeeded", name, capacity)
+			}
+		}
+	}
+
+	// The steady state allocates nothing: the frame is edited, not replaced.
+	bp := NewBufferPool(NewMemStore(), 4)
+	id, _ := bp.Alloc()
+	if err := bp.Put(id, fillPage(1)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e, err := bp.Edit(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Page[0]++
+		if err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := bp.Put(id, e.Page); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Edit + Put of a resident frame: %.0f allocs, want 0", allocs)
+	}
+}

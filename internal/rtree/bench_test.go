@@ -98,3 +98,53 @@ func BenchmarkDelete(b *testing.B) {
 		}
 	}
 }
+
+// steadyTree is the shape of the ingest-wal workload's index: a bulk-loaded
+// dual-time tree of 50 000 segments behind a 1 024-page buffer. Inserts
+// into it mostly find room in a leaf, unlike BenchmarkInsert's tree, which
+// grows from empty and is dominated by splits.
+func steadyTree(b *testing.B) (*Tree, []LeafEntry) {
+	cfg := DefaultConfig()
+	cfg.DualTime = true
+	entries := benchEntries(50000, 7)
+	tree, err := BulkLoad(cfg, pager.NewMemStore(), entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tree.UseBuffer(1024); err != nil {
+		b.Fatal(err)
+	}
+	return tree, entries
+}
+
+func BenchmarkInsertSteady(b *testing.B) {
+	tree, _ := steadyTree(b)
+	fresh := benchEntries(b.N, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tree.Insert(ObjectID(50000+i), fresh[i].Seg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeleteSteady deletes and re-inserts one segment per iteration,
+// so the tree keeps its size; the insert is BenchmarkInsertSteady's.
+func BenchmarkDeleteSteady(b *testing.B) {
+	tree, entries := steadyTree(b)
+	r := rand.New(rand.NewSource(9))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := entries[r.Intn(len(entries))]
+		if err := tree.Delete(e.ID, e.Seg.T.Lo); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := tree.Insert(e.ID, e.Seg); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

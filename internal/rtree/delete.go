@@ -8,7 +8,8 @@ import (
 // Delete removes the segment with the given object id and validity start
 // time (a motion update is uniquely identified by its object and start
 // time, since an object's segments never overlap in time). It returns
-// ErrNotFound if no such segment is indexed.
+// ErrNotFound if no such segment is indexed, leaving the tree — ModSeq
+// included — untouched.
 //
 // The paper's workload is insert-only (motion updates append segments);
 // deletion is provided for library completeness using Guttman's
@@ -16,24 +17,42 @@ import (
 // reinserted. A deletion that frees a page (a dissolved node, a shrunk
 // root) notifies update listeners with UpdateReseed.
 func (t *Tree) Delete(id ObjectID, tStart float64) error {
+	return t.DeleteAt(id, tStart, nil)
+}
+
+// Path is the chain of pages from the root to the leaf holding a segment,
+// as Find reports it.
+type Path []pager.PageID
+
+// DeleteAt is Delete for a caller that has just looked the segment up: it
+// goes straight down path instead of searching, and searches after all if
+// the tree changed since Find so that path no longer leads to the segment.
+// A nil path is a plain Delete.
+func (t *Tree) DeleteAt(id ObjectID, tStart float64, path Path) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.root == pager.InvalidPage {
 		return ErrNotFound
 	}
-	tStart = float64(float32(tStart)) // match on-disk quantization
-	t.modSeq++
-
-	var cd condense
+	d := deletion{id: id, tStart: float64(float32(tStart))} // match on-disk quantization
 	// Sessions learn of freed pages however the deletion ends: a failure
 	// after the free leaves their queues just as stale.
 	defer func() {
-		if cd.freed {
+		if d.freed {
 			t.notify(Update{Kind: UpdateReseed})
 		}
 	}()
 
-	found, _, err := t.deleteRec(t.root, id, tStart, &cd)
+	var scratch [maxDims + 2]geom.Interval
+	mbr := geom.Box(scratch[:t.cfg.boxDims()])
+	found := false
+	var err error
+	if len(path) == t.height && path[0] == t.root {
+		found, _, err = t.deleteRec(t.root, &d, path[1:], mbr)
+	}
+	if !found && err == nil {
+		found, _, err = t.deleteRec(t.root, &d, nil, mbr)
+	}
 	if err != nil {
 		return err
 	}
@@ -45,13 +64,24 @@ func (t *Tree) Delete(id ObjectID, tStart float64) error {
 	// Shrink the root: an internal root with one child is replaced by it;
 	// an empty leaf root empties the tree.
 	for {
-		n, err := t.load(t.root, nil)
+		var (
+			leaf  bool
+			count int
+			child pager.PageID
+		)
+		err := t.view(t.root, nil, func(v NodeView) error {
+			leaf, count = v.Leaf(), v.Len()
+			if !leaf && count == 1 {
+				child = v.ChildID(0)
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		if n.Leaf() {
-			if len(n.Entries) == 0 {
-				if err := t.free(t.root, &cd); err != nil {
+		if leaf {
+			if count == 0 {
+				if err := t.free(t.root, &d.condense); err != nil {
 					return err
 				}
 				t.root = pager.InvalidPage
@@ -59,11 +89,10 @@ func (t *Tree) Delete(id ObjectID, tStart float64) error {
 			}
 			break
 		}
-		if len(n.Children) != 1 {
+		if count != 1 {
 			break
 		}
-		child := n.Children[0].ID
-		if err := t.free(t.root, &cd); err != nil {
+		if err := t.free(t.root, &d.condense); err != nil {
 			return err
 		}
 		t.root = child
@@ -72,12 +101,12 @@ func (t *Tree) Delete(id ObjectID, tStart float64) error {
 
 	// Reinsert orphans. Subtrees go back at their original level so the
 	// tree stays balanced; their entries keep their boxes.
-	for k, ch := range cd.subtrees {
-		if err := t.reinsertSubtree(ch, cd.levels[k]); err != nil {
+	for k, ch := range d.subtrees {
+		if err := t.reinsertSubtree(ch, d.levels[k]); err != nil {
 			return err
 		}
 	}
-	for _, e := range cd.entries {
+	for _, e := range d.entries {
 		if err := t.reinsertEntry(e); err != nil {
 			return err
 		}
@@ -85,32 +114,37 @@ func (t *Tree) Delete(id ObjectID, tStart float64) error {
 	return nil
 }
 
-// Contains reports whether a segment with the given object id and
-// validity start time is indexed — the read-only twin of Delete's
-// descent, used by the write path to validate deletions before they are
-// WAL-logged.
-func (t *Tree) Contains(id ObjectID, tStart float64) (bool, error) {
+// Find looks up the segment with the given object id and validity start
+// time — the read-only twin of Delete's descent, used by the write path to
+// validate deletions before they are WAL-logged. If the segment is indexed
+// it appends the pages from the root to the leaf holding it to path, for
+// DeleteAt to follow.
+func (t *Tree) Find(id ObjectID, tStart float64, path Path) (_ Path, found bool, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.root == pager.InvalidPage {
-		return false, nil
+		return path, false, nil
 	}
-	return t.containsRec(t.root, id, float64(float32(tStart)))
+	return t.findRec(t.root, id, float64(float32(tStart)), path)
 }
 
-func (t *Tree) containsRec(page pager.PageID, id ObjectID, tStart float64) (found bool, err error) {
+func (t *Tree) findRec(page pager.PageID, id ObjectID, tStart float64, path Path) (_ Path, found bool, err error) {
+	path = append(path, page)
 	err = t.view(page, nil, func(v NodeView) (err error) {
 		for k := 0; k < v.Len() && !found && err == nil; k++ {
 			if v.Leaf() {
 				eid, eStart := v.EntryKey(k)
 				found = eid == id && eStart == tStart
 			} else if v.ChildStartTimes(k).ContainsValue(tStart) {
-				found, err = t.containsRec(v.ChildID(k), id, tStart)
+				path, found, err = t.findRec(v.ChildID(k), id, tStart, path)
 			}
 		}
 		return err
 	})
-	return found, err
+	if !found {
+		path = path[:len(path)-1]
+	}
+	return path, found, err
 }
 
 // condense is what one deletion's condense-tree pass accumulates: the
@@ -123,100 +157,118 @@ type condense struct {
 	freed    bool
 }
 
+// deletion is one Delete's target and what its condense pass collects.
+type deletion struct {
+	id     ObjectID
+	tStart float64
+	condense
+}
+
 // free releases a node page on behalf of the deletion cd.
 func (t *Tree) free(id pager.PageID, cd *condense) error {
 	cd.freed = true
 	return t.pool.Free(id)
 }
 
-// deleteRec removes the target from the subtree rooted at page. It
-// returns whether the target was found and the subtree's updated MBR
-// (empty if the node dissolved into orphans).
-func (t *Tree) deleteRec(page pager.PageID, id ObjectID, tStart float64, cd *condense) (bool, geom.Box, error) {
-	n, err := t.load(page, nil)
-	if err != nil {
-		return false, nil, err
-	}
-	if n.Leaf() {
-		for i, e := range n.Entries {
-			if e.ID == id && e.Seg.T.Lo == tStart {
-				n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-				n.Stamp = t.modSeq
-				if err := t.write(n); err != nil {
-					return false, nil, err
+// deleteRec removes d's target from the subtree rooted at page. The search
+// reads pages in place and changes nothing until a leaf holds the target;
+// from there back up, each node of the path is edited where it lies. With a
+// non-nil hint — the pages of a Find path below this one — only that chain
+// is searched. It reports whether the target was found; if so, count is the
+// subtree root's remaining entry count and mbr (caller-owned, Dims+2
+// extents) holds its updated MBR.
+func (t *Tree) deleteRec(page pager.PageID, d *deletion, hint Path, mbr geom.Box) (found bool, count int, err error) {
+	var (
+		k        = -1 // the entry that is (leaf) or leads to (internal) the target
+		level    int
+		child    pager.PageID
+		childLen int
+	)
+	err = t.view(page, nil, func(v NodeView) error {
+		level = v.Level()
+		for i := 0; i < v.Len() && k < 0; i++ {
+			if v.Leaf() {
+				if eid, eStart := v.EntryKey(i); eid == d.id && eStart == d.tStart {
+					k = i
 				}
-				return true, n.MBR(t.cfg.Dims), nil
+				continue
+			}
+			// We do not know the segment's spatial location, so without a
+			// hint only the start-time axis prunes the search.
+			var below Path
+			if hint != nil {
+				if v.ChildID(i) != hint[0] {
+					continue
+				}
+				below = hint[1:]
+			} else if !v.ChildStartTimes(i).ContainsValue(d.tStart) {
+				continue
+			}
+			hit, n, err := t.deleteRec(v.ChildID(i), d, below, mbr)
+			if err != nil {
+				return err
+			}
+			if hit {
+				k, child, childLen = i, v.ChildID(i), n
 			}
 		}
-		return false, n.MBR(t.cfg.Dims), nil
+		return nil
+	})
+	if err != nil || k < 0 {
+		return false, 0, err
 	}
 
-	for ci := range n.Children {
-		// Descend only into children whose box could hold the segment's
-		// start time; we do not know the spatial location, so the temporal
-		// axes prune. (Deletion is not on the paper's critical path.)
-		ch := n.Children[ci]
-		if ch.Box[t.cfg.Dims].Lo > tStart || ch.Box[t.cfg.Dims].Hi < tStart {
-			continue
-		}
-		found, childMBR, err := t.deleteRec(ch.ID, id, tStart, cd)
+	dissolve := level > 0 && childLen < t.cfg.minFill(level-1)
+	switch {
+	case level == 0:
+		// Only now is it known that this deletion changes the tree.
+		t.modSeq++
+	case dissolve:
+		// Condense: the child fell below minimum fill. Dissolving it needs
+		// the whole node, whose entries travel on as orphans.
+		cn, err := t.load(child, nil)
 		if err != nil {
-			return false, nil, err
+			return false, 0, err
 		}
-		if !found {
-			continue
-		}
-		// Condense: dissolve the child if it fell below minimum fill.
-		childNode, err := t.load(ch.ID, nil)
-		if err != nil {
-			return false, nil, err
-		}
-		minFill := t.cfg.minLeafEntries()
-		if !childNode.Leaf() {
-			minFill = t.cfg.minInternalEntries()
-		}
-		if childNode.Len() < minFill {
-			if childNode.Leaf() {
-				cd.entries = append(cd.entries, childNode.Entries...)
-			} else {
-				for _, gc := range childNode.Children {
-					cd.subtrees = append(cd.subtrees, gc)
-					cd.levels = append(cd.levels, childNode.Level-1)
-				}
-			}
-			if err := t.free(ch.ID, cd); err != nil {
-				return false, nil, err
-			}
-			n.Children = append(n.Children[:ci], n.Children[ci+1:]...)
+		if cn.Leaf() {
+			d.entries = append(d.entries, cn.Entries...)
 		} else {
-			n.Children[ci].Box = childMBR
+			for _, gc := range cn.Children {
+				d.subtrees = append(d.subtrees, gc)
+				d.levels = append(d.levels, cn.Level-1)
+			}
 		}
-		n.Stamp = t.modSeq
-		if err := t.write(n); err != nil {
-			return false, nil, err
+		if err := t.free(child, &d.condense); err != nil {
+			return false, 0, err
 		}
-		return true, n.MBR(t.cfg.Dims), nil
 	}
-	return false, n.MBR(t.cfg.Dims), nil
+	ed, err := t.openEdit(page)
+	if err != nil {
+		return false, 0, err
+	}
+	if level == 0 || dissolve {
+		ed.remove(k)
+	} else {
+		ed.setChildBox(k, mbr)
+	}
+	count = ed.Len()
+	ed.MBR(mbr)
+	return true, count, t.commit(ed)
 }
 
 // reinsertEntry adds a leaf entry back without bumping size (it was never
 // decremented for orphans) or re-quantizing.
 func (t *Tree) reinsertEntry(e LeafEntry) error {
 	if t.root == pager.InvalidPage {
-		rootNode, err := t.alloc(0)
-		if err != nil {
-			return err
-		}
-		rootNode.Entries = []LeafEntry{e}
-		if err := t.write(rootNode); err != nil {
-			return err
-		}
-		t.root = rootNode.ID
-		t.height = 1
-		return nil
+		return t.plantRoot(e)
 	}
-	res, err := t.insertEntry(t.root, e)
+	return t.graft(&item{box: e.Box(t.cfg.Dims), entry: e})
+}
+
+// graft places an orphan back under the root, growing the tree if the
+// root splits.
+func (t *Tree) graft(it *item) error {
+	res, err := t.place(t.root, it)
 	if err != nil {
 		return err
 	}
@@ -243,11 +295,11 @@ func (t *Tree) reinsertSubtree(ch Child, level int) error {
 			if err != nil {
 				return err
 			}
-			rn, err := t.load(t.root, nil)
-			if err != nil {
+			box := make(geom.Box, t.cfg.boxDims())
+			if err := t.view(t.root, nil, func(v NodeView) error { v.MBR(box); return nil }); err != nil {
 				return err
 			}
-			newRoot.Children = []Child{{Box: rn.MBR(t.cfg.Dims), ID: t.root}}
+			newRoot.Children = []Child{{Box: box, ID: t.root}}
 			if err := t.write(newRoot); err != nil {
 				return err
 			}
@@ -255,38 +307,5 @@ func (t *Tree) reinsertSubtree(ch Child, level int) error {
 			t.height++
 		}
 	}
-	res, err := t.insertChildAt(t.root, t.height-1, ch, level)
-	if err != nil {
-		return err
-	}
-	if res.sibling != nil {
-		return t.heightGrew(res)
-	}
-	return nil
-}
-
-// insertChildAt descends to the node at targetLevel+1 and adds the child
-// entry there, splitting on overflow like a normal insertion.
-func (t *Tree) insertChildAt(page pager.PageID, level int, ch Child, targetLevel int) (insertResult, error) {
-	n, err := t.load(page, nil)
-	if err != nil {
-		return insertResult{}, err
-	}
-	n.Stamp = t.modSeq
-	if level == targetLevel+1 {
-		n.Children = append(n.Children, ch)
-		if len(n.Children) <= t.cfg.MaxInternalEntries() {
-			if err := t.write(n); err != nil {
-				return insertResult{}, err
-			}
-			return insertResult{mbr: n.MBR(t.cfg.Dims)}, nil
-		}
-		return t.splitInternal(n, len(n.Children)-1)
-	}
-	ci := chooseChild(n.Children, ch.Box)
-	res, err := t.insertChildAt(n.Children[ci].ID, level-1, ch, targetLevel)
-	if err != nil {
-		return insertResult{}, err
-	}
-	return t.absorbChildResult(n, ci, res)
+	return t.graft(&item{box: ch.Box, level: level + 1, child: ch.ID})
 }

@@ -1,7 +1,11 @@
 package rtree
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"dynq/internal/geom"
@@ -135,4 +139,264 @@ func FuzzDecodePage(f *testing.F) {
 			t.Fatalf("decoded node does not re-encode: %v", err)
 		}
 	})
+}
+
+// editRig runs one sequence of inserts and deletes against two trees over
+// separate stores: got, written by the tree's in-place edits, and want,
+// written by the decode-mutate-encode reference (refwrite_test.go). After
+// every operation the two must be indistinguishable.
+type editRig struct {
+	t         testing.TB
+	cfg       Config
+	got, want *Tree
+	gs, ws    *pager.MemStore
+	gu, wu    []Update // what each tree's listener has been told
+	live      []LeafEntry
+	nextID    ObjectID
+	// lockstep: both pools have seen the same accesses, so even their
+	// stores' bytes and their eviction counters must agree at every step.
+	// Deleting along a Find path touches fewer frames than the reference's
+	// search does and ends it.
+	lockstep bool
+	ops      int
+}
+
+func newEditRig(t testing.TB, cfg Config, capacity int, base []LeafEntry) *editRig {
+	t.Helper()
+	r := &editRig{t: t, cfg: cfg, gs: pager.NewMemStore(), ws: pager.NewMemStore(), lockstep: true}
+	build := func(store pager.Store, log *[]Update) *Tree {
+		tree, err := BulkLoad(cfg, store, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.UseBuffer(capacity); err != nil {
+			t.Fatal(err)
+		}
+		tree.OnUpdate(func(u Update) { *log = append(*log, u) })
+		return tree
+	}
+	r.got, r.want = build(r.gs, &r.gu), build(r.ws, &r.wu)
+	r.live = append(r.live, base...)
+	r.nextID = ObjectID(len(base))
+	r.check()
+	return r
+}
+
+func (r *editRig) insert(seg geom.Segment) {
+	id := r.nextID
+	r.nextID++
+	gerr, werr := r.got.Insert(id, seg), r.want.refInsert(id, seg)
+	if gerr == nil {
+		r.live = append(r.live, LeafEntry{ID: id, Seg: QuantizeSegment(seg)})
+	}
+	r.same("insert", gerr, werr)
+}
+
+// delete removes live entry k (any k is taken modulo the population; with
+// nothing live, or missing set, it asks for a segment that is not there).
+// path, when non-nil, is handed to DeleteAt as the hint.
+func (r *editRig) delete(k int, missing bool, path Path) {
+	id, t0 := r.nextID+1000, 1.0
+	if !missing && len(r.live) > 0 {
+		k %= len(r.live)
+		id, t0 = r.live[k].ID, r.live[k].Seg.T.Lo
+		r.live[k] = r.live[len(r.live)-1]
+		r.live = r.live[:len(r.live)-1]
+	}
+	if path != nil {
+		r.lockstep = false
+	}
+	gerr, werr := r.got.DeleteAt(id, t0, path), r.want.refDelete(id, t0)
+	r.same("delete", gerr, werr)
+}
+
+// find returns the Find path of live entry k, without consuming the entry.
+func (r *editRig) find(k int) Path {
+	if len(r.live) == 0 {
+		return nil
+	}
+	e := r.live[k%len(r.live)]
+	r.lockstep = false // the reference tree's pool does not see this search
+	path, ok, err := r.got.Find(e.ID, e.Seg.T.Lo, nil)
+	if err != nil || !ok {
+		r.t.Fatalf("op %d: Find of live entry %d: found %v, err %v", r.ops, e.ID, ok, err)
+	}
+	return path
+}
+
+func (r *editRig) same(what string, gerr, werr error) {
+	r.t.Helper()
+	r.ops++
+	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+		r.t.Fatalf("op %d (%s): in-place error %v, reference error %v", r.ops, what, gerr, werr)
+	}
+	r.check()
+}
+
+// check compares everything observable about the two trees short of their
+// page bytes, and — in lockstep — the pools' counters and the stores' bytes
+// too. flushed compares the bytes after writing both pools back.
+func (r *editRig) check() {
+	r.t.Helper()
+	g, w := r.got, r.want
+	if g.root != w.root || g.height != w.height || g.size != w.size || g.modSeq != w.modSeq {
+		r.t.Fatalf("op %d: in place root %d height %d size %d modSeq %d; reference root %d height %d size %d modSeq %d",
+			r.ops, g.root, g.height, g.size, g.modSeq, w.root, w.height, w.size, w.modSeq)
+	}
+	if len(r.gu) != len(r.wu) || (len(r.gu) > 0 && !reflect.DeepEqual(r.gu, r.wu)) {
+		r.t.Fatalf("op %d: listeners heard\n  in place:  %+v\n  reference: %+v", r.ops, r.gu, r.wu)
+	}
+	r.gu, r.wu = r.gu[:0], r.wu[:0]
+	if g.size != len(r.live) {
+		r.t.Fatalf("op %d: size %d, %d segments live", r.ops, g.size, len(r.live))
+	}
+	if r.lockstep {
+		gp, wp := g.pool, w.pool
+		if gp.WriteBacks() != wp.WriteBacks() || gp.Evictions() != wp.Evictions() || gp.Len() != wp.Len() {
+			r.t.Fatalf("op %d: pool write-backs/evictions/frames %d/%d/%d, reference %d/%d/%d", r.ops,
+				gp.WriteBacks(), gp.Evictions(), gp.Len(), wp.WriteBacks(), wp.Evictions(), wp.Len())
+		}
+		// Every step on a small tree; on a large one as often as keeps the
+		// bytes compared per step about constant.
+		if r.ops%(1+r.gs.NumPages()/16) == 0 {
+			r.samePages("stores")
+		}
+	}
+}
+
+func (r *editRig) flushed() {
+	r.t.Helper()
+	if err := errors.Join(r.got.pool.Flush(), r.want.pool.Flush()); err != nil {
+		r.t.Fatal(err)
+	}
+	r.samePages("flushed stores")
+	// Both trees are walked, so that both pools see the walk.
+	if err := errors.Join(r.got.Validate(), r.want.Validate()); err != nil {
+		r.t.Fatalf("op %d: %v", r.ops, err)
+	}
+}
+
+func (r *editRig) samePages(what string) {
+	r.t.Helper()
+	for id := pager.PageID(0); ; id++ {
+		gp, gerr := r.gs.LendPage(id)
+		wp, werr := r.ws.LendPage(id)
+		if errors.Is(gerr, pager.ErrPageOutOfRange) && errors.Is(werr, pager.ErrPageOutOfRange) {
+			return
+		}
+		if (gerr == nil) != (werr == nil) {
+			r.t.Fatalf("op %d: %s: page %d: in place %v, reference %v", r.ops, what, id, gerr, werr)
+		}
+		if !bytes.Equal(gp, wp) {
+			at := 0
+			for gp[at] == wp[at] {
+				at++
+			}
+			r.t.Fatalf("op %d: %s: page %d differs from byte %d:\n  in place  % x\n  reference % x", r.ops, what, id, at, gp[at:min(at+32, len(gp))], wp[at:min(at+32, len(wp))])
+		}
+	}
+}
+
+// run interprets prog as operations: per op one opcode byte, then operand
+// bytes (missing ones read as zero). Coordinates come off a coarse grid so
+// that equal bounds, zero-area boxes, negative zero and ties in every
+// ChooseLeaf and split heuristic are the common case, not the rare one.
+func (r *editRig) run(prog []byte) {
+	next := func() byte {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return b
+	}
+	coord := func() float64 {
+		b := next()
+		if b == 0x80 {
+			return math.Copysign(0, -1)
+		}
+		return float64(int8(b)) / 4
+	}
+	var held Path // a Find path kept across operations, possibly stale by the time it is used
+	for len(prog) > 0 {
+		switch op := next(); op % 8 {
+		case 0, 1, 2, 3:
+			seg := geom.Segment{Start: make(geom.Point, r.cfg.Dims), End: make(geom.Point, r.cfg.Dims)}
+			for i := range seg.Start {
+				seg.Start[i] = coord()
+				seg.End[i] = seg.Start[i] + float64(int8(next()))/16
+			}
+			seg.T.Lo = coord()
+			seg.T.Hi = seg.T.Lo + float64(next()%16)/4
+			r.insert(seg)
+		case 4:
+			r.delete(int(next())<<8|int(next()), false, nil)
+		case 5:
+			r.delete(0, true, nil)
+		case 6:
+			k := int(next())<<8 | int(next())
+			r.delete(k, false, r.find(k))
+		default:
+			// Use the held path for whatever entry comes up — it leads to
+			// it only by luck — and hold a fresh one for later.
+			k := int(next())<<8 | int(next())
+			r.delete(k, false, held)
+			held = r.find(int(next()))
+		}
+		if r.ops%16 == 0 {
+			r.flushed()
+		}
+	}
+	r.flushed()
+}
+
+// editConfig spreads one byte over the write path's configuration space:
+// both temporal layouts, Dims 1–3, the three split policies and pool
+// capacities 0 (pass-through), 8 (evicting constantly) and 1024.
+func editConfig(sel uint8) (Config, int) {
+	cfg := DefaultConfig()
+	cfg.DualTime = sel&1 != 0
+	cfg.Dims = 1 + int(sel>>1)%3
+	cfg.Split = SplitPolicy(int(sel>>3) % 3)
+	return cfg, []int{0, 8, 1024}[int(sel>>5)%3]
+}
+
+// FuzzEditMatchesReference: whatever the sequence of inserts and deletes,
+// editing pages in place leaves the same bytes on every page as decoding,
+// mutating and re-encoding each node of the path — with the same root,
+// height, size and modification sequence, the same notifications to update
+// listeners in the same order, and a valid tree. One execution builds two
+// trees, so run it with -fuzzminimizetime 1s: left at its default, the
+// engine spends the whole budget minimising its first finds.
+func FuzzEditMatchesReference(f *testing.F) {
+	r := rand.New(rand.NewSource(21))
+	for sel := 0; sel < 54; sel += 7 {
+		prog := make([]byte, 600)
+		r.Read(prog)
+		f.Add(uint8(sel*5), uint16(r.Intn(400)), prog)
+	}
+	f.Add(uint8(0), uint16(0), []byte{4, 0, 0, 5, 6, 0, 0, 7, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, sel uint8, base uint16, prog []byte) {
+		cfg, capacity := editConfig(sel)
+		rig := newEditRig(t, cfg, capacity, gridEntries(cfg, int(base%2048), int64(sel)))
+		rig.run(prog)
+	})
+}
+
+// gridEntries is a bulk-load population on the same coarse grid run draws
+// from.
+func gridEntries(cfg Config, n int, seed int64) []LeafEntry {
+	r := rand.New(rand.NewSource(seed))
+	entries := make([]LeafEntry, n)
+	for i := range entries {
+		seg := geom.Segment{Start: make(geom.Point, cfg.Dims), End: make(geom.Point, cfg.Dims)}
+		for d := range seg.Start {
+			seg.Start[d] = float64(r.Intn(256)-128) / 4
+			seg.End[d] = seg.Start[d] + float64(r.Intn(256)-128)/16
+		}
+		seg.T.Lo = float64(r.Intn(256)-128) / 4
+		seg.T.Hi = seg.T.Lo + float64(r.Intn(16))/4
+		entries[i] = LeafEntry{ID: ObjectID(i), Seg: seg}
+	}
+	return entries
 }

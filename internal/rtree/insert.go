@@ -26,22 +26,18 @@ func (t *Tree) Insert(id ObjectID, seg geom.Segment) error {
 	t.modSeq++
 
 	if t.root == pager.InvalidPage {
-		rootNode, err := t.alloc(0)
-		if err != nil {
+		if err := t.plantRoot(e); err != nil {
 			return err
 		}
-		rootNode.Entries = []LeafEntry{e}
-		if err := t.write(rootNode); err != nil {
-			return err
-		}
-		t.root = rootNode.ID
-		t.height = 1
 		t.size = 1
 		t.notify(Update{Kind: UpdateEntry, Entry: e})
 		return nil
 	}
 
-	res, err := t.insertEntry(t.root, e)
+	var scratch [maxDims + 2]geom.Interval
+	it := item{box: scratch[:t.cfg.boxDims()], entry: e}
+	e.fillBox(it.box)
+	res, err := t.place(t.root, &it)
 	if err != nil {
 		return err
 	}
@@ -59,10 +55,37 @@ func (t *Tree) Insert(id ObjectID, seg geom.Segment) error {
 	return nil
 }
 
-// insertResult reports the outcome of inserting into a subtree: the
-// subtree root's updated MBR; if the subtree root split, the new sibling
-// (already persisted) with its MBR; and whether an update notification was
-// already emitted deeper in the recursion.
+// plantRoot makes e the only entry of an empty tree's first leaf.
+func (t *Tree) plantRoot(e LeafEntry) error {
+	rootNode, err := t.alloc(0)
+	if err != nil {
+		return err
+	}
+	rootNode.Entries = []LeafEntry{e}
+	if err := t.write(rootNode); err != nil {
+		return err
+	}
+	t.root = rootNode.ID
+	t.height = 1
+	return nil
+}
+
+// item is what a descent places: a segment into a leaf or, when a
+// deletion grafts an orphaned subtree back, a child entry into an internal
+// node.
+type item struct {
+	box   geom.Box     // the item's box in the dual key space
+	level int          // level of the node that takes it: 0 for a segment
+	entry LeafEntry    // level == 0
+	child pager.PageID // level > 0
+}
+
+// insertResult reports the outcome of placing an item in a subtree. mbr is
+// the subtree root's box afterwards; nil means the common case — nothing
+// split beneath, so the box merely grew to cover the item's. If the subtree
+// root split, sibling is the new node (already persisted) with its MBR.
+// notified says an update notification was already emitted deeper in the
+// recursion.
 type insertResult struct {
 	mbr        geom.Box
 	sibling    *Node
@@ -108,51 +131,94 @@ func (t *Tree) notify(u Update) {
 	}
 }
 
-// insertEntry descends to the leaf level and inserts e, splitting on
-// overflow. The caller holds the tree lock.
-func (t *Tree) insertEntry(page pager.PageID, e LeafEntry) (insertResult, error) {
-	n, err := t.load(page, nil)
+// place descends from page to the node at it.level, choosing children on
+// the page bytes, adds the item there and edits the nodes of the path in
+// place on the way back up. A node is materialised only when one more
+// entry overflows it: the split policies need all its boxes at once. The
+// caller holds the tree lock.
+func (t *Tree) place(page pager.PageID, it *item) (insertResult, error) {
+	var (
+		here  bool  // this node takes the item
+		full  *Node // this node, materialised because it has no room left
+		ci    int   // otherwise: the child to descend into
+		child pager.PageID
+	)
+	err := t.view(page, nil, func(v NodeView) error {
+		here = v.Level() == it.level
+		room := t.cfg.MaxInternalEntries()
+		if v.Leaf() {
+			room = t.cfg.MaxLeafEntries()
+		}
+		if v.Len() >= room {
+			full = v.node()
+			full.Stamp = t.modSeq
+		}
+		if here {
+			return nil
+		}
+		if v.Level() < it.level || v.Len() == 0 {
+			return fmt.Errorf("rtree: node %d (level %d, %d entries) cannot lead to level %d", page, v.Level(), v.Len(), it.level)
+		}
+		ci = v.chooseChild(it.box)
+		child = v.ChildID(ci)
+		return nil
+	})
 	if err != nil {
 		return insertResult{}, err
 	}
-	n.Stamp = t.modSeq
 
-	if n.Leaf() {
-		n.Entries = append(n.Entries, e)
-		if len(n.Entries) <= t.cfg.MaxLeafEntries() {
-			if err := t.write(n); err != nil {
+	if here {
+		switch {
+		case full == nil:
+			ed, err := t.openEdit(page)
+			if err != nil {
 				return insertResult{}, err
 			}
-			return insertResult{mbr: n.MBR(t.cfg.Dims)}, nil
+			if it.level == 0 {
+				ed.appendEntry(it.entry)
+			} else {
+				ed.appendChild(it.box, it.child)
+			}
+			return insertResult{}, t.commit(ed)
+		case it.level == 0:
+			full.Entries = append(full.Entries, it.entry)
+			return t.splitLeaf(full, len(full.Entries)-1)
+		default:
+			full.Children = append(full.Children, Child{Box: it.box, ID: it.child})
+			return t.splitInternal(full, len(full.Children)-1)
 		}
-		return t.splitLeaf(n, len(n.Entries)-1)
 	}
 
-	eBox := e.Box(t.cfg.Dims)
-	ci := chooseChild(n.Children, eBox)
-	res, err := t.insertEntry(n.Children[ci].ID, e)
+	res, err := t.place(child, it)
 	if err != nil {
 		return insertResult{}, err
 	}
-	return t.absorbChildResult(n, ci, res)
-}
-
-// absorbChildResult updates child ci's box after a lower-level insertion
-// and, if the child split, adds the new sibling entry (splitting this node
-// in turn on overflow).
-func (t *Tree) absorbChildResult(n *Node, ci int, res insertResult) (insertResult, error) {
-	n.Children[ci].Box = res.mbr
-	if res.sibling == nil {
-		if err := t.write(n); err != nil {
-			return insertResult{}, err
-		}
-		return insertResult{mbr: n.MBR(t.cfg.Dims), notified: res.notified}, nil
+	if res.sibling != nil && full != nil {
+		full.Children[ci].Box = res.mbr
+		full.Children = append(full.Children, Child{Box: res.siblingMBR, ID: res.sibling.ID})
+		return t.splitInternal(full, len(full.Children)-1)
 	}
-	n.Children = append(n.Children, Child{Box: res.siblingMBR, ID: res.sibling.ID})
-	if len(n.Children) <= t.cfg.MaxInternalEntries() {
-		if err := t.write(n); err != nil {
-			return insertResult{}, err
+	ed, err := t.openEdit(page)
+	if err != nil {
+		return insertResult{}, err
+	}
+	out := insertResult{notified: res.notified}
+	if res.mbr == nil {
+		ed.growChildBox(ci, it.box)
+	} else {
+		// Something split beneath: the child's box may have shrunk, so it
+		// is replaced and this node's own box computed afresh.
+		ed.setChildBox(ci, res.mbr)
+		if res.sibling != nil {
+			ed.appendChild(res.siblingMBR, res.sibling.ID)
 		}
+		out.mbr = make(geom.Box, t.cfg.boxDims())
+		ed.MBR(out.mbr)
+	}
+	if err := t.commit(ed); err != nil {
+		return insertResult{}, err
+	}
+	if res.sibling != nil {
 		// The split chain stops here: the child's sibling is the top-most
 		// newly created node, covering every other new node and the
 		// inserted segment (all were forced onto the insertion path).
@@ -162,9 +228,9 @@ func (t *Tree) absorbChildResult(n *Node, ci int, res insertResult) (insertResul
 			Level: res.sibling.Level,
 			Box:   res.siblingMBR,
 		})
-		return insertResult{mbr: n.MBR(t.cfg.Dims), notified: true}, nil
+		out.notified = true
 	}
-	return t.splitInternal(n, len(n.Children)-1)
+	return out, nil
 }
 
 // splitLeaf splits an over-full leaf. newIdx is the index of the entry
@@ -259,29 +325,4 @@ func pickChildren(src []Child, idx []int) []Child {
 		out[k] = src[i]
 	}
 	return out
-}
-
-// chooseChild returns the index of the child whose box needs the least
-// area enlargement to cover b (Guttman's ChooseLeaf heuristic), breaking
-// ties by smaller area, then smaller margin, then lower index. The margin
-// tiebreak matters in this domain: leaf-level boxes are often degenerate
-// in one or more dimensions, making areas zero.
-func chooseChild(children []Child, b geom.Box) int {
-	best := 0
-	bestEnl, bestArea, bestMargin := -1.0, 0.0, 0.0
-	for i, c := range children {
-		enl := c.Box.Enlargement(b)
-		area := c.Box.Area()
-		margin := c.Box.Margin()
-		if i == 0 {
-			bestEnl, bestArea, bestMargin = enl, area, margin
-			continue
-		}
-		if enl < bestEnl ||
-			(enl == bestEnl && area < bestArea) ||
-			(enl == bestEnl && area == bestArea && margin < bestMargin) {
-			best, bestEnl, bestArea, bestMargin = i, enl, area, margin
-		}
-	}
-	return best
 }

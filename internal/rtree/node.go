@@ -54,55 +54,64 @@ func encodeNode(cfg Config, n *Node, buf []byte) error {
 	binary.LittleEndian.PutUint64(buf[4:], n.Stamp)
 
 	off := nodeHeaderSize
-	putF32 := func(v float32) {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
-		off += 4
-	}
 	if n.Leaf() {
-		d := cfg.Dims
 		for _, e := range n.Entries {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(e.ID))
-			off += 8
-			for i := 0; i < d; i++ {
-				putF32(float32(e.Seg.Start[i]))
-			}
-			for i := 0; i < d; i++ {
-				putF32(float32(e.Seg.End[i]))
-			}
-			putF32(float32(e.Seg.T.Lo))
-			putF32(float32(e.Seg.T.Hi))
+			putLeafEntry(buf[off:], cfg.Dims, e)
+			off += cfg.leafEntrySize()
 		}
 		return nil
 	}
-	d := cfg.Dims
 	for _, c := range n.Children {
-		if len(c.Box) != d+2 {
-			return fmt.Errorf("rtree: child box has %d dims, want %d", len(c.Box), d+2)
+		if len(c.Box) != cfg.boxDims() {
+			return fmt.Errorf("rtree: child box has %d dims, want %d", len(c.Box), cfg.boxDims())
 		}
-		for i := 0; i < d; i++ {
-			lo, hi := geom.IntervalToF32(c.Box[i])
-			putF32(lo)
-			putF32(hi)
-		}
-		ts, te := c.Box[d], c.Box[d+1]
-		if cfg.DualTime {
-			lo, hi := geom.IntervalToF32(ts)
-			putF32(lo)
-			putF32(hi)
-			lo, hi = geom.IntervalToF32(te)
-			putF32(lo)
-			putF32(hi)
-		} else {
-			// Single-axis layout keeps only the union validity interval.
-			hull := geom.Interval{Lo: ts.Lo, Hi: te.Hi}
-			lo, hi := geom.IntervalToF32(hull)
-			putF32(lo)
-			putF32(hi)
-		}
-		binary.LittleEndian.PutUint32(buf[off:], uint32(c.ID))
-		off += 4
+		putChild(buf[off:off+cfg.internalEntrySize()], cfg.DualTime, c.Box, c.ID)
+		off += cfg.internalEntrySize()
 	}
 	return nil
+}
+
+func putF32(dst []byte, off int, v float32) {
+	binary.LittleEndian.PutUint32(dst[off:], math.Float32bits(v))
+}
+
+// putLeafEntry encodes a leaf entry of d spatial dimensions at dst[0:].
+func putLeafEntry(dst []byte, d int, e LeafEntry) {
+	binary.LittleEndian.PutUint64(dst, uint64(e.ID))
+	for i := 0; i < d; i++ {
+		putF32(dst, 8+4*i, float32(e.Seg.Start[i]))
+		putF32(dst, 8+4*(d+i), float32(e.Seg.End[i]))
+	}
+	putF32(dst, 8+8*d, float32(e.Seg.T.Lo))
+	putF32(dst, 12+8*d, float32(e.Seg.T.Hi))
+}
+
+// putChildBox encodes a dual-space box at dst[0:] as an internal entry's
+// bounds, rounded outward to f32. The single-axis layout keeps only the
+// union validity interval.
+func putChildBox(dst []byte, dual bool, box geom.Box) {
+	d := len(box) - 2
+	putInterval := func(off int, iv geom.Interval) {
+		lo, hi := geom.IntervalToF32(iv)
+		putF32(dst, off, lo)
+		putF32(dst, off+4, hi)
+	}
+	for i := 0; i < d; i++ {
+		putInterval(8*i, box[i])
+	}
+	if dual {
+		putInterval(8*d, box[d])
+		putInterval(8*d+8, box[d+1])
+	} else {
+		putInterval(8*d, geom.Interval{Lo: box[d].Lo, Hi: box[d+1].Hi})
+	}
+}
+
+// putChild encodes a whole internal entry into dst, exactly one entry
+// long: the box, then the child page.
+func putChild(dst []byte, dual bool, box geom.Box, id pager.PageID) {
+	putChildBox(dst, dual, box)
+	binary.LittleEndian.PutUint32(dst[len(dst)-4:], uint32(id))
 }
 
 // DecodePage decodes one on-disk node page under cfg. It is the exported
@@ -130,10 +139,11 @@ func decodeNode(cfg Config, id pager.PageID, buf []byte) (*Node, error) {
 // key precision. Insert applies it, so a retrieved segment compares equal
 // to the quantized form of the inserted one.
 func QuantizeSegment(s geom.Segment) geom.Segment {
+	pts := make(geom.Point, len(s.Start)+len(s.End)) // one slab, as geom.Segment.Clone
 	q := geom.Segment{
 		T:     geom.Interval{Lo: float64(float32(s.T.Lo)), Hi: float64(float32(s.T.Hi))},
-		Start: make(geom.Point, len(s.Start)),
-		End:   make(geom.Point, len(s.End)),
+		Start: pts[:len(s.Start):len(s.Start)],
+		End:   pts[len(s.Start):],
 	}
 	for i := range s.Start {
 		q.Start[i] = float64(float32(s.Start[i]))

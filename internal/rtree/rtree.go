@@ -138,6 +138,14 @@ func (c Config) minLeafEntries() int {
 	return m
 }
 
+// minFill is the minimum occupancy of a node at the given level.
+func (c Config) minFill(level int) int {
+	if level == 0 {
+		return c.minLeafEntries()
+	}
+	return c.minInternalEntries()
+}
+
 func (c Config) minInternalEntries() int {
 	m := int(math.Floor(float64(c.MaxInternalEntries()) * c.MinFill))
 	if m < 2 {
@@ -365,10 +373,7 @@ func (t *Tree) ModSeq() uint64 {
 func (t *Tree) Root() (id pager.PageID, level int, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.root == pager.InvalidPage {
-		return pager.InvalidPage, 0, false
-	}
-	return t.root, t.height - 1, true
+	return Reader{t}.Root()
 }
 
 // OnUpdate registers a listener invoked (synchronously, under the tree

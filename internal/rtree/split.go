@@ -94,7 +94,7 @@ func growthCost(cover, box geom.Box) float64 {
 	if d := cover.Enlargement(box); d != 0 {
 		return d
 	}
-	return cover.Cover(box).Margin() - cover.Margin()
+	return cover.CoverMargin(box) - cover.Margin()
 }
 
 // pickSeedsQuadratic returns the pair wasting the most room if grouped
@@ -105,10 +105,9 @@ func pickSeedsQuadratic(boxes []geom.Box) (int, int) {
 	bestI, bestJ, bestWaste := 0, 1, math.Inf(-1)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			cover := boxes[i].Cover(boxes[j])
-			waste := cover.Area() - boxes[i].Area() - boxes[j].Area()
+			waste := boxes[i].CoverArea(boxes[j]) - boxes[i].Area() - boxes[j].Area()
 			if waste == 0 {
-				waste = 1e-9 * (cover.Margin() - boxes[i].Margin() - boxes[j].Margin())
+				waste = 1e-9 * (boxes[i].CoverMargin(boxes[j]) - boxes[i].Margin() - boxes[j].Margin())
 			}
 			if waste > bestWaste {
 				bestI, bestJ, bestWaste = i, j, waste

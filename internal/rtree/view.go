@@ -212,6 +212,37 @@ func (t *Tree) View(id pager.PageID, c *stats.Counters, fn func(NodeView) error)
 	return t.view(id, c, fn)
 }
 
+// Reader is the tree as one read transaction sees it: Tree.Read holds the
+// tree's read lock for the life of the value, so its methods do not lock.
+type Reader struct{ t *Tree }
+
+// Read runs fn under the tree's read lock. Everything fn reads through r —
+// the root, the modification sequence, any number of node views — is one
+// state of the tree: no insertion or deletion (which may free or re-use
+// the pages fn is walking) runs in between. fn must not call the tree's own
+// methods, as for View.
+func (t *Tree) Read(fn func(r Reader) error) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return fn(Reader{t})
+}
+
+// Root is Tree.Root.
+func (r Reader) Root() (id pager.PageID, level int, ok bool) {
+	if r.t.root == pager.InvalidPage {
+		return pager.InvalidPage, 0, false
+	}
+	return r.t.root, r.t.height - 1, true
+}
+
+// ModSeq is Tree.ModSeq.
+func (r Reader) ModSeq() uint64 { return r.t.modSeq }
+
+// View is Tree.View under the lock Read already holds.
+func (r Reader) View(id pager.PageID, c *stats.Counters, fn func(NodeView) error) error {
+	return r.t.view(id, c, fn)
+}
+
 // view is View for callers already holding the tree lock. The page is
 // borrowed from the pool for the duration of fn, never copied.
 func (t *Tree) view(id pager.PageID, c *stats.Counters, fn func(NodeView) error) error {

@@ -235,3 +235,35 @@ func TestAllocationBudget(t *testing.T) {
 		t.Errorf("DecodePage of a full leaf: %.0f allocs, budget 4", allocs)
 	}
 }
+
+// The write path's win, guarded: an insert that finds room in a leaf edits
+// the pages of its path where they lie — it allocates for the segment it
+// stores, not for the nodes it passes. (A split still materialises nodes;
+// over this many inserts into half-full leaves there are few.)
+func TestInsertAllocationBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DualTime = true
+	tree, err := BulkLoad(cfg, pager.NewMemStore(), benchEntries(50000, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.UseBuffer(1024); err != nil {
+		t.Fatal(err)
+	}
+	fresh := benchEntries(2000, 8)
+	next := 0
+	insert := func() {
+		if err := tree.Insert(ObjectID(50000+next), fresh[next].Seg); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < 1000 { // fill the buffer: a miss allocates its frame
+		insert()
+	}
+	allocs := testing.AllocsPerRun(500, insert)
+	t.Logf("%.2f allocs per insert", allocs)
+	if allocs > 10 {
+		t.Errorf("Insert into a %d-segment tree: %.1f allocs, budget 10", tree.Size(), allocs)
+	}
+}

@@ -152,6 +152,7 @@ type Log struct {
 	gcMu    sync.Mutex
 	gcCond  *sync.Cond
 	syncing bool   // a leader's fsync round is in flight
+	waiting int    // callers inside waitDurable, the round's leader included
 	durable uint64 // highest LSN known fsynced (or checkpointed)
 	syncErr error  // sticky fsync failure; cleared only by RetrySync
 
@@ -421,8 +422,11 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 }
 
 // Sync blocks until every record up to lsn is durable, coalescing with
-// concurrent waiters: the round's leader waits the group-commit window,
-// then one fsync covers the whole pile.
+// concurrent waiters: a round's leader that has company — another caller
+// already waiting, or a record appended behind its own — holds the round
+// open for the group-commit window, then one fsync covers the whole pile.
+// A lone leader has nobody to wait for and fsyncs at once; whoever arrives
+// during that fsync piles into the next round.
 func (l *Log) Sync(lsn uint64) error { return l.waitDurable(lsn, l.window) }
 
 // SyncNow is Sync without the coalescing delay — the round leader fsyncs
@@ -432,6 +436,8 @@ func (l *Log) SyncNow(lsn uint64) error { return l.waitDurable(lsn, 0) }
 func (l *Log) waitDurable(lsn uint64, window time.Duration) error {
 	l.gcMu.Lock()
 	defer l.gcMu.Unlock()
+	l.waiting++
+	defer func() { l.waiting-- }()
 	for {
 		if l.syncErr != nil {
 			return l.syncErr
@@ -445,10 +451,12 @@ func (l *Log) waitDurable(lsn uint64, window time.Duration) error {
 			l.gcCond.Wait()
 			continue
 		}
-		// Become this round's leader.
+		// Become this round's leader. The window buys coalescing only if
+		// somebody can join the round.
 		l.syncing = true
+		company := l.waiting > 1 || l.appended.Load() > lsn
 		l.gcMu.Unlock()
-		if window > 0 {
+		if window > 0 && company {
 			time.Sleep(window)
 		}
 		high := l.appended.Load()

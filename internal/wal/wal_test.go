@@ -290,6 +290,54 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
+// A writer with the log to itself has nobody to coalesce with: its Sync
+// fsyncs at once instead of sleeping the group-commit window first.
+func TestLoneLeaderDoesNotWaitWindow(t *testing.T) {
+	const window = 400 * time.Millisecond
+	l, err := Create(filepath.Join(t.TempDir(), "test.wal"), Options{GroupCommitWindow: window})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	defer l.Close()
+	for i := 1; i <= 3; i++ {
+		lsn, err := l.Append([]byte("alone"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := l.Sync(lsn); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > window/2 {
+			t.Fatalf("a lone writer's Sync took %v of a %v window", d, window)
+		}
+		if st := l.Stats(); st.Fsyncs != int64(i) || st.Coalesced != 0 {
+			t.Fatalf("after %d lone syncs: %d fsyncs, %d coalesced waits", i, st.Fsyncs, st.Coalesced)
+		}
+	}
+	// With a record appended behind the leader's own there is company to
+	// wait for, and one fsync covers both.
+	first, err := l.Append([]byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := l.Append([]byte("second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := l.Stats().Fsyncs
+	start := time.Now()
+	if err := l.Sync(first); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < window {
+		t.Fatalf("a leader with a record behind it fsynced after %v, before the %v window", d, window)
+	}
+	if l.DurableLSN() != second || l.Stats().Fsyncs != before+1 {
+		t.Fatalf("durable LSN %d (want %d) after %d fsyncs (want 1)", l.DurableLSN(), second, l.Stats().Fsyncs-before)
+	}
+}
+
 func TestSyncAfterCrashFails(t *testing.T) {
 	l := create(t)
 	lsn, err := l.Append([]byte("doomed"))

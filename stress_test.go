@@ -1,6 +1,7 @@
 package dynq
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -223,5 +224,173 @@ func TestConcurrentReadersBufferedFile(t *testing.T) {
 	}
 	if len(db.BufferSegments()) == 0 {
 		t.Error("no buffer segments reported")
+	}
+}
+
+// TestConcurrentEditsBufferedPool runs snapshots and live PDQ and NPDQ
+// sessions beside a stream of ApplyUpdates batches on a small buffered
+// pool. Writers edit the pool's frames where they lie — frames are not
+// copy-on-write — so what keeps a reader from seeing a half-edited page is
+// the tree lock alone; under -race this is the proof that every lease
+// lives inside it. The batches are dead-reckoning corrections (delete +
+// insert) over enough objects to split and dissolve nodes and to keep the
+// 6-frame pool evicting.
+func TestConcurrentEditsBufferedPool(t *testing.T) {
+	db, err := Open(Options{Path: t.TempDir() + "/edits.dqi", BufferPages: 6, DualTimeAxes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const (
+		anchors = 300 // never touched by the writer: every full-view answer holds them all
+		movers  = 400
+		rounds  = 8
+		batch   = 32
+	)
+	mover := func(k, version int) MotionUpdate {
+		x, y := float64(k%97)+1, float64((k+version)%89)+1
+		return MotionUpdate{ID: ObjectID(10000 + k), Segment: Segment{T0: float64(version % 50), T1: 100, From: []float64{x, y}, To: []float64{y, x}}}
+	}
+	var load []MotionUpdate
+	for i := 0; i < anchors; i++ {
+		load = append(load, MotionUpdate{ID: ObjectID(i), Segment: stressSegment(ObjectID(i))})
+	}
+	for k := 0; k < movers; k++ {
+		load = append(load, mover(k, 0))
+	}
+	if err := db.BulkLoadUpdates(load); err != nil {
+		t.Fatal(err)
+	}
+	view := Rect{Min: []float64{0, 0}, Max: []float64{100, 100}}
+	known := func(id ObjectID) bool { return id < anchors || (id >= 10000 && id < 10000+movers) }
+	countAnchors := func(rs []Result, seen map[ObjectID]bool) error {
+		for _, r := range rs {
+			if !known(r.ID) {
+				return fmt.Errorf("unknown object %d in an answer", r.ID)
+			}
+			if r.ID < anchors {
+				seen[r.ID] = true
+			}
+		}
+		return nil
+	}
+
+	done := make(chan struct{})
+	errCh := make(chan error, 4)
+	var wg sync.WaitGroup
+	reader := func(name string, frame func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					if i >= 5 {
+						return
+					}
+				default:
+				}
+				if err := frame(i); err != nil {
+					errCh <- fmt.Errorf("%s, pass %d: %w", name, i, err)
+					return
+				}
+			}
+		}()
+	}
+	reader("snapshot", func(int) error {
+		rs, err := db.Snapshot(view, 0, 100)
+		if err != nil {
+			return err
+		}
+		seen := map[ObjectID]bool{}
+		if err := countAnchors(rs, seen); err != nil {
+			return err
+		}
+		if len(seen) != anchors {
+			return fmt.Errorf("snapshot holds %d of %d anchors", len(seen), anchors)
+		}
+		return nil
+	})
+	reader("live predictive session", func(int) error {
+		// A fresh live session per pass, flown over the whole horizon: the
+		// anchors are in view from the start and must all be reported,
+		// whatever the writer splits, frees or re-seeds meanwhile.
+		s, err := db.PredictiveQuery([]Waypoint{{T: 0, View: view}, {T: 100, View: view}}, PredictiveOptions{Live: true})
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		seen := map[ObjectID]bool{}
+		for f := 0; f < 10; f++ {
+			rs, err := s.Fetch(float64(10*f), float64(10*f+10))
+			if err != nil {
+				return err
+			}
+			if err := countAnchors(rs, seen); err != nil {
+				return err
+			}
+		}
+		if len(seen) != anchors {
+			return fmt.Errorf("predictive session reported %d of %d anchors", len(seen), anchors)
+		}
+		return nil
+	})
+	npdq := db.NonPredictiveQuery(NonPredictiveOptions{})
+	reader("non-predictive session", func(i int) error {
+		if i%8 == 0 {
+			npdq.Reset() // the next frame is a full answer again
+		}
+		rs, err := npdq.Snapshot(view, float64(i%8)*10, float64(i%8)*10+10)
+		if err != nil {
+			return err
+		}
+		seen := map[ObjectID]bool{}
+		if err := countAnchors(rs, seen); err != nil {
+			return err
+		}
+		if i%8 == 0 && len(seen) != anchors {
+			return fmt.Errorf("non-predictive session's full frame holds %d of %d anchors", len(seen), anchors)
+		}
+		return nil
+	})
+
+	version := make([]int, movers)
+	for r := 0; r < rounds; r++ {
+		ups := make([]MotionUpdate, 0, 2*batch)
+		for j := 0; j < batch; j++ {
+			k := (r*batch + j*7) % movers
+			old := mover(k, version[k])
+			version[k]++
+			ups = append(ups, MotionUpdate{ID: old.ID, Segment: Segment{T0: old.Segment.T0}, Delete: true}, mover(k, version[k]))
+		}
+		if r%4 == 3 {
+			// Thin the movers out and back, so nodes dissolve and re-split.
+			for k := 0; k < movers; k += 2 {
+				old := mover(k, version[k])
+				ups = append(ups, MotionUpdate{ID: old.ID, Segment: Segment{T0: old.Segment.T0}, Delete: true})
+			}
+			if err := db.ApplyUpdates(context.Background(), ups, WriteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			ups = ups[:0]
+			for k := 0; k < movers; k += 2 {
+				ups = append(ups, mover(k, version[k]))
+			}
+		}
+		if err := db.ApplyUpdates(context.Background(), ups, WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	if got := db.Len(); got != anchors+movers {
+		t.Errorf("%d segments after the stream, want %d", got, anchors+movers)
+	}
+	if bs := db.BufferStats(); bs.Evictions == 0 || bs.WriteBacks == 0 {
+		t.Errorf("pool never evicted a dirty frame (%+v): the test does not exercise write-back beside in-place edits", bs)
 	}
 }

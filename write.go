@@ -43,10 +43,12 @@ const (
 	DurabilityDefault Durability = iota
 	// DurabilityGroupCommit returns once the batch's WAL record is
 	// fsynced, coalescing with concurrent writers: the first waiter
-	// leads a commit round, waits the group-commit window for others to
-	// pile in, and one fsync covers them all. Throughput of batched
-	// fsyncs, latency of at most one window plus one fsync. ErrNoWAL
-	// without a log.
+	// leads a commit round and, if another writer is already waiting or
+	// has appended behind it, holds the round open for the group-commit
+	// window so that one fsync covers them all; a writer with the log to
+	// itself fsyncs at once. Throughput of batched fsyncs under
+	// concurrency, latency of at most one window plus one fsync (one
+	// fsync for a lone writer). ErrNoWAL without a log.
 	DurabilityGroupCommit
 	// DurabilitySync returns once the batch's WAL record is fsynced,
 	// without waiting the coalescing window (it still shares an fsync
@@ -241,7 +243,8 @@ func (e *engine) applyUpdates(ctx context.Context, updates []MotionUpdate, opts 
 		// The delete balance check runs under the unit's write lock, so
 		// ErrNotFound surfaces BEFORE the portion is logged: a batch the
 		// caller saw fail must not replay after a crash.
-		if err := validateDeletesOn(sh.Tree, parts[i]); err != nil {
+		paths, err := validateDeletesOn(sh.Tree, parts[i])
+		if err != nil {
 			return err
 		}
 		if e.logs != nil {
@@ -253,7 +256,7 @@ func (e *engine) applyUpdates(ctx context.Context, updates []MotionUpdate, opts 
 			}
 			lsns[i] = lsn
 		}
-		return applyToTree(sh.Tree, parts[i], partSegs[i], false)
+		return applyToTree(sh.Tree, parts[i], partSegs[i], paths, false)
 	})
 	e.mu.RUnlock()
 	walDur := time.Duration(walNS.Load())
@@ -322,18 +325,24 @@ func (e *engine) waitDurable(lsns []uint64, now bool) error {
 
 // validateDeletesOn checks, under the held unit lock, that every deletion
 // in the portion has a segment to remove — already indexed, or inserted
-// earlier in the portion and not yet consumed.
-func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) error {
-	hasDelete := false
+// earlier in the portion and not yet consumed. The search that proves a
+// segment indexed is not repeated when the deletion is applied: paths[i]
+// is where update i's segment was found (nil for an insert, or a deletion
+// the portion itself feeds), for applyToTree to hand to the tree. A nil
+// paths means the portion deletes nothing.
+func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) (paths []rtree.Path, err error) {
+	deletes := 0
 	for _, u := range updates {
 		if u.Delete {
-			hasDelete = true
-			break
+			deletes++
 		}
 	}
-	if !hasDelete {
-		return nil
+	if deletes == 0 {
+		return nil, nil
 	}
+	paths = make([]rtree.Path, len(updates))
+	// One slab holds every path, each clipped to its own pages.
+	slab := make(rtree.Path, 0, deletes*tree.Height())
 	type segKey struct {
 		id ObjectID
 		t0 float64
@@ -341,7 +350,7 @@ func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) error {
 	// avail tracks the batch's net balance per key on top of the index,
 	// which holds at most one segment per (object, start time).
 	avail := make(map[segKey]int)
-	for _, u := range updates {
+	for i, u := range updates {
 		k := segKey{u.ID, float64(float32(u.Segment.T0))} // match on-disk quantization
 		if !u.Delete {
 			avail[k]++
@@ -353,31 +362,39 @@ func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) error {
 		}
 		if avail[k] < 0 {
 			// An earlier delete already consumed the index's only copy.
-			return ErrNotFound
+			return nil, ErrNotFound
 		}
-		ok, err := tree.Contains(rtree.ObjectID(u.ID), u.Segment.T0)
-		if err != nil {
-			return err
+		at := len(slab)
+		var ok bool
+		if slab, ok, err = tree.Find(rtree.ObjectID(u.ID), u.Segment.T0, slab); err != nil {
+			return nil, err
 		}
 		if !ok {
-			return ErrNotFound
+			return nil, ErrNotFound
 		}
+		paths[i] = slab[at:len(slab):len(slab)]
 		avail[k]--
 	}
-	return nil
+	return paths, nil
 }
 
 // applyToTree applies converted updates to one tree in slice order — the
 // mutation loop behind live writes and log replay. segs[i] holds the
-// pre-converted geometry for insert updates. In replay mode a delete of
+// pre-converted geometry for insert updates; paths, when non-nil, is what
+// validateDeletesOn found, and spares each deletion its search unless an
+// earlier update of the batch moved the segment. In replay mode a delete of
 // a missing segment is skipped rather than failed: the segment may have
 // been removed by a later replayed record the first time around, then
 // checkpointed. The caller holds the lock guarding tree and owns health
 // accounting.
-func applyToTree(tree *rtree.Tree, updates []MotionUpdate, segs []geom.Segment, replay bool) error {
+func applyToTree(tree *rtree.Tree, updates []MotionUpdate, segs []geom.Segment, paths []rtree.Path, replay bool) error {
 	for i, u := range updates {
 		if u.Delete {
-			err := tree.Delete(rtree.ObjectID(u.ID), u.Segment.T0)
+			var path rtree.Path
+			if paths != nil {
+				path = paths[i]
+			}
+			err := tree.DeleteAt(rtree.ObjectID(u.ID), u.Segment.T0, path)
 			if err == rtree.ErrNotFound && replay {
 				continue
 			}
