@@ -27,7 +27,9 @@
 package dynq
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"dynq/internal/core"
@@ -208,6 +210,13 @@ func (o Options) toConfig() (rtree.Config, error) {
 // ErrNotFound is returned by Delete for a missing segment.
 var ErrNotFound = rtree.ErrNotFound
 
+// ErrNonFinite is returned for input the index cannot order: a segment
+// with a time or coordinate that is NaN, infinite or beyond float32, the
+// stored precision (refused before anything of its batch is logged or
+// applied), and a query whose view, time or waypoint contains NaN.
+// Infinite query bounds are legal: "unbounded".
+var ErrNonFinite = errors.New("dynq: non-finite value")
+
 // CostReport is the cumulative query cost since the last ResetCost, in
 // the paper's metrics.
 type CostReport struct {
@@ -268,6 +277,8 @@ type IndexStats struct {
 	AvgIntFill    float64
 }
 
+// toSegmentDims converts a segment as it is; WAL replay uses it directly,
+// since what a log holds was acknowledged and is not re-judged.
 func toSegmentDims(s Segment, d int) (geom.Segment, error) {
 	if len(s.From) != d || len(s.To) != d {
 		return geom.Segment{}, fmt.Errorf("dynq: segment endpoints must have %d dims", d)
@@ -282,6 +293,29 @@ func toSegmentDims(s Segment, d int) (geom.Segment, error) {
 	}, nil
 }
 
+// newSegmentDims is toSegmentDims for a segment arriving from a caller:
+// NaN slips past every ordering check (T1 < T0 is false for it), would be
+// stored, returned by queries and spread into every ancestor box.
+func newSegmentDims(s Segment, d int) (geom.Segment, error) {
+	if !finite(s.T0, s.T1) || !finite(s.From...) || !finite(s.To...) {
+		return geom.Segment{}, fmt.Errorf("%w in segment [%g,%g] %v -> %v", ErrNonFinite, s.T0, s.T1, s.From, s.To)
+	}
+	return toSegmentDims(s, d)
+}
+
+// finite reports whether every value is finite at the index's float32 key
+// precision: a float64 beyond it would be stored as an infinity.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if x32 := float64(float32(x)); math.IsNaN(x32) || math.IsInf(x32, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// fromSegment copies an index segment the index still owns (a decoded
+// node's entry: nearest-neighbour and join answers).
 func fromSegment(g geom.Segment) Segment {
 	return Segment{
 		T0:   g.T.Lo,
@@ -291,9 +325,20 @@ func fromSegment(g geom.Segment) Segment {
 	}
 }
 
+// adoptSegment hands a query result's segment to the caller as it is:
+// range searches and sessions copy a result's coordinates out of the page
+// exactly once, into memory nothing else holds (capacity-clipped per
+// point), so there is nothing left to copy them away from.
+func adoptSegment(g geom.Segment) Segment {
+	return Segment{T0: g.T.Lo, T1: g.T.Hi, From: g.Start, To: g.End}
+}
+
 func toBoxDims(r Rect, d int) (geom.Box, error) {
 	if len(r.Min) != d || len(r.Max) != d {
 		return nil, fmt.Errorf("dynq: rect must have %d dims", d)
+	}
+	if hasNaN(r.Min...) || hasNaN(r.Max...) {
+		return nil, fmt.Errorf("%w in rect %v..%v", ErrNonFinite, r.Min, r.Max)
 	}
 	b := make(geom.Box, d)
 	for i := 0; i < d; i++ {
@@ -302,10 +347,28 @@ func toBoxDims(r Rect, d int) (geom.Box, error) {
 	return b, nil
 }
 
+// toWindow converts a query's time range.
+func toWindow(t0, t1 float64) (geom.Interval, error) {
+	if hasNaN(t0, t1) {
+		return geom.Interval{}, fmt.Errorf("%w in query time [%g,%g]", ErrNonFinite, t0, t1)
+	}
+	return geom.Interval{Lo: t0, Hi: t1}, nil
+}
+
+// hasNaN is the check on query input, where infinities mean "unbounded".
+func hasNaN(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) {
+			return true
+		}
+	}
+	return false
+}
+
 func fromResult(r core.Result) Result {
 	return Result{
 		ID:        ObjectID(r.ID),
-		Segment:   fromSegment(r.Seg),
+		Segment:   adoptSegment(r.Seg),
 		Appear:    r.Appear,
 		Disappear: r.Disappear,
 	}

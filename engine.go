@@ -211,11 +211,15 @@ func (e *engine) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opt
 	if err != nil {
 		return nil, err
 	}
+	tw, err := toWindow(t0, t1)
+	if err != nil {
+		return nil, err
+	}
 	ctx, finish := e.beginOp(ctx, opts.Deadline, opts.Stats)
 	defer finish()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ms, err := e.units.Snapshot(ctx, box, geom.Interval{Lo: t0, Hi: t1}, opts.Limit)
+	ms, err := e.units.Snapshot(ctx, box, tw, opts.Limit)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +227,7 @@ func (e *engine) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opt
 	for i, m := range ms {
 		out[i] = Result{
 			ID:        ObjectID(m.ID),
-			Segment:   fromSegment(m.Seg),
+			Segment:   adoptSegment(m.Seg),
 			Appear:    m.Overlap.Lo,
 			Disappear: m.Overlap.Hi,
 		}
@@ -241,6 +245,9 @@ func (e *engine) KNN(point []float64, t float64, k int) ([]Neighbor, error) {
 func (e *engine) KNNCtx(ctx context.Context, point []float64, t float64, k int, opts QueryOptions) ([]Neighbor, error) {
 	if opts.Limit > 0 && opts.Limit < k {
 		k = opts.Limit
+	}
+	if hasNaN(t) || hasNaN(point...) {
+		return nil, fmt.Errorf("%w in nearest-neighbour query %v at %g", ErrNonFinite, point, t)
 	}
 	ctx, finish := e.beginOp(ctx, opts.Deadline, opts.Stats)
 	defer finish()

@@ -30,7 +30,8 @@ import (
 // Result is one object delivered to the client: the motion segment that
 // made it visible and the visibility episode [Appear, Disappear] during
 // which it stays inside the (moving) query window. The client caches the
-// object keyed on Disappear (Section 4.1's caching note).
+// object keyed on Disappear (Section 4.1's caching note). Seg's points are
+// the receiver's own: no other result, session or index page holds them.
 type Result struct {
 	ID        rtree.ObjectID
 	Seg       geom.Segment

@@ -61,12 +61,14 @@ type NPDQ struct {
 	prevIDs   map[rtree.ObjectID]struct{}
 	curIDs    map[rtree.ObjectID]struct{}
 
-	// Scratch reused across visits and frames; only delivered results are
-	// copied out of it.
-	stack []pager.PageID  // nodes still to visit, next on top
-	box   geom.Box        // one child box, for the discardability test
-	entry rtree.LeafEntry // the leaf entry under test
-	out   []Result        // the running frame's answer
+	// Scratch reused across visits and frames.
+	stack []pager.PageID // nodes still to visit, next on top
+	box   geom.Box       // one child box, for the discardability test
+
+	// The running frame's answer and its coordinates: the caller's after
+	// Next returns, so neither is reused.
+	out  []Result
+	slab rtree.Slab
 }
 
 // NewNPDQ starts a non-predictive session over the tree, charging costs
@@ -97,7 +99,7 @@ func (nq *NPDQ) Next(window geom.Box, tw geom.Interval) ([]Result, error) {
 	if nq.opts.TrackIDs {
 		clear(nq.curIDs)
 	}
-	nq.out = nil
+	nq.out, nq.slab = nil, rtree.Slab{}
 	var seqBefore uint64
 	// The whole frame is one read of the tree: a concurrent deletion may
 	// free or re-use pages, and a page id on the stack must stay the node
@@ -125,7 +127,7 @@ func (nq *NPDQ) Next(window geom.Box, tw geom.Interval) ([]Result, error) {
 		return nil, err
 	}
 	out := nq.out
-	nq.out = nil // the answer is the caller's
+	nq.out, nq.slab = nil, rtree.Slab{} // the answer is the caller's
 	nq.c.AddResults(len(out))
 
 	nq.hasPrev = true
@@ -195,8 +197,9 @@ func (nq *NPDQ) discardable(v rtree.NodeView, k int) bool {
 	return nq.prev.Box.Contains(nq.box)
 }
 
+// collectLeaf tests a leaf's entries where they lie and copies out only
+// those it delivers.
 func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
-	q, qExact, tw := nq.cur.Box, nq.cur.Exact, nq.cur.Window()
 	// Geometric suppression ("this segment also satisfied P, so the
 	// client already has it") is only valid for segments that were
 	// present when P ran. A per-entry insertion time is not stored, but
@@ -205,32 +208,19 @@ func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
 	// is safe — the client cache upserts by object id). TrackIDs mode is
 	// immune: it suppresses against P's actually-computed answer.
 	leafClean := nq.hasPrev && v.Stamp() <= nq.prevSeq
-	e := &nq.entry
-	for k := 0; k < v.Len(); k++ {
+	for k, n := 0, v.Len(); k < n; k++ {
 		var ov geom.Interval
 		if nq.opts.ExactAnswers {
-			v.Entry(k, e)
-			ov = e.Seg.OverlapTimeInBox(qExact)
-			if ov.Empty() {
+			if ov = v.EntryOverlapTime(k, nq.cur.Exact); ov.Empty() {
 				continue
 			}
-		} else {
-			if !v.EntryOverlaps(k, q) {
-				continue
-			}
-			v.Entry(k, e)
-			// Candidate semantics: report the exact episode when the
-			// trajectory really crosses the window, otherwise the
-			// conservative validity∩query window for the client to
-			// re-check.
-			ov = e.Seg.OverlapTimeInBox(qExact)
-			if ov.Empty() {
-				ov = e.Seg.T.Intersect(tw)
-			}
+		} else if !v.EntryOverlaps(k, nq.cur.Box) {
+			continue
 		}
 		if nq.opts.TrackIDs {
-			nq.curIDs[e.ID] = struct{}{}
-			if _, seen := nq.prevIDs[e.ID]; seen {
+			id, _ := v.EntryKey(k)
+			nq.curIDs[id] = struct{}{}
+			if _, seen := nq.prevIDs[id]; seen {
 				continue
 			}
 		} else if leafClean && nq.satisfiedPrev(v, k) {
@@ -238,15 +228,28 @@ func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
 			// previous answer, so the client already has the object.
 			continue
 		}
-		nq.out = append(nq.out, Result{ID: e.ID, Seg: e.Seg.Clone(), Appear: ov.Lo, Disappear: ov.Hi})
+		if !nq.opts.ExactAnswers {
+			// Candidate semantics: report the exact episode when the
+			// trajectory really crosses the window, otherwise the
+			// conservative validity∩query window for the client to
+			// re-check.
+			if ov = v.EntryOverlapTime(k, nq.cur.Exact); ov.Empty() {
+				ov = v.EntryTime(k).Intersect(nq.cur.Window())
+			}
+		}
+		if nq.out == nil {
+			nq.out = make([]Result, 0, 8) // grow in step with the slab
+		}
+		e := v.Keep(k, &nq.slab)
+		nq.out = append(nq.out, Result{ID: e.ID, Seg: e.Seg, Appear: ov.Lo, Disappear: ov.Hi})
 	}
 }
 
-// satisfiedPrev reports whether the previous query delivered leaf entry k
-// (decoded in nq.entry), at the same granularity used for delivery.
+// satisfiedPrev reports whether the previous query delivered leaf entry
+// k, at the same granularity used for delivery.
 func (nq *NPDQ) satisfiedPrev(v rtree.NodeView, k int) bool {
 	if nq.opts.ExactAnswers {
-		return !nq.entry.Seg.OverlapTimeInBox(nq.prev.Exact).Empty()
+		return !v.EntryOverlapTime(k, nq.prev.Exact).Empty()
 	}
 	return v.EntryOverlaps(k, nq.prev.Box)
 }

@@ -122,7 +122,7 @@ func (p *PDQ) drainInbox() {
 			p.c.AddDistanceComps(1)
 			p.traj.OverlapSegment(u.Entry.Seg, set)
 			for _, iv := range set.Intervals() {
-				p.pushObject(u.Entry, iv)
+				p.pushObject(u.Entry, iv, true) // the notification's segment is every listener's
 			}
 		case rtree.UpdateSubtree:
 			p.c.AddDistanceComps(1)
@@ -167,9 +167,15 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (*Result, error) {
 		}
 		if item.key.isObj {
 			p.c.AddResults(1)
+			// A result's memory is the caller's alone: a queued copy that
+			// other items or other sessions also hold is copied again.
+			seg := item.entry.Seg
+			if item.shared {
+				seg = seg.Clone()
+			}
 			return &Result{
 				ID:        item.entry.ID,
-				Seg:       item.entry.Seg,
+				Seg:       seg,
 				Appear:    item.key.iv.Lo,
 				Disappear: item.key.iv.Hi,
 			}, nil
@@ -214,21 +220,31 @@ func (p *PDQ) expand(item pdqItem, tStart float64) error {
 		p.c.AddDistanceComps(v.Len())
 		set := &p.set
 		if v.Leaf() {
+			span := p.traj.TimeSpan()
 			for k := 0; k < v.Len(); k++ {
+				// Every episode lies inside validity ∩ trajectory span
+				// (OverlapSegment's first step), so an entry that is over
+				// by then, or never valid on the way, is not decoded.
+				if w := v.EntryTime(k).Intersect(span); w.Empty() || tStart > w.Hi {
+					continue
+				}
 				v.Entry(k, &p.entry)
 				set.Reset()
 				p.traj.OverlapSegment(p.entry.Seg, set)
+				// Episodes are sorted and disjoint: those already over
+				// come first.
+				ivs := set.Intervals()
+				for len(ivs) > 0 && tStart > ivs[0].Hi {
+					ivs = ivs[1:]
+				}
+				if len(ivs) == 0 {
+					continue
+				}
 				// The queue outlives the view: the entry's episodes share
-				// one copy of it, made when the first is queued.
-				var kept rtree.LeafEntry
-				for _, iv := range set.Intervals() {
-					if tStart > iv.Hi {
-						continue
-					}
-					if kept.Seg.Start == nil {
-						kept = rtree.LeafEntry{ID: p.entry.ID, Seg: p.entry.Seg.Clone()}
-					}
-					p.pushObject(kept, iv)
+				// one copy of it.
+				kept := rtree.LeafEntry{ID: p.entry.ID, Seg: p.entry.Seg.Clone()}
+				for _, iv := range ivs {
+					p.pushObject(kept, iv, len(ivs) > 1)
 				}
 			}
 			return nil
@@ -299,15 +315,18 @@ func (p *PDQ) pushNode(id pager.PageID, level int, iv geom.Interval) {
 	})
 }
 
-func (p *PDQ) pushObject(e rtree.LeafEntry, iv geom.Interval) {
+// pushObject queues one visibility episode of e. shared says e.Seg is not
+// this item's alone, so delivery must copy it.
+func (p *PDQ) pushObject(e rtree.LeafEntry, iv geom.Interval, shared bool) {
 	if iv.Empty() {
 		return
 	}
 	p.seq++
 	p.pq.push(pdqItem{
-		key:   pdqKey{iv: iv, isObj: true, obj: e.ID, segStart: e.Seg.T.Lo},
-		entry: e,
-		seq:   p.seq,
+		key:    pdqKey{iv: iv, isObj: true, obj: e.ID, segStart: e.Seg.T.Lo},
+		entry:  e,
+		shared: shared,
+		seq:    p.seq,
 	})
 }
 
@@ -324,9 +343,10 @@ type pdqKey struct {
 }
 
 type pdqItem struct {
-	key   pdqKey
-	entry rtree.LeafEntry // valid when key.isObj
-	seq   uint64
+	key    pdqKey
+	entry  rtree.LeafEntry // valid when key.isObj
+	shared bool            // entry.Seg is also held elsewhere
+	seq    uint64
 }
 
 // pdqHeap is a binary min-heap of queue items under less, typed so that

@@ -43,7 +43,7 @@ func (iv Interval) Length() float64 {
 // Intersect returns the common sub-range of two intervals (the paper's ∩).
 // The result is empty if the intervals do not overlap.
 func (iv Interval) Intersect(o Interval) Interval {
-	return Interval{Lo: math.Max(iv.Lo, o.Lo), Hi: math.Min(iv.Hi, o.Hi)}
+	return Interval{Lo: max(iv.Lo, o.Lo), Hi: min(iv.Hi, o.Hi)}
 }
 
 // Cover returns the smallest interval containing both operands (the
@@ -56,7 +56,7 @@ func (iv Interval) Cover(o Interval) Interval {
 	if o.Empty() {
 		return iv
 	}
-	return Interval{Lo: math.Min(iv.Lo, o.Lo), Hi: math.Max(iv.Hi, o.Hi)}
+	return Interval{Lo: min(iv.Lo, o.Lo), Hi: max(iv.Hi, o.Hi)}
 }
 
 // Overlaps reports whether the two intervals share at least one value
@@ -116,7 +116,7 @@ func (iv Interval) Mul(o Interval) Interval {
 	p1, p2 := iv.Lo*o.Lo, iv.Lo*o.Hi
 	p3, p4 := iv.Hi*o.Lo, iv.Hi*o.Hi
 	return Interval{
-		Lo: math.Min(math.Min(p1, p2), math.Min(p3, p4)),
-		Hi: math.Max(math.Max(p1, p2), math.Max(p3, p4)),
+		Lo: min(p1, p2, p3, p4),
+		Hi: max(p1, p2, p3, p4),
 	}
 }

@@ -63,7 +63,34 @@ func (l Linear) SolveGE(c float64, w Interval) Interval {
 	return Linear{A: -l.A, B: -l.B, T0: l.T0}.SolveLE(-c, w)
 }
 
-// SolveBetween returns the sub-interval of w on which lo ≤ l(t) ≤ hi.
+// SolveBetween returns the sub-interval of w on which lo ≤ l(t) ≤ hi. It
+// is SolveLE(hi, w) ∩ SolveGE(lo, w) in one pass: each crossing time is
+// computed by the very operations those two perform (SolveGE solves the
+// negated form, hence the negations below), so the bounds are the same
+// floats, and where one side is unsatisfiable the result is merely empty.
 func (l Linear) SolveBetween(lo, hi float64, w Interval) Interval {
-	return l.SolveLE(hi, w).Intersect(l.SolveGE(lo, w))
+	if w.Empty() {
+		return EmptyInterval()
+	}
+	if l.B == 0 {
+		if lo <= l.A && l.A <= hi {
+			return w
+		}
+		return EmptyInterval()
+	}
+	tHi := l.T0 + (hi-l.A)/l.B      // l(t) = hi
+	tLo := l.T0 + (-lo - -l.A)/-l.B // l(t) = lo
+	if l.B > 0 {
+		return Interval{Lo: max(w.Lo, tLo), Hi: min(w.Hi, tHi)}
+	}
+	return Interval{Lo: max(w.Lo, tHi), Hi: min(w.Hi, tLo)}
+}
+
+// ClipLine returns the part of window w during which the line through
+// (t0, x0) and (t1, x1) stays inside [lo, hi]. It is the one definition of
+// the exact leaf test's arithmetic, per axis: Segment.OverlapTimeInBox
+// feeds it coordinates from a decoded segment, the R-tree's in-place test
+// feeds it the same values read off the page, and both get the same floats.
+func ClipLine(t0, x0, t1, x1, lo, hi float64, w Interval) Interval {
+	return LinearBetween(t0, x0, t1, x1).SolveBetween(lo, hi, w)
 }

@@ -95,7 +95,7 @@ func (s Segment) OverlapTimeInBox(q Box) Interval {
 	d := s.Dims()
 	w := s.T.Intersect(q[d])
 	for i := 0; i < d && !w.Empty(); i++ {
-		w = s.Coord(i).SolveBetween(q[i].Lo, q[i].Hi, w)
+		w = ClipLine(s.T.Lo, s.Start[i], s.T.Hi, s.End[i], q[i].Lo, q[i].Hi, w)
 	}
 	return w
 }

@@ -67,20 +67,25 @@ func ChecksumFailures() int64 { return checksumFailures.Load() }
 // header slots, which have no trailer).
 func crc32Of(b []byte) uint32 { return crc32.Update(0, crcTable, b) }
 
-// pageCRC computes the trailer checksum for a page's data at a given
+// recBuf is scratch for one physical record — page, then trailer — plus
+// the 12 bytes (page id, epoch) the checksum covers beyond the page, kept
+// here so that computing it allocates nothing.
+type recBuf [physPageSize + 12]byte
+
+// pageCRC computes the trailer checksum for the page in rec at a given
 // identity and epoch.
-func pageCRC(data []byte, id PageID, epoch uint64) uint32 {
-	var tail [12]byte
+func pageCRC(rec *recBuf, id PageID, epoch uint64) uint32 {
+	tail := rec[physPageSize:]
 	binary.LittleEndian.PutUint32(tail[0:4], uint32(id))
 	binary.LittleEndian.PutUint64(tail[4:12], epoch)
-	c := crc32.Update(0, crcTable, data)
-	return crc32.Update(c, crcTable, tail[:])
+	c := crc32.Update(0, crcTable, rec[:PageSize])
+	return crc32.Update(c, crcTable, tail)
 }
 
-// sealRecord fills rec (len physPageSize, data already in rec[:PageSize])
-// with the trailer for (id, epoch).
-func sealRecord(rec []byte, id PageID, epoch uint64) {
-	crc := pageCRC(rec[:PageSize], id, epoch)
+// sealRecord fills rec (data already in rec[:PageSize]) with the trailer
+// for (id, epoch).
+func sealRecord(rec *recBuf, id PageID, epoch uint64) {
+	crc := pageCRC(rec, id, epoch)
 	binary.LittleEndian.PutUint32(rec[PageSize:], crc)
 	binary.LittleEndian.PutUint64(rec[PageSize+4:], epoch)
 	binary.LittleEndian.PutUint32(rec[PageSize+12:], 0)
@@ -89,10 +94,10 @@ func sealRecord(rec []byte, id PageID, epoch uint64) {
 // verifyRecord checks rec's trailer against its contents and returns the
 // stored epoch. On mismatch it returns a *CorruptPageError and bumps the
 // process-wide failure counter.
-func verifyRecord(rec []byte, id PageID) (uint64, error) {
+func verifyRecord(rec *recBuf, id PageID) (uint64, error) {
 	want := binary.LittleEndian.Uint32(rec[PageSize:])
 	epoch := binary.LittleEndian.Uint64(rec[PageSize+4:])
-	got := pageCRC(rec[:PageSize], id, epoch)
+	got := pageCRC(rec, id, epoch)
 	if got != want {
 		checksumFailures.Add(1)
 		// Leave a queryable record in the process journal: a checksum

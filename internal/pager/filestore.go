@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"sync"
 )
 
 // File layout (format v2, magic "DYNQPG02"):
@@ -63,6 +64,15 @@ const MaxAux = 256
 // and atomic dual-slot header commits. It exists so indexes can be built
 // once (cmd/dqload) and reopened by later runs; the experiment harness
 // itself defaults to MemStore.
+//
+// ReadPage and WritePage may each run concurrently with themselves and
+// each other on different pages: a BufferPool reads a missed page outside
+// its segment lock (and with no lock at all when it is a pass-through),
+// and writes an evicted dirty frame back under one segment's lock only,
+// all on behalf of queries that share the index's read lock. The physical
+// record (page + trailer) is therefore assembled in a per-call buffer from
+// recScratch, never in a field of the store. Allocation state (Alloc, Free,
+// SetRoot, Sync) is the writer's, under the index's exclusive lock.
 type FileStore struct {
 	f         *os.File
 	seq       uint64 // last committed header sequence number
@@ -73,6 +83,12 @@ type FileStore struct {
 	bothValid bool   // both header slots decoded cleanly at open
 	closed    bool
 }
+
+// recScratch recycles physical-record buffers across calls and stores.
+var recScratch = sync.Pool{New: func() any { return new(recBuf) }}
+
+// zeroPage is what a freshly allocated page holds. Read-only.
+var zeroPage [PageSize]byte
 
 // CreateFileStore creates (truncating) a page file at path.
 func CreateFileStore(path string) (*FileStore, error) {
@@ -238,14 +254,9 @@ func (fs *FileStore) ReadPageEpoch(id PageID, buf []byte) (uint64, error) {
 	if len(buf) != PageSize {
 		return 0, ErrBadPageData
 	}
-	if err := fs.check(id); err != nil {
-		return 0, err
-	}
-	rec := make([]byte, physPageSize)
-	if _, err := fs.f.ReadAt(rec, fs.offset(id)); err != nil {
-		return 0, err
-	}
-	epoch, err := verifyRecord(rec, id)
+	rec := recScratch.Get().(*recBuf)
+	defer recScratch.Put(rec)
+	epoch, err := fs.readRecord(id, rec)
 	if err != nil {
 		return 0, err
 	}
@@ -253,43 +264,49 @@ func (fs *FileStore) ReadPageEpoch(id PageID, buf []byte) (uint64, error) {
 	return epoch, nil
 }
 
+// readRecord reads page id's physical record into rec and verifies it.
+func (fs *FileStore) readRecord(id PageID, rec *recBuf) (uint64, error) {
+	if err := fs.check(id); err != nil {
+		return 0, err
+	}
+	if _, err := fs.f.ReadAt(rec[:physPageSize], fs.offset(id)); err != nil {
+		return 0, err
+	}
+	return verifyRecord(rec, id)
+}
+
 // WritePage implements Store.
 func (fs *FileStore) WritePage(id PageID, buf []byte) error {
+	return fs.writePage(id, buf, physPageSize)
+}
+
+// writePage persists the first n bytes of buf's physical record.
+func (fs *FileStore) writePage(id PageID, buf []byte, n int) error {
 	if len(buf) != PageSize {
 		return ErrBadPageData
 	}
+	rec := recScratch.Get().(*recBuf)
+	defer recScratch.Put(rec)
+	copy(rec[:], buf)
+	return fs.writeRecord(id, rec, n)
+}
+
+// writeRecord seals the page in rec[:PageSize] with its trailer and
+// persists the first n bytes of the record.
+func (fs *FileStore) writeRecord(id PageID, rec *recBuf, n int) error {
 	if err := fs.check(id); err != nil {
 		return err
 	}
-	_, err := fs.f.WriteAt(fs.sealed(id, buf), fs.offset(id))
-	return err
-}
-
-func (fs *FileStore) sealed(id PageID, buf []byte) []byte {
-	rec := make([]byte, physPageSize)
-	copy(rec, buf)
 	sealRecord(rec, id, fs.writeEpoch())
-	return rec
+	_, err := fs.f.WriteAt(rec[:n], fs.offset(id))
+	return err
 }
 
 // WritePageTorn persists only the first n bytes of the page's physical
 // record (data + trailer), simulating a torn write. It is a hook for
 // FaultStore; n is clamped to [0, physPageSize).
 func (fs *FileStore) WritePageTorn(id PageID, buf []byte, n int) error {
-	if len(buf) != PageSize {
-		return ErrBadPageData
-	}
-	if err := fs.check(id); err != nil {
-		return err
-	}
-	if n < 0 {
-		n = 0
-	}
-	if n >= physPageSize {
-		n = physPageSize - 1
-	}
-	_, err := fs.f.WriteAt(fs.sealed(id, buf)[:n], fs.offset(id))
-	return err
+	return fs.writePage(id, buf, min(max(n, 0), physPageSize-1))
 }
 
 // FlipBit flips one bit of the page's stored physical record in place,
@@ -319,7 +336,7 @@ func (fs *FileStore) Alloc() (PageID, error) {
 	if fs.closed {
 		return InvalidPage, ErrClosed
 	}
-	zero := make([]byte, PageSize)
+	zero := zeroPage[:]
 	if fs.free != InvalidPage {
 		id := fs.free
 		link, err := fs.freeLink(id)
@@ -344,22 +361,22 @@ func (fs *FileStore) Alloc() (PageID, error) {
 // freeLink reads the next-free link stored in a freed page, verifying its
 // checksum.
 func (fs *FileStore) freeLink(id PageID) (PageID, error) {
-	buf := make([]byte, PageSize)
-	if err := fs.ReadPage(id, buf); err != nil {
+	rec := recScratch.Get().(*recBuf)
+	defer recScratch.Put(rec)
+	if _, err := fs.readRecord(id, rec); err != nil {
 		return InvalidPage, err
 	}
-	return PageID(binary.LittleEndian.Uint32(buf)), nil
+	return PageID(binary.LittleEndian.Uint32(rec[:])), nil
 }
 
 // Free implements Store. The freed page is rewritten in full (link +
 // zeros) so it remains checksummed on disk.
 func (fs *FileStore) Free(id PageID) error {
-	if err := fs.check(id); err != nil {
-		return err
-	}
-	page := make([]byte, PageSize)
-	binary.LittleEndian.PutUint32(page, uint32(fs.free))
-	if err := fs.WritePage(id, page); err != nil {
+	rec := recScratch.Get().(*recBuf)
+	defer recScratch.Put(rec)
+	clear(rec[:PageSize])
+	binary.LittleEndian.PutUint32(rec[:], uint32(fs.free))
+	if err := fs.writeRecord(id, rec, physPageSize); err != nil {
 		return err
 	}
 	fs.free = id

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -258,4 +259,70 @@ func TestFileStoreCorruptHeaderTyped(t *testing.T) {
 	if !errors.Is(err, ErrCorruptHeader) {
 		t.Fatalf("open with both slots corrupt = %v, want ErrCorruptHeader", err)
 	}
+}
+
+// Reading, writing, allocating and freeing pages recycle their physical-
+// record buffer instead of allocating one per call.
+func TestFileStoreDoesNotAllocatePerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its items under the race detector")
+	}
+	s := mustCreate(t, filepath.Join(t.TempDir(), "db"))
+	defer s.Close()
+	id := mustAllocWrite(t, s, 0x5A)
+	buf, page := make([]byte, PageSize), fillPage(0x5A)
+	for what, fn := range map[string]func() error{
+		"ReadPage":     func() error { return s.ReadPage(id, buf) },
+		"WritePage":    func() error { return s.WritePage(id, page) },
+		"Alloc + Free": func() error { p, err := s.Alloc(); return errors.Join(err, s.Free(p)) },
+	} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := fn(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 0.5 {
+			t.Errorf("%s: %.1f allocs per call, want none", what, allocs)
+		}
+	}
+	if !bytes.Equal(buf, page) {
+		t.Error("page read back differs")
+	}
+}
+
+// A buffer pool reads missed pages and writes evicted ones back outside
+// any common lock, so the store's scratch must be per call: concurrent
+// reads and writes of different pages never see each other's bytes.
+func TestFileStoreConcurrentPageIO(t *testing.T) {
+	s := mustCreate(t, filepath.Join(t.TempDir(), "db"))
+	defer s.Close()
+	const pages = 16
+	ids := make([]PageID, pages)
+	for i := range ids {
+		ids[i] = mustAllocWrite(t, s, byte(i))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < pages; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, PageSize)
+			for round := 0; round < 200; round++ {
+				if g%2 == 0 { // writers keep rewriting their own page
+					if err := s.WritePage(ids[g], fillPage(byte(g))); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := s.ReadPage(ids[g], buf); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(buf, fillPage(byte(g))) {
+					t.Errorf("page %d read another page's bytes", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -84,6 +84,64 @@ func BenchmarkNodeEncodeDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkLeafTest is the exact test over one full leaf: on the page, and
+// as the leaf loop ran it before the kernel (clip the validity in place,
+// decode what is left, test the decoded segment).
+func BenchmarkLeafTest(b *testing.B) {
+	// A leaf as the bulk loader packs one — a slab of time, a tile of space
+	// — under a fly-through frame: most entries are valid during the frame
+	// and miss the window on the first or second axis.
+	cfg := DefaultConfig()
+	leaf := &Node{ID: 1}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < cfg.MaxLeafEntries(); i++ {
+		seg := randSegment(r)
+		seg.T = geom.Interval{Lo: 49 + r.Float64(), Hi: 50.5 + r.Float64()}
+		for d := range seg.Start {
+			seg.Start[d] = 30 + seg.Start[d]*0.3
+			seg.End[d] = seg.Start[d] + r.Float64()*2 - 1
+		}
+		leaf.Entries = append(leaf.Entries, LeafEntry{ID: ObjectID(i), Seg: seg})
+	}
+	page := make([]byte, pager.PageSize)
+	if err := encodeNode(cfg, leaf, page); err != nil {
+		b.Fatal(err)
+	}
+	v, err := openView(cfg, 1, page)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var q Query
+	q.Fill(geom.Box{{Lo: 40, Hi: 48}, {Lo: 40, Hi: 48}}, geom.Interval{Lo: 50, Hi: 50.5})
+	matches := 0
+	b.Run("inplace", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < v.Len(); k++ {
+				if !v.EntryOverlapTime(k, q.Exact).Empty() {
+					matches++
+				}
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		var e LeafEntry
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < v.Len(); k++ {
+				if v.EntryTime(k).Intersect(q.Window()).Empty() {
+					continue
+				}
+				v.Entry(k, &e)
+				if !e.Seg.OverlapTimeInBox(q.Exact).Empty() {
+					matches++
+				}
+			}
+		}
+	})
+	if matches == 0 {
+		b.Fatal("the box misses the leaf")
+	}
+}
+
 func BenchmarkDelete(b *testing.B) {
 	entries := benchEntries(b.N, 6)
 	tree, err := BulkLoad(DefaultConfig(), pager.NewMemStore(), entries)

@@ -141,6 +141,25 @@ func FuzzDecodePage(f *testing.F) {
 	})
 }
 
+// FuzzEntryOverlapTime: whatever a leaf holds — degenerate, zero-length
+// and inverted segments, coordinates on the edges of float32 — and whatever
+// the query box — touching borders, empty and unbounded windows — the exact
+// test on the page returns the floats the pre-kernel test returned for the
+// decoded entry (kernel_test.go).
+func FuzzEntryOverlapTime(f *testing.F) {
+	r := rand.New(rand.NewSource(23))
+	for i := 0; i < 12; i++ {
+		data := make([]byte, 900)
+		r.Read(data)
+		f.Add(uint8(i), i%2 == 0, data)
+	}
+	f.Add(uint8(0), false, []byte{})
+	f.Add(uint8(1), true, bytes.Repeat([]byte{3}, 400)) // one value everywhere: every segment a point
+	f.Fuzz(func(t *testing.T, dims uint8, dual bool, data []byte) {
+		checkLeafKernel(t, leafKernelConfig(dims, dual), data)
+	})
+}
+
 // editRig runs one sequence of inserts and deletes against two trees over
 // separate stores: got, written by the tree's in-place edits, and want,
 // written by the decode-mutate-encode reference (refwrite_test.go). After

@@ -1,0 +1,175 @@
+package rtree
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+
+	"dynq/internal/geom"
+	"dynq/internal/pager"
+)
+
+// refOverlapTime is the exact leaf test as it ran before the leaf kernel,
+// on a decoded entry: Interval.Intersect on math.Max/Min, and per axis the
+// bound ≤ hi and the bound ≥ lo solved separately (the second on the
+// negated line) and intersected. internal/geom keeps the same reference
+// for its own functions; this copy is what EntryOverlapTime is held to.
+func refOverlapTime(s geom.Segment, q geom.Box) geom.Interval {
+	meet := func(a, b geom.Interval) geom.Interval {
+		return geom.Interval{Lo: math.Max(a.Lo, b.Lo), Hi: math.Min(a.Hi, b.Hi)}
+	}
+	solveLE := func(l geom.Linear, c float64, w geom.Interval) geom.Interval {
+		switch {
+		case w.Empty():
+			return geom.EmptyInterval()
+		case l.B == 0 && l.A <= c:
+			return w
+		case l.B == 0:
+			return geom.EmptyInterval()
+		}
+		tc := l.T0 + (c-l.A)/l.B
+		if l.B > 0 {
+			return meet(w, geom.Interval{Lo: math.Inf(-1), Hi: tc})
+		}
+		return meet(w, geom.Interval{Lo: tc, Hi: math.Inf(1)})
+	}
+	d := s.Dims()
+	w := meet(s.T, q[d])
+	for i := 0; i < d && !w.Empty(); i++ {
+		l := s.Coord(i)
+		w = meet(solveLE(l, q[i].Hi, w), solveLE(geom.Linear{A: -l.A, B: -l.B, T0: l.T0}, -q[i].Lo, w))
+	}
+	return w
+}
+
+// fuzzSrc deals values out of a fuzzer's byte string (zeros once it runs
+// dry).
+type fuzzSrc struct {
+	b    []byte
+	last float64
+}
+
+func (s *fuzzSrc) take(n int) uint64 {
+	var buf [8]byte
+	s.b = s.b[copy(buf[:n], s.b):]
+	return binary.LittleEndian.Uint64(buf[:])
+}
+
+var coordEdges = []float64{0, math.Copysign(0, -1), math.MaxFloat32, -math.MaxFloat32, 1e-45, -1e-45,
+	float64(float32(0.1)), float64(math.Nextafter32(0.1, 1)), 1, 100}
+
+// coord deals a value a page can hold: finite at float32 precision — any
+// bit pattern, a coarse grid (so values coincide and touch), an edge of the
+// format, or the previous value again (zero-length and stationary segments).
+func (s *fuzzSrc) coord() float64 {
+	v := s.last
+	switch sel := s.take(1); sel % 4 {
+	case 0:
+		if f := float64(math.Float32frombits(uint32(s.take(4)))); f-f == 0 {
+			v = f
+		}
+	case 1:
+		v = float64(int8(s.take(1))) / 4
+	case 2:
+		v = coordEdges[int(sel/4)%len(coordEdges)]
+	}
+	s.last = v
+	return v
+}
+
+// bound deals a query border: anything coord deals, ±Inf, a float64 that
+// falls between two float32 neighbours, or any NaN-free bit pattern.
+func (s *fuzzSrc) bound() float64 {
+	switch sel := s.take(1); sel % 8 {
+	case 0:
+		return math.Inf(int(sel/8)%2*2 - 1)
+	case 1:
+		return s.coord() + 1e-9
+	case 2:
+		if f := math.Float64frombits(s.take(8)); f == f {
+			return f
+		}
+	}
+	return s.coord()
+}
+
+// checkLeafKernel builds one leaf from src under cfg, draws exact boxes —
+// from src, and from the entries' own coordinates so that borders touch —
+// and requires EntryOverlapTime to return what the reference returns for
+// the decoded entry: the same bits in Lo and Hi, or both empty. It returns
+// how many of the comparisons were of non-empty intervals.
+func checkLeafKernel(t *testing.T, cfg Config, data []byte) (hits int) {
+	t.Helper()
+	src := &fuzzSrc{b: data}
+	d := cfg.Dims
+	leaf := &Node{ID: 7}
+	for n := 1 + int(src.take(1))%cfg.MaxLeafEntries(); len(leaf.Entries) < n; {
+		e := LeafEntry{ID: ObjectID(len(leaf.Entries)), Seg: geom.Segment{Start: make(geom.Point, d), End: make(geom.Point, d)}}
+		for i := 0; i < d; i++ {
+			e.Seg.Start[i], e.Seg.End[i] = src.coord(), src.coord()
+		}
+		e.Seg.T = geom.Interval{Lo: src.coord(), Hi: src.coord()} // inverted validity included: the page format allows it
+		leaf.Entries = append(leaf.Entries, e)
+	}
+	page := make([]byte, pager.PageSize)
+	if err := encodeNode(cfg, leaf, page); err != nil {
+		t.Fatal(err)
+	}
+	v, err := openView(cfg, 7, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b geom.Interval) bool {
+		return (a.Empty() && b.Empty()) ||
+			(math.Float64bits(a.Lo) == math.Float64bits(b.Lo) && math.Float64bits(a.Hi) == math.Float64bits(b.Hi))
+	}
+	box := make(geom.Box, d+1)
+	var e LeafEntry
+	for round := 0; round < 4; round++ {
+		for i := range box {
+			box[i] = geom.Interval{Lo: src.bound(), Hi: src.bound()}
+		}
+		if round%2 == 1 { // borders through one entry's end points and validity
+			own := leaf.Entries[int(src.take(1))%len(leaf.Entries)].Seg
+			for i := 0; i < d; i++ {
+				box[i] = geom.Interval{Lo: min(own.Start[i], own.End[i]), Hi: max(own.Start[i], own.End[i])}
+			}
+			box[d] = geom.Interval{Lo: own.T.Hi, Hi: own.T.Hi + float64(src.take(1))}
+		}
+		for k := 0; k < v.Len(); k++ {
+			v.Entry(k, &e)
+			got, want := v.EntryOverlapTime(k, box), refOverlapTime(e.Seg, box)
+			if !want.Empty() {
+				hits++
+			}
+			if !same(got, want) || !same(got, e.Seg.OverlapTimeInBox(box)) {
+				t.Fatalf("dims %d dual %v entry %+v in %v:\n in place  %v (%x %x)\n reference %v (%x %x)\n decoded   %v", d, cfg.DualTime, e.Seg, box,
+					got, math.Float64bits(got.Lo), math.Float64bits(got.Hi), want, math.Float64bits(want.Lo), math.Float64bits(want.Hi), e.Seg.OverlapTimeInBox(box))
+			}
+		}
+	}
+	return hits
+}
+
+func leafKernelConfig(dims uint8, dual bool) Config {
+	cfg := DefaultConfig()
+	cfg.Dims = 1 + int(dims)%3
+	cfg.DualTime = dual
+	return cfg
+}
+
+// The in-place exact test is the old test, bit for bit: random leaves in
+// both layouts and one to three dimensions against random boxes.
+func TestEntryOverlapTimeMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	hits := 0
+	for i := 0; i < 600; i++ {
+		data := make([]byte, 64+r.Intn(2048))
+		r.Read(data)
+		hits += checkLeafKernel(t, leafKernelConfig(uint8(i), i%2 == 0), data)
+	}
+	if hits < 1000 {
+		t.Fatalf("only %d non-empty overlaps compared: the boxes miss the leaves", hits)
+	}
+}

@@ -12,6 +12,8 @@ import (
 // Match is one segment returned by a range search: the object, its exact
 // segment, and the time interval during which the segment actually lies
 // inside the query's spatial range (clipped to the query's time window).
+// Seg's points are the receiver's own: copied off the page once, nothing
+// else holds them.
 type Match struct {
 	ID      ObjectID
 	Seg     geom.Segment
@@ -60,16 +62,16 @@ func (t *Tree) RangeSearchCtx(ctx context.Context, spatial geom.Box, tw geom.Int
 	return s.out, nil
 }
 
-// search is the state of one range search. entry is the scratch every
-// leaf entry is read into; only matches are copied out of it.
+// search is the state of one range search. Entries are tested where they
+// lie; a match's coordinates are copied out once, into slab.
 type search struct {
-	ctx   context.Context
-	t     *Tree
-	opts  SearchOptions
-	c     *stats.Counters
-	q     Query
-	entry LeafEntry
-	out   []Match
+	ctx  context.Context
+	t    *Tree
+	opts SearchOptions
+	c    *stats.Counters
+	q    Query
+	slab Slab
+	out  []Match
 }
 
 // full reports whether the match set has reached the search limit.
@@ -101,30 +103,22 @@ func (s *search) node(id pager.PageID) error {
 }
 
 func (s *search) leaf(v NodeView) {
-	e := &s.entry
-	tw := s.q.Window()
-	k := 0
-	for ; k < v.Len() && !s.full(); k++ {
+	k, n := 0, v.Len()
+	for ; k < n && !s.full(); k++ {
 		var ov geom.Interval
 		if s.opts.BBOnlyLeaf {
 			if !v.EntryOverlaps(k, s.q.Box) {
 				continue
 			}
-			v.Entry(k, e)
-			ov = e.Seg.T.Intersect(tw)
-		} else {
-			// The exact test starts by clipping the segment's validity to
-			// the time window and looks no further if nothing is left, so
-			// an entry that fails there is not worth decoding.
-			if v.EntryTime(k).Intersect(tw).Empty() {
-				continue
-			}
-			v.Entry(k, e)
-			if ov = e.Seg.OverlapTimeInBox(s.q.Exact); ov.Empty() {
-				continue
-			}
+			ov = v.EntryTime(k).Intersect(s.q.Window())
+		} else if ov = v.EntryOverlapTime(k, s.q.Exact); ov.Empty() {
+			continue
 		}
-		s.out = append(s.out, Match{ID: e.ID, Seg: e.Seg.Clone(), Overlap: ov})
+		if s.out == nil {
+			s.out = make([]Match, 0, 8) // grow in step with the slab
+		}
+		e := v.Keep(k, &s.slab)
+		s.out = append(s.out, Match{ID: e.ID, Seg: e.Seg, Overlap: ov})
 	}
 	s.c.AddDistanceComps(k)
 }

@@ -137,7 +137,7 @@ func (v NodeView) EntryKey(k int) (ObjectID, float64) {
 
 // Entry fills the caller-owned dst with leaf entry k, reusing the capacity
 // of dst's points. dst stays valid after the view dies, until the next
-// Entry call on it; clone the segment to keep a match.
+// Entry call on it; Keep is the copy for an entry that outlives the visit.
 func (v NodeView) Entry(k int, dst *LeafEntry) {
 	e := v.entry(k)
 	d := int(v.dims)
@@ -172,6 +172,47 @@ func (v NodeView) EntryOverlaps(k int, q geom.Box) bool {
 // EntryTime returns leaf entry k's validity interval.
 func (v NodeView) EntryTime(k int) geom.Interval {
 	return intervalAt(v.entry(k), 8+8*int(v.dims))
+}
+
+// EntryOverlapTime is the exact leaf test on the page: it returns what
+// geom.Segment.OverlapTimeInBox returns for the decoded entry — the time
+// during which leaf entry k's trajectory lies inside exact (Query.Exact:
+// spatial extents, then the time window) — without decoding it. The same
+// values go through the same geom.ClipLine in the same axis order, so the
+// result is that one's bit for bit.
+func (v NodeView) EntryOverlapTime(k int, exact geom.Box) geom.Interval {
+	e := v.entry(k)
+	d := int(v.dims)
+	t := intervalAt(e, 8+8*d)
+	w := t.Intersect(exact[d])
+	for i := 0; i < d && !w.Empty(); i++ {
+		w = geom.ClipLine(t.Lo, f32At(e, 8+4*i), t.Hi, f32At(e, 8+4*(d+i)), exact[i].Lo, exact[i].Hi, w)
+	}
+	return w
+}
+
+// Slab is the coordinate storage of the leaf entries one traversal copies
+// out of its pages (Keep): a chunk per growth step instead of an
+// allocation per entry. The zero value is ready. A chunk lives as long as
+// any point cut from it, and is never handed out twice, so whoever
+// receives a kept entry owns its points.
+type Slab struct {
+	free []float64 // unused tail of the newest chunk
+	size int       // entries the newest chunk was made for
+}
+
+// Keep copies leaf entry k out of the page for good, its points cut from
+// s and capacity-clipped, so appending to one never reaches a neighbour.
+func (v NodeView) Keep(k int, s *Slab) LeafEntry {
+	d := int(v.dims)
+	if len(s.free) < 2*d {
+		s.size = max(8, 2*s.size)
+		s.free = make([]float64, 2*d*s.size)
+	}
+	var e LeafEntry
+	e.Seg.Start, e.Seg.End, s.free = s.free[:0:d], s.free[d:d:2*d], s.free[2*d:]
+	v.Entry(k, &e)
+	return e
 }
 
 // node materialises the whole node into its mutable form. All child boxes

@@ -189,8 +189,8 @@ func TestDeleteFreeingPageNotifiesReseed(t *testing.T) {
 	}
 }
 
-// The view's win, guarded: a range search allocates for its matches, not
-// for the nodes it visits, and decoding a page costs its three slabs.
+// The view's win, guarded: a range search allocates a few slabs, neither
+// per node visited nor per match, and decoding a page costs its three.
 func TestAllocationBudget(t *testing.T) {
 	tree, err := BulkLoad(DefaultConfig(), pager.NewMemStore(), benchEntries(100000, 3))
 	if err != nil {
@@ -212,8 +212,22 @@ func TestAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if budget := float64(2*len(ms) + 8); allocs > budget {
-		t.Errorf("RangeSearch: %.0f allocs for %d matches over %d node reads, budget %.0f", allocs, len(ms), reads, budget)
+	if allocs > 8 {
+		t.Errorf("RangeSearch: %.0f allocs for %d matches over %d node reads, budget 8", allocs, len(ms), reads)
+	}
+	// Ten times the matches cost growth steps of the two slabs, not matches.
+	wide := geom.Box{{Lo: 25, Hi: 60}, {Lo: 25, Hi: 60}}
+	many, err := tree.RangeSearch(wide, tw, SearchOptions{}, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, err := tree.RangeSearch(wide, tw, SearchOptions{}, &c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(many) < 10*len(ms) || allocs > 16 {
+		t.Errorf("RangeSearch: %.0f allocs for %d matches (the narrow query found %d), budget 16", allocs, len(many), len(ms))
 	}
 
 	cfg := DefaultConfig()

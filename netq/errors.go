@@ -18,6 +18,7 @@ const (
 	ErrKindNotFound   = "not_found"
 	ErrKindNoWAL      = "no_wal"
 	ErrKindDiskFull   = "disk_full"
+	ErrKindNonFinite  = "non_finite"
 )
 
 // ErrNoTracker is returned (and matched with errors.Is on both sides of
@@ -86,6 +87,8 @@ func errKind(err error) string {
 		return ErrKindNotFound
 	case errors.Is(err, dynq.ErrNoWAL):
 		return ErrKindNoWAL
+	case errors.Is(err, dynq.ErrNonFinite):
+		return ErrKindNonFinite
 	}
 	return ""
 }
@@ -119,6 +122,8 @@ func typedError(req Request, resp Response) error {
 		return &wireError{msg: resp.Err, sentinel: dynq.ErrNotFound}
 	case ErrKindNoWAL:
 		return &wireError{msg: resp.Err, sentinel: dynq.ErrNoWAL}
+	case ErrKindNonFinite:
+		return &wireError{msg: resp.Err, sentinel: dynq.ErrNonFinite}
 	}
 	return errors.New(resp.Err)
 }

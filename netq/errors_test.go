@@ -45,6 +45,12 @@ func TestTypedErrorRoundTrip(t *testing.T) {
 			sentinel: dynq.ErrNotFound,
 		},
 		{
+			name:     "non-finite",
+			server:   fmt.Errorf("%w in segment", dynq.ErrNonFinite),
+			kind:     ErrKindNonFinite,
+			sentinel: dynq.ErrNonFinite,
+		},
+		{
 			name:     "overloaded",
 			server:   ErrOverloaded,
 			kind:     ErrKindOverloaded,

@@ -3,6 +3,7 @@ package netq
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -148,6 +149,53 @@ func TestApplyUpdatesOverTheWire(t *testing.T) {
 			}
 			if !errors.Is(err, dynq.ErrNotFound) {
 				t.Fatalf("deleting a missing segment = %v, want ErrNotFound", err)
+			}
+		})
+	}
+}
+
+// TestNonFiniteInputOverTheWire: NaN and infinities arrive from the
+// network like any other float. The server refuses them with the typed
+// error, stores nothing of the batch, and the connection stays usable.
+func TestNonFiniteInputOverTheWire(t *testing.T) {
+	sharded, err := dynq.OpenSharded(dynq.ShardOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sharded.Close() })
+	for name, db := range map[string]dynq.Database{
+		"single":  testDB(t),
+		"sharded": sharded,
+	} {
+		t.Run(name, func(t *testing.T) {
+			addr, stop := startServer(t, db)
+			defer stop()
+			cl, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+
+			before := db.Len()
+			good := dynq.Segment{T0: 0, T1: 1, From: []float64{300, 300}, To: []float64{301, 301}}
+			bad := dynq.Segment{T0: math.NaN(), From: []float64{math.NaN(), 50}, To: []float64{3, math.Inf(1)}}
+			if err := cl.Insert(7001, bad); !errors.Is(err, dynq.ErrNonFinite) {
+				t.Fatalf("insert of a NaN segment = %v, want ErrNonFinite", err)
+			}
+			err = cl.ApplyUpdates([]dynq.MotionUpdate{{ID: 7002, Segment: good}, {ID: 7003, Segment: bad}})
+			if !errors.Is(err, dynq.ErrNonFinite) {
+				t.Fatalf("batch with a NaN segment = %v, want ErrNonFinite", err)
+			}
+			view := dynq.Rect{Min: []float64{0, math.NaN()}, Max: []float64{400, 400}}
+			if _, err := cl.Snapshot(view, 0, 1); !errors.Is(err, dynq.ErrNonFinite) {
+				t.Fatalf("snapshot with a NaN view = %v, want ErrNonFinite", err)
+			}
+			view.Min[1] = math.Inf(-1) // unbounded is legal
+			if _, err := cl.Snapshot(view, math.Inf(-1), math.Inf(1)); err != nil {
+				t.Fatalf("snapshot with infinite bounds = %v", err)
+			}
+			if db.Len() != before {
+				t.Fatalf("%d segments stored, were %d: part of a refused batch landed", db.Len(), before)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dynq/internal/core"
-	"dynq/internal/geom"
 	"dynq/internal/shard"
 	"dynq/internal/trajectory"
 )
@@ -46,6 +45,9 @@ func buildTrajectory(waypoints []Waypoint, dims int, slack func(t float64) float
 	keys := make([]trajectory.Key, len(waypoints))
 	for i, w := range waypoints {
 		box, err := toBoxDims(w.View, dims)
+		if err == nil && hasNaN(w.T) {
+			err = fmt.Errorf("%w in time", ErrNonFinite)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("waypoint %d: %w", i, err)
 		}
@@ -155,7 +157,11 @@ func (s *NonPredictiveSession) Snapshot(view Rect, t0, t1 float64) ([]Result, er
 	if err != nil {
 		return nil, err
 	}
-	rs, err := s.npdq.Next(box, geom.Interval{Lo: t0, Hi: t1})
+	tw, err := toWindow(t0, t1)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := s.npdq.Next(box, tw)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +222,11 @@ func (s *AdaptiveSession) Frame(view Rect, t0, t1 float64) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, err := s.a.Frame(box, geom.Interval{Lo: t0, Hi: t1})
+	tw, err := toWindow(t0, t1)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := s.a.Frame(box, tw)
 	if err != nil {
 		return nil, err
 	}

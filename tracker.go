@@ -6,7 +6,6 @@ import (
 	"dynq/internal/geom"
 	"dynq/internal/stats"
 	"dynq/internal/tpr"
-	"dynq/internal/trajectory"
 )
 
 // TrackerOptions configure a Tracker.
@@ -113,9 +112,13 @@ func (tk *Tracker) During(view Rect, t0, t1 float64) ([]Anticipated, error) {
 	if err != nil {
 		return nil, err
 	}
+	tw, err := toWindow(t0, t1)
+	if err != nil {
+		return nil, err
+	}
 	tk.mu.RLock()
 	defer tk.mu.RUnlock()
-	ms, err := tk.tree.SearchDuring(box, geom.Interval{Lo: t0, Hi: t1}, &tk.counters)
+	ms, err := tk.tree.SearchDuring(box, tw, &tk.counters)
 	if err != nil {
 		return nil, err
 	}
@@ -125,15 +128,7 @@ func (tk *Tracker) During(view Rect, t0, t1 float64) ([]Anticipated, error) {
 // Along returns every object anticipated to enter the moving view defined
 // by the waypoints — a predictive dynamic query against current states.
 func (tk *Tracker) Along(waypoints []Waypoint) ([]Anticipated, error) {
-	keys := make([]trajectory.Key, len(waypoints))
-	for i, w := range waypoints {
-		box, err := toBoxDims(w.View, tk.dims)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = trajectory.Key{T: w.T, Window: box}
-	}
-	traj, err := trajectory.New(keys)
+	traj, err := buildTrajectory(waypoints, tk.dims, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -202,7 +202,7 @@ func (e *engine) applyUpdates(ctx context.Context, updates []MotionUpdate, opts 
 	segs := make([]geom.Segment, len(updates))
 	for i, u := range updates {
 		if !u.Delete {
-			if segs[i], err = toSegmentDims(u.Segment, e.dims); err != nil {
+			if segs[i], err = newSegmentDims(u.Segment, e.dims); err != nil {
 				return err
 			}
 		}
@@ -425,7 +425,7 @@ func (e *engine) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts W
 		if u.Delete {
 			return fmt.Errorf("dynq: BulkLoad batch contains a deletion (object %d); deletions need an existing index", u.ID)
 		}
-		g, err := toSegmentDims(u.Segment, e.dims)
+		g, err := newSegmentDims(u.Segment, e.dims)
 		if err != nil {
 			return err
 		}
