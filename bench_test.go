@@ -19,8 +19,6 @@ import (
 	"dynq/internal/geom"
 	"dynq/internal/motion"
 	"dynq/internal/pager"
-	"dynq/internal/psi"
-	"dynq/internal/quadtree"
 	"dynq/internal/rtree"
 	"dynq/internal/stats"
 	"dynq/internal/workload"
@@ -304,44 +302,6 @@ func BenchmarkAblationNPDQDedup(b *testing.B) {
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// PSI-vs-NSI ablation: the Section 2 comparison the paper inherits from
-// [14,15] — Native Space Indexing should beat Parametric Space Indexing
-// on spatio-temporal range queries due to PSI's loss of locality.
-func BenchmarkAblationPSIvsNSI(b *testing.B) {
-	entries := ablationEntries(b, 50000)
-	psiIx, err := psi.BulkLoad(2, pager.NewMemStore(), entries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nsiIx, err := rtree.BulkLoad(rtree.DefaultConfig(), pager.NewMemStore(), entries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var psiReads, nsiReads float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := newRand(int64(i))
-		var cP, cN stats.Counters
-		const queries = 50
-		for k := 0; k < queries; k++ {
-			lo0, lo1 := r.Float64()*90, r.Float64()*90
-			spatial := geom.Box{{Lo: lo0, Hi: lo0 + 8}, {Lo: lo1, Hi: lo1 + 8}}
-			start := r.Float64() * 99
-			tw := geom.Interval{Lo: start, Hi: start + 0.5}
-			if _, err := psiIx.RangeSearch(spatial, tw, &cP); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := nsiIx.RangeSearch(spatial, tw, rtree.SearchOptions{}, &cN); err != nil {
-				b.Fatal(err)
-			}
-		}
-		psiReads = float64(cP.Snapshot().Reads()) / queries
-		nsiReads = float64(cN.Snapshot().Reads()) / queries
-	}
-	b.ReportMetric(psiReads, "psi-reads/query")
-	b.ReportMetric(nsiReads, "nsi-reads/query")
-}
-
 // Mixed static+mobile NPDQ experiment: the situational-awareness scenario
 // of the paper's introduction, where discardability prunes the static
 // bulk of the data.
@@ -358,46 +318,4 @@ func BenchmarkMixedStaticNPDQ(b *testing.B) {
 	}
 	b.ReportMetric(nv, "naive-reads/query")
 	b.ReportMetric(dq, "npdq-reads/query")
-}
-
-// Quadtree-vs-R-tree ablation: the related-work substrate ([21],[25])
-// against the NSI R-tree on identical data and queries.
-func BenchmarkAblationQuadtreeVsRTree(b *testing.B) {
-	entries := ablationEntries(b, 50000)
-	qt, err := quadtree.New(geom.Box{{Lo: 0, Hi: 100}, {Lo: 0, Hi: 100}}, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := qt.Insert(e.ID, e.Seg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rt, err := rtree.BulkLoad(rtree.DefaultConfig(), pager.NewMemStore(), entries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var qReads, rReads float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := newRand(int64(i))
-		var cQ, cR stats.Counters
-		const queries = 50
-		for k := 0; k < queries; k++ {
-			lo0, lo1 := r.Float64()*90, r.Float64()*90
-			spatial := geom.Box{{Lo: lo0, Hi: lo0 + 8}, {Lo: lo1, Hi: lo1 + 8}}
-			start := r.Float64() * 99
-			tw := geom.Interval{Lo: start, Hi: start + 0.5}
-			if _, err := qt.Search(spatial, tw, &cQ); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := rt.RangeSearch(spatial, tw, rtree.SearchOptions{}, &cR); err != nil {
-				b.Fatal(err)
-			}
-		}
-		qReads = float64(cQ.Snapshot().DistanceComps) / queries
-		rReads = float64(cR.Snapshot().DistanceComps) / queries
-	}
-	b.ReportMetric(qReads, "quadtree-dist/query")
-	b.ReportMetric(rReads, "rtree-dist/query")
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,58 +26,47 @@ type ChaosSoakOptions struct {
 	// Seed drives the workload, the fault schedule, and the query mix;
 	// the same seed replays the same soak (default 1).
 	Seed int64
-	// Batch is the number of motion updates per batch (default 24).
-	Batch int
-	// AckedBatches is the number of durably acknowledged batches per
-	// cycle (default 4). Every acknowledged batch MUST survive the crash.
-	AckedBatches int
-	// AsyncBatches is the number of DurabilityAsync batches appended
-	// before each crash (default 3); the torn tail's victims.
-	AsyncBatches int
-	// Writers is the number of concurrent goroutines issuing the
-	// acknowledged batches (default 4).
-	Writers int
-	// BufferPages is the page-buffer capacity (default 4096). As in
-	// WALSoak it must hold the working set so a crash never tears the
-	// page file itself.
-	BufferPages int
-	// MaxWALBytes is the auto-checkpoint policy's live-byte threshold
-	// (default 4 KiB, low enough that a normal cycle's appends cross it).
-	// The soak never calls Sync between fault episodes; the maintenance
-	// loop alone must keep the log under this bound.
-	MaxWALBytes int64
-	// ProbeBudget is the maximum number of maintenance ticks a degraded
-	// episode may take to heal once the fault clears (default 40);
-	// exceeding it fails the soak.
-	ProbeBudget int
-	// ScrubEvery runs a full background-scrub pass every n-th cycle
-	// (default 2; <0 disables). Committed pages are never corrupted by
-	// this soak, so any scrub finding is a false positive and fails it.
-	ScrubEvery int
-	// MaxSegments rotates to a fresh file + log once the committed set
-	// grows past it (default 8192).
-	MaxSegments int
 	// Dir is the working directory (default: a fresh temp dir).
 	Dir string
 	// Log, when set, receives one progress line per 10 cycles.
 	Log func(format string, args ...any)
 }
 
-// ChaosSoakReport summarizes a ChaosSoak run. The invariants are
-// LostAcked == 0 and WrongAnswers == 0 (WALSoak's durability and
-// correctness contracts), plus the self-healing ones: every degraded
-// episode heals within the probe budget (the run errors out otherwise),
+const (
+	// chaosBatch is the number of motion updates per batch, and
+	// chaosAsyncBatches the number of DurabilityAsync batches appended
+	// before each crash; the acknowledged phase, the buffer and the
+	// rotation cap are WALSoak's.
+	chaosBatch        = 24
+	chaosAsyncBatches = 3
+	// chaosMaxWALBytes is the auto-checkpoint policy's live-byte threshold,
+	// low enough that a normal cycle's appends cross it. The soak never
+	// calls Sync between fault episodes; the maintenance loop alone must
+	// keep the log under this bound.
+	chaosMaxWALBytes = 4 << 10
+	// chaosProbeBudget is the maximum number of maintenance ticks a
+	// degraded episode may take to heal once the fault clears; exceeding it
+	// fails the soak.
+	chaosProbeBudget = 40
+	// chaosScrubEvery runs a full background-scrub pass every n-th cycle.
+	// Committed pages are never corrupted by this soak, so any scrub
+	// finding is a false positive and fails it.
+	chaosScrubEvery = 2
+)
+
+// ChaosSoakReport summarizes a ChaosSoak run: WALSoak's crash-cycle
+// counters (Cycles, BatchesAcked, BatchesAsync, AsyncSurvived, Tears,
+// TornTails, RecordsReplayed, UpdatesReplayed, Rotations, LostAcked,
+// WrongAnswers, QueriesCompared) plus the self-healing ones. The
+// invariants are LostAcked == 0 and WrongAnswers == 0 (WALSoak's
+// durability and correctness contracts), plus: every degraded episode
+// heals within the probe budget (the run errors out otherwise),
 // WALBoundViolations == 0 (the maintenance loop alone bounds the log),
 // UntypedWriteErrors == 0 (disk-full and read-only failures carry their
 // typed sentinels), and ScrubCorruptions == 0 (no false positives on
 // clean data).
 type ChaosSoakReport struct {
-	Cycles             int // crash/reopen iterations executed
-	BatchesAcked       int // durably acknowledged batches (all must survive)
-	BatchesAsync       int // async batches exposed to the tear
-	AsyncSurvived      int // async batches found intact after replay
-	Tears              int // cycles whose log tail was torn or corrupted
-	TornTails          int // reopens that reported a discarded torn tail
+	walCycleCounts
 	AutoCheckpoints    int // policy-driven checkpoints by the maintenance loop
 	CheckpointFailures int // policy-driven checkpoints that failed (fault episodes)
 	WALBoundViolations int // post-tick live log bytes at/over the policy cap (MUST be 0)
@@ -93,12 +81,6 @@ type ChaosSoakReport struct {
 	ScrubPasses        int // complete scrub sweeps
 	ScrubPages         int // pages verified by the scrubber
 	ScrubCorruptions   int // scrub findings (MUST be 0: data is never corrupted)
-	RecordsReplayed    int // WAL records re-applied across all reopens
-	UpdatesReplayed    int // motion updates re-applied across all reopens
-	Rotations          int // fresh-file rotations after MaxSegments
-	LostAcked          int // acknowledged batches missing after replay (MUST be 0)
-	WrongAnswers       int // query answers differing from the replica (MUST be 0)
-	QueriesCompared    int // individual query comparisons performed
 }
 
 func (r ChaosSoakReport) String() string {
@@ -175,7 +157,7 @@ func openChaos(path, walPath string, bufferPages int, mopts MaintenanceOptions,
 
 // ChaosSoak runs the combined crash + disk-full + self-healing soak.
 // Each cycle reopens with recovery and verifies against a never-crashed
-// replica (WALSoak's loop), then lets the maintenance tick bound the log
+// replica (WALSoak's cycle), then lets the maintenance tick bound the log
 // by policy, then — on a rotating schedule — fills a volume (the log's
 // or the page store's, sticky or transient), drives the database into
 // read-only mode, clears the fault, and requires the maintenance probe
@@ -192,33 +174,6 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.Batch <= 0 {
-		opts.Batch = 24
-	}
-	if opts.AckedBatches <= 0 {
-		opts.AckedBatches = 4
-	}
-	if opts.AsyncBatches <= 0 {
-		opts.AsyncBatches = 3
-	}
-	if opts.Writers <= 0 {
-		opts.Writers = 4
-	}
-	if opts.BufferPages <= 0 {
-		opts.BufferPages = 4096
-	}
-	if opts.MaxWALBytes <= 0 {
-		opts.MaxWALBytes = 4 << 10
-	}
-	if opts.ProbeBudget <= 0 {
-		opts.ProbeBudget = 40
-	}
-	if opts.ScrubEvery == 0 {
-		opts.ScrubEvery = 2
-	}
-	if opts.MaxSegments <= 0 {
-		opts.MaxSegments = 8192
-	}
 	dir := opts.Dir
 	if dir == "" {
 		var err error
@@ -232,7 +187,7 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 	walPath := path + ".wal"
 
 	mopts := MaintenanceOptions{
-		Checkpoint:       CheckpointPolicy{MaxBytes: opts.MaxWALBytes},
+		Checkpoint:       CheckpointPolicy{MaxBytes: chaosMaxWALBytes},
 		ScrubPagesPerSec: 200_000, // one tick covers the whole working set
 		ProbeBackoff:     10 * time.Millisecond,
 		Interval:         -1, // manual ticks under the injected clock
@@ -242,77 +197,42 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 	ctx := context.Background()
 
 	var rep ChaosSoakReport
-	var committed []soakSeg
-	lay := singleLayout(path, walPath)
-	replica, err := createEngine(Options{}, 1, 0, layout{}, false)
-	if err != nil {
-		return rep, err
+	// faults is the page-path interposer of the cycle's open; the fault
+	// hooks are per store, which is why the chaos soak is one unit.
+	var faults *pager.FaultStore
+	s := &walCrashSoak{
+		counts: &rep.walCycleCounts,
+		seed:   opts.Seed, cycles: opts.Cycles, units: 1, lay: singleLayout(path, walPath),
+		batch: chaosBatch, asyncBatches: chaosAsyncBatches,
+		open: func() (*engine, error) {
+			db, _, f, err := openChaos(path, walPath, walSoakBufferPages, mopts, clk.Now, hook.fault)
+			if err != nil {
+				return nil, err
+			}
+			faults = f
+			return db.engine, nil
+		},
+		progress: func(cycle int) {
+			if opts.Log != nil && (cycle+1)%10 == 0 {
+				opts.Log("chaos soak cycle %d/%d: %s", cycle+1, opts.Cycles, rep)
+			}
+		},
 	}
-	defer func() { replica.Close() }()
-	if err := rebuildLogged(lay, 1, committed, opts.BufferPages); err != nil {
-		return rep, err
-	}
-
-	wrand := rand.New(rand.NewSource(opts.Seed))
-	var nextID ObjectID
-	var pendingAsync [][]soakSeg
-	for cycle := 0; cycle < opts.Cycles; cycle++ {
-		rep.Cycles++
-
-		// Recovery phase: reopen, replay, reconcile, compare.
-		db, _, faults, err := openChaos(path, walPath, opts.BufferPages, mopts, clk.Now, hook.fault)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: reopen: %w", cycle, err)
-		}
-		rrep := db.LastRecovery()
-		if !rrep.WALArmed {
-			return rep, fmt.Errorf("cycle %d: reopen did not arm the wal sidecar", cycle)
-		}
-		rep.RecordsReplayed += rrep.WALRecordsReplayed
-		rep.UpdatesReplayed += rrep.WALUpdatesReplayed
-		if rrep.WALTornTail {
-			rep.TornTails++
-		}
-		survived, err := reconcileAsync(db.engine, replica, &committed, pendingAsync)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-		}
-		if survived < 0 {
-			rep.LostAcked++
-			survived = 0
-		}
-		rep.AsyncSurvived += survived
-		pendingAsync = nil
-		qrand := rand.New(rand.NewSource(opts.Seed ^ (int64(cycle)+1)*0x5DEECE66D))
-		wrong, compared, err := compareAnswers(db, replica, qrand)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: query comparison: %w", cycle, err)
-		}
-		rep.WrongAnswers += wrong
-		rep.QueriesCompared += compared
-
+	s.quiescent = func(cycle int, db *engine) error {
 		// commitBatch applies one batch durably and mirrors it into the
 		// replica — the write the soak's durability invariant covers.
-		commitBatch := func(ups []MotionUpdate, batch []soakSeg) error {
-			if err := db.ApplyUpdates(ctx, ups, WriteOptions{Durability: DurabilitySync}); err != nil {
+		commitBatch := func(batch []soakSeg) error {
+			if err := db.ApplyUpdates(ctx, toUpdates(batch), WriteOptions{Durability: DurabilitySync}); err != nil {
 				return err
 			}
-			committed = append(committed, batch...)
-			for _, s := range batch {
-				if err := replica.Insert(s.id, s.seg); err != nil {
-					return fmt.Errorf("replica insert: %w", err)
-				}
-			}
-			return nil
+			return s.mirror(batch)
 		}
 		// healLoop ticks the maintenance loop (faults already cleared)
-		// until the recovery probe brings the database back read-write.
+		// until the recovery probe brings the database back read-write,
+		// then proves the heal with a durable write.
 		healLoop := func() error {
-			if !db.Degraded() {
-				return nil
-			}
 			start := db.maint.probeCount.Load()
-			for t := 0; db.Degraded() && t < opts.ProbeBudget; t++ {
+			for t := 0; db.Degraded() && t < chaosProbeBudget; t++ {
 				clk.Advance(500 * time.Millisecond) // past the max probe backoff
 				db.maint.tick()
 			}
@@ -321,10 +241,13 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 				last := db.maint.lastProbeErr
 				db.maint.mu.Unlock()
 				return fmt.Errorf("database did not heal within %d probe ticks (last probe error %q)",
-					opts.ProbeBudget, last)
+					chaosProbeBudget, last)
 			}
 			if probes := int(db.maint.probeCount.Load() - start); probes > rep.MaxProbesToHeal {
 				rep.MaxProbesToHeal = probes
+			}
+			if err := commitBatch(s.nextBatch(chaosBatch)); err != nil {
+				return fmt.Errorf("post-heal durable write: %w", err)
 			}
 			return nil
 		}
@@ -337,19 +260,11 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 			}
 		}
 
-		// Acknowledged write phase: concurrent batches, group-committed.
-		acked, err := soakAckedPhase(db.engine, replica, wrand, &nextID, opts.AckedBatches, opts.Batch, opts.Writers)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-		}
-		rep.BatchesAcked += opts.AckedBatches
-		committed = append(committed, acked...)
-
 		// The soak never calls Sync itself: one maintenance tick must keep
 		// the log under the checkpoint policy's byte cap.
 		clk.Advance(defaultMaintInterval)
 		db.maint.tick()
-		if db.logs[0].LiveBytes() >= opts.MaxWALBytes {
+		if db.logs[0].LiveBytes() >= chaosMaxWALBytes {
 			rep.WALBoundViolations++
 		}
 
@@ -359,50 +274,44 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 			hook.sticky.Store(true)
 			degraded := false
 			for i := 0; i < 8 && !degraded; i++ {
-				b := genSoakBatch(wrand, opts.Batch, &nextID)
-				err := db.ApplyUpdates(ctx, toUpdates(b), WriteOptions{Durability: DurabilitySync})
+				err := db.ApplyUpdates(ctx, toUpdates(s.nextBatch(chaosBatch)), WriteOptions{Durability: DurabilitySync})
 				if err == nil {
 					hook.sticky.Store(false)
-					return rep, fmt.Errorf("cycle %d: durable write succeeded with the log volume full", cycle)
+					return errors.New("durable write succeeded with the log volume full")
 				}
 				noteFaultErr(err)
 				degraded = db.Degraded()
 			}
 			if !degraded {
 				hook.sticky.Store(false)
-				return rep, fmt.Errorf("cycle %d: database did not degrade under a full log volume", cycle)
+				return errors.New("database did not degrade under a full log volume")
 			}
 			rep.DiskFullEpisodes++
 			rep.Degradations++
 			// The gate must refuse further writes with the typed sentinel.
-			if err := db.ApplyUpdates(ctx, toUpdates(genSoakBatch(wrand, 1, &nextID)), WriteOptions{}); !errors.Is(err, ErrReadOnly) {
+			if err := db.ApplyUpdates(ctx, toUpdates(s.nextBatch(1)), WriteOptions{}); !errors.Is(err, ErrReadOnly) {
 				rep.UntypedWriteErrors++
 			}
 			hook.sticky.Store(false) // space returns
 			if err := healLoop(); err != nil {
-				return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-			}
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
-			if err := commitBatch(toUpdates(b), b); err != nil {
-				return rep, fmt.Errorf("cycle %d: post-heal durable write: %w", cycle, err)
+				return err
 			}
 
 		case 2: // transient disk-full spike on the log volume
 			hook.burst.Store(1)
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
-			ups := toUpdates(b)
-			err := db.ApplyUpdates(ctx, ups, WriteOptions{Durability: DurabilitySync})
+			b := s.nextBatch(chaosBatch)
+			err := db.ApplyUpdates(ctx, toUpdates(b), WriteOptions{Durability: DurabilitySync})
 			if err == nil {
-				return rep, fmt.Errorf("cycle %d: transient log fault did not fire", cycle)
+				return errors.New("transient log fault did not fire")
 			}
 			noteFaultErr(err)
 			rep.TransientFaults++
 			if db.Degraded() {
-				return rep, fmt.Errorf("cycle %d: one transient failure tripped read-only (threshold is 2)", cycle)
+				return errors.New("one transient failure tripped read-only (threshold is 2)")
 			}
 			// Space came back on its own; the same batch must now commit.
-			if err := commitBatch(ups, b); err != nil {
-				return rep, fmt.Errorf("cycle %d: retry after transient fault: %w", cycle, err)
+			if err := commitBatch(b); err != nil {
+				return fmt.Errorf("retry after transient fault: %w", err)
 			}
 
 		case 3: // sticky disk-full on the page-store volume
@@ -410,29 +319,25 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 			err := db.Sync()
 			if err == nil {
 				faults.DisarmNoSpace()
-				return rep, fmt.Errorf("cycle %d: checkpoint succeeded with the page volume full", cycle)
+				return errors.New("checkpoint succeeded with the page volume full")
 			}
 			noteFaultErr(err)
 			if !db.Degraded() {
 				faults.DisarmNoSpace()
-				return rep, fmt.Errorf("cycle %d: failed checkpoint with WAL armed did not degrade", cycle)
+				return errors.New("failed checkpoint with WAL armed did not degrade")
 			}
 			rep.DiskFullEpisodes++
 			rep.Degradations++
 			faults.DisarmNoSpace() // space returns
 			if err := healLoop(); err != nil {
-				return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-			}
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
-			if err := commitBatch(toUpdates(b), b); err != nil {
-				return rep, fmt.Errorf("cycle %d: post-heal durable write: %w", cycle, err)
+				return err
 			}
 
 		case 4: // transient disk-full spike on the page-store volume
 			faults.ArmNoSpace(1, false)
 			err := db.Sync()
 			if err == nil {
-				return rep, fmt.Errorf("cycle %d: transient page fault did not fire", cycle)
+				return errors.New("transient page fault did not fire")
 			}
 			noteFaultErr(err)
 			rep.TransientFaults++
@@ -440,32 +345,28 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 			// (the log cannot be allowed to grow behind silent retries);
 			// the probe must bring it back.
 			if !db.Degraded() {
-				return rep, fmt.Errorf("cycle %d: failed checkpoint with WAL armed did not degrade", cycle)
+				return errors.New("failed checkpoint with WAL armed did not degrade")
 			}
 			rep.Degradations++
 			if err := healLoop(); err != nil {
-				return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-			}
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
-			if err := commitBatch(toUpdates(b), b); err != nil {
-				return rep, fmt.Errorf("cycle %d: post-heal durable write: %w", cycle, err)
+				return err
 			}
 		}
 
 		// Scrub phase: a full pass over the committed tree, with every
 		// fault disarmed, must find nothing.
-		if opts.ScrubEvery > 0 && cycle%opts.ScrubEvery == 0 {
+		if cycle%chaosScrubEvery == 0 {
 			passes := db.maint.scrubPassCount.Load()
 			for t := 0; t < 50 && db.maint.scrubPassCount.Load() == passes; t++ {
 				clk.Advance(defaultMaintInterval)
 				db.maint.tick()
 			}
 			if db.maint.scrubPassCount.Load() == passes {
-				return rep, fmt.Errorf("cycle %d: scrub pass did not complete", cycle)
+				return errors.New("scrub pass did not complete")
 			}
 			if c := db.maint.scrubCorruptCount.Load(); c > 0 {
 				rep.ScrubCorruptions += int(c)
-				return rep, fmt.Errorf("cycle %d: scrub reported %d corruptions on clean data", cycle, c)
+				return fmt.Errorf("scrub reported %d corruptions on clean data", c)
 			}
 		}
 
@@ -476,50 +377,8 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 		rep.Heals += int(db.maint.heals.Load())
 		rep.ScrubPasses += int(db.maint.scrubPassCount.Load())
 		rep.ScrubPages += int(db.maint.scrubPageCount.Load())
-
-		// The durable boundary: every log byte on disk is fsync-covered
-		// (the soak is quiescent), so the tear lands strictly beyond it.
-		ackedSize, err := fileSize(walPath)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-		}
-
-		// Async tail: appended, applied in memory, never awaited.
-		for i := 0; i < opts.AsyncBatches; i++ {
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
-			if err := db.ApplyUpdates(ctx, toUpdates(b), WriteOptions{Durability: DurabilityAsync}); err != nil {
-				return rep, fmt.Errorf("cycle %d: async batch: %w", cycle, err)
-			}
-			pendingAsync = append(pendingAsync, b)
-		}
-		rep.BatchesAsync += len(pendingAsync)
-
-		if err := db.crash(); err != nil {
-			return rep, fmt.Errorf("cycle %d: crash: %w", cycle, err)
-		}
-		torn, err := tearWALTail(walPath, ackedSize, wrand)
-		if err != nil {
-			return rep, fmt.Errorf("cycle %d: tear: %w", cycle, err)
-		}
-		if torn {
-			rep.Tears++
-		}
-
-		if len(committed) >= opts.MaxSegments {
-			committed = committed[:0]
-			pendingAsync = nil
-			replica.Close()
-			if replica, err = createEngine(Options{}, 1, 0, layout{}, false); err != nil {
-				return rep, err
-			}
-			if err := rebuildLogged(lay, 1, committed, opts.BufferPages); err != nil {
-				return rep, err
-			}
-			rep.Rotations++
-		}
-		if opts.Log != nil && (cycle+1)%10 == 0 {
-			opts.Log("chaos soak cycle %d/%d: %s", cycle+1, opts.Cycles, rep)
-		}
+		return nil
 	}
-	return rep, nil
+	err := s.run()
+	return rep, err
 }

@@ -1,13 +1,17 @@
-// Command dqbench regenerates the evaluation figures of "Dynamic Queries
-// over Mobile Objects" (EDBT 2002), printing one table per figure:
-// per-query disk accesses (split leaf/internal) or distance computations,
-// for the first snapshot query and averaged over subsequent snapshot
-// queries, across the paper's overlap and query-range sweeps.
+// Command dqbench does the two jobs the repository benchmark (benchmark/)
+// does not: it regenerates the evaluation figures of "Dynamic Queries over
+// Mobile Objects" (EDBT 2002) — one table per figure of per-query disk
+// accesses (split leaf/internal) or distance computations, for the first
+// snapshot query and averaged over subsequent snapshot queries, across the
+// paper's overlap and query-range sweeps — gating those deterministic
+// counters exactly against a recorded baseline, and it runs the
+// crash/fault soaks.
 //
 // Usage:
 //
-//	dqbench [-fig N] [-scale F] [-trajectories N] [-seed N] [-csv] [-mixed] [-hist] [-shards N]
-//	        [-concurrency N] [-json FILE] [-compare FILE] [-compare-threshold F] [-compare-warn]
+//	dqbench [-fig N] [-scale F] [-trajectories N] [-seed N] [-csv] [-mixed]
+//	        [-json FILE] [-compare FILE]
+//	dqbench -faults N [-fault-seed N] [-wal [-shards N | -chaos]]
 //	        [-log-level L] [-log-format F]
 //
 //	-fig 0            regenerate all figures (6-13); or a single figure
@@ -17,24 +21,24 @@
 //	-seed 1           workload RNG seed
 //	-csv              machine-readable output for plotting
 //	-mixed            also run the mixed static+mobile NPDQ experiment
-//	-hist             report per-frame wall-time percentiles per figure
-//	-concurrency 8    also run the 1-vs-N concurrent netq client comparison
-//	-ingest           also run the serial-Insert vs batched-ApplyUpdates
-//	                  ingest throughput comparison (memory and WAL engines)
-//	-shards 4         also run the 1-vs-N sharded engine comparison
-//	-faults 200       crash/reopen fault-injection soak instead of benchmarks
+//	-json FILE        write a versioned machine-readable report (BENCH_*.json)
+//	-compare FILE     gate this run against a baseline report: every cost
+//	                  counter of every cell of the figures run must equal
+//	                  the baseline's; exits 3 on any difference
+//	-faults 200       crash/reopen fault-injection soak instead of figures
+//	-fault-seed 1     seed of the soak's workload and fault schedule
 //	-wal              with -faults: tear the WAL tail instead of the page
 //	                  file and assert exact replay of acknowledged writes
+//	-shards 4         with -faults -wal: soak a sharded engine, one log per
+//	                  shard
 //	-chaos            with -faults -wal: interleave disk-full episodes and
 //	                  the self-healing maintenance loop with the crashes
-//	-json FILE        write a versioned machine-readable report (BENCH_*.json)
-//	-compare FILE     check this run against a baseline report; exits 3 on
-//	                  regression unless -compare-warn is set
 //	-log-level info   diagnostic log level: debug, info, warn, error
 //	-log-format text  diagnostic log format: text or json
 //
-// SIGINT/SIGTERM finishes the current figure and exits cleanly; a second
-// signal forces exit.
+// A flag the selected mode would ignore is an error (exit 2), not a
+// silently weaker run. SIGINT/SIGTERM finishes the current figure and
+// exits cleanly; a second signal forces exit.
 package main
 
 import (
@@ -53,36 +57,88 @@ import (
 	"dynq/internal/stats"
 )
 
+// options holds the parsed command line.
+type options struct {
+	fig          int
+	scale        float64
+	trajectories int
+	seed         int64
+	mixed, csv   bool
+
+	faults     int
+	faultSeed  int64
+	wal, chaos bool
+	shards     int
+
+	jsonOut, compare    string
+	logLevel, logFormat string
+}
+
+// newFlags declares every dqbench flag on a fresh set bound to o.
+func newFlags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("dqbench", flag.ExitOnError)
+	fs.IntVar(&o.fig, "fig", 0, "figure to regenerate (6-13), 0 = all")
+	fs.Float64Var(&o.scale, "scale", 0.2, "object population scale (1.0 = paper)")
+	fs.IntVar(&o.trajectories, "trajectories", 20, "dynamic queries per cell (paper: 1000)")
+	fs.Int64Var(&o.seed, "seed", 1, "workload RNG seed")
+	fs.BoolVar(&o.mixed, "mixed", false, "also run the mixed static+mobile NPDQ experiment")
+	fs.BoolVar(&o.csv, "csv", false, "emit machine-readable CSV instead of tables")
+	fs.IntVar(&o.faults, "faults", 0, "run N crash/reopen fault-injection soak cycles instead of figures")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "deterministic seed for the -faults soak (workload + fault schedule)")
+	fs.BoolVar(&o.wal, "wal", false, "with -faults: tear the write-ahead log instead of the page file (crash mid-record and mid-group-commit, assert exact replay)")
+	fs.IntVar(&o.shards, "shards", 0, "with -faults -wal: soak a sharded engine of N units, one log per shard (0 = the single-file layout)")
+	fs.BoolVar(&o.chaos, "chaos", false, "with -faults -wal: interleave disk-full episodes and self-healing maintenance (auto-checkpoint, recovery probe, scrub) with the crash cycles")
+	fs.StringVar(&o.jsonOut, "json", "", "write a machine-readable benchmark report (BENCH_*.json) to this file")
+	fs.StringVar(&o.compare, "compare", "", "baseline BENCH_*.json whose cost counters this run must equal")
+	fs.StringVar(&o.logLevel, "log-level", "info", "diagnostic log level: debug, info, warn, error")
+	fs.StringVar(&o.logFormat, "log-format", "text", "diagnostic log format: text or json")
+	return fs
+}
+
+// soakFlags select and shape the -faults soaks; every other flag but the
+// logging pair belongs to the figure runs.
+var soakFlags = map[string]bool{"faults": true, "fault-seed": true, "wal": true, "shards": true, "chaos": true}
+
+// validate rejects, after parsing, every flag the selected mode would
+// ignore: a typo must not run a weaker soak and print a passing report.
+func validate(fs *flag.FlagSet, o *options) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil || f.Name == "faults" || f.Name == "log-level" || f.Name == "log-format" {
+			return
+		}
+		switch {
+		case o.faults > 0 && !soakFlags[f.Name]:
+			err = fmt.Errorf("-%s is ignored by the -faults soak: drop one of them", f.Name)
+		case o.faults <= 0 && soakFlags[f.Name]:
+			err = fmt.Errorf("-%s needs -faults N (N > 0): without it the figures run and -%s is ignored", f.Name, f.Name)
+		}
+	})
+	switch {
+	case err != nil:
+		return err
+	case o.chaos && !o.wal:
+		return fmt.Errorf("-chaos needs -wal: without it the plain fault soak runs and -chaos is ignored")
+	case o.shards != 0 && !o.wal:
+		return fmt.Errorf("-shards needs -wal: only the WAL soak has units to count")
+	case o.shards != 0 && o.chaos:
+		return fmt.Errorf("-shards is ignored by -chaos: the chaos soak is one unit (its fault hooks are per store)")
+	case o.shards < 0:
+		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
+	}
+	return nil
+}
+
 func main() {
-	var (
-		fig          = flag.Int("fig", 0, "figure to regenerate (6-13), 0 = all")
-		scale        = flag.Float64("scale", 0.2, "object population scale (1.0 = paper)")
-		trajectories = flag.Int("trajectories", 20, "dynamic queries per cell (paper: 1000)")
-		seed         = flag.Int64("seed", 1, "workload RNG seed")
-		mixed        = flag.Bool("mixed", false, "also run the mixed static+mobile NPDQ experiment")
-		csvOut       = flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
-		hist         = flag.Bool("hist", false, "report per-frame wall-time percentiles (p50/p95/p99) per figure")
-		shards       = flag.Int("shards", 0, "also run the 1-vs-N sharded engine comparison with N shards")
-		workers      = flag.Int("workers", 0, "worker-pool bound for -shards (0 = GOMAXPROCS)")
-		concurrency  = flag.Int("concurrency", 0, "also run the 1-vs-N concurrent netq client comparison with N clients")
-		ingest       = flag.Bool("ingest", false, "also run the serial-Insert vs batched-ApplyUpdates ingest throughput comparison")
-		faults       = flag.Int("faults", 0, "run N crash/reopen fault-injection soak cycles instead of benchmarks")
-		faultSeed    = flag.Int64("fault-seed", 1, "deterministic seed for the -faults soak (workload + fault schedule)")
-		walSoak      = flag.Bool("wal", false, "with -faults: tear the write-ahead log instead of the page file (crash mid-record and mid-group-commit, assert exact replay)")
-		chaos        = flag.Bool("chaos", false, "with -faults -wal: interleave disk-full episodes and self-healing maintenance (auto-checkpoint, recovery probe, scrub) with the crash cycles")
+	var o options
+	fs := newFlags(&o)
+	fs.Parse(os.Args[1:])
+	if err := validate(fs, &o); err != nil {
+		fmt.Fprintln(os.Stderr, "dqbench:", err)
+		os.Exit(2)
+	}
 
-		jsonOut          = flag.String("json", "", "write a machine-readable benchmark report (BENCH_*.json) to this file")
-		comparePath      = flag.String("compare", "", "baseline BENCH_*.json to check this run against")
-		compareThreshold = flag.Float64("compare-threshold", compare.DefaultThreshold, "relative cost increase -compare flags as a regression")
-		compareWarn      = flag.Bool("compare-warn", false, "report -compare regressions without failing the run")
-		latThreshold     = flag.Float64("compare-latency", 0, "also compare p95 frame latency at this threshold (0 = skip; needs comparable hardware)")
-
-		logLevel  = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, error")
-		logFormat = flag.String("log-format", "text", "diagnostic log format: text or json")
-	)
-	flag.Parse()
-
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := obs.NewLogger(os.Stderr, o.logLevel, o.logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dqbench:", err)
 		os.Exit(2)
@@ -106,7 +162,11 @@ func main() {
 		os.Exit(130)
 	}()
 
-	if *faults > 0 && *walSoak && *chaos {
+	soakLog := func(format string, args ...any) {
+		logger.Info(fmt.Sprintf(format, args...))
+	}
+	switch {
+	case o.faults > 0 && o.chaos:
 		// Chaos soak mode: WAL crash cycles interleaved with disk-full
 		// episodes (sticky and transient, on the log and the page store),
 		// with the self-healing maintenance loop — auto-checkpoint,
@@ -114,14 +174,8 @@ func main() {
 		// injected clock. Exits non-zero on any lost acknowledged batch,
 		// wrong answer, unbounded log, untyped fault error, scrub false
 		// positive, or an episode that fails to heal.
-		logger.Info("chaos soak starting", "cycles", *faults, "seed", *faultSeed)
-		rep, err := dynq.ChaosSoak(dynq.ChaosSoakOptions{
-			Cycles: *faults,
-			Seed:   *faultSeed,
-			Log: func(format string, args ...any) {
-				logger.Info(fmt.Sprintf(format, args...))
-			},
-		})
+		logger.Info("chaos soak starting", "cycles", o.faults, "seed", o.faultSeed)
+		rep, err := dynq.ChaosSoak(dynq.ChaosSoakOptions{Cycles: o.faults, Seed: o.faultSeed, Log: soakLog})
 		if err != nil {
 			fatal(fmt.Errorf("chaos soak harness: %w (partial report: %s)", err, rep))
 		}
@@ -137,23 +191,15 @@ func main() {
 			"heals", rep.Heals, "auto_checkpoints", rep.AutoCheckpoints,
 			"scrub_passes", rep.ScrubPasses, "torn_tails", rep.TornTails)
 		return
-	}
-	if *faults > 0 && *walSoak {
+	case o.faults > 0 && o.wal:
 		// WAL soak mode: crash/reopen cycles that tear the write-ahead
 		// log's unsynced tail (mid-record, mid-group-commit), asserting
 		// that replay restores every acknowledged write exactly. With
 		// -shards N the soak runs against the sharded engine — one log
 		// per shard, each crash tearing a random subset of them. Exits
 		// non-zero on any lost acknowledged batch or wrong answer.
-		logger.Info("wal soak starting", "cycles", *faults, "seed", *faultSeed, "shards", *shards)
-		rep, err := dynq.WALSoak(dynq.WALSoakOptions{
-			Cycles: *faults,
-			Seed:   *faultSeed,
-			Shards: *shards,
-			Log: func(format string, args ...any) {
-				logger.Info(fmt.Sprintf(format, args...))
-			},
-		})
+		logger.Info("wal soak starting", "cycles", o.faults, "seed", o.faultSeed, "shards", o.shards)
+		rep, err := dynq.WALSoak(dynq.WALSoakOptions{Cycles: o.faults, Seed: o.faultSeed, Shards: o.shards, Log: soakLog})
 		if err != nil {
 			fatal(fmt.Errorf("wal soak harness: %w (partial report: %s)", err, rep))
 		}
@@ -165,19 +211,12 @@ func main() {
 		logger.Info("wal soak passed", "cycles", rep.Cycles, "tears", rep.Tears,
 			"torn_tails", rep.TornTails, "records_replayed", rep.RecordsReplayed)
 		return
-	}
-	if *faults > 0 {
+	case o.faults > 0:
 		// Fault soak mode: crash/reopen cycles under injected storage
 		// faults, asserting zero silent corruption. Exits non-zero on any
 		// wrong answer.
-		logger.Info("fault soak starting", "cycles", *faults, "seed", *faultSeed)
-		rep, err := dynq.FaultSoak(dynq.SoakOptions{
-			Cycles: *faults,
-			Seed:   *faultSeed,
-			Log: func(format string, args ...any) {
-				logger.Info(fmt.Sprintf(format, args...))
-			},
-		})
+		logger.Info("fault soak starting", "cycles", o.faults, "seed", o.faultSeed)
+		rep, err := dynq.FaultSoak(dynq.SoakOptions{Cycles: o.faults, Seed: o.faultSeed, Log: soakLog})
 		if err != nil {
 			fatal(fmt.Errorf("fault soak harness: %w (partial report: %s)", err, rep))
 		}
@@ -190,87 +229,51 @@ func main() {
 		return
 	}
 
-	cfg := bench.Config{Scale: *scale, Trajectories: *trajectories, Seed: *seed}
-	telemetry := *jsonOut != "" || *comparePath != ""
-	// The latency hook feeds whichever histogram the current figure owns
-	// (figures run sequentially, so a single indirection suffices). The
-	// telemetry report wants per-figure percentiles too, so -json implies
-	// collection even without -hist.
-	var curHist *obs.Histogram
-	if *hist || telemetry {
-		cfg.Latency = func(d time.Duration) {
-			if curHist != nil {
-				curHist.ObserveDuration(d)
-			}
-		}
-	}
+	cfg := bench.Config{Scale: o.scale, Trajectories: o.trajectories, Seed: o.seed}
 	report := bench.NewReport(cfg)
-	// finish writes the telemetry report and runs the baseline comparison;
-	// every successful exit path goes through it so `-json`/`-compare`
-	// work with `-mixed`/`-shards`-only runs and after an interrupt.
+	// finish writes the report and gates it against the baseline; every
+	// successful exit path goes through it so -json/-compare work with a
+	// -mixed-only run and after an interrupt.
 	finish := func() {
-		if !telemetry {
-			return
-		}
-		if *jsonOut != "" {
-			if err := report.WriteFile(*jsonOut); err != nil {
+		if o.jsonOut != "" {
+			if err := report.WriteFile(o.jsonOut); err != nil {
 				fatal(err)
 			}
-			logger.Info("wrote benchmark report", "path", *jsonOut,
+			logger.Info("wrote benchmark report", "path", o.jsonOut,
 				"schema_version", bench.ReportSchemaVersion, "figures", len(report.Figures))
 		}
-		if *comparePath != "" {
-			baseline, err := bench.ReadReport(*comparePath)
+		if o.compare != "" {
+			baseline, err := bench.ReadReport(o.compare)
 			if err != nil {
 				fatal(err)
 			}
-			res, err := compare.Compare(baseline, report, compare.Options{
-				Threshold:        *compareThreshold,
-				LatencyThreshold: *latThreshold,
-			})
+			res, err := compare.Compare(baseline, report)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Fprintln(os.Stderr, res.Summary())
-			if !res.OK() && !*compareWarn {
-				logger.Error("benchmark regression against baseline",
-					"baseline", *comparePath, "regressions", len(res.Regressions))
+			if !res.OK() {
+				logger.Error("cost counters differ from the baseline", "baseline", o.compare)
 				os.Exit(3)
 			}
 		}
 	}
-	// Extra experiments run before the figures; with the default -fig 0
-	// they replace the figure sweep entirely.
-	extrasOnly := *fig == 0 && (*mixed || *shards > 0 || *concurrency > 0 || *ingest)
-	if *mixed {
+	// The mixed experiment runs before the figures; with the default
+	// -fig 0 it replaces the figure sweep entirely.
+	if o.mixed {
 		if err := runMixed(cfg); err != nil {
 			fatal(err)
 		}
-	}
-	if *shards > 0 {
-		if err := runShards(cfg, *shards, *workers, report); err != nil {
-			fatal(err)
+		if o.fig == 0 {
+			finish()
+			return
 		}
-	}
-	if *concurrency > 0 {
-		if err := runConcurrency(cfg, *concurrency, report); err != nil {
-			fatal(err)
-		}
-	}
-	if *ingest {
-		if err := runIngest(cfg, *shards, report); err != nil {
-			fatal(err)
-		}
-	}
-	if extrasOnly {
-		finish()
-		return
 	}
 	var specs []bench.FigureSpec
-	if *fig == 0 {
+	if o.fig == 0 {
 		specs = bench.Specs()
 	} else {
-		s, err := bench.SpecFor(bench.Figure(*fig))
+		s, err := bench.SpecFor(bench.Figure(o.fig))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -303,9 +306,6 @@ func main() {
 			break
 		}
 		start := time.Now()
-		if *hist || telemetry {
-			curHist = obs.NewHistogram(nil)
-		}
 		ix, err := index(spec.DualTime)
 		if err != nil {
 			fatal(err)
@@ -315,28 +315,14 @@ func main() {
 			fatal(err)
 		}
 		elapsed := time.Since(start)
-		if *csvOut {
+		if o.csv {
 			printCSV(spec, cells)
 		} else {
 			printFigure(spec, cells, ix.Segments, elapsed)
 		}
-		if *hist && curHist.Count() > 0 {
-			printHist(spec, curHist)
-		}
-		report.AddFigure(spec, cells, ix.Segments, elapsed, bench.LatencyFromHistogram(curHist))
+		report.AddFigure(spec, cells, ix.Segments, elapsed)
 	}
 	finish()
-}
-
-// printHist reports the figure's per-frame wall-time percentiles — the
-// tail-latency complement to the paper's mean cost counters.
-func printHist(spec bench.FigureSpec, h *obs.Histogram) {
-	toDur := func(q float64) time.Duration {
-		return time.Duration(h.Quantile(q) * float64(time.Second)).Round(100 * time.Nanosecond)
-	}
-	fmt.Printf("figure %d frame latency (n=%d): p50=%v p95=%v p99=%v mean=%v\n",
-		spec.Fig, h.Count(), toDur(0.50), toDur(0.95), toDur(0.99),
-		time.Duration(h.Sum()/float64(h.Count())*float64(time.Second)).Round(100*time.Nanosecond))
 }
 
 var csvHeaderDone bool
@@ -356,112 +342,6 @@ func printCSV(spec bench.FigureSpec, cells []bench.Cell) {
 			c.First.LeafReads, c.First.InternalReads, c.First.Reads(), c.First.DistanceComps,
 			c.Subseq.LeafReads, c.Subseq.InternalReads, c.Subseq.Reads(), c.Subseq.DistanceComps)
 	}
-}
-
-// runShards prints the sharded-engine comparison: the same snapshot and
-// KNN workload on one tree vs an N-shard parallel engine. Speedup needs
-// real cores; on one CPU the table shows the fan-out overhead instead.
-func runShards(cfg bench.Config, shards, workers int, report *bench.Report) error {
-	fmt.Printf("\n=== Sharded engine: 1 tree vs %d shards (snapshot sweep + KNN) ===\n", shards)
-	cells, segments, err := bench.ShardExperiment(cfg, shards, workers)
-	if err != nil {
-		return err
-	}
-	report.AddShardCells(shards, cells)
-	fmt.Printf("index: %d segments; workers=%d (0=GOMAXPROCS)\n", segments, workers)
-	fmt.Printf("%-9s | %-8s | %-12s | %-12s | %s\n", "workload", "queries", "single", "sharded", "speedup")
-	for _, c := range cells {
-		name := fmt.Sprintf("range %g", c.Range)
-		if c.Range == 0 {
-			name = "knn k=10"
-		}
-		fmt.Printf("%-9s | %8d | %12v | %12v | %6.2fx\n",
-			name, c.Queries, c.Single.Round(time.Microsecond), c.Sharded.Round(time.Microsecond), c.Speedup())
-	}
-	return nil
-}
-
-// runConcurrency prints the concurrent-read comparison: the same
-// snapshot batch through one netq server with 1 vs N client goroutines.
-// Every concurrent answer is checked against the serial in-process
-// result, so the table is also a correctness run for the parallel read
-// path. Speedup needs real cores.
-func runConcurrency(cfg bench.Config, clients int, report *bench.Report) error {
-	fmt.Printf("\n=== Concurrent reads: 1 vs %d netq clients (snapshot sweep) ===\n", clients)
-	cells, segments, err := bench.ConcurrencyExperiment(cfg, clients)
-	if err != nil {
-		return err
-	}
-	report.AddConcurrencyCells(clients, cells)
-	fmt.Printf("index: %d segments; server read gate = GOMAXPROCS\n", segments)
-	fmt.Printf("%-8s | %-8s | %-12s | %-12s | %-8s | %-10s | %s\n",
-		"clients", "queries", "wall", "qps", "speedup", "srv p50", "srv p99")
-	var base time.Duration
-	for _, c := range cells {
-		if c.Clients == 1 {
-			base = c.Wall
-		}
-	}
-	for _, c := range cells {
-		speedup := 0.0
-		if c.Wall > 0 && base > 0 {
-			speedup = float64(base) / float64(c.Wall)
-		}
-		fmt.Printf("%8d | %8d | %12v | %12.0f | %6.2fx | %10v | %v\n",
-			c.Clients, c.Queries, c.Wall.Round(time.Microsecond), c.QPS(), speedup,
-			time.Duration(c.WindowP50*float64(time.Second)).Round(time.Microsecond),
-			time.Duration(c.WindowP99*float64(time.Second)).Round(time.Microsecond))
-	}
-	return nil
-}
-
-// runIngest prints the ingest-throughput comparison: the same motion
-// update stream through a netq server as serial Insert round trips vs
-// batched ApplyUpdates requests, against the in-memory engine and a
-// WAL-armed file engine (group-commit durability). With -shards N it
-// appends batched rows against a sharded database with one log per
-// shard (mode "wal-Nsh"), compared to the same serial durable
-// baseline. Each row's final segment count is checked against what was
-// sent.
-func runIngest(cfg bench.Config, shards int, report *bench.Report) error {
-	fmt.Println("\n=== Ingest: serial Insert vs batched ApplyUpdates (netq, updates/sec) ===")
-	cells, err := bench.IngestExperiment(cfg, []int{64, 256}, shards)
-	if err != nil {
-		return err
-	}
-	report.AddIngestCells(cells)
-	fmt.Printf("%-10s | %-6s | %-8s | %-12s | %-12s | %-7s | %-10s | %s\n",
-		"durability", "batch", "updates", "wall", "updates/s", "speedup", "op p99", "fsync p99")
-	base := map[bool]float64{}
-	for _, c := range cells {
-		if c.Batch == 1 {
-			base[c.WAL] = c.UPS()
-		}
-	}
-	for _, c := range cells {
-		mode := "memory"
-		if c.WAL {
-			mode = "wal"
-		}
-		if c.Maint {
-			mode = "wal+maint"
-		}
-		if c.Shards > 1 {
-			mode = fmt.Sprintf("wal-%dsh", c.Shards)
-		}
-		speedup := 0.0
-		if b := base[c.WAL]; b > 0 {
-			speedup = c.UPS() / b
-		}
-		fsync := "-"
-		if c.FsyncP99 > 0 {
-			fsync = time.Duration(c.FsyncP99 * float64(time.Second)).Round(time.Microsecond).String()
-		}
-		fmt.Printf("%-10s | %6d | %8d | %12v | %12.0f | %6.2fx | %10v | %s\n",
-			mode, c.Batch, c.Updates, c.Wall.Round(time.Microsecond), c.UPS(), speedup,
-			time.Duration(c.WindowP99*float64(time.Second)).Round(time.Microsecond), fsync)
-	}
-	return nil
 }
 
 // runMixed prints the situational-awareness-mix experiment: NPDQ over a

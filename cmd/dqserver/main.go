@@ -78,39 +78,69 @@ import (
 	"dynq/netq"
 )
 
+// options holds the parsed command line.
+type options struct {
+	addr            string
+	metrics         string
+	path            string
+	scale           float64
+	seed            int64
+	dual            bool
+	track           bool
+	horizon         float64
+	shards          int
+	walArm          bool
+	gcWin           time.Duration
+	autoCkptBytes   int64
+	autoCkptAge     time.Duration
+	scrubRate       int
+	probeBackoff    time.Duration
+	maxConc         int
+	maxQue          int
+	slowQuery       time.Duration
+	slowWrite       time.Duration
+	sloLatency      time.Duration
+	sloWriteLatency time.Duration
+	sloWindow       time.Duration
+	logLevel        string
+	logFormat       string
+}
+
+// newFlags declares every dqserver flag on a fresh set bound to o.
+func newFlags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("dqserver", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":7207", "listen address")
+	fs.StringVar(&o.metrics, "metrics", "", "observability listen address (e.g. :7208); empty disables")
+	fs.StringVar(&o.path, "db", "", "database file to serve (from dqload)")
+	fs.Float64Var(&o.scale, "scale", 0.1, "synthetic population scale when no -db is given")
+	fs.Int64Var(&o.seed, "seed", 1, "synthetic workload seed")
+	fs.BoolVar(&o.dual, "dual", false, "dual temporal axes for the synthetic index")
+	fs.BoolVar(&o.track, "track", false, "attach a current-state tracker (enables OpTrack* operations)")
+	fs.Float64Var(&o.horizon, "horizon", 2, "tracker anticipation horizon")
+	fs.IntVar(&o.shards, "shards", 1, "partition the index across N parallel shards; with -db, serves the sharded file set <db>.shard<i> (created fresh or recovered)")
+	fs.BoolVar(&o.walArm, "wal", false, "arm a write-ahead log for durable writes; requires -db (sidecar <db>.wal, or one <db>.shard<i>.wal per shard with -shards)")
+	fs.DurationVar(&o.gcWin, "group-commit-window", 0, "WAL group-commit coalescing window (0 = 2ms default, negative fsyncs every commit round)")
+	fs.Int64Var(&o.autoCkptBytes, "auto-checkpoint-bytes", 0, "auto-checkpoint any WAL whose live bytes reach this many (0 disables; needs -wal)")
+	fs.DurationVar(&o.autoCkptAge, "auto-checkpoint-age", 0, "auto-checkpoint any WAL whose oldest un-checkpointed record is this old (0 disables; needs -wal)")
+	fs.IntVar(&o.scrubRate, "scrub-rate", 0, "background scrub rate over committed pages, in pages/sec (0 disables; needs -db)")
+	fs.DurationVar(&o.probeBackoff, "probe-backoff", 0, "initial backoff between degraded-mode recovery probes (0 = 1s once any maintenance flag enables the loop; setting it alone enables probing)")
+	fs.IntVar(&o.maxConc, "max-concurrent", 0, "max concurrently executing read queries (0 = GOMAXPROCS, <0 = unlimited)")
+	fs.IntVar(&o.maxQue, "max-queue", 0, "max read queries waiting for a slot before rejection (0 = 4x max-concurrent)")
+	fs.DurationVar(&o.slowQuery, "slow-query", obs.DefSlowThreshold, "capture queries slower than this into /debug/slow (negative disables)")
+	fs.DurationVar(&o.slowWrite, "slow-write", obs.DefSlowThreshold, "capture writes slower than this into /debug/slow (negative disables)")
+	fs.DurationVar(&o.sloLatency, "slo-latency", 100*time.Millisecond, "latency SLO target per read request")
+	fs.DurationVar(&o.sloWriteLatency, "slo-write-latency", 50*time.Millisecond, "durability-wait latency SLO target per acknowledged write")
+	fs.DurationVar(&o.sloWindow, "slo-window", 5*time.Minute, "window over which SLO attainment is computed")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error (debug logs every request)")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log format: text or json")
+	return fs
+}
+
 func main() {
-	var (
-		addr    = flag.String("addr", ":7207", "listen address")
-		metrics = flag.String("metrics", "", "observability listen address (e.g. :7208); empty disables")
-		path    = flag.String("db", "", "database file to serve (from dqload)")
-		scale   = flag.Float64("scale", 0.1, "synthetic population scale when no -db is given")
-		seed    = flag.Int64("seed", 1, "synthetic workload seed")
-		dual    = flag.Bool("dual", false, "dual temporal axes for the synthetic index")
-		track   = flag.Bool("track", false, "attach a current-state tracker (enables OpTrack* operations)")
-		horizon = flag.Float64("horizon", 2, "tracker anticipation horizon")
-		shards  = flag.Int("shards", 1, "partition the index across N parallel shards; with -db, serves the sharded file set <db>.shard<i> (created fresh or recovered)")
-		walArm  = flag.Bool("wal", false, "arm a write-ahead log for durable writes; requires -db (sidecar <db>.wal, or one <db>.shard<i>.wal per shard with -shards)")
-		gcWin   = flag.Duration("group-commit-window", 0, "WAL group-commit coalescing window (0 = 2ms default, negative fsyncs every commit round)")
+	var o options
+	newFlags(&o).Parse(os.Args[1:])
 
-		autoCkptBytes = flag.Int64("auto-checkpoint-bytes", 0, "auto-checkpoint any WAL whose live bytes reach this many (0 disables; needs -wal)")
-		autoCkptAge   = flag.Duration("auto-checkpoint-age", 0, "auto-checkpoint any WAL whose oldest un-checkpointed record is this old (0 disables; needs -wal)")
-		scrubRate     = flag.Int("scrub-rate", 0, "background scrub rate over committed pages, in pages/sec (0 disables; needs -db)")
-		probeBackoff  = flag.Duration("probe-backoff", 0, "initial backoff between degraded-mode recovery probes (0 = 1s once any maintenance flag enables the loop; setting it alone enables probing)")
-		maxConc       = flag.Int("max-concurrent", 0, "max concurrently executing read queries (0 = GOMAXPROCS, <0 = unlimited)")
-		maxQue        = flag.Int("max-queue", 0, "max read queries waiting for a slot before rejection (0 = 4x max-concurrent)")
-
-		slowQuery       = flag.Duration("slow-query", obs.DefSlowThreshold, "capture queries slower than this into /debug/slow (negative disables)")
-		slowWrite       = flag.Duration("slow-write", obs.DefSlowThreshold, "capture writes slower than this into /debug/slow (negative disables)")
-		sloLatency      = flag.Duration("slo-latency", 100*time.Millisecond, "latency SLO target per read request")
-		sloWriteLatency = flag.Duration("slo-write-latency", 50*time.Millisecond, "durability-wait latency SLO target per acknowledged write")
-		sloWindow       = flag.Duration("slo-window", 5*time.Minute, "window over which SLO attainment is computed")
-
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error (debug logs every request)")
-		logFormat = flag.String("log-format", "text", "log format: text or json")
-	)
-	flag.Parse()
-
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := obs.NewLogger(os.Stderr, o.logLevel, o.logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dqserver:", err)
 		os.Exit(2)
@@ -122,26 +152,26 @@ func main() {
 
 	// Flag combinations fail before any index is built or file touched —
 	// a bad invocation should not pay for a synthetic-index setup first.
-	if err := validateFlags(*path, *shards, *walArm); err != nil {
+	if err := validateFlags(o.path, o.shards, o.walArm); err != nil {
 		fmt.Fprintln(os.Stderr, "dqserver:", err)
 		os.Exit(2)
 	}
-	if (*autoCkptBytes > 0 || *autoCkptAge > 0) && !*walArm {
+	if (o.autoCkptBytes > 0 || o.autoCkptAge > 0) && !o.walArm {
 		fmt.Fprintln(os.Stderr, "dqserver: -auto-checkpoint-bytes/-auto-checkpoint-age need -wal: without a log there is nothing to checkpoint")
 		os.Exit(2)
 	}
-	if *scrubRate > 0 && *path == "" {
+	if o.scrubRate > 0 && o.path == "" {
 		fmt.Fprintln(os.Stderr, "dqserver: -scrub-rate needs -db: an in-memory index has no pages to scrub")
 		os.Exit(2)
 	}
 
 	maint := dynq.MaintenanceOptions{
-		Checkpoint:       dynq.CheckpointPolicy{MaxBytes: *autoCkptBytes, MaxAge: *autoCkptAge},
-		ScrubPagesPerSec: *scrubRate,
-		ProbeBackoff:     *probeBackoff,
+		Checkpoint:       dynq.CheckpointPolicy{MaxBytes: o.autoCkptBytes, MaxAge: o.autoCkptAge},
+		ScrubPagesPerSec: o.scrubRate,
+		ProbeBackoff:     o.probeBackoff,
 	}
 
-	db, recovery, err := openDB(*path, *scale, *seed, *dual, *shards, *walArm, *gcWin, maint, logger)
+	db, recovery, err := openDB(o.path, o.scale, o.seed, o.dual, o.shards, o.walArm, o.gcWin, maint, logger)
 	if err != nil {
 		fatal("open database", err)
 	}
@@ -151,7 +181,7 @@ func main() {
 		fatal("read index stats", err)
 	}
 
-	l, err := net.Listen("tcp", *addr)
+	l, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fatal("bind query listener", err)
 	}
@@ -171,45 +201,45 @@ func main() {
 	logger.Info("serving", args...)
 	if maint.Enabled() {
 		logger.Info("self-healing maintenance loop running",
-			"auto_checkpoint_bytes", *autoCkptBytes,
-			"auto_checkpoint_age", *autoCkptAge,
-			"scrub_pages_per_sec", *scrubRate,
-			"probe_backoff", *probeBackoff)
+			"auto_checkpoint_bytes", o.autoCkptBytes,
+			"auto_checkpoint_age", o.autoCkptAge,
+			"scrub_pages_per_sec", o.scrubRate,
+			"probe_backoff", o.probeBackoff)
 	}
 
 	srv := netq.NewServer(db)
 	srv.WithLogger(logger)
-	srv.WithSlowQueryThreshold(*slowQuery)
-	srv.WithSlowWriteThreshold(*slowWrite)
-	srv.WithSLO(obs.SLOConfig{Window: *sloWindow, LatencyTarget: *sloLatency})
-	srv.WithWriteSLO(obs.SLOConfig{Window: *sloWindow, LatencyTarget: *sloWriteLatency})
+	srv.WithSlowQueryThreshold(o.slowQuery)
+	srv.WithSlowWriteThreshold(o.slowWrite)
+	srv.WithSLO(obs.SLOConfig{Window: o.sloWindow, LatencyTarget: o.sloLatency})
+	srv.WithWriteSLO(obs.SLOConfig{Window: o.sloWindow, LatencyTarget: o.sloWriteLatency})
 	if recovery != nil {
 		srv.WithRecoveryReport(recovery)
 		logger.Info("recovery-on-open", "report", recovery.String())
 	}
-	if *maxConc != 0 || *maxQue != 0 {
-		n := *maxConc
+	if o.maxConc != 0 || o.maxQue != 0 {
+		n := o.maxConc
 		if n == 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		srv.WithConcurrency(n, *maxQue)
+		srv.WithConcurrency(n, o.maxQue)
 	}
 	logger.Info("read admission control",
 		"max_concurrent", srv.MaxConcurrent(), "max_queue", srv.MaxQueue())
-	if *track {
-		tk, err := dynq.NewTracker(dynq.TrackerOptions{Horizon: *horizon})
+	if o.track {
+		tk, err := dynq.NewTracker(dynq.TrackerOptions{Horizon: o.horizon})
 		if err != nil {
 			fatal("attach tracker", err)
 		}
 		srv.WithTracker(tk)
-		logger.Info("tracker attached (OpTrack* enabled)", "horizon", *horizon)
+		logger.Info("tracker attached (OpTrack* enabled)", "horizon", o.horizon)
 	}
 
 	var hs *http.Server
-	if *metrics != "" {
+	if o.metrics != "" {
 		// Bind synchronously so a taken port is a startup failure, not a
 		// warning buried in the logs of an otherwise-healthy server.
-		ml, err := net.Listen("tcp", *metrics)
+		ml, err := net.Listen("tcp", o.metrics)
 		if err != nil {
 			fatal("bind metrics listener", err)
 		}

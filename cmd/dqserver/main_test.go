@@ -1,9 +1,12 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"log/slog"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -126,6 +129,46 @@ func TestOpenDBShardedKeepsTreeShape(t *testing.T) {
 		}
 		if err := db.Close(); err != nil {
 			t.Fatalf("%s: %v", pass, err)
+		}
+	}
+}
+
+// readmeFlags returns the flags README.md's tables attribute to binary:
+// every `-name` in the first cell of a row whose second cell names it.
+func readmeFlags(t *testing.T, binary string) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| (`-[^|]*) \\| ([^|]*) \\|")
+	name := regexp.MustCompile(`(?:^|[\x60 ])-([a-z][a-z-]*)`)
+	flags := make(map[string]bool)
+	for _, m := range row.FindAllStringSubmatch(string(raw), -1) {
+		if !strings.Contains(m[2], binary) {
+			continue
+		}
+		for _, n := range name.FindAllStringSubmatch(m[1], -1) {
+			flags[n[1]] = true
+		}
+	}
+	return flags
+}
+
+// TestFlagsMatchREADME keeps README's flag tables honest in both
+// directions: every dqserver flag has a row, and every row that names
+// dqserver names a flag the binary has.
+func TestFlagsMatchREADME(t *testing.T) {
+	documented := readmeFlags(t, "dqserver")
+	fs := newFlags(&options{})
+	fs.VisitAll(func(f *flag.Flag) {
+		if !documented[f.Name] {
+			t.Errorf("flag -%s has no row naming dqserver in README.md's flag tables", f.Name)
+		}
+	})
+	for n := range documented {
+		if fs.Lookup(n) == nil {
+			t.Errorf("README.md documents -%s for dqserver, which has no such flag", n)
 		}
 	}
 }

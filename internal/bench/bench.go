@@ -12,7 +12,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"dynq/internal/core"
 	"dynq/internal/rtree"
@@ -39,10 +38,6 @@ type Config struct {
 	Trajectories int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Latency, when non-nil, receives the wall time of every snapshot
-	// frame evaluated (for percentile reporting alongside the paper's
-	// mean-cost metrics).
-	Latency func(time.Duration)
 }
 
 // DefaultConfig returns a configuration that completes a full figure in
@@ -107,13 +102,6 @@ func (ix *Index) RunCell(strategy Strategy, overlap, rng float64) (Cell, error) 
 	}, nil
 }
 
-// observe reports one frame's wall time to the configured latency hook.
-func (ix *Index) observe(start time.Time) {
-	if ix.cfg.Latency != nil {
-		ix.cfg.Latency(time.Since(start))
-	}
-}
-
 // runOne evaluates one dynamic query and returns the first-frame cost,
 // the summed subsequent cost and the number of subsequent frames.
 func (ix *Index) runOne(strategy Strategy, g *workload.Query) (first, subseq stats.Snapshot, frames int, err error) {
@@ -123,11 +111,9 @@ func (ix *Index) runOne(strategy Strategy, g *workload.Query) (first, subseq sta
 		naive := core.NewNaive(ix.Tree, rtree.SearchOptions{}, &c)
 		for i := range g.Windows {
 			before := c.Snapshot()
-			start := time.Now()
 			if _, err := naive.Snapshot(g.Windows[i], g.Times[i]); err != nil {
 				return first, subseq, frames, err
 			}
-			ix.observe(start)
 			delta := c.Snapshot().Sub(before)
 			if i == 0 {
 				first = delta
@@ -144,11 +130,9 @@ func (ix *Index) runOne(strategy Strategy, g *workload.Query) (first, subseq sta
 		defer pdq.Close()
 		for i := range g.Windows {
 			before := c.Snapshot()
-			start := time.Now()
 			if _, err := pdq.Drain(g.Times[i].Lo, g.Times[i].Hi); err != nil {
 				return first, subseq, frames, err
 			}
-			ix.observe(start)
 			delta := c.Snapshot().Sub(before)
 			if i == 0 {
 				first = delta
@@ -161,11 +145,9 @@ func (ix *Index) runOne(strategy Strategy, g *workload.Query) (first, subseq sta
 		npdq := core.NewNPDQ(ix.Tree, core.NPDQOptions{}, &c)
 		for i := range g.Windows {
 			before := c.Snapshot()
-			start := time.Now()
 			if _, err := npdq.Next(g.Windows[i], g.Times[i]); err != nil {
 				return first, subseq, frames, err
 			}
-			ix.observe(start)
 			delta := c.Snapshot().Sub(before)
 			if i == 0 {
 				first = delta

@@ -1,95 +1,51 @@
-// Package compare checks a fresh benchmark report against a recorded
-// baseline and flags cost or latency regressions. The paper's cost
-// counters (disk accesses, distance computations) are deterministic for
-// a fixed seed, so cell-for-cell comparison is exact across machines;
-// wall-clock latency is noisy and is only checked when explicitly
-// enabled.
+// Package compare gates a fresh benchmark report against a recorded
+// baseline. The paper's cost counters (disk accesses, distance
+// computations) are deterministic for a fixed seed, so the gate is
+// equality, cell for cell and counter for counter: a rise is a
+// regression, a fall is a change somebody must look at and record, and
+// both fail until the baseline is re-recorded on purpose.
 package compare
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dynq/internal/bench"
 )
 
-// Options tunes the regression check.
-type Options struct {
-	// Threshold is the relative increase in a deterministic cost counter
-	// (reads, distance comparisons) that counts as a regression.
-	// Zero means the default of 10%.
-	Threshold float64
-	// LatencyThreshold, when positive, also compares p95 frame latency.
-	// Latency is machine- and load-dependent, so it is off by default
-	// and meant for runs pinned to comparable hardware.
-	LatencyThreshold float64
-}
-
-// DefaultThreshold is the cost-counter tolerance used when
-// Options.Threshold is zero.
-const DefaultThreshold = 0.10
-
-// minCost is the absolute floor below which relative cost changes are
-// ignored: going from 0.2 to 0.5 reads per query is noise in the mean,
-// not a regression worth failing CI over.
-const minCost = 1.0
-
-// Regression is one metric that got worse beyond the threshold.
-type Regression struct {
-	Fig      int
-	Strategy string
-	Overlap  float64
-	Range    float64
-	Phase    string // "first" | "subseq" | "latency"
-	Metric   string
-	Old      float64
-	New      float64
-}
-
-// Ratio is the relative increase (0.5 = 50% worse).
-func (r Regression) Ratio() float64 {
-	if r.Old == 0 {
-		return 0
-	}
-	return r.New/r.Old - 1
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("fig %d %s overlap=%g range=%g: %s %s %.2f -> %.2f (+%.1f%%)",
-		r.Fig, r.Strategy, r.Overlap, r.Range, r.Phase, r.Metric,
-		r.Old, r.New, 100*r.Ratio())
-}
-
 // Result summarizes one comparison.
 type Result struct {
-	Regressions []Regression
 	// CellsCompared counts baseline cells matched in the new report.
 	CellsCompared int
-	// Missing lists baseline cells the new report no longer measures —
-	// reported (not failed) so a narrowed run is visible, not silent.
-	Missing []string
+	// diffs holds one line per counter that differs and per cell that one
+	// side measured and the other did not.
+	diffs []string
+	// notRun lists baseline figures the new report did not measure
+	// (dqbench -fig N) — reported, not failed, so a narrowed run is
+	// visible.
+	notRun []int
 }
 
-// OK reports whether the run is free of regressions.
-func (r *Result) OK() bool { return len(r.Regressions) == 0 }
+// OK reports whether every compared counter equals the baseline.
+func (r *Result) OK() bool { return len(r.diffs) == 0 }
 
 // Summary renders the result for terminal output.
 func (r *Result) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "compared %d cells", r.CellsCompared)
-	if len(r.Missing) > 0 {
-		fmt.Fprintf(&b, " (%d baseline cells not in this run)", len(r.Missing))
+	if len(r.notRun) > 0 {
+		fmt.Fprintf(&b, " (baseline figures not in this run: %v)", r.notRun)
 	}
 	if r.OK() {
-		b.WriteString(": no regressions")
+		b.WriteString(": equal to the baseline")
 		return b.String()
 	}
-	fmt.Fprintf(&b, ": %d regression(s)\n", len(r.Regressions))
-	for _, reg := range r.Regressions {
-		b.WriteString("  REGRESSION " + reg.String() + "\n")
+	fmt.Fprintf(&b, ": %d difference(s)\n", len(r.diffs))
+	for _, d := range r.diffs {
+		b.WriteString("  DIFF " + d + "\n")
 	}
-	return strings.TrimRight(b.String(), "\n")
+	b.WriteString("the counters are deterministic for a fixed seed: if the change is intended, re-record the baseline deliberately (-json)")
+	return b.String()
 }
 
 type cellKey struct {
@@ -102,10 +58,22 @@ func (k cellKey) String() string {
 	return fmt.Sprintf("fig %d %s overlap=%g range=%g", k.fig, k.strategy, k.overlap, k.rng)
 }
 
-// Compare checks the new report against the baseline. It errors when
-// the two runs measured different workloads (scale, seed, trajectory
-// count), because cost counters are only comparable on identical input.
-func Compare(baseline, current *bench.Report, opts Options) (*Result, error) {
+func cellsOf(r *bench.Report) map[cellKey]bench.CellReport {
+	m := make(map[cellKey]bench.CellReport)
+	for _, f := range r.Figures {
+		for _, c := range f.Cells {
+			m[cellKey{f.Fig, c.Strategy, c.Overlap, c.Range}] = c
+		}
+	}
+	return m
+}
+
+// Compare checks the new report against the baseline: for every figure
+// the new report measured, it must hold exactly the baseline's cells with
+// exactly the baseline's counters in both phases. It errors when the two
+// runs measured different workloads (scale, seed, trajectory count),
+// because cost counters are only comparable on identical input.
+func Compare(baseline, current *bench.Report) (*Result, error) {
 	if baseline.Scale != current.Scale {
 		return nil, fmt.Errorf("compare: scale differs (baseline %g, current %g)", baseline.Scale, current.Scale)
 	}
@@ -115,73 +83,56 @@ func Compare(baseline, current *bench.Report, opts Options) (*Result, error) {
 	if baseline.Trajectories != current.Trajectories {
 		return nil, fmt.Errorf("compare: trajectory count differs (baseline %d, current %d)", baseline.Trajectories, current.Trajectories)
 	}
-	threshold := opts.Threshold
-	if threshold == 0 {
-		threshold = DefaultThreshold
-	}
 
-	cur := make(map[cellKey]bench.CellReport)
+	base, cur := cellsOf(baseline), cellsOf(current)
+	ran := make(map[int]bool)
 	for _, f := range current.Figures {
-		for _, c := range f.Cells {
-			cur[cellKey{f.Fig, c.Strategy, c.Overlap, c.Range}] = c
-		}
+		ran[f.Fig] = true
 	}
 
 	res := &Result{}
 	for _, f := range baseline.Figures {
+		if !ran[f.Fig] {
+			res.notRun = append(res.notRun, f.Fig)
+			continue
+		}
 		for _, oc := range f.Cells {
 			key := cellKey{f.Fig, oc.Strategy, oc.Overlap, oc.Range}
 			nc, ok := cur[key]
 			if !ok {
-				res.Missing = append(res.Missing, key.String())
+				res.diffs = append(res.diffs, key.String()+": in the baseline, missing from this run")
 				continue
 			}
 			res.CellsCompared++
-			checkPhase(res, key, "first", oc.First, nc.First, threshold)
-			checkPhase(res, key, "subseq", oc.Subseq, nc.Subseq, threshold)
-		}
-		if opts.LatencyThreshold > 0 {
-			checkLatency(res, current, f, opts.LatencyThreshold)
+			diffPhase(res, key, "first", oc.First, nc.First)
+			diffPhase(res, key, "subseq", oc.Subseq, nc.Subseq)
 		}
 	}
-	sort.Slice(res.Regressions, func(i, j int) bool {
-		return res.Regressions[i].Ratio() > res.Regressions[j].Ratio()
-	})
+	for _, f := range current.Figures {
+		for _, c := range f.Cells {
+			key := cellKey{f.Fig, c.Strategy, c.Overlap, c.Range}
+			if _, ok := base[key]; !ok {
+				res.diffs = append(res.diffs, key.String()+": in this run, not in the baseline")
+			}
+		}
+	}
 	return res, nil
 }
 
-func checkPhase(res *Result, key cellKey, phase string, old, cur bench.CostReport, threshold float64) {
-	check := func(metric string, o, n float64) {
-		if o < minCost && n < minCost {
-			return
+func diffPhase(res *Result, key cellKey, phase string, old, cur bench.CostReport) {
+	for _, m := range []struct {
+		name string
+		o, n float64
+	}{
+		{"reads", old.Reads, cur.Reads},
+		{"leaf_reads", old.LeafReads, cur.LeafReads},
+		{"internal_reads", old.InternalReads, cur.InternalReads},
+		{"distance_comps", old.DistanceComps, cur.DistanceComps},
+		{"pruned_nodes", old.PrunedNodes, cur.PrunedNodes},
+		{"results", old.Results, cur.Results},
+	} {
+		if m.o != m.n {
+			res.diffs = append(res.diffs, fmt.Sprintf("%s: %s %s %v -> %v", key, phase, m.name, m.o, m.n))
 		}
-		if o <= 0 {
-			o = minCost // a metric appearing from zero is judged against the floor
-		}
-		if n > o*(1+threshold) {
-			res.Regressions = append(res.Regressions, Regression{
-				Fig: key.fig, Strategy: key.strategy, Overlap: key.overlap, Range: key.rng,
-				Phase: phase, Metric: metric, Old: o, New: n,
-			})
-		}
-	}
-	check("reads", old.Reads, cur.Reads)
-	check("distance_comps", old.DistanceComps, cur.DistanceComps)
-}
-
-func checkLatency(res *Result, current *bench.Report, baseFig bench.FigureReport, threshold float64) {
-	if baseFig.Latency == nil {
-		return
-	}
-	curFig, ok := current.FigureByNumber(baseFig.Fig)
-	if !ok || curFig.Latency == nil {
-		return
-	}
-	o, n := baseFig.Latency.P95NS, curFig.Latency.P95NS
-	if o > 0 && n > o*(1+threshold) {
-		res.Regressions = append(res.Regressions, Regression{
-			Fig: baseFig.Fig, Strategy: "*", Phase: "latency", Metric: "p95_ns",
-			Old: o, New: n,
-		})
 	}
 }

@@ -19,7 +19,7 @@ const ReportSchemaVersion = 1
 // Report is the machine-readable record of one dqbench run: the
 // environment it ran in, the workload parameters, and every measured
 // figure. It is the durable artifact behind `dqbench -json` and the
-// input to the `-compare` regression checker — the repo's recorded perf
+// input to the `-compare` gate — the repo's recorded perf
 // trajectory lives in files of this schema.
 type Report struct {
 	SchemaVersion int    `json:"schema_version"`
@@ -36,53 +36,16 @@ type Report struct {
 	Seed         int64   `json:"seed"`
 
 	Figures []FigureReport `json:"figures"`
-	// ShardCells holds the 1-vs-N sharded engine comparison when the run
-	// included one (dqbench -shards).
-	Shards     int               `json:"shards,omitempty"`
-	ShardCells []ShardCellReport `json:"shard_cells,omitempty"`
-	// ConcurrencyCells holds the 1-vs-N concurrent netq client comparison
-	// when the run included one (dqbench -concurrency).
-	ConcurrencyClients int                     `json:"concurrency_clients,omitempty"`
-	ConcurrencyCells   []ConcurrencyCellReport `json:"concurrency_cells,omitempty"`
-	// IngestCells holds the serial-Insert vs batched-ApplyUpdates ingest
-	// throughput comparison when the run included one (dqbench -ingest).
-	IngestCells []IngestCellReport `json:"ingest_cells,omitempty"`
 }
 
 // FigureReport is one measured figure of the paper's evaluation.
 type FigureReport struct {
-	Fig       int            `json:"fig"`
-	Title     string         `json:"title"`
-	Metric    string         `json:"metric"`
-	Segments  int            `json:"segments"`
-	ElapsedNS int64          `json:"elapsed_ns"`
-	Latency   *LatencyReport `json:"latency,omitempty"`
-	Cells     []CellReport   `json:"cells"`
-}
-
-// LatencyReport summarizes per-frame wall times in nanoseconds.
-type LatencyReport struct {
-	Count  int64   `json:"count"`
-	MeanNS float64 `json:"mean_ns"`
-	P50NS  float64 `json:"p50_ns"`
-	P95NS  float64 `json:"p95_ns"`
-	P99NS  float64 `json:"p99_ns"`
-}
-
-// LatencyFromHistogram converts an obs latency histogram (observations
-// in seconds) into a LatencyReport, or nil for an empty histogram.
-func LatencyFromHistogram(h *obs.Histogram) *LatencyReport {
-	if h == nil || h.Count() == 0 {
-		return nil
-	}
-	toNS := func(sec float64) float64 { return sec * float64(time.Second) }
-	return &LatencyReport{
-		Count:  h.Count(),
-		MeanNS: toNS(h.Sum() / float64(h.Count())),
-		P50NS:  toNS(h.Quantile(0.50)),
-		P95NS:  toNS(h.Quantile(0.95)),
-		P99NS:  toNS(h.Quantile(0.99)),
-	}
+	Fig       int          `json:"fig"`
+	Title     string       `json:"title"`
+	Metric    string       `json:"metric"`
+	Segments  int          `json:"segments"`
+	ElapsedNS int64        `json:"elapsed_ns"`
+	Cells     []CellReport `json:"cells"`
 }
 
 // CellReport is one measured (strategy, overlap, range) point.
@@ -115,55 +78,6 @@ func costReportFromMean(m stats.Mean) CostReport {
 	}
 }
 
-// ShardCellReport is one row of the 1-vs-N sharded engine comparison.
-type ShardCellReport struct {
-	Range     float64 `json:"range"` // 0 marks the KNN row
-	Queries   int     `json:"queries"`
-	SingleNS  int64   `json:"single_ns"`
-	ShardedNS int64   `json:"sharded_ns"`
-	Speedup   float64 `json:"speedup"`
-}
-
-// ConcurrencyCellReport is one row of the 1-vs-N concurrent client
-// comparison: the same snapshot batch through the netq server with N
-// client goroutines.
-type ConcurrencyCellReport struct {
-	Clients int     `json:"clients"`
-	Queries int     `json:"queries"`
-	WallNS  int64   `json:"wall_ns"`
-	QPS     float64 `json:"qps"`
-	Speedup float64 `json:"speedup"` // vs the 1-client row
-	// Server-side rolling-window snapshot latency quantiles (seconds)
-	// from the netq telemetry op, taken right after the batch.
-	WindowP50 float64 `json:"window_p50,omitempty"`
-	WindowP99 float64 `json:"window_p99,omitempty"`
-}
-
-// IngestCellReport is one row of the ingest throughput comparison: the
-// same update stream as serial Insert round trips (batch 1) or batched
-// ApplyUpdates requests, against an in-memory or WAL-armed engine.
-type IngestCellReport struct {
-	Batch int  `json:"batch"`
-	WAL   bool `json:"wal"`
-	// Shards > 1 marks sharded durable rows (one WAL per shard).
-	Shards int `json:"shards,omitempty"`
-	// Maint marks the durable row re-run with the self-healing
-	// maintenance loop on; its delta vs the plain WAL row at the same
-	// batch size is the loop's ingest overhead.
-	Maint   bool    `json:"maint,omitempty"`
-	Updates int     `json:"updates"`
-	WallNS  int64   `json:"wall_ns"`
-	UPS     float64 `json:"ups"`
-	Speedup float64 `json:"speedup"` // vs the serial row with the same durability
-
-	// Server-side telemetry for the row (seconds): wire-op latency
-	// quantiles, and WAL fsync quantiles on the durable rows.
-	WindowP50 float64 `json:"window_p50,omitempty"`
-	WindowP99 float64 `json:"window_p99,omitempty"`
-	FsyncP50  float64 `json:"fsync_p50,omitempty"`
-	FsyncP99  float64 `json:"fsync_p99,omitempty"`
-}
-
 // NewReport stamps a report with the environment and the run's workload
 // parameters.
 func NewReport(cfg Config) *Report {
@@ -183,14 +97,13 @@ func NewReport(cfg Config) *Report {
 }
 
 // AddFigure appends one measured figure.
-func (r *Report) AddFigure(spec FigureSpec, cells []Cell, segments int, elapsed time.Duration, lat *LatencyReport) {
+func (r *Report) AddFigure(spec FigureSpec, cells []Cell, segments int, elapsed time.Duration) {
 	fr := FigureReport{
 		Fig:       int(spec.Fig),
 		Title:     spec.Title,
 		Metric:    spec.Metric,
 		Segments:  segments,
 		ElapsedNS: elapsed.Nanoseconds(),
-		Latency:   lat,
 		Cells:     make([]CellReport, len(cells)),
 	}
 	for i, c := range cells {
@@ -203,88 +116,6 @@ func (r *Report) AddFigure(spec FigureSpec, cells []Cell, segments int, elapsed 
 		}
 	}
 	r.Figures = append(r.Figures, fr)
-}
-
-// AddShardCells records the sharded-engine comparison rows.
-func (r *Report) AddShardCells(shards int, cells []ShardCell) {
-	r.Shards = shards
-	for _, c := range cells {
-		r.ShardCells = append(r.ShardCells, ShardCellReport{
-			Range:     c.Range,
-			Queries:   c.Queries,
-			SingleNS:  c.Single.Nanoseconds(),
-			ShardedNS: c.Sharded.Nanoseconds(),
-			Speedup:   c.Speedup(),
-		})
-	}
-}
-
-// AddConcurrencyCells records the concurrent-client comparison rows,
-// deriving each row's speedup from the 1-client baseline row.
-func (r *Report) AddConcurrencyCells(clients int, cells []ConcurrencyCell) {
-	r.ConcurrencyClients = clients
-	var baseWall time.Duration
-	for _, c := range cells {
-		if c.Clients == 1 {
-			baseWall = c.Wall
-		}
-	}
-	for _, c := range cells {
-		speedup := 0.0
-		if c.Wall > 0 && baseWall > 0 {
-			speedup = float64(baseWall) / float64(c.Wall)
-		}
-		r.ConcurrencyCells = append(r.ConcurrencyCells, ConcurrencyCellReport{
-			Clients:   c.Clients,
-			Queries:   c.Queries,
-			WallNS:    c.Wall.Nanoseconds(),
-			QPS:       c.QPS(),
-			Speedup:   speedup,
-			WindowP50: c.WindowP50,
-			WindowP99: c.WindowP99,
-		})
-	}
-}
-
-// AddIngestCells records the ingest comparison rows, deriving each row's
-// speedup from the serial (batch 1) row with the same durability mode.
-func (r *Report) AddIngestCells(cells []IngestCell) {
-	base := map[bool]float64{}
-	for _, c := range cells {
-		if c.Batch == 1 {
-			base[c.WAL] = c.UPS()
-		}
-	}
-	for _, c := range cells {
-		speedup := 0.0
-		if b := base[c.WAL]; b > 0 {
-			speedup = c.UPS() / b
-		}
-		r.IngestCells = append(r.IngestCells, IngestCellReport{
-			Batch:     c.Batch,
-			WAL:       c.WAL,
-			Shards:    c.Shards,
-			Maint:     c.Maint,
-			Updates:   c.Updates,
-			WallNS:    c.Wall.Nanoseconds(),
-			UPS:       c.UPS(),
-			Speedup:   speedup,
-			WindowP50: c.WindowP50,
-			WindowP99: c.WindowP99,
-			FsyncP50:  c.FsyncP50,
-			FsyncP99:  c.FsyncP99,
-		})
-	}
-}
-
-// FigureByNumber returns the report's entry for one figure, if present.
-func (r *Report) FigureByNumber(fig int) (FigureReport, bool) {
-	for _, f := range r.Figures {
-		if f.Fig == fig {
-			return f, true
-		}
-	}
-	return FigureReport{}, false
 }
 
 // WriteFile writes the report as indented JSON.

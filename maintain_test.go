@@ -22,7 +22,7 @@ func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStor
 	walPath := path + ".wal"
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 	mopts.Interval = -1 // manual ticks
-	if err := rebuildLogged(singleLayout(path, walPath), 1, nil, 0); err != nil {
+	if err := rebuildLogged(singleLayout(path, walPath), 1, 0); err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	db, fs, faults, err := openChaos(path, walPath, 0, mopts, clk.Now, nil)
@@ -253,7 +253,7 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 	// old committed tree + intact log.
 	const bufPages = 256
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
-	if err := rebuildLogged(singleLayout(path, walPath), 1, nil, bufPages); err != nil {
+	if err := rebuildLogged(singleLayout(path, walPath), 1, bufPages); err != nil {
 		t.Fatal(err)
 	}
 	db, _, faults, err := openChaos(path, walPath, bufPages, MaintenanceOptions{}, clk.Now, nil)

@@ -22,13 +22,6 @@ type SoakOptions struct {
 	Seed int64
 	// Batch is the number of segments inserted per cycle (default 32).
 	Batch int
-	// BufferPages is the write-phase buffer capacity (default 256). A
-	// buffer makes crash points interesting: dirty pages reach disk in a
-	// burst at Sync, which is where torn writes bite.
-	BufferPages int
-	// MaxSegments rotates to a fresh file once the committed set grows
-	// past it, bounding per-cycle cost (default 4096).
-	MaxSegments int
 	// Plan is the fault schedule for the write phase; nil uses
 	// DefaultSoakPlan. Plan.Seed is re-derived per cycle from Seed.
 	Plan *pager.FaultPlan
@@ -38,6 +31,16 @@ type SoakOptions struct {
 	// Log, when set, receives one progress line per 25 cycles.
 	Log func(format string, args ...any)
 }
+
+const (
+	// faultSoakBufferPages is the write-phase buffer capacity. A buffer
+	// makes crash points interesting: dirty pages reach disk in a burst at
+	// Sync, which is where torn writes bite.
+	faultSoakBufferPages = 256
+	// faultSoakMaxSegments rotates to a fresh file once the committed set
+	// grows past it, bounding per-cycle cost.
+	faultSoakMaxSegments = 4096
+)
 
 // DefaultSoakPlan is the fault mix the soak uses when none is given:
 // occasional torn writes and failed syncs (the crash-consistency
@@ -67,7 +70,7 @@ type SoakReport struct {
 	QueriesCompared    int // individual query comparisons performed
 	PagesVerified      int // pages checksum+epoch-verified across recoveries
 	Rebuilds           int // files rebuilt from committed state after corruption
-	Rotations          int // fresh-file rotations after MaxSegments
+	Rotations          int // fresh-file rotations once the committed set outgrows the cap
 }
 
 func (r SoakReport) String() string {
@@ -103,12 +106,6 @@ func FaultSoak(opts SoakOptions) (SoakReport, error) {
 	if opts.Batch <= 0 {
 		opts.Batch = 32
 	}
-	if opts.BufferPages <= 0 {
-		opts.BufferPages = 256
-	}
-	if opts.MaxSegments <= 0 {
-		opts.MaxSegments = 4096
-	}
 	plan := DefaultSoakPlan()
 	if opts.Plan != nil {
 		plan = *opts.Plan
@@ -131,7 +128,7 @@ func FaultSoak(opts SoakOptions) (SoakReport, error) {
 		return rep, err
 	}
 	defer func() { replica.Close() }()
-	if err := rebuildFile(path, committed, opts.BufferPages); err != nil {
+	if err := rebuildFile(path, committed, faultSoakBufferPages); err != nil {
 		return rep, err
 	}
 
@@ -144,7 +141,7 @@ func FaultSoak(opts SoakOptions) (SoakReport, error) {
 		cyclePlan.Seed = uint64(opts.Seed)*0x9E3779B97F4A7C15 + uint64(cycle)
 
 		// Write phase under faults, ending in a hard crash.
-		db, fs, _, err := openFaulted(path, &cyclePlan, opts.BufferPages)
+		db, fs, _, err := openFaulted(path, &cyclePlan, faultSoakBufferPages)
 		if err != nil {
 			return rep, fmt.Errorf("cycle %d: fault-free reopen for writes failed: %w", cycle, err)
 		}
@@ -184,7 +181,7 @@ func FaultSoak(opts SoakOptions) (SoakReport, error) {
 			}
 			rep.DetectedCorruption++
 			rep.Rebuilds++
-			if err := rebuildFile(path, committed, opts.BufferPages); err != nil {
+			if err := rebuildFile(path, committed, faultSoakBufferPages); err != nil {
 				return rep, fmt.Errorf("cycle %d: rebuild after corruption: %w", cycle, err)
 			}
 		} else {
@@ -202,13 +199,13 @@ func FaultSoak(opts SoakOptions) (SoakReport, error) {
 			rep.QueriesCompared += compared
 		}
 
-		if len(committed) >= opts.MaxSegments {
+		if len(committed) >= faultSoakMaxSegments {
 			committed = committed[:0]
 			replica.Close()
 			if replica, err = Open(Options{}); err != nil {
 				return rep, err
 			}
-			if err := rebuildFile(path, committed, opts.BufferPages); err != nil {
+			if err := rebuildFile(path, committed, faultSoakBufferPages); err != nil {
 				return rep, err
 			}
 			rep.Rotations++

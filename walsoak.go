@@ -26,30 +26,6 @@ type WALSoakOptions struct {
 	// Batch is the number of motion updates per ApplyUpdates batch
 	// (default 32).
 	Batch int
-	// AckedBatches is the number of durably acknowledged batches per
-	// cycle, spread across Writers goroutines so group commit coalesces
-	// them (default 4). Every acknowledged batch MUST survive the crash.
-	AckedBatches int
-	// AsyncBatches is the number of DurabilityAsync batches appended
-	// after the acknowledged phase (default 4). These are the torn
-	// tail's victims: a crash may keep a prefix of them, record by
-	// record, never a partial record.
-	AsyncBatches int
-	// Writers is the number of concurrent goroutines issuing the
-	// acknowledged batches (default 4).
-	Writers int
-	// BufferPages is the page-buffer capacity (default 4096). It must
-	// hold the working set: the soak relies on dirty pages staying in
-	// memory between checkpoints so the crash never tears the page file
-	// itself — that failure class is FaultSoak's department.
-	BufferPages int
-	// CheckpointEvery checkpoints (Sync) after the acknowledged phase
-	// every n-th cycle, exercising log truncation and the epoch bump
-	// (default 3; <0 disables).
-	CheckpointEvery int
-	// MaxSegments rotates to a fresh file + log once the committed set
-	// grows past it (default 8192).
-	MaxSegments int
 	// Shards is the number of units (default 1, the single-file layout;
 	// more: one page file and one log per shard). Each crash tears a
 	// random subset of the logs independently. Acked batches must survive
@@ -62,24 +38,59 @@ type WALSoakOptions struct {
 	Log func(format string, args ...any)
 }
 
-// WALSoakReport summarizes a WALSoak run. The invariants are
-// LostAcked == 0 (no acknowledged write may vanish, whatever was torn)
-// and WrongAnswers == 0 (the recovered database answers every query
-// exactly like a replica that never crashed).
-type WALSoakReport struct {
+const (
+	// walSoakAckedBatches is the number of durably acknowledged batches
+	// per cycle, spread across walSoakWriters goroutines so group commit
+	// coalesces them. Every acknowledged batch MUST survive the crash.
+	walSoakAckedBatches = 4
+	walSoakWriters      = 4
+	// walSoakAsyncBatches is the number of DurabilityAsync batches WALSoak
+	// appends after the acknowledged phase. These are the torn tail's
+	// victims: a crash may keep a prefix of them, record by record, never
+	// a partial record.
+	walSoakAsyncBatches = 4
+	// walSoakBufferPages is the page-buffer capacity. It must hold the
+	// working set: the soak relies on dirty pages staying in memory
+	// between checkpoints so the crash never tears the page file itself —
+	// that failure class is FaultSoak's department.
+	walSoakBufferPages = 4096
+	// walSoakCheckpointEvery makes WALSoak checkpoint (Sync) after the
+	// acknowledged phase every n-th cycle, exercising log truncation and
+	// the epoch bump.
+	walSoakCheckpointEvery = 3
+	// walSoakMaxSegments rotates to fresh files and logs once the
+	// committed set grows past it.
+	walSoakMaxSegments = 8192
+)
+
+// walCycleCounts are the counters of the crash cycle WALSoak and
+// ChaosSoak share. The invariants are LostAcked == 0 (no acknowledged
+// write may vanish, whatever was torn) and WrongAnswers == 0 (the
+// recovered database answers every query exactly like a replica that
+// never crashed).
+type walCycleCounts struct {
 	Cycles          int // crash/reopen iterations executed
 	BatchesAcked    int // durably acknowledged batches (all must survive)
 	BatchesAsync    int // async batches exposed to the tear
 	AsyncSurvived   int // async batches found intact after replay
 	Tears           int // cycles whose log tail was torn or corrupted
 	TornTails       int // reopens that reported a discarded torn tail
-	Checkpoints     int // Sync checkpoints taken
 	RecordsReplayed int // WAL records re-applied across all reopens
 	UpdatesReplayed int // motion updates re-applied across all reopens
-	Rotations       int // fresh-file rotations after MaxSegments
+	Rotations       int // fresh-file rotations once the committed set outgrows the cap
 	LostAcked       int // acknowledged batches missing after replay (MUST be 0)
 	WrongAnswers    int // query answers differing from the replica (MUST be 0)
 	QueriesCompared int // individual query comparisons performed
+}
+
+// WALSoakReport summarizes a WALSoak run: the shared crash-cycle
+// counters (Cycles, BatchesAcked, BatchesAsync, AsyncSurvived, Tears,
+// TornTails, RecordsReplayed, UpdatesReplayed, Rotations, LostAcked,
+// WrongAnswers, QueriesCompared) plus its own checkpoints. The
+// invariants are LostAcked == 0 and WrongAnswers == 0.
+type WALSoakReport struct {
+	walCycleCounts
+	Checkpoints int // Sync checkpoints taken
 }
 
 func (r WALSoakReport) String() string {
@@ -115,24 +126,6 @@ func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
 	if opts.Batch <= 0 {
 		opts.Batch = 32
 	}
-	if opts.AckedBatches <= 0 {
-		opts.AckedBatches = 4
-	}
-	if opts.AsyncBatches <= 0 {
-		opts.AsyncBatches = 4
-	}
-	if opts.Writers <= 0 {
-		opts.Writers = 4
-	}
-	if opts.BufferPages <= 0 {
-		opts.BufferPages = 4096
-	}
-	if opts.CheckpointEvery == 0 {
-		opts.CheckpointEvery = 3
-	}
-	if opts.MaxSegments <= 0 {
-		opts.MaxSegments = 8192
-	}
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
@@ -153,165 +146,238 @@ func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
 	}
 
 	var rep WALSoakReport
-	var committed []soakSeg // acknowledged state, for rotation rebuilds
-	replica, err := createEngine(Options{}, n, 0, layout{}, false)
-	if err != nil {
-		return rep, err
-	}
-	defer func() { replica.Close() }()
-	if err := rebuildLogged(lay, n, committed, opts.BufferPages); err != nil {
-		return rep, err
-	}
+	err := (&walCrashSoak{
+		counts: &rep.walCycleCounts,
+		seed:   opts.Seed, cycles: opts.Cycles, units: n, lay: lay,
+		batch: opts.Batch, asyncBatches: walSoakAsyncBatches,
+		// Recovery finds every log by auto-detection.
+		open: func() (*engine, error) {
+			return recoverEngine(recoverSpec{lay: lay, units: n, bufferPages: walSoakBufferPages})
+		},
+		quiescent: func(cycle int, db *engine) error {
+			if cycle%walSoakCheckpointEvery != walSoakCheckpointEvery-1 {
+				return nil
+			}
+			if err := db.Sync(); err != nil {
+				return fmt.Errorf("checkpoint: %w", err)
+			}
+			rep.Checkpoints++
+			return nil
+		},
+		progress: func(cycle int) {
+			if opts.Log != nil && (cycle+1)%25 == 0 {
+				opts.Log("wal soak cycle %d/%d (%d logs): %s", cycle+1, opts.Cycles, n, rep)
+			}
+		},
+	}).run()
+	return rep, err
+}
 
-	wrand := rand.New(rand.NewSource(opts.Seed))
-	var nextID ObjectID
+// walCrashSoak is the one WAL crash cycle, driven by WALSoak and by
+// ChaosSoak: recover → reconcile the async prefix that survived → compare
+// answers with the replica → acknowledged phase → the caller's quiescent
+// step → async tail → hard crash → torn log tails → rotation. The callers
+// differ in how they open the files and in the quiescent step.
+type walCrashSoak struct {
+	counts *walCycleCounts
+	seed   int64
+	cycles int
+	units  int
+	lay    layout
+	// batch is the number of motion updates per batch; asyncBatches the
+	// number of async batches appended before each crash.
+	batch, asyncBatches int
+	// open is the recovering open of the files under lay.
+	open func() (*engine, error)
+	// quiescent runs after the acknowledged phase, with no write in
+	// flight: WALSoak's periodic checkpoint; ChaosSoak's maintenance tick,
+	// fault episode and scrub. Whatever it commits it must also mirror.
+	quiescent func(cycle int, db *engine) error
+	// progress is called at the end of every cycle.
+	progress func(cycle int)
+
+	wrand   *rand.Rand
+	nextID  ObjectID
+	replica *engine // fed every surviving batch, never crashed
+	// segments counts the committed set, for rotation.
+	segments int
 	// pendingAsync holds the async batches appended before the last
 	// crash, in append order; replay keeps a per-record prefix of each
 	// log's share of them.
-	var pendingAsync [][]soakSeg
-	for cycle := 0; cycle < opts.Cycles; cycle++ {
-		rep.Cycles++
+	pendingAsync [][]soakSeg
+}
 
-		// Recovery phase: reopen every unit, replay every log (found by
-		// auto-detection), reconcile the replica with each unit's
-		// surviving async prefix, and compare answers.
-		db, err := recoverEngine(recoverSpec{lay: lay, units: n, bufferPages: opts.BufferPages})
+func (s *walCrashSoak) nextBatch(size int) []soakSeg {
+	return genSoakBatch(s.wrand, size, &s.nextID)
+}
+
+// mirror folds a batch the database durably holds into the replica.
+func (s *walCrashSoak) mirror(batch []soakSeg) error {
+	s.segments += len(batch)
+	for _, seg := range batch {
+		if err := s.replica.Insert(seg.id, seg.seg); err != nil {
+			return fmt.Errorf("replica insert: %w", err)
+		}
+	}
+	return nil
+}
+
+// fresh starts over with an empty replica and empty, checkpointed files.
+func (s *walCrashSoak) fresh() (err error) {
+	if s.replica != nil {
+		s.replica.Close()
+	}
+	s.segments, s.pendingAsync = 0, nil
+	if s.replica, err = createEngine(Options{}, s.units, 0, layout{}, false); err != nil {
+		return err
+	}
+	return rebuildLogged(s.lay, s.units, walSoakBufferPages)
+}
+
+func (s *walCrashSoak) run() error {
+	defer func() {
+		if s.replica != nil {
+			s.replica.Close()
+		}
+	}()
+	if err := s.fresh(); err != nil {
+		return err
+	}
+	s.wrand = rand.New(rand.NewSource(s.seed))
+	for cycle := 0; cycle < s.cycles; cycle++ {
+		s.counts.Cycles++
+		db, err := s.open()
 		if err != nil {
-			return rep, fmt.Errorf("cycle %d: reopen: %w", cycle, err)
+			return fmt.Errorf("cycle %d: reopen: %w", cycle, err)
 		}
-		torn := false
-		for i, rrep := range db.recovery {
-			if !rrep.WALArmed {
-				db.Close()
-				return rep, fmt.Errorf("cycle %d: reopen did not arm the wal sidecar%s", cycle, where(i, n))
-			}
-			rep.RecordsReplayed += rrep.WALRecordsReplayed
-			rep.UpdatesReplayed += rrep.WALUpdatesReplayed
-			torn = torn || rrep.WALTornTail
-		}
-		if torn {
-			rep.TornTails++
-		}
-		survived, err := reconcileAsync(db, replica, &committed, pendingAsync)
+		ackedSizes, err := s.live(cycle, db)
 		if err != nil {
 			db.Close()
-			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
+			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
-		if survived < 0 {
-			rep.LostAcked++
-			survived = 0
-		}
-		rep.AsyncSurvived += survived
-		pendingAsync = nil
-		qrand := rand.New(rand.NewSource(opts.Seed ^ (int64(cycle)+1)*0x5DEECE66D))
-		wrong, compared, err := compareAnswers(db, replica, qrand)
-		if err != nil {
-			db.Close()
-			return rep, fmt.Errorf("cycle %d: query comparison: %w", cycle, err)
-		}
-		rep.WrongAnswers += wrong
-		rep.QueriesCompared += compared
-
-		// Acknowledged write phase: concurrent batches, group-committed
-		// across every touched log.
-		acked, err := soakAckedPhase(db, replica, wrand, &nextID, opts.AckedBatches, opts.Batch, opts.Writers)
-		if err != nil {
-			db.Close()
-			return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-		}
-		rep.BatchesAcked += opts.AckedBatches
-		committed = append(committed, acked...)
-
-		if opts.CheckpointEvery > 0 && cycle%opts.CheckpointEvery == opts.CheckpointEvery-1 {
-			if err := db.Sync(); err != nil {
-				db.Close()
-				return rep, fmt.Errorf("cycle %d: checkpoint: %w", cycle, err)
-			}
-			rep.Checkpoints++
-		}
-
-		// The durable boundaries: every byte of every log on disk right now
-		// is covered by a completed fsync (the soak is quiescent), so the
-		// tears must land strictly beyond these offsets.
-		ackedSizes := make([]int64, n)
-		for i := range ackedSizes {
-			if ackedSizes[i], err = fileSize(lay.log(i)); err != nil {
-				db.Close()
-				return rep, fmt.Errorf("cycle %d: %w", cycle, err)
-			}
-		}
-
-		// Async tail: appended, applied in memory, never awaited. Each
-		// batch leaves one record in every log it touches.
-		for i := 0; i < opts.AsyncBatches; i++ {
-			b := genSoakBatch(wrand, opts.Batch, &nextID)
-			if err := db.ApplyUpdates(context.Background(), toUpdates(b), WriteOptions{Durability: DurabilityAsync}); err != nil {
-				db.Close()
-				return rep, fmt.Errorf("cycle %d: async batch: %w", cycle, err)
-			}
-			pendingAsync = append(pendingAsync, b)
-		}
-		rep.BatchesAsync += len(pendingAsync)
 
 		if err := db.crash(); err != nil {
-			return rep, fmt.Errorf("cycle %d: crash: %w", cycle, err)
+			return fmt.Errorf("cycle %d: crash: %w", cycle, err)
 		}
 		tornAny := false
-		for i := 0; i < n; i++ {
-			torn, err := tearWALTail(lay.log(i), ackedSizes[i], wrand)
+		for i := 0; i < s.units; i++ {
+			torn, err := tearWALTail(s.lay.log(i), ackedSizes[i], s.wrand)
 			if err != nil {
-				return rep, fmt.Errorf("cycle %d: tear%s: %w", cycle, where(i, n), err)
+				return fmt.Errorf("cycle %d: tear%s: %w", cycle, where(i, s.units), err)
 			}
 			tornAny = tornAny || torn
 		}
 		if tornAny {
-			rep.Tears++
+			s.counts.Tears++
 		}
 
-		if len(committed) >= opts.MaxSegments {
-			committed = committed[:0]
-			pendingAsync = nil
-			replica.Close()
-			if replica, err = createEngine(Options{}, n, 0, layout{}, false); err != nil {
-				return rep, err
+		if s.segments >= walSoakMaxSegments {
+			if err := s.fresh(); err != nil {
+				return err
 			}
-			if err := rebuildLogged(lay, n, committed, opts.BufferPages); err != nil {
-				return rep, err
-			}
-			rep.Rotations++
+			s.counts.Rotations++
 		}
-		if opts.Log != nil && (cycle+1)%25 == 0 {
-			opts.Log("wal soak cycle %d/%d (%d logs): %s", cycle+1, opts.Cycles, n, rep)
-		}
+		s.progress(cycle)
 	}
-	return rep, nil
+	return nil
 }
 
-// soakAckedPhase generates batches and applies them to db from writers
-// concurrent goroutines with explicit durability, then mirrors them into
-// the replica and returns their segments. Batches use disjoint fresh
-// ids, so they commute — the replica can apply them in any order and
-// still answer identically. A third of the batches carry churn (delete +
-// reinsert of their own first segment) so replay exercises the delete
-// path without changing the final state.
-func soakAckedPhase(db, replica *engine, wrand *rand.Rand, nextID *ObjectID, batches, size, writers int) ([]soakSeg, error) {
+// live is a cycle's life between the recovering open and the crash. It
+// leaves the async batches it exposed in pendingAsync and returns, per
+// log, the durable boundary the tear must stay beyond.
+func (s *walCrashSoak) live(cycle int, db *engine) ([]int64, error) {
+	// Recovery phase: every unit reopened and every log replayed;
+	// reconcile the replica with each unit's surviving async prefix and
+	// compare answers.
+	torn := false
+	for i, rrep := range db.recovery {
+		if !rrep.WALArmed {
+			return nil, fmt.Errorf("reopen did not arm the wal sidecar%s", where(i, s.units))
+		}
+		s.counts.RecordsReplayed += rrep.WALRecordsReplayed
+		s.counts.UpdatesReplayed += rrep.WALUpdatesReplayed
+		torn = torn || rrep.WALTornTail
+	}
+	if torn {
+		s.counts.TornTails++
+	}
+	survived, err := s.reconcileAsync(db)
+	if err != nil {
+		return nil, err
+	}
+	if survived < 0 {
+		s.counts.LostAcked++
+		survived = 0
+	}
+	s.counts.AsyncSurvived += survived
+	qrand := rand.New(rand.NewSource(s.seed ^ (int64(cycle)+1)*0x5DEECE66D))
+	wrong, compared, err := compareAnswers(db, s.replica, qrand)
+	if err != nil {
+		return nil, fmt.Errorf("query comparison: %w", err)
+	}
+	s.counts.WrongAnswers += wrong
+	s.counts.QueriesCompared += compared
+
+	// Acknowledged write phase: concurrent batches, group-committed
+	// across every touched log.
+	if err := s.ackedPhase(db); err != nil {
+		return nil, err
+	}
+	s.counts.BatchesAcked += walSoakAckedBatches
+
+	if err := s.quiescent(cycle, db); err != nil {
+		return nil, err
+	}
+
+	// The durable boundaries: every byte of every log on disk right now
+	// is covered by a completed fsync (the soak is quiescent), so the
+	// tears must land strictly beyond these offsets.
+	ackedSizes := make([]int64, s.units)
+	for i := range ackedSizes {
+		if ackedSizes[i], err = fileSize(s.lay.log(i)); err != nil {
+			return nil, err
+		}
+	}
+
+	// Async tail: appended, applied in memory, never awaited. Each batch
+	// leaves one record in every log it touches.
+	s.pendingAsync = nil
+	for i := 0; i < s.asyncBatches; i++ {
+		b := s.nextBatch(s.batch)
+		if err := db.ApplyUpdates(context.Background(), toUpdates(b), WriteOptions{Durability: DurabilityAsync}); err != nil {
+			return nil, fmt.Errorf("async batch: %w", err)
+		}
+		s.pendingAsync = append(s.pendingAsync, b)
+	}
+	s.counts.BatchesAsync += len(s.pendingAsync)
+	return ackedSizes, nil
+}
+
+// ackedPhase generates walSoakAckedBatches batches and applies them to db
+// from walSoakWriters concurrent goroutines with explicit durability, then
+// mirrors them into the replica. Batches use disjoint fresh ids, so they
+// commute — the replica can apply them in any order and still answer
+// identically. A third of the batches carry churn (delete + reinsert of
+// their own first segment) so replay exercises the delete path without
+// changing the final state.
+func (s *walCrashSoak) ackedPhase(db *engine) error {
 	var acked []soakSeg
-	ups := make([][]MotionUpdate, batches)
+	ups := make([][]MotionUpdate, walSoakAckedBatches)
 	for i := range ups {
-		b := genSoakBatch(wrand, size, nextID)
+		b := s.nextBatch(s.batch)
 		acked = append(acked, b...)
 		ups[i] = toUpdates(b)
-		if wrand.Intn(3) == 0 {
+		if s.wrand.Intn(3) == 0 {
 			ups[i] = withChurn(ups[i])
 		}
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for w := 0; w < writers; w++ {
+	errs := make([]error, walSoakWriters)
+	for w := 0; w < walSoakWriters; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(ups); i += writers {
+			for i := w; i < len(ups); i += walSoakWriters {
 				d := DurabilityGroupCommit
 				if i%5 == 4 {
 					d = DurabilitySync
@@ -325,49 +391,45 @@ func soakAckedPhase(db, replica *engine, wrand *rand.Rand, nextID *ObjectID, bat
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
-		return nil, fmt.Errorf("acked batch: %w", err)
+		return fmt.Errorf("acked batch: %w", err)
 	}
-	for _, s := range acked {
-		if err := replica.Insert(s.id, s.seg); err != nil {
-			return nil, fmt.Errorf("replica insert: %w", err)
-		}
-	}
-	return acked, nil
+	return s.mirror(acked)
 }
 
 // reconcileAsync determines, per unit, how many of the pre-crash async
 // records survived replay (each log keeps a record-aligned prefix of ITS
-// OWN records, independent of the others), applies exactly those
-// segments to the replica, and returns the number of async batches that
+// OWN records, independent of the others), mirrors exactly those
+// segments into the replica, and returns the number of async batches that
 // survived on every unit they touched. A negative return means a unit
 // recovered fewer segments than its acknowledged state — lost acked
 // data, the invariant the soak exists to catch.
-func reconcileAsync(db, replica *engine, committed *[]soakSeg, pendingAsync [][]soakSeg) (int, error) {
+func (s *walCrashSoak) reconcileAsync(db *engine) (int, error) {
+	pendingAsync := s.pendingAsync
 	gotStats, err := db.statsByUnit()
 	if err != nil {
 		return 0, err
 	}
-	baseStats, err := replica.statsByUnit()
+	baseStats, err := s.replica.statsByUnit()
 	if err != nil {
 		return 0, err
 	}
 	n := len(gotStats)
 
-	// Partition each pending batch by owner unit: subs[s] is the ordered
-	// list of this crash window's async records in unit s's log, and
-	// batchOf[s][j] says which batch record j came from.
+	// Partition each pending batch by owner unit: subs[u] is the ordered
+	// list of this crash window's async records in unit u's log, and
+	// batchOf[u][j] says which batch record j came from.
 	subs := make([][][]soakSeg, n)
 	batchOf := make([][]int, n)
 	for b, batch := range pendingAsync {
 		parts := make([][]soakSeg, n)
-		for _, s := range batch {
-			u := db.units.ShardFor(rtree.ObjectID(s.id))
-			parts[u] = append(parts[u], s)
+		for _, seg := range batch {
+			u := db.units.ShardFor(rtree.ObjectID(seg.id))
+			parts[u] = append(parts[u], seg)
 		}
-		for s, p := range parts {
+		for u, p := range parts {
 			if len(p) > 0 {
-				subs[s] = append(subs[s], p)
-				batchOf[s] = append(batchOf[s], b)
+				subs[u] = append(subs[u], p)
+				batchOf[u] = append(batchOf[u], b)
 			}
 		}
 	}
@@ -375,40 +437,37 @@ func reconcileAsync(db, replica *engine, committed *[]soakSeg, pendingAsync [][]
 	// Each unit's extra segments must be an exact prefix sum of its
 	// async record sizes: replay keeps whole records, in order.
 	survivedRecords := make([]int, n)
-	for s := 0; s < n; s++ {
-		extra := gotStats[s].Segments - baseStats[s].Segments
+	for u := 0; u < n; u++ {
+		extra := gotStats[u].Segments - baseStats[u].Segments
 		if extra < 0 {
 			return -1, nil
 		}
 		sum, m := 0, 0
-		for m < len(subs[s]) && sum < extra {
-			sum += len(subs[s][m])
+		for m < len(subs[u]) && sum < extra {
+			sum += len(subs[u][m])
 			m++
 		}
 		if sum != extra {
 			return 0, fmt.Errorf("recovered %d extra segments%s, not a record-aligned prefix of its %d async records",
-				extra, where(s, n), len(subs[s]))
+				extra, where(u, n), len(subs[u]))
 		}
-		survivedRecords[s] = m
+		survivedRecords[u] = m
 	}
 
-	// Fold the surviving per-unit records into the replica and the
-	// committed set; count the batches intact on every unit they touch.
+	// Mirror the surviving per-unit records; count the batches intact on
+	// every unit they touch.
 	fullBatch := make([]bool, len(pendingAsync))
 	for i := range fullBatch {
 		fullBatch[i] = true
 	}
-	for s := 0; s < n; s++ {
-		for j := 0; j < survivedRecords[s]; j++ {
-			for _, seg := range subs[s][j] {
-				*committed = append(*committed, seg)
-				if err := replica.Insert(seg.id, seg.seg); err != nil {
-					return 0, fmt.Errorf("replica insert: %w", err)
-				}
+	for u := 0; u < n; u++ {
+		for j := 0; j < survivedRecords[u]; j++ {
+			if err := s.mirror(subs[u][j]); err != nil {
+				return 0, err
 			}
 		}
-		for j := survivedRecords[s]; j < len(subs[s]); j++ {
-			fullBatch[batchOf[s][j]] = false
+		for j := survivedRecords[u]; j < len(subs[u]); j++ {
+			fullBatch[batchOf[u][j]] = false
 		}
 	}
 	survived := 0
@@ -495,9 +554,9 @@ func fileSize(path string) (int64, error) {
 }
 
 // rebuildLogged removes any previous files under the layout and creates
-// a fresh logged database holding the committed sequence, checkpointed
-// so the next recovering open arms the sidecars with nothing to replay.
-func rebuildLogged(lay layout, n int, committed []soakSeg, bufferPages int) error {
+// a fresh, empty logged database, checkpointed so the next recovering
+// open arms the sidecars with nothing to replay.
+func rebuildLogged(lay layout, n int, bufferPages int) error {
 	for i := 0; i < n; i++ {
 		for _, p := range []string{lay.page(i), lay.log(i)} {
 			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
@@ -508,14 +567,6 @@ func rebuildLogged(lay layout, n int, committed []soakSeg, bufferPages int) erro
 	db, err := createEngine(Options{BufferPages: bufferPages}, n, 0, lay, true)
 	if err != nil {
 		return err
-	}
-	if len(committed) > 0 {
-		// One async batch, then a checkpoint: the contents are durable by
-		// the Sync below, so per-insert fsync waits buy nothing.
-		if err := db.ApplyUpdates(context.Background(), toUpdates(committed), WriteOptions{Durability: DurabilityAsync}); err != nil {
-			db.Close()
-			return err
-		}
 	}
 	if err := db.Sync(); err != nil {
 		db.Close()
