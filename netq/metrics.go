@@ -9,16 +9,15 @@ import (
 	"dynq/internal/pager"
 )
 
-// knownOps enumerates the protocol operations, in declaration order, for
+// knownOps enumerates the protocol operations, in wire-code order, for
 // per-op metric pre-registration (lock-free lookup on the request path).
-var knownOps = []Op{
-	OpSnapshot, OpInsert, OpApplyUpdates, OpKNN,
-	OpPDQStart, OpPDQFetch,
-	OpNPDQ, OpNPDQReset,
-	OpAdaptiveStart, OpAdaptiveFrame,
-	OpStats, OpTelemetry,
-	OpTrackUpdate, OpTrackAt, OpTrackDuring, OpTrackAlong,
-}
+var knownOps = func() []Op {
+	ops := make([]Op, 0, len(wireOps)-1)
+	for _, w := range wireOps[1:] {
+		ops = append(ops, w.op)
+	}
+	return ops
+}()
 
 // opMetrics aggregates the per-operation signals.
 type opMetrics struct {

@@ -5,8 +5,9 @@
 // previous-snapshot memory) lives server-side with the connection, while
 // the client keeps results in a ViewCache keyed on disappearance time.
 //
-// The wire protocol is gob-encoded request/response pairs, one in flight
-// per connection. Across connections, read-only operations (snapshot,
+// The wire protocol is request/response pairs, one in flight per
+// connection, each message one length-prefixed binary frame (wire.go gives
+// the layout). Across connections, read-only operations (snapshot,
 // knn, stats, tracker queries) execute concurrently under a bounded
 // admission-control gate (see Server.WithConcurrency); writes are
 // serialized by the database's writer lock, and dynamic-query session
@@ -15,7 +16,6 @@ package netq
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -33,41 +33,30 @@ import (
 
 // ProtocolVersion is the netq wire protocol version. Peers exchange it
 // in a hello/ack pair immediately after connecting, before the first
-// request; a mismatch is rejected with a *VersionError so new fields
-// (like the trace-context request header) fail loudly against old
-// binaries instead of gob-decoding garbage.
+// request; a mismatch is rejected with a *VersionError so a change to
+// the messages fails loudly against old binaries instead of being
+// misread.
 //
 // History:
 //
 //	1  original gob request/response stream, no handshake (implicit)
-//	2  hello/ack handshake; Request carries TraceID/SpanID.
+//	2  gob hello/ack handshake; Request carries TraceID/SpanID.
 //	   Later additions within 2: the telemetry op and the
 //	   Response.Telemetry field, then the apply-updates op with the
-//	   Request.Updates/Durability fields. All are additive and
-//	   gob-compatible (gob ignores unknown fields), and the handshake
-//	   already demands exact version equality, so they did not warrant
-//	   a bump; a v2 server without an op answers it with a typed
-//	   UnknownOpError.
-const ProtocolVersion = 2
+//	   Request.Updates/Durability fields.
+//	3  no gob: the hello and ack are raw bytes, and every request and
+//	   response is one frame, u32 length | body, in a hand-written
+//	   binary codec (wire.go). A request is an op code, the 16 + 8 raw
+//	   bytes of the trace and span ids, then that op's fields in a fixed
+//	   order; a response is an error kind and message, or that op's
+//	   payload. Floats travel as their IEEE-754 bits; the telemetry op's
+//	   payload is the JSON document /debug/telemetry serves. A v1 or v2
+//	   peer is refused in gob it can read (legacy.go).
+const ProtocolVersion = 3
 
 // protocolMagic distinguishes a netq peer from an arbitrary TCP
-// endpoint (and from a v1 peer, whose first message decodes into a
-// zero-valued hello).
+// endpoint.
 const protocolMagic = "dynq/netq"
-
-// hello is the client's first message on a connection.
-type hello struct {
-	Magic   string
-	Version int
-}
-
-// helloAck is the server's reply: its own version, and a non-empty Err
-// when the connection is rejected.
-type helloAck struct {
-	Magic   string
-	Version int
-	Err     string
-}
 
 // Op identifies a request type.
 type Op string
@@ -150,12 +139,14 @@ type Server struct {
 	// ops are serialized per connection by the one-request-in-flight
 	// protocol.
 	readSem       chan struct{}
+	releaseRead   func() // frees a readSem slot; made once, not per read
 	maxConcurrent int
 	maxQueue      int
 	queued        atomic.Int64
 
 	reg     *obs.Registry
 	tracer  *obs.Tracer
+	tracing context.Context // carries tracer; each request's context derives from it
 	metrics *serverMetrics
 	tel     *serverTelemetry
 	logger  *slog.Logger
@@ -181,6 +172,7 @@ func NewServer(db dynq.Database) *Server {
 		metrics: newServerMetrics(reg, db),
 		logger:  obs.NopLogger(),
 	}
+	s.tracing = obs.ContextWithTracer(context.Background(), s.tracer)
 	s.WithConcurrency(runtime.GOMAXPROCS(0), 0)
 	s.tel = newServerTelemetry(s)
 	return s
@@ -202,7 +194,8 @@ func (s *Server) WithConcurrency(maxConcurrent, maxQueue int) *Server {
 	if maxQueue <= 0 {
 		maxQueue = 4 * maxConcurrent
 	}
-	s.readSem = make(chan struct{}, maxConcurrent)
+	sem := make(chan struct{}, maxConcurrent)
+	s.readSem, s.releaseRead = sem, func() { <-sem }
 	s.maxConcurrent = maxConcurrent
 	s.maxQueue = maxQueue
 	return s
@@ -245,7 +238,7 @@ func (s *Server) admitRead() (func(), error) {
 	if s.readSem == nil {
 		return func() {}, nil
 	}
-	release := func() { <-s.readSem }
+	release := s.releaseRead
 	start := time.Now()
 	select {
 	case s.readSem <- struct{}{}:
@@ -337,37 +330,8 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		s.metrics.activeConns.Dec()
 	}()
-	cc := &countingConn{Conn: conn, in: s.metrics.bytesIn, out: s.metrics.bytesOut}
-	dec := gob.NewDecoder(cc)
-	enc := gob.NewEncoder(cc)
-
-	// Version handshake before the first request. A v1 client's first
-	// message is a Request, which fails to decode as a hello (gob finds
-	// no matching fields); it is rejected as version 0 like any other
-	// mismatch — and because helloAck's Err field lines up with
-	// Response.Err, the rejection arrives at the old client as a
-	// readable error instead of gob garbage.
-	var h hello
-	if err := dec.Decode(&h); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-			return
-		}
-		s.metrics.versionMismatches.Inc()
-		verr := &VersionError{Local: ProtocolVersion, Remote: 0}
-		s.logger.Warn("netq: rejected peer (no handshake)",
-			"remote", conn.RemoteAddr().String(), "decode_err", err.Error(), "err", verr)
-		enc.Encode(helloAck{Magic: protocolMagic, Version: ProtocolVersion, Err: verr.Error()})
-		return
-	}
-	if h.Magic != protocolMagic || h.Version != ProtocolVersion {
-		s.metrics.versionMismatches.Inc()
-		verr := &VersionError{Local: ProtocolVersion, Remote: h.Version}
-		s.logger.Warn("netq: rejected peer", "remote", conn.RemoteAddr().String(),
-			"magic", h.Magic, "peer_version", h.Version, "err", verr)
-		enc.Encode(helloAck{Magic: protocolMagic, Version: ProtocolVersion, Err: verr.Error()})
-		return
-	}
-	if err := enc.Encode(helloAck{Magic: protocolMagic, Version: ProtocolVersion}); err != nil {
+	l := newLink(&countingConn{Conn: conn, in: s.metrics.bytesIn, out: s.metrics.bytesOut})
+	if !s.greet(l) {
 		return
 	}
 	s.logger.Debug("netq: connection open", "remote", conn.RemoteAddr().String())
@@ -378,15 +342,55 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.closeSessions(sess)
 
 	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return // disconnect (io.EOF) or protocol error
+		body, err := l.recv()
+		if err != nil {
+			return // disconnect (io.EOF) or a broken frame
 		}
-		resp := s.serve(sess, req)
-		if err := enc.Encode(resp); err != nil {
+		// A malformed body leaves the framing intact: answer it and go on.
+		req, err := decodeRequest(body)
+		var resp Response
+		if err != nil {
+			s.logger.Warn("netq: malformed request", "remote", conn.RemoteAddr().String(), "err", err)
+			resp = Response{Err: err.Error()}
+		} else {
+			resp = s.serve(sess, req)
+		}
+		out, err := appendResponse(l.out, req.Op, resp)
+		if err != nil {
+			// The answer cannot be sent (too large, or its telemetry has
+			// no JSON form): send the reason instead.
+			out, _ = appendResponse(out, req.Op, Response{Err: err.Error()})
+		}
+		if l.write(out) != nil {
 			return
 		}
 	}
+}
+
+// greet runs the server's half of the handshake and reports whether the
+// connection was accepted.
+func (s *Server) greet(l *link) bool {
+	lead, err := l.r.Peek(1)
+	if err != nil {
+		return false // gone before saying anything
+	}
+	if lead[0] != helloLead {
+		s.refuseLegacy(l)
+		return false
+	}
+	magic, version, err := readHello(l.r)
+	if err != nil {
+		return false
+	}
+	if magic != protocolMagic || version != ProtocolVersion {
+		s.metrics.versionMismatches.Inc()
+		verr := &VersionError{Local: ProtocolVersion, Remote: version}
+		s.logger.Warn("netq: rejected peer", "remote", l.conn.RemoteAddr().String(),
+			"magic", magic, "peer_version", version, "err", verr)
+		l.write(appendAck(l.out, ProtocolVersion, verr.Error()))
+		return false
+	}
+	return l.write(appendAck(l.out, ProtocolVersion, "")) == nil
 }
 
 // serve wraps dispatch with instrumentation: per-op request/error
@@ -403,7 +407,7 @@ func (s *Server) handle(conn net.Conn) {
 // per-shard grandchild spans under the same trace.
 func (s *Server) serve(sess *connSessions, req Request) Response {
 	tc, _ := obs.ContinueTrace(req.TraceID, req.SpanID)
-	ctx := obs.ContextWithTracer(obs.ContextWithTrace(context.Background(), tc), s.tracer)
+	ctx := obs.ContextWithTrace(s.tracing, tc)
 
 	start := time.Now()
 	before := s.db.CostSnapshot()
@@ -716,10 +720,8 @@ type Client struct {
 	tracer *obs.Tracer
 	closed atomic.Bool
 
-	mu   sync.Mutex // guards conn/enc/dec replacement, not request I/O
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	mu   sync.Mutex // guards link replacement, not request I/O
+	link *link      // nil once the connection is dropped
 }
 
 // Dial connects to a server and performs the protocol handshake, both
@@ -732,17 +734,17 @@ func Dial(addr string) (*Client, error) {
 // options.
 func DialWithOptions(addr string, opts DialOptions) (*Client, error) {
 	c := &Client{addr: addr, opts: opts, tracer: opts.Tracer}
-	conn, enc, dec, err := c.dialOnce()
+	l, err := c.dialOnce()
 	if err != nil {
 		return nil, err
 	}
-	c.conn, c.enc, c.dec = conn, enc, dec
+	c.link = l
 	return c, nil
 }
 
 // dialOnce establishes and handshakes one connection under the
 // handshake timeout.
-func (c *Client) dialOnce() (net.Conn, *gob.Encoder, *gob.Decoder, error) {
+func (c *Client) dialOnce() (*link, error) {
 	timeout := c.opts.handshakeTimeout()
 	var conn net.Conn
 	var err error
@@ -752,14 +754,14 @@ func (c *Client) dialOnce() (net.Conn, *gob.Encoder, *gob.Decoder, error) {
 		conn, err = net.Dial("tcp", c.addr)
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	enc, dec, err := handshake(conn, timeout)
+	l, err := handshake(conn, timeout)
 	if err != nil {
 		conn.Close()
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return conn, enc, dec, nil
+	return l, nil
 }
 
 // NewClient wraps an established connection (useful for tests with
@@ -774,47 +776,58 @@ func NewClient(conn net.Conn) (*Client, error) {
 // NewClientWithOptions is NewClient with explicit options; Reconnect is
 // ignored (there is no address to redial).
 func NewClientWithOptions(conn net.Conn, opts DialOptions) (*Client, error) {
-	enc, dec, err := handshake(conn, opts.handshakeTimeout())
+	l, err := handshake(conn, opts.handshakeTimeout())
 	if err != nil {
 		return nil, err
 	}
-	return &Client{opts: opts, tracer: opts.Tracer, conn: conn, enc: enc, dec: dec}, nil
+	return &Client{opts: opts, tracer: opts.Tracer, link: l}, nil
 }
 
 // handshake performs the version exchange on conn, bounded by timeout
 // (0 = unbounded) so a half-open peer cannot hang the caller forever.
-func handshake(conn net.Conn, timeout time.Duration) (*gob.Encoder, *gob.Decoder, error) {
+func handshake(conn net.Conn, timeout time.Duration) (*link, error) {
 	if timeout > 0 {
 		conn.SetDeadline(time.Now().Add(timeout))
 		defer conn.SetDeadline(time.Time{})
 	}
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(hello{Magic: protocolMagic, Version: ProtocolVersion}); err != nil {
-		return nil, nil, fmt.Errorf("netq: handshake send: %w", err)
+	if _, err := conn.Write(appendHello(nil, ProtocolVersion)); err != nil {
+		return nil, fmt.Errorf("netq: handshake send: %w", err)
 	}
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
+	l := newLink(conn)
+	lead, err := l.r.Peek(1)
+	if err == nil && lead[0] != helloLead {
+		// A v2 server refuses the hello in gob.
+		return nil, legacyRefusal(l.r)
+	}
+	var magic string
+	var version int
+	var refusal []byte
+	if err == nil {
+		magic, version, err = readHello(l.r)
+	}
+	if err == nil {
+		refusal, err = l.recv()
+	}
+	if err != nil {
 		if isTimeout(err) {
-			return nil, nil, fmt.Errorf("netq: handshake timed out after %v (peer accepted but never answered): %w", timeout, err)
+			return nil, fmt.Errorf("netq: handshake timed out after %v (peer accepted but never answered): %w", timeout, err)
 		}
-		// A v1 server chokes on the hello (its Request decoder finds no
-		// matching fields) and drops the connection, surfacing here as
-		// EOF: classify that as a version mismatch, not an I/O mystery.
+		// A v1 server chokes on the hello and drops the connection,
+		// surfacing here as EOF: classify that as a version mismatch, not
+		// an I/O mystery.
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-			return nil, nil, &VersionError{Local: ProtocolVersion, Remote: 0,
+			return nil, &VersionError{Local: ProtocolVersion, Remote: 0,
 				Detail: "peer closed the connection during the handshake"}
 		}
-		return nil, nil, fmt.Errorf("netq: handshake read: %w", err)
+		return nil, fmt.Errorf("netq: handshake read: %w", err)
 	}
-	if ack.Magic != protocolMagic || ack.Version != ProtocolVersion {
-		// A v1 server decodes our hello into a zero Request and answers
-		// Response{Err: unknown op}; its Err field lands in ack.Err.
-		return nil, nil, &VersionError{Local: ProtocolVersion, Remote: ack.Version, Detail: ack.Err}
+	if magic != protocolMagic || version != ProtocolVersion {
+		return nil, &VersionError{Local: ProtocolVersion, Remote: version, Detail: string(refusal)}
 	}
-	if ack.Err != "" {
-		return nil, nil, errors.New(ack.Err)
+	if len(refusal) > 0 {
+		return nil, errors.New(string(refusal))
 	}
-	return enc, dec, nil
+	return l, nil
 }
 
 func isTimeout(err error) bool {
@@ -837,11 +850,11 @@ func (c *Client) WithTracer(t *obs.Tracer) *Client {
 func (c *Client) Close() error {
 	c.closed.Store(true)
 	c.mu.Lock()
-	conn := c.conn
-	c.conn, c.enc, c.dec = nil, nil, nil
+	l := c.link
+	c.link = nil
 	c.mu.Unlock()
-	if conn != nil {
-		return conn.Close()
+	if l != nil {
+		return l.conn.Close()
 	}
 	return nil
 }
@@ -849,36 +862,36 @@ func (c *Client) Close() error {
 // current returns the live connection, redialing if the previous one was
 // dropped. Redialing is safe even before a write: nothing has been sent
 // on the new connection yet.
-func (c *Client) current() (net.Conn, *gob.Encoder, *gob.Decoder, error) {
+func (c *Client) current() (*link, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
-		return nil, nil, nil, ErrClientClosed
+		return nil, ErrClientClosed
 	}
-	if c.conn != nil {
-		return c.conn, c.enc, c.dec, nil
+	if c.link != nil {
+		return c.link, nil
 	}
 	if c.addr == "" {
-		return nil, nil, nil, fmt.Errorf("%w: no address to reconnect (client wraps an existing connection)", ErrConnectionLost)
+		return nil, fmt.Errorf("%w: no address to reconnect (client wraps an existing connection)", ErrConnectionLost)
 	}
-	conn, enc, dec, err := c.dialOnce()
+	l, err := c.dialOnce()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: redial %s: %w", ErrConnectionLost, c.addr, err)
+		return nil, fmt.Errorf("%w: redial %s: %w", ErrConnectionLost, c.addr, err)
 	}
-	c.conn, c.enc, c.dec = conn, enc, dec
-	return conn, enc, dec, nil
+	c.link = l
+	return l, nil
 }
 
-// drop discards conn if it is still the client's current connection.
+// drop discards l if it is still the client's current connection.
 // Called after any transport error: a half-finished exchange leaves the
-// gob stream desynchronized, so the connection must not be reused.
-func (c *Client) drop(conn net.Conn) {
+// stream mid-frame, so the connection must not be reused.
+func (c *Client) drop(l *link) {
 	c.mu.Lock()
-	if c.conn == conn {
-		c.conn, c.enc, c.dec = nil, nil, nil
+	if c.link == l {
+		c.link = nil
 	}
 	c.mu.Unlock()
-	conn.Close()
+	l.conn.Close()
 }
 
 // transportError marks an exchange failure caused by the transport (as
@@ -893,30 +906,45 @@ func (e *transportError) Unwrap() error { return e.err }
 // interrupts blocked connection I/O immediately. Transport failures come
 // back as *transportError and drop the connection.
 func (c *Client) exchange(ctx context.Context, req Request) (Response, error) {
-	conn, enc, dec, err := c.current()
+	l, err := c.current()
 	if err != nil {
 		if errors.Is(err, ErrClientClosed) {
 			return Response{}, err
 		}
 		return Response{}, &transportError{err: err}
 	}
+	out, err := appendRequest(l.out, req)
+	if err != nil {
+		return Response{}, err // nothing was sent
+	}
 	if ctx.Done() != nil {
+		woken := make(chan struct{})
 		stop := context.AfterFunc(ctx, func() {
-			conn.SetDeadline(time.Unix(1, 0)) // wake any blocked read/write
+			l.conn.SetDeadline(time.Unix(1, 0)) // wake any blocked read/write
+			close(woken)
 		})
 		defer func() {
-			if stop() {
-				conn.SetDeadline(time.Time{})
+			// Once the wake-up has run, its deadline stays on the
+			// connection: clear it, or an exchange that completed anyway
+			// leaves the next call to fail. (A failed exchange has closed
+			// the connection already.)
+			if !stop() {
+				<-woken
+				l.conn.SetDeadline(time.Time{})
 			}
 		}()
 	}
-	if err := enc.Encode(req); err != nil {
-		c.drop(conn)
+	if err := l.write(out); err != nil {
+		c.drop(l)
 		return Response{}, &transportError{err: ctxError(ctx, err)}
 	}
 	var resp Response
-	if err := dec.Decode(&resp); err != nil {
-		c.drop(conn)
+	body, err := l.recv()
+	if err == nil {
+		resp, err = decodeResponse(req.Op, body)
+	}
+	if err != nil {
+		c.drop(l)
 		if errors.Is(err, io.EOF) {
 			return Response{}, &transportError{err: fmt.Errorf("netq: server closed the connection")}
 		}
@@ -949,8 +977,7 @@ func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 	if !ok {
 		tc = obs.NewTraceContext()
 	}
-	req.TraceID = tc.TraceID.String()
-	req.SpanID = tc.SpanID.String()
+	req.TraceID, req.SpanID = hexIDs(tc.TraceID, tc.SpanID)
 	start := time.Now()
 	defer func() {
 		if c.tracer == nil {
@@ -970,9 +997,12 @@ func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 	budget := c.opts.retryMax()
 	for attempt := 0; ; attempt++ {
 		resp, err := c.exchange(ctx, req)
+		if err == nil {
+			return resp, nil
+		}
 		var terr *transportError
-		if err == nil || !errors.As(err, &terr) {
-			return resp, err // success, or an error the server returned
+		if !errors.As(err, &terr) {
+			return resp, err // an error the server returned
 		}
 		if c.closed.Load() {
 			return Response{}, ErrClientClosed

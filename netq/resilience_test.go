@@ -2,7 +2,6 @@ package netq
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"sync"
@@ -183,16 +182,14 @@ func TestCloseInterruptsInflightCall(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-		var h hello
-		if dec.Decode(&h) != nil {
+		lk := newLink(conn)
+		if _, _, err := readHello(lk.r); err != nil {
 			return
 		}
-		if enc.Encode(helloAck{Magic: protocolMagic, Version: ProtocolVersion}) != nil {
+		if lk.write(appendAck(nil, ProtocolVersion, "")) != nil {
 			return
 		}
-		var req Request
-		if dec.Decode(&req) != nil {
+		if _, err := lk.recv(); err != nil {
 			return
 		}
 		select {} // never answer
@@ -295,5 +292,73 @@ func TestRetryHonorsContextDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("call outlived its deadline by too much: %v", elapsed)
+	}
+}
+
+// cancelOnRead cancels a call's context as that call's response arrives,
+// and hands the response on only once the cancellation has set the
+// connection's wake-up deadline: the race a context that expires just as
+// the answer lands produces.
+type cancelOnRead struct {
+	net.Conn
+	armed  chan context.CancelFunc
+	wakeup chan struct{}
+}
+
+func (c *cancelOnRead) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	select {
+	case cancel := <-c.armed:
+		cancel()
+		select {
+		case <-c.wakeup:
+		case <-time.After(5 * time.Second):
+		}
+	default:
+	}
+	return n, err
+}
+
+func (c *cancelOnRead) SetDeadline(t time.Time) error {
+	err := c.Conn.SetDeadline(t)
+	if t.Equal(time.Unix(1, 0)) {
+		c.wakeup <- struct{}{}
+	}
+	return err
+}
+
+// TestCancelAfterResponseKeepsConnection: a context cancelled after its
+// response has arrived must not leave the wake-up deadline on a healthy
+// connection, or the next call — even a write, which is never retried —
+// fails with an i/o timeout and the server-side sessions are lost.
+func TestCancelAfterResponseKeepsConnection(t *testing.T) {
+	srv := NewServer(testDB(t))
+	defer srv.Close()
+	cs, ss := net.Pipe()
+	go srv.handle(ss)
+	conn := &cancelOnRead{Conn: cs, armed: make(chan context.CancelFunc, 1), wakeup: make(chan struct{}, 1)}
+	cl, err := NewClient(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	view := dynq.Rect{Min: []float64{0, 0}, Max: []float64{10, 100}}
+	want, err := cl.Snapshot(view, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	conn.armed <- cancel
+	if _, err := cl.SnapshotCtx(ctx, view, 0, 1); err != nil {
+		t.Fatalf("the call whose answer arrived before its context ended: %v", err)
+	}
+	if err := cl.Insert(4242, seg(500, 500)); err != nil {
+		t.Fatalf("write after a late cancellation: %v", err)
+	}
+	got, err := cl.Snapshot(view, 0, 1)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("read after a late cancellation: %d results, want %d (err %v)", len(got), len(want), err)
 	}
 }

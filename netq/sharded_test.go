@@ -97,7 +97,7 @@ func TestShardedBackendOverTheWire(t *testing.T) {
 
 // TestClientContextCancellation checks that a cancelled context aborts a
 // client call before it touches the wire, and that the connection stays
-// usable afterwards (nothing was sent, so the gob stream is still in
+// usable afterwards (nothing was sent, so the stream is still in
 // sync).
 func TestClientContextCancellation(t *testing.T) {
 	addr, stop := startServer(t, testDB(t))

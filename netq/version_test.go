@@ -9,7 +9,7 @@ import (
 )
 
 // TestOldClientRejectedLoudly simulates a pre-handshake (v1) client: its
-// first message is a Request, which the v2 server must reject with a
+// first message is a gob Request, which the server must reject with a
 // readable version-mismatch error delivered through the Response.Err
 // field old clients already decode — not by feeding garbage into their
 // gob stream.
@@ -42,10 +42,10 @@ func TestOldClientRejectedLoudly(t *testing.T) {
 }
 
 // TestNewClientAgainstOldServer simulates a v1 server: it tries to
-// decode the first message as a Request, chokes on the hello (gob finds
-// no matching fields) and drops the connection — exactly what the
-// pre-handshake handler did on a protocol error. NewClient must turn
-// that into a typed *VersionError instead of silently desynchronizing.
+// decode the first message as a gob Request, chokes on the hello and
+// drops the connection — exactly what the pre-handshake handler did on a
+// protocol error. NewClient must turn that into a typed *VersionError
+// instead of silently desynchronizing.
 func TestNewClientAgainstOldServer(t *testing.T) {
 	cs, ss := net.Pipe()
 	go func() {
@@ -94,5 +94,87 @@ func TestNonNetqPeerRejected(t *testing.T) {
 	}
 	if ack.Err == "" || !strings.Contains(ack.Err, "version mismatch") {
 		t.Errorf("ack = %+v, want a rejection", ack)
+	}
+}
+
+// TestV2ClientRejected: a version 2 client opens with a gob hello and
+// reads a gob ack; it gets one naming the mismatch.
+func TestV2ClientRejected(t *testing.T) {
+	db := testDB(t)
+	srv, addr, stop := startServerKeep(t, db)
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	if err := enc.Encode(hello{Magic: protocolMagic, Version: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var ack helloAck
+	if err := dec.Decode(&ack); err != nil {
+		t.Fatalf("v2 client got a broken stream instead of a refusal: %v", err)
+	}
+	if ack.Version != ProtocolVersion || !strings.Contains(ack.Err, "local v3, peer v2") {
+		t.Errorf("ack = %+v, want a v3 refusal naming the peer's v2", ack)
+	}
+	if got := srv.Registry().Export()["netq_version_mismatches_total"]; got != int64(1) {
+		t.Errorf("netq_version_mismatches_total = %v, want 1", got)
+	}
+}
+
+// TestNewClientAgainstV2Server simulates a version 2 server: its gob
+// decoder fails on the hello's first byte at once, and it answers with
+// a gob ack refusing the connection. The client reports the mismatch
+// with the server's version.
+func TestNewClientAgainstV2Server(t *testing.T) {
+	cs, ss := net.Pipe()
+	go func() {
+		defer ss.Close()
+		var h hello
+		err := gob.NewDecoder(ss).Decode(&h)
+		if err == nil {
+			return // a v2 server would accept a v2 hello; the test then fails below
+		}
+		verr := &VersionError{Local: 2, Remote: 0}
+		gob.NewEncoder(ss).Encode(helloAck{Magic: protocolMagic, Version: 2, Err: verr.Error()})
+	}()
+	_, err := NewClient(cs)
+	cs.Close()
+	var verr *VersionError
+	if !errors.As(err, &verr) {
+		t.Fatalf("err = %v (%T), want *VersionError", err, err)
+	}
+	if verr.Local != ProtocolVersion || verr.Remote != 2 {
+		t.Errorf("VersionError = %+v, want local v%d / remote v2", verr, ProtocolVersion)
+	}
+}
+
+// TestNewerClientRefused: a hello of another version is answered with an
+// ack carrying the server's version and the reason.
+func TestNewerClientRefused(t *testing.T) {
+	db := testDB(t)
+	_, addr, stop := startServerKeep(t, db)
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(appendHello(nil, ProtocolVersion+1)); err != nil {
+		t.Fatal(err)
+	}
+	l := newLink(conn)
+	magic, version, err := readHello(l.r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusal, err := l.recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if magic != protocolMagic || version != ProtocolVersion || !strings.Contains(string(refusal), "version mismatch") {
+		t.Errorf("ack: magic %q version %d refusal %q, want a v%d refusal", magic, version, refusal, ProtocolVersion)
 	}
 }
