@@ -8,47 +8,6 @@ import (
 	"dynq/internal/stats"
 )
 
-// QueryOptions carries per-query knobs for the context-aware query entry
-// points (SnapshotCtx, KNNCtx). The zero value means "no limit, no
-// deadline, no stats" and matches the plain methods exactly. New knobs
-// are added here rather than as new method parameters.
-type QueryOptions struct {
-	// Limit, when positive, caps the number of results returned. For
-	// range queries the index traversal stops early once the cap is
-	// reached; which results survive is deterministic for an unchanged
-	// index but otherwise unspecified. For KNN it caps k.
-	Limit int
-	// Deadline, when positive, bounds the query's execution time: the
-	// context is wrapped with this timeout and checked at node-visit
-	// granularity, so an expired query returns context.DeadlineExceeded
-	// within one page fetch.
-	Deadline time.Duration
-	// Stats, when non-nil, receives the query's cost-counter delta
-	// (reads, distance computations, results, ...) when it completes.
-	// Under concurrent queries on the same database the delta may include
-	// work charged by overlapping operations.
-	Stats func(stats.Snapshot)
-}
-
-// beginOp applies a per-operation deadline and arms a stats sink against
-// the database's cumulative cost snapshot; the returned finish must be
-// called (deferred) when the operation completes. It serves QueryOptions
-// and WriteOptions alike.
-func (e *engine) beginOp(ctx context.Context, deadline time.Duration, sink func(stats.Snapshot)) (context.Context, func()) {
-	cancel := func() {}
-	if deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-	}
-	if sink == nil {
-		return ctx, cancel
-	}
-	before := e.units.CostSnapshot()
-	return ctx, func() {
-		sink(e.units.CostSnapshot().Sub(before))
-		cancel()
-	}
-}
-
 // PredictiveCursor is the predictive dynamic query session surface
 // (*PredictiveSession implements it).
 type PredictiveCursor interface {
@@ -77,21 +36,18 @@ type AdaptiveCursor interface {
 // knowing whether one tree or many stand behind it.
 type Database interface {
 	Insert(id ObjectID, seg Segment) error
-	InsertCtx(ctx context.Context, id ObjectID, seg Segment, opts WriteOptions) error
 	Delete(id ObjectID, t0 float64) error
-	DeleteCtx(ctx context.Context, id ObjectID, t0 float64, opts WriteOptions) error
 	// ApplyUpdates applies a batch of motion updates as one write: the
 	// high-rate ingest path. See the concrete types for atomicity and
 	// durability semantics.
 	ApplyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error
 	BulkLoadUpdates(updates []MotionUpdate) error
-	BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error
 	// Sync persists every page file and checkpoints every armed log.
 	Sync() error
 	Snapshot(view Rect, t0, t1 float64) ([]Result, error)
-	SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opts QueryOptions) ([]Result, error)
+	SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64) ([]Result, error)
 	KNN(point []float64, t float64, k int) ([]Neighbor, error)
-	KNNCtx(ctx context.Context, point []float64, t float64, k int, opts QueryOptions) ([]Neighbor, error)
+	KNNCtx(ctx context.Context, point []float64, t float64, k int) ([]Neighbor, error)
 	Predictive(waypoints []Waypoint, opts PredictiveOptions) (PredictiveCursor, error)
 	NonPredictive(opts NonPredictiveOptions) NonPredictiveCursor
 	Adaptive(opts AdaptiveOptions) (AdaptiveCursor, error)

@@ -6,127 +6,36 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"dynq/internal/stats"
 )
 
-// wideView covers the whole test population, so unlimited queries return
-// plenty of results and Limit has something to cut.
+// wideView covers the whole test population.
 var wideView = Rect{Min: []float64{0, 0}, Max: []float64{110, 110}}
 
-func optionsFixture(t *testing.T) (*DB, *ShardedDB) {
-	t.Helper()
+// TestQueryCancellation: the context-aware queries stop on a cancelled
+// context and on an expired deadline, on one unit and on several.
+func TestQueryCancellation(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	return equivPair(t, randomPopulation(r, 200, 8), 3, true)
-}
-
-func TestQueryOptionsLimit(t *testing.T) {
-	db, sdb := optionsFixture(t)
-	ctx := context.Background()
-	for name, q := range map[string]func(QueryOptions) (int, error){
-		"db.SnapshotCtx": func(o QueryOptions) (int, error) {
-			rs, err := db.SnapshotCtx(ctx, wideView, 1, 3, o)
-			return len(rs), err
-		},
-		"sharded.SnapshotCtx": func(o QueryOptions) (int, error) {
-			rs, err := sdb.SnapshotCtx(ctx, wideView, 1, 3, o)
-			return len(rs), err
-		},
-		"db.KNNCtx": func(o QueryOptions) (int, error) {
-			ns, err := db.KNNCtx(ctx, []float64{50, 50}, 2, 20, o)
-			return len(ns), err
-		},
-		"sharded.KNNCtx": func(o QueryOptions) (int, error) {
-			ns, err := sdb.KNNCtx(ctx, []float64{50, 50}, 2, 20, o)
-			return len(ns), err
-		},
-	} {
-		all, err := q(QueryOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if all <= 5 {
-			t.Fatalf("%s: fixture too sparse (%d results), limit test vacuous", name, all)
-		}
-		capped, err := q(QueryOptions{Limit: 5})
-		if err != nil {
-			t.Fatalf("%s limited: %v", name, err)
-		}
-		if capped != 5 {
-			t.Fatalf("%s: Limit=5 returned %d results", name, capped)
-		}
-	}
-}
-
-func TestQueryOptionsCancellation(t *testing.T) {
-	db, sdb := optionsFixture(t)
+	db, sdb := equivPair(t, randomPopulation(r, 200, 8), 3, true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.SnapshotCtx(ctx, wideView, 1, 3, QueryOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("db.SnapshotCtx on cancelled ctx: %v", err)
-	}
-	if _, err := sdb.SnapshotCtx(ctx, wideView, 1, 3, QueryOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sharded.SnapshotCtx on cancelled ctx: %v", err)
-	}
-	if _, err := db.KNNCtx(ctx, []float64{50, 50}, 2, 5, QueryOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("db.KNNCtx on cancelled ctx: %v", err)
-	}
-	if _, err := sdb.KNNCtx(ctx, []float64{50, 50}, 2, 5, QueryOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sharded.KNNCtx on cancelled ctx: %v", err)
-	}
-
-	// An already-expired Deadline must surface as DeadlineExceeded even
-	// with a background parent context.
-	expired := QueryOptions{Deadline: time.Nanosecond}
-	time.Sleep(time.Millisecond)
-	if _, err := db.SnapshotCtx(context.Background(), wideView, 1, 3, expired); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("db.SnapshotCtx with expired deadline: %v", err)
-	}
-	if _, err := sdb.SnapshotCtx(context.Background(), wideView, 1, 3, expired); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("sharded.SnapshotCtx with expired deadline: %v", err)
-	}
-}
-
-func TestQueryOptionsStatsSink(t *testing.T) {
-	db, sdb := optionsFixture(t)
-	check := func(name string, q func(QueryOptions) error) {
-		var got stats.Snapshot
-		called := false
-		err := q(QueryOptions{Stats: func(s stats.Snapshot) { got = s; called = true }})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	expired, cancelExpired := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancelExpired()
+	<-expired.Done()
+	for _, c := range []struct {
+		ctx  context.Context
+		want error
+	}{{ctx, context.Canceled}, {expired, context.DeadlineExceeded}} {
+		if _, err := db.SnapshotCtx(c.ctx, wideView, 1, 3); !errors.Is(err, c.want) {
+			t.Fatalf("db.SnapshotCtx: %v, want %v", err, c.want)
 		}
-		if !called {
-			t.Fatalf("%s: Stats sink never called", name)
+		if _, err := sdb.SnapshotCtx(c.ctx, wideView, 1, 3); !errors.Is(err, c.want) {
+			t.Fatalf("sharded.SnapshotCtx: %v, want %v", err, c.want)
 		}
-		if got.Reads() == 0 {
-			t.Fatalf("%s: stats delta shows zero reads: %+v", name, got)
+		if _, err := db.KNNCtx(c.ctx, []float64{50, 50}, 2, 5); !errors.Is(err, c.want) {
+			t.Fatalf("db.KNNCtx: %v, want %v", err, c.want)
 		}
-		// The sink receives a delta, not the cumulative counters: a second
-		// identical query must report roughly the same work, not double.
-		first := got
-		if err := q(QueryOptions{Stats: func(s stats.Snapshot) { got = s }}); err != nil {
-			t.Fatalf("%s again: %v", name, err)
-		}
-		if got.Reads() > 2*first.Reads() {
-			t.Fatalf("%s: second delta %d reads vs first %d — sink looks cumulative", name, got.Reads(), first.Reads())
+		if _, err := sdb.KNNCtx(c.ctx, []float64{50, 50}, 2, 5); !errors.Is(err, c.want) {
+			t.Fatalf("sharded.KNNCtx: %v, want %v", err, c.want)
 		}
 	}
-	ctx := context.Background()
-	check("db.SnapshotCtx", func(o QueryOptions) error {
-		_, err := db.SnapshotCtx(ctx, wideView, 1, 3, o)
-		return err
-	})
-	check("sharded.SnapshotCtx", func(o QueryOptions) error {
-		_, err := sdb.SnapshotCtx(ctx, wideView, 1, 3, o)
-		return err
-	})
-	check("db.KNNCtx", func(o QueryOptions) error {
-		_, err := db.KNNCtx(ctx, []float64{50, 50}, 2, 10, o)
-		return err
-	})
-	check("sharded.KNNCtx", func(o QueryOptions) error {
-		_, err := sdb.KNNCtx(ctx, []float64{50, 50}, 2, 10, o)
-		return err
-	})
 }

@@ -113,43 +113,6 @@ func ablationEntries(b *testing.B, n int) []rtree.LeafEntry {
 	return entries
 }
 
-// Split-policy ablation: insertion cost and query quality of the three
-// split algorithms.
-func benchSplit(b *testing.B, policy rtree.SplitPolicy) {
-	entries := ablationEntries(b, 20000)
-	b.ResetTimer()
-	var tree *rtree.Tree
-	for i := 0; i < b.N; i++ {
-		cfg := rtree.DefaultConfig()
-		cfg.Split = policy
-		var err error
-		tree, err = rtree.New(cfg, pager.NewMemStore())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range entries {
-			if err := tree.Insert(e.ID, e.Seg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	var c stats.Counters
-	for k := 0; k < 20; k++ {
-		lo := float64(k * 4 % 80)
-		if _, err := tree.RangeSearch(
-			geom.Box{{Lo: lo, Hi: lo + 8}, {Lo: lo, Hi: lo + 8}},
-			geom.Interval{Lo: 50, Hi: 50.5}, rtree.SearchOptions{}, &c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(c.Snapshot().Reads())/20, "reads/query")
-}
-
-func BenchmarkAblationSplitQuadratic(b *testing.B) { benchSplit(b, rtree.SplitQuadratic) }
-func BenchmarkAblationSplitLinear(b *testing.B)    { benchSplit(b, rtree.SplitLinear) }
-func BenchmarkAblationSplitRStar(b *testing.B)     { benchSplit(b, rtree.SplitRStarAxis) }
-
 // Leaf-exactness ablation: the NSI leaf optimization (exact segment test)
 // versus bounding-box-only leaves, measured as false admissions shipped.
 func BenchmarkAblationLeafExact(b *testing.B) {
@@ -164,14 +127,48 @@ func BenchmarkAblationLeafExact(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		loose, err := ix.Tree.RangeSearch(win, tw, rtree.SearchOptions{BBOnlyLeaf: true}, &c)
-		if err != nil {
+		if looseN, err = boxAdmissions(ix.Tree, win, tw); err != nil {
 			b.Fatal(err)
 		}
-		exactN, looseN = len(exact), len(loose)
+		exactN = len(exact)
 	}
 	b.ReportMetric(float64(exactN), "exact-results")
 	b.ReportMetric(float64(looseN-exactN), "false-admissions")
+}
+
+// boxAdmissions counts the leaf entries whose bounding box meets the
+// query: what a search without the exact leaf test would ship.
+func boxAdmissions(tree *rtree.Tree, win geom.Box, tw geom.Interval) (int, error) {
+	q := rtree.QueryBox(win, tw)
+	n := 0
+	var visit func(id pager.PageID) error
+	visit = func(id pager.PageID) error {
+		var kids []pager.PageID
+		err := tree.View(id, nil, func(v rtree.NodeView) error {
+			for k := 0; k < v.Len(); k++ {
+				switch {
+				case v.Leaf():
+					if v.EntryOverlaps(k, q) {
+						n++
+					}
+				case v.ChildOverlaps(k, q):
+					kids = append(kids, v.ChildID(k))
+				}
+			}
+			return nil
+		})
+		for _, kid := range kids {
+			if err == nil {
+				err = visit(kid)
+			}
+		}
+		return err
+	}
+	root, _, ok := tree.Root()
+	if !ok {
+		return 0, nil
+	}
+	return n, visit(root)
 }
 
 // Server-side LRU ablation. A big enough per-session LRU does let naive
@@ -263,41 +260,6 @@ func BenchmarkAblationDualAxes(b *testing.B) {
 	}
 	b.ReportMetric(ratios[0], "single-axis-ratio")
 	b.ReportMetric(ratios[1], "dual-axis-ratio")
-}
-
-// Dedup ablation: NPDQ's geometric segment-level suppression versus the
-// exact id-set (TrackIDs) suppression, in results shipped per query.
-func BenchmarkAblationNPDQDedup(b *testing.B) {
-	ix := sharedIndex(b, true)
-	q := workload.PaperQuery(0.9, 8)
-	var geo, ids float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := workload.Generate(q, newRand(int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for mode := 0; mode < 2; mode++ {
-			var c stats.Counters
-			nq := core.NewNPDQ(ix.Tree, core.NPDQOptions{TrackIDs: mode == 1}, &c)
-			total := 0
-			for k := range g.Windows {
-				rs, err := nq.Next(g.Windows[k], g.Times[k])
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += len(rs)
-			}
-			v := float64(total) / float64(len(g.Windows))
-			if mode == 0 {
-				geo = v
-			} else {
-				ids = v
-			}
-		}
-	}
-	b.ReportMetric(geo, "geometric-results/query")
-	b.ReportMetric(ids, "trackids-results/query")
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

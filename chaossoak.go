@@ -144,14 +144,13 @@ func (f *chaosWALFault) fault(string) error {
 func openChaos(path, walPath string, bufferPages int, mopts MaintenanceOptions,
 	now func() time.Time, walFault func(string) error) (*DB, *pager.FileStore, *pager.FaultStore, error) {
 	return recoverFaulted(recoverSpec{
-		lay:          singleLayout(path, walPath),
-		units:        1,
-		forceWAL:     true,
-		bufferPages:  bufferPages,
-		degradeAfter: 2, // degrade on the second consecutive write failure
-		maint:        mopts,
-		walFault:     walFault,
-		clock:        now,
+		lay:         singleLayout(path, walPath),
+		units:       1,
+		forceWAL:    true,
+		bufferPages: bufferPages,
+		maint:       mopts,
+		walFault:    walFault,
+		clock:       now,
 	}, nil)
 }
 
@@ -190,7 +189,6 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 		Checkpoint:       CheckpointPolicy{MaxBytes: chaosMaxWALBytes},
 		ScrubPagesPerSec: 200_000, // one tick covers the whole working set
 		ProbeBackoff:     10 * time.Millisecond,
-		Interval:         -1, // manual ticks under the injected clock
 	}
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 	hook := &chaosWALFault{}
@@ -262,7 +260,7 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 
 		// The soak never calls Sync itself: one maintenance tick must keep
 		// the log under the checkpoint policy's byte cap.
-		clk.Advance(defaultMaintInterval)
+		clk.Advance(maintInterval)
 		db.maint.tick()
 		if db.logs[0].LiveBytes() >= chaosMaxWALBytes {
 			rep.WALBoundViolations++
@@ -307,7 +305,7 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 			noteFaultErr(err)
 			rep.TransientFaults++
 			if db.Degraded() {
-				return errors.New("one transient failure tripped read-only (threshold is 2)")
+				return errors.New("one transient failure tripped read-only (threshold is 3)")
 			}
 			// Space came back on its own; the same batch must now commit.
 			if err := commitBatch(b); err != nil {
@@ -358,7 +356,7 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 		if cycle%chaosScrubEvery == 0 {
 			passes := db.maint.scrubPassCount.Load()
 			for t := 0; t < 50 && db.maint.scrubPassCount.Load() == passes; t++ {
-				clk.Advance(defaultMaintInterval)
+				clk.Advance(maintInterval)
 				db.maint.tick()
 			}
 			if db.maint.scrubPassCount.Load() == passes {

@@ -33,16 +33,16 @@ func wrapDiskFull(err error) error {
 	return fmt.Errorf("%w: %w", ErrDiskFull, err)
 }
 
-// defaultDegradeAfter is the number of CONSECUTIVE storage write
-// failures that trips degraded mode when Options.DegradeAfter is 0.
-const defaultDegradeAfter = 3
+// degradeAfter is the number of CONSECUTIVE storage write failures that
+// trips degraded mode: mutations return ErrReadOnly until SetReadOnly(false)
+// or the maintenance probe heals the database.
+const degradeAfter = 3
 
 // degradeState tracks consecutive storage write failures and the
 // degraded (read-only) flag; all methods are safe for concurrent use.
 type degradeState struct {
 	degraded   atomic.Bool
 	writeFails atomic.Int32
-	after      int32 // 0: default threshold; <0: never degrade
 }
 
 // gate returns ErrReadOnly when the database is degraded. Mutating
@@ -66,11 +66,7 @@ func (d *degradeState) note(err error) error {
 	}
 	err = wrapDiskFull(err)
 	n := d.writeFails.Add(1)
-	limit := d.after
-	if limit == 0 {
-		limit = defaultDegradeAfter
-	}
-	if limit > 0 && n >= limit && d.degraded.CompareAndSwap(false, true) {
+	if n >= degradeAfter && d.degraded.CompareAndSwap(false, true) {
 		obs.DefaultJournal().Record(obs.EventDegradedEnter, obs.SeverityError,
 			"database degraded to read-only after consecutive storage write failures",
 			map[string]string{

@@ -7,9 +7,8 @@ import (
 )
 
 // TestDegradedModeTripsAfterConsecutiveWriteFailures: storage write
-// failures must flip the database to read-only at the configured
-// threshold, reads must keep working, and clearing the flag restores
-// writes.
+// failures must flip the database to read-only at the threshold, reads
+// must keep working, and clearing the flag restores writes.
 func TestDegradedModeTripsAfterConsecutiveWriteFailures(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "degrade.dynq")
 	if err := rebuildFile(path, nil, 0); err != nil {
@@ -20,7 +19,6 @@ func TestDegradedModeTripsAfterConsecutiveWriteFailures(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer fs.Crash()
-	db.health.after = 3 // override openFaulted's "never degrade"
 
 	if err := db.Insert(1, Segment{T0: 0, T1: 1, From: []float64{1, 1}, To: []float64{1, 1}}); err != nil {
 		t.Fatalf("healthy insert: %v", err)
@@ -36,8 +34,8 @@ func TestDegradedModeTripsAfterConsecutiveWriteFailures(t *testing.T) {
 		}
 		if errors.Is(err, ErrReadOnly) {
 			sawReadOnly = true
-			if i < 2 {
-				t.Fatalf("degraded after only %d failures, threshold is 3", i+1)
+			if i < degradeAfter-1 {
+				t.Fatalf("degraded after only %d failures, threshold is %d", i+1, degradeAfter)
 			}
 			break
 		}
@@ -68,39 +66,15 @@ func TestDegradedModeTripsAfterConsecutiveWriteFailures(t *testing.T) {
 	}
 }
 
-// TestDegradeDisabled: a negative DegradeAfter must never trip, and
-// ErrNotFound from Delete must not count as a storage failure.
-func TestDegradeDisabled(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nodegrade.dynq")
-	if err := rebuildFile(path, nil, 0); err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-	db, fs, faults, err := openFaulted(path, nil, 0)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer fs.Crash()
-	// openFaulted sets after = -1 (never degrade); hammer it.
-	faults.ArmWrites(1)
-	faults.ArmAllocs(1)
-	for i := 0; i < 8; i++ {
-		if err := db.Insert(ObjectID(i), Segment{T0: 0, T1: 1, From: []float64{1, 1}, To: []float64{1, 1}}); err == nil {
-			t.Fatal("insert succeeded despite armed faults")
-		} else if errors.Is(err, ErrReadOnly) {
-			t.Fatalf("degraded despite DegradeAfter < 0 (failure %d)", i)
-		}
-	}
-}
-
 // TestDeleteNotFoundDoesNotDegrade: a missing segment is an answer, not
 // a storage failure — it must never advance the degrade counter.
 func TestDeleteNotFoundDoesNotDegrade(t *testing.T) {
-	db, err := Open(Options{DegradeAfter: 1})
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 2*degradeAfter; i++ {
 		err := db.Delete(ObjectID(i), 0)
 		if !errors.Is(err, ErrNotFound) {
 			t.Fatalf("delete of absent segment: got %v, want ErrNotFound", err)

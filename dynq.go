@@ -70,16 +70,6 @@ type Neighbor struct {
 	Dist    float64
 }
 
-// SplitPolicy names an R-tree node splitting algorithm.
-type SplitPolicy string
-
-// Split policies accepted in Options.
-const (
-	SplitQuadratic SplitPolicy = "quadratic" // Guttman quadratic (default)
-	SplitLinear    SplitPolicy = "linear"    // Guttman linear
-	SplitRStar     SplitPolicy = "rstar"     // R*-style axis split
-)
-
 // Options configure a database.
 type Options struct {
 	// Dims is the spatial dimensionality (default 2).
@@ -88,8 +78,6 @@ type Options struct {
 	// in internal index entries. Required for non-predictive dynamic
 	// queries to prune effectively; costs internal fanout (113 vs 145).
 	DualTimeAxes bool
-	// Split selects the R-tree split policy (default quadratic).
-	Split SplitPolicy
 	// Path, when non-empty, stores index pages in a file; otherwise the
 	// index lives in memory. Open CREATES the file, truncating any
 	// existing contents — use OpenFile to reattach a previously written
@@ -102,11 +90,6 @@ type Options struct {
 	// database must keep post-checkpoint writes in memory so a crash
 	// cannot tear the committed base file the log replays onto.
 	BufferPages int
-	// DegradeAfter is the number of consecutive storage write failures
-	// after which the database degrades to read-only mode (mutations
-	// return ErrReadOnly until SetReadOnly(false)). 0 means the default
-	// of 3; a negative value disables degradation.
-	DegradeAfter int
 	// WALPath, when non-empty, arms a write-ahead log at that path: every
 	// ApplyUpdates/Insert/Delete appends a checksummed record before
 	// touching the index, Sync checkpoints the log, and reopening through
@@ -149,7 +132,7 @@ const defaultWALBufferPages = 1024
 // created, TRUNCATING any existing file at that path; use OpenFile to
 // reattach an existing one.
 func Open(opts Options) (*DB, error) {
-	e, err := createEngine(opts, 1, 0, singleLayout(opts.Path, opts.WALPath), opts.WALPath != "")
+	e, err := createEngine(opts, 1, singleLayout(opts.Path, opts.WALPath), opts.WALPath != "")
 	if err != nil {
 		return nil, err
 	}
@@ -194,16 +177,6 @@ func (o Options) toConfig() (rtree.Config, error) {
 		cfg.Dims = o.Dims
 	}
 	cfg.DualTime = o.DualTimeAxes
-	switch o.Split {
-	case "", SplitQuadratic:
-		cfg.Split = rtree.SplitQuadratic
-	case SplitLinear:
-		cfg.Split = rtree.SplitLinear
-	case SplitRStar:
-		cfg.Split = rtree.SplitRStarAxis
-	default:
-		return cfg, fmt.Errorf("dynq: unknown split policy %q", o.Split)
-	}
 	return cfg, nil
 }
 

@@ -41,9 +41,6 @@ func populate(t *testing.T, db *DB, n int, seed int64) map[ObjectID][]Segment {
 }
 
 func TestOpenValidation(t *testing.T) {
-	if _, err := Open(Options{Split: "bogus"}); err == nil {
-		t.Error("bad split policy should be rejected")
-	}
 	if _, err := Open(Options{Dims: 99}); err == nil {
 		t.Error("bad dims should be rejected")
 	}
@@ -227,36 +224,9 @@ func TestNonPredictiveSessionIncrementalUnion(t *testing.T) {
 	}
 }
 
-func TestSPDQSlackSupersetAndKNN(t *testing.T) {
+func TestKNNSortedByDistance(t *testing.T) {
 	db := newTestDB(t, Options{})
 	populate(t, db, 100, 5)
-	waypoints := []Waypoint{
-		{T: 5, View: Rect{Min: []float64{20, 20}, Max: []float64{30, 30}}},
-		{T: 15, View: Rect{Min: []float64{40, 20}, Max: []float64{50, 30}}},
-	}
-	exact, err := db.PredictiveQuery(waypoints, PredictiveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exact.Close()
-	slack, err := db.PredictiveQuery(waypoints, PredictiveOptions{
-		Slack: func(float64) float64 { return 3 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slack.Close()
-	a, err := exact.Fetch(5, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := slack.Fetch(5, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) < len(a) {
-		t.Errorf("SPDQ returned fewer results (%d) than exact PDQ (%d)", len(b), len(a))
-	}
 	// kNN sanity: results sorted by distance, correct count.
 	nbs, err := db.KNN([]float64{50, 50}, 10, 7)
 	if err != nil {

@@ -97,7 +97,7 @@ func where(unit, units int) string {
 // opts.Path/WALPath, says where files go: each unit's pages live in
 // lay.page(i) (created, truncating) or in memory; logged arms a new log
 // per unit at lay.log(i).
-func createEngine(opts Options, n, workers int, lay layout, logged bool) (*engine, error) {
+func createEngine(opts Options, n int, lay layout, logged bool) (*engine, error) {
 	cfg, err := opts.toConfig()
 	if err != nil {
 		return nil, err
@@ -106,7 +106,7 @@ func createEngine(opts Options, n, workers int, lay layout, logged bool) (*engin
 	if logged && bufferPages == 0 {
 		bufferPages = defaultWALBufferPages
 	}
-	units, err := shard.New(cfg, shard.Options{Shards: n, Workers: workers, BufferPages: bufferPages},
+	units, err := shard.New(cfg, shard.Options{Shards: n, BufferPages: bufferPages},
 		func(i int) (pager.Store, error) {
 			if lay.page == nil {
 				return pager.NewMemStore(), nil
@@ -117,7 +117,6 @@ func createEngine(opts Options, n, workers int, lay layout, logged bool) (*engin
 		return nil, err
 	}
 	e := &engine{units: units, dims: cfg.Dims, walLabel: lay.logs}
-	e.health.after = int32(opts.DegradeAfter)
 	// Commit every file's empty base state BEFORE arming its log: a crash
 	// between open and the first Sync must leave an openable (empty) file
 	// for replay to rebuild from, never a zero-length unrecoverable one.
@@ -145,7 +144,7 @@ func createEngine(opts Options, n, workers int, lay layout, logged bool) (*engin
 			e.logs[i] = w
 		}
 	}
-	e.maint = startMaintainer(e, opts.Maintenance)
+	e.maint = startMaintainer(e, opts.Maintenance, nil)
 	return e, nil
 }
 
@@ -200,13 +199,13 @@ func (e *engine) Len() int {
 // Snapshot answers one spatio-temporal range query: all objects whose
 // trajectory passes through view during [t0, t1].
 func (e *engine) Snapshot(view Rect, t0, t1 float64) ([]Result, error) {
-	return e.SnapshotCtx(context.Background(), view, t0, t1, QueryOptions{})
+	return e.SnapshotCtx(context.Background(), view, t0, t1)
 }
 
-// SnapshotCtx is Snapshot with cooperative cancellation and per-query
-// options. The context is checked once per index node visited, so a
-// cancelled or expired query stops within one page fetch.
-func (e *engine) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opts QueryOptions) ([]Result, error) {
+// SnapshotCtx is Snapshot with cooperative cancellation. The context is
+// checked once per index node visited, so a cancelled or expired query
+// stops within one page fetch.
+func (e *engine) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64) ([]Result, error) {
 	box, err := toBoxDims(view, e.dims)
 	if err != nil {
 		return nil, err
@@ -215,11 +214,9 @@ func (e *engine) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opt
 	if err != nil {
 		return nil, err
 	}
-	ctx, finish := e.beginOp(ctx, opts.Deadline, opts.Stats)
-	defer finish()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ms, err := e.units.Snapshot(ctx, box, tw, opts.Limit)
+	ms, err := e.units.Snapshot(ctx, box, tw, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -238,19 +235,14 @@ func (e *engine) SnapshotCtx(ctx context.Context, view Rect, t0, t1 float64, opt
 // KNN returns the k objects nearest to point at time t, nearest first
 // (ties by object id).
 func (e *engine) KNN(point []float64, t float64, k int) ([]Neighbor, error) {
-	return e.KNNCtx(context.Background(), point, t, k, QueryOptions{})
+	return e.KNNCtx(context.Background(), point, t, k)
 }
 
-// KNNCtx is KNN with cooperative cancellation and per-query options.
-func (e *engine) KNNCtx(ctx context.Context, point []float64, t float64, k int, opts QueryOptions) ([]Neighbor, error) {
-	if opts.Limit > 0 && opts.Limit < k {
-		k = opts.Limit
-	}
+// KNNCtx is KNN with cooperative cancellation.
+func (e *engine) KNNCtx(ctx context.Context, point []float64, t float64, k int) ([]Neighbor, error) {
 	if hasNaN(t) || hasNaN(point...) {
 		return nil, fmt.Errorf("%w in nearest-neighbour query %v at %g", ErrNonFinite, point, t)
 	}
-	ctx, finish := e.beginOp(ctx, opts.Deadline, opts.Stats)
-	defer finish()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	nbs, err := e.units.KNN(ctx, geom.Point(point), t, k)
@@ -313,7 +305,7 @@ func fromJoinPairs(pairs []core.JoinPair) []Pair {
 // time. The whole series costs one incremental traversal per unit (the
 // dynamic query machinery), not one aggregation per sample.
 func (e *engine) CountSeries(waypoints []Waypoint, times []float64) ([]int, error) {
-	traj, err := buildTrajectory(waypoints, e.dims, nil)
+	traj, err := buildTrajectory(waypoints, e.dims)
 	if err != nil {
 		return nil, err
 	}

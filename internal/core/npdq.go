@@ -9,28 +9,9 @@ import (
 	"dynq/internal/stats"
 )
 
-// NPDQOptions tune a non-predictive dynamic query session.
-type NPDQOptions struct {
-	// TrackIDs keeps the object-id set of the previous snapshot's
-	// traversal and suppresses re-delivery at the object level, instead
-	// of the default segment-level geometric suppression. Because a
-	// discarded node's objects are not in the recorded set, an object can
-	// occasionally be re-delivered after its node was skipped for a frame
-	// (a harmless client-cache upsert); combined with ExactAnswers (which
-	// disables discarding) suppression is exact. The id set costs
-	// O(answer) server memory per session; the benchmark suite compares
-	// both modes.
-	TrackIDs bool
-	// ExactAnswers filters answers with the exact leaf-level trajectory
-	// test instead of delivering bounding-box candidates. Discardability
-	// pruning is then disabled: Lemma 1 guarantees only that a skipped
-	// node's Q-relevant segments *box*-matched the previous query, and a
-	// segment can box-match P while its exact trajectory misses P's
-	// window — discarding would hide it from Q even though the client
-	// never received it. Exact mode therefore trades the paper's I/O
-	// savings for exact delivery (see DESIGN.md).
-	ExactAnswers bool
-}
+// NPDQOptions is empty: an NPDQ session has one mode, the paper's. The
+// type stays because the nested benchmark module compiles against it.
+type NPDQOptions struct{}
 
 // NPDQ evaluates a non-predictive dynamic query (Section 4.2): a stream
 // of snapshot queries whose future motion is unknown. Each Next call
@@ -40,11 +21,13 @@ type NPDQOptions struct {
 // — Lemma 1's discardability test, discardable(P,Q,R) ⇔ (Q∩R) ⊂ P —
 // evaluated on the dual temporal axes of Figure 5(b).
 //
-// In the default (paper) mode, membership is decided at bounding-box
-// granularity: results are candidates whose exact visibility interval is
-// reported when non-empty, and the client performs the final exact check
-// when rendering (it holds the full segment geometry either way). This is
-// the granularity at which the discardability lemma is sound.
+// Membership is decided at bounding-box granularity, as in the paper:
+// results are candidates whose exact visibility interval is reported when
+// non-empty, and the client performs the final exact check when rendering
+// (it holds the full segment geometry either way). This is the only
+// granularity at which the discardability lemma is sound: a segment can
+// box-match P while its exact trajectory misses P's window, so an exact
+// answer would have to give up discarding.
 //
 // Node modification stamps guard discardability under concurrent inserts:
 // a node changed since P ran cannot be discarded on P's authority.
@@ -53,13 +36,10 @@ type NPDQOptions struct {
 type NPDQ struct {
 	tree *rtree.Tree
 	c    *stats.Counters
-	opts NPDQOptions
 
 	hasPrev   bool
 	cur, prev rtree.Query // double-buffered: Next fills cur, then swaps
 	prevSeq   uint64      // tree.ModSeq() observed before the previous query ran
-	prevIDs   map[rtree.ObjectID]struct{}
-	curIDs    map[rtree.ObjectID]struct{}
 
 	// Scratch reused across visits and frames.
 	stack []pager.PageID // nodes still to visit, next on top
@@ -76,13 +56,8 @@ type NPDQ struct {
 // (rtree.Config.DualTime); with the single-axis layout the session is
 // still correct but discardability almost never fires, which is exactly
 // the problem Figure 5 illustrates (the ablation benchmark measures it).
-func NewNPDQ(tree *rtree.Tree, opts NPDQOptions, c *stats.Counters) *NPDQ {
-	n := &NPDQ{tree: tree, c: c, opts: opts, box: make(geom.Box, tree.Config().Dims+2)}
-	if opts.TrackIDs {
-		n.prevIDs = make(map[rtree.ObjectID]struct{})
-		n.curIDs = make(map[rtree.ObjectID]struct{})
-	}
-	return n
+func NewNPDQ(tree *rtree.Tree, _ NPDQOptions, c *stats.Counters) *NPDQ {
+	return &NPDQ{tree: tree, c: c, box: make(geom.Box, tree.Config().Dims+2)}
 }
 
 // Next evaluates the snapshot query (spatial window during time interval
@@ -96,9 +71,6 @@ func (nq *NPDQ) Next(window geom.Box, tw geom.Interval) ([]Result, error) {
 		return nil, fmt.Errorf("core: query time window is empty")
 	}
 	nq.cur.Fill(window, tw)
-	if nq.opts.TrackIDs {
-		clear(nq.curIDs)
-	}
 	nq.out, nq.slab = nil, rtree.Slab{}
 	var seqBefore uint64
 	// The whole frame is one read of the tree: a concurrent deletion may
@@ -133,21 +105,13 @@ func (nq *NPDQ) Next(window geom.Box, tw geom.Interval) ([]Result, error) {
 	nq.hasPrev = true
 	nq.cur, nq.prev = nq.prev, nq.cur
 	nq.prevSeq = seqBefore
-	if nq.opts.TrackIDs {
-		nq.prevIDs, nq.curIDs = nq.curIDs, nq.prevIDs
-	}
 	return out, nil
 }
 
 // Reset forgets the previous query: the next call behaves like a first
 // snapshot. Use it when the observer teleports (the paper's "snapshot
 // mode").
-func (nq *NPDQ) Reset() {
-	nq.hasPrev = false
-	if nq.opts.TrackIDs {
-		clear(nq.prevIDs)
-	}
-}
+func (nq *NPDQ) Reset() { nq.hasPrev = false }
 
 // visit examines one node in place: a leaf's new answers go to nq.out, an
 // internal node's surviving children onto the stack.
@@ -165,7 +129,7 @@ func (nq *NPDQ) visit(v rtree.NodeView) error {
 	// its children. A dirty node's children must all be visited — each
 	// visited child then re-reads its own stamp, so pruning resumes in
 	// clean subtrees below.
-	canDiscard := nq.hasPrev && !nq.opts.ExactAnswers && v.Stamp() <= nq.prevSeq
+	canDiscard := nq.hasPrev && v.Stamp() <= nq.prevSeq
 	base, pruned := len(nq.stack), 0
 	for k := 0; k < v.Len(); k++ {
 		if !v.ChildOverlaps(k, nq.cur.Box) {
@@ -205,37 +169,23 @@ func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
 	// present when P ran. A per-entry insertion time is not stored, but
 	// the leaf's stamp bounds it: in a leaf modified since P, any entry
 	// might be new, so everything matching Q is delivered (over-delivery
-	// is safe — the client cache upserts by object id). TrackIDs mode is
-	// immune: it suppresses against P's actually-computed answer.
+	// is safe — the client cache upserts by object id).
 	leafClean := nq.hasPrev && v.Stamp() <= nq.prevSeq
 	for k, n := 0, v.Len(); k < n; k++ {
-		var ov geom.Interval
-		if nq.opts.ExactAnswers {
-			if ov = v.EntryOverlapTime(k, nq.cur.Exact); ov.Empty() {
-				continue
-			}
-		} else if !v.EntryOverlaps(k, nq.cur.Box) {
+		if !v.EntryOverlaps(k, nq.cur.Box) {
 			continue
 		}
-		if nq.opts.TrackIDs {
-			id, _ := v.EntryKey(k)
-			nq.curIDs[id] = struct{}{}
-			if _, seen := nq.prevIDs[id]; seen {
-				continue
-			}
-		} else if leafClean && nq.satisfiedPrev(v, k) {
+		if leafClean && v.EntryOverlaps(k, nq.prev.Box) {
 			// Segment-level suppression: this segment was part of the
 			// previous answer, so the client already has the object.
 			continue
 		}
-		if !nq.opts.ExactAnswers {
-			// Candidate semantics: report the exact episode when the
-			// trajectory really crosses the window, otherwise the
-			// conservative validity∩query window for the client to
-			// re-check.
-			if ov = v.EntryOverlapTime(k, nq.cur.Exact); ov.Empty() {
-				ov = v.EntryTime(k).Intersect(nq.cur.Window())
-			}
+		// Candidate semantics: report the exact episode when the
+		// trajectory really crosses the window, otherwise the
+		// conservative validity∩query window for the client to re-check.
+		ov := v.EntryOverlapTime(k, nq.cur.Exact)
+		if ov.Empty() {
+			ov = v.EntryTime(k).Intersect(nq.cur.Window())
 		}
 		if nq.out == nil {
 			nq.out = make([]Result, 0, 8) // grow in step with the slab
@@ -243,13 +193,4 @@ func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
 		e := v.Keep(k, &nq.slab)
 		nq.out = append(nq.out, Result{ID: e.ID, Seg: e.Seg, Appear: ov.Lo, Disappear: ov.Hi})
 	}
-}
-
-// satisfiedPrev reports whether the previous query delivered leaf entry
-// k, at the same granularity used for delivery.
-func (nq *NPDQ) satisfiedPrev(v rtree.NodeView, k int) bool {
-	if nq.opts.ExactAnswers {
-		return !v.EntryOverlapTime(k, nq.prev.Exact).Empty()
-	}
-	return v.EntryOverlaps(k, nq.prev.Box)
 }

@@ -108,24 +108,6 @@ func TestNPDQMatchesBruteForceFrameByFrame(t *testing.T) {
 	}
 }
 
-func TestNPDQExactAnswersMode(t *testing.T) {
-	tree, entries := buildIndex(t, dualConfig(), 400, 60, 11)
-	wins, tws := frameWindows(10, 40, 8, 0.4, 5, 0.5, 80)
-
-	var c stats.Counters
-	nq := NewNPDQ(tree, NPDQOptions{ExactAnswers: true}, &c)
-	prev := map[episodeKey]bool{}
-	for i := range wins {
-		got, err := nq.Next(wins[i], tws[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur := bruteExact(entries, wins[i], tws[i])
-		assertSameKeys(t, i, resultKeys(got), diffFrames(cur, prev))
-		prev = cur
-	}
-}
-
 // Candidate delivery is a superset of exact delivery, and every exact
 // result carries its true visibility episode.
 func TestNPDQCandidatesCoverExactAnswers(t *testing.T) {
@@ -153,84 +135,6 @@ func TestNPDQCandidatesCoverExactAnswers(t *testing.T) {
 				t.Fatalf("frame %d: exact answer %+v not even a box candidate (impossible)", i, k)
 			}
 		}
-	}
-}
-
-// With ExactAnswers (discarding off) the traversal sees every match, so
-// TrackIDs suppression is exact: an object is delivered exactly when it
-// newly enters the answer.
-func TestNPDQTrackIDsObjectSemantics(t *testing.T) {
-	tree, entries := buildIndex(t, dualConfig(), 400, 60, 12)
-	wins, tws := frameWindows(10, 40, 8, 0.4, 5, 0.5, 60)
-
-	var c stats.Counters
-	nq := NewNPDQ(tree, NPDQOptions{TrackIDs: true, ExactAnswers: true}, &c)
-	prevIDs := map[rtree.ObjectID]bool{}
-	for i := range wins {
-		got, err := nq.Next(wins[i], tws[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		curIDs := map[rtree.ObjectID]bool{}
-		for k := range bruteExact(entries, wins[i], tws[i]) {
-			curIDs[k.id] = true
-		}
-		gotIDs := map[rtree.ObjectID]bool{}
-		for _, r := range got {
-			gotIDs[r.ID] = true
-		}
-		for id := range curIDs {
-			if prevIDs[id] {
-				if gotIDs[id] {
-					t.Fatalf("frame %d: object %d re-delivered despite TrackIDs", i, id)
-				}
-			} else if !gotIDs[id] {
-				t.Fatalf("frame %d: new object %d missing", i, id)
-			}
-		}
-		for id := range gotIDs {
-			if !curIDs[id] {
-				t.Fatalf("frame %d: object %d does not satisfy the query", i, id)
-			}
-		}
-		prevIDs = curIDs
-	}
-}
-
-// With discarding on, TrackIDs stays complete (every new object arrives)
-// and sound (only true answers), though an object hidden inside a
-// discarded node for a frame may be re-delivered later.
-func TestNPDQTrackIDsWithDiscarding(t *testing.T) {
-	tree, entries := buildIndex(t, dualConfig(), 400, 60, 12)
-	wins, tws := frameWindows(10, 40, 8, 0.4, 5, 0.5, 60)
-
-	var c stats.Counters
-	nq := NewNPDQ(tree, NPDQOptions{TrackIDs: true}, &c)
-	prevIDs := map[rtree.ObjectID]bool{}
-	for i := range wins {
-		got, err := nq.Next(wins[i], tws[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		curIDs := map[rtree.ObjectID]bool{}
-		for k := range bruteBox(entries, wins[i], tws[i]) {
-			curIDs[k.id] = true
-		}
-		gotIDs := map[rtree.ObjectID]bool{}
-		for _, r := range got {
-			gotIDs[r.ID] = true
-		}
-		for id := range curIDs {
-			if !prevIDs[id] && !gotIDs[id] {
-				t.Fatalf("frame %d: new object %d missing", i, id)
-			}
-		}
-		for id := range gotIDs {
-			if !curIDs[id] {
-				t.Fatalf("frame %d: object %d does not satisfy the query", i, id)
-			}
-		}
-		prevIDs = curIDs
 	}
 }
 
@@ -403,23 +307,17 @@ func TestNPDQConcurrentInsertsNotMissed(t *testing.T) {
 	}
 }
 
-// Property: NPDQ (all dedup/exactness modes) equals brute force on random
-// window walks over random data.
+// Property: NPDQ equals brute force on random window walks over random
+// data.
 func TestNPDQBruteForceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tree, entries := buildIndex(t, dualConfig(), 150, 40, seed)
 		var c stats.Counters
-		opts := NPDQOptions{TrackIDs: r.Intn(2) == 0, ExactAnswers: r.Intn(2) == 0}
-		nq := NewNPDQ(tree, opts, &c)
-		snapshot := bruteBox
-		if opts.ExactAnswers {
-			snapshot = bruteExact
-		}
+		nq := NewNPDQ(tree, NPDQOptions{}, &c)
 		x, y := r.Float64()*80, r.Float64()*80
 		tNow := r.Float64() * 10
 		prev := map[episodeKey]bool{}
-		prevIDs := map[rtree.ObjectID]bool{}
 		for i := 0; i < 12; i++ {
 			x += r.Float64()*4 - 2
 			y += r.Float64()*4 - 2
@@ -430,43 +328,15 @@ func TestNPDQBruteForceProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			cur := snapshot(entries, win, tw)
-			if opts.TrackIDs {
-				curIDs := map[rtree.ObjectID]bool{}
-				for k := range cur {
-					curIDs[k.id] = true
-				}
-				gotIDs := map[rtree.ObjectID]bool{}
-				for _, res := range got {
-					gotIDs[res.ID] = true
-				}
-				for id := range curIDs {
-					// Completeness: new objects always arrive. Exact
-					// non-redelivery additionally holds when discarding
-					// is off (ExactAnswers).
-					if (i == 0 || !prevIDs[id]) && !gotIDs[id] {
-						return false
-					}
-					if opts.ExactAnswers && i > 0 && prevIDs[id] && gotIDs[id] {
-						return false
-					}
-				}
-				for id := range gotIDs {
-					if !curIDs[id] {
-						return false
-					}
-				}
-				prevIDs = curIDs
-			} else {
-				want := diffFrames(cur, prev)
-				gotKeys := resultKeys(got)
-				if len(gotKeys) != len(want) {
+			cur := bruteBox(entries, win, tw)
+			want := diffFrames(cur, prev)
+			gotKeys := resultKeys(got)
+			if len(gotKeys) != len(want) {
+				return false
+			}
+			for k := range want {
+				if !gotKeys[k] {
 					return false
-				}
-				for k := range want {
-					if !gotKeys[k] {
-						return false
-					}
 				}
 			}
 			prev = cur

@@ -18,10 +18,6 @@ type PDQOptions struct {
 	// inserted while the query runs still appear (Section 4.1's update
 	// management). Leave false for historical (read-only) workloads.
 	LiveUpdates bool
-	// RebuildOnRootSplit empties and re-seeds the priority queue when the
-	// index grows a new root, instead of enqueueing the root's new sibling
-	// (the paper's suggestion when the split is close to the root).
-	RebuildOnRootSplit bool
 }
 
 // PDQ evaluates a predictive dynamic query: the observer's trajectory is
@@ -36,7 +32,6 @@ type PDQ struct {
 	tree *rtree.Tree
 	traj *trajectory.Trajectory
 	c    *stats.Counters
-	opts PDQOptions
 
 	pq      pdqHeap
 	seq     uint64 // monotone tiebreak for deterministic pop order
@@ -61,7 +56,7 @@ func NewPDQ(tree *rtree.Tree, traj *trajectory.Trajectory, opts PDQOptions, c *s
 	if traj.Dims() != tree.Config().Dims {
 		return nil, fmt.Errorf("core: trajectory has %d dims, index has %d", traj.Dims(), tree.Config().Dims)
 	}
-	p := &PDQ{tree: tree, traj: traj, c: c, opts: opts, box: make(geom.Box, traj.Dims()+2)}
+	p := &PDQ{tree: tree, traj: traj, c: c, box: make(geom.Box, traj.Dims()+2)}
 	p.seedFromRoot()
 	if opts.LiveUpdates {
 		p.unsub = tree.OnUpdate(p.enqueueUpdate)
@@ -85,11 +80,12 @@ func (p *PDQ) seedFromRoot() {
 // enqueueUpdate receives update notifications. It runs under the tree
 // lock, so it only records the update; GetNext integrates the inbox before
 // consulting the queue. A reseed notification (a deletion freed pages the
-// queue may name) always forces the rebuild a root split only suggests.
+// queue may name) forces a rebuild from the root; every other update is
+// patched in by LCA re-insertion.
 func (p *PDQ) enqueueUpdate(u rtree.Update) {
 	p.inboxMu.Lock()
 	defer p.inboxMu.Unlock()
-	if u.Kind == rtree.UpdateReseed || (u.RootSplit && p.opts.RebuildOnRootSplit) {
+	if u.Kind == rtree.UpdateReseed {
 		p.rebuild = true
 		p.inbox = p.inbox[:0]
 		return

@@ -423,9 +423,10 @@ func TestPDQLiveUpdatesWithSplits(t *testing.T) {
 	_ = entries
 }
 
-func TestPDQRebuildOnRootSplit(t *testing.T) {
+func TestPDQLiveAcrossRootSplit(t *testing.T) {
 	// Start from a tiny tree (single leaf), then insert enough to split
-	// the root while a session with RebuildOnRootSplit runs.
+	// the root while a live session runs: the root's new sibling is
+	// patched into the queue like any other new subtree.
 	store := pager.NewMemStore()
 	tree, err := rtree.New(rtree.DefaultConfig(), store)
 	if err != nil {
@@ -449,7 +450,7 @@ func TestPDQRebuildOnRootSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c stats.Counters
-	pdq, err := NewPDQ(tree, tr, PDQOptions{LiveUpdates: true, RebuildOnRootSplit: true}, &c)
+	pdq, err := NewPDQ(tree, tr, PDQOptions{LiveUpdates: true}, &c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,19 +56,19 @@ func randomEntry(r *rand.Rand, id rtree.ObjectID) rtree.LeafEntry {
 type refNPDQ struct {
 	tree *rtree.Tree
 	c    *stats.Counters
-	opts NPDQOptions
+	// exact tests entries exactly and suppresses nothing: its first frame
+	// is a plain snapshot descent.
+	exact bool
 
-	hasPrev          bool
-	prevQ, prevExact geom.Box
-	prevSeq          uint64
-	prevIDs, curIDs  map[rtree.ObjectID]struct{}
+	hasPrev bool
+	prevQ   geom.Box
+	prevSeq uint64
 }
 
 func (nq *refNPDQ) next(window geom.Box, tw geom.Interval) ([]Result, error) {
 	q := rtree.QueryBox(window, tw)
 	qExact := append(window.Clone(), tw)
 	seqBefore := nq.tree.ModSeq()
-	nq.curIDs = map[rtree.ObjectID]struct{}{}
 	var out []Result
 	if root, _, ok := nq.tree.Root(); ok {
 		if err := nq.visit(root, q, qExact, &out); err != nil {
@@ -76,8 +76,7 @@ func (nq *refNPDQ) next(window geom.Box, tw geom.Interval) ([]Result, error) {
 		}
 	}
 	nq.c.AddResults(len(out))
-	nq.hasPrev, nq.prevQ, nq.prevExact, nq.prevSeq = true, q, qExact, seqBefore
-	nq.prevIDs = nq.curIDs
+	nq.hasPrev, nq.prevQ, nq.prevSeq = true, q, seqBefore
 	return out, nil
 }
 
@@ -87,33 +86,20 @@ func (nq *refNPDQ) visit(id pager.PageID, q, qExact geom.Box, out *[]Result) err
 		return err
 	}
 	d := nq.tree.Config().Dims
-	clean := nq.hasPrev && n.Stamp <= nq.prevSeq
+	clean := nq.hasPrev && !nq.exact && n.Stamp <= nq.prevSeq
 	for _, e := range n.Entries {
 		nq.c.AddDistanceComps(1)
 		ov := e.Seg.OverlapTimeInBox(qExact)
-		if nq.opts.ExactAnswers {
+		if nq.exact {
 			if ov.Empty() {
 				continue
 			}
 		} else {
-			if !e.Box(d).Overlaps(q) {
+			if !e.Box(d).Overlaps(q) || (clean && e.Box(d).Overlaps(nq.prevQ)) {
 				continue
 			}
 			if ov.Empty() {
 				ov = e.Seg.T.Intersect(qExact[d])
-			}
-		}
-		if nq.opts.TrackIDs {
-			nq.curIDs[e.ID] = struct{}{}
-			if _, seen := nq.prevIDs[e.ID]; seen {
-				continue
-			}
-		} else if clean {
-			if nq.opts.ExactAnswers && !e.Seg.OverlapTimeInBox(nq.prevExact).Empty() {
-				continue
-			}
-			if !nq.opts.ExactAnswers && e.Box(d).Overlaps(nq.prevQ) {
-				continue
 			}
 		}
 		*out = append(*out, Result{ID: e.ID, Seg: e.Seg, Appear: ov.Lo, Disappear: ov.Hi})
@@ -123,7 +109,7 @@ func (nq *refNPDQ) visit(id pager.PageID, q, qExact geom.Box, out *[]Result) err
 		if !ch.Box.Overlaps(q) {
 			continue
 		}
-		if clean && !nq.opts.ExactAnswers && nq.prevQ.Contains(q.Intersect(ch.Box)) {
+		if clean && nq.prevQ.Contains(q.Intersect(ch.Box)) {
 			nq.c.AddPruned(1)
 			continue
 		}
@@ -236,41 +222,39 @@ func TestSessionsMatchLoadReference(t *testing.T) {
 		r := rand.New(rand.NewSource(22))
 		nextID := rtree.ObjectID(200000)
 
-		for _, opts := range []NPDQOptions{{}, {TrackIDs: true}, {ExactAnswers: true}} {
-			var gc, wc stats.Counters
-			nq := NewNPDQ(tree, opts, &gc)
-			ref := &refNPDQ{tree: tree, c: &wc, opts: opts}
-			wins, tws := frameWindows(20, 40, 10, 0.6, 10, 0.5, 80)
-			for f := range wins {
-				if f%4 == 3 { // dirty some stamps
-					e := randomEntry(r, nextID)
-					nextID++
-					if err := tree.Insert(e.ID, e.Seg); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got, err := nq.Next(wins[f], tws[f])
-				if err != nil {
+		var gc, wc stats.Counters
+		nq := NewNPDQ(tree, NPDQOptions{}, &gc)
+		ref := &refNPDQ{tree: tree, c: &wc}
+		wins, tws := frameWindows(20, 40, 10, 0.6, 10, 0.5, 80)
+		for f := range wins {
+			if f%4 == 3 { // dirty some stamps
+				e := randomEntry(r, nextID)
+				nextID++
+				if err := tree.Insert(e.ID, e.Seg); err != nil {
 					t.Fatal(err)
 				}
-				want, err := ref.next(wins[f], tws[f])
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, "npdq", got, want, &gc, &wc)
 			}
+			got, err := nq.Next(wins[f], tws[f])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.next(wins[f], tws[f])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, "npdq", got, want, &gc, &wc)
 		}
 
 		// A snapshot is the reference's first exact frame: a plain descent
 		// testing every decoded entry.
-		wins, tws := frameWindows(20, 40, 10, 0.6, 10, 0.5, 40)
+		wins, tws = frameWindows(20, 40, 10, 0.6, 10, 0.5, 40)
 		for f := range wins {
 			var gc, wc stats.Counters
 			got, err := NewNaive(tree, rtree.SearchOptions{}, &gc).Snapshot(wins[f], tws[f])
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := (&refNPDQ{tree: tree, c: &wc, opts: NPDQOptions{ExactAnswers: true}}).next(wins[f], tws[f])
+			want, err := (&refNPDQ{tree: tree, c: &wc, exact: true}).next(wins[f], tws[f])
 			if err != nil {
 				t.Fatal(err)
 			}

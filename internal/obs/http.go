@@ -13,38 +13,16 @@ import (
 // endpoints; larger requests are rejected rather than silently clamped.
 const maxDebugLimit = 100000
 
-// HandlerConfig names the observability state a Handler serves. Any
+// HandlerConfig names the observability state NewHandler serves. Any
 // field may be nil/zero to disable its endpoints.
 type HandlerConfig struct {
 	Registry  *Registry        // /metrics, /debug/vars
 	Tracer    *Tracer          // /debug/trace
-	Health    func() error     // /healthz (nil func always healthy)
+	Health    func() error     // /healthz: 503 with its error, else 200 (nil func always healthy)
 	SlowLog   *SlowLog         // /debug/slow
 	Journal   *Journal         // /debug/events
 	Collector *Collector       // /debug/runtime
 	Telemetry func() Telemetry // /debug/telemetry (the netq stats snapshot)
-}
-
-// Handler serves the observability endpoints over a registry and a
-// tracer (either may be nil to disable its endpoints):
-//
-//	/metrics        Prometheus text exposition format
-//	/debug/vars     expvar-style JSON (metrics + runtime memstats)
-//	/debug/trace    recent query spans as JSON Lines
-//	/debug/pprof/*  the standard runtime profiles
-//
-// Use NewHandler for the full endpoint set (slow-query log, event
-// journal, runtime collector, telemetry snapshot).
-func Handler(reg *Registry, tr *Tracer) http.Handler {
-	return NewHandler(HandlerConfig{Registry: reg, Tracer: tr})
-}
-
-// HandlerWithHealth is Handler plus a /healthz endpoint. health is
-// polled on every probe: nil error → 200 "ok", non-nil → 503 with the
-// error text (e.g. a database degraded to read-only). A nil health func
-// always reports healthy.
-func HandlerWithHealth(reg *Registry, tr *Tracer, health func() error) http.Handler {
-	return NewHandler(HandlerConfig{Registry: reg, Tracer: tr, Health: health})
 }
 
 // httpError answers with a JSON error document, so the debug endpoints'

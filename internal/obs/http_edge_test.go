@@ -36,7 +36,7 @@ func TestDebugTraceEdgeCases(t *testing.T) {
 	s.Op = "snapshot"
 	tr.Record(s)
 
-	hs := httptest.NewServer(Handler(NewRegistry(), tr))
+	hs := httptest.NewServer(NewHandler(HandlerConfig{Registry: NewRegistry(), Tracer: tr}))
 	defer hs.Close()
 
 	// Malformed ids: wrong length, non-hex. Both must be 400 with a JSON

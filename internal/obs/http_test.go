@@ -16,7 +16,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	tr := NewTracer(4)
 	tr.Record(Span{Op: "snapshot"})
 
-	hs := httptest.NewServer(Handler(reg, tr))
+	hs := httptest.NewServer(NewHandler(HandlerConfig{Registry: reg, Tracer: tr}))
 	defer hs.Close()
 
 	get := func(path string) (int, string) {
@@ -85,7 +85,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 func TestHealthzEndpoint(t *testing.T) {
 	var unhealthy error
-	hs := httptest.NewServer(HandlerWithHealth(NewRegistry(), nil, func() error { return unhealthy }))
+	hs := httptest.NewServer(NewHandler(HandlerConfig{Registry: NewRegistry(), Health: func() error { return unhealthy }}))
 	defer hs.Close()
 
 	get := func() (int, string) {
@@ -113,8 +113,8 @@ func TestHealthzEndpoint(t *testing.T) {
 		t.Errorf("recovered probe: %d", code)
 	}
 
-	// The plain Handler wires no health func: the probe always says ok.
-	plain := httptest.NewServer(Handler(NewRegistry(), nil))
+	// Without a health func the probe always says ok.
+	plain := httptest.NewServer(NewHandler(HandlerConfig{Registry: NewRegistry()}))
 	defer plain.Close()
 	resp, err := http.Get(plain.URL + "/healthz")
 	if err != nil {
@@ -122,6 +122,6 @@ func TestHealthzEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Errorf("plain Handler /healthz: %d (HandlerWithHealth(nil) semantics: always ok)", resp.StatusCode)
+		t.Errorf("handler without a health func /healthz: %d, want always ok", resp.StatusCode)
 	}
 }

@@ -7,39 +7,29 @@ import (
 )
 
 // SLOConfig defines the service-level objectives an SLOTracker measures
-// attainment against, over a rolling window.
+// attainment against, over a rolling window rotated every
+// DefWindowInterval: availabilityObjective of requests answered without
+// error, latencyObjective of them faster than LatencyTarget.
 type SLOConfig struct {
 	// Window is the rolling evaluation window (0 gets 5 minutes).
 	Window time.Duration
-	// Interval is the window's rotation resolution (0 gets
-	// DefWindowInterval).
-	Interval time.Duration
-	// AvailabilityObjective is the target fraction of requests answered
-	// without error, e.g. 0.999 (0 gets 0.999).
-	AvailabilityObjective float64
 	// LatencyTarget is the per-request latency objective; a request slower
 	// than this is "slow" even if it succeeds (0 gets 100ms).
 	LatencyTarget time.Duration
-	// LatencyObjective is the target fraction of requests faster than
-	// LatencyTarget, e.g. 0.99 (0 gets 0.99).
-	LatencyObjective float64
 }
+
+// The objectives every tracker measures against.
+const (
+	availabilityObjective = 0.999
+	latencyObjective      = 0.99
+)
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.Window <= 0 {
 		c.Window = 5 * time.Minute
 	}
-	if c.Interval <= 0 {
-		c.Interval = DefWindowInterval
-	}
-	if c.AvailabilityObjective <= 0 || c.AvailabilityObjective > 1 {
-		c.AvailabilityObjective = 0.999
-	}
 	if c.LatencyTarget <= 0 {
 		c.LatencyTarget = 100 * time.Millisecond
-	}
-	if c.LatencyObjective <= 0 || c.LatencyObjective > 1 {
-		c.LatencyObjective = 0.99
 	}
 	return c
 }
@@ -123,7 +113,7 @@ func (t *SLOTracker) Config() SLOConfig { return t.cfg }
 func (t *SLOTracker) seriesFor(op string) *sloSeries {
 	s, ok := t.series[op]
 	if !ok {
-		n := int(t.cfg.Window/t.cfg.Interval) + 1
+		n := int(t.cfg.Window/DefWindowInterval) + 1
 		s = &sloSeries{slots: make([]sloSlot, n)}
 		t.series[op] = s
 	}
@@ -165,7 +155,7 @@ func (t *SLOTracker) Record(op string, d time.Duration, failed bool) {
 	slow := d > t.cfg.LatencyTarget
 	t.mu.Lock()
 	s := t.seriesFor(op)
-	s.rotate(t.now(), t.cfg.Interval)
+	s.rotate(t.now(), DefWindowInterval)
 	slot := &s.slots[s.cur]
 	slot.total++
 	if failed {
@@ -184,17 +174,17 @@ func (t *SLOTracker) Status() []SLOStatus {
 	cutoff := now.Add(-t.cfg.Window)
 	out := make([]SLOStatus, 0, len(t.series))
 	for op, s := range t.series {
-		s.rotate(now, t.cfg.Interval)
+		s.rotate(now, DefWindowInterval)
 		st := SLOStatus{
 			Op:                    op,
 			Window:                t.cfg.Window,
-			AvailabilityObjective: t.cfg.AvailabilityObjective,
+			AvailabilityObjective: availabilityObjective,
 			LatencyTargetSeconds:  t.cfg.LatencyTarget.Seconds(),
-			LatencyObjective:      t.cfg.LatencyObjective,
+			LatencyObjective:      latencyObjective,
 		}
 		for i := range s.slots {
 			sl := &s.slots[i]
-			if sl.start.IsZero() || !sl.start.Add(t.cfg.Interval).After(cutoff) {
+			if sl.start.IsZero() || !sl.start.Add(DefWindowInterval).After(cutoff) {
 				continue
 			}
 			st.Total += sl.total
@@ -221,14 +211,10 @@ func (t *SLOTracker) Status() []SLOStatus {
 }
 
 // burnRate is the observed bad fraction relative to the budgeted bad
-// fraction. An objective of exactly 1.0 has no budget: any failure is an
-// infinite burn, reported as a large sentinel to stay JSON-safe.
+// fraction.
 func burnRate(observed, budget float64) float64 {
 	if observed <= 0 {
 		return 0
-	}
-	if budget <= 0 {
-		return 1e9
 	}
 	return observed / budget
 }

@@ -131,11 +131,8 @@ func TestWindowedHistogramConcurrent(t *testing.T) {
 func TestSLOTrackerAttainmentAndBurn(t *testing.T) {
 	clk := newFakeClock()
 	tr := NewSLOTracker(SLOConfig{
-		Window:                time.Minute,
-		Interval:              time.Second,
-		AvailabilityObjective: 0.99,
-		LatencyTarget:         100 * time.Millisecond,
-		LatencyObjective:      0.90,
+		Window:        time.Minute,
+		LatencyTarget: 100 * time.Millisecond,
 	}).WithClock(clk.Now)
 
 	// 100 requests: 2 errors, 20 slow successes, 78 fast successes.
@@ -162,12 +159,12 @@ func TestSLOTrackerAttainmentAndBurn(t *testing.T) {
 	if got, want := st.LatencyAttainment, 0.78; !closeTo(got, want) {
 		t.Errorf("latency attainment = %v, want %v", got, want)
 	}
-	// Availability budget is 1%, observed error rate 2%: burn = 2.
-	if got, want := st.AvailabilityBurn, 2.0; !closeTo(got, want) {
+	// Availability budget is 0.1%, observed error rate 2%: burn = 20.
+	if got, want := st.AvailabilityBurn, 20.0; !closeTo(got, want) {
 		t.Errorf("availability burn = %v, want %v", got, want)
 	}
-	// Latency budget is 10%, observed bad rate 22%: burn = 2.2.
-	if got, want := st.LatencyBurn, 2.2; !closeTo(got, want) {
+	// Latency budget is 1%, observed bad rate 22%: burn = 22.
+	if got, want := st.LatencyBurn, 22.0; !closeTo(got, want) {
 		t.Errorf("latency burn = %v, want %v", got, want)
 	}
 	if st.Met {
@@ -201,7 +198,7 @@ func TestSLOTrackerNoTraffic(t *testing.T) {
 }
 
 func TestSLOTrackerConcurrent(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{Window: time.Second, Interval: 10 * time.Millisecond})
+	tr := NewSLOTracker(SLOConfig{Window: time.Second})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -19,11 +19,11 @@ func TestEditMatchesReference(t *testing.T) {
 	if raceDetector {
 		t.Skip("single-goroutine byte comparison: nothing for the race detector, see raceDetector")
 	}
-	for sel := 0; sel < 54; sel++ {
-		cfg, capacity := editConfig(uint8(sel&7 | sel/18<<3&0x18 | sel/6%3<<5))
+	for sel := 0; sel < 18; sel++ {
+		cfg, capacity := editConfig(uint8(sel&7 | sel/6%3<<5))
 		cfg.Dims = 1 + sel%6/2
 		cfg.DualTime = sel%2 == 1
-		t.Run(fmt.Sprintf("dual=%v/dims=%d/%v/pool=%d", cfg.DualTime, cfg.Dims, cfg.Split, capacity), func(t *testing.T) {
+		t.Run(fmt.Sprintf("dual=%v/dims=%d/quadratic/pool=%d", cfg.DualTime, cfg.Dims, capacity), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(sel)))
 			for _, fill := range []float64{0, cfg.MinFill, 1} {
 				cfg.BulkFill = max(fill, cfg.MinFill)

@@ -370,13 +370,12 @@ func (r *editRig) run(prog []byte) {
 }
 
 // editConfig spreads one byte over the write path's configuration space:
-// both temporal layouts, Dims 1–3, the three split policies and pool
-// capacities 0 (pass-through), 8 (evicting constantly) and 1024.
+// both temporal layouts, Dims 1–3 and pool capacities 0 (pass-through),
+// 8 (evicting constantly) and 1024.
 func editConfig(sel uint8) (Config, int) {
 	cfg := DefaultConfig()
 	cfg.DualTime = sel&1 != 0
 	cfg.Dims = 1 + int(sel>>1)%3
-	cfg.Split = SplitPolicy(int(sel>>3) % 3)
 	return cfg, []int{0, 8, 1024}[int(sel>>5)%3]
 }
 

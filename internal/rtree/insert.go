@@ -96,8 +96,7 @@ type insertResult struct {
 // heightGrew grows the tree by one level after the old root split,
 // sending the root-split notification. res.sibling is the old root's new
 // sibling; running sessions that already explored the old root only miss
-// nodes under the sibling, so notifying it (with RootSplit set, letting
-// sessions opt to rebuild per Section 4.1) keeps their queues complete.
+// nodes under the sibling, so notifying it keeps their queues complete.
 func (t *Tree) heightGrew(res insertResult) error {
 	// A failure here strands the sibling (its entries are unreachable from
 	// the old root) like any write failing mid-split; the caller learns of
@@ -116,11 +115,10 @@ func (t *Tree) heightGrew(res insertResult) error {
 	t.root = newRoot.ID
 	t.height++
 	t.notify(Update{
-		Kind:      UpdateSubtree,
-		Node:      res.sibling.ID,
-		Level:     res.sibling.Level,
-		Box:       res.siblingMBR,
-		RootSplit: true,
+		Kind:  UpdateSubtree,
+		Node:  res.sibling.ID,
+		Level: res.sibling.Level,
+		Box:   res.siblingMBR,
 	})
 	return nil
 }
@@ -242,7 +240,7 @@ func (t *Tree) splitLeaf(n *Node, newIdx int) (insertResult, error) {
 	for i, e := range n.Entries {
 		boxes[i] = e.Box(t.cfg.Dims)
 	}
-	ga, gb := splitGroups(t.cfg.Split, boxes, t.cfg.minLeafEntries())
+	ga, gb := splitGroups(boxes, t.cfg.minLeafEntries())
 	ga, gb = forceNewInB(ga, gb, newIdx)
 
 	sib, err := t.alloc(0)
@@ -274,7 +272,7 @@ func (t *Tree) splitInternal(n *Node, newIdx int) (insertResult, error) {
 	for i, c := range n.Children {
 		boxes[i] = c.Box
 	}
-	ga, gb := splitGroups(t.cfg.Split, boxes, t.cfg.minInternalEntries())
+	ga, gb := splitGroups(boxes, t.cfg.minInternalEntries())
 	ga, gb = forceNewInB(ga, gb, newIdx)
 
 	sib, err := t.alloc(n.Level)
@@ -300,7 +298,7 @@ func (t *Tree) splitInternal(n *Node, newIdx int) (insertResult, error) {
 
 // forceNewInB swaps the two groups if the newly inserted index landed in
 // group a, so the caller can always treat group b as the "new node" group.
-// The split policies are symmetric in the two groups, so this costs
+// The split is symmetric in the two groups, so this costs
 // nothing and does not alter the partition itself.
 func forceNewInB(a, b []int, newIdx int) (ga, gb []int) {
 	for _, i := range a {

@@ -38,29 +38,6 @@ import (
 // segments (one per motion update).
 type ObjectID uint64
 
-// SplitPolicy selects the node splitting algorithm.
-type SplitPolicy int
-
-// Available split policies.
-const (
-	SplitQuadratic SplitPolicy = iota // Guttman's quadratic split (default)
-	SplitLinear                       // Guttman's linear split
-	SplitRStarAxis                    // R*-style axis/distribution choice
-)
-
-func (p SplitPolicy) String() string {
-	switch p {
-	case SplitQuadratic:
-		return "quadratic"
-	case SplitLinear:
-		return "linear"
-	case SplitRStarAxis:
-		return "rstar"
-	default:
-		return fmt.Sprintf("SplitPolicy(%d)", int(p))
-	}
-}
-
 // Config fixes the shape of a tree. The zero value is not valid; use
 // DefaultConfig.
 type Config struct {
@@ -70,8 +47,6 @@ type Config struct {
 	// entries (needed by NPDQ discardability, Figure 5(b)). It reduces
 	// internal fanout (113 vs 145 at d=2).
 	DualTime bool
-	// Split selects the overflow splitting policy.
-	Split SplitPolicy
 	// MinFill is the minimum node occupancy as a fraction of the maximum
 	// (Guttman's m/M). Splits and deletions maintain it.
 	MinFill float64
@@ -81,9 +56,10 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration of the paper's experiments:
-// 2 spatial dimensions, quadratic split, 0.4 minimum fill, 0.5 bulk fill.
+// 2 spatial dimensions, 0.4 minimum fill, 0.5 bulk fill. Every tree
+// splits an over-full node with Guttman's quadratic split.
 func DefaultConfig() Config {
-	return Config{Dims: 2, Split: SplitQuadratic, MinFill: 0.4, BulkFill: 0.5}
+	return Config{Dims: 2, MinFill: 0.4, BulkFill: 0.5}
 }
 
 // maxDims is the largest Config.Dims accepted.
@@ -250,15 +226,13 @@ const (
 
 // Update describes one index change to a running dynamic query (Section
 // 4.1, Figure 4). Either Entry is meaningful (UpdateEntry) or Node/Level/Box
-// are (UpdateSubtree). RootSplit additionally signals that the tree grew a
-// new root, which sessions may use to decide to rebuild their queues.
+// are (UpdateSubtree).
 type Update struct {
-	Kind      UpdateKind
-	Entry     LeafEntry
-	Node      pager.PageID
-	Level     int
-	Box       geom.Box
-	RootSplit bool
+	Kind  UpdateKind
+	Entry LeafEntry
+	Node  pager.PageID
+	Level int
+	Box   geom.Box
 }
 
 // Tree is a disk-based R-tree. All exported methods are safe for

@@ -20,12 +20,9 @@ type Match struct {
 	Overlap geom.Interval
 }
 
-// SearchOptions tune a range search.
+// SearchOptions tune a range search. It stays because the nested
+// benchmark module compiles against it.
 type SearchOptions struct {
-	// BBOnlyLeaf disables the exact leaf-level segment test and matches on
-	// segment bounding boxes instead, re-admitting the false positives the
-	// NSI leaf optimization eliminates. Ablation only.
-	BBOnlyLeaf bool
 	// Limit, when positive, stops the traversal as soon as that many
 	// matches have been collected. Which matches survive depends on the
 	// traversal order and is unspecified beyond being deterministic for an
@@ -105,13 +102,8 @@ func (s *search) node(id pager.PageID) error {
 func (s *search) leaf(v NodeView) {
 	k, n := 0, v.Len()
 	for ; k < n && !s.full(); k++ {
-		var ov geom.Interval
-		if s.opts.BBOnlyLeaf {
-			if !v.EntryOverlaps(k, s.q.Box) {
-				continue
-			}
-			ov = v.EntryTime(k).Intersect(s.q.Window())
-		} else if ov = v.EntryOverlapTime(k, s.q.Exact); ov.Empty() {
+		ov := v.EntryOverlapTime(k, s.q.Exact)
+		if ov.Empty() {
 			continue
 		}
 		if s.out == nil {

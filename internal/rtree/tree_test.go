@@ -143,36 +143,31 @@ func TestInsertSearchSmall(t *testing.T) {
 
 func TestInsertSearchLargeWithSplits(t *testing.T) {
 	// Enough entries to force leaf and internal splits (leaf fanout 127).
-	for _, policy := range []SplitPolicy{SplitQuadratic, SplitLinear, SplitRStarAxis} {
-		policy := policy
-		t.Run(policy.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Split = policy
-			tree, entries := buildRandomTree(t, cfg, 3000, 2)
-			if tree.Height() < 2 {
-				t.Fatalf("expected splits; height = %d", tree.Height())
+	t.Run("quadratic", func(t *testing.T) {
+		tree, entries := buildRandomTree(t, DefaultConfig(), 3000, 2)
+		if tree.Height() < 2 {
+			t.Fatalf("expected splits; height = %d", tree.Height())
+		}
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("validate: %v", err)
+		}
+		for _, q := range []struct {
+			spatial geom.Box
+			tw      geom.Interval
+		}{
+			{geom.Box{{Lo: 0, Hi: 10}, {Lo: 0, Hi: 10}}, geom.Interval{Lo: 0, Hi: 100}},
+			{geom.Box{{Lo: 40, Hi: 60}, {Lo: 40, Hi: 60}}, geom.Interval{Lo: 50, Hi: 55}},
+			{geom.Box{{Lo: 0, Hi: 100}, {Lo: 0, Hi: 100}}, geom.Interval{Lo: 99, Hi: 100}},
+			{geom.Box{{Lo: -10, Hi: -5}, {Lo: 0, Hi: 100}}, geom.Interval{Lo: 0, Hi: 100}}, // nothing there
+		} {
+			var c stats.Counters
+			got, err := tree.RangeSearch(q.spatial, q.tw, SearchOptions{}, &c)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := tree.Validate(); err != nil {
-				t.Fatalf("validate: %v", err)
-			}
-			for _, q := range []struct {
-				spatial geom.Box
-				tw      geom.Interval
-			}{
-				{geom.Box{{Lo: 0, Hi: 10}, {Lo: 0, Hi: 10}}, geom.Interval{Lo: 0, Hi: 100}},
-				{geom.Box{{Lo: 40, Hi: 60}, {Lo: 40, Hi: 60}}, geom.Interval{Lo: 50, Hi: 55}},
-				{geom.Box{{Lo: 0, Hi: 100}, {Lo: 0, Hi: 100}}, geom.Interval{Lo: 99, Hi: 100}},
-				{geom.Box{{Lo: -10, Hi: -5}, {Lo: 0, Hi: 100}}, geom.Interval{Lo: 0, Hi: 100}}, // nothing there
-			} {
-				var c stats.Counters
-				got, err := tree.RangeSearch(q.spatial, q.tw, SearchOptions{}, &c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameMatches(t, got, bruteForceRange(entries, q.spatial, q.tw))
-			}
-		})
-	}
+			assertSameMatches(t, got, bruteForceRange(entries, q.spatial, q.tw))
+		}
+	})
 }
 
 func TestDualTimeSearch(t *testing.T) {
@@ -192,42 +187,12 @@ func TestDualTimeSearch(t *testing.T) {
 	assertSameMatches(t, got, bruteForceRange(entries, spatial, tw))
 }
 
-func TestBBOnlyLeafIsSuperset(t *testing.T) {
-	tree, _ := buildRandomTree(t, DefaultConfig(), 1500, 4)
-	spatial := geom.Box{{Lo: 10, Hi: 20}, {Lo: 10, Hi: 20}}
-	tw := geom.Interval{Lo: 30, Hi: 32}
-	var c1, c2 stats.Counters
-	exact, err := tree.RangeSearch(spatial, tw, SearchOptions{}, &c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := tree.RangeSearch(spatial, tw, SearchOptions{BBOnlyLeaf: true}, &c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loose) < len(exact) {
-		t.Errorf("BB-only results (%d) must be a superset of exact (%d)", len(loose), len(exact))
-	}
-	key := func(m Match) [2]float64 { return [2]float64{float64(m.ID), m.Seg.T.Lo} }
-	seen := map[[2]float64]bool{}
-	for _, m := range loose {
-		seen[key(m)] = true
-	}
-	for _, m := range exact {
-		if !seen[key(m)] {
-			t.Errorf("exact match %v missing from BB-only results", key(m))
-		}
-	}
-}
-
 // Property: insert-then-search finds exactly the brute-force answer for
-// random workloads and random queries under every split policy.
+// random workloads and random queries.
 func TestSearchMatchesBruteForceProperty(t *testing.T) {
-	policies := []SplitPolicy{SplitQuadratic, SplitLinear, SplitRStarAxis}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		cfg := DefaultConfig()
-		cfg.Split = policies[r.Intn(len(policies))]
 		cfg.DualTime = r.Intn(2) == 0
 		tree, err := New(cfg, pager.NewMemStore())
 		if err != nil {

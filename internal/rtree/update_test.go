@@ -44,9 +44,6 @@ func TestUpdateNotificationOnLeafSplit(t *testing.T) {
 		t.Fatalf("got %d subtree updates, want 1 (first leaf split)", len(subtreeUpdates))
 	}
 	u := subtreeUpdates[0]
-	if !u.RootSplit {
-		t.Error("first split grows the root, so RootSplit should be set")
-	}
 	if u.Level != 0 {
 		t.Errorf("split node level = %d, want 0", u.Level)
 	}

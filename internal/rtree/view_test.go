@@ -53,17 +53,12 @@ func refRangeSearch(t *Tree, id pager.PageID, q, qst geom.Box, opts SearchOption
 	if err != nil {
 		return err
 	}
-	d := t.Config().Dims
 	for _, e := range n.Entries {
 		if full() {
 			return nil
 		}
 		c.AddDistanceComps(1)
-		if opts.BBOnlyLeaf {
-			if e.Box(d).Overlaps(q) {
-				*out = append(*out, Match{ID: e.ID, Seg: e.Seg, Overlap: e.Seg.T.Intersect(qst[d])})
-			}
-		} else if ov := e.Seg.OverlapTimeInBox(qst); !ov.Empty() {
+		if ov := e.Seg.OverlapTimeInBox(qst); !ov.Empty() {
 			*out = append(*out, Match{ID: e.ID, Seg: e.Seg, Overlap: ov})
 		}
 	}
@@ -83,7 +78,7 @@ func refRangeSearch(t *Tree, id pager.PageID, q, qst geom.Box, opts SearchOption
 
 // The view-based search returns the same matches in the same order at the
 // same cost as the Load-based reference, in both layouts, with and without
-// the ablation options.
+// a limit.
 func TestRangeSearchMatchesLoadReference(t *testing.T) {
 	for _, dual := range []bool{false, true} {
 		cfg := DefaultConfig()
@@ -95,7 +90,7 @@ func TestRangeSearchMatchesLoadReference(t *testing.T) {
 			x, y, t0 := r.Float64()*90, r.Float64()*90, r.Float64()*99
 			spatial := geom.Box{{Lo: x, Hi: x + 10}, {Lo: y, Hi: y + 10}}
 			tw := geom.Interval{Lo: t0, Hi: t0 + 1}
-			opts := SearchOptions{BBOnlyLeaf: i%3 == 1}
+			var opts SearchOptions
 			if i%5 == 4 {
 				opts.Limit = 1 + r.Intn(20)
 			}

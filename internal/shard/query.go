@@ -14,8 +14,9 @@ import (
 // out across every shard and concatenating the per-shard answers in shard
 // order (deterministic for an unchanged engine). limit > 0 caps both the
 // per-shard traversals and the merged answer; which matches survive the
-// cap is unspecified. The context is checked at node-visit granularity
-// inside every shard.
+// cap is unspecified. The database passes 0: limit stays because the
+// nested benchmark module calls this signature. The context is checked at
+// node-visit granularity inside every shard.
 func (e *Engine) Snapshot(ctx context.Context, spatial geom.Box, tw geom.Interval, limit int) ([]rtree.Match, error) {
 	parts := make([][]rtree.Match, len(e.shards))
 	err := e.fanOutTraced(ctx, "snapshot/shard", "snapshot", func(i int, sh *Shard) error {

@@ -198,10 +198,10 @@ type NPDQ struct {
 }
 
 // NewNPDQ starts one non-predictive session per shard.
-func (e *Engine) NewNPDQ(opts core.NPDQOptions) *NPDQ {
+func (e *Engine) NewNPDQ() *NPDQ {
 	n := &NPDQ{e: e, sessions: make([]*core.NPDQ, len(e.shards))}
 	for i, sh := range e.shards {
-		n.sessions[i] = core.NewNPDQ(sh.Tree, opts, &sh.Counters)
+		n.sessions[i] = core.NewNPDQ(sh.Tree, core.NPDQOptions{}, &sh.Counters)
 	}
 	return n
 }

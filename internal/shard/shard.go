@@ -39,32 +39,24 @@ import (
 	"dynq/internal/stats"
 )
 
-// Options configure an engine.
+// Options configure an engine. Per-shard tasks of ALL queries on the
+// engine share one worker pool, GOMAXPROCS wide.
 type Options struct {
 	// Shards is the number of partitions (>= 1).
 	Shards int
-	// Workers bounds the number of per-shard tasks running concurrently
-	// across ALL queries on the engine (default GOMAXPROCS).
-	Workers int
 	// BufferPages gives every shard its own LRU page buffer of this
 	// capacity (0 = bufferless pass-through, the paper's setting).
 	BufferPages int
 }
 
-func (o Options) withDefaults() (Options, error) {
+func (o Options) validate() error {
 	if o.Shards < 1 {
-		return o, fmt.Errorf("shard: Shards must be >= 1, got %d", o.Shards)
-	}
-	if o.Workers < 0 {
-		return o, fmt.Errorf("shard: Workers must be >= 0, got %d", o.Workers)
+		return fmt.Errorf("shard: Shards must be >= 1, got %d", o.Shards)
 	}
 	if o.BufferPages < 0 {
-		return o, fmt.Errorf("shard: BufferPages must be >= 0, got %d", o.BufferPages)
+		return fmt.Errorf("shard: BufferPages must be >= 0, got %d", o.BufferPages)
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return o, nil
+	return nil
 }
 
 // Shard is one partition: an R-tree over its own store, with its own cost
@@ -96,6 +88,7 @@ type Engine struct {
 	// whose tasks all run on the calling goroutine.
 	tasks   chan func()
 	workers sync.WaitGroup
+	nwork   int // pool width, GOMAXPROCS at creation
 
 	// latency records per-shard fan-out task wall time (one observation
 	// per shard per fanned-out query), for the per-shard histograms the
@@ -107,8 +100,7 @@ type Engine struct {
 // the page store of shard i (memory or file-backed); on error, stores
 // already created are closed.
 func New(cfg rtree.Config, opts Options, storeFor func(i int) (pager.Store, error)) (*Engine, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	trees := make([]*rtree.Tree, opts.Shards)
@@ -138,8 +130,7 @@ func New(cfg rtree.Config, opts Options, storeFor func(i int) (pager.Store, erro
 // through stores[i]; opts.Shards must match len(trees). The engine wires
 // each shard's counters into its tree.
 func NewFromShards(cfg rtree.Config, opts Options, trees []*rtree.Tree, stores []pager.Store) (*Engine, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	if len(trees) != opts.Shards || len(stores) != opts.Shards {
@@ -151,6 +142,7 @@ func NewFromShards(cfg rtree.Config, opts Options, trees []*rtree.Tree, stores [
 		opts:    opts,
 		shards:  make([]*Shard, opts.Shards),
 		latency: make([]*obs.Histogram, opts.Shards),
+		nwork:   runtime.GOMAXPROCS(0),
 	}
 	for i := range e.shards {
 		sh := &Shard{Tree: trees[i], store: stores[i]}
@@ -162,8 +154,8 @@ func NewFromShards(cfg rtree.Config, opts Options, trees []*rtree.Tree, stores [
 	// caller's goroutine, so a pool would only sit idle.
 	if opts.Shards > 1 {
 		e.tasks = make(chan func())
-		e.workers.Add(opts.Workers)
-		for w := 0; w < opts.Workers; w++ {
+		e.workers.Add(e.nwork)
+		for w := 0; w < e.nwork; w++ {
 			go func() {
 				defer e.workers.Done()
 				for fn := range e.tasks {
@@ -182,7 +174,7 @@ func (e *Engine) Config() rtree.Config { return e.cfg }
 func (e *Engine) Shards() int { return len(e.shards) }
 
 // Workers returns the worker-pool bound.
-func (e *Engine) Workers() int { return e.opts.Workers }
+func (e *Engine) Workers() int { return e.nwork }
 
 // Shard exposes partition i (tests, metrics).
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }

@@ -47,16 +47,13 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(rtree.DefaultConfig(), Options{Shards: 0}, memStores); err == nil {
 		t.Fatal("Shards=0 accepted")
 	}
-	if _, err := New(rtree.DefaultConfig(), Options{Shards: 2, Workers: -1}, memStores); err == nil {
-		t.Fatal("negative Workers accepted")
-	}
 	if _, err := New(rtree.DefaultConfig(), Options{Shards: 2, BufferPages: -1}, memStores); err == nil {
 		t.Fatal("negative BufferPages accepted")
 	}
 }
 
 func TestRoutingAndDistribution(t *testing.T) {
-	e, err := New(rtree.DefaultConfig(), Options{Shards: 4, Workers: 2}, memStores)
+	e, err := New(rtree.DefaultConfig(), Options{Shards: 4}, memStores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +99,7 @@ func TestRoutingAndDistribution(t *testing.T) {
 
 func TestBulkLoadMatchesInserts(t *testing.T) {
 	entries := testEntries(300)
-	bulk, err := New(rtree.DefaultConfig(), Options{Shards: 3, Workers: 2}, memStores)
+	bulk, err := New(rtree.DefaultConfig(), Options{Shards: 3}, memStores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +117,7 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 		t.Fatal("BulkLoad into non-empty engine accepted")
 	}
 
-	inc, err := New(rtree.DefaultConfig(), Options{Shards: 3, Workers: 2}, memStores)
+	inc, err := New(rtree.DefaultConfig(), Options{Shards: 3}, memStores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +141,7 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 }
 
 func TestSnapshotLimitAndCancel(t *testing.T) {
-	e, err := New(rtree.DefaultConfig(), Options{Shards: 3, Workers: 2}, memStores)
+	e, err := New(rtree.DefaultConfig(), Options{Shards: 3}, memStores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func TestSnapshotLimitAndCancel(t *testing.T) {
 }
 
 func TestCostAccounting(t *testing.T) {
-	e, err := New(rtree.DefaultConfig(), Options{Shards: 4, Workers: 2}, memStores)
+	e, err := New(rtree.DefaultConfig(), Options{Shards: 4}, memStores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +204,7 @@ func TestCostAccounting(t *testing.T) {
 }
 
 func TestRegisterMetrics(t *testing.T) {
-	e, err := New(rtree.DefaultConfig(), Options{Shards: 2, Workers: 2}, memStores)
+	e, err := New(rtree.DefaultConfig(), Options{Shards: 2}, memStores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +236,7 @@ func TestRegisterMetrics(t *testing.T) {
 }
 
 func TestFanOutRecordsPerShardSpans(t *testing.T) {
-	e, err := New(rtree.DefaultConfig(), Options{Shards: 4, Workers: 2}, memStores)
+	e, err := New(rtree.DefaultConfig(), Options{Shards: 4}, memStores)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,26 +101,24 @@ func TestResultsOwnTheirMemory(t *testing.T) {
 
 			// Twin sessions over the same frames: one's results are written
 			// to after every frame, the other's never.
-			for _, opts := range []NonPredictiveOptions{{}, {TrackIDs: true}, {ExactAnswers: true}} {
-				a, b := db.NonPredictive(opts), db.NonPredictive(opts)
-				delivered := 0
-				for f := 0; f < 30; f++ {
-					x := float64(f) * 3
-					view := Rect{Min: []float64{x, 30}, Max: []float64{x + 12, 70}}
-					ra, err := a.Snapshot(view, float64(f), float64(f)+1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rb, err := b.Snapshot(view, float64(f), float64(f)+1)
-					if err != nil || !reflect.DeepEqual(ra, rb) {
-						t.Fatalf("npdq %+v frame %d differs from its untouched twin (err %v)", opts, f, err)
-					}
-					scribble(t, fmt.Sprintf("npdq %+v frame %d", opts, f), ra, copyResults(rb))
-					delivered += len(rb)
+			na, nb := db.NonPredictive(NonPredictiveOptions{}), db.NonPredictive(NonPredictiveOptions{})
+			delivered := 0
+			for f := 0; f < 30; f++ {
+				x := float64(f) * 3
+				view := Rect{Min: []float64{x, 30}, Max: []float64{x + 12, 70}}
+				ra, err := na.Snapshot(view, float64(f), float64(f)+1)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if delivered < 30 {
-					t.Fatalf("npdq %+v delivered %d results over 30 frames: too few to mean anything", opts, delivered)
+				rb, err := nb.Snapshot(view, float64(f), float64(f)+1)
+				if err != nil || !reflect.DeepEqual(ra, rb) {
+					t.Fatalf("npdq frame %d differs from its untouched twin (err %v)", f, err)
 				}
+				scribble(t, fmt.Sprintf("npdq frame %d", f), ra, copyResults(rb))
+				delivered += len(rb)
+			}
+			if delivered < 30 {
+				t.Fatalf("npdq delivered %d results over 30 frames: too few to mean anything", delivered)
 			}
 
 			a, err := db.Predictive(path, PredictiveOptions{})

@@ -13,8 +13,8 @@ package dynq
 // The loop has three jobs, all driven from one clock-injectable tick:
 //
 //   - Auto-checkpoint: when a write-ahead log crosses a CheckpointPolicy
-//     threshold (live bytes, record lag, or age of the oldest
-//     un-checkpointed record), the loop checkpoints it through the same
+//     threshold (live bytes or age of the oldest un-checkpointed record),
+//     the loop checkpoints it through the same
 //     Sync machinery callers use — worst-pressure log first when there
 //     are several — so the log stays bounded with no caller cooperation.
 //
@@ -24,8 +24,8 @@ package dynq
 //     (insert + delete of a reserved object id, then a checkpoint). A
 //     successful probe clears the degraded flag and journals the exit
 //     with the probe count and downtime; failures double the backoff up
-//     to a cap. DegradeAfter becomes a circuit breaker, not a one-way
-//     latch.
+//     to a cap. The degrade threshold becomes a circuit breaker, not a
+//     one-way latch.
 //
 //   - Background scrub: a rate-limited walker re-reads the COMMITTED
 //     tree's reachable pages through the store, verifying checksums and
@@ -56,29 +56,21 @@ type CheckpointPolicy struct {
 	// MaxBytes checkpoints a log once its live record bytes (bytes
 	// appended since the last checkpoint) reach this many. 0 disables.
 	MaxBytes int64
-	// MaxLagRecords checkpoints a log once this many records have been
-	// appended since the last checkpoint. 0 disables.
-	MaxLagRecords uint64
 	// MaxAge checkpoints a log once its oldest un-checkpointed record is
 	// this old. 0 disables.
 	MaxAge time.Duration
 }
 
 func (p CheckpointPolicy) enabled() bool {
-	return p.MaxBytes > 0 || p.MaxLagRecords > 0 || p.MaxAge > 0
+	return p.MaxBytes > 0 || p.MaxAge > 0
 }
 
 // pressure is how close a log is to its nearest threshold: the maximum
 // ratio across enabled thresholds, so >= 1 means the log is due.
-func (p CheckpointPolicy) pressure(live int64, lag uint64, since, now time.Time) float64 {
+func (p CheckpointPolicy) pressure(live int64, since, now time.Time) float64 {
 	var m float64
 	if p.MaxBytes > 0 {
 		if r := float64(live) / float64(p.MaxBytes); r > m {
-			m = r
-		}
-	}
-	if p.MaxLagRecords > 0 {
-		if r := float64(lag) / float64(p.MaxLagRecords); r > m {
 			m = r
 		}
 	}
@@ -90,10 +82,11 @@ func (p CheckpointPolicy) pressure(live int64, lag uint64, since, now time.Time)
 	return m
 }
 
-// MaintenanceOptions configure the self-healing maintenance loop. The
-// zero value disables it entirely; setting any of Checkpoint,
-// ScrubPagesPerSec, or ProbeBackoff starts it. Whenever the loop runs,
-// degraded-mode probing is on — ProbeBackoff only tunes its pacing.
+// MaintenanceOptions configure the self-healing maintenance loop, which
+// ticks every 250ms. The zero value disables it entirely; setting any of
+// Checkpoint, ScrubPagesPerSec, or ProbeBackoff starts it. Whenever the
+// loop runs, degraded-mode probing is on — ProbeBackoff only tunes its
+// pacing.
 type MaintenanceOptions struct {
 	// Checkpoint is the auto-checkpoint policy (WAL-armed databases
 	// only; without a log there is nothing to bound).
@@ -106,10 +99,6 @@ type MaintenanceOptions struct {
 	// ProbeBackoff is the initial spacing between degraded-mode recovery
 	// probes; each failure doubles it up to 32x. 0 means the 1s default.
 	ProbeBackoff time.Duration
-	// Interval is the tick spacing of the loop (0 = the 250ms default).
-	// A NEGATIVE interval starts no goroutine: ticks are driven manually
-	// (tests and the chaos soak inject a clock and call tick directly).
-	Interval time.Duration
 }
 
 // Enabled reports whether these options start a maintenance loop.
@@ -118,7 +107,7 @@ func (m MaintenanceOptions) Enabled() bool {
 }
 
 const (
-	defaultMaintInterval  = 250 * time.Millisecond
+	maintInterval         = 250 * time.Millisecond
 	defaultProbeBackoff   = time.Second
 	maxProbeBackoffFactor = 32
 )
@@ -136,10 +125,9 @@ var errScrubUnsupported = errors.New("dynq: store does not support scrubbing (no
 // database; tick runs on a single goroutine (or is driven manually),
 // telemetry readers synchronize through atomics and mu.
 type maintainer struct {
-	target   *engine
-	opts     MaintenanceOptions
-	interval time.Duration // resolved tick spacing, for scrub budgeting
-	now      func() time.Time
+	target *engine
+	opts   MaintenanceOptions
+	now    func() time.Time
 
 	manual   bool
 	stopc    chan struct{}
@@ -174,30 +162,26 @@ type maintainer struct {
 	lastScrubNote time.Time // rate-limits pass-completion journal events
 }
 
-// startMaintainer builds (and, unless manual, starts) the maintenance
-// loop for a database. Returns nil when the options disable it.
-func startMaintainer(t *engine, opts MaintenanceOptions) *maintainer {
+// startMaintainer builds and starts the maintenance loop for a database.
+// With a clock it starts no goroutine: the caller ticks the loop under
+// that clock (the chaos soak and tests). Returns nil when the options
+// disable the loop.
+func startMaintainer(t *engine, opts MaintenanceOptions, clock func() time.Time) *maintainer {
 	if !opts.Enabled() {
 		return nil
 	}
 	if opts.ProbeBackoff <= 0 {
 		opts.ProbeBackoff = defaultProbeBackoff
 	}
-	interval := opts.Interval
-	if interval == 0 {
-		interval = defaultMaintInterval
-	}
 	m := &maintainer{
-		target:   t,
-		opts:     opts,
-		interval: interval,
-		now:      time.Now,
-		stopc:    make(chan struct{}),
-		donec:    make(chan struct{}),
+		target: t,
+		opts:   opts,
+		now:    time.Now,
+		stopc:  make(chan struct{}),
+		donec:  make(chan struct{}),
 	}
-	if opts.Interval < 0 {
-		m.manual = true
-		m.interval = defaultMaintInterval
+	if clock != nil {
+		m.now, m.manual = clock, true
 		return m
 	}
 	go m.run()
@@ -206,7 +190,7 @@ func startMaintainer(t *engine, opts MaintenanceOptions) *maintainer {
 
 func (m *maintainer) run() {
 	defer close(m.donec)
-	t := time.NewTicker(m.interval)
+	t := time.NewTicker(maintInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -286,7 +270,7 @@ func (m *maintainer) checkpointTick(now time.Time) {
 		} else if m.lagSince[i].IsZero() {
 			m.lagSince[i] = now
 		}
-		p := m.opts.Checkpoint.pressure(w.LiveBytes(), lag, m.lagSince[i], now)
+		p := m.opts.Checkpoint.pressure(w.LiveBytes(), m.lagSince[i], now)
 		if p > maxP {
 			maxP = p
 		}
@@ -401,7 +385,7 @@ func (m *maintainer) scrubTick(now time.Time) {
 		m.mu.Unlock()
 		return
 	}
-	m.scrubBudget += float64(m.opts.ScrubPagesPerSec) * m.interval.Seconds()
+	m.scrubBudget += float64(m.opts.ScrubPagesPerSec) * maintInterval.Seconds()
 	budget := int(m.scrubBudget)
 	if budget < 1 {
 		m.mu.Unlock()

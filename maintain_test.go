@@ -21,7 +21,6 @@ func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStor
 	path := filepath.Join(dir, "db.dynq")
 	walPath := path + ".wal"
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
-	mopts.Interval = -1 // manual ticks
 	if err := rebuildLogged(singleLayout(path, walPath), 1, 0); err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -311,7 +310,8 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 
 // TestShardedMaintenanceRace runs a live (goroutine) maintenance loop
 // against concurrent writers and caller Syncs on a sharded WAL-armed
-// database; the race detector referees.
+// database until the loop has ticked a few times; the race detector
+// referees.
 func TestShardedMaintenanceRace(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenSharded(ShardOptions{
@@ -320,7 +320,6 @@ func TestShardedMaintenanceRace(t *testing.T) {
 			Maintenance: MaintenanceOptions{
 				Checkpoint:   CheckpointPolicy{MaxBytes: 8 << 10},
 				ProbeBackoff: time.Second,
-				Interval:     2 * time.Millisecond,
 			},
 		},
 		Shards: 4,
@@ -331,6 +330,7 @@ func TestShardedMaintenanceRace(t *testing.T) {
 	}
 	defer db.Close()
 	ctx := context.Background()
+	ticked := func() bool { return db.maint.ticks.Load() >= 3 }
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -338,7 +338,7 @@ func TestShardedMaintenanceRace(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(100 + w)))
 			next := ObjectID(1 + 10_000*w)
-			for i := 0; i < 25; i++ {
+			for i := 0; i < 25 || !ticked(); i++ {
 				ups := toUpdates(genSoakBatch(r, 8, &next))
 				if err := db.ApplyUpdates(ctx, ups, WriteOptions{Durability: DurabilitySync}); err != nil {
 					t.Errorf("writer %d batch %d: %v", w, i, err)
@@ -351,7 +351,7 @@ func TestShardedMaintenanceRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 10; i++ {
+			for i := 0; i < 10 || !ticked(); i++ {
 				if err := db.Sync(); err != nil {
 					t.Errorf("concurrent Sync: %v", err)
 					return

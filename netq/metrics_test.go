@@ -34,7 +34,7 @@ func startInstrumentedServer(t *testing.T, db *dynq.DB) (addr string, srv *Serve
 		defer wg.Done()
 		srv.Serve(l)
 	}()
-	hs = httptest.NewServer(obs.Handler(srv.Registry(), srv.Tracer()))
+	hs = httptest.NewServer(obs.NewHandler(obs.HandlerConfig{Registry: srv.Registry(), Tracer: srv.Tracer()}))
 	return l.Addr().String(), srv, hs, func() {
 		hs.Close()
 		l.Close()

@@ -126,7 +126,7 @@ type Response struct {
 // error counts, latency histograms, connection/session gauges, buffer
 // pool gauges) and a query tracer ring-buffering recent request spans
 // with their per-stage cost deltas. Serve them over HTTP with
-// obs.Handler(s.Registry(), s.Tracer()).
+// obs.NewHandler.
 type Server struct {
 	db      dynq.Database
 	tracker *dynq.Tracker
@@ -222,6 +222,11 @@ func isReadOp(op Op) bool {
 	return false
 }
 
+// idempotent classifies the ops a reconnecting client may resend after a
+// transport failure: the read ops and the telemetry op, none of which
+// changes server state.
+func idempotent(op Op) bool { return isReadOp(op) || op == OpTelemetry }
+
 // admitReadOp gates read ops through admission control; other ops pass
 // straight through.
 func (s *Server) admitReadOp(op Op) (func(), error) {
@@ -316,7 +321,7 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	if s.tel.collectorOn.Swap(false) {
 		s.tel.collector.Stop()
-		s.tel.journal.Record(obs.EventServerStop, obs.SeverityInfo,
+		obs.DefaultJournal().Record(obs.EventServerStop, obs.SeverityInfo,
 			"netq server shut down", nil)
 	}
 }
@@ -502,7 +507,7 @@ func (s *Server) dispatch(ctx context.Context, sess *connSessions, req Request) 
 	fail := func(err error) Response { return Response{Err: err.Error(), ErrKind: errKind(err)} }
 	switch req.Op {
 	case OpSnapshot:
-		rs, err := s.db.SnapshotCtx(ctx, req.View, req.T0, req.T1, dynq.QueryOptions{})
+		rs, err := s.db.SnapshotCtx(ctx, req.View, req.T0, req.T1)
 		if err != nil {
 			return fail(err)
 		}
@@ -518,7 +523,7 @@ func (s *Server) dispatch(ctx context.Context, sess *connSessions, req Request) 
 		}
 		return Response{}
 	case OpKNN:
-		nbs, err := s.db.KNNCtx(ctx, req.Point, req.T0, req.K, dynq.QueryOptions{})
+		nbs, err := s.db.KNNCtx(ctx, req.Point, req.T0, req.K)
 		if err != nil {
 			return fail(err)
 		}
@@ -626,71 +631,32 @@ func (s *Server) dispatchTracker(req Request) Response {
 	}
 }
 
-// DialOptions tune the client's connection and resilience behavior. The
-// zero value gives the defaults: a 5-second connect+handshake timeout
-// and no automatic reconnection.
+// DialOptions tune the client's resilience behavior. The zero value
+// gives no automatic reconnection.
 type DialOptions struct {
-	// HandshakeTimeout bounds the TCP connect plus the protocol
-	// handshake, so dialing a half-open or wedged peer fails instead of
-	// hanging forever. 0 means the 5-second default; negative disables
-	// the bound.
-	HandshakeTimeout time.Duration
 	// Reconnect enables transparent redial-and-retry for IDEMPOTENT
-	// read operations (snapshot, knn, stats, tracker queries) after a
-	// transport failure. Writes and session operations are NEVER
-	// retried — a lost write may or may not have been applied, and
+	// operations (snapshot, knn, stats, tracker queries, telemetry) after
+	// a transport failure: up to retryMax redials per call, backing off
+	// from retryBase to retryMaxDelay. Writes and session operations are
+	// NEVER retried — a lost write may or may not have been applied, and
 	// retrying could duplicate it; they fail fast with an error matching
 	// errors.Is(err, ErrConnectionLost).
 	Reconnect bool
-	// RetryMax caps redial attempts per call (default 8; negative
-	// disables retries even with Reconnect set).
-	RetryMax int
-	// RetryBase is the first backoff delay; attempts double it up to
-	// RetryMaxDelay, each jittered ±50%. Defaults: 25ms base, 1s cap.
-	RetryBase     time.Duration
-	RetryMaxDelay time.Duration
-	// Tracer, when set, records one client-side span per call as with
-	// Client.WithTracer.
-	Tracer *obs.Tracer
 }
 
-// defaultHandshakeTimeout bounds Dial's connect+handshake when
-// DialOptions.HandshakeTimeout is zero.
-const defaultHandshakeTimeout = 5 * time.Second
+// handshakeTimeout bounds a dial's TCP connect plus the protocol
+// handshake, so dialing a half-open or wedged peer fails instead of
+// hanging forever. A variable only so tests can shorten it.
+var handshakeTimeout = 5 * time.Second
 
-func (o DialOptions) handshakeTimeout() time.Duration {
-	switch {
-	case o.HandshakeTimeout < 0:
-		return 0
-	case o.HandshakeTimeout == 0:
-		return defaultHandshakeTimeout
-	}
-	return o.HandshakeTimeout
-}
-
-func (o DialOptions) retryMax() int {
-	switch {
-	case o.RetryMax < 0:
-		return 0
-	case o.RetryMax == 0:
-		return 8
-	}
-	return o.RetryMax
-}
-
-func (o DialOptions) retryBase() time.Duration {
-	if o.RetryBase <= 0 {
-		return 25 * time.Millisecond
-	}
-	return o.RetryBase
-}
-
-func (o DialOptions) retryMaxDelay() time.Duration {
-	if o.RetryMaxDelay <= 0 {
-		return time.Second
-	}
-	return o.RetryMaxDelay
-}
+// A reconnecting client redials at most retryMax times per call; the
+// first backoff is retryBase, doubling up to retryMaxDelay, each jittered
+// ±50%.
+const (
+	retryMax      = 8
+	retryBase     = 25 * time.Millisecond
+	retryMaxDelay = time.Second
+)
 
 // ErrConnectionLost is wrapped by every client error caused by a
 // transport failure (peer restart, broken pipe, failed redial) — as
@@ -717,7 +683,6 @@ func RetriesTotal() int64 { return retriesTotal.Load() }
 type Client struct {
 	addr   string // "" when wrapped around an existing conn (no redial)
 	opts   DialOptions
-	tracer *obs.Tracer
 	closed atomic.Bool
 
 	mu   sync.Mutex // guards link replacement, not request I/O
@@ -725,15 +690,14 @@ type Client struct {
 }
 
 // Dial connects to a server and performs the protocol handshake, both
-// bounded by the default 5-second handshake timeout.
+// bounded by a 5-second handshake timeout.
 func Dial(addr string) (*Client, error) {
 	return DialWithOptions(addr, DialOptions{})
 }
 
-// DialWithOptions is Dial with explicit connection and resilience
-// options.
+// DialWithOptions is Dial with explicit resilience options.
 func DialWithOptions(addr string, opts DialOptions) (*Client, error) {
-	c := &Client{addr: addr, opts: opts, tracer: opts.Tracer}
+	c := &Client{addr: addr, opts: opts}
 	l, err := c.dialOnce()
 	if err != nil {
 		return nil, err
@@ -745,18 +709,11 @@ func DialWithOptions(addr string, opts DialOptions) (*Client, error) {
 // dialOnce establishes and handshakes one connection under the
 // handshake timeout.
 func (c *Client) dialOnce() (*link, error) {
-	timeout := c.opts.handshakeTimeout()
-	var conn net.Conn
-	var err error
-	if timeout > 0 {
-		conn, err = net.DialTimeout("tcp", c.addr, timeout)
-	} else {
-		conn, err = net.Dial("tcp", c.addr)
-	}
+	conn, err := net.DialTimeout("tcp", c.addr, handshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
-	l, err := handshake(conn, timeout)
+	l, err := handshake(conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -765,31 +722,23 @@ func (c *Client) dialOnce() (*link, error) {
 }
 
 // NewClient wraps an established connection (useful for tests with
-// in-memory pipes) and performs the protocol handshake under the default
+// in-memory pipes) and performs the protocol handshake under the
 // handshake timeout, returning a *VersionError if the peer speaks a
 // different protocol version. A client built this way cannot reconnect
 // (it has no address to redial).
 func NewClient(conn net.Conn) (*Client, error) {
-	return NewClientWithOptions(conn, DialOptions{})
-}
-
-// NewClientWithOptions is NewClient with explicit options; Reconnect is
-// ignored (there is no address to redial).
-func NewClientWithOptions(conn net.Conn, opts DialOptions) (*Client, error) {
-	l, err := handshake(conn, opts.handshakeTimeout())
+	l, err := handshake(conn)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{opts: opts, tracer: opts.Tracer, link: l}, nil
+	return &Client{link: l}, nil
 }
 
-// handshake performs the version exchange on conn, bounded by timeout
-// (0 = unbounded) so a half-open peer cannot hang the caller forever.
-func handshake(conn net.Conn, timeout time.Duration) (*link, error) {
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-		defer conn.SetDeadline(time.Time{})
-	}
+// handshake performs the version exchange on conn, bounded by the
+// handshake timeout so a half-open peer cannot hang the caller forever.
+func handshake(conn net.Conn) (*link, error) {
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	defer conn.SetDeadline(time.Time{})
 	if _, err := conn.Write(appendHello(nil, ProtocolVersion)); err != nil {
 		return nil, fmt.Errorf("netq: handshake send: %w", err)
 	}
@@ -810,7 +759,7 @@ func handshake(conn net.Conn, timeout time.Duration) (*link, error) {
 	}
 	if err != nil {
 		if isTimeout(err) {
-			return nil, fmt.Errorf("netq: handshake timed out after %v (peer accepted but never answered): %w", timeout, err)
+			return nil, fmt.Errorf("netq: handshake timed out after %v (peer accepted but never answered): %w", handshakeTimeout, err)
 		}
 		// A v1 server chokes on the hello and drops the connection,
 		// surfacing here as EOF: classify that as a version mismatch, not
@@ -833,15 +782,6 @@ func handshake(conn net.Conn, timeout time.Duration) (*link, error) {
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// WithTracer records one client-side span per call (op prefixed
-// "client/", carrying the trace id sent to the server) into t, so a
-// client process can correlate its view of latency with the server's
-// /debug/trace spans. Call before issuing requests.
-func (c *Client) WithTracer(t *obs.Tracer) *Client {
-	c.tracer = t
-	return c
 }
 
 // Close terminates the connection (and the server-side sessions). It is
@@ -957,10 +897,10 @@ func (c *Client) exchange(ctx context.Context, req Request) (Response, error) {
 }
 
 // roundTrip sends one request and awaits its response. With
-// DialOptions.Reconnect set, idempotent read operations that hit a
-// transport failure are transparently retried over a fresh connection
-// with capped exponential backoff, within the context's deadline and the
-// per-call retry budget. Writes and session ops never retry: they fail
+// DialOptions.Reconnect set, idempotent operations that hit a transport
+// failure are transparently retried over a fresh connection with capped
+// exponential backoff, within the context's deadline and the per-call
+// retry budget. Writes and session ops never retry: they fail
 // with an error matching errors.Is(err, ErrConnectionLost), leaving the
 // resend decision to the caller.
 func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
@@ -978,23 +918,8 @@ func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 		tc = obs.NewTraceContext()
 	}
 	req.TraceID, req.SpanID = hexIDs(tc.TraceID, tc.SpanID)
-	start := time.Now()
-	defer func() {
-		if c.tracer == nil {
-			return
-		}
-		span := obs.Span{
-			Op:     "client/" + string(req.Op),
-			Shard:  obs.NoShard,
-			Start:  start,
-			WallNS: time.Since(start).Nanoseconds(),
-		}
-		tc.Annotate(&span)
-		c.tracer.Record(span)
-	}()
 
-	retriable := c.opts.Reconnect && c.addr != "" && isReadOp(req.Op)
-	budget := c.opts.retryMax()
+	retriable := c.opts.Reconnect && c.addr != "" && idempotent(req.Op)
 	for attempt := 0; ; attempt++ {
 		resp, err := c.exchange(ctx, req)
 		if err == nil {
@@ -1010,25 +935,25 @@ func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return Response{}, ctxErr
 		}
-		if !retriable || attempt >= budget {
+		if !retriable || attempt >= retryMax {
 			if errors.Is(terr.err, ErrConnectionLost) {
 				return Response{}, terr.err
 			}
 			return Response{}, fmt.Errorf("%w: %w", ErrConnectionLost, terr.err)
 		}
 		retriesTotal.Add(1)
-		if err := sleepBackoff(ctx, attempt, c.opts.retryBase(), c.opts.retryMaxDelay()); err != nil {
+		if err := sleepBackoff(ctx, attempt); err != nil {
 			return Response{}, err
 		}
 	}
 }
 
-// sleepBackoff waits base*2^attempt capped at maxDelay, jittered ±50%,
-// or until the context is done.
-func sleepBackoff(ctx context.Context, attempt int, base, maxDelay time.Duration) error {
-	d := base << uint(attempt)
-	if d > maxDelay || d <= 0 {
-		d = maxDelay
+// sleepBackoff waits retryBase*2^attempt capped at retryMaxDelay,
+// jittered ±50%, or until the context is done.
+func sleepBackoff(ctx context.Context, attempt int) error {
+	d := retryBase << uint(attempt)
+	if d > retryMaxDelay || d <= 0 {
+		d = retryMaxDelay
 	}
 	d = d/2 + time.Duration(rand.Int64N(int64(d)))
 	t := time.NewTimer(d)

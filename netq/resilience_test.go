@@ -40,12 +40,7 @@ func startServerAt(t *testing.T, addr string, db dynq.Database) (string, func())
 func TestReadRetriesAcrossServerRestart(t *testing.T) {
 	db := testDB(t)
 	addr, stop := startServerAt(t, "127.0.0.1:0", db)
-	cl, err := DialWithOptions(addr, DialOptions{
-		Reconnect:     true,
-		RetryMax:      40,
-		RetryBase:     5 * time.Millisecond,
-		RetryMaxDelay: 50 * time.Millisecond,
-	})
+	cl, err := DialWithOptions(addr, DialOptions{Reconnect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +83,7 @@ func TestWriteFailsFastWhenServerDies(t *testing.T) {
 	db := testDB(t)
 	sizeBefore := mustSize(t, db)
 	addr, stop := startServerAt(t, "127.0.0.1:0", db)
-	cl, err := DialWithOptions(addr, DialOptions{
-		Reconnect:     true, // reconnect applies to reads only
-		RetryMax:      40,
-		RetryBase:     5 * time.Millisecond,
-		RetryMaxDelay: 50 * time.Millisecond,
-	})
+	cl, err := DialWithOptions(addr, DialOptions{Reconnect: true}) // reconnect applies to idempotent ops only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +124,29 @@ func seg(x, y float64) dynq.Segment {
 	return dynq.Segment{T0: 0, T1: 100, From: []float64{x, y}, To: []float64{x, y}}
 }
 
+// TestTelemetryRetriesAcrossServerRestart: the telemetry op changes
+// nothing on the server, so a reconnecting client redials for it like
+// for a read — a monitor polling across a server restart keeps its
+// numbers instead of reporting the server unreachable.
+func TestTelemetryRetriesAcrossServerRestart(t *testing.T) {
+	db := testDB(t)
+	addr, stop := startServerAt(t, "127.0.0.1:0", db)
+	cl, err := DialWithOptions(addr, DialOptions{Reconnect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Telemetry(); err != nil {
+		t.Fatalf("telemetry before restart: %v", err)
+	}
+	stop() // the client's connection is now dead
+	_, stop2 := startServerAt(t, addr, db)
+	defer stop2()
+	if _, err := cl.Telemetry(); err != nil {
+		t.Fatalf("telemetry after restart should redial, got: %v", err)
+	}
+}
+
 // TestDialHandshakeTimeout reproduces the half-open-peer hang: a
 // listener that accepts connections but never answers the handshake.
 // Dial must fail within the handshake timeout instead of blocking
@@ -154,8 +167,10 @@ func TestDialHandshakeTimeout(t *testing.T) {
 		}
 	}()
 
+	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+	handshakeTimeout = 200 * time.Millisecond
 	start := time.Now()
-	_, err = DialWithOptions(l.Addr().String(), DialOptions{HandshakeTimeout: 200 * time.Millisecond})
+	_, err = Dial(l.Addr().String())
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("dialing a mute peer should fail")
@@ -250,12 +265,7 @@ func TestReadOnlyErrorOverTheWire(t *testing.T) {
 func TestRetryBudgetExhausts(t *testing.T) {
 	db := testDB(t)
 	addr, stop := startServerAt(t, "127.0.0.1:0", db)
-	cl, err := DialWithOptions(addr, DialOptions{
-		Reconnect:     true,
-		RetryMax:      3,
-		RetryBase:     time.Millisecond,
-		RetryMaxDelay: 5 * time.Millisecond,
-	})
+	cl, err := DialWithOptions(addr, DialOptions{Reconnect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,12 +282,7 @@ func TestRetryBudgetExhausts(t *testing.T) {
 func TestRetryHonorsContextDeadline(t *testing.T) {
 	db := testDB(t)
 	addr, stop := startServerAt(t, "127.0.0.1:0", db)
-	cl, err := DialWithOptions(addr, DialOptions{
-		Reconnect:     true,
-		RetryMax:      1000,
-		RetryBase:     50 * time.Millisecond,
-		RetryMaxDelay: time.Second,
-	})
+	cl, err := DialWithOptions(addr, DialOptions{Reconnect: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // testShardedDB mirrors testDB's population on a 3-shard engine.
 func testShardedDB(t *testing.T) *dynq.ShardedDB {
 	t.Helper()
-	sdb, err := dynq.OpenSharded(dynq.ShardOptions{Shards: 3, Workers: 2})
+	sdb, err := dynq.OpenSharded(dynq.ShardOptions{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,10 @@ const overloadBurstInterval = 10 * time.Second
 
 // serverTelemetry is the server's rolling-window observability state:
 // per-op windowed latency, SLO attainment (reads and writes tracked
-// against separate objectives), the slow-op log, the operational event
-// journal, and the runtime collector. It lives beside the cumulative
-// serverMetrics, which feed /metrics since boot.
+// against separate objectives), the slow-op log and the runtime
+// collector; operational events go to the process-wide journal. It
+// lives beside the cumulative serverMetrics, which feed /metrics since
+// boot.
 type serverTelemetry struct {
 	started   time.Time
 	winSpans  []time.Duration
@@ -42,7 +43,6 @@ type serverTelemetry struct {
 	sloWrite  *obs.SLOTracker // write objectives (availability + durability-wait latency)
 	slowLog   *obs.SlowLog    // one shared ring; writes use their own bar
 	slowWrite atomic.Int64    // slow-write capture threshold, nanoseconds
-	journal   *obs.Journal
 	collector *obs.Collector
 	recovery  *dynq.RecoveryReport
 
@@ -67,7 +67,6 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 		slo:      obs.NewSLOTracker(obs.SLOConfig{}),
 		sloWrite: obs.NewSLOTracker(obs.SLOConfig{}),
 		slowLog:  obs.NewSlowLog(SlowLogCapacity, obs.DefSlowThreshold),
-		journal:  obs.DefaultJournal(),
 	}
 	t.slowWrite.Store(int64(obs.DefSlowThreshold))
 	maxWin := t.winSpans[len(t.winSpans)-1]
@@ -97,7 +96,7 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 		}
 	}
 	reg.GaugeFunc("netq_slow_queries_total", func() float64 { return float64(t.slowLog.Captured()) })
-	reg.GaugeFunc("netq_journal_events_total", func() float64 { return float64(t.journal.Total()) })
+	reg.GaugeFunc("netq_journal_events_total", func() float64 { return float64(obs.DefaultJournal().Total()) })
 
 	// The runtime collector samples scheduler/heap/GC state plus the
 	// server's own load signals into a time series for /debug/runtime.
@@ -152,7 +151,7 @@ func (t *serverTelemetry) noteOverload(executing, queued int) {
 	t.burstAcc = 0
 	t.lastBurst = now
 	t.burstMu.Unlock()
-	t.journal.Record(obs.EventOverloadBurst, obs.SeverityWarn,
+	obs.DefaultJournal().Record(obs.EventOverloadBurst, obs.SeverityWarn,
 		"read admission control rejecting requests", map[string]string{
 			"rejections": strconv.FormatInt(n, 10),
 			"executing":  strconv.Itoa(executing),
@@ -196,18 +195,6 @@ func (s *Server) WithWriteSLO(cfg obs.SLOConfig) *Server {
 	return s
 }
 
-// WithJournal redirects operational events recorded by this server
-// (overload bursts, lifecycle) into j instead of the process-wide
-// default journal. Events recorded below the server — recovery,
-// degraded-mode flips, checksum failures — still go to
-// obs.DefaultJournal(). Call before Serve.
-func (s *Server) WithJournal(j *obs.Journal) *Server {
-	if j != nil {
-		s.tel.journal = j
-	}
-	return s
-}
-
 // WithRecoveryReport attaches the report from OpenFileRecover, exposing
 // what open-time verification checked and repaired as dynq_recovery_*
 // gauges (the recovery event itself is journaled by the open). Call
@@ -240,8 +227,8 @@ func (s *Server) WithRecoveryReport(rep *dynq.RecoveryReport) *Server {
 func (s *Server) SlowLog() *obs.SlowLog { return s.tel.slowLog }
 
 // Journal exposes the journal this server records operational events
-// into (for /debug/events).
-func (s *Server) Journal() *obs.Journal { return s.tel.journal }
+// into (for /debug/events): the process-wide default journal.
+func (s *Server) Journal() *obs.Journal { return obs.DefaultJournal() }
 
 // Collector exposes the server's runtime collector (for
 // /debug/runtime). Serve starts it; Close stops it.
@@ -252,7 +239,7 @@ func (s *Server) startCollector() {
 	s.tel.collectorOnce.Do(func() {
 		s.tel.collector.Start()
 		s.tel.collectorOn.Store(true)
-		s.tel.journal.Record(obs.EventServerStart, obs.SeverityInfo,
+		obs.DefaultJournal().Record(obs.EventServerStart, obs.SeverityInfo,
 			"netq server accepting connections", nil)
 	})
 }
@@ -275,8 +262,8 @@ func (s *Server) Telemetry() Telemetry {
 		SLOs:           append(s.tel.slo.Status(), s.tel.sloWrite.Status()...),
 		SlowThreshold:  s.tel.slowLog.Threshold(),
 		SlowCaptured:   s.tel.slowLog.Captured(),
-		EventsTotal:    s.tel.journal.Total(),
-		Events:         s.tel.journal.Recent(telemetryEventLimit),
+		EventsTotal:    obs.DefaultJournal().Total(),
+		Events:         obs.DefaultJournal().Recent(telemetryEventLimit),
 	}
 	if sample, ok := s.tel.collector.Latest(); ok {
 		tel.Runtime = &sample

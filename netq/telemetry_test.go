@@ -355,8 +355,8 @@ func TestRecoveryReportInTelemetry(t *testing.T) {
 func TestTelemetryBypassesAdmissionControl(t *testing.T) {
 	db := testDB(t)
 	srv := NewServer(db).WithConcurrency(1, 1)
-	j := obs.NewJournal(16)
-	srv.WithJournal(j)
+	j := obs.DefaultJournal()
+	since := j.Total()
 
 	// Fill the execution slot and the wait queue by hand, so the next
 	// read is deterministically rejected.
@@ -378,7 +378,7 @@ func TestTelemetryBypassesAdmissionControl(t *testing.T) {
 		t.Errorf("ReadQueueDepth = %d, want %d", resp.Telemetry.ReadQueueDepth, srv.maxQueue)
 	}
 
-	events := j.Recent(0)
+	events := j.Since(since)
 	var burst bool
 	for _, ev := range events {
 		if ev.Type == obs.EventOverloadBurst {
@@ -398,7 +398,7 @@ func TestTelemetryBypassesAdmissionControl(t *testing.T) {
 		t.Fatalf("second saturated read: ErrKind = %q", resp.ErrKind)
 	}
 	var bursts int
-	for _, ev := range j.Recent(0) {
+	for _, ev := range j.Since(since) {
 		if ev.Type == obs.EventOverloadBurst {
 			bursts++
 		}

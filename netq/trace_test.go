@@ -58,9 +58,9 @@ func shardedTestDB(t *testing.T, shards int) *dynq.ShardedDB {
 
 // TestTracePropagationAcrossWireAndShards is the acceptance path: one
 // SnapshotCtx through the netq client against a 4-shard server must
-// yield a single trace containing the client span, the server op span,
-// and one span per shard, each shard span carrying pager/rtree/engine
-// stage deltas.
+// yield a single trace containing the caller's span as parent of the
+// server op span, and one span per shard, each shard span carrying
+// pager/rtree/engine stage deltas.
 func TestTracePropagationAcrossWireAndShards(t *testing.T) {
 	const shards = 4
 	db := shardedTestDB(t, shards)
@@ -72,11 +72,11 @@ func TestTracePropagationAcrossWireAndShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	clientTracer := obs.NewTracer(8)
-	cl.WithTracer(clientTracer)
 
+	tc := obs.NewTraceContext()
+	traceID, clientSpan := tc.TraceID.String(), tc.SpanID.String()
 	view := dynq.Rect{Min: []float64{0, 0}, Max: []float64{100, 100}}
-	rs, err := cl.SnapshotCtx(context.Background(), view, 0, 1)
+	rs, err := cl.SnapshotCtx(obs.ContextWithTrace(context.Background(), tc), view, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +84,7 @@ func TestTracePropagationAcrossWireAndShards(t *testing.T) {
 		t.Fatal("snapshot returned nothing; the trace would be trivial")
 	}
 
-	// Client side: one span, a root (no parent), carrying the trace id.
-	cspans := clientTracer.Recent()
-	if len(cspans) != 1 || cspans[0].Op != "client/snapshot" {
-		t.Fatalf("client spans = %+v", cspans)
-	}
-	traceID, clientSpan := cspans[0].TraceID, cspans[0].SpanID
-	if traceID == "" || clientSpan == "" || cspans[0].ParentID != "" {
-		t.Fatalf("client span ids wrong: %+v", cspans[0])
-	}
-
-	// Server side: the op span continues the client's trace, and every
+	// Server side: the op span continues the caller's trace, and every
 	// shard span is its child.
 	spans := srv.Tracer().Trace(traceID)
 	if len(spans) != 1+shards {
@@ -106,7 +96,7 @@ func TestTracePropagationAcrossWireAndShards(t *testing.T) {
 		switch s.Op {
 		case "snapshot":
 			if s.ParentID != clientSpan {
-				t.Errorf("op span parent = %q, want client span %s", s.ParentID, clientSpan)
+				t.Errorf("op span parent = %q, want caller span %s", s.ParentID, clientSpan)
 			}
 			if s.Shard != obs.NoShard {
 				t.Errorf("op span shard = %d", s.Shard)
@@ -136,7 +126,7 @@ func TestTracePropagationAcrossWireAndShards(t *testing.T) {
 
 	// /debug/trace?trace=<id> serves the correlated trace as JSON that
 	// round-trips through encoding/json.
-	hs := httptest.NewServer(obs.Handler(srv.Registry(), srv.Tracer()))
+	hs := httptest.NewServer(obs.NewHandler(obs.HandlerConfig{Registry: srv.Registry(), Tracer: srv.Tracer()}))
 	defer hs.Close()
 	resp, err := http.Get(hs.URL + "/debug/trace?trace=" + traceID)
 	if err != nil {

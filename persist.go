@@ -17,7 +17,7 @@ import (
 //	offset 0  1 byte  format version (2)
 //	offset 1  1 byte  spatial dimensionality
 //	offset 2  1 byte  dual-time flag
-//	offset 3  1 byte  split policy
+//	offset 3  1 byte  split policy (0 = quadratic; see below)
 //	offset 4  4 bytes root page id
 //	offset 8  4 bytes height
 //	offset 12 8 bytes segment count
@@ -27,7 +27,10 @@ import (
 //	                  so recovery replays only records above it)
 //
 // Version 1 files (28 bytes, no LSN field) remain readable: they predate
-// the WAL, so their applied LSN is implicitly 0.
+// the WAL, so their applied LSN is implicitly 0. Every tree splits with
+// the quadratic split and writes split byte 0; files written when linear
+// (1) and R*-axis (2) splits existed still open, go on with the quadratic
+// split and write 0 at their next commit.
 const (
 	metaVersion1 = 1
 	metaVersion  = 2
@@ -47,7 +50,6 @@ func encodeMeta(m rtree.Meta, appliedLSN uint64) []byte {
 	if m.Config.DualTime {
 		buf[2] = 1
 	}
-	buf[3] = byte(m.Config.Split)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(m.Root))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(m.Height))
 	binary.LittleEndian.PutUint64(buf[12:], uint64(m.Size))
@@ -86,10 +88,7 @@ func decodeMeta(buf []byte) (rtree.Meta, uint64, error) {
 	if buf[2] > 1 {
 		return rtree.Meta{}, 0, fmt.Errorf("%w: dual-time flag byte %d is not 0 or 1", ErrCorrupt, buf[2])
 	}
-	split := rtree.SplitPolicy(buf[3])
-	switch split {
-	case rtree.SplitQuadratic, rtree.SplitLinear, rtree.SplitRStarAxis:
-	default:
+	if buf[3] > 2 {
 		return rtree.Meta{}, 0, fmt.Errorf("%w: unknown split policy byte %d", ErrCorrupt, buf[3])
 	}
 	root := pager.PageID(binary.LittleEndian.Uint32(buf[4:]))
@@ -110,7 +109,6 @@ func decodeMeta(buf []byte) (rtree.Meta, uint64, error) {
 	cfg := rtree.DefaultConfig()
 	cfg.Dims = dims
 	cfg.DualTime = buf[2] == 1
-	cfg.Split = split
 	return rtree.Meta{
 		Root:   root,
 		Height: int(height),

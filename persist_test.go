@@ -3,6 +3,7 @@ package dynq
 import (
 	"encoding/binary"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,15 +20,13 @@ func TestDecodeMetaRoundTrip(t *testing.T) {
 	cfg := rtree.DefaultConfig()
 	cfg.Dims = 3
 	cfg.DualTime = true
-	cfg.Split = rtree.SplitRStarAxis
 	in := rtree.Meta{Root: 42, Height: 4, Size: 12345, ModSeq: 99, Config: cfg}
 	out, lsn, err := decodeMeta(encodeMeta(in, 777))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if out.Root != in.Root || out.Height != in.Height || out.Size != in.Size ||
-		out.ModSeq != in.ModSeq || out.Config.Dims != 3 || !out.Config.DualTime ||
-		out.Config.Split != rtree.SplitRStarAxis {
+		out.ModSeq != in.ModSeq || out.Config.Dims != 3 || !out.Config.DualTime {
 		t.Fatalf("round trip mismatch: %+v != %+v", out, in)
 	}
 	if lsn != 777 {
@@ -65,7 +64,7 @@ func TestDecodeMetaRejectsCorruption(t *testing.T) {
 		{"dims zero", func(b []byte) []byte { b[1] = 0; return b }, "dimensionality"},
 		{"dims huge", func(b []byte) []byte { b[1] = 200; return b }, "dimensionality"},
 		{"dual flag", func(b []byte) []byte { b[2] = 7; return b }, "dual-time"},
-		{"split policy", func(b []byte) []byte { b[3] = 250; return b }, "split policy"},
+		{"split policy", func(b []byte) []byte { b[3] = 3; return b }, "split policy"},
 		{"height huge", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[8:], 1<<20)
 			return b
@@ -104,9 +103,91 @@ func TestDecodeMetaRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestOpenFileWithOldSplitPolicy: a page file whose metadata names the
+// linear (1) or R*-axis (2) split, which files written before the
+// quadratic split became the only one carry, still opens, grows by the
+// quadratic split, and commits split byte 0.
+func TestOpenFileWithOldSplitPolicy(t *testing.T) {
+	for _, old := range []byte{1, 2} {
+		path := filepath.Join(t.TempDir(), "old.dynq")
+		db, err := Open(Options{Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		populate(t, db, 20, 1)
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		setSplitByte(t, path, old)
+
+		db, err = OpenFile(path)
+		if err != nil {
+			t.Fatalf("split byte %d: reopen: %v", old, err)
+		}
+		before := db.Len()
+		populate(t, db, 50, 2) // enough inserts to split leaves
+		if err := db.Validate(); err != nil {
+			t.Fatalf("split byte %d: %v", old, err)
+		}
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		after := db.Len()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := splitByte(t, path); got != 0 {
+			t.Fatalf("split byte %d: the next commit wrote split byte %d, want 0", old, got)
+		}
+		db, err = OpenFile(path)
+		if err != nil {
+			t.Fatalf("split byte %d: reopen after commit: %v", old, err)
+		}
+		if db.Len() != after || after <= before {
+			t.Fatalf("split byte %d: %d segments after reopen, %d before the inserts, %d after", old, db.Len(), before, after)
+		}
+		db.Close()
+	}
+}
+
+// splitByte reads the split-policy byte of a page file's metadata.
+func splitByte(t *testing.T, path string) byte {
+	t.Helper()
+	fs, err := pager.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	return fs.Aux()[3]
+}
+
+// setSplitByte commits metadata naming split policy b.
+func setSplitByte(t *testing.T, path string, b byte) {
+	t.Helper()
+	fs, err := pager.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aux := append([]byte(nil), fs.Aux()...)
+	aux[3] = b
+	if err := fs.SetAux(aux); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzDecodeMeta asserts decodeMeta never panics and never accepts bytes
 // that re-encode differently — acceptance means every field was in
-// range, so encode(decode(x)) must reproduce the input exactly.
+// range, so encode(decode(x)) must reproduce the input exactly, except
+// that a retired split policy (bytes 1 and 2) re-encodes as 0.
 func FuzzDecodeMeta(f *testing.F) {
 	f.Add(validMetaBytes())
 	empty := encodeMeta(rtree.Meta{Root: pager.InvalidPage, Config: rtree.DefaultConfig()}, 0)
@@ -126,6 +207,8 @@ func FuzzDecodeMeta(f *testing.F) {
 		// reproduce the input. Version-1 inputs (no LSN field) re-encode
 		// as version 2: compare the shared fields and require LSN 0.
 		re := encodeMeta(m, lsn)
+		data = append([]byte(nil), data...)
+		data[3] = 0
 		switch data[0] {
 		case metaVersion1:
 			if lsn != 0 || len(data) < metaLenV1 || string(re[1:metaLenV1]) != string(data[1:metaLenV1]) {

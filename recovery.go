@@ -99,7 +99,9 @@ func OpenFileRecover(path string) (*DB, *RecoveryReport, error) {
 }
 
 // RecoverOptions tune OpenFileRecoverWith; the zero value matches
-// OpenFileRecover exactly.
+// OpenFileRecover exactly. An armed log gets the WAL buffering floor of
+// page buffer (see Options.BufferPages); without one the tree reads its
+// file unbuffered.
 type RecoverOptions struct {
 	// WALPath forces a write-ahead log at that path (created when
 	// missing, replayed when not). Empty means auto-detect: the
@@ -108,37 +110,25 @@ type RecoverOptions struct {
 	// GroupCommitWindow is the armed log's coalescing window (see
 	// Options.GroupCommitWindow).
 	GroupCommitWindow time.Duration
-	// BufferPages enables the server-side LRU page buffer (see
-	// Options.BufferPages).
-	BufferPages int
-	// DegradeAfter is the consecutive-write-failure threshold (see
-	// Options.DegradeAfter).
-	DegradeAfter int
 	// Maintenance configures the self-healing maintenance loop (see
 	// Options.Maintenance).
 	Maintenance MaintenanceOptions
 }
 
 // OpenFileRecoverWith is OpenFileRecover with knobs: it can force-arm a
-// write-ahead log (dqserver -wal), set the group-commit window, and
-// restore buffer/degradation options that plain recovery leaves at their
-// defaults.
+// write-ahead log (dqserver -wal), set the group-commit window and start
+// the maintenance loop.
 func OpenFileRecoverWith(path string, opts RecoverOptions) (*DB, *RecoveryReport, error) {
-	if opts.BufferPages < 0 {
-		return nil, nil, fmt.Errorf("dynq: RecoverOptions.BufferPages must be >= 0, got %d", opts.BufferPages)
-	}
 	walPath := opts.WALPath
 	if walPath == "" {
 		walPath = path + ".wal"
 	}
 	e, err := recoverEngine(recoverSpec{
-		lay:          singleLayout(path, walPath),
-		units:        1,
-		forceWAL:     opts.WALPath != "",
-		window:       opts.GroupCommitWindow,
-		bufferPages:  opts.BufferPages,
-		degradeAfter: opts.DegradeAfter,
-		maint:        opts.Maintenance,
+		lay:      singleLayout(path, walPath),
+		units:    1,
+		forceWAL: opts.WALPath != "",
+		window:   opts.GroupCommitWindow,
+		maint:    opts.Maintenance,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -149,23 +139,25 @@ func OpenFileRecoverWith(path string, opts RecoverOptions) (*DB, *RecoveryReport
 // recoverSpec is what a recovering open needs to know; both flavours'
 // exported options reduce to it.
 type recoverSpec struct {
-	lay            layout
-	units, workers int
+	lay   layout
+	units int
 	// forceWAL arms a log per unit (created when missing). Without it logs
 	// are auto-detected: if ANY unit's sidecar exists every unit is armed —
 	// a database is logged as a whole or not at all.
-	forceWAL     bool
-	window       time.Duration
-	bufferPages  int
-	degradeAfter int
-	maint        MaintenanceOptions
+	forceWAL bool
+	window   time.Duration
+	maint    MaintenanceOptions
 
-	// Soak hooks. wrapStore interposes a store (a pager.FaultStore)
+	// Soak and test hooks. bufferPages gives every unit a page buffer of
+	// that capacity (0: the WAL buffering floor when logs are armed, none
+	// otherwise); wrapStore interposes a store (a pager.FaultStore)
 	// between unit i's tree and its verified file; walFault hooks the
-	// logs' physical writes; clock replaces the maintenance loop's.
-	wrapStore func(i int, fs *pager.FileStore) pager.Store
-	walFault  func(string) error
-	clock     func() time.Time
+	// logs' physical writes; clock, when set, replaces the maintenance
+	// loop's clock and its goroutine: the caller drives every tick.
+	bufferPages int
+	wrapStore   func(i int, fs *pager.FileStore) pager.Store
+	walFault    func(string) error
+	clock       func() time.Time
 }
 
 // recoverEngine is the one recovering open: for every unit, verify the
@@ -244,19 +236,15 @@ func recoverEngine(s recoverSpec) (_ *engine, err error) {
 			}
 		}
 	}
-	units, err := shard.NewFromShards(cfg, shard.Options{Shards: n, Workers: s.workers, BufferPages: bufferPages}, trees, stores)
+	units, err := shard.NewFromShards(cfg, shard.Options{Shards: n, BufferPages: bufferPages}, trees, stores)
 	if err != nil {
 		return nil, err
 	}
 	e := &engine{units: units, dims: cfg.Dims, logs: logs, walLabel: s.lay.logs, recovery: reps}
-	e.health.after = int32(s.degradeAfter)
 	for _, rep := range reps {
 		rep.journal()
 	}
-	e.maint = startMaintainer(e, s.maint)
-	if e.maint != nil && s.clock != nil {
-		e.maint.now = s.clock
-	}
+	e.maint = startMaintainer(e, s.maint, s.clock)
 	return e, nil
 }
 

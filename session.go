@@ -21,14 +21,6 @@ type PredictiveOptions struct {
 	// Live subscribes the session to concurrent insertions so objects
 	// reported after the session started still appear in its results.
 	Live bool
-	// RebuildOnRootSplit re-seeds the session's queue when the index
-	// grows a new root instead of patching it incrementally.
-	RebuildOnRootSplit bool
-	// Slack inflates every waypoint view by δ(t), turning the session
-	// into a semi-predictive query (SPDQ): the observer may deviate from
-	// the registered trajectory by up to Slack(t) without missing
-	// results. Nil means exact.
-	Slack func(t float64) float64
 }
 
 // PredictiveSession is a running predictive dynamic query (PDQ): one
@@ -39,9 +31,8 @@ type PredictiveSession struct {
 	pdq *shard.PDQ
 }
 
-// buildTrajectory converts API waypoints into the core trajectory form,
-// applying the optional slack inflation.
-func buildTrajectory(waypoints []Waypoint, dims int, slack func(t float64) float64) (*trajectory.Trajectory, error) {
+// buildTrajectory converts API waypoints into the core trajectory form.
+func buildTrajectory(waypoints []Waypoint, dims int) (*trajectory.Trajectory, error) {
 	keys := make([]trajectory.Key, len(waypoints))
 	for i, w := range waypoints {
 		box, err := toBoxDims(w.View, dims)
@@ -53,29 +44,19 @@ func buildTrajectory(waypoints []Waypoint, dims int, slack func(t float64) float
 		}
 		keys[i] = trajectory.Key{T: w.T, Window: box}
 	}
-	traj, err := trajectory.New(keys)
-	if err != nil {
-		return nil, err
-	}
-	if slack != nil {
-		return traj.Inflate(slack)
-	}
-	return traj, nil
+	return trajectory.New(keys)
 }
 
 // PredictiveQuery registers an observer trajectory and starts a
 // predictive dynamic query over it.
 func (e *engine) PredictiveQuery(waypoints []Waypoint, opts PredictiveOptions) (*PredictiveSession, error) {
-	traj, err := buildTrajectory(waypoints, e.dims, opts.Slack)
+	traj, err := buildTrajectory(waypoints, e.dims)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	pdq, err := e.units.NewPDQ(traj, core.PDQOptions{
-		LiveUpdates:        opts.Live,
-		RebuildOnRootSplit: opts.RebuildOnRootSplit,
-	})
+	pdq, err := e.units.NewPDQ(traj, core.PDQOptions{LiveUpdates: opts.Live})
 	if err != nil {
 		return nil, err
 	}
@@ -112,16 +93,10 @@ func (s *PredictiveSession) Fetch(t0, t1 float64) ([]Result, error) {
 // Close releases the session (and its live-update subscriptions).
 func (s *PredictiveSession) Close() { s.pdq.Close() }
 
-// NonPredictiveOptions tune a non-predictive session.
-type NonPredictiveOptions struct {
-	// TrackIDs suppresses re-delivery by remembering the object ids the
-	// previous snapshot's traversal produced, instead of the default
-	// geometric test.
-	TrackIDs bool
-	// ExactAnswers filters results with the exact trajectory test at the
-	// cost of disabling node-discarding (see package core).
-	ExactAnswers bool
-}
+// NonPredictiveOptions is empty: a non-predictive session has one mode,
+// the paper's. The type stays because the nested benchmark module
+// compiles against it.
+type NonPredictiveOptions struct{}
 
 // NonPredictiveSession is a running non-predictive dynamic query (NPDQ):
 // a stream of snapshot queries where each answer contains only objects
@@ -133,16 +108,10 @@ type NonPredictiveSession struct {
 }
 
 // NonPredictiveQuery starts a non-predictive dynamic query session.
-func (e *engine) NonPredictiveQuery(opts NonPredictiveOptions) *NonPredictiveSession {
+func (e *engine) NonPredictiveQuery(NonPredictiveOptions) *NonPredictiveSession {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return &NonPredictiveSession{
-		dims: e.dims,
-		npdq: e.units.NewNPDQ(core.NPDQOptions{
-			TrackIDs:     opts.TrackIDs,
-			ExactAnswers: opts.ExactAnswers,
-		}),
-	}
+	return &NonPredictiveSession{dims: e.dims, npdq: e.units.NewNPDQ()}
 }
 
 // NonPredictive is NonPredictiveQuery in the interface form of Database.

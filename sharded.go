@@ -10,16 +10,14 @@ import (
 )
 
 // ShardOptions configure a sharded database: the single-tree Options plus
-// the partitioning knobs.
+// the partitioning knobs. Per-shard query tasks of ALL queries on the
+// database share one worker pool, GOMAXPROCS wide.
 type ShardOptions struct {
 	Options
 	// Shards is the number of hash partitions (>= 1). Objects are placed
 	// by a hash of their id, so every motion update touches exactly one
 	// shard while every query fans out across all of them.
 	Shards int
-	// Workers bounds how many per-shard query tasks run concurrently
-	// across ALL queries on the database (default GOMAXPROCS).
-	Workers int
 	// WAL arms a write-ahead log sidecar per shard ("<Path>.shard<i>.wal"):
 	// each shard's sub-batch is logged as one crash-atomic record under
 	// that shard's write lock, and Sync checkpoints every log against its
@@ -51,9 +49,6 @@ func OpenSharded(opts ShardOptions) (*ShardedDB, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("dynq: ShardOptions.Shards must be >= 1, got %d", opts.Shards)
 	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("dynq: ShardOptions.Workers must be >= 0, got %d", opts.Workers)
-	}
 	if opts.WALPath != "" {
 		return nil, fmt.Errorf("dynq: ShardOptions.WALPath is not supported: a sharded database has one log per shard, not one log total; set ShardOptions.WAL to arm \"<Path>.shard<i>.wal\" sidecars")
 	}
@@ -72,7 +67,7 @@ func OpenSharded(opts ShardOptions) (*ShardedDB, error) {
 			return nil, fmt.Errorf("dynq: sharded database files already exist at %q (found %s): use OpenShardedRecover to reopen, or remove them for a fresh database", opts.Path, lay.page(0))
 		}
 	}
-	e, err := createEngine(opts.Options, opts.Shards, opts.Workers, lay, opts.WAL)
+	e, err := createEngine(opts.Options, opts.Shards, lay, opts.WAL)
 	if err != nil {
 		return nil, err
 	}
@@ -104,15 +99,14 @@ func existingShardFiles(lay layout) (int, error) {
 
 // ShardRecoverOptions tune OpenShardedRecover. Shards is required and
 // must match the count the database was created with; everything else
-// mirrors RecoverOptions per shard.
+// mirrors RecoverOptions per shard. Armed logs get the WAL buffering
+// floor of page buffer per shard, as a fresh logged database does.
 type ShardRecoverOptions struct {
 	// Shards is the number of partitions the database was created with.
 	// A mismatch against the on-disk shard file set is an error: objects
 	// are placed by hash-mod-shards, so opening under a different count
 	// would silently misroute every lookup.
 	Shards int
-	// Workers bounds the worker pool (see ShardOptions.Workers).
-	Workers int
 	// WAL force-arms a log sidecar per shard (created when missing,
 	// replayed when not). Without it, logs are auto-detected: if ANY
 	// "<path>.shard<i>.wal" exists, every shard is armed — a database is
@@ -121,13 +115,6 @@ type ShardRecoverOptions struct {
 	// GroupCommitWindow is each armed log's coalescing window (see
 	// Options.GroupCommitWindow).
 	GroupCommitWindow time.Duration
-	// BufferPages gives every shard its own LRU page buffer (see
-	// Options.BufferPages); defaults to the WAL buffering floor when
-	// logs are armed.
-	BufferPages int
-	// DegradeAfter is the consecutive-write-failure threshold (see
-	// Options.DegradeAfter).
-	DegradeAfter int
 	// Maintenance configures the self-healing maintenance loop (see
 	// Options.Maintenance).
 	Maintenance MaintenanceOptions
@@ -150,9 +137,6 @@ func OpenShardedRecover(path string, opts ShardRecoverOptions) (*ShardedDB, []*R
 	if opts.Shards < 1 {
 		return nil, nil, fmt.Errorf("dynq: ShardRecoverOptions.Shards must be >= 1, got %d", opts.Shards)
 	}
-	if opts.BufferPages < 0 {
-		return nil, nil, fmt.Errorf("dynq: ShardRecoverOptions.BufferPages must be >= 0, got %d", opts.BufferPages)
-	}
 	lay := shardLayout(path)
 	existing, err := existingShardFiles(lay)
 	if err != nil {
@@ -166,14 +150,11 @@ func OpenShardedRecover(path string, opts ShardRecoverOptions) (*ShardedDB, []*R
 			path, existing, opts.Shards, existing)
 	}
 	e, err := recoverEngine(recoverSpec{
-		lay:          lay,
-		units:        opts.Shards,
-		workers:      opts.Workers,
-		forceWAL:     opts.WAL,
-		window:       opts.GroupCommitWindow,
-		bufferPages:  opts.BufferPages,
-		degradeAfter: opts.DegradeAfter,
-		maint:        opts.Maintenance,
+		lay:      lay,
+		units:    opts.Shards,
+		forceWAL: opts.WAL,
+		window:   opts.GroupCommitWindow,
+		maint:    opts.Maintenance,
 	})
 	if err != nil {
 		return nil, nil, err

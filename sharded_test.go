@@ -38,7 +38,7 @@ func equivPair(t *testing.T, segs []MotionUpdate, shards int, bulk bool) (*DB, *
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	sdb, err := OpenSharded(ShardOptions{Shards: shards, Workers: 3})
+	sdb, err := OpenSharded(ShardOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,9 +416,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := OpenSharded(ShardOptions{Shards: 0}); err == nil {
 		t.Fatal("zero Shards accepted")
-	}
-	if _, err := OpenSharded(ShardOptions{Shards: 2, Workers: -1}); err == nil {
-		t.Fatal("negative Workers accepted")
 	}
 	if _, err := OpenSharded(ShardOptions{Shards: 2, Options: Options{Dims: -1}}); err == nil {
 		t.Fatal("sharded open accepted negative Dims")

@@ -228,14 +228,13 @@ func isTypedCorruption(err error) bool {
 // openFaulted reopens the committed file with a scripted FaultStore
 // interposed between the tree and the FileStore, so the write phase sees
 // injected faults while the file beneath stays a real FileStore the
-// harness can Crash. Degradation is off: the soak handles failures
-// itself.
+// harness can Crash. A cycle's writes stop at their first failure, so
+// they never reach the degrade threshold.
 func openFaulted(path string, plan *pager.FaultPlan, bufferPages int) (*DB, *pager.FileStore, *pager.FaultStore, error) {
 	return recoverFaulted(recoverSpec{
-		lay:          singleLayout(path, path+".wal"),
-		units:        1,
-		bufferPages:  bufferPages,
-		degradeAfter: -1,
+		lay:         singleLayout(path, path+".wal"),
+		units:       1,
+		bufferPages: bufferPages,
 	}, plan)
 }
 

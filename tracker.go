@@ -15,9 +15,10 @@ type TrackerOptions struct {
 	// Horizon is the anticipation window the index optimizes for — choose
 	// it near the expected time between motion updates (default 2).
 	Horizon float64
-	// Fanout is the node capacity (default 32).
-	Fanout int
 }
+
+// trackerFanout is the node capacity of the tracker's TPR-tree.
+const trackerFanout = 32
 
 // Tracker indexes the *current* motion state of a fleet — one (position,
 // velocity) entry per object — and answers questions about the present
@@ -55,10 +56,7 @@ func NewTracker(opts TrackerOptions) (*Tracker, error) {
 	if opts.Horizon == 0 {
 		opts.Horizon = 2
 	}
-	if opts.Fanout == 0 {
-		opts.Fanout = 32
-	}
-	tree, err := tpr.New(opts.Dims, opts.Horizon, opts.Fanout)
+	tree, err := tpr.New(opts.Dims, opts.Horizon, trackerFanout)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +126,7 @@ func (tk *Tracker) During(view Rect, t0, t1 float64) ([]Anticipated, error) {
 // Along returns every object anticipated to enter the moving view defined
 // by the waypoints — a predictive dynamic query against current states.
 func (tk *Tracker) Along(waypoints []Waypoint) ([]Anticipated, error) {
-	traj, err := buildTrajectory(waypoints, tk.dims, nil)
+	traj, err := buildTrajectory(waypoints, tk.dims)
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,7 @@ func TestTrackerDefaultsAndErrors(t *testing.T) {
 	if _, err := NewTracker(TrackerOptions{Dims: -1}); err == nil {
 		t.Error("negative dims should be rejected")
 	}
-	tk, err := NewTracker(TrackerOptions{Dims: 3, Horizon: 5, Fanout: 8})
+	tk, err := NewTracker(TrackerOptions{Dims: 3, Horizon: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

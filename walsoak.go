@@ -228,7 +228,7 @@ func (s *walCrashSoak) fresh() (err error) {
 		s.replica.Close()
 	}
 	s.segments, s.pendingAsync = 0, nil
-	if s.replica, err = createEngine(Options{}, s.units, 0, layout{}, false); err != nil {
+	if s.replica, err = createEngine(Options{}, s.units, layout{}, false); err != nil {
 		return err
 	}
 	return rebuildLogged(s.lay, s.units, walSoakBufferPages)
@@ -564,7 +564,7 @@ func rebuildLogged(lay layout, n int, bufferPages int) error {
 			}
 		}
 	}
-	db, err := createEngine(Options{BufferPages: bufferPages}, n, 0, lay, true)
+	db, err := createEngine(Options{BufferPages: bufferPages}, n, lay, true)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,6 @@ import (
 	"dynq/internal/geom"
 	"dynq/internal/rtree"
 	"dynq/internal/shard"
-	"dynq/internal/stats"
 )
 
 // MotionUpdate is one element of a write batch: an insertion of a motion
@@ -88,27 +87,13 @@ func checkDurability(d Durability, walArmed bool) error {
 	}
 }
 
-// WriteOptions carries per-write knobs for the context-aware write entry
-// points (ApplyUpdates, InsertCtx, DeleteCtx, BulkLoadCtx), mirroring
-// the read path's QueryOptions. The zero value — default durability
-// (group commit when a WAL is armed), no deadline, no stats — matches
-// the plain methods exactly.
+// WriteOptions carries per-write knobs for ApplyUpdates. The zero value
+// is default durability: group commit when a WAL is armed.
 type WriteOptions struct {
 	// Durability selects how durable the write must be before the call
 	// returns; see the Durability constants. Explicit sync levels fail
 	// with ErrNoWAL when no log is armed.
 	Durability Durability
-	// Deadline, when positive, bounds the write's admission: the context
-	// is wrapped with this timeout and checked before the batch is
-	// applied. Once the batch is logged it applies in full — a deadline
-	// cannot tear a batch in half — so the timeout covers lock
-	// acquisition, not the fsync.
-	Deadline time.Duration
-	// Stats, when non-nil, receives the write's cost-counter delta (page
-	// reads and writes, node splits surface as writes) when it completes.
-	// Under concurrent operations the delta may include work charged by
-	// overlapping operations.
-	Stats func(stats.Snapshot)
 }
 
 // Insert records one motion update for an object. Coordinates are stored
@@ -116,24 +101,14 @@ type WriteOptions struct {
 // over ApplyUpdates with default durability; batch updates through
 // ApplyUpdates when ingesting at rate.
 func (e *engine) Insert(id ObjectID, seg Segment) error {
-	return e.InsertCtx(context.Background(), id, seg, WriteOptions{})
-}
-
-// InsertCtx is Insert with a context and per-write options.
-func (e *engine) InsertCtx(ctx context.Context, id ObjectID, seg Segment, opts WriteOptions) error {
-	return e.ApplyUpdates(ctx, []MotionUpdate{{ID: id, Segment: seg}}, opts)
+	return e.ApplyUpdates(context.Background(), []MotionUpdate{{ID: id, Segment: seg}}, WriteOptions{})
 }
 
 // Delete removes the motion update of an object that started at t0. It
 // returns ErrNotFound if no such segment is indexed. Like Insert it is a
 // thin wrapper over ApplyUpdates.
 func (e *engine) Delete(id ObjectID, t0 float64) error {
-	return e.DeleteCtx(context.Background(), id, t0, WriteOptions{})
-}
-
-// DeleteCtx is Delete with a context and per-write options.
-func (e *engine) DeleteCtx(ctx context.Context, id ObjectID, t0 float64, opts WriteOptions) error {
-	return e.ApplyUpdates(ctx, []MotionUpdate{{ID: id, Segment: Segment{T0: t0}, Delete: true}}, opts)
+	return e.ApplyUpdates(context.Background(), []MotionUpdate{{ID: id, Segment: Segment{T0: t0}, Delete: true}}, WriteOptions{})
 }
 
 // ApplyUpdates applies a batch of motion updates as one write — the
@@ -187,8 +162,6 @@ func (e *engine) applyUpdates(ctx context.Context, updates []MotionUpdate, opts 
 	}
 	ws := beginWriteSpan(ctx)
 	defer func() { ws.finish(len(updates), err) }()
-	ctx, finish := e.beginOp(ctx, opts.Deadline, opts.Stats)
-	defer finish()
 	// e.logs is immutable after open, so the durability contract can be
 	// checked before any work: an explicit sync level with no log armed
 	// must fail rather than ack an in-memory write as durable.
@@ -410,16 +383,14 @@ func applyToTree(tree *rtree.Tree, updates []MotionUpdate, segs []geom.Segment, 
 	return nil
 }
 
-// BulkLoadCtx builds the index from an ordered batch at a 0.5 fill
+// BulkLoadUpdates builds the index from an ordered batch at a 0.5 fill
 // factor, every unit loading its share in parallel; the database must be
 // empty and the batch must contain no deletions. It is far faster than
 // repeated inserts for large historical loads. The load itself is NOT
 // WAL-logged (a log entry per bulk segment would defeat the point); call
 // Sync to make it durable. Unlike the data writes it holds the database
 // lock exclusively: every unit's tree is swapped at once.
-func (e *engine) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error {
-	ctx, finish := e.beginOp(ctx, opts.Deadline, opts.Stats)
-	defer finish()
+func (e *engine) BulkLoadUpdates(updates []MotionUpdate) error {
 	entries := make([]rtree.LeafEntry, len(updates))
 	for i, u := range updates {
 		if u.Delete {
@@ -431,20 +402,12 @@ func (e *engine) BulkLoadCtx(ctx context.Context, updates []MotionUpdate, opts W
 		}
 		entries[i] = rtree.LeafEntry{ID: rtree.ObjectID(u.ID), Seg: g}
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.health.gate(); err != nil {
 		return err
 	}
 	return e.health.note(e.units.BulkLoad(entries))
-}
-
-// BulkLoadUpdates is BulkLoadCtx without a context.
-func (e *engine) BulkLoadUpdates(updates []MotionUpdate) error {
-	return e.BulkLoadCtx(context.Background(), updates, WriteOptions{})
 }
 
 // WAL record payload: a batch of motion updates in slice order.

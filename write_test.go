@@ -142,7 +142,7 @@ func TestWALRecoverReplaysUnsyncedWrites(t *testing.T) {
 		}
 	}
 	// And a delete, so replay exercises both directions.
-	if err := db.DeleteCtx(context.Background(), 2, 0, WriteOptions{}); err != nil {
+	if err := db.Delete(2, 0); err != nil {
 		t.Fatal(err)
 	}
 	// 6 appends: the pre-checkpoint base insert also logged before Sync
@@ -186,7 +186,7 @@ func TestWALRecoverReplaysUnsyncedWrites(t *testing.T) {
 
 	// The recovered database keeps logging: another write, another
 	// crash, another exact recovery.
-	if err := rdb.InsertCtx(context.Background(), 6, seg2(0, 10, 6, 6), WriteOptions{Durability: DurabilitySync}); err != nil {
+	if err := rdb.ApplyUpdates(context.Background(), []MotionUpdate{{ID: 6, Segment: seg2(0, 10, 6, 6)}}, WriteOptions{Durability: DurabilitySync}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rdb.crash(); err != nil {
@@ -250,7 +250,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InsertCtx(context.Background(), 1, seg2(0, 10, 1, 1), WriteOptions{Durability: DurabilitySync}); err != nil {
+	if err := db.ApplyUpdates(context.Background(), []MotionUpdate{{ID: 1, Segment: seg2(0, 10, 1, 1)}}, WriteOptions{Durability: DurabilitySync}); err != nil {
 		t.Fatal(err)
 	}
 	acked, err := fileSize(walPath)
@@ -258,7 +258,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An async write the crash will tear mid-record.
-	if err := db.InsertCtx(context.Background(), 2, seg2(0, 10, 2, 2), WriteOptions{Durability: DurabilityAsync}); err != nil {
+	if err := db.ApplyUpdates(context.Background(), []MotionUpdate{{ID: 2, Segment: seg2(0, 10, 2, 2)}}, WriteOptions{Durability: DurabilityAsync}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.crash(); err != nil {
@@ -293,7 +293,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	}
 	// The torn bytes were discarded physically: a new write appends at
 	// the clean boundary and survives the next crash.
-	if err := rdb.InsertCtx(context.Background(), 3, seg2(0, 10, 3, 3), WriteOptions{Durability: DurabilitySync}); err != nil {
+	if err := rdb.ApplyUpdates(context.Background(), []MotionUpdate{{ID: 3, Segment: seg2(0, 10, 3, 3)}}, WriteOptions{Durability: DurabilitySync}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rdb.crash(); err != nil {
@@ -326,7 +326,6 @@ func TestSyncFailureWithWALDegradesImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.health.after = 0 // default threshold
 	defer db.Close()
 	if err := db.Insert(1, seg2(0, 10, 1, 1)); err != nil {
 		t.Fatal(err)
@@ -363,7 +362,6 @@ func TestSyncFailureWithWALDegradesImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2.health.after = 0
 	defer fs2.Close()
 	if err := db2.Insert(1, seg2(0, 10, 1, 1)); err != nil {
 		t.Fatal(err)
@@ -418,7 +416,7 @@ func TestFailedBatchNotReplayed(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := db.InsertCtx(ctx, 1, seg2(0, 10, 1, 1), WriteOptions{}); err != nil {
+	if err := db.Insert(1, seg2(0, 10, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// The delete of a missing segment fails the batch upfront: the
