@@ -42,7 +42,7 @@ func ContinuousCount(tree *rtree.Tree, traj *trajectory.Trajectory, times []floa
 	live := cache.New[struct{}]()
 	counts := make([]int, len(times))
 	prev := span.Lo
-	key := func(r *Result) uint64 {
+	key := func(r Result) uint64 {
 		// Object id mixed with the episode's appear time; collisions
 		// would require two episodes of one object starting at the same
 		// instant, which visibility geometry excludes.
@@ -51,11 +51,11 @@ func ContinuousCount(tree *rtree.Tree, traj *trajectory.Trajectory, times []floa
 	for i, t := range times {
 		// Pull every episode appearing up to t.
 		for {
-			r, err := pdq.GetNext(prev, t)
+			r, ok, err := pdq.GetNext(prev, t)
 			if err != nil {
 				return nil, err
 			}
-			if r == nil {
+			if !ok {
 				break
 			}
 			if r.Disappear >= t {

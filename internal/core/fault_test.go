@@ -113,8 +113,11 @@ func TestEnginesPropagateReadFaults(t *testing.T) {
 	})
 }
 
-// After a transient fault clears, the same session keeps working: the
-// engines hold no corrupted state.
+// After a transient fault clears, the same session keeps working and loses
+// nothing: what the failed frame delivered before the fault, together with
+// what its retry delivers, is what a session that never saw the fault
+// delivers for the same frames. (The node whose read failed used to be
+// dropped with everything beneath it.)
 func TestEnginesRecoverAfterTransientFault(t *testing.T) {
 	tree, fs := faultTree(t, rtree.DefaultConfig())
 	tr, err := trajectory.New([]trajectory.Key{
@@ -124,27 +127,51 @@ func TestEnginesRecoverAfterTransientFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c stats.Counters
-	pdq, err := NewPDQ(tree, tr, PDQOptions{}, &c)
-	if err != nil {
-		t.Fatal(err)
+	session := func() *PDQ {
+		var c stats.Counters
+		pdq, err := NewPDQ(tree, tr, PDQOptions{}, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(pdq.Close)
+		if _, err := pdq.Drain(5, 15); err != nil {
+			t.Fatal(err)
+		}
+		return pdq
 	}
-	defer pdq.Close()
-	if _, err := pdq.Drain(5, 15); err != nil {
-		t.Fatal(err)
+	want, err := session().Drain(15, 40)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("fault-free session: %d results, err %v", len(want), err)
 	}
+
+	pdq := session()
 	fs.Arm(1)
-	if _, err := pdq.Drain(15, 25); !errors.Is(err, pager.ErrInjected) {
+	partial, err := pdq.Drain(15, 25)
+	if !errors.Is(err, pager.ErrInjected) {
 		t.Fatalf("expected injected fault, got %v", err)
 	}
 	fs.Disarm()
-	// The failed node pop was consumed; the session continues and the
-	// remaining trajectory still yields results without error.
 	rest, err := pdq.Drain(15, 40)
 	if err != nil {
 		t.Fatalf("session did not recover: %v", err)
 	}
-	_ = rest
+	got := append(partial, rest...)
+	key := func(r Result) episodeKey { return episodeKey{id: r.ID, segStart: r.Seg.T.Lo, appear: r.Appear} }
+	seen := map[episodeKey]int{}
+	for _, r := range want {
+		seen[key(r)]++
+	}
+	for _, r := range got {
+		seen[key(r)]--
+	}
+	for k, n := range seen {
+		if n != 0 {
+			t.Errorf("episode %+v: delivered %d times fewer than without the fault", k, n)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("faulted session delivered %d+%d results, fault-free %d", len(partial), len(rest), len(want))
+	}
 }
 
 func TestFaultStoreMechanics(t *testing.T) {

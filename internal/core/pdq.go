@@ -44,10 +44,14 @@ type PDQ struct {
 	inbox   []rtree.Update
 	rebuild bool
 
-	// Scratch reused across expansions; only queued items are copied out.
+	kept pdqArena   // the leaf entries object items name
+	slab rtree.Slab // where kept entries' points are copied off the page
+
+	// Scratch reused across expansions.
 	set   geom.IntervalSet // one entry's visibility episodes
 	box   geom.Box         // one child box
-	entry rtree.LeafEntry  // the leaf entry under test
+	lines []geom.Linear    // the leaf entry under test, a linear form per dimension
+	entry rtree.LeafEntry  // the same, decoded, for an Instant trajectory
 }
 
 // NewPDQ starts a predictive dynamic query session over the tree for the
@@ -56,7 +60,7 @@ func NewPDQ(tree *rtree.Tree, traj *trajectory.Trajectory, opts PDQOptions, c *s
 	if traj.Dims() != tree.Config().Dims {
 		return nil, fmt.Errorf("core: trajectory has %d dims, index has %d", traj.Dims(), tree.Config().Dims)
 	}
-	p := &PDQ{tree: tree, traj: traj, c: c, box: make(geom.Box, traj.Dims()+2)}
+	p := &PDQ{tree: tree, traj: traj, c: c, box: make(geom.Box, traj.Dims()+2), lines: make([]geom.Linear, traj.Dims())}
 	p.seedFromRoot()
 	if opts.LiveUpdates {
 		p.unsub = tree.OnUpdate(p.enqueueUpdate)
@@ -106,6 +110,7 @@ func (p *PDQ) drainInbox() {
 
 	if rebuild {
 		p.pq = p.pq[:0]
+		p.kept.reset()
 		p.havePop = false
 		p.seedFromRoot()
 		return
@@ -117,8 +122,12 @@ func (p *PDQ) drainInbox() {
 		case rtree.UpdateEntry:
 			p.c.AddDistanceComps(1)
 			p.traj.OverlapSegment(u.Entry.Seg, set)
+			if set.Empty() {
+				continue
+			}
+			slot := p.kept.put(u.Entry)
 			for _, iv := range set.Intervals() {
-				p.pushObject(u.Entry, iv, true) // the notification's segment is every listener's
+				p.pushObject(u.Entry, iv, slot, true) // the notification's segment is every listener's
 			}
 		case rtree.UpdateSubtree:
 			p.c.AddDistanceComps(1)
@@ -131,24 +140,32 @@ func (p *PDQ) drainInbox() {
 }
 
 // GetNext returns the next object that becomes visible during
-// [tStart, tEnd], or nil when no (further) object appears in that window.
-// It is Algorithm 4.1 of the paper: items are popped in visibility-start
-// order; expired items (already invisible before tStart) are dropped;
-// node items are expanded by computing each child's overlap episodes;
-// duplicate items produced by update management are eliminated on pop.
+// [tStart, tEnd]; ok is false when no (further) object appears in that
+// window. It is Algorithm 4.1 of the paper: items are popped in
+// visibility-start order; expired items (already invisible before tStart)
+// are dropped; node items are expanded by computing each child's overlap
+// episodes; duplicate items produced by update management are eliminated
+// on pop.
 //
 // Callers advance tStart/tEnd monotonically along the trajectory (one
-// window per pair of key snapshots, or per rendered frame).
-func (p *PDQ) GetNext(tStart, tEnd float64) (*Result, error) {
+// window per pair of key snapshots, or per rendered frame). After an error
+// the session stays usable: a retried window delivers what the failed one
+// did not.
+func (p *PDQ) GetNext(tStart, tEnd float64) (r Result, ok bool, err error) {
 	if p.closed {
-		return nil, fmt.Errorf("core: GetNext on closed PDQ")
+		return r, false, fmt.Errorf("core: GetNext on closed PDQ")
 	}
 	if tEnd < tStart {
-		return nil, fmt.Errorf("core: GetNext window [%g,%g] is empty", tStart, tEnd)
+		return r, false, fmt.Errorf("core: GetNext window [%g,%g] is empty", tStart, tEnd)
 	}
 	p.drainInbox()
 	for len(p.pq) > 0 && tEnd >= p.pq[0].key.iv.Lo {
 		item := p.pq.pop()
+		var e rtree.LeafEntry
+		var last bool // no other queued item names e
+		if item.key.isObj {
+			e, last = p.kept.release(item.slot) // every pop below is the item's last use
+		}
 		// Duplicate elimination (Section 4.1): duplicates share a priority
 		// and therefore pop adjacently.
 		if p.havePop && item.key == p.lastPop {
@@ -163,18 +180,12 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (*Result, error) {
 		}
 		if item.key.isObj {
 			p.c.AddResults(1)
-			// A result's memory is the caller's alone: a queued copy that
-			// other items or other sessions also hold is copied again.
-			seg := item.entry.Seg
-			if item.shared {
-				seg = seg.Clone()
+			// A result's memory is the caller's alone: an entry that later
+			// episodes or other sessions also hold is copied again.
+			if item.shared || !last {
+				e.Seg = e.Seg.Clone()
 			}
-			return &Result{
-				ID:        item.entry.ID,
-				Seg:       seg,
-				Appear:    item.key.iv.Lo,
-				Disappear: item.key.iv.Hi,
-			}, nil
+			return Result{ID: e.ID, Seg: e.Seg, Appear: item.key.iv.Lo, Disappear: item.key.iv.Hi}, true, nil
 		}
 		if err := p.expand(item, tStart); err != nil {
 			if p.stale() {
@@ -184,10 +195,14 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (*Result, error) {
 				p.drainInbox()
 				continue
 			}
-			return nil, err
+			// The node was not read: queue it again for the retry, which
+			// pops it first and must not take it for its own duplicate.
+			p.pq.push(item)
+			p.havePop = false
+			return r, false, err
 		}
 	}
-	return nil, nil
+	return r, false, nil
 }
 
 // errStale ends an expansion that found a reseed notification pending.
@@ -219,14 +234,18 @@ func (p *PDQ) expand(item pdqItem, tStart float64) error {
 			span := p.traj.TimeSpan()
 			for k := 0; k < v.Len(); k++ {
 				// Every episode lies inside validity ∩ trajectory span
-				// (OverlapSegment's first step), so an entry that is over
-				// by then, or never valid on the way, is not decoded.
+				// (OverlapMotion's first step), so an entry that is over
+				// by then, or never valid on the way, is not tested.
 				if w := v.EntryTime(k).Intersect(span); w.Empty() || tStart > w.Hi {
 					continue
 				}
-				v.Entry(k, &p.entry)
 				set.Reset()
-				p.traj.OverlapSegment(p.entry.Seg, set)
+				if p.traj.Instant() {
+					v.Entry(k, &p.entry)
+					p.traj.OverlapSegment(p.entry.Seg, set)
+				} else {
+					p.traj.OverlapMotion(v.EntryLines(k, p.lines), p.lines, set)
+				}
 				// Episodes are sorted and disjoint: those already over
 				// come first.
 				ivs := set.Intervals()
@@ -238,9 +257,10 @@ func (p *PDQ) expand(item pdqItem, tStart float64) error {
 				}
 				// The queue outlives the view: the entry's episodes share
 				// one copy of it.
-				kept := rtree.LeafEntry{ID: p.entry.ID, Seg: p.entry.Seg.Clone()}
+				e := v.Keep(k, &p.slab)
+				slot := p.kept.put(e)
 				for _, iv := range ivs {
-					p.pushObject(kept, iv, len(ivs) > 1)
+					p.pushObject(e, iv, slot, false)
 				}
 			}
 			return nil
@@ -273,14 +293,11 @@ func (p *PDQ) expand(item pdqItem, tStart float64) error {
 func (p *PDQ) Drain(tStart, tEnd float64) ([]Result, error) {
 	var out []Result
 	for {
-		r, err := p.GetNext(tStart, tEnd)
-		if err != nil {
+		r, ok, err := p.GetNext(tStart, tEnd)
+		if err != nil || !ok {
 			return out, err
 		}
-		if r == nil {
-			return out, nil
-		}
-		out = append(out, *r)
+		out = append(out, r)
 	}
 }
 
@@ -298,6 +315,7 @@ func (p *PDQ) Close() {
 		p.unsub()
 	}
 	p.pq = nil
+	p.kept = pdqArena{}
 }
 
 func (p *PDQ) pushNode(id pager.PageID, level int, iv geom.Interval) {
@@ -311,16 +329,16 @@ func (p *PDQ) pushNode(id pager.PageID, level int, iv geom.Interval) {
 	})
 }
 
-// pushObject queues one visibility episode of e. shared says e.Seg is not
-// this item's alone, so delivery must copy it.
-func (p *PDQ) pushObject(e rtree.LeafEntry, iv geom.Interval, shared bool) {
-	if iv.Empty() {
-		return
-	}
+// pushObject queues one visibility episode (non-empty, from an interval
+// set) of e, which the arena holds in slot. shared says e.Seg is held
+// outside the session too, so delivery must copy it even when no other
+// item names the slot.
+func (p *PDQ) pushObject(e rtree.LeafEntry, iv geom.Interval, slot int32, shared bool) {
+	p.kept.slots[slot].refs++
 	p.seq++
 	p.pq.push(pdqItem{
 		key:    pdqKey{iv: iv, isObj: true, obj: e.ID, segStart: e.Seg.T.Lo},
-		entry:  e,
+		slot:   slot,
 		shared: shared,
 		seq:    p.seq,
 	})
@@ -331,18 +349,66 @@ func (p *PDQ) pushObject(e rtree.LeafEntry, iv geom.Interval, shared bool) {
 // produce equal keys and pop adjacently.
 type pdqKey struct {
 	iv       geom.Interval
-	isObj    bool
-	node     pager.PageID
-	level    int
 	obj      rtree.ObjectID
 	segStart float64
+	level    int
+	node     pager.PageID
+	isObj    bool
 }
 
+// pdqItem holds no pointer, so the heap moves items without write
+// barriers: an object item names its entry by arena slot.
 type pdqItem struct {
 	key    pdqKey
-	entry  rtree.LeafEntry // valid when key.isObj
-	shared bool            // entry.Seg is also held elsewhere
 	seq    uint64
+	slot   int32 // the entry in PDQ.kept, when key.isObj
+	shared bool  // the entry's Seg is also held outside the session
+}
+
+// pdqArena holds the leaf entries of queued object items, one slot per
+// entry however many episodes of it are queued. A slot counts the items
+// naming it and is reused once the last of them has popped, whichever way:
+// delivered, expired or a duplicate. A rebuild from the root drops the
+// queue and every slot with it.
+type pdqArena struct {
+	slots []pdqSlot
+	free  []int32
+}
+
+type pdqSlot struct {
+	entry rtree.LeafEntry
+	refs  int32
+}
+
+// put stores e in a free slot, with no items naming it yet.
+func (a *pdqArena) put(e rtree.LeafEntry) int32 {
+	if n := len(a.free); n > 0 {
+		s := a.free[n-1]
+		a.free = a.free[:n-1]
+		a.slots[s].entry = e
+		return s
+	}
+	a.slots = append(a.slots, pdqSlot{entry: e})
+	return int32(len(a.slots) - 1)
+}
+
+// release drops one popped item's hold on slot s and returns its entry.
+// Once no item names the slot it is freed and last is true: the entry's
+// points are left to its receiver.
+func (a *pdqArena) release(s int32) (e rtree.LeafEntry, last bool) {
+	sl := &a.slots[s]
+	e = sl.entry
+	if sl.refs--; sl.refs > 0 {
+		return e, false
+	}
+	sl.entry = rtree.LeafEntry{}
+	a.free = append(a.free, s)
+	return e, true
+}
+
+func (a *pdqArena) reset() {
+	clear(a.slots)
+	a.slots, a.free = a.slots[:0], a.free[:0]
 }
 
 // pdqHeap is a binary min-heap of queue items under less, typed so that
@@ -378,40 +444,48 @@ func (a *pdqItem) less(b *pdqItem) bool {
 	return a.seq < b.seq
 }
 
+// push and pop move the hole, not the item: an item is written once, where
+// it comes to rest, instead of swapped at every level.
 func (h *pdqHeap) push(it pdqItem) {
 	*h = append(*h, it)
 	q := *h
-	for i := len(q) - 1; i > 0; {
+	i := len(q) - 1
+	for i > 0 {
 		parent := (i - 1) / 2
-		if !q[i].less(&q[parent]) {
+		if !it.less(&q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = it
 }
 
 // pop removes and returns the least item of a non-empty heap.
 func (h *pdqHeap) pop() pdqItem {
 	q := *h
 	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q[n] = pdqItem{} // drop the segment reference
+	top, last := q[0], q[n]
 	q = q[:n]
 	*h = q
-	for i := 0; ; {
-		least := i
-		if l := 2*i + 1; l < n && q[l].less(&q[least]) {
-			least = l
-		}
-		if r := 2*i + 2; r < n && q[r].less(&q[least]) {
-			least = r
-		}
-		if least == i {
-			return top
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
+	if n == 0 {
+		return top
 	}
+	i := 0
+	for {
+		c := 2*i + 1 // the lesser child, if any
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].less(&q[c]) {
+			c = r
+		}
+		if !q[c].less(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }

@@ -247,11 +247,11 @@ func TestPDQWindowValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pdq.GetNext(5, 4); err == nil {
+	if _, _, err := pdq.GetNext(5, 4); err == nil {
 		t.Error("inverted window should error")
 	}
 	pdq.Close()
-	if _, err := pdq.GetNext(0, 1); err == nil {
+	if _, _, err := pdq.GetNext(0, 1); err == nil {
 		t.Error("GetNext after Close should error")
 	}
 	pdq.Close() // double close is a no-op
@@ -280,9 +280,9 @@ func TestPDQEmptyTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pdq.Close()
-	r, err := pdq.GetNext(0, 10)
-	if err != nil || r != nil {
-		t.Errorf("empty tree GetNext = %v, %v", r, err)
+	r, ok, err := pdq.GetNext(0, 10)
+	if err != nil || ok {
+		t.Errorf("empty tree GetNext = %v, %v, %v", r, ok, err)
 	}
 }
 
@@ -528,4 +528,156 @@ func TestPDQWithSPDQInflation(t *testing.T) {
 		t.Errorf("SPDQ episodes (%d) should be ≥ PDQ episodes (%d)", len(b), len(a))
 	}
 	_ = entries
+}
+
+// checkSlots requires the arena to hold exactly what the queue names: each
+// slot counts the queued object items naming it, a slot no item names is on
+// the free list once and holds no entry, and no item names a free slot.
+func checkSlots(t *testing.T, what string, p *PDQ) (duplicates int) {
+	t.Helper()
+	named := make([]int32, len(p.kept.slots))
+	keys := map[pdqKey]int{}
+	for _, it := range p.pq {
+		if it.key.isObj {
+			named[it.slot]++
+			if keys[it.key]++; keys[it.key] == 2 {
+				duplicates++
+			}
+		}
+	}
+	free := map[int32]bool{}
+	for _, s := range p.kept.free {
+		if free[s] {
+			t.Fatalf("%s: slot %d is on the free list twice", what, s)
+		}
+		free[s] = true
+	}
+	for s, sl := range p.kept.slots {
+		switch {
+		case sl.refs != named[s]:
+			t.Fatalf("%s: slot %d counts %d items, the queue names it %d times", what, s, sl.refs, named[s])
+		case sl.refs == 0 && (!free[int32(s)] || sl.entry.Seg.Start != nil):
+			t.Fatalf("%s: slot %d is named by no item but not freed (on free list %v)", what, s, free[int32(s)])
+		case sl.refs > 0 && free[int32(s)]:
+			t.Fatalf("%s: slot %d is on the free list with %d items naming it", what, s, sl.refs)
+		}
+	}
+	return duplicates
+}
+
+// held is how many arena slots some queued item still names.
+func held(p *PDQ) int { return len(p.kept.slots) - len(p.kept.free) }
+
+// Every way an object item leaves the queue — delivered, expired, dropped as
+// a duplicate, or discarded by a rebuild from the root — releases its hold on
+// the arena slot of its entry: a session that has drained its span holds
+// none.
+func TestPDQQueueSlotsReleased(t *testing.T) {
+	t.Run("drained", func(t *testing.T) {
+		tree, _ := buildIndex(t, rtree.DefaultConfig(), 300, 50, 1)
+		tr := straightTraj(t, 10, 40, 8, 1, 5, 45)
+		var c stats.Counters
+		pdq, err := NewPDQ(tree, tr, PDQOptions{}, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pdq.Close()
+		most := 0
+		for lo := 5.0; lo < 45; lo += 0.5 {
+			if _, err := pdq.Drain(lo, lo+0.5); err != nil {
+				t.Fatal(err)
+			}
+			checkSlots(t, "frame", pdq)
+			most = max(most, held(pdq))
+		}
+		if most == 0 {
+			t.Fatal("no entry was ever queued")
+		}
+		if pdq.Pending() != 0 || held(pdq) != 0 {
+			t.Fatalf("after the whole span: %d items queued, %d slots held", pdq.Pending(), held(pdq))
+		}
+	})
+
+	t.Run("reseed", func(t *testing.T) {
+		tree, entries := buildIndex(t, rtree.DefaultConfig(), 100, 100, 31)
+		tr := straightTraj(t, 10, 30, 30, 0.5, 5, 95)
+		var c stats.Counters
+		pdq, err := NewPDQ(tree, tr, PDQOptions{LiveUpdates: true}, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pdq.Close()
+		if _, err := pdq.Drain(5, 30); err != nil {
+			t.Fatal(err)
+		}
+		before := held(pdq)
+		if before == 0 {
+			t.Fatal("no entry queued before the deletes")
+		}
+		reseeds := 0
+		defer tree.OnUpdate(func(u rtree.Update) {
+			if u.Kind == rtree.UpdateReseed {
+				reseeds++
+			}
+		})()
+		for _, e := range entries[len(entries)/5:] {
+			if err := tree.Delete(e.ID, e.Seg.T.Lo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reseeds == 0 {
+			t.Fatal("no deletion freed a page: nothing was rebuilt")
+		}
+		// A zero-length window rebuilds the queue from the root and pops
+		// only what starts by its end.
+		if _, err := pdq.Drain(30, 30); err != nil {
+			t.Fatal(err)
+		}
+		checkSlots(t, "after the rebuild", pdq)
+		if _, err := pdq.Drain(30, 95); err != nil {
+			t.Fatal(err)
+		}
+		if held(pdq) != 0 {
+			t.Fatalf("after the whole span: %d slots held (%d before the rebuild)", held(pdq), before)
+		}
+	})
+
+	t.Run("duplicates", func(t *testing.T) {
+		tree, _ := buildIndex(t, rtree.DefaultConfig(), 500, 100, 7)
+		tr := straightTraj(t, 10, 40, 10, 0.8, 10, 90)
+		var c stats.Counters
+		pdq, err := NewPDQ(tree, tr, PDQOptions{LiveUpdates: true}, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pdq.Close()
+		r := rand.New(rand.NewSource(8))
+		duplicates := 0
+		for lo := 10.0; lo < 90; lo += 0.5 {
+			if _, err := pdq.Drain(lo, lo+0.5); err != nil {
+				t.Fatal(err)
+			}
+			duplicates += checkSlots(t, "frame", pdq)
+			// Entries ahead of the window split the leaves whose entries
+			// are queued already; the split-off nodes are re-inserted at
+			// their lowest common ancestor and expand into duplicates.
+			for i := 0; i < 40; i++ {
+				x, y, t0 := 10+lo*0.8+r.Float64()*30, 40+r.Float64()*10, lo+1+r.Float64()*10
+				if err := tree.Insert(rtree.ObjectID(50000+int(lo*100)+i), geom.Segment{
+					T: geom.Interval{Lo: t0, Hi: t0 + 3}, Start: geom.Point{x, y}, End: geom.Point{x + 1, y + 1},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if duplicates == 0 {
+			t.Fatal("no duplicate was ever queued: the test exercises nothing")
+		}
+		if _, err := pdq.Drain(90, 90); err != nil {
+			t.Fatal(err)
+		}
+		if pdq.Pending() != 0 || held(pdq) != 0 {
+			t.Fatalf("after the whole span: %d items queued, %d slots held (%d duplicates seen)", pdq.Pending(), held(pdq), duplicates)
+		}
+	})
 }

@@ -120,13 +120,19 @@ func (nq *refNPDQ) visit(id pager.PageID, q, qExact geom.Box, out *[]Result) err
 	return nil
 }
 
+// refItem is a queue item that carries its entry itself.
+type refItem struct {
+	pdqItem
+	entry rtree.LeafEntry
+}
+
 // refHeap orders queue items as the session does, through container/heap.
-type refHeap []pdqItem
+type refHeap []refItem
 
 func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].less(&h[j]) }
+func (h refHeap) Less(i, j int) bool { return h[i].less(&h[j].pdqItem) }
 func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(pdqItem)) }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(refItem)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	x := old[len(old)-1]
@@ -146,7 +152,7 @@ func refPDQDrain(tree *rtree.Tree, traj *trajectory.Trajectory, tStart, tEnd flo
 		out     []Result
 		set     geom.IntervalSet
 	)
-	push := func(it pdqItem) {
+	push := func(it refItem) {
 		if !it.key.iv.Empty() {
 			seq++
 			it.seq = seq
@@ -154,10 +160,10 @@ func refPDQDrain(tree *rtree.Tree, traj *trajectory.Trajectory, tStart, tEnd flo
 		}
 	}
 	if root, level, ok := tree.Root(); ok {
-		push(pdqItem{key: pdqKey{iv: traj.TimeSpan(), node: root, level: level}})
+		push(refItem{pdqItem: pdqItem{key: pdqKey{iv: traj.TimeSpan(), node: root, level: level}}})
 	}
 	for len(pq) > 0 && tEnd >= pq[0].key.iv.Lo {
-		item := heap.Pop(&pq).(pdqItem)
+		item := heap.Pop(&pq).(refItem)
 		if havePop && item.key == lastPop {
 			continue
 		}
@@ -180,7 +186,7 @@ func refPDQDrain(tree *rtree.Tree, traj *trajectory.Trajectory, tStart, tEnd flo
 			traj.OverlapSegment(e.Seg, &set)
 			for _, iv := range set.Intervals() {
 				if tStart <= iv.Hi {
-					push(pdqItem{key: pdqKey{iv: iv, isObj: true, obj: e.ID, segStart: e.Seg.T.Lo}, entry: e})
+					push(refItem{pdqItem{key: pdqKey{iv: iv, isObj: true, obj: e.ID, segStart: e.Seg.T.Lo}}, e})
 				}
 			}
 		}
@@ -193,7 +199,7 @@ func refPDQDrain(tree *rtree.Tree, traj *trajectory.Trajectory, tStart, tEnd flo
 			}
 			for _, iv := range set.Intervals() {
 				if tStart <= iv.Hi {
-					push(pdqItem{key: pdqKey{iv: iv, node: ch.ID, level: n.Level - 1}})
+					push(refItem{pdqItem: pdqItem{key: pdqKey{iv: iv, node: ch.ID, level: n.Level - 1}}})
 				}
 			}
 		}

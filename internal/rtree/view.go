@@ -191,22 +191,42 @@ func (v NodeView) EntryOverlapTime(k int, exact geom.Box) geom.Interval {
 	return w
 }
 
-// Slab is the coordinate storage of the leaf entries one traversal copies
-// out of its pages (Keep): a chunk per growth step instead of an
-// allocation per entry. The zero value is ready. A chunk lives as long as
-// any point cut from it, and is never handed out twice, so whoever
-// receives a kept entry owns its points.
+// EntryLines fills x (Dims forms, caller-owned) with leaf entry k's
+// coordinates as linear forms of time and returns its validity t: x[i] is
+// geom.LinearBetween(t.Lo, start_i, t.Hi, end_i), what geom.Segment.Coord
+// returns for the decoded entry, from the same values read where they lie.
+// It is the operand of trajectory.OverlapMotion, PDQ's leaf test on the
+// page.
+func (v NodeView) EntryLines(k int, x []geom.Linear) geom.Interval {
+	e := v.entry(k)
+	d := int(v.dims)
+	t := intervalAt(e, 8+8*d)
+	for i := 0; i < d; i++ {
+		x[i] = geom.LinearBetween(t.Lo, f32At(e, 8+4*i), t.Hi, f32At(e, 8+4*(d+i)))
+	}
+	return t
+}
+
+// Slab is the coordinate storage of the leaf entries one traversal or one
+// predictive session copies out of its pages (Keep): a chunk per growth
+// step instead of an allocation per entry. The zero value is ready. A
+// chunk lives as long as any point cut from it, and is never handed out
+// twice, so whoever receives a kept entry owns its points.
 type Slab struct {
 	free []float64 // unused tail of the newest chunk
 	size int       // entries the newest chunk was made for
 }
+
+// slabChunkMax caps a chunk's entries, so that a long session's slab does
+// not grow chunks without bound, each pinned whole by any one result.
+const slabChunkMax = 1024
 
 // Keep copies leaf entry k out of the page for good, its points cut from
 // s and capacity-clipped, so appending to one never reaches a neighbour.
 func (v NodeView) Keep(k int, s *Slab) LeafEntry {
 	d := int(v.dims)
 	if len(s.free) < 2*d {
-		s.size = max(8, 2*s.size)
+		s.size = min(max(8, 2*s.size), slabChunkMax)
 		s.free = make([]float64, 2*d*s.size)
 	}
 	var e LeafEntry

@@ -22,8 +22,9 @@ import (
 type PDQ struct {
 	e       *Engine
 	cursors []*core.PDQ
-	heads   []*core.Result // buffered head per shard; nil = needs refill
-	done    []bool         // shard exhausted for the current window
+	heads   []core.Result // buffered head per shard, where held
+	held    []bool        // heads[i] is buffered; false = needs refill
+	done    []bool        // shard exhausted for the current window
 	t0, t1  float64
 	haveWin bool
 	closed  bool
@@ -34,7 +35,8 @@ func (e *Engine) NewPDQ(traj *trajectory.Trajectory, opts core.PDQOptions) (*PDQ
 	p := &PDQ{
 		e:       e,
 		cursors: make([]*core.PDQ, len(e.shards)),
-		heads:   make([]*core.Result, len(e.shards)),
+		heads:   make([]core.Result, len(e.shards)),
+		held:    make([]bool, len(e.shards)),
 		done:    make([]bool, len(e.shards)),
 	}
 	for i, sh := range e.shards {
@@ -49,14 +51,14 @@ func (e *Engine) NewPDQ(traj *trajectory.Trajectory, opts core.PDQOptions) (*PDQ
 }
 
 // GetNext returns the next object becoming visible during [tStart, tEnd]
-// across all shards, or nil when no further object appears in that
+// across all shards; ok is false when no further object appears in that
 // window. Windows must advance monotonically, as for a single-tree PDQ.
-func (p *PDQ) GetNext(tStart, tEnd float64) (*core.Result, error) {
+func (p *PDQ) GetNext(tStart, tEnd float64) (r core.Result, ok bool, err error) {
 	if p.closed {
-		return nil, fmt.Errorf("shard: GetNext on closed PDQ")
+		return r, false, fmt.Errorf("shard: GetNext on closed PDQ")
 	}
 	if tEnd < tStart {
-		return nil, fmt.Errorf("shard: GetNext window [%g,%g] is empty", tStart, tEnd)
+		return r, false, fmt.Errorf("shard: GetNext window [%g,%g] is empty", tStart, tEnd)
 	}
 	if !p.haveWin || tStart != p.t0 || tEnd != p.t1 {
 		// New window: shards exhausted for the previous window may have
@@ -67,23 +69,19 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (*core.Result, error) {
 		p.t0, p.t1, p.haveWin = tStart, tEnd, true
 	}
 	if err := p.refill(); err != nil {
-		return nil, err
+		return r, false, err
 	}
 	best := -1
-	for i, h := range p.heads {
-		if h == nil {
-			continue
-		}
-		if best == -1 || headLess(h, p.heads[best]) {
+	for i := range p.heads {
+		if p.held[i] && (best == -1 || headLess(&p.heads[i], &p.heads[best])) {
 			best = i
 		}
 	}
 	if best == -1 {
-		return nil, nil
+		return r, false, nil
 	}
-	r := p.heads[best]
-	p.heads[best] = nil
-	return r, nil
+	r, p.heads[best], p.held[best] = p.heads[best], core.Result{}, false
+	return r, true, nil
 }
 
 // refill pulls a head from every shard cursor that has none. The
@@ -94,10 +92,10 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (*core.Result, error) {
 func (p *PDQ) refill() error {
 	need, last := 0, 0
 	for i := range p.cursors {
-		if p.heads[i] != nil && p.heads[i].Disappear < p.t0 {
-			p.heads[i] = nil // expired between windows
+		if p.held[i] && p.heads[i].Disappear < p.t0 {
+			p.heads[i], p.held[i] = core.Result{}, false // expired between windows
 		}
-		if p.heads[i] == nil && !p.done[i] {
+		if !p.held[i] && !p.done[i] {
 			need, last = need+1, i
 		}
 	}
@@ -109,8 +107,7 @@ func (p *PDQ) refill() error {
 	}
 	fns := make([]func() error, 0, need)
 	for i := range p.cursors {
-		if p.heads[i] == nil && !p.done[i] {
-			i := i
+		if !p.held[i] && !p.done[i] {
 			fns = append(fns, func() error { return p.pull(i) })
 		}
 	}
@@ -121,16 +118,16 @@ func (p *PDQ) refill() error {
 // current window, buffering it as the shard's head.
 func (p *PDQ) pull(i int) error {
 	for {
-		r, err := p.cursors[i].GetNext(p.t0, p.t1)
+		r, ok, err := p.cursors[i].GetNext(p.t0, p.t1)
 		if err != nil {
 			return err
 		}
-		if r == nil {
+		if !ok {
 			p.done[i] = true
 			return nil
 		}
 		if r.Disappear >= p.t0 {
-			p.heads[i] = r
+			p.heads[i], p.held[i] = r, true
 			return nil
 		}
 	}
@@ -153,14 +150,11 @@ func headLess(a, b *core.Result) bool {
 func (p *PDQ) Drain(tStart, tEnd float64) ([]core.Result, error) {
 	var out []core.Result
 	for {
-		r, err := p.GetNext(tStart, tEnd)
-		if err != nil {
+		r, ok, err := p.GetNext(tStart, tEnd)
+		if err != nil || !ok {
 			return out, err
 		}
-		if r == nil {
-			return out, nil
-		}
-		out = append(out, *r)
+		out = append(out, r)
 	}
 }
 

@@ -31,7 +31,15 @@ type Key struct {
 type Trajectory struct {
 	keys []Key
 	dims int
+	// borders holds, for query segment j and dimension i at j*dims+i, the
+	// window's lower and upper border between keys j and j+1 as linear
+	// forms of time: computed once here instead of per tested entry.
+	borders []border
 }
+
+// border is one dimension of one trapezoid of Figure 3: the window's two
+// moving edges.
+type border struct{ lower, upper geom.Linear }
 
 // New validates and builds a trajectory. At least one key is required; a
 // single key describes a stationary instantaneous query.
@@ -58,11 +66,25 @@ func New(keys []Key) (*Trajectory, error) {
 	for i, k := range keys {
 		cp[i] = Key{T: k.T, Window: k.Window.Clone()}
 	}
-	return &Trajectory{keys: cp, dims: dims}, nil
+	borders := make([]border, (len(keys)-1)*dims)
+	for j := 0; j+1 < len(keys); j++ {
+		a, c := cp[j], cp[j+1]
+		for i := 0; i < dims; i++ {
+			borders[j*dims+i] = border{
+				lower: geom.LinearBetween(a.T, a.Window[i].Lo, c.T, c.Window[i].Lo),
+				upper: geom.LinearBetween(a.T, a.Window[i].Hi, c.T, c.Window[i].Hi),
+			}
+		}
+	}
+	return &Trajectory{keys: cp, dims: dims, borders: borders}, nil
 }
 
 // Dims returns the spatial dimensionality of the query windows.
 func (tr *Trajectory) Dims() int { return tr.dims }
+
+// Instant reports whether the trajectory is a single key snapshot: a
+// stationary instantaneous query, which OverlapMotion does not take.
+func (tr *Trajectory) Instant() bool { return len(tr.keys) == 1 }
 
 // Keys returns a copy of the key snapshots.
 func (tr *Trajectory) Keys() []Key {
@@ -165,15 +187,13 @@ func (tr *Trajectory) OverlapBox(b geom.Box, set *geom.IntervalSet) {
 // of the segment's time span during which box b overlaps the interpolated
 // window.
 func (tr *Trajectory) overlapBoxSegment(j int, b geom.Box, span geom.Interval) geom.Interval {
-	a, c := tr.keys[j], tr.keys[j+1]
-	w := geom.Interval{Lo: a.T, Hi: c.T}.Intersect(span)
+	w := geom.Interval{Lo: tr.keys[j].T, Hi: tr.keys[j+1].T}.Intersect(span)
+	borders := tr.borders[j*tr.dims : (j+1)*tr.dims]
 	for i := 0; i < tr.dims && !w.Empty(); i++ {
-		lower := geom.LinearBetween(a.T, a.Window[i].Lo, c.T, c.Window[i].Lo)
-		upper := geom.LinearBetween(a.T, a.Window[i].Hi, c.T, c.Window[i].Hi)
 		// Overlap along dimension i: lower border ≤ box high AND upper
 		// border ≥ box low (the four cases of Figure 3(b)).
-		w = lower.SolveLE(b[i].Hi, w)
-		w = upper.SolveGE(b[i].Lo, w)
+		w = borders[i].lower.SolveLE(b[i].Hi, w)
+		w = borders[i].upper.SolveGE(b[i].Lo, w)
 	}
 	return w
 }
@@ -187,34 +207,50 @@ func (tr *Trajectory) OverlapSegment(s geom.Segment, set *geom.IntervalSet) {
 	if s.Dims() != tr.dims {
 		panic(fmt.Sprintf("trajectory: segment has %d dims, want %d", s.Dims(), tr.dims))
 	}
-	span := tr.TimeSpan().Intersect(s.T)
-	if span.Empty() {
-		return
-	}
 	if len(tr.keys) == 1 {
 		t := tr.keys[0].T
-		if tr.keys[0].Window.ContainsPoint(s.At(t)) {
+		if s.T.ContainsValue(t) && tr.keys[0].Window.ContainsPoint(s.At(t)) {
 			set.Add(geom.IntervalOf(t))
 		}
 		return
 	}
+	var buf [4]geom.Linear // the forms of up to four dimensions stay on the stack
+	x := buf[:0]
+	for i := 0; i < tr.dims; i++ {
+		x = append(x, s.Coord(i))
+	}
+	tr.OverlapMotion(s.T, x, set)
+}
+
+// OverlapMotion is OverlapSegment for an object given by its validity and
+// its coordinates as linear forms of time, x[i] = geom.LinearBetween(
+// validity.Lo, start_i, validity.Hi, end_i) — what Segment.Coord returns.
+// It is the one definition of the leaf-level test's arithmetic: a decoded
+// segment's forms come through OverlapSegment, and a predictive query feeds
+// the same forms read off the page (rtree.NodeView.EntryLines), so both get
+// the same floats. The trajectory must not be Instant: a single key tests
+// the object's position by Segment.At, which the forms do not reproduce.
+func (tr *Trajectory) OverlapMotion(validity geom.Interval, x []geom.Linear, set *geom.IntervalSet) {
+	if len(x) != tr.dims || len(tr.keys) == 1 {
+		panic(fmt.Sprintf("trajectory: OverlapMotion with %d forms on %d keys of %d dims", len(x), len(tr.keys), tr.dims))
+	}
+	span := tr.TimeSpan().Intersect(validity)
+	if span.Empty() {
+		return
+	}
 	lo, hi := tr.segmentRange(span)
 	for j := lo; j < hi; j++ {
-		iv := tr.overlapMotionSegment(j, s, span)
-		set.Add(iv)
+		set.Add(tr.overlapMotionSegment(j, x, span))
 	}
 }
 
-func (tr *Trajectory) overlapMotionSegment(j int, s geom.Segment, span geom.Interval) geom.Interval {
-	a, c := tr.keys[j], tr.keys[j+1]
-	w := geom.Interval{Lo: a.T, Hi: c.T}.Intersect(span)
+func (tr *Trajectory) overlapMotionSegment(j int, x []geom.Linear, span geom.Interval) geom.Interval {
+	w := geom.Interval{Lo: tr.keys[j].T, Hi: tr.keys[j+1].T}.Intersect(span)
+	borders := tr.borders[j*tr.dims : (j+1)*tr.dims]
 	for i := 0; i < tr.dims && !w.Empty(); i++ {
-		lower := geom.LinearBetween(a.T, a.Window[i].Lo, c.T, c.Window[i].Lo)
-		upper := geom.LinearBetween(a.T, a.Window[i].Hi, c.T, c.Window[i].Hi)
-		x := s.Coord(i)
 		// lower(t) ≤ x(t) ≤ upper(t).
-		w = x.Sub(lower).SolveGE(0, w)
-		w = upper.Sub(x).SolveGE(0, w)
+		w = x[i].Sub(borders[i].lower).SolveGE(0, w)
+		w = borders[i].upper.Sub(x[i]).SolveGE(0, w)
 	}
 	return w
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dynq/internal/motion"
+	"dynq/internal/workload"
 )
 
 // ownershipDB is a small population plus object 9999, which stands still
@@ -318,21 +319,60 @@ func TestQueryAllocationBudgets(t *testing.T) {
 	if budget := 5 + 2*growthSteps(most); allocs > budget {
 		t.Errorf("non-predictive frame: %.1f allocs for at most %d results, budget %.0f", allocs, most, budget)
 	}
+
+	// A predictive frame appends its results to one answer slice and hands
+	// over points its session copied off the page in chunks: a result costs
+	// no allocation of its own. (Each used to cost one for itself and one
+	// for its points, and the frame a second answer slice.)
+	p, err := db.Predictive([]Waypoint{
+		{T: 10, View: Rect{Min: []float64{10, 30}, Max: []float64{50, 70}}},
+		{T: 50, View: Rect{Min: []float64{50, 30}, Max: []float64{90, 70}}},
+	}, PredictiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Fetch(10, 10.1); err != nil {
+		t.Fatal(err)
+	}
+	f, delivered, most = 1, 0, 0
+	allocs = testing.AllocsPerRun(300, func() {
+		rs, err := p.Fetch(10+float64(f)*0.1, 10.1+float64(f)*0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered, most, f = delivered+len(rs), max(most, len(rs)), f+1
+	})
+	if delivered < 300 {
+		t.Fatalf("the predictive frames delivered %d results: too few to mean anything", delivered)
+	}
+	// The answer slice's doublings in the largest frame; the chunks of
+	// points and the queue's growth, amortised over the session, fit in
+	// the smaller frames' slack.
+	if budget := 1 + math.Ceil(math.Log2(float64(most))); allocs > budget {
+		t.Errorf("predictive frame: %.2f allocs for %d results, at most %d a frame, budget %.0f", allocs, delivered, most, budget)
+	}
 }
 
-// BenchmarkSnapshot times a snapshot at the public API, conversion to
-// Result included, on the repo benchmark's in-memory shape: 100 000
-// segments bulk-loaded with dual time axes, windows of side 8, 14 and 20
-// during one 0.1 frame.
-func BenchmarkSnapshot(b *testing.B) {
+// benchDB is the repo benchmark's in-memory shape: 100 000 segments
+// bulk-loaded with dual time axes.
+func benchDB(b *testing.B) *DB {
 	db, err := Open(Options{DualTimeAxes: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer db.Close()
+	b.Cleanup(func() { db.Close() })
 	if err := db.BulkLoadUpdates(paperUpdates(b, 100000, 1)); err != nil {
 		b.Fatal(err)
 	}
+	return db
+}
+
+// BenchmarkSnapshot times a snapshot at the public API, conversion to
+// Result included, on benchDB: windows of side 8, 14 and 20 during one 0.1
+// frame.
+func BenchmarkSnapshot(b *testing.B) {
+	db := benchDB(b)
 	r := rand.New(rand.NewSource(2))
 	results := 0
 	b.ReportAllocs()
@@ -345,6 +385,44 @@ func BenchmarkSnapshot(b *testing.B) {
 			b.Fatal(err)
 		}
 		results += len(rs)
+	}
+	b.ReportMetric(float64(results)/float64(b.N), "results/op")
+}
+
+// BenchmarkPredictiveFetch times a whole predictive session at the public
+// API on benchDB, as the repo benchmark's fly-through runs one: starting it
+// and fetching the first and 50 subsequent frames of 0.1, conversion to
+// Result included, cycling through the paper's overlaps 0 to 0.9999 and
+// window sides 8, 14 and 20.
+func BenchmarkPredictiveFetch(b *testing.B) {
+	db := benchDB(b)
+	r := rand.New(rand.NewSource(3))
+	overlaps, sides := []float64{0, 0.5, 0.9, 0.9999}, []float64{8, 14, 20}
+	results := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, err := workload.Generate(workload.PaperQuery(overlaps[i%4], sides[i/4%3]), r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var path []Waypoint
+		for _, k := range q.Traj.Keys() {
+			w := k.Window
+			path = append(path, Waypoint{T: k.T, View: Rect{Min: []float64{w[0].Lo, w[1].Lo}, Max: []float64{w[0].Hi, w[1].Hi}}})
+		}
+		s, err := db.PredictiveQuery(path, PredictiveOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tw := range q.Times {
+			rs, err := s.Fetch(tw.Lo, tw.Hi)
+			if err != nil {
+				b.Fatal(err)
+			}
+			results += len(rs)
+		}
+		s.Close()
 	}
 	b.ReportMetric(float64(results)/float64(b.N), "results/op")
 }

@@ -72,22 +72,28 @@ func (e *engine) Predictive(waypoints []Waypoint, opts PredictiveOptions) (Predi
 // when no further object appears in that window. Windows must advance
 // monotonically along the trajectory.
 func (s *PredictiveSession) Next(t0, t1 float64) (*Result, error) {
-	r, err := s.pdq.GetNext(t0, t1)
-	if err != nil || r == nil {
+	r, ok, err := s.pdq.GetNext(t0, t1)
+	if err != nil || !ok {
 		return nil, err
 	}
-	out := fromResult(*r)
+	out := fromResult(r)
 	return &out, nil
 }
 
 // Fetch returns every object becoming visible during [t0, t1] — the
 // per-frame fetch loop of a rendering client.
 func (s *PredictiveSession) Fetch(t0, t1 float64) ([]Result, error) {
-	rs, err := s.pdq.Drain(t0, t1)
-	if err != nil {
-		return nil, err
+	var out []Result
+	for {
+		r, ok, err := s.pdq.GetNext(t0, t1)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		out = append(out, fromResult(r))
 	}
-	return fromResults(rs), nil
 }
 
 // Close releases the session (and its live-update subscriptions).
