@@ -137,8 +137,31 @@ func BenchmarkLeafTest(b *testing.B) {
 			}
 		}
 	})
-	if matches == 0 {
-		b.Fatal("the box misses the leaf")
+	// NPDQ's test: the entry's box against the query's dual-space box.
+	boxes := 0
+	b.Run("box", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < v.Len(); k++ {
+				if v.EntryOverlaps(k, q.Box) {
+					boxes++
+				}
+			}
+		}
+	})
+	// PDQ's operand: the entry's coordinates as linear forms of time.
+	x := make([]geom.Linear, cfg.Dims)
+	rising := 0
+	b.Run("lines", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < v.Len(); k++ {
+				if v.EntryLines(k, x).Hi > 50 && x[0].B > 0 {
+					rising++
+				}
+			}
+		}
+	})
+	if matches == 0 || boxes == 0 || rising == 0 {
+		b.Fatalf("the box misses the leaf: %d exact, %d box, %d rising matches", matches, boxes, rising)
 	}
 }
 

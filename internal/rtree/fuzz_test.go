@@ -35,11 +35,24 @@ func checkViewMatchesDecode(t *testing.T, cfg Config, page []byte) *Node {
 	}
 	// Compare bit patterns: a corrupt page may hold NaNs.
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameBox := func(a, b geom.Box) bool {
+		ok := len(a) == len(b)
+		for i := 0; ok && i < len(a); i++ {
+			ok = same(a[i].Lo, b[i].Lo) && same(a[i].Hi, b[i].Hi)
+		}
+		return ok
+	}
 	var e LeafEntry
+	var slab Slab
+	d := cfg.Dims
+	lines := make([]geom.Linear, d)
 	box := make(geom.Box, cfg.boxDims())
 	probe := make(geom.Box, cfg.boxDims())
 	for i := range probe {
 		probe[i] = geom.Interval{Lo: 0.5, Hi: 50}
+	}
+	if v.MBR(box); !sameBox(box, n.MBR(d)) {
+		t.Fatalf("MBR: view %v, decoded %v", box, n.MBR(d))
 	}
 	for k := 0; k < v.Len(); k++ {
 		if v.Leaf() {
@@ -55,11 +68,37 @@ func checkViewMatchesDecode(t *testing.T, cfg Config, page []byte) *Node {
 			if et := v.EntryTime(k); !ok || !same(et.Lo, want.Seg.T.Lo) || !same(et.Hi, want.Seg.T.Hi) {
 				t.Fatalf("leaf entry %d: view %+v, decoded %+v", k, e, want)
 			}
-			own := want.Box(cfg.Dims)
+			own := want.Box(d)
+			if v.EntryBox(k, box); !sameBox(box, own) {
+				t.Fatalf("leaf entry %d: EntryBox %v, decoded Box %v", k, box, own)
+			}
 			for _, q := range []geom.Box{own, probe} {
 				if got, exp := v.EntryOverlaps(k, q), own.Overlaps(q); got != exp {
 					t.Fatalf("leaf entry %d: EntryOverlaps(%v) = %v, Box.Overlaps = %v", k, q, got, exp)
 				}
+				// An exact box is the spatial extents, then the time window.
+				exact := q[:d+1]
+				if got, exp := v.EntryOverlapTime(k, exact), want.Seg.OverlapTimeInBox(exact); !sameBox(geom.Box{got}, geom.Box{exp}) {
+					t.Fatalf("leaf entry %d: EntryOverlapTime(%v) = %v, OverlapTimeInBox = %v", k, exact, got, exp)
+				}
+			}
+			vt := v.EntryLines(k, lines)
+			ok = same(vt.Lo, want.Seg.T.Lo) && same(vt.Hi, want.Seg.T.Hi)
+			for i := 0; ok && i < d; i++ {
+				l := geom.LinearBetween(want.Seg.T.Lo, want.Seg.Start[i], want.Seg.T.Hi, want.Seg.End[i])
+				ok = same(lines[i].A, l.A) && same(lines[i].B, l.B) && same(lines[i].T0, l.T0)
+			}
+			if !ok {
+				t.Fatalf("leaf entry %d: EntryLines %v over %v, decoded %+v", k, lines, vt, want.Seg)
+			}
+			kept := v.Keep(k, &slab)
+			ok = kept.ID == e.ID && same(kept.Seg.T.Lo, e.Seg.T.Lo) && same(kept.Seg.T.Hi, e.Seg.T.Hi) &&
+				len(kept.Seg.Start) == d && cap(kept.Seg.Start) == d && len(kept.Seg.End) == d && cap(kept.Seg.End) == d
+			for i := 0; ok && i < d; i++ {
+				ok = same(kept.Seg.Start[i], e.Seg.Start[i]) && same(kept.Seg.End[i], e.Seg.End[i])
+			}
+			if !ok {
+				t.Fatalf("leaf entry %d: Keep %+v (caps %d %d), Entry %+v", k, kept, cap(kept.Seg.Start), cap(kept.Seg.End), e)
 			}
 			continue
 		}

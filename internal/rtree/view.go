@@ -21,10 +21,23 @@ import (
 // copying (Entry and ChildBox fill caller-owned storage for that reason).
 //
 // The view is four words on purpose: it is passed and received by value
-// in the per-entry loops of every query.
+// in the per-entry loops of every query. Accessors may take it by value,
+// but nothing they inline may copy it through memory: a copy spills the
+// registers with 8-, 4-, 2- and 1-byte stores and reloads them with 16-byte
+// loads, which the CPU cannot forward from the narrower stores, so every
+// call stalls until they drain. The view therefore has at most four fields
+// (the compiler keeps no larger struct in registers), the layout bytes
+// grouped in one; TestViewAccessorsDoNotStall reads the accessors' machine
+// code and fails on such a reload.
 type NodeView struct {
-	page   []byte // the whole page; header fields are read from it on demand
-	id     pager.PageID
+	page []byte // the whole page; header fields are read from it on demand
+	id   pager.PageID
+	entryLayout
+}
+
+// entryLayout is what openView derives from the tree's configuration and
+// the page header to locate entries.
+type entryLayout struct {
 	stride uint16 // entry size at this node's level
 	dims   uint8
 	dual   bool
@@ -38,7 +51,7 @@ func openView(cfg Config, id pager.PageID, buf []byte) (NodeView, error) {
 	if len(buf) != pager.PageSize {
 		return NodeView{}, pager.ErrBadPageData
 	}
-	v := NodeView{page: buf, id: id, dims: uint8(cfg.Dims), dual: buf[1]&flagDualTime != 0}
+	v := NodeView{page: buf, id: id, entryLayout: entryLayout{dims: uint8(cfg.Dims), dual: buf[1]&flagDualTime != 0}}
 	if v.dual != cfg.DualTime {
 		return NodeView{}, fmt.Errorf("rtree: page %d temporal layout (dual=%v) does not match tree config (dual=%v)", id, v.dual, cfg.DualTime)
 	}
