@@ -198,6 +198,9 @@ func steadyTree(b *testing.B) (*Tree, []LeafEntry) {
 	return tree, entries
 }
 
+// BenchmarkInsertSteady measures the insert that finds room in its leaf:
+// over any benchtime the CI and EXPERIMENTS.md use, no leaf of the
+// half-full tree fills, so nothing splits (BenchmarkSplit times that).
 func BenchmarkInsertSteady(b *testing.B) {
 	tree, _ := steadyTree(b)
 	fresh := benchEntries(b.N, 8)
@@ -208,6 +211,28 @@ func BenchmarkInsertSteady(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSplit is the quadratic split of a full node of an insert-grown
+// dual-time tree, as splitLeaf and splitInternal run it: the boxes laid
+// out in a split table, then grouped. The ingest path splits a leaf about
+// once per 64 inserts.
+func BenchmarkSplit(b *testing.B) {
+	cfg, leaf, root := splitNodes(b)
+	b.Run("leaf", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := leafTable(leaf.Entries, cfg.boxDims())
+			s.splitGroups(cfg.minLeafEntries())
+		}
+	})
+	b.Run("internal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := childTable(root.Children, cfg.boxDims())
+			s.splitGroups(cfg.minInternalEntries())
+		}
+	})
 }
 
 // BenchmarkDeleteSteady deletes and re-inserts one segment per iteration,

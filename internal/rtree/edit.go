@@ -125,16 +125,41 @@ func (v NodeView) MBR(dst geom.Box) {
 // ties by smaller area, then smaller margin, then lower index. The margin
 // tiebreak matters in this domain: leaf-level boxes are often degenerate
 // in one or more dimensions, making areas zero.
+//
+// Each child's bounds are read off the page once, in axis order, for its
+// area, margin and cover area together: the values ChildBox, Box.Area,
+// Box.Margin and Box.CoverArea compute, bit for bit (refChooseChild).
 func (v NodeView) chooseChild(b geom.Box) int {
-	var scratch [maxDims + 2]geom.Interval
-	box := geom.Box(scratch[:len(b)])
+	d := int(v.dims)
+	endTime := 8 * d // offset of the end-time extent: the single one unless dual
+	if v.dual {
+		endTime += 8
+	}
+	bm := measureOf(b)
 	best := 0
 	bestEnl, bestArea, bestMargin := -1.0, 0.0, 0.0
 	for k, n := 0, v.Len(); k < n; k++ {
-		v.ChildBox(k, box)
-		area := box.Area()
-		enl := box.CoverArea(b) - area
-		margin := box.Margin()
+		e := v.entry(k)
+		empty := false
+		area, margin, cover := 1.0, 0.0, 1.0
+		for i, q := range b {
+			off := 8 * i
+			if i > d {
+				off = endTime
+			}
+			lo, hi := f32At(e, off), f32At(e, off+4)
+			empty = empty || lo > hi
+			area *= hi - lo
+			margin += hi - lo
+			cover *= max(hi, q.Hi) - min(lo, q.Lo)
+		}
+		switch {
+		case empty:
+			area, margin, cover = 0, 0, bm.area
+		case bm.empty:
+			cover = area
+		}
+		enl := cover - area
 		if k == 0 {
 			bestEnl, bestArea, bestMargin = enl, area, margin
 			continue

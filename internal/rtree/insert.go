@@ -236,11 +236,8 @@ func (t *Tree) place(page pager.PageID, it *item) (insertResult, error) {
 // that all nodes created by one insertion nest along the insertion path
 // (Section 4.1's update management requires this).
 func (t *Tree) splitLeaf(n *Node, newIdx int) (insertResult, error) {
-	boxes := make([]geom.Box, len(n.Entries))
-	for i, e := range n.Entries {
-		boxes[i] = e.Box(t.cfg.Dims)
-	}
-	ga, gb := splitGroups(boxes, t.cfg.minLeafEntries())
+	s := leafTable(n.Entries, t.cfg.boxDims())
+	ga, gb := s.splitGroups(t.cfg.minLeafEntries())
 	ga, gb = forceNewInB(ga, gb, newIdx)
 
 	sib, err := t.alloc(0)
@@ -268,11 +265,8 @@ func (t *Tree) splitLeaf(n *Node, newIdx int) (insertResult, error) {
 // the child entry that caused the overflow (forced into the new node, as
 // in splitLeaf).
 func (t *Tree) splitInternal(n *Node, newIdx int) (insertResult, error) {
-	boxes := make([]geom.Box, len(n.Children))
-	for i, c := range n.Children {
-		boxes[i] = c.Box
-	}
-	ga, gb := splitGroups(boxes, t.cfg.minInternalEntries())
+	s := childTable(n.Children, t.cfg.boxDims())
+	ga, gb := s.splitGroups(t.cfg.minInternalEntries())
 	ga, gb = forceNewInB(ga, gb, newIdx)
 
 	sib, err := t.alloc(n.Level)

@@ -152,6 +152,62 @@ func checkLeafKernel(t *testing.T, cfg Config, data []byte) (hits int) {
 	return hits
 }
 
+// checkChooseChild builds one internal page from src under cfg, its child
+// boxes as dealt (mostly empty: an inverted extent) or sorted, and requires
+// chooseChild to pick, for boxes dealt the same way and for stored ones,
+// the child refChooseChild picks among the decoded children. A real tree
+// stores no empty child box, so only this test reaches that branch.
+func checkChooseChild(t *testing.T, cfg Config, data []byte) {
+	t.Helper()
+	src := &fuzzSrc{b: data}
+	deal := func() geom.Box {
+		box := make(geom.Box, cfg.boxDims())
+		sorted := src.take(1)%4 != 0
+		for k := range box {
+			lo, hi := src.coord(), src.coord()
+			if sorted {
+				lo, hi = min(lo, hi), max(lo, hi)
+			}
+			box[k] = geom.Interval{Lo: lo, Hi: hi}
+		}
+		return box
+	}
+	inner := &Node{ID: 7, Level: 1}
+	for n := 1 + int(src.take(1))%cfg.MaxInternalEntries(); len(inner.Children) < n; {
+		inner.Children = append(inner.Children, Child{Box: deal(), ID: pager.PageID(len(inner.Children))})
+	}
+	page := make([]byte, pager.PageSize)
+	if err := encodeNode(cfg, inner, page); err != nil {
+		t.Fatal(err)
+	}
+	v, err := openView(cfg, 7, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := v.node().Children
+	for round := 0; round < 8; round++ {
+		b := deal()
+		if round%2 == 1 {
+			b = stored[int(src.take(1))%len(stored)].Box
+		}
+		if got, want := v.chooseChild(b), refChooseChild(stored, b); got != want {
+			t.Fatalf("dims %d dual %v, %d children, box %v: chooseChild %d (%v), reference %d (%v)",
+				cfg.Dims, cfg.DualTime, len(stored), b, got, stored[got].Box, want, stored[want].Box)
+		}
+	}
+}
+
+// The one-pass descent kernel picks the child the Box methods pick, in
+// both layouts and one to three dimensions.
+func TestChooseChildMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for i := 0; i < 600; i++ {
+		data := make([]byte, 64+r.Intn(4096))
+		r.Read(data)
+		checkChooseChild(t, leafKernelConfig(uint8(i), i%2 == 0), data)
+	}
+}
+
 func leafKernelConfig(dims uint8, dual bool) Config {
 	cfg := DefaultConfig()
 	cfg.Dims = 1 + int(dims)%3

@@ -14,8 +14,10 @@ import (
 )
 
 // perEntryAccessors are the NodeView methods the query loops call once per
-// entry. Naming them here links every one into the test binary, inlined
-// elsewhere or not, so the disassembly below always has them to check.
+// entry, and chooseChild, which reads every entry of each node an insert
+// descends through. Naming them here links every one into the test binary,
+// inlined elsewhere or not, so the disassembly below always has them to
+// check.
 var perEntryAccessors = map[string]any{
 	"ChildID":          NodeView.ChildID,
 	"ChildOverlaps":    NodeView.ChildOverlaps,
@@ -29,6 +31,7 @@ var perEntryAccessors = map[string]any{
 	"EntryLines":       NodeView.EntryLines,
 	"EntryBox":         NodeView.EntryBox,
 	"Keep":             NodeView.Keep,
+	"chooseChild":      NodeView.chooseChild,
 }
 
 // stallWindow is how many instructions back a narrow stack store can still
@@ -142,7 +145,7 @@ func TestViewAccessorsDoNotStall(t *testing.T) {
 		t.Skipf("no go command: %v", err)
 	}
 	prefix := reflect.TypeOf(NodeView{}).PkgPath() + ".NodeView."
-	funcs := disassemble(t, goTool, regexp.QuoteMeta(prefix)+`(Entry|Child|Keep)`)
+	funcs := disassemble(t, goTool, regexp.QuoteMeta(prefix)+`(Entry|Child|Keep|chooseChild)`)
 	var names []string
 	for name := range perEntryAccessors {
 		names = append(names, name)

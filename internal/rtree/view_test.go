@@ -275,4 +275,36 @@ func TestInsertAllocationBudget(t *testing.T) {
 	if allocs > 10 {
 		t.Errorf("Insert into a %d-segment tree: %.1f allocs, budget 10", tree.Size(), allocs)
 	}
+
+	// Time-ordered inserts into one region fill one leaf after another. A
+	// split materialises the full node and writes two, and its table takes
+	// five allocations, so what it costs beyond an insert does not grow
+	// with the fanout, which is 128 boxes at d=2.
+	perInsert := allocs
+	const batch = 640
+	late := make([]geom.Segment, 2*batch)
+	for k := range late {
+		t0 := 200 + float64(k)/16
+		late[k] = geom.Segment{T: geom.Interval{Lo: t0, Hi: t0 + 1}, Start: geom.Point{40, 40}, End: geom.Point{41, 40.5}}
+	}
+	splits, k := 0, 0
+	tree.OnUpdate(func(u Update) {
+		if u.Kind == UpdateSubtree {
+			splits++
+		}
+	})
+	allocs = testing.AllocsPerRun(1, func() {
+		splits = 0
+		for range batch {
+			if err := tree.Insert(ObjectID(60000+k), late[k]); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}
+	})
+	perSplit := (allocs - perInsert*batch) / float64(splits)
+	t.Logf("%d splits in %d time-ordered inserts: %.0f allocs, %.1f per split", splits, batch, allocs, perSplit)
+	if splits < batch/100 || perSplit > 24 {
+		t.Errorf("%d splits in %d time-ordered inserts: %.0f allocs, %.1f per split, budget 24", splits, batch, allocs, perSplit)
+	}
 }
