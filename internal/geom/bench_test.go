@@ -48,6 +48,29 @@ func BenchmarkSolveBetween(b *testing.B) {
 	}
 }
 
+// BenchmarkClipMisses is the guard for one axis of a leaf entry, the
+// division-free counterpart of BenchmarkSolveBetween: segments like a
+// fly-through leaf's against a window most of them miss.
+func BenchmarkClipMisses(b *testing.B) {
+	r := rand.New(rand.NewSource(4))
+	segs := make([][4]float64, 256)
+	for i := range segs {
+		t0, x0 := float64(float32(49+r.Float64())), float64(float32(30+r.Float64()*30))
+		segs[i] = [4]float64{t0, x0, float64(float32(t0 + 1.5)), float64(float32(x0 + r.Float64()*2 - 1))}
+	}
+	b.ResetTimer()
+	misses := 0
+	for i := 0; i < b.N; i++ {
+		s := &segs[i%len(segs)]
+		if ClipMisses(s[0], s[1], s[2], s[3], 40, 48) {
+			misses++
+		}
+	}
+	if misses == 0 {
+		b.Fatal("no segment misses the window")
+	}
+}
+
 func BenchmarkIntervalSetAdd(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
 	ivs := make([]Interval, 1024)

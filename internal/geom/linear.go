@@ -94,3 +94,43 @@ func (l Linear) SolveBetween(lo, hi float64, w Interval) Interval {
 func ClipLine(t0, x0, t1, x1, lo, hi float64, w Interval) Interval {
 	return LinearBetween(t0, x0, t1, x1).SolveBetween(lo, hi, w)
 }
+
+// clipMargin is ClipMisses' margin, relative to the scale of the times.
+const clipMargin = 0x1p-40
+
+// ClipMisses reports, without dividing, that ClipLine(t0, x0, t1, x1, lo,
+// hi, w) is empty for every non-empty window w inside [t0, t1]: both end
+// points lie beyond one border of [lo, hi], far enough that ClipLine's
+// rounding cannot carry the computed crossing back into [t0, t1]. The end
+// points and times must be float32 values, as a page stores them; a NaN
+// or infinite operand makes it return false.
+//
+// The proof. Let gap > 0 be how far the nearer end point lies beyond the
+// border, W = max−min ≥ 0 and D = t1−t0.
+//   - t1 == t0: LinearBetween is the constant x0, which SolveBetween
+//     compares against [lo, hi] directly, and x0 lies beyond a border.
+//   - x1 == x0: the same, through B = 0/D = 0.
+//   - otherwise the exact crossing time of that border lies gap·D/W
+//     before t0 (the line moves away from the border) or after t1 (it
+//     moves towards it). ClipLine computes it as t0 + (c−x0)/B, with c
+//     the border and B = (x1−x0)/D: five roundings to the offset q, each of
+//     relative error at most u = 2⁻⁵³, and one to the sum. Float32
+//     operands keep every step in float64's normal range (|B| ≥ 2⁻²⁷⁸),
+//     and an overflow goes to the infinity of the right sign, which is
+//     still beyond the window. With |q| ≤ gap·D/W + D, the computed
+//     crossing lies within 6.2u·(gap·D/W + D + |t0|) of the exact one.
+//     The test below, rounding included, implies gap·D/W > 2⁻⁴¹·(|t0| +
+//     |t1| + D), so that error is below 2⁻⁹·gap·D/W: the crossing stays
+//     strictly before t0 or strictly after t1, and SolveBetween's
+//     intersection with w is empty.
+//
+// Inverted validity (t1 < t0) returns false: the left side is negative,
+// the right one is not. ClipLine's non-empty results are untouched by
+// construction — callers skip it only where it returns an empty interval.
+func ClipMisses(t0, x0, t1, x1, lo, hi float64) bool {
+	xlo, xhi := min(x0, x1), max(x0, x1)
+	gap, dt := max(lo-xhi, xlo-hi), t1-t0
+	// max(t, -t) is |t| at a quarter of math.Abs's inlining cost, which
+	// would keep this out of the per-entry loops.
+	return gap > 0 && (t1 == t0 || gap*dt > clipMargin*(xhi-xlo)*(max(t0, -t0)+max(t1, -t1)+dt))
+}

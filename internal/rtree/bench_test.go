@@ -84,9 +84,10 @@ func BenchmarkNodeEncodeDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkLeafTest is the exact test over one full leaf: on the page, and
-// as the leaf loop ran it before the kernel (clip the validity in place,
-// decode what is left, test the decoded segment).
+// BenchmarkLeafTest is the exact test over one full leaf: on the page, one
+// entry per call (inplace) or scanning (scan), and as the leaf loop ran it
+// before the kernel (clip the validity in place, decode what is left, test
+// the decoded segment).
 func BenchmarkLeafTest(b *testing.B) {
 	// A leaf as the bulk loader packs one — a slab of time, a tile of space
 	// — under a fly-through frame: most entries are valid during the frame
@@ -120,6 +121,17 @@ func BenchmarkLeafTest(b *testing.B) {
 				if !v.EntryOverlapTime(k, q.Exact).Empty() {
 					matches++
 				}
+			}
+		}
+	})
+	// The range search's leaf loop: one scan that stops at each match.
+	b.Run("scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := 0; ; k++ {
+				if k, _ = v.NextOverlap(k, v.Len(), q.Exact); k == v.Len() {
+					break
+				}
+				matches++
 			}
 		}
 	})

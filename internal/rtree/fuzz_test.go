@@ -76,9 +76,10 @@ func checkViewMatchesDecode(t *testing.T, cfg Config, page []byte) *Node {
 				if got, exp := v.EntryOverlaps(k, q), own.Overlaps(q); got != exp {
 					t.Fatalf("leaf entry %d: EntryOverlaps(%v) = %v, Box.Overlaps = %v", k, q, got, exp)
 				}
-				// An exact box is the spatial extents, then the time window.
+				// An exact box is the spatial extents, then the time window;
+				// an empty interval has no canonical bits.
 				exact := q[:d+1]
-				if got, exp := v.EntryOverlapTime(k, exact), want.Seg.OverlapTimeInBox(exact); !sameBox(geom.Box{got}, geom.Box{exp}) {
+				if got, exp := v.EntryOverlapTime(k, exact), want.Seg.OverlapTimeInBox(exact); !(got.Empty() && exp.Empty()) && !sameBox(geom.Box{got}, geom.Box{exp}) {
 					t.Fatalf("leaf entry %d: EntryOverlapTime(%v) = %v, OverlapTimeInBox = %v", k, exact, got, exp)
 				}
 			}

@@ -94,12 +94,42 @@ func (s *fuzzSrc) bound() float64 {
 	return s.coord()
 }
 
+// kernelCounts is what checkLeafKernel compared: non-empty overlaps, and
+// the axes whose extent misses the box on which geom.ClipMisses fired
+// (ending the test without ClipLine) or declined (a border too near to
+// prove the miss, so ClipLine decided).
+type kernelCounts struct{ hits, fired, declined int }
+
+func (c *kernelCounts) add(o kernelCounts) {
+	c.hits, c.fired, c.declined = c.hits+o.hits, c.fired+o.fired, c.declined+o.declined
+}
+
+// guardOutcome replays EntryOverlapTime's axis loop on a decoded segment
+// and reports which way the guard went on the axes the box misses.
+func guardOutcome(s geom.Segment, box geom.Box) (c kernelCounts) {
+	d := s.Dims()
+	w := s.T.Intersect(box[d])
+	for i := 0; i < d && !w.Empty(); i++ {
+		x0, x1, b := s.Start[i], s.End[i], box[i]
+		if max(x0, x1) < b.Lo || min(x0, x1) > b.Hi {
+			if geom.ClipMisses(s.T.Lo, x0, s.T.Hi, x1, b.Lo, b.Hi) {
+				c.fired++
+				return c
+			}
+			c.declined++
+		}
+		w = geom.ClipLine(s.T.Lo, x0, s.T.Hi, x1, b.Lo, b.Hi, w)
+	}
+	return c
+}
+
 // checkLeafKernel builds one leaf from src under cfg, draws exact boxes —
-// from src, and from the entries' own coordinates so that borders touch —
+// from src, from the entries' own coordinates so that borders touch, and
+// from those nudged a few float64 ulps either way so that they nearly do —
 // and requires EntryOverlapTime to return what the reference returns for
-// the decoded entry: the same bits in Lo and Hi, or both empty. It returns
-// how many of the comparisons were of non-empty intervals.
-func checkLeafKernel(t *testing.T, cfg Config, data []byte) (hits int) {
+// the decoded entry: the same bits in Lo and Hi, or both empty. A
+// NextOverlap scan of the leaf must stop at exactly the non-empty ones.
+func checkLeafKernel(t *testing.T, cfg Config, data []byte) (counts kernelCounts) {
 	t.Helper()
 	src := &fuzzSrc{b: data}
 	d := cfg.Dims
@@ -124,32 +154,62 @@ func checkLeafKernel(t *testing.T, cfg Config, data []byte) (hits int) {
 		return (a.Empty() && b.Empty()) ||
 			(math.Float64bits(a.Lo) == math.Float64bits(b.Lo) && math.Float64bits(a.Hi) == math.Float64bits(b.Hi))
 	}
+	// nudge moves x 1–4 float64 ulps up or down, as src says.
+	nudge := func(x float64) float64 {
+		sel := src.take(1)
+		dir := math.Inf(int(sel%2)*2 - 1)
+		for n := 1 + sel/2%4; n > 0; n-- {
+			x = math.Nextafter(x, dir)
+		}
+		return x
+	}
 	box := make(geom.Box, d+1)
 	var e LeafEntry
-	for round := 0; round < 4; round++ {
+	for round := 0; round < 6; round++ {
 		for i := range box {
 			box[i] = geom.Interval{Lo: src.bound(), Hi: src.bound()}
 		}
-		if round%2 == 1 { // borders through one entry's end points and validity
+		if round%3 != 0 { // borders through, or a few ulps off, one entry's end points and validity
 			own := leaf.Entries[int(src.take(1))%len(leaf.Entries)].Seg
 			for i := 0; i < d; i++ {
 				box[i] = geom.Interval{Lo: min(own.Start[i], own.End[i]), Hi: max(own.Start[i], own.End[i])}
+				if round%3 == 2 {
+					box[i] = geom.Interval{Lo: nudge(box[i].Lo), Hi: nudge(box[i].Hi)}
+				}
 			}
 			box[d] = geom.Interval{Lo: own.T.Hi, Hi: own.T.Hi + float64(src.take(1))}
 		}
+		matches := map[int]geom.Interval{}
 		for k := 0; k < v.Len(); k++ {
 			v.Entry(k, &e)
 			got, want := v.EntryOverlapTime(k, box), refOverlapTime(e.Seg, box)
 			if !want.Empty() {
-				hits++
+				counts.hits++
+			}
+			if !got.Empty() {
+				matches[k] = got
 			}
 			if !same(got, want) || !same(got, e.Seg.OverlapTimeInBox(box)) {
 				t.Fatalf("dims %d dual %v entry %+v in %v:\n in place  %v (%x %x)\n reference %v (%x %x)\n decoded   %v", d, cfg.DualTime, e.Seg, box,
 					got, math.Float64bits(got.Lo), math.Float64bits(got.Hi), want, math.Float64bits(want.Lo), math.Float64bits(want.Hi), e.Seg.OverlapTimeInBox(box))
 			}
+			counts.add(guardOutcome(e.Seg, box))
+		}
+		for k := 0; ; k++ {
+			var ov geom.Interval
+			if k, ov = v.NextOverlap(k, v.Len(), box); k == v.Len() {
+				break
+			}
+			if want, ok := matches[k]; !ok || !same(ov, want) {
+				t.Fatalf("NextOverlap stopped at entry %d with %v; EntryOverlapTime there is %v (a match: %v)", k, ov, want, ok)
+			}
+			delete(matches, k)
+		}
+		if len(matches) != 0 {
+			t.Fatalf("NextOverlap scanned past the matches %v", matches)
 		}
 	}
-	return hits
+	return counts
 }
 
 // checkChooseChild builds one internal page from src under cfg, its child
@@ -215,17 +275,42 @@ func leafKernelConfig(dims uint8, dual bool) Config {
 	return cfg
 }
 
+// A NaN window (the public API refuses one) takes ClipLine's path as it did
+// before the guard: the entry misses the box on x, yet what comes back is
+// OverlapTimeInBox's NaN interval, not the guard's empty one.
+func TestEntryOverlapTimeNaNWindow(t *testing.T) {
+	cfg := DefaultConfig()
+	seg := geom.Segment{Start: geom.Point{1, 1}, End: geom.Point{2, 2}, T: geom.Interval{Lo: 0, Hi: 10}}
+	page := make([]byte, pager.PageSize)
+	if err := encodeNode(cfg, &Node{ID: 7, Entries: []LeafEntry{{ID: 1, Seg: seg}}}, page); err != nil {
+		t.Fatal(err)
+	}
+	v, err := openView(cfg, 7, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	exact := geom.Box{{Lo: 5, Hi: 6}, {Lo: 0, Hi: 9}, {Lo: nan, Hi: nan}}
+	got, want := v.EntryOverlapTime(0, exact), seg.OverlapTimeInBox(exact)
+	if got.Empty() || math.Float64bits(got.Lo) != math.Float64bits(want.Lo) || math.Float64bits(got.Hi) != math.Float64bits(want.Hi) {
+		t.Fatalf("NaN window: EntryOverlapTime %v, OverlapTimeInBox %v", got, want)
+	}
+}
+
 // The in-place exact test is the old test, bit for bit: random leaves in
-// both layouts and one to three dimensions against random boxes.
+// both layouts and one to three dimensions against random boxes. Both of
+// the guard's ways are taken often: proving a miss, and leaving a border
+// too near to prove to ClipLine.
 func TestEntryOverlapTimeMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	hits := 0
+	var counts kernelCounts
 	for i := 0; i < 600; i++ {
 		data := make([]byte, 64+r.Intn(2048))
 		r.Read(data)
-		hits += checkLeafKernel(t, leafKernelConfig(uint8(i), i%2 == 0), data)
+		counts.add(checkLeafKernel(t, leafKernelConfig(uint8(i), i%2 == 0), data))
 	}
-	if hits < 1000 {
-		t.Fatalf("only %d non-empty overlaps compared: the boxes miss the leaves", hits)
+	t.Logf("%+v", counts)
+	if counts.hits < 1000 || counts.fired < 4000 || counts.declined < 500 {
+		t.Fatalf("compared %d non-empty overlaps, %d proven misses and %d declined ones: the boxes miss the point", counts.hits, counts.fired, counts.declined)
 	}
 }

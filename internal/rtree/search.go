@@ -100,17 +100,21 @@ func (s *search) node(id pager.PageID) error {
 }
 
 func (s *search) leaf(v NodeView) {
-	k, n := 0, v.Len()
-	for ; k < n && !s.full(); k++ {
-		ov := v.EntryOverlapTime(k, s.q.Exact)
-		if ov.Empty() {
-			continue
+	k, n, exact := 0, v.Len(), s.q.Exact
+	for k < n && !s.full() {
+		var ov geom.Interval
+		if k, ov = v.NextOverlap(k, n, exact); k == n {
+			break
 		}
 		if s.out == nil {
 			s.out = make([]Match, 0, 8) // grow in step with the slab
 		}
-		e := v.Keep(k, &s.slab)
-		s.out = append(s.out, Match{ID: e.ID, Seg: e.Seg, Overlap: ov})
+		// Filled where it stays: a Match built aside and appended would
+		// be written in words and copied in 16-byte loads, which stall.
+		s.out = append(s.out, Match{})
+		m := &s.out[len(s.out)-1]
+		m.ID, m.Overlap = v.keep(k, &s.slab, &m.Seg), ov
+		k++
 	}
 	s.c.AddDistanceComps(k)
 }

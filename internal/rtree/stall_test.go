@@ -14,24 +14,27 @@ import (
 )
 
 // perEntryAccessors are the NodeView methods the query loops call once per
-// entry, and chooseChild, which reads every entry of each node an insert
-// descends through. Naming them here links every one into the test binary,
+// entry, chooseChild, which reads every entry of each node an insert
+// descends through, and the range search's leaf loop, which builds a result
+// per match. Naming them here links every one into the test binary,
 // inlined elsewhere or not, so the disassembly below always has them to
 // check.
 var perEntryAccessors = map[string]any{
-	"ChildID":          NodeView.ChildID,
-	"ChildOverlaps":    NodeView.ChildOverlaps,
-	"ChildStartTimes":  NodeView.ChildStartTimes,
-	"ChildBox":         NodeView.ChildBox,
-	"EntryKey":         NodeView.EntryKey,
-	"Entry":            NodeView.Entry,
-	"EntryOverlaps":    NodeView.EntryOverlaps,
-	"EntryTime":        NodeView.EntryTime,
-	"EntryOverlapTime": NodeView.EntryOverlapTime,
-	"EntryLines":       NodeView.EntryLines,
-	"EntryBox":         NodeView.EntryBox,
-	"Keep":             NodeView.Keep,
-	"chooseChild":      NodeView.chooseChild,
+	"NodeView.ChildID":          NodeView.ChildID,
+	"NodeView.ChildOverlaps":    NodeView.ChildOverlaps,
+	"NodeView.ChildStartTimes":  NodeView.ChildStartTimes,
+	"NodeView.ChildBox":         NodeView.ChildBox,
+	"NodeView.EntryKey":         NodeView.EntryKey,
+	"NodeView.Entry":            NodeView.Entry,
+	"NodeView.EntryOverlaps":    NodeView.EntryOverlaps,
+	"NodeView.EntryTime":        NodeView.EntryTime,
+	"NodeView.EntryOverlapTime": NodeView.EntryOverlapTime,
+	"NodeView.NextOverlap":      NodeView.NextOverlap,
+	"NodeView.EntryLines":       NodeView.EntryLines,
+	"NodeView.EntryBox":         NodeView.EntryBox,
+	"NodeView.Keep":             NodeView.Keep,
+	"NodeView.chooseChild":      NodeView.chooseChild,
+	"(*search).leaf":            (*search).leaf,
 }
 
 // stallWindow is how many instructions back a narrow stack store can still
@@ -144,8 +147,8 @@ func TestViewAccessorsDoNotStall(t *testing.T) {
 	if err != nil {
 		t.Skipf("no go command: %v", err)
 	}
-	prefix := reflect.TypeOf(NodeView{}).PkgPath() + ".NodeView."
-	funcs := disassemble(t, goTool, regexp.QuoteMeta(prefix)+`(Entry|Child|Keep|chooseChild)`)
+	prefix := reflect.TypeOf(NodeView{}).PkgPath() + "."
+	funcs := disassemble(t, goTool, regexp.QuoteMeta(prefix)+`(NodeView\.(Entry|Child|Keep|Next|chooseChild)|\(\*search\)\.leaf)`)
 	var names []string
 	for name := range perEntryAccessors {
 		names = append(names, name)
@@ -154,11 +157,11 @@ func TestViewAccessorsDoNotStall(t *testing.T) {
 	for _, name := range names {
 		instrs, ok := funcs[prefix+name]
 		if !ok {
-			t.Errorf("NodeView.%s: not in the disassembly", name)
+			t.Errorf("%s: not in the disassembly", name)
 			continue
 		}
 		for _, s := range stackStalls(instrs) {
-			t.Errorf("NodeView.%s stalls on the view's copy: %s", name, s)
+			t.Errorf("%s stalls on a copy through the stack: %s", name, s)
 		}
 	}
 }

@@ -81,13 +81,19 @@ func (v NodeView) Len() int { return int(binary.LittleEndian.Uint16(v.page[2:]))
 // Stamp returns the modification sequence number at the node's last write.
 func (v NodeView) Stamp() uint64 { return binary.LittleEndian.Uint64(v.page[4:]) }
 
+// entry returns entry k's bytes, capacity-clipped so that f32At's bound is
+// the entry's end.
 func (v NodeView) entry(k int) []byte {
 	off := nodeHeaderSize + k*int(v.stride)
-	return v.page[off : off+int(v.stride)]
+	end := off + int(v.stride)
+	return v.page[off:end:end]
 }
 
+// f32At reads the float32 at b[off:]. The full slice expression costs one
+// bounds check and leaves nothing to mask, where b[off:] costs two and a
+// pointer mask per read.
 func f32At(b []byte, off int) float64 {
-	return float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off:])))
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off : off+4 : off+4])))
 }
 
 func intervalAt(b []byte, off int) geom.Interval {
@@ -152,16 +158,22 @@ func (v NodeView) EntryKey(k int) (ObjectID, float64) {
 // of dst's points. dst stays valid after the view dies, until the next
 // Entry call on it; Keep is the copy for an entry that outlives the visit.
 func (v NodeView) Entry(k int, dst *LeafEntry) {
+	dst.ID = v.entrySeg(k, &dst.Seg)
+}
+
+// entrySeg fills seg with leaf entry k's segment, reusing the capacity of
+// its points, and returns the entry's object.
+func (v NodeView) entrySeg(k int, seg *geom.Segment) ObjectID {
 	e := v.entry(k)
 	d := int(v.dims)
-	dst.ID = ObjectID(binary.LittleEndian.Uint64(e))
-	dst.Seg.Start = dst.Seg.Start[:0]
-	dst.Seg.End = dst.Seg.End[:0]
+	seg.Start = seg.Start[:0]
+	seg.End = seg.End[:0]
 	for i := 0; i < d; i++ {
-		dst.Seg.Start = append(dst.Seg.Start, f32At(e, 8+4*i))
-		dst.Seg.End = append(dst.Seg.End, f32At(e, 8+4*(d+i)))
+		seg.Start = append(seg.Start, f32At(e, 8+4*i))
+		seg.End = append(seg.End, f32At(e, 8+4*(d+i)))
 	}
-	dst.Seg.T = intervalAt(e, 8+8*d)
+	seg.T = intervalAt(e, 8+8*d)
+	return ObjectID(binary.LittleEndian.Uint64(e))
 }
 
 // EntryOverlaps reports whether leaf entry k's box (LeafEntry.Box) shares
@@ -190,18 +202,43 @@ func (v NodeView) EntryTime(k int) geom.Interval {
 // EntryOverlapTime is the exact leaf test on the page: it returns what
 // geom.Segment.OverlapTimeInBox returns for the decoded entry — the time
 // during which leaf entry k's trajectory lies inside exact (Query.Exact:
-// spatial extents, then the time window) — without decoding it. The same
-// values go through the same geom.ClipLine in the same axis order, so the
-// result is that one's bit for bit.
+// spatial extents, then the time window) — without decoding it. A
+// non-empty result is that one's bit for bit; an empty one may differ in
+// its bits (see NextOverlap, whose one-entry scan it is).
 func (v NodeView) EntryOverlapTime(k int, exact geom.Box) geom.Interval {
-	e := v.entry(k)
-	d := int(v.dims)
-	t := intervalAt(e, 8+8*d)
-	w := t.Intersect(exact[d])
-	for i := 0; i < d && !w.Empty(); i++ {
-		w = geom.ClipLine(t.Lo, f32At(e, 8+4*i), t.Hi, f32At(e, 8+4*(d+i)), exact[i].Lo, exact[i].Hi, w)
-	}
+	_, w := v.NextOverlap(k, k+1, exact)
 	return w
+}
+
+// NextOverlap scans leaf entries from, from+1, … before to and returns the
+// first one whose EntryOverlapTime is not empty, with that overlap, or to
+// and an empty interval. The query's bounds are read once per call.
+//
+// It is the one definition of the exact leaf test. The entry's values go
+// through the same geom.ClipLine in the same axis order as in
+// OverlapTimeInBox. An axis that geom.ClipMisses proves empty ends the test
+// without dividing, which changes only the bits of an empty result. A NaN
+// window (the API refuses one) skips that proof and takes ClipLine's path.
+func (v NodeView) NextOverlap(from, to int, exact geom.Box) (int, geom.Interval) {
+	d := int(v.dims)
+	win, spatial := exact[d], exact[:d]
+	for k := from; k < to; k++ {
+		e := v.entry(k)
+		t := intervalAt(e, 8+8*d)
+		w := t.Intersect(win)
+		for i := 0; i < d && !w.Empty(); i++ {
+			x0, x1, b := f32At(e, 8+4*i), f32At(e, 8+4*(d+i)), spatial[i]
+			if w.Lo <= w.Hi && geom.ClipMisses(t.Lo, x0, t.Hi, x1, b.Lo, b.Hi) {
+				w = geom.EmptyInterval()
+				break
+			}
+			w = geom.ClipLine(t.Lo, x0, t.Hi, x1, b.Lo, b.Hi, w)
+		}
+		if !w.Empty() {
+			return k, w
+		}
+	}
+	return to, geom.EmptyInterval()
 }
 
 // EntryLines fills x (Dims forms, caller-owned) with leaf entry k's
@@ -237,15 +274,21 @@ const slabChunkMax = 1024
 // Keep copies leaf entry k out of the page for good, its points cut from
 // s and capacity-clipped, so appending to one never reaches a neighbour.
 func (v NodeView) Keep(k int, s *Slab) LeafEntry {
+	var e LeafEntry
+	e.ID = v.keep(k, s, &e.Seg)
+	return e
+}
+
+// keep is Keep into caller-owned storage: seg receives the segment and the
+// object is returned, so a result can be built where it will stay.
+func (v NodeView) keep(k int, s *Slab, seg *geom.Segment) ObjectID {
 	d := int(v.dims)
 	if len(s.free) < 2*d {
 		s.size = min(max(8, 2*s.size), slabChunkMax)
 		s.free = make([]float64, 2*d*s.size)
 	}
-	var e LeafEntry
-	e.Seg.Start, e.Seg.End, s.free = s.free[:0:d], s.free[d:d:2*d], s.free[2*d:]
-	v.Entry(k, &e)
-	return e
+	seg.Start, seg.End, s.free = s.free[:0:d], s.free[d:d:2*d], s.free[2*d:]
+	return v.entrySeg(k, seg)
 }
 
 // node materialises the whole node into its mutable form. All child boxes
