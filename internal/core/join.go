@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"dynq/internal/geom"
 	"dynq/internal/pager"
@@ -28,7 +29,7 @@ type JoinPair struct {
 // The algorithm descends both trees simultaneously, pruning node pairs
 // whose boxes are farther than delta apart at the spatial level or have
 // no segment alive at t, charging reads and distance computations like
-// the other engines.
+// the other engines. It reads one state of each tree.
 func DistanceJoin(treeA, treeB *rtree.Tree, delta, t float64, c *stats.Counters) ([]JoinPair, error) {
 	if treeA.Config().Dims != treeB.Config().Dims {
 		return nil, fmt.Errorf("core: join over trees of different dimensionality")
@@ -36,63 +37,94 @@ func DistanceJoin(treeA, treeB *rtree.Tree, delta, t float64, c *stats.Counters)
 	if delta < 0 {
 		return nil, fmt.Errorf("core: join distance must be non-negative, got %g", delta)
 	}
-	rootA, levelA, okA := treeA.Root()
-	rootB, levelB, okB := treeB.Root()
-	if !okA || !okB {
-		return nil, nil
-	}
-	j := &joiner{
-		treeA: treeA, treeB: treeB,
-		self:  treeA == treeB,
-		delta: delta, t: t, c: c,
-		d:      treeA.Config().Dims,
-		loaded: make(map[pager.PageID]*rtree.Node),
-	}
 	var out []JoinPair
-	if err := j.visit(rootA, levelA, rootB, levelB, &out); err != nil {
+	err := readBoth(treeA, treeB, func(ra, rb rtree.Reader) error {
+		rootA, levelA, okA := ra.Root()
+		rootB, levelB, okB := rb.Root()
+		if !okA || !okB {
+			return nil
+		}
+		d := treeA.Config().Dims
+		j := &joiner{
+			a:     joinSide{r: ra, seen: make(map[pager.PageID]bool)},
+			self:  treeA == treeB,
+			delta: delta, t: t, c: c,
+			d:   d,
+			box: make(geom.Box, d+2),
+		}
+		j.b = j.a // a self-join's sides share the tree, and so the pages seen
+		if !j.self {
+			j.b = joinSide{r: rb, seen: make(map[pager.PageID]bool)}
+		}
+		return j.visit(rootA, levelA, rootB, levelB, &out)
+	})
+	if err != nil {
 		return nil, err
 	}
 	c.AddResults(len(out))
 	return out, nil
 }
 
+// readBoth runs fn under both trees' read locks. Two distinct trees are
+// locked in address order: a cross join may run in both directions at
+// once, and two readers that take two locks in opposite orders deadlock as
+// soon as writers queue on both.
+func readBoth(a, b *rtree.Tree, fn func(ra, rb rtree.Reader) error) error {
+	if a == b {
+		return a.Read(func(r rtree.Reader) error { return fn(r, r) })
+	}
+	if uintptr(unsafe.Pointer(b)) < uintptr(unsafe.Pointer(a)) {
+		return readBoth(b, a, func(rb, ra rtree.Reader) error { return fn(ra, rb) })
+	}
+	return a.Read(func(ra rtree.Reader) error {
+		return b.Read(func(rb rtree.Reader) error { return fn(ra, rb) })
+	})
+}
+
 type joiner struct {
-	treeA, treeB *rtree.Tree
-	self         bool
-	delta, t     float64
-	c            *stats.Counters
-	d            int
-	// loaded caches decoded nodes for the duration of one join so a node
-	// paired with many partners is read once (the disk-access accounting
-	// of a join, as in [6]).
-	loaded map[pager.PageID]*rtree.Node
+	a, b     joinSide
+	self     bool
+	delta, t float64
+	c        *stats.Counters
+	d        int
+	box      geom.Box        // one child box at a time
+	e        rtree.LeafEntry // one entry decoded at a time
+	partners []located       // a leaf's alive entries, while it is paired
+	slab     rtree.Slab      // the points of the reported pairs
 }
 
-func (j *joiner) load(tree *rtree.Tree, id pager.PageID) (*rtree.Node, error) {
-	// For a self-join the two trees share pages; otherwise ids cannot
-	// collide across trees only if stores differ, so key the cache by
-	// tree when distinct.
-	key := id
-	if !j.self && tree == j.treeB {
-		key = id | 1<<31
-	}
-	if n, ok := j.loaded[key]; ok {
-		return n, nil
-	}
-	n, err := tree.Load(id, j.c)
-	if err != nil {
-		return nil, err
-	}
-	j.loaded[key] = n
-	return n, nil
+// joinSide is one tree as the join reads it. seen is the pages read so far:
+// a node paired with many partners is charged once per join (the
+// disk-access accounting of a join, as in [6]).
+type joinSide struct {
+	r    rtree.Reader
+	seen map[pager.PageID]bool
 }
 
-// aliveBox reports whether the dual-space box can contain a segment alive
-// at time t, and the minimum spatial distance between two boxes.
+// view runs fn on node id of side s, charging its read on the first visit.
+func (j *joiner) view(s *joinSide, id pager.PageID, fn func(rtree.NodeView) error) error {
+	c := j.c
+	if s.seen[id] {
+		c = nil
+	} else {
+		s.seen[id] = true
+	}
+	return s.r.View(id, c, fn)
+}
+
+// mbr returns the box of node id of side s.
+func (j *joiner) mbr(s *joinSide, id pager.PageID) (geom.Box, error) {
+	box := make(geom.Box, j.d+2)
+	return box, j.view(s, id, func(v rtree.NodeView) error { v.MBR(box); return nil })
+}
+
+// alive reports whether the dual-space box can contain a segment alive at
+// time t.
 func (j *joiner) alive(b geom.Box) bool {
 	return b[j.d].Lo <= j.t && b[j.d+1].Hi >= j.t
 }
 
+// boxMinDist is the minimum spatial distance between two boxes.
 func boxMinDist(a, b geom.Box, d int) float64 {
 	s := 0.0
 	for i := 0; i < d; i++ {
@@ -108,134 +140,114 @@ func boxMinDist(a, b geom.Box, d int) float64 {
 	return math.Sqrt(s)
 }
 
+// prune charges one distance computation for child k of v and reports
+// whether its subtree can be skipped against other, the partner node's box:
+// no segment beneath is alive at t, or all lie farther than delta.
+func (j *joiner) prune(v rtree.NodeView, k int, other geom.Box) bool {
+	j.c.AddDistanceComps(1)
+	v.ChildBox(k, j.box)
+	return !j.alive(j.box) || boxMinDist(j.box, other, j.d) > j.delta
+}
+
 func (j *joiner) visit(idA pager.PageID, levelA int, idB pager.PageID, levelB int, out *[]JoinPair) error {
 	// Descend the deeper side first so both reach the leaf level together.
 	switch {
 	case levelA > 0 && levelA >= levelB:
-		nA, err := j.load(j.treeA, idA)
-		if err != nil {
-			return err
-		}
-		var bBox geom.Box
-		if nb, err := j.peekBox(j.treeB, idB); err != nil {
-			return err
-		} else {
-			bBox = nb
-		}
-		for _, ch := range nA.Children {
-			j.c.AddDistanceComps(1)
-			if !j.alive(ch.Box) {
-				continue
-			}
-			if bBox != nil && boxMinDist(ch.Box, bBox, j.d) > j.delta {
-				continue
-			}
-			if err := j.visit(ch.ID, levelA-1, idB, levelB, out); err != nil {
+		return j.view(&j.a, idA, func(vA rtree.NodeView) error {
+			bBox, err := j.mbr(&j.b, idB)
+			if err != nil {
 				return err
 			}
-		}
-		return nil
+			for k := 0; k < vA.Len(); k++ {
+				if j.prune(vA, k, bBox) {
+					continue
+				}
+				if err := j.visit(vA.ChildID(k), levelA-1, idB, levelB, out); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	case levelB > 0:
-		nB, err := j.load(j.treeB, idB)
-		if err != nil {
-			return err
-		}
-		aBox, err := j.peekBox(j.treeA, idA)
-		if err != nil {
-			return err
-		}
-		for _, ch := range nB.Children {
-			j.c.AddDistanceComps(1)
-			if !j.alive(ch.Box) {
-				continue
-			}
-			if aBox != nil && boxMinDist(aBox, ch.Box, j.d) > j.delta {
-				continue
-			}
-			if err := j.visit(idA, levelA, ch.ID, levelB-1, out); err != nil {
+		return j.view(&j.b, idB, func(vB rtree.NodeView) error {
+			aBox, err := j.mbr(&j.a, idA)
+			if err != nil {
 				return err
 			}
-		}
-		return nil
+			for k := 0; k < vB.Len(); k++ {
+				if j.prune(vB, k, aBox) {
+					continue
+				}
+				if err := j.visit(idA, levelA, vB.ChildID(k), levelB-1, out); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
 	// Both leaves: pair the alive segments.
-	if j.self && idA == idB {
-		return j.selfLeaf(idA, out)
-	}
 	if j.self && idA > idB {
 		// Symmetric pair already (or to be) visited as (idB, idA).
 		return nil
 	}
-	nA, err := j.load(j.treeA, idA)
-	if err != nil {
-		return err
-	}
-	nB, err := j.load(j.treeB, idB)
-	if err != nil {
-		return err
-	}
-	for _, ea := range nA.Entries {
-		if !ea.Seg.T.ContainsValue(j.t) {
-			continue
+	return j.view(&j.a, idA, func(vA rtree.NodeView) error {
+		if j.self && idA == idB {
+			j.pair(vA, vA, true, out)
+			return nil
 		}
-		pa := ea.Seg.At(j.t)
-		for _, eb := range nB.Entries {
-			j.c.AddDistanceComps(1)
-			if !eb.Seg.T.ContainsValue(j.t) {
-				continue
-			}
-			if j.self && ea.ID == eb.ID {
-				continue
-			}
-			dist := pa.Dist(eb.Seg.At(j.t))
-			if dist <= j.delta {
-				pair := JoinPair{A: ea.ID, B: eb.ID, SegA: ea.Seg, SegB: eb.Seg, Dist: dist}
-				if j.self && pair.A > pair.B {
-					// Normalize self-join pairs: the (leafB, leafA) visit
-					// is suppressed, so this visit reports both orders.
-					pair = JoinPair{A: eb.ID, B: ea.ID, SegA: eb.Seg, SegB: ea.Seg, Dist: dist}
-				}
-				*out = append(*out, pair)
-			}
-		}
-	}
-	return nil
+		return j.view(&j.b, idB, func(vB rtree.NodeView) error {
+			j.pair(vA, vB, false, out)
+			return nil
+		})
+	})
 }
 
-// selfLeaf pairs the entries of a single leaf with each other.
-func (j *joiner) selfLeaf(id pager.PageID, out *[]JoinPair) error {
-	n, err := j.load(j.treeA, id)
-	if err != nil {
-		return err
+// pair reports the pairs of alive segments of leaves vA and vB that lie
+// within delta. A leaf paired with itself (same) tests each unordered pair
+// once. vB's alive entries are located at t once per call.
+func (j *joiner) pair(vA, vB rtree.NodeView, same bool, out *[]JoinPair) {
+	j.partners = j.partners[:0]
+	for k := 0; k < vB.Len(); k++ {
+		if vB.EntryTime(k).ContainsValue(j.t) {
+			vB.Entry(k, &j.e)
+			j.partners = append(j.partners, located{k: k, id: j.e.ID, at: j.e.Seg.At(j.t)})
+		}
 	}
-	for i, ea := range n.Entries {
-		if !ea.Seg.T.ContainsValue(j.t) {
+	bs := j.partners
+	for i := 0; i < vA.Len(); i++ {
+		if !vA.EntryTime(i).ContainsValue(j.t) {
 			continue
 		}
-		pa := ea.Seg.At(j.t)
-		for _, eb := range n.Entries[i+1:] {
-			j.c.AddDistanceComps(1)
-			if !eb.Seg.T.ContainsValue(j.t) || ea.ID == eb.ID {
+		examined := vB.Len() // one distance computation each, alive or not
+		if same {
+			examined -= i + 1
+			for len(bs) > 0 && bs[0].k <= i {
+				bs = bs[1:]
+			}
+		}
+		j.c.AddDistanceComps(examined)
+		vA.Entry(i, &j.e)
+		pa := j.e.Seg.At(j.t)
+		for _, p := range bs {
+			if j.self && p.id == j.e.ID {
 				continue
 			}
-			dist := pa.Dist(eb.Seg.At(j.t))
-			if dist <= j.delta {
-				a, b := ea, eb
-				if a.ID > b.ID {
+			if dist := pa.Dist(p.at); dist <= j.delta {
+				a, b := vA.Keep(i, &j.slab), vB.Keep(p.k, &j.slab)
+				if j.self && a.ID > b.ID {
+					// Normalize self-join pairs: the (leafB, leafA) visit is
+					// suppressed, so this visit reports both orders.
 					a, b = b, a
 				}
 				*out = append(*out, JoinPair{A: a.ID, B: b.ID, SegA: a.Seg, SegB: b.Seg, Dist: dist})
 			}
 		}
 	}
-	return nil
 }
 
-// peekBox returns the MBR of a node (loading it through the join cache).
-func (j *joiner) peekBox(tree *rtree.Tree, id pager.PageID) (geom.Box, error) {
-	n, err := j.load(tree, id)
-	if err != nil {
-		return nil, err
-	}
-	return n.MBR(j.d), nil
+// located is a leaf entry alive at the join's time, and where it is then.
+type located struct {
+	k  int
+	id rtree.ObjectID
+	at geom.Point
 }

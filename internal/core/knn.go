@@ -38,6 +38,23 @@ func KNN(tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters) ([
 // before every node fetch, so a cancelled or expired query stops within
 // one page fetch and returns the context's error.
 func KNNCtx(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters) ([]Neighbor, error) {
+	return knn(ctx, tree, p, t, k, math.Inf(1), c)
+}
+
+// KNNBounded is KNN restricted to candidates within maxDist of the query
+// point: subtrees and objects farther away are pruned up front. With
+// maxDist = +Inf it degenerates to KNN. It may return fewer than k
+// neighbors when fewer lie within the bound.
+func KNNBounded(tree *rtree.Tree, p geom.Point, t float64, k int, maxDist float64, c *stats.Counters) ([]Neighbor, error) {
+	return knn(context.Background(), tree, p, t, k, maxDist, c)
+}
+
+// knn is the best-first search, over one state of the tree. Items pop in
+// increasing distance, so the i-th object popped is exactly the i-th
+// nearest neighbor — no distance bound is needed for correctness; maxDist
+// only keeps farther subtrees and objects out of the queue. Entries are
+// tested on the page, and only a queued one is copied off it.
+func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, maxDist float64, c *stats.Counters) ([]Neighbor, error) {
 	d := tree.Config().Dims
 	if len(p) != d {
 		return nil, fmt.Errorf("core: query point has %d dims, index has %d", len(p), d)
@@ -45,51 +62,68 @@ func KNNCtx(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k in
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	root, level, ok := tree.Root()
-	if !ok {
-		return nil, nil
-	}
-	// Best-first search: items pop in increasing distance, so the i-th
-	// object popped is exactly the i-th nearest neighbor — no distance
-	// bound is needed for correctness.
-	pq := &knnHeap{{node: root, level: level, dist: 0}}
 	var out []Neighbor
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(knnItem)
-		if item.isObj {
-			out = append(out, item.nb)
-			if len(out) >= k {
-				break
+	err := tree.Read(func(r rtree.Reader) error {
+		root, _, ok := r.Root()
+		if !ok {
+			return nil
+		}
+		var (
+			slab  rtree.Slab
+			entry rtree.LeafEntry
+			box   = make(geom.Box, d+2)
+		)
+		pq := &knnHeap{{node: root}}
+		for pq.Len() > 0 {
+			item := heap.Pop(pq).(knnItem)
+			if item.dist > maxDist {
+				break // best-first: everything left is farther
 			}
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n, err := tree.Load(item.node, c)
-		if err != nil {
-			return nil, err
-		}
-		if n.Leaf() {
-			for _, e := range n.Entries {
-				c.AddDistanceComps(1)
-				if !e.Seg.T.ContainsValue(t) {
-					continue
+			if item.isObj {
+				out = append(out, item.nb)
+				if len(out) >= k {
+					break
 				}
-				dist := math.Sqrt(e.Seg.DistSqAt(t, p))
-				heap.Push(pq, knnItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
+				continue
 			}
-		} else {
-			for _, ch := range n.Children {
-				c.AddDistanceComps(1)
-				// Prune subtrees with no segment alive at t: alive needs
-				// some start ≤ t and some end ≥ t.
-				if ch.Box[d].Lo > t || ch.Box[d+1].Hi < t {
-					continue
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			err := r.View(item.node, c, func(v rtree.NodeView) error {
+				for i := 0; i < v.Len(); i++ {
+					c.AddDistanceComps(1)
+					if v.Leaf() {
+						if !v.EntryTime(i).ContainsValue(t) {
+							continue
+						}
+						v.Entry(i, &entry)
+						dist := math.Sqrt(entry.Seg.DistSqAt(t, p))
+						if dist > maxDist {
+							continue
+						}
+						e := v.Keep(i, &slab)
+						heap.Push(pq, knnItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
+						continue
+					}
+					// Prune subtrees with no segment alive at t: alive needs
+					// some start ≤ t and some end ≥ t.
+					if v.ChildBox(i, box); box[d].Lo > t || box[d+1].Hi < t {
+						continue
+					}
+					if dist := boxDist(box[:d], p); dist <= maxDist {
+						heap.Push(pq, knnItem{node: v.ChildID(i), dist: dist})
+					}
 				}
-				heap.Push(pq, knnItem{node: ch.ID, level: n.Level - 1, dist: boxDist(ch.Box[:d], p)})
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	c.AddResults(len(out))
 	sort.Slice(out, func(i, j int) bool {
@@ -121,7 +155,6 @@ type knnItem struct {
 	dist  float64
 	isObj bool
 	node  pager.PageID
-	level int
 	nb    Neighbor
 }
 
@@ -149,74 +182,6 @@ func (h *knnHeap) Pop() any {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// KNNBounded is KNN restricted to candidates within maxDist of the query
-// point: subtrees and objects farther away are pruned up front. With
-// maxDist = +Inf it degenerates to KNN. It may return fewer than k
-// neighbors when fewer lie within the bound.
-func KNNBounded(tree *rtree.Tree, p geom.Point, t float64, k int, maxDist float64, c *stats.Counters) ([]Neighbor, error) {
-	d := tree.Config().Dims
-	if len(p) != d {
-		return nil, fmt.Errorf("core: query point has %d dims, index has %d", len(p), d)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("core: k must be positive, got %d", k)
-	}
-	root, level, ok := tree.Root()
-	if !ok {
-		return nil, nil
-	}
-	pq := &knnHeap{{node: root, level: level, dist: 0}}
-	var out []Neighbor
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(knnItem)
-		if item.dist > maxDist {
-			break // best-first: everything left is farther
-		}
-		if item.isObj {
-			out = append(out, item.nb)
-			if len(out) >= k {
-				break
-			}
-			continue
-		}
-		n, err := tree.Load(item.node, c)
-		if err != nil {
-			return nil, err
-		}
-		if n.Leaf() {
-			for _, e := range n.Entries {
-				c.AddDistanceComps(1)
-				if !e.Seg.T.ContainsValue(t) {
-					continue
-				}
-				dist := math.Sqrt(e.Seg.DistSqAt(t, p))
-				if dist > maxDist {
-					continue
-				}
-				heap.Push(pq, knnItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
-			}
-		} else {
-			for _, ch := range n.Children {
-				c.AddDistanceComps(1)
-				if ch.Box[d].Lo > t || ch.Box[d+1].Hi < t {
-					continue
-				}
-				if dist := boxDist(ch.Box[:d], p); dist <= maxDist {
-					heap.Push(pq, knnItem{node: ch.ID, level: n.Level - 1, dist: dist})
-				}
-			}
-		}
-	}
-	c.AddResults(len(out))
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out, nil
 }
 
 // MovingKNN evaluates k-nearest-neighbor queries along a moving query

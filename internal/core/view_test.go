@@ -2,8 +2,10 @@ package core
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"dynq/internal/geom"
@@ -207,10 +209,356 @@ func refPDQDrain(tree *rtree.Tree, traj *trajectory.Trajectory, tStart, tEnd flo
 	return out, nil
 }
 
-func sameResults(t *testing.T, what string, got, want []Result, gc, wc *stats.Counters) {
+// refKNN is KNNCtx as it was before node views: every popped node
+// materialised through Tree.Load, every alive entry of a leaf queued.
+func refKNN(tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters) ([]Neighbor, error) {
+	d := tree.Config().Dims
+	root, _, ok := tree.Root()
+	if !ok {
+		return nil, nil
+	}
+	pq := &knnHeap{{node: root, dist: 0}}
+	var out []Neighbor
+	for pq.Len() > 0 {
+		item := heap.Pop(pq).(knnItem)
+		if item.isObj {
+			out = append(out, item.nb)
+			if len(out) >= k {
+				break
+			}
+			continue
+		}
+		n, err := tree.Load(item.node, c)
+		if err != nil {
+			return nil, err
+		}
+		if n.Leaf() {
+			for _, e := range n.Entries {
+				c.AddDistanceComps(1)
+				if !e.Seg.T.ContainsValue(t) {
+					continue
+				}
+				dist := math.Sqrt(e.Seg.DistSqAt(t, p))
+				heap.Push(pq, knnItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
+			}
+		} else {
+			for _, ch := range n.Children {
+				c.AddDistanceComps(1)
+				if ch.Box[d].Lo > t || ch.Box[d+1].Hi < t {
+					continue
+				}
+				heap.Push(pq, knnItem{node: ch.ID, dist: boxDist(ch.Box[:d], p)})
+			}
+		}
+	}
+	c.AddResults(len(out))
+	sortNeighbors(out)
+	return out, nil
+}
+
+// refKNNBounded is KNNBounded as it was before node views, the second
+// best-first loop.
+func refKNNBounded(tree *rtree.Tree, p geom.Point, t float64, k int, maxDist float64, c *stats.Counters) ([]Neighbor, error) {
+	d := tree.Config().Dims
+	root, _, ok := tree.Root()
+	if !ok {
+		return nil, nil
+	}
+	pq := &knnHeap{{node: root, dist: 0}}
+	var out []Neighbor
+	for pq.Len() > 0 {
+		item := heap.Pop(pq).(knnItem)
+		if item.dist > maxDist {
+			break // best-first: everything left is farther
+		}
+		if item.isObj {
+			out = append(out, item.nb)
+			if len(out) >= k {
+				break
+			}
+			continue
+		}
+		n, err := tree.Load(item.node, c)
+		if err != nil {
+			return nil, err
+		}
+		if n.Leaf() {
+			for _, e := range n.Entries {
+				c.AddDistanceComps(1)
+				if !e.Seg.T.ContainsValue(t) {
+					continue
+				}
+				dist := math.Sqrt(e.Seg.DistSqAt(t, p))
+				if dist > maxDist {
+					continue
+				}
+				heap.Push(pq, knnItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
+			}
+		} else {
+			for _, ch := range n.Children {
+				c.AddDistanceComps(1)
+				if ch.Box[d].Lo > t || ch.Box[d+1].Hi < t {
+					continue
+				}
+				if dist := boxDist(ch.Box[:d], p); dist <= maxDist {
+					heap.Push(pq, knnItem{node: ch.ID, dist: dist})
+				}
+			}
+		}
+	}
+	c.AddResults(len(out))
+	sortNeighbors(out)
+	return out, nil
+}
+
+func sortNeighbors(out []Neighbor) {
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
+		}
+		return out[i].ID < out[j].ID
+	})
+}
+
+// refDistanceJoin is DistanceJoin as it was before node views: a node
+// read through Tree.Load once per join and kept, decoded, in a map.
+func refDistanceJoin(treeA, treeB *rtree.Tree, delta, t float64, c *stats.Counters) ([]JoinPair, error) {
+	rootA, levelA, okA := treeA.Root()
+	rootB, levelB, okB := treeB.Root()
+	if !okA || !okB {
+		return nil, nil
+	}
+	j := &refJoiner{
+		treeA: treeA, treeB: treeB,
+		self:  treeA == treeB,
+		delta: delta, t: t, c: c,
+		d:      treeA.Config().Dims,
+		loaded: make(map[pager.PageID]*rtree.Node),
+	}
+	var out []JoinPair
+	if err := j.visit(rootA, levelA, rootB, levelB, &out); err != nil {
+		return nil, err
+	}
+	c.AddResults(len(out))
+	return out, nil
+}
+
+type refJoiner struct {
+	treeA, treeB *rtree.Tree
+	self         bool
+	delta, t     float64
+	c            *stats.Counters
+	d            int
+	loaded       map[pager.PageID]*rtree.Node
+}
+
+func (j *refJoiner) load(tree *rtree.Tree, id pager.PageID) (*rtree.Node, error) {
+	// For a self-join the two trees share pages; otherwise key the cache
+	// by tree.
+	key := id
+	if !j.self && tree == j.treeB {
+		key = id | 1<<31
+	}
+	if n, ok := j.loaded[key]; ok {
+		return n, nil
+	}
+	n, err := tree.Load(id, j.c)
+	if err != nil {
+		return nil, err
+	}
+	j.loaded[key] = n
+	return n, nil
+}
+
+func (j *refJoiner) alive(b geom.Box) bool {
+	return b[j.d].Lo <= j.t && b[j.d+1].Hi >= j.t
+}
+
+func (j *refJoiner) visit(idA pager.PageID, levelA int, idB pager.PageID, levelB int, out *[]JoinPair) error {
+	switch {
+	case levelA > 0 && levelA >= levelB:
+		nA, err := j.load(j.treeA, idA)
+		if err != nil {
+			return err
+		}
+		bBox, err := j.peekBox(j.treeB, idB)
+		if err != nil {
+			return err
+		}
+		for _, ch := range nA.Children {
+			j.c.AddDistanceComps(1)
+			if !j.alive(ch.Box) || boxMinDist(ch.Box, bBox, j.d) > j.delta {
+				continue
+			}
+			if err := j.visit(ch.ID, levelA-1, idB, levelB, out); err != nil {
+				return err
+			}
+		}
+		return nil
+	case levelB > 0:
+		nB, err := j.load(j.treeB, idB)
+		if err != nil {
+			return err
+		}
+		aBox, err := j.peekBox(j.treeA, idA)
+		if err != nil {
+			return err
+		}
+		for _, ch := range nB.Children {
+			j.c.AddDistanceComps(1)
+			if !j.alive(ch.Box) || boxMinDist(aBox, ch.Box, j.d) > j.delta {
+				continue
+			}
+			if err := j.visit(idA, levelA, ch.ID, levelB-1, out); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if j.self && idA == idB {
+		return j.selfLeaf(idA, out)
+	}
+	if j.self && idA > idB {
+		return nil
+	}
+	nA, err := j.load(j.treeA, idA)
+	if err != nil {
+		return err
+	}
+	nB, err := j.load(j.treeB, idB)
+	if err != nil {
+		return err
+	}
+	for _, ea := range nA.Entries {
+		if !ea.Seg.T.ContainsValue(j.t) {
+			continue
+		}
+		pa := ea.Seg.At(j.t)
+		for _, eb := range nB.Entries {
+			j.c.AddDistanceComps(1)
+			if !eb.Seg.T.ContainsValue(j.t) {
+				continue
+			}
+			if j.self && ea.ID == eb.ID {
+				continue
+			}
+			dist := pa.Dist(eb.Seg.At(j.t))
+			if dist <= j.delta {
+				pair := JoinPair{A: ea.ID, B: eb.ID, SegA: ea.Seg, SegB: eb.Seg, Dist: dist}
+				if j.self && pair.A > pair.B {
+					pair = JoinPair{A: eb.ID, B: ea.ID, SegA: eb.Seg, SegB: ea.Seg, Dist: dist}
+				}
+				*out = append(*out, pair)
+			}
+		}
+	}
+	return nil
+}
+
+func (j *refJoiner) selfLeaf(id pager.PageID, out *[]JoinPair) error {
+	n, err := j.load(j.treeA, id)
+	if err != nil {
+		return err
+	}
+	for i, ea := range n.Entries {
+		if !ea.Seg.T.ContainsValue(j.t) {
+			continue
+		}
+		pa := ea.Seg.At(j.t)
+		for _, eb := range n.Entries[i+1:] {
+			j.c.AddDistanceComps(1)
+			if !eb.Seg.T.ContainsValue(j.t) || ea.ID == eb.ID {
+				continue
+			}
+			dist := pa.Dist(eb.Seg.At(j.t))
+			if dist <= j.delta {
+				a, b := ea, eb
+				if a.ID > b.ID {
+					a, b = b, a
+				}
+				*out = append(*out, JoinPair{A: a.ID, B: b.ID, SegA: a.Seg, SegB: b.Seg, Dist: dist})
+			}
+		}
+	}
+	return nil
+}
+
+func (j *refJoiner) peekBox(tree *rtree.Tree, id pager.PageID) (geom.Box, error) {
+	n, err := j.load(tree, id)
+	if err != nil {
+		return nil, err
+	}
+	box := geom.NewBox(j.d + 2)
+	for _, ch := range n.Children {
+		box.CoverInPlace(ch.Box)
+	}
+	for _, e := range n.Entries {
+		box.CoverInPlace(e.Box(j.d))
+	}
+	return box, nil
+}
+
+// KNN and the distance join on node views return the same answers in the
+// same order at the same cost as the Load-based references, over trees
+// grown by churn in both layouts: plain and bounded KNN, the self join and
+// a cross join.
+func TestQueriesMatchLoadReference(t *testing.T) {
+	for _, dual := range []bool{false, true} {
+		cfg := rtree.DefaultConfig()
+		cfg.DualTime = dual
+		tree, _ := churnedIndex(t, cfg, 23)
+		other, _ := churnedIndex(t, cfg, 24)
+		r := rand.New(rand.NewSource(25))
+		pairs := 0
+		for i := 0; i < 40; i++ {
+			p, at := geom.Point{r.Float64() * 100, r.Float64() * 100}, r.Float64()*100
+			k := 1 + r.Intn(30)
+			var gc, wc stats.Counters
+			got, err := KNN(tree, p, at, k, &gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refKNN(tree, p, at, k, &wc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, "knn", got, want, &gc, &wc)
+			if len(want) == 0 {
+				continue
+			}
+			maxDist := want[len(want)/2].Dist
+			if got, err = KNNBounded(tree, p, at, k, maxDist, &gc); err != nil {
+				t.Fatal(err)
+			}
+			if want, err = refKNNBounded(tree, p, at, k, maxDist, &wc); err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, "bounded knn", got, want, &gc, &wc)
+
+			delta := r.Float64() * 3
+			for _, b := range []*rtree.Tree{tree, other} {
+				got, err := DistanceJoin(tree, b, delta, at, &gc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := refDistanceJoin(tree, b, delta, at, &wc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameAnswers(t, "join", got, want, &gc, &wc)
+				pairs += len(got)
+			}
+		}
+		if pairs < 100 {
+			t.Fatalf("dual=%v: the joins found %d pairs: too few to compare", dual, pairs)
+		}
+	}
+}
+
+func sameAnswers[T any](t *testing.T, what string, got, want []T, gc, wc *stats.Counters) {
 	t.Helper()
 	if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-		t.Fatalf("%s: %d results, reference %d, or order differs", what, len(got), len(want))
+		t.Fatalf("%s: %d answers, reference %d, or order differs", what, len(got), len(want))
 	}
 	if gc.Snapshot() != wc.Snapshot() {
 		t.Fatalf("%s: cost %+v, reference %+v", what, gc.Snapshot(), wc.Snapshot())
@@ -248,7 +596,7 @@ func TestSessionsMatchLoadReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, "npdq", got, want, &gc, &wc)
+			sameAnswers(t, "npdq", got, want, &gc, &wc)
 		}
 
 		// A snapshot is the reference's first exact frame: a plain descent
@@ -264,7 +612,7 @@ func TestSessionsMatchLoadReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, "snapshot", got, want, &gc, &wc)
+			sameAnswers(t, "snapshot", got, want, &gc, &wc)
 		}
 
 		for i, tr := range []*trajectory.Trajectory{
@@ -296,7 +644,7 @@ func TestSessionsMatchLoadReference(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("trajectory %d sees nothing", i)
 			}
-			sameResults(t, "pdq", got, want, &gc, &wc)
+			sameAnswers(t, "pdq", got, want, &gc, &wc)
 		}
 	}
 }

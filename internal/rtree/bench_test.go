@@ -226,22 +226,22 @@ func BenchmarkInsertSteady(b *testing.B) {
 }
 
 // BenchmarkSplit is the quadratic split of a full node of an insert-grown
-// dual-time tree, as splitLeaf and splitInternal run it: the boxes laid
-// out in a split table, then grouped. The ingest path splits a leaf about
-// once per 64 inserts.
+// dual-time tree, as Tree.split runs it: the boxes read off the over-full
+// page into a split table, then grouped. The ingest path splits a leaf
+// about once per 64 inserts.
 func BenchmarkSplit(b *testing.B) {
 	cfg, leaf, root := splitNodes(b)
 	b.Run("leaf", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := leafTable(leaf.Entries, cfg.boxDims())
+			s := tableOf(leaf.NodeView)
 			s.splitGroups(cfg.minLeafEntries())
 		}
 	})
 	b.Run("internal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := childTable(root.Children, cfg.boxDims())
+			s := tableOf(root.NodeView)
 			s.splitGroups(cfg.minInternalEntries())
 		}
 	})

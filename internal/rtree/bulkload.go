@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"dynq/internal/geom"
 	"dynq/internal/pager"
 )
 
@@ -60,21 +61,15 @@ func BulkLoad(cfg Config, store pager.Store, entries []LeafEntry) (*Tree, error)
 	}
 	order := timeMajorOrder(centers, cfg.Dims, leafCap, timeSlabs(cfg, quant, leafCap))
 
-	level := make([]Child, 0, (len(quant)+leafCap-1)/leafCap)
+	level := make([]item, 0, (len(quant)+leafCap-1)/leafCap)
 	for lo := 0; lo < len(order); lo += leafCap {
-		hi := min(lo+leafCap, len(order))
-		n, err := t.alloc(0)
-		if err != nil {
+		leaf := t.fresh(0)
+		for _, k := range order[lo:min(lo+leafCap, len(order))] {
+			leaf.appendEntry(quant[k])
+		}
+		if level, err = t.pack(leaf, level); err != nil {
 			return nil, err
 		}
-		n.Entries = make([]LeafEntry, 0, hi-lo)
-		for _, k := range order[lo:hi] {
-			n.Entries = append(n.Entries, quant[k])
-		}
-		if err := t.write(n); err != nil {
-			return nil, err
-		}
-		level = append(level, Child{Box: n.MBR(cfg.Dims), ID: n.ID})
 	}
 	t.size = len(quant)
 	t.height = 1
@@ -83,24 +78,33 @@ func BulkLoad(cfg Config, store pager.Store, entries []LeafEntry) (*Tree, error)
 	// is already time-major with spatial tiles inside each time slice, so
 	// consecutive grouping preserves that locality at every level.
 	for len(level) > 1 {
-		next := make([]Child, 0, (len(level)+intCap-1)/intCap)
+		next := make([]item, 0, (len(level)+intCap-1)/intCap)
 		for lo := 0; lo < len(level); lo += intCap {
-			hi := min(lo+intCap, len(level))
-			n, err := t.alloc(t.height)
-			if err != nil {
+			node := t.fresh(t.height)
+			for _, c := range level[lo:min(lo+intCap, len(level))] {
+				node.appendChild(c.box, c.child)
+			}
+			if next, err = t.pack(node, next); err != nil {
 				return nil, err
 			}
-			n.Children = append([]Child(nil), level[lo:hi]...)
-			if err := t.write(n); err != nil {
-				return nil, err
-			}
-			next = append(next, Child{Box: n.MBR(cfg.Dims), ID: n.ID})
 		}
 		level = next
 		t.height++
 	}
-	t.root = level[0].ID
+	t.root = level[0].child
 	return t, nil
+}
+
+// pack writes node, assembled by fresh, to a new page and appends the
+// child entry that leads to it to level.
+func (t *Tree) pack(node nodeEdit, level []item) ([]item, error) {
+	id, err := t.pool.Alloc()
+	if err != nil {
+		return level, err
+	}
+	box := make(geom.Box, t.cfg.boxDims())
+	node.MBR(box)
+	return append(level, item{box: box, level: node.Level() + 1, child: id}), t.put(id)
 }
 
 // timeSlabs chooses how many contiguous start-time slices the bulk loader
@@ -233,7 +237,7 @@ type Meta struct {
 
 // Meta returns the tree's persistence metadata.
 func (t *Tree) Meta() Meta {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return Meta{Root: t.root, Height: t.height, Size: t.size, ModSeq: t.modSeq, Config: t.cfg}
 }

@@ -181,3 +181,54 @@ func TestBulkLoadEquivalentToInserts(t *testing.T) {
 		}
 	}
 }
+
+// The bulk loader assembles each page in place and writes the bytes the
+// Node-based loader (refBulkLoad) wrote, page for page, in both layouts and
+// Dims 1–3, at three sizes: one leaf; a population whose time slabs end
+// inside leaves, so leaves straddle a slab border; and a three-level tree.
+func TestBulkLoadMatchesReference(t *testing.T) {
+	for _, dual := range []bool{false, true} {
+		for dims := 1; dims <= 3; dims++ {
+			cfg := DefaultConfig()
+			cfg.Dims, cfg.DualTime = dims, dual
+			leafCap := int(float64(cfg.MaxLeafEntries()) * cfg.BulkFill)
+			intCap := int(float64(cfg.MaxInternalEntries()) * cfg.BulkFill)
+			for _, n := range []int{leafCap, 9*leafCap + 7, leafCap*intCap + 1} {
+				entries := gridEntries(cfg, n, int64(n))
+				gs, ws := pager.NewMemStore(), pager.NewMemStore()
+				got, err := BulkLoad(cfg, gs, entries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := refBulkLoad(cfg, ws, entries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Meta() != want.Meta() {
+					t.Fatalf("dims %d dual %v, %d segments: meta %+v, reference %+v", dims, dual, n, got.Meta(), want.Meta())
+				}
+				r := &editRig{t: t, gs: gs, ws: ws}
+				r.samePages("bulk-loaded stores")
+				switch n {
+				case leafCap:
+					if got.height != 1 {
+						t.Fatalf("dims %d dual %v: %d segments make height %d, want one leaf", dims, dual, n, got.height)
+					}
+				case 9*leafCap + 7:
+					quant := make([]LeafEntry, n)
+					for i, e := range entries {
+						quant[i] = LeafEntry{ID: e.ID, Seg: QuantizeSegment(e.Seg)}
+					}
+					slabs := timeSlabs(cfg, quant, leafCap)
+					if slabs < 2 || (n+slabs-1)/slabs%leafCap == 0 {
+						t.Fatalf("dims %d dual %v: %d slabs of %d segments: no leaf straddles a slab border", dims, dual, slabs, (n+slabs-1)/slabs)
+					}
+				default:
+					if got.height != 3 {
+						t.Fatalf("dims %d dual %v: %d segments make height %d, want 3", dims, dual, n, got.height)
+					}
+				}
+			}
+		}
+	}
+}

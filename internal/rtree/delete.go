@@ -101,8 +101,8 @@ func (t *Tree) DeleteAt(id ObjectID, tStart float64, path Path) error {
 
 	// Reinsert orphans. Subtrees go back at their original level so the
 	// tree stays balanced; their entries keep their boxes.
-	for k, ch := range d.subtrees {
-		if err := t.reinsertSubtree(ch, d.levels[k]); err != nil {
+	for _, it := range d.subtrees {
+		if err := t.reinsertSubtree(it); err != nil {
 			return err
 		}
 	}
@@ -151,10 +151,28 @@ func (t *Tree) findRec(page pager.PageID, id ObjectID, tStart float64, path Path
 // contents of dissolved nodes, to be reinserted, and whether any page was
 // freed.
 type condense struct {
-	entries  []LeafEntry
-	subtrees []Child
-	levels   []int // level of subtrees[k]'s root
+	entries  []LeafEntry // their points cut from slab
+	slab     Slab
+	subtrees []item // each the child entry that grafts a subtree back
 	freed    bool
+}
+
+// orphan collects the entries of a node about to be dissolved.
+func (cd *condense) orphan(v NodeView) error {
+	if v.Leaf() {
+		for k := 0; k < v.Len(); k++ {
+			cd.entries = append(cd.entries, v.Keep(k, &cd.slab))
+		}
+		return nil
+	}
+	axes := int(v.dims) + 2
+	boxes := make(geom.Box, v.Len()*axes)
+	for k := 0; k < v.Len(); k++ {
+		box := boxes[k*axes : (k+1)*axes : (k+1)*axes]
+		v.ChildBox(k, box)
+		cd.subtrees = append(cd.subtrees, item{box: box, level: v.Level(), child: v.ChildID(k)})
+	}
+	return nil
 }
 
 // deletion is one Delete's target and what its condense pass collects.
@@ -224,19 +242,10 @@ func (t *Tree) deleteRec(page pager.PageID, d *deletion, hint Path, mbr geom.Box
 		// Only now is it known that this deletion changes the tree.
 		t.modSeq++
 	case dissolve:
-		// Condense: the child fell below minimum fill. Dissolving it needs
-		// the whole node, whose entries travel on as orphans.
-		cn, err := t.load(child, nil)
-		if err != nil {
+		// Condense: the child fell below minimum fill. Its entries travel
+		// on as orphans.
+		if err := t.view(child, nil, d.orphan); err != nil {
 			return false, 0, err
-		}
-		if cn.Leaf() {
-			d.entries = append(d.entries, cn.Entries...)
-		} else {
-			for _, gc := range cn.Children {
-				d.subtrees = append(d.subtrees, gc)
-				d.levels = append(d.levels, cn.Level-1)
-			}
 		}
 		if err := t.free(child, &d.condense); err != nil {
 			return false, 0, err
@@ -272,40 +281,38 @@ func (t *Tree) graft(it *item) error {
 	if err != nil {
 		return err
 	}
-	if res.sibling != nil {
+	if res.split() {
 		return t.heightGrew(res)
 	}
 	return nil
 }
 
-// reinsertSubtree grafts an orphaned subtree back at its original level.
-func (t *Tree) reinsertSubtree(ch Child, level int) error {
-	if t.root == pager.InvalidPage || t.height-1 < level+1 {
-		// The tree shrank below the subtree's height: make the subtree a
-		// child of a new root chain. Simplest sound option: grow a root
-		// that holds the current root (if any) and the subtree.
-		if t.root == pager.InvalidPage {
-			t.root = ch.ID
-			t.height = level + 1
-			return nil
-		}
-		// Raise the current tree until it can adopt the subtree.
-		for t.height-1 < level+1 {
-			newRoot, err := t.alloc(t.height)
-			if err != nil {
-				return err
-			}
-			box := make(geom.Box, t.cfg.boxDims())
-			if err := t.view(t.root, nil, func(v NodeView) error { v.MBR(box); return nil }); err != nil {
-				return err
-			}
-			newRoot.Children = []Child{{Box: box, ID: t.root}}
-			if err := t.write(newRoot); err != nil {
-				return err
-			}
-			t.root = newRoot.ID
-			t.height++
-		}
+// reinsertSubtree grafts an orphaned subtree back at its original level:
+// it.child is the subtree's root and it.level the level of the node that
+// takes it.
+func (t *Tree) reinsertSubtree(it item) error {
+	if t.root == pager.InvalidPage {
+		t.root = it.child
+		t.height = it.level
+		return nil
 	}
-	return t.graft(&item{box: ch.Box, level: level + 1, child: ch.ID})
+	// The tree shrank below the subtree's height: raise it until it can
+	// adopt the subtree.
+	for t.height <= it.level {
+		id, err := t.pool.Alloc()
+		if err != nil {
+			return err
+		}
+		box := make(geom.Box, t.cfg.boxDims())
+		if err := t.view(t.root, nil, func(v NodeView) error { v.MBR(box); return nil }); err != nil {
+			return err
+		}
+		t.fresh(t.height).appendChild(box, t.root)
+		if err := t.put(id); err != nil {
+			return err
+		}
+		t.root = id
+		t.height++
+	}
+	return t.graft(&it)
 }

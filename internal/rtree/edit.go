@@ -10,12 +10,13 @@ import (
 
 // nodeEdit is the mutable counterpart of NodeView: one node page lent by
 // the pool for modification where it lies, under the tree's exclusive
-// lock. The primitives below are the whole write vocabulary of an ordinary
-// insertion or deletion; each leaves the page exactly as encodeNode would
-// have written the mutated node (entries packed from the header on, every
-// byte behind the last entry zero), so an edited page and a re-encoded one
-// are the same bytes. Nothing here can fail: openEdit has validated the
-// header, and the callers check capacity before they append.
+// lock, or a new page being assembled (fresh). The primitives below are the
+// whole write vocabulary of the tree; each leaves the page exactly as the
+// tests' reference codec would have encoded the mutated node — entries
+// packed from the header on, every byte behind the last entry zero — so an
+// edited page and a re-encoded one are the same bytes. Nothing here can
+// fail: openEdit has validated the header, and the callers check capacity
+// before they append.
 type nodeEdit struct {
 	NodeView
 	lease pager.Edit
@@ -36,12 +37,34 @@ func (t *Tree) openEdit(id pager.PageID) (nodeEdit, error) {
 }
 
 // commit stamps the edited node with the current modification sequence and
-// hands the page back, charging one page write as Tree.write does. The
-// edit must not be used afterwards.
+// hands the page back, charging one page write. The edit must not be used
+// afterwards.
 func (t *Tree) commit(e nodeEdit) error {
 	binary.LittleEndian.PutUint64(e.page[4:], t.modSeq)
 	t.mc.AddPageWrite()
 	return e.lease.Commit()
+}
+
+// fresh starts a new node page at level in the tree's scratch buffer: no
+// entries, stamped with the current modification sequence. The caller fills
+// it with the append primitives and hands it to the pool with put. A new
+// page is assembled aside rather than edited where it lies: an edit would
+// first read the page's old bytes through the pool.
+func (t *Tree) fresh(level int) nodeEdit {
+	p := t.scratch
+	clear(p)
+	p[0] = byte(level)
+	if t.cfg.DualTime {
+		p[1] = flagDualTime
+	}
+	binary.LittleEndian.PutUint64(p[4:], t.modSeq)
+	return nodeEdit{NodeView: NodeView{page: p, entryLayout: t.cfg.layout(level == 0)}}
+}
+
+// put writes the page fresh assembled as page id, charging one page write.
+func (t *Tree) put(id pager.PageID) error {
+	t.mc.AddPageWrite()
+	return t.pool.Put(id, t.scratch)
 }
 
 func (e nodeEdit) setLen(n int) { binary.LittleEndian.PutUint16(e.page[2:], uint16(n)) }
@@ -58,6 +81,14 @@ func (e nodeEdit) appendChild(box geom.Box, id pager.PageID) {
 	k := e.Len()
 	e.setLen(k + 1)
 	putChild(e.entry(k), e.dual, box, id)
+}
+
+// appendRaw adds an entry given as its bytes, one entry long, to a node of
+// its level that has room for it.
+func (e nodeEdit) appendRaw(entry []byte) {
+	k := e.Len()
+	e.setLen(k + 1)
+	copy(e.entry(k), entry)
 }
 
 // setChildBox overwrites internal entry k's box.
@@ -102,8 +133,8 @@ func (v NodeView) EntryBox(k int, dst geom.Box) {
 }
 
 // MBR fills dst (Dims+2 extents, caller-owned) with the minimum bounding
-// box of the node's entries in the dual key space — Node.MBR read in
-// place; empty for an empty node.
+// box of the node's entries in the dual key space (EntryBox or ChildBox
+// covered in entry order); empty for an empty node.
 func (v NodeView) MBR(dst geom.Box) {
 	for i := range dst {
 		dst[i] = geom.EmptyInterval()

@@ -44,7 +44,7 @@ func (t *Tree) Insert(id ObjectID, seg geom.Segment) error {
 	t.size++
 
 	switch {
-	case res.sibling != nil:
+	case res.split():
 		// The split chain reached the root: grow the tree. The root's new
 		// sibling is the top new node; heightGrew sends the notification.
 		return t.heightGrew(res)
@@ -57,15 +57,15 @@ func (t *Tree) Insert(id ObjectID, seg geom.Segment) error {
 
 // plantRoot makes e the only entry of an empty tree's first leaf.
 func (t *Tree) plantRoot(e LeafEntry) error {
-	rootNode, err := t.alloc(0)
+	id, err := t.pool.Alloc()
 	if err != nil {
 		return err
 	}
-	rootNode.Entries = []LeafEntry{e}
-	if err := t.write(rootNode); err != nil {
+	t.fresh(0).appendEntry(e)
+	if err := t.put(id); err != nil {
 		return err
 	}
-	t.root = rootNode.ID
+	t.root = id
 	t.height = 1
 	return nil
 }
@@ -80,18 +80,30 @@ type item struct {
 	child pager.PageID // level > 0
 }
 
+// add appends the item to a node of its level that has room for it.
+func (e nodeEdit) add(it *item) {
+	if it.level == 0 {
+		e.appendEntry(it.entry)
+	} else {
+		e.appendChild(it.box, it.child)
+	}
+}
+
 // insertResult reports the outcome of placing an item in a subtree. mbr is
 // the subtree root's box afterwards; nil means the common case — nothing
 // split beneath, so the box merely grew to cover the item's. If the subtree
-// root split, sibling is the new node (already persisted) with its MBR.
-// notified says an update notification was already emitted deeper in the
-// recursion.
+// root split (split reports it), sibling is the new node, already written,
+// with box siblingMBR, and level is the level of both halves. notified says
+// an update notification was already emitted deeper in the recursion.
 type insertResult struct {
 	mbr        geom.Box
-	sibling    *Node
+	sibling    pager.PageID
 	siblingMBR geom.Box
+	level      int
 	notified   bool
 }
+
+func (r insertResult) split() bool { return r.siblingMBR != nil }
 
 // heightGrew grows the tree by one level after the old root split,
 // sending the root-split notification. res.sibling is the old root's new
@@ -101,25 +113,19 @@ func (t *Tree) heightGrew(res insertResult) error {
 	// A failure here strands the sibling (its entries are unreachable from
 	// the old root) like any write failing mid-split; the caller learns of
 	// it and the engine above recovers from its log.
-	newRoot, err := t.alloc(res.sibling.Level + 1)
+	id, err := t.pool.Alloc()
 	if err != nil {
 		return fmt.Errorf("rtree: grow root: %w", err)
 	}
-	newRoot.Children = []Child{
-		{Box: res.mbr, ID: t.root},
-		{Box: res.siblingMBR, ID: res.sibling.ID},
-	}
-	if err := t.write(newRoot); err != nil {
+	root := t.fresh(res.level + 1)
+	root.appendChild(res.mbr, t.root)
+	root.appendChild(res.siblingMBR, res.sibling)
+	if err := t.put(id); err != nil {
 		return fmt.Errorf("rtree: grow root: %w", err)
 	}
-	t.root = newRoot.ID
+	t.root = id
 	t.height++
-	t.notify(Update{
-		Kind:  UpdateSubtree,
-		Node:  res.sibling.ID,
-		Level: res.sibling.Level,
-		Box:   res.siblingMBR,
-	})
+	t.notify(Update{Kind: UpdateSubtree, Node: res.sibling, Level: res.level, Box: res.siblingMBR})
 	return nil
 }
 
@@ -131,25 +137,20 @@ func (t *Tree) notify(u Update) {
 
 // place descends from page to the node at it.level, choosing children on
 // the page bytes, adds the item there and edits the nodes of the path in
-// place on the way back up. A node is materialised only when one more
-// entry overflows it: the split policies need all its boxes at once. The
+// place on the way back up. A node with no room left is copied off its page
+// on the way down (overfull), for the split one more entry would force. The
 // caller holds the tree lock.
 func (t *Tree) place(page pager.PageID, it *item) (insertResult, error) {
 	var (
-		here  bool  // this node takes the item
-		full  *Node // this node, materialised because it has no room left
-		ci    int   // otherwise: the child to descend into
+		here  bool     // this node takes the item
+		full  nodeEdit // this node's overfull copy if it has no room left (else page is nil)
+		ci    int      // otherwise: the child to descend into
 		child pager.PageID
 	)
 	err := t.view(page, nil, func(v NodeView) error {
 		here = v.Level() == it.level
-		room := t.cfg.MaxInternalEntries()
-		if v.Leaf() {
-			room = t.cfg.MaxLeafEntries()
-		}
-		if v.Len() >= room {
-			full = v.node()
-			full.Stamp = t.modSeq
+		if v.Len() >= t.cfg.fanout(v.Leaf()) {
+			full = overfull(v)
 		}
 		if here {
 			return nil
@@ -166,35 +167,34 @@ func (t *Tree) place(page pager.PageID, it *item) (insertResult, error) {
 	}
 
 	if here {
-		switch {
-		case full == nil:
-			ed, err := t.openEdit(page)
-			if err != nil {
-				return insertResult{}, err
-			}
-			if it.level == 0 {
-				ed.appendEntry(it.entry)
-			} else {
-				ed.appendChild(it.box, it.child)
-			}
-			return insertResult{}, t.commit(ed)
-		case it.level == 0:
-			full.Entries = append(full.Entries, it.entry)
-			return t.splitLeaf(full, len(full.Entries)-1)
-		default:
-			full.Children = append(full.Children, Child{Box: it.box, ID: it.child})
-			return t.splitInternal(full, len(full.Children)-1)
+		if full.page != nil {
+			full.add(it)
+			s := tableOf(full.NodeView)
+			copy(s.row(full.Len()-1), it.box) // as computed, like the boxes below
+			return t.split(page, full, s)
 		}
+		ed, err := t.openEdit(page)
+		if err != nil {
+			return insertResult{}, err
+		}
+		ed.add(it)
+		return insertResult{}, t.commit(ed)
 	}
 
 	res, err := t.place(child, it)
 	if err != nil {
 		return insertResult{}, err
 	}
-	if res.sibling != nil && full != nil {
-		full.Children[ci].Box = res.mbr
-		full.Children = append(full.Children, Child{Box: res.siblingMBR, ID: res.sibling.ID})
-		return t.splitInternal(full, len(full.Children)-1)
+	if res.split() && full.page != nil {
+		full.setChildBox(ci, res.mbr)
+		full.appendChild(res.siblingMBR, res.sibling)
+		// The split sees these two boxes as computed, not as stored: in the
+		// single-axis layout a page keeps a child's time axes only as their
+		// hull.
+		s := tableOf(full.NodeView)
+		copy(s.row(ci), res.mbr)
+		copy(s.row(full.Len()-1), res.siblingMBR)
+		return t.split(page, full, s)
 	}
 	ed, err := t.openEdit(page)
 	if err != nil {
@@ -207,8 +207,8 @@ func (t *Tree) place(page pager.PageID, it *item) (insertResult, error) {
 		// Something split beneath: the child's box may have shrunk, so it
 		// is replaced and this node's own box computed afresh.
 		ed.setChildBox(ci, res.mbr)
-		if res.sibling != nil {
-			ed.appendChild(res.siblingMBR, res.sibling.ID)
+		if res.split() {
+			ed.appendChild(res.siblingMBR, res.sibling)
 		}
 		out.mbr = make(geom.Box, t.cfg.boxDims())
 		ed.MBR(out.mbr)
@@ -216,78 +216,60 @@ func (t *Tree) place(page pager.PageID, it *item) (insertResult, error) {
 	if err := t.commit(ed); err != nil {
 		return insertResult{}, err
 	}
-	if res.sibling != nil {
+	if res.split() {
 		// The split chain stops here: the child's sibling is the top-most
 		// newly created node, covering every other new node and the
 		// inserted segment (all were forced onto the insertion path).
-		t.notify(Update{
-			Kind:  UpdateSubtree,
-			Node:  res.sibling.ID,
-			Level: res.sibling.Level,
-			Box:   res.siblingMBR,
-		})
+		t.notify(Update{Kind: UpdateSubtree, Node: res.sibling, Level: res.level, Box: res.siblingMBR})
 		out.notified = true
 	}
 	return out, nil
 }
 
-// splitLeaf splits an over-full leaf. newIdx is the index of the entry
-// whose insertion caused the overflow: it is forced into the *new* node so
-// that all nodes created by one insertion nest along the insertion path
-// (Section 4.1's update management requires this).
-func (t *Tree) splitLeaf(n *Node, newIdx int) (insertResult, error) {
-	s := leafTable(n.Entries, t.cfg.boxDims())
-	ga, gb := s.splitGroups(t.cfg.minLeafEntries())
-	ga, gb = forceNewInB(ga, gb, newIdx)
-
-	sib, err := t.alloc(0)
-	if err != nil {
-		return insertResult{}, err
-	}
-	oldEntries := n.Entries
-	n.Entries = pickLeafEntries(oldEntries, ga)
-	sib.Entries = pickLeafEntries(oldEntries, gb)
-	sib.Stamp = t.modSeq
-	if err := t.write(n); err != nil {
-		return insertResult{}, err
-	}
-	if err := t.write(sib); err != nil {
-		return insertResult{}, err
-	}
-	return insertResult{
-		mbr:        n.MBR(t.cfg.Dims),
-		sibling:    sib,
-		siblingMBR: sib.MBR(t.cfg.Dims),
-	}, nil
+// overfull copies a full node off its page into a buffer one entry longer,
+// so that the entry which overflows it can be appended with the edit
+// primitives before the node is split.
+func overfull(v NodeView) nodeEdit {
+	buf := make([]byte, nodeHeaderSize+(v.Len()+1)*int(v.stride))
+	copy(buf, v.page)
+	v.page = buf
+	return nodeEdit{NodeView: v}
 }
 
-// splitInternal splits an over-full internal node; newIdx is the index of
-// the child entry that caused the overflow (forced into the new node, as
-// in splitLeaf).
-func (t *Tree) splitInternal(n *Node, newIdx int) (insertResult, error) {
-	s := childTable(n.Children, t.cfg.boxDims())
-	ga, gb := s.splitGroups(t.cfg.minInternalEntries())
-	ga, gb = forceNewInB(ga, gb, newIdx)
-
-	sib, err := t.alloc(n.Level)
+// split divides full, page's node with one entry too many, by the quadratic
+// split of s, the table of its boxes, and writes one group back to page and
+// the other to a new sibling. The last entry, whose insertion caused the
+// overflow, is forced into the sibling so that all nodes created by one
+// insertion nest along the insertion path (Section 4.1's update management
+// requires this).
+func (t *Tree) split(page pager.PageID, full nodeEdit, s splitTable) (insertResult, error) {
+	ga, gb := s.splitGroups(t.cfg.minFill(full.Level()))
+	ga, gb = forceNewInB(ga, gb, full.Len()-1)
+	sib, err := t.pool.Alloc()
 	if err != nil {
 		return insertResult{}, err
 	}
-	oldChildren := n.Children
-	n.Children = pickChildren(oldChildren, ga)
-	sib.Children = pickChildren(oldChildren, gb)
-	sib.Stamp = t.modSeq
-	if err := t.write(n); err != nil {
+	res := insertResult{sibling: sib, level: full.Level()}
+	if res.mbr, err = t.writeHalf(page, full, &s, ga); err != nil {
 		return insertResult{}, err
 	}
-	if err := t.write(sib); err != nil {
+	if res.siblingMBR, err = t.writeHalf(sib, full, &s, gb); err != nil {
 		return insertResult{}, err
 	}
-	return insertResult{
-		mbr:        n.MBR(t.cfg.Dims),
-		sibling:    sib,
-		siblingMBR: sib.MBR(t.cfg.Dims),
-	}, nil
+	return res, nil
+}
+
+// writeHalf writes the entries of full that group lists, in its order and
+// as full holds them, to page id as a new node, and returns their box: the
+// cover of their rows of s.
+func (t *Tree) writeHalf(id pager.PageID, full nodeEdit, s *splitTable, group []int) (geom.Box, error) {
+	half := t.fresh(full.Level())
+	mbr := geom.NewBox(s.axes)
+	for _, i := range group {
+		half.appendRaw(full.entry(i))
+		mbr.CoverInPlace(s.row(i))
+	}
+	return mbr, t.put(id)
 }
 
 // forceNewInB swaps the two groups if the newly inserted index landed in
@@ -301,20 +283,4 @@ func forceNewInB(a, b []int, newIdx int) (ga, gb []int) {
 		}
 	}
 	return a, b
-}
-
-func pickLeafEntries(src []LeafEntry, idx []int) []LeafEntry {
-	out := make([]LeafEntry, len(idx))
-	for k, i := range idx {
-		out[k] = src[i]
-	}
-	return out
-}
-
-func pickChildren(src []Child, idx []int) []Child {
-	out := make([]Child, len(idx))
-	for k, i := range idx {
-		out[k] = src[i]
-	}
-	return out
 }

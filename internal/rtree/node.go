@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"dynq/internal/geom"
@@ -28,48 +27,6 @@ import (
 const nodeHeaderSize = 16
 
 const flagDualTime = 1 << 0
-
-func encodeNode(cfg Config, n *Node, buf []byte) error {
-	if len(buf) != pager.PageSize {
-		return pager.ErrBadPageData
-	}
-	clear(buf)
-	var maxEntries int
-	if n.Leaf() {
-		maxEntries = cfg.MaxLeafEntries()
-	} else {
-		maxEntries = cfg.MaxInternalEntries()
-	}
-	if n.Len() > maxEntries {
-		return fmt.Errorf("rtree: node %d has %d entries, page fits %d", n.ID, n.Len(), maxEntries)
-	}
-	if n.Level > 255 {
-		return fmt.Errorf("rtree: level %d out of range", n.Level)
-	}
-	buf[0] = byte(n.Level)
-	if cfg.DualTime {
-		buf[1] = flagDualTime
-	}
-	binary.LittleEndian.PutUint16(buf[2:], uint16(n.Len()))
-	binary.LittleEndian.PutUint64(buf[4:], n.Stamp)
-
-	off := nodeHeaderSize
-	if n.Leaf() {
-		for _, e := range n.Entries {
-			putLeafEntry(buf[off:], cfg.Dims, e)
-			off += cfg.leafEntrySize()
-		}
-		return nil
-	}
-	for _, c := range n.Children {
-		if len(c.Box) != cfg.boxDims() {
-			return fmt.Errorf("rtree: child box has %d dims, want %d", len(c.Box), cfg.boxDims())
-		}
-		putChild(buf[off:off+cfg.internalEntrySize()], cfg.DualTime, c.Box, c.ID)
-		off += cfg.internalEntrySize()
-	}
-	return nil
-}
 
 func putF32(dst []byte, off int, v float32) {
 	binary.LittleEndian.PutUint32(dst[off:], math.Float32bits(v))
@@ -112,27 +69,6 @@ func putChildBox(dst []byte, dual bool, box geom.Box) {
 func putChild(dst []byte, dual bool, box geom.Box, id pager.PageID) {
 	putChildBox(dst, dual, box)
 	binary.LittleEndian.PutUint32(dst[len(dst)-4:], uint32(id))
-}
-
-// DecodePage decodes one on-disk node page under cfg. It is the exported
-// entry point for the recovery walk (which must inspect pages without a
-// live tree) and for fuzzing: on arbitrary bytes it returns an error,
-// never panics.
-func DecodePage(cfg Config, id pager.PageID, buf []byte) (*Node, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return decodeNode(cfg, id, buf)
-}
-
-// decodeNode is "open the view, materialise every entry": the view owns
-// the page format's header and bounds checks.
-func decodeNode(cfg Config, id pager.PageID, buf []byte) (*Node, error) {
-	v, err := openView(cfg, id, buf)
-	if err != nil {
-		return nil, err
-	}
-	return v.node(), nil
 }
 
 // QuantizeSegment rounds a segment's coordinates to float32, the on-disk

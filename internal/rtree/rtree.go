@@ -106,6 +106,23 @@ func (c Config) internalEntrySize() int {
 	return n*4 + 4 // f32 bounds + child page id
 }
 
+// fanout is the most entries a leaf or an internal node holds.
+func (c Config) fanout(leaf bool) int {
+	if leaf {
+		return c.MaxLeafEntries()
+	}
+	return c.MaxInternalEntries()
+}
+
+// layout is where a leaf's or an internal node's entries lie on its page.
+func (c Config) layout(leaf bool) entryLayout {
+	size := c.internalEntrySize()
+	if leaf {
+		size = c.leafEntrySize()
+	}
+	return entryLayout{stride: uint16(size), dims: uint8(c.Dims), dual: c.DualTime}
+}
+
 func (c Config) minLeafEntries() int {
 	m := int(math.Floor(float64(c.MaxLeafEntries()) * c.MinFill))
 	if m < 1 {
@@ -159,53 +176,6 @@ func (e LeafEntry) fillBox(b geom.Box) {
 	b[dims+1] = geom.IntervalOf(e.Seg.T.Hi)
 }
 
-// Child is an internal-node entry: a subtree bounding box in dual space
-// and the page holding the subtree root.
-type Child struct {
-	Box geom.Box
-	ID  pager.PageID
-}
-
-// Node is the decoded form of one tree page.
-type Node struct {
-	ID    pager.PageID
-	Level int    // 0 = leaf
-	Stamp uint64 // modification sequence number at last write
-
-	Children []Child     // populated iff Level > 0
-	Entries  []LeafEntry // populated iff Level == 0
-}
-
-// Leaf reports whether the node is at the leaf level.
-func (n *Node) Leaf() bool { return n.Level == 0 }
-
-// Len returns the number of entries (children or segments).
-func (n *Node) Len() int {
-	if n.Leaf() {
-		return len(n.Entries)
-	}
-	return len(n.Children)
-}
-
-// MBR returns the minimum bounding box (dual space) of the node's
-// entries; empty for an empty node.
-func (n *Node) MBR(dims int) geom.Box {
-	mbr := geom.NewBox(dims + 2)
-	if n.Leaf() {
-		var scratch [maxDims + 2]geom.Interval
-		box := geom.Box(scratch[:dims+2])
-		for _, e := range n.Entries {
-			e.fillBox(box)
-			mbr.CoverInPlace(box)
-		}
-	} else {
-		for _, c := range n.Children {
-			mbr.CoverInPlace(c.Box)
-		}
-	}
-	return mbr
-}
-
 // UpdateKind distinguishes the shapes of PDQ update notifications.
 type UpdateKind int
 
@@ -236,7 +206,7 @@ type Update struct {
 }
 
 // Tree is a disk-based R-tree. All exported methods are safe for
-// concurrent use: read operations (searches, node loads, accessors) hold
+// concurrent use: read operations (searches, node views, accessors) hold
 // a shared lock and run in parallel against the lock-sharded buffer
 // pool, while structural operations (Insert, Delete, bulk load) hold the
 // exclusive lock.
@@ -254,7 +224,7 @@ type Tree struct {
 	listeners   map[uint64]func(Update)
 	listenerSeq uint64
 
-	scratch []byte // page-sized encode buffer
+	scratch []byte // where a new page is assembled (fresh) before the pool takes it
 
 	// mc, when set, is charged for index maintenance costs (page
 	// writes) that have no per-query counter to bill to. Nil-safe.
@@ -278,9 +248,8 @@ func New(cfg Config, store pager.Store) (*Tree, error) {
 	return t, nil
 }
 
-// NewBuffered creates an empty tree whose node loads go through an LRU
-// buffer pool of the given page capacity (used by the server-side
-// buffering ablation).
+// NewBuffered creates an empty tree whose page reads and writes go
+// through an LRU buffer pool of the given page capacity.
 func NewBuffered(cfg Config, store pager.Store, bufferPages int) (*Tree, error) {
 	t, err := New(cfg, store)
 	if err != nil {
@@ -366,39 +335,6 @@ func (t *Tree) OnUpdate(fn func(Update)) (unsubscribe func()) {
 		defer t.mu.Unlock()
 		delete(t.listeners, id)
 	}
-}
-
-// Load reads and decodes a node, charging one disk access to c (split by
-// leaf/internal level, the paper's I/O metric).
-func (t *Tree) Load(id pager.PageID, c *stats.Counters) (*Node, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.load(id, c)
-}
-
-func (t *Tree) load(id pager.PageID, c *stats.Counters) (*Node, error) {
-	var n *Node
-	err := t.view(id, c, func(v NodeView) error {
-		n = v.node()
-		return nil
-	})
-	return n, err
-}
-
-func (t *Tree) write(n *Node) error {
-	if err := encodeNode(t.cfg, n, t.scratch); err != nil {
-		return err
-	}
-	t.mc.AddPageWrite()
-	return t.pool.Put(n.ID, t.scratch)
-}
-
-func (t *Tree) alloc(level int) (*Node, error) {
-	id, err := t.pool.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	return &Node{ID: id, Level: level, Stamp: t.modSeq}, nil
 }
 
 // QueryBox maps a snapshot query — a spatial range and a time interval —

@@ -149,23 +149,21 @@ func (t *Tree) Stats() (TreeStats, error) {
 	var leafEntries, intEntries int
 	var walk func(id pager.PageID) error
 	walk = func(id pager.PageID) error {
-		n, err := t.load(id, nil)
-		if err != nil {
-			return err
-		}
-		if n.Leaf() {
-			st.LeafNodes++
-			leafEntries += len(n.Entries)
-			return nil
-		}
-		st.InternalNodes++
-		intEntries += len(n.Children)
-		for _, ch := range n.Children {
-			if err := walk(ch.ID); err != nil {
-				return err
+		return t.view(id, nil, func(v NodeView) error {
+			if v.Leaf() {
+				st.LeafNodes++
+				leafEntries += v.Len()
+				return nil
 			}
-		}
-		return nil
+			st.InternalNodes++
+			intEntries += v.Len()
+			for k := 0; k < v.Len(); k++ {
+				if err := walk(v.ChildID(k)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
 	if err := walk(t.root); err != nil {
 		return TreeStats{}, err
@@ -182,8 +180,9 @@ func (t *Tree) Stats() (TreeStats, error) {
 // Validate checks the structural invariants of the tree and returns the
 // first violation found (nil when sound): every child box contains its
 // subtree's geometry, all leaves are at level 0 with uniform depth, entry
-// counts respect the fanout, and the recorded size matches the number of
-// stored segments. Intended for tests and the loader tool.
+// counts respect the fanout (the view refuses a page whose count does not),
+// and the recorded size matches the number of stored segments. Intended for
+// tests and the loader tool.
 func (t *Tree) Validate() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -196,42 +195,35 @@ func (t *Tree) Validate() error {
 	segs := 0
 	var walk func(id pager.PageID, wantLevel int, within geom.Box) error
 	walk = func(id pager.PageID, wantLevel int, within geom.Box) error {
-		n, err := t.load(id, nil)
-		if err != nil {
-			return err
-		}
-		if n.Level != wantLevel {
-			return fmt.Errorf("rtree: node %d at level %d, expected %d", id, n.Level, wantLevel)
-		}
-		if n.Leaf() {
-			if len(n.Entries) > t.cfg.MaxLeafEntries() {
-				return fmt.Errorf("rtree: leaf %d over-full (%d)", id, len(n.Entries))
+		return t.view(id, nil, func(v NodeView) error {
+			if v.Level() != wantLevel {
+				return fmt.Errorf("rtree: node %d at level %d, expected %d", id, v.Level(), wantLevel)
 			}
-			segs += len(n.Entries)
-			if within != nil {
-				for _, e := range n.Entries {
-					if !within.Contains(e.Box(t.cfg.Dims)) {
-						return fmt.Errorf("rtree: leaf %d entry %d escapes parent box %v", id, e.ID, within)
+			box := make(geom.Box, t.cfg.boxDims())
+			if v.Leaf() {
+				segs += v.Len()
+				for k := 0; within != nil && k < v.Len(); k++ {
+					if v.EntryBox(k, box); !within.Contains(box) {
+						eid, _ := v.EntryKey(k)
+						return fmt.Errorf("rtree: leaf %d entry %d escapes parent box %v", id, eid, within)
 					}
+				}
+				return nil
+			}
+			if v.Len() == 0 {
+				return fmt.Errorf("rtree: internal %d is empty", id)
+			}
+			for k := 0; k < v.Len(); k++ {
+				v.ChildBox(k, box)
+				if within != nil && !within.Contains(box) {
+					return fmt.Errorf("rtree: node %d child %d box escapes parent box", id, v.ChildID(k))
+				}
+				if err := walk(v.ChildID(k), wantLevel-1, box); err != nil {
+					return err
 				}
 			}
 			return nil
-		}
-		if len(n.Children) > t.cfg.MaxInternalEntries() {
-			return fmt.Errorf("rtree: internal %d over-full (%d)", id, len(n.Children))
-		}
-		if len(n.Children) == 0 {
-			return fmt.Errorf("rtree: internal %d is empty", id)
-		}
-		for _, ch := range n.Children {
-			if within != nil && !within.Contains(ch.Box) {
-				return fmt.Errorf("rtree: node %d child %d box escapes parent box", id, ch.ID)
-			}
-			if err := walk(ch.ID, wantLevel-1, ch.Box); err != nil {
-				return err
-			}
-		}
-		return nil
+		})
 	}
 	if err := walk(t.root, t.height-1, nil); err != nil {
 		return err

@@ -8,7 +8,7 @@ import (
 
 // splitTable is an over-full node laid flat for splitGroups: row i of ext is
 // entry i's box, measured once. It takes five allocations whatever the
-// fanout, and lives for one split.
+// fanout, and lives for one split (Tree.split).
 type splitTable struct {
 	axes int
 	ext  []geom.Interval // the rows, axes extents each
@@ -34,20 +34,16 @@ func newSplitTable(n, axes int) splitTable {
 	}
 }
 
-// leafTable lays out a leaf's entries (LeafEntry.Box), childTable an
-// internal node's child boxes, each box having axes extents.
-func leafTable(entries []LeafEntry, axes int) splitTable {
-	s := newSplitTable(len(entries), axes)
-	for i, e := range entries {
-		e.fillBox(s.row(i))
-	}
-	return s
-}
-
-func childTable(children []Child, axes int) splitTable {
-	s := newSplitTable(len(children), axes)
-	for i, c := range children {
-		copy(s.row(i), c.Box)
+// tableOf lays out the node v views, one row per entry: EntryBox for a
+// leaf, ChildBox for an internal node.
+func tableOf(v NodeView) splitTable {
+	s := newSplitTable(v.Len(), int(v.dims)+2)
+	for i := range s.box {
+		if v.Leaf() {
+			v.EntryBox(i, s.row(i))
+		} else {
+			v.ChildBox(i, s.row(i))
+		}
 	}
 	return s
 }

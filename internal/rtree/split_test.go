@@ -176,10 +176,10 @@ func FuzzSplitGroups(f *testing.F) {
 
 // splitNodes grows a dual-time tree from empty, as BenchmarkInsert does,
 // until an insert is about to split a full leaf under a full root, and
-// returns the two nodes as splitLeaf and splitInternal then receive them:
-// the leaf with the new entry appended (128 entries at d=2) and the root
-// with the leaf's new sibling appended (114).
-func splitNodes(tb testing.TB) (cfg Config, leaf, root *Node) {
+// returns the two over-full nodes as Tree.split then receives them: the
+// leaf with the new entry appended (128 entries at d=2) and the root with
+// the leaf's new sibling appended (114).
+func splitNodes(tb testing.TB) (cfg Config, leaf, root nodeEdit) {
 	tb.Helper()
 	cfg = DefaultConfig()
 	cfg.DualTime = true
@@ -191,22 +191,30 @@ func splitNodes(tb testing.TB) (cfg Config, leaf, root *Node) {
 	for id := ObjectID(0); ; id++ {
 		e := LeafEntry{ID: id, Seg: QuantizeSegment(randSegment(r))}
 		if tree.height == 2 {
-			if root, err = tree.load(tree.root, nil); err != nil {
+			err := tree.view(tree.root, nil, func(rv NodeView) error {
+				if rv.Len() < cfg.MaxInternalEntries() {
+					return nil
+				}
+				ci := rv.chooseChild(e.Box(cfg.Dims))
+				return tree.view(rv.ChildID(ci), nil, func(lv NodeView) error {
+					if lv.Len() < cfg.MaxLeafEntries() {
+						return nil
+					}
+					leaf = overfull(lv)
+					leaf.appendEntry(e)
+					s := tableOf(leaf.NodeView)
+					ga, gb := s.splitGroups(cfg.minLeafEntries())
+					ga, gb = forceNewInB(ga, gb, leaf.Len()-1)
+					root = overfull(rv)
+					root.setChildBox(ci, cover(&s, ga))
+					root.appendChild(cover(&s, gb), 0)
+					return nil
+				})
+			})
+			if err != nil {
 				tb.Fatal(err)
 			}
-		}
-		if root != nil && root.Len() == cfg.MaxInternalEntries() {
-			ci := refChooseChild(root.Children, e.Box(cfg.Dims))
-			if leaf, err = tree.load(root.Children[ci].ID, nil); err != nil {
-				tb.Fatal(err)
-			}
-			if leaf.Len() == cfg.MaxLeafEntries() {
-				leaf.Entries = append(leaf.Entries, e)
-				s := leafTable(leaf.Entries, cfg.boxDims())
-				ga, gb := s.splitGroups(cfg.minLeafEntries())
-				ga, gb = forceNewInB(ga, gb, len(leaf.Entries)-1)
-				root.Children[ci].Box = (&Node{Entries: pickLeafEntries(leaf.Entries, ga)}).MBR(cfg.Dims)
-				root.Children = append(root.Children, Child{Box: (&Node{Entries: pickLeafEntries(leaf.Entries, gb)}).MBR(cfg.Dims)})
+			if root.page != nil {
 				return cfg, leaf, root
 			}
 		}
@@ -214,4 +222,13 @@ func splitNodes(tb testing.TB) (cfg Config, leaf, root *Node) {
 			tb.Fatal(err)
 		}
 	}
+}
+
+// cover is the box of a split group: the cover of its rows.
+func cover(s *splitTable, group []int) geom.Box {
+	box := geom.NewBox(s.axes)
+	for _, i := range group {
+		box.CoverInPlace(s.row(i))
+	}
+	return box
 }

@@ -51,22 +51,28 @@ func openView(cfg Config, id pager.PageID, buf []byte) (NodeView, error) {
 	if len(buf) != pager.PageSize {
 		return NodeView{}, pager.ErrBadPageData
 	}
-	v := NodeView{page: buf, id: id, entryLayout: entryLayout{dims: uint8(cfg.Dims), dual: buf[1]&flagDualTime != 0}}
-	if v.dual != cfg.DualTime {
-		return NodeView{}, fmt.Errorf("rtree: page %d temporal layout (dual=%v) does not match tree config (dual=%v)", id, v.dual, cfg.DualTime)
+	if dual := buf[1]&flagDualTime != 0; dual != cfg.DualTime {
+		return NodeView{}, fmt.Errorf("rtree: page %d temporal layout (dual=%v) does not match tree config (dual=%v)", id, dual, cfg.DualTime)
 	}
-	if v.Leaf() {
-		if v.Len() > cfg.MaxLeafEntries() {
-			return NodeView{}, fmt.Errorf("rtree: page %d leaf count %d exceeds fanout", id, v.Len())
+	v := NodeView{page: buf, id: id, entryLayout: cfg.layout(buf[0] == 0)}
+	if v.Len() > cfg.fanout(v.Leaf()) {
+		kind := "internal"
+		if v.Leaf() {
+			kind = "leaf"
 		}
-		v.stride = uint16(cfg.leafEntrySize())
-	} else {
-		if v.Len() > cfg.MaxInternalEntries() {
-			return NodeView{}, fmt.Errorf("rtree: page %d internal count %d exceeds fanout", id, v.Len())
-		}
-		v.stride = uint16(cfg.internalEntrySize())
+		return NodeView{}, fmt.Errorf("rtree: page %d %s count %d exceeds fanout", id, kind, v.Len())
 	}
 	return v, nil
+}
+
+// OpenView is openView for a caller with no live tree — the recovery and
+// scrub walks, which read raw pages — so it validates cfg first. On
+// arbitrary bytes it returns an error, never panics.
+func OpenView(cfg Config, id pager.PageID, page []byte) (NodeView, error) {
+	if err := cfg.validate(); err != nil {
+		return NodeView{}, err
+	}
+	return openView(cfg, id, page)
 }
 
 // Level returns the node's level (0 = leaf).
@@ -291,36 +297,9 @@ func (v NodeView) keep(k int, s *Slab, seg *geom.Segment) ObjectID {
 	return v.entrySeg(k, seg)
 }
 
-// node materialises the whole node into its mutable form. All child boxes
-// share one slab of extents and all leaf points one slab of coordinates
-// (capacity-clipped, so appending to one never reaches its neighbour):
-// three allocations per node whatever its fanout.
-func (v NodeView) node() *Node {
-	n := &Node{ID: v.id, Level: v.Level(), Stamp: v.Stamp()}
-	d, count := int(v.dims), v.Len()
-	if v.Leaf() {
-		n.Entries = make([]LeafEntry, count)
-		pts := make([]float64, 2*d*count)
-		for k := range n.Entries {
-			e := &n.Entries[k]
-			e.Seg.Start, e.Seg.End, pts = pts[:0:d], pts[d:d:2*d], pts[2*d:]
-			v.Entry(k, e)
-		}
-		return n
-	}
-	n.Children = make([]Child, count)
-	slab := make(geom.Box, (d+2)*count)
-	for k := range n.Children {
-		c := &n.Children[k]
-		c.Box, slab = slab[:d+2:d+2], slab[d+2:]
-		v.ChildBox(k, c.Box)
-		c.ID = v.ChildID(k)
-	}
-	return n
-}
-
 // View runs fn on a view of node id under the tree's read lock, charging
-// one disk access to c exactly as Load does. The view is valid only until
+// one disk access to c (split by leaf/internal level, the paper's I/O
+// metric). The view is valid only until
 // fn returns, and fn must not call back into the tree: a writer queued
 // behind the read lock would deadlock a nested acquisition.
 func (t *Tree) View(id pager.PageID, c *stats.Counters, fn func(NodeView) error) error {

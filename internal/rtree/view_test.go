@@ -247,8 +247,8 @@ func TestAllocationBudget(t *testing.T) {
 
 // The write path's win, guarded: an insert that finds room in a leaf edits
 // the pages of its path where they lie — it allocates for the segment it
-// stores, not for the nodes it passes. (A split still materialises nodes;
-// over this many inserts into half-full leaves there are few.)
+// stores, not for the nodes it passes. (A split copies the full node off
+// its page; over this many inserts into half-full leaves there are few.)
 func TestInsertAllocationBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DualTime = true
@@ -277,9 +277,9 @@ func TestInsertAllocationBudget(t *testing.T) {
 	}
 
 	// Time-ordered inserts into one region fill one leaf after another. A
-	// split materialises the full node and writes two, and its table takes
-	// five allocations, so what it costs beyond an insert does not grow
-	// with the fanout, which is 128 boxes at d=2.
+	// split copies the full node off its page, its table takes five
+	// allocations and each half's box one, so what it costs beyond an
+	// insert does not grow with the fanout, which is 128 boxes at d=2.
 	perInsert := allocs
 	const batch = 640
 	late := make([]geom.Segment, 2*batch)

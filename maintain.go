@@ -625,16 +625,14 @@ func scrubStep(store pager.Store, w *scrubWalk, budget int) scrubResult {
 			// newer tree — the next pass verifies them from its root.
 			continue
 		}
-		n, err := rtree.DecodePage(w.cfg, id, buf)
+		v, err := rtree.OpenView(w.cfg, id, buf)
 		if err != nil {
 			res.corruptions++
 			res.lastErr = fmt.Errorf("%w: scrub: page %d: %w", ErrCorrupt, id, err)
 			continue
 		}
-		if !n.Leaf() {
-			for _, c := range n.Children {
-				w.queue = append(w.queue, c.ID)
-			}
+		for k := 0; !v.Leaf() && k < v.Len(); k++ {
+			w.queue = append(w.queue, v.ChildID(k))
 		}
 	}
 	if len(w.queue) == 0 {

@@ -417,24 +417,24 @@ func verifyTree(fs *pager.FileStore, m rtree.Meta, rep *RecoveryReport) (map[pag
 			return nil, fmt.Errorf("%w: page %d carries epoch %d newer than committed header %d (torn flush overwrote committed state)",
 				ErrCorrupt, fr.id, epoch, seq)
 		}
-		n, err := rtree.DecodePage(m.Config, fr.id, buf)
+		v, err := rtree.OpenView(m.Config, fr.id, buf)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
-		if n.Level != fr.level {
-			return nil, fmt.Errorf("%w: page %d stores level %d, tree position implies %d", ErrCorrupt, fr.id, n.Level, fr.level)
+		if v.Level() != fr.level {
+			return nil, fmt.Errorf("%w: page %d stores level %d, tree position implies %d", ErrCorrupt, fr.id, v.Level(), fr.level)
 		}
-		if n.Leaf() {
+		if v.Leaf() {
 			rep.LeafPages++
-			rep.Segments += len(n.Entries)
+			rep.Segments += v.Len()
 			continue
 		}
 		rep.InternalPages++
-		if len(n.Children) == 0 {
+		if v.Len() == 0 {
 			return nil, fmt.Errorf("%w: internal page %d has no children", ErrCorrupt, fr.id)
 		}
-		for _, c := range n.Children {
-			queue = append(queue, frame{c.ID, fr.level - 1})
+		for k := 0; k < v.Len(); k++ {
+			queue = append(queue, frame{v.ChildID(k), fr.level - 1})
 		}
 	}
 	rep.PagesChecked = len(reachable)
