@@ -28,18 +28,19 @@ type NonPredictiveCursor interface {
 type AdaptiveCursor interface {
 	Frame(view Rect, t0, t1 float64) ([]Result, error)
 	Predictive() bool
+	Handoffs() int
 	Close()
 }
 
-// Database is the query and write surface shared by *DB and *ShardedDB:
-// everything a server needs to answer the protocol's operations without
-// knowing whether one tree or many stand behind it.
+// Database is the query and write surface of *DB: everything a server
+// needs to answer the protocol's operations without knowing whether one
+// tree or many stand behind it.
 type Database interface {
 	Insert(id ObjectID, seg Segment) error
 	Delete(id ObjectID, t0 float64) error
 	// ApplyUpdates applies a batch of motion updates as one write: the
-	// high-rate ingest path. See the concrete types for atomicity and
-	// durability semantics.
+	// high-rate ingest path. See DB for atomicity and durability
+	// semantics.
 	ApplyUpdates(ctx context.Context, updates []MotionUpdate, opts WriteOptions) error
 	BulkLoadUpdates(updates []MotionUpdate) error
 	// Sync persists every page file and checkpoints every armed log.
@@ -63,9 +64,11 @@ type Database interface {
 	// MaintenanceTelemetry snapshots the self-healing loop; ok is false
 	// when none is running.
 	MaintenanceTelemetry() (obs.MaintenanceTelemetry, bool)
-	// RegisterWALMetrics and RegisterMaintenanceMetrics expose the logs'
-	// and the maintenance loop's series in a registry, reporting whether
-	// there was anything to register.
+	// RegisterMetrics exposes the per-unit series (shard="0" for a
+	// one-unit database). RegisterWALMetrics and RegisterMaintenanceMetrics
+	// expose the logs' and the maintenance loop's, reporting whether there
+	// was anything to register.
+	RegisterMetrics(reg *obs.Registry)
 	RegisterWALMetrics(reg *obs.Registry) bool
 	RegisterMaintenanceMetrics(reg *obs.Registry) bool
 	// Degraded reports whether the database entered read-only mode after
@@ -76,8 +79,4 @@ type Database interface {
 	Close() error
 }
 
-// Compile-time check: both flavours present the same surface.
-var (
-	_ Database = (*DB)(nil)
-	_ Database = (*ShardedDB)(nil)
-)
+var _ Database = (*DB)(nil)

@@ -141,10 +141,10 @@ func (f *chaosWALFault) fault(string) error {
 // openChaos reopens the committed file with full recovery, a FaultStore
 // interposed on the page path, a fault-hooked WAL, and a manually ticked
 // maintenance loop under the injected clock.
-func openChaos(path, walPath string, bufferPages int, mopts MaintenanceOptions,
+func openChaos(path string, bufferPages int, mopts MaintenanceOptions,
 	now func() time.Time, walFault func(string) error) (*DB, *pager.FileStore, *pager.FaultStore, error) {
 	return recoverFaulted(recoverSpec{
-		lay:         singleLayout(path, walPath),
+		lay:         singleLayout(path),
 		units:       1,
 		forceWAL:    true,
 		bufferPages: bufferPages,
@@ -183,7 +183,6 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 		defer os.RemoveAll(dir)
 	}
 	path := filepath.Join(dir, "chaossoak.dynq")
-	walPath := path + ".wal"
 
 	mopts := MaintenanceOptions{
 		Checkpoint:       CheckpointPolicy{MaxBytes: chaosMaxWALBytes},
@@ -200,10 +199,10 @@ func ChaosSoak(opts ChaosSoakOptions) (ChaosSoakReport, error) {
 	var faults *pager.FaultStore
 	s := &walCrashSoak{
 		counts: &rep.walCycleCounts,
-		seed:   opts.Seed, cycles: opts.Cycles, units: 1, lay: singleLayout(path, walPath),
+		seed:   opts.Seed, cycles: opts.Cycles, units: 1, lay: singleLayout(path),
 		batch: chaosBatch, asyncBatches: chaosAsyncBatches,
 		open: func() (*engine, error) {
-			db, _, f, err := openChaos(path, walPath, walSoakBufferPages, mopts, clk.Now, hook.fault)
+			db, _, f, err := openChaos(path, walSoakBufferPages, mopts, clk.Now, hook.fault)
 			if err != nil {
 				return nil, err
 			}

@@ -164,7 +164,8 @@ func inspect(path string) error {
 	}
 	defer db.Close()
 	fmt.Printf("recovery:        %s\n", rep)
-	if info, ok := db.WALInfo(); ok {
+	infos, _ := db.WALInfo()
+	for _, info := range infos {
 		fmt.Printf("wal:             %s (epoch %d, %s)\n", info.Path, info.Epoch, sizeofBytes(info.Size))
 		fmt.Printf("  lsn:           last %d, durable %d, checkpoint %d\n",
 			info.LastLSN, info.DurableLSN, info.CheckpointLSN)

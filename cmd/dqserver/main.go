@@ -185,20 +185,14 @@ func main() {
 	if err != nil {
 		fatal("bind query listener", err)
 	}
-	shardCount := 1
-	args := []any{
+	logger.Info("serving",
 		"addr", l.Addr().String(),
 		"segments", st.Segments,
 		"height", st.Height,
 		"internal_nodes", st.InternalNodes,
 		"leaf_nodes", st.LeafNodes,
-	}
-	if sdb, ok := db.(*dynq.ShardedDB); ok {
-		shardCount = sdb.Shards()
-		args = append(args, "workers", sdb.Workers())
-	}
-	args = append(args, "shards", shardCount)
-	logger.Info("serving", args...)
+		"workers", db.Workers(),
+		"shards", db.Shards())
 	if maint.Enabled() {
 		logger.Info("self-healing maintenance loop running",
 			"auto_checkpoint_bytes", o.autoCkptBytes,
@@ -314,22 +308,29 @@ func validateFlags(path string, shards int, walArm bool) error {
 	return nil
 }
 
-func openDB(path string, scale float64, seed int64, dual bool, shards int, walArm bool, gcWin time.Duration, maint dynq.MaintenanceOptions, logger *slog.Logger) (dynq.Database, *dynq.RecoveryReport, error) {
+func openDB(path string, scale float64, seed int64, dual bool, shards int, walArm bool, gcWin time.Duration, maint dynq.MaintenanceOptions, logger *slog.Logger) (*dynq.DB, *dynq.RecoveryReport, error) {
 	if err := validateFlags(path, shards, walArm); err != nil {
 		return nil, nil, err
 	}
-	if path != "" && shards > 1 {
-		// A sharded on-disk database: one page file and one log per shard
-		// under <path>.shard<i>. Every shard file is verified and its log
-		// replayed before serving; when none exist yet the database is
-		// created fresh, with the tree shape the flags ask for.
-		db, reps, err := dynq.OpenShardedRecover(path, dynq.ShardRecoverOptions{
-			Shards:            shards,
+	if path != "" {
+		// Open through recovery so the server never takes traffic on an
+		// unverified file: every unit is verified and its log replayed, and
+		// the report feeds dynq_recovery_* gauges. -shards 1 is the single
+		// file, N > 1 the <path>.shard<i> set. -wal forces the log sidecars
+		// into existence; without the flag existing ones are still detected
+		// and replayed. A set that does not exist yet is created fresh, with
+		// the tree shape the flags ask for.
+		units := 0
+		if shards > 1 {
+			units = shards
+		}
+		db, rep, err := dynq.OpenFileRecoverWith(path, dynq.RecoverOptions{
+			Shards:            units,
 			WAL:               walArm,
 			GroupCommitWindow: gcWin,
 			Maintenance:       maint,
 		})
-		if errors.Is(err, os.ErrNotExist) {
+		if units > 0 && errors.Is(err, os.ErrNotExist) {
 			db, err = dynq.OpenSharded(dynq.ShardOptions{
 				Options: dynq.Options{Path: path, DualTimeAxes: dual, GroupCommitWindow: gcWin, Maintenance: maint},
 				Shards:  shards,
@@ -339,38 +340,19 @@ func openDB(path string, scale float64, seed int64, dual bool, shards int, walAr
 		if err != nil {
 			return nil, nil, err
 		}
-		rep := dynq.MergeRecoveryReports(reps)
 		if db.WALArmed() {
-			args := []any{"logs", shards, "wal_pattern", path + ".shard<i>.wal"}
+			wal := path + ".wal"
+			if units > 0 {
+				wal = path + ".shard<i>.wal"
+			}
+			args := []any{"logs", db.Shards(), "wal", wal}
 			if rep != nil {
 				args = append(args,
 					"replayed_records", rep.WALRecordsReplayed,
 					"replayed_updates", rep.WALUpdatesReplayed,
 					"torn_tail", rep.WALTornTail)
 			}
-			logger.Info("per-shard write-ahead logs armed", args...)
-		}
-		return db, rep, nil
-	}
-	if path != "" {
-		// Open through recovery so the server never takes traffic on an
-		// unverified file; the report feeds dynq_recovery_* gauges. -wal
-		// forces a log sidecar into existence; without the flag an
-		// existing sidecar is still detected and replayed.
-		ropts := dynq.RecoverOptions{GroupCommitWindow: gcWin, Maintenance: maint}
-		if walArm {
-			ropts.WALPath = path + ".wal"
-		}
-		db, rep, err := dynq.OpenFileRecoverWith(path, ropts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if rep.WALArmed {
-			logger.Info("write-ahead log armed",
-				"wal", path+".wal",
-				"replayed_records", rep.WALRecordsReplayed,
-				"replayed_updates", rep.WALUpdatesReplayed,
-				"torn_tail", rep.WALTornTail)
+			logger.Info("write-ahead logs armed", args...)
 		}
 		return db, rep, nil
 	}
@@ -385,15 +367,11 @@ func openDB(path string, scale float64, seed int64, dual bool, shards int, walAr
 	if err != nil {
 		return nil, nil, err
 	}
-	var db dynq.Database
-	if shards > 1 {
-		db, err = dynq.OpenSharded(dynq.ShardOptions{
-			Options: dynq.Options{DualTimeAxes: dual, Maintenance: maint},
-			Shards:  shards,
-		})
-	} else {
-		db, err = dynq.Open(dynq.Options{DualTimeAxes: dual, Maintenance: maint})
-	}
+	// In memory there is no file layout: one shard is what Open builds.
+	db, err := dynq.OpenSharded(dynq.ShardOptions{
+		Options: dynq.Options{DualTimeAxes: dual, Maintenance: maint},
+		Shards:  shards,
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -58,7 +58,8 @@ func discardLogger() *slog.Logger {
 
 // TestOpenDBShardedDurable drives the server's open path end to end:
 // -db X -shards N -wal creates a durable sharded database, and a second
-// open recovers it with the data intact instead of truncating it.
+// open recovers it with the data intact instead of truncating it; -db X
+// -wal recovers a single file the same way.
 func TestOpenDBShardedDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "srv.dynq")
 	logger := discardLogger()
@@ -70,15 +71,14 @@ func TestOpenDBShardedDurable(t *testing.T) {
 	if rep != nil {
 		t.Errorf("fresh create returned a recovery report: %+v", rep)
 	}
-	sdb, ok := db.(*dynq.ShardedDB)
-	if !ok {
-		t.Fatalf("openDB returned %T, want *dynq.ShardedDB", db)
+	if db.Shards() != 4 {
+		t.Fatalf("openDB served %d shards, want 4", db.Shards())
 	}
-	if !sdb.WALArmed() {
+	if !db.WALArmed() {
 		t.Fatal("-wal did not arm the per-shard logs")
 	}
 	seg := dynq.Segment{T0: 0, T1: 1, From: []float64{1, 1}, To: []float64{2, 2}}
-	if err := sdb.Insert(42, seg); err != nil {
+	if err := db.Insert(42, seg); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -102,11 +102,48 @@ func TestOpenDBShardedDurable(t *testing.T) {
 		t.Fatalf("reopen lost the inserted segment: %v", rs)
 	}
 
-	// A mismatched shard count is refused cleanly.
-	if _, _, err := openDB(path, 0, 1, false, 2, true, 0, dynq.MaintenanceOptions{}, logger); err == nil {
-		t.Fatal("reopen with the wrong shard count succeeded")
-	} else if !strings.Contains(err.Error(), "shard count") {
-		t.Fatalf("wrong-count error should explain the shard-count rule, got: %v", err)
+	// A mismatched shard count is refused cleanly, the single file too.
+	for _, shards := range []int{2, 1} {
+		if _, _, err := openDB(path, 0, 1, false, shards, true, 0, dynq.MaintenanceOptions{}, logger); err == nil {
+			t.Fatalf("reopen with -shards %d succeeded", shards)
+		} else if !strings.Contains(err.Error(), "shard count") {
+			t.Fatalf("-shards %d: wrong-count error should explain the shard-count rule, got: %v", shards, err)
+		}
+	}
+
+	// The single file takes the same recovering open: -db X -wal on a file
+	// dqload built arms the "<X>.wal" sidecar, and a restart replays the
+	// unsynced write from it.
+	path = filepath.Join(t.TempDir(), "single.dynq")
+	seed, err := dynq.Open(dynq.Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for pass, want := range []int{0, 1} {
+		db, rep, err := openDB(path, 0, 1, false, 1, true, 0, dynq.MaintenanceOptions{}, logger)
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if db.Shards() != 1 || !db.WALArmed() || rep == nil || !rep.WALArmed {
+			t.Fatalf("pass %d: %d shards, WAL armed %v, report %v; want the single file with its log", pass, db.Shards(), db.WALArmed(), rep)
+		}
+		if db.Len() != want || rep.WALUpdatesReplayed != want {
+			t.Fatalf("pass %d: %d segments (%d replayed), want %d", pass, db.Len(), rep.WALUpdatesReplayed, want)
+		}
+		if pass == 0 {
+			if err := db.Insert(42, seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil { // no Sync: the write lives in the log only
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(path + ".wal"); err != nil {
+		t.Fatalf("sidecar missing: %v", err)
 	}
 }
 

@@ -10,11 +10,11 @@
 //
 //   - Snapshot: an independent spatio-temporal range query (the paper's
 //     baseline when repeated per frame).
-//   - PredictiveQuery (PDQ): the observer registers a trajectory; results
+//   - Predictive (PDQ): the observer registers a trajectory; results
 //     stream out incrementally in order of appearance, each index node is
 //     read at most once, and concurrent insertions are merged in live.
-//   - NonPredictiveQuery (NPDQ): no trajectory is known; each snapshot
-//     reuses the previous snapshot's coverage to prune index nodes.
+//   - NonPredictive (NPDQ): no trajectory is known; each snapshot reuses
+//     the previous snapshot's coverage to prune index nodes.
 //
 // A typical session:
 //
@@ -85,23 +85,25 @@ type Options struct {
 	Path string
 	// BufferPages enables a server-side LRU page buffer of the given
 	// capacity. The paper's experiments run bufferless (0): the client,
-	// not the server, caches results. With WALPath set, 0 selects a
+	// not the server, caches results. With a log armed, 0 selects a
 	// default buffer instead (see defaultWALBufferPages): a logged
 	// database must keep post-checkpoint writes in memory so a crash
 	// cannot tear the committed base file the log replays onto.
 	BufferPages int
-	// WALPath, when non-empty, arms a write-ahead log at that path: every
+	// WALPath, when non-empty, arms a write-ahead log: every
 	// ApplyUpdates/Insert/Delete appends a checksummed record before
 	// touching the index, Sync checkpoints the log, and reopening through
 	// OpenFileRecover replays whatever the last page commit missed. Open
-	// creates the log fresh (like Path, truncating any existing file);
-	// the conventional sidecar path "<Path>.wal" is what OpenFileRecover
-	// detects automatically.
+	// creates the log fresh (like Path, truncating any existing file).
+	// The only accepted value is "<Path>.wal", the sidecar a reopen
+	// finds, so a log needs Path. The field stays a string only because
+	// the nested benchmark module sets it to that value. OpenSharded
+	// rejects it: ShardOptions.WAL arms one log per shard.
 	WALPath string
 	// GroupCommitWindow is how long a group-commit leader waits for
 	// concurrent writers to pile into its fsync (0 = the 2ms default; a
 	// negative value disables coalescing — every commit round fsyncs
-	// immediately). Only meaningful with WALPath set.
+	// immediately). Only meaningful with a log armed.
 	GroupCommitWindow time.Duration
 	// Maintenance configures the self-healing maintenance loop
 	// (auto-checkpoint policy, background scrub, degraded-mode recovery
@@ -109,12 +111,13 @@ type Options struct {
 	Maintenance MaintenanceOptions
 }
 
-// DB is a mobile-object database: an NSI R-tree plus the dynamic query
-// engines, stored in memory or in one page file (Options.Path) with an
-// optional write-ahead log beside it (Options.WALPath). It is the
-// one-unit case of the engine ShardedDB runs with many; everything but
-// the file layout and the accessors declared here is shared — see the
-// engine type for the method set and the concurrency model.
+// DB is a mobile-object database: NSI R-tree units plus the dynamic query
+// engines. Open stores one unit in memory or in one page file
+// (Options.Path) with an optional write-ahead log "<Path>.wal" beside it;
+// OpenSharded partitions objects across several units stored as
+// "<Path>.shard<i>" with "<Path>.shard<i>.wal" logs; OpenFileRecoverWith
+// reopens either layout. Everything but the file layout is shared — see
+// the engine type for the method set and the concurrency model.
 type DB struct {
 	*engine
 }
@@ -128,33 +131,38 @@ type DB struct {
 // survives any crash.
 const defaultWALBufferPages = 1024
 
-// Open creates a database. With Options.Path set, a new page file is
-// created, TRUNCATING any existing file at that path; use OpenFile to
-// reattach an existing one.
+// Open creates a one-unit database. With Options.Path set, a new page
+// file is created, TRUNCATING any existing file at that path; use
+// OpenFile to reattach an existing one. Options.WALPath must be
+// "<Path>.wal": a log anywhere else, or one without a page file to
+// replay onto, could never be recovered, and is refused before any file
+// is created.
 func Open(opts Options) (*DB, error) {
-	e, err := createEngine(opts, 1, singleLayout(opts.Path, opts.WALPath), opts.WALPath != "")
+	if opts.WALPath != "" && (opts.Path == "" || opts.WALPath != opts.Path+".wal") {
+		return nil, fmt.Errorf("dynq: Options.WALPath %q is not recoverable: a reopen replays only the sidecar \"<Path>.wal\" onto the page file at Path (Path %q)", opts.WALPath, opts.Path)
+	}
+	e, err := createEngine(opts, 1, singleLayout(opts.Path), opts.WALPath != "")
 	if err != nil {
 		return nil, err
 	}
 	return &DB{e}, nil
 }
 
-// LastRecovery returns the report from open-time recovery, or nil when
-// the database was not opened through OpenFileRecover.
-func (db *DB) LastRecovery() *RecoveryReport {
-	if db.recovery == nil {
-		return nil
-	}
-	return db.recovery[0]
-}
+// LastRecovery returns the per-unit reports from the recovering open that
+// produced this database, in unit order; nil for a fresh database.
+func (db *DB) LastRecovery() []*RecoveryReport { return db.recovery }
 
-// WALInfo reports the armed write-ahead log's header state; ok is false
-// when the database has no WAL.
-func (db *DB) WALInfo() (WALInfo, bool) {
+// WALInfo reports each unit log's header state in unit order; ok is false
+// when the database runs without logs.
+func (db *DB) WALInfo() ([]WALInfo, bool) {
 	if db.logs == nil {
-		return WALInfo{}, false
+		return nil, false
 	}
-	return walInfo(db.logs[0]), true
+	out := make([]WALInfo, len(db.logs))
+	for i, w := range db.logs {
+		out[i] = walInfo(w)
+	}
+	return out, true
 }
 
 // JoinWith finds every pair (a ∈ db, b ∈ other) within delta of each

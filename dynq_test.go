@@ -143,7 +143,7 @@ func TestPredictiveSessionAgainstSnapshots(t *testing.T) {
 		{T: 5, View: Rect{Min: []float64{10, 10}, Max: []float64{30, 30}}},
 		{T: 25, View: Rect{Min: []float64{50, 50}, Max: []float64{70, 70}}},
 	}
-	sess, err := db.PredictiveQuery(waypoints, PredictiveOptions{})
+	sess, err := db.Predictive(waypoints, PredictiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPredictiveSessionAgainstSnapshots(t *testing.T) {
 func TestNonPredictiveSessionIncrementalUnion(t *testing.T) {
 	db := newTestDB(t, Options{DualTimeAxes: true})
 	populate(t, db, 100, 4)
-	sess := db.NonPredictiveQuery(NonPredictiveOptions{})
+	sess := db.NonPredictive(NonPredictiveOptions{})
 	seen := map[ObjectID]bool{}
 	var lastCount int
 	for f := 0; f < 30; f++ {
@@ -350,7 +350,7 @@ func TestPredictiveSessionNext(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sess, err := db.PredictiveQuery([]Waypoint{
+	sess, err := db.Predictive([]Waypoint{
 		{T: 0, View: Rect{Min: []float64{0, 0}, Max: []float64{10, 10}}},
 		{T: 10, View: Rect{Min: []float64{0, 0}, Max: []float64{10, 10}}},
 	}, PredictiveOptions{})
@@ -419,7 +419,7 @@ func TestThreeDimensionalEndToEnd(t *testing.T) {
 		t.Errorf("altitude slice found %d, want 4: %v", len(res), res)
 	}
 	// A 3-d predictive session: the view frustum climbs with the drones.
-	sess, err := db.PredictiveQuery([]Waypoint{
+	sess, err := db.Predictive([]Waypoint{
 		{T: 0, View: Rect{Min: []float64{40, 40, 0}, Max: []float64{60, 60, 5}}},
 		{T: 20, View: Rect{Min: []float64{40, 40, 10}, Max: []float64{60, 60, 15}}},
 	}, PredictiveOptions{})

@@ -14,12 +14,11 @@ import (
 	"dynq/internal/wal"
 )
 
-// engine is the one implementation behind DB and ShardedDB: N units, each
-// a page store, a buffered NSI R-tree, cost counters and a reader-writer
-// lock (a shard.Shard), plus — index-aligned with them — an optional
-// write-ahead log per unit. DB is the engine with one unit and the
-// single-file layout; ShardedDB is the engine with N units, objects
-// placed by a hash of their id.
+// engine is the one implementation behind DB: N units, each a page store,
+// a buffered NSI R-tree, cost counters and a reader-writer lock (a
+// shard.Shard), plus — index-aligned with them — an optional write-ahead
+// log per unit. Open builds one unit in the single-file layout;
+// OpenSharded builds N units, objects placed by a hash of their id.
 //
 // Concurrency and lock order: the database lock mu, then at most one
 // unit lock at a time (multi-unit readers take theirs in ascending
@@ -53,24 +52,26 @@ type engine struct {
 }
 
 // layout names unit i's page file and log sidecar — what tells the two
-// flavours apart on disk. A nil page keeps the units in memory.
+// on-disk layouts apart. A nil page keeps the units in memory.
 type layout struct {
 	page, log func(i int) string
 	// logs is what aggregated WAL telemetry calls a set of several logs.
 	logs string
 }
 
-// singleLayout is DB's: one page file (none when path is empty), one log
-// wherever the caller put it.
-func singleLayout(path, walPath string) layout {
-	lay := layout{log: func(int) string { return walPath }}
-	if path != "" {
-		lay.page = func(int) string { return path }
+// singleLayout is Open's: one page file and its sidecar "<path>.wal" (in
+// memory when path is empty).
+func singleLayout(path string) layout {
+	if path == "" {
+		return layout{}
 	}
-	return lay
+	return layout{
+		page: func(int) string { return path },
+		log:  func(int) string { return path + ".wal" },
+	}
 }
 
-// shardLayout is ShardedDB's: "<path>.shard<i>" and "<path>.shard<i>.wal"
+// shardLayout is OpenSharded's: "<path>.shard<i>" and "<path>.shard<i>.wal"
 // (in memory when path is empty).
 func shardLayout(path string) layout {
 	if path == "" {
@@ -94,7 +95,7 @@ func where(unit, units int) string {
 }
 
 // createEngine builds a fresh engine of n empty units. The layout, not
-// opts.Path/WALPath, says where files go: each unit's pages live in
+// opts.Path, says where files go: each unit's pages live in
 // lay.page(i) (created, truncating) or in memory; logged arms a new log
 // per unit at lay.log(i).
 func createEngine(opts Options, n int, lay layout, logged bool) (*engine, error) {

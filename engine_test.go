@@ -5,46 +5,48 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // flavour is one way to get a database of a given unit count, fresh and
-// through its recovering open.
+// through the recovering open; shards is its RecoverOptions.Shards.
 type flavour struct {
 	name   string
 	units  int
-	create func(path string, logged bool) (Database, error)
-	reopen func(path string) (Database, error)
+	shards int
+	create func(path string, logged bool) (*DB, error)
+}
+
+func (fl flavour) reopen(path string) (*DB, *RecoveryReport, error) {
+	return OpenFileRecoverWith(path, RecoverOptions{Shards: fl.shards})
 }
 
 func flavours() []flavour {
 	sharded := func(n int) flavour {
 		return flavour{
-			name:  fmt.Sprintf("OpenSharded{%d}", n),
-			units: n,
-			create: func(path string, logged bool) (Database, error) {
+			name:   fmt.Sprintf("OpenSharded{%d}", n),
+			units:  n,
+			shards: n,
+			create: func(path string, logged bool) (*DB, error) {
 				return OpenSharded(ShardOptions{Options: Options{Path: path}, Shards: n, WAL: logged})
-			},
-			reopen: func(path string) (Database, error) {
-				db, _, err := OpenShardedRecover(path, ShardRecoverOptions{Shards: n})
-				return db, err
 			},
 		}
 	}
 	return []flavour{{
 		name:  "Open",
 		units: 1,
-		create: func(path string, logged bool) (Database, error) {
+		create: func(path string, logged bool) (*DB, error) {
 			opts := Options{Path: path}
 			if logged {
 				opts.WALPath = path + ".wal"
 			}
 			return Open(opts)
 		},
-		reopen: func(path string) (Database, error) { return OpenFile(path) },
 	}, sharded(1), sharded(4)}
 }
 
@@ -80,10 +82,8 @@ func TestFailedDeleteLeavesUnitUntouched(t *testing.T) {
 				// An insert and a delete of a never-inserted object that
 				// share a unit, so the insert is in the portion that fails.
 				ins, missing := ObjectID(1000), ObjectID(2000)
-				if sdb, ok := db.(*ShardedDB); ok {
-					for sdb.ShardFor(missing) != sdb.ShardFor(ins) {
-						missing++
-					}
+				for db.ShardFor(missing) != db.ShardFor(ins) {
+					missing++
 				}
 				err = db.ApplyUpdates(ctx, []MotionUpdate{
 					{ID: ins, Segment: shardSeg(50)},
@@ -166,18 +166,11 @@ func TestSyncRacesAppends(t *testing.T) {
 			}
 			// Abandon without a Sync: whatever the last racing checkpoint
 			// did not cover must come back from the logs.
-			var e *engine
-			switch d := db.(type) {
-			case *DB:
-				e = d.engine
-			case *ShardedDB:
-				e = d.engine
-			}
-			if err := e.crash(); err != nil {
+			if err := db.crash(); err != nil {
 				t.Fatal(err)
 			}
 
-			re, err := fl.reopen(path)
+			re, _, err := fl.reopen(path)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -199,65 +192,187 @@ func TestSyncRacesAppends(t *testing.T) {
 					t.Fatalf("acknowledged object %d missing after recovery (%d of %d present)", id, len(seen), total)
 				}
 			}
-			if err := re.(interface{ Validate() error }).Validate(); err != nil {
+			if err := re.Validate(); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// TestBothLayoutsReopen writes a single-file database with its ".wal"
-// sidecar and a 4-shard set with per-shard logs through the exported
-// API — a committed base plus an un-checkpointed tail each — and reopens
-// them: the file names and formats are the ones every earlier version
-// wrote.
+// TestBothLayoutsReopen writes a single file and one- and four-shard
+// sets through the exported API, each with and without logs — a
+// committed base plus a tail the logs alone carry when armed — and
+// reopens every case through OpenFileRecoverWith: the file names and
+// formats are the ones every earlier version wrote, and every case holds
+// the same segments, answers and (between the one-unit layouts) the same
+// recovery report. A wrong shard count is refused, naming the counts,
+// without touching the files; a missing database is os.ErrNotExist.
 func TestBothLayoutsReopen(t *testing.T) {
+	seen := map[bool]map[string]reopened{false: {}, true: {}}
 	for _, fl := range flavours() {
 		t.Run(fl.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "db.dynq")
-			db, err := fl.create(path, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			if err := db.ApplyUpdates(ctx, shardBatch(1, 40), WriteOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.ApplyUpdates(ctx, shardBatch(100, 24), WriteOptions{Durability: DurabilitySync}); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Close(); err != nil { // no Sync: the tail lives in the logs only
-				t.Fatal(err)
-			}
-			names := []string{path, path + ".wal"}
-			if _, ok := db.(*ShardedDB); ok {
-				names = names[:0]
-				for i := 0; i < fl.units; i++ {
-					names = append(names, fmt.Sprintf("%s.shard%d", path, i), fmt.Sprintf("%s.shard%d.wal", path, i))
-				}
-			}
-			for _, name := range names {
-				if _, err := fileSize(name); err != nil {
-					t.Fatalf("expected file missing: %v", err)
-				}
-			}
-
-			re, err := fl.reopen(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			if re.Len() != 64 {
-				t.Fatalf("reopen found %d segments, want 64 (40 committed + 24 replayed)", re.Len())
-			}
-			if _, ok := re.WALTelemetry(nil); !ok {
-				t.Fatal("reopen did not re-arm the log sidecars")
+			for _, logged := range []bool{false, true} {
+				t.Run(fmt.Sprintf("logged=%v", logged), func(t *testing.T) {
+					got := reopenCase(t, fl, logged)
+					for name, other := range seen[logged] {
+						if !reflect.DeepEqual(got.answer, other.answer) {
+							t.Errorf("answers differ from %s's", name)
+						}
+						if fl.units == 1 && name == "Open" && got.report != other.report {
+							t.Errorf("report %+v differs from Open's %+v", got.report, other.report)
+						}
+					}
+					seen[logged][fl.name] = got
+				})
 			}
 		})
 	}
+}
+
+// reopened is what one cell of TestBothLayoutsReopen recovered.
+type reopened struct {
+	answer []Result
+	report RecoveryReport
+}
+
+// reopenCase is one cell of TestBothLayoutsReopen.
+func reopenCase(t *testing.T, fl flavour, logged bool) reopened {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.dynq")
+	db, err := fl.create(path, logged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := db.ApplyUpdates(ctx, shardBatch(1, 40), WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	tail := WriteOptions{Durability: DurabilitySync}
+	if !logged {
+		tail = WriteOptions{}
+	}
+	if err := db.ApplyUpdates(ctx, shardBatch(100, 24), tail); err != nil {
+		t.Fatal(err)
+	}
+	if !logged {
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := db.Snapshot(everything, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortResults(want)
+	if err := db.Close(); err != nil { // no Sync: a logged tail lives in the logs only
+		t.Fatal(err)
+	}
+	var names []string
+	for i := 0; i < fl.units; i++ {
+		name := path
+		if fl.shards > 0 {
+			name = fmt.Sprintf("%s.shard%d", path, i)
+		}
+		names = append(names, name)
+		if logged {
+			names = append(names, name+".wal")
+		}
+	}
+	files := readFiles(t, dir)
+	if len(files) != len(names) {
+		t.Fatalf("wrote %d files, want %v", len(files), names)
+	}
+	for _, name := range names {
+		if _, ok := files[filepath.Base(name)]; !ok {
+			t.Fatalf("expected file %s missing", name)
+		}
+	}
+
+	wrong := map[int][]int{0: {1}, 1: {0}, 4: {0, 2, 8}}[fl.shards]
+	for _, n := range wrong {
+		_, _, err := OpenFileRecoverWith(path, RecoverOptions{Shards: n})
+		if err == nil {
+			t.Fatalf("reopen with Shards %d succeeded", n)
+		}
+		counts := fmt.Sprintf("created with %d shards", fl.shards)
+		if msg := err.Error(); !strings.Contains(msg, "shard count") || !strings.Contains(msg, counts) || !strings.Contains(msg, fmt.Sprintf("opened with %d shards", n)) {
+			t.Errorf("reopen with Shards %d: error should name both counts and the shard-count rule, got: %v", n, err)
+		}
+	}
+	if !reflect.DeepEqual(readFiles(t, dir), files) {
+		t.Fatal("a refused reopen changed the files")
+	}
+
+	re, merged, err := fl.reopen(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 64 {
+		t.Fatalf("reopen found %d segments, want 64 (40 committed + 24 in the tail)", re.Len())
+	}
+	got, err := re.Snapshot(everything, 0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortResults(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopen answers %d results, the writer answered %d", len(got), len(want))
+	}
+	if _, ok := re.WALTelemetry(nil); ok != logged {
+		t.Fatalf("reopen armed logs: %v, want %v (auto-detect)", ok, logged)
+	}
+	reps := re.LastRecovery()
+	if len(reps) != fl.units {
+		t.Fatalf("%d per-unit reports, want %d", len(reps), fl.units)
+	}
+	segments, replayed := 0, 0
+	for i, rep := range reps {
+		if rep.WALArmed != logged {
+			t.Errorf("unit %d report WALArmed = %v, want %v", i, rep.WALArmed, logged)
+		}
+		segments += rep.Segments
+		replayed += rep.WALUpdatesReplayed
+	}
+	if logOnly := map[bool]int{false: 0, true: 24}[logged]; segments != 64-logOnly || replayed != logOnly {
+		t.Errorf("reports hold %d committed + %d replayed segments, want %d + %d", segments, replayed, 64-logOnly, logOnly)
+	}
+	if merged.Segments != segments || merged.WALUpdatesReplayed != replayed {
+		t.Errorf("merged report %+v disagrees with the per-unit ones", merged)
+	}
+	if fl.units == 1 && merged != reps[0] {
+		t.Error("one unit's merged report is not its own")
+	}
+
+	absent := filepath.Join(dir, "absent.dynq")
+	if _, _, err := OpenFileRecoverWith(absent, RecoverOptions{Shards: fl.shards, WAL: true}); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("reopen of a missing database: %v, want os.ErrNotExist", err)
+	}
+	if left, _ := filepath.Glob(absent + "*"); len(left) != 0 {
+		t.Fatalf("refused open left files behind: %v", left)
+	}
+	return reopened{got, *merged}
+}
+
+// readFiles returns every file in dir by name with its contents.
+func readFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
 }
 
 // TestOneUnitFlavoursIdentical: Open and OpenSharded{Shards: 1} are the
@@ -357,12 +472,12 @@ func TestShardedAdaptiveEquivalence(t *testing.T) {
 	segs := randomPopulation(r, 300, 12)
 	db, sdb := equivPair(t, segs, 4, true)
 	_, views, times := observer(20)
-	single, err := db.AdaptiveQuery(AdaptiveOptions{Slack: 1, Horizon: 2})
+	single, err := db.Adaptive(AdaptiveOptions{Slack: 1, Horizon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	sharded, err := sdb.AdaptiveQuery(AdaptiveOptions{Slack: 1, Horizon: 2})
+	sharded, err := sdb.Adaptive(AdaptiveOptions{Slack: 1, Horizon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

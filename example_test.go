@@ -35,7 +35,7 @@ func ExampleDB_Snapshot() {
 // A predictive dynamic query streams each object once, with the interval
 // it stays inside the moving view; the ViewCache reconstructs the visible
 // set every frame.
-func ExampleDB_PredictiveQuery() {
+func ExampleDB_Predictive() {
 	db, err := dynq.Open(dynq.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -50,7 +50,7 @@ func ExampleDB_PredictiveQuery() {
 
 	// The view [0,10]×[0,10] slides east to [20,30]×[0,10] over 20 time
 	// units.
-	sess, err := db.PredictiveQuery([]dynq.Waypoint{
+	sess, err := db.Predictive([]dynq.Waypoint{
 		{T: 0, View: dynq.Rect{Min: []float64{0, 0}, Max: []float64{10, 10}}},
 		{T: 20, View: dynq.Rect{Min: []float64{20, 0}, Max: []float64{30, 10}}},
 	}, dynq.PredictiveOptions{})
@@ -77,7 +77,7 @@ func ExampleDB_PredictiveQuery() {
 
 // A non-predictive session returns only the objects not delivered by the
 // previous snapshot.
-func ExampleDB_NonPredictiveQuery() {
+func ExampleDB_NonPredictive() {
 	db, err := dynq.Open(dynq.Options{DualTimeAxes: true})
 	if err != nil {
 		log.Fatal(err)
@@ -88,7 +88,7 @@ func ExampleDB_NonPredictiveQuery() {
 			T0: 0, T1: 30, From: []float64{x, 5}, To: []float64{x, 5},
 		})
 	}
-	sess := db.NonPredictiveQuery(dynq.NonPredictiveOptions{})
+	sess := db.NonPredictive(dynq.NonPredictiveOptions{})
 
 	first, _ := sess.Snapshot(dynq.Rect{Min: []float64{0, 0}, Max: []float64{10, 10}}, 0, 1)
 	fmt.Printf("frame 1: %d new\n", len(first))

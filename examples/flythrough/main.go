@@ -105,7 +105,7 @@ func runNaive(db *dynq.DB, wps []dynq.Waypoint) (reads int64, objects int) {
 // runPDQ replays the tour as one predictive session plus a client cache.
 func runPDQ(db *dynq.DB, wps []dynq.Waypoint) (reads int64, delivered int) {
 	db.ResetCost()
-	sess, err := db.PredictiveQuery(wps, dynq.PredictiveOptions{})
+	sess, err := db.Predictive(wps, dynq.PredictiveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func main() {
 	db, stream := buildDatabase()
 	defer db.Close()
 
-	sess := db.NonPredictiveQuery(dynq.NonPredictiveOptions{})
+	sess := db.NonPredictive(dynq.NonPredictiveOptions{})
 	view := dynq.NewViewCache()
 
 	// The observer wanders pseudo-randomly (unknown trajectory).

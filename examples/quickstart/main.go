@@ -49,7 +49,7 @@ func main() {
 	// between t=0 and t=10. The predictive session streams each object once,
 	// with the interval it stays in view; the ViewCache reconstructs the
 	// visible set every frame.
-	sess, err := db.PredictiveQuery([]dynq.Waypoint{
+	sess, err := db.Predictive([]dynq.Waypoint{
 		{T: 0, View: dynq.Rect{Min: []float64{0, 0}, Max: []float64{10, 10}}},
 		{T: 10, View: dynq.Rect{Min: []float64{10, 0}, Max: []float64{20, 10}}},
 	}, dynq.PredictiveOptions{})

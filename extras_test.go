@@ -107,7 +107,7 @@ func TestCountSeries(t *testing.T) {
 func TestAdaptiveSessionAPI(t *testing.T) {
 	db := newTestDB(t, Options{})
 	populate(t, db, 80, 9)
-	sess, err := db.AdaptiveQuery(AdaptiveOptions{Slack: 1, Horizon: 10})
+	sess, err := db.Adaptive(AdaptiveOptions{Slack: 1, Horizon: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestAdaptiveSessionAPI(t *testing.T) {
 	if _, err := sess.Frame(Rect{Min: []float64{0}, Max: []float64{1}}, 100, 101); err == nil {
 		t.Error("bad rect should be rejected")
 	}
-	if _, err := db.AdaptiveQuery(AdaptiveOptions{}); err == nil {
+	if _, err := db.Adaptive(AdaptiveOptions{}); err == nil {
 		t.Error("zero options should be rejected")
 	}
 }

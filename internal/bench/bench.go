@@ -210,16 +210,6 @@ func SpecFor(fig Figure) (FigureSpec, error) {
 	return FigureSpec{}, fmt.Errorf("bench: no figure %d (paper has figures 6-13)", fig)
 }
 
-// RunFigure measures every cell of a figure.
-func RunFigure(cfg Config, spec FigureSpec) ([]Cell, *Index, error) {
-	ix, err := BuildIndex(cfg, spec.DualTime)
-	if err != nil {
-		return nil, nil, err
-	}
-	cells, err := RunFigureOn(ix, spec)
-	return cells, ix, err
-}
-
 // RunFigureOn measures a figure on an existing index (which must have the
 // spec's temporal layout).
 func RunFigureOn(ix *Index, spec FigureSpec) ([]Cell, error) {

@@ -71,16 +71,26 @@ func TestRunCellShapes(t *testing.T) {
 	}
 }
 
+// runFigure measures every cell of a figure on a fresh tiny index.
+func runFigure(t *testing.T, fig Figure) ([]Cell, *Index) {
+	t.Helper()
+	spec, err := SpecFor(fig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildIndex(tinyConfig(), spec.DualTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := RunFigureOn(ix, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells, ix
+}
+
 func TestRunFigureMonotoneShapes(t *testing.T) {
-	cfg := tinyConfig()
-	spec, err := SpecFor(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, ix, err := RunFigure(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells, ix := runFigure(t, 6)
 	if ix.Segments == 0 {
 		t.Fatal("index empty")
 	}
@@ -108,15 +118,7 @@ func TestRunFigureMonotoneShapes(t *testing.T) {
 }
 
 func TestRunFigureQuerySizeShape(t *testing.T) {
-	cfg := tinyConfig()
-	spec, err := SpecFor(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, _, err := RunFigure(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells, _ := runFigure(t, 12)
 	// At fixed overlap, bigger ranges cost more I/O (Figures 8/12).
 	byRange := map[float64]float64{}
 	for _, c := range cells {

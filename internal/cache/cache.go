@@ -100,15 +100,6 @@ func (c *Cache[V]) Remove(id uint64) bool {
 // Len reports the number of cached objects.
 func (c *Cache[V]) Len() int { return len(c.items) }
 
-// NextDeadline returns the earliest disappearance time in the cache;
-// ok is false when empty.
-func (c *Cache[V]) NextDeadline() (t float64, ok bool) {
-	if c.pq.Len() == 0 {
-		return 0, false
-	}
-	return c.pq[0].disappear, true
-}
-
 // Values returns all cached values in unspecified order.
 func (c *Cache[V]) Values() []V {
 	out := make([]V, 0, len(c.items))

@@ -12,9 +12,6 @@ func TestCacheBasic(t *testing.T) {
 	if c.Len() != 0 {
 		t.Error("new cache should be empty")
 	}
-	if _, ok := c.NextDeadline(); ok {
-		t.Error("empty cache has no deadline")
-	}
 	c.Put(1, "a", 10)
 	c.Put(2, "b", 5)
 	c.Put(3, "c", 20)
@@ -23,9 +20,6 @@ func TestCacheBasic(t *testing.T) {
 	}
 	if v, ok := c.Get(2); !ok || v != "b" {
 		t.Errorf("get 2 = %q %v", v, ok)
-	}
-	if d, ok := c.NextDeadline(); !ok || d != 5 {
-		t.Errorf("deadline = %g %v", d, ok)
 	}
 	// AdvanceBefore(5): nothing evicted (deadline exactly at now is kept).
 	if ev := c.AdvanceBefore(5); len(ev) != 0 {

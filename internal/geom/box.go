@@ -22,15 +22,6 @@ func NewBox(n int) Box {
 	return b
 }
 
-// UniverseBox allocates a box with n unbounded extents.
-func UniverseBox(n int) Box {
-	b := make(Box, n)
-	for i := range b {
-		b[i] = UniverseInterval()
-	}
-	return b
-}
-
 // Clone returns a deep copy of the box.
 func (b Box) Clone() Box {
 	c := make(Box, len(b))

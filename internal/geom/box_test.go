@@ -22,9 +22,6 @@ func TestBoxEmpty(t *testing.T) {
 	if !NewBox(3).Empty() {
 		t.Error("NewBox should be empty")
 	}
-	if UniverseBox(3).Empty() {
-		t.Error("UniverseBox should not be empty")
-	}
 }
 
 func TestBoxIntersectCover(t *testing.T) {

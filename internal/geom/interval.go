@@ -105,18 +105,3 @@ func (iv Interval) Add(o Interval) Interval {
 	}
 	return Interval{Lo: iv.Lo + o.Lo, Hi: iv.Hi + o.Hi}
 }
-
-// Mul returns the interval product {a·b : a ∈ iv, b ∈ o} (interval
-// arithmetic; empty if either operand is empty). Used by the parametric
-// space index to bound positions from parameter boxes.
-func (iv Interval) Mul(o Interval) Interval {
-	if iv.Empty() || o.Empty() {
-		return EmptyInterval()
-	}
-	p1, p2 := iv.Lo*o.Lo, iv.Lo*o.Hi
-	p3, p4 := iv.Hi*o.Lo, iv.Hi*o.Hi
-	return Interval{
-		Lo: min(p1, p2, p3, p4),
-		Hi: max(p1, p2, p3, p4),
-	}
-}

@@ -30,19 +30,16 @@ type RuntimeSample struct {
 
 // Collector samples runtime health into a fixed-capacity time-series
 // ring on a fixed interval. Extra sources (buffer-pool occupancy, netq
-// queue depth) are polled with each sample; an optional OnSample hook
-// lets the owner edge-detect state changes (degraded-mode flips,
-// checksum-counter jumps) at sampling resolution. Start/Stop manage the
+// queue depth) are polled with each sample. Start/Stop manage the
 // sampling goroutine; SampleOnce takes a synchronous sample (used by
 // tests and by snapshot builders that want a fresh reading).
 type Collector struct {
 	interval time.Duration
 
-	mu       sync.Mutex
-	sources  map[string]func() float64
-	onSample []func(RuntimeSample)
-	ring     []RuntimeSample
-	next     uint64
+	mu      sync.Mutex
+	sources map[string]func() float64
+	ring    []RuntimeSample
+	next    uint64
 
 	stop chan struct{}
 	done chan struct{}
@@ -77,17 +74,8 @@ func (c *Collector) Source(name string, fn func() float64) *Collector {
 	return c
 }
 
-// OnSample registers a hook invoked with each completed sample (on the
-// sampling goroutine). Call before Start.
-func (c *Collector) OnSample(fn func(RuntimeSample)) *Collector {
-	c.mu.Lock()
-	c.onSample = append(c.onSample, fn)
-	c.mu.Unlock()
-	return c
-}
-
-// SampleOnce takes one sample synchronously, stores it in the ring, runs
-// the hooks, and returns it.
+// SampleOnce takes one sample synchronously, stores it in the ring and
+// returns it.
 func (c *Collector) SampleOnce() RuntimeSample {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -112,12 +100,7 @@ func (c *Collector) SampleOnce() RuntimeSample {
 	}
 	c.ring[c.next%uint64(len(c.ring))] = s
 	c.next++
-	hooks := append([]func(RuntimeSample){}, c.onSample...)
 	c.mu.Unlock()
-
-	for _, h := range hooks {
-		h(s)
-	}
 	return s
 }
 

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 
@@ -77,7 +75,7 @@ type Span struct {
 const NoShard = -1
 
 // Tracer ring-buffers the most recent query spans. Record is cheap (one
-// mutexed slot write); dump the buffer with Recent or WriteJSONL.
+// mutexed slot write); dump the buffer with Recent.
 type Tracer struct {
 	mu   sync.Mutex
 	ring []Span
@@ -164,15 +162,4 @@ func (t *Tracer) Traces() []TraceDoc {
 		docs[i].Spans = append(docs[i].Spans, s)
 	}
 	return docs
-}
-
-// WriteJSONL dumps the buffered spans as JSON Lines, oldest first.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, s := range t.Recent() {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"dynq/internal/stats"
@@ -23,32 +21,6 @@ func TestTracerRingBuffer(t *testing.T) {
 	}
 	if tr.Len() != 2 {
 		t.Errorf("len = %d", tr.Len())
-	}
-}
-
-func TestTracerWriteJSONL(t *testing.T) {
-	tr := NewTracer(8)
-	tr.Record(Span{Op: "npdq", Results: 3, Stages: Stages(stats.Snapshot{
-		LeafReads: 4, InternalReads: 2, DistanceComps: 10, Results: 3, PrunedNodes: 1,
-	}, "npdq")})
-	var b strings.Builder
-	if err := tr.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(strings.NewReader(b.String()))
-	lines := 0
-	for sc.Scan() {
-		lines++
-		var s Span
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-			t.Fatalf("line %d: %v", lines, err)
-		}
-		if s.Op != "npdq" || len(s.Stages) != 3 {
-			t.Errorf("span = %+v", s)
-		}
-	}
-	if lines != 1 {
-		t.Errorf("lines = %d", lines)
 	}
 }
 

@@ -192,7 +192,7 @@ func TestQuantizeSegment(t *testing.T) {
 	}
 }
 
-func TestQueryBoxAndTimeHull(t *testing.T) {
+func TestQueryBox(t *testing.T) {
 	q := QueryBox(geom.Box{{Lo: 0, Hi: 8}, {Lo: 0, Hi: 8}}, geom.Interval{Lo: 3, Hi: 4})
 	if len(q) != 4 {
 		t.Fatalf("query box dims = %d", len(q))
@@ -208,8 +208,5 @@ func TestQueryBoxAndTimeHull(t *testing.T) {
 	}
 	if !math.IsInf(q[2].Lo, -1) || !math.IsInf(q[3].Hi, 1) {
 		t.Error("query temporal axes should be half-open")
-	}
-	if TimeHull(alive) != (geom.Interval{Lo: 2, Hi: 10}) {
-		t.Errorf("time hull = %v", TimeHull(alive))
 	}
 }

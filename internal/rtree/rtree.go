@@ -377,12 +377,5 @@ func (q *Query) Fill(spatial geom.Box, tw geom.Interval) {
 // Window returns the query's time window.
 func (q *Query) Window() geom.Interval { return q.Exact[len(q.Exact)-1] }
 
-// TimeHull returns the single-axis validity interval [min start, max end]
-// of a dual-space box.
-func TimeHull(b geom.Box) geom.Interval {
-	d := len(b) - 2
-	return geom.Interval{Lo: b[d].Lo, Hi: b[d+1].Hi}
-}
-
 // ErrNotFound is returned by Delete when no matching segment exists.
 var ErrNotFound = errors.New("rtree: entry not found")

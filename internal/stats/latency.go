@@ -28,13 +28,6 @@ func NVMe2020() DiskModel {
 	return DiskModel{Name: "nvme-2020", Seek: 80 * time.Microsecond, Transfer: 2 * time.Microsecond, Compute: 10 * time.Nanosecond}
 }
 
-// Estimate converts a cost snapshot into estimated elapsed time.
-func (m DiskModel) Estimate(s Snapshot) time.Duration {
-	io := time.Duration(s.Reads()) * (m.Seek + m.Transfer)
-	cpu := time.Duration(s.DistanceComps) * m.Compute
-	return io + cpu
-}
-
 // EstimateMean converts per-query mean costs into estimated per-query
 // time.
 func (m DiskModel) EstimateMean(mean Mean) time.Duration {

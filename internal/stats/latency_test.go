@@ -8,8 +8,7 @@ import (
 
 func TestDiskModelEstimate(t *testing.T) {
 	m := DiskModel{Name: "test", Seek: 10 * time.Millisecond, Transfer: 0, Compute: time.Microsecond}
-	s := Snapshot{InternalReads: 2, LeafReads: 8, DistanceComps: 1000}
-	got := m.Estimate(s)
+	got := m.EstimateMean(Mean{InternalReads: 2, LeafReads: 8, DistanceComps: 1000})
 	want := 10*10*time.Millisecond + 1000*time.Microsecond
 	if got != want {
 		t.Errorf("estimate = %v, want %v", got, want)

@@ -49,12 +49,6 @@ func (t *Tree) SearchDuring(w geom.Box, tw geom.Interval, c *stats.Counters) ([]
 	return out, nil
 }
 
-// SearchAt returns every object anticipated to be inside the window at
-// the single time instant tq.
-func (t *Tree) SearchAt(w geom.Box, tq float64, c *stats.Counters) ([]Match, error) {
-	return t.SearchDuring(w, geom.IntervalOf(tq), c)
-}
-
 func (t *Tree) searchNode(n *node, w geom.Box, tw geom.Interval, c *stats.Counters, out *[]Match) {
 	c.AddRead(n.leaf)
 	if n.leaf {

@@ -115,7 +115,7 @@ func TestSearchAtMatchesBruteForce(t *testing.T) {
 	tree, entries := buildTree(t, 500, 1)
 	var c stats.Counters
 	for _, tq := range []float64{0, 2.5, 10} {
-		got, err := tree.SearchAt(geom.Box{{Lo: 30, Hi: 50}, {Lo: 30, Hi: 50}}, tq, &c)
+		got, err := tree.SearchDuring(geom.Box{{Lo: 30, Hi: 50}, {Lo: 30, Hi: 50}}, geom.IntervalOf(tq), &c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestSearchDuringEpisodes(t *testing.T) {
 	if err := tree.Update(Entry{ID: 2, RefTime: 50, Pos: geom.Point{0, 0}, Vel: geom.Point{0, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.SearchAt(geom.Box{{Lo: 0, Hi: 10}, {Lo: 0, Hi: 10}}, 10, &c); err == nil {
+	if _, err := tree.SearchDuring(geom.Box{{Lo: 0, Hi: 10}, {Lo: 0, Hi: 10}}, geom.IntervalOf(10), &c); err == nil {
 		t.Error("query before the tree's current time should be rejected")
 	}
 	// Validation.
-	if _, err := tree.SearchAt(geom.Box{{Lo: 0, Hi: 1}}, 60, &c); err == nil {
+	if _, err := tree.SearchDuring(geom.Box{{Lo: 0, Hi: 1}}, geom.IntervalOf(60), &c); err == nil {
 		t.Error("dimension mismatch should be rejected")
 	}
 	if _, err := tree.SearchDuring(geom.Box{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}, geom.Interval{Lo: 61, Hi: 60}, &c); err == nil {
@@ -168,7 +168,7 @@ func TestSearchDuringEpisodes(t *testing.T) {
 func TestSearchPrunes(t *testing.T) {
 	tree, _ := buildTree(t, 2000, 2)
 	var c stats.Counters
-	if _, err := tree.SearchAt(geom.Box{{Lo: 40, Hi: 48}, {Lo: 40, Hi: 48}}, 1, &c); err != nil {
+	if _, err := tree.SearchDuring(geom.Box{{Lo: 40, Hi: 48}, {Lo: 40, Hi: 48}}, geom.IntervalOf(1), &c); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Snapshot()
@@ -233,7 +233,7 @@ func TestSearchTrajectory(t *testing.T) {
 	}
 }
 
-// Property: after any churn of updates and removes, SearchAt equals brute
+// Property: after any churn of updates and removes, an instant search equals brute
 // force over the surviving states.
 func TestChurnProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -279,7 +279,7 @@ func TestChurnProperty(t *testing.T) {
 			lo0, lo1 := r.Float64()*80, r.Float64()*80
 			w := geom.Box{{Lo: lo0, Hi: lo0 + 15}, {Lo: lo1, Hi: lo1 + 15}}
 			tq := tree.Now() + r.Float64()*10
-			got, err := tree.SearchAt(w, tq, &c)
+			got, err := tree.SearchDuring(w, geom.IntervalOf(tq), &c)
 			if err != nil {
 				return false
 			}

@@ -295,7 +295,7 @@ func TestQueryAllocationBudgets(t *testing.T) {
 		}
 	}
 
-	s := db.NonPredictiveQuery(NonPredictiveOptions{})
+	s := db.NonPredictive(NonPredictiveOptions{})
 	frame := func(f int) ([]Result, error) {
 		x := 20 + float64(f)*0.08
 		return s.Snapshot(Rect{Min: []float64{x, 40}, Max: []float64{x + 8, 48}}, 10+float64(f)*0.1, 10.1+float64(f)*0.1)
@@ -411,7 +411,7 @@ func BenchmarkPredictiveFetch(b *testing.B) {
 			w := k.Window
 			path = append(path, Waypoint{T: k.T, View: Rect{Min: []float64{w[0].Lo, w[1].Lo}, Max: []float64{w[0].Hi, w[1].Hi}}})
 		}
-		s, err := db.PredictiveQuery(path, PredictiveOptions{})
+		s, err := db.Predictive(path, PredictiveOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

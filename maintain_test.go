@@ -19,12 +19,11 @@ func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStor
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.dynq")
-	walPath := path + ".wal"
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
-	if err := rebuildLogged(singleLayout(path, walPath), 1, 0); err != nil {
+	if err := rebuildLogged(singleLayout(path), 1, 0); err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	db, fs, faults, err := openChaos(path, walPath, 0, mopts, clk.Now, nil)
+	db, fs, faults, err := openChaos(path, 0, mopts, clk.Now, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -246,16 +245,15 @@ func TestScrubDetectsCorruptionAndHoldsDegraded(t *testing.T) {
 func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.dynq")
-	walPath := path + ".wal"
 	// A page buffer keeps uncommitted tree writes off the committed
 	// file, so the post-crash state is exactly "failed checkpoint":
 	// old committed tree + intact log.
 	const bufPages = 256
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
-	if err := rebuildLogged(singleLayout(path, walPath), 1, bufPages); err != nil {
+	if err := rebuildLogged(singleLayout(path), 1, bufPages); err != nil {
 		t.Fatal(err)
 	}
-	db, _, faults, err := openChaos(path, walPath, bufPages, MaintenanceOptions{}, clk.Now, nil)
+	db, _, faults, err := openChaos(path, bufPages, MaintenanceOptions{}, clk.Now, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,13 +292,12 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
-	db2, _, _, err := openChaos(path, walPath, bufPages, MaintenanceOptions{}, clk.Now, nil)
+	db2, _, _, err := openChaos(path, bufPages, MaintenanceOptions{}, clk.Now, nil)
 	if err != nil {
 		t.Fatalf("reopen after failed checkpoint + crash: %v", err)
 	}
 	defer db2.Close()
-	rep := db2.LastRecovery()
-	if rep.WALRecordsReplayed == 0 {
+	if rep := db2.LastRecovery()[0]; rep.WALRecordsReplayed == 0 {
 		t.Fatal("recovery replayed nothing though the checkpoint failed")
 	}
 	if got := db2.Len(); got != want {

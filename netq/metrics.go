@@ -129,11 +129,8 @@ func newServerMetrics(reg *obs.Registry, db dynq.Database) *serverMetrics {
 		}, obs.L("segment", strconv.Itoa(i)))
 	}
 
-	// A sharded backend also exposes its per-shard gauges and fan-out
-	// latency histograms.
-	if sdb, ok := db.(*dynq.ShardedDB); ok {
-		sdb.RegisterMetrics(reg)
-	}
+	// Per-unit gauges and fan-out latency histograms.
+	db.RegisterMetrics(reg)
 	// A database with a WAL armed exposes the log's group-commit
 	// instrumentation (fsync latency, batch sizes, checkpoint lag), one
 	// running the self-healing maintenance loop its checkpoint/probe/scrub

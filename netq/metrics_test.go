@@ -108,6 +108,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`netq_no_tracker_errors_total 1`,
 		`pager_buffer_hit_ratio`,
 		`dynq_page_reads_total`,
+		`dynq_shards 1`, // a one-unit database has per-unit series too
+		`dynq_shard_page_reads_total{shard="0"}`,
 		`# TYPE netq_request_seconds histogram`,
 	} {
 		if !strings.Contains(body, want) {

@@ -159,9 +159,8 @@ type Server struct {
 // TracerCapacity is the number of recent query spans a server retains.
 const TracerCapacity = 512
 
-// NewServer wraps a database — either a single-tree *dynq.DB or a
-// *dynq.ShardedDB; the wire protocol is identical for both, and a sharded
-// backend additionally registers its per-shard metrics.
+// NewServer wraps a database of one unit or many; the wire protocol is
+// the same for both.
 func NewServer(db dynq.Database) *Server {
 	reg := obs.NewRegistry()
 	s := &Server{

@@ -9,7 +9,7 @@ import (
 )
 
 // testShardedDB mirrors testDB's population on a 3-shard engine.
-func testShardedDB(t *testing.T) *dynq.ShardedDB {
+func testShardedDB(t *testing.T) *dynq.DB {
 	t.Helper()
 	sdb, err := dynq.OpenSharded(dynq.ShardOptions{Shards: 3})
 	if err != nil {
@@ -29,7 +29,7 @@ func testShardedDB(t *testing.T) *dynq.ShardedDB {
 	return sdb
 }
 
-// TestShardedBackendOverTheWire serves a ShardedDB behind the unchanged
+// TestShardedBackendOverTheWire serves a sharded DB behind the unchanged
 // wire protocol: snapshot, insert, KNN, stats and a predictive session
 // must behave exactly as they do on a single tree.
 func TestShardedBackendOverTheWire(t *testing.T) {

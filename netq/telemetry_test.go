@@ -304,7 +304,7 @@ func TestRecoveryReportInTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.LastRecovery() != rep {
+	if reps := db.LastRecovery(); len(reps) != 1 || reps[0] != rep {
 		t.Error("LastRecovery does not return the open's report")
 	}
 

@@ -36,7 +36,7 @@ func startServerKeep(t *testing.T, db dynq.Database) (srv *Server, addr string, 
 	}
 }
 
-func shardedTestDB(t *testing.T, shards int) *dynq.ShardedDB {
+func shardedTestDB(t *testing.T, shards int) *dynq.DB {
 	t.Helper()
 	db, err := dynq.OpenSharded(dynq.ShardOptions{Shards: shards})
 	if err != nil {

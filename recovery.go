@@ -99,15 +99,23 @@ func OpenFileRecover(path string) (*DB, *RecoveryReport, error) {
 }
 
 // RecoverOptions tune OpenFileRecoverWith; the zero value matches
-// OpenFileRecover exactly. An armed log gets the WAL buffering floor of
-// page buffer (see Options.BufferPages); without one the tree reads its
-// file unbuffered.
+// OpenFileRecover exactly. Armed logs get the WAL buffering floor of page
+// buffer per unit (see Options.BufferPages); without them the trees read
+// their files unbuffered.
 type RecoverOptions struct {
-	// WALPath forces a write-ahead log at that path (created when
-	// missing, replayed when not). Empty means auto-detect: the
-	// conventional sidecar "<path>.wal" is armed iff it already exists.
-	WALPath string
-	// GroupCommitWindow is the armed log's coalescing window (see
+	// Shards is the unit count the database was created with: 0 for the
+	// single file Open creates, n for the "<path>.shard<i>" set OpenSharded
+	// created with Shards n. A mismatch against the files on disk is
+	// refused before any file changes: objects are placed by hash mod
+	// shards, so opening under a different count would misroute every
+	// lookup.
+	Shards int
+	// WAL force-arms the conventional log sidecars, "<path>.wal" or one
+	// "<path>.shard<i>.wal" per shard, created when missing and replayed
+	// when not. Without it logs are auto-detected: if ANY sidecar exists,
+	// every unit is armed — a database is logged as a whole or not at all.
+	WAL bool
+	// GroupCommitWindow is each armed log's coalescing window (see
 	// Options.GroupCommitWindow).
 	GroupCommitWindow time.Duration
 	// Maintenance configures the self-healing maintenance loop (see
@@ -115,29 +123,105 @@ type RecoverOptions struct {
 	Maintenance MaintenanceOptions
 }
 
-// OpenFileRecoverWith is OpenFileRecover with knobs: it can force-arm a
-// write-ahead log (dqserver -wal), set the group-commit window and start
-// the maintenance loop.
+// OpenFileRecoverWith is the recovering open of both layouts, with knobs:
+// it can force-arm the logs (dqserver -wal), set the group-commit window
+// and start the maintenance loop. Every unit is verified and its log
+// replayed independently; the returned report is the units' reports
+// merged (LastRecovery keeps them apart).
+//
+// A path with no database files fails with an error satisfying
+// errors.Is(err, os.ErrNotExist): creating a database takes the tree
+// shape only Open's and OpenSharded's options carry.
 func OpenFileRecoverWith(path string, opts RecoverOptions) (*DB, *RecoveryReport, error) {
-	walPath := opts.WALPath
-	if walPath == "" {
-		walPath = path + ".wal"
+	lay, units, err := recoverLayout(path, opts.Shards)
+	if err != nil {
+		return nil, nil, err
 	}
 	e, err := recoverEngine(recoverSpec{
-		lay:      singleLayout(path, walPath),
-		units:    1,
-		forceWAL: opts.WALPath != "",
+		lay:      lay,
+		units:    units,
+		forceWAL: opts.WAL,
 		window:   opts.GroupCommitWindow,
 		maint:    opts.Maintenance,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return &DB{e}, e.recovery[0], nil
+	return &DB{e}, mergeReports(e.recovery), nil
 }
 
-// recoverSpec is what a recovering open needs to know; both flavours'
-// exported options reduce to it.
+// recoverLayout checks the files at path against the unit count the
+// caller expects, before anything is opened for writing, and returns the
+// layout to recover with its unit count.
+func recoverLayout(path string, shards int) (layout, int, error) {
+	if path == "" {
+		return layout{}, 0, fmt.Errorf("dynq: a recovering open requires a path")
+	}
+	if shards < 0 {
+		return layout{}, 0, fmt.Errorf("dynq: RecoverOptions.Shards must be >= 0, got %d", shards)
+	}
+	set := shardLayout(path)
+	existing, err := existingShardFiles(set)
+	if err != nil {
+		return layout{}, 0, err
+	}
+	_, serr := os.Stat(path)
+	single := serr == nil
+	switch {
+	case shards == 0 && (single || existing == 0):
+		return singleLayout(path), 1, nil // a missing file fails to open
+	case shards > 0 && existing == shards:
+		return set, shards, nil
+	case existing > 0:
+		return layout{}, 0, shardCountMismatch(path, existing, shards)
+	case single:
+		return layout{}, 0, shardCountMismatch(path, 0, shards)
+	}
+	return layout{}, 0, fmt.Errorf("dynq: no sharded database at %q (%s): %w", path, set.page(0), os.ErrNotExist)
+}
+
+// shardCountMismatch refuses a reopen under another unit count; 0 is the
+// single-file layout.
+func shardCountMismatch(path string, created, opened int) error {
+	count := func(n int) string {
+		if n == 0 {
+			return "0 shards (a single file)"
+		}
+		return fmt.Sprintf("%d shards", n)
+	}
+	return fmt.Errorf("dynq: database at %q was created with %s, opened with %s: the shard count cannot change (objects are placed by hash mod shards, so a different count would misroute them); reopen with the count it was created with, or rebuild",
+		path, count(created), count(opened))
+}
+
+// mergeReports folds per-unit reports into one database-level report:
+// counts sum, repair flags OR, and HeaderSeq is the maximum. One unit's
+// report comes back as it is.
+func mergeReports(reps []*RecoveryReport) *RecoveryReport {
+	if len(reps) == 1 {
+		return reps[0]
+	}
+	out := *reps[0]
+	for _, r := range reps[1:] {
+		out.HeaderSeq = max(out.HeaderSeq, r.HeaderSeq)
+		out.TornHeaderRepaired = out.TornHeaderRepaired || r.TornHeaderRepaired
+		out.PagesChecked += r.PagesChecked
+		out.LeafPages += r.LeafPages
+		out.InternalPages += r.InternalPages
+		out.Segments += r.Segments
+		out.FreePages += r.FreePages
+		out.FreeListRebuilt = out.FreeListRebuilt || r.FreeListRebuilt
+		out.OrphanPages += r.OrphanPages
+		out.WALArmed = out.WALArmed || r.WALArmed
+		out.WALCheckpointLSN += r.WALCheckpointLSN
+		out.WALRecordsReplayed += r.WALRecordsReplayed
+		out.WALUpdatesReplayed += r.WALUpdatesReplayed
+		out.WALTornTail = out.WALTornTail || r.WALTornTail
+	}
+	return &out
+}
+
+// recoverSpec is what a recovering open needs to know; RecoverOptions and
+// the soaks' hooks reduce to it.
 type recoverSpec struct {
 	lay   layout
 	units int

@@ -47,9 +47,9 @@ func buildTrajectory(waypoints []Waypoint, dims int) (*trajectory.Trajectory, er
 	return trajectory.New(keys)
 }
 
-// PredictiveQuery registers an observer trajectory and starts a
-// predictive dynamic query over it.
-func (e *engine) PredictiveQuery(waypoints []Waypoint, opts PredictiveOptions) (*PredictiveSession, error) {
+// Predictive registers an observer trajectory and starts a predictive
+// dynamic query over it (*PredictiveSession is the cursor).
+func (e *engine) Predictive(waypoints []Waypoint, opts PredictiveOptions) (PredictiveCursor, error) {
 	traj, err := buildTrajectory(waypoints, e.dims)
 	if err != nil {
 		return nil, err
@@ -61,11 +61,6 @@ func (e *engine) PredictiveQuery(waypoints []Waypoint, opts PredictiveOptions) (
 		return nil, err
 	}
 	return &PredictiveSession{pdq: pdq}, nil
-}
-
-// Predictive is PredictiveQuery in the interface form of Database.
-func (e *engine) Predictive(waypoints []Waypoint, opts PredictiveOptions) (PredictiveCursor, error) {
-	return e.PredictiveQuery(waypoints, opts)
 }
 
 // Next returns the next object becoming visible during [t0, t1], or nil
@@ -113,16 +108,12 @@ type NonPredictiveSession struct {
 	npdq *shard.NPDQ
 }
 
-// NonPredictiveQuery starts a non-predictive dynamic query session.
-func (e *engine) NonPredictiveQuery(NonPredictiveOptions) *NonPredictiveSession {
+// NonPredictive starts a non-predictive dynamic query session
+// (*NonPredictiveSession is the cursor).
+func (e *engine) NonPredictive(NonPredictiveOptions) NonPredictiveCursor {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return &NonPredictiveSession{dims: e.dims, npdq: e.units.NewNPDQ()}
-}
-
-// NonPredictive is NonPredictiveQuery in the interface form of Database.
-func (e *engine) NonPredictive(opts NonPredictiveOptions) NonPredictiveCursor {
-	return e.NonPredictiveQuery(opts)
 }
 
 // Snapshot evaluates the next snapshot of the dynamic query and returns
@@ -170,8 +161,9 @@ type AdaptiveSession struct {
 	a    *shard.Adaptive
 }
 
-// AdaptiveQuery starts an adaptive dynamic query session.
-func (e *engine) AdaptiveQuery(opts AdaptiveOptions) (*AdaptiveSession, error) {
+// Adaptive starts an adaptive dynamic query session (*AdaptiveSession is
+// the cursor).
+func (e *engine) Adaptive(opts AdaptiveOptions) (AdaptiveCursor, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	a, err := e.units.NewAdaptive(core.AdaptiveOptions{
@@ -183,11 +175,6 @@ func (e *engine) AdaptiveQuery(opts AdaptiveOptions) (*AdaptiveSession, error) {
 		return nil, err
 	}
 	return &AdaptiveSession{dims: e.dims, a: a}, nil
-}
-
-// Adaptive is AdaptiveQuery in the interface form of Database.
-func (e *engine) Adaptive(opts AdaptiveOptions) (AdaptiveCursor, error) {
-	return e.AdaptiveQuery(opts)
 }
 
 // Frame reports the observer's actual view for one frame and returns the

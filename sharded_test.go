@@ -29,9 +29,9 @@ func randomPopulation(r *rand.Rand, nObj, segsPer int) []MotionUpdate {
 	return segs
 }
 
-// equivPair builds a single-tree DB and an N-shard ShardedDB over the
-// same population.
-func equivPair(t *testing.T, segs []MotionUpdate, shards int, bulk bool) (*DB, *ShardedDB) {
+// equivPair builds a one-unit and an N-unit database over the same
+// population.
+func equivPair(t *testing.T, segs []MotionUpdate, shards int, bulk bool) (*DB, *DB) {
 	t.Helper()
 	db, err := Open(Options{})
 	if err != nil {
@@ -180,12 +180,12 @@ func TestShardedPredictiveEquivalence(t *testing.T) {
 	db, sdb := equivPair(t, segs, 4, true)
 	wps, _, times := observer(20)
 
-	single, err := db.PredictiveQuery(wps, PredictiveOptions{})
+	single, err := db.Predictive(wps, PredictiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	sharded, err := sdb.PredictiveQuery(wps, PredictiveOptions{})
+	sharded, err := sdb.Predictive(wps, PredictiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestShardedPredictiveEquivalence(t *testing.T) {
 
 // collectShardedPDQ drains one window via Next, checking the appearance
 // ordering contract along the way.
-func collectShardedPDQ(t *testing.T, s *PredictiveSession, t0, t1 float64) []Result {
+func collectShardedPDQ(t *testing.T, s PredictiveCursor, t0, t1 float64) []Result {
 	t.Helper()
 	var out []Result
 	last := -1.0
@@ -239,8 +239,8 @@ func TestShardedNonPredictiveEquivalence(t *testing.T) {
 	db, sdb := equivPair(t, segs, 4, true)
 	_, views, times := observer(20)
 
-	single := db.NonPredictiveQuery(NonPredictiveOptions{})
-	sharded := sdb.NonPredictiveQuery(NonPredictiveOptions{})
+	single := db.NonPredictive(NonPredictiveOptions{})
+	sharded := sdb.NonPredictive(NonPredictiveOptions{})
 	total := 0
 	for f := range views {
 		want, err := single.Snapshot(views[f], times[f][0], times[f][1])

@@ -24,7 +24,7 @@ func shardBatch(base ObjectID, n int) []MotionUpdate {
 }
 
 // openShardedWAL creates a fresh WAL-armed sharded database for tests.
-func openShardedWAL(t *testing.T, path string, shards int) *ShardedDB {
+func openShardedWAL(t *testing.T, path string, shards int) *DB {
 	t.Helper()
 	db, err := OpenSharded(ShardOptions{
 		Options: Options{Path: path},
@@ -100,12 +100,12 @@ func TestOpenShardedRefusesExistingFiles(t *testing.T) {
 
 	if _, err := OpenSharded(ShardOptions{Options: Options{Path: path}, Shards: 2}); err == nil {
 		t.Fatal("OpenSharded truncated an existing shard set")
-	} else if !strings.Contains(err.Error(), "OpenShardedRecover") {
-		t.Fatalf("refusal should point at OpenShardedRecover, got: %v", err)
+	} else if !strings.Contains(err.Error(), "OpenFileRecoverWith") {
+		t.Fatalf("refusal should point at OpenFileRecoverWith, got: %v", err)
 	}
 
 	// The refused open must not have damaged the files.
-	re, reps, err := OpenShardedRecover(path, ShardRecoverOptions{Shards: 2})
+	re, rep, err := OpenFileRecoverWith(path, RecoverOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,18 +113,19 @@ func TestOpenShardedRefusesExistingFiles(t *testing.T) {
 	if re.Len() != 8 {
 		t.Fatalf("reopen found %d segments, want 8", re.Len())
 	}
-	if reps == nil {
+	if rep == nil || len(re.LastRecovery()) != 2 {
 		t.Fatal("recovering an existing set returned no reports")
 	}
 }
 
-// TestOpenShardedRecoverNeedsFiles: recovery never creates — a path with
-// no shard files is os.ErrNotExist, exactly as for a single-file database,
-// and leaves nothing behind.
+// TestOpenShardedRecoverNeedsFiles: recovering a set OpenSharded would
+// create never creates one — a path with no shard files is
+// os.ErrNotExist, exactly as for a single-file database, and leaves
+// nothing behind.
 func TestOpenShardedRecoverNeedsFiles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "absent.dynq")
-	if _, _, err := OpenShardedRecover(path, ShardRecoverOptions{Shards: 2, WAL: true}); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("OpenShardedRecover on an absent path: %v, want os.ErrNotExist", err)
+	if _, _, err := OpenFileRecoverWith(path, RecoverOptions{Shards: 2, WAL: true}); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("recovering an absent shard set: %v, want os.ErrNotExist", err)
 	}
 	if _, _, err := OpenFileRecover(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("OpenFileRecover on an absent path: %v, want os.ErrNotExist", err)
@@ -135,8 +136,8 @@ func TestOpenShardedRecoverNeedsFiles(t *testing.T) {
 }
 
 // TestOpenShardedRecoverPreservesContents: the round trip that used to
-// lose everything — write, sync, close, reopen — must preserve every
-// shard's contents, with and without logs.
+// lose everything — OpenSharded, write, sync, close, recover — must
+// preserve every shard's contents, with and without logs.
 func TestOpenShardedRecoverPreservesContents(t *testing.T) {
 	for _, withWAL := range []bool{false, true} {
 		t.Run(fmt.Sprintf("wal=%v", withWAL), func(t *testing.T) {
@@ -155,7 +156,7 @@ func TestOpenShardedRecoverPreservesContents(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			re, reps, err := OpenShardedRecover(path, ShardRecoverOptions{Shards: 3})
+			re, _, err := OpenFileRecoverWith(path, RecoverOptions{Shards: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,6 +164,7 @@ func TestOpenShardedRecoverPreservesContents(t *testing.T) {
 			if re.Len() != 64 {
 				t.Fatalf("reopen found %d segments, want 64", re.Len())
 			}
+			reps := re.LastRecovery()
 			if len(reps) != 3 {
 				t.Fatalf("got %d recovery reports, want 3", len(reps))
 			}
@@ -188,43 +190,6 @@ func TestOpenShardedRecoverPreservesContents(t *testing.T) {
 	}
 }
 
-// TestOpenShardedRecoverShardCountChange: reopening under a different
-// shard count must error cleanly up front — objects are placed by hash
-// mod shards, so a silent open would misroute every lookup.
-func TestOpenShardedRecoverShardCountChange(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.dynq")
-	db := openShardedWAL(t, path, 4)
-	if err := db.ApplyUpdates(context.Background(), shardBatch(1, 16), WriteOptions{Durability: DurabilitySync}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, wrong := range []int{2, 8} {
-		_, _, err := OpenShardedRecover(path, ShardRecoverOptions{Shards: wrong})
-		if err == nil {
-			t.Fatalf("reopen with %d shards (created with 4) succeeded", wrong)
-		}
-		if !strings.Contains(err.Error(), "shard count") {
-			t.Errorf("reopen with %d shards: error should explain the shard-count rule, got: %v", wrong, err)
-		}
-	}
-
-	// The right count still works after the refused attempts.
-	re, _, err := OpenShardedRecover(path, ShardRecoverOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 16 {
-		t.Fatalf("reopen found %d segments, want 16", re.Len())
-	}
-}
-
 // TestShardedWALCrashReplay: acked batches survive a crash (no final
 // Sync) through per-shard log replay; each shard's report accounts for
 // its own records.
@@ -238,7 +203,7 @@ func TestShardedWALCrashReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, reps, err := OpenShardedRecover(path, ShardRecoverOptions{Shards: 3})
+	re, rep, err := OpenFileRecoverWith(path, RecoverOptions{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +212,11 @@ func TestShardedWALCrashReplay(t *testing.T) {
 		t.Fatalf("recovered %d segments, want 48", re.Len())
 	}
 	replayed := 0
-	for _, rep := range reps {
+	for _, rep := range re.LastRecovery() {
 		replayed += rep.WALUpdatesReplayed
 	}
-	if replayed != 48 {
-		t.Fatalf("reports account for %d replayed updates, want 48", replayed)
+	if replayed != 48 || rep.WALUpdatesReplayed != 48 {
+		t.Fatalf("reports account for %d replayed updates (merged: %d), want 48", replayed, rep.WALUpdatesReplayed)
 	}
 }
 
@@ -309,11 +274,12 @@ func TestShardedWALOneTornLog(t *testing.T) {
 	}
 	f.Close()
 
-	re, reps, err := OpenShardedRecover(path, ShardRecoverOptions{Shards: 3})
+	re, _, err := OpenFileRecoverWith(path, RecoverOptions{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	reps := re.LastRecovery()
 	if re.Len() < ackedLen {
 		t.Fatalf("recovered %d segments, want >= %d acked", re.Len(), ackedLen)
 	}
@@ -353,9 +319,9 @@ func TestShardedWALCheckpointLagDivergence(t *testing.T) {
 	if err := db.ApplyUpdates(context.Background(), only0, WriteOptions{Durability: DurabilitySync}); err != nil {
 		t.Fatal(err)
 	}
-	infos, ok := db.WALInfoByShard()
+	infos, ok := db.WALInfo()
 	if !ok {
-		t.Fatal("WALInfoByShard reported no logs")
+		t.Fatal("WALInfo reported no logs")
 	}
 	if infos[0].LiveRecords == 0 {
 		t.Fatalf("shard 0 should lag its checkpoint: %+v", infos[0])
@@ -368,11 +334,12 @@ func TestShardedWALCheckpointLagDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, reps, err := OpenShardedRecover(path, ShardRecoverOptions{Shards: 2})
+	re, _, err := OpenFileRecoverWith(path, RecoverOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	reps := re.LastRecovery()
 	if re.Len() != want {
 		t.Fatalf("recovered %d segments, want %d", re.Len(), want)
 	}
@@ -406,7 +373,7 @@ func TestShardedWALTelemetryAggregation(t *testing.T) {
 		t.Errorf("aggregated counters empty after a sync batch: %+v", tel)
 	}
 	var wantAppends int64
-	infos, _ := db.WALInfoByShard()
+	infos, _ := db.WALInfo()
 	for _, info := range infos {
 		wantAppends += int64(info.LastLSN)
 	}
@@ -415,15 +382,15 @@ func TestShardedWALTelemetryAggregation(t *testing.T) {
 	}
 }
 
-// TestMergeRecoveryReports exercises the fold used by dqserver to feed
-// a single-report consumer.
+// TestMergeRecoveryReports exercises the fold a recovering open of
+// several units returns.
 func TestMergeRecoveryReports(t *testing.T) {
-	if MergeRecoveryReports(nil) != nil {
-		t.Error("merging no reports should yield nil")
-	}
 	a := &RecoveryReport{HeaderSeq: 3, PagesChecked: 5, Segments: 10, WALArmed: true, WALRecordsReplayed: 2}
 	b := &RecoveryReport{HeaderSeq: 7, PagesChecked: 4, Segments: 6, WALTornTail: true}
-	m := MergeRecoveryReports([]*RecoveryReport{a, b, nil})
+	if mergeReports([]*RecoveryReport{a}) != a {
+		t.Error("one unit's report should come back as it is")
+	}
+	m := mergeReports([]*RecoveryReport{a, b})
 	if m.HeaderSeq != 7 || m.PagesChecked != 9 || m.Segments != 16 {
 		t.Errorf("merged counts wrong: %+v", m)
 	}

@@ -232,7 +232,7 @@ func isTypedCorruption(err error) bool {
 // they never reach the degrade threshold.
 func openFaulted(path string, plan *pager.FaultPlan, bufferPages int) (*DB, *pager.FileStore, *pager.FaultStore, error) {
 	return recoverFaulted(recoverSpec{
-		lay:         singleLayout(path, path+".wal"),
+		lay:         singleLayout(path),
 		units:       1,
 		bufferPages: bufferPages,
 	}, plan)

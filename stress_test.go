@@ -315,7 +315,7 @@ func TestConcurrentEditsBufferedPool(t *testing.T) {
 		// A fresh live session per pass, flown over the whole horizon: the
 		// anchors are in view from the start and must all be reported,
 		// whatever the writer splits, frees or re-seeds meanwhile.
-		s, err := db.PredictiveQuery([]Waypoint{{T: 0, View: view}, {T: 100, View: view}}, PredictiveOptions{Live: true})
+		s, err := db.Predictive([]Waypoint{{T: 0, View: view}, {T: 100, View: view}}, PredictiveOptions{Live: true})
 		if err != nil {
 			return err
 		}
@@ -335,7 +335,7 @@ func TestConcurrentEditsBufferedPool(t *testing.T) {
 		}
 		return nil
 	})
-	npdq := db.NonPredictiveQuery(NonPredictiveOptions{})
+	npdq := db.NonPredictive(NonPredictiveOptions{})
 	reader("non-predictive session", func(i int) error {
 		if i%8 == 0 {
 			npdq.Reset() // the next frame is a full answer again

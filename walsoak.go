@@ -142,7 +142,7 @@ func WALSoak(opts WALSoakOptions) (WALSoakReport, error) {
 	n := opts.Shards
 	lay := shardLayout(path)
 	if n == 1 {
-		lay = singleLayout(path, path+".wal")
+		lay = singleLayout(path)
 	}
 
 	var rep WALSoakReport

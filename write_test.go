@@ -322,7 +322,7 @@ func TestSyncFailureWithWALDegradesImmediately(t *testing.T) {
 	// A DB with a scripted FaultStore between tree and file, plus an
 	// armed WAL — the configuration where a failed checkpoint must not
 	// be retried silently.
-	db, _, faults, err := openChaos(path, path+".wal", 0, MaintenanceOptions{}, nil, nil)
+	db, _, faults, err := openChaos(path, 0, MaintenanceOptions{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,6 +383,27 @@ func TestOpenShardedRejectsWAL(t *testing.T) {
 	opts.WALPath = "somewhere.wal"
 	if _, err := OpenSharded(opts); err == nil {
 		t.Fatal("OpenSharded accepted a WALPath")
+	}
+}
+
+// TestOpenRejectsUnrecoverableWAL: a log no reopen can replay — one with
+// no page file beside it, or one away from the "<Path>.wal" sidecar the
+// recovering open finds — would acknowledge writes as durable that are
+// lost at the next restart. Open refuses both before creating any file.
+func TestOpenRejectsUnrecoverableWAL(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.dynq")
+	for name, opts := range map[string]Options{
+		"no page file":  {WALPath: path + ".wal"},
+		"other sidecar": {Path: path, WALPath: filepath.Join(dir, "elsewhere.wal")},
+	} {
+		if db, err := Open(opts); err == nil {
+			db.Close()
+			t.Errorf("%s: Open accepted WALPath %q with Path %q", name, opts.WALPath, opts.Path)
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Fatalf("refused opens created files: %v", left)
 	}
 }
 
