@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -240,11 +241,15 @@ func TestContinuousCountIsIncremental(t *testing.T) {
 // both trees, finish: the join takes the two trees' read locks in one order
 // whichever tree it is handed first. Small trees make many short joins, so
 // that a join holding one lock while asking for the other is common; with
-// the locks taken in argument order, 8 runs in 10 deadlock.
+// the locks taken in argument order, 8 runs in 10 deadlock. The bound is on
+// progress, not on the whole run, which takes tens of seconds under -race
+// beside other packages: every finished join and insert counts, and the
+// test fails only when none finishes for 10 s.
 func TestCrossJoinBothWaysUnderWritesDoesNotDeadlock(t *testing.T) {
 	a, _ := buildIndex(t, rtree.DefaultConfig(), 20, 40, 41)
 	b, _ := buildIndex(t, rtree.DefaultConfig(), 20, 40, 42)
 	done := make(chan struct{})
+	var progress atomic.Int64
 	var wg sync.WaitGroup
 	for i, pair := range [][2]*rtree.Tree{{a, b}, {b, a}, {a, b}, {b, a}} {
 		wg.Add(1)
@@ -256,6 +261,7 @@ func TestCrossJoinBothWaysUnderWritesDoesNotDeadlock(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				progress.Add(1)
 			}
 		}()
 		wg.Add(1)
@@ -268,13 +274,25 @@ func TestCrossJoinBothWaysUnderWritesDoesNotDeadlock(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				progress.Add(1)
 			}
 		}()
 	}
 	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("joins and inserts still running after 30 s: deadlocked")
+	const stuck = 10 * time.Second
+	tick := time.NewTicker(100 * time.Millisecond)
+	defer tick.Stop()
+	last, moved := progress.Load(), time.Now()
+	for {
+		select {
+		case <-done:
+			return
+		case now := <-tick.C:
+			if n := progress.Load(); n != last {
+				last, moved = n, now
+			} else if now.Sub(moved) >= stuck {
+				t.Fatalf("no join or insert finished for %v after %d did: deadlocked", stuck, n)
+			}
+		}
 	}
 }

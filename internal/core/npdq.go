@@ -161,8 +161,8 @@ func (nq *NPDQ) discardable(v rtree.NodeView, k int) bool {
 	return nq.prev.Box.Contains(nq.box)
 }
 
-// collectLeaf tests a leaf's entries where they lie and copies out only
-// those it delivers.
+// collectLeaf scans a leaf's entries where they lie, one box-test scan per
+// candidate, and copies out only those it delivers.
 func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
 	// Geometric suppression ("this segment also satisfied P, so the
 	// client already has it") is only valid for segments that were
@@ -171,9 +171,9 @@ func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
 	// might be new, so everything matching Q is delivered (over-delivery
 	// is safe — the client cache upserts by object id).
 	leafClean := nq.hasPrev && v.Stamp() <= nq.prevSeq
-	for k, n := 0, v.Len(); k < n; k++ {
-		if !v.EntryOverlaps(k, nq.cur.Box) {
-			continue
+	for k, n := 0, v.Len(); ; k++ {
+		if k = v.NextBoxOverlap(k, n, nq.cur.Box); k == n {
+			return
 		}
 		if leafClean && v.EntryOverlaps(k, nq.prev.Box) {
 			// Segment-level suppression: this segment was part of the
@@ -190,7 +190,9 @@ func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
 		if nq.out == nil {
 			nq.out = make([]Result, 0, 8) // grow in step with the slab
 		}
-		e := v.Keep(k, &nq.slab)
-		nq.out = append(nq.out, Result{ID: e.ID, Seg: e.Seg, Appear: ov.Lo, Disappear: ov.Hi})
+		// Filled where it stays (rtree.NodeView.KeepSeg).
+		nq.out = append(nq.out, Result{})
+		r := &nq.out[len(nq.out)-1]
+		r.ID, r.Appear, r.Disappear = v.KeepSeg(k, &nq.slab, &r.Seg), ov.Lo, ov.Hi
 	}
 }

@@ -125,9 +125,10 @@ func (p *PDQ) drainInbox() {
 			if set.Empty() {
 				continue
 			}
-			slot := p.kept.put(u.Entry)
+			slot := p.kept.put()
+			p.kept.slots[slot].entry = u.Entry
 			for _, iv := range set.Intervals() {
-				p.pushObject(u.Entry, iv, slot, true) // the notification's segment is every listener's
+				p.pushObject(iv, slot, true) // the notification's segment is every listener's
 			}
 		case rtree.UpdateSubtree:
 			p.c.AddDistanceComps(1)
@@ -229,42 +230,11 @@ func (p *PDQ) expand(item pdqItem, tStart float64) error {
 		}
 		// One distance computation per entry examined.
 		p.c.AddDistanceComps(v.Len())
-		set := &p.set
 		if v.Leaf() {
-			span := p.traj.TimeSpan()
-			for k := 0; k < v.Len(); k++ {
-				// Every episode lies inside validity ∩ trajectory span
-				// (OverlapMotion's first step), so an entry that is over
-				// by then, or never valid on the way, is not tested.
-				if w := v.EntryTime(k).Intersect(span); w.Empty() || tStart > w.Hi {
-					continue
-				}
-				set.Reset()
-				if p.traj.Instant() {
-					v.Entry(k, &p.entry)
-					p.traj.OverlapSegment(p.entry.Seg, set)
-				} else {
-					p.traj.OverlapMotion(v.EntryLines(k, p.lines), p.lines, set)
-				}
-				// Episodes are sorted and disjoint: those already over
-				// come first.
-				ivs := set.Intervals()
-				for len(ivs) > 0 && tStart > ivs[0].Hi {
-					ivs = ivs[1:]
-				}
-				if len(ivs) == 0 {
-					continue
-				}
-				// The queue outlives the view: the entry's episodes share
-				// one copy of it.
-				e := v.Keep(k, &p.slab)
-				slot := p.kept.put(e)
-				for _, iv := range ivs {
-					p.pushObject(e, iv, slot, false)
-				}
-			}
+			p.expandLeaf(v, tStart)
 			return nil
 		}
+		set := &p.set
 		pruned := 0
 		for k := 0; k < v.Len(); k++ {
 			v.ChildBox(k, p.box)
@@ -285,6 +255,44 @@ func (p *PDQ) expand(item pdqItem, tStart float64) error {
 		p.c.AddPruned(pruned)
 		return nil
 	})
+}
+
+// expandLeaf tests a leaf's entries against the trajectory where they lie
+// and queues every episode not over before tStart.
+func (p *PDQ) expandLeaf(v rtree.NodeView, tStart float64) {
+	set := &p.set
+	span := p.traj.TimeSpan()
+	for k := 0; k < v.Len(); k++ {
+		// Every episode lies inside validity ∩ trajectory span
+		// (OverlapMotion's first step), so an entry that is over by then,
+		// or never valid on the way, is not tested.
+		if w := v.EntryTime(k).Intersect(span); w.Empty() || tStart > w.Hi {
+			continue
+		}
+		set.Reset()
+		if p.traj.Instant() {
+			v.Entry(k, &p.entry)
+			p.traj.OverlapSegment(p.entry.Seg, set)
+		} else {
+			p.traj.OverlapMotion(v.EntryLines(k, p.lines), p.lines, set)
+		}
+		// Episodes are sorted and disjoint: those already over come first.
+		ivs := set.Intervals()
+		for len(ivs) > 0 && tStart > ivs[0].Hi {
+			ivs = ivs[1:]
+		}
+		if len(ivs) == 0 {
+			continue
+		}
+		// The queue outlives the view: the entry's episodes share one copy
+		// of it, kept where it stays (rtree.NodeView.KeepSeg).
+		slot := p.kept.put()
+		e := &p.kept.slots[slot].entry
+		e.ID = v.KeepSeg(k, &p.slab, &e.Seg)
+		for _, iv := range ivs {
+			p.pushObject(iv, slot, false)
+		}
+	}
 }
 
 // Drain pulls every remaining result visible during [tStart, tEnd],
@@ -330,11 +338,13 @@ func (p *PDQ) pushNode(id pager.PageID, level int, iv geom.Interval) {
 }
 
 // pushObject queues one visibility episode (non-empty, from an interval
-// set) of e, which the arena holds in slot. shared says e.Seg is held
+// set) of the entry the arena holds in slot. shared says its Seg is held
 // outside the session too, so delivery must copy it even when no other
 // item names the slot.
-func (p *PDQ) pushObject(e rtree.LeafEntry, iv geom.Interval, slot int32, shared bool) {
-	p.kept.slots[slot].refs++
+func (p *PDQ) pushObject(iv geom.Interval, slot int32, shared bool) {
+	sl := &p.kept.slots[slot]
+	sl.refs++
+	e := &sl.entry
 	p.seq++
 	p.pq.push(pdqItem{
 		key:    pdqKey{iv: iv, isObj: true, obj: e.ID, segStart: e.Seg.T.Lo},
@@ -380,15 +390,15 @@ type pdqSlot struct {
 	refs  int32
 }
 
-// put stores e in a free slot, with no items naming it yet.
-func (a *pdqArena) put(e rtree.LeafEntry) int32 {
+// put returns a free slot, its entry zero and no items naming it yet, for
+// the caller to fill in place.
+func (a *pdqArena) put() int32 {
 	if n := len(a.free); n > 0 {
 		s := a.free[n-1]
 		a.free = a.free[:n-1]
-		a.slots[s].entry = e
 		return s
 	}
-	a.slots = append(a.slots, pdqSlot{entry: e})
+	a.slots = append(a.slots, pdqSlot{})
 	return int32(len(a.slots) - 1)
 }
 

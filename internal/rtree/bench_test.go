@@ -114,67 +114,69 @@ func BenchmarkLeafTest(b *testing.B) {
 	}
 	var q Query
 	q.Fill(geom.Box{{Lo: 40, Hi: 48}, {Lo: 40, Hi: 48}}, geom.Interval{Lo: 50, Hi: 50.5})
-	matches := 0
-	b.Run("inplace", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < v.Len(); k++ {
-				if !v.EntryOverlapTime(k, q.Exact).Empty() {
-					matches++
-				}
+	// run times one pass of test over the leaf, which returns its matches;
+	// a sub-benchmark whose test matches nothing measures nothing.
+	run := func(name string, test func() int) {
+		b.Run(name, func(b *testing.B) {
+			matches := 0
+			for i := 0; i < b.N; i++ {
+				matches += test()
+			}
+			if matches == 0 {
+				b.Fatalf("%s: the query misses the leaf", name)
+			}
+		})
+	}
+	run("inplace", func() (n int) {
+		for k := 0; k < v.Len(); k++ {
+			if !v.EntryOverlapTime(k, q.Exact).Empty() {
+				n++
 			}
 		}
+		return n
 	})
 	// The range search's leaf loop: one scan that stops at each match.
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for k := 0; ; k++ {
-				if k, _ = v.NextOverlap(k, v.Len(), q.Exact); k == v.Len() {
-					break
-				}
-				matches++
+	run("scan", func() (n int) {
+		for k := 0; ; k++ {
+			if k, _ = v.NextOverlap(k, v.Len(), q.Exact); k == v.Len() {
+				return n
 			}
+			n++
 		}
 	})
-	b.Run("decode", func(b *testing.B) {
-		var e LeafEntry
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < v.Len(); k++ {
-				if v.EntryTime(k).Intersect(q.Window()).Empty() {
-					continue
-				}
-				v.Entry(k, &e)
-				if !e.Seg.OverlapTimeInBox(q.Exact).Empty() {
-					matches++
-				}
+	var e LeafEntry
+	run("decode", func() (n int) {
+		for k := 0; k < v.Len(); k++ {
+			if v.EntryTime(k).Intersect(q.Window()).Empty() {
+				continue
+			}
+			v.Entry(k, &e)
+			if !e.Seg.OverlapTimeInBox(q.Exact).Empty() {
+				n++
 			}
 		}
+		return n
 	})
-	// NPDQ's test: the entry's box against the query's dual-space box.
-	boxes := 0
-	b.Run("box", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < v.Len(); k++ {
-				if v.EntryOverlaps(k, q.Box) {
-					boxes++
-				}
+	// NPDQ's leaf loop: the entries' boxes against the query's dual-space
+	// box, one scan that stops at each candidate.
+	run("box", func() (n int) {
+		for k := 0; ; k++ {
+			if k = v.NextBoxOverlap(k, v.Len(), q.Box); k == v.Len() {
+				return n
 			}
+			n++
 		}
 	})
 	// PDQ's operand: the entry's coordinates as linear forms of time.
 	x := make([]geom.Linear, cfg.Dims)
-	rising := 0
-	b.Run("lines", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for k := 0; k < v.Len(); k++ {
-				if v.EntryLines(k, x).Hi > 50 && x[0].B > 0 {
-					rising++
-				}
+	run("lines", func() (n int) {
+		for k := 0; k < v.Len(); k++ {
+			if v.EntryLines(k, x).Hi > 50 && x[0].B > 0 {
+				n++
 			}
 		}
+		return n
 	})
-	if matches == 0 || boxes == 0 || rising == 0 {
-		b.Fatalf("the box misses the leaf: %d exact, %d box, %d rising matches", matches, boxes, rising)
-	}
 }
 
 func BenchmarkDelete(b *testing.B) {

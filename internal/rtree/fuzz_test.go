@@ -47,9 +47,15 @@ func checkViewMatchesDecode(t *testing.T, cfg Config, page []byte) *Node {
 	d := cfg.Dims
 	lines := make([]geom.Linear, d)
 	box := make(geom.Box, cfg.boxDims())
+	// Probes: a plain box, the same inverted (it meets nothing but NaN), and
+	// one unbounded on every axis.
 	probe := make(geom.Box, cfg.boxDims())
+	inverted := make(geom.Box, cfg.boxDims())
+	unbounded := make(geom.Box, cfg.boxDims())
 	for i := range probe {
 		probe[i] = geom.Interval{Lo: 0.5, Hi: 50}
+		inverted[i] = geom.Interval{Lo: 50, Hi: 0.5}
+		unbounded[i] = geom.UniverseInterval()
 	}
 	if v.MBR(box); !sameBox(box, n.MBR(d)) {
 		t.Fatalf("MBR: view %v, decoded %v", box, n.MBR(d))
@@ -72,7 +78,7 @@ func checkViewMatchesDecode(t *testing.T, cfg Config, page []byte) *Node {
 			if v.EntryBox(k, box); !sameBox(box, own) {
 				t.Fatalf("leaf entry %d: EntryBox %v, decoded Box %v", k, box, own)
 			}
-			for _, q := range []geom.Box{own, probe} {
+			for _, q := range []geom.Box{own, probe, inverted, unbounded} {
 				if got, exp := v.EntryOverlaps(k, q), own.Overlaps(q); got != exp {
 					t.Fatalf("leaf entry %d: EntryOverlaps(%v) = %v, Box.Overlaps = %v", k, q, got, exp)
 				}
@@ -113,7 +119,7 @@ func checkViewMatchesDecode(t *testing.T, cfg Config, page []byte) *Node {
 		if !ok {
 			t.Fatalf("child %d: view %d %v, decoded %d %v", k, v.ChildID(k), box, want.ID, want.Box)
 		}
-		for _, q := range []geom.Box{want.Box, probe} {
+		for _, q := range []geom.Box{want.Box, probe, inverted, unbounded} {
 			if got, exp := v.ChildOverlaps(k, q), want.Box.Overlaps(q); got != exp {
 				t.Fatalf("child %d: ChildOverlaps(%v) = %v, Box.Overlaps = %v", k, q, got, exp)
 			}
@@ -197,6 +203,25 @@ func FuzzEntryOverlapTime(f *testing.F) {
 	f.Add(uint8(1), true, bytes.Repeat([]byte{3}, 400)) // one value everywhere: every segment a point
 	f.Fuzz(func(t *testing.T, dims uint8, dual bool, data []byte) {
 		checkLeafKernel(t, leafKernelConfig(dims, dual), data)
+	})
+}
+
+// FuzzNextBoxOverlap: whatever a leaf holds — f32 edges, ±0, ±Inf, NaN —
+// and whatever the query box — touching borders, ±Inf bounds, inverted
+// extents, NaN bounds — a box-test scan stops at the first entry the
+// per-entry test it replaced accepts (kernel_test.go). Seed corpus in
+// testdata/fuzz/FuzzNextBoxOverlap.
+func FuzzNextBoxOverlap(f *testing.F) {
+	r := rand.New(rand.NewSource(31))
+	for i := 0; i < 12; i++ {
+		data := make([]byte, 900)
+		r.Read(data)
+		f.Add(uint8(i), i%2 == 0, data)
+	}
+	f.Add(uint8(0), false, []byte{})
+	f.Add(uint8(1), true, bytes.Repeat([]byte{3}, 400)) // one value everywhere: every box a point
+	f.Fuzz(func(t *testing.T, dims uint8, dual bool, data []byte) {
+		checkBoxScan(t, leafKernelConfig(dims, dual), data)
 	})
 }
 

@@ -212,6 +212,153 @@ func checkLeafKernel(t *testing.T, cfg Config, data []byte) (counts kernelCounts
 	return counts
 }
 
+// refEntryOverlaps is the leaf box test as EntryOverlaps ran it before
+// NextBoxOverlap, one entry per call: each spatial extent sorted, then
+// Interval.Overlaps (builtin max/min) against the query, the start and end
+// times as point intervals.
+func refEntryOverlaps(v NodeView, k int, q geom.Box) bool {
+	e := v.entry(k)
+	d := int(v.dims)
+	for i := 0; i < d; i++ {
+		lo, hi := f32At(e, 8+4*i), f32At(e, 8+4*(d+i))
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if !(geom.Interval{Lo: lo, Hi: hi}).Overlaps(q[i]) {
+			return false
+		}
+	}
+	t := intervalAt(e, 8+8*d)
+	return geom.IntervalOf(t.Lo).Overlaps(q[d]) && geom.IntervalOf(t.Hi).Overlaps(q[d+1])
+}
+
+// boxCoord deals a value a leaf may hold for the box test: anything coord
+// deals, ±Inf, or NaN (a page written by replaying a log older than the
+// API's finiteness check).
+func (s *fuzzSrc) boxCoord() float64 {
+	switch sel := s.take(1); sel % 16 {
+	case 0:
+		return math.Inf(int(sel/16)%2*2 - 1)
+	case 1:
+		return math.NaN()
+	}
+	return s.coord()
+}
+
+// boxCounts is what checkBoxScan compared: entries whose box meets the query
+// and entries whose box misses it, for queries the scan compares directly
+// and for those with a NaN bound or an inverted extent.
+type boxCounts struct{ hits, misses, oddHits, oddMisses int }
+
+func (c *boxCounts) add(o boxCounts) {
+	c.hits, c.misses, c.oddHits, c.oddMisses = c.hits+o.hits, c.misses+o.misses, c.oddHits+o.oddHits, c.oddMisses+o.oddMisses
+}
+
+// checkBoxScan builds one leaf from src under cfg — f32 edges, ±0, ±Inf and
+// NaN among its values — and draws dual-space query boxes: from src, with
+// borders through one entry's own values so that they touch, and then with
+// one extent inverted or one bound NaN now and then. EntryOverlaps must be
+// refEntryOverlaps on every entry, and a NextBoxOverlap scan from any entry
+// to any end must stop at the first one of them that refEntryOverlaps
+// accepts.
+func checkBoxScan(t *testing.T, cfg Config, data []byte) (counts boxCounts) {
+	t.Helper()
+	src := &fuzzSrc{b: data}
+	d := cfg.Dims
+	leaf := &Node{ID: 7}
+	for n := 1 + int(src.take(1))%cfg.MaxLeafEntries(); len(leaf.Entries) < n; {
+		e := LeafEntry{ID: ObjectID(len(leaf.Entries)), Seg: geom.Segment{Start: make(geom.Point, d), End: make(geom.Point, d)}}
+		for i := 0; i < d; i++ {
+			e.Seg.Start[i], e.Seg.End[i] = src.boxCoord(), src.boxCoord()
+		}
+		e.Seg.T = geom.Interval{Lo: src.boxCoord(), Hi: src.boxCoord()}
+		leaf.Entries = append(leaf.Entries, e)
+	}
+	page := make([]byte, pager.PageSize)
+	if err := encodeNode(cfg, leaf, page); err != nil {
+		t.Fatal(err)
+	}
+	v, err := openView(cfg, 7, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := v.Len()
+	q := make(geom.Box, d+2)
+	want := make([]bool, n)
+	for round := 0; round < 8; round++ {
+		for i := range q {
+			lo, hi := src.bound(), src.bound()
+			q[i] = geom.Interval{Lo: min(lo, hi), Hi: max(lo, hi)}
+		}
+		if round%2 == 1 { // borders through one entry's values, as a window touching it would have
+			own := leaf.Entries[int(src.take(1))%n].Seg
+			for i := 0; i < d; i++ {
+				lo, hi := float64(float32(own.Start[i])), float64(float32(own.End[i]))
+				switch src.take(1) % 3 {
+				case 0:
+					q[i].Hi = min(lo, hi)
+					q[i].Lo = min(q[i].Lo, q[i].Hi)
+				case 1:
+					q[i].Lo = max(lo, hi)
+					q[i].Hi = max(q[i].Lo, q[i].Hi)
+				default:
+					q[i] = geom.Interval{Lo: min(lo, hi), Hi: max(lo, hi)}
+				}
+			}
+			t0, t1 := float64(float32(own.T.Lo)), float64(float32(own.T.Hi))
+			q[d] = geom.Interval{Lo: min(q[d].Lo, t0), Hi: t0}
+			q[d+1] = geom.Interval{Lo: t1, Hi: max(q[d+1].Hi, t1)}
+		}
+		switch sel := src.take(1); sel % 8 {
+		case 0: // one extent inverted
+			if i := int(sel/8) % len(q); q[i].Lo < q[i].Hi {
+				q[i].Lo, q[i].Hi = q[i].Hi, q[i].Lo
+			}
+		case 1: // one bound NaN
+			if i := int(sel/8) % len(q); sel&0x80 == 0 {
+				q[i].Lo = math.NaN()
+			} else {
+				q[i].Hi = math.NaN()
+			}
+		}
+		odd := false
+		for _, b := range q {
+			odd = odd || !(b.Lo <= b.Hi)
+		}
+		for k := 0; k < n; k++ {
+			want[k] = refEntryOverlaps(v, k, q)
+			switch {
+			case want[k] && odd:
+				counts.oddHits++
+			case want[k]:
+				counts.hits++
+			case odd:
+				counts.oddMisses++
+			default:
+				counts.misses++
+			}
+			if got := v.EntryOverlaps(k, q); got != want[k] {
+				e := leaf.Entries[k]
+				t.Fatalf("dims %d dual %v entry %d %+v, query %v: EntryOverlaps %v, reference %v", d, cfg.DualTime, k, e.Seg, q, got, want[k])
+			}
+		}
+		for from := 0; from <= n; from++ {
+			to := from + int(src.take(1))%(n-from+1)
+			if src.take(1)%2 == 0 {
+				to = n
+			}
+			next := from
+			for next < to && !want[next] {
+				next++
+			}
+			if got := v.NextBoxOverlap(from, to, q); got != next {
+				t.Fatalf("dims %d dual %v, query %v: NextBoxOverlap(%d, %d) = %d, reference %d", d, cfg.DualTime, q, from, to, got, next)
+			}
+		}
+	}
+	return counts
+}
+
 // checkChooseChild builds one internal page from src under cfg, its child
 // boxes as dealt (mostly empty: an inverted extent) or sorted, and requires
 // chooseChild to pick, for boxes dealt the same way and for stored ones,
@@ -294,6 +441,25 @@ func TestEntryOverlapTimeNaNWindow(t *testing.T) {
 	got, want := v.EntryOverlapTime(0, exact), seg.OverlapTimeInBox(exact)
 	if got.Empty() || math.Float64bits(got.Lo) != math.Float64bits(want.Lo) || math.Float64bits(got.Hi) != math.Float64bits(want.Hi) {
 		t.Fatalf("NaN window: EntryOverlapTime %v, OverlapTimeInBox %v", got, want)
+	}
+}
+
+// The box scan decides as the per-entry test it replaced: random leaves in
+// both layouts and one to three dimensions, NaN and infinite values among
+// them, against random, touching, inverted and NaN-bounded query boxes. Both
+// of the scan's ways — the comparisons and the fallback for an odd query —
+// see entries that meet the box and entries that miss it.
+func TestNextBoxOverlapMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	var counts boxCounts
+	for i := 0; i < 600; i++ {
+		data := make([]byte, 64+r.Intn(2048))
+		r.Read(data)
+		counts.add(checkBoxScan(t, leafKernelConfig(uint8(i), i%2 == 0), data))
+	}
+	t.Logf("%+v", counts)
+	if counts.hits < 20000 || counts.misses < 50000 || counts.oddHits < 1500 || counts.oddMisses < 50000 {
+		t.Fatalf("compared %+v: the boxes miss the point", counts)
 	}
 }
 

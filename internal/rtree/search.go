@@ -109,11 +109,10 @@ func (s *search) leaf(v NodeView) {
 		if s.out == nil {
 			s.out = make([]Match, 0, 8) // grow in step with the slab
 		}
-		// Filled where it stays: a Match built aside and appended would
-		// be written in words and copied in 16-byte loads, which stall.
+		// Filled where it stays (KeepSeg).
 		s.out = append(s.out, Match{})
 		m := &s.out[len(s.out)-1]
-		m.ID, m.Overlap = v.keep(k, &s.slab, &m.Seg), ov
+		m.ID, m.Overlap = v.KeepSeg(k, &s.slab, &m.Seg), ov
 		k++
 	}
 	s.c.AddDistanceComps(k)

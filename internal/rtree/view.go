@@ -184,7 +184,62 @@ func (v NodeView) entrySeg(k int, seg *geom.Segment) ObjectID {
 
 // EntryOverlaps reports whether leaf entry k's box (LeafEntry.Box) shares
 // a point with q, a box in the dual key space, without decoding the entry.
+// It is NextBoxOverlap's one-entry scan.
 func (v NodeView) EntryOverlaps(k int, q geom.Box) bool {
+	return v.NextBoxOverlap(k, k+1, q) == k
+}
+
+// NextBoxOverlap scans leaf entries from, from+1, … before to and returns the
+// first one whose box (LeafEntry.Box) shares a point with q, a box in the
+// dual key space, or to. It is the one definition of the leaf box test.
+//
+// The query is classified once per call. When every extent of q has
+// Lo ≤ Hi — no NaN bound, nothing inverted: every query the public API
+// accepts — an axis misses exactly when both of its stored values, read
+// where they lie, are beyond the same border. That is Interval.Overlaps on
+// the entry's sorted extent without the sort and without min/max, and a NaN
+// stored value, which compares false, never misses, as there. The spatial
+// axes go first: a fly-through frame's candidates are mostly valid during
+// it and miss it in space. Any other query takes boxOverlaps per entry.
+func (v NodeView) NextBoxOverlap(from, to int, q geom.Box) int {
+	d := int(v.dims)
+	q = q[:d+2]
+	for _, b := range q {
+		if !(b.Lo <= b.Hi) {
+			for k := from; k < to; k++ {
+				if v.boxOverlaps(k, q) {
+					return k
+				}
+			}
+			return to
+		}
+	}
+	spatial, ts, te := q[:d], q[d], q[d+1]
+entries:
+	for k := from; k < to; k++ {
+		e := v.entry(k)
+		for i, b := range spatial {
+			x0, x1 := f32At(e, 8+4*i), f32At(e, 8+4*(d+i))
+			if x0 < b.Lo && x1 < b.Lo || x0 > b.Hi && x1 > b.Hi {
+				continue entries
+			}
+		}
+		if t0 := f32At(e, 8+8*d); t0 < ts.Lo || t0 > ts.Hi {
+			continue
+		}
+		if t1 := f32At(e, 12+8*d); t1 < te.Lo || t1 > te.Hi {
+			continue
+		}
+		return k
+	}
+	return to
+}
+
+// boxOverlaps is the box test as Box.Overlaps states it on the decoded
+// entry's box, for a query with a NaN bound or an inverted extent: an
+// inverted extent meets only an entry holding a NaN on its axis, and a NaN
+// bound meets every entry on its axis.
+func (v NodeView) boxOverlaps(k int, q geom.Box) bool {
 	e := v.entry(k)
 	d := int(v.dims)
 	for i := 0; i < d; i++ {
@@ -279,15 +334,18 @@ const slabChunkMax = 1024
 
 // Keep copies leaf entry k out of the page for good, its points cut from
 // s and capacity-clipped, so appending to one never reaches a neighbour.
-func (v NodeView) Keep(k int, s *Slab) LeafEntry {
-	var e LeafEntry
-	e.ID = v.keep(k, s, &e.Seg)
+// The result is named so that KeepSeg fills it in place: a local entry
+// copied out on return would be reloaded in 16-byte loads, which stall.
+func (v NodeView) Keep(k int, s *Slab) (e LeafEntry) {
+	e.ID = v.KeepSeg(k, s, &e.Seg)
 	return e
 }
 
-// keep is Keep into caller-owned storage: seg receives the segment and the
-// object is returned, so a result can be built where it will stay.
-func (v NodeView) keep(k int, s *Slab, seg *geom.Segment) ObjectID {
+// KeepSeg is Keep into caller-owned storage: seg receives the segment and
+// the object is returned, so a result can be built where it will stay. A
+// result built aside and appended would be written in words and copied in
+// 16-byte loads, which stall (TestViewAccessorsDoNotStall).
+func (v NodeView) KeepSeg(k int, s *Slab, seg *geom.Segment) ObjectID {
 	d := int(v.dims)
 	if len(s.free) < 2*d {
 		s.size = min(max(8, 2*s.size), slabChunkMax)

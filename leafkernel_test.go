@@ -426,3 +426,42 @@ func BenchmarkPredictiveFetch(b *testing.B) {
 	}
 	b.ReportMetric(float64(results)/float64(b.N), "results/op")
 }
+
+// BenchmarkNonPredictiveFrame times one non-predictive frame at the public
+// API on benchDB, conversion to Result included, as the repo benchmark's
+// fly-through runs them: one session walks the frames of the paper's
+// queries (overlaps 0 to 0.9999, window sides 8, 14 and 20), starting over
+// with a full snapshot at each query's first frame. It is the pair of
+// BenchmarkPredictiveFetch.
+func BenchmarkNonPredictiveFrame(b *testing.B) {
+	db := benchDB(b)
+	r := rand.New(rand.NewSource(4))
+	overlaps, sides := []float64{0, 0.5, 0.9, 0.9999}, []float64{8, 14, 20}
+	var queries []*workload.Query
+	for i := 0; i < 12; i++ {
+		q, err := workload.Generate(workload.PaperQuery(overlaps[i%4], sides[i/4%3]), r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	s := db.NonPredictive(NonPredictiveOptions{})
+	n, frame, results := 0, 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if frame == len(queries[n].Times) {
+			n, frame = (n+1)%len(queries), 0
+			s.Reset()
+		}
+		q := queries[n]
+		w, tw := q.Windows[frame], q.Times[frame]
+		rs, err := s.Snapshot(Rect{Min: []float64{w[0].Lo, w[1].Lo}, Max: []float64{w[0].Hi, w[1].Hi}}, tw.Lo, tw.Hi)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results += len(rs)
+		frame++
+	}
+	b.ReportMetric(float64(results)/float64(b.N), "results/op")
+}
