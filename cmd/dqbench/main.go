@@ -1,18 +1,15 @@
-// Command dqbench does the two jobs the repository benchmark (benchmark/)
-// does not: it regenerates the evaluation figures of "Dynamic Queries over
-// Mobile Objects" (EDBT 2002) — one table per figure of per-query disk
+// Command dqbench regenerates the evaluation figures of "Dynamic Queries
+// over Mobile Objects" (EDBT 2002), the job the repository benchmark
+// (benchmark/) does not do: one table per figure of per-query disk
 // accesses (split leaf/internal) or distance computations, for the first
 // snapshot query and averaged over subsequent snapshot queries, across the
-// paper's overlap and query-range sweeps — gating those deterministic
-// counters exactly against a recorded baseline, and it runs the
-// crash/fault soaks.
+// paper's overlap and query-range sweeps. It gates those deterministic
+// counters exactly against a recorded baseline.
 //
 // Usage:
 //
 //	dqbench [-fig N] [-scale F] [-trajectories N] [-seed N] [-csv] [-mixed]
-//	        [-json FILE] [-compare FILE]
-//	dqbench -faults N [-fault-seed N] [-wal [-shards N | -chaos]]
-//	        [-log-level L] [-log-format F]
+//	        [-json FILE] [-compare FILE] [-log-level L] [-log-format F]
 //
 //	-fig 0            regenerate all figures (6-13); or a single figure
 //	-scale 0.2        object population scale (1.0 = the paper's 5000
@@ -25,20 +22,11 @@
 //	-compare FILE     gate this run against a baseline report: every cost
 //	                  counter of every cell of the figures run must equal
 //	                  the baseline's; exits 3 on any difference
-//	-faults 200       crash/reopen fault-injection soak instead of figures
-//	-fault-seed 1     seed of the soak's workload and fault schedule
-//	-wal              with -faults: tear the WAL tail instead of the page
-//	                  file and assert exact replay of acknowledged writes
-//	-shards 4         with -faults -wal: soak a sharded engine, one log per
-//	                  shard
-//	-chaos            with -faults -wal: interleave disk-full episodes and
-//	                  the self-healing maintenance loop with the crashes
 //	-log-level info   diagnostic log level: debug, info, warn, error
 //	-log-format text  diagnostic log format: text or json
 //
-// A flag the selected mode would ignore is an error (exit 2), not a
-// silently weaker run. SIGINT/SIGTERM finishes the current figure and
-// exits cleanly; a second signal forces exit.
+// SIGINT/SIGTERM finishes the current figure and exits cleanly; a second
+// signal forces exit.
 package main
 
 import (
@@ -50,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"dynq"
 	"dynq/internal/bench"
 	"dynq/internal/bench/compare"
 	"dynq/internal/obs"
@@ -65,11 +52,6 @@ type options struct {
 	seed         int64
 	mixed, csv   bool
 
-	faults     int
-	faultSeed  int64
-	wal, chaos bool
-	shards     int
-
 	jsonOut, compare    string
 	logLevel, logFormat string
 }
@@ -83,11 +65,6 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.Int64Var(&o.seed, "seed", 1, "workload RNG seed")
 	fs.BoolVar(&o.mixed, "mixed", false, "also run the mixed static+mobile NPDQ experiment")
 	fs.BoolVar(&o.csv, "csv", false, "emit machine-readable CSV instead of tables")
-	fs.IntVar(&o.faults, "faults", 0, "run N crash/reopen fault-injection soak cycles instead of figures")
-	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "deterministic seed for the -faults soak (workload + fault schedule)")
-	fs.BoolVar(&o.wal, "wal", false, "with -faults: tear the write-ahead log instead of the page file (crash mid-record and mid-group-commit, assert exact replay)")
-	fs.IntVar(&o.shards, "shards", 0, "with -faults -wal: soak a sharded engine of N units, one log per shard (0 = the single-file layout)")
-	fs.BoolVar(&o.chaos, "chaos", false, "with -faults -wal: interleave disk-full episodes and self-healing maintenance (auto-checkpoint, recovery probe, scrub) with the crash cycles")
 	fs.StringVar(&o.jsonOut, "json", "", "write a machine-readable benchmark report (BENCH_*.json) to this file")
 	fs.StringVar(&o.compare, "compare", "", "baseline BENCH_*.json whose cost counters this run must equal")
 	fs.StringVar(&o.logLevel, "log-level", "info", "diagnostic log level: debug, info, warn, error")
@@ -95,48 +72,10 @@ func newFlags(o *options) *flag.FlagSet {
 	return fs
 }
 
-// soakFlags select and shape the -faults soaks; every other flag but the
-// logging pair belongs to the figure runs.
-var soakFlags = map[string]bool{"faults": true, "fault-seed": true, "wal": true, "shards": true, "chaos": true}
-
-// validate rejects, after parsing, every flag the selected mode would
-// ignore: a typo must not run a weaker soak and print a passing report.
-func validate(fs *flag.FlagSet, o *options) error {
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if err != nil || f.Name == "faults" || f.Name == "log-level" || f.Name == "log-format" {
-			return
-		}
-		switch {
-		case o.faults > 0 && !soakFlags[f.Name]:
-			err = fmt.Errorf("-%s is ignored by the -faults soak: drop one of them", f.Name)
-		case o.faults <= 0 && soakFlags[f.Name]:
-			err = fmt.Errorf("-%s needs -faults N (N > 0): without it the figures run and -%s is ignored", f.Name, f.Name)
-		}
-	})
-	switch {
-	case err != nil:
-		return err
-	case o.chaos && !o.wal:
-		return fmt.Errorf("-chaos needs -wal: without it the plain fault soak runs and -chaos is ignored")
-	case o.shards != 0 && !o.wal:
-		return fmt.Errorf("-shards needs -wal: only the WAL soak has units to count")
-	case o.shards != 0 && o.chaos:
-		return fmt.Errorf("-shards is ignored by -chaos: the chaos soak is one unit (its fault hooks are per store)")
-	case o.shards < 0:
-		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
-	}
-	return nil
-}
-
 func main() {
 	var o options
 	fs := newFlags(&o)
 	fs.Parse(os.Args[1:])
-	if err := validate(fs, &o); err != nil {
-		fmt.Fprintln(os.Stderr, "dqbench:", err)
-		os.Exit(2)
-	}
 
 	logger, err := obs.NewLogger(os.Stderr, o.logLevel, o.logFormat)
 	if err != nil {
@@ -161,73 +100,6 @@ func main() {
 		logger.Error("forced exit")
 		os.Exit(130)
 	}()
-
-	soakLog := func(format string, args ...any) {
-		logger.Info(fmt.Sprintf(format, args...))
-	}
-	switch {
-	case o.faults > 0 && o.chaos:
-		// Chaos soak mode: WAL crash cycles interleaved with disk-full
-		// episodes (sticky and transient, on the log and the page store),
-		// with the self-healing maintenance loop — auto-checkpoint,
-		// degraded-mode recovery probe, background scrub — driven under an
-		// injected clock. Exits non-zero on any lost acknowledged batch,
-		// wrong answer, unbounded log, untyped fault error, scrub false
-		// positive, or an episode that fails to heal.
-		logger.Info("chaos soak starting", "cycles", o.faults, "seed", o.faultSeed)
-		rep, err := dynq.ChaosSoak(dynq.ChaosSoakOptions{Cycles: o.faults, Seed: o.faultSeed, Log: soakLog})
-		if err != nil {
-			fatal(fmt.Errorf("chaos soak harness: %w (partial report: %s)", err, rep))
-		}
-		fmt.Println(rep)
-		if rep.LostAcked != 0 || rep.WrongAnswers != 0 || rep.WALBoundViolations != 0 ||
-			rep.UntypedWriteErrors != 0 || rep.ScrubCorruptions != 0 || rep.Heals < rep.Degradations {
-			fatal(fmt.Errorf("chaos soak invariant violation: %d lost acked, %d wrong answers, %d wal bound violations, %d untyped errors, %d scrub corruptions, %d/%d episodes healed",
-				rep.LostAcked, rep.WrongAnswers, rep.WALBoundViolations,
-				rep.UntypedWriteErrors, rep.ScrubCorruptions, rep.Heals, rep.Degradations))
-		}
-		logger.Info("chaos soak passed", "cycles", rep.Cycles,
-			"disk_full_episodes", rep.DiskFullEpisodes, "transients", rep.TransientFaults,
-			"heals", rep.Heals, "auto_checkpoints", rep.AutoCheckpoints,
-			"scrub_passes", rep.ScrubPasses, "torn_tails", rep.TornTails)
-		return
-	case o.faults > 0 && o.wal:
-		// WAL soak mode: crash/reopen cycles that tear the write-ahead
-		// log's unsynced tail (mid-record, mid-group-commit), asserting
-		// that replay restores every acknowledged write exactly. With
-		// -shards N the soak runs against the sharded engine — one log
-		// per shard, each crash tearing a random subset of them. Exits
-		// non-zero on any lost acknowledged batch or wrong answer.
-		logger.Info("wal soak starting", "cycles", o.faults, "seed", o.faultSeed, "shards", o.shards)
-		rep, err := dynq.WALSoak(dynq.WALSoakOptions{Cycles: o.faults, Seed: o.faultSeed, Shards: o.shards, Log: soakLog})
-		if err != nil {
-			fatal(fmt.Errorf("wal soak harness: %w (partial report: %s)", err, rep))
-		}
-		fmt.Println(rep)
-		if rep.LostAcked != 0 || rep.WrongAnswers != 0 {
-			fatal(fmt.Errorf("wal soak lost %d acknowledged batches, %d wrong answers — durability violation",
-				rep.LostAcked, rep.WrongAnswers))
-		}
-		logger.Info("wal soak passed", "cycles", rep.Cycles, "tears", rep.Tears,
-			"torn_tails", rep.TornTails, "records_replayed", rep.RecordsReplayed)
-		return
-	case o.faults > 0:
-		// Fault soak mode: crash/reopen cycles under injected storage
-		// faults, asserting zero silent corruption. Exits non-zero on any
-		// wrong answer.
-		logger.Info("fault soak starting", "cycles", o.faults, "seed", o.faultSeed)
-		rep, err := dynq.FaultSoak(dynq.SoakOptions{Cycles: o.faults, Seed: o.faultSeed, Log: soakLog})
-		if err != nil {
-			fatal(fmt.Errorf("fault soak harness: %w (partial report: %s)", err, rep))
-		}
-		fmt.Println(rep)
-		if rep.WrongAnswers != 0 {
-			fatal(fmt.Errorf("fault soak found %d wrong answers — silent corruption", rep.WrongAnswers))
-		}
-		logger.Info("fault soak passed", "cycles", rep.Cycles,
-			"clean_recoveries", rep.CleanRecoveries, "detected_corruptions", rep.DetectedCorruption)
-		return
-	}
 
 	cfg := bench.Config{Scale: o.scale, Trajectories: o.trajectories, Seed: o.seed}
 	report := bench.NewReport(cfg)

@@ -158,7 +158,7 @@ func build(path string, scale float64, seed int64, dual bool) error {
 }
 
 func inspect(path string) error {
-	db, rep, err := dynq.OpenFileRecover(path)
+	db, rep, err := dynq.OpenFileRecoverWith(path, dynq.RecoverOptions{})
 	if err != nil {
 		return err
 	}

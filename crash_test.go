@@ -35,10 +35,10 @@ func TestCrashAtEveryFlushBoundary(t *testing.T) {
 	defer post.Close()
 
 	// Dry run: count the page writes one Sync of batch B performs.
-	if err := rebuildFile(path, batchA, bufferPages); err != nil {
+	if err := createFiles(singleLayout(path), 1, false, bufferPages, batchA); err != nil {
 		t.Fatalf("seed file: %v", err)
 	}
-	db, fs, faults, err := openFaulted(path, nil, bufferPages)
+	db, faults, err := openFaulted(path, recoverSpec{bufferPages: bufferPages}, nil)
 	if err != nil {
 		t.Fatalf("dry-run open: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestCrashAtEveryFlushBoundary(t *testing.T) {
 		t.Fatalf("dry-run sync: %v", err)
 	}
 	writes := faults.Stats().Writes
-	if err := fs.Crash(); err != nil {
+	if err := db.crash(); err != nil {
 		t.Fatalf("dry-run crash: %v", err)
 	}
 	if writes < 2 {
@@ -57,17 +57,17 @@ func TestCrashAtEveryFlushBoundary(t *testing.T) {
 
 	var corrupt, cleanPre, cleanPost int
 	for k := int64(1); k <= writes+1; k++ {
-		if err := rebuildFile(path, batchA, bufferPages); err != nil {
+		if err := createFiles(singleLayout(path), 1, false, bufferPages, batchA); err != nil {
 			t.Fatalf("k=%d: rebuild: %v", k, err)
 		}
-		db, fs, faults, err := openFaulted(path, nil, bufferPages)
+		db, faults, err := openFaulted(path, recoverSpec{bufferPages: bufferPages}, nil)
 		if err != nil {
 			t.Fatalf("k=%d: open: %v", k, err)
 		}
 		insertAll(t, db, batchB)
 		faults.ArmTornWrites(k)
 		syncErr := db.Sync()
-		if err := fs.Crash(); err != nil {
+		if err := db.crash(); err != nil {
 			t.Fatalf("k=%d: crash: %v", k, err)
 		}
 		if k <= writes && syncErr == nil {
@@ -77,7 +77,7 @@ func TestCrashAtEveryFlushBoundary(t *testing.T) {
 			t.Fatalf("k=%d: sync past the last write boundary should succeed, got %v", k, syncErr)
 		}
 
-		rdb, _, err := OpenFileRecover(path)
+		rdb, _, err := OpenFileRecoverWith(path, RecoverOptions{})
 		if err != nil {
 			if !isTypedCorruption(err) {
 				t.Fatalf("k=%d: reopen failed with untyped error: %v", k, err)
@@ -126,10 +126,10 @@ func TestSyncFaultLeavesCommittedState(t *testing.T) {
 	pre := mustReplica(t, batchA)
 	defer pre.Close()
 
-	if err := rebuildFile(path, batchA, bufferPages); err != nil {
+	if err := createFiles(singleLayout(path), 1, false, bufferPages, batchA); err != nil {
 		t.Fatalf("seed file: %v", err)
 	}
-	db, fs, faults, err := openFaulted(path, nil, bufferPages)
+	db, faults, err := openFaulted(path, recoverSpec{bufferPages: bufferPages}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -141,11 +141,11 @@ func TestSyncFaultLeavesCommittedState(t *testing.T) {
 	if got := faults.Stats().InjectedSyncs; got != 1 {
 		t.Fatalf("injected syncs = %d, want 1", got)
 	}
-	if err := fs.Crash(); err != nil {
+	if err := db.crash(); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
 
-	rdb, rep, err := OpenFileRecover(path)
+	rdb, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		// The flushed-but-uncommitted pages may have overwritten committed
 		// ones in place; recovery must then say so, typed.

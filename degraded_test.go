@@ -11,14 +11,14 @@ import (
 // must keep working, and clearing the flag restores writes.
 func TestDegradedModeTripsAfterConsecutiveWriteFailures(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "degrade.dynq")
-	if err := rebuildFile(path, nil, 0); err != nil {
+	if err := createFiles(singleLayout(path), 1, false, 0, nil); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
-	db, fs, faults, err := openFaulted(path, nil, 0)
+	db, faults, err := openFaulted(path, recoverSpec{}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	defer fs.Crash()
+	defer db.crash()
 
 	if err := db.Insert(1, Segment{T0: 0, T1: 1, From: []float64{1, 1}, To: []float64{1, 1}}); err != nil {
 		t.Fatalf("healthy insert: %v", err)

@@ -80,8 +80,8 @@ type Options struct {
 	DualTimeAxes bool
 	// Path, when non-empty, stores index pages in a file; otherwise the
 	// index lives in memory. Open CREATES the file, truncating any
-	// existing contents — use OpenFile to reattach a previously written
-	// index.
+	// existing contents — use OpenFileRecoverWith to reattach a previously
+	// written index.
 	Path string
 	// BufferPages enables a server-side LRU page buffer of the given
 	// capacity. The paper's experiments run bufferless (0): the client,
@@ -93,7 +93,7 @@ type Options struct {
 	// WALPath, when non-empty, arms a write-ahead log: every
 	// ApplyUpdates/Insert/Delete appends a checksummed record before
 	// touching the index, Sync checkpoints the log, and reopening through
-	// OpenFileRecover replays whatever the last page commit missed. Open
+	// OpenFileRecoverWith replays whatever the last page commit missed. Open
 	// creates the log fresh (like Path, truncating any existing file).
 	// The only accepted value is "<Path>.wal", the sidecar a reopen
 	// finds, so a log needs Path. The field stays a string only because
@@ -133,7 +133,7 @@ const defaultWALBufferPages = 1024
 
 // Open creates a one-unit database. With Options.Path set, a new page
 // file is created, TRUNCATING any existing file at that path; use
-// OpenFile to reattach an existing one. Options.WALPath must be
+// OpenFileRecoverWith to reattach an existing one. Options.WALPath must be
 // "<Path>.wal": a log anywhere else, or one without a page file to
 // replay onto, could never be recovered, and is refused before any file
 // is created.

@@ -280,7 +280,7 @@ func TestFilePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenFile(path)
+	re, _, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +312,8 @@ func TestFilePersistence(t *testing.T) {
 	if !found {
 		t.Error("object 0's first segment missing after reopen")
 	}
-	// OpenFile on garbage fails cleanly.
-	if _, err := OpenFile(filepath.Join(t.TempDir(), "missing")); err == nil {
+	// A missing file fails cleanly.
+	if _, _, err := OpenFileRecoverWith(filepath.Join(t.TempDir(), "missing"), RecoverOptions{}); err == nil {
 		t.Error("opening a missing file should fail")
 	}
 }

@@ -28,11 +28,13 @@ var ErrNoSpace = fmt.Errorf("pager: injected disk full: %w", syscall.ENOSPC)
 //
 //   - A scripted FaultPlan: probabilistic per-op failure rates, torn
 //     writes, bit flips, and added latency, driven by a deterministic
-//     seeded generator. Plans drive the crash/reopen soak
-//     (dqbench -faults).
+//     seeded generator. Plans drive the fault soak, the crash-soak
+//     hook set whose write phase runs through a FaultStore
+//     (TestSoakReports in the root package).
 //
-// It exists for failure-propagation tests: every query engine must
-// surface I/O errors instead of returning partial answers silently.
+// It exists for tests only: failure propagation (every query engine
+// must surface I/O errors instead of returning partial answers
+// silently), the crash tests and the soaks.
 type FaultStore struct {
 	Inner Store
 

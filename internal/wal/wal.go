@@ -680,7 +680,7 @@ func (l *Log) Close() error {
 }
 
 // Crash closes the log WITHOUT syncing, so unfsynced appends are at the
-// mercy of the OS — the crash-simulation hook used by the fault soak
+// mercy of the OS — the crash-simulation hook used by the crash soaks
 // (mirroring FileStore.Crash).
 func (l *Log) Crash() error {
 	l.mu.Lock()

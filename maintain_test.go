@@ -20,10 +20,12 @@ func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStor
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.dynq")
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
-	if err := rebuildLogged(singleLayout(path), 1, 0); err != nil {
+	if err := createFiles(singleLayout(path), 1, true, 0, nil); err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	db, fs, faults, err := openChaos(path, 0, mopts, clk.Now, nil)
+	db, faults, err := openFaulted(path, recoverSpec{
+		forceWAL: true, maint: mopts, clock: clk.Now,
+	}, nil)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -31,7 +33,7 @@ func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStor
 	if db.maint == nil {
 		t.Fatal("maintenance loop did not start")
 	}
-	return db, fs, faults, clk
+	return db, faults.Inner.(*pager.FileStore), faults, clk
 }
 
 // TestAutoCheckpointBoundsWAL is the headline acceptance check for the
@@ -250,10 +252,12 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 	// old committed tree + intact log.
 	const bufPages = 256
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
-	if err := rebuildLogged(singleLayout(path), 1, bufPages); err != nil {
+	if err := createFiles(singleLayout(path), 1, true, bufPages, nil); err != nil {
 		t.Fatal(err)
 	}
-	db, _, faults, err := openChaos(path, bufPages, MaintenanceOptions{}, clk.Now, nil)
+	db, faults, err := openFaulted(path, recoverSpec{
+		forceWAL: true, bufferPages: bufPages, clock: clk.Now,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +296,9 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
-	db2, _, _, err := openChaos(path, bufPages, MaintenanceOptions{}, clk.Now, nil)
+	db2, _, err := openFaulted(path, recoverSpec{
+		forceWAL: true, bufferPages: bufPages, clock: clk.Now,
+	}, nil)
 	if err != nil {
 		t.Fatalf("reopen after failed checkpoint + crash: %v", err)
 	}

@@ -195,7 +195,7 @@ func (s *Server) WithWriteSLO(cfg obs.SLOConfig) *Server {
 	return s
 }
 
-// WithRecoveryReport attaches the report from OpenFileRecover, exposing
+// WithRecoveryReport attaches the report from OpenFileRecoverWith, exposing
 // what open-time verification checked and repaired as dynq_recovery_*
 // gauges (the recovery event itself is journaled by the open). Call
 // before Serve.

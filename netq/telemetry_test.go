@@ -299,7 +299,7 @@ func TestRecoveryReportInTelemetry(t *testing.T) {
 	}
 
 	marker := obs.DefaultJournal().Total()
-	db, rep, err := dynq.OpenFileRecover(path)
+	db, rep, err := dynq.OpenFileRecoverWith(path, dynq.RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestRecoveryReportInTelemetry(t *testing.T) {
 		}
 	}
 	if !recovered {
-		t.Errorf("no recovery event in telemetry after OpenFileRecover: %+v", tel.Events)
+		t.Errorf("no recovery event in telemetry after OpenFileRecoverWith: %+v", tel.Events)
 	}
 
 	var prom strings.Builder

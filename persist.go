@@ -229,12 +229,3 @@ func (e *engine) syncFailure(unit int, stage string, cause error) error {
 	e.health.set(true)
 	return err
 }
-
-// OpenFile reattaches a database previously created with Options.Path
-// and persisted with Sync, running the same integrity verification as
-// OpenFileRecover but discarding the report. A WAL sidecar at
-// "<path>.wal" is detected, replayed, and re-armed automatically.
-func OpenFile(path string) (*DB, error) {
-	db, _, err := OpenFileRecover(path)
-	return db, err
-}

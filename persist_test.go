@@ -123,7 +123,7 @@ func TestOpenFileWithOldSplitPolicy(t *testing.T) {
 		}
 		setSplitByte(t, path, old)
 
-		db, err = OpenFile(path)
+		db, _, err = OpenFileRecoverWith(path, RecoverOptions{})
 		if err != nil {
 			t.Fatalf("split byte %d: reopen: %v", old, err)
 		}
@@ -142,7 +142,7 @@ func TestOpenFileWithOldSplitPolicy(t *testing.T) {
 		if got := splitByte(t, path); got != 0 {
 			t.Fatalf("split byte %d: the next commit wrote split byte %d, want 0", old, got)
 		}
-		db, err = OpenFile(path)
+		db, _, err = OpenFileRecoverWith(path, RecoverOptions{})
 		if err != nil {
 			t.Fatalf("split byte %d: reopen after commit: %v", old, err)
 		}

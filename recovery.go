@@ -88,20 +88,11 @@ func (r RecoveryReport) String() string {
 	return s
 }
 
-// OpenFileRecover opens a file-backed database, verifying the committed
-// tree before handing it out: every reachable page's checksum and epoch
-// are checked, the structure is validated against the committed
-// metadata, and the free list is rebuilt from the tree if the on-disk
-// chain is damaged. Corruption surfaces as a typed error wrapping
-// ErrCorrupt; the returned report says what was checked and repaired.
-func OpenFileRecover(path string) (*DB, *RecoveryReport, error) {
-	return OpenFileRecoverWith(path, RecoverOptions{})
-}
-
-// RecoverOptions tune OpenFileRecoverWith; the zero value matches
-// OpenFileRecover exactly. Armed logs get the WAL buffering floor of page
-// buffer per unit (see Options.BufferPages); without them the trees read
-// their files unbuffered.
+// RecoverOptions tune OpenFileRecoverWith; the zero value reopens the
+// single file Open creates, replaying its log when one exists. Armed logs
+// get the WAL buffering floor of page buffer per unit (see
+// Options.BufferPages); without them the trees read their files
+// unbuffered.
 type RecoverOptions struct {
 	// Shards is the unit count the database was created with: 0 for the
 	// single file Open creates, n for the "<path>.shard<i>" set OpenSharded
@@ -123,11 +114,16 @@ type RecoverOptions struct {
 	Maintenance MaintenanceOptions
 }
 
-// OpenFileRecoverWith is the recovering open of both layouts, with knobs:
-// it can force-arm the logs (dqserver -wal), set the group-commit window
-// and start the maintenance loop. Every unit is verified and its log
-// replayed independently; the returned report is the units' reports
-// merged (LastRecovery keeps them apart).
+// OpenFileRecoverWith reopens a file-backed database of either layout,
+// verifying the committed tree before handing it out: every reachable
+// page's checksum and epoch are checked, the structure is validated
+// against the committed metadata, and the free list is rebuilt from the
+// tree if the on-disk chain is damaged. Corruption surfaces as a typed
+// error wrapping ErrCorrupt. Every unit is verified and its log replayed
+// independently; the returned report, saying what was checked and
+// repaired, is the units' reports merged (LastRecovery keeps them
+// apart). The options can force-arm the logs (dqserver -wal), set the
+// group-commit window and start the maintenance loop.
 //
 // A path with no database files fails with an error satisfying
 // errors.Is(err, os.ErrNotExist): creating a database takes the tree

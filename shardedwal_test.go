@@ -127,8 +127,8 @@ func TestOpenShardedRecoverNeedsFiles(t *testing.T) {
 	if _, _, err := OpenFileRecoverWith(path, RecoverOptions{Shards: 2, WAL: true}); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("recovering an absent shard set: %v, want os.ErrNotExist", err)
 	}
-	if _, _, err := OpenFileRecover(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("OpenFileRecover on an absent path: %v, want os.ErrNotExist", err)
+	if _, _, err := OpenFileRecoverWith(path, RecoverOptions{}); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("OpenFileRecoverWith on an absent path: %v, want os.ErrNotExist", err)
 	}
 	if left, _ := filepath.Glob(path + "*"); len(left) != 0 {
 		t.Fatalf("refused opens left files behind: %v", left)
@@ -396,23 +396,5 @@ func TestMergeRecoveryReports(t *testing.T) {
 	}
 	if !m.WALArmed || !m.WALTornTail || m.WALRecordsReplayed != 2 {
 		t.Errorf("merged WAL flags wrong: %+v", m)
-	}
-}
-
-// TestWALSoakShardedSmoke runs a short sharded soak as a unit test; the
-// full run is dqbench -faults -wal -shards N.
-func TestWALSoakShardedSmoke(t *testing.T) {
-	rep, err := WALSoak(WALSoakOptions{Cycles: 8, Seed: 7, Batch: 16, Shards: 3, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("sharded soak harness error: %v (%s)", err, rep)
-	}
-	if rep.LostAcked != 0 {
-		t.Fatalf("acknowledged writes lost: %s", rep)
-	}
-	if rep.WrongAnswers != 0 {
-		t.Fatalf("wrong answers after replay: %s", rep)
-	}
-	if rep.Tears == 0 || rep.QueriesCompared == 0 {
-		t.Fatalf("sharded soak exercised nothing: %s", rep)
 	}
 }

@@ -154,7 +154,7 @@ func TestWALRecoverReplaysUnsyncedWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rdb, rep, err := OpenFileRecover(path)
+	rdb, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestWALRecoverReplaysUnsyncedWrites(t *testing.T) {
 	if err := rdb.crash(); err != nil {
 		t.Fatal(err)
 	}
-	rdb2, rep2, err := OpenFileRecover(path)
+	rdb2, rep2, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestWALCheckpointBoundsReplay(t *testing.T) {
 	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
-	rdb, rep, err := OpenFileRecover(path)
+	rdb, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	rdb, rep, err := OpenFileRecover(path)
+	rdb, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		t.Fatalf("recover after torn tail: %v", err)
 	}
@@ -299,7 +299,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 	if err := rdb.crash(); err != nil {
 		t.Fatal(err)
 	}
-	rdb2, _, err := OpenFileRecover(path)
+	rdb2, _, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +316,13 @@ func TestWALTornTailRecovery(t *testing.T) {
 func TestSyncFailureWithWALDegradesImmediately(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fail.dynq")
-	if err := rebuildFile(path, nil, 0); err != nil {
+	if err := createFiles(singleLayout(path), 1, false, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A DB with a scripted FaultStore between tree and file, plus an
 	// armed WAL — the configuration where a failed checkpoint must not
 	// be retried silently.
-	db, _, faults, err := openChaos(path, 0, MaintenanceOptions{}, nil, nil)
+	db, faults, err := openFaulted(path, recoverSpec{forceWAL: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,14 +355,14 @@ func TestSyncFailureWithWALDegradesImmediately(t *testing.T) {
 	// Without a WAL the same single failure only feeds the
 	// consecutive-failure counter; the database stays writable.
 	path2 := filepath.Join(dir, "nowal.dynq")
-	if err := rebuildFile(path2, nil, 0); err != nil {
+	if err := createFiles(singleLayout(path2), 1, false, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	db2, fs2, faults2, err := openFaulted(path2, nil, 0)
+	db2, faults2, err := openFaulted(path2, recoverSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fs2.Close()
+	defer db2.Close()
 	if err := db2.Insert(1, seg2(0, 10, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -404,24 +404,6 @@ func TestOpenRejectsUnrecoverableWAL(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
 		t.Fatalf("refused opens created files: %v", left)
-	}
-}
-
-// TestWALSoakSmoke runs a short WALSoak as a unit test; the full run is
-// dqbench -faults -wal.
-func TestWALSoakSmoke(t *testing.T) {
-	rep, err := WALSoak(WALSoakOptions{Cycles: 12, Seed: 7, Batch: 16, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatalf("soak harness error: %v (%s)", err, rep)
-	}
-	if rep.LostAcked != 0 {
-		t.Fatalf("acknowledged writes lost: %s", rep)
-	}
-	if rep.WrongAnswers != 0 {
-		t.Fatalf("wrong answers after replay: %s", rep)
-	}
-	if rep.Tears == 0 || rep.QueriesCompared == 0 {
-		t.Fatalf("soak exercised nothing: %s", rep)
 	}
 }
 
@@ -475,7 +457,7 @@ func TestFailedBatchNotReplayed(t *testing.T) {
 	if err := db.crash(); err != nil {
 		t.Fatal(err)
 	}
-	rdb, rep, err := OpenFileRecover(path)
+	rdb, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
