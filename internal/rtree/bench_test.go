@@ -227,7 +227,7 @@ func BenchmarkInsertSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkSplit is the quadratic split of a full node of an insert-grown
+// BenchmarkSplit is the R*-axis split of a full node of an insert-grown
 // dual-time tree, as Tree.split runs it: the boxes read off the over-full
 // page into a split table, then grouped. The ingest path splits a leaf
 // about once per 64 inserts.

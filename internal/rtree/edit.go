@@ -166,7 +166,7 @@ func (v NodeView) chooseChild(b geom.Box) int {
 	if v.dual {
 		endTime += 8
 	}
-	bm := measureOf(b)
+	bEmpty, bArea := b.Empty(), b.Area()
 	best := 0
 	bestEnl, bestArea, bestMargin := -1.0, 0.0, 0.0
 	for k, n := 0, v.Len(); k < n; k++ {
@@ -186,8 +186,8 @@ func (v NodeView) chooseChild(b geom.Box) int {
 		}
 		switch {
 		case empty:
-			area, margin, cover = 0, 0, bm.area
-		case bm.empty:
+			area, margin, cover = 0, 0, bArea
+		case bEmpty:
 			cover = area
 		}
 		enl := cover - area

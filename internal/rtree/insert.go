@@ -236,7 +236,7 @@ func overfull(v NodeView) nodeEdit {
 	return nodeEdit{NodeView: v}
 }
 
-// split divides full, page's node with one entry too many, by the quadratic
+// split divides full, page's node with one entry too many, by the R*-axis
 // split of s, the table of its boxes, and writes one group back to page and
 // the other to a new sibling. The last entry, whose insertion caused the
 // overflow, is forced into the sibling so that all nodes created by one

@@ -14,9 +14,9 @@ import (
 // and a bulk load build Nodes and write them the same way. It is kept here,
 // in tests only, as the reference the in-place path must match byte for
 // byte (TestEditMatchesReference, FuzzEditMatchesReference,
-// TestBulkLoadMatchesReference). It shares only the split kernel
-// (splitGroups, held to refSplitGroups by FuzzSplitGroups) and the bulk
-// loader's ordering with the tree proper; the one deliberate difference
+// TestBulkLoadMatchesReference). It splits with refSplitGroups, the plain
+// R*-axis split on geom.Box values, and shares only the bulk loader's
+// ordering with the tree proper; the one deliberate difference
 // from the old code is that a deletion bumps the modification sequence only
 // once its target is found.
 
@@ -356,8 +356,11 @@ func (t *Tree) refHeightGrew(res insertResult) error {
 // refSplitLeaf splits an over-full decoded leaf. newIdx is the index of the
 // entry whose insertion caused the overflow: it is forced into the new node.
 func (t *Tree) refSplitLeaf(n *Node, newIdx int) (insertResult, error) {
-	s := leafTable(n.Entries, t.cfg.boxDims())
-	ga, gb := s.splitGroups(t.cfg.minLeafEntries())
+	boxes := make([]geom.Box, len(n.Entries))
+	for i, e := range n.Entries {
+		boxes[i] = e.Box(t.cfg.Dims)
+	}
+	ga, gb := refSplitGroups(boxes, t.cfg.minLeafEntries())
 	ga, gb = forceNewInB(ga, gb, newIdx)
 
 	sib, err := t.alloc(0)
@@ -384,8 +387,11 @@ func (t *Tree) refSplitLeaf(n *Node, newIdx int) (insertResult, error) {
 // refSplitInternal splits an over-full decoded internal node; newIdx is the
 // index of the child entry that caused the overflow.
 func (t *Tree) refSplitInternal(n *Node, newIdx int) (insertResult, error) {
-	s := childTable(n.Children, t.cfg.boxDims())
-	ga, gb := s.splitGroups(t.cfg.minInternalEntries())
+	boxes := make([]geom.Box, len(n.Children))
+	for i, c := range n.Children {
+		boxes[i] = c.Box
+	}
+	ga, gb := refSplitGroups(boxes, t.cfg.minInternalEntries())
 	ga, gb = forceNewInB(ga, gb, newIdx)
 
 	sib, err := t.alloc(n.Level)
@@ -408,24 +414,6 @@ func (t *Tree) refSplitInternal(n *Node, newIdx int) (insertResult, error) {
 		siblingMBR: sib.MBR(t.cfg.Dims),
 		level:      n.Level,
 	}, nil
-}
-
-// leafTable lays out a decoded leaf's entries (LeafEntry.Box), childTable
-// a decoded internal node's child boxes, each box having axes extents.
-func leafTable(entries []LeafEntry, axes int) splitTable {
-	s := newSplitTable(len(entries), axes)
-	for i, e := range entries {
-		e.fillBox(s.row(i))
-	}
-	return s
-}
-
-func childTable(children []Child, axes int) splitTable {
-	s := newSplitTable(len(children), axes)
-	for i, c := range children {
-		copy(s.row(i), c.Box)
-	}
-	return s
 }
 
 func pickLeafEntries(src []LeafEntry, idx []int) []LeafEntry {

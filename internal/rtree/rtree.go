@@ -57,7 +57,7 @@ type Config struct {
 
 // DefaultConfig returns the configuration of the paper's experiments:
 // 2 spatial dimensions, 0.4 minimum fill, 0.5 bulk fill. Every tree
-// splits an over-full node with Guttman's quadratic split.
+// splits an over-full node with the R*-tree's axis split (splitGroups).
 func DefaultConfig() Config {
 	return Config{Dims: 2, MinFill: 0.4, BulkFill: 0.5}
 }

@@ -2,35 +2,38 @@ package rtree
 
 import (
 	"math"
+	"slices"
 
 	"dynq/internal/geom"
 )
 
 // splitTable is an over-full node laid flat for splitGroups: row i of ext is
-// entry i's box, measured once. It takes five allocations whatever the
-// fanout, and lives for one split (Tree.split).
+// entry i's box. Its slabs — the rows with the covers a scan grows, the
+// sort keys and the sorted orders — take three allocations whatever the
+// fanout, and live for one split (Tree.split).
 type splitTable struct {
-	axes int
-	ext  []geom.Interval // the rows, axes extents each
-	box  []measure       // each row's emptiness, area and margin
-	// PickNext's state: which rows are assigned, each unassigned row's
-	// growth cost against either group's cover, and the groups themselves.
-	taken []bool
-	cost  [2][]float64
-	group [2][]int
+	axes  int
+	ext   []geom.Interval // the rows, axes extents each
+	tail  []geom.Interval // tail k: the cover of rows order[k:], axes extents each
+	head  geom.Box        // the cover of rows order[:k] as a scan grows it
+	keys  []uint64        // one per row, for sortOn
+	order [2][]int        // the rows sorted on the axis being scored: by lower bound, by upper bound
+	best  [2][]int        // the same two orders of the best axis so far
 }
 
 // newSplitTable makes a table for n boxes of axes extents; the caller
 // fills every row.
 func newSplitTable(n, axes int) splitTable {
-	cost, group := make([]float64, 2*n), make([]int, 2*n)
+	ext := make([]geom.Interval, (2*n+1)*axes)
+	idx := make([]int, 4*n)
 	return splitTable{
 		axes:  axes,
-		ext:   make([]geom.Interval, n*axes),
-		box:   make([]measure, n),
-		taken: make([]bool, n),
-		cost:  [2][]float64{cost[:n], cost[n:]},
-		group: [2][]int{group[:0:n], group[n:n]},
+		ext:   ext[: n*axes : n*axes],
+		tail:  ext[n*axes : 2*n*axes : 2*n*axes],
+		head:  ext[2*n*axes:],
+		keys:  make([]uint64, n),
+		order: [2][]int{idx[:n:n], idx[n : 2*n : 2*n]},
+		best:  [2][]int{idx[2*n : 3*n : 3*n], idx[3*n:]},
 	}
 }
 
@@ -38,7 +41,7 @@ func newSplitTable(n, axes int) splitTable {
 // leaf, ChildBox for an internal node.
 func tableOf(v NodeView) splitTable {
 	s := newSplitTable(v.Len(), int(v.dims)+2)
-	for i := range s.box {
+	for i := range v.Len() {
 		if v.Leaf() {
 			v.EntryBox(i, s.row(i))
 		} else {
@@ -48,179 +51,162 @@ func tableOf(v NodeView) splitTable {
 	return s
 }
 
-// measure is what the split reads of a box besides its bounds: Box.Empty,
-// Box.Area and Box.Margin.
-type measure struct {
-	empty        bool
-	area, margin float64
-}
-
-func measureOf(b geom.Box) measure {
-	return measure{empty: b.Empty(), area: b.Area(), margin: b.Margin()}
-}
-
-// splitCover is one group's cover while PickNext fills it.
-type splitCover struct {
-	ext [maxDims + 2]geom.Interval
-	measure
-}
-
 // row returns entry i's box, to fill or to read.
 func (s *splitTable) row(i int) geom.Box {
 	return s.ext[i*s.axes : (i+1)*s.axes : (i+1)*s.axes]
 }
 
+// tailBox returns the cover of the rows from position k of the order last
+// scanned.
+func (s *splitTable) tailBox(k int) geom.Box {
+	return s.tail[k*s.axes : (k+1)*s.axes : (k+1)*s.axes]
+}
+
 // splitGroups partitions the table's rows into two groups, each holding at
-// least minEntries, by Guttman's quadratic split: pick the pair of entries
-// whose combined box wastes the most area as seeds, then assign remaining
-// entries one at a time to the group whose cover grows least. The groups
-// are returned as index slices into the table; together they cover every
-// index exactly once.
+// least minEntries, by the R*-tree's split (Beckmann et al., SIGMOD 1990)
+// without forced reinsertion. For each axis the rows are sorted by lower
+// bound and, separately, by upper bound; a distribution is a sorted order
+// cut in two, and the axis whose distributions have the least summed
+// margin wins. On that axis the distribution with the least overlap
+// between its two covers is taken, then the least total area, then the
+// least total margin. Sorts break ties by row index, the first axis and
+// the first distribution met win ties, so a given node always splits the
+// same way. The groups are returned as index slices into the table, each
+// in its sorted order; together they cover every index exactly once.
 //
 // It makes the choices refSplitGroups (split_test.go) makes on geom.Box
-// values, in the same order, so an insert-grown tree is the same bytes:
-// every area, margin and cost is computed with the operations Box would
-// use, in the same order. What it saves is repetition. Each box is measured
-// once, not once per pair; and since an assignment grows one group's cover,
-// only that group's costs are recomputed, and only if the cover moved.
+// values: covers take Box.CoverInPlace's min and max, and every area and
+// margin is computed as Box computes it, in the same order. What it saves
+// is repetition: one pass per order builds the covers of all its tails,
+// and one more grows the head's cover row by row, where the reference
+// covers each distribution afresh.
 func (s *splitTable) splitGroups(minEntries int) (a, b []int) {
-	n := len(s.box)
-	for i := range s.box {
-		s.box[i] = measureOf(s.row(i))
-	}
-	grp := &s.group
-	var cov [2]splitCover
-	for side, seed := range s.pickSeeds() {
-		copy(cov[side].ext[:], s.row(seed))
-		cov[side].measure = s.box[seed]
-		grp[side] = append(grp[side], seed)
-		s.taken[seed] = true
-	}
-	for i, done := range s.taken {
-		if !done {
-			s.cost[0][i] = s.growth(&cov[0], i)
-			s.cost[1][i] = s.growth(&cov[1], i)
+	bestSum := 0.0
+	for axis := range s.axes {
+		sum := 0.0
+		for by, order := range s.order {
+			s.sortOn(order, axis, by == 1)
+			s.scan(order, minEntries, func(_ int, head, tail geom.Box) {
+				sum += head.Margin() + tail.Margin()
+			})
+		}
+		if axis == 0 || sum < bestSum {
+			bestSum = sum
+			s.order, s.best = s.best, s.order
 		}
 	}
 
-	for left := n - 2; left > 0; left-- {
-		// If one group must take everything left to reach minEntries, do it.
-		for side := range grp {
-			if len(grp[side])+left <= minEntries {
-				for i, done := range s.taken {
-					if !done {
-						grp[side] = append(grp[side], i)
-					}
-				}
-				return grp[0], grp[1]
+	var cut []int
+	split := 0
+	var bestOverlap, bestArea, bestMargin float64
+	for _, order := range s.best {
+		s.scan(order, minEntries, func(k int, head, tail geom.Box) {
+			overlap := overlapArea(head, tail)
+			area := head.Area() + tail.Area()
+			margin := head.Margin() + tail.Margin()
+			if cut == nil || overlap < bestOverlap || overlap == bestOverlap && (area < bestArea || area == bestArea && margin < bestMargin) {
+				cut, split = order, k
+				bestOverlap, bestArea, bestMargin = overlap, area, margin
 			}
-		}
-		// PickNext: the entry with the greatest preference difference, the
-		// first such in index order (the order of the reference's rest).
-		best, bestDiff := -1, -1.0
-		var bestDA, bestDB float64
-		for i, done := range s.taken {
-			if done {
-				continue
-			}
-			if best < 0 {
-				best = i // kept when every difference is NaN, its costs read as 0
-			}
-			da, db := s.cost[0][i], s.cost[1][i]
-			if diff := math.Abs(da - db); diff > bestDiff {
-				best, bestDiff, bestDA, bestDB = i, diff, da, db
-			}
-		}
-		toA := bestDA < bestDB
-		if bestDA == bestDB {
-			// Resolve ties by smaller cover, then fewer entries.
-			switch {
-			case cov[0].area != cov[1].area:
-				toA = cov[0].area < cov[1].area
-			default:
-				toA = len(grp[0]) <= len(grp[1])
-			}
-		}
-		side := 1
-		if toA {
-			side = 0
-		}
-		s.taken[best] = true
-		grp[side] = append(grp[side], best)
-		if s.admit(&cov[side], best) {
-			for i, done := range s.taken {
-				if !done {
-					s.cost[side][i] = s.growth(&cov[side], i)
-				}
-			}
-		}
+		})
 	}
-	return grp[0], grp[1]
+	return cut[:split], cut[split:]
 }
 
-// pickSeeds returns the pair wasting the most room if grouped together
-// (Guttman's PickSeeds), with a margin-based fallback when all pair areas
-// are degenerate.
-func (s *splitTable) pickSeeds() [2]int {
-	best, bestWaste := [2]int{0, 1}, math.Inf(-1)
-	for i, mi := range s.box {
-		ri := s.row(i)
-		for j := i + 1; j < len(s.box); j++ {
-			mj := s.box[j]
-			area, margin := coverMeasure(ri, mi, s.row(j), mj)
-			waste := area - mi.area - mj.area
-			if waste == 0 {
-				waste = 1e-9 * (margin - mi.margin - mj.margin)
-			}
-			if waste > bestWaste {
-				best, bestWaste = [2]int{i, j}, waste
-			}
+// sortOn fills order with every row, sorted by its lower (or upper) bound
+// on axis, ties by row index. A row's bounds are float32 values, as pages
+// hold them, so one integer per row carries the bound's order and, below
+// it, the row.
+func (s *splitTable) sortOn(order []int, axis int, upper bool) {
+	for i := range s.keys {
+		iv := s.ext[i*s.axes+axis]
+		v := iv.Lo
+		if upper {
+			v = iv.Hi
+		}
+		s.keys[i] = uint64(orderBits(float32(v)))<<32 | uint64(i)
+	}
+	slices.Sort(s.keys)
+	for k, key := range s.keys {
+		order[k] = int(uint32(key))
+	}
+}
+
+// orderBits maps a bound to an integer of the same order, -0 and +0 equal,
+// so that bounds sort as cmp.Compare sorts them. A row holds no NaN: pages
+// hold finite coordinates.
+func orderBits(v float32) uint32 {
+	if v == 0 {
+		v = 0 // +0 for -0
+	}
+	b := math.Float32bits(v)
+	if b>>31 == 1 {
+		return ^b
+	}
+	return b | 1<<31
+}
+
+// scan calls visit for every distribution of order leaving each group at
+// least minEntries rows, in order of k, the size of the first group: with
+// head, the cover of rows order[:k], and tail, the cover of order[k:]. It
+// grows the tails' covers from the last row back, keeping those a
+// distribution has, then the head's from the first row on.
+func (s *splitTable) scan(order []int, minEntries int, visit func(k int, head, tail geom.Box)) {
+	n := len(order)
+	c, empty := s.head, true
+	clearBox(c)
+	for k := n - 1; k >= minEntries; k-- {
+		s.grow(c, &empty, order[k])
+		if k <= n-minEntries {
+			copy(s.tailBox(k), c)
 		}
 	}
-	return best
-}
-
-// growth is how much cover c grows by admitting row i: area enlargement
-// with a margin fallback for the degenerate zero-area boxes that are common
-// in space-time keys.
-func (s *splitTable) growth(c *splitCover, i int) float64 {
-	area, margin := coverMeasure(c.ext[:s.axes], c.measure, s.row(i), s.box[i])
-	if d := area - c.area; d != 0 {
-		return d
-	}
-	return margin - c.margin
-}
-
-// admit grows cover c to take row i as Box.CoverInPlace would and reports
-// whether any bound changed (bit for bit).
-func (s *splitTable) admit(c *splitCover, i int) bool {
-	old := c.ext
-	cover := geom.Box(c.ext[:s.axes])
-	cover.CoverInPlace(s.row(i))
-	for k, iv := range cover {
-		if math.Float64bits(iv.Lo) != math.Float64bits(old[k].Lo) || math.Float64bits(iv.Hi) != math.Float64bits(old[k].Hi) {
-			c.measure = measureOf(cover)
-			return true
+	empty = true
+	clearBox(c)
+	for k := 1; k <= n-minEntries; k++ {
+		s.grow(c, &empty, order[k-1])
+		if k >= minEntries {
+			visit(k, c, s.tailBox(k))
 		}
 	}
-	return false
 }
 
-// coverMeasure is Box.CoverArea and Box.CoverMargin of p and q, boxes of
-// equal length measured as pm and qm.
-func coverMeasure(p geom.Box, pm measure, q geom.Box, qm measure) (area, margin float64) {
-	switch {
-	case pm.empty:
-		return qm.area, qm.margin
-	case qm.empty:
-		return pm.area, pm.margin
+// grow covers row i into c as c.CoverInPlace(s.row(i)) would: an empty row
+// changes nothing, and the first row that is not empty replaces the empty
+// cover. empty says whether c is still that empty cover.
+func (s *splitTable) grow(c geom.Box, empty *bool, i int) {
+	r := s.row(i)
+	for _, iv := range r {
+		if iv.Lo > iv.Hi {
+			return
+		}
 	}
-	q = q[:len(p)]
-	area = 1.0
+	if *empty {
+		copy(c, r)
+		*empty = false
+		return
+	}
+	for k, iv := range r {
+		c[k].Lo, c[k].Hi = min(c[k].Lo, iv.Lo), max(c[k].Hi, iv.Hi)
+	}
+}
+
+// clearBox makes b empty, as geom.NewBox makes a box.
+func clearBox(b geom.Box) {
+	for i := range b {
+		b[i] = geom.EmptyInterval()
+	}
+}
+
+// overlapArea is p.Intersect(q).Area(), without the intersection's box.
+func overlapArea(p, q geom.Box) float64 {
+	area := 1.0
 	for k, iv := range p {
-		l := max(iv.Hi, q[k].Hi) - min(iv.Lo, q[k].Lo)
-		area *= l
-		margin += l
+		lo, hi := max(iv.Lo, q[k].Lo), min(iv.Hi, q[k].Hi)
+		if lo > hi {
+			return 0
+		}
+		area *= hi - lo
 	}
-	return area, margin
+	return area
 }

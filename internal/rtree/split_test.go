@@ -1,7 +1,7 @@
 package rtree
 
 import (
-	"math"
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,100 +10,70 @@ import (
 	"dynq/internal/pager"
 )
 
-// refSplitGroups is the quadratic split as it ran on geom.Box values before
-// the split table: every pair and every candidate measured afresh through
-// the Box methods. splitGroups must make the same choices in the same order
-// (TestSplitGroupsMatchesReference, FuzzSplitGroups).
+// refSplitGroups is the R*-axis split written plainly on geom.Box values:
+// every order sorted afresh, every distribution's two covers built afresh
+// through the Box methods. splitGroups must return the same groups in the
+// same order (TestSplitGroupsMatchesReference, FuzzSplitGroups).
 func refSplitGroups(boxes []geom.Box, minEntries int) (a, b []int) {
-	n := len(boxes)
-	seedA, seedB := refPickSeedsQuadratic(boxes)
-	a = []int{seedA}
-	b = []int{seedB}
-	coverA := boxes[seedA].Clone()
-	coverB := boxes[seedB].Clone()
+	n, axes := len(boxes), len(boxes[0])
+	var orders [2][]int // the chosen axis's orders
+	bestSum := 0.0
+	for d := 0; d < axes; d++ {
+		byLo := refSortedOrder(boxes, func(b geom.Box) float64 { return b[d].Lo })
+		byHi := refSortedOrder(boxes, func(b geom.Box) float64 { return b[d].Hi })
+		sum := 0.0
+		for _, order := range [][]int{byLo, byHi} {
+			for k := minEntries; k <= n-minEntries; k++ {
+				head, tail := refCovers(boxes, order, k)
+				sum += head.Margin() + tail.Margin()
+			}
+		}
+		if d == 0 || sum < bestSum {
+			bestSum, orders = sum, [2][]int{byLo, byHi}
+		}
+	}
 
-	rest := make([]int, 0, n-2)
-	for i := 0; i < n; i++ {
-		if i != seedA && i != seedB {
-			rest = append(rest, i)
+	var best []int
+	bestK := 0
+	var bestOverlap, bestArea, bestMargin float64
+	for _, order := range orders {
+		for k := minEntries; k <= n-minEntries; k++ {
+			head, tail := refCovers(boxes, order, k)
+			overlap := head.Intersect(tail).Area()
+			area := head.Area() + tail.Area()
+			margin := head.Margin() + tail.Margin()
+			better := overlap < bestOverlap ||
+				overlap == bestOverlap && area < bestArea ||
+				overlap == bestOverlap && area == bestArea && margin < bestMargin
+			if best == nil || better {
+				best, bestK = order, k
+				bestOverlap, bestArea, bestMargin = overlap, area, margin
+			}
 		}
 	}
-	for len(rest) > 0 {
-		// If one group must take everything left to reach minEntries, do it.
-		if len(a)+len(rest) <= minEntries {
-			for _, i := range rest {
-				a = append(a, i)
-			}
-			break
-		}
-		if len(b)+len(rest) <= minEntries {
-			for _, i := range rest {
-				b = append(b, i)
-			}
-			break
-		}
-		// PickNext: the entry with the greatest preference difference.
-		bestK, bestDiff := 0, -1.0
-		var bestDA, bestDB float64
-		for k, i := range rest {
-			da := refGrowthCost(coverA, boxes[i])
-			db := refGrowthCost(coverB, boxes[i])
-			diff := math.Abs(da - db)
-			if diff > bestDiff {
-				bestK, bestDiff, bestDA, bestDB = k, diff, da, db
-			}
-		}
-		i := rest[bestK]
-		rest = append(rest[:bestK], rest[bestK+1:]...)
-		toA := bestDA < bestDB
-		if bestDA == bestDB {
-			// Resolve ties by smaller cover, then fewer entries.
-			switch {
-			case coverA.Area() != coverB.Area():
-				toA = coverA.Area() < coverB.Area()
-			default:
-				toA = len(a) <= len(b)
-			}
-		}
-		if toA {
-			a = append(a, i)
-			coverA.CoverInPlace(boxes[i])
-		} else {
-			b = append(b, i)
-			coverB.CoverInPlace(boxes[i])
-		}
-	}
-	return a, b
+	return slices.Clone(best[:bestK]), slices.Clone(best[bestK:])
 }
 
-// refGrowthCost measures how much a group's cover grows by admitting box:
-// area enlargement with a margin fallback for the degenerate zero-area
-// boxes that are common in space-time keys.
-func refGrowthCost(cover, box geom.Box) float64 {
-	if d := cover.Enlargement(box); d != 0 {
-		return d
+// refSortedOrder is the box indices sorted stably by key.
+func refSortedOrder(boxes []geom.Box, key func(geom.Box) float64) []int {
+	order := make([]int, len(boxes))
+	for i := range order {
+		order[i] = i
 	}
-	return cover.CoverMargin(box) - cover.Margin()
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(key(boxes[i]), key(boxes[j])) })
+	return order
 }
 
-// refPickSeedsQuadratic returns the pair wasting the most room if grouped
-// together (Guttman's PickSeeds), with a margin-based fallback when all
-// pair areas are degenerate.
-func refPickSeedsQuadratic(boxes []geom.Box) (int, int) {
-	n := len(boxes)
-	bestI, bestJ, bestWaste := 0, 1, math.Inf(-1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			waste := boxes[i].CoverArea(boxes[j]) - boxes[i].Area() - boxes[j].Area()
-			if waste == 0 {
-				waste = 1e-9 * (boxes[i].CoverMargin(boxes[j]) - boxes[i].Margin() - boxes[j].Margin())
-			}
-			if waste > bestWaste {
-				bestI, bestJ, bestWaste = i, j, waste
-			}
-		}
+// refCovers is the covers of the boxes order[:k] and order[k:].
+func refCovers(boxes []geom.Box, order []int, k int) (head, tail geom.Box) {
+	head, tail = geom.NewBox(len(boxes[0])), geom.NewBox(len(boxes[0]))
+	for _, i := range order[:k] {
+		head.CoverInPlace(boxes[i])
 	}
-	return bestI, bestJ
+	for _, i := range order[k:] {
+		tail.CoverInPlace(boxes[i])
+	}
+	return head, tail
 }
 
 // checkSplit deals 2–142 boxes of 3–10 axes and a minimum group size from
@@ -111,7 +81,9 @@ func refPickSeedsQuadratic(boxes []geom.Box) (int, int) {
 // same order. A box's shape byte chooses its extents as dealt (an inverted
 // one makes the box empty), sorted, or sorted with the last two axes
 // degenerate as a leaf entry's time axes are. Eight or more axes spanning
-// ±MaxFloat32 overflow every area to +Inf, and every cost to NaN.
+// ±MaxFloat32 overflow areas to +Inf, and a degenerate axis then makes
+// them NaN. Whatever the reference says, the groups must each hold at
+// least the minimum and together hold every box once.
 func checkSplit(t *testing.T, axes uint8, data []byte) {
 	t.Helper()
 	src := &fuzzSrc{b: data}
@@ -144,6 +116,16 @@ func checkSplit(t *testing.T, axes uint8, data []byte) {
 	if !slices.Equal(gotA, wantA) || !slices.Equal(gotB, wantB) {
 		t.Fatalf("%d boxes of %d axes, min %d: %v\n split table %v | %v\n reference   %v | %v", n, ax, minEntries, boxes, gotA, gotB, wantA, wantB)
 	}
+	seen := make([]bool, n)
+	for _, i := range slices.Concat(gotA, gotB) {
+		if seen[i] {
+			t.Fatalf("%d boxes: box %d in both groups %v | %v", n, i, gotA, gotB)
+		}
+		seen[i] = true
+	}
+	if len(gotA) < minEntries || len(gotB) < minEntries || len(gotA)+len(gotB) != n {
+		t.Fatalf("%d boxes, min %d: groups %v | %v are not a split", n, minEntries, gotA, gotB)
+	}
 }
 
 // The split table makes the reference's choices on random nodes.
@@ -157,11 +139,14 @@ func TestSplitGroupsMatchesReference(t *testing.T) {
 }
 
 // FuzzSplitGroups: whatever the boxes — empty, duplicated, degenerate on
-// every axis, ±MaxFloat32 wide — splitGroups picks the seeds, groups and
-// order refSplitGroups picks. The committed corpus
-// (testdata/fuzz/FuzzSplitGroups) holds an empty box, duplicate boxes,
-// all-degenerate time axes (the margin fallback), the all-NaN PickNext,
-// and an empty box as a seed. Run it with -fuzzminimizetime 1s: at the
+// every axis, ±MaxFloat32 wide — splitGroups picks the axis, distribution
+// and group order refSplitGroups picks. The committed corpus
+// (testdata/fuzz/FuzzSplitGroups) holds an empty box (empty-box, and
+// empty-seed with one first), every box empty (all-empty, where every
+// distribution ties), duplicate boxes (sort ties), degenerate time axes
+// (zero areas), bounds of +0 and -0 (signed-zeros), eight ±MaxFloat32 axes
+// (maxfloat32-all-nan: infinite and NaN areas) and a full d=2 leaf plus
+// one at its real minimum fill (leaf-fanout). Run it with -fuzzminimizetime 1s: at the
 // default the engine spends minutes minimising each new input, thousands
 // of bytes long, and reports no executions meanwhile.
 func FuzzSplitGroups(f *testing.F) {

@@ -154,30 +154,84 @@ func TestRootGrowFailureReturnsError(t *testing.T) {
 }
 
 // A deletion that frees a node page tells listeners to re-seed; one that
-// only shrinks a leaf says nothing.
+// only shrinks a leaf says nothing. The victims come from the tree as
+// built: the entries of its fullest leaf, deleted one by one, shrink it
+// down to the minimum fill, and the next one dissolves it. Deleting what
+// is left then empties the tree, and its last deletion frees the root.
 func TestDeleteFreeingPageNotifiesReseed(t *testing.T) {
-	tree, entries := buildRandomTree(t, DefaultConfig(), 400, 9)
+	cfg := DefaultConfig()
+	tree, entries := buildRandomTree(t, cfg, 400, 9)
+	if tree.Height() != 2 {
+		t.Fatalf("height %d, want a root over leaves", tree.Height())
+	}
+	type key struct {
+		id     ObjectID
+		tStart float64
+	}
+	var victims []key
+	err := tree.view(tree.root, nil, func(root NodeView) error {
+		for i := range root.Len() {
+			err := tree.view(root.ChildID(i), nil, func(leaf NodeView) error {
+				if leaf.Len() > len(victims) {
+					victims = victims[:0]
+					for k := range leaf.Len() {
+						id, tStart := leaf.EntryKey(k)
+						victims = append(victims, key{id, tStart})
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(victims) <= cfg.minLeafEntries() {
+		t.Fatalf("fullest leaf holds %d entries, the minimum is %d: no deletion would only shrink it", len(victims), cfg.minLeafEntries())
+	}
+
 	reseeds := 0
 	defer tree.OnUpdate(func(u Update) {
 		if u.Kind == UpdateReseed {
 			reseeds++
 		}
 	})()
-	pages := tree.storeRef.NumPages()
-	for _, e := range entries {
-		if err := tree.Delete(e.ID, e.Seg.T.Lo); err != nil {
+	deleted := map[key]bool{}
+	del := func(k key, want int, what string) {
+		t.Helper()
+		reseeds = 0
+		if err := tree.Delete(k.id, k.tStart); err != nil {
 			t.Fatal(err)
 		}
-		freed := tree.storeRef.NumPages() < pages
-		pages = tree.storeRef.NumPages()
-		want := 0
-		if freed {
-			want = 1
+		deleted[k] = true
+		if want >= 0 && reseeds != want {
+			t.Fatalf("deleting %d, which %s: %d reseed notifications, want %d", k.id, what, reseeds, want)
 		}
-		if reseeds != want {
-			t.Fatalf("deleting %d: %d reseed notifications, want %d (page freed: %v)", e.ID, reseeds, want, freed)
+	}
+	for i, k := range victims {
+		if len(victims)-i > cfg.minLeafEntries() {
+			del(k, 0, "only shrinks its leaf")
+			continue
 		}
-		reseeds = 0
+		del(k, 1, "dissolves its leaf")
+		break
+	}
+	var rest []key
+	for _, e := range entries {
+		if k := (key{e.ID, e.Seg.T.Lo}); !deleted[k] {
+			rest = append(rest, k)
+		}
+	}
+	for i, k := range rest {
+		if i < len(rest)-1 {
+			del(k, -1, "")
+		} else {
+			del(k, 1, "empties the tree")
+		}
 	}
 	if tree.Size() != 0 || tree.Height() != 0 {
 		t.Fatalf("tree not empty: size %d height %d", tree.Size(), tree.Height())
@@ -277,7 +331,7 @@ func TestInsertAllocationBudget(t *testing.T) {
 	}
 
 	// Time-ordered inserts into one region fill one leaf after another. A
-	// split copies the full node off its page, its table takes five
+	// split copies the full node off its page, its table takes three
 	// allocations and each half's box one, so what it costs beyond an
 	// insert does not grow with the fanout, which is 128 boxes at d=2.
 	perInsert := allocs

@@ -17,7 +17,7 @@ import (
 //	offset 0  1 byte  format version (2)
 //	offset 1  1 byte  spatial dimensionality
 //	offset 2  1 byte  dual-time flag
-//	offset 3  1 byte  split policy (0 = quadratic; see below)
+//	offset 3  1 byte  split policy (2 = R*-axis; see below)
 //	offset 4  4 bytes root page id
 //	offset 8  4 bytes height
 //	offset 12 8 bytes segment count
@@ -28,14 +28,18 @@ import (
 //
 // Version 1 files (28 bytes, no LSN field) remain readable: they predate
 // the WAL, so their applied LSN is implicitly 0. Every tree splits with
-// the quadratic split and writes split byte 0; files written when linear
-// (1) and R*-axis (2) splits existed still open, go on with the quadratic
-// split and write 0 at their next commit.
+// the R*-axis split and writes split byte metaSplitRStar (2). Files whose
+// byte names the quadratic (0) or linear (1) split, as earlier builds
+// wrote, still open: the split only shapes nodes yet to be written, so
+// they go on with the R*-axis split and write 2 at their next commit. A
+// byte above 2 is corruption.
 const (
 	metaVersion1 = 1
 	metaVersion  = 2
 	metaLenV1    = 28
 	metaLen      = 36
+
+	metaSplitRStar = 2
 )
 
 // maxMetaSegments bounds the plausible persisted segment count; a page
@@ -50,6 +54,7 @@ func encodeMeta(m rtree.Meta, appliedLSN uint64) []byte {
 	if m.Config.DualTime {
 		buf[2] = 1
 	}
+	buf[3] = metaSplitRStar
 	binary.LittleEndian.PutUint32(buf[4:], uint32(m.Root))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(m.Height))
 	binary.LittleEndian.PutUint64(buf[12:], uint64(m.Size))
@@ -88,7 +93,7 @@ func decodeMeta(buf []byte) (rtree.Meta, uint64, error) {
 	if buf[2] > 1 {
 		return rtree.Meta{}, 0, fmt.Errorf("%w: dual-time flag byte %d is not 0 or 1", ErrCorrupt, buf[2])
 	}
-	if buf[3] > 2 {
+	if buf[3] > metaSplitRStar {
 		return rtree.Meta{}, 0, fmt.Errorf("%w: unknown split policy byte %d", ErrCorrupt, buf[3])
 	}
 	root := pager.PageID(binary.LittleEndian.Uint32(buf[4:]))

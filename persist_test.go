@@ -3,6 +3,7 @@ package dynq
 import (
 	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -104,30 +105,48 @@ func TestDecodeMetaRejectsCorruption(t *testing.T) {
 }
 
 // TestOpenFileWithOldSplitPolicy: a page file whose metadata names the
-// linear (1) or R*-axis (2) split, which files written before the
-// quadratic split became the only one carry, still opens, grows by the
-// quadratic split, and commits split byte 0.
+// quadratic (0), linear (1) or R*-axis (2) split still opens, grows by the
+// R*-axis split, and commits split byte 2. Byte 0 comes from
+// testdata/split-quadratic.dynq, 256 segments under a two-level tree that
+// a build splitting quadratically wrote; bytes 1 and 2 are set on a file
+// written here.
 func TestOpenFileWithOldSplitPolicy(t *testing.T) {
-	for _, old := range []byte{1, 2} {
+	for _, old := range []byte{0, 1, 2} {
 		path := filepath.Join(t.TempDir(), "old.dynq")
-		db, err := Open(Options{Path: path})
-		if err != nil {
-			t.Fatal(err)
+		if old == 0 {
+			raw, err := os.ReadFile(filepath.Join("testdata", "split-quadratic.dynq"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			db, err := Open(Options{Path: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			populate(t, db, 20, 1)
+			if err := db.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			setSplitByte(t, path, old)
 		}
-		populate(t, db, 20, 1)
-		if err := db.Sync(); err != nil {
-			t.Fatal(err)
+		if got := splitByte(t, path); got != old {
+			t.Fatalf("file carries split byte %d, want %d", got, old)
 		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		setSplitByte(t, path, old)
 
-		db, _, err = OpenFileRecoverWith(path, RecoverOptions{})
+		db, _, err := OpenFileRecoverWith(path, RecoverOptions{})
 		if err != nil {
 			t.Fatalf("split byte %d: reopen: %v", old, err)
 		}
 		before := db.Len()
+		if err := db.Validate(); err != nil {
+			t.Fatalf("split byte %d: as written: %v", old, err)
+		}
 		populate(t, db, 50, 2) // enough inserts to split leaves
 		if err := db.Validate(); err != nil {
 			t.Fatalf("split byte %d: %v", old, err)
@@ -139,8 +158,8 @@ func TestOpenFileWithOldSplitPolicy(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := splitByte(t, path); got != 0 {
-			t.Fatalf("split byte %d: the next commit wrote split byte %d, want 0", old, got)
+		if got := splitByte(t, path); got != metaSplitRStar {
+			t.Fatalf("split byte %d: the next commit wrote split byte %d, want %d", old, got, metaSplitRStar)
 		}
 		db, _, err = OpenFileRecoverWith(path, RecoverOptions{})
 		if err != nil {
@@ -187,7 +206,10 @@ func setSplitByte(t *testing.T, path string, b byte) {
 // FuzzDecodeMeta asserts decodeMeta never panics and never accepts bytes
 // that re-encode differently — acceptance means every field was in
 // range, so encode(decode(x)) must reproduce the input exactly, except
-// that a retired split policy (bytes 1 and 2) re-encodes as 0.
+// that every split byte it accepts (0, 1 or 2) re-encodes as 2, the
+// R*-axis split's. The committed corpus holds a header naming each of the
+// three (split-quadratic, split-linear, split-rstar) and one naming an
+// unknown policy (split-unknown).
 func FuzzDecodeMeta(f *testing.F) {
 	f.Add(validMetaBytes())
 	empty := encodeMeta(rtree.Meta{Root: pager.InvalidPage, Config: rtree.DefaultConfig()}, 0)
@@ -208,7 +230,7 @@ func FuzzDecodeMeta(f *testing.F) {
 		// as version 2: compare the shared fields and require LSN 0.
 		re := encodeMeta(m, lsn)
 		data = append([]byte(nil), data...)
-		data[3] = 0
+		data[3] = metaSplitRStar
 		switch data[0] {
 		case metaVersion1:
 			if lsn != 0 || len(data) < metaLenV1 || string(re[1:metaLenV1]) != string(data[1:metaLenV1]) {
