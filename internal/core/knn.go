@@ -1,11 +1,11 @@
 package core
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dynq/internal/geom"
 	"dynq/internal/pager"
@@ -50,10 +50,11 @@ func KNNBounded(tree *rtree.Tree, p geom.Point, t float64, k int, maxDist float6
 }
 
 // knn is the best-first search, over one state of the tree. Items pop in
-// increasing distance, so the i-th object popped is exactly the i-th
-// nearest neighbor — no distance bound is needed for correctness; maxDist
-// only keeps farther subtrees and objects out of the queue. Entries are
-// tested on the page, and only a queued one is copied off it.
+// increasing distance, so the i-th distinct object popped is exactly the
+// i-th nearest neighbor — no distance bound is needed for correctness;
+// maxDist only keeps farther subtrees and objects out of the queue. An
+// entry alive at t is copied off the page once, into kept, and only the
+// entries that pop as answers become Neighbors.
 func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, maxDist float64, c *stats.Counters) ([]Neighbor, error) {
 	d := tree.Config().Dims
 	if len(p) != d {
@@ -69,20 +70,26 @@ func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, 
 			return nil
 		}
 		var (
-			slab  rtree.Slab
-			entry rtree.LeafEntry
-			box   = make(geom.Box, d+2)
+			slab rtree.Slab
+			kept []rtree.LeafEntry // the entries queued object items name
+			box  = make(geom.Box, d+2)
 		)
-		pq := &knnHeap{{node: root}}
-		for pq.Len() > 0 {
-			item := heap.Pop(pq).(knnItem)
+		pq := queue[knnItem, *knnItem]{{node: root}}
+		for len(pq) > 0 {
+			item := pq.pop()
 			if item.dist > maxDist {
 				break // best-first: everything left is farther
 			}
 			if item.isObj {
-				out = append(out, item.nb)
-				if len(out) >= k {
-					break
+				// An object's consecutive segments share an endpoint, so at
+				// that instant both are candidates: the first to pop, the
+				// nearer, is the neighbor.
+				if !slices.ContainsFunc(out, func(nb Neighbor) bool { return nb.ID == item.obj }) {
+					e := &kept[item.slot]
+					out = append(out, Neighbor{ID: e.ID, Seg: e.Seg, Dist: item.dist})
+					if len(out) >= k {
+						break
+					}
 				}
 				continue
 			}
@@ -96,13 +103,16 @@ func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, 
 						if !v.EntryTime(i).ContainsValue(t) {
 							continue
 						}
-						v.Entry(i, &entry)
-						dist := math.Sqrt(entry.Seg.DistSqAt(t, p))
+						slot := len(kept)
+						kept = append(kept, rtree.LeafEntry{})
+						e := &kept[slot]
+						e.ID = v.KeepSeg(i, &slab, &e.Seg)
+						dist := math.Sqrt(e.Seg.DistSqAt(t, p))
 						if dist > maxDist {
+							kept = kept[:slot]
 							continue
 						}
-						e := v.Keep(i, &slab)
-						heap.Push(pq, knnItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
+						pq.push(knnItem{isObj: true, dist: dist, obj: e.ID, slot: int32(slot)})
 						continue
 					}
 					// Prune subtrees with no segment alive at t: alive needs
@@ -111,7 +121,7 @@ func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, 
 						continue
 					}
 					if dist := boxDist(box[:d], p); dist <= maxDist {
-						heap.Push(pq, knnItem{node: v.ChildID(i), dist: dist})
+						pq.push(knnItem{node: v.ChildID(i), dist: dist})
 					}
 				}
 				return nil
@@ -126,13 +136,17 @@ func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, 
 		return nil, err
 	}
 	c.AddResults(len(out))
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(out, CompareNeighbors)
 	return out, nil
+}
+
+// CompareNeighbors orders neighbors by distance, ties by id: the order of
+// every k-nearest-neighbor answer.
+func CompareNeighbors(a, b Neighbor) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // boxDist is the minimum Euclidean distance from p to the spatial box.
@@ -151,37 +165,29 @@ func boxDist(b geom.Box, p geom.Point) float64 {
 	return math.Sqrt(s)
 }
 
+// knnItem is a subtree or an object queued by the best-first search. It
+// holds no pointer: an object item names its entry by index in the call's
+// kept entries.
 type knnItem struct {
 	dist  float64
-	isObj bool
+	obj   rtree.ObjectID
 	node  pager.PageID
-	nb    Neighbor
+	slot  int32 // the object's entry, when isObj
+	isObj bool
 }
 
-type knnHeap []knnItem
-
-func (h knnHeap) Len() int { return len(h) }
-func (h knnHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+func (a *knnItem) less(b *knnItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
 	// Objects before nodes at equal distance, then by id for determinism.
-	if h[i].isObj != h[j].isObj {
-		return h[i].isObj
+	if a.isObj != b.isObj {
+		return a.isObj
 	}
-	if h[i].isObj {
-		return h[i].nb.ID < h[j].nb.ID
+	if a.isObj {
+		return a.obj < b.obj
 	}
-	return h[i].node < h[j].node
-}
-func (h knnHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *knnHeap) Push(x any)   { *h = append(*h, x.(knnItem)) }
-func (h *knnHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.node < b.node
 }
 
 // MovingKNN evaluates k-nearest-neighbor queries along a moving query
@@ -228,12 +234,7 @@ func MovingKNN(tree *rtree.Tree, pos func(t float64) geom.Point, times []float64
 			for j, nb := range cached[:k] {
 				nbs[j] = Neighbor{ID: nb.ID, Seg: nb.Seg, Dist: math.Sqrt(nb.Seg.DistSqAt(t, p))}
 			}
-			sort.Slice(nbs, func(a, b int) bool {
-				if nbs[a].Dist != nbs[b].Dist {
-					return nbs[a].Dist < nbs[b].Dist
-				}
-				return nbs[a].ID < nbs[b].ID
-			})
+			slices.SortFunc(nbs, CompareNeighbors)
 			out[i] = nbs
 			c.AddResults(k)
 			continue

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -27,10 +28,14 @@ func bruteKNN(entries []rtree.LeafEntry, p geom.Point, t float64, k int) []Neigh
 		}
 		return all[i].ID < all[j].ID
 	})
-	if len(all) > k {
-		all = all[:k]
+	// An object's consecutive segments share an endpoint: keep its nearest.
+	var out []Neighbor
+	for _, nb := range all {
+		if len(out) < k && !slices.ContainsFunc(out, func(o Neighbor) bool { return o.ID == nb.ID }) {
+			out = append(out, nb)
+		}
 	}
-	return all
+	return out
 }
 
 func TestKNNMatchesBruteForce(t *testing.T) {
@@ -50,6 +55,32 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 				t.Errorf("k=%d neighbor %d: dist %g, want %g", k, i, got[i].Dist, want[i].Dist)
 			}
 		}
+	}
+}
+
+// At the instant one segment of an object ends and the next begins, both
+// are alive: the object is still one neighbor, at its nearer distance.
+func TestKNNSegmentBoundaryCountsObjectOnce(t *testing.T) {
+	tree, entries := buildIndex(t, rtree.DefaultConfig(), 500, 50, 21)
+	e := entries[3]
+	at := e.Seg.T.Hi
+	p := e.Seg.At(at)
+	var c stats.Counters
+	got, err := KNN(tree, p, at, 3, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bruteKNN(entries, p, at, 3)
+	if len(got) != 3 || len(want) != 3 {
+		t.Fatalf("got %d neighbors, brute force %d; want 3", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID || got[i].Dist != want[i].Dist {
+			t.Errorf("neighbor %d = (id %d, dist %g), want (id %d, dist %g)", i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
+		}
+	}
+	if got[0].ID != e.ID || got[0].Dist != 0 {
+		t.Errorf("nearest = (id %d, dist %g), want the object itself at 0", got[0].ID, got[0].Dist)
 	}
 }
 

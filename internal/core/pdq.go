@@ -33,7 +33,7 @@ type PDQ struct {
 	traj *trajectory.Trajectory
 	c    *stats.Counters
 
-	pq      pdqHeap
+	pq      queue[pdqItem, *pdqItem]
 	seq     uint64 // monotone tiebreak for deterministic pop order
 	lastPop pdqKey
 	havePop bool
@@ -366,7 +366,7 @@ type pdqKey struct {
 	isObj    bool
 }
 
-// pdqItem holds no pointer, so the heap moves items without write
+// pdqItem holds no pointer, so the queue moves items without write
 // barriers: an object item names its entry by arena slot.
 type pdqItem struct {
 	key    pdqKey
@@ -421,10 +421,6 @@ func (a *pdqArena) reset() {
 	a.slots, a.free = a.slots[:0], a.free[:0]
 }
 
-// pdqHeap is a binary min-heap of queue items under less, typed so that
-// pushing and popping box nothing.
-type pdqHeap []pdqItem
-
 // less is a strict total order (seq is unique), so the pop order does not
 // depend on how the heap arranges equal priorities.
 func (a *pdqItem) less(b *pdqItem) bool {
@@ -452,50 +448,4 @@ func (a *pdqItem) less(b *pdqItem) bool {
 		return ka.iv.Hi < kb.iv.Hi
 	}
 	return a.seq < b.seq
-}
-
-// push and pop move the hole, not the item: an item is written once, where
-// it comes to rest, instead of swapped at every level.
-func (h *pdqHeap) push(it pdqItem) {
-	*h = append(*h, it)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !it.less(&q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = it
-}
-
-// pop removes and returns the least item of a non-empty heap.
-func (h *pdqHeap) pop() pdqItem {
-	q := *h
-	n := len(q) - 1
-	top, last := q[0], q[n]
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 2*i + 1 // the lesser child, if any
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && q[r].less(&q[c]) {
-			c = r
-		}
-		if !q[c].less(&last) {
-			break
-		}
-		q[i] = q[c]
-		i = c
-	}
-	q[i] = last
-	return top
 }

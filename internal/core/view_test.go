@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -217,14 +218,16 @@ func refKNN(tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters)
 	if !ok {
 		return nil, nil
 	}
-	pq := &knnHeap{{node: root, dist: 0}}
+	pq := &refKNNHeap{{node: root, dist: 0}}
 	var out []Neighbor
 	for pq.Len() > 0 {
-		item := heap.Pop(pq).(knnItem)
+		item := heap.Pop(pq).(refKNNItem)
 		if item.isObj {
-			out = append(out, item.nb)
-			if len(out) >= k {
-				break
+			if !slices.ContainsFunc(out, func(nb Neighbor) bool { return nb.ID == item.nb.ID }) {
+				out = append(out, item.nb)
+				if len(out) >= k {
+					break
+				}
 			}
 			continue
 		}
@@ -239,7 +242,7 @@ func refKNN(tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters)
 					continue
 				}
 				dist := math.Sqrt(e.Seg.DistSqAt(t, p))
-				heap.Push(pq, knnItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
+				heap.Push(pq, refKNNItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
 			}
 		} else {
 			for _, ch := range n.Children {
@@ -247,7 +250,7 @@ func refKNN(tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters)
 				if ch.Box[d].Lo > t || ch.Box[d+1].Hi < t {
 					continue
 				}
-				heap.Push(pq, knnItem{node: ch.ID, dist: boxDist(ch.Box[:d], p)})
+				heap.Push(pq, refKNNItem{node: ch.ID, dist: boxDist(ch.Box[:d], p)})
 			}
 		}
 	}
@@ -264,17 +267,19 @@ func refKNNBounded(tree *rtree.Tree, p geom.Point, t float64, k int, maxDist flo
 	if !ok {
 		return nil, nil
 	}
-	pq := &knnHeap{{node: root, dist: 0}}
+	pq := &refKNNHeap{{node: root, dist: 0}}
 	var out []Neighbor
 	for pq.Len() > 0 {
-		item := heap.Pop(pq).(knnItem)
+		item := heap.Pop(pq).(refKNNItem)
 		if item.dist > maxDist {
 			break // best-first: everything left is farther
 		}
 		if item.isObj {
-			out = append(out, item.nb)
-			if len(out) >= k {
-				break
+			if !slices.ContainsFunc(out, func(nb Neighbor) bool { return nb.ID == item.nb.ID }) {
+				out = append(out, item.nb)
+				if len(out) >= k {
+					break
+				}
 			}
 			continue
 		}
@@ -292,7 +297,7 @@ func refKNNBounded(tree *rtree.Tree, p geom.Point, t float64, k int, maxDist flo
 				if dist > maxDist {
 					continue
 				}
-				heap.Push(pq, knnItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
+				heap.Push(pq, refKNNItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
 			}
 		} else {
 			for _, ch := range n.Children {
@@ -301,7 +306,7 @@ func refKNNBounded(tree *rtree.Tree, p geom.Point, t float64, k int, maxDist flo
 					continue
 				}
 				if dist := boxDist(ch.Box[:d], p); dist <= maxDist {
-					heap.Push(pq, knnItem{node: ch.ID, dist: dist})
+					heap.Push(pq, refKNNItem{node: ch.ID, dist: dist})
 				}
 			}
 		}
@@ -309,6 +314,41 @@ func refKNNBounded(tree *rtree.Tree, p geom.Point, t float64, k int, maxDist flo
 	c.AddResults(len(out))
 	sortNeighbors(out)
 	return out, nil
+}
+
+// refKNNItem and refKNNHeap are the KNN queue as it was before the typed
+// queue: container/heap over items that carry the whole neighbor.
+type refKNNItem struct {
+	dist  float64
+	isObj bool
+	node  pager.PageID
+	nb    Neighbor
+}
+
+type refKNNHeap []refKNNItem
+
+func (h refKNNHeap) Len() int { return len(h) }
+func (h refKNNHeap) Less(i, j int) bool {
+	if h[i].dist != h[j].dist {
+		return h[i].dist < h[j].dist
+	}
+	// Objects before nodes at equal distance, then by id for determinism.
+	if h[i].isObj != h[j].isObj {
+		return h[i].isObj
+	}
+	if h[i].isObj {
+		return h[i].nb.ID < h[j].nb.ID
+	}
+	return h[i].node < h[j].node
+}
+func (h refKNNHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refKNNHeap) Push(x any)   { *h = append(*h, x.(refKNNItem)) }
+func (h *refKNNHeap) Pop() any {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
 }
 
 func sortNeighbors(out []Neighbor) {

@@ -29,16 +29,27 @@ func (s Segment) Clone() Segment {
 // At returns the object's location at time t, which must lie inside s.T
 // (clamped otherwise). This is the location function f of Equation 1.
 func (s Segment) At(t float64) Point {
-	if s.T.Length() == 0 {
+	f, moving := s.progress(t)
+	if !moving {
 		return s.Start.Clone()
 	}
-	f := (t - s.T.Lo) / (s.T.Hi - s.T.Lo)
+	return s.Start.Lerp(s.End, f)
+}
+
+// progress returns the share of the way from Start to End covered at time
+// t, clamped to [0, 1]; moving is false for an instantaneous segment, which
+// stays at Start.
+func (s Segment) progress(t float64) (f float64, moving bool) {
+	if s.T.Length() == 0 {
+		return 0, false
+	}
+	f = (t - s.T.Lo) / (s.T.Hi - s.T.Lo)
 	if f < 0 {
 		f = 0
 	} else if f > 1 {
 		f = 1
 	}
-	return s.Start.Lerp(s.End, f)
+	return f, true
 }
 
 // Coord returns the i-th coordinate of the trajectory as a linear form of
@@ -103,10 +114,13 @@ func (s Segment) OverlapTimeInBox(q Box) Interval {
 // DistSqAt returns the squared Euclidean distance between the object's
 // position at time t and the point p.
 func (s Segment) DistSqAt(t float64, p Point) float64 {
-	x := s.At(t)
+	f, moving := s.progress(t)
 	sum := 0.0
-	for i := range x {
-		dd := x[i] - p[i]
+	for i, x := range s.Start {
+		if moving {
+			x = float64(x + f*(s.End[i]-x)) // At's position, rounded as Lerp stores it
+		}
+		dd := x - p[i]
 		sum += dd * dd
 	}
 	return sum

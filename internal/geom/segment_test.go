@@ -119,6 +119,49 @@ func TestSegmentCoordAndDist(t *testing.T) {
 	}
 }
 
+// DistSqAt computes At's position in place: its result is bit for bit the
+// sum over At's point, for random, instantaneous, clamped and non-finite
+// inputs alike, and it allocates nothing.
+func TestDistSqAtMatchesAt(t *testing.T) {
+	ref := func(s Segment, at float64, p Point) float64 {
+		x := s.At(at)
+		sum := 0.0
+		for i := range x {
+			dd := x[i] - p[i]
+			sum += dd * dd
+		}
+		return sum
+	}
+	odd := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1), 1e308}
+	r := rand.New(rand.NewSource(7))
+	pick := func() float64 {
+		if r.Intn(4) == 0 {
+			return odd[r.Intn(len(odd))]
+		}
+		return r.Float64()*200 - 100
+	}
+	for i := 0; i < 20000; i++ {
+		lo := pick()
+		s := Segment{T: Interval{lo, lo}, Start: Point{pick(), pick()}, End: Point{pick(), pick()}}
+		if r.Intn(3) > 0 { // the rest instantaneous
+			s.T.Hi = lo + r.Float64()*10
+		}
+		at := pick()
+		if r.Intn(2) == 0 {
+			at = s.T.Lo + (r.Float64()*1.4-0.2)*(s.T.Hi-s.T.Lo) // inside and either side
+		}
+		p := Point{pick(), pick()}
+		got, want := s.DistSqAt(at, p), ref(s, at, p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v.DistSqAt(%g, %v) = %g, At then sum gives %g", s, at, p, got, want)
+		}
+	}
+	s, p := seg(2, 6, 1, 1, 9, 1), Point{5, 4}
+	if n := testing.AllocsPerRun(100, func() { s.DistSqAt(4, p) }); n != 0 {
+		t.Errorf("DistSqAt allocates %v times per call", n)
+	}
+}
+
 // Property: exact intersection implies bounding-box intersection (the BB
 // is a conservative filter), and every reported overlap time is a time at
 // which the object really is inside the query box.

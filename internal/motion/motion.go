@@ -8,10 +8,11 @@
 package motion
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"dynq/internal/geom"
 )
@@ -159,51 +160,37 @@ func clampReflect(x, size float64) float64 {
 }
 
 // Stream yields the same segments as GenerateSegments but ordered
-// globally by segment start time, modelling the arrival order of motion
-// updates at the database. It is used by the concurrent-update tests and
-// the monitoring example.
+// globally by segment start time, ties by object, modelling the arrival
+// order of motion updates at the database. It is used by the
+// concurrent-update tests and the monitoring example.
 type Stream struct {
-	h segHeap
+	segs []TimedSegment // in stream order
+	next int
 }
 
-// NewStream builds a time-ordered update stream for the population.
+// NewStream builds a time-ordered update stream for the population. No two
+// segments share a key: one object's segments start at least
+// UpdateMean/10 apart.
 func NewStream(cfg SimConfig) (*Stream, error) {
 	segs, err := GenerateSegments(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Stream{h: segHeap(segs)}
-	heap.Init(&s.h)
-	return s, nil
+	slices.SortFunc(segs, func(a, b TimedSegment) int {
+		return cmp.Or(cmp.Compare(a.Seg.T.Lo, b.Seg.T.Lo), cmp.Compare(a.ObjID, b.ObjID))
+	})
+	return &Stream{segs: segs}, nil
 }
 
 // Next returns the next motion update in start-time order; ok is false
 // when the stream is exhausted.
 func (s *Stream) Next() (TimedSegment, bool) {
-	if s.h.Len() == 0 {
+	if s.next == len(s.segs) {
 		return TimedSegment{}, false
 	}
-	return heap.Pop(&s.h).(TimedSegment), true
+	s.next++
+	return s.segs[s.next-1], true
 }
 
 // Remaining reports how many updates are left.
-func (s *Stream) Remaining() int { return s.h.Len() }
-
-type segHeap []TimedSegment
-
-func (h segHeap) Len() int      { return len(h) }
-func (h segHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h segHeap) Less(i, j int) bool {
-	if h[i].Seg.T.Lo != h[j].Seg.T.Lo {
-		return h[i].Seg.T.Lo < h[j].Seg.T.Lo
-	}
-	return h[i].ObjID < h[j].ObjID
-}
-func (h *segHeap) Push(x any) { *h = append(*h, x.(TimedSegment)) }
-func (h *segHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
+func (s *Stream) Remaining() int { return len(s.segs) - s.next }

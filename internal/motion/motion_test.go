@@ -3,6 +3,8 @@ package motion
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -133,6 +135,16 @@ func TestStreamOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := GenerateSegments(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Seg.T.Lo != want[j].Seg.T.Lo {
+			return want[i].Seg.T.Lo < want[j].Seg.T.Lo
+		}
+		return want[i].ObjID < want[j].ObjID
+	})
 	total := s.Remaining()
 	if total == 0 {
 		t.Fatal("empty stream")
@@ -147,11 +159,14 @@ func TestStreamOrdering(t *testing.T) {
 		if ts.Seg.T.Lo < prev {
 			t.Fatalf("stream out of order: %g after %g", ts.Seg.T.Lo, prev)
 		}
+		if count < len(want) && !reflect.DeepEqual(ts, want[count]) {
+			t.Fatalf("stream item %d = %+v, want %+v (GenerateSegments by start time, then object)", count, ts, want[count])
+		}
 		prev = ts.Seg.T.Lo
 		count++
 	}
-	if count != total {
-		t.Errorf("drained %d segments, Remaining said %d", count, total)
+	if count != total || count != len(want) {
+		t.Errorf("drained %d segments, Remaining said %d, GenerateSegments made %d", count, total, len(want))
 	}
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"dynq/internal/core"
@@ -40,8 +41,9 @@ func (e *Engine) Snapshot(ctx context.Context, spatial geom.Box, tw geom.Interva
 }
 
 // KNN finds the k nearest neighbors by running a best-first search on
-// every shard in parallel and k-way merging the per-shard answer lists
-// (each already sorted by distance, ties by id) down to the global top k.
+// every shard in parallel, then sorting the per-shard answers together
+// (core.CompareNeighbors) and keeping the first k. Shards partition the
+// objects, so no object is in two answers.
 func (e *Engine) KNN(ctx context.Context, p geom.Point, t float64, k int) ([]core.Neighbor, error) {
 	parts := make([][]core.Neighbor, len(e.shards))
 	err := e.fanOutTraced(ctx, "knn/shard", "knn", func(i int, sh *Shard) error {
@@ -61,12 +63,7 @@ func (e *Engine) KNN(ctx context.Context, p geom.Point, t float64, k int) ([]cor
 	for _, nbs := range parts {
 		out = append(out, nbs...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(out, core.CompareNeighbors)
 	if len(out) > k {
 		out = out[:k]
 	}
