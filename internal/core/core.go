@@ -23,6 +23,8 @@
 package core
 
 import (
+	"cmp"
+
 	"dynq/internal/geom"
 	"dynq/internal/rtree"
 )
@@ -37,6 +39,18 @@ type Result struct {
 	Seg       geom.Segment
 	Appear    float64
 	Disappear float64
+}
+
+// CompareResults orders results by appearance time, ties by object id,
+// then by segment start: the order of every merged multi-shard answer.
+func CompareResults(a, b Result) int {
+	if c := cmp.Compare(a.Appear, b.Appear); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.ID, b.ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seg.T.Lo, b.Seg.T.Lo)
 }
 
 // resultFromMatch converts an index match into a client result.

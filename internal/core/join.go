@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"unsafe"
@@ -18,6 +19,22 @@ type JoinPair struct {
 	SegA geom.Segment
 	SegB geom.Segment
 	Dist float64
+}
+
+// ComparePairs orders join pairs by the ids of both objects, then by the
+// start times of their segments: the order of every merged multi-shard
+// join answer.
+func ComparePairs(a, b JoinPair) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.B, b.B); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.SegA.T.Lo, b.SegA.T.Lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.SegB.T.Lo, b.SegB.T.Lo)
 }
 
 // DistanceJoin finds every pair (a ∈ treeA, b ∈ treeB) of objects whose

@@ -51,8 +51,7 @@ type Event struct {
 // concurrent use.
 type Journal struct {
 	mu     sync.Mutex
-	ring   []Event
-	next   uint64 // total events ever recorded; also the next seq
+	ring   recordRing[Event] // an event's Seq is its number in the ring
 	byType map[EventType]int64
 	now    func() time.Time
 }
@@ -71,11 +70,8 @@ func DefaultJournal() *Journal { return defaultJournal }
 // NewJournal creates a journal keeping the last capacity events
 // (minimum 1).
 func NewJournal(capacity int) *Journal {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &Journal{
-		ring:   make([]Event, capacity),
+		ring:   newRecordRing[Event](capacity),
 		byType: make(map[EventType]int64),
 		now:    time.Now,
 	}
@@ -92,25 +88,24 @@ func (j *Journal) WithClock(now func() time.Time) *Journal {
 func (j *Journal) Record(typ EventType, severity, message string, fields map[string]string) uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e := Event{
-		Seq:      j.next,
+	seq, slot := j.ring.add()
+	*slot = Event{
+		Seq:      seq,
 		Time:     j.now(),
 		Type:     typ,
 		Severity: severity,
 		Message:  message,
 		Fields:   fields,
 	}
-	j.ring[j.next%uint64(len(j.ring))] = e
-	j.next++
 	j.byType[typ]++
-	return e.Seq
+	return seq
 }
 
 // Total reports the number of events ever recorded (the next seq).
 func (j *Journal) Total() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.next
+	return j.ring.next
 }
 
 // CountsByType snapshots the per-type totals (including events that have
@@ -126,36 +121,22 @@ func (j *Journal) CountsByType() map[EventType]int64 {
 }
 
 // Recent returns up to limit buffered events, newest first (limit <= 0
-// means all buffered).
+// means all buffered), or nil when none are buffered.
 func (j *Journal) Recent(limit int) []Event {
-	es := j.Since(0)
-	// Since returns oldest first; flip to newest first and cap.
-	for i, k := 0, len(es)-1; i < k; i, k = i+1, k-1 {
-		es[i], es[k] = es[k], es[i]
-	}
-	if limit > 0 && len(es) > limit {
-		es = es[:limit]
-	}
-	return es
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.ring.newest(limit, nil)
 }
 
-// Since returns the buffered events with Seq >= seq, oldest first.
-// Events older than the ring's capacity are gone; callers polling with
-// a resume seq can detect loss by comparing the first returned Seq.
+// Since returns the buffered events with Seq >= seq, oldest first, or nil
+// when there are none. Events older than the ring's capacity are gone;
+// callers polling with a resume seq can detect loss by comparing the
+// first returned Seq.
 func (j *Journal) Since(seq uint64) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := uint64(len(j.ring))
-	start := uint64(0)
-	if j.next > n {
-		start = j.next - n
+	if es := j.ring.since(seq); len(es) > 0 {
+		return es
 	}
-	if seq > start {
-		start = seq
-	}
-	var out []Event
-	for i := start; i < j.next; i++ {
-		out = append(out, j.ring[i%n])
-	}
-	return out
+	return nil
 }

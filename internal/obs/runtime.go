@@ -38,8 +38,7 @@ type Collector struct {
 
 	mu      sync.Mutex
 	sources map[string]func() float64
-	ring    []RuntimeSample
-	next    uint64
+	ring    recordRing[RuntimeSample]
 
 	stop chan struct{}
 	done chan struct{}
@@ -58,7 +57,7 @@ func NewCollector(interval time.Duration, capacity int) *Collector {
 	return &Collector{
 		interval: interval,
 		sources:  make(map[string]func() float64),
-		ring:     make([]RuntimeSample, capacity),
+		ring:     newRecordRing[RuntimeSample](capacity),
 	}
 }
 
@@ -98,8 +97,8 @@ func (c *Collector) SampleOnce() RuntimeSample {
 			s.Extra[name] = fn()
 		}
 	}
-	c.ring[c.next%uint64(len(c.ring))] = s
-	c.next++
+	_, slot := c.ring.add()
+	*slot = s
 	c.mu.Unlock()
 	return s
 }
@@ -151,26 +150,17 @@ func (c *Collector) Stop() {
 func (c *Collector) Latest() (RuntimeSample, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.next == 0 {
+	if c.ring.next == 0 {
 		return RuntimeSample{}, false
 	}
-	return c.ring[(c.next-1)%uint64(len(c.ring))], true
+	return *c.ring.at(c.ring.next - 1), true
 }
 
 // Samples returns the buffered time series, oldest first.
 func (c *Collector) Samples() []RuntimeSample {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := uint64(len(c.ring))
-	start := uint64(0)
-	if c.next > n {
-		start = c.next - n
-	}
-	out := make([]RuntimeSample, 0, c.next-start)
-	for i := start; i < c.next; i++ {
-		out = append(out, c.ring[i%n])
-	}
-	return out
+	return c.ring.since(0)
 }
 
 // Register adds the collector's core readings to a registry as gauges

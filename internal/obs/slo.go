@@ -67,18 +67,12 @@ type SLOStatus struct {
 // sloSlot is one rotation interval's worth of request outcomes for one
 // operation.
 type sloSlot struct {
-	start  time.Time
 	total  int64
 	errors int64
 	slow   int64
 }
 
-// sloSeries is the per-op ring of outcome slots.
-type sloSeries struct {
-	slots    []sloSlot
-	cur      int
-	curStart time.Time
-}
+func (s *sloSlot) reset() { *s = sloSlot{} }
 
 // SLOTracker measures availability and latency-objective attainment per
 // operation over a rolling window, with error-budget burn rates. Safe
@@ -87,7 +81,7 @@ type SLOTracker struct {
 	cfg SLOConfig
 
 	mu     sync.Mutex
-	series map[string]*sloSeries
+	series map[string]*slotRing[sloSlot, *sloSlot] // one ring of outcome slots per op
 	now    func() time.Time
 }
 
@@ -96,7 +90,7 @@ type SLOTracker struct {
 func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	return &SLOTracker{
 		cfg:    cfg.withDefaults(),
-		series: make(map[string]*sloSeries),
+		series: make(map[string]*slotRing[sloSlot, *sloSlot]),
 		now:    time.Now,
 	}
 }
@@ -110,53 +104,19 @@ func (t *SLOTracker) WithClock(now func() time.Time) *SLOTracker {
 // Config reports the tracker's effective objectives.
 func (t *SLOTracker) Config() SLOConfig { return t.cfg }
 
-func (t *SLOTracker) seriesFor(op string) *sloSeries {
-	s, ok := t.series[op]
-	if !ok {
-		n := int(t.cfg.Window/DefWindowInterval) + 1
-		s = &sloSeries{slots: make([]sloSlot, n)}
-		t.series[op] = s
-	}
-	return s
-}
-
-// rotate advances a series' ring to the slot containing now. Must be
-// called with the tracker lock held.
-func (s *sloSeries) rotate(now time.Time, interval time.Duration) {
-	if s.curStart.IsZero() {
-		s.curStart = now.Truncate(interval)
-		s.slots[s.cur].start = s.curStart
-		return
-	}
-	steps := int(now.Sub(s.curStart) / interval)
-	if steps <= 0 {
-		return
-	}
-	if steps >= len(s.slots) {
-		for i := range s.slots {
-			s.slots[i] = sloSlot{}
-		}
-		s.cur = 0
-		s.curStart = now.Truncate(interval)
-		s.slots[0].start = s.curStart
-		return
-	}
-	for i := 0; i < steps; i++ {
-		s.cur = (s.cur + 1) % len(s.slots)
-		s.curStart = s.curStart.Add(interval)
-		s.slots[s.cur] = sloSlot{start: s.curStart}
-	}
-}
-
 // Record notes one request outcome for op: its latency and whether it
 // failed. Failed requests consume availability budget; successful ones
 // slower than the latency target consume latency budget.
 func (t *SLOTracker) Record(op string, d time.Duration, failed bool) {
 	slow := d > t.cfg.LatencyTarget
 	t.mu.Lock()
-	s := t.seriesFor(op)
-	s.rotate(t.now(), DefWindowInterval)
-	slot := &s.slots[s.cur]
+	s, ok := t.series[op]
+	if !ok {
+		r := newSlotRing[sloSlot](DefWindowInterval, t.cfg.Window, func() sloSlot { return sloSlot{} })
+		s = &r
+		t.series[op] = s
+	}
+	slot := s.current(t.now())
 	slot.total++
 	if failed {
 		slot.errors++
@@ -171,10 +131,8 @@ func (t *SLOTracker) Record(op string, d time.Duration, failed bool) {
 func (t *SLOTracker) Status() []SLOStatus {
 	t.mu.Lock()
 	now := t.now()
-	cutoff := now.Add(-t.cfg.Window)
 	out := make([]SLOStatus, 0, len(t.series))
 	for op, s := range t.series {
-		s.rotate(now, DefWindowInterval)
 		st := SLOStatus{
 			Op:                    op,
 			Window:                t.cfg.Window,
@@ -182,15 +140,11 @@ func (t *SLOTracker) Status() []SLOStatus {
 			LatencyTargetSeconds:  t.cfg.LatencyTarget.Seconds(),
 			LatencyObjective:      latencyObjective,
 		}
-		for i := range s.slots {
-			sl := &s.slots[i]
-			if sl.start.IsZero() || !sl.start.Add(DefWindowInterval).After(cutoff) {
-				continue
-			}
+		s.each(now, t.cfg.Window, func(sl *sloSlot) {
 			st.Total += sl.total
 			st.Errors += sl.errors
 			st.Slow += sl.slow
-		}
+		})
 		out = append(out, st)
 	}
 	t.mu.Unlock()

@@ -28,18 +28,14 @@ type SlowLog struct {
 	threshold atomic.Int64 // nanoseconds; <=0 disables capture
 
 	mu   sync.Mutex
-	ring []SlowEntry
-	next uint64 // total entries ever captured; also the next seq
+	ring recordRing[SlowEntry] // an entry's Seq is its number in the ring
 }
 
 // NewSlowLog creates a slow-query log keeping the last capacity entries
 // (minimum 1) and capturing queries at or above threshold (0 gets
 // DefSlowThreshold; negative disables capture).
 func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	l := &SlowLog{ring: make([]SlowEntry, capacity)}
+	l := &SlowLog{ring: newRecordRing[SlowEntry](capacity)}
 	l.SetThreshold(threshold)
 	return l
 }
@@ -77,12 +73,8 @@ func (l *SlowLog) RecordAt(s Span, threshold time.Duration) bool {
 		return false
 	}
 	l.mu.Lock()
-	l.ring[l.next%uint64(len(l.ring))] = SlowEntry{
-		Seq:         l.next,
-		Span:        s,
-		ThresholdNS: time.Duration(th),
-	}
-	l.next++
+	seq, slot := l.ring.add()
+	*slot = SlowEntry{Seq: seq, Span: s, ThresholdNS: time.Duration(th)}
 	l.mu.Unlock()
 	return true
 }
@@ -92,7 +84,7 @@ func (l *SlowLog) RecordAt(s Span, threshold time.Duration) bool {
 func (l *SlowLog) Captured() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.next
+	return l.ring.next
 }
 
 // Recent returns up to limit buffered entries, newest first (limit <= 0
@@ -106,23 +98,10 @@ func (l *SlowLog) Recent(limit int) []SlowEntry {
 // buffered.
 func (l *SlowLog) RecentOp(op string, limit int) []SlowEntry {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := uint64(len(l.ring))
-	count := l.next
-	if count > n {
-		count = n
-	}
-	max := count
-	if limit > 0 && uint64(limit) < max {
-		max = uint64(limit)
-	}
-	out := make([]SlowEntry, 0, max)
-	for i := uint64(0); i < count && uint64(len(out)) < max; i++ {
-		e := l.ring[(l.next-1-i)%n]
-		if op != "" && e.Span.Op != op {
-			continue
-		}
-		out = append(out, e)
+	out := l.ring.newest(limit, func(e *SlowEntry) bool { return op == "" || e.Span.Op == op })
+	l.mu.Unlock()
+	if out == nil {
+		out = []SlowEntry{} // /debug/slow answers an empty list, not null
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -78,65 +79,45 @@ const NoShard = -1
 // mutexed slot write); dump the buffer with Recent.
 type Tracer struct {
 	mu   sync.Mutex
-	ring []Span
-	next uint64 // total spans ever recorded; also the next span id
+	ring recordRing[Span] // a span's id is its number in the ring
 }
 
 // NewTracer creates a tracer keeping the last capacity spans (minimum 1).
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{ring: make([]Span, capacity)}
+	return &Tracer{ring: newRecordRing[Span](capacity)}
 }
 
 // Record stores a span, assigning it the next id. It returns the id.
 func (t *Tracer) Record(s Span) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s.ID = t.next
-	t.ring[t.next%uint64(len(t.ring))] = s
-	t.next++
-	return s.ID
+	id, slot := t.ring.add()
+	s.ID = id
+	*slot = s
+	return id
 }
 
 // Len reports the number of spans currently buffered.
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.next < uint64(len(t.ring)) {
-		return int(t.next)
-	}
-	return len(t.ring)
+	return t.ring.len()
 }
 
 // Recent returns the buffered spans, oldest first.
 func (t *Tracer) Recent() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := uint64(len(t.ring))
-	start := uint64(0)
-	count := t.next
-	if t.next > n {
-		start = t.next - n
-		count = n
-	}
-	out := make([]Span, 0, count)
-	for i := start; i < t.next; i++ {
-		out = append(out, t.ring[i%n])
-	}
-	return out
+	return t.ring.since(0)
 }
 
 // Trace returns the buffered spans belonging to one trace id, oldest
-// first.
+// first. It copies only the matching spans.
 func (t *Tracer) Trace(traceID string) []Span {
-	var out []Span
-	for _, s := range t.Recent() {
-		if s.TraceID == traceID {
-			out = append(out, s)
-		}
-	}
+	t.mu.Lock()
+	out := t.ring.newest(0, func(s *Span) bool { return s.TraceID == traceID })
+	t.mu.Unlock()
+	slices.Reverse(out)
 	return out
 }
 

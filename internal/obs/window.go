@@ -30,10 +30,15 @@ type WindowSnapshot struct {
 
 // windowSlot is one rotation interval's worth of bucketed observations.
 type windowSlot struct {
-	start  time.Time // zero while the slot is empty/expired
-	counts []int64   // len(bounds)+1, last is +Inf
+	counts []int64 // len(bounds)+1, last is +Inf
 	count  int64
 	sum    float64
+}
+
+func (s *windowSlot) reset() {
+	clear(s.counts)
+	s.count = 0
+	s.sum = 0
 }
 
 // WindowedHistogram pairs a cumulative Histogram with a ring of bucketed
@@ -47,14 +52,11 @@ type windowSlot struct {
 // All methods are safe for concurrent use. The windowed side takes a
 // mutex per Observe; the cumulative side stays lock-free.
 type WindowedHistogram struct {
-	cum      *Histogram
-	interval time.Duration
+	cum *Histogram
 
-	mu       sync.Mutex
-	bounds   []float64
-	slots    []windowSlot
-	cur      int       // index of the slot receiving observations
-	curStart time.Time // start of the current slot's interval
+	mu     sync.Mutex
+	bounds []float64
+	slots  slotRing[windowSlot, *windowSlot]
 
 	now func() time.Time // injectable clock for tests
 }
@@ -80,20 +82,14 @@ func NewWindowedHistogram(bounds []float64, interval, maxWindow time.Duration) *
 	if maxWindow < interval {
 		maxWindow = interval
 	}
-	// One slot per interval covering maxWindow, plus the partially filled
-	// current slot.
-	n := int(maxWindow/interval) + 1
-	w := &WindowedHistogram{
-		cum:      NewHistogram(bounds),
-		interval: interval,
-		bounds:   append([]float64(nil), bounds...),
-		slots:    make([]windowSlot, n),
-		now:      time.Now,
+	return &WindowedHistogram{
+		cum:    NewHistogram(bounds),
+		bounds: append([]float64(nil), bounds...),
+		slots: newSlotRing[windowSlot](interval, maxWindow, func() windowSlot {
+			return windowSlot{counts: make([]int64, len(bounds)+1)}
+		}),
+		now: time.Now,
 	}
-	for i := range w.slots {
-		w.slots[i].counts = make([]int64, len(bounds)+1)
-	}
-	return w
 }
 
 // WithClock replaces the wall clock (tests only). Call before observing.
@@ -102,53 +98,13 @@ func (w *WindowedHistogram) WithClock(now func() time.Time) *WindowedHistogram {
 	return w
 }
 
-// rotate advances the ring so the current slot covers the interval
-// containing now. Must be called with the lock held.
-func (w *WindowedHistogram) rotate(now time.Time) {
-	if w.curStart.IsZero() {
-		w.curStart = now.Truncate(w.interval)
-		w.slots[w.cur].start = w.curStart
-		return
-	}
-	steps := int(now.Sub(w.curStart) / w.interval)
-	if steps <= 0 {
-		return
-	}
-	if steps >= len(w.slots) {
-		// The whole ring expired while idle: clear everything in one pass.
-		for i := range w.slots {
-			w.slots[i].reset()
-		}
-		w.cur = 0
-		w.curStart = now.Truncate(w.interval)
-		w.slots[0].start = w.curStart
-		return
-	}
-	for s := 0; s < steps; s++ {
-		w.cur = (w.cur + 1) % len(w.slots)
-		w.curStart = w.curStart.Add(w.interval)
-		w.slots[w.cur].reset()
-		w.slots[w.cur].start = w.curStart
-	}
-}
-
-func (s *windowSlot) reset() {
-	s.start = time.Time{}
-	s.count = 0
-	s.sum = 0
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
-}
-
 // Observe records one value into both the cumulative histogram and the
 // current rotation slot.
 func (w *WindowedHistogram) Observe(v float64) {
 	w.cum.Observe(v)
 	i := sort.SearchFloat64s(w.bounds, v)
 	w.mu.Lock()
-	w.rotate(w.now())
-	slot := &w.slots[w.cur]
+	slot := w.slots.current(w.now())
 	slot.counts[i]++
 	slot.count++
 	slot.sum += v
@@ -162,39 +118,50 @@ func (w *WindowedHistogram) ObserveDuration(d time.Duration) { w.Observe(d.Secon
 func (w *WindowedHistogram) Cumulative() *Histogram { return w.cum }
 
 // Interval reports the rotation interval (the window resolution).
-func (w *WindowedHistogram) Interval() time.Duration { return w.interval }
+func (w *WindowedHistogram) Interval() time.Duration { return w.slots.interval }
 
 // Snapshot merges the rotation slots overlapping the last `window` of
 // wall time into one WindowSnapshot. Windows longer than the ring's
 // capacity are clamped to it.
 func (w *WindowedHistogram) Snapshot(window time.Duration) WindowSnapshot {
 	if window <= 0 {
-		window = w.interval
+		window = w.slots.interval
 	}
 	snap := WindowSnapshot{Window: window}
 	merged := make([]int64, len(w.bounds)+1)
 
 	w.mu.Lock()
-	now := w.now()
-	w.rotate(now)
-	cutoff := now.Add(-window)
-	for i := range w.slots {
-		s := &w.slots[i]
-		// A slot covers [start, start+interval); include it when any part
-		// of that interval lies inside (cutoff, now].
-		if s.start.IsZero() || !s.start.Add(w.interval).After(cutoff) {
-			continue
-		}
+	w.slots.each(w.now(), window, func(s *windowSlot) {
 		for b, c := range s.counts {
 			merged[b] += c
 		}
 		snap.Count += s.count
 		snap.Sum += s.sum
-	}
+	})
 	w.mu.Unlock()
 
 	snap.P50 = quantileFromCounts(w.bounds, merged, 0.50)
 	snap.P95 = quantileFromCounts(w.bounds, merged, 0.95)
 	snap.P99 = quantileFromCounts(w.bounds, merged, 0.99)
 	return snap
+}
+
+// RegisterWindowGauges registers one render-time gauge under name for
+// each of the given rolling windows and each quantile (0.5, 0.95, 0.99),
+// labelled with labels plus {window, quantile}, in that order.
+func (w *WindowedHistogram) RegisterWindowGauges(reg *Registry, name string, windows []time.Duration, labels ...Label) {
+	quantiles := []struct {
+		name string
+		pick func(WindowSnapshot) float64
+	}{
+		{"0.5", func(s WindowSnapshot) float64 { return s.P50 }},
+		{"0.95", func(s WindowSnapshot) float64 { return s.P95 }},
+		{"0.99", func(s WindowSnapshot) float64 { return s.P99 }},
+	}
+	for _, win := range windows {
+		for _, q := range quantiles {
+			series := append(append([]Label(nil), labels...), L("window", win.String()), L("quantile", q.name))
+			reg.GaugeFunc(name, func() float64 { return q.pick(w.Snapshot(win)) }, series...)
+		}
+	}
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"dynq/internal/core"
 	"dynq/internal/geom"
@@ -113,7 +112,7 @@ func (e *Engine) SelfJoin(delta, t float64) ([]core.JoinPair, error) {
 			out = append(out, p)
 		}
 	}
-	sortPairs(out)
+	slices.SortFunc(out, core.ComparePairs)
 	return out, nil
 }
 
@@ -146,7 +145,7 @@ func (e *Engine) CrossJoin(other *Engine, delta, t float64) ([]core.JoinPair, er
 	for _, pairs := range parts {
 		out = append(out, pairs...)
 	}
-	sortPairs(out)
+	slices.SortFunc(out, core.ComparePairs)
 	return out, nil
 }
 
@@ -172,19 +171,4 @@ func (e *Engine) CountSeries(traj *trajectory.Trajectory, times []float64) ([]in
 		}
 	}
 	return out, nil
-}
-
-func sortPairs(out []core.JoinPair) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		if out[i].B != out[j].B {
-			return out[i].B < out[j].B
-		}
-		if out[i].SegA.T.Lo != out[j].SegA.T.Lo {
-			return out[i].SegA.T.Lo < out[j].SegA.T.Lo
-		}
-		return out[i].SegB.T.Lo < out[j].SegB.T.Lo
-	})
 }

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynq/internal/core"
 	"dynq/internal/geom"
@@ -73,7 +73,7 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (r core.Result, ok bool, err error) 
 	}
 	best := -1
 	for i := range p.heads {
-		if p.held[i] && (best == -1 || headLess(&p.heads[i], &p.heads[best])) {
+		if p.held[i] && (best == -1 || core.CompareResults(p.heads[i], p.heads[best]) < 0) {
 			best = i
 		}
 	}
@@ -131,19 +131,6 @@ func (p *PDQ) pull(i int) error {
 			return nil
 		}
 	}
-}
-
-// headLess orders buffered heads by appearance time, ties broken by
-// object id then segment start, matching the single-tree heap's total
-// order closely enough to be deterministic.
-func headLess(a, b *core.Result) bool {
-	if a.Appear != b.Appear {
-		return a.Appear < b.Appear
-	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	return a.Seg.T.Lo < b.Seg.T.Lo
 }
 
 // Drain pulls every remaining result visible during [tStart, tEnd].
@@ -302,15 +289,6 @@ func mergeResults(parts [][]core.Result) []core.Result {
 	for _, rs := range parts {
 		out = append(out, rs...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Appear != b.Appear {
-			return a.Appear < b.Appear
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		return a.Seg.T.Lo < b.Seg.T.Lo
-	})
+	slices.SortFunc(out, core.CompareResults)
 	return out
 }

@@ -133,16 +133,11 @@ func (l *Log) Telemetry(windows []time.Duration) obs.WALTelemetry {
 
 // RegisterMetrics exposes the log's instrumentation in a registry:
 // cumulative histograms, counter totals, and live gauges, plus rolling
-// fsync-latency quantiles matching the netq per-op window gauges.
-func (l *Log) RegisterMetrics(reg *obs.Registry) {
-	l.RegisterMetricsLabeled(reg)
-}
-
-// RegisterMetricsLabeled is RegisterMetrics with extra labels stamped on
-// every series — a sharded database registers each shard's log with a
-// {shard="i"} label, so the dynq_wal_* families carry one series per
-// log instead of colliding on the same name.
-func (l *Log) RegisterMetricsLabeled(reg *obs.Registry, labels ...obs.Label) {
+// fsync-latency quantiles matching the netq per-op window gauges. The
+// labels are stamped on every series — a sharded database registers
+// each shard's log with a {shard="i"} label, so the dynq_wal_* families
+// carry one series per log instead of colliding on the same name.
+func (l *Log) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.SetHelp("dynq_wal_fsync_seconds", "Group-commit fsync latency in seconds.")
 	reg.SetHelp("dynq_wal_batch_records", "Records made durable per group-commit fsync round.")
 	reg.SetHelp("dynq_wal_append_bytes", "Encoded record bytes per WAL append.")
@@ -171,22 +166,5 @@ func (l *Log) RegisterMetricsLabeled(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("dynq_wal_checkpoint_lag_records", func() float64 { return float64(l.CheckpointLag()) }, labels...)
 
 	reg.SetHelp("dynq_wal_fsync_window_seconds", "Rolling-window group-commit fsync latency quantiles.")
-	for _, win := range obs.DefWindows() {
-		win := win
-		for _, q := range []struct {
-			name string
-			pick func(obs.WindowSnapshot) float64
-		}{
-			{"0.5", func(s obs.WindowSnapshot) float64 { return s.P50 }},
-			{"0.95", func(s obs.WindowSnapshot) float64 { return s.P95 }},
-			{"0.99", func(s obs.WindowSnapshot) float64 { return s.P99 }},
-		} {
-			q := q
-			series := append(append([]obs.Label(nil), labels...),
-				obs.L("window", win.String()), obs.L("quantile", q.name))
-			reg.GaugeFunc("dynq_wal_fsync_window_seconds",
-				func() float64 { return q.pick(l.met.fsync.Snapshot(win)) },
-				series...)
-		}
-	}
+	l.met.fsync.RegisterWindowGauges(reg, "dynq_wal_fsync_window_seconds", obs.DefWindows(), labels...)
 }

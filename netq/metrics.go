@@ -19,15 +19,15 @@ var knownOps = func() []Op {
 	return ops
 }()
 
-// opMetrics aggregates the per-operation signals.
+// opMetrics aggregates the per-operation counters; each op's latency is
+// observed into its windowed histogram (serverTelemetry.windows).
 type opMetrics struct {
 	requests *obs.Counter
 	errors   *obs.Counter
-	latency  *obs.Histogram
 }
 
 // serverMetrics is the server's registry-backed instrumentation: per-op
-// request counts, error counts and latency histograms, connection and
+// request and error counts, connection and
 // session gauges, byte counters, and pager/engine gauges that read the
 // database's live cost counters at render time.
 type serverMetrics struct {
@@ -51,7 +51,6 @@ type serverMetrics struct {
 func newServerMetrics(reg *obs.Registry, db dynq.Database) *serverMetrics {
 	reg.SetHelp("netq_requests_total", "Requests received, by protocol op.")
 	reg.SetHelp("netq_request_errors_total", "Requests answered with an error, by protocol op.")
-	reg.SetHelp("netq_request_seconds", "Request handling latency in seconds, by protocol op.")
 	reg.SetHelp("netq_active_connections", "Currently open client connections.")
 	reg.SetHelp("netq_active_sessions", "Currently running dynamic-query sessions, by kind.")
 	reg.SetHelp("netq_bytes_in_total", "Bytes read from clients.")
@@ -77,7 +76,6 @@ func newServerMetrics(reg *obs.Registry, db dynq.Database) *serverMetrics {
 		m.perOp[op] = &opMetrics{
 			requests: reg.Counter("netq_requests_total", l),
 			errors:   reg.Counter("netq_request_errors_total", l),
-			latency:  reg.Histogram("netq_request_seconds", nil, l),
 		}
 	}
 	m.activeConns = reg.Gauge("netq_active_connections")

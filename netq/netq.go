@@ -430,7 +430,6 @@ func (s *Server) serve(sess *connSessions, req Request) Response {
 	m := s.metrics
 	if om, known := m.perOp[req.Op]; known {
 		om.requests.Inc()
-		om.latency.Observe(elapsed.Seconds())
 		if resp.Err != "" {
 			om.errors.Inc()
 		}

@@ -55,10 +55,11 @@ type serverTelemetry struct {
 	lastBurst time.Time
 }
 
-// newServerTelemetry builds the rolling-window state for a server and
-// exposes the windowed per-op percentiles as render-time gauges, so
-// /metrics carries netq_request_window_seconds{op,window,quantile}
-// alongside the cumulative netq_request_seconds histograms.
+// newServerTelemetry builds the rolling-window state for a server. Each
+// op's windowed histogram is the one latency histogram a request is
+// observed into: its cumulative side is /metrics' netq_request_seconds,
+// and its windowed percentiles are render-time gauges,
+// netq_request_window_seconds{op,window,quantile}.
 func newServerTelemetry(s *Server) *serverTelemetry {
 	t := &serverTelemetry{
 		started:  time.Now(),
@@ -71,6 +72,7 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	t.slowWrite.Store(int64(obs.DefSlowThreshold))
 	maxWin := t.winSpans[len(t.winSpans)-1]
 	reg := s.reg
+	reg.SetHelp("netq_request_seconds", "Request handling latency in seconds, by protocol op.")
 	reg.SetHelp("netq_request_window_seconds",
 		"Rolling-window request latency quantiles in seconds, by op, window, and quantile.")
 	reg.SetHelp("netq_slow_queries_total", "Operations (read queries and writes) captured by the slow-op log.")
@@ -78,22 +80,9 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	for _, op := range knownOps {
 		w := obs.NewWindowedHistogram(nil, obs.DefWindowInterval, maxWin)
 		t.windows[op] = w
-		for _, span := range t.winSpans {
-			win := span
-			for _, q := range []struct {
-				name string
-				get  func(obs.WindowSnapshot) float64
-			}{
-				{"0.5", func(s obs.WindowSnapshot) float64 { return s.P50 }},
-				{"0.95", func(s obs.WindowSnapshot) float64 { return s.P95 }},
-				{"0.99", func(s obs.WindowSnapshot) float64 { return s.P99 }},
-			} {
-				get := q.get
-				reg.GaugeFunc("netq_request_window_seconds",
-					func() float64 { return get(w.Snapshot(win)) },
-					obs.L("op", string(op)), obs.L("window", win.String()), obs.L("quantile", q.name))
-			}
-		}
+		l := obs.L("op", string(op))
+		reg.AttachHistogram("netq_request_seconds", w.Cumulative(), l)
+		w.RegisterWindowGauges(reg, "netq_request_window_seconds", t.winSpans, l)
 	}
 	reg.GaugeFunc("netq_slow_queries_total", func() float64 { return float64(t.slowLog.Captured()) })
 	reg.GaugeFunc("netq_journal_events_total", func() float64 { return float64(obs.DefaultJournal().Total()) })
@@ -279,23 +268,20 @@ func (s *Server) Telemetry() Telemetry {
 	}
 	for _, op := range knownOps {
 		w := s.tel.windows[op]
-		cum := w.Cumulative()
-		if cum.Count() == 0 {
+		if w.Cumulative().Count() == 0 {
 			continue
 		}
-		ot := obs.OpTelemetry{
-			Op:     string(op),
-			Count:  cum.Count(),
-			Errors: s.metrics.perOp[op].errors.Value(),
-			Sum:    cum.Sum(),
-			P50:    cum.Quantile(0.50),
-			P95:    cum.Quantile(0.95),
-			P99:    cum.Quantile(0.99),
-		}
-		for _, span := range s.tel.winSpans {
-			ot.Windows = append(ot.Windows, w.Snapshot(span))
-		}
-		tel.Ops = append(tel.Ops, ot)
+		h := obs.SummarizeWindowed(w, s.tel.winSpans)
+		tel.Ops = append(tel.Ops, obs.OpTelemetry{
+			Op:      string(op),
+			Count:   h.Count,
+			Errors:  s.metrics.perOp[op].errors.Value(),
+			Sum:     h.Sum,
+			P50:     h.P50,
+			P95:     h.P95,
+			P99:     h.P99,
+			Windows: h.Windows,
+		})
 	}
 	return tel
 }

@@ -69,7 +69,7 @@ func (e *engine) RegisterWALMetrics(reg *obs.Registry) bool {
 		return true
 	}
 	for i, w := range e.logs {
-		w.RegisterMetricsLabeled(reg, obs.L("shard", strconv.Itoa(i)))
+		w.RegisterMetrics(reg, obs.L("shard", strconv.Itoa(i)))
 	}
 	return true
 }
