@@ -34,10 +34,9 @@ type AdaptiveCursor interface {
 
 // Database is the query and write surface of *DB: everything a server
 // needs to answer the protocol's operations without knowing whether one
-// tree or many stand behind it.
+// tree or many stand behind it. Its writes are ApplyUpdates and
+// BulkLoadUpdates; DB.Insert and DB.Delete wrap ApplyUpdates.
 type Database interface {
-	Insert(id ObjectID, seg Segment) error
-	Delete(id ObjectID, t0 float64) error
 	// ApplyUpdates applies a batch of motion updates as one write: the
 	// high-rate ingest path. See DB for atomicity and durability
 	// semantics.

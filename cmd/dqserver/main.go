@@ -86,8 +86,6 @@ type options struct {
 	scale           float64
 	seed            int64
 	dual            bool
-	track           bool
-	horizon         float64
 	shards          int
 	walArm          bool
 	gcWin           time.Duration
@@ -115,8 +113,6 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.Float64Var(&o.scale, "scale", 0.1, "synthetic population scale when no -db is given")
 	fs.Int64Var(&o.seed, "seed", 1, "synthetic workload seed")
 	fs.BoolVar(&o.dual, "dual", false, "dual temporal axes for the synthetic index")
-	fs.BoolVar(&o.track, "track", false, "attach a current-state tracker (enables OpTrack* operations)")
-	fs.Float64Var(&o.horizon, "horizon", 2, "tracker anticipation horizon")
 	fs.IntVar(&o.shards, "shards", 1, "partition the index across N parallel shards; with -db, serves the sharded file set <db>.shard<i> (created fresh or recovered)")
 	fs.BoolVar(&o.walArm, "wal", false, "arm a write-ahead log for durable writes; requires -db (sidecar <db>.wal, or one <db>.shard<i>.wal per shard with -shards)")
 	fs.DurationVar(&o.gcWin, "group-commit-window", 0, "WAL group-commit coalescing window (0 = 2ms default, negative fsyncs every commit round)")
@@ -220,14 +216,6 @@ func main() {
 	}
 	logger.Info("read admission control",
 		"max_concurrent", srv.MaxConcurrent(), "max_queue", srv.MaxQueue())
-	if o.track {
-		tk, err := dynq.NewTracker(dynq.TrackerOptions{Horizon: o.horizon})
-		if err != nil {
-			fatal("attach tracker", err)
-		}
-		srv.WithTracker(tk)
-		logger.Info("tracker attached (OpTrack* enabled)", "horizon", o.horizon)
-	}
 
 	var hs *http.Server
 	if o.metrics != "" {

@@ -17,8 +17,8 @@ import (
 const catalogueGolden = "testdata/metrics_catalogue.txt"
 
 // TestMetricCatalogue scrapes /metrics from a server with every optional
-// source armed — two units, write-ahead logs, the maintenance loop, a
-// recovery report and a tracker — and compares the family catalogue
+// source armed — two units, write-ahead logs, the maintenance loop and a
+// recovery report — and compares the family catalogue
 // (name, type, label keys; never values) with the golden file, so a
 // change that drops, renames or re-types a series fails here.
 func TestMetricCatalogue(t *testing.T) {
@@ -53,11 +53,7 @@ func TestMetricCatalogue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	tk, err := dynq.NewTracker(dynq.TrackerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(db).WithRecoveryReport(rep).WithTracker(tk)
+	srv := NewServer(db).WithRecoveryReport(rep)
 	addr, stop := serveOn(t, srv)
 	defer stop()
 	cl, err := Dial(addr)

@@ -149,7 +149,7 @@ func TestAdmissionControlOverload(t *testing.T) {
 		t.Fatalf("snapshot with full gate: err = %v, want ErrOverloaded", err)
 	}
 	// Writes bypass the read gate entirely.
-	if err := cl.Insert(999, dynq.Segment{T0: 0, T1: 1, From: []float64{1, 1}, To: []float64{2, 2}}); err != nil {
+	if err := cl.ApplyUpdates([]dynq.MotionUpdate{{ID: 999, Segment: dynq.Segment{T0: 0, T1: 1, From: []float64{1, 1}, To: []float64{2, 2}}}}); err != nil {
 		t.Fatalf("insert with full read gate: %v", err)
 	}
 	// Session ops (NPDQ lives per connection) bypass it too.

@@ -11,7 +11,6 @@ import (
 // typed errors across the wire (the Err string alone is ambiguous).
 const (
 	ErrKindUnknownOp  = "unknown_op"
-	ErrKindNoTracker  = "no_tracker"
 	ErrKindNoSession  = "no_session"
 	ErrKindOverloaded = "overloaded"
 	ErrKindReadOnly   = "read_only"
@@ -20,11 +19,6 @@ const (
 	ErrKindDiskFull   = "disk_full"
 	ErrKindNonFinite  = "non_finite"
 )
-
-// ErrNoTracker is returned (and matched with errors.Is on both sides of
-// the wire) when a tracker operation reaches a server that was not given
-// a tracker.
-var ErrNoTracker = errors.New("netq: server has no tracker")
 
 // ErrNoSession is returned when a session-scoped operation (pdq-fetch,
 // adaptive-frame) arrives before the corresponding start op.
@@ -71,8 +65,6 @@ func errKind(err error) string {
 	switch {
 	case errors.As(err, &uo):
 		return ErrKindUnknownOp
-	case errors.Is(err, ErrNoTracker):
-		return ErrKindNoTracker
 	case errors.Is(err, ErrNoSession):
 		return ErrKindNoSession
 	case errors.Is(err, ErrOverloaded):
@@ -108,8 +100,6 @@ func typedError(req Request, resp Response) error {
 	switch resp.ErrKind {
 	case ErrKindUnknownOp:
 		return &UnknownOpError{Op: req.Op}
-	case ErrKindNoTracker:
-		return &wireError{msg: resp.Err, sentinel: ErrNoTracker}
 	case ErrKindNoSession:
 		return &wireError{msg: resp.Err, sentinel: ErrNoSession}
 	case ErrKindOverloaded:

@@ -51,6 +51,12 @@ func TestTypedErrorRoundTrip(t *testing.T) {
 			sentinel: dynq.ErrNonFinite,
 		},
 		{
+			name:     "no session",
+			server:   fmt.Errorf("%w: predictive (start with %s)", ErrNoSession, OpPDQStart),
+			kind:     ErrKindNoSession,
+			sentinel: ErrNoSession,
+		},
+		{
 			name:     "overloaded",
 			server:   ErrOverloaded,
 			kind:     ErrKindOverloaded,

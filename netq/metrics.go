@@ -38,7 +38,6 @@ type serverMetrics struct {
 	bytesIn           *obs.Counter
 	bytesOut          *obs.Counter
 	unknownOps        *obs.Counter
-	noTracker         *obs.Counter
 	versionMismatches *obs.Counter
 
 	// Contention observability for the concurrent read path.
@@ -56,7 +55,6 @@ func newServerMetrics(reg *obs.Registry, db dynq.Database) *serverMetrics {
 	reg.SetHelp("netq_bytes_in_total", "Bytes read from clients.")
 	reg.SetHelp("netq_bytes_out_total", "Bytes written to clients.")
 	reg.SetHelp("netq_unknown_ops_total", "Requests naming an operation the server has no handler for.")
-	reg.SetHelp("netq_no_tracker_errors_total", "Tracker operations rejected because no tracker is attached.")
 	reg.SetHelp("netq_version_mismatches_total", "Connections rejected by the protocol version handshake.")
 	reg.SetHelp("netq_inflight_ops", "Operations currently executing.")
 	reg.SetHelp("netq_read_queue_depth", "Read operations waiting for an execution slot.")
@@ -84,7 +82,6 @@ func newServerMetrics(reg *obs.Registry, db dynq.Database) *serverMetrics {
 	m.bytesIn = reg.Counter("netq_bytes_in_total")
 	m.bytesOut = reg.Counter("netq_bytes_out_total")
 	m.unknownOps = reg.Counter("netq_unknown_ops_total")
-	m.noTracker = reg.Counter("netq_no_tracker_errors_total")
 	m.versionMismatches = reg.Counter("netq_version_mismatches_total")
 	m.inflightOps = reg.Gauge("netq_inflight_ops")
 	m.readQueueDepth = reg.Gauge("netq_read_queue_depth")
@@ -138,16 +135,9 @@ func newServerMetrics(reg *obs.Registry, db dynq.Database) *serverMetrics {
 	return m
 }
 
-// isWriteOp classifies the ops that mutate the index through the batched
-// write path, for separate SLO tracking and slow-write capture. Tracker
-// updates mutate only the in-memory tracker and stay in the read class.
-func isWriteOp(op Op) bool {
-	switch op {
-	case OpInsert, OpApplyUpdates:
-		return true
-	}
-	return false
-}
+// isWriteOp classifies the one op that mutates the index, apply-updates,
+// for separate SLO tracking and slow-write capture.
+func isWriteOp(op Op) bool { return op == OpApplyUpdates }
 
 // engineFor names the query engine behind an op, for the tracer's stage
 // decomposition. Ops that do not traverse the index report no stages.
@@ -163,7 +153,7 @@ func engineFor(op Op) (string, bool) {
 		return "npdq", true
 	case OpAdaptiveFrame:
 		return "adaptive", true
-	case OpInsert, OpApplyUpdates:
+	case OpApplyUpdates:
 		return "insert", true
 	}
 	return "", false

@@ -82,6 +82,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		{T: 0, View: dynq.Rect{Min: []float64{0, 40}, Max: []float64{10, 60}}},
 		{T: 10, View: dynq.Rect{Min: []float64{40, 40}, Max: []float64{50, 60}}},
 	}
+	if _, err := cl.FetchPredictive(0, 5); !errors.Is(err, ErrNoSession) { // counted as a pdq-fetch error
+		t.Fatalf("fetch before start: err = %v, want ErrNoSession", err)
+	}
 	if err := cl.StartPredictive(wps, false); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.roundTrip(context.Background(), Request{Op: "bogus"}) // counted as unknown op
-	cl.TrackAt(view, 0)                                      // counted as no-tracker error
 
 	code, body := httpGet(t, hs.URL+"/metrics")
 	if code != 200 {
@@ -99,13 +101,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`netq_requests_total{op="snapshot"} 1`,
 		`netq_requests_total{op="npdq"} 1`,
 		`netq_requests_total{op="pdq-start"} 1`,
-		`netq_requests_total{op="pdq-fetch"} 1`,
+		`netq_requests_total{op="pdq-fetch"} 2`,
+		`netq_request_errors_total{op="pdq-fetch"} 1`,
 		`netq_request_seconds_bucket{op="snapshot",le="+Inf"} 1`,
 		`netq_request_seconds_count{op="snapshot"} 1`,
 		`netq_active_connections 1`,
 		`netq_active_sessions{kind="pdq"} 1`,
 		`netq_unknown_ops_total 1`,
-		`netq_no_tracker_errors_total 1`,
 		`pager_buffer_hit_ratio`,
 		`dynq_page_reads_total`,
 		`dynq_shards 1`, // a one-unit database has per-unit series too
@@ -197,12 +199,6 @@ func TestTypedErrorsOverTheWire(t *testing.T) {
 		t.Errorf("unknown op error = %#v, want UnknownOpError", err)
 	}
 
-	// Tracker op on a tracker-less server matches ErrNoTracker.
-	_, err = cl.TrackAt(dynq.Rect{Min: []float64{0, 0}, Max: []float64{1, 1}}, 0)
-	if !errors.Is(err, ErrNoTracker) {
-		t.Errorf("no-tracker error = %#v, want ErrNoTracker", err)
-	}
-
 	// Session ops before start match ErrNoSession.
 	if _, err := cl.FetchPredictive(0, 1); !errors.Is(err, ErrNoSession) {
 		t.Errorf("pdq-fetch error = %#v, want ErrNoSession", err)
@@ -211,12 +207,12 @@ func TestTypedErrorsOverTheWire(t *testing.T) {
 		t.Errorf("adaptive-frame error = %#v, want ErrNoSession", err)
 	}
 
-	// Both rejections are counted in the registry.
+	// The rejections are counted in the registry.
 	if got := srv.Registry().Counter("netq_unknown_ops_total").Value(); got != 1 {
 		t.Errorf("unknown ops counted = %d, want 1", got)
 	}
-	if got := srv.Registry().Counter("netq_no_tracker_errors_total").Value(); got != 1 {
-		t.Errorf("no-tracker errors counted = %d, want 1", got)
+	if got := srv.Registry().Counter("netq_request_errors_total", obs.L("op", string(OpPDQFetch))).Value(); got != 1 {
+		t.Errorf("pdq-fetch errors counted = %d, want 1", got)
 	}
 }
 

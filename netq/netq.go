@@ -7,11 +7,11 @@
 //
 // The wire protocol is request/response pairs, one in flight per
 // connection, each message one length-prefixed binary frame (wire.go gives
-// the layout). Across connections, read-only operations (snapshot,
-// knn, stats, tracker queries) execute concurrently under a bounded
-// admission-control gate (see Server.WithConcurrency); writes are
-// serialized by the database's writer lock, and dynamic-query session
-// state stays serialized per connection.
+// the layout). Across connections, read-only operations (snapshot, knn,
+// stats) execute concurrently under a bounded admission-control gate (see
+// Server.WithConcurrency); the one write op, apply-updates, is serialized
+// by the database's writer lock, and dynamic-query session state stays
+// serialized per connection.
 package netq
 
 import (
@@ -52,7 +52,9 @@ import (
 //	   payload. Floats travel as their IEEE-754 bits; the telemetry op's
 //	   payload is the JSON document /debug/telemetry serves. A v1 or v2
 //	   peer is refused in gob it can read (legacy.go).
-const ProtocolVersion = 3
+//	4  the insert, track-update, track-at, track-during and track-along
+//	   ops retired; the op codes after each renumber.
+const ProtocolVersion = 4
 
 // protocolMagic distinguishes a netq peer from an arbitrary TCP
 // endpoint.
@@ -64,7 +66,6 @@ type Op string
 // Protocol operations.
 const (
 	OpSnapshot      Op = "snapshot"       // independent snapshot query
-	OpInsert        Op = "insert"         // motion update
 	OpApplyUpdates  Op = "apply-updates"  // batched motion updates (one round trip)
 	OpKNN           Op = "knn"            // k nearest neighbors at a time instant
 	OpPDQStart      Op = "pdq-start"      // register a trajectory (one per conn)
@@ -75,11 +76,6 @@ const (
 	OpAdaptiveFrame Op = "adaptive-frame" // report a view frame, get new objects
 	OpStats         Op = "stats"          // index statistics
 	OpTelemetry     Op = "telemetry"      // server stats snapshot (SLOs, windows, runtime, events)
-	// Tracker operations (available when the server was given one).
-	OpTrackUpdate Op = "track-update" // report an object's current state
-	OpTrackAt     Op = "track-at"     // anticipated occupants at an instant
-	OpTrackDuring Op = "track-during" // anticipated occupants over an interval
-	OpTrackAlong  Op = "track-along"  // anticipated occupants along a trajectory
 )
 
 // Request is one client→server message. TraceID and SpanID carry the
@@ -96,10 +92,7 @@ type Request struct {
 	Waypoints []dynq.Waypoint
 	Live      bool
 	Point     []float64
-	Vel       []float64
 	K         int
-	ID        dynq.ObjectID
-	Segment   dynq.Segment
 	Adaptive  dynq.AdaptiveOptions
 	// Updates and Durability carry the apply-updates op: a write batch
 	// applied as one database write, with the requested dynq.Durability
@@ -110,13 +103,12 @@ type Request struct {
 
 // Response is one server→client message.
 type Response struct {
-	Err         string
-	ErrKind     string // one of the ErrKind* constants, "" for untyped errors
-	Results     []dynq.Result
-	Neighbors   []dynq.Neighbor
-	Stats       dynq.IndexStats
-	Anticipated []dynq.Anticipated
-	Predictive  bool // adaptive session mode after this frame
+	Err        string
+	ErrKind    string // one of the ErrKind* constants, "" for untyped errors
+	Results    []dynq.Result
+	Neighbors  []dynq.Neighbor
+	Stats      dynq.IndexStats
+	Predictive bool // adaptive session mode after this frame
 	// Telemetry answers the telemetry op (nil for every other op).
 	Telemetry *obs.Telemetry
 }
@@ -128,8 +120,7 @@ type Response struct {
 // with their per-stage cost deltas. Serve them over HTTP with
 // obs.NewHandler.
 type Server struct {
-	db      dynq.Database
-	tracker *dynq.Tracker
+	db dynq.Database
 
 	// Read admission control: read-only ops across all connections run
 	// concurrently, bounded by readSem; past the bound they queue up to
@@ -208,14 +199,14 @@ func (s *Server) MaxConcurrent() int { return s.maxConcurrent }
 func (s *Server) MaxQueue() int { return s.maxQueue }
 
 // isReadOp classifies the ops that are safe to run concurrently: pure
-// queries against the database's shared-lock read path or the tracker's.
-// Everything else either writes (insert, track-update) or touches
-// per-connection session state. The telemetry op is deliberately NOT
-// listed: it must bypass admission control so monitoring keeps seeing
-// an overloaded server — overload is exactly when the numbers matter.
+// queries against the database's shared-lock read path. Everything else
+// either writes (apply-updates) or touches per-connection session state.
+// The telemetry op is deliberately NOT listed: it must bypass admission
+// control so monitoring keeps seeing an overloaded server — overload is
+// exactly when the numbers matter.
 func isReadOp(op Op) bool {
 	switch op {
-	case OpSnapshot, OpKNN, OpStats, OpTrackAt, OpTrackDuring, OpTrackAlong:
+	case OpSnapshot, OpKNN, OpStats:
 		return true
 	}
 	return false
@@ -278,13 +269,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Tracer exposes the server's query tracer (for /debug/trace).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// WithTracker attaches a current-state tracker, enabling the OpTrack*
-// operations. Call before Serve.
-func (s *Server) WithTracker(tk *dynq.Tracker) *Server {
-	s.tracker = tk
-	return s
-}
 
 // Serve accepts connections until the listener closes. It always returns
 // a non-nil error (net.ErrClosed after Close). The first Serve starts
@@ -437,8 +421,6 @@ func (s *Server) serve(sess *connSessions, req Request) Response {
 	switch resp.ErrKind {
 	case ErrKindUnknownOp:
 		m.unknownOps.Inc()
-	case ErrKindNoTracker:
-		m.noTracker.Inc()
 	case ErrKindOverloaded:
 		m.overloads.Inc()
 		s.tel.noteOverload(s.maxConcurrent, s.maxQueue)
@@ -510,11 +492,6 @@ func (s *Server) dispatch(ctx context.Context, sess *connSessions, req Request) 
 			return fail(err)
 		}
 		return Response{Results: rs}
-	case OpInsert:
-		if err := s.db.Insert(req.ID, req.Segment); err != nil {
-			return fail(err)
-		}
-		return Response{}
 	case OpApplyUpdates:
 		if err := s.db.ApplyUpdates(ctx, req.Updates, dynq.WriteOptions{Durability: req.Durability}); err != nil {
 			return fail(err)
@@ -579,8 +556,6 @@ func (s *Server) dispatch(ctx context.Context, sess *connSessions, req Request) 
 			return fail(err)
 		}
 		return Response{Results: rs, Predictive: sess.adaptive.Predictive()}
-	case OpTrackUpdate, OpTrackAt, OpTrackDuring, OpTrackAlong:
-		return s.dispatchTracker(req)
 	case OpStats:
 		st, err := s.db.Stats()
 		if err != nil {
@@ -595,45 +570,11 @@ func (s *Server) dispatch(ctx context.Context, sess *connSessions, req Request) 
 	}
 }
 
-func (s *Server) dispatchTracker(req Request) Response {
-	fail := func(err error) Response { return Response{Err: err.Error(), ErrKind: errKind(err)} }
-	if s.tracker == nil {
-		return fail(ErrNoTracker)
-	}
-	// The tracker is internally locked: queries share its read lock,
-	// updates take its write lock. No server-side serialization needed.
-	switch req.Op {
-	case OpTrackUpdate:
-		if err := s.tracker.Update(req.ID, req.T0, req.Point, req.Vel); err != nil {
-			return fail(err)
-		}
-		return Response{}
-	case OpTrackAt:
-		as, err := s.tracker.At(req.View, req.T0)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{Anticipated: as}
-	case OpTrackDuring:
-		as, err := s.tracker.During(req.View, req.T0, req.T1)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{Anticipated: as}
-	default: // OpTrackAlong
-		as, err := s.tracker.Along(req.Waypoints)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{Anticipated: as}
-	}
-}
-
 // DialOptions tune the client's resilience behavior. The zero value
 // gives no automatic reconnection.
 type DialOptions struct {
 	// Reconnect enables transparent redial-and-retry for IDEMPOTENT
-	// operations (snapshot, knn, stats, tracker queries, telemetry) after
+	// operations (snapshot, knn, stats, telemetry) after
 	// a transport failure: up to retryMax redials per call, backing off
 	// from retryBase to retryMaxDelay. Writes and session operations are
 	// NEVER retried — a lost write may or may not have been applied, and
@@ -983,17 +924,6 @@ func (c *Client) SnapshotCtx(ctx context.Context, view dynq.Rect, t0, t1 float64
 	return resp.Results, err
 }
 
-// Insert sends a motion update.
-func (c *Client) Insert(id dynq.ObjectID, seg dynq.Segment) error {
-	return c.InsertCtx(context.Background(), id, seg)
-}
-
-// InsertCtx is Insert with cooperative cancellation.
-func (c *Client) InsertCtx(ctx context.Context, id dynq.ObjectID, seg dynq.Segment) error {
-	_, err := c.roundTrip(ctx, Request{Op: OpInsert, ID: id, Segment: seg})
-	return err
-}
-
 // ApplyUpdates sends a batch of motion updates applied as ONE database
 // write on the server: one round trip, one lock acquisition, one WAL
 // record — the high-rate ingest path. Updates apply in slice order. It
@@ -1105,50 +1035,4 @@ func (c *Client) AdaptiveFrame(view dynq.Rect, t0, t1 float64) ([]dynq.Result, b
 func (c *Client) AdaptiveFrameCtx(ctx context.Context, view dynq.Rect, t0, t1 float64) ([]dynq.Result, bool, error) {
 	resp, err := c.roundTrip(ctx, Request{Op: OpAdaptiveFrame, View: view, T0: t0, T1: t1})
 	return resp.Results, resp.Predictive, err
-}
-
-// TrackUpdate reports an object's current motion state to the server's
-// tracker.
-func (c *Client) TrackUpdate(id dynq.ObjectID, t float64, pos, vel []float64) error {
-	return c.TrackUpdateCtx(context.Background(), id, t, pos, vel)
-}
-
-// TrackUpdateCtx is TrackUpdate with cooperative cancellation.
-func (c *Client) TrackUpdateCtx(ctx context.Context, id dynq.ObjectID, t float64, pos, vel []float64) error {
-	_, err := c.roundTrip(ctx, Request{Op: OpTrackUpdate, ID: id, T0: t, Point: pos, Vel: vel})
-	return err
-}
-
-// TrackAt returns the objects anticipated inside the view at time t.
-func (c *Client) TrackAt(view dynq.Rect, t float64) ([]dynq.Anticipated, error) {
-	return c.TrackAtCtx(context.Background(), view, t)
-}
-
-// TrackAtCtx is TrackAt with cooperative cancellation.
-func (c *Client) TrackAtCtx(ctx context.Context, view dynq.Rect, t float64) ([]dynq.Anticipated, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpTrackAt, View: view, T0: t})
-	return resp.Anticipated, err
-}
-
-// TrackDuring returns the objects anticipated inside the view during
-// [t0, t1].
-func (c *Client) TrackDuring(view dynq.Rect, t0, t1 float64) ([]dynq.Anticipated, error) {
-	return c.TrackDuringCtx(context.Background(), view, t0, t1)
-}
-
-// TrackDuringCtx is TrackDuring with cooperative cancellation.
-func (c *Client) TrackDuringCtx(ctx context.Context, view dynq.Rect, t0, t1 float64) ([]dynq.Anticipated, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpTrackDuring, View: view, T0: t0, T1: t1})
-	return resp.Anticipated, err
-}
-
-// TrackAlong returns the objects anticipated to enter the moving view.
-func (c *Client) TrackAlong(waypoints []dynq.Waypoint) ([]dynq.Anticipated, error) {
-	return c.TrackAlongCtx(context.Background(), waypoints)
-}
-
-// TrackAlongCtx is TrackAlong with cooperative cancellation.
-func (c *Client) TrackAlongCtx(ctx context.Context, waypoints []dynq.Waypoint) ([]dynq.Anticipated, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpTrackAlong, Waypoints: waypoints})
-	return resp.Anticipated, err
 }

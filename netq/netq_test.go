@@ -69,7 +69,7 @@ func TestSnapshotOverTheWire(t *testing.T) {
 		t.Errorf("snapshot found %d, want 11", len(rs))
 	}
 	// Insert over the wire, then find it.
-	if err := cl.Insert(999, dynq.Segment{T0: 0, T1: 1, From: []float64{1, 1}, To: []float64{1, 1}}); err != nil {
+	if err := cl.ApplyUpdates([]dynq.MotionUpdate{{ID: 999, Segment: dynq.Segment{T0: 0, T1: 1, From: []float64{1, 1}, To: []float64{1, 1}}}}); err != nil {
 		t.Fatal(err)
 	}
 	rs, err = cl.Snapshot(dynq.Rect{Min: []float64{0, 0}, Max: []float64{2, 2}}, 0, 1)
@@ -179,7 +179,7 @@ func TestNonFiniteInputOverTheWire(t *testing.T) {
 			before := db.Len()
 			good := dynq.Segment{T0: 0, T1: 1, From: []float64{300, 300}, To: []float64{301, 301}}
 			bad := dynq.Segment{T0: math.NaN(), From: []float64{math.NaN(), 50}, To: []float64{3, math.Inf(1)}}
-			if err := cl.Insert(7001, bad); !errors.Is(err, dynq.ErrNonFinite) {
+			if err := cl.ApplyUpdates([]dynq.MotionUpdate{{ID: 7001, Segment: bad}}); !errors.Is(err, dynq.ErrNonFinite) {
 				t.Fatalf("insert of a NaN segment = %v, want ErrNonFinite", err)
 			}
 			err = cl.ApplyUpdates([]dynq.MotionUpdate{{ID: 7002, Segment: good}, {ID: 7003, Segment: bad}})
@@ -361,8 +361,14 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.roundTrip(context.Background(), Request{Op: "bogus"}); err == nil {
-		t.Error("unknown op should error")
+	// "insert" and "track-at" are ops retired in protocol v4: a request
+	// naming one travels by name and is refused like any unknown op.
+	for _, op := range []Op{"bogus", "insert", "track-at"} {
+		_, err := cl.roundTrip(context.Background(), Request{Op: op})
+		var uo *UnknownOpError
+		if !errors.As(err, &uo) || uo.Op != op {
+			t.Errorf("op %q: err = %v, want *UnknownOpError", op, err)
+		}
 	}
 	if _, err := cl.Snapshot(dynq.Rect{Min: []float64{0}, Max: []float64{1}}, 0, 1); err == nil {
 		t.Error("bad rect should error")
@@ -410,75 +416,5 @@ func TestAdaptiveOverTheWire(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("adaptive session delivered nothing")
-	}
-}
-
-func TestTrackerOverTheWire(t *testing.T) {
-	db := testDB(t)
-	tk, err := dynq.NewTracker(dynq.TrackerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := netListen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(db).WithTracker(tk)
-	go srv.Serve(l)
-	defer func() { l.Close(); srv.Close() }()
-
-	cl, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	// Report a fleet heading east.
-	for i := 0; i < 5; i++ {
-		if err := cl.TrackUpdate(dynq.ObjectID(i), 0, []float64{float64(i * 3), 50}, []float64{1, 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := cl.TrackAt(dynq.Rect{Min: []float64{10, 45}, Max: []float64{22, 55}}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 { // at t=10 fleet spans x ∈ [10, 22]
-		t.Errorf("anticipated %d at t=10, want 5: %v", len(got), got)
-	}
-	during, err := cl.TrackDuring(dynq.Rect{Min: []float64{30, 45}, Max: []float64{35, 55}}, 10, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(during) != 5 {
-		t.Errorf("during = %d, want 5", len(during))
-	}
-	along, err := cl.TrackAlong([]dynq.Waypoint{
-		{T: 0, View: dynq.Rect{Min: []float64{0, 45}, Max: []float64{10, 55}}},
-		{T: 30, View: dynq.Rect{Min: []float64{30, 45}, Max: []float64{40, 55}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(along) == 0 {
-		t.Error("trajectory query returned nothing")
-	}
-	// Stale update rejected over the wire.
-	if err := cl.TrackUpdate(1, -5, []float64{0, 0}, []float64{0, 0}); err == nil {
-		t.Error("stale tracker update should fail")
-	}
-}
-
-func TestTrackerOpsWithoutTracker(t *testing.T) {
-	db := testDB(t)
-	addr, stop := startServer(t, db)
-	defer stop()
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.TrackAt(dynq.Rect{Min: []float64{0, 0}, Max: []float64{1, 1}}, 0); err == nil {
-		t.Error("tracker ops on a tracker-less server should fail")
 	}
 }

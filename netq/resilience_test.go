@@ -88,13 +88,13 @@ func TestWriteFailsFastWhenServerDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Insert(1000, seg(5, 5)); err != nil {
+	if err := cl.ApplyUpdates([]dynq.MotionUpdate{{ID: 1000, Segment: seg(5, 5)}}); err != nil {
 		t.Fatalf("insert before outage: %v", err)
 	}
 
 	stop()
 	start := time.Now()
-	err = cl.Insert(1001, seg(6, 6))
+	err = cl.ApplyUpdates([]dynq.MotionUpdate{{ID: 1001, Segment: seg(6, 6)}})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("insert against a dead server reported success")
@@ -251,7 +251,7 @@ func TestReadOnlyErrorOverTheWire(t *testing.T) {
 	}
 	defer cl.Close()
 
-	err = cl.Insert(2000, seg(1, 1))
+	err = cl.ApplyUpdates([]dynq.MotionUpdate{{ID: 2000, Segment: seg(1, 1)}})
 	if !errors.Is(err, dynq.ErrReadOnly) {
 		t.Fatalf("insert against degraded server: got %v, want errors.Is(err, dynq.ErrReadOnly)", err)
 	}
@@ -359,7 +359,7 @@ func TestCancelAfterResponseKeepsConnection(t *testing.T) {
 	if _, err := cl.SnapshotCtx(ctx, view, 0, 1); err != nil {
 		t.Fatalf("the call whose answer arrived before its context ended: %v", err)
 	}
-	if err := cl.Insert(4242, seg(500, 500)); err != nil {
+	if err := cl.ApplyUpdates([]dynq.MotionUpdate{{ID: 4242, Segment: seg(500, 500)}}); err != nil {
 		t.Fatalf("write after a late cancellation: %v", err)
 	}
 	got, err := cl.Snapshot(view, 0, 1)

@@ -48,7 +48,7 @@ func TestShardedBackendOverTheWire(t *testing.T) {
 	if len(rs) != 11 { // x = 0,2,...,20
 		t.Errorf("snapshot found %d, want 11", len(rs))
 	}
-	if err := cl.Insert(999, dynq.Segment{T0: 0, T1: 1, From: []float64{1, 1}, To: []float64{1, 1}}); err != nil {
+	if err := cl.ApplyUpdates([]dynq.MotionUpdate{{ID: 999, Segment: dynq.Segment{T0: 0, T1: 1, From: []float64{1, 1}, To: []float64{1, 1}}}}); err != nil {
 		t.Fatal(err)
 	}
 	rs, err = cl.Snapshot(dynq.Rect{Min: []float64{0, 0}, Max: []float64{2, 2}}, 0, 1)
@@ -117,8 +117,8 @@ func TestClientContextCancellation(t *testing.T) {
 	if _, err := cl.KNNCtx(ctx, []float64{0, 50}, 1, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("KNNCtx on cancelled ctx: %v", err)
 	}
-	if err := cl.InsertCtx(ctx, 1000, dynq.Segment{T0: 0, T1: 1, From: []float64{3, 3}, To: []float64{3, 3}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("InsertCtx on cancelled ctx: %v", err)
+	if err := cl.ApplyUpdatesCtx(ctx, []dynq.MotionUpdate{{ID: 1000, Segment: dynq.Segment{T0: 0, T1: 1, From: []float64{3, 3}, To: []float64{3, 3}}}}, dynq.DurabilityDefault); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ApplyUpdatesCtx on cancelled ctx: %v", err)
 	}
 
 	// The aborted calls never hit the wire: the same connection still

@@ -165,7 +165,7 @@ func (s *Server) WithSLO(cfg obs.SLOConfig) *Server {
 }
 
 // WithSlowWriteThreshold sets the latency above which a WRITE op
-// (insert, apply-updates) is captured into the shared slow-op log,
+// (apply-updates) is captured into the shared slow-op log,
 // independently of the query threshold (default obs.DefSlowThreshold;
 // negative disables write capture). Safe to call at any time.
 func (s *Server) WithSlowWriteThreshold(d time.Duration) *Server {

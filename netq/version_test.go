@@ -3,6 +3,7 @@ package netq
 import (
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -116,8 +117,8 @@ func TestV2ClientRejected(t *testing.T) {
 	if err := dec.Decode(&ack); err != nil {
 		t.Fatalf("v2 client got a broken stream instead of a refusal: %v", err)
 	}
-	if ack.Version != ProtocolVersion || !strings.Contains(ack.Err, "local v3, peer v2") {
-		t.Errorf("ack = %+v, want a v3 refusal naming the peer's v2", ack)
+	if ack.Version != ProtocolVersion || !strings.Contains(ack.Err, "local v4, peer v2") {
+		t.Errorf("ack = %+v, want a v4 refusal naming the peer's v2", ack)
 	}
 	if got := srv.Registry().Export()["netq_version_mismatches_total"]; got != int64(1) {
 		t.Errorf("netq_version_mismatches_total = %v, want 1", got)
@@ -152,29 +153,34 @@ func TestNewClientAgainstV2Server(t *testing.T) {
 }
 
 // TestNewerClientRefused: a hello of another version is answered with an
-// ack carrying the server's version and the reason.
+// ack carrying the server's version and the reason. A v3 peer speaks the
+// same framing but numbers its ops differently (v4 retired five), so it
+// is refused the same way.
 func TestNewerClientRefused(t *testing.T) {
 	db := testDB(t)
 	_, addr, stop := startServerKeep(t, db)
 	defer stop()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(appendHello(nil, ProtocolVersion+1)); err != nil {
-		t.Fatal(err)
-	}
-	l := newLink(conn)
-	magic, version, err := readHello(l.r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refusal, err := l.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if magic != protocolMagic || version != ProtocolVersion || !strings.Contains(string(refusal), "version mismatch") {
-		t.Errorf("ack: magic %q version %d refusal %q, want a v%d refusal", magic, version, refusal, ProtocolVersion)
+	for _, peer := range []int{ProtocolVersion + 1, 3} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(appendHello(nil, peer)); err != nil {
+			t.Fatal(err)
+		}
+		l := newLink(conn)
+		magic, version, err := readHello(l.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refusal, err := l.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("version mismatch: local v4, peer v%d", peer)
+		if magic != protocolMagic || version != ProtocolVersion || !strings.Contains(string(refusal), want) {
+			t.Errorf("v%d hello: ack magic %q version %d refusal %q, want a v4 refusal", peer, magic, version, refusal)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"dynq/internal/obs"
 )
 
-// The version 3 wire format. After the handshake every message is one
+// The version 4 wire format. After the handshake every message is one
 // frame:
 //
 //	u32 length | body                 little-endian, length ≤ maxFrame
@@ -43,7 +43,6 @@ import (
 //	Segment            T0 | T1 | From []float64 | To []float64
 //	Result             ID | Segment | Appear | Disappear
 //	Neighbor           ID | Segment | Dist
-//	Anticipated        ID | Time | Pos []float64 | Vel []float64 | Appear | Vanish
 //	Waypoint           T | View
 //	MotionUpdate       ID | Segment | Delete
 //	AdaptiveOptions    Slack | Horizon | StableFrames
@@ -75,10 +74,7 @@ const (
 	fWaypoints
 	fLive
 	fPoint
-	fVel
 	fK
-	fID
-	fSegment
 	fAdaptive
 	fUpdates
 	fDurability
@@ -90,7 +86,6 @@ const (
 	fPredictive
 	fNeighbors
 	fStats
-	fAnticipated
 	fTelemetry
 )
 
@@ -103,7 +98,6 @@ var wireOps = [...]struct {
 }{
 	{},
 	{OpSnapshot, fView | fT0 | fT1, fResults},
-	{OpInsert, fID | fSegment, 0},
 	{OpApplyUpdates, fUpdates | fDurability, 0},
 	{OpKNN, fT0 | fPoint | fK, fNeighbors},
 	{OpPDQStart, fWaypoints | fLive, 0},
@@ -114,10 +108,6 @@ var wireOps = [...]struct {
 	{OpAdaptiveFrame, fView | fT0 | fT1, fResults | fPredictive},
 	{OpStats, 0, fStats},
 	{OpTelemetry, 0, fTelemetry},
-	{OpTrackUpdate, fT0 | fPoint | fVel | fID, 0},
-	{OpTrackAt, fView | fT0, fAnticipated},
-	{OpTrackDuring, fView | fT0 | fT1, fAnticipated},
-	{OpTrackAlong, fWaypoints, fAnticipated},
 }
 
 var opCodes = func() map[Op]byte {
@@ -131,12 +121,11 @@ var opCodes = func() map[Op]byte {
 // The smallest encodings of the slice elements, which bound what a count
 // may claim.
 const (
-	minSegment     = 8 + 8 + 1 + 1
-	minResult      = 8 + minSegment + 8 + 8
-	minNeighbor    = 8 + minSegment + 8
-	minAnticipated = 8 + 8 + 1 + 1 + 8 + 8
-	minWaypoint    = 8 + 1 + 1
-	minUpdate      = 8 + minSegment + 1
+	minSegment  = 8 + 8 + 1 + 1
+	minResult   = 8 + minSegment + 8 + 8
+	minNeighbor = 8 + minSegment + 8
+	minWaypoint = 8 + 1 + 1
+	minUpdate   = 8 + minSegment + 1
 )
 
 // codec walks a message's fields in wire order: it appends them to b
@@ -509,17 +498,8 @@ func (c *codec) request(req *Request) {
 	if f&fPoint != 0 {
 		c.floats(&req.Point)
 	}
-	if f&fVel != 0 {
-		c.floats(&req.Vel)
-	}
 	if f&fK != 0 {
 		c.int(&req.K)
-	}
-	if f&fID != 0 {
-		c.u64(&req.ID)
-	}
-	if f&fSegment != 0 {
-		c.segment(&req.Segment)
 	}
 	if f&fAdaptive != 0 {
 		c.f64(&req.Adaptive.Slack)
@@ -586,18 +566,6 @@ func (c *codec) response(op Op, resp *Response) {
 		}
 		c.f64(&st.AvgLeafFill)
 		c.f64(&st.AvgIntFill)
-	}
-	if f&fAnticipated != 0 {
-		sized(c, &resp.Anticipated, minAnticipated)
-		for i := range resp.Anticipated {
-			a := &resp.Anticipated[i]
-			c.u64(&a.ID)
-			c.f64(&a.Time)
-			c.floats(&a.Pos)
-			c.floats(&a.Vel)
-			c.f64(&a.Appear)
-			c.f64(&a.Vanish)
-		}
 	}
 	if f&fTelemetry != 0 {
 		c.telemetry(&resp.Telemetry)

@@ -131,17 +131,8 @@ func (g gen) request(code int) Request {
 	if f&fPoint != 0 {
 		req.Point = g.floats()
 	}
-	if f&fVel != 0 {
-		req.Vel = g.floats()
-	}
 	if f&fK != 0 {
 		req.K = []int{0, -1, math.MaxInt, math.MinInt, 10}[g.r.Intn(5)]
-	}
-	if f&fID != 0 {
-		req.ID = g.id()
-	}
-	if f&fSegment != 0 {
-		req.Segment = g.segment()
 	}
 	if f&fAdaptive != 0 {
 		req.Adaptive = dynq.AdaptiveOptions{Slack: g.float(), Horizon: g.float(), StableFrames: g.r.Intn(10) - 2}
@@ -184,15 +175,6 @@ func (g gen) response(code int, results int) Response {
 	if f&fStats != 0 {
 		resp.Stats = dynq.IndexStats{Height: 3, Segments: math.MaxInt, LeafNodes: -1, InternalNodes: 7,
 			LeafFanout: 60, IntFanout: 40, AvgLeafFill: g.float(), AvgIntFill: g.float()}
-	}
-	if f&fAnticipated != 0 {
-		if n := g.n(4); n >= 0 {
-			resp.Anticipated = make([]dynq.Anticipated, n)
-			for i := range resp.Anticipated {
-				resp.Anticipated[i] = dynq.Anticipated{ID: g.id(), Time: g.float(), Pos: g.floats(), Vel: g.floats(),
-					Appear: g.float(), Vanish: g.float()}
-			}
-		}
 	}
 	if f&fTelemetry != 0 && g.r.Intn(3) > 0 {
 		resp.Telemetry = &obs.Telemetry{
@@ -338,7 +320,6 @@ func TestCountRefusedBeforeAllocation(t *testing.T) {
 		"results":      {OpSnapshot, craft([]byte{0}, u32(0), uvarint(1<<40)), false},
 		"float slab":   {OpSnapshot, craft([]byte{0}, u32(math.MaxUint32), uvarint(0)), false},
 		"neighbors":    {OpKNN, craft([]byte{0}, u32(0), uvarint(1<<50)), false},
-		"anticipated":  {OpTrackAt, craft([]byte{0}, u32(0), uvarint(1<<33)), false},
 		"telemetry":    {OpTelemetry, craft([]byte{0}, u32(0), uvarint(1<<45)), false},
 		"error string": {OpSnapshot, craft([]byte{1}, uvarint(1<<45)), false},
 		"updates":      {OpApplyUpdates, craft([]byte{opCodes[OpApplyUpdates]}, ids, u32(0), uvarint(1<<40)), true},
@@ -379,18 +360,21 @@ func TestOversizedFrameRefused(t *testing.T) {
 	}
 }
 
-// seedFrames are the fuzzer's starting points: real messages of several
-// ops, plus the inflated and truncated shapes.
+// seedFrames are the fuzzer's starting points: a request of every op and
+// an answer of every op that returns fields, plus the inflated and
+// truncated shapes.
 func seedFrames() [][]byte {
 	g := gen{r: rand.New(rand.NewSource(3)), dims: 2}
 	var seeds [][]byte
-	for _, code := range []int{0, 1, 3, 4, 5, 9, 13, 16} {
+	for code := range wireOps {
 		frame, _ := appendRequest(nil, g.request(code))
 		seeds = append(seeds, frame)
 	}
-	for _, code := range []int{1, 4, 10, 11, 12, 14} {
-		frame, _ := appendResponse(nil, wireOps[code].op, g.response(code, 3))
-		seeds = append(seeds, frame)
+	for code, w := range wireOps {
+		if w.resp != 0 {
+			frame, _ := appendResponse(nil, w.op, g.response(code, 3))
+			seeds = append(seeds, frame)
+		}
 	}
 	errFrame, _ := appendResponse(nil, OpSnapshot, Response{Err: "netq: no", ErrKind: ErrKindNoWAL})
 	return append(seeds, errFrame,
@@ -413,7 +397,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		for _, b := range bodies {
 			if req, err := decodeRequest(b); err == nil {
-				if n := len(req.Waypoints) + len(req.Updates) + len(req.Point) + len(req.Vel); n > len(b) {
+				if n := len(req.Waypoints) + len(req.Updates) + len(req.Point); n > len(b) {
 					t.Fatalf("%d elements from %d bytes", n, len(b))
 				}
 				frame, err := appendRequest(nil, req)
@@ -431,7 +415,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				if err != nil {
 					continue
 				}
-				if n := len(resp.Results) + len(resp.Neighbors) + len(resp.Anticipated); n > len(b) {
+				if n := len(resp.Results) + len(resp.Neighbors); n > len(b) {
 					t.Fatalf("%d elements from %d bytes", n, len(b))
 				}
 				frame, err := appendResponse(nil, op, resp)

@@ -22,7 +22,7 @@ func stressSegment(id ObjectID) Segment {
 // state for equivalence with a serialized replay of the same inserts.
 // Run under -race this doubles as the concurrency suite's memory-safety
 // check for the whole read path.
-func runMixedStress(t *testing.T, db, replay Database) {
+func runMixedStress(t *testing.T, db, replay *DB) {
 	t.Helper()
 	const (
 		baseObjects = 100

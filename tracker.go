@@ -27,6 +27,10 @@ const trackerFanout = 32
 // TPR-tree companion (the paper's future work (iii)) to DB, which stores
 // the full motion history.
 //
+// A Tracker is an in-process library: netq does not serve it, and it has
+// no write-ahead log, units or recovery. Embed it beside a DB where a
+// program needs the present-state answers (examples/airtraffic).
+//
 // Safe for concurrent use: queries (At, During, Along, Len, Now) hold a
 // shared lock and run in parallel; Update and Remove hold the exclusive
 // lock.
