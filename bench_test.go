@@ -10,6 +10,7 @@
 package dynq_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -280,4 +281,46 @@ func BenchmarkMixedStaticNPDQ(b *testing.B) {
 	}
 	b.ReportMetric(nv, "naive-reads/query")
 	b.ReportMetric(dq, "npdq-reads/query")
+}
+
+// BenchmarkTracker times the Tracker on churnedTrackerFleet at
+// examples/airtraffic's scale (40 states) and at 5 000: update is one
+// dead-reckoning correction, during one of 200 windows and along one of 50
+// three-waypoint routes (trackerQueries). update runs last: it moves Now
+// past the queries.
+func BenchmarkTracker(b *testing.B) {
+	for _, n := range []int{40, 5000} {
+		f := churnedTrackerFleet(b, n, 1)
+		now := f.tk.Now()
+		r := newRand(2)
+		windows, routes := trackerQueries(r, now, 1000, 200, 50)
+		corrections := make([]trackerCorrection, 2000)
+		for i := range corrections {
+			corrections[i] = f.correction(r, n, now)
+		}
+		b.Run(fmt.Sprintf("n=%d/during", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w := windows[i%len(windows)]
+				if _, err := f.tk.During(w.view, w.t0, w.t1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/along", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := f.tk.Along(routes[i%len(routes)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/update", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := corrections[i%len(corrections)]
+				now += 1e-3
+				if err := f.tk.Update(c.id, now, c.pos, c.vel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -195,7 +195,9 @@ var ErrNotFound = rtree.ErrNotFound
 // with a time or coordinate that is NaN, infinite or beyond float32, the
 // stored precision (refused before anything of its batch is logged or
 // applied), and a query whose view, time or waypoint contains NaN.
-// Infinite query bounds are legal: "unbounded".
+// Infinite query bounds are legal: "unbounded". Tracker.Update returns it
+// for a NaN or infinite time, position or velocity; a tracked state is
+// float64, so no float32 bound applies there.
 var ErrNonFinite = errors.New("dynq: non-finite value")
 
 // CostReport is the cumulative query cost since the last ResetCost, in

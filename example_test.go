@@ -114,8 +114,7 @@ func ExampleViewCache() {
 	// evicted 1, 1 still visible
 }
 
-// Anticipation queries over current motion states with the TPR-tree
-// tracker.
+// Anticipation queries over current motion states with the Tracker.
 func ExampleTracker() {
 	tracker, err := dynq.NewTracker(dynq.TrackerOptions{})
 	if err != nil {

@@ -1,5 +1,5 @@
 // Airtraffic: anticipation queries over *current* motion states with the
-// TPR-tree tracker (the paper's future work (iii)). An en-route control
+// Tracker (the paper's future work (iii)). An en-route control
 // center receives position/velocity reports from aircraft and asks
 // forward-looking questions the historical index cannot answer:
 //
@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	tracker, err := dynq.NewTracker(dynq.TrackerOptions{Horizon: 15})
+	tracker, err := dynq.NewTracker(dynq.TrackerOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,8 +97,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("flight %d reported a turn at t=30; cell occupancy t+30..60 now: %d\n", turning, len(after))
-
-	cost := tracker.Cost()
-	fmt.Printf("\ntracker cost: %d node visits, %d distance computations\n",
-		cost.DiskReads, cost.DistanceComps)
 }
