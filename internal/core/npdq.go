@@ -122,13 +122,13 @@ func (nq *NPDQ) visit(v rtree.NodeView) error {
 		nq.collectLeaf(v)
 		return nil
 	}
-	// Timestamp guard (Section 4.2's update management). Every insertion
-	// stamps all nodes along its path, so an ancestor's stamp dominates
-	// its descendants': Stamp ≤ prevSeq proves nothing under the node
-	// changed since the previous query ran, making Lemma 1 applicable to
-	// its children. A dirty node's children must all be visited — each
-	// visited child then re-reads its own stamp, so pruning resumes in
-	// clean subtrees below.
+	// Timestamp guard (Section 4.2's update management). Every insert and
+	// every delete stamps all nodes along its path, even those whose box it
+	// leaves as it was, so an ancestor's stamp dominates its descendants':
+	// Stamp ≤ prevSeq proves nothing under the node changed since the
+	// previous query ran, making Lemma 1 applicable to its children. A
+	// dirty node's children must all be visited — each visited child then
+	// re-reads its own stamp, so pruning resumes in clean subtrees below.
 	canDiscard := nq.hasPrev && v.Stamp() <= nq.prevSeq
 	base, pruned := len(nq.stack), 0
 	for k := 0; k < v.Len(); k++ {

@@ -250,21 +250,40 @@ func BenchmarkSplit(b *testing.B) {
 }
 
 // BenchmarkDeleteSteady deletes and re-inserts one segment per iteration,
-// so the tree keeps its size; the insert is BenchmarkInsertSteady's.
+// so the tree keeps its size; the insert is BenchmarkInsertSteady's and is
+// not timed. Delete searches for the segment itself; FindDeleteAt looks it
+// up with Find and deletes along the path found, as the database's write
+// path does.
 func BenchmarkDeleteSteady(b *testing.B) {
-	tree, entries := steadyTree(b)
-	r := rand.New(rand.NewSource(9))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := entries[r.Intn(len(entries))]
-		if err := tree.Delete(e.ID, e.Seg.T.Lo); err != nil {
-			b.Fatal(err)
+	for _, find := range []bool{false, true} {
+		name := "Delete"
+		if find {
+			name = "FindDeleteAt"
 		}
-		b.StopTimer()
-		if err := tree.Insert(e.ID, e.Seg); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
+		b.Run(name, func(b *testing.B) {
+			tree, entries := steadyTree(b)
+			r := rand.New(rand.NewSource(9))
+			var path Path
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := entries[r.Intn(len(entries))]
+				var err error
+				if find {
+					path, _, err = tree.Find(e.ID, e.Seg.T.Lo, path[:0])
+				}
+				if err == nil {
+					err = tree.DeleteAt(e.ID, e.Seg.T.Lo, path)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := tree.Insert(e.ID, e.Seg); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -48,10 +48,10 @@ func (t *Tree) DeleteAt(id ObjectID, tStart float64, path Path) error {
 	found := false
 	var err error
 	if len(path) == t.height && path[0] == t.root {
-		found, _, err = t.deleteRec(t.root, &d, path[1:], mbr)
+		found, _, _, err = t.deleteRec(t.root, &d, path[1:], nil, mbr)
 	}
 	if !found && err == nil {
-		found, _, err = t.deleteRec(t.root, &d, nil, mbr)
+		found, _, _, err = t.deleteRec(t.root, &d, nil, nil, mbr)
 	}
 	if err != nil {
 		return err
@@ -190,24 +190,35 @@ func (t *Tree) free(id pager.PageID, cd *condense) error {
 
 // deleteRec removes d's target from the subtree rooted at page. The search
 // reads pages in place and changes nothing until a leaf holds the target;
-// from there back up, each node of the path is edited where it lies. With a
-// non-nil hint — the pages of a Find path below this one — only that chain
-// is searched. It reports whether the target was found; if so, count is the
-// subtree root's remaining entry count and mbr (caller-owned, Dims+2
-// extents) holds its updated MBR.
-func (t *Tree) deleteRec(page pager.PageID, d *deletion, hint Path, mbr geom.Box) (found bool, count int, err error) {
+// from there back up, each node of the path is edited where it lies and
+// committed, so every one of them takes the new stamp. With a non-nil hint
+// — the pages of a Find path below this one — only that chain is searched.
+// It reports whether the target was found; if so, count is the subtree
+// root's remaining entry count and changed whether its box may have shrunk,
+// in which case mbr (caller-owned, Dims+2 extents) holds the new box.
+//
+// old is the subtree root's box as its parent stores it, nil at the root,
+// whose box nobody keeps. A stored box is the tight cover of its child, so
+// removing an item (a leaf entry, or a dissolved child's box) that lies on
+// none of old's faces, or shrinking such a child, leaves the cover as it
+// was: the node recomputes its box only when the item reaches a face.
+func (t *Tree) deleteRec(page pager.PageID, d *deletion, hint Path, old, mbr geom.Box) (found bool, count int, changed bool, err error) {
 	var (
-		k        = -1 // the entry that is (leaf) or leads to (internal) the target
-		level    int
-		child    pager.PageID
-		childLen int
+		k            = -1 // the entry that is (leaf) or leads to (internal) the target
+		level        int
+		child        pager.PageID
+		childLen     int
+		childChanged bool
+		scratch      [maxDims + 2]geom.Interval
 	)
+	item := geom.Box(scratch[:len(mbr)]) // the target's box, or its child's stored box
 	err = t.view(page, nil, func(v NodeView) error {
 		level = v.Level()
 		for i := 0; i < v.Len() && k < 0; i++ {
 			if v.Leaf() {
 				if eid, eStart := v.EntryKey(i); eid == d.id && eStart == d.tStart {
 					k = i
+					v.EntryBox(i, item)
 				}
 				continue
 			}
@@ -222,18 +233,19 @@ func (t *Tree) deleteRec(page pager.PageID, d *deletion, hint Path, mbr geom.Box
 			} else if !v.ChildStartTimes(i).ContainsValue(d.tStart) {
 				continue
 			}
-			hit, n, err := t.deleteRec(v.ChildID(i), d, below, mbr)
+			v.ChildBox(i, item)
+			hit, n, ch, err := t.deleteRec(v.ChildID(i), d, below, item, mbr)
 			if err != nil {
 				return err
 			}
 			if hit {
-				k, child, childLen = i, v.ChildID(i), n
+				k, child, childLen, childChanged = i, v.ChildID(i), n, ch
 			}
 		}
 		return nil
 	})
 	if err != nil || k < 0 {
-		return false, 0, err
+		return false, 0, false, err
 	}
 
 	dissolve := level > 0 && childLen < t.cfg.minFill(level-1)
@@ -245,24 +257,39 @@ func (t *Tree) deleteRec(page pager.PageID, d *deletion, hint Path, mbr geom.Box
 		// Condense: the child fell below minimum fill. Its entries travel
 		// on as orphans.
 		if err := t.view(child, nil, d.orphan); err != nil {
-			return false, 0, err
+			return false, 0, false, err
 		}
 		if err := t.free(child, &d.condense); err != nil {
-			return false, 0, err
+			return false, 0, false, err
 		}
 	}
 	ed, err := t.openEdit(page)
 	if err != nil {
-		return false, 0, err
+		return false, 0, false, err
 	}
-	if level == 0 || dissolve {
+	removed := level == 0 || dissolve
+	switch {
+	case removed:
 		ed.remove(k)
-	} else {
+	case childChanged:
 		ed.setChildBox(k, mbr)
 	}
 	count = ed.Len()
-	ed.MBR(mbr)
-	return true, count, t.commit(ed)
+	if changed = (removed || childChanged) && old != nil && onFace(item, old); changed {
+		ed.MBR(mbr)
+	}
+	return true, count, changed, t.commit(ed)
+}
+
+// onFace reports whether item reaches one of box's faces on some axis:
+// whether box, covering item among others, may shrink once item is gone.
+func onFace(item, box geom.Box) bool {
+	for i, iv := range item {
+		if iv.Lo <= box[i].Lo || iv.Hi >= box[i].Hi {
+			return true
+		}
+	}
+	return false
 }
 
 // reinsertEntry adds a leaf entry back without bumping size (it was never

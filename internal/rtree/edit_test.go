@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"dynq/internal/geom"
 	"dynq/internal/pager"
 )
 
@@ -149,5 +151,170 @@ func TestDeleteNotFoundLeavesTreeUntouched(t *testing.T) {
 		if reseeds != 0 {
 			t.Errorf("pool=%d: %d notifications from refused deletes", capacity, reseeds)
 		}
+	}
+}
+
+// A delete shrinks a node's box only when the removed entry held one of its
+// faces. On a three-level tree in both layouts, for each axis and side, two
+// copies of a segment beyond the population on that side are inserted and
+// deleted again. The first delete leaves the face held: no box moves. The
+// second shrinks every box above it that keeps that face. Then segments off
+// every face of their leaf's box are deleted: no stored box moves. Every
+// node on each path takes the new stamp, and the pages stay byte for byte
+// the reference writer's.
+func TestDeleteShrinksOnlyAtFaces(t *testing.T) {
+	if raceDetector {
+		t.Skip("single-goroutine byte comparison: nothing for the race detector, see raceDetector")
+	}
+	for _, dual := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.DualTime = dual
+		cfg.BulkFill = 0.9 // three levels, and room in every leaf for one more
+		d := cfg.Dims
+		r := rand.New(rand.NewSource(3))
+		// Spatial extents within [-10, 10], start times in [0, 10], end
+		// times in [20, 1000].
+		base := make([]LeafEntry, cfg.MaxLeafEntries()*cfg.MaxInternalEntries()*5/4)
+		for i := range base {
+			seg := geom.Segment{Start: make(geom.Point, d), End: make(geom.Point, d)}
+			for j := range seg.Start {
+				seg.Start[j] = r.Float64()*19 - 9.5
+				seg.End[j] = seg.Start[j] + r.Float64() - 0.5
+			}
+			seg.T = geom.Interval{Lo: r.Float64() * 10, Hi: 20 + r.Float64()*980}
+			base[i] = LeafEntry{ID: ObjectID(i), Seg: seg}
+		}
+		rig := newEditRig(t, cfg, 0, base)
+		if rig.got.height != 3 {
+			t.Fatalf("dual=%v: height %d, want 3", dual, rig.got.height)
+		}
+		tree := rig.got
+		// state reads the stamp of every node on path and the stored box of
+		// every node below the root.
+		state := func(path Path) (boxes []string, stamps []uint64) {
+			for j, id := range path {
+				err := tree.View(id, nil, func(v NodeView) error {
+					stamps = append(stamps, v.Stamp())
+					for k := 0; j+1 < len(path) && k < v.Len(); k++ {
+						if v.ChildID(k) == path[j+1] {
+							boxes = append(boxes, string(v.entry(k)))
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(boxes) != len(path)-1 {
+				t.Fatalf("path %v is not a chain of children", path)
+			}
+			return boxes, stamps
+		}
+		find := func(e LeafEntry) Path {
+			path, ok, err := tree.Find(e.ID, e.Seg.T.Lo, nil)
+			if err != nil || !ok {
+				t.Fatalf("Find(%d): found %v, err %v", e.ID, ok, err)
+			}
+			return path
+		}
+		// del deletes e on both trees and returns the path it lay on, with
+		// the state of the path before and after.
+		del := func(e LeafEntry) (path Path, before, after []string) {
+			path = find(e)
+			before, _ = state(path)
+			k := slices.IndexFunc(rig.live, func(l LeafEntry) bool { return l.ID == e.ID })
+			rig.delete(k, false, nil)
+			rig.samePages("stores")
+			after, stamps := state(path)
+			for j, s := range stamps {
+				if s != tree.ModSeq() {
+					t.Errorf("dual=%v: delete of %d left node %d of its path at stamp %d, ModSeq %d", dual, e.ID, path[j], s, tree.ModSeq())
+				}
+			}
+			return path, before, after
+		}
+
+		for axis := 0; axis < d+2; axis++ {
+			for _, high := range []bool{false, true} {
+				seg := geom.Segment{Start: make(geom.Point, d), End: make(geom.Point, d), T: geom.Interval{Lo: 5, Hi: 500}}
+				switch {
+				case axis < d && high:
+					seg.Start[axis], seg.End[axis] = 100, 100
+				case axis < d:
+					seg.Start[axis], seg.End[axis] = -100, -100
+				case axis == d && high:
+					seg.T.Lo = 15
+				case axis == d:
+					seg.T.Lo = -100
+				case high:
+					seg.T.Hi = 5000
+				default:
+					seg.T.Hi = 6
+				}
+				// The single-axis layout stores the hull of the two time
+				// axes: the start time's upper and the end time's lower
+				// face are not kept.
+				kept := dual || axis < d || (axis == d) != high
+				rig.insert(seg)
+				rig.insert(seg) // a twin: while it lives, the first is not alone on the face
+				e, twin := rig.live[len(rig.live)-2], rig.live[len(rig.live)-1]
+				if _, before, after := del(twin); !slices.Equal(before, after) {
+					t.Errorf("dual=%v axis %d high=%v: deleting one of two segments on the face moved a box", dual, axis, high)
+				}
+				path, before, after := del(e)
+				for j := range after {
+					if shrank := before[j] != after[j]; shrank != kept {
+						t.Errorf("dual=%v axis %d high=%v: box of node %d shrank %v, want %v", dual, axis, high, path[j+1], shrank, kept)
+					}
+				}
+			}
+		}
+
+		// Segments off every face of their leaf's box.
+		interior := 0
+		box, leafBox := make(geom.Box, cfg.boxDims()), make(geom.Box, cfg.boxDims())
+		for _, e := range slices.Clone(rig.live) {
+			path := find(e)
+			err := tree.View(path[len(path)-2], nil, func(v NodeView) error {
+				for k := 0; k < v.Len(); k++ {
+					if v.ChildID(k) == path[len(path)-1] {
+						v.ChildBox(k, leafBox)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = tree.View(path[len(path)-1], nil, func(v NodeView) error {
+				for k := 0; k < v.Len(); k++ {
+					if id, _ := v.EntryKey(k); id == e.ID {
+						v.EntryBox(k, box)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inside := true
+			for i := range box {
+				inside = inside && box[i].Lo > leafBox[i].Lo && box[i].Hi < leafBox[i].Hi
+			}
+			if !inside {
+				continue
+			}
+			if _, before, after := del(e); !slices.Equal(before, after) {
+				t.Errorf("dual=%v: deleting %d, off every face of its leaf's box, moved a box above it", dual, e.ID)
+			}
+			if interior++; interior == 8 {
+				break
+			}
+		}
+		if interior < 8 {
+			t.Errorf("dual=%v: only %d segments off every face", dual, interior)
+		}
+		rig.flushed()
 	}
 }

@@ -3,6 +3,7 @@ package rtree
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -355,9 +356,49 @@ func (r *editRig) flushed() {
 	}
 	r.samePages("flushed stores")
 	// Both trees are walked, so that both pools see the walk.
-	if err := errors.Join(r.got.Validate(), r.want.Validate()); err != nil {
+	if err := errors.Join(r.got.Validate(), r.want.Validate(), tightAndStamped(r.got), tightAndStamped(r.want)); err != nil {
 		r.t.Fatalf("op %d: %v", r.ops, err)
 	}
+}
+
+// tightAndStamped checks what the write path keeps beyond Validate, which
+// files written by older code need not meet: every stored child box is
+// the stored form of its child's MBR — the tight cover a delete's face test
+// rests on — and every node's stamp is at least each of its children's, as
+// NPDQ's timestamp guard needs.
+func tightAndStamped(t *Tree) error {
+	if t.root == pager.InvalidPage {
+		return nil
+	}
+	box := make(geom.Box, t.cfg.boxDims())
+	var walk func(id pager.PageID) error
+	walk = func(id pager.PageID) error {
+		return t.view(id, nil, func(v NodeView) error {
+			for k := 0; !v.Leaf() && k < v.Len(); k++ {
+				stored := v.entry(k)
+				tight := make([]byte, len(stored))
+				err := t.view(v.ChildID(k), nil, func(c NodeView) error {
+					if c.Stamp() > v.Stamp() {
+						return fmt.Errorf("node %d (stamp %d): child %d has stamp %d", id, v.Stamp(), c.id, c.Stamp())
+					}
+					c.MBR(box)
+					return nil
+				})
+				if err != nil {
+					return err
+				}
+				putChild(tight, v.dual, box, v.ChildID(k))
+				if !bytes.Equal(stored, tight) {
+					return fmt.Errorf("node %d: child %d stored as % x, its MBR encodes as % x", id, v.ChildID(k), stored, tight)
+				}
+				if err := walk(v.ChildID(k)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	return walk(t.root)
 }
 
 func (r *editRig) samePages(what string) {
