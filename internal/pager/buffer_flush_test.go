@@ -205,3 +205,68 @@ func TestBufferPoolConcurrentGets(t *testing.T) {
 		t.Fatalf("hits+misses = %d, want %d", bp.Hits()+bp.Misses(), 8*2000)
 	}
 }
+
+// TestBufferPoolConcurrentLeases holds two leases at a time per goroutine
+// over a pool far smaller than the pages in flight, so misses evict held
+// frames, reuse released ones and wait for slots that reads in flight
+// hold. Every lease must keep its page's bytes until released, and no
+// frame may stay pinned. Run under -race this is the pinning safety test.
+func TestBufferPoolConcurrentLeases(t *testing.T) {
+	ms := NewMemStore()
+	const pages = 16
+	for i := 0; i < pages; i++ {
+		if _, err := ms.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ms.WritePage(PageID(i), patternPage(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp := NewBufferPool(ms, 3)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	intact := func(l Lease, id PageID) bool {
+		return l.Page[0] == byte(id) && l.Page[PageSize/2] == byte(id) && l.Page[PageSize-1] == byte(id)
+	}
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				outer := PageID((i*5 + g*3) % pages)
+				inner := PageID((i*11 + g*7 + 1) % pages)
+				lo, err := bp.Lend(outer)
+				if err != nil {
+					errs <- err
+					return
+				}
+				li, err := bp.Lend(inner)
+				if err != nil {
+					lo.Release()
+					errs <- err
+					return
+				}
+				ok := intact(li, inner) && intact(lo, outer)
+				li.Release()
+				ok = ok && intact(lo, outer)
+				lo.Release()
+				if !ok {
+					errs <- errors.New("a held lease lost its page's bytes")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := bp.SegmentStats()[0]; st.Pinned != 0 || st.Len > st.Capacity {
+		t.Fatalf("after every lease ended: %d frames pinned, %d resident of %d", st.Pinned, st.Len, st.Capacity)
+	}
+	if bp.Hits()+bp.Misses() != 8*1000*2 {
+		t.Fatalf("hits+misses = %d, want %d", bp.Hits()+bp.Misses(), 8*1000*2)
+	}
+}

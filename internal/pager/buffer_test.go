@@ -274,7 +274,7 @@ func TestLend(t *testing.T) {
 					t.Errorf("%s/0: hits=%d misses=%d, want 0 and 2", name, bp.Hits(), bp.Misses())
 				}
 				_, lends := s.(PageLender)
-				if lent := la.scratch == nil; lent != lends {
+				if lent := la.frame == nil; lent != lends {
 					t.Errorf("%s/0: page lent by the store: %v, want %v", name, lent, lends)
 				}
 			}
@@ -390,5 +390,134 @@ func TestEdit(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Edit + Put of a resident frame: %.0f allocs, want 0", allocs)
+	}
+}
+
+// A held Lease or Edit pins its frame: misses that evict the page still
+// evict it in LRU order, writing an edited frame back, but read their pages
+// elsewhere, so the holder keeps page A's bytes until it lets go.
+func TestLeasePinsFrame(t *testing.T) {
+	for _, kind := range []string{"lease", "edit"} {
+		s := NewMemStore()
+		bp := NewBufferPool(s, 2)
+		var ids []PageID
+		for i := 0; i < 4; i++ {
+			id, _ := s.Alloc()
+			if err := s.WritePage(id, fillPage(0xA0+byte(i))); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		a := ids[0]
+		want := fillPage(0xA0)
+		var page []byte
+		var done func() error
+		if kind == "lease" {
+			l, err := bp.Lend(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page, done = l.Page, func() error { l.Release(); return nil }
+		} else {
+			e, err := bp.Edit(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Page[7] = 0x77
+			want[7] = 0x77
+			page, done = e.Page, e.Commit
+		}
+		pinned := func() int { return bp.SegmentStats()[0].Pinned }
+		if pinned() != 1 {
+			t.Fatalf("%s: %d frames pinned while resident A is held, want 1", kind, pinned())
+		}
+
+		// B fills the pool; C's miss evicts A, which is held, so C gets a
+		// fresh frame; D, B and C then each evict the LRU frame and reuse it.
+		for i, id := range []PageID{ids[1], ids[2], ids[3], ids[1], ids[2]} {
+			l, err := bp.Lend(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(l.Page, fillPage(0xA0+byte(id))) {
+				t.Fatalf("%s: lend %d of page %d: wrong bytes", kind, i, id)
+			}
+			l.Release()
+			if !bytes.Equal(page, want) {
+				t.Fatalf("%s: after lend %d (page %d) the held page no longer holds A's bytes", kind, i, id)
+			}
+		}
+		wantWB := int64(0)
+		if kind == "edit" {
+			wantWB = 1 // A, dirty, written back when evicted
+		}
+		if bp.Evictions() != 4 || bp.WriteBacks() != wantWB || bp.Misses() != 6 || bp.Hits() != 0 {
+			t.Errorf("%s: evictions/write-backs/misses/hits %d/%d/%d/%d, want 4/%d/6/0",
+				kind, bp.Evictions(), bp.WriteBacks(), bp.Misses(), bp.Hits(), wantWB)
+		}
+		if pinned() != 0 {
+			t.Errorf("%s: %d resident frames pinned once A is evicted, want 0", kind, pinned())
+		}
+		raw := make([]byte, PageSize)
+		if err := s.ReadPage(a, raw); err != nil || !bytes.Equal(raw, want) {
+			t.Errorf("%s: store holds the wrong bytes for A after its eviction (err %v)", kind, err)
+		}
+		if err := done(); err != nil {
+			t.Fatal(err)
+		}
+		if pinned() != 0 {
+			t.Errorf("%s: %d frames pinned after the hold ended, want 0", kind, pinned())
+		}
+	}
+}
+
+// Once the pool is full, a miss reads into the frame it evicts: Lend and
+// Release of a page that is not resident allocate nothing, and neither
+// does an Edit whose eviction writes a dirty frame back.
+func TestMissAllocatesNothing(t *testing.T) {
+	for _, capacity := range []int{8, 64} {
+		s := NewMemStore()
+		bp := NewBufferPool(s, capacity)
+		var ids []PageID
+		for i := 0; i < 2*capacity; i++ {
+			id, _ := s.Alloc()
+			ids = append(ids, id)
+		}
+		// A cyclic scan of twice the capacity misses on every page.
+		next := 0
+		lend := func() {
+			l, err := bp.Lend(ids[next%len(ids)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Release()
+			next++
+		}
+		edit := func() {
+			e, err := bp.Edit(ids[next%len(ids)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Page[0]++
+			if err := e.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for range ids {
+			lend()
+		}
+		if bp.Len() != capacity {
+			t.Fatalf("capacity %d: %d frames after the warm-up, want a full pool", capacity, bp.Len())
+		}
+		for name, op := range map[string]func(){"Lend+Release": lend, "Edit+Commit": edit} {
+			bp.ResetStats()
+			if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+				t.Errorf("capacity %d: %s of a page that is not resident: %.0f allocs, want 0", capacity, name, allocs)
+			}
+			if bp.Hits() != 0 || bp.Misses() != 201 {
+				t.Errorf("capacity %d: %s: hits=%d misses=%d, want 0 and 201", capacity, name, bp.Hits(), bp.Misses())
+			}
+		}
 	}
 }

@@ -335,6 +335,11 @@ func (r *editRig) check() {
 	if g.size != len(r.live) {
 		r.t.Fatalf("op %d: size %d, %d segments live", r.ops, g.size, len(r.live))
 	}
+	// Every view releases its lease and every edit commits: an operation
+	// leaves no frame pinned, or a later miss could not reuse it.
+	if gn, wn := pinnedFrames(g.pool), pinnedFrames(w.pool); gn != 0 || wn != 0 {
+		r.t.Fatalf("op %d: %d frames pinned in place, %d in the reference, want 0", r.ops, gn, wn)
+	}
 	if r.lockstep {
 		gp, wp := g.pool, w.pool
 		if gp.WriteBacks() != wp.WriteBacks() || gp.Evictions() != wp.Evictions() || gp.Len() != wp.Len() {
@@ -347,6 +352,15 @@ func (r *editRig) check() {
 			r.samePages("stores")
 		}
 	}
+}
+
+// pinnedFrames counts the frames a lease or edit still holds in pool.
+func pinnedFrames(pool *pager.BufferPool) int {
+	n := 0
+	for _, s := range pool.SegmentStats() {
+		n += s.Pinned
+	}
+	return n
 }
 
 func (r *editRig) flushed() {
