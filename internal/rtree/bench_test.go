@@ -253,14 +253,14 @@ func BenchmarkSplit(b *testing.B) {
 // so the tree keeps its size; the insert is BenchmarkInsertSteady's and is
 // not timed. Delete searches for the segment itself; FindDeleteAt looks it
 // up with Find and deletes along the path found, as the database's write
-// path does.
+// path does for a plain delete; FindProbeDeleteAt gives Find the segment's
+// own start point as the probe, as a correction's reinsertion supplies it.
 func BenchmarkDeleteSteady(b *testing.B) {
-	for _, find := range []bool{false, true} {
-		name := "Delete"
-		if find {
-			name = "FindDeleteAt"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, v := range []struct {
+		name        string
+		find, probe bool
+	}{{"Delete", false, false}, {"FindDeleteAt", true, false}, {"FindProbeDeleteAt", true, true}} {
+		b.Run(v.name, func(b *testing.B) {
 			tree, entries := steadyTree(b)
 			r := rand.New(rand.NewSource(9))
 			var path Path
@@ -268,9 +268,13 @@ func BenchmarkDeleteSteady(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e := entries[r.Intn(len(entries))]
+				var probe geom.Point
+				if v.probe {
+					probe = e.Seg.Start
+				}
 				var err error
-				if find {
-					path, _, err = tree.Find(e.ID, e.Seg.T.Lo, path[:0])
+				if v.find {
+					path, _, err = tree.Find(e.ID, e.Seg.T.Lo, probe, path[:0])
 				}
 				if err == nil {
 					err = tree.DeleteAt(e.ID, e.Seg.T.Lo, path)

@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"fmt"
+
 	"dynq/internal/geom"
 	"dynq/internal/pager"
 )
@@ -119,24 +121,58 @@ func (t *Tree) DeleteAt(id ObjectID, tStart float64, path Path) error {
 // validate deletions before they are WAL-logged. If the segment is indexed
 // it appends the pages from the root to the leaf holding it to path, for
 // DeleteAt to follow.
-func (t *Tree) Find(id ObjectID, tStart float64, path Path) (_ Path, found bool, err error) {
+//
+// probe, when non-nil, is where the segment is expected to start (Dims
+// coordinates): a correction's reinsertion supplies it. At every node the
+// children whose box holds (probe, tStart) are searched first, then the
+// others whose start-time extent admits tStart. Only the order changes:
+// the children tried are those a nil probe tries, and since a segment is
+// unique by (id, tStart) the path found is the same.
+func (t *Tree) Find(id ObjectID, tStart float64, probe geom.Point, path Path) (_ Path, found bool, err error) {
+	tStart = float64(float32(tStart)) // match on-disk quantization
+	var scratch [maxDims + 2]geom.Interval
+	var at geom.Box // (probe, tStart) as a box in the dual key space
+	if probe != nil {
+		if len(probe) != t.cfg.Dims {
+			return path, false, fmt.Errorf("rtree: probe has %d dims, tree has %d", len(probe), t.cfg.Dims)
+		}
+		at = scratch[:t.cfg.boxDims()]
+		for i, x := range probe {
+			at[i] = geom.IntervalOf(float64(float32(x)))
+		}
+		at[len(probe)], at[len(probe)+1] = geom.IntervalOf(tStart), geom.UniverseInterval()
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.root == pager.InvalidPage {
 		return path, false, nil
 	}
-	return t.findRec(t.root, id, float64(float32(tStart)), path)
+	return t.findRec(t.root, id, tStart, at, path)
 }
 
-func (t *Tree) findRec(page pager.PageID, id ObjectID, tStart float64, path Path) (_ Path, found bool, err error) {
+func (t *Tree) findRec(page pager.PageID, id ObjectID, tStart float64, at geom.Box, path Path) (_ Path, found bool, err error) {
 	path = append(path, page)
 	err = t.view(page, nil, func(v NodeView) (err error) {
-		for k := 0; k < v.Len() && !found && err == nil; k++ {
-			if v.Leaf() {
+		if v.Leaf() {
+			for k := 0; k < v.Len() && !found; k++ {
 				eid, eStart := v.EntryKey(k)
 				found = eid == id && eStart == tStart
-			} else if v.ChildStartTimes(k).ContainsValue(tStart) {
-				path, found, err = t.findRec(v.ChildID(k), id, tStart, path)
+			}
+			return nil
+		}
+		// Only a child whose start-time extent admits tStart can lead to
+		// the segment. Pass 0 takes those whose box also holds at, pass 1
+		// the rest: with no probe, all of them.
+		pass := 0
+		if at == nil {
+			pass = 1
+		}
+		for ; pass < 2 && !found && err == nil; pass++ {
+			for k := 0; k < v.Len() && !found && err == nil; k++ {
+				if !v.ChildStartTimes(k).ContainsValue(tStart) || (at != nil && v.ChildOverlaps(k, at)) != (pass == 0) {
+					continue
+				}
+				path, found, err = t.findRec(v.ChildID(k), id, tStart, at, path)
 			}
 		}
 		return err

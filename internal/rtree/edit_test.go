@@ -212,7 +212,7 @@ func TestDeleteShrinksOnlyAtFaces(t *testing.T) {
 			return boxes, stamps
 		}
 		find := func(e LeafEntry) Path {
-			path, ok, err := tree.Find(e.ID, e.Seg.T.Lo, nil)
+			path, ok, err := tree.Find(e.ID, e.Seg.T.Lo, nil, nil)
 			if err != nil || !ok {
 				t.Fatalf("Find(%d): found %v, err %v", e.ID, ok, err)
 			}

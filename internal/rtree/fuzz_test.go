@@ -296,17 +296,28 @@ func (r *editRig) delete(k int, missing bool, path Path) {
 }
 
 // find returns the Find path of live entry k, without consuming the entry.
-func (r *editRig) find(k int) Path {
+// It looks the entry up three ways: with no probe, with the entry's own
+// start point as the probe, as a correction's reinsertion supplies it, and
+// with probe at, anywhere. All three must find the same path; kind (taken
+// modulo 3, in that order) picks the one returned.
+func (r *editRig) find(k int, kind byte, at geom.Point) Path {
 	if len(r.live) == 0 {
 		return nil
 	}
 	e := r.live[k%len(r.live)]
-	r.lockstep = false // the reference tree's pool does not see this search
-	path, ok, err := r.got.Find(e.ID, e.Seg.T.Lo, nil)
-	if err != nil || !ok {
-		r.t.Fatalf("op %d: Find of live entry %d: found %v, err %v", r.ops, e.ID, ok, err)
+	r.lockstep = false // the reference tree's pool does not see these searches
+	var paths [3]Path
+	for i, probe := range []geom.Point{nil, e.Seg.Start, at} {
+		path, ok, err := r.got.Find(e.ID, e.Seg.T.Lo, probe, nil)
+		if err != nil || !ok {
+			r.t.Fatalf("op %d: Find of live entry %d with probe %v: found %v, err %v", r.ops, e.ID, probe, ok, err)
+		}
+		if i > 0 && !reflect.DeepEqual(path, paths[0]) {
+			r.t.Fatalf("op %d: Find of live entry %d: path %v with probe %v, %v without", r.ops, e.ID, path, probe, paths[0])
+		}
+		paths[i] = path
 	}
-	return path
+	return paths[kind%3]
 }
 
 func (r *editRig) same(what string, gerr, werr error) {
@@ -456,6 +467,14 @@ func (r *editRig) run(prog []byte) {
 		}
 		return float64(int8(b)) / 4
 	}
+	// probe is a point anywhere for Find to look first, off the same grid.
+	probe := func() geom.Point {
+		p := make(geom.Point, r.cfg.Dims)
+		for i := range p {
+			p[i] = coord()
+		}
+		return p
+	}
 	var held Path // a Find path kept across operations, possibly stale by the time it is used
 	for len(prog) > 0 {
 		switch op := next(); op % 8 {
@@ -474,13 +493,13 @@ func (r *editRig) run(prog []byte) {
 			r.delete(0, true, nil)
 		case 6:
 			k := int(next())<<8 | int(next())
-			r.delete(k, false, r.find(k))
+			r.delete(k, false, r.find(k, op>>3, probe()))
 		default:
 			// Use the held path for whatever entry comes up — it leads to
 			// it only by luck — and hold a fresh one for later.
 			k := int(next())<<8 | int(next())
 			r.delete(k, false, held)
-			held = r.find(int(next()))
+			held = r.find(int(next()), op>>3, probe())
 		}
 		if r.ops%16 == 0 {
 			r.flushed()

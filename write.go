@@ -19,7 +19,9 @@ import (
 // segment, or — with Delete set — the removal of the object's segment
 // that starts at Segment.T0 (the other segment fields are ignored for
 // deletions). A dead-reckoning re-announcement is its canonical source:
-// delete the old prediction, insert the corrected one, in one batch.
+// delete the old prediction, insert the corrected one, in one batch. Put
+// the insertion right after its delete, with the same object and T0: the
+// index then looks for the old segment first where the new one starts.
 type MotionUpdate struct {
 	ID      ObjectID
 	Segment Segment
@@ -126,6 +128,10 @@ func (e *engine) Delete(id ObjectID, t0 float64) error {
 // delete with no matching segment (in the index or earlier in the
 // batch) fails that unit's portion with ErrNotFound, leaving the unit
 // untouched — nothing of a portion the caller saw fail survives a crash.
+// A delete is found by object and T0 alone; its own segment fields are
+// still ignored. When the next update reinserts the same object at the
+// same T0 (a correction), the search looks first where that insertion
+// starts, which on a tall or paged index reads fewer nodes.
 //
 // With logs armed each unit's portion is appended to that unit's log as
 // ONE record, before it touches the index (write-ahead) and under the
@@ -302,7 +308,9 @@ func (e *engine) waitDurable(lsns []uint64, now bool) error {
 // segment indexed is not repeated when the deletion is applied: paths[i]
 // is where update i's segment was found (nil for an insert, or a deletion
 // the portion itself feeds), for applyToTree to hand to the tree. A nil
-// paths means the portion deletes nothing.
+// paths means the portion deletes nothing. A deletion followed at once by
+// a reinsertion of the same object at the same start time — a correction —
+// is looked up where the reinsertion starts (Tree.Find's probe).
 func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) (paths []rtree.Path, err error) {
 	deletes := 0
 	for _, u := range updates {
@@ -337,9 +345,15 @@ func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) (paths []rtree.
 			// An earlier delete already consumed the index's only copy.
 			return nil, ErrNotFound
 		}
+		var probe geom.Point
+		if i+1 < len(updates) {
+			if next := updates[i+1]; !next.Delete && next.ID == u.ID && float64(float32(next.Segment.T0)) == k.t0 {
+				probe = next.Segment.From
+			}
+		}
 		at := len(slab)
 		var ok bool
-		if slab, ok, err = tree.Find(rtree.ObjectID(u.ID), u.Segment.T0, slab); err != nil {
+		if slab, ok, err = tree.Find(rtree.ObjectID(u.ID), u.Segment.T0, probe, slab); err != nil {
 			return nil, err
 		}
 		if !ok {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -476,5 +477,52 @@ func TestFailedBatchNotReplayed(t *testing.T) {
 	}
 	if len(rs) != 1 || rs[0].ID != 1 {
 		t.Fatalf("recovered answer = %v, want exactly object 1", rs)
+	}
+}
+
+// A correction — a delete, then the reinsertion of the same object at the
+// same start time — is looked up where the reinsertion starts. On a
+// bulk-loaded dual-time file database shaped like the paper's (100k
+// segments), with a buffer holding the whole tree so that every request
+// counts the same whatever was evicted, the pool requests of each
+// correction are counted against the same pair sent as two batches, whose
+// delete has no reinsertion to probe with and searches by start time alone.
+// The two databases edit their trees identically: only the lookups differ.
+func TestCorrectionFindsWhereReplacementStarts(t *testing.T) {
+	base := paperUpdates(t, 100_000, 1)
+	open := func(name string) *DB {
+		db := newTestDB(t, Options{DualTimeAxes: true, Path: filepath.Join(t.TempDir(), name), BufferPages: 4096})
+		if err := db.BulkLoadUpdates(base); err != nil {
+			t.Fatal(err)
+		}
+		if st := db.BufferStats(); st.Evictions != 0 {
+			t.Fatalf("bulk load evicted %d frames: the buffer must hold the whole tree", st.Evictions)
+		}
+		return db
+	}
+	paired, split := open("paired"), open("split")
+	requests := func(db *DB) int64 { st := db.BufferStats(); return st.Hits + st.Misses }
+	r := rand.New(rand.NewSource(2))
+	const pairs = 2000
+	p0, s0 := requests(paired), requests(split)
+	for i := 0; i < pairs; i++ {
+		old := base[r.Intn(len(base))]
+		fixed := old
+		fixed.Segment.To = []float64{old.Segment.To[0] + r.NormFloat64()*0.5, old.Segment.To[1] + r.NormFloat64()*0.5}
+		del := MotionUpdate{ID: old.ID, Segment: Segment{T0: old.Segment.T0}, Delete: true}
+		if err := paired.ApplyUpdates(context.Background(), []MotionUpdate{del, fixed}, WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range []MotionUpdate{del, fixed} {
+			if err := split.ApplyUpdates(context.Background(), []MotionUpdate{u}, WriteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	withProbe := float64(requests(paired)-p0) / pairs
+	without := float64(requests(split)-s0) / pairs
+	t.Logf("pool requests per correction: %.3f looked up at the reinsertion's start, %.3f by start time alone", withProbe, without)
+	if withProbe > without-1 {
+		t.Errorf("a correction costs %.3f pool requests looked up at its reinsertion's start, %.3f by start time alone: want at least 1 fewer", withProbe, without)
 	}
 }
