@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dynq/internal/pager"
+	"dynq/internal/fault"
 )
 
 const (
@@ -63,7 +63,7 @@ type chaosWALFault struct {
 
 func (f *chaosWALFault) fault(string) error {
 	if f.sticky.Load() {
-		return pager.ErrNoSpace
+		return fault.ErrNoSpace
 	}
 	for {
 		n := f.burst.Load()
@@ -71,7 +71,7 @@ func (f *chaosWALFault) fault(string) error {
 			return nil
 		}
 		if f.burst.CompareAndSwap(n, n-1) {
-			return pager.ErrNoSpace
+			return fault.ErrNoSpace
 		}
 	}
 }
@@ -103,7 +103,7 @@ func chaosSoak(dir string, seed int64, cycles int) *crashSoak {
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 	hook := &chaosWALFault{}
 	// faults is the page-path interposer of the cycle's open.
-	var faults *pager.FaultStore
+	var faults *fault.Store
 	s.open = func(int) (*engine, error) {
 		db, f, err := openFaulted(path, recoverSpec{
 			forceWAL: true, bufferPages: walSoakBufferPages,
@@ -142,7 +142,7 @@ func chaosLine(c soakCounts) string {
 // that must bound the log, the cycle's fault episode and heal, a scrub
 // pass every chaosScrubEvery cycles, then this open's maintenance
 // counters folded into the report.
-func (s *crashSoak) chaosEpisode(cycle int, db *engine, clk *chaosClock, hook *chaosWALFault, faults *pager.FaultStore) error {
+func (s *crashSoak) chaosEpisode(cycle int, db *engine, clk *chaosClock, hook *chaosWALFault, faults *fault.Store) error {
 	ctx := context.Background()
 	// commitBatch applies one batch durably and mirrors it into the
 	// replica — the write the soak's durability invariant covers.

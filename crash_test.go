@@ -6,8 +6,32 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dynq/internal/fault"
 	"dynq/internal/pager"
 )
+
+// crash abandons the database the way a power cut would, for the soaks
+// and crash tests: no final sync, buffered pages lost, each log ending
+// wherever its last append stopped.
+func (e *engine) crash() error {
+	e.units.Shutdown()
+	var errs []error
+	for _, w := range e.logs {
+		errs = append(errs, w.Crash())
+	}
+	for i := 0; i < e.units.Shards(); i++ {
+		st := e.units.Shard(i).Store()
+		if f, ok := st.(*fault.Store); ok {
+			st = f.Inner // a soak's fault interposer: crash the file beneath
+		}
+		if fs, ok := st.(*pager.FileStore); ok {
+			errs = append(errs, fs.Crash())
+		} else {
+			errs = append(errs, st.Close())
+		}
+	}
+	return errors.Join(errs...)
+}
 
 // TestCrashAtEveryFlushBoundary is the exhaustive crash simulation: a
 // buffered database flushes W dirty pages at Sync; the test kills the
@@ -135,7 +159,7 @@ func TestSyncFaultLeavesCommittedState(t *testing.T) {
 	}
 	insertAll(t, db, batchB)
 	faults.ArmSyncs(1) // the page flush succeeds; the commit fsync fails
-	if err := db.Sync(); !errors.Is(err, pager.ErrInjected) {
+	if err := db.Sync(); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Sync with injected sync fault: got %v, want ErrInjected", err)
 	}
 	if got := faults.Stats().InjectedSyncs; got != 1 {

@@ -164,29 +164,6 @@ func (e *engine) Close() error {
 	return errors.Join(append(errs, e.units.Close())...)
 }
 
-// crash abandons the database the way a power cut would, for the soaks
-// and crash tests: no final sync, buffered pages lost, each log ending
-// wherever its last append stopped.
-func (e *engine) crash() error {
-	e.units.Shutdown()
-	var errs []error
-	for _, w := range e.logs {
-		errs = append(errs, w.Crash())
-	}
-	for i := 0; i < e.units.Shards(); i++ {
-		st := e.units.Shard(i).Store()
-		if f, ok := st.(*pager.FaultStore); ok {
-			st = f.Inner // a soak's fault interposer: crash the file beneath
-		}
-		if fs, ok := st.(*pager.FileStore); ok {
-			errs = append(errs, fs.Crash())
-		} else {
-			errs = append(errs, st.Close())
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // Dims returns the spatial dimensionality.
 func (e *engine) Dims() int { return e.dims }
 

@@ -40,12 +40,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns a configuration that completes a full figure in
-// seconds on a laptop while preserving every qualitative shape.
-func DefaultConfig() Config {
-	return Config{Scale: 0.2, Trajectories: 20, Seed: 1}
-}
-
 // Cell is one measured point of a figure.
 type Cell struct {
 	Strategy Strategy

@@ -85,18 +85,6 @@ func (c *Cache[V]) AdvanceBefore(now float64) []V {
 	return evicted
 }
 
-// Remove deletes an object regardless of deadline, reporting whether it
-// was present.
-func (c *Cache[V]) Remove(id uint64) bool {
-	it, ok := c.items[id]
-	if !ok {
-		return false
-	}
-	heap.Remove(&c.pq, it.index)
-	delete(c.items, id)
-	return true
-}
-
 // Len reports the number of cached objects.
 func (c *Cache[V]) Len() int { return len(c.items) }
 

@@ -86,25 +86,6 @@ func TestCacheUpsertExtendsDeadline(t *testing.T) {
 	}
 }
 
-func TestCacheRemove(t *testing.T) {
-	c := New[int]()
-	c.Put(1, 10, 5)
-	c.Put(2, 20, 6)
-	if !c.Remove(1) {
-		t.Error("remove existing should report true")
-	}
-	if c.Remove(1) {
-		t.Error("double remove should report false")
-	}
-	if c.Len() != 1 {
-		t.Errorf("len = %d", c.Len())
-	}
-	ev := c.Advance(100)
-	if len(ev) != 1 || ev[0] != 20 {
-		t.Errorf("eviction after remove = %v", ev)
-	}
-}
-
 func TestCacheValues(t *testing.T) {
 	c := New[int]()
 	for i := 0; i < 5; i++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"dynq/internal/fault"
 	"dynq/internal/geom"
 	"dynq/internal/motion"
 	"dynq/internal/pager"
@@ -14,9 +15,9 @@ import (
 
 // faultTree builds an index over a fault-injecting store (disarmed during
 // the build).
-func faultTree(t *testing.T, cfg rtree.Config) (*rtree.Tree, *pager.FaultStore) {
+func faultTree(t *testing.T, cfg rtree.Config) (*rtree.Tree, *fault.Store) {
 	t.Helper()
-	fs := pager.NewFaultStore(pager.NewMemStore())
+	fs := fault.NewStore(pager.NewMemStore())
 	segs, err := motion.GenerateSegments(motion.SimConfig{
 		Objects: 200, Dims: 2, WorldSize: 100, Duration: 50,
 		Speed: 1, SpeedStd: 0.2, UpdateMean: 1, UpdateStd: 0.25, Seed: 41,
@@ -46,7 +47,7 @@ func TestEnginesPropagateReadFaults(t *testing.T) {
 		fs.Arm(2)
 		defer fs.Disarm()
 		var c stats.Counters
-		if _, err := tree.RangeSearch(win, tw, rtree.SearchOptions{}, &c); !errors.Is(err, pager.ErrInjected) {
+		if _, err := tree.RangeSearch(win, tw, rtree.SearchOptions{}, &c); !errors.Is(err, fault.ErrInjected) {
 			t.Errorf("range search error = %v, want injected fault", err)
 		}
 	})
@@ -68,7 +69,7 @@ func TestEnginesPropagateReadFaults(t *testing.T) {
 		fs.Arm(2)
 		defer fs.Disarm()
 		_, err = pdq.Drain(5, 30)
-		if !errors.Is(err, pager.ErrInjected) {
+		if !errors.Is(err, fault.ErrInjected) {
 			t.Errorf("pdq error = %v, want injected fault", err)
 		}
 	})
@@ -80,7 +81,7 @@ func TestEnginesPropagateReadFaults(t *testing.T) {
 		nq := NewNPDQ(tree, NPDQOptions{}, &c)
 		fs.Arm(2)
 		defer fs.Disarm()
-		if _, err := nq.Next(win, tw); !errors.Is(err, pager.ErrInjected) {
+		if _, err := nq.Next(win, tw); !errors.Is(err, fault.ErrInjected) {
 			t.Errorf("npdq error = %v, want injected fault", err)
 		}
 	})
@@ -89,7 +90,7 @@ func TestEnginesPropagateReadFaults(t *testing.T) {
 		fs.Arm(2)
 		defer fs.Disarm()
 		var c stats.Counters
-		if _, err := KNN(tree, geom.Point{50, 50}, 10, 5, &c); !errors.Is(err, pager.ErrInjected) {
+		if _, err := KNN(tree, geom.Point{50, 50}, 10, 5, &c); !errors.Is(err, fault.ErrInjected) {
 			t.Errorf("knn error = %v, want injected fault", err)
 		}
 	})
@@ -98,7 +99,7 @@ func TestEnginesPropagateReadFaults(t *testing.T) {
 		fs.Arm(2)
 		defer fs.Disarm()
 		var c stats.Counters
-		if _, err := DistanceJoin(tree, tree, 2, 10, &c); !errors.Is(err, pager.ErrInjected) {
+		if _, err := DistanceJoin(tree, tree, 2, 10, &c); !errors.Is(err, fault.ErrInjected) {
 			t.Errorf("join error = %v, want injected fault", err)
 		}
 	})
@@ -107,7 +108,7 @@ func TestEnginesPropagateReadFaults(t *testing.T) {
 		fs.Arm(1)
 		defer fs.Disarm()
 		seg := geom.Segment{T: geom.Interval{Lo: 1, Hi: 2}, Start: geom.Point{1, 1}, End: geom.Point{2, 2}}
-		if err := tree.Insert(99999, seg); !errors.Is(err, pager.ErrInjected) {
+		if err := tree.Insert(99999, seg); !errors.Is(err, fault.ErrInjected) {
 			t.Errorf("insert error = %v, want injected fault", err)
 		}
 	})
@@ -147,7 +148,7 @@ func TestEnginesRecoverAfterTransientFault(t *testing.T) {
 	pdq := session()
 	fs.Arm(1)
 	partial, err := pdq.Drain(15, 25)
-	if !errors.Is(err, pager.ErrInjected) {
+	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("expected injected fault, got %v", err)
 	}
 	fs.Disarm()
@@ -175,7 +176,7 @@ func TestEnginesRecoverAfterTransientFault(t *testing.T) {
 }
 
 func TestFaultStoreMechanics(t *testing.T) {
-	fs := pager.NewFaultStore(pager.NewMemStore())
+	fs := fault.NewStore(pager.NewMemStore())
 	id, err := fs.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +193,7 @@ func TestFaultStoreMechanics(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if err := fs.ReadPage(id, buf); !errors.Is(err, pager.ErrInjected) {
+		if err := fs.ReadPage(id, buf); !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("read should fail: %v", err)
 		}
 	}
@@ -202,7 +203,7 @@ func TestFaultStoreMechanics(t *testing.T) {
 	}
 	// Write faults.
 	fs.ArmWrites(1)
-	if err := fs.WritePage(id, buf); !errors.Is(err, pager.ErrInjected) {
+	if err := fs.WritePage(id, buf); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("write should fail: %v", err)
 	}
 	fs.Disarm()

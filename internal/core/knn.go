@@ -26,10 +26,6 @@ type Neighbor struct {
 // paper's priority-queue design builds on, [17,7]). Only segments whose
 // validity interval contains t are candidates; distance is to the
 // object's interpolated position at t.
-//
-// This implements the paper's first listed direction of future work
-// (Section 6 (i), after [24]): MovingKNN evaluates it along a query-point
-// trajectory.
 func KNN(tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters) ([]Neighbor, error) {
 	return KNNCtx(context.Background(), tree, p, t, k, c)
 }
@@ -38,24 +34,15 @@ func KNN(tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters) ([
 // before every node fetch, so a cancelled or expired query stops within
 // one page fetch and returns the context's error.
 func KNNCtx(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters) ([]Neighbor, error) {
-	return knn(ctx, tree, p, t, k, math.Inf(1), c)
-}
-
-// KNNBounded is KNN restricted to candidates within maxDist of the query
-// point: subtrees and objects farther away are pruned up front. With
-// maxDist = +Inf it degenerates to KNN. It may return fewer than k
-// neighbors when fewer lie within the bound.
-func KNNBounded(tree *rtree.Tree, p geom.Point, t float64, k int, maxDist float64, c *stats.Counters) ([]Neighbor, error) {
-	return knn(context.Background(), tree, p, t, k, maxDist, c)
+	return knn(ctx, tree, p, t, k, c)
 }
 
 // knn is the best-first search, over one state of the tree. Items pop in
 // increasing distance, so the i-th distinct object popped is exactly the
-// i-th nearest neighbor — no distance bound is needed for correctness;
-// maxDist only keeps farther subtrees and objects out of the queue. An
+// i-th nearest neighbor — no distance bound is needed for correctness. An
 // entry alive at t is copied off the page once, into kept, and only the
 // entries that pop as answers become Neighbors.
-func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, maxDist float64, c *stats.Counters) ([]Neighbor, error) {
+func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters) ([]Neighbor, error) {
 	d := tree.Config().Dims
 	if len(p) != d {
 		return nil, fmt.Errorf("core: query point has %d dims, index has %d", len(p), d)
@@ -77,9 +64,6 @@ func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, 
 		pq := queue[knnItem, *knnItem]{{node: root}}
 		for len(pq) > 0 {
 			item := pq.pop()
-			if item.dist > maxDist {
-				break // best-first: everything left is farther
-			}
 			if item.isObj {
 				// An object's consecutive segments share an endpoint, so at
 				// that instant both are candidates: the first to pop, the
@@ -108,10 +92,6 @@ func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, 
 						e := &kept[slot]
 						e.ID = v.KeepSeg(i, &slab, &e.Seg)
 						dist := math.Sqrt(e.Seg.DistSqAt(t, p))
-						if dist > maxDist {
-							kept = kept[:slot]
-							continue
-						}
 						pq.push(knnItem{isObj: true, dist: dist, obj: e.ID, slot: int32(slot)})
 						continue
 					}
@@ -120,9 +100,7 @@ func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, 
 					if v.ChildBox(i, box); box[d].Lo > t || box[d+1].Hi < t {
 						continue
 					}
-					if dist := boxDist(box[:d], p); dist <= maxDist {
-						pq.push(knnItem{node: v.ChildID(i), dist: dist})
-					}
+					pq.push(knnItem{node: v.ChildID(i), dist: boxDist(box[:d], p)})
 				}
 				return nil
 			})
@@ -188,70 +166,4 @@ func (a *knnItem) less(b *knnItem) bool {
 		return a.obj < b.obj
 	}
 	return a.node < b.node
-}
-
-// MovingKNN evaluates k-nearest-neighbor queries along a moving query
-// point — the paper's future work (i), following the moving-query-point
-// technique of [24] (Song & Roussopoulos): each index evaluation fetches
-// k+1 neighbors, and the gap between the k-th and (k+1)-th distances
-// tells how far the configuration may drift before the answer *set* can
-// change. While the query's displacement plus the worst-case object
-// displacement (maxObjectSpeed·Δt) stays below half that gap — and every
-// cached segment is still valid — subsequent samples reuse the cached
-// membership, recomputing exact distances from the cached segments
-// instead of touching the index.
-//
-// maxObjectSpeed must upper-bound every object's speed; pass a
-// non-positive value to disable reuse (every sample searches the index).
-// Sample times must be increasing.
-func MovingKNN(tree *rtree.Tree, pos func(t float64) geom.Point, times []float64, k int, maxObjectSpeed float64, c *stats.Counters) ([][]Neighbor, error) {
-	out := make([][]Neighbor, len(times))
-	var (
-		cached   []Neighbor // k+1 neighbors from the last evaluation
-		gap      float64    // (d_{k+1} - d_k) / 2 at evaluation
-		evalPos  geom.Point
-		evalTime float64
-	)
-	reusable := func(p geom.Point, t float64) bool {
-		if maxObjectSpeed <= 0 || len(cached) < k+1 {
-			return false
-		}
-		drift := p.Dist(evalPos) + maxObjectSpeed*(t-evalTime)
-		if drift >= gap {
-			return false
-		}
-		for _, nb := range cached[:k] {
-			if !nb.Seg.T.ContainsValue(t) {
-				return false // the cached motion segment expired
-			}
-		}
-		return true
-	}
-	for i, t := range times {
-		p := pos(t)
-		if reusable(p, t) {
-			nbs := make([]Neighbor, k)
-			for j, nb := range cached[:k] {
-				nbs[j] = Neighbor{ID: nb.ID, Seg: nb.Seg, Dist: math.Sqrt(nb.Seg.DistSqAt(t, p))}
-			}
-			slices.SortFunc(nbs, CompareNeighbors)
-			out[i] = nbs
-			c.AddResults(k)
-			continue
-		}
-		nbs, err := KNN(tree, p, t, k+1, c)
-		if err != nil {
-			return nil, err
-		}
-		if len(nbs) > k {
-			cached = nbs
-			gap = (nbs[k].Dist - nbs[k-1].Dist) / 2
-			evalPos, evalTime = p.Clone(), t
-			out[i] = nbs[:k]
-		} else {
-			cached = nil
-			out[i] = nbs
-		}
-	}
-	return out, nil
 }

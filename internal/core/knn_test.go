@@ -159,31 +159,6 @@ func TestKNNFewerThanK(t *testing.T) {
 	}
 }
 
-func TestMovingKNN(t *testing.T) {
-	tree, entries := buildIndex(t, rtree.DefaultConfig(), 300, 50, 24)
-	var c stats.Counters
-	times := []float64{10, 11, 12, 13}
-	pos := func(t float64) geom.Point { return geom.Point{t * 2, 50} }
-	got, err := MovingKNN(tree, pos, times, 5, 1.5, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(times) {
-		t.Fatalf("got %d frames", len(got))
-	}
-	for i, tt := range times {
-		want := bruteKNN(entries, pos(tt), tt, 5)
-		if len(got[i]) != len(want) {
-			t.Fatalf("frame %d: %d neighbors, want %d", i, len(got[i]), len(want))
-		}
-		for j := range want {
-			if math.Abs(got[i][j].Dist-want[j].Dist) > 1e-9 {
-				t.Errorf("frame %d neighbor %d: dist %g, want %g", i, j, got[i][j].Dist, want[j].Dist)
-			}
-		}
-	}
-}
-
 // Property: kNN equals brute force for random points, times and k.
 func TestKNNProperty(t *testing.T) {
 	tree, entries := buildIndex(t, rtree.DefaultConfig(), 200, 40, 25)
@@ -258,94 +233,5 @@ func TestNaiveSnapshot(t *testing.T) {
 	after := c.Snapshot()
 	if mid.Sub(before).Reads() != after.Sub(mid).Reads() {
 		t.Error("naive repeat queries should cost the same")
-	}
-}
-
-func TestKNNBounded(t *testing.T) {
-	tree, entries := buildIndex(t, rtree.DefaultConfig(), 300, 40, 27)
-	var c stats.Counters
-	p := geom.Point{50, 50}
-	full, err := KNN(tree, p, 20, 10, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) != 10 {
-		t.Fatalf("full knn returned %d", len(full))
-	}
-	// A bound at the true k-th distance returns the same set.
-	bounded, err := KNNBounded(tree, p, 20, 10, full[9].Dist, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bounded) != 10 {
-		t.Fatalf("bounded knn returned %d", len(bounded))
-	}
-	for i := range full {
-		if math.Abs(full[i].Dist-bounded[i].Dist) > 1e-9 {
-			t.Errorf("neighbor %d: %g vs %g", i, full[i].Dist, bounded[i].Dist)
-		}
-	}
-	// A bound below the k-th distance returns fewer (never wrong ones).
-	tight, err := KNNBounded(tree, p, 20, 10, full[4].Dist, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tight) > 5 {
-		t.Errorf("tight bound returned %d neighbors", len(tight))
-	}
-	for i := range tight {
-		if math.Abs(tight[i].Dist-full[i].Dist) > 1e-9 {
-			t.Errorf("tight neighbor %d mismatches full result", i)
-		}
-	}
-	// Validation mirrors KNN.
-	if _, err := KNNBounded(tree, geom.Point{1}, 20, 3, 5, &c); err == nil {
-		t.Error("dimension mismatch should be rejected")
-	}
-	if _, err := KNNBounded(tree, p, 20, 0, 5, &c); err == nil {
-		t.Error("k=0 should be rejected")
-	}
-	_ = entries
-}
-
-// The validity-based moving-kNN must read fewer nodes than re-running
-// full kNN per sample on a densely sampled path, while returning exactly
-// the per-sample brute-force answers. The workload's object speed is
-// bounded near 1 (speed N(1, 0.2)); 2.0 is a safe cap.
-func TestMovingKNNIncrementalSavesIO(t *testing.T) {
-	tree, entries := buildIndex(t, rtree.DefaultConfig(), 2000, 100, 28)
-	// High-rate sampling (50 frames per time unit, the regime where the
-	// validity window spans several frames).
-	var times []float64
-	for tt := 10.0; tt < 16; tt += 0.02 {
-		times = append(times, tt)
-	}
-	pos := func(t float64) geom.Point { return geom.Point{10 + t*0.5, 50} }
-
-	var cInc stats.Counters
-	inc, err := MovingKNN(tree, pos, times, 10, 1.5, &cInc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cFull stats.Counters
-	for _, tt := range times {
-		if _, err := KNN(tree, pos(tt), tt, 10, &cFull); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a, b := cInc.Snapshot().Reads(), cFull.Snapshot().Reads(); a >= b {
-		t.Errorf("incremental moving-kNN reads (%d) should be below per-sample kNN (%d)", a, b)
-	}
-	// Every sample must equal the brute-force answer (reuse included).
-	for i, tt := range times {
-		want := bruteKNN(entries, pos(tt), tt, 10)
-		if len(inc[i]) != len(want) {
-			t.Fatalf("sample %d: %d vs %d neighbors", i, len(inc[i]), len(want))
-		}
-		for j := range want {
-			if math.Abs(inc[i][j].Dist-want[j].Dist) > 1e-9 {
-				t.Errorf("sample %d neighbor %d: %g vs %g", i, j, inc[i][j].Dist, want[j].Dist)
-			}
-		}
 	}
 }

@@ -309,9 +309,6 @@ func (p *PDQ) Drain(tStart, tEnd float64) ([]Result, error) {
 	}
 }
 
-// Pending reports the number of queued items (diagnostics).
-func (p *PDQ) Pending() int { return len(p.pq) }
-
 // Close releases the session's update subscription. The session must not
 // be used afterwards.
 func (p *PDQ) Close() {

@@ -593,8 +593,8 @@ func TestPDQQueueSlotsReleased(t *testing.T) {
 		if most == 0 {
 			t.Fatal("no entry was ever queued")
 		}
-		if pdq.Pending() != 0 || held(pdq) != 0 {
-			t.Fatalf("after the whole span: %d items queued, %d slots held", pdq.Pending(), held(pdq))
+		if len(pdq.pq) != 0 || held(pdq) != 0 {
+			t.Fatalf("after the whole span: %d items queued, %d slots held", len(pdq.pq), held(pdq))
 		}
 	})
 
@@ -676,8 +676,8 @@ func TestPDQQueueSlotsReleased(t *testing.T) {
 		if _, err := pdq.Drain(90, 90); err != nil {
 			t.Fatal(err)
 		}
-		if pdq.Pending() != 0 || held(pdq) != 0 {
-			t.Fatalf("after the whole span: %d items queued, %d slots held (%d duplicates seen)", pdq.Pending(), held(pdq), duplicates)
+		if len(pdq.pq) != 0 || held(pdq) != 0 {
+			t.Fatalf("after the whole span: %d items queued, %d slots held (%d duplicates seen)", len(pdq.pq), held(pdq), duplicates)
 		}
 	})
 }

@@ -259,63 +259,6 @@ func refKNN(tree *rtree.Tree, p geom.Point, t float64, k int, c *stats.Counters)
 	return out, nil
 }
 
-// refKNNBounded is KNNBounded as it was before node views, the second
-// best-first loop.
-func refKNNBounded(tree *rtree.Tree, p geom.Point, t float64, k int, maxDist float64, c *stats.Counters) ([]Neighbor, error) {
-	d := tree.Config().Dims
-	root, _, ok := tree.Root()
-	if !ok {
-		return nil, nil
-	}
-	pq := &refKNNHeap{{node: root, dist: 0}}
-	var out []Neighbor
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(refKNNItem)
-		if item.dist > maxDist {
-			break // best-first: everything left is farther
-		}
-		if item.isObj {
-			if !slices.ContainsFunc(out, func(nb Neighbor) bool { return nb.ID == item.nb.ID }) {
-				out = append(out, item.nb)
-				if len(out) >= k {
-					break
-				}
-			}
-			continue
-		}
-		n, err := tree.Load(item.node, c)
-		if err != nil {
-			return nil, err
-		}
-		if n.Leaf() {
-			for _, e := range n.Entries {
-				c.AddDistanceComps(1)
-				if !e.Seg.T.ContainsValue(t) {
-					continue
-				}
-				dist := math.Sqrt(e.Seg.DistSqAt(t, p))
-				if dist > maxDist {
-					continue
-				}
-				heap.Push(pq, refKNNItem{isObj: true, dist: dist, nb: Neighbor{ID: e.ID, Seg: e.Seg, Dist: dist}})
-			}
-		} else {
-			for _, ch := range n.Children {
-				c.AddDistanceComps(1)
-				if ch.Box[d].Lo > t || ch.Box[d+1].Hi < t {
-					continue
-				}
-				if dist := boxDist(ch.Box[:d], p); dist <= maxDist {
-					heap.Push(pq, refKNNItem{node: ch.ID, dist: dist})
-				}
-			}
-		}
-	}
-	c.AddResults(len(out))
-	sortNeighbors(out)
-	return out, nil
-}
-
 // refKNNItem and refKNNHeap are the KNN queue as it was before the typed
 // queue: container/heap over items that carry the whole neighbor.
 type refKNNItem struct {
@@ -540,8 +483,7 @@ func (j *refJoiner) peekBox(tree *rtree.Tree, id pager.PageID) (geom.Box, error)
 
 // KNN and the distance join on node views return the same answers in the
 // same order at the same cost as the Load-based references, over trees
-// grown by churn in both layouts: plain and bounded KNN, the self join and
-// a cross join.
+// grown by churn in both layouts: KNN, the self join and a cross join.
 func TestQueriesMatchLoadReference(t *testing.T) {
 	for _, dual := range []bool{false, true} {
 		cfg := rtree.DefaultConfig()
@@ -563,17 +505,6 @@ func TestQueriesMatchLoadReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameAnswers(t, "knn", got, want, &gc, &wc)
-			if len(want) == 0 {
-				continue
-			}
-			maxDist := want[len(want)/2].Dist
-			if got, err = KNNBounded(tree, p, at, k, maxDist, &gc); err != nil {
-				t.Fatal(err)
-			}
-			if want, err = refKNNBounded(tree, p, at, k, maxDist, &wc); err != nil {
-				t.Fatal(err)
-			}
-			sameAnswers(t, "bounded knn", got, want, &gc, &wc)
 
 			delta := r.Float64() * 3
 			for _, b := range []*rtree.Tree{tree, other} {
@@ -705,7 +636,7 @@ func TestPDQLiveSurvivesPageFreeingDeletes(t *testing.T) {
 	if _, err := pdq.Drain(5, 30); err != nil {
 		t.Fatal(err)
 	}
-	if pdq.Pending() == 0 {
+	if len(pdq.pq) == 0 {
 		t.Fatal("nothing queued: the deletes below would not touch the session")
 	}
 

@@ -144,42 +144,6 @@ func (b Box) Margin() float64 {
 	return m
 }
 
-// Enlargement returns how much b's area would grow if it were extended to
-// also cover o (the Guttman insertion heuristic).
-func (b Box) Enlargement(o Box) float64 {
-	return b.CoverArea(o) - b.Area()
-}
-
-// CoverArea is b.Cover(o).Area() without building the cover.
-func (b Box) CoverArea(o Box) float64 {
-	if b.Empty() {
-		return o.Area()
-	}
-	if o.Empty() {
-		return b.Area()
-	}
-	a := 1.0
-	for i := range b {
-		a *= b[i].Cover(o[i]).Length()
-	}
-	return a
-}
-
-// CoverMargin is b.Cover(o).Margin() without building the cover.
-func (b Box) CoverMargin(o Box) float64 {
-	if b.Empty() {
-		return o.Margin()
-	}
-	if o.Empty() {
-		return b.Margin()
-	}
-	m := 0.0
-	for i := range b {
-		m += b[i].Cover(o[i]).Length()
-	}
-	return m
-}
-
 // Expand returns a copy of the box grown by delta on every side of every
 // dimension.
 func (b Box) Expand(delta float64) Box {
@@ -242,33 +206,6 @@ func (p Point) Clone() Point {
 	c := make(Point, len(p))
 	copy(c, p)
 	return c
-}
-
-// Add returns p + q.
-func (p Point) Add(q Point) Point {
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = p[i] + q[i]
-	}
-	return r
-}
-
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point {
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = p[i] - q[i]
-	}
-	return r
-}
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point {
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = p[i] * s
-	}
-	return r
 }
 
 // Dist returns the Euclidean distance between two points.

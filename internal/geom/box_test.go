@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -72,38 +71,13 @@ func TestBoxContains(t *testing.T) {
 	}
 }
 
-func TestBoxAreaMarginEnlargement(t *testing.T) {
+func TestBoxAreaMargin(t *testing.T) {
 	a := box2(0, 2, 0, 3)
 	if a.Area() != 6 || a.Margin() != 5 {
 		t.Errorf("area/margin = %v/%v", a.Area(), a.Margin())
 	}
 	if NewBox(2).Area() != 0 || NewBox(2).Margin() != 0 {
 		t.Error("empty box should have zero area and margin")
-	}
-	b := box2(4, 6, 0, 3)
-	// Cover is [0,6]x[0,3] = 18; enlargement = 18-6 = 12.
-	if got := a.Enlargement(b); got != 12 {
-		t.Errorf("enlargement = %v, want 12", got)
-	}
-}
-
-// CoverArea and CoverMargin are Cover(o).Area() and .Margin() without the
-// box: the same values, bit for bit, for overlapping, disjoint, degenerate
-// and empty operands alike.
-func TestBoxCoverAreaMatchesCover(t *testing.T) {
-	boxes := []Box{
-		box2(0, 2, 0, 3), box2(4, 6, 0, 3), box2(1, 1, 1, 1), box2(-3.5, -0.25, 2, 2),
-		box2(0.1, 0.3, 1e-9, 1e9), NewBox(2), {Interval{0, 1}, EmptyInterval()},
-	}
-	for _, a := range boxes {
-		for _, b := range boxes {
-			if got, want := a.CoverArea(b), a.Cover(b).Area(); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%v.CoverArea(%v) = %v, Cover().Area() = %v", a, b, got, want)
-			}
-			if got, want := a.CoverMargin(b), a.Cover(b).Margin(); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%v.CoverMargin(%v) = %v, Cover().Margin() = %v", a, b, got, want)
-			}
-		}
 	}
 }
 
@@ -194,15 +168,6 @@ func TestPointOps(t *testing.T) {
 	p, q := Point{1, 2}, Point{4, 6}
 	if d := p.Dist(q); d != 5 {
 		t.Errorf("dist = %v, want 5", d)
-	}
-	if s := p.Add(q); s[0] != 5 || s[1] != 8 {
-		t.Errorf("add = %v", s)
-	}
-	if s := q.Sub(p); s[0] != 3 || s[1] != 4 {
-		t.Errorf("sub = %v", s)
-	}
-	if s := p.Scale(2); s[0] != 2 || s[1] != 4 {
-		t.Errorf("scale = %v", s)
 	}
 	m := p.Lerp(q, 0.5)
 	if m[0] != 2.5 || m[1] != 4 {

@@ -65,15 +65,6 @@ func (iv Interval) Overlaps(o Interval) bool {
 	return !iv.Intersect(o).Empty()
 }
 
-// Precedes reports whether every value of iv is at most o.Lo (the paper's
-// ⪯). An empty interval vacuously precedes anything.
-func (iv Interval) Precedes(o Interval) bool {
-	if iv.Empty() {
-		return true
-	}
-	return iv.Hi <= o.Lo
-}
-
 // Contains reports whether o is entirely inside iv. Every interval
 // contains the empty interval.
 func (iv Interval) Contains(o Interval) bool {
@@ -96,12 +87,3 @@ func (iv Interval) Expand(delta float64) Interval {
 
 // Mid returns the midpoint of the interval.
 func (iv Interval) Mid() float64 { return (iv.Lo + iv.Hi) / 2 }
-
-// Add returns the interval sum {a+b : a ∈ iv, b ∈ o} (interval
-// arithmetic; empty if either operand is empty).
-func (iv Interval) Add(o Interval) Interval {
-	if iv.Empty() || o.Empty() {
-		return EmptyInterval()
-	}
-	return Interval{Lo: iv.Lo + o.Lo, Hi: iv.Hi + o.Hi}
-}

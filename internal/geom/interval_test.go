@@ -56,18 +56,6 @@ func TestIntervalCover(t *testing.T) {
 	}
 }
 
-func TestIntervalPrecedes(t *testing.T) {
-	if !(Interval{0, 2}).Precedes(Interval{2, 5}) {
-		t.Error("[0,2] should precede [2,5]")
-	}
-	if (Interval{0, 3}).Precedes(Interval{2, 5}) {
-		t.Error("[0,3] should not precede [2,5]")
-	}
-	if !EmptyInterval().Precedes(Interval{-10, -5}) {
-		t.Error("empty should precede anything")
-	}
-}
-
 func TestIntervalContains(t *testing.T) {
 	big := Interval{0, 10}
 	if !big.Contains(Interval{2, 5}) || !big.Contains(big) {
@@ -173,36 +161,5 @@ func TestUniverseInterval(t *testing.T) {
 		if !u.ContainsValue(v) {
 			t.Errorf("universe should contain %g", v)
 		}
-	}
-}
-
-func TestIntervalArithmetic(t *testing.T) {
-	a, b := Interval{Lo: 1, Hi: 2}, Interval{Lo: 10, Hi: 20}
-	if got := a.Add(b); got != (Interval{Lo: 11, Hi: 22}) {
-		t.Errorf("add = %v", got)
-	}
-	if !a.Add(EmptyInterval()).Empty() {
-		t.Error("arithmetic with empty should be empty")
-	}
-}
-
-// Property: interval arithmetic is conservative — the sum of any members
-// lies inside the result interval.
-func TestIntervalArithmeticProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randInterval(r), randInterval(r)
-		sum := a.Add(b)
-		for i := 0; i < 20; i++ {
-			x := a.Lo + r.Float64()*a.Length()
-			y := b.Lo + r.Float64()*b.Length()
-			if !sum.ContainsValue(x+y) && math.Abs(x+y-sum.Lo) > 1e-9 && math.Abs(x+y-sum.Hi) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -52,20 +52,5 @@ func (s *IntervalSet) Hull() Interval {
 	return Interval{Lo: s.ivs[0].Lo, Hi: s.ivs[len(s.ivs)-1].Hi}
 }
 
-// Contains reports whether v lies in some interval of the set.
-func (s *IntervalSet) Contains(v float64) bool {
-	i := sort.Search(len(s.ivs), func(k int) bool { return s.ivs[k].Hi >= v })
-	return i < len(s.ivs) && s.ivs[i].ContainsValue(v)
-}
-
-// Length returns the total measure of the set.
-func (s *IntervalSet) Length() float64 {
-	t := 0.0
-	for _, iv := range s.ivs {
-		t += iv.Length()
-	}
-	return t
-}
-
 // Reset empties the set, retaining capacity.
 func (s *IntervalSet) Reset() { s.ivs = s.ivs[:0] }

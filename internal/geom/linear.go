@@ -13,9 +13,6 @@ type Linear struct {
 	T0 float64 // reference time
 }
 
-// At evaluates the linear form at time t.
-func (l Linear) At(t float64) float64 { return l.A + l.B*(t-l.T0) }
-
 // LinearBetween returns the linear form interpolating value v0 at time t0
 // and value v1 at time t1. If t1 == t0 the form is constant v0.
 func LinearBetween(t0, v0, t1, v1 float64) Linear {

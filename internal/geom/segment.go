@@ -58,37 +58,6 @@ func (s Segment) Coord(i int) Linear {
 	return LinearBetween(s.T.Lo, s.Start[i], s.T.Hi, s.End[i])
 }
 
-// Velocity returns the constant velocity vector of the segment; zero for
-// an instantaneous segment.
-func (s Segment) Velocity() Point {
-	v := make(Point, s.Dims())
-	dt := s.T.Length()
-	if dt == 0 {
-		return v
-	}
-	for i := range v {
-		v[i] = (s.End[i] - s.Start[i]) / dt
-	}
-	return v
-}
-
-// BoundingBox returns the segment's space-time bounding box with spatial
-// dimensions first and the time interval as the final extent. This is the
-// NSI index key of Section 3.2.
-func (s Segment) BoundingBox() Box {
-	d := s.Dims()
-	b := make(Box, d+1)
-	for i := 0; i < d; i++ {
-		lo, hi := s.Start[i], s.End[i]
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		b[i] = Interval{Lo: lo, Hi: hi}
-	}
-	b[d] = s.T
-	return b
-}
-
 // IntersectsBox reports whether the exact trajectory passes through the
 // spatio-temporal query box q (spatial extents first, time extent last),
 // i.e. whether there is a time t ∈ q[d] ∩ s.T at which the object's

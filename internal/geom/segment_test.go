@@ -15,6 +15,16 @@ func seg(t0, t1, x0, y0, x1, y1 float64) Segment {
 	}
 }
 
+// boundingBox is the segment's space-time box: its spatial extents, then
+// its time interval.
+func boundingBox(s Segment) Box {
+	b := make(Box, 0, s.Dims()+1)
+	for i := range s.Start {
+		b = append(b, Interval{Lo: math.Min(s.Start[i], s.End[i]), Hi: math.Max(s.Start[i], s.End[i])})
+	}
+	return append(b, s.T)
+}
+
 func TestSegmentAt(t *testing.T) {
 	s := seg(0, 10, 0, 0, 10, 20)
 	if p := s.At(0); p[0] != 0 || p[1] != 0 {
@@ -40,25 +50,6 @@ func TestSegmentAt(t *testing.T) {
 	}
 }
 
-func TestSegmentVelocityAndBB(t *testing.T) {
-	s := seg(0, 4, 0, 8, 8, 0)
-	v := s.Velocity()
-	if v[0] != 2 || v[1] != -2 {
-		t.Errorf("velocity = %v", v)
-	}
-	bb := s.BoundingBox()
-	want := Box{{0, 8}, {0, 8}, {0, 4}}
-	if !bb.Equal(want) {
-		t.Errorf("bb = %v, want %v", bb, want)
-	}
-	if s.Dims() != 2 {
-		t.Errorf("dims = %d", s.Dims())
-	}
-	if v := seg(1, 1, 0, 0, 0, 0).Velocity(); v[0] != 0 || v[1] != 0 {
-		t.Error("instantaneous segment should have zero velocity")
-	}
-}
-
 func TestSegmentIntersectsBoxExact(t *testing.T) {
 	// Object crosses the box's corner region but its BB overlaps a larger
 	// area: the classic false-admission case the exact test avoids.
@@ -69,7 +60,7 @@ func TestSegmentIntersectsBoxExact(t *testing.T) {
 	if s.IntersectsBox(q) {
 		t.Error("exact test should reject corner box the trajectory misses")
 	}
-	if !s.BoundingBox().Overlaps(q) {
+	if !boundingBox(s).Overlaps(q) {
 		t.Error("sanity: the BB does overlap (that is the point of the test)")
 	}
 	// A box straddling the diagonal is hit.
@@ -111,7 +102,7 @@ func TestSegmentOverlapTimeInBox(t *testing.T) {
 func TestSegmentCoordAndDist(t *testing.T) {
 	s := seg(2, 6, 1, 1, 9, 1)
 	cx := s.Coord(0)
-	if cx.At(2) != 1 || cx.At(6) != 9 || cx.At(4) != 5 {
+	if at(cx, 2) != 1 || at(cx, 6) != 9 || at(cx, 4) != 5 {
 		t.Error("Coord(0) interpolation wrong")
 	}
 	if d := s.DistSqAt(4, Point{5, 4}); d != 9 {
@@ -176,7 +167,7 @@ func TestSegmentExactVsBBProperty(t *testing.T) {
 		q := Box{randInterval(r).Expand(5), randInterval(r).Expand(5), {r.Float64() * 4, 4 + r.Float64()*6}}
 		iv := s.OverlapTimeInBox(q)
 		if !iv.Empty() {
-			if !s.BoundingBox().Overlaps(q) {
+			if !boundingBox(s).Overlaps(q) {
 				return false // exact hit must imply BB hit
 			}
 			for i := 0; i < 8; i++ {

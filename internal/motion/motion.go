@@ -2,9 +2,7 @@
 // objects translate linearly between motion updates, each update carrying
 // a validity interval and motion parameters (Equation 1). A simulator
 // generates piecewise-linear trajectories matching the experimental
-// workload, and a dead-reckoning tracker converts continuous observations
-// into bounded-error motion updates (the update-threshold policy of [28]
-// the paper adopts).
+// workload.
 package motion
 
 import (

@@ -2,13 +2,10 @@ package motion
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"dynq/internal/geom"
 )
 
 func smallConfig() SimConfig {
@@ -199,134 +196,3 @@ func TestClampReflectProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTrackerNoUpdatesWhileOnCourse(t *testing.T) {
-	tr := NewTracker(0.5)
-	// First observation initializes (zero velocity); a stationary object
-	// never deviates.
-	for i := 0; i <= 10; i++ {
-		seg, err := tr.Observe(float64(i), geom.Point{5, 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seg != nil {
-			t.Fatalf("stationary object produced an update at t=%d", i)
-		}
-	}
-	// No update fired, but the pending (stationary) motion is still
-	// unreported: flushing closes it so it can be indexed.
-	tail := tr.Flush()
-	if tail == nil || tail.T != (geom.Interval{Lo: 0, Hi: 10}) || tail.Start[0] != 5 || tail.End[0] != 5 {
-		t.Errorf("flush = %+v, want stationary segment [0,10]", tail)
-	}
-	if tr.Flush() != nil {
-		t.Error("second flush should be nil")
-	}
-	if tr.Threshold() != 0.5 {
-		t.Error("threshold accessor wrong")
-	}
-}
-
-func TestTrackerEmitsOnDeviation(t *testing.T) {
-	tr := NewTracker(0.5)
-	tr.Observe(0, geom.Point{0, 0})
-	// Object moves at speed 1 along x; dead reckoning predicts standing
-	// still, so deviation crosses 0.5 after half a time unit.
-	seg, err := tr.Observe(0.4, geom.Point{0.4, 0})
-	if err != nil || seg != nil {
-		t.Fatalf("deviation 0.4 should not trigger (seg=%v err=%v)", seg, err)
-	}
-	seg, err = tr.Observe(0.8, geom.Point{0.8, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg == nil {
-		t.Fatal("deviation 0.8 should trigger an update")
-	}
-	if seg.T != (geom.Interval{Lo: 0, Hi: 0.8}) || seg.End[0] != 0.8 {
-		t.Errorf("closed segment = %+v", seg)
-	}
-	// After the update the tracker dead-reckons with velocity 1: staying
-	// on course produces no further updates.
-	for _, tt := range []float64{1.2, 1.6, 2.0} {
-		seg, err := tr.Observe(tt, geom.Point{tt, 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seg != nil {
-			t.Fatalf("on-course motion triggered an update at t=%g", tt)
-		}
-	}
-	// A turn triggers again.
-	seg, err = tr.Observe(3.0, geom.Point{3.0, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg == nil {
-		t.Fatal("turning should trigger an update")
-	}
-	// Flush returns the tail.
-	tr.Observe(3.5, geom.Point{3.2, 1.2})
-	tail := tr.Flush()
-	if tail == nil || tail.T.Lo != 3.0 || tail.T.Hi != 3.5 {
-		t.Errorf("flush = %+v", tail)
-	}
-	// Second flush is empty.
-	if tr.Flush() != nil {
-		t.Error("double flush should be nil")
-	}
-}
-
-func TestTrackerRejectsTimeTravel(t *testing.T) {
-	tr := NewTracker(1)
-	tr.Observe(5, geom.Point{0, 0})
-	if _, err := tr.Observe(5, geom.Point{1, 1}); err == nil {
-		t.Error("equal timestamps should be rejected")
-	}
-	if _, err := tr.Observe(4, geom.Point{1, 1}); err == nil {
-		t.Error("decreasing timestamps should be rejected")
-	}
-}
-
-// Property: a tracker following any smooth trajectory reconstructs it
-// within threshold + one observation step of error at segment joins.
-func TestTrackerBoundedErrorProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := newRand(seed)
-		tr := NewTracker(0.5)
-		// Piecewise-linear true trajectory with occasional turns.
-		pos := geom.Point{r.Float64() * 10, r.Float64() * 10}
-		vel := geom.Point{r.Float64()*2 - 1, r.Float64()*2 - 1}
-		var segs []*geom.Segment
-		dt := 0.05
-		for step := 0; step < 400; step++ {
-			tNow := float64(step) * dt
-			if r.Intn(50) == 0 {
-				vel = geom.Point{r.Float64()*2 - 1, r.Float64()*2 - 1}
-			}
-			pos = pos.Add(vel.Scale(dt))
-			seg, err := tr.Observe(tNow, pos)
-			if err != nil {
-				return false
-			}
-			if seg != nil {
-				segs = append(segs, seg)
-			}
-		}
-		if tail := tr.Flush(); tail != nil {
-			segs = append(segs, tail)
-		}
-		// Segments must be contiguous in time.
-		for i := 1; i < len(segs); i++ {
-			if segs[i].T.Lo != segs[i-1].T.Hi {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

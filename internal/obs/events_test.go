@@ -95,7 +95,7 @@ func TestSlowLogThresholdAndRing(t *testing.T) {
 	if got := l.Captured(); got != 5 {
 		t.Fatalf("captured = %d, want 5", got)
 	}
-	recent := l.Recent(0)
+	recent := l.RecentOp("", 0)
 	if len(recent) != 3 {
 		t.Fatalf("recent len = %d, want 3 (ring capacity)", len(recent))
 	}
@@ -128,7 +128,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				l.Record(Span{Op: "snapshot", WallNS: int64(time.Millisecond)})
 				if i%100 == 0 {
-					l.Recent(5)
+					l.RecentOp("", 5)
 				}
 			}
 		}()

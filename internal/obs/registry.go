@@ -38,9 +38,6 @@ type Gauge struct {
 	bits atomic.Uint64 // float64 bits
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adjusts the gauge by delta.
 func (g *Gauge) Add(delta float64) {
 	for {

@@ -11,7 +11,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.SetHelp("requests_total", "Total requests.")
 	r.Counter("requests_total", L("op", "snapshot")).Add(3)
 	r.Counter("requests_total", L("op", "knn")).Inc()
-	r.Gauge("active_connections").Set(2)
+	r.Gauge("active_connections").Add(2)
 	r.GaugeFunc("hit_ratio", func() float64 { return 0.25 })
 	h := r.Histogram("latency_seconds", []float64{0.5, 1}, L("op", "snapshot"))
 	h.Observe(0.25)
@@ -58,7 +58,7 @@ func TestRegistryIdempotentLookup(t *testing.T) {
 func TestRegistryExport(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(7)
-	r.Gauge("g").Set(1.5)
+	r.Gauge("g").Add(1.5)
 	h := r.Histogram("h", []float64{1, 2})
 	h.Observe(0.5)
 	h.Observe(1.5)

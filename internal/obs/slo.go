@@ -101,9 +101,6 @@ func (t *SLOTracker) WithClock(now func() time.Time) *SLOTracker {
 	return t
 }
 
-// Config reports the tracker's effective objectives.
-func (t *SLOTracker) Config() SLOConfig { return t.cfg }
-
 // Record notes one request outcome for op: its latency and whether it
 // failed. Failed requests consume availability budget; successful ones
 // slower than the latency target consume latency budget.

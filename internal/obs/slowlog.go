@@ -87,12 +87,6 @@ func (l *SlowLog) Captured() uint64 {
 	return l.ring.next
 }
 
-// Recent returns up to limit buffered entries, newest first (limit <= 0
-// means all buffered).
-func (l *SlowLog) Recent(limit int) []SlowEntry {
-	return l.RecentOp("", limit)
-}
-
 // RecentOp returns up to limit buffered entries whose span op matches,
 // newest first. An empty op matches everything; limit <= 0 means all
 // buffered.

@@ -37,7 +37,7 @@ func TestRecordAtThresholds(t *testing.T) {
 }
 
 // TestRecentOpFiltering interleaves two op classes in one ring and
-// checks that RecentOp isolates each while Recent still sees both.
+// checks that RecentOp isolates each while an empty op still sees both.
 func TestRecentOpFiltering(t *testing.T) {
 	l := NewSlowLog(16, time.Millisecond)
 	for i := 0; i < 3; i++ {
@@ -45,8 +45,8 @@ func TestRecentOpFiltering(t *testing.T) {
 		l.Record(span("apply-updates", 20*time.Millisecond))
 	}
 
-	if got := len(l.Recent(100)); got != 6 {
-		t.Fatalf("Recent = %d entries, want 6", got)
+	if got := len(l.RecentOp("", 100)); got != 6 {
+		t.Fatalf("RecentOp(\"\") = %d entries, want 6", got)
 	}
 	writes := l.RecentOp("apply-updates", 100)
 	if len(writes) != 3 {

@@ -117,9 +117,6 @@ func (w *WindowedHistogram) ObserveDuration(d time.Duration) { w.Observe(d.Secon
 // Cumulative exposes the since-boot histogram (for registry attachment).
 func (w *WindowedHistogram) Cumulative() *Histogram { return w.cum }
 
-// Interval reports the rotation interval (the window resolution).
-func (w *WindowedHistogram) Interval() time.Duration { return w.slots.interval }
-
 // Snapshot merges the rotation slots overlapping the last `window` of
 // wall time into one WindowSnapshot. Windows longer than the ring's
 // capacity are clamped to it.

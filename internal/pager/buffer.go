@@ -493,20 +493,6 @@ func (bp *BufferPool) Invalidate() error {
 	return nil
 }
 
-// ResetStats zeroes the hit/miss accounting, including the per-segment
-// counters.
-func (bp *BufferPool) ResetStats() {
-	bp.hits.Store(0)
-	bp.misses.Store(0)
-	bp.evictions.Store(0)
-	bp.writeBacks.Store(0)
-	for _, seg := range bp.segs {
-		seg.mu.Lock()
-		seg.hits, seg.misses = 0, 0
-		seg.mu.Unlock()
-	}
-}
-
 // Hits reports Gets served from the buffer.
 func (bp *BufferPool) Hits() int64 { return bp.hits.Load() }
 
@@ -526,10 +512,6 @@ func (bp *BufferPool) Len() int { return int(bp.size.Load()) }
 // Capacity reports the pool's frame capacity.
 func (bp *BufferPool) Capacity() int { return bp.capacity }
 
-// Segments reports the number of independently locked LRU segments
-// (0 for a pass-through pool).
-func (bp *BufferPool) Segments() int { return len(bp.segs) }
-
 // SegmentStats is a point-in-time view of one pool segment, for the
 // per-segment hit-ratio gauges.
 type SegmentStats struct {
@@ -538,15 +520,6 @@ type SegmentStats struct {
 	Len      int
 	Capacity int
 	Pinned   int // resident frames a Lease or Edit holds: those a miss cannot reuse
-}
-
-// HitRatio is hits / (hits + misses), or 0 with no traffic.
-func (s SegmentStats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // SegmentStats snapshots every segment's counters in index order.

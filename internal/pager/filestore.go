@@ -19,7 +19,7 @@ import (
 //	offset 8   8 bytes  commit sequence number (little endian)
 //	offset 16  4 bytes  number of data pages (allocated + freed)
 //	offset 20  4 bytes  free-list head page id (InvalidPage if none)
-//	offset 24  4 bytes  user root page id
+//	offset 24  4 bytes  root page id (unused; kept as read)
 //	offset 28  2 bytes  aux length
 //	offset 32  ...      aux bytes (up to MaxAux)
 //	offset PageSize-4   CRC32C over bytes [0, PageSize-4)
@@ -29,7 +29,7 @@ import (
 // If the write tears, the other slot still holds the previous committed
 // header; Open picks the valid slot with the highest sequence number.
 //
-// Allocation state (count, free list head, root, aux) lives in memory
+// Allocation state (count, free list head, aux) lives in memory
 // between commits; Sync and Close commit it. Data pages are written in
 // place with a checksum + epoch trailer (see checksum.go); a page written
 // after commit S carries epoch S+1, so recovery can tell whether any part
@@ -72,13 +72,13 @@ const MaxAux = 256
 // all on behalf of queries that share the index's read lock. The physical
 // record (page + trailer) is therefore assembled in a per-call buffer from
 // recScratch, never in a field of the store. Allocation state (Alloc, Free,
-// SetRoot, Sync) is the writer's, under the index's exclusive lock.
+// SetAux, Sync) is the writer's, under the index's exclusive lock.
 type FileStore struct {
 	f         *os.File
 	seq       uint64 // last committed header sequence number
 	count     uint32 // data pages in the file (allocated + freed)
 	free      PageID // head of free-page chain
-	root      PageID // user root pointer (see SetRoot)
+	root      PageID // the header's root field, written back as read
 	aux       []byte // caller metadata (see SetAux)
 	bothValid bool   // both header slots decoded cleanly at open
 	closed    bool
@@ -303,15 +303,15 @@ func (fs *FileStore) writeRecord(id PageID, rec *recBuf, n int) error {
 }
 
 // WritePageTorn persists only the first n bytes of the page's physical
-// record (data + trailer), simulating a torn write. It is a hook for
-// FaultStore; n is clamped to [0, physPageSize).
+// record (data + trailer), simulating a torn write. It is a hook for the
+// fault injection that tests interpose; n is clamped to [0, physPageSize).
 func (fs *FileStore) WritePageTorn(id PageID, buf []byte, n int) error {
 	return fs.writePage(id, buf, min(max(n, 0), physPageSize-1))
 }
 
 // FlipBit flips one bit of the page's stored physical record in place,
-// bypassing the checksum. It is a hook for FaultStore; bit is taken
-// modulo the record size in bits.
+// bypassing the checksum. It is a hook for the fault injection that tests
+// interpose; bit is taken modulo the record size in bits.
 func (fs *FileStore) FlipBit(id PageID, bit int) error {
 	if err := fs.check(id); err != nil {
 		return err
@@ -465,19 +465,6 @@ func (fs *FileStore) VerifyHeader() error {
 // commit; the next Sync repairs the stale slot).
 func (fs *FileStore) BothHeaderSlotsValid() bool { return fs.bothValid }
 
-// SetRoot records a user root page id (the index root). It is committed
-// by the next Sync/Close.
-func (fs *FileStore) SetRoot(id PageID) error {
-	if fs.closed {
-		return ErrClosed
-	}
-	fs.root = id
-	return nil
-}
-
-// Root returns the user root page id.
-func (fs *FileStore) Root() PageID { return fs.root }
-
 // SetAux stages up to MaxAux bytes of caller metadata (e.g. index shape)
 // for the next header commit.
 func (fs *FileStore) SetAux(data []byte) error {
@@ -524,7 +511,7 @@ func (fs *FileStore) Close() error {
 }
 
 // Crash abandons the store without committing, simulating a process
-// crash: buffered state (allocations, root, aux) staged since the last
+// crash: buffered state (allocations, aux) staged since the last
 // Sync is lost. Test hook.
 func (fs *FileStore) Crash() error {
 	if fs.closed {

@@ -165,8 +165,8 @@ func (m *MemStore) Close() error {
 }
 
 // WritePageTorn persists only the first n bytes of the page, simulating
-// a torn write (FaultStore hook; the file-backed analogue also tears the
-// checksum trailer).
+// a torn write (a fault-injection hook; the file-backed analogue also
+// tears the checksum trailer).
 func (m *MemStore) WritePageTorn(id PageID, buf []byte, n int) error {
 	if len(buf) != PageSize {
 		return ErrBadPageData
@@ -184,7 +184,8 @@ func (m *MemStore) WritePageTorn(id PageID, buf []byte, n int) error {
 	return nil
 }
 
-// FlipBit flips one bit of the stored page in place (FaultStore hook).
+// FlipBit flips one bit of the stored page in place (a fault-injection
+// hook).
 func (m *MemStore) FlipBit(id PageID, bit int) error {
 	if err := m.check(id); err != nil {
 		return err

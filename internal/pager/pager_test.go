@@ -109,21 +109,15 @@ func TestFileStore(t *testing.T) {
 		t.Fatalf("create: %v", err)
 	}
 	testStoreRoundTrip(t, s)
-	if err := s.SetRoot(1); err != nil {
-		t.Fatalf("set root: %v", err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Reopen: contents, free list and root survive.
+	// Reopen: contents and free list survive.
 	s2, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer s2.Close()
-	if s2.Root() != 1 {
-		t.Errorf("root = %d, want 1", s2.Root())
-	}
 	buf := make([]byte, PageSize)
 	if err := s2.ReadPage(1, buf); err != nil {
 		t.Fatalf("read after reopen: %v", err)
@@ -184,9 +178,6 @@ func TestOpenFileStoreSurvivesTornHeaderSlot(t *testing.T) {
 		if err := s.WritePage(id, fillPage(0xCD)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.SetRoot(id); err != nil {
-			t.Fatal(err)
-		}
 		// Sync then Close: two commits, so BOTH slots describe the
 		// post-alloc state and either alone can open it.
 		if err := s.Sync(); err != nil {
@@ -211,11 +202,11 @@ func TestOpenFileStoreSurvivesTornHeaderSlot(t *testing.T) {
 			t.Errorf("slot %d: BothHeaderSlotsValid = true, want false", slot)
 		}
 		buf := make([]byte, PageSize)
-		if err := s2.ReadPage(s2.Root(), buf); err != nil {
-			t.Fatalf("slot %d: read root page: %v", slot, err)
+		if err := s2.ReadPage(id, buf); err != nil {
+			t.Fatalf("slot %d: read page: %v", slot, err)
 		}
 		if !bytes.Equal(buf, fillPage(0xCD)) {
-			t.Errorf("slot %d: root page content lost", slot)
+			t.Errorf("slot %d: page content lost", slot)
 		}
 		s2.Close()
 	}

@@ -159,7 +159,7 @@ func (v NodeView) MBR(dst geom.Box) {
 //
 // Each child's bounds are read off the page once, in axis order, for its
 // area, margin and cover area together: the values ChildBox, Box.Area,
-// Box.Margin and Box.CoverArea compute, bit for bit (refChooseChild).
+// Box.Margin and Box.Cover(b).Area() compute, bit for bit (refChooseChild).
 func (v NodeView) chooseChild(b geom.Box) int {
 	d := int(v.dims)
 	endTime := 8 * d // offset of the end-time extent: the single one unless dual

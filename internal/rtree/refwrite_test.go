@@ -96,8 +96,8 @@ func (t *Tree) refAbsorb(n *Node, ci int, res insertResult) (insertResult, error
 	return t.refSplitInternal(n, len(n.Children)-1)
 }
 
-// refChooseChild is chooseChild on decoded children, one allocated cover
-// box per child as Box.Enlargement used to build.
+// refChooseChild is chooseChild on decoded children, with one allocated
+// cover box per child.
 func refChooseChild(children []Child, b geom.Box) int {
 	best := 0
 	bestEnl, bestArea, bestMargin := -1.0, 0.0, 0.0

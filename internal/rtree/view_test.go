@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dynq/internal/fault"
 	"dynq/internal/geom"
 	"dynq/internal/pager"
 	"dynq/internal/stats"
@@ -118,16 +119,16 @@ func TestRangeSearchMatchesLoadReference(t *testing.T) {
 // failure like any other: Insert returns it, nothing panics.
 func TestRootGrowFailureReturnsError(t *testing.T) {
 	cfg := DefaultConfig()
-	arm := map[string]func(*pager.FaultStore){
+	arm := map[string]func(*fault.Store){
 		// The overflowing insert allocates the leaf's sibling, then the root.
-		"alloc": func(fs *pager.FaultStore) { fs.ArmAllocs(2) },
+		"alloc": func(fs *fault.Store) { fs.ArmAllocs(2) },
 		// It writes the leaf, the sibling, then the root.
-		"write":   func(fs *pager.FaultStore) { fs.ArmWrites(3) },
-		"nospace": func(fs *pager.FaultStore) { fs.ArmNoSpace(4, true) },
+		"write":   func(fs *fault.Store) { fs.ArmWrites(3) },
+		"nospace": func(fs *fault.Store) { fs.ArmNoSpace(4, true) },
 	}
 	for name, arm := range arm {
 		t.Run(name, func(t *testing.T) {
-			fs := pager.NewFaultStore(pager.NewMemStore())
+			fs := fault.NewStore(pager.NewMemStore())
 			tree, err := New(cfg, fs)
 			if err != nil {
 				t.Fatal(err)
@@ -143,7 +144,7 @@ func TestRootGrowFailureReturnsError(t *testing.T) {
 			if err == nil {
 				t.Fatal("Insert succeeded although the new root could not be stored")
 			}
-			if !errors.Is(err, pager.ErrInjected) && !errors.Is(err, pager.ErrNoSpace) {
+			if !errors.Is(err, fault.ErrInjected) && !errors.Is(err, fault.ErrNoSpace) {
 				t.Fatalf("Insert error %v does not wrap the store's", err)
 			}
 			if tree.Height() != 1 {

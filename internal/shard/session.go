@@ -133,29 +133,6 @@ func (p *PDQ) pull(i int) error {
 	}
 }
 
-// Drain pulls every remaining result visible during [tStart, tEnd].
-func (p *PDQ) Drain(tStart, tEnd float64) ([]core.Result, error) {
-	var out []core.Result
-	for {
-		r, ok, err := p.GetNext(tStart, tEnd)
-		if err != nil || !ok {
-			return out, err
-		}
-		out = append(out, r)
-	}
-}
-
-// Pending sums the queued items across shard cursors (diagnostics).
-func (p *PDQ) Pending() int {
-	n := 0
-	for _, c := range p.cursors {
-		if c != nil {
-			n += c.Pending()
-		}
-	}
-	return n
-}
-
 // Close releases every per-shard cursor (and live-update subscription).
 func (p *PDQ) Close() {
 	if p.closed {

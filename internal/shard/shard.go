@@ -167,9 +167,6 @@ func NewFromShards(cfg rtree.Config, opts Options, trees []*rtree.Tree, stores [
 	return e, nil
 }
 
-// Config returns the shared tree configuration.
-func (e *Engine) Config() rtree.Config { return e.cfg }
-
 // Shards returns the number of partitions.
 func (e *Engine) Shards() int { return len(e.shards) }
 

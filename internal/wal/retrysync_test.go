@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// stickyErr returns the log's sticky durability failure, if any.
+func stickyErr(l *Log) error {
+	l.gcMu.Lock()
+	defer l.gcMu.Unlock()
+	return l.syncErr
+}
+
 // TestRetrySyncClearsStickyError: a failed fsync poisons the log (every
 // durability wait reports it), and RetrySync is the one path that
 // retries the fsync and — on success — clears the sticky error and
@@ -36,8 +43,8 @@ func TestRetrySyncClearsStickyError(t *testing.T) {
 	if err := l.SyncNow(lsn); !errors.Is(err, errInject) {
 		t.Fatalf("SyncNow with failing fsync returned %v, want the injected error", err)
 	}
-	if err := l.SyncErr(); !errors.Is(err, errInject) {
-		t.Fatalf("sticky SyncErr = %v, want the injected error", err)
+	if err := stickyErr(l); !errors.Is(err, errInject) {
+		t.Fatalf("sticky error = %v, want the injected error", err)
 	}
 	// The error stays sticky even for records that were already durable.
 	if err := l.SyncNow(lsn); !errors.Is(err, errInject) {
@@ -54,8 +61,8 @@ func TestRetrySyncClearsStickyError(t *testing.T) {
 	if err := l.RetrySync(); err != nil {
 		t.Fatalf("RetrySync after recovery: %v", err)
 	}
-	if err := l.SyncErr(); err != nil {
-		t.Fatalf("SyncErr after successful retry = %v, want nil", err)
+	if err := stickyErr(l); err != nil {
+		t.Fatalf("sticky error after successful retry = %v, want nil", err)
 	}
 	if got := l.DurableLSN(); got != lsn {
 		t.Fatalf("DurableLSN after retry = %d, want %d", got, lsn)

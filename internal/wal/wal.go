@@ -89,7 +89,7 @@ type Options struct {
 	// Fault, when non-nil, is consulted before every physical
 	// write-class operation ("append", "fsync", "checkpoint"); a non-nil
 	// return is injected as that operation's failure. The log file sits
-	// beside the page store and bypasses pager.FaultStore, so disk-full
+	// beside the page store and bypasses the tests' fault.Store, so disk-full
 	// and write-error chaos testing hooks in here instead.
 	Fault func(op string) error
 }
@@ -239,9 +239,6 @@ func newLog(path string, f *os.File, opts Options) *Log {
 
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
-
-// Window returns the effective group-commit window.
-func (l *Log) Window() time.Duration { return l.window }
 
 func (l *Log) encodeHeader() []byte {
 	buf := make([]byte, headerSlotSize)
@@ -517,13 +514,6 @@ func (l *Log) RetrySync() error {
 	l.gcCond.Broadcast()
 	l.gcMu.Unlock()
 	return err
-}
-
-// SyncErr returns the sticky durability failure, if any.
-func (l *Log) SyncErr() error {
-	l.gcMu.Lock()
-	defer l.gcMu.Unlock()
-	return l.syncErr
 }
 
 func (l *Log) fsync() error {

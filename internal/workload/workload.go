@@ -129,9 +129,6 @@ func PaperQuery(overlap, rng float64) QueryConfig {
 // the window slides by (1-overlap)·w each frame, along one axis.
 func (q QueryConfig) Step() float64 { return (1 - q.Overlap) * q.Range }
 
-// Speed returns the observer speed implied by the overlap level.
-func (q QueryConfig) Speed() float64 { return q.Step() / FrameDt }
-
 func (q QueryConfig) validate() error {
 	if q.Range <= 0 || q.Range > q.WorldSize {
 		return fmt.Errorf("workload: range %g out of (0, %g]", q.Range, q.WorldSize)

@@ -36,9 +36,6 @@ func TestQueryConfigDerived(t *testing.T) {
 	if math.Abs(q.Step()-0.8) > 1e-12 {
 		t.Errorf("step = %g, want 0.8", q.Step())
 	}
-	if math.Abs(q.Speed()-8) > 1e-9 {
-		t.Errorf("speed = %g, want 8", q.Speed())
-	}
 	// The paper's example: 0% overlap with an 8×8 window means the window
 	// advances a full width per frame.
 	q0 := PaperQuery(0, 8)

@@ -553,7 +553,7 @@ func (r *scrubResult) add(o scrubResult) {
 }
 
 // scrubPageReader is the store capability the scrubber needs; FileStore
-// implements it and FaultStore forwards it.
+// implements it and the tests' fault.Store forwards it.
 type scrubPageReader interface {
 	ReadPageEpoch(pager.PageID, []byte) (uint64, error)
 	CommittedSeq() uint64

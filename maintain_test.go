@@ -9,13 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"dynq/internal/fault"
 	"dynq/internal/obs"
 	"dynq/internal/pager"
 )
 
 // openMaintTest opens a WAL-armed file database with a fault-injecting
 // store and a manual maintenance loop driven by the returned clock.
-func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStore, *pager.FaultStore, *chaosClock) {
+func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStore, *fault.Store, *chaosClock) {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.dynq")

@@ -177,7 +177,7 @@ func TestSlowQueryCapturedWithStages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries := srv.SlowLog().Recent(0)
+	entries := srv.SlowLog().RecentOp("", 0)
 	if len(entries) == 0 {
 		t.Fatal("no slow queries captured at a 1ns threshold")
 	}

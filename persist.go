@@ -124,8 +124,8 @@ func decodeMeta(buf []byte) (rtree.Meta, uint64, error) {
 }
 
 // auxStore is the optional store capability for persisting metadata in
-// the page file header. FileStore implements it directly; FaultStore
-// forwards to its inner store.
+// the page file header. FileStore implements it directly; the tests'
+// fault.Store forwards to its inner store.
 type auxStore interface {
 	SetAux(data []byte) error
 	Aux() []byte

@@ -230,7 +230,7 @@ type recoverSpec struct {
 
 	// Soak and test hooks. bufferPages gives every unit a page buffer of
 	// that capacity (0: the WAL buffering floor when logs are armed, none
-	// otherwise); wrapStore interposes a store (a pager.FaultStore)
+	// otherwise); wrapStore interposes a store (a fault.Store)
 	// between unit i's tree and its verified file; walFault hooks the
 	// logs' physical writes; clock, when set, replaces the maintenance
 	// loop's clock and its goroutine: the caller drives every tick.
@@ -405,7 +405,7 @@ func replayLog(path string, wopts wal.Options, tree *rtree.Tree, dims, unit, uni
 // recoverStoreTree is the tree-level half of recovery: it verifies the
 // committed state of fs (checksums, epochs, structure, free list),
 // repairs what it can, and restores the tree reading through treeStore —
-// normally fs itself, but the soaks pass a FaultStore wrapping it. The
+// normally fs itself, but the soaks pass a fault.Store wrapping it. The
 // returned applied-LSN is the committed metadata's WAL watermark —
 // replay starts past it.
 func recoverStoreTree(fs *pager.FileStore, treeStore pager.Store) (*rtree.Tree, rtree.Meta, uint64, *RecoveryReport, error) {

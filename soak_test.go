@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"dynq/internal/fault"
 	"dynq/internal/pager"
 	"dynq/internal/rtree"
 )
@@ -60,7 +61,7 @@ const (
 // soakFaultPlan is the fault soak's mix: occasional torn writes and
 // failed syncs (the crash-consistency killers), rarer plain I/O errors,
 // and a trickle of bit rot.
-var soakFaultPlan = pager.FaultPlan{
+var soakFaultPlan = fault.Plan{
 	ReadErr:   0.01,
 	WriteErr:  0.02,
 	SyncErr:   0.05,
@@ -273,10 +274,10 @@ func (s *crashSoak) mirror(batch []soakSeg) error {
 }
 
 // faultSoak runs its write phase — one batch and a Sync — through a
-// pager.FaultStore scripted with plan, re-seeded per cycle, then checks
+// fault.Store scripted with plan, re-seeded per cycle, then checks
 // a clean recovering open after the crash: it must either recover the
 // committed state exactly or report typed corruption.
-func faultSoak(dir string, seed int64, cycles, batch int, plan pager.FaultPlan) *crashSoak {
+func faultSoak(dir string, seed int64, cycles, batch int, plan fault.Plan) *crashSoak {
 	path := filepath.Join(dir, "soak.dynq")
 	s := &crashSoak{
 		seed: seed, cycles: cycles, batch: batch, units: 1, lay: singleLayout(path),
@@ -675,7 +676,7 @@ func TestSoakReports(t *testing.T) {
 			// The control: with an empty plan every cycle commits and
 			// recovers cleanly.
 			name: "faults-off",
-			soak: func(dir string) *crashSoak { return faultSoak(dir, 3, 8, 16, pager.FaultPlan{}) },
+			soak: func(dir string) *crashSoak { return faultSoak(dir, 3, 8, 16, fault.Plan{}) },
 			check: func(t *testing.T, c soakCounts) {
 				if c.corruptions != 0 || c.committed != c.cycles || c.cleanRecoveries != c.cycles {
 					t.Error("a fault-free soak must commit and recover every cycle")
@@ -749,15 +750,15 @@ func isTypedCorruption(err error) bool {
 }
 
 // openFaulted is the recovering open of s for the one-unit database at
-// path, with a pager.FaultStore interposed between the tree and its
+// path, with a fault.Store interposed between the tree and its
 // verified file, scripted with plan (nil: armed by hand). Verification
 // reads the file directly, so the faults bite only once the database is
 // in use.
-func openFaulted(path string, s recoverSpec, plan *pager.FaultPlan) (*DB, *pager.FaultStore, error) {
+func openFaulted(path string, s recoverSpec, plan *fault.Plan) (*DB, *fault.Store, error) {
 	s.lay, s.units = singleLayout(path), 1
-	var faults *pager.FaultStore
+	var faults *fault.Store
 	s.wrapStore = func(_ int, f *pager.FileStore) pager.Store {
-		faults = pager.NewFaultStore(f)
+		faults = fault.NewStore(f)
 		faults.Script(plan)
 		return faults
 	}

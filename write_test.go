@@ -320,7 +320,7 @@ func TestSyncFailureWithWALDegradesImmediately(t *testing.T) {
 	if err := createFiles(singleLayout(path), 1, false, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	// A DB with a scripted FaultStore between tree and file, plus an
+	// A DB with a scripted fault.Store between tree and file, plus an
 	// armed WAL — the configuration where a failed checkpoint must not
 	// be retried silently.
 	db, faults, err := openFaulted(path, recoverSpec{forceWAL: true}, nil)
