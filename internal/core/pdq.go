@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dynq/internal/geom"
@@ -41,8 +42,18 @@ type PDQ struct {
 	unsub   func()
 
 	inboxMu sync.Mutex
-	inbox   []rtree.Update
+	inbox   []rtree.Update // at most inboxCap
 	rebuild bool
+	behind  bool // the rebuild is for an overflowed inbox alone
+
+	// A live session keeps the episodes it delivered that may still be
+	// visible. A rebuild for an overflowed inbox catches up on what the
+	// session missed and skips those when it finds them again; a reseed
+	// starts over and delivers them anew.
+	shown     []pdqKey
+	shownTrim int             // len(shown) past which expired episodes are dropped
+	skip      map[pdqKey]bool // what a catch-up skips, until all of it is over (skipEnd)
+	skipEnd   float64
 
 	kept pdqArena   // the leaf entries object items name
 	slab rtree.Slab // where kept entries' points are copied off the page
@@ -68,6 +79,12 @@ func NewPDQ(tree *rtree.Tree, traj *trajectory.Trajectory, opts PDQOptions, c *s
 	return p, nil
 }
 
+// inboxCap bounds a live session's pending notifications. A session that
+// does not fetch while the index takes writes would otherwise keep every
+// one of them; past the cap it drops them all and rebuilds from the root
+// at its next fetch, as after a reseed.
+const inboxCap = 4096
+
 // seedFromRoot computes the root's overlap with the trajectory and primes
 // the queue (the first step of Section 4.1's algorithm).
 func (p *PDQ) seedFromRoot() {
@@ -84,17 +101,21 @@ func (p *PDQ) seedFromRoot() {
 // enqueueUpdate receives update notifications. It runs under the tree
 // lock, so it only records the update; GetNext integrates the inbox before
 // consulting the queue. A reseed notification (a deletion freed pages the
-// queue may name) forces a rebuild from the root; every other update is
-// patched in by LCA re-insertion.
+// queue may name), or one more update than the inbox holds, forces a
+// rebuild from the root, which reads every update made until then; every
+// other update is patched in by LCA re-insertion.
 func (p *PDQ) enqueueUpdate(u rtree.Update) {
 	p.inboxMu.Lock()
 	defer p.inboxMu.Unlock()
-	if u.Kind == rtree.UpdateReseed {
-		p.rebuild = true
-		p.inbox = p.inbox[:0]
-		return
+	switch {
+	case u.Kind == rtree.UpdateReseed:
+		p.rebuild, p.behind, p.inbox = true, false, nil
+	case p.rebuild:
+	case len(p.inbox) == inboxCap:
+		p.rebuild, p.behind, p.inbox = true, true, nil
+	default:
+		p.inbox = append(p.inbox, u)
 	}
-	p.inbox = append(p.inbox, u)
 }
 
 // drainInbox integrates pending update notifications into the priority
@@ -104,14 +125,22 @@ func (p *PDQ) drainInbox() {
 	p.inboxMu.Lock()
 	inbox := p.inbox
 	p.inbox = nil
-	rebuild := p.rebuild
-	p.rebuild = false
+	rebuild, behind := p.rebuild, p.behind
+	p.rebuild, p.behind = false, false
 	p.inboxMu.Unlock()
 
 	if rebuild {
 		p.pq = p.pq[:0]
 		p.kept.reset()
 		p.havePop = false
+		p.skip, p.skipEnd = nil, 0
+		if behind {
+			p.skip = make(map[pdqKey]bool, len(p.shown))
+			for _, k := range p.shown {
+				p.skip[k] = true
+				p.skipEnd = max(p.skipEnd, k.iv.Hi)
+			}
+		}
 		p.seedFromRoot()
 		return
 	}
@@ -160,6 +189,14 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (r Result, ok bool, err error) {
 		return r, false, fmt.Errorf("core: GetNext window [%g,%g] is empty", tStart, tEnd)
 	}
 	p.drainInbox()
+	// An episode over before this window cannot be delivered again.
+	if len(p.shown) > p.shownTrim {
+		p.shown = slices.DeleteFunc(p.shown, func(k pdqKey) bool { return k.iv.Hi < tStart })
+		p.shownTrim = 2*len(p.shown) + 64
+	}
+	if p.skip != nil && tStart > p.skipEnd {
+		p.skip = nil
+	}
 	for len(p.pq) > 0 && tEnd >= p.pq[0].key.iv.Lo {
 		item := p.pq.pop()
 		var e rtree.LeafEntry
@@ -180,6 +217,12 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (r Result, ok bool, err error) {
 			continue
 		}
 		if item.key.isObj {
+			if p.skip != nil && p.skip[item.key] {
+				continue // delivered before the rebuild found it again
+			}
+			if p.unsub != nil {
+				p.shown = append(p.shown, item.key)
+			}
 			p.c.AddResults(1)
 			// A result's memory is the caller's alone: an entry that later
 			// episodes or other sessions also hold is copied again.

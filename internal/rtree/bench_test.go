@@ -255,11 +255,14 @@ func BenchmarkSplit(b *testing.B) {
 // up with Find and deletes along the path found, as the database's write
 // path does for a plain delete; FindProbeDeleteAt gives Find the segment's
 // own start point as the probe, as a correction's reinsertion supplies it.
+// Correct is the write path's whole correction: that Find, then Correct
+// with a replacement equal to the segment, which fits and is rewritten in
+// place; nothing is reinserted.
 func BenchmarkDeleteSteady(b *testing.B) {
 	for _, v := range []struct {
-		name        string
-		find, probe bool
-	}{{"Delete", false, false}, {"FindDeleteAt", true, false}, {"FindProbeDeleteAt", true, true}} {
+		name                 string
+		find, probe, correct bool
+	}{{"Delete", false, false, false}, {"FindDeleteAt", true, false, false}, {"FindProbeDeleteAt", true, true, false}, {"Correct", true, true, true}} {
 		b.Run(v.name, func(b *testing.B) {
 			tree, entries := steadyTree(b)
 			r := rand.New(rand.NewSource(9))
@@ -276,11 +279,17 @@ func BenchmarkDeleteSteady(b *testing.B) {
 				if v.find {
 					path, _, err = tree.Find(e.ID, e.Seg.T.Lo, probe, path[:0])
 				}
-				if err == nil {
+				switch {
+				case err == nil && v.correct:
+					err = tree.Correct(e.ID, e.Seg.T.Lo, path, e.Seg)
+				case err == nil:
 					err = tree.DeleteAt(e.ID, e.Seg.T.Lo, path)
 				}
 				if err != nil {
 					b.Fatal(err)
+				}
+				if v.correct {
+					continue
 				}
 				b.StopTimer()
 				if err := tree.Insert(e.ID, e.Seg); err != nil {

@@ -33,10 +33,59 @@ type Path []pager.PageID
 func (t *Tree) DeleteAt(id ObjectID, tStart float64, path Path) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	d := deletion{id: id, tStart: float64(float32(tStart))} // match on-disk quantization
+	if err := t.delete(&d, path, nil); err != nil {
+		return err
+	}
+	t.size--
+	return nil
+}
+
+// Correct replaces the segment of object id that starts at tStart with seg
+// — a dead-reckoning correction — under one acquisition of the tree lock.
+// Coordinates are quantized as Insert quantizes them. path, when it still
+// leads to the segment, spares the search, as for DeleteAt; otherwise the
+// segment is looked for first where seg starts (Find's probe order).
+//
+// When the replacement's box lies inside the box the leaf's parent stores
+// for it (or the leaf is the root), the leaf overwrites the entry in its
+// slot: one descent, and one page write per level, each node of the path
+// committed with the new stamp and its box recomputed only where the old
+// entry lay on a face, so every stored box stays the tight cover of its
+// child. Nothing dissolves or splits, and listeners hear one UpdateEntry
+// for the new segment — what a delete and an insert that split nothing
+// tell them. Otherwise, decided before anything is edited, Correct is
+// DeleteAt followed by Insert. It returns ErrNotFound, changing nothing, if
+// no such segment is indexed.
+func (t *Tree) Correct(id ObjectID, tStart float64, path Path, seg geom.Segment) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.checkSegment(seg); err != nil {
+		return err
+	}
+	d := deletion{id: id, tStart: float64(float32(tStart)), correct: true, repl: LeafEntry{ID: id, Seg: QuantizeSegment(seg)}}
+	var scratch [maxDims + 2]geom.Interval
+	if err := t.delete(&d, path, probeBox(d.repl.Seg.Start, d.tStart, scratch[:0])); err != nil {
+		return err
+	}
+	if d.inPlace {
+		t.notify(Update{Kind: UpdateEntry, Entry: d.repl})
+		return nil
+	}
+	t.size--
+	return t.insert(d.repl)
+}
+
+// delete removes d's target, searching down path first, and condenses the
+// tree. When path does not lead to the target, it is looked for with at as
+// Find's probe or, with a nil at, by start time alone. A correction's
+// target may instead be overwritten in place (d.inPlace), which leaves
+// nothing to condense. The caller holds the tree lock and accounts for
+// the size.
+func (t *Tree) delete(d *deletion, path Path, at geom.Box) error {
 	if t.root == pager.InvalidPage {
 		return ErrNotFound
 	}
-	d := deletion{id: id, tStart: float64(float32(tStart))} // match on-disk quantization
 	// Sessions learn of freed pages however the deletion ends: a failure
 	// after the free leaves their queues just as stale.
 	defer func() {
@@ -50,10 +99,14 @@ func (t *Tree) DeleteAt(id ObjectID, tStart float64, path Path) error {
 	found := false
 	var err error
 	if len(path) == t.height && path[0] == t.root {
-		found, _, _, err = t.deleteRec(t.root, &d, path[1:], nil, mbr)
+		found, _, _, err = t.deleteRec(t.root, d, path[1:], nil, mbr)
 	}
 	if !found && err == nil {
-		found, _, _, err = t.deleteRec(t.root, &d, nil, nil, mbr)
+		if at == nil {
+			found, _, _, err = t.deleteRec(t.root, d, nil, nil, mbr)
+		} else if path, found, err = t.findRec(t.root, d.id, d.tStart, at, nil); found && err == nil {
+			found, _, _, err = t.deleteRec(t.root, d, path[1:], nil, mbr)
+		}
 	}
 	if err != nil {
 		return err
@@ -61,7 +114,9 @@ func (t *Tree) DeleteAt(id ObjectID, tStart float64, path Path) error {
 	if !found {
 		return ErrNotFound
 	}
-	t.size--
+	if d.inPlace {
+		return nil
+	}
 
 	// Shrink the root: an internal root with one child is replaced by it;
 	// an empty leaf root empties the tree.
@@ -131,16 +186,12 @@ func (t *Tree) DeleteAt(id ObjectID, tStart float64, path Path) error {
 func (t *Tree) Find(id ObjectID, tStart float64, probe geom.Point, path Path) (_ Path, found bool, err error) {
 	tStart = float64(float32(tStart)) // match on-disk quantization
 	var scratch [maxDims + 2]geom.Interval
-	var at geom.Box // (probe, tStart) as a box in the dual key space
+	var at geom.Box
 	if probe != nil {
 		if len(probe) != t.cfg.Dims {
 			return path, false, fmt.Errorf("rtree: probe has %d dims, tree has %d", len(probe), t.cfg.Dims)
 		}
-		at = scratch[:t.cfg.boxDims()]
-		for i, x := range probe {
-			at[i] = geom.IntervalOf(float64(float32(x)))
-		}
-		at[len(probe)], at[len(probe)+1] = geom.IntervalOf(tStart), geom.UniverseInterval()
+		at = probeBox(probe, tStart, scratch[:0])
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -148,6 +199,15 @@ func (t *Tree) Find(id ObjectID, tStart float64, probe geom.Point, path Path) (_
 		return path, false, nil
 	}
 	return t.findRec(t.root, id, tStart, at, path)
+}
+
+// probeBox appends (probe, tStart) to dst as a box in the dual key space:
+// where findRec looks first.
+func probeBox(probe geom.Point, tStart float64, dst geom.Box) geom.Box {
+	for _, x := range probe {
+		dst = append(dst, geom.IntervalOf(float64(float32(x))))
+	}
+	return append(dst, geom.IntervalOf(tStart), geom.UniverseInterval())
 }
 
 func (t *Tree) findRec(page pager.PageID, id ObjectID, tStart float64, at geom.Box, path Path) (_ Path, found bool, err error) {
@@ -211,10 +271,15 @@ func (cd *condense) orphan(v NodeView) error {
 	return nil
 }
 
-// deletion is one Delete's target and what its condense pass collects.
+// deletion is one Delete's target and what its condense pass collects. A
+// correction also carries the replacement entry; inPlace says it fitted
+// and overwrote the target.
 type deletion struct {
-	id     ObjectID
-	tStart float64
+	id      ObjectID
+	tStart  float64
+	correct bool
+	repl    LeafEntry
+	inPlace bool
 	condense
 }
 
@@ -238,6 +303,12 @@ func (t *Tree) free(id pager.PageID, cd *condense) error {
 // removing an item (a leaf entry, or a dissolved child's box) that lies on
 // none of old's faces, or shrinking such a child, leaves the cover as it
 // was: the node recomputes its box only when the item reaches a face.
+//
+// A correction's replacement that lies inside the leaf's old box (or whose
+// leaf is the root) overwrites the target in its slot instead: the entry
+// count stays, so nothing dissolves, and the leaf's box can only shrink,
+// which the face rule covers as for a removal. The test is made at the
+// leaf, before the first edit.
 func (t *Tree) deleteRec(page pager.PageID, d *deletion, hint Path, old, mbr geom.Box) (found bool, count int, changed bool, err error) {
 	var (
 		k            = -1 // the entry that is (leaf) or leads to (internal) the target
@@ -284,11 +355,17 @@ func (t *Tree) deleteRec(page pager.PageID, d *deletion, hint Path, old, mbr geo
 		return false, 0, false, err
 	}
 
-	dissolve := level > 0 && childLen < t.cfg.minFill(level-1)
+	dissolve := level > 0 && !d.inPlace && childLen < t.cfg.minFill(level-1)
 	switch {
 	case level == 0:
 		// Only now is it known that this deletion changes the tree.
 		t.modSeq++
+		if d.correct {
+			var b [maxDims + 2]geom.Interval
+			box := geom.Box(b[:len(mbr)])
+			d.repl.fillBox(box)
+			d.inPlace = old == nil || old.Contains(box)
+		}
 	case dissolve:
 		// Condense: the child fell below minimum fill. Its entries travel
 		// on as orphans.
@@ -303,15 +380,17 @@ func (t *Tree) deleteRec(page pager.PageID, d *deletion, hint Path, old, mbr geo
 	if err != nil {
 		return false, 0, false, err
 	}
-	removed := level == 0 || dissolve
+	removed := (level == 0 && !d.inPlace) || dissolve
 	switch {
+	case level == 0 && d.inPlace:
+		ed.setEntry(k, d.repl)
 	case removed:
 		ed.remove(k)
 	case childChanged:
 		ed.setChildBox(k, mbr)
 	}
 	count = ed.Len()
-	if changed = (removed || childChanged) && old != nil && onFace(item, old); changed {
+	if changed = (level == 0 || removed || childChanged) && old != nil && onFace(item, old); changed {
 		ed.MBR(mbr)
 	}
 	return true, count, changed, t.commit(ed)

@@ -76,6 +76,9 @@ func (e nodeEdit) appendEntry(le LeafEntry) {
 	putLeafEntry(e.entry(k), int(e.dims), le)
 }
 
+// setEntry overwrites leaf entry k.
+func (e nodeEdit) setEntry(k int, le LeafEntry) { putLeafEntry(e.entry(k), int(e.dims), le) }
+
 // appendChild adds a child entry to an internal node that has room for it.
 func (e nodeEdit) appendChild(box geom.Box, id pager.PageID) {
 	k := e.Len()

@@ -2,11 +2,13 @@ package rtree
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dynq/internal/geom"
@@ -226,14 +228,17 @@ func FuzzNextBoxOverlap(f *testing.F) {
 	})
 }
 
-// editRig runs one sequence of inserts and deletes against two trees over
-// separate stores: got, written by the tree's in-place edits, and want,
-// written by the decode-mutate-encode reference (refwrite_test.go). After
-// every operation the two must be indistinguishable.
+// editRig runs one sequence of inserts, deletes and corrections against two
+// trees over separate stores: got, written by the tree's in-place edits, and
+// want, written by the decode-mutate-encode reference (refwrite_test.go).
+// After every operation the two must be indistinguishable. A third tree,
+// twin, takes every correction as a delete and an insert: its answers must
+// be got's.
 type editRig struct {
 	t         testing.TB
 	cfg       Config
 	got, want *Tree
+	twin      *Tree
 	gs, ws    *pager.MemStore
 	gu, wu    []Update // what each tree's listener has been told
 	live      []LeafEntry
@@ -257,10 +262,13 @@ func newEditRig(t testing.TB, cfg Config, capacity int, base []LeafEntry) *editR
 		if err := tree.UseBuffer(capacity); err != nil {
 			t.Fatal(err)
 		}
-		tree.OnUpdate(func(u Update) { *log = append(*log, u) })
+		if log != nil {
+			tree.OnUpdate(func(u Update) { *log = append(*log, u) })
+		}
 		return tree
 	}
 	r.got, r.want = build(r.gs, &r.gu), build(r.ws, &r.wu)
+	r.twin = build(pager.NewMemStore(), nil)
 	r.live = append(r.live, base...)
 	r.nextID = ObjectID(len(base))
 	r.check()
@@ -274,6 +282,7 @@ func (r *editRig) insert(seg geom.Segment) {
 	if gerr == nil {
 		r.live = append(r.live, LeafEntry{ID: id, Seg: QuantizeSegment(seg)})
 	}
+	r.twinSays("insert", gerr, r.twin.Insert(id, seg))
 	r.same("insert", gerr, werr)
 }
 
@@ -292,7 +301,41 @@ func (r *editRig) delete(k int, missing bool, path Path) {
 		r.lockstep = false
 	}
 	gerr, werr := r.got.DeleteAt(id, t0, path), r.want.refDelete(id, t0)
+	r.twinSays("delete", gerr, r.twin.Delete(id, t0))
 	r.same("delete", gerr, werr)
+}
+
+// correct replaces live entry k (any k is taken modulo the population; with
+// nothing live it asks for a segment that is not there) by the segment move
+// makes of it, keeping its object and start time. path, when non-nil, is
+// handed to Correct as the hint. The reference corrects in place exactly
+// when Correct should; the twin deletes and inserts.
+func (r *editRig) correct(k int, path Path, move func(LeafEntry) geom.Segment) {
+	old := LeafEntry{ID: r.nextID + 1000, Seg: geom.Segment{Start: make(geom.Point, r.cfg.Dims), End: make(geom.Point, r.cfg.Dims), T: geom.Interval{Lo: 1, Hi: 2}}}
+	if len(r.live) > 0 {
+		k %= len(r.live)
+		old = r.live[k]
+	}
+	seg := move(old)
+	r.lockstep = false // Correct searches with its probe where the reference searches by time
+	gerr, werr := r.got.Correct(old.ID, old.Seg.T.Lo, path, seg), r.want.refCorrect(old.ID, old.Seg.T.Lo, seg)
+	terr := r.twin.Delete(old.ID, old.Seg.T.Lo)
+	if terr == nil {
+		terr = r.twin.Insert(old.ID, seg)
+	}
+	if gerr == nil {
+		r.live[k] = LeafEntry{ID: old.ID, Seg: QuantizeSegment(seg)}
+	}
+	r.twinSays("correct", gerr, terr)
+	r.same("correct", gerr, werr)
+}
+
+// twinSays fails unless the twin answered an operation as got did.
+func (r *editRig) twinSays(what string, gerr, terr error) {
+	r.t.Helper()
+	if (gerr == nil) != (terr == nil) || (gerr != nil && gerr.Error() != terr.Error()) {
+		r.t.Fatalf("op %d (%s): error %v, twin's %v", r.ops+1, what, gerr, terr)
+	}
 }
 
 // find returns the Find path of live entry k, without consuming the entry.
@@ -383,6 +426,41 @@ func (r *editRig) flushed() {
 	// Both trees are walked, so that both pools see the walk.
 	if err := errors.Join(r.got.Validate(), r.want.Validate(), tightAndStamped(r.got), tightAndStamped(r.want)); err != nil {
 		r.t.Fatalf("op %d: %v", r.ops, err)
+	}
+	r.sameAnswersAsTwin()
+}
+
+// sameAnswersAsTwin runs two range searches, one over everything and one
+// over the middle of the grid run draws from, on all three trees (so that
+// both pools see them): they must return the same segments.
+func (r *editRig) sameAnswersAsTwin() {
+	r.t.Helper()
+	all, mid := make(geom.Box, r.cfg.Dims), make(geom.Box, r.cfg.Dims)
+	for i := range all {
+		all[i], mid[i] = geom.UniverseInterval(), geom.Interval{Lo: -8, Hi: 8}
+	}
+	for _, q := range []struct {
+		spatial geom.Box
+		tw      geom.Interval
+	}{{all, geom.UniverseInterval()}, {mid, geom.Interval{Lo: -4, Hi: 4}}} {
+		var twin []Match
+		for i, tree := range []*Tree{r.twin, r.got, r.want} {
+			ms, err := tree.RangeSearch(q.spatial, q.tw, SearchOptions{}, nil)
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			slices.SortFunc(ms, func(a, b Match) int {
+				if a.ID != b.ID {
+					return cmp.Compare(a.ID, b.ID)
+				}
+				return cmp.Compare(a.Seg.T.Lo, b.Seg.T.Lo)
+			})
+			if i == 0 {
+				twin = ms
+			} else if !reflect.DeepEqual(ms, twin) {
+				r.t.Fatalf("op %d: %v during %v: %d answers, the twin's %d differ", r.ops, q.spatial, q.tw, len(ms), len(twin))
+			}
+		}
 	}
 }
 
@@ -490,7 +568,30 @@ func (r *editRig) run(prog []byte) {
 		case 4:
 			r.delete(int(next())<<8|int(next()), false, nil)
 		case 5:
-			r.delete(0, true, nil)
+			if op < 8 {
+				r.delete(0, true, nil)
+				break
+			}
+			// A correction: every coordinate moves by up to ±2, the end
+			// time is drawn afresh. Zero operands keep the segment, which
+			// fits wherever it lies.
+			k := int(next())<<8 | int(next())
+			var path Path
+			switch op >> 3 % 3 {
+			case 1:
+				path = r.find(k, op>>5, probe())
+			case 2:
+				path = held
+			}
+			r.correct(k, path, func(old LeafEntry) geom.Segment {
+				seg := geom.Segment{Start: make(geom.Point, r.cfg.Dims), End: make(geom.Point, r.cfg.Dims), T: old.Seg.T}
+				for i := range seg.Start {
+					seg.Start[i] = old.Seg.Start[i] + float64(int8(next()))/64
+					seg.End[i] = old.Seg.End[i] + float64(int8(next()))/64
+				}
+				seg.T.Hi = seg.T.Lo + float64(next()%16)/4
+				return seg
+			})
 		case 6:
 			k := int(next())<<8 | int(next())
 			r.delete(k, false, r.find(k, op>>3, probe()))

@@ -16,13 +16,26 @@ import (
 func (t *Tree) Insert(id ObjectID, seg geom.Segment) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err := t.checkSegment(seg); err != nil {
+		return err
+	}
+	return t.insert(LeafEntry{ID: id, Seg: QuantizeSegment(seg)})
+}
+
+// checkSegment refuses a segment the tree cannot index.
+func (t *Tree) checkSegment(seg geom.Segment) error {
 	if len(seg.Start) != t.cfg.Dims || len(seg.End) != t.cfg.Dims {
 		return fmt.Errorf("rtree: segment has %d dims, tree has %d", len(seg.Start), t.cfg.Dims)
 	}
 	if seg.T.Empty() {
 		return fmt.Errorf("rtree: segment has empty validity interval")
 	}
-	e := LeafEntry{ID: id, Seg: QuantizeSegment(seg)}
+	return nil
+}
+
+// insert is Insert of an entry already checked and quantized, under the
+// tree lock.
+func (t *Tree) insert(e LeafEntry) error {
 	t.modSeq++
 
 	if t.root == pager.InvalidPage {

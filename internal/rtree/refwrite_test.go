@@ -237,6 +237,95 @@ func (t *Tree) refDeleteRec(page pager.PageID, id ObjectID, tStart float64, cd *
 	return false, n.MBR(t.cfg.Dims), nil
 }
 
+// refCorrect is Correct on decoded nodes. It finds the path to the target
+// first, then tests the replacement against the box the leaf's parent
+// stores. If it fits (or the leaf is the root), the entry is replaced and
+// every node of the path rewritten with its MBR recomputed whole; if not,
+// the target is deleted and the replacement inserted.
+func (t *Tree) refCorrect(id ObjectID, tStart float64, seg geom.Segment) error {
+	t.mu.Lock()
+	if len(seg.Start) != t.cfg.Dims || len(seg.End) != t.cfg.Dims {
+		t.mu.Unlock()
+		return fmt.Errorf("rtree: segment has %d dims, tree has %d", len(seg.Start), t.cfg.Dims)
+	}
+	if seg.T.Empty() {
+		t.mu.Unlock()
+		return fmt.Errorf("rtree: segment has empty validity interval")
+	}
+	e := LeafEntry{ID: id, Seg: QuantizeSegment(seg)}
+	tStart = float64(float32(tStart))
+	var path []*Node // root to leaf
+	var slots []int  // the entry of path[i] that is, or leads to, the target
+	found := false
+	var err error
+	if t.root != pager.InvalidPage {
+		found, err = t.refLocate(t.root, id, tStart, &path, &slots)
+	}
+	if err != nil || !found {
+		t.mu.Unlock()
+		if err == nil {
+			err = ErrNotFound
+		}
+		return err
+	}
+	last := len(path) - 1
+	if last > 0 && !path[last-1].Children[slots[last-1]].Box.Contains(e.Box(t.cfg.Dims)) {
+		t.mu.Unlock()
+		if err := t.refDelete(id, tStart); err != nil {
+			return err
+		}
+		return t.refInsert(id, seg)
+	}
+	defer t.mu.Unlock()
+	t.modSeq++
+	path[last].Entries[slots[last]] = e
+	for i := last; i >= 0; i-- {
+		n := path[i]
+		if i < last {
+			n.Children[slots[i]].Box = path[i+1].MBR(t.cfg.Dims)
+		}
+		n.Stamp = t.modSeq
+		if err := t.write(n); err != nil {
+			return err
+		}
+	}
+	t.notify(Update{Kind: UpdateEntry, Entry: e})
+	return nil
+}
+
+// refLocate appends to path the decoded nodes from page down to the leaf
+// holding the target, searched by start time as refDeleteRec searches, and
+// to slots the entry taken at each.
+func (t *Tree) refLocate(page pager.PageID, id ObjectID, tStart float64, path *[]*Node, slots *[]int) (bool, error) {
+	n, err := t.load(page, nil)
+	if err != nil {
+		return false, err
+	}
+	*path = append(*path, n)
+	*slots = append(*slots, -1)
+	at := len(*slots) - 1
+	if n.Leaf() {
+		for i, e := range n.Entries {
+			if e.ID == id && e.Seg.T.Lo == tStart {
+				(*slots)[at] = i
+				return true, nil
+			}
+		}
+	}
+	for ci, ch := range n.Children {
+		if ch.Box[t.cfg.Dims].Lo > tStart || ch.Box[t.cfg.Dims].Hi < tStart {
+			continue
+		}
+		found, err := t.refLocate(ch.ID, id, tStart, path, slots)
+		if err != nil || found {
+			(*slots)[at] = ci
+			return found, err
+		}
+	}
+	*path, *slots = (*path)[:at], (*slots)[:at]
+	return false, nil
+}
+
 func (t *Tree) refReinsertEntry(e LeafEntry) error {
 	if t.root == pager.InvalidPage {
 		return t.refPlantRoot(e)

@@ -219,7 +219,9 @@ type Update struct {
 // readers of a shard never observe a half-applied sub-batch. Cross-shard
 // visibility is not atomic — shards finish independently.
 //
-// A delete of a missing segment fails its shard's sub-batch with
+// A delete followed at once by a reinsertion of the same object at the
+// same start time is one rtree.Tree.Correct, as on the database's write
+// path. A delete of a missing segment fails its shard's sub-batch with
 // rtree.ErrNotFound; the first error in shard order is returned, and
 // other shards may have applied their sub-batches fully.
 func (e *Engine) ApplyBatch(updates []Update) error {
@@ -231,12 +233,18 @@ func (e *Engine) ApplyBatch(updates []Update) error {
 		touched[i] = true
 	}
 	return e.UpdateShards(touched, func(i int, sh *Shard) error {
-		for _, u := range parts[i] {
+		part := parts[i]
+		for k := 0; k < len(part); k++ {
+			u := part[k]
 			var err error
-			if u.Delete {
-				err = sh.Tree.Delete(u.ID, u.T0)
-			} else {
+			switch {
+			case !u.Delete:
 				err = sh.Tree.Insert(u.ID, u.Seg)
+			case k+1 < len(part) && corrects(u, part[k+1]):
+				k++
+				err = sh.Tree.Correct(u.ID, u.T0, nil, part[k].Seg)
+			default:
+				err = sh.Tree.Delete(u.ID, u.T0)
 			}
 			if err != nil {
 				return err
@@ -244,6 +252,12 @@ func (e *Engine) ApplyBatch(updates []Update) error {
 		}
 		return nil
 	})
+}
+
+// corrects reports whether del and next are a correction: a deletion and
+// a reinsertion of the same object at the same float32 start time.
+func corrects(del, next Update) bool {
+	return !next.Delete && next.ID == del.ID && float32(next.Seg.T.Lo) == float32(del.T0)
 }
 
 // UpdateShards runs fn once per shard where touched[i] is true, on the

@@ -21,7 +21,9 @@ import (
 // deletions). A dead-reckoning re-announcement is its canonical source:
 // delete the old prediction, insert the corrected one, in one batch. Put
 // the insertion right after its delete, with the same object and T0: the
-// index then looks for the old segment first where the new one starts.
+// pair is then one correction, which looks for the old segment first where
+// the new one starts and, when the new segment fits in the old one's leaf,
+// rewrites the entry where it lies.
 type MotionUpdate struct {
 	ID      ObjectID
 	Segment Segment
@@ -130,8 +132,12 @@ func (e *engine) Delete(id ObjectID, t0 float64) error {
 // untouched — nothing of a portion the caller saw fail survives a crash.
 // A delete is found by object and T0 alone; its own segment fields are
 // still ignored. When the next update reinserts the same object at the
-// same T0 (a correction), the search looks first where that insertion
-// starts, which on a tall or paged index reads fewer nodes.
+// same T0 (a correction), the pair applies as one: the search looks first
+// where that insertion starts, which on a tall or paged index reads fewer
+// nodes, and a new segment that lies inside the box its leaf's parent
+// stores replaces the old one in its leaf slot, writing one path of pages
+// instead of a delete's and an insert's. Listeners see what a delete and
+// an insert that split nothing would show them.
 //
 // With logs armed each unit's portion is appended to that unit's log as
 // ONE record, before it touches the index (write-ahead) and under the
@@ -346,10 +352,8 @@ func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) (paths []rtree.
 			return nil, ErrNotFound
 		}
 		var probe geom.Point
-		if i+1 < len(updates) {
-			if next := updates[i+1]; !next.Delete && next.ID == u.ID && float64(float32(next.Segment.T0)) == k.t0 {
-				probe = next.Segment.From
-			}
+		if corrects(updates, i) {
+			probe = updates[i+1].Segment.From
 		}
 		at := len(slab)
 		var ok bool
@@ -365,32 +369,53 @@ func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) (paths []rtree.
 	return paths, nil
 }
 
+// corrects reports whether updates[i] is a correction's delete: a deletion
+// followed at once by a reinsertion of the same object at the same float32
+// start time.
+func corrects(updates []MotionUpdate, i int) bool {
+	if !updates[i].Delete || i+1 == len(updates) {
+		return false
+	}
+	u, next := updates[i], updates[i+1]
+	return !next.Delete && next.ID == u.ID && float32(next.Segment.T0) == float32(u.Segment.T0)
+}
+
 // applyToTree applies converted updates to one tree in slice order — the
 // mutation loop behind live writes and log replay. segs[i] holds the
 // pre-converted geometry for insert updates; paths, when non-nil, is what
 // validateDeletesOn found, and spares each deletion its search unless an
-// earlier update of the batch moved the segment. In replay mode a delete of
-// a missing segment is skipped rather than failed: the segment may have
-// been removed by a later replayed record the first time around, then
-// checkpointed. The caller holds the lock guarding tree and owns health
-// accounting.
+// earlier update of the batch moved the segment. A correction — a delete
+// and the reinsertion right after it — is one Tree.Correct, which rewrites
+// the leaf entry in place when the new segment fits; the choice depends on
+// the tree and the updates alone, so a replayed batch edits the pages the
+// live one did. In replay mode a delete of a missing segment is skipped
+// rather than failed: the segment may have been removed by a later
+// replayed record the first time around, then checkpointed. The caller
+// holds the lock guarding tree and owns health accounting.
 func applyToTree(tree *rtree.Tree, updates []MotionUpdate, segs []geom.Segment, paths []rtree.Path, replay bool) error {
-	for i, u := range updates {
-		if u.Delete {
-			var path rtree.Path
-			if paths != nil {
-				path = paths[i]
-			}
-			err := tree.DeleteAt(rtree.ObjectID(u.ID), u.Segment.T0, path)
-			if err == rtree.ErrNotFound && replay {
-				continue
-			}
-			if err != nil {
+	for i := 0; i < len(updates); i++ {
+		u := updates[i]
+		if !u.Delete {
+			if err := tree.Insert(rtree.ObjectID(u.ID), segs[i]); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := tree.Insert(rtree.ObjectID(u.ID), segs[i]); err != nil {
+		var path rtree.Path
+		if paths != nil {
+			path = paths[i]
+		}
+		var err error
+		if corrects(updates, i) {
+			i++
+			err = tree.Correct(rtree.ObjectID(u.ID), u.Segment.T0, path, segs[i])
+			if err == rtree.ErrNotFound && replay {
+				err = tree.Insert(rtree.ObjectID(u.ID), segs[i])
+			}
+		} else if err = tree.DeleteAt(rtree.ObjectID(u.ID), u.Segment.T0, path); err == rtree.ErrNotFound && replay {
+			err = nil
+		}
+		if err != nil {
 			return err
 		}
 	}

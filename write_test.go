@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"dynq/internal/obs"
+	"dynq/internal/pager"
+	"dynq/internal/rtree"
 )
 
 func seg2(t0, t1, x, y float64) Segment {
@@ -524,5 +526,146 @@ func TestCorrectionFindsWhereReplacementStarts(t *testing.T) {
 	t.Logf("pool requests per correction: %.3f looked up at the reinsertion's start, %.3f by start time alone", withProbe, without)
 	if withProbe > without-1 {
 		t.Errorf("a correction costs %.3f pool requests looked up at its reinsertion's start, %.3f by start time alone: want at least 1 fewer", withProbe, without)
+	}
+}
+
+// correctionBatches turns n random segments of base into corrections, a
+// delete and the reinsertion of the same object at the same T0, sixteen to
+// a batch. move gives the reinsertion's end point.
+func correctionBatches(base []MotionUpdate, n int, seed int64, move func(r *rand.Rand, s Segment) []float64) [][]MotionUpdate {
+	r := rand.New(rand.NewSource(seed))
+	var batches [][]MotionUpdate
+	for i := 0; i < n; i += 16 {
+		var batch []MotionUpdate
+		for j := i; j < min(i+16, n); j++ {
+			old := base[r.Intn(len(base))]
+			fixed := old
+			fixed.Segment.To = move(r, old.Segment)
+			batch = append(batch, MotionUpdate{ID: old.ID, Segment: Segment{T0: old.Segment.T0}, Delete: true}, fixed)
+		}
+		batches = append(batches, batch)
+	}
+	return batches
+}
+
+// treePages reads every page of a one-unit database's tree, walking it
+// from the root.
+func treePages(t *testing.T, db *DB) map[pager.PageID]string {
+	t.Helper()
+	tree := db.units.Shard(0).Tree
+	pages := map[pager.PageID]string{}
+	var walk func(id pager.PageID)
+	walk = func(id pager.PageID) {
+		p, err := tree.Pool().Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages[id] = string(p)
+		var children []pager.PageID
+		err = tree.View(id, nil, func(v rtree.NodeView) error {
+			for k := 0; !v.Leaf() && k < v.Len(); k++ {
+				children = append(children, v.ChildID(k))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range children {
+			walk(c)
+		}
+	}
+	if root, _, ok := tree.Root(); ok {
+		walk(root)
+	}
+	return pages
+}
+
+// Replay corrects as the live write did: whether a correction rewrites its
+// entry in place or deletes and reinserts it depends on the tree and the
+// update alone, not on the path the live write found. A logged database
+// takes 20 000 inserts and then 2 000 corrections, most of them small
+// moves, some far; it crashes with no checkpoint taken, and recovery
+// replays the whole log. Every page of the tree is the live database's,
+// stamps included.
+func TestReplayedCorrectionsMatchLive(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corrections.dynq")
+	db, err := Open(Options{Path: path, WALPath: path + ".wal", DualTimeAxes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := paperUpdates(t, 20_000, 3)
+	for i := 0; i < len(base); i += 500 {
+		if err := db.ApplyUpdates(context.Background(), base[i:i+500], WriteOptions{Durability: DurabilityAsync}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches := correctionBatches(base, 2000, 4, func(r *rand.Rand, s Segment) []float64 {
+		step := 0.5
+		if r.Intn(8) == 0 {
+			step = 20
+		}
+		return []float64{s.To[0] + r.NormFloat64()*step, s.To[1] + r.NormFloat64()*step}
+	})
+	for _, b := range batches {
+		if err := db.ApplyUpdates(context.Background(), b, WriteOptions{Durability: DurabilityAsync}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := treePages(t, db)
+	if err := db.crash(); err != nil {
+		t.Fatal(err)
+	}
+	rdb, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer rdb.Close()
+	if rep.WALUpdatesReplayed != len(base)+4000 {
+		t.Fatalf("replayed %d updates, want %d (%s)", rep.WALUpdatesReplayed, len(base)+4000, rep)
+	}
+	got := treePages(t, rdb)
+	if len(got) != len(live) {
+		t.Fatalf("recovered tree has %d pages, the live one %d", len(got), len(live))
+	}
+	for id, p := range live {
+		if got[id] != p {
+			t.Fatalf("page %d differs between the live and the recovered tree", id)
+		}
+	}
+}
+
+// A correction whose new segment fits in its leaf's box writes one page
+// per level of the tree: the path to the leaf, each node once. (A delete
+// and an insert wrote two paths.) Every reinsertion here shrinks the old
+// segment toward its start, so it lies inside the old one's box and fits
+// by construction.
+func TestCorrectionWritesOnePath(t *testing.T) {
+	db := newTestDB(t, Options{DualTimeAxes: true})
+	base := paperUpdates(t, 20_000, 5)
+	if err := db.BulkLoadUpdates(base); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Height < 3 {
+		t.Fatalf("height %d: too short to tell one path from two", st.Height)
+	}
+	const corrections = 500
+	batches := correctionBatches(base, corrections, 6, func(r *rand.Rand, s Segment) []float64 {
+		f := r.Float64()
+		return []float64{s.From[0] + f*(s.To[0]-s.From[0]), s.From[1] + f*(s.To[1]-s.From[1])}
+	})
+	before := db.CostSnapshot().PageWrites
+	for _, b := range batches {
+		if err := db.ApplyUpdates(context.Background(), b, WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes := db.CostSnapshot().PageWrites - before
+	if want := int64(corrections * st.Height); writes != want {
+		t.Errorf("%d corrections on a tree of height %d wrote %d pages, want %d (%.2f per correction)", corrections, st.Height, writes, want, float64(writes)/corrections)
 	}
 }
