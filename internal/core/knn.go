@@ -56,12 +56,49 @@ func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, 
 		if !ok {
 			return nil
 		}
+		out = make([]Neighbor, 0, min(k, r.Size()))
 		var (
 			slab rtree.Slab
 			kept []rtree.LeafEntry // the entries queued object items name
 			box  = make(geom.Box, d+2)
+			pq   queue[knnItem, *knnItem]
 		)
-		pq := queue[knnItem, *knnItem]{{node: root}}
+		visit := func(v rtree.NodeView) error {
+			if pq == nil {
+				// The first node visited, the root: its fanout sizes the
+				// queue and kept, so that they rarely grow.
+				n := max(v.Len(), tree.Config().MaxLeafEntries())
+				pq, kept = make(queue[knnItem, *knnItem], 0, 2*n), make([]rtree.LeafEntry, 0, n)
+			}
+			for i := 0; i < v.Len(); i++ {
+				c.AddDistanceComps(1)
+				if v.Leaf() {
+					if !v.EntryTime(i).ContainsValue(t) {
+						continue
+					}
+					slot := len(kept)
+					kept = append(kept, rtree.LeafEntry{})
+					e := &kept[slot]
+					e.ID = v.KeepSeg(i, &slab, &e.Seg)
+					dist := math.Sqrt(e.Seg.DistSqAt(t, p))
+					pq.push(knnItem{isObj: true, dist: dist, obj: e.ID, slot: int32(slot)})
+					continue
+				}
+				// Prune subtrees with no segment alive at t: alive needs
+				// some start ≤ t and some end ≥ t.
+				if v.ChildBox(i, box); box[d].Lo > t || box[d+1].Hi < t {
+					continue
+				}
+				pq.push(knnItem{node: v.ChildID(i), dist: boxDist(box[:d], p)})
+			}
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := r.View(root, c, visit); err != nil {
+			return err
+		}
 		for len(pq) > 0 {
 			item := pq.pop()
 			if item.isObj {
@@ -80,31 +117,7 @@ func knn(ctx context.Context, tree *rtree.Tree, p geom.Point, t float64, k int, 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			err := r.View(item.node, c, func(v rtree.NodeView) error {
-				for i := 0; i < v.Len(); i++ {
-					c.AddDistanceComps(1)
-					if v.Leaf() {
-						if !v.EntryTime(i).ContainsValue(t) {
-							continue
-						}
-						slot := len(kept)
-						kept = append(kept, rtree.LeafEntry{})
-						e := &kept[slot]
-						e.ID = v.KeepSeg(i, &slab, &e.Seg)
-						dist := math.Sqrt(e.Seg.DistSqAt(t, p))
-						pq.push(knnItem{isObj: true, dist: dist, obj: e.ID, slot: int32(slot)})
-						continue
-					}
-					// Prune subtrees with no segment alive at t: alive needs
-					// some start ≤ t and some end ≥ t.
-					if v.ChildBox(i, box); box[d].Lo > t || box[d+1].Hi < t {
-						continue
-					}
-					pq.push(knnItem{node: v.ChildID(i), dist: boxDist(box[:d], p)})
-				}
-				return nil
-			})
-			if err != nil {
+			if err := r.View(item.node, c, visit); err != nil {
 				return err
 			}
 		}

@@ -235,3 +235,23 @@ func TestNaiveSnapshot(t *testing.T) {
 		t.Error("naive repeat queries should cost the same")
 	}
 }
+
+// TestKNNAllocationBudget pins what a KNN10 query allocates on the
+// benchmark's tree (1 000 objects over 100 time units): the answer, the
+// queue, the kept entries and the box once each, sized so that they do not
+// grow, and the result slab's growth steps — not one allocation per node
+// visit or per doubling of a growing slice.
+func TestKNNAllocationBudget(t *testing.T) {
+	tree, _ := buildIndex(t, rtree.DefaultConfig(), 1000, 100, 61)
+	r := rand.New(rand.NewSource(62))
+	var c stats.Counters
+	allocs := testing.AllocsPerRun(200, func() {
+		p := geom.Point{r.Float64() * 100, r.Float64() * 100}
+		if nbs, err := KNN(tree, p, r.Float64()*100, 10, &c); err != nil || len(nbs) != 10 {
+			t.Fatalf("KNN: %d neighbors, err %v", len(nbs), err)
+		}
+	})
+	if allocs > 10 {
+		t.Errorf("KNN10: %.1f allocs per query, budget 10", allocs)
+	}
+}

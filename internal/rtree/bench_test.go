@@ -251,51 +251,48 @@ func BenchmarkSplit(b *testing.B) {
 
 // BenchmarkDeleteSteady deletes and re-inserts one segment per iteration,
 // so the tree keeps its size; the insert is BenchmarkInsertSteady's and is
-// not timed. Delete searches for the segment itself; FindDeleteAt looks it
-// up with Find and deletes along the path found, as the database's write
-// path does for a plain delete; FindProbeDeleteAt gives Find the segment's
-// own start point as the probe, as a correction's reinsertion supplies it.
-// Correct is the write path's whole correction: that Find, then Correct
-// with a replacement equal to the segment, which fits and is rewritten in
-// place; nothing is reinserted.
+// not timed. Delete is a plain delete, a batch of one that searches by
+// start time alone. Correct is a whole correction with a replacement equal
+// to the segment, which fits and is rewritten in place, nothing reinserted:
+// one descent that searches where the replacement starts first. Correct128
+// is the same correction 128 to a batch, as the database's write path
+// applies a burst of them; ns/op is per correction.
 func BenchmarkDeleteSteady(b *testing.B) {
 	for _, v := range []struct {
-		name                 string
-		find, probe, correct bool
-	}{{"Delete", false, false, false}, {"FindDeleteAt", true, false, false}, {"FindProbeDeleteAt", true, true, false}, {"Correct", true, true, true}} {
+		name    string
+		correct bool
+		batch   int
+	}{{"Delete", false, 1}, {"Correct", true, 1}, {"Correct128", true, 128}} {
 		b.Run(v.name, func(b *testing.B) {
 			tree, entries := steadyTree(b)
 			r := rand.New(rand.NewSource(9))
-			var path Path
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e := entries[r.Intn(len(entries))]
-				var probe geom.Point
-				if v.probe {
-					probe = e.Seg.Start
+			for i := 0; i < b.N; i += v.batch {
+				if !v.correct {
+					e := entries[r.Intn(len(entries))]
+					if err := tree.Delete(e.ID, e.Seg.T.Lo); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					if err := tree.Insert(e.ID, e.Seg); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					continue
 				}
-				var err error
-				if v.find {
-					path, _, err = tree.Find(e.ID, e.Seg.T.Lo, probe, path[:0])
-				}
-				switch {
-				case err == nil && v.correct:
-					err = tree.Correct(e.ID, e.Seg.T.Lo, path, e.Seg)
-				case err == nil:
-					err = tree.DeleteAt(e.ID, e.Seg.T.Lo, path)
-				}
+				err := tree.one(func(bt Batch) error {
+					for j := i; j < min(i+v.batch, b.N); j++ {
+						e := entries[r.Intn(len(entries))]
+						if err := bt.Correct(e.ID, e.Seg.T.Lo, e.Seg); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if v.correct {
-					continue
-				}
-				b.StopTimer()
-				if err := tree.Insert(e.ID, e.Seg); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
 			}
 		})
 	}

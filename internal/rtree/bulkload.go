@@ -98,7 +98,7 @@ func BulkLoad(cfg Config, store pager.Store, entries []LeafEntry) (*Tree, error)
 // pack writes node, assembled by fresh, to a new page and appends the
 // child entry that leads to it to level.
 func (t *Tree) pack(node nodeEdit, level []item) ([]item, error) {
-	id, err := t.pool.Alloc()
+	id, err := t.allocPage()
 	if err != nil {
 		return level, err
 	}

@@ -52,11 +52,8 @@ func TestCorrectBranches(t *testing.T) {
 
 		// boxes reads the stored box of every node below the root on the
 		// path to e.
-		boxes := func(e LeafEntry) (path Path, out []string) {
-			path, ok, err := tree.Find(e.ID, e.Seg.T.Lo, nil, nil)
-			if err != nil || !ok {
-				t.Fatalf("Find(%d): found %v, err %v", e.ID, ok, err)
-			}
+		boxes := func(e LeafEntry) (path []pager.PageID, out []string) {
+			path = pathTo(t, tree, e)
 			for j := 0; j+1 < len(path); j++ {
 				err := tree.View(path[j], nil, func(v NodeView) error {
 					for k := 0; k < v.Len(); k++ {
@@ -78,7 +75,7 @@ func TestCorrectBranches(t *testing.T) {
 			k := slices.IndexFunc(rig.live, func(l LeafEntry) bool { return l.ID == e.ID })
 			seq, writes := tree.ModSeq(), mc.Snapshot().PageWrites
 			heard = heard[:0]
-			rig.correct(k, nil, func(LeafEntry) geom.Segment { return seg })
+			rig.correct(k, func(LeafEntry) geom.Segment { return seg })
 			stamps, w := tree.ModSeq()-seq, mc.Snapshot().PageWrites-writes
 			switch {
 			case inPlace && (stamps != 1 || w != int64(tree.height) || len(heard) != 1 || heard[0].Kind != UpdateEntry):
@@ -159,4 +156,40 @@ func TestCorrectBranches(t *testing.T) {
 			t.Fatalf("dual=%v: root leaf gone (height %d)", dual, tree.height)
 		}
 	}
+}
+
+// pathTo returns the pages from the root to the leaf holding e, searched by
+// start time.
+func pathTo(t testing.TB, tree *Tree, e LeafEntry) []pager.PageID {
+	t.Helper()
+	tStart := float64(float32(e.Seg.T.Lo))
+	var walk func(id pager.PageID) ([]pager.PageID, error)
+	walk = func(id pager.PageID) (path []pager.PageID, err error) {
+		err = tree.View(id, nil, func(v NodeView) error {
+			for k := 0; k < v.Len() && path == nil && err == nil; k++ {
+				if v.Leaf() {
+					if eid, eStart := v.EntryKey(k); eid == e.ID && eStart == tStart {
+						path = []pager.PageID{id}
+					}
+				} else if v.ChildStartTimes(k).ContainsValue(tStart) {
+					var below []pager.PageID
+					if below, err = walk(v.ChildID(k)); below != nil {
+						path = append([]pager.PageID{id}, below...)
+					}
+				}
+			}
+			return err
+		})
+		return path, err
+	}
+	root, _, ok := tree.Root()
+	var path []pager.PageID
+	var err error
+	if ok {
+		path, err = walk(root)
+	}
+	if err != nil || path == nil {
+		t.Fatalf("no path to %d: %v", e.ID, err)
+	}
+	return path
 }

@@ -3,6 +3,7 @@ package rtree
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"dynq/internal/geom"
 	"dynq/internal/pager"
@@ -20,6 +21,9 @@ import (
 type nodeEdit struct {
 	NodeView
 	lease pager.Edit
+	// log is the open batch's undo log, where each primitive first copies
+	// the bytes it overwrites; nil on a page being assembled (fresh).
+	log *undoLog
 }
 
 // openEdit borrows node id's page for modification. Only commit makes the
@@ -33,13 +37,14 @@ func (t *Tree) openEdit(id pager.PageID) (nodeEdit, error) {
 	if err != nil {
 		return nodeEdit{}, err
 	}
-	return nodeEdit{NodeView: v, lease: lease}, nil
+	return nodeEdit{NodeView: v, lease: lease, log: t.log}, nil
 }
 
 // commit stamps the edited node with the current modification sequence and
 // hands the page back, charging one page write. The edit must not be used
 // afterwards.
 func (t *Tree) commit(e nodeEdit) error {
+	e.save(4, 8)
 	binary.LittleEndian.PutUint64(e.page[4:], t.modSeq)
 	t.mc.AddPageWrite()
 	return e.lease.Commit()
@@ -62,27 +67,57 @@ func (t *Tree) fresh(level int) nodeEdit {
 }
 
 // put writes the page fresh assembled as page id, charging one page write.
+// In a batch, a page the batch did not allocate is copied whole to the
+// undo log first.
 func (t *Tree) put(id pager.PageID) error {
+	if t.log != nil && !slices.Contains(t.log.allocs, id) {
+		lease, err := t.pool.Lend(id)
+		if err != nil {
+			return fmt.Errorf("rtree: load page %d: %w", id, err)
+		}
+		t.log.save(id, lease.Page, 0, pager.PageSize)
+		lease.Release()
+	}
 	t.mc.AddPageWrite()
 	return t.pool.Put(id, t.scratch)
 }
 
-func (e nodeEdit) setLen(n int) { binary.LittleEndian.PutUint16(e.page[2:], uint16(n)) }
+// save copies n bytes of the page from off to the open batch's undo log
+// before a primitive overwrites them.
+func (e nodeEdit) save(off, n int) {
+	if e.log != nil {
+		e.log.save(e.id, e.page, off, n)
+	}
+}
+
+// saveEntries is save of entries k to k+n-1.
+func (e nodeEdit) saveEntries(k, n int) {
+	e.save(nodeHeaderSize+k*int(e.stride), n*int(e.stride))
+}
+
+func (e nodeEdit) setLen(n int) {
+	e.save(2, 2)
+	binary.LittleEndian.PutUint16(e.page[2:], uint16(n))
+}
 
 // appendEntry adds a segment to a leaf that has room for it.
 func (e nodeEdit) appendEntry(le LeafEntry) {
 	k := e.Len()
 	e.setLen(k + 1)
-	putLeafEntry(e.entry(k), int(e.dims), le)
+	e.setEntry(k, le)
 }
 
 // setEntry overwrites leaf entry k.
-func (e nodeEdit) setEntry(k int, le LeafEntry) { putLeafEntry(e.entry(k), int(e.dims), le) }
+func (e nodeEdit) setEntry(k int, le LeafEntry) {
+	e.saveEntries(k, 1)
+	putLeafEntry(e.entry(k), int(e.dims), le)
+}
 
 // appendChild adds a child entry to an internal node that has room for it.
 func (e nodeEdit) appendChild(box geom.Box, id pager.PageID) {
 	k := e.Len()
 	e.setLen(k + 1)
+	e.saveEntries(k, 1)
 	putChild(e.entry(k), e.dual, box, id)
 }
 
@@ -91,11 +126,15 @@ func (e nodeEdit) appendChild(box geom.Box, id pager.PageID) {
 func (e nodeEdit) appendRaw(entry []byte) {
 	k := e.Len()
 	e.setLen(k + 1)
+	e.saveEntries(k, 1)
 	copy(e.entry(k), entry)
 }
 
 // setChildBox overwrites internal entry k's box.
-func (e nodeEdit) setChildBox(k int, box geom.Box) { putChildBox(e.entry(k), e.dual, box) }
+func (e nodeEdit) setChildBox(k int, box geom.Box) {
+	e.saveEntries(k, 1)
+	putChildBox(e.entry(k), e.dual, box)
+}
 
 // growChildBox widens internal entry k's box to cover o as well. Every
 // stored bound is an exact f32 and covering only takes minima and maxima,
@@ -114,6 +153,7 @@ func (e nodeEdit) remove(k int) {
 	stride := int(e.stride)
 	off := nodeHeaderSize + k*stride
 	end := nodeHeaderSize + last*stride
+	e.saveEntries(k, last-k+1)
 	copy(e.page[off:end], e.page[off+stride:end+stride])
 	clear(e.page[end : end+stride])
 	e.setLen(last)

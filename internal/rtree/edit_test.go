@@ -13,8 +13,8 @@ import (
 
 // Every configuration the write path has — both temporal layouts, Dims 1–3,
 // the three split policies, pool capacities 0, 8 and 1024 — run through a
-// random program of inserts, deletes, refused deletes and path-hinted
-// deletes, on trees started empty, at minimum fill (deletes dissolve nodes
+// random program of inserts, deletes, refused deletes and corrections,
+// on trees started empty, at minimum fill (deletes dissolve nodes
 // at once) and full (inserts split at once): the in-place write path and
 // the decode-mutate-encode reference agree byte for byte after every step.
 func TestEditMatchesReference(t *testing.T) {
@@ -85,7 +85,7 @@ func TestEditMatchesReferenceTallTree(t *testing.T) {
 		r.Shuffle(len(rig.live), func(i, j int) { rig.live[i], rig.live[j] = rig.live[j], rig.live[i] })
 		for len(rig.live) > 100 {
 			before := rig.got.storeRef.NumPages()
-			rig.delete(r.Intn(len(rig.live)), false, nil)
+			rig.delete(r.Intn(len(rig.live)), false)
 			if rig.got.storeRef.NumPages() < before-1 {
 				grafts++
 			}
@@ -191,7 +191,7 @@ func TestDeleteShrinksOnlyAtFaces(t *testing.T) {
 		tree := rig.got
 		// state reads the stamp of every node on path and the stored box of
 		// every node below the root.
-		state := func(path Path) (boxes []string, stamps []uint64) {
+		state := func(path []pager.PageID) (boxes []string, stamps []uint64) {
 			for j, id := range path {
 				err := tree.View(id, nil, func(v NodeView) error {
 					stamps = append(stamps, v.Stamp())
@@ -211,20 +211,13 @@ func TestDeleteShrinksOnlyAtFaces(t *testing.T) {
 			}
 			return boxes, stamps
 		}
-		find := func(e LeafEntry) Path {
-			path, ok, err := tree.Find(e.ID, e.Seg.T.Lo, nil, nil)
-			if err != nil || !ok {
-				t.Fatalf("Find(%d): found %v, err %v", e.ID, ok, err)
-			}
-			return path
-		}
 		// del deletes e on both trees and returns the path it lay on, with
 		// the state of the path before and after.
-		del := func(e LeafEntry) (path Path, before, after []string) {
-			path = find(e)
+		del := func(e LeafEntry) (path []pager.PageID, before, after []string) {
+			path = pathTo(t, tree, e)
 			before, _ = state(path)
 			k := slices.IndexFunc(rig.live, func(l LeafEntry) bool { return l.ID == e.ID })
-			rig.delete(k, false, nil)
+			rig.delete(k, false)
 			rig.samePages("stores")
 			after, stamps := state(path)
 			for j, s := range stamps {
@@ -275,7 +268,7 @@ func TestDeleteShrinksOnlyAtFaces(t *testing.T) {
 		interior := 0
 		box, leafBox := make(geom.Box, cfg.boxDims()), make(geom.Box, cfg.boxDims())
 		for _, e := range slices.Clone(rig.live) {
-			path := find(e)
+			path := pathTo(t, tree, e)
 			err := tree.View(path[len(path)-2], nil, func(v NodeView) error {
 				for k := 0; k < v.Len(); k++ {
 					if v.ChildID(k) == path[len(path)-1] {

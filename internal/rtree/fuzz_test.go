@@ -245,8 +245,8 @@ type editRig struct {
 	nextID    ObjectID
 	// lockstep: both pools have seen the same accesses, so even their
 	// stores' bytes and their eviction counters must agree at every step.
-	// Deleting along a Find path touches fewer frames than the reference's
-	// search does and ends it.
+	// A correction searches where its replacement starts first, touching
+	// other frames than the reference's search by start time, and ends it.
 	lockstep bool
 	ops      int
 }
@@ -288,8 +288,7 @@ func (r *editRig) insert(seg geom.Segment) {
 
 // delete removes live entry k (any k is taken modulo the population; with
 // nothing live, or missing set, it asks for a segment that is not there).
-// path, when non-nil, is handed to DeleteAt as the hint.
-func (r *editRig) delete(k int, missing bool, path Path) {
+func (r *editRig) delete(k int, missing bool) {
 	id, t0 := r.nextID+1000, 1.0
 	if !missing && len(r.live) > 0 {
 		k %= len(r.live)
@@ -297,20 +296,17 @@ func (r *editRig) delete(k int, missing bool, path Path) {
 		r.live[k] = r.live[len(r.live)-1]
 		r.live = r.live[:len(r.live)-1]
 	}
-	if path != nil {
-		r.lockstep = false
-	}
-	gerr, werr := r.got.DeleteAt(id, t0, path), r.want.refDelete(id, t0)
+	gerr, werr := r.got.Delete(id, t0), r.want.refDelete(id, t0)
 	r.twinSays("delete", gerr, r.twin.Delete(id, t0))
 	r.same("delete", gerr, werr)
 }
 
 // correct replaces live entry k (any k is taken modulo the population; with
 // nothing live it asks for a segment that is not there) by the segment move
-// makes of it, keeping its object and start time. path, when non-nil, is
-// handed to Correct as the hint. The reference corrects in place exactly
-// when Correct should; the twin deletes and inserts.
-func (r *editRig) correct(k int, path Path, move func(LeafEntry) geom.Segment) {
+// makes of it, keeping its object and start time, in a batch of its own. The
+// reference corrects in place exactly when Correct should; the twin deletes
+// and inserts.
+func (r *editRig) correct(k int, move func(LeafEntry) geom.Segment) {
 	old := LeafEntry{ID: r.nextID + 1000, Seg: geom.Segment{Start: make(geom.Point, r.cfg.Dims), End: make(geom.Point, r.cfg.Dims), T: geom.Interval{Lo: 1, Hi: 2}}}
 	if len(r.live) > 0 {
 		k %= len(r.live)
@@ -318,7 +314,7 @@ func (r *editRig) correct(k int, path Path, move func(LeafEntry) geom.Segment) {
 	}
 	seg := move(old)
 	r.lockstep = false // Correct searches with its probe where the reference searches by time
-	gerr, werr := r.got.Correct(old.ID, old.Seg.T.Lo, path, seg), r.want.refCorrect(old.ID, old.Seg.T.Lo, seg)
+	gerr, werr := correctOne(r.got, old.ID, old.Seg.T.Lo, seg), r.want.refCorrect(old.ID, old.Seg.T.Lo, seg)
 	terr := r.twin.Delete(old.ID, old.Seg.T.Lo)
 	if terr == nil {
 		terr = r.twin.Insert(old.ID, seg)
@@ -330,37 +326,17 @@ func (r *editRig) correct(k int, path Path, move func(LeafEntry) geom.Segment) {
 	r.same("correct", gerr, werr)
 }
 
+// correctOne is a correction in a batch of its own.
+func correctOne(t *Tree, id ObjectID, tStart float64, seg geom.Segment) error {
+	return t.one(func(b Batch) error { return b.Correct(id, tStart, seg) })
+}
+
 // twinSays fails unless the twin answered an operation as got did.
 func (r *editRig) twinSays(what string, gerr, terr error) {
 	r.t.Helper()
 	if (gerr == nil) != (terr == nil) || (gerr != nil && gerr.Error() != terr.Error()) {
 		r.t.Fatalf("op %d (%s): error %v, twin's %v", r.ops+1, what, gerr, terr)
 	}
-}
-
-// find returns the Find path of live entry k, without consuming the entry.
-// It looks the entry up three ways: with no probe, with the entry's own
-// start point as the probe, as a correction's reinsertion supplies it, and
-// with probe at, anywhere. All three must find the same path; kind (taken
-// modulo 3, in that order) picks the one returned.
-func (r *editRig) find(k int, kind byte, at geom.Point) Path {
-	if len(r.live) == 0 {
-		return nil
-	}
-	e := r.live[k%len(r.live)]
-	r.lockstep = false // the reference tree's pool does not see these searches
-	var paths [3]Path
-	for i, probe := range []geom.Point{nil, e.Seg.Start, at} {
-		path, ok, err := r.got.Find(e.ID, e.Seg.T.Lo, probe, nil)
-		if err != nil || !ok {
-			r.t.Fatalf("op %d: Find of live entry %d with probe %v: found %v, err %v", r.ops, e.ID, probe, ok, err)
-		}
-		if i > 0 && !reflect.DeepEqual(path, paths[0]) {
-			r.t.Fatalf("op %d: Find of live entry %d: path %v with probe %v, %v without", r.ops, e.ID, path, probe, paths[0])
-		}
-		paths[i] = path
-	}
-	return paths[kind%3]
 }
 
 func (r *editRig) same(what string, gerr, werr error) {
@@ -449,12 +425,7 @@ func (r *editRig) sameAnswersAsTwin() {
 			if err != nil {
 				r.t.Fatal(err)
 			}
-			slices.SortFunc(ms, func(a, b Match) int {
-				if a.ID != b.ID {
-					return cmp.Compare(a.ID, b.ID)
-				}
-				return cmp.Compare(a.Seg.T.Lo, b.Seg.T.Lo)
-			})
+			sortMatches(ms)
 			if i == 0 {
 				twin = ms
 			} else if !reflect.DeepEqual(ms, twin) {
@@ -462,6 +433,16 @@ func (r *editRig) sameAnswersAsTwin() {
 			}
 		}
 	}
+}
+
+// sortMatches orders matches by object, then start time.
+func sortMatches(ms []Match) {
+	slices.SortFunc(ms, func(a, b Match) int {
+		if a.ID != b.ID {
+			return cmp.Compare(a.ID, b.ID)
+		}
+		return cmp.Compare(a.Seg.T.Lo, b.Seg.T.Lo)
+	})
 }
 
 // tightAndStamped checks what the write path keeps beyond Validate, which
@@ -545,15 +526,6 @@ func (r *editRig) run(prog []byte) {
 		}
 		return float64(int8(b)) / 4
 	}
-	// probe is a point anywhere for Find to look first, off the same grid.
-	probe := func() geom.Point {
-		p := make(geom.Point, r.cfg.Dims)
-		for i := range p {
-			p[i] = coord()
-		}
-		return p
-	}
-	var held Path // a Find path kept across operations, possibly stale by the time it is used
 	for len(prog) > 0 {
 		switch op := next(); op % 8 {
 		case 0, 1, 2, 3:
@@ -565,25 +537,16 @@ func (r *editRig) run(prog []byte) {
 			seg.T.Lo = coord()
 			seg.T.Hi = seg.T.Lo + float64(next()%16)/4
 			r.insert(seg)
-		case 4:
-			r.delete(int(next())<<8|int(next()), false, nil)
 		case 5:
 			if op < 8 {
-				r.delete(0, true, nil)
+				r.delete(0, true)
 				break
 			}
 			// A correction: every coordinate moves by up to ±2, the end
 			// time is drawn afresh. Zero operands keep the segment, which
 			// fits wherever it lies.
 			k := int(next())<<8 | int(next())
-			var path Path
-			switch op >> 3 % 3 {
-			case 1:
-				path = r.find(k, op>>5, probe())
-			case 2:
-				path = held
-			}
-			r.correct(k, path, func(old LeafEntry) geom.Segment {
+			r.correct(k, func(old LeafEntry) geom.Segment {
 				seg := geom.Segment{Start: make(geom.Point, r.cfg.Dims), End: make(geom.Point, r.cfg.Dims), T: old.Seg.T}
 				for i := range seg.Start {
 					seg.Start[i] = old.Seg.Start[i] + float64(int8(next()))/64
@@ -592,15 +555,8 @@ func (r *editRig) run(prog []byte) {
 				seg.T.Hi = seg.T.Lo + float64(next()%16)/4
 				return seg
 			})
-		case 6:
-			k := int(next())<<8 | int(next())
-			r.delete(k, false, r.find(k, op>>3, probe()))
 		default:
-			// Use the held path for whatever entry comes up — it leads to
-			// it only by luck — and hold a fresh one for later.
-			k := int(next())<<8 | int(next())
-			r.delete(k, false, held)
-			held = r.find(int(next()), op>>3, probe())
+			r.delete(int(next())<<8|int(next()), false)
 		}
 		if r.ops%16 == 0 {
 			r.flushed()

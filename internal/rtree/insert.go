@@ -12,14 +12,10 @@ import (
 // notified per Section 4.1's update management: with the lone segment when
 // an existing leaf absorbed it, or with the top-most newly created node
 // when splits occurred (all new nodes are forced onto the insertion path,
-// so that single node covers every new node and the new segment).
+// so that single node covers every new node and the new segment). It is a
+// batch of one: a failure leaves the tree as it was.
 func (t *Tree) Insert(id ObjectID, seg geom.Segment) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.checkSegment(seg); err != nil {
-		return err
-	}
-	return t.insert(LeafEntry{ID: id, Seg: QuantizeSegment(seg)})
+	return t.one(func(b Batch) error { return b.Insert(id, seg) })
 }
 
 // checkSegment refuses a segment the tree cannot index.
@@ -33,8 +29,7 @@ func (t *Tree) checkSegment(seg geom.Segment) error {
 	return nil
 }
 
-// insert is Insert of an entry already checked and quantized, under the
-// tree lock.
+// insert is Insert of an entry already checked and quantized, in a batch.
 func (t *Tree) insert(e LeafEntry) error {
 	t.modSeq++
 
@@ -70,7 +65,7 @@ func (t *Tree) insert(e LeafEntry) error {
 
 // plantRoot makes e the only entry of an empty tree's first leaf.
 func (t *Tree) plantRoot(e LeafEntry) error {
-	id, err := t.pool.Alloc()
+	id, err := t.allocPage()
 	if err != nil {
 		return err
 	}
@@ -123,10 +118,9 @@ func (r insertResult) split() bool { return r.siblingMBR != nil }
 // sibling; running sessions that already explored the old root only miss
 // nodes under the sibling, so notifying it keeps their queues complete.
 func (t *Tree) heightGrew(res insertResult) error {
-	// A failure here strands the sibling (its entries are unreachable from
-	// the old root) like any write failing mid-split; the caller learns of
-	// it and the engine above recovers from its log.
-	id, err := t.pool.Alloc()
+	// A failure here leaves the batch half done, like any write failing
+	// mid-split: its Rollback frees the sibling and restores the old root.
+	id, err := t.allocPage()
 	if err != nil {
 		return fmt.Errorf("rtree: grow root: %w", err)
 	}
@@ -140,12 +134,6 @@ func (t *Tree) heightGrew(res insertResult) error {
 	t.height++
 	t.notify(Update{Kind: UpdateSubtree, Node: res.sibling, Level: res.level, Box: res.siblingMBR})
 	return nil
-}
-
-func (t *Tree) notify(u Update) {
-	for _, fn := range t.listeners {
-		fn(u)
-	}
 }
 
 // place descends from page to the node at it.level, choosing children on
@@ -258,7 +246,7 @@ func overfull(v NodeView) nodeEdit {
 func (t *Tree) split(page pager.PageID, full nodeEdit, s splitTable) (insertResult, error) {
 	ga, gb := s.splitGroups(t.cfg.minFill(full.Level()))
 	ga, gb = forceNewInB(ga, gb, full.Len()-1)
-	sib, err := t.pool.Alloc()
+	sib, err := t.allocPage()
 	if err != nil {
 		return insertResult{}, err
 	}

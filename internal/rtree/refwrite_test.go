@@ -16,13 +16,19 @@ import (
 // byte (TestEditMatchesReference, FuzzEditMatchesReference,
 // TestBulkLoadMatchesReference). It splits with refSplitGroups, the plain
 // R*-axis split on geom.Box values, and shares only the bulk loader's
-// ordering with the tree proper; the one deliberate difference
-// from the old code is that a deletion bumps the modification sequence only
-// once its target is found.
+// ordering with the tree proper. Each operation runs in a batch of its own,
+// for the batch's handling of frees (at Commit) and notifications (queued
+// until Commit); the pages it writes go through Tree.write, not the undo
+// log. The deliberate differences from the old code are that a deletion
+// bumps the modification sequence only once its target is found, and that
+// a freed page is released only when the operation ends.
 
 func (t *Tree) refInsert(id ObjectID, seg geom.Segment) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	defer t.Begin().Commit()
+	return t.refInsertOp(id, seg)
+}
+
+func (t *Tree) refInsertOp(id ObjectID, seg geom.Segment) error {
 	if len(seg.Start) != t.cfg.Dims || len(seg.End) != t.cfg.Dims {
 		return fmt.Errorf("rtree: segment has %d dims, tree has %d", len(seg.Start), t.cfg.Dims)
 	}
@@ -119,8 +125,11 @@ func refChooseChild(children []Child, b geom.Box) int {
 }
 
 func (t *Tree) refDelete(id ObjectID, tStart float64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	defer t.Begin().Commit()
+	return t.refDeleteOp(id, tStart)
+}
+
+func (t *Tree) refDeleteOp(id ObjectID, tStart float64) error {
 	if t.root == pager.InvalidPage {
 		return ErrNotFound
 	}
@@ -243,13 +252,11 @@ func (t *Tree) refDeleteRec(page pager.PageID, id ObjectID, tStart float64, cd *
 // every node of the path rewritten with its MBR recomputed whole; if not,
 // the target is deleted and the replacement inserted.
 func (t *Tree) refCorrect(id ObjectID, tStart float64, seg geom.Segment) error {
-	t.mu.Lock()
+	defer t.Begin().Commit()
 	if len(seg.Start) != t.cfg.Dims || len(seg.End) != t.cfg.Dims {
-		t.mu.Unlock()
 		return fmt.Errorf("rtree: segment has %d dims, tree has %d", len(seg.Start), t.cfg.Dims)
 	}
 	if seg.T.Empty() {
-		t.mu.Unlock()
 		return fmt.Errorf("rtree: segment has empty validity interval")
 	}
 	e := LeafEntry{ID: id, Seg: QuantizeSegment(seg)}
@@ -262,7 +269,6 @@ func (t *Tree) refCorrect(id ObjectID, tStart float64, seg geom.Segment) error {
 		found, err = t.refLocate(t.root, id, tStart, &path, &slots)
 	}
 	if err != nil || !found {
-		t.mu.Unlock()
 		if err == nil {
 			err = ErrNotFound
 		}
@@ -270,13 +276,11 @@ func (t *Tree) refCorrect(id ObjectID, tStart float64, seg geom.Segment) error {
 	}
 	last := len(path) - 1
 	if last > 0 && !path[last-1].Children[slots[last-1]].Box.Contains(e.Box(t.cfg.Dims)) {
-		t.mu.Unlock()
-		if err := t.refDelete(id, tStart); err != nil {
+		if err := t.refDeleteOp(id, tStart); err != nil {
 			return err
 		}
-		return t.refInsert(id, seg)
+		return t.refInsertOp(id, seg)
 	}
-	defer t.mu.Unlock()
 	t.modSeq++
 	path[last].Entries[slots[last]] = e
 	for i := last; i >= 0; i-- {
@@ -407,7 +411,8 @@ type refCondense struct {
 
 func (t *Tree) refFree(id pager.PageID, cd *refCondense) error {
 	cd.freed = true
-	return t.pool.Free(id)
+	t.log.frees = append(t.log.frees, id)
+	return nil
 }
 
 func (t *Tree) refPlantRoot(e LeafEntry) error {

@@ -208,8 +208,8 @@ type Update struct {
 // Tree is a disk-based R-tree. All exported methods are safe for
 // concurrent use: read operations (searches, node views, accessors) hold
 // a shared lock and run in parallel against the lock-sharded buffer
-// pool, while structural operations (Insert, Delete, bulk load) hold the
-// exclusive lock.
+// pool, while writes (a Batch, from Begin to Commit or Rollback, and bulk
+// load) hold the exclusive lock.
 type Tree struct {
 	mu       sync.RWMutex
 	cfg      Config
@@ -225,6 +225,9 @@ type Tree struct {
 	listenerSeq uint64
 
 	scratch []byte // where a new page is assembled (fresh) before the pool takes it
+
+	log  *undoLog // the open batch's undo log, nil outside a batch
+	undo undoLog  // the log batches reuse
 
 	// mc, when set, is charged for index maintenance costs (page
 	// writes) that have no per-query counter to bill to. Nil-safe.
@@ -295,13 +298,6 @@ func (t *Tree) Size() int {
 	return t.size
 }
 
-// Height returns the number of levels (0 when empty, 1 for a single leaf).
-func (t *Tree) Height() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.height
-}
-
 // ModSeq returns the current modification sequence number. Queries record
 // it to later decide whether a node changed since they last ran (NPDQ
 // update management).
@@ -320,10 +316,11 @@ func (t *Tree) Root() (id pager.PageID, level int, ok bool) {
 }
 
 // OnUpdate registers a listener invoked (synchronously, under the tree
-// lock) for every insertion, and for every deletion that frees a page.
-// Running PDQ sessions use it to keep their priority queues complete under
-// concurrent updates. The returned function unregisters the listener;
-// listeners must not call back into the tree.
+// lock) for every insertion, and for every deletion that frees a page,
+// in order, when the batch that made them commits; a batch rolled back
+// notifies nobody. Running PDQ sessions use it to keep their priority
+// queues complete under concurrent updates. The returned function
+// unregisters the listener; listeners must not call back into the tree.
 func (t *Tree) OnUpdate(fn func(Update)) (unsubscribe func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -15,6 +15,13 @@ import (
 // No — fanout is fixed by the page size, so tests that need many splits
 // simply insert thousands of segments.
 
+// Height returns the number of levels (0 when empty, 1 for a single leaf).
+func (t *Tree) Height() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.height
+}
+
 func randSegment(r *rand.Rand) geom.Segment {
 	t0 := r.Float64() * 100
 	dt := 0.2 + r.Float64()*2

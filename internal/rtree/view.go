@@ -392,6 +392,9 @@ func (r Reader) Root() (id pager.PageID, level int, ok bool) {
 // ModSeq is Tree.ModSeq.
 func (r Reader) ModSeq() uint64 { return r.t.modSeq }
 
+// Size is Tree.Size.
+func (r Reader) Size() int { return r.t.size }
+
 // View is Tree.View under the lock Read already holds.
 func (r Reader) View(id pager.PageID, c *stats.Counters, fn func(NodeView) error) error {
 	return r.t.view(id, c, fn)

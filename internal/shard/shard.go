@@ -84,8 +84,8 @@ type Engine struct {
 	opts   Options
 	shards []*Shard
 
-	// tasks feeds the bounded worker pool; nil on a one-shard engine,
-	// whose tasks all run on the calling goroutine.
+	// tasks feeds the bounded worker pool; nil on a one-shard or
+	// one-worker engine, whose tasks all run on the calling goroutine.
 	tasks   chan func()
 	workers sync.WaitGroup
 	nwork   int // pool width, GOMAXPROCS at creation
@@ -150,9 +150,10 @@ func NewFromShards(cfg rtree.Config, opts Options, trees []*rtree.Tree, stores [
 		e.shards[i] = sh
 		e.latency[i] = obs.NewHistogram(nil)
 	}
-	// One shard never has two tasks to overlap: run executes them on the
-	// caller's goroutine, so a pool would only sit idle.
-	if opts.Shards > 1 {
+	// One shard never has two tasks to overlap, and one worker never
+	// overlaps two: run executes the tasks on the caller's goroutine, so a
+	// pool would only add a hand-off and a wait per task.
+	if opts.Shards > 1 && e.nwork > 1 {
 		e.tasks = make(chan func())
 		e.workers.Add(e.nwork)
 		for w := 0; w < e.nwork; w++ {
@@ -219,9 +220,10 @@ type Update struct {
 // readers of a shard never observe a half-applied sub-batch. Cross-shard
 // visibility is not atomic — shards finish independently.
 //
-// A delete followed at once by a reinsertion of the same object at the
-// same start time is one rtree.Tree.Correct, as on the database's write
-// path. A delete of a missing segment fails its shard's sub-batch with
+// Each sub-batch is one rtree.Batch, as on the database's write path: a
+// delete followed at once by a reinsertion of the same object at the same
+// start time is one Batch.Correct, and an error rolls the sub-batch back
+// whole. A delete of a missing segment fails its shard's sub-batch with
 // rtree.ErrNotFound; the first error in shard order is returned, and
 // other shards may have applied their sub-batches fully.
 func (e *Engine) ApplyBatch(updates []Update) error {
@@ -233,25 +235,30 @@ func (e *Engine) ApplyBatch(updates []Update) error {
 		touched[i] = true
 	}
 	return e.UpdateShards(touched, func(i int, sh *Shard) error {
-		part := parts[i]
-		for k := 0; k < len(part); k++ {
-			u := part[k]
-			var err error
-			switch {
-			case !u.Delete:
-				err = sh.Tree.Insert(u.ID, u.Seg)
-			case k+1 < len(part) && corrects(u, part[k+1]):
-				k++
-				err = sh.Tree.Correct(u.ID, u.T0, nil, part[k].Seg)
-			default:
-				err = sh.Tree.Delete(u.ID, u.T0)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+		b := sh.Tree.Begin()
+		return b.End(applyPart(b, parts[i]))
 	})
+}
+
+// applyPart applies one shard's sub-batch to its open batch, in order.
+func applyPart(b rtree.Batch, part []Update) error {
+	for k := 0; k < len(part); k++ {
+		u := part[k]
+		var err error
+		switch {
+		case !u.Delete:
+			err = b.Insert(u.ID, u.Seg)
+		case k+1 < len(part) && corrects(u, part[k+1]):
+			k++
+			err = b.Correct(u.ID, u.T0, part[k].Seg)
+		default:
+			err = b.Delete(u.ID, u.T0)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // corrects reports whether del and next are a correction: a deletion and
@@ -408,9 +415,10 @@ func (e *Engine) closeStores() error {
 // fan-out primitive behind every parallel operation. A single task runs
 // on the calling goroutine: handing it to a worker and waiting buys no
 // overlap and costs two goroutine switches, which is most of a 15µs
-// predictive frame. (A one-shard engine has no pool at all; the few
-// multi-task operations it can see — a join against a sharded engine —
-// run their tasks in order.)
+// predictive frame. An engine with no pool — one shard, or one worker
+// (GOMAXPROCS 1), where a lone worker would run the tasks one after
+// another anyway — runs every task on the calling goroutine, in order,
+// and stops at the first error.
 func (e *Engine) run(fns []func() error) error {
 	if len(fns) == 1 || e.tasks == nil {
 		for _, fn := range fns {

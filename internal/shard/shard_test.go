@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -295,5 +298,45 @@ func TestFanOutRecordsPerShardSpans(t *testing.T) {
 	}
 	if knnSpans != e.Shards() {
 		t.Errorf("knn spans = %d, want %d", knnSpans, e.Shards())
+	}
+}
+
+// With one worker (GOMAXPROCS 1) a multi-shard engine starts no pool and
+// runs every fanned-out task on the caller's goroutine, in shard order,
+// answering as a pooled engine does.
+func TestOneWorkerRunsTasksInline(t *testing.T) {
+	entries := testEntries(2000)
+	build := func() *Engine {
+		e, err := New(rtree.DefaultConfig(), Options{Shards: 4}, memStores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insertAll(t, e, entries)
+		return e
+	}
+	pooled := build()
+	defer pooled.Close()
+	prev := runtime.GOMAXPROCS(1)
+	inline := build()
+	runtime.GOMAXPROCS(prev)
+	defer inline.Close()
+	if inline.tasks != nil || inline.Workers() != 1 {
+		t.Fatalf("one worker: pool %v, %d workers; want no pool", inline.tasks != nil, inline.Workers())
+	}
+	var order []int
+	if err := inline.fanOut(func(i int, _ *Shard) error { order = append(order, i); return nil }); err != nil || !slices.Equal(order, []int{0, 1, 2, 3}) {
+		t.Fatalf("tasks ran in order %v, err %v", order, err)
+	}
+	q := geom.Box{{Lo: 10, Hi: 50}, {Lo: 10, Hi: 50}}
+	var found [2][]rtree.Match
+	for i, e := range []*Engine{pooled, inline} {
+		ms, err := e.Snapshot(context.Background(), q, geom.Interval{Lo: 2, Hi: 4}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found[i] = ms
+	}
+	if len(found[0]) == 0 || !reflect.DeepEqual(found[0], found[1]) {
+		t.Fatalf("pooled engine found %d, inline one %d, or not the same", len(found[0]), len(found[1]))
 	}
 }

@@ -365,7 +365,8 @@ func replayLog(path string, wopts wal.Options, tree *rtree.Tree, dims, unit, uni
 			}
 			segs[i] = g
 		}
-		if aerr := applyToTree(tree, ups, segs, nil, true); aerr != nil {
+		b := tree.Begin()
+		if aerr := b.End(applyPortion(b, ups, segs, true)); aerr != nil {
 			return fmt.Errorf("dynq: wal replay record %d%s: %w", lsn, at, aerr)
 		}
 		records++

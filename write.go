@@ -125,33 +125,38 @@ func (e *engine) Delete(id ObjectID, t0 float64) error {
 // is unspecified; per-object order is preserved (an object lives on
 // exactly one unit).
 //
-// Every unit validates its portion before anything of it is applied or
-// logged: a malformed segment fails the whole batch up front, and a
-// delete with no matching segment (in the index or earlier in the
-// batch) fails that unit's portion with ErrNotFound, leaving the unit
-// untouched — nothing of a portion the caller saw fail survives a crash.
-// A delete is found by object and T0 alone; its own segment fields are
-// still ignored. When the next update reinserts the same object at the
-// same T0 (a correction), the pair applies as one: the search looks first
-// where that insertion starts, which on a tall or paged index reads fewer
-// nodes, and a new segment that lies inside the box its leaf's parent
-// stores replaces the old one in its leaf slot, writing one path of pages
-// instead of a delete's and an insert's. Listeners see what a delete and
-// an insert that split nothing would show them.
+// Each unit's portion is all or nothing. A malformed segment fails the
+// whole batch up front. Otherwise the portion is applied in one batch on
+// the unit's tree (rtree.Batch), which keeps an undo log of every byte it
+// overwrites; a delete with no matching segment (in the index or earlier
+// in the portion) fails the portion with ErrNotFound, and it and any
+// storage error roll the portion back, leaving the unit as it was. A
+// delete is found by object and T0 alone; its own segment fields are
+// ignored. When the next update reinserts the same object at the same T0
+// (a correction), the pair applies as one: the one descent that finds the
+// old segment looks first where the new one starts, which on a tall or
+// paged index reads fewer nodes, and a new segment that lies inside the
+// box its leaf's parent stores replaces the old one in its leaf slot,
+// writing one path of pages instead of a delete's and an insert's.
+// Listeners see what a delete and an insert that split nothing would show
+// them, once the portion commits.
 //
 // With logs armed each unit's portion is appended to that unit's log as
-// ONE record, before it touches the index (write-ahead) and under the
-// same lock acquisition, then the call waits according to
-// opts.Durability, the touched logs fsyncing in parallel. Each portion
-// is crash-atomic: recovery replays the whole record or none of it.
+// ONE record after it is applied and before it commits, under the same
+// lock acquisition — apply, log, commit — then the call waits according
+// to opts.Durability, the touched logs fsyncing in parallel. A failed
+// append rolls the portion back too, so nothing of a portion the caller
+// saw fail is logged, and nothing survives a crash. Each logged portion is
+// crash-atomic: recovery replays the whole record or none of it.
 // Atomicity ACROSS units is not promised, across crashes or live: units
 // log and apply independently, and an error on one does not undo
-// portions already applied — and logged — on others. The one non-atomic
-// case within a unit is a storage error mid-apply: the earlier updates
-// stay applied and, because the record is already logged, crash recovery
-// replays the WHOLE portion. Storage errors also count toward degraded
-// read-only mode, so the database does not keep accepting writes onto a
-// diverging index.
+// portions already applied — and logged — on others. A storage error
+// counts toward degraded read-only mode, so the database does not keep
+// accepting writes onto a failing store; so does a rollback that itself
+// fails, which is returned with the error that caused it. The one error
+// that leaves a portion standing is a page that fails to free as it
+// commits: the portion is applied and logged, the page leaks, and the
+// error is returned.
 //
 // Without logs, explicit DurabilityGroupCommit/DurabilitySync requests
 // fail with ErrNoWAL; DurabilityDefault and DurabilityAsync apply in
@@ -225,23 +230,24 @@ func (e *engine) applyUpdates(ctx context.Context, updates []MotionUpdate, opts 
 	var walNS atomic.Int64
 	mark = ws.now()
 	err = e.units.UpdateShards(touched, func(i int, sh *shard.Shard) error {
-		// The delete balance check runs under the unit's write lock, so
-		// ErrNotFound surfaces BEFORE the portion is logged: a batch the
-		// caller saw fail must not replay after a crash.
-		paths, err := validateDeletesOn(sh.Tree, parts[i])
-		if err != nil {
-			return err
-		}
-		if e.logs != nil {
+		// Apply, log, commit: the portion is applied in one batch, then
+		// logged, and only then made final. Whatever fails first — a
+		// missing segment, a storage error, the append — rolls the portion
+		// back before anything of it is logged, so a portion the caller saw
+		// fail never replays after a crash.
+		b := sh.Tree.Begin()
+		err := applyPortion(b, parts[i], partSegs[i], false)
+		if err == nil && e.logs != nil {
 			t := ws.now()
 			lsn, werr := e.logs[i].Append(encodeUpdates(e.dims, parts[i]))
 			walNS.Add(int64(ws.since(t)))
 			if werr != nil {
-				return fmt.Errorf("dynq: wal append%s: %w", where(i, n), werr)
+				err = fmt.Errorf("dynq: wal append%s: %w", where(i, n), werr)
+			} else {
+				lsns[i] = lsn
 			}
-			lsns[i] = lsn
 		}
-		return applyToTree(sh.Tree, parts[i], partSegs[i], paths, false)
+		return b.End(err)
 	})
 	e.mu.RUnlock()
 	walDur := time.Duration(walNS.Load())
@@ -308,67 +314,6 @@ func (e *engine) waitDurable(lsns []uint64, now bool) error {
 	return errors.Join(errs...)
 }
 
-// validateDeletesOn checks, under the held unit lock, that every deletion
-// in the portion has a segment to remove — already indexed, or inserted
-// earlier in the portion and not yet consumed. The search that proves a
-// segment indexed is not repeated when the deletion is applied: paths[i]
-// is where update i's segment was found (nil for an insert, or a deletion
-// the portion itself feeds), for applyToTree to hand to the tree. A nil
-// paths means the portion deletes nothing. A deletion followed at once by
-// a reinsertion of the same object at the same start time — a correction —
-// is looked up where the reinsertion starts (Tree.Find's probe).
-func validateDeletesOn(tree *rtree.Tree, updates []MotionUpdate) (paths []rtree.Path, err error) {
-	deletes := 0
-	for _, u := range updates {
-		if u.Delete {
-			deletes++
-		}
-	}
-	if deletes == 0 {
-		return nil, nil
-	}
-	paths = make([]rtree.Path, len(updates))
-	// One slab holds every path, each clipped to its own pages.
-	slab := make(rtree.Path, 0, deletes*tree.Height())
-	type segKey struct {
-		id ObjectID
-		t0 float64
-	}
-	// avail tracks the batch's net balance per key on top of the index,
-	// which holds at most one segment per (object, start time).
-	avail := make(map[segKey]int)
-	for i, u := range updates {
-		k := segKey{u.ID, float64(float32(u.Segment.T0))} // match on-disk quantization
-		if !u.Delete {
-			avail[k]++
-			continue
-		}
-		if avail[k] > 0 {
-			avail[k]--
-			continue
-		}
-		if avail[k] < 0 {
-			// An earlier delete already consumed the index's only copy.
-			return nil, ErrNotFound
-		}
-		var probe geom.Point
-		if corrects(updates, i) {
-			probe = updates[i+1].Segment.From
-		}
-		at := len(slab)
-		var ok bool
-		if slab, ok, err = tree.Find(rtree.ObjectID(u.ID), u.Segment.T0, probe, slab); err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, ErrNotFound
-		}
-		paths[i] = slab[at:len(slab):len(slab)]
-		avail[k]--
-	}
-	return paths, nil
-}
-
 // corrects reports whether updates[i] is a correction's delete: a deletion
 // followed at once by a reinsertion of the same object at the same float32
 // start time.
@@ -380,40 +325,35 @@ func corrects(updates []MotionUpdate, i int) bool {
 	return !next.Delete && next.ID == u.ID && float32(next.Segment.T0) == float32(u.Segment.T0)
 }
 
-// applyToTree applies converted updates to one tree in slice order — the
-// mutation loop behind live writes and log replay. segs[i] holds the
-// pre-converted geometry for insert updates; paths, when non-nil, is what
-// validateDeletesOn found, and spares each deletion its search unless an
-// earlier update of the batch moved the segment. A correction — a delete
-// and the reinsertion right after it — is one Tree.Correct, which rewrites
-// the leaf entry in place when the new segment fits; the choice depends on
-// the tree and the updates alone, so a replayed batch edits the pages the
-// live one did. In replay mode a delete of a missing segment is skipped
-// rather than failed: the segment may have been removed by a later
-// replayed record the first time around, then checkpointed. The caller
-// holds the lock guarding tree and owns health accounting.
-func applyToTree(tree *rtree.Tree, updates []MotionUpdate, segs []geom.Segment, paths []rtree.Path, replay bool) error {
+// applyPortion applies converted updates to one tree's open batch in slice
+// order — the mutation loop behind live writes and log replay. segs[i]
+// holds the pre-converted geometry for insert updates. A correction — a
+// delete and the reinsertion right after it — is one Batch.Correct, which
+// looks the old segment up where the new one starts and rewrites the leaf
+// entry in place when the new segment fits; the choice depends on the tree
+// and the updates alone, so a replayed batch edits the pages the live one
+// did. In replay mode a delete of a missing segment is skipped rather than
+// failed (and a correction's reinsertion still made): the segment may have
+// been removed by a later replayed record the first time around, then
+// checkpointed. The caller commits or rolls back the batch and owns health
+// accounting.
+func applyPortion(b rtree.Batch, updates []MotionUpdate, segs []geom.Segment, replay bool) error {
 	for i := 0; i < len(updates); i++ {
 		u := updates[i]
-		if !u.Delete {
-			if err := tree.Insert(rtree.ObjectID(u.ID), segs[i]); err != nil {
-				return err
-			}
-			continue
-		}
-		var path rtree.Path
-		if paths != nil {
-			path = paths[i]
-		}
+		id := rtree.ObjectID(u.ID)
 		var err error
-		if corrects(updates, i) {
+		switch {
+		case !u.Delete:
+			err = b.Insert(id, segs[i])
+		case corrects(updates, i):
 			i++
-			err = tree.Correct(rtree.ObjectID(u.ID), u.Segment.T0, path, segs[i])
-			if err == rtree.ErrNotFound && replay {
-				err = tree.Insert(rtree.ObjectID(u.ID), segs[i])
+			if err = b.Correct(id, u.Segment.T0, segs[i]); err == rtree.ErrNotFound && replay {
+				err = b.Insert(id, segs[i])
 			}
-		} else if err = tree.DeleteAt(rtree.ObjectID(u.ID), u.Segment.T0, path); err == rtree.ErrNotFound && replay {
-			err = nil
+		default:
+			if err = b.Delete(id, u.Segment.T0); err == rtree.ErrNotFound && replay {
+				err = nil
+			}
 		}
 		if err != nil {
 			return err

@@ -14,7 +14,7 @@ const writeSpanOp = "write.apply-updates"
 
 // Write stage names, in pipeline order.
 const (
-	stageValidate  = "validate"   // segment conversion + delete balance check
+	stageValidate  = "validate"   // segment conversion and partitioning
 	stageWALAppend = "wal-append" // encoding + buffered pwrite of the batch record
 	stageTreeApply = "tree-apply" // index mutation under the write lock
 	stageFsyncWait = "fsync-wait" // durability wait (group commit) outside the lock
