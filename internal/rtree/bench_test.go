@@ -249,6 +249,44 @@ func BenchmarkSplit(b *testing.B) {
 	})
 }
 
+// BenchmarkChooseChild is one insert step's child choice over a full
+// internal node: dual is splitNodes' over-full dual-time root (114
+// children), single the same children stored in the single-time layout.
+// The boxes chosen for are those of fresh segments, as an insert descends
+// with them.
+func BenchmarkChooseChild(b *testing.B) {
+	cfg, _, root := splitNodes(b)
+	r := rand.New(rand.NewSource(10))
+	boxes := make([]geom.Box, 256)
+	for i := range boxes {
+		boxes[i] = LeafEntry{Seg: QuantizeSegment(randSegment(r))}.Box(cfg.Dims)
+	}
+	single := cfg
+	single.DualTime = false
+	page := make([]byte, pager.PageSize)
+	if err := encodeNode(single, root.node(), page); err != nil {
+		b.Fatal(err)
+	}
+	sv, err := openView(single, root.id, page)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		v    NodeView
+	}{{"dual", root.NodeView}, {"single", sv}} {
+		b.Run(c.name, func(b *testing.B) {
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				sum += c.v.chooseChild(boxes[i%len(boxes)])
+			}
+			if sum == 0 && b.N > len(boxes) {
+				b.Fatal("every box chose the first child")
+			}
+		})
+	}
+}
+
 // BenchmarkDeleteSteady deletes and re-inserts one segment per iteration,
 // so the tree keeps its size; the insert is BenchmarkInsertSteady's and is
 // not timed. Delete is a plain delete, a batch of one that searches by

@@ -203,15 +203,50 @@ func (v NodeView) MBR(dst geom.Box) {
 // Each child's bounds are read off the page once, in axis order, for its
 // area, margin and cover area together: the values ChildBox, Box.Area,
 // Box.Margin and Box.Cover(b).Area() compute, bit for bit (refChooseChild).
+// At Dims 2 the four extents are read at fixed offsets from one row of the
+// entry, with the same operations in the same order; other Dims take the
+// per-axis loop.
 func (v NodeView) chooseChild(b geom.Box) int {
+	bEmpty, bArea := b.Empty(), b.Area()
+	var p pick
 	d := int(v.dims)
+	if d == 2 {
+		q0, q1, q2, q3 := b[0], b[1], b[2], b[3]
+		// The row runs from x through the end-time extent, its last 8
+		// bytes: x at 0, y at 8, start time at 16, and end time at 24, or
+		// at 16 again in the single layout, which stores one time extent.
+		// Its width is one of two constants, so slicing it off the page is
+		// the only bounds check per child.
+		w := 24
+		if v.dual {
+			w = 32
+		}
+		for k, n := 0, v.Len(); k < n; k++ {
+			off := nodeHeaderSize + k*int(v.stride)
+			row := v.page[off : off+w : off+w]
+			r, t := (*[24]byte)(row)[:], row[len(row)-8:]
+			lo0, hi0 := f32At(r, 0), f32At(r, 4)
+			lo1, hi1 := f32At(r, 8), f32At(r, 12)
+			lo2, hi2 := f32At(r, 16), f32At(r, 20)
+			lo3, hi3 := f32At(t, 0), f32At(t, 4)
+			w0, w1, w2, w3 := hi0-lo0, hi1-lo1, hi2-lo2, hi3-lo3
+			area, margin := 1*w0*w1*w2*w3, 0+w0+w1+w2+w3
+			cover := 1 * (max(hi0, q0.Hi) - min(lo0, q0.Lo)) * (max(hi1, q1.Hi) - min(lo1, q1.Lo)) *
+				(max(hi2, q2.Hi) - min(lo2, q2.Lo)) * (max(hi3, q3.Hi) - min(lo3, q3.Lo))
+			switch {
+			case lo0 > hi0 || lo1 > hi1 || lo2 > hi2 || lo3 > hi3:
+				area, margin, cover = 0, 0, bArea
+			case bEmpty:
+				cover = area
+			}
+			p.offer(k, cover-area, area, margin)
+		}
+		return p.k
+	}
 	endTime := 8 * d // offset of the end-time extent: the single one unless dual
 	if v.dual {
 		endTime += 8
 	}
-	bEmpty, bArea := b.Empty(), b.Area()
-	best := 0
-	bestEnl, bestArea, bestMargin := -1.0, 0.0, 0.0
 	for k, n := 0, v.Len(); k < n; k++ {
 		e := v.entry(k)
 		empty := false
@@ -233,16 +268,24 @@ func (v NodeView) chooseChild(b geom.Box) int {
 		case bEmpty:
 			cover = area
 		}
-		enl := cover - area
-		if k == 0 {
-			bestEnl, bestArea, bestMargin = enl, area, margin
-			continue
-		}
-		if enl < bestEnl ||
-			(enl == bestEnl && area < bestArea) ||
-			(enl == bestEnl && area == bestArea && margin < bestMargin) {
-			best, bestEnl, bestArea, bestMargin = k, enl, area, margin
-		}
+		p.offer(k, cover-area, area, margin)
 	}
-	return best
+	return p.k
+}
+
+// pick is chooseChild's choice so far: the child, its enlargement, its
+// area and its margin.
+type pick struct {
+	k                 int
+	enl, area, margin float64
+}
+
+// offer makes child k the choice if it is the first or beats the choice so
+// far.
+func (p *pick) offer(k int, enl, area, margin float64) {
+	if k == 0 || enl < p.enl ||
+		(enl == p.enl && area < p.area) ||
+		(enl == p.enl && area == p.area && margin < p.margin) {
+		*p = pick{k, enl, area, margin}
+	}
 }

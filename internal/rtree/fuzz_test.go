@@ -228,6 +228,26 @@ func FuzzNextBoxOverlap(f *testing.F) {
 	})
 }
 
+// FuzzChooseChild: whatever an internal node's child boxes — inverted
+// (empty), ±0, ±MaxFloat32 wide, duplicated — and whatever the box to
+// place, empty or stored, the descent's child choice picks the child the
+// Box methods pick (checkChooseChild, kernel_test.go), in both layouts and
+// one to three dimensions. The seed corpus (testdata/fuzz/FuzzChooseChild)
+// names each case; margin-ties-dual-dims2 is settled by the end-time
+// extent's width alone, inverted-query-dual-dims2 by the empty box's rule.
+func FuzzChooseChild(f *testing.F) {
+	r := rand.New(rand.NewSource(37))
+	for i := 0; i < 12; i++ {
+		data := make([]byte, 900)
+		r.Read(data)
+		f.Add(uint8(i), i%2 == 0, data)
+	}
+	f.Add(uint8(0), false, []byte{})
+	f.Fuzz(func(t *testing.T, dims uint8, dual bool, data []byte) {
+		checkChooseChild(t, leafKernelConfig(dims, dual), data)
+	})
+}
+
 // editRig runs one sequence of inserts, deletes and corrections against two
 // trees over separate stores: got, written by the tree's in-place edits, and
 // want, written by the decode-mutate-encode reference (refwrite_test.go).

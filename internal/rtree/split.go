@@ -9,8 +9,8 @@ import (
 
 // splitTable is an over-full node laid flat for splitGroups: row i of ext is
 // entry i's box. Its slabs — the rows with the covers a scan grows, the
-// sort keys and the sorted orders — take three allocations whatever the
-// fanout, and live for one split (Tree.split).
+// sort keys, and the sorted orders with the rows' emptiness — take three
+// allocations whatever the fanout, and live for one split (Tree.split).
 type splitTable struct {
 	axes  int
 	ext   []geom.Interval // the rows, axes extents each
@@ -19,13 +19,14 @@ type splitTable struct {
 	keys  []uint64        // one per row, for sortOn
 	order [2][]int        // the rows sorted on the axis being scored: by lower bound, by upper bound
 	best  [2][]int        // the same two orders of the best axis so far
+	void  []int           // 1 for a row that is empty, 0 for one that is not; set as splitGroups starts
 }
 
 // newSplitTable makes a table for n boxes of axes extents; the caller
 // fills every row.
 func newSplitTable(n, axes int) splitTable {
 	ext := make([]geom.Interval, (2*n+1)*axes)
-	idx := make([]int, 4*n)
+	idx := make([]int, 5*n)
 	return splitTable{
 		axes:  axes,
 		ext:   ext[: n*axes : n*axes],
@@ -33,7 +34,8 @@ func newSplitTable(n, axes int) splitTable {
 		head:  ext[2*n*axes:],
 		keys:  make([]uint64, n),
 		order: [2][]int{idx[:n:n], idx[n : 2*n : 2*n]},
-		best:  [2][]int{idx[2*n : 3*n : 3*n], idx[3*n:]},
+		best:  [2][]int{idx[2*n : 3*n : 3*n], idx[3*n : 4*n : 4*n]},
+		void:  idx[4*n:],
 	}
 }
 
@@ -81,6 +83,12 @@ func (s *splitTable) tailBox(k int) geom.Box {
 // and one more grows the head's cover row by row, where the reference
 // covers each distribution afresh.
 func (s *splitTable) splitGroups(minEntries int) (a, b []int) {
+	for i := range s.void {
+		s.void[i] = 0
+		if s.row(i).Empty() {
+			s.void[i] = 1
+		}
+	}
 	bestSum := 0.0
 	for axis := range s.axes {
 		sum := 0.0
@@ -172,15 +180,14 @@ func (s *splitTable) scan(order []int, minEntries int, visit func(k int, head, t
 }
 
 // grow covers row i into c as c.CoverInPlace(s.row(i)) would: an empty row
-// changes nothing, and the first row that is not empty replaces the empty
-// cover. empty says whether c is still that empty cover.
+// (as splitGroups found it) changes nothing, and the first row that is not
+// empty replaces the empty cover. empty says whether c is still that empty
+// cover.
 func (s *splitTable) grow(c geom.Box, empty *bool, i int) {
-	r := s.row(i)
-	for _, iv := range r {
-		if iv.Lo > iv.Hi {
-			return
-		}
+	if s.void[i] != 0 {
+		return
 	}
+	r := s.row(i)
 	if *empty {
 		copy(c, r)
 		*empty = false

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dynq/internal/obs"
@@ -667,5 +669,56 @@ func TestCorrectionWritesOnePath(t *testing.T) {
 	writes := db.CostSnapshot().PageWrites - before
 	if want := int64(corrections * st.Height); writes != want {
 		t.Errorf("%d corrections on a tree of height %d wrote %d pages, want %d (%.2f per correction)", corrections, st.Height, writes, want, float64(writes)/corrections)
+	}
+}
+
+// BenchmarkIngestWithSessions is what idle live predictive sessions cost
+// the writer: a dual-time database of 50 000 bulk-loaded segments, S
+// sessions with Live set, each over an 8×8 view at a random spot and
+// fetched once, then plain inserts while no session is pulled. ns/op and
+// B/op are per insert; each insert reaches every live session's inbox
+// under the write lock. Run it as
+//
+//	go test -run '^$' -bench IngestWithSessions -benchmem -benchtime 20000x .
+//
+// for 20 000 inserts a case.
+func BenchmarkIngestWithSessions(b *testing.B) {
+	const loaded, fresh = 50000, 20000
+	all := paperUpdates(b, loaded+fresh, 1)
+	for _, sessions := range []int{0, 1, 16, 256} {
+		b.Run(fmt.Sprintf("S=%d", sessions), func(b *testing.B) {
+			db, err := Open(Options{DualTimeAxes: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			if err := db.BulkLoadUpdates(all[:loaded]); err != nil {
+				b.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(2))
+			for range sessions {
+				x, y, t0 := r.Float64()*92, r.Float64()*92, r.Float64()*90
+				view := Rect{Min: []float64{x, y}, Max: []float64{x + 8, y + 8}}
+				s, err := db.Predictive([]Waypoint{{T: t0, View: view}, {T: t0 + 10, View: view}}, PredictiveOptions{Live: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				if _, err := s.Fetch(t0, t0+0.1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			runtime.GC() // the set-up's garbage is no insert's cost
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := all[loaded+i%fresh]
+				// A later pass over the same segments inserts them under
+				// new ids, so no insert repeats a stored key.
+				if err := db.Insert(u.ID+ObjectID(i/fresh)<<32, u.Segment); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
