@@ -140,7 +140,8 @@ func BenchmarkAblationLeafExact(b *testing.B) {
 // boxAdmissions counts the leaf entries whose bounding box meets the
 // query: what a search without the exact leaf test would ship.
 func boxAdmissions(tree *rtree.Tree, win geom.Box, tw geom.Interval) (int, error) {
-	q := rtree.QueryBox(win, tw)
+	var q rtree.Query
+	q.Fill(win, tw)
 	n := 0
 	var visit func(id pager.PageID) error
 	visit = func(id pager.PageID) error {
@@ -149,10 +150,10 @@ func boxAdmissions(tree *rtree.Tree, win geom.Box, tw geom.Interval) (int, error
 			for k := 0; k < v.Len(); k++ {
 				switch {
 				case v.Leaf():
-					if v.EntryOverlaps(k, q) {
+					if v.EntryOverlaps(k, &q) {
 						n++
 					}
-				case v.ChildOverlaps(k, q):
+				case v.ChildOverlaps(k, q.Box):
 					kids = append(kids, v.ChildID(k))
 				}
 			}

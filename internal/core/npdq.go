@@ -172,10 +172,10 @@ func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
 	// is safe — the client cache upserts by object id).
 	leafClean := nq.hasPrev && v.Stamp() <= nq.prevSeq
 	for k, n := 0, v.Len(); ; k++ {
-		if k = v.NextBoxOverlap(k, n, nq.cur.Box); k == n {
+		if k = v.NextBoxOverlap(k, n, &nq.cur); k == n {
 			return
 		}
-		if leafClean && v.EntryOverlaps(k, nq.prev.Box) {
+		if leafClean && v.EntryOverlaps(k, &nq.prev) {
 			// Segment-level suppression: this segment was part of the
 			// previous answer, so the client already has the object.
 			continue
@@ -183,7 +183,7 @@ func (nq *NPDQ) collectLeaf(v rtree.NodeView) {
 		// Candidate semantics: report the exact episode when the
 		// trajectory really crosses the window, otherwise the
 		// conservative validity∩query window for the client to re-check.
-		ov := v.EntryOverlapTime(k, nq.cur.Exact)
+		ov := v.EntryOverlapTime(k, &nq.cur)
 		if ov.Empty() {
 			ov = v.EntryTime(k).Intersect(nq.cur.Window())
 		}

@@ -9,14 +9,20 @@ import (
 // checkClipMisses holds ClipMisses to its contract on one stored segment
 // (float32 end points and times, finite) and NaN-free borders: when it
 // reports a miss, ClipLine is empty on the whole validity and at both of
-// its instants. It returns ClipMisses' answer.
+// its instants. On ordered borders BeyondGap and ClipMargin, the leaf
+// scan's form of the test, must give its answer. It returns ClipMisses'
+// answer.
 func checkClipMisses(t *testing.T, t0, x0, t1, x1, lo, hi float64) bool {
 	t.Helper()
 	if !finite32(t0) || !finite32(x0) || !finite32(t1) || !finite32(x1) || hasNaN(lo, hi) {
 		return false
 	}
 	t0, x0, t1, x1 = float64(float32(t0)), float64(float32(x0)), float64(float32(t1)), float64(float32(x1))
-	if !ClipMisses(t0, x0, t1, x1, lo, hi) {
+	misses := ClipMisses(t0, x0, t1, x1, lo, hi)
+	if gap, w := BeyondGap(x0, x1, lo, hi); lo <= hi && (gap > 0 && ClipMargin(t0, t1, gap, w)) != misses {
+		t.Fatalf("ClipMisses(%v, %v, %v, %v, %v, %v) = %v, but BeyondGap gives gap %v, w %v", t0, x0, t1, x1, lo, hi, misses, gap, w)
+	}
+	if !misses {
 		return false
 	}
 	for _, w := range []Interval{{t0, t1}, {t0, t0}, {t1, t1}} {

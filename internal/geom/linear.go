@@ -116,7 +116,7 @@ const clipMargin = 0x1p-40
 //     and an overflow goes to the infinity of the right sign, which is
 //     still beyond the window. With |q| ≤ gap·D/W + D, the computed
 //     crossing lies within 6.2u·(gap·D/W + D + |t0|) of the exact one.
-//     The test below, rounding included, implies gap·D/W > 2⁻⁴¹·(|t0| +
+//     ClipMargin's test, rounding included, implies gap·D/W > 2⁻⁴¹·(|t0| +
 //     |t1| + D), so that error is below 2⁻⁹·gap·D/W: the crossing stays
 //     strictly before t0 or strictly after t1, and SolveBetween's
 //     intersection with w is empty.
@@ -126,8 +126,39 @@ const clipMargin = 0x1p-40
 // construction — callers skip it only where it returns an empty interval.
 func ClipMisses(t0, x0, t1, x1, lo, hi float64) bool {
 	xlo, xhi := min(x0, x1), max(x0, x1)
-	gap, dt := max(lo-xhi, xlo-hi), t1-t0
+	gap := max(lo-xhi, xlo-hi)
+	return gap > 0 && ClipMargin(t0, t1, gap, xhi-xlo)
+}
+
+// ClipMargin is ClipMisses' margin test, its one statement: end points
+// w = |x1 − x0| apart whose nearer one lies gap > 0 beyond a border are far
+// enough beyond it for times t0, t1 that ClipLine's rounding cannot carry
+// the crossing back into [t0, t1].
+func ClipMargin(t0, t1, gap, w float64) bool {
+	dt := t1 - t0
 	// max(t, -t) is |t| at a quarter of math.Abs's inlining cost, which
 	// would keep this out of the per-entry loops.
-	return gap > 0 && (t1 == t0 || gap*dt > clipMargin*(xhi-xlo)*(max(t0, -t0)+max(t1, -t1)+dt))
+	return t1 == t0 || gap*dt > clipMargin*w*(max(t0, -t0)+max(t1, -t1)+dt)
+}
+
+// BeyondGap returns, when x0 and x1 both lie strictly beyond one border of
+// [lo, hi], how far the nearer of them lies beyond it and w = |x1 − x0|;
+// otherwise gap is 0: an end point inside or on a border, or a NaN. It
+// decides by comparisons alone. For lo ≤ hi a positive gap is ClipMisses'
+// gap and w its xhi − xlo, the same floats (a rounded difference only
+// changes sign with its operands), so BeyondGap and ClipMargin reject
+// exactly what ClipMisses rejects. For lo > hi ClipMisses' gap may be
+// larger.
+func BeyondGap(x0, x1, lo, hi float64) (gap, w float64) {
+	switch {
+	case x0 < lo && x1 < lo:
+		if gap, w = lo-x1, x1-x0; w < 0 {
+			gap, w = lo-x0, -w
+		}
+	case x0 > hi && x1 > hi:
+		if gap, w = x0-hi, x1-x0; w < 0 {
+			gap, w = x1-hi, -w
+		}
+	}
+	return gap, w
 }

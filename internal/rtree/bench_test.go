@@ -129,7 +129,7 @@ func BenchmarkLeafTest(b *testing.B) {
 	}
 	run("inplace", func() (n int) {
 		for k := 0; k < v.Len(); k++ {
-			if !v.EntryOverlapTime(k, q.Exact).Empty() {
+			if !v.EntryOverlapTime(k, &q).Empty() {
 				n++
 			}
 		}
@@ -138,7 +138,7 @@ func BenchmarkLeafTest(b *testing.B) {
 	// The range search's leaf loop: one scan that stops at each match.
 	run("scan", func() (n int) {
 		for k := 0; ; k++ {
-			if k, _ = v.NextOverlap(k, v.Len(), q.Exact); k == v.Len() {
+			if k, _ = v.NextOverlap(k, v.Len(), &q); k == v.Len() {
 				return n
 			}
 			n++
@@ -161,7 +161,7 @@ func BenchmarkLeafTest(b *testing.B) {
 	// box, one scan that stops at each candidate.
 	run("box", func() (n int) {
 		for k := 0; ; k++ {
-			if k = v.NextBoxOverlap(k, v.Len(), q.Box); k == v.Len() {
+			if k = v.NextBoxOverlap(k, v.Len(), &q); k == v.Len() {
 				return n
 			}
 			n++

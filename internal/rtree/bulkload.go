@@ -67,7 +67,7 @@ func BulkLoad(cfg Config, store pager.Store, entries []LeafEntry) (*Tree, error)
 		for _, k := range order[lo:min(lo+leafCap, len(order))] {
 			leaf.appendEntry(quant[k])
 		}
-		if level, err = t.pack(leaf, level); err != nil {
+		if level, err = t.pack(&leaf, level); err != nil {
 			return nil, err
 		}
 	}
@@ -84,7 +84,7 @@ func BulkLoad(cfg Config, store pager.Store, entries []LeafEntry) (*Tree, error)
 			for _, c := range level[lo:min(lo+intCap, len(level))] {
 				node.appendChild(c.box, c.child)
 			}
-			if next, err = t.pack(node, next); err != nil {
+			if next, err = t.pack(&node, next); err != nil {
 				return nil, err
 			}
 		}
@@ -97,7 +97,7 @@ func BulkLoad(cfg Config, store pager.Store, entries []LeafEntry) (*Tree, error)
 
 // pack writes node, assembled by fresh, to a new page and appends the
 // child entry that leads to it to level.
-func (t *Tree) pack(node nodeEdit, level []item) ([]item, error) {
+func (t *Tree) pack(node *nodeEdit, level []item) ([]item, error) {
 	id, err := t.allocPage()
 	if err != nil {
 		return level, err

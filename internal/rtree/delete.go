@@ -240,8 +240,8 @@ func (t *Tree) deleteRec(page pager.PageID, d *deletion, at, old, mbr geom.Box) 
 		}
 		t.free(child, &d.condense)
 	}
-	ed, err := t.openEdit(page)
-	if err != nil {
+	var ed nodeEdit
+	if err := t.openEdit(page, &ed); err != nil {
 		return false, 0, false, err
 	}
 	removed := (level == 0 && !d.inPlace) || dissolve
@@ -257,7 +257,7 @@ func (t *Tree) deleteRec(page pager.PageID, d *deletion, at, old, mbr geom.Box) 
 	if changed = (level == 0 || removed || childChanged) && old != nil && onFace(item, old); changed {
 		ed.MBR(mbr)
 	}
-	return true, count, changed, t.commit(ed)
+	return true, count, changed, t.commit(&ed)
 }
 
 // onFace reports whether item reaches one of box's faces on some axis:
@@ -313,7 +313,8 @@ func (t *Tree) reinsertSubtree(it item) error {
 		if err := t.view(t.root, nil, func(v NodeView) error { v.MBR(box); return nil }); err != nil {
 			return err
 		}
-		t.fresh(t.height).appendChild(box, t.root)
+		root := t.fresh(t.height)
+		root.appendChild(box, t.root)
 		if err := t.put(id); err != nil {
 			return err
 		}

@@ -26,24 +26,27 @@ type nodeEdit struct {
 	log *undoLog
 }
 
-// openEdit borrows node id's page for modification. Only commit makes the
-// changes count; the caller opens an edit once it knows what to change.
-func (t *Tree) openEdit(id pager.PageID) (nodeEdit, error) {
+// openEdit borrows node id's page for modification into ed. Only commit
+// makes the changes count; the caller opens an edit once it knows what to
+// change. The edit is filled where it stays: nodeEdit is twelve words, and
+// every primitive takes it by pointer.
+func (t *Tree) openEdit(id pager.PageID, ed *nodeEdit) error {
 	lease, err := t.pool.Edit(id)
 	if err != nil {
-		return nodeEdit{}, fmt.Errorf("rtree: edit page %d: %w", id, err)
+		return fmt.Errorf("rtree: edit page %d: %w", id, err)
 	}
 	v, err := openView(t.cfg, id, lease.Page)
 	if err != nil {
-		return nodeEdit{}, err
+		return err
 	}
-	return nodeEdit{NodeView: v, lease: lease, log: t.log}, nil
+	ed.NodeView, ed.lease, ed.log = v, lease, t.log
+	return nil
 }
 
 // commit stamps the edited node with the current modification sequence and
 // hands the page back, charging one page write. The edit must not be used
 // afterwards.
-func (t *Tree) commit(e nodeEdit) error {
+func (t *Tree) commit(e *nodeEdit) error {
 	e.save(4, 8)
 	binary.LittleEndian.PutUint64(e.page[4:], t.modSeq)
 	t.mc.AddPageWrite()
@@ -84,37 +87,37 @@ func (t *Tree) put(id pager.PageID) error {
 
 // save copies n bytes of the page from off to the open batch's undo log
 // before a primitive overwrites them.
-func (e nodeEdit) save(off, n int) {
+func (e *nodeEdit) save(off, n int) {
 	if e.log != nil {
 		e.log.save(e.id, e.page, off, n)
 	}
 }
 
 // saveEntries is save of entries k to k+n-1.
-func (e nodeEdit) saveEntries(k, n int) {
+func (e *nodeEdit) saveEntries(k, n int) {
 	e.save(nodeHeaderSize+k*int(e.stride), n*int(e.stride))
 }
 
-func (e nodeEdit) setLen(n int) {
+func (e *nodeEdit) setLen(n int) {
 	e.save(2, 2)
 	binary.LittleEndian.PutUint16(e.page[2:], uint16(n))
 }
 
 // appendEntry adds a segment to a leaf that has room for it.
-func (e nodeEdit) appendEntry(le LeafEntry) {
+func (e *nodeEdit) appendEntry(le LeafEntry) {
 	k := e.Len()
 	e.setLen(k + 1)
 	e.setEntry(k, le)
 }
 
 // setEntry overwrites leaf entry k.
-func (e nodeEdit) setEntry(k int, le LeafEntry) {
+func (e *nodeEdit) setEntry(k int, le LeafEntry) {
 	e.saveEntries(k, 1)
 	putLeafEntry(e.entry(k), int(e.dims), le)
 }
 
 // appendChild adds a child entry to an internal node that has room for it.
-func (e nodeEdit) appendChild(box geom.Box, id pager.PageID) {
+func (e *nodeEdit) appendChild(box geom.Box, id pager.PageID) {
 	k := e.Len()
 	e.setLen(k + 1)
 	e.saveEntries(k, 1)
@@ -123,7 +126,7 @@ func (e nodeEdit) appendChild(box geom.Box, id pager.PageID) {
 
 // appendRaw adds an entry given as its bytes, one entry long, to a node of
 // its level that has room for it.
-func (e nodeEdit) appendRaw(entry []byte) {
+func (e *nodeEdit) appendRaw(entry []byte) {
 	k := e.Len()
 	e.setLen(k + 1)
 	e.saveEntries(k, 1)
@@ -131,7 +134,7 @@ func (e nodeEdit) appendRaw(entry []byte) {
 }
 
 // setChildBox overwrites internal entry k's box.
-func (e nodeEdit) setChildBox(k int, box geom.Box) {
+func (e *nodeEdit) setChildBox(k int, box geom.Box) {
 	e.saveEntries(k, 1)
 	putChildBox(e.entry(k), e.dual, box)
 }
@@ -139,7 +142,7 @@ func (e nodeEdit) setChildBox(k int, box geom.Box) {
 // growChildBox widens internal entry k's box to cover o as well. Every
 // stored bound is an exact f32 and covering only takes minima and maxima,
 // so this equals recomputing the child's MBR after o joined it.
-func (e nodeEdit) growChildBox(k int, o geom.Box) {
+func (e *nodeEdit) growChildBox(k int, o geom.Box) {
 	var scratch [maxDims + 2]geom.Interval
 	box := geom.Box(scratch[:len(o)])
 	e.ChildBox(k, box)
@@ -148,7 +151,7 @@ func (e nodeEdit) growChildBox(k int, o geom.Box) {
 }
 
 // remove deletes entry k, closing the gap and zeroing the vacated slot.
-func (e nodeEdit) remove(k int) {
+func (e *nodeEdit) remove(k int) {
 	last := e.Len() - 1
 	stride := int(e.stride)
 	off := nodeHeaderSize + k*stride

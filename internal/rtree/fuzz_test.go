@@ -82,13 +82,13 @@ func checkViewMatchesDecode(t *testing.T, cfg Config, page []byte) *Node {
 				t.Fatalf("leaf entry %d: EntryBox %v, decoded Box %v", k, box, own)
 			}
 			for _, q := range []geom.Box{own, probe, inverted, unbounded} {
-				if got, exp := v.EntryOverlaps(k, q), own.Overlaps(q); got != exp {
+				if got, exp := v.EntryOverlaps(k, boxQuery(q)), own.Overlaps(q); got != exp {
 					t.Fatalf("leaf entry %d: EntryOverlaps(%v) = %v, Box.Overlaps = %v", k, q, got, exp)
 				}
 				// An exact box is the spatial extents, then the time window;
 				// an empty interval has no canonical bits.
 				exact := q[:d+1]
-				if got, exp := v.EntryOverlapTime(k, exact), want.Seg.OverlapTimeInBox(exact); !(got.Empty() && exp.Empty()) && !sameBox(geom.Box{got}, geom.Box{exp}) {
+				if got, exp := v.EntryOverlapTime(k, exactQuery(exact)), want.Seg.OverlapTimeInBox(exact); !(got.Empty() && exp.Empty()) && !sameBox(geom.Box{got}, geom.Box{exp}) {
 					t.Fatalf("leaf entry %d: EntryOverlapTime(%v) = %v, OverlapTimeInBox = %v", k, exact, got, exp)
 				}
 			}
@@ -192,9 +192,14 @@ func FuzzDecodePage(f *testing.F) {
 
 // FuzzEntryOverlapTime: whatever a leaf holds — degenerate, zero-length
 // and inverted segments, coordinates on the edges of float32 — and whatever
-// the query box — touching borders, empty and unbounded windows — the exact
-// test on the page returns the floats the pre-kernel test returned for the
-// decoded entry (kernel_test.go).
+// the query box — touching borders, empty, unbounded and NaN windows — the
+// exact test on the page returns the floats the pre-kernel test returned
+// for the decoded entry, and its gate rejects what it must
+// (checkLeafKernel, kernel_test.go). The seed corpus
+// (testdata/fuzz/FuzzEntryOverlapTime) names each case: an end point on a
+// border in space and in time, end points beyond a border by less than the
+// margin and by more, instants, ±0, ±MaxFloat32, ±Inf borders, an
+// inverted query extent, inverted validity, and a NaN window.
 func FuzzEntryOverlapTime(f *testing.F) {
 	r := rand.New(rand.NewSource(23))
 	for i := 0; i < 12; i++ {

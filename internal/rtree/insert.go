@@ -69,7 +69,8 @@ func (t *Tree) plantRoot(e LeafEntry) error {
 	if err != nil {
 		return err
 	}
-	t.fresh(0).appendEntry(e)
+	leaf := t.fresh(0)
+	leaf.appendEntry(e)
 	if err := t.put(id); err != nil {
 		return err
 	}
@@ -89,7 +90,7 @@ type item struct {
 }
 
 // add appends the item to a node of its level that has room for it.
-func (e nodeEdit) add(it *item) {
+func (e *nodeEdit) add(it *item) {
 	if it.level == 0 {
 		e.appendEntry(it.entry)
 	} else {
@@ -172,14 +173,14 @@ func (t *Tree) place(page pager.PageID, it *item) (insertResult, error) {
 			full.add(it)
 			s := tableOf(full.NodeView)
 			copy(s.row(full.Len()-1), it.box) // as computed, like the boxes below
-			return t.split(page, full, s)
+			return t.split(page, &full, s)
 		}
-		ed, err := t.openEdit(page)
-		if err != nil {
+		var ed nodeEdit
+		if err := t.openEdit(page, &ed); err != nil {
 			return insertResult{}, err
 		}
 		ed.add(it)
-		return insertResult{}, t.commit(ed)
+		return insertResult{}, t.commit(&ed)
 	}
 
 	res, err := t.place(child, it)
@@ -195,10 +196,10 @@ func (t *Tree) place(page pager.PageID, it *item) (insertResult, error) {
 		s := tableOf(full.NodeView)
 		copy(s.row(ci), res.mbr)
 		copy(s.row(full.Len()-1), res.siblingMBR)
-		return t.split(page, full, s)
+		return t.split(page, &full, s)
 	}
-	ed, err := t.openEdit(page)
-	if err != nil {
+	var ed nodeEdit
+	if err := t.openEdit(page, &ed); err != nil {
 		return insertResult{}, err
 	}
 	out := insertResult{notified: res.notified}
@@ -214,7 +215,7 @@ func (t *Tree) place(page pager.PageID, it *item) (insertResult, error) {
 		out.mbr = make(geom.Box, t.cfg.boxDims())
 		ed.MBR(out.mbr)
 	}
-	if err := t.commit(ed); err != nil {
+	if err := t.commit(&ed); err != nil {
 		return insertResult{}, err
 	}
 	if res.split() {
@@ -243,7 +244,7 @@ func overfull(v NodeView) nodeEdit {
 // overflow, is forced into the sibling so that all nodes created by one
 // insertion nest along the insertion path (Section 4.1's update management
 // requires this).
-func (t *Tree) split(page pager.PageID, full nodeEdit, s splitTable) (insertResult, error) {
+func (t *Tree) split(page pager.PageID, full *nodeEdit, s splitTable) (insertResult, error) {
 	ga, gb := s.splitGroups(t.cfg.minFill(full.Level()))
 	ga, gb = forceNewInB(ga, gb, full.Len()-1)
 	sib, err := t.allocPage()
@@ -263,7 +264,7 @@ func (t *Tree) split(page pager.PageID, full nodeEdit, s splitTable) (insertResu
 // writeHalf writes the entries of full that group lists, in its order and
 // as full holds them, to page id as a new node, and returns their box: the
 // cover of their rows of s.
-func (t *Tree) writeHalf(id pager.PageID, full nodeEdit, s *splitTable, group []int) (geom.Box, error) {
+func (t *Tree) writeHalf(id pager.PageID, full *nodeEdit, s *splitTable, group []int) (geom.Box, error) {
 	half := t.fresh(full.Level())
 	mbr := geom.NewBox(s.axes)
 	for _, i := range group {

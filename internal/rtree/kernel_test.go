@@ -94,41 +94,69 @@ func (s *fuzzSrc) bound() float64 {
 	return s.coord()
 }
 
-// kernelCounts is what checkLeafKernel compared: non-empty overlaps, and
-// the axes whose extent misses the box on which geom.ClipMisses fired
-// (ending the test without ClipLine) or declined (a border too near to
-// prove the miss, so ClipLine decided).
-type kernelCounts struct{ hits, fired, declined int }
-
-func (c *kernelCounts) add(o kernelCounts) {
-	c.hits, c.fired, c.declined = c.hits+o.hits, c.fired+o.fired, c.declined+o.declined
+// boxQuery and exactQuery are a Query over a box as given, dual-space or
+// exact, classified as Fill classifies its boxes.
+func boxQuery(box geom.Box) *Query {
+	q := &Query{Box: box}
+	q.classify()
+	return q
 }
 
-// guardOutcome replays EntryOverlapTime's axis loop on a decoded segment
-// and reports which way the guard went on the axes the box misses.
-func guardOutcome(s geom.Segment, box geom.Box) (c kernelCounts) {
+func exactQuery(exact geom.Box) *Query {
+	q := &Query{Exact: exact}
+	q.classify()
+	return q
+}
+
+// gate is which way NextOverlap's gate goes on one entry of an ordered query.
+type gate int
+
+const (
+	gatePass     gate = iota // no axis beyond a border
+	gateDeclined             // an axis beyond a border too near to prove the miss: ClipLine decides
+	gateValidity             // rejected: valid outside the window
+	gateBorder               // rejected: an axis beyond a border, far enough
+)
+
+// gateOutcome says which way the gate must go on a decoded segment and an
+// ordered exact box: the validity test as Interval.Intersect's emptiness,
+// the border test as geom.ClipMisses, which it must equal.
+func gateOutcome(s geom.Segment, box geom.Box) gate {
 	d := s.Dims()
-	w := s.T.Intersect(box[d])
-	for i := 0; i < d && !w.Empty(); i++ {
-		x0, x1, b := s.Start[i], s.End[i], box[i]
-		if max(x0, x1) < b.Lo || min(x0, x1) > b.Hi {
-			if geom.ClipMisses(s.T.Lo, x0, s.T.Hi, x1, b.Lo, b.Hi) {
-				c.fired++
-				return c
-			}
-			c.declined++
-		}
-		w = geom.ClipLine(s.T.Lo, x0, s.T.Hi, x1, b.Lo, b.Hi, w)
+	if s.T.Intersect(box[d]).Empty() {
+		return gateValidity
 	}
-	return c
+	g := gatePass
+	for i := 0; i < d; i++ {
+		x0, x1, b := s.Start[i], s.End[i], box[i]
+		if geom.ClipMisses(s.T.Lo, x0, s.T.Hi, x1, b.Lo, b.Hi) {
+			return gateBorder
+		}
+		if max(x0, x1) < b.Lo || min(x0, x1) > b.Hi {
+			g = gateDeclined
+		}
+	}
+	return g
+}
+
+// kernelCounts is what checkLeafKernel compared: non-empty overlaps, the
+// entries of ordered queries by the gate's outcome, and the entries of
+// queries with a NaN bound.
+type kernelCounts struct{ hits, validity, border, declined, nan int }
+
+func (c *kernelCounts) add(o kernelCounts) {
+	c.hits, c.validity, c.border, c.declined, c.nan = c.hits+o.hits, c.validity+o.validity, c.border+o.border, c.declined+o.declined, c.nan+o.nan
 }
 
 // checkLeafKernel builds one leaf from src under cfg, draws exact boxes —
 // from src, from the entries' own coordinates so that borders touch, and
-// from those nudged a few float64 ulps either way so that they nearly do —
-// and requires EntryOverlapTime to return what the reference returns for
-// the decoded entry: the same bits in Lo and Hi, or both empty. A
-// NextOverlap scan of the leaf must stop at exactly the non-empty ones.
+// from those nudged a few float64 ulps either way so that they nearly do,
+// now and then with one bound NaN — and requires EntryOverlapTime to return
+// what OverlapTimeInBox returns for the decoded entry and, for a NaN-free
+// box, what the reference returns: the same bits in Lo and Hi, or both
+// empty. On an ordered box the gate (nextCandidate) must reject exactly
+// the entries gateOutcome says it rejects. A NextOverlap scan of the leaf
+// must stop at exactly the non-empty ones.
 func checkLeafKernel(t *testing.T, cfg Config, data []byte) (counts kernelCounts) {
 	t.Helper()
 	src := &fuzzSrc{b: data}
@@ -150,10 +178,8 @@ func checkLeafKernel(t *testing.T, cfg Config, data []byte) (counts kernelCounts
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := func(a, b geom.Interval) bool {
-		return (a.Empty() && b.Empty()) ||
-			(math.Float64bits(a.Lo) == math.Float64bits(b.Lo) && math.Float64bits(a.Hi) == math.Float64bits(b.Hi))
-	}
+	bits := func(a geom.Interval) [2]uint64 { return [2]uint64{math.Float64bits(a.Lo), math.Float64bits(a.Hi)} }
+	same := func(a, b geom.Interval) bool { return (a.Empty() && b.Empty()) || bits(a) == bits(b) }
 	// nudge moves x 1–4 float64 ulps up or down, as src says.
 	nudge := func(x float64) float64 {
 		sel := src.take(1)
@@ -179,25 +205,68 @@ func checkLeafKernel(t *testing.T, cfg Config, data []byte) (counts kernelCounts
 			}
 			box[d] = geom.Interval{Lo: own.T.Hi, Hi: own.T.Hi + float64(src.take(1))}
 		}
+		nan := false
+		if sel := src.take(1); sel%16 == 1 { // one bound NaN: a query the API refuses
+			if b := &box[int(sel/32)%len(box)]; sel&16 == 0 {
+				b.Lo = math.NaN()
+			} else {
+				b.Hi = math.NaN()
+			}
+			nan = true
+		}
+		ordered := true
+		for _, b := range box {
+			ordered = ordered && b.Lo <= b.Hi
+		}
+		q := exactQuery(box)
+		if q.ordered != ordered {
+			t.Fatalf("box %v classified ordered=%v", box, q.ordered)
+		}
 		matches := map[int]geom.Interval{}
 		for k := 0; k < v.Len(); k++ {
 			v.Entry(k, &e)
-			got, want := v.EntryOverlapTime(k, box), refOverlapTime(e.Seg, box)
+			got, decoded := v.EntryOverlapTime(k, q), e.Seg.OverlapTimeInBox(box)
+			want := refOverlapTime(e.Seg, box)
+			if nan {
+				want = decoded
+				counts.nan++
+			}
 			if !want.Empty() {
 				counts.hits++
 			}
 			if !got.Empty() {
 				matches[k] = got
 			}
-			if !same(got, want) || !same(got, e.Seg.OverlapTimeInBox(box)) {
-				t.Fatalf("dims %d dual %v entry %+v in %v:\n in place  %v (%x %x)\n reference %v (%x %x)\n decoded   %v", d, cfg.DualTime, e.Seg, box,
-					got, math.Float64bits(got.Lo), math.Float64bits(got.Hi), want, math.Float64bits(want.Lo), math.Float64bits(want.Hi), e.Seg.OverlapTimeInBox(box))
+			if !same(got, want) || !same(got, decoded) {
+				t.Fatalf("dims %d dual %v entry %+v in %v:\n in place  %v (%x)\n reference %v (%x)\n decoded   %v", d, cfg.DualTime, e.Seg, box,
+					got, bits(got), want, bits(want), decoded)
 			}
-			counts.add(guardOutcome(e.Seg, box))
+			if !ordered {
+				continue
+			}
+			passed := v.nextCandidate(k, k+1, q) == k
+			switch g := gateOutcome(e.Seg, box); g {
+			case gateValidity, gateBorder:
+				if passed {
+					t.Fatalf("dims %d dual %v entry %+v in %v: the gate passed it, want a rejection (%d)", d, cfg.DualTime, e.Seg, box, g)
+				}
+				if g == gateValidity {
+					counts.validity++
+				} else {
+					counts.border++
+				}
+			default:
+				if !passed {
+					t.Fatalf("dims %d dual %v entry %+v in %v: the gate rejected it (%d)", d, cfg.DualTime, e.Seg, box, g)
+				}
+				if g == gateDeclined {
+					counts.declined++
+				}
+			}
 		}
 		for k := 0; ; k++ {
 			var ov geom.Interval
-			if k, ov = v.NextOverlap(k, v.Len(), box); k == v.Len() {
+			if k, ov = v.NextOverlap(k, v.Len(), q); k == v.Len() {
 				break
 			}
 			if want, ok := matches[k]; !ok || !same(ov, want) {
@@ -325,6 +394,7 @@ func checkBoxScan(t *testing.T, cfg Config, data []byte) (counts boxCounts) {
 		for _, b := range q {
 			odd = odd || !(b.Lo <= b.Hi)
 		}
+		bq := boxQuery(q)
 		for k := 0; k < n; k++ {
 			want[k] = refEntryOverlaps(v, k, q)
 			switch {
@@ -337,7 +407,7 @@ func checkBoxScan(t *testing.T, cfg Config, data []byte) (counts boxCounts) {
 			default:
 				counts.misses++
 			}
-			if got := v.EntryOverlaps(k, q); got != want[k] {
+			if got := v.EntryOverlaps(k, bq); got != want[k] {
 				e := leaf.Entries[k]
 				t.Fatalf("dims %d dual %v entry %d %+v, query %v: EntryOverlaps %v, reference %v", d, cfg.DualTime, k, e.Seg, q, got, want[k])
 			}
@@ -351,7 +421,7 @@ func checkBoxScan(t *testing.T, cfg Config, data []byte) (counts boxCounts) {
 			for next < to && !want[next] {
 				next++
 			}
-			if got := v.NextBoxOverlap(from, to, q); got != next {
+			if got := v.NextBoxOverlap(from, to, bq); got != next {
 				t.Fatalf("dims %d dual %v, query %v: NextBoxOverlap(%d, %d) = %d, reference %d", d, cfg.DualTime, q, from, to, got, next)
 			}
 		}
@@ -438,7 +508,7 @@ func TestEntryOverlapTimeNaNWindow(t *testing.T) {
 	}
 	nan := math.NaN()
 	exact := geom.Box{{Lo: 5, Hi: 6}, {Lo: 0, Hi: 9}, {Lo: nan, Hi: nan}}
-	got, want := v.EntryOverlapTime(0, exact), seg.OverlapTimeInBox(exact)
+	got, want := v.EntryOverlapTime(0, exactQuery(exact)), seg.OverlapTimeInBox(exact)
 	if got.Empty() || math.Float64bits(got.Lo) != math.Float64bits(want.Lo) || math.Float64bits(got.Hi) != math.Float64bits(want.Hi) {
 		t.Fatalf("NaN window: EntryOverlapTime %v, OverlapTimeInBox %v", got, want)
 	}
@@ -464,9 +534,11 @@ func TestNextBoxOverlapMatchesReference(t *testing.T) {
 }
 
 // The in-place exact test is the old test, bit for bit: random leaves in
-// both layouts and one to three dimensions against random boxes. Both of
-// the guard's ways are taken often: proving a miss, and leaving a border
-// too near to prove to ClipLine.
+// both layouts and one to three dimensions against random boxes, some with
+// a NaN bound. Each of the gate's ways is taken often and held to its
+// outcome: rejecting an entry valid outside the window, rejecting one
+// beyond a border, and leaving a border too near to prove to ClipLine. A
+// gate that never fires, or fires without the margin, fails here.
 func TestEntryOverlapTimeMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	var counts kernelCounts
@@ -476,7 +548,7 @@ func TestEntryOverlapTimeMatchesReference(t *testing.T) {
 		counts.add(checkLeafKernel(t, leafKernelConfig(uint8(i), i%2 == 0), data))
 	}
 	t.Logf("%+v", counts)
-	if counts.hits < 1000 || counts.fired < 4000 || counts.declined < 500 {
-		t.Fatalf("compared %d non-empty overlaps, %d proven misses and %d declined ones: the boxes miss the point", counts.hits, counts.fired, counts.declined)
+	if counts.hits < 1000 || counts.validity < 50000 || counts.border < 4000 || counts.declined < 500 || counts.nan < 2000 {
+		t.Fatalf("compared %+v: the boxes miss the point", counts)
 	}
 }

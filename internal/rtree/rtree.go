@@ -352,10 +352,15 @@ func fillQueryBox(q, spatial geom.Box, tw geom.Interval) {
 }
 
 // Query is one snapshot query in the two forms a traversal tests against,
-// both slices of one slab that Fill allocates once and then reuses.
+// both slices of one slab that Fill allocates once and then reuses, and
+// how the leaf scans may test them.
 type Query struct {
 	Box   geom.Box // dual key space (QueryBox): what node and entry boxes are tested against
 	Exact geom.Box // spatial extents + the time window, for the exact leaf test
+	// ordered: every extent of Box and Exact has Lo ≤ Hi — no NaN bound,
+	// nothing inverted, as in every query the public API accepts — so the
+	// leaf scans may decide by comparisons (NextBoxOverlap, NextOverlap).
+	ordered bool
 }
 
 // Fill sets the query to the spatial range during tw. Every Fill of one
@@ -369,6 +374,18 @@ func (q *Query) Fill(spatial geom.Box, tw geom.Interval) {
 	fillQueryBox(q.Box, spatial, tw)
 	copy(q.Exact, spatial)
 	q.Exact[d] = tw
+	q.classify()
+}
+
+// classify sets ordered from the query's boxes: once per query, for every
+// leaf scan of its traversal.
+func (q *Query) classify() {
+	q.ordered = true
+	for _, box := range [2]geom.Box{q.Box, q.Exact} {
+		for _, b := range box {
+			q.ordered = q.ordered && b.Lo <= b.Hi
+		}
+	}
 }
 
 // Window returns the query's time window.

@@ -100,10 +100,10 @@ func (s *search) node(id pager.PageID) error {
 }
 
 func (s *search) leaf(v NodeView) {
-	k, n, exact := 0, v.Len(), s.q.Exact
+	k, n := 0, v.Len()
 	for k < n && !s.full() {
 		var ov geom.Interval
-		if k, ov = v.NextOverlap(k, n, exact); k == n {
+		if k, ov = v.NextOverlap(k, n, &s.q); k == n {
 			break
 		}
 		if s.out == nil {

@@ -25,6 +25,7 @@ var perEntryAccessors = map[string]any{
 	"NodeView.EntryTime":        NodeView.EntryTime,
 	"NodeView.EntryOverlapTime": NodeView.EntryOverlapTime,
 	"NodeView.NextOverlap":      NodeView.NextOverlap,
+	"NodeView.nextCandidate":    NodeView.nextCandidate,
 	"NodeView.EntryLines":       NodeView.EntryLines,
 	"NodeView.EntryBox":         NodeView.EntryBox,
 	"NodeView.Keep":             NodeView.Keep,

@@ -183,38 +183,35 @@ func (v NodeView) entrySeg(k int, seg *geom.Segment) ObjectID {
 }
 
 // EntryOverlaps reports whether leaf entry k's box (LeafEntry.Box) shares
-// a point with q, a box in the dual key space, without decoding the entry.
-// It is NextBoxOverlap's one-entry scan.
-func (v NodeView) EntryOverlaps(k int, q geom.Box) bool {
+// a point with q.Box, without decoding the entry. It is NextBoxOverlap's
+// one-entry scan.
+func (v NodeView) EntryOverlaps(k int, q *Query) bool {
 	return v.NextBoxOverlap(k, k+1, q) == k
 }
 
 // NextBoxOverlap scans leaf entries from, from+1, … before to and returns the
-// first one whose box (LeafEntry.Box) shares a point with q, a box in the
-// dual key space, or to. It is the one definition of the leaf box test.
+// first one whose box (LeafEntry.Box) shares a point with q.Box, or to. It
+// is the one definition of the leaf box test.
 //
-// The query is classified once per call. When every extent of q has
-// Lo ≤ Hi — no NaN bound, nothing inverted: every query the public API
-// accepts — an axis misses exactly when both of its stored values, read
-// where they lie, are beyond the same border. That is Interval.Overlaps on
-// the entry's sorted extent without the sort and without min/max, and a NaN
-// stored value, which compares false, never misses, as there. The spatial
-// axes go first: a fly-through frame's candidates are mostly valid during
-// it and miss it in space. Any other query takes boxOverlaps per entry.
-func (v NodeView) NextBoxOverlap(from, to int, q geom.Box) int {
+// For an ordered query (Query.Fill classifies it once) an axis misses
+// exactly when both of its stored values, read where they lie, are beyond
+// the same border. That is Interval.Overlaps on the entry's sorted extent
+// without the sort and without min/max, and a NaN stored value, which
+// compares false, never misses, as there. The spatial axes go first: a
+// fly-through frame's candidates are mostly valid during it and miss it in
+// space. Any other query takes boxOverlaps per entry.
+func (v NodeView) NextBoxOverlap(from, to int, q *Query) int {
 	d := int(v.dims)
-	q = q[:d+2]
-	for _, b := range q {
-		if !(b.Lo <= b.Hi) {
-			for k := from; k < to; k++ {
-				if v.boxOverlaps(k, q) {
-					return k
-				}
+	box := q.Box[:d+2]
+	if !q.ordered {
+		for k := from; k < to; k++ {
+			if v.boxOverlaps(k, box) {
+				return k
 			}
-			return to
 		}
+		return to
 	}
-	spatial, ts, te := q[:d], q[d], q[d+1]
+	spatial, ts, te := box[:d], box[d], box[d+1]
 entries:
 	for k := from; k < to; k++ {
 		e := v.entry(k)
@@ -262,28 +259,37 @@ func (v NodeView) EntryTime(k int) geom.Interval {
 
 // EntryOverlapTime is the exact leaf test on the page: it returns what
 // geom.Segment.OverlapTimeInBox returns for the decoded entry — the time
-// during which leaf entry k's trajectory lies inside exact (Query.Exact:
-// spatial extents, then the time window) — without decoding it. A
-// non-empty result is that one's bit for bit; an empty one may differ in
-// its bits (see NextOverlap, whose one-entry scan it is).
-func (v NodeView) EntryOverlapTime(k int, exact geom.Box) geom.Interval {
-	_, w := v.NextOverlap(k, k+1, exact)
+// during which leaf entry k's trajectory lies inside q.Exact (spatial
+// extents, then the time window) — without decoding it. A non-empty result
+// is that one's bit for bit; an empty one may differ in its bits (see
+// NextOverlap, whose one-entry scan it is).
+func (v NodeView) EntryOverlapTime(k int, q *Query) geom.Interval {
+	_, w := v.NextOverlap(k, k+1, q)
 	return w
 }
 
 // NextOverlap scans leaf entries from, from+1, … before to and returns the
 // first one whose EntryOverlapTime is not empty, with that overlap, or to
-// and an empty interval. The query's bounds are read once per call.
+// and an empty interval.
 //
 // It is the one definition of the exact leaf test. The entry's values go
 // through the same geom.ClipLine in the same axis order as in
-// OverlapTimeInBox. An axis that geom.ClipMisses proves empty ends the test
-// without dividing, which changes only the bits of an empty result. A NaN
-// window (the API refuses one) skips that proof and takes ClipLine's path.
-func (v NodeView) NextOverlap(from, to int, exact geom.Box) (int, geom.Interval) {
+// OverlapTimeInBox, except where an empty result is proven first, which
+// changes only the bits of an empty result: for an ordered query by the
+// gate (nextCandidate), and on any axis by geom.ClipMisses, which ends the
+// test without dividing. A query with a NaN bound or an inverted extent
+// (the API refuses the first and never builds the second) skips the gate,
+// and a NaN window skips ClipMisses too.
+func (v NodeView) NextOverlap(from, to int, q *Query) (int, geom.Interval) {
 	d := int(v.dims)
+	exact := q.Exact[:d+1]
 	win, spatial := exact[d], exact[:d]
 	for k := from; k < to; k++ {
+		if q.ordered {
+			if k = v.nextCandidate(k, to, q); k == to {
+				break
+			}
+		}
 		e := v.entry(k)
 		t := intervalAt(e, 8+8*d)
 		w := t.Intersect(win)
@@ -300,6 +306,40 @@ func (v NodeView) NextOverlap(from, to int, exact geom.Box) (int, geom.Interval)
 		}
 	}
 	return to, geom.EmptyInterval()
+}
+
+// nextCandidate is NextOverlap's gate for an ordered query: it scans leaf
+// entries from, from+1, … before to and returns the first one it cannot
+// reject by comparisons, or to. It rejects what most of a scan meets:
+//   - an entry valid outside the window, or with inverted validity:
+//     t0 > window.Hi, t1 < window.Lo or t0 > t1, exactly where
+//     Interval.Intersect is empty;
+//   - an entry with an axis whose end points both lie beyond one border
+//     (geom.BeyondGap) far enough for geom.ClipMargin, exactly where
+//     geom.ClipMisses fires.
+//
+// The validity test goes first: it is the cheaper one, and it rejects about
+// two in five of the entries a fly-through frame tests.
+func (v NodeView) nextCandidate(from, to int, q *Query) int {
+	d := int(v.dims)
+	exact := q.Exact[:d+1]
+	win, spatial := exact[d], exact[:d]
+entries:
+	for k := from; k < to; k++ {
+		e := v.entry(k)
+		t0, t1 := f32At(e, 8+8*d), f32At(e, 12+8*d)
+		if t0 > win.Hi || t1 < win.Lo || t0 > t1 {
+			continue
+		}
+		for i, b := range spatial {
+			gap, w := geom.BeyondGap(f32At(e, 8+4*i), f32At(e, 8+4*(d+i)), b.Lo, b.Hi)
+			if gap > 0 && geom.ClipMargin(t0, t1, gap, w) {
+				continue entries
+			}
+		}
+		return k
+	}
+	return to
 }
 
 // EntryLines fills x (Dims forms, caller-owned) with leaf entry k's

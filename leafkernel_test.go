@@ -389,6 +389,41 @@ func BenchmarkSnapshot(b *testing.B) {
 	b.ReportMetric(float64(results)/float64(b.N), "results/op")
 }
 
+// BenchmarkSnapshotFlight times a naive fly-through at the public API on
+// benchDB, as the repo benchmark's naive frames run one: the 51 frames of
+// one of the paper's queries, each a fresh snapshot, conversion to Result
+// included. It cycles through overlaps 0 to 0.9999 and window sides 8, 14
+// and 20 as BenchmarkPredictiveFetch does, so consecutive frames meet the
+// same leaves warm, where BenchmarkSnapshot's random windows meet them cold.
+func BenchmarkSnapshotFlight(b *testing.B) {
+	db := benchDB(b)
+	r := rand.New(rand.NewSource(3))
+	overlaps, sides := []float64{0, 0.5, 0.9, 0.9999}, []float64{8, 14, 20}
+	var queries []*workload.Query
+	for i := 0; i < 12; i++ {
+		q, err := workload.Generate(workload.PaperQuery(overlaps[i%4], sides[i/4%3]), r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	results := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		for f, w := range q.Windows {
+			tw := q.Times[f]
+			rs, err := db.Snapshot(Rect{Min: []float64{w[0].Lo, w[1].Lo}, Max: []float64{w[0].Hi, w[1].Hi}}, tw.Lo, tw.Hi)
+			if err != nil {
+				b.Fatal(err)
+			}
+			results += len(rs)
+		}
+	}
+	b.ReportMetric(float64(results)/float64(b.N), "results/op")
+}
+
 // BenchmarkPredictiveFetch times a whole predictive session at the public
 // API on benchDB, as the repo benchmark's fly-through runs one: starting it
 // and fetching the first and 50 subsequent frames of 0.1, conversion to
