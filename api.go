@@ -23,19 +23,10 @@ type NonPredictiveCursor interface {
 	Reset()
 }
 
-// AdaptiveCursor is the adaptive session surface (*AdaptiveSession
-// implements it).
-type AdaptiveCursor interface {
-	Frame(view Rect, t0, t1 float64) ([]Result, error)
-	Predictive() bool
-	Handoffs() int
-	Close()
-}
-
 // Database is the query and write surface of *DB: everything a server
 // needs to answer the protocol's operations without knowing whether one
 // tree or many stand behind it. Its writes are ApplyUpdates and
-// BulkLoadUpdates; DB.Insert and DB.Delete wrap ApplyUpdates.
+// BulkLoadUpdates; DB.Insert wraps ApplyUpdates.
 type Database interface {
 	// ApplyUpdates applies a batch of motion updates as one write: the
 	// high-rate ingest path. See DB for atomicity and durability
@@ -50,7 +41,6 @@ type Database interface {
 	KNNCtx(ctx context.Context, point []float64, t float64, k int) ([]Neighbor, error)
 	Predictive(waypoints []Waypoint, opts PredictiveOptions) (PredictiveCursor, error)
 	NonPredictive(opts NonPredictiveOptions) NonPredictiveCursor
-	Adaptive(opts AdaptiveOptions) (AdaptiveCursor, error)
 	Dims() int
 	Len() int
 	Stats() (IndexStats, error)

@@ -287,12 +287,12 @@ func BenchmarkMixedStaticNPDQ(b *testing.B) {
 // BenchmarkTracker times the Tracker on churnedTrackerFleet at
 // examples/airtraffic's scale (40 states) and at 5 000: update is one
 // dead-reckoning correction, during one of 200 windows and along one of 50
-// three-waypoint routes (trackerQueries). update runs last: it moves Now
-// past the queries.
+// three-waypoint routes (trackerQueries). update runs last: it moves the
+// current time past the queries.
 func BenchmarkTracker(b *testing.B) {
 	for _, n := range []int{40, 5000} {
 		f := churnedTrackerFleet(b, n, 1)
-		now := f.tk.Now()
+		now := f.now
 		r := newRand(2)
 		windows, routes := trackerQueries(r, now, 1000, 200, 50)
 		corrections := make([]trackerCorrection, 2000)

@@ -9,8 +9,7 @@ import "dynq/internal/cache"
 // frame maintains the complete set of currently visible objects without
 // the server ever re-sending one.
 type ViewCache struct {
-	c        *cache.Cache[Result]
-	episodes int
+	c *cache.Cache[Result]
 }
 
 // NewViewCache creates an empty client cache.
@@ -23,9 +22,9 @@ func NewViewCache() *ViewCache {
 // after the cached Disappear) is a re-announcement of that same episode —
 // PDQ can re-send one when a concurrent insert lands mid-frame — and is
 // merged into it: the cache keeps the earliest appearance and the latest
-// disappearance, so a stale re-send can never shrink the deadline, and
-// the episode is not counted twice. A result starting strictly after the
-// cached episode ends (or for an uncached object) opens a new episode.
+// disappearance, so a stale re-send can never shrink the deadline. A
+// result starting strictly after the cached episode ends (or for an
+// uncached object) opens a new episode.
 func (v *ViewCache) Apply(results []Result) {
 	for _, r := range results {
 		if cur, ok := v.c.Get(r.ID); ok && r.Appear <= cur.Disappear {
@@ -35,18 +34,10 @@ func (v *ViewCache) Apply(results []Result) {
 			if cur.Disappear > r.Disappear {
 				r.Disappear = cur.Disappear
 			}
-			v.c.Put(r.ID, r, r.Disappear)
-			continue
 		}
-		v.episodes++
 		v.c.Put(r.ID, r, r.Disappear)
 	}
 }
-
-// Episodes reports how many distinct visibility episodes the cache has
-// admitted since creation: re-announcements of an open episode do not
-// count, an object re-entering the view after leaving it does.
-func (v *ViewCache) Episodes() int { return v.episodes }
 
 // Advance evicts everything that has left the view by time now,
 // returning the evicted results.
@@ -57,9 +48,6 @@ func (v *ViewCache) Advance(now float64) []Result {
 // Visible returns the currently cached (visible) objects in unspecified
 // order.
 func (v *ViewCache) Visible() []Result { return v.c.Values() }
-
-// Get returns the cached result for an object, if visible.
-func (v *ViewCache) Get(id ObjectID) (Result, bool) { return v.c.Get(id) }
 
 // Len reports how many objects are currently cached.
 func (v *ViewCache) Len() int { return v.c.Len() }

@@ -2,24 +2,29 @@ package dynq
 
 import "testing"
 
+// cached returns the one result the cache holds, failing unless it holds
+// exactly one and it is for object id.
+func cached(t *testing.T, v *ViewCache, id ObjectID) Result {
+	t.Helper()
+	vis := v.Visible()
+	if v.Len() != 1 || len(vis) != 1 || vis[0].ID != id {
+		t.Fatalf("cache holds %+v (len %d), want object %d alone", vis, v.Len(), id)
+	}
+	return vis[0]
+}
+
 // TestViewCacheDedupesReannouncement: a PDQ re-send of an episode the
-// cache already holds — possible under concurrent insertion — must not
-// double-count the episode, and a stale (smaller) re-sent Disappear must
-// not shrink the cached deadline.
+// cache already holds — possible under concurrent insertion — must merge
+// into that episode, and a stale (smaller) re-sent Disappear must not
+// shrink the cached deadline.
 func TestViewCacheDedupesReannouncement(t *testing.T) {
 	v := NewViewCache()
 	v.Apply([]Result{{ID: 1, Appear: 0, Disappear: 20}})
-	if v.Episodes() != 1 || v.Len() != 1 {
-		t.Fatalf("episodes=%d len=%d after first announce", v.Episodes(), v.Len())
-	}
+	cached(t, v, 1)
 
 	// Re-announcement of the same episode with a stale, earlier deadline.
 	v.Apply([]Result{{ID: 1, Appear: 5, Disappear: 12}})
-	if v.Episodes() != 1 {
-		t.Errorf("re-announcement counted as new episode: %d", v.Episodes())
-	}
-	r, ok := v.Get(1)
-	if !ok || r.Appear != 0 || r.Disappear != 20 {
+	if r := cached(t, v, 1); r.Appear != 0 || r.Disappear != 20 {
 		t.Errorf("merged episode = %+v, want [0,20] preserved", r)
 	}
 	// Deadline must still be 20: advancing past the stale deadline keeps
@@ -39,17 +44,14 @@ func TestViewCacheExtendingReannouncement(t *testing.T) {
 	v := NewViewCache()
 	v.Apply([]Result{{ID: 7, Appear: 0, Disappear: 10}})
 	v.Apply([]Result{{ID: 7, Appear: 8, Disappear: 25}})
-	if v.Episodes() != 1 {
-		t.Errorf("extension counted as new episode: %d", v.Episodes())
-	}
-	if r, _ := v.Get(7); r.Appear != 0 || r.Disappear != 25 {
+	if r := cached(t, v, 7); r.Appear != 0 || r.Disappear != 25 {
 		t.Errorf("merged episode = %+v, want [0,25]", r)
 	}
 }
 
 // TestViewCacheReentryIsNewEpisode: after the object leaves the view
 // (evicted at its disappearance time), a later announcement is a fresh
-// visibility episode and counts as one.
+// visibility episode.
 func TestViewCacheReentryIsNewEpisode(t *testing.T) {
 	v := NewViewCache()
 	v.Apply([]Result{{ID: 3, Appear: 0, Disappear: 10}})
@@ -57,20 +59,17 @@ func TestViewCacheReentryIsNewEpisode(t *testing.T) {
 		t.Fatalf("advance to deadline evicted %d objects", len(gone))
 	}
 	v.Apply([]Result{{ID: 3, Appear: 30, Disappear: 40}})
-	if v.Episodes() != 2 {
-		t.Errorf("re-entry episodes = %d, want 2", v.Episodes())
-	}
-	if r, _ := v.Get(3); r.Appear != 30 || r.Disappear != 40 {
+	if r := cached(t, v, 3); r.Appear != 30 || r.Disappear != 40 {
 		t.Errorf("re-entry episode = %+v, want [30,40]", r)
 	}
 
 	// Even without eviction in between, an episode starting strictly
 	// after the cached one ends is a new episode (replacing, not merging).
 	v.Apply([]Result{{ID: 3, Appear: 50, Disappear: 60}})
-	if v.Episodes() != 3 {
-		t.Errorf("disjoint later episode = %d episodes, want 3", v.Episodes())
-	}
-	if r, _ := v.Get(3); r.Appear != 50 || r.Disappear != 60 {
+	if r := cached(t, v, 3); r.Appear != 50 || r.Disappear != 60 {
 		t.Errorf("replaced episode = %+v, want [50,60]", r)
+	}
+	if gone := v.Advance(40); len(gone) != 0 {
+		t.Errorf("the replaced episode's deadline survived: evicted %v", gone)
 	}
 }

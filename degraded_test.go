@@ -1,6 +1,7 @@
 package dynq
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -75,7 +76,7 @@ func TestDeleteNotFoundDoesNotDegrade(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 2*degradeAfter; i++ {
-		err := db.Delete(ObjectID(i), 0)
+		err := db.ApplyUpdates(context.Background(), []MotionUpdate{{ID: ObjectID(i), Segment: Segment{T0: 0}, Delete: true}}, WriteOptions{})
 		if !errors.Is(err, ErrNotFound) {
 			t.Fatalf("delete of absent segment: got %v, want ErrNotFound", err)
 		}

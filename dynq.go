@@ -91,7 +91,7 @@ type Options struct {
 	// cannot tear the committed base file the log replays onto.
 	BufferPages int
 	// WALPath, when non-empty, arms a write-ahead log: every
-	// ApplyUpdates/Insert/Delete appends a checksummed record before
+	// ApplyUpdates/Insert appends a checksummed record before
 	// touching the index, Sync checkpoints the log, and reopening through
 	// OpenFileRecoverWith replays whatever the last page commit missed. Open
 	// creates the log fresh (like Path, truncating any existing file).
@@ -148,10 +148,6 @@ func Open(opts Options) (*DB, error) {
 	return &DB{e}, nil
 }
 
-// LastRecovery returns the per-unit reports from the recovering open that
-// produced this database, in unit order; nil for a fresh database.
-func (db *DB) LastRecovery() []*RecoveryReport { return db.recovery }
-
 // WALInfo reports each unit log's header state in unit order; ok is false
 // when the database runs without logs.
 func (db *DB) WALInfo() ([]WALInfo, bool) {
@@ -163,14 +159,6 @@ func (db *DB) WALInfo() ([]WALInfo, bool) {
 		out[i] = walInfo(w)
 	}
 	return out, true
-}
-
-// JoinWith finds every pair (a ∈ db, b ∈ other) within delta of each
-// other at time t. Both databases must have the same dimensionality.
-// Only the receiver is read-locked; concurrent writes to other
-// synchronize at its index level, so they may land mid-join.
-func (db *DB) JoinWith(other *DB, delta, t float64) ([]Pair, error) {
-	return db.joinWith(other.engine, delta, t)
 }
 
 func (o Options) toConfig() (rtree.Config, error) {
@@ -188,7 +176,8 @@ func (o Options) toConfig() (rtree.Config, error) {
 	return cfg, nil
 }
 
-// ErrNotFound is returned by Delete for a missing segment.
+// ErrNotFound is returned by ApplyUpdates for a delete of a missing
+// segment.
 var ErrNotFound = rtree.ErrNotFound
 
 // ErrNonFinite is returned for input the index cannot order: a segment

@@ -1,6 +1,7 @@
 package dynq
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -89,10 +90,11 @@ func TestDelete(t *testing.T) {
 	if err := db.Insert(9, seg); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete(9, 1); err != nil {
+	del := []MotionUpdate{{ID: 9, Segment: Segment{T0: 1}, Delete: true}}
+	if err := db.ApplyUpdates(context.Background(), del, WriteOptions{}); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if err := db.Delete(9, 1); err != ErrNotFound {
+	if err := db.ApplyUpdates(context.Background(), del, WriteOptions{}); err != ErrNotFound {
 		t.Errorf("double delete = %v, want ErrNotFound", err)
 	}
 	if db.Len() != 0 {
@@ -164,6 +166,10 @@ func TestPredictiveSessionAgainstSnapshots(t *testing.T) {
 		}
 		view.Apply(res)
 		view.Advance(t0)
+		visible := make(map[ObjectID]bool)
+		for _, r := range view.Visible() {
+			visible[r.ID] = true
+		}
 		// Interpolated window at time t0.
 		frac := (t0 - 5) / 20
 		lo := 10 + 40*frac
@@ -175,7 +181,7 @@ func TestPredictiveSessionAgainstSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range snap {
-			if _, ok := view.Get(s.ID); !ok {
+			if !visible[s.ID] {
 				// Tolerate boundary-degenerate matches (zero-length
 				// episodes at the frame edge).
 				if s.Disappear-s.Appear < 1e-9 {
@@ -253,11 +259,8 @@ func TestViewCache(t *testing.T) {
 	if len(gone) != 1 || gone[0].ID != 2 {
 		t.Errorf("evicted = %v", gone)
 	}
-	if _, ok := v.Get(1); !ok {
-		t.Error("object 1 should still be visible")
-	}
-	if vs := v.Visible(); len(vs) != 1 {
-		t.Errorf("visible = %v", vs)
+	if vs := v.Visible(); len(vs) != 1 || vs[0].ID != 1 {
+		t.Errorf("visible = %v, want object 1 alone", vs)
 	}
 }
 

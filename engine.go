@@ -22,7 +22,7 @@ import (
 //
 // Concurrency and lock order: the database lock mu, then at most one
 // unit lock at a time (multi-unit readers take theirs in ascending
-// order inside shard.Engine). Data writes (Insert, Delete, ApplyUpdates)
+// order inside shard.Engine). Data writes (Insert, ApplyUpdates)
 // hold mu SHARED and their owner unit's lock exclusively, so a write
 // burst on one unit never blocks a read on another — and with one unit
 // the unit lock alone serializes writers against queries. Queries hold
@@ -256,16 +256,6 @@ func (e *engine) Within(delta, t float64) ([]Pair, error) {
 	return fromJoinPairs(pairs), nil
 }
 
-func (e *engine) joinWith(other *engine, delta, t float64) ([]Pair, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	pairs, err := e.units.CrossJoin(other.units, delta, t)
-	if err != nil {
-		return nil, err
-	}
-	return fromJoinPairs(pairs), nil
-}
-
 func fromJoinPairs(pairs []core.JoinPair) []Pair {
 	out := make([]Pair, len(pairs))
 	for i, p := range pairs {
@@ -276,20 +266,6 @@ func fromJoinPairs(pairs []core.JoinPair) []Pair {
 		}
 	}
 	return out
-}
-
-// CountSeries evaluates the continuous aggregate COUNT(*) of a moving
-// view: how many objects are inside the observer's window at each sample
-// time. The whole series costs one incremental traversal per unit (the
-// dynamic query machinery), not one aggregation per sample.
-func (e *engine) CountSeries(waypoints []Waypoint, times []float64) ([]int, error) {
-	traj, err := buildTrajectory(waypoints, e.dims)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.units.CountSeries(traj, times)
 }
 
 // CostSnapshot returns the raw cumulative counter snapshot (all paper
@@ -320,27 +296,15 @@ func (e *engine) BufferStats() BufferStats {
 	defer e.mu.RUnlock()
 	var out BufferStats
 	for i := 0; i < e.units.Shards(); i++ {
-		b := e.unitBufferStats(i)
-		out.Hits += b.Hits
-		out.Misses += b.Misses
-		out.Evictions += b.Evictions
-		out.WriteBacks += b.WriteBacks
-		out.Len += b.Len
-		out.Capacity += b.Capacity
+		p := e.units.Shard(i).Tree.Pool()
+		out.Hits += p.Hits()
+		out.Misses += p.Misses()
+		out.Evictions += p.Evictions()
+		out.WriteBacks += p.WriteBacks()
+		out.Len += p.Len()
+		out.Capacity += p.Capacity()
 	}
 	return out
-}
-
-func (e *engine) unitBufferStats(i int) BufferStats {
-	p := e.units.Shard(i).Tree.Pool()
-	return BufferStats{
-		Hits:       p.Hits(),
-		Misses:     p.Misses(),
-		Evictions:  p.Evictions(),
-		WriteBacks: p.WriteBacks(),
-		Len:        p.Len(),
-		Capacity:   p.Capacity(),
-	}
 }
 
 // BufferSegments reports per-segment buffer-pool accounting, in segment

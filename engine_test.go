@@ -2,6 +2,7 @@ package dynq
 
 import (
 	"context"
+	"dynq/internal/rtree"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -82,7 +83,7 @@ func TestFailedDeleteLeavesUnitUntouched(t *testing.T) {
 				// An insert and a delete of a never-inserted object that
 				// share a unit, so the insert is in the portion that fails.
 				ins, missing := ObjectID(1000), ObjectID(2000)
-				for db.ShardFor(missing) != db.ShardFor(ins) {
+				for db.units.ShardFor(rtree.ObjectID(missing)) != db.units.ShardFor(rtree.ObjectID(ins)) {
 					missing++
 				}
 				err = db.ApplyUpdates(ctx, []MotionUpdate{
@@ -325,7 +326,7 @@ func reopenCase(t *testing.T, fl flavour, logged bool) reopened {
 	if _, ok := re.WALTelemetry(nil); ok != logged {
 		t.Fatalf("reopen armed logs: %v, want %v (auto-detect)", ok, logged)
 	}
-	reps := re.LastRecovery()
+	reps := re.recovery
 	if len(reps) != fl.units {
 		t.Fatalf("%d per-unit reports, want %d", len(reps), fl.units)
 	}
@@ -396,11 +397,6 @@ func TestOneUnitFlavoursIdentical(t *testing.T) {
 				Within(delta, t float64) ([]Pair, error)
 			}).Within(2.5, 4)
 		}},
-		{"count-series", func(db Database) (any, error) {
-			return db.(interface {
-				CountSeries([]Waypoint, []float64) ([]int, error)
-			}).CountSeries(wps, []float64{0.5, 2, 4})
-		}},
 		{"predictive", func(db Database) (any, error) {
 			s, err := db.Predictive(wps, PredictiveOptions{})
 			if err != nil {
@@ -430,7 +426,7 @@ func TestOneUnitFlavoursIdentical(t *testing.T) {
 			return frames, nil
 		}},
 		{"adaptive", func(db Database) (any, error) {
-			s, err := db.Adaptive(AdaptiveOptions{Slack: 1, Horizon: 2})
+			s, err := db.(*DB).Adaptive(AdaptiveOptions{Slack: 1, Horizon: 2})
 			if err != nil {
 				return nil, err
 			}

@@ -70,21 +70,6 @@ func (c *Cache[V]) Advance(now float64) []V {
 	return evicted
 }
 
-// AdvanceBefore evicts only objects whose disappearance time is strictly
-// before now, keeping those that disappear exactly at now. Closed-interval
-// sampling — counting the set visible AT an instant, where an episode
-// ending exactly at the sample time still overlaps it — wants this
-// variant rather than Advance's at-deadline discard.
-func (c *Cache[V]) AdvanceBefore(now float64) []V {
-	var evicted []V
-	for c.pq.Len() > 0 && c.pq[0].disappear < now {
-		it := heap.Pop(&c.pq).(*item[V])
-		delete(c.items, it.id)
-		evicted = append(evicted, it.value)
-	}
-	return evicted
-}
-
 // Len reports the number of cached objects.
 func (c *Cache[V]) Len() int { return len(c.items) }
 

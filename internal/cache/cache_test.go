@@ -21,10 +21,6 @@ func TestCacheBasic(t *testing.T) {
 	if v, ok := c.Get(2); !ok || v != "b" {
 		t.Errorf("get 2 = %q %v", v, ok)
 	}
-	// AdvanceBefore(5): nothing evicted (deadline exactly at now is kept).
-	if ev := c.AdvanceBefore(5); len(ev) != 0 {
-		t.Errorf("AdvanceBefore evicted at t=5: %v", ev)
-	}
 	// Advance(5): discarded at its disappearance time — b goes.
 	ev := c.Advance(5)
 	if len(ev) != 1 || ev[0] != "b" {
@@ -44,18 +40,14 @@ func TestCacheBasic(t *testing.T) {
 }
 
 // TestCacheAdvanceBoundary pins the paper's Section 4.1 semantics: an
-// object whose disappearance time equals the frame timestamp is
-// discarded by Advance at that frame, while AdvanceBefore (closed-
-// interval sampling) keeps it through the instant.
+// object whose disappearance time equals the frame timestamp is kept
+// until that frame and discarded by Advance at it.
 func TestCacheAdvanceBoundary(t *testing.T) {
 	c := New[string]()
 	c.Put(1, "edge", 30)
 
-	if ev := c.AdvanceBefore(30); len(ev) != 0 {
-		t.Fatalf("AdvanceBefore(30) evicted %v; deadline-at-now must survive", ev)
-	}
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("object gone after AdvanceBefore at its own deadline")
+	if ev := c.Advance(29.5); len(ev) != 0 {
+		t.Fatalf("Advance(29.5) evicted %v before its deadline", ev)
 	}
 	ev := c.Advance(30)
 	if len(ev) != 1 || ev[0] != "edge" {

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"dynq/internal/geom"
 	"dynq/internal/pager"
 	"dynq/internal/rtree"
 	"dynq/internal/stats"
@@ -166,74 +165,6 @@ func TestDistanceJoinProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestContinuousCount(t *testing.T) {
-	tree, entries := buildIndex(t, rtree.DefaultConfig(), 200, 50, 37)
-	tr := straightTraj(t, 10, 40, 10, 0.8, 5, 45)
-	times := []float64{5, 10, 15, 20, 25, 30, 35, 40, 45}
-	var c stats.Counters
-	counts, err := ContinuousCount(tree, tr, times, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != len(times) {
-		t.Fatalf("got %d counts", len(counts))
-	}
-	// Brute force: objects whose exact position lies inside the window at
-	// each sample time.
-	for i, tt := range times {
-		want := 0
-		win := tr.WindowAt(tt)
-		for _, e := range entries {
-			if !e.Seg.T.ContainsValue(tt) {
-				continue
-			}
-			if win.ContainsPoint(e.Seg.At(tt)) {
-				want++
-			}
-		}
-		// Boundary-grazing episodes can differ by one or two; require
-		// close agreement.
-		if diff := counts[i] - want; diff < -2 || diff > 2 {
-			t.Errorf("t=%g: count %d, brute force %d", tt, counts[i], want)
-		}
-	}
-	// Validation.
-	if _, err := ContinuousCount(tree, tr, []float64{10, 5}, &c); err == nil {
-		t.Error("unsorted sample times should be rejected")
-	}
-	if _, err := ContinuousCount(tree, tr, []float64{0, 10}, &c); err == nil {
-		t.Error("samples outside the span should be rejected")
-	}
-	if got, err := ContinuousCount(tree, tr, nil, &c); err != nil || got != nil {
-		t.Errorf("empty samples = %v, %v", got, err)
-	}
-}
-
-// The aggregate uses one incremental traversal: the I/O of a full count
-// series must be far below one naive range aggregation per sample.
-func TestContinuousCountIsIncremental(t *testing.T) {
-	tree, _ := buildIndex(t, rtree.DefaultConfig(), 1000, 100, 38)
-	tr := straightTraj(t, 20, 40, 8, 0.5, 10, 60)
-	var times []float64
-	for tt := 10.0; tt <= 60; tt += 0.5 {
-		times = append(times, tt)
-	}
-	var cAgg stats.Counters
-	if _, err := ContinuousCount(tree, tr, times, &cAgg); err != nil {
-		t.Fatal(err)
-	}
-	var cNaive stats.Counters
-	naive := NewNaive(tree, rtree.SearchOptions{}, &cNaive)
-	for _, tt := range times {
-		if _, err := naive.Snapshot(tr.WindowAt(tt), geom.IntervalOf(tt)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a, n := cAgg.Snapshot().Reads(), cNaive.Snapshot().Reads(); a*2 >= n {
-		t.Errorf("continuous count reads (%d) should be well below per-sample naive (%d)", a, n)
 	}
 }
 

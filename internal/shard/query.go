@@ -7,7 +7,6 @@ import (
 	"dynq/internal/core"
 	"dynq/internal/geom"
 	"dynq/internal/rtree"
-	"dynq/internal/trajectory"
 )
 
 // Snapshot answers one spatio-temporal range query by fanning the search
@@ -113,62 +112,5 @@ func (e *Engine) SelfJoin(delta, t float64) ([]core.JoinPair, error) {
 		}
 	}
 	slices.SortFunc(out, core.ComparePairs)
-	return out, nil
-}
-
-// CrossJoin finds every pair (a ∈ e, b ∈ other) within delta at time t:
-// one task per shard pair, merged and sorted deterministically.
-func (e *Engine) CrossJoin(other *Engine, delta, t float64) ([]core.JoinPair, error) {
-	n, m := len(e.shards), len(other.shards)
-	fns := make([]func() error, 0, n*m)
-	parts := make([][]core.JoinPair, n*m)
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			i, j := i, j
-			fns = append(fns, func() error {
-				// No shard locks here: two engines have no common lock
-				// order (JoinWith can run in both directions at once), so
-				// taking both could deadlock. The trees' own whole-search
-				// locks keep the join memory-safe; what it can observe is
-				// a concurrent batch half-applied to the OTHER engine.
-				a, b := e.shards[i], other.shards[j]
-				pairs, err := core.DistanceJoin(a.Tree, b.Tree, delta, t, &a.Counters)
-				parts[i*m+j] = pairs
-				return err
-			})
-		}
-	}
-	if err := e.run(fns); err != nil {
-		return nil, err
-	}
-	var out []core.JoinPair
-	for _, pairs := range parts {
-		out = append(out, pairs...)
-	}
-	slices.SortFunc(out, core.ComparePairs)
-	return out, nil
-}
-
-// CountSeries evaluates the continuous COUNT(*) of a moving view on every
-// shard in parallel and sums the per-shard series element-wise (the
-// trajectory is read-only and safely shared across tasks).
-func (e *Engine) CountSeries(traj *trajectory.Trajectory, times []float64) ([]int, error) {
-	parts := make([][]int, len(e.shards))
-	err := e.fanOut(func(i int, sh *Shard) error {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		cs, err := core.ContinuousCount(sh.Tree, traj, times, &sh.Counters)
-		parts[i] = cs
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(times))
-	for _, cs := range parts {
-		for i, c := range cs {
-			out[i] += c
-		}
-	}
 	return out, nil
 }

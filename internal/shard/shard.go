@@ -350,9 +350,6 @@ func (e *Engine) CostSnapshot() stats.Snapshot {
 	return sum
 }
 
-// ShardCost returns shard i's own counter snapshot.
-func (e *Engine) ShardCost(i int) stats.Snapshot { return e.shards[i].Counters.Snapshot() }
-
 // ResetCost zeroes every shard's counters.
 func (e *Engine) ResetCost() {
 	for _, sh := range e.shards {

@@ -199,7 +199,7 @@ func TestCostAccounting(t *testing.T) {
 	}
 	var sum int64
 	for i := 0; i < e.Shards(); i++ {
-		sum += e.ShardCost(i).Reads()
+		sum += e.Shard(i).Counters.Snapshot().Reads()
 	}
 	if sum != total.Reads() {
 		t.Fatalf("per-shard reads sum %d != aggregate %d", sum, total.Reads())

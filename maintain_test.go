@@ -304,7 +304,7 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 		t.Fatalf("reopen after failed checkpoint + crash: %v", err)
 	}
 	defer db2.Close()
-	if rep := db2.LastRecovery()[0]; rep.WALRecordsReplayed == 0 {
+	if rep := db2.recovery[0]; rep.WALRecordsReplayed == 0 {
 		t.Fatal("recovery replayed nothing though the checkpoint failed")
 	}
 	if got := db2.Len(); got != want {

@@ -96,7 +96,7 @@ func dialT(t *testing.T, addr string) *Client {
 
 // What a client decodes is the caller's: writing to it and appending to it
 // changes no other answer of the response and no later response — for
-// snapshots, non-predictive, predictive and adaptive frames and KNN
+// snapshots, non-predictive and predictive frames and KNN
 // neighbours, on one unit and on four. Twin connections fly the same
 // sessions; one's answers are written to after every frame, the other's
 // never.
@@ -181,25 +181,6 @@ func TestDecodedAnswersOwnTheirMemory(t *testing.T) {
 				t.Fatalf("object 9999 should arrive in two episodes that share no coordinates, got %+v", episodes)
 			}
 
-			for _, cl := range []*Client{a, b} {
-				if err := cl.StartAdaptive(dynq.AdaptiveOptions{Slack: 1, Horizon: 10}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for f := 0; f < 20; f++ {
-				x := float64(f) * 1.5
-				view := dynq.Rect{Min: []float64{x, 40}, Max: []float64{x + 15, 60}}
-				ra, _, err := a.AdaptiveFrame(view, float64(f), float64(f)+1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rb, _, err := b.AdaptiveFrame(view, float64(f), float64(f)+1)
-				if err != nil || !reflect.DeepEqual(ra, rb) {
-					t.Fatalf("adaptive frame %d differs from its untouched twin (err %v)", f, err)
-				}
-				scribble(t, fmt.Sprintf("adaptive frame %d", f), ra, copyResults(rb), resultSegment)
-				delivered += len(rb)
-			}
 			if delivered < 60 {
 				t.Fatalf("the sessions delivered %d results: too few to mean anything", delivered)
 			}

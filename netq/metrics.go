@@ -34,7 +34,6 @@ type serverMetrics struct {
 	perOp             map[Op]*opMetrics
 	activeConns       *obs.Gauge
 	activePDQ         *obs.Gauge
-	activeAdaptive    *obs.Gauge
 	bytesIn           *obs.Counter
 	bytesOut          *obs.Counter
 	unknownOps        *obs.Counter
@@ -78,7 +77,6 @@ func newServerMetrics(reg *obs.Registry, db dynq.Database) *serverMetrics {
 	}
 	m.activeConns = reg.Gauge("netq_active_connections")
 	m.activePDQ = reg.Gauge("netq_active_sessions", obs.L("kind", "pdq"))
-	m.activeAdaptive = reg.Gauge("netq_active_sessions", obs.L("kind", "adaptive"))
 	m.bytesIn = reg.Counter("netq_bytes_in_total")
 	m.bytesOut = reg.Counter("netq_bytes_out_total")
 	m.unknownOps = reg.Counter("netq_unknown_ops_total")
@@ -151,8 +149,6 @@ func engineFor(op Op) (string, bool) {
 		return "pdq", true
 	case OpNPDQ:
 		return "npdq", true
-	case OpAdaptiveFrame:
-		return "adaptive", true
 	case OpApplyUpdates:
 		return "insert", true
 	}

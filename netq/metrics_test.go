@@ -203,9 +203,6 @@ func TestTypedErrorsOverTheWire(t *testing.T) {
 	if _, err := cl.FetchPredictive(0, 1); !errors.Is(err, ErrNoSession) {
 		t.Errorf("pdq-fetch error = %#v, want ErrNoSession", err)
 	}
-	if _, _, err := cl.AdaptiveFrame(dynq.Rect{Min: []float64{0, 0}, Max: []float64{1, 1}}, 0, 1); !errors.Is(err, ErrNoSession) {
-		t.Errorf("adaptive-frame error = %#v, want ErrNoSession", err)
-	}
 
 	// The rejections are counted in the registry.
 	if got := srv.Registry().Counter("netq_unknown_ops_total").Value(); got != 1 {

@@ -51,10 +51,14 @@ import (
 //	   order; a response is an error kind and message, or that op's
 //	   payload. Floats travel as their IEEE-754 bits; the telemetry op's
 //	   payload is the JSON document /debug/telemetry serves. A v1 or v2
-//	   peer is refused in gob it can read (legacy.go).
+//	   peer was refused in gob it could read.
 //	4  the insert, track-update, track-at, track-during and track-along
 //	   ops retired; the op codes after each renumber.
-const ProtocolVersion = 4
+//	5  the adaptive-start and adaptive-frame ops retired, with the
+//	   Request.Adaptive and Response.Predictive fields; stats and
+//	   telemetry renumber. A peer that does not open with a hello is
+//	   counted as a version mismatch and closed, without a gob answer.
+const ProtocolVersion = 5
 
 // protocolMagic distinguishes a netq peer from an arbitrary TCP
 // endpoint.
@@ -65,17 +69,15 @@ type Op string
 
 // Protocol operations.
 const (
-	OpSnapshot      Op = "snapshot"       // independent snapshot query
-	OpApplyUpdates  Op = "apply-updates"  // batched motion updates (one round trip)
-	OpKNN           Op = "knn"            // k nearest neighbors at a time instant
-	OpPDQStart      Op = "pdq-start"      // register a trajectory (one per conn)
-	OpPDQFetch      Op = "pdq-fetch"      // fetch newly visible objects
-	OpNPDQ          Op = "npdq"           // next snapshot of the NPDQ session
-	OpNPDQReset     Op = "npdq-reset"     // forget NPDQ history (teleport)
-	OpAdaptiveStart Op = "adaptive-start" // start an adaptive session (one per conn)
-	OpAdaptiveFrame Op = "adaptive-frame" // report a view frame, get new objects
-	OpStats         Op = "stats"          // index statistics
-	OpTelemetry     Op = "telemetry"      // server stats snapshot (SLOs, windows, runtime, events)
+	OpSnapshot     Op = "snapshot"      // independent snapshot query
+	OpApplyUpdates Op = "apply-updates" // batched motion updates (one round trip)
+	OpKNN          Op = "knn"           // k nearest neighbors at a time instant
+	OpPDQStart     Op = "pdq-start"     // register a trajectory (one per conn)
+	OpPDQFetch     Op = "pdq-fetch"     // fetch newly visible objects
+	OpNPDQ         Op = "npdq"          // next snapshot of the NPDQ session
+	OpNPDQReset    Op = "npdq-reset"    // forget NPDQ history (teleport)
+	OpStats        Op = "stats"         // index statistics
+	OpTelemetry    Op = "telemetry"     // server stats snapshot (SLOs, windows, runtime, events)
 )
 
 // Request is one client→server message. TraceID and SpanID carry the
@@ -93,7 +95,6 @@ type Request struct {
 	Live      bool
 	Point     []float64
 	K         int
-	Adaptive  dynq.AdaptiveOptions
 	// Updates and Durability carry the apply-updates op: a write batch
 	// applied as one database write, with the requested dynq.Durability
 	// level (meaningful when the server's database has a WAL armed).
@@ -103,12 +104,11 @@ type Request struct {
 
 // Response is one server→client message.
 type Response struct {
-	Err        string
-	ErrKind    string // one of the ErrKind* constants, "" for untyped errors
-	Results    []dynq.Result
-	Neighbors  []dynq.Neighbor
-	Stats      dynq.IndexStats
-	Predictive bool // adaptive session mode after this frame
+	Err       string
+	ErrKind   string // one of the ErrKind* constants, "" for untyped errors
+	Results   []dynq.Result
+	Neighbors []dynq.Neighbor
+	Stats     dynq.IndexStats
 	// Telemetry answers the telemetry op (nil for every other op).
 	Telemetry *obs.Telemetry
 }
@@ -363,7 +363,10 @@ func (s *Server) greet(l *link) bool {
 		return false // gone before saying anything
 	}
 	if lead[0] != helloLead {
-		s.refuseLegacy(l)
+		// A pre-v3 peer, which speaks gob, or no netq peer at all.
+		s.metrics.versionMismatches.Inc()
+		s.logger.Warn("netq: rejected peer", "remote", l.conn.RemoteAddr().String(),
+			"lead_byte", lead[0], "err", &VersionError{Local: ProtocolVersion, Detail: "peer did not open with a hello"})
 		return false
 	}
 	magic, version, err := readHello(l.r)
@@ -466,19 +469,14 @@ func (s *Server) serve(sess *connSessions, req Request) Response {
 // cursors are held as the interface forms so the server works unchanged
 // over single-tree and sharded backends.
 type connSessions struct {
-	pdq      dynq.PredictiveCursor
-	npdq     dynq.NonPredictiveCursor
-	adaptive dynq.AdaptiveCursor
+	pdq  dynq.PredictiveCursor
+	npdq dynq.NonPredictiveCursor
 }
 
 func (s *Server) closeSessions(cs *connSessions) {
 	if cs.pdq != nil {
 		cs.pdq.Close()
 		s.metrics.activePDQ.Dec()
-	}
-	if cs.adaptive != nil {
-		cs.adaptive.Close()
-		s.metrics.activeAdaptive.Dec()
 	}
 }
 
@@ -534,28 +532,6 @@ func (s *Server) dispatch(ctx context.Context, sess *connSessions, req Request) 
 	case OpNPDQReset:
 		npdq.Reset()
 		return Response{}
-	case OpAdaptiveStart:
-		if sess.adaptive != nil {
-			sess.adaptive.Close()
-			sess.adaptive = nil
-			s.metrics.activeAdaptive.Dec()
-		}
-		a, err := s.db.Adaptive(req.Adaptive)
-		if err != nil {
-			return fail(err)
-		}
-		sess.adaptive = a
-		s.metrics.activeAdaptive.Inc()
-		return Response{}
-	case OpAdaptiveFrame:
-		if sess.adaptive == nil {
-			return fail(fmt.Errorf("%w: adaptive (start with %s)", ErrNoSession, OpAdaptiveStart))
-		}
-		rs, err := sess.adaptive.Frame(req.View, req.T0, req.T1)
-		if err != nil {
-			return fail(err)
-		}
-		return Response{Results: rs, Predictive: sess.adaptive.Predictive()}
 	case OpStats:
 		st, err := s.db.Stats()
 		if err != nil {
@@ -660,19 +636,6 @@ func (c *Client) dialOnce() (*link, error) {
 	return l, nil
 }
 
-// NewClient wraps an established connection (useful for tests with
-// in-memory pipes) and performs the protocol handshake under the
-// handshake timeout, returning a *VersionError if the peer speaks a
-// different protocol version. A client built this way cannot reconnect
-// (it has no address to redial).
-func NewClient(conn net.Conn) (*Client, error) {
-	l, err := handshake(conn)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{link: l}, nil
-}
-
 // handshake performs the version exchange on conn, bounded by the
 // handshake timeout so a half-open peer cannot hang the caller forever.
 func handshake(conn net.Conn) (*link, error) {
@@ -684,8 +647,8 @@ func handshake(conn net.Conn) (*link, error) {
 	l := newLink(conn)
 	lead, err := l.r.Peek(1)
 	if err == nil && lead[0] != helloLead {
-		// A v2 server refuses the hello in gob.
-		return nil, legacyRefusal(l.r)
+		// A pre-v3 server answers the hello in gob.
+		return nil, &VersionError{Local: ProtocolVersion, Detail: "peer answered the hello in an unknown format"}
 	}
 	var magic string
 	var version int
@@ -1011,28 +974,4 @@ func (c *Client) Stats() (dynq.IndexStats, error) {
 func (c *Client) StatsCtx(ctx context.Context) (dynq.IndexStats, error) {
 	resp, err := c.roundTrip(ctx, Request{Op: OpStats})
 	return resp.Stats, err
-}
-
-// StartAdaptive starts this connection's adaptive dynamic query session.
-func (c *Client) StartAdaptive(opts dynq.AdaptiveOptions) error {
-	return c.StartAdaptiveCtx(context.Background(), opts)
-}
-
-// StartAdaptiveCtx is StartAdaptive with cooperative cancellation.
-func (c *Client) StartAdaptiveCtx(ctx context.Context, opts dynq.AdaptiveOptions) error {
-	_, err := c.roundTrip(ctx, Request{Op: OpAdaptiveStart, Adaptive: opts})
-	return err
-}
-
-// AdaptiveFrame reports the observer's view for one frame; it returns the
-// newly visible objects and whether the server is currently predicting
-// the observer's motion.
-func (c *Client) AdaptiveFrame(view dynq.Rect, t0, t1 float64) ([]dynq.Result, bool, error) {
-	return c.AdaptiveFrameCtx(context.Background(), view, t0, t1)
-}
-
-// AdaptiveFrameCtx is AdaptiveFrame with cooperative cancellation.
-func (c *Client) AdaptiveFrameCtx(ctx context.Context, view dynq.Rect, t0, t1 float64) ([]dynq.Result, bool, error) {
-	resp, err := c.roundTrip(ctx, Request{Op: OpAdaptiveFrame, View: view, T0: t0, T1: t1})
-	return resp.Results, resp.Predictive, err
 }

@@ -342,7 +342,7 @@ func TestCancelAfterResponseKeepsConnection(t *testing.T) {
 	cs, ss := net.Pipe()
 	go srv.handle(ss)
 	conn := &cancelOnRead{Conn: cs, armed: make(chan context.CancelFunc, 1), wakeup: make(chan struct{}, 1)}
-	cl, err := NewClient(conn)
+	cl, err := newClient(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

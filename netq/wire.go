@@ -15,7 +15,7 @@ import (
 	"dynq/internal/obs"
 )
 
-// The version 4 wire format. After the handshake every message is one
+// The version 5 wire format. After the handshake every message is one
 // frame:
 //
 //	u32 length | body                 little-endian, length ≤ maxFrame
@@ -45,7 +45,6 @@ import (
 //	Neighbor           ID | Segment | Dist
 //	Waypoint           T | View
 //	MotionUpdate       ID | Segment | Delete
-//	AdaptiveOptions    Slack | Horizon | StableFrames
 //	IndexStats         six ints | AvgLeafFill | AvgIntFill
 //	Telemetry          string: the JSON document /debug/telemetry serves
 //
@@ -75,7 +74,6 @@ const (
 	fLive
 	fPoint
 	fK
-	fAdaptive
 	fUpdates
 	fDurability
 )
@@ -83,7 +81,6 @@ const (
 // Response fields.
 const (
 	fResults fields = 1 << (16 + iota)
-	fPredictive
 	fNeighbors
 	fStats
 	fTelemetry
@@ -104,8 +101,6 @@ var wireOps = [...]struct {
 	{OpPDQFetch, fT0 | fT1, fResults},
 	{OpNPDQ, fView | fT0 | fT1, fResults},
 	{OpNPDQReset, 0, 0},
-	{OpAdaptiveStart, fAdaptive, 0},
-	{OpAdaptiveFrame, fView | fT0 | fT1, fResults | fPredictive},
 	{OpStats, 0, fStats},
 	{OpTelemetry, 0, fTelemetry},
 }
@@ -501,11 +496,6 @@ func (c *codec) request(req *Request) {
 	if f&fK != 0 {
 		c.int(&req.K)
 	}
-	if f&fAdaptive != 0 {
-		c.f64(&req.Adaptive.Slack)
-		c.f64(&req.Adaptive.Horizon)
-		c.int(&req.Adaptive.StableFrames)
-	}
 	if f&fUpdates != 0 {
 		sized(c, &req.Updates, minUpdate)
 		for i := range req.Updates {
@@ -546,9 +536,6 @@ func (c *codec) response(op Op, resp *Response) {
 			c.f64(&r.Appear)
 			c.f64(&r.Disappear)
 		}
-	}
-	if f&fPredictive != 0 {
-		c.bool(&resp.Predictive)
 	}
 	if f&fNeighbors != 0 {
 		sized(c, &resp.Neighbors, minNeighbor)

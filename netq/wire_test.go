@@ -7,8 +7,11 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -134,9 +137,6 @@ func (g gen) request(code int) Request {
 	if f&fK != 0 {
 		req.K = []int{0, -1, math.MaxInt, math.MinInt, 10}[g.r.Intn(5)]
 	}
-	if f&fAdaptive != 0 {
-		req.Adaptive = dynq.AdaptiveOptions{Slack: g.float(), Horizon: g.float(), StableFrames: g.r.Intn(10) - 2}
-	}
 	if f&fUpdates != 0 {
 		if n := g.n(5); n >= 0 {
 			req.Updates = make([]dynq.MotionUpdate, n)
@@ -160,9 +160,6 @@ func (g gen) response(code int, results int) Response {
 	f := wireOps[code].resp
 	if f&fResults != 0 {
 		resp.Results = g.results(results)
-	}
-	if f&fPredictive != 0 {
-		resp.Predictive = g.r.Intn(2) == 1
 	}
 	if f&fNeighbors != 0 {
 		if n := g.n(4); n >= 0 {
@@ -360,33 +357,126 @@ func TestOversizedFrameRefused(t *testing.T) {
 	}
 }
 
-// seedFrames are the fuzzer's starting points: a request of every op and
-// an answer of every op that returns fields, plus the inflated and
-// truncated shapes.
-func seedFrames() [][]byte {
+// seedFrames are the fuzzer's starting points, each with its name: a
+// request and an answer of every op, an error answer, and the inflated and
+// truncated shapes. testdata/fuzz/FuzzDecodeFrame holds some of them under
+// their names (TestFuzzCorpusIsCurrent).
+func seedFrames() (names []string, frames [][]byte) {
 	g := gen{r: rand.New(rand.NewSource(3)), dims: 2}
-	var seeds [][]byte
-	for code := range wireOps {
-		frame, _ := appendRequest(nil, g.request(code))
-		seeds = append(seeds, frame)
+	add := func(name string, frame []byte) {
+		names = append(names, name)
+		frames = append(frames, frame)
 	}
 	for code, w := range wireOps {
-		if w.resp != 0 {
-			frame, _ := appendResponse(nil, w.op, g.response(code, 3))
-			seeds = append(seeds, frame)
+		name := string(w.op)
+		if code == 0 {
+			name = "unknown-op"
 		}
+		frame, _ := appendRequest(nil, g.request(code))
+		add("request-"+name, frame)
+	}
+	for code, w := range wireOps[1:] {
+		resp := g.response(code+1, 3)
+		for resp.Err != "" { // the op's answer; response-error is the error shape
+			resp = g.response(code+1, 3)
+		}
+		frame, _ := appendResponse(nil, w.op, resp)
+		add("response-"+string(w.op), frame)
 	}
 	errFrame, _ := appendResponse(nil, OpSnapshot, Response{Err: "netq: no", ErrKind: ErrKindNoWAL})
-	return append(seeds, errFrame,
-		craft(u32(13), []byte{0}, u32(0), uvarint(1<<40)),
-		seeds[1][:len(seeds[1])-3])
+	add("response-error", errFrame)
+	add("inflated-count", craft(u32(13), []byte{0}, u32(0), uvarint(1<<40)))
+	add("truncated-request", frames[1][:len(frames[1])-3])
+	return names, frames
+}
+
+// brokenSeeds are the named seeds that no decoder accepts, on purpose.
+var brokenSeeds = map[string]bool{"inflated-count": true, "truncated-request": true}
+
+// TestFuzzCorpusIsCurrent holds the named seeds in
+// testdata/fuzz/FuzzDecodeFrame to today's codec: each one but the
+// deliberately broken ones decodes as the op its name says and re-encodes
+// to its own bytes, and the broken ones fail to decode. A renumbering or a
+// field change fails here instead of quietly orphaning the corpus;
+// regenerate the files from seedFrames.
+func TestFuzzCorpusIsCurrent(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecodeFrame", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus (err %v)", err)
+	}
+	for _, file := range files {
+		name := filepath.Base(file)
+		data := readCorpusFile(t, file)
+		l := &link{r: bufio.NewReader(bytes.NewReader(data))}
+		body, err := l.recv()
+		var again []byte
+		switch {
+		case err != nil:
+		case strings.HasPrefix(name, "request-"):
+			var req Request
+			if req, err = decodeRequest(body); err == nil {
+				want := strings.TrimPrefix(name, "request-")
+				if _, known := opCodes[req.Op]; want == "unknown-op" && known || want != "unknown-op" && string(req.Op) != want {
+					t.Errorf("%s: decodes as op %q", name, req.Op)
+				}
+				again, err = appendRequest(nil, req)
+			}
+		case strings.HasPrefix(name, "response-"):
+			op := Op(strings.TrimPrefix(name, "response-"))
+			if op == "error" {
+				op = OpSnapshot
+			} else if _, known := opCodes[op]; !known {
+				t.Errorf("%s: no op %q", name, op)
+			}
+			var resp Response
+			if resp, err = decodeResponse(op, body); err == nil {
+				if (resp.Err != "") != (name == "response-error") {
+					t.Errorf("%s: error %q", name, resp.Err)
+				}
+				again, err = appendResponse(nil, op, resp)
+			}
+		default:
+			if !brokenSeeds[name] {
+				t.Errorf("%s: a seed's name starts with request- or response-", name)
+			}
+			continue
+		}
+		switch {
+		case brokenSeeds[name]:
+			if err == nil {
+				t.Errorf("%s: decodes, but it is broken on purpose", name)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", name, err)
+		case !bytes.Equal(again, data):
+			t.Errorf("%s: re-encodes to other bytes", name)
+		}
+	}
+}
+
+// readCorpusFile reads a one-value "go test fuzz v1" file.
+func readCorpusFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, lit, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+	lit, ok := strings.CutPrefix(lit, "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	data, err := strconv.Unquote(lit)
+	if head != "go test fuzz v1" || !ok || !ok2 || err != nil {
+		t.Fatalf("%s: not a one-value []byte corpus file (err %v)", path, err)
+	}
+	return []byte(data)
 }
 
 // FuzzDecodeFrame: no input makes either decoder panic; nothing decoded
 // claims more elements than its input had bytes; and what decodes
 // re-encodes to a message that decodes the same.
 func FuzzDecodeFrame(f *testing.F) {
-	for _, s := range seedFrames() {
+	_, frames := seedFrames()
+	for _, s := range frames {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -17,15 +17,22 @@ import (
 )
 
 // TestShippedCodeIsReached holds every package that an entry point imports
-// to code that an entry point can reach. The entry points are the exported
-// API of dynq and netq and every declaration under cmd/, examples/ and
-// benchmark/ (read, never edited). The test type-checks their non-test
-// files with the default build tags and follows references from the roots.
-// A method also counts as reached when its receiver type is reached and
-// some interface declares a method of that name and signature: a named or
-// anonymous one in the shipped code, one exported by the standard library,
-// or one the errors package asserts in its function bodies. Packages that
-// no entry point imports are test support and are not checked.
+// to code that an entry point can reach. The entry points are the main
+// packages under cmd/, examples/ and benchmark/ (read, never edited), plus
+// the declarations listed in testdata/api.txt. The test type-checks their
+// non-test files with the default build tags and follows references from
+// the roots. A method also counts as reached when its receiver type is
+// reached and some interface declares a method of that name and signature:
+// a named or anonymous one in the shipped code, one exported by the
+// standard library, or one the errors package asserts in its function
+// bodies. Packages that no entry point imports are test support and are
+// not checked.
+//
+// An api.txt line is library surface that no main package calls yet, kept
+// for the paper result its reason names; the exported methods of a type
+// that only such a line reaches count as reached, since the caller the
+// line stands for calls them. A line that a main package reaches anyway,
+// or that names nothing, fails the test.
 //
 // Every other declaration that nothing reaches must be listed, with its
 // reason, in testdata/unreached.txt. A test seam belongs there; code that
@@ -37,12 +44,17 @@ func TestShippedCodeIsReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	api, err := readUnreached(filepath.Join("testdata", "api.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := readUnreached(filepath.Join("testdata", "unreached.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	unreached, badAPI := sc.unreached(entries, api)
 	var extra, stale []string
-	for _, name := range sc.unreached(entries) {
+	for _, name := range unreached {
 		if _, ok := want[name]; !ok {
 			extra = append(extra, name)
 		}
@@ -60,10 +72,15 @@ func TestShippedCodeIsReached(t *testing.T) {
 		t.Errorf("testdata/unreached.txt lists declarations that are reached or gone; drop their lines:\n\t%s",
 			strings.Join(stale, "\n\t"))
 	}
+	if len(badAPI) > 0 {
+		t.Errorf("testdata/api.txt lists declarations that a main package reaches or that are gone; drop their lines:\n\t%s",
+			strings.Join(badAPI, "\n\t"))
+	}
 }
 
-// readUnreached reads the golden list: one declaration per line, then its
-// reason. Blank lines and lines starting with # are skipped.
+// readUnreached reads a golden list (unreached.txt, api.txt): one
+// declaration per line, then its reason. Blank lines and lines starting
+// with # are skipped.
 func readUnreached(path string) (map[string]bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -165,10 +182,10 @@ func (sc *reachScan) load(path string) (*reachPkg, error) {
 	return p, nil
 }
 
-// loadEntries type-checks the entry packages and, through their imports,
+// loadEntries type-checks the main packages and, through their imports,
 // every package they ship.
 func (sc *reachScan) loadEntries() ([]string, error) {
-	entries := []string{modulePath, modulePath + "/netq", modulePath + "/benchmark"}
+	entries := []string{modulePath + "/benchmark"}
 	for _, pattern := range []string{"cmd/*", "examples/*"} {
 		dirs, err := filepath.Glob(pattern)
 		if err != nil {
@@ -187,21 +204,18 @@ func (sc *reachScan) loadEntries() ([]string, error) {
 }
 
 // unreached returns the declarations of the loaded packages that no root
-// reaches, by name: pkg.Name, or pkg.Type.Method for a method.
-func (sc *reachScan) unreached(entries []string) []string {
+// reaches, by name: pkg.Name, or pkg.Type.Method for a method. The roots
+// are the main packages' declarations, then the api names; badAPI holds
+// the api names that the main packages reach or that name nothing.
+func (sc *reachScan) unreached(entries []string, api map[string]bool) (out, badAPI []string) {
 	isMain := make(map[*types.Package]bool)
-	isAPI := make(map[*types.Package]bool)
 	for _, path := range entries {
-		p := sc.pkgs[path].pkg
-		if p.Name() == "main" {
-			isMain[p] = true
-		} else {
-			isAPI[p] = true
-		}
+		isMain[sc.pkgs[path].pkg] = true
 	}
 
 	refs := make(map[types.Object][]types.Object) // declaration → what it names
 	methods := make(map[types.Object][]*types.Func)
+	byName := make(map[string]types.Object)
 	var roots, decls []types.Object
 	for _, p := range sc.pkgs {
 		for _, f := range p.files {
@@ -212,13 +226,13 @@ func (sc *reachScan) unreached(entries []string) []string {
 					}
 					refs[obj] = usesIn(p.info, n)
 					decls = append(decls, obj)
+					byName[declName(obj)] = obj
 					fn, isFunc := obj.(*types.Func)
 					switch {
 					case isFunc && isMethod(fn):
 						recv := recvType(fn)
 						methods[recv] = append(methods[recv], fn)
-					case isMain[obj.Pkg()], isFunc && obj.Name() == "init",
-						isAPI[obj.Pkg()] && obj.Exported():
+					case isMain[obj.Pkg()], isFunc && obj.Name() == "init":
 						roots = append(roots, obj)
 					}
 				})
@@ -227,43 +241,54 @@ func (sc *reachScan) unreached(entries []string) []string {
 	}
 
 	ifaces := sc.interfaceMethods()
-	dispatched := func(fn *types.Func) bool {
-		if isMain[fn.Pkg()] || isAPI[fn.Pkg()] && fn.Exported() {
-			return true
-		}
-		for _, m := range ifaces[fn.Name()] {
-			if satisfies(fn.Type().(*types.Signature), m) {
-				return true
+	reached := make(map[types.Object]bool)
+	visit := func(queue []types.Object, exported bool) {
+		for len(queue) > 0 {
+			obj := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			if reached[obj] {
+				continue
+			}
+			reached[obj] = true
+			queue = append(queue, refs[obj]...)
+			for _, m := range methods[obj] {
+				if isMain[m.Pkg()] || exported && m.Exported() || declared(ifaces, m) {
+					queue = append(queue, m)
+				}
 			}
 		}
-		return false
 	}
-
-	reached := make(map[types.Object]bool)
-	queue := roots
-	for len(queue) > 0 {
-		obj := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if reached[obj] {
+	visit(roots, false)
+	var apiRoots []types.Object
+	for name := range api {
+		obj, ok := byName[name]
+		if !ok || reached[obj] {
+			badAPI = append(badAPI, name)
 			continue
 		}
-		reached[obj] = true
-		queue = append(queue, refs[obj]...)
-		for _, m := range methods[obj] {
-			if dispatched(m) {
-				queue = append(queue, m)
-			}
-		}
+		apiRoots = append(apiRoots, obj)
 	}
+	visit(apiRoots, true)
 
-	var out []string
 	for _, obj := range decls {
 		if !reached[obj] {
 			out = append(out, declName(obj))
 		}
 	}
 	sort.Strings(out)
-	return out
+	sort.Strings(badAPI)
+	return out, badAPI
+}
+
+// declared reports whether some interface declares a method of fn's name
+// and signature.
+func declared(ifaces map[string][]*types.Signature, fn *types.Func) bool {
+	for _, m := range ifaces[fn.Name()] {
+		if satisfies(fn.Type().(*types.Signature), m) {
+			return true
+		}
+	}
+	return false
 }
 
 // satisfies reports whether a method with signature sig implements an

@@ -121,9 +121,9 @@ type RecoverOptions struct {
 // tree if the on-disk chain is damaged. Corruption surfaces as a typed
 // error wrapping ErrCorrupt. Every unit is verified and its log replayed
 // independently; the returned report, saying what was checked and
-// repaired, is the units' reports merged (LastRecovery keeps them
-// apart). The options can force-arm the logs (dqserver -wal), set the
-// group-commit window and start the maintenance loop.
+// repaired, is the units' reports merged. The options can force-arm the
+// logs (dqserver -wal), set the group-commit window and start the
+// maintenance loop.
 //
 // A path with no database files fails with an error satisfying
 // errors.Is(err, os.ErrNotExist): creating a database takes the tree

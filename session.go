@@ -161,9 +161,8 @@ type AdaptiveSession struct {
 	a    *shard.Adaptive
 }
 
-// Adaptive starts an adaptive dynamic query session (*AdaptiveSession is
-// the cursor).
-func (e *engine) Adaptive(opts AdaptiveOptions) (AdaptiveCursor, error) {
+// Adaptive starts an adaptive dynamic query session.
+func (e *engine) Adaptive(opts AdaptiveOptions) (*AdaptiveSession, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	a, err := e.units.NewAdaptive(core.AdaptiveOptions{

@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"dynq/internal/obs"
-	"dynq/internal/rtree"
 )
 
 // ShardOptions configure a sharded database: the single-tree Options plus
@@ -95,25 +94,8 @@ func (db *DB) Shards() int { return db.units.Shards() }
 // Workers returns the worker-pool bound.
 func (db *DB) Workers() int { return db.units.Workers() }
 
-// ShardFor returns the unit owning an object's motion segments.
-func (db *DB) ShardFor(id ObjectID) int { return db.units.ShardFor(rtree.ObjectID(id)) }
-
 // WALArmed reports whether the database carries write-ahead logs.
 func (db *DB) WALArmed() bool { return db.logs != nil }
-
-// StatsByShard walks every unit and reports the per-unit index shapes, in
-// unit order.
-func (db *DB) StatsByShard() ([]IndexStats, error) { return db.statsByUnit() }
-
-// ShardCost returns unit i's own accumulated cost counters.
-func (db *DB) ShardCost(i int) CostReport { return costReport(db.units.ShardCost(i)) }
-
-// ShardBufferStats reports unit i's own buffer-pool accounting.
-func (db *DB) ShardBufferStats(i int) BufferStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.unitBufferStats(i)
-}
 
 // RegisterMetrics exposes the per-unit gauges and fan-out latency
 // histograms through a metric registry.

@@ -306,22 +306,6 @@ func TestShardedJoinAndCountEquivalence(t *testing.T) {
 			t.Fatalf("within: pair %d differs: %+v vs %+v", i, want[i], got[i])
 		}
 	}
-
-	wps, _, _ := observer(20)
-	sample := []float64{0.5, 2, 4, 6, 7.5}
-	wantCounts, err := db.CountSeries(wps, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCounts, err := sdb.CountSeries(wps, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantCounts {
-		if wantCounts[i] != gotCounts[i] {
-			t.Fatalf("count series at t=%g: %d vs %d", sample[i], wantCounts[i], gotCounts[i])
-		}
-	}
 }
 
 func TestShardedStatsAndCost(t *testing.T) {
@@ -336,7 +320,7 @@ func TestShardedStatsAndCost(t *testing.T) {
 	if st.Segments != sdb.Len() {
 		t.Fatalf("aggregate stats count %d segments, Len says %d", st.Segments, sdb.Len())
 	}
-	per, err := sdb.StatsByShard()
+	per, err := sdb.statsByUnit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +345,7 @@ func TestShardedStatsAndCost(t *testing.T) {
 	}
 	var perShard int64
 	for i := 0; i < sdb.Shards(); i++ {
-		perShard += sdb.ShardCost(i).DiskReads
+		perShard += costReport(sdb.units.Shard(i).Counters.Snapshot()).DiskReads
 	}
 	if perShard != total.DiskReads {
 		t.Fatalf("per-shard reads sum to %d, aggregate says %d", perShard, total.DiskReads)

@@ -2,6 +2,7 @@ package dynq
 
 import (
 	"context"
+	"dynq/internal/rtree"
 	"errors"
 	"fmt"
 	"os"
@@ -113,7 +114,7 @@ func TestOpenShardedRefusesExistingFiles(t *testing.T) {
 	if re.Len() != 8 {
 		t.Fatalf("reopen found %d segments, want 8", re.Len())
 	}
-	if rep == nil || len(re.LastRecovery()) != 2 {
+	if rep == nil || len(re.recovery) != 2 {
 		t.Fatal("recovering an existing set returned no reports")
 	}
 }
@@ -164,7 +165,7 @@ func TestOpenShardedRecoverPreservesContents(t *testing.T) {
 			if re.Len() != 64 {
 				t.Fatalf("reopen found %d segments, want 64", re.Len())
 			}
-			reps := re.LastRecovery()
+			reps := re.recovery
 			if len(reps) != 3 {
 				t.Fatalf("got %d recovery reports, want 3", len(reps))
 			}
@@ -212,7 +213,7 @@ func TestShardedWALCrashReplay(t *testing.T) {
 		t.Fatalf("recovered %d segments, want 48", re.Len())
 	}
 	replayed := 0
-	for _, rep := range re.LastRecovery() {
+	for _, rep := range re.recovery {
 		replayed += rep.WALUpdatesReplayed
 	}
 	if replayed != 48 || rep.WALUpdatesReplayed != 48 {
@@ -241,7 +242,7 @@ func TestShardedWALOneTornLog(t *testing.T) {
 	// in the log we are about to tear.
 	var shard0 []MotionUpdate
 	for id := ObjectID(1000); len(shard0) < 8; id++ {
-		if db.ShardFor(id) == 0 {
+		if db.units.ShardFor(rtree.ObjectID(id)) == 0 {
 			shard0 = append(shard0, MotionUpdate{ID: id, Segment: shardSeg(float64(id % 97))})
 		}
 	}
@@ -279,7 +280,7 @@ func TestShardedWALOneTornLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	reps := re.LastRecovery()
+	reps := re.recovery
 	if re.Len() < ackedLen {
 		t.Fatalf("recovered %d segments, want >= %d acked", re.Len(), ackedLen)
 	}
@@ -312,7 +313,7 @@ func TestShardedWALCheckpointLagDivergence(t *testing.T) {
 	// from its checkpoint while shard 1's stays flush.
 	var only0 []MotionUpdate
 	for id := ObjectID(2000); len(only0) < 10; id++ {
-		if db.ShardFor(id) == 0 {
+		if db.units.ShardFor(rtree.ObjectID(id)) == 0 {
 			only0 = append(only0, MotionUpdate{ID: id, Segment: shardSeg(float64(id % 89))})
 		}
 	}
@@ -339,7 +340,7 @@ func TestShardedWALCheckpointLagDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	reps := re.LastRecovery()
+	reps := re.recovery
 	if re.Len() != want {
 		t.Fatalf("recovered %d segments, want %d", re.Len(), want)
 	}

@@ -29,9 +29,8 @@ type TrackerOptions struct {
 // no write-ahead log, units or recovery. Embed it beside a DB where a
 // program needs the present-state answers (examples/airtraffic).
 //
-// Safe for concurrent use: queries (At, During, Along, Len, Now) hold a
-// shared lock and run in parallel; Update and Remove hold the exclusive
-// lock.
+// Safe for concurrent use: queries (At, During, Along, Len) hold a shared
+// lock and run in parallel; Update holds the exclusive lock.
 type Tracker struct {
 	mu     sync.RWMutex
 	dims   int
@@ -99,35 +98,11 @@ func nonFinite(xs ...float64) bool {
 	return false
 }
 
-// Remove forgets an object, reporting whether it was tracked.
-func (tk *Tracker) Remove(id ObjectID) bool {
-	tk.mu.Lock()
-	defer tk.mu.Unlock()
-	i, ok := tk.slot[id]
-	if !ok {
-		return false
-	}
-	last := len(tk.states) - 1
-	tk.states[i] = tk.states[last]
-	tk.slot[tk.states[i].ID] = i
-	tk.states[last] = Anticipated{}
-	tk.states = tk.states[:last]
-	delete(tk.slot, id)
-	return true
-}
-
 // Len reports how many objects are tracked.
 func (tk *Tracker) Len() int {
 	tk.mu.RLock()
 	defer tk.mu.RUnlock()
 	return len(tk.states)
-}
-
-// Now returns the latest update time; queries must not start before it.
-func (tk *Tracker) Now() float64 {
-	tk.mu.RLock()
-	defer tk.mu.RUnlock()
-	return tk.now
 }
 
 // At returns every object anticipated inside the view at time t.

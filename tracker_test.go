@@ -26,6 +26,7 @@ func (s trackerState) coord(i int, t float64) float64 {
 type trackerFleet struct {
 	tk     *dynq.Tracker
 	states map[dynq.ObjectID]trackerState
+	now    float64 // latest update time: queries must not start before it
 }
 
 func newTrackerFleet(tb testing.TB) *trackerFleet {
@@ -43,6 +44,7 @@ func (f *trackerFleet) update(tb testing.TB, id dynq.ObjectID, t float64, pos, v
 		tb.Fatal(err)
 	}
 	f.states[id] = trackerState{t: t, pos: pos, vel: vel}
+	f.now = max(f.now, t)
 }
 
 // randomTrackerFleet is n objects reporting at t=0 in a 100² space with
@@ -438,12 +440,6 @@ func TestTrackerBasics(t *testing.T) {
 	if _, err := tk.Along([]dynq.Waypoint{{T: 50, View: dynq.Rect{Min: []float64{0}, Max: []float64{1}}}}); err == nil {
 		t.Error("bad waypoint rect should be rejected")
 	}
-	if !tk.Remove(99) || tk.Remove(99) {
-		t.Error("remove semantics wrong")
-	}
-	if tk.Now() != 0 {
-		t.Errorf("now = %g", tk.Now())
-	}
 }
 
 func TestTrackerDefaultsAndErrors(t *testing.T) {
@@ -464,7 +460,7 @@ func TestTrackerDefaultsAndErrors(t *testing.T) {
 }
 
 // An update replaces the object's state in place; a stale or wrong-dims
-// one is refused and changes nothing; a second Remove finds nothing.
+// one is refused and changes nothing.
 func TestTrackerUpdateReplaceRemove(t *testing.T) {
 	f := newTrackerFleet(t)
 	f.update(t, 7, 1, []float64{5, 5}, []float64{1, 0})
@@ -479,22 +475,14 @@ func TestTrackerUpdateReplaceRemove(t *testing.T) {
 	if err := f.tk.Update(8, 3, []float64{1}, []float64{0}); err == nil {
 		t.Error("wrong-dims update should be refused")
 	}
-	if f.tk.Len() != 1 || f.tk.Now() != 3 {
-		t.Fatalf("refused updates changed the tracker: len %d, now %g", f.tk.Len(), f.tk.Now())
+	if f.tk.Len() != 1 {
+		t.Fatalf("refused updates changed the tracker: len %d", f.tk.Len())
 	}
 	checkWindow(t, f, trackerWindow{square(0, 0, 20, 20), 3, 10})
-	if !f.tk.Remove(7) {
-		t.Error("remove of a tracked object should report true")
-	}
-	if f.tk.Remove(7) {
-		t.Error("second remove should report false")
-	}
-	if f.tk.Len() != 0 {
-		t.Errorf("len = %d", f.tk.Len())
-	}
 }
 
-// Queries that start before Now, and empty windows, are refused.
+// Queries that start before the latest update, and empty windows, are
+// refused.
 func TestTrackerQueryValidation(t *testing.T) {
 	tk, err := dynq.NewTracker(dynq.TrackerOptions{})
 	if err != nil {
@@ -512,7 +500,8 @@ func TestTrackerQueryValidation(t *testing.T) {
 	if _, err := tk.During(zone, 61, 60); err == nil {
 		t.Error("empty window should be refused")
 	}
-	// A later update moves Now, and the past is no longer asked of it.
+	// A later update moves the current time, and the past is no longer
+	// asked of it.
 	if err := tk.Update(2, 50, []float64{0, 0}, []float64{0, 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -530,8 +519,8 @@ func TestTrackerQueryValidation(t *testing.T) {
 	}
 }
 
-// Property: after any churn of upserts and removes, the tracker answers
-// as the separately kept states say.
+// Property: after any churn of upserts, the tracker answers as the
+// separately kept states say.
 func TestTrackerChurnProperty(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -539,25 +528,18 @@ func TestTrackerChurnProperty(t *testing.T) {
 		now := 0.0
 		for step := 0; step < 300; step++ {
 			id := dynq.ObjectID(r.Intn(60))
-			switch r.Intn(5) {
-			case 0, 1, 2:
+			if r.Intn(4) < 3 {
 				f.update(t, id, now,
 					[]float64{r.Float64() * 100, r.Float64() * 100},
 					[]float64{r.Float64()*2 - 1, r.Float64()*2 - 1})
-			case 3:
-				_, had := f.states[id]
-				if f.tk.Remove(id) != had {
-					t.Fatalf("seed %d: Remove(%d) = %v", seed, id, !had)
-				}
-				delete(f.states, id)
-			case 4:
+			} else {
 				now += r.Float64()
 			}
 		}
 		if f.tk.Len() != len(f.states) {
 			t.Fatalf("seed %d: len %d, kept %d", seed, f.tk.Len(), len(f.states))
 		}
-		windows, routes := trackerQueries(r, f.tk.Now(), 100, 5, 2)
+		windows, routes := trackerQueries(r, f.now, 100, 5, 2)
 		for _, w := range windows {
 			checkWindow(t, f, trackerWindow{w.view, w.t0, w.t0})
 		}
@@ -615,8 +597,8 @@ func TestTrackerRefusesNonFinite(t *testing.T) {
 			}
 		}
 	}
-	if tk.Len() != 0 || tk.Now() != 0 {
-		t.Fatalf("refused updates changed the tracker: len %d, now %g", tk.Len(), tk.Now())
+	if tk.Len() != 0 {
+		t.Fatalf("refused updates changed the tracker: len %d", tk.Len())
 	}
 	if err := tk.Update(2, 0, []float64{1e300, 0}, []float64{1, 0}); err != nil {
 		t.Fatal(err)

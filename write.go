@@ -108,13 +108,6 @@ func (e *engine) Insert(id ObjectID, seg Segment) error {
 	return e.ApplyUpdates(context.Background(), []MotionUpdate{{ID: id, Segment: seg}}, WriteOptions{})
 }
 
-// Delete removes the motion update of an object that started at t0. It
-// returns ErrNotFound if no such segment is indexed. Like Insert it is a
-// thin wrapper over ApplyUpdates.
-func (e *engine) Delete(id ObjectID, t0 float64) error {
-	return e.ApplyUpdates(context.Background(), []MotionUpdate{{ID: id, Segment: Segment{T0: t0}, Delete: true}}, WriteOptions{})
-}
-
 // ApplyUpdates applies a batch of motion updates as one write — the
 // high-rate ingest path for dead-reckoning bursts. The batch is
 // partitioned by owner unit and each unit's portion applies under that

@@ -147,7 +147,7 @@ func TestWALRecoverReplaysUnsyncedWrites(t *testing.T) {
 		}
 	}
 	// And a delete, so replay exercises both directions.
-	if err := db.Delete(2, 0); err != nil {
+	if err := db.ApplyUpdates(context.Background(), []MotionUpdate{{ID: 2, Segment: Segment{T0: 0}, Delete: true}}, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// 6 appends: the pre-checkpoint base insert also logged before Sync
