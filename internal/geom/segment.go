@@ -70,12 +70,17 @@ func (s Segment) IntersectsBox(q Box) bool {
 
 // OverlapTimeInBox returns the time interval during which the trajectory
 // lies inside the spatial extents of q, clipped to q's time extent. The
-// result is empty if the trajectory never enters q during q's validity.
+// result is empty if the trajectory never enters q during q's validity,
+// and also where a NaN (a corrupt page's validity, a window the API
+// refuses) reaches the running interval: the loop runs while Lo ≤ Hi.
 func (s Segment) OverlapTimeInBox(q Box) Interval {
 	d := s.Dims()
 	w := s.T.Intersect(q[d])
-	for i := 0; i < d && !w.Empty(); i++ {
+	for i := 0; i < d && w.Lo <= w.Hi; i++ {
 		w = ClipLine(s.T.Lo, s.Start[i], s.T.Hi, s.End[i], q[i].Lo, q[i].Hi, w)
+	}
+	if !(w.Lo <= w.Hi) {
+		return EmptyInterval()
 	}
 	return w
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dynq/internal/geom"
 	"dynq/internal/pager"
@@ -94,8 +95,9 @@ func decodeNeverPanics(t *testing.T, cfg Config) {
 		}
 		return check(buf)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	seed := time.Now().UnixNano()
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(seed))}); err != nil {
+		t.Errorf("%v (quick.Check seed %d replays it)", err, seed)
 	}
 }
 
@@ -121,4 +123,41 @@ func TestDecodeNodeRejectsOversizedCount(t *testing.T) {
 	if _, err := openView(cfg, 1, buf[:100]); err == nil {
 		t.Error("the view should reject a short buffer")
 	}
+}
+
+// A leaf entry whose stored validity holds a NaN bound is a miss on the
+// page and in the reference alike. The page is decodeNeverPanics' third
+// case (plausible header, random body) for dims 2 in the dual-time layout,
+// with a leaf count of 1+Intn(40) and the body drawn from seed 31; its
+// entry 5 is valid over {8.2e16 NaN}. The gate rejects that entry by its
+// finite bound, so the ungated loop and OverlapTimeInBox must call the NaN
+// overlap empty too.
+func TestNaNValidityMisses(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Dims, cfg.DualTime = 2, true
+	rr := rand.New(rand.NewSource(31))
+	buf := make([]byte, pager.PageSize)
+	buf[1] = flagDualTime
+	binary.LittleEndian.PutUint16(buf[2:], uint16(1+rr.Intn(40)))
+	rr.Read(buf[16:])
+	v, err := openView(cfg, 7, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Len() <= 5 {
+		t.Fatalf("the page holds %d entries, want entry 5", v.Len())
+	}
+	if tt := v.EntryTime(5); tt.Lo != tt.Lo || tt.Hi == tt.Hi {
+		t.Fatalf("entry 5 is valid over %v, want a finite start and a NaN end", tt)
+	}
+	var e LeafEntry
+	v.Entry(5, &e)
+	probe := geom.Box{{Lo: 0.5, Hi: 50}, {Lo: 0.5, Hi: 50}, {Lo: 0.5, Hi: 50}}
+	if got := v.EntryOverlapTime(5, exactQuery(probe)); !got.Empty() {
+		t.Errorf("EntryOverlapTime = %v, want empty", got)
+	}
+	if got := e.Seg.OverlapTimeInBox(probe); !got.Empty() {
+		t.Errorf("OverlapTimeInBox = %v, want empty", got)
+	}
+	checkViewMatchesDecode(t, cfg, buf)
 }

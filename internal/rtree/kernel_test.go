@@ -492,9 +492,9 @@ func leafKernelConfig(dims uint8, dual bool) Config {
 	return cfg
 }
 
-// A NaN window (the public API refuses one) takes ClipLine's path as it did
-// before the guard: the entry misses the box on x, yet what comes back is
-// OverlapTimeInBox's NaN interval, not the guard's empty one.
+// A NaN window (the public API refuses one) makes every entry a miss, on
+// the page and in OverlapTimeInBox alike: the running overlap is NaN, and
+// both stop while Lo ≤ Hi fails.
 func TestEntryOverlapTimeNaNWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	seg := geom.Segment{Start: geom.Point{1, 1}, End: geom.Point{2, 2}, T: geom.Interval{Lo: 0, Hi: 10}}
@@ -509,8 +509,8 @@ func TestEntryOverlapTimeNaNWindow(t *testing.T) {
 	nan := math.NaN()
 	exact := geom.Box{{Lo: 5, Hi: 6}, {Lo: 0, Hi: 9}, {Lo: nan, Hi: nan}}
 	got, want := v.EntryOverlapTime(0, exactQuery(exact)), seg.OverlapTimeInBox(exact)
-	if got.Empty() || math.Float64bits(got.Lo) != math.Float64bits(want.Lo) || math.Float64bits(got.Hi) != math.Float64bits(want.Hi) {
-		t.Fatalf("NaN window: EntryOverlapTime %v, OverlapTimeInBox %v", got, want)
+	if !got.Empty() || !want.Empty() {
+		t.Fatalf("NaN window: EntryOverlapTime %v, OverlapTimeInBox %v, want both empty", got, want)
 	}
 }
 

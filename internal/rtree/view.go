@@ -278,8 +278,10 @@ func (v NodeView) EntryOverlapTime(k int, q *Query) geom.Interval {
 // changes only the bits of an empty result: for an ordered query by the
 // gate (nextCandidate), and on any axis by geom.ClipMisses, which ends the
 // test without dividing. A query with a NaN bound or an inverted extent
-// (the API refuses the first and never builds the second) skips the gate,
-// and a NaN window skips ClipMisses too.
+// (the API refuses the first and never builds the second) skips the gate.
+// The loop runs, and an entry matches, while the running overlap has
+// Lo ≤ Hi, as in OverlapTimeInBox: a NaN there (a corrupt page's validity,
+// a NaN window) makes the entry a miss whichever way it is reached.
 func (v NodeView) NextOverlap(from, to int, q *Query) (int, geom.Interval) {
 	d := int(v.dims)
 	exact := q.Exact[:d+1]
@@ -293,15 +295,15 @@ func (v NodeView) NextOverlap(from, to int, q *Query) (int, geom.Interval) {
 		e := v.entry(k)
 		t := intervalAt(e, 8+8*d)
 		w := t.Intersect(win)
-		for i := 0; i < d && !w.Empty(); i++ {
+		for i := 0; i < d && w.Lo <= w.Hi; i++ {
 			x0, x1, b := f32At(e, 8+4*i), f32At(e, 8+4*(d+i)), spatial[i]
-			if w.Lo <= w.Hi && geom.ClipMisses(t.Lo, x0, t.Hi, x1, b.Lo, b.Hi) {
+			if geom.ClipMisses(t.Lo, x0, t.Hi, x1, b.Lo, b.Hi) {
 				w = geom.EmptyInterval()
 				break
 			}
 			w = geom.ClipLine(t.Lo, x0, t.Hi, x1, b.Lo, b.Hi, w)
 		}
-		if !w.Empty() {
+		if w.Lo <= w.Hi {
 			return k, w
 		}
 	}

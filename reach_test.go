@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -39,7 +40,10 @@ import (
 // only tests call goes, or moves into a _test.go file or a test-support
 // package.
 func TestShippedCodeIsReached(t *testing.T) {
-	sc := newReachScan()
+	sc, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	entries, err := sc.loadEntries()
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +137,34 @@ type reachScan struct {
 	pkgs map[string]*reachPkg
 }
 
-func newReachScan() *reachScan {
+// loadModule type-checks every package of the module, the nested benchmark
+// module included, once per test binary: the reach guard and the docs
+// guards read the same scan.
+var loadModule = sync.OnceValues(func() (*reachScan, error) {
 	fset := token.NewFileSet()
-	return &reachScan{fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: make(map[string]*reachPkg)}
-}
+	sc := &reachScan{fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: make(map[string]*reachPkg)}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if _, err := build.Default.ImportDir(path, 0); err != nil {
+			if _, none := err.(*build.NoGoError); none {
+				return nil
+			}
+			return err
+		}
+		ipath := modulePath
+		if path != "." {
+			ipath += "/" + filepath.ToSlash(path)
+		}
+		_, err = sc.load(ipath)
+		return err
+	})
+	return sc, err
+})
 
 // Import type-checks a module package from source and takes the standard
 // library from export data.
@@ -183,7 +211,7 @@ func (sc *reachScan) load(path string) (*reachPkg, error) {
 }
 
 // loadEntries type-checks the main packages and, through their imports,
-// every package they ship.
+// every package they ship, and returns their paths.
 func (sc *reachScan) loadEntries() ([]string, error) {
 	entries := []string{modulePath + "/benchmark"}
 	for _, pattern := range []string{"cmd/*", "examples/*"} {
@@ -203,7 +231,30 @@ func (sc *reachScan) loadEntries() ([]string, error) {
 	return entries, nil
 }
 
-// unreached returns the declarations of the loaded packages that no root
+// shipped returns the main packages and every module package they import,
+// directly or not.
+func (sc *reachScan) shipped(entries []string) []*reachPkg {
+	seen := make(map[string]bool)
+	var out []*reachPkg
+	var walk func(path string)
+	walk = func(path string) {
+		p, ok := sc.pkgs[path]
+		if !ok || seen[path] {
+			return
+		}
+		seen[path] = true
+		out = append(out, p)
+		for _, q := range p.pkg.Imports() {
+			walk(q.Path())
+		}
+	}
+	for _, path := range entries {
+		walk(path)
+	}
+	return out
+}
+
+// unreached returns the declarations of the shipped packages that no root
 // reaches, by name: pkg.Name, or pkg.Type.Method for a method. The roots
 // are the main packages' declarations, then the api names; badAPI holds
 // the api names that the main packages reach or that name nothing.
@@ -212,12 +263,13 @@ func (sc *reachScan) unreached(entries []string, api map[string]bool) (out, badA
 	for _, path := range entries {
 		isMain[sc.pkgs[path].pkg] = true
 	}
+	shipped := sc.shipped(entries)
 
 	refs := make(map[types.Object][]types.Object) // declaration → what it names
 	methods := make(map[types.Object][]*types.Func)
 	byName := make(map[string]types.Object)
 	var roots, decls []types.Object
-	for _, p := range sc.pkgs {
+	for _, p := range shipped {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				declare(p.info, d, func(obj types.Object, n ast.Node) {
@@ -240,7 +292,7 @@ func (sc *reachScan) unreached(entries []string, api map[string]bool) (out, badA
 		}
 	}
 
-	ifaces := sc.interfaceMethods()
+	ifaces := sc.interfaceMethods(shipped)
 	reached := make(map[types.Object]bool)
 	visit := func(queue []types.Object, exported bool) {
 		for len(queue) > 0 {
@@ -396,9 +448,9 @@ func declName(obj types.Object) string {
 }
 
 // interfaceMethods indexes by name the methods of every interface the
-// checked sources spell out, the standard library exports and the errors
+// shipped sources spell out, the standard library exports and the errors
 // package asserts.
-func (sc *reachScan) interfaceMethods() map[string][]*types.Signature {
+func (sc *reachScan) interfaceMethods(shipped []*reachPkg) map[string][]*types.Signature {
 	out := make(map[string][]*types.Signature)
 	add := func(it *types.Interface) {
 		for i := range it.NumMethods() {
@@ -454,7 +506,7 @@ func (sc *reachScan) interfaceMethods() map[string][]*types.Signature {
 			walkStd(q)
 		}
 	}
-	for _, p := range sc.pkgs {
+	for _, p := range shipped {
 		walkStd(p.pkg)
 		for _, f := range p.files {
 			addSource(p.info, f)
