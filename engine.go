@@ -332,68 +332,38 @@ func (e *engine) BufferSegments() []BufferSegmentStats {
 	return out
 }
 
-// Stats walks the index and reports its shape. Across several units,
-// node and segment counts sum, height and fanout take the maximum, and
-// fill factors are weighted by node count.
+// Stats checks the index (rtree.Walk) and reports its shape. Across
+// several units, node and segment counts sum, height and fanout take the
+// maximum, and fill factors are weighted by node count.
 func (e *engine) Stats() (IndexStats, error) {
-	per, err := e.statsByUnit()
+	e.mu.RLock()
+	per, err := e.units.Stats()
+	e.mu.RUnlock()
 	if err != nil {
 		return IndexStats{}, err
 	}
-	if len(per) == 1 {
-		return per[0], nil
-	}
 	var out IndexStats
-	var leafFill, intFill float64
 	for _, st := range per {
 		out.Segments += st.Segments
 		out.LeafNodes += st.LeafNodes
 		out.InternalNodes += st.InternalNodes
-		if st.Height > out.Height {
-			out.Height = st.Height
-		}
-		if st.LeafFanout > out.LeafFanout {
-			out.LeafFanout = st.LeafFanout
-		}
-		if st.IntFanout > out.IntFanout {
-			out.IntFanout = st.IntFanout
-		}
-		leafFill += st.AvgLeafFill * float64(st.LeafNodes)
-		intFill += st.AvgIntFill * float64(st.InternalNodes)
+		out.Height = max(out.Height, st.Height)
+		out.LeafFanout = max(out.LeafFanout, st.MaxLeafFan)
+		out.IntFanout = max(out.IntFanout, st.MaxIntFan)
+		out.AvgLeafFill += st.AvgLeafFill * float64(st.LeafNodes)
+		out.AvgIntFill += st.AvgIntFill * float64(st.InternalNodes)
 	}
 	if out.LeafNodes > 0 {
-		out.AvgLeafFill = leafFill / float64(out.LeafNodes)
+		out.AvgLeafFill /= float64(out.LeafNodes)
 	}
 	if out.InternalNodes > 0 {
-		out.AvgIntFill = intFill / float64(out.InternalNodes)
+		out.AvgIntFill /= float64(out.InternalNodes)
 	}
 	return out, nil
 }
 
-func (e *engine) statsByUnit() ([]IndexStats, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	per, err := e.units.Stats()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]IndexStats, len(per))
-	for i, st := range per {
-		out[i] = IndexStats{
-			Height:        st.Height,
-			Segments:      st.Segments,
-			LeafNodes:     st.LeafNodes,
-			InternalNodes: st.InternalNodes,
-			LeafFanout:    st.MaxLeafFan,
-			IntFanout:     st.MaxIntFan,
-			AvgLeafFill:   st.AvgLeafFill,
-			AvgIntFill:    st.AvgIntFill,
-		}
-	}
-	return out, nil
-}
-
-// Validate checks every unit's structural invariants (tests/tools).
+// Validate checks every unit's structural invariants (tests/tools): the
+// walk Stats runs, without the shape.
 func (e *engine) Validate() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -51,10 +51,13 @@ func (t *Tree) Load(id pager.PageID, c *stats.Counters) (*Node, error) {
 	return n, err
 }
 
-// DecodePage decodes one on-disk node page under cfg: OpenView, then every
+// DecodePage decodes one on-disk node page under cfg: the view, then every
 // entry materialised. On arbitrary bytes it returns an error, never panics.
 func DecodePage(cfg Config, id pager.PageID, buf []byte) (*Node, error) {
-	v, err := OpenView(cfg, id, buf)
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	v, err := openView(cfg, id, buf)
 	if err != nil {
 		return nil, err
 	}

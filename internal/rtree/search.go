@@ -117,118 +117,3 @@ func (s *search) leaf(v NodeView) {
 	}
 	s.c.AddDistanceComps(k)
 }
-
-// TreeStats summarizes the physical shape of the tree, mirroring the
-// figures the paper reports for its index (Section 5: fanout 145/127,
-// height 3).
-type TreeStats struct {
-	Height        int
-	Segments      int
-	LeafNodes     int
-	InternalNodes int
-	AvgLeafFill   float64 // mean entries per leaf / max leaf entries
-	AvgIntFill    float64
-	MaxLeafFan    int
-	MaxIntFan     int
-}
-
-// Stats walks the whole tree (not counted against any query counters).
-func (t *Tree) Stats() (TreeStats, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	st := TreeStats{
-		Height:     t.height,
-		Segments:   t.size,
-		MaxLeafFan: t.cfg.MaxLeafEntries(),
-		MaxIntFan:  t.cfg.MaxInternalEntries(),
-	}
-	if t.root == pager.InvalidPage {
-		return st, nil
-	}
-	var leafEntries, intEntries int
-	var walk func(id pager.PageID) error
-	walk = func(id pager.PageID) error {
-		return t.view(id, nil, func(v NodeView) error {
-			if v.Leaf() {
-				st.LeafNodes++
-				leafEntries += v.Len()
-				return nil
-			}
-			st.InternalNodes++
-			intEntries += v.Len()
-			for k := 0; k < v.Len(); k++ {
-				if err := walk(v.ChildID(k)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	if err := walk(t.root); err != nil {
-		return TreeStats{}, err
-	}
-	if st.LeafNodes > 0 {
-		st.AvgLeafFill = float64(leafEntries) / float64(st.LeafNodes*st.MaxLeafFan)
-	}
-	if st.InternalNodes > 0 {
-		st.AvgIntFill = float64(intEntries) / float64(st.InternalNodes*st.MaxIntFan)
-	}
-	return st, nil
-}
-
-// Validate checks the structural invariants of the tree and returns the
-// first violation found (nil when sound): every child box contains its
-// subtree's geometry, all leaves are at level 0 with uniform depth, entry
-// counts respect the fanout (the view refuses a page whose count does not),
-// and the recorded size matches the number of stored segments. Intended for
-// tests and the loader tool.
-func (t *Tree) Validate() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.root == pager.InvalidPage {
-		if t.size != 0 || t.height != 0 {
-			return fmt.Errorf("rtree: empty tree with size=%d height=%d", t.size, t.height)
-		}
-		return nil
-	}
-	segs := 0
-	var walk func(id pager.PageID, wantLevel int, within geom.Box) error
-	walk = func(id pager.PageID, wantLevel int, within geom.Box) error {
-		return t.view(id, nil, func(v NodeView) error {
-			if v.Level() != wantLevel {
-				return fmt.Errorf("rtree: node %d at level %d, expected %d", id, v.Level(), wantLevel)
-			}
-			box := make(geom.Box, t.cfg.boxDims())
-			if v.Leaf() {
-				segs += v.Len()
-				for k := 0; within != nil && k < v.Len(); k++ {
-					if v.EntryBox(k, box); !within.Contains(box) {
-						eid, _ := v.EntryKey(k)
-						return fmt.Errorf("rtree: leaf %d entry %d escapes parent box %v", id, eid, within)
-					}
-				}
-				return nil
-			}
-			if v.Len() == 0 {
-				return fmt.Errorf("rtree: internal %d is empty", id)
-			}
-			for k := 0; k < v.Len(); k++ {
-				v.ChildBox(k, box)
-				if within != nil && !within.Contains(box) {
-					return fmt.Errorf("rtree: node %d child %d box escapes parent box", id, v.ChildID(k))
-				}
-				if err := walk(v.ChildID(k), wantLevel-1, box); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	if err := walk(t.root, t.height-1, nil); err != nil {
-		return err
-	}
-	if segs != t.size {
-		return fmt.Errorf("rtree: recorded size %d, found %d segments", t.size, segs)
-	}
-	return nil
-}

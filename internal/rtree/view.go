@@ -65,16 +65,6 @@ func openView(cfg Config, id pager.PageID, buf []byte) (NodeView, error) {
 	return v, nil
 }
 
-// OpenView is openView for a caller with no live tree — the recovery and
-// scrub walks, which read raw pages — so it validates cfg first. On
-// arbitrary bytes it returns an error, never panics.
-func OpenView(cfg Config, id pager.PageID, page []byte) (NodeView, error) {
-	if err := cfg.validate(); err != nil {
-		return NodeView{}, err
-	}
-	return openView(cfg, id, page)
-}
-
 // Level returns the node's level (0 = leaf).
 func (v NodeView) Level() int { return int(v.page[0]) }
 

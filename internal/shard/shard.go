@@ -357,8 +357,8 @@ func (e *Engine) ResetCost() {
 	}
 }
 
-// Stats walks every shard and returns the per-shard index shapes, in
-// shard order.
+// Stats checks every shard (rtree.Walk) and returns the per-shard index
+// shapes, in shard order.
 func (e *Engine) Stats() ([]rtree.TreeStats, error) {
 	out := make([]rtree.TreeStats, len(e.shards))
 	err := e.fanOut(func(i int, sh *Shard) error {
@@ -371,7 +371,7 @@ func (e *Engine) Stats() ([]rtree.TreeStats, error) {
 	return out, err
 }
 
-// Validate checks every shard's structural invariants.
+// Validate checks every shard's structural invariants (rtree.Walk).
 func (e *Engine) Validate() error {
 	return e.fanOut(func(_ int, sh *Shard) error {
 		sh.mu.RLock()

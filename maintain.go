@@ -27,11 +27,12 @@ package dynq
 //     to a cap. The degrade threshold becomes a circuit breaker, not a
 //     one-way latch.
 //
-//   - Background scrub: a rate-limited walker re-reads the COMMITTED
-//     tree's reachable pages through the store, verifying checksums and
-//     epoch trailers. Unrepairable corruption trips degraded mode and
-//     holds it until a later pass comes back clean (probing resumes
-//     then), so a bit-flip cannot hide until the next crash.
+//   - Background scrub: the tree check recovery runs (rtree.Walk),
+//     rate-limited, over the COMMITTED tree's reachable pages: checksums,
+//     epoch trailers and structure. Unrepairable corruption trips
+//     degraded mode and holds it until a later pass comes back clean
+//     (probing resumes then), so a bit-flip cannot hide until the next
+//     crash.
 
 import (
 	"context"
@@ -45,7 +46,6 @@ import (
 	"time"
 
 	"dynq/internal/obs"
-	"dynq/internal/pager"
 	"dynq/internal/rtree"
 )
 
@@ -118,7 +118,7 @@ const (
 const maintProbeID ObjectID = 1<<61 + 1
 
 // errScrubUnsupported marks a store without the page-verification
-// capability (an in-memory database); the scrubber disables itself.
+// capability (an in-memory database): the loop never scrubs it.
 var errScrubUnsupported = errors.New("dynq: store does not support scrubbing (no page epochs)")
 
 // maintainer is the background maintenance loop's state. One per
@@ -144,6 +144,7 @@ type maintainer struct {
 	scrubPageCount     atomic.Int64
 	scrubCorruptCount  atomic.Int64
 	scrubPassCount     atomic.Int64
+	scrubReached       atomic.Int64 // pages into the current unit's walk
 	downtimeNS         atomic.Int64
 	pressureBits       atomic.Uint64
 
@@ -158,7 +159,7 @@ type maintainer struct {
 	lastProbeErr  string
 	lastScrubErr  string
 	scrubBudget   float64 // fractional page budget carried across ticks
-	scrub         scrubState
+	scrub         scrubCursor
 	lastScrubNote time.Time // rate-limits pass-completion journal events
 }
 
@@ -179,6 +180,9 @@ func startMaintainer(t *engine, opts MaintenanceOptions, clock func() time.Time)
 		now:    time.Now,
 		stopc:  make(chan struct{}),
 		donec:  make(chan struct{}),
+	}
+	if _, ok := t.units.Shard(0).Store().(committedStore); !ok && opts.ScrubPagesPerSec > 0 {
+		m.lastScrubErr, m.opts.ScrubPagesPerSec = errScrubUnsupported.Error(), 0
 	}
 	if clock != nil {
 		m.now, m.manual = clock, true
@@ -381,10 +385,6 @@ func (m *maintainer) scrubTick(now time.Time) {
 		return
 	}
 	m.mu.Lock()
-	if m.lastScrubErr == errScrubUnsupported.Error() {
-		m.mu.Unlock()
-		return
-	}
 	m.scrubBudget += float64(m.opts.ScrubPagesPerSec) * maintInterval.Seconds()
 	budget := int(m.scrubBudget)
 	if budget < 1 {
@@ -398,36 +398,27 @@ func (m *maintainer) scrubTick(now time.Time) {
 	// The cursor is only ever touched by tick (single goroutine), so the
 	// target may mutate it outside m.mu.
 	res := m.target.scrub(s, budget)
+	m.scrubReached.Store(int64(res.reached))
 	m.scrubPageCount.Add(int64(res.pages))
 	m.scrubCorruptCount.Add(int64(res.corruptions))
 	if res.passDone {
 		m.scrubPassCount.Add(1)
 	}
-	if res.err != nil {
-		m.mu.Lock()
-		m.lastScrubErr = res.err.Error()
-		m.mu.Unlock()
-		return
-	}
 	if res.corruptions > 0 {
 		m.mu.Lock()
 		m.corrupt = true
-		if res.lastErr != nil {
-			m.lastScrubErr = res.lastErr.Error()
-		}
+		m.lastScrubErr = res.lastErr.Error()
 		m.mu.Unlock()
 		msg := "background scrub found unrepairable page corruption; degrading to read-only"
 		fields := map[string]string{
 			"corrupt_pages": strconv.Itoa(res.corruptions),
-		}
-		if res.lastErr != nil {
-			fields["error"] = res.lastErr.Error()
+			"error":         res.lastErr.Error(),
 		}
 		obs.DefaultJournal().Record(obs.EventScrub, obs.SeverityError, msg, fields)
 		m.target.health.trip(msg, fields)
 		return
 	}
-	if res.passDone {
+	if res.passDone && res.passClean {
 		m.mu.Lock()
 		wasCorrupt := m.corrupt
 		m.corrupt = false
@@ -468,6 +459,7 @@ func (m *maintainer) telemetry() obs.MaintenanceTelemetry {
 		ScrubPages:           m.scrubPageCount.Load(),
 		ScrubCorruptions:     m.scrubCorruptCount.Load(),
 		ScrubPasses:          m.scrubPassCount.Load(),
+		ScrubCursor:          m.scrubReached.Load(),
 	}
 	m.mu.Lock()
 	if !m.degradedAt.IsZero() {
@@ -480,7 +472,6 @@ func (m *maintainer) telemetry() obs.MaintenanceTelemetry {
 	}
 	t.LastProbeError = m.lastProbeErr
 	t.LastScrubError = m.lastScrubErr
-	t.ScrubCursor = int64(len(m.scrub.walk.seen))
 	m.mu.Unlock()
 	return t
 }
@@ -514,132 +505,26 @@ func (m *maintainer) registerMetrics(reg *obs.Registry) {
 }
 
 // ---------------------------------------------------------------------
-// Scrubbing: an incremental BFS over the COMMITTED tree, resumable
-// across ticks within a rate budget.
+// Scrubbing: the tree check (rtree.Walk) over the COMMITTED trees,
+// resumable across ticks within a rate budget.
 
-// scrubState is the scrub cursor: which unit (shard) is being walked
-// and the walk's frontier. It persists across ticks; only the tick
-// goroutine touches it.
-type scrubState struct {
-	unit int
-	walk scrubWalk
-}
-
-// scrubWalk is one unit's in-progress BFS.
-type scrubWalk struct {
-	active  bool
-	passSeq uint64 // committed header seq when this walk began
-	cfg     rtree.Config
-	queue   []pager.PageID
-	seen    map[pager.PageID]struct{}
+// scrubCursor is where the scrub stands: the unit (shard) being walked,
+// its walk (nil between units) and the faults found so far in this pass.
+// It persists across ticks; only the tick goroutine touches it.
+type scrubCursor struct {
+	unit   int
+	walk   *rtree.Walk
+	faults int
 }
 
 // scrubResult reports one scrub call's work.
 type scrubResult struct {
 	pages       int
 	corruptions int
-	unitDone    bool  // current unit's walk completed
-	passDone    bool  // every unit's walk completed (set by engine.scrub)
-	lastErr     error // most recent corruption detail
-	err         error // non-corruption failure (disables scrubbing)
-}
-
-func (r *scrubResult) add(o scrubResult) {
-	r.pages += o.pages
-	r.corruptions += o.corruptions
-	if o.lastErr != nil {
-		r.lastErr = o.lastErr
-	}
-}
-
-// scrubPageReader is the store capability the scrubber needs; FileStore
-// implements it and the tests' fault.Store forwards it.
-type scrubPageReader interface {
-	ReadPageEpoch(pager.PageID, []byte) (uint64, error)
-	CommittedSeq() uint64
-}
-
-// scrubStep verifies up to budget pages of one unit's committed tree.
-// The caller holds the database's exclusive lock, so no page is being
-// written concurrently; pages rewritten since the walk began (their
-// epoch is newer than the walk's passSeq) are skipped — the next pass
-// covers them from the new committed root.
-func scrubStep(store pager.Store, w *scrubWalk, budget int) scrubResult {
-	var res scrubResult
-	pr, ok := store.(scrubPageReader)
-	aux, ok2 := store.(auxStore)
-	if !ok || !ok2 {
-		res.err = errScrubUnsupported
-		return res
-	}
-	if !w.active {
-		meta, _, err := decodeMeta(aux.Aux())
-		if err != nil {
-			res.corruptions++
-			res.lastErr = fmt.Errorf("scrub: committed metadata: %w", err)
-			res.unitDone = true
-			return res
-		}
-		w.active = true
-		w.passSeq = pr.CommittedSeq()
-		w.cfg = meta.Config
-		w.queue = w.queue[:0]
-		w.seen = make(map[pager.PageID]struct{})
-		if meta.Root != pager.InvalidPage {
-			w.queue = append(w.queue, meta.Root)
-		}
-	}
-	buf := make([]byte, pager.PageSize)
-	for res.pages < budget && len(w.queue) > 0 {
-		id := w.queue[len(w.queue)-1]
-		w.queue = w.queue[:len(w.queue)-1]
-		if _, dup := w.seen[id]; dup {
-			// A stale pointer can alias pages already visited; the seen
-			// set keeps cycles from walking forever.
-			continue
-		}
-		w.seen[id] = struct{}{}
-		res.pages++
-		if uint32(id) >= uint32(store.NumPages()) {
-			res.corruptions++
-			res.lastErr = fmt.Errorf("%w: scrub: child pointer %d beyond allocated pages (%d)", ErrCorrupt, id, store.NumPages())
-			continue
-		}
-		epoch, err := pr.ReadPageEpoch(id, buf)
-		if err != nil {
-			res.corruptions++
-			res.lastErr = fmt.Errorf("%w: scrub: page %d: %w", ErrCorrupt, id, err)
-			continue
-		}
-		seq := pr.CommittedSeq()
-		if epoch > seq+1 {
-			// Nothing live can carry an epoch from the future; a torn
-			// flush overwrote committed state.
-			res.corruptions++
-			res.lastErr = fmt.Errorf("%w: scrub: page %d carries epoch %d newer than committed header %d", ErrCorrupt, id, epoch, seq)
-			continue
-		}
-		if epoch > w.passSeq {
-			// Rewritten since this walk began (a checkpoint or eviction
-			// write-back between ticks); content and children belong to a
-			// newer tree — the next pass verifies them from its root.
-			continue
-		}
-		v, err := rtree.OpenView(w.cfg, id, buf)
-		if err != nil {
-			res.corruptions++
-			res.lastErr = fmt.Errorf("%w: scrub: page %d: %w", ErrCorrupt, id, err)
-			continue
-		}
-		for k := 0; !v.Leaf() && k < v.Len(); k++ {
-			w.queue = append(w.queue, v.ChildID(k))
-		}
-	}
-	if len(w.queue) == 0 {
-		w.active = false
-		res.unitDone = true
-	}
-	return res
+	passDone    bool  // every unit's walk completed
+	passClean   bool  // the completed pass found no fault, in any tick
+	reached     int   // pages the current unit's walk has reached
+	lastErr     error // most recent corruption detail, set with corruptions
 }
 
 // ---------------------------------------------------------------------
@@ -704,32 +589,55 @@ func (e *engine) probe() error {
 	return e.checkpointLocked(nil)
 }
 
-// scrub verifies up to budget reachable pages under the database's
-// exclusive lock, walking unit after unit from the cursor in s.
-func (e *engine) scrub(s *scrubState, budget int) scrubResult {
+// scrub checks up to budget reachable pages of the committed trees,
+// unit after unit from the cursor in s, under the database's exclusive
+// lock, so no page is written meanwhile. Between ticks checkpoints and
+// write-backs go on: a page written since the last commit may carry the
+// next epoch, and one rewritten since its unit's walk began is skipped
+// with its subtree (walkCommitted); the next pass checks it from the new
+// root.
+func (e *engine) scrub(s *scrubCursor, budget int) scrubResult {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var total scrubResult
-	for budget > 0 {
-		r := scrubStep(e.units.Shard(s.unit).Store(), &s.walk, budget)
-		total.add(r)
-		if r.err != nil {
-			total.err = r.err
-			return total
-		}
-		budget -= r.pages
-		if !r.unitDone {
-			break
-		}
-		s.unit++
-		s.walk = scrubWalk{}
-		if s.unit >= e.units.Shards() {
-			s.unit = 0
-			total.passDone = true
-			break
-		}
+	var res scrubResult
+	fault := func(err error) {
+		res.corruptions++
+		s.faults++
+		res.lastErr = err
 	}
-	return total
+	for budget > 0 {
+		if s.walk == nil {
+			cs := e.units.Shard(s.unit).Store().(committedStore) // startMaintainer checked
+			w, _, _, err := walkCommitted(cs, 1)
+			if err != nil {
+				fault(fmt.Errorf("scrub: committed metadata: %w", err))
+			}
+			s.walk = w
+		}
+		if s.walk != nil {
+			n, err := s.walk.Step(budget)
+			budget -= n
+			res.pages += n
+			if err != nil {
+				fault(fmt.Errorf("%w: scrub: %w", ErrCorrupt, err))
+			}
+			if !s.walk.Done() {
+				continue
+			}
+		}
+		s.walk = nil
+		if s.unit++; s.unit < e.units.Shards() {
+			continue
+		}
+		s.unit = 0
+		res.passDone, res.passClean = true, s.faults == 0
+		s.faults = 0
+		break
+	}
+	if s.walk != nil {
+		res.reached = len(s.walk.Reached())
+	}
+	return res
 }
 
 // MaintenanceTelemetry returns the self-healing loop's snapshot; ok is

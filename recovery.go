@@ -413,19 +413,25 @@ func recoverStoreTree(fs *pager.FileStore, treeStore pager.Store) (*rtree.Tree, 
 	fail := func(err error) (*rtree.Tree, rtree.Meta, uint64, *RecoveryReport, error) {
 		return nil, rtree.Meta{}, 0, nil, err
 	}
-	m, appliedLSN, err := decodeMeta(fs.Aux())
+	// Slack 0: a page newer than the committed header means a flush
+	// overwrote committed state, and recovery refuses the file.
+	w, m, appliedLSN, err := walkCommitted(fs, 0)
 	if err != nil {
 		return fail(err)
+	}
+	st, err := w.Run()
+	if err != nil {
+		return fail(fmt.Errorf("%w: %w", ErrCorrupt, err))
 	}
 	rep := &RecoveryReport{
 		HeaderSeq:          fs.CommittedSeq(),
 		TornHeaderRepaired: !fs.BothHeaderSlotsValid(),
+		PagesChecked:       len(w.Reached()),
+		LeafPages:          st.LeafNodes,
+		InternalPages:      st.InternalNodes,
+		Segments:           st.Segments,
 	}
-	reachable, err := verifyTree(fs, m, rep)
-	if err != nil {
-		return fail(err)
-	}
-	if err := recoverFreeList(fs, reachable, rep); err != nil {
+	if err := recoverFreeList(fs, w.Reached(), rep); err != nil {
 		return fail(err)
 	}
 	if rep.TornHeaderRepaired && !rep.FreeListRebuilt {
@@ -440,6 +446,41 @@ func recoverStoreTree(fs *pager.FileStore, treeStore pager.Store) (*rtree.Tree, 
 		return fail(err)
 	}
 	return tree, m, appliedLSN, rep, nil
+}
+
+// committedStore is a page file with its committed header: FileStore
+// implements it and the tests' fault.Store forwards it.
+type committedStore interface {
+	pager.Store
+	auxStore
+	ReadPageEpoch(pager.PageID, []byte) (uint64, error)
+	CommittedSeq() uint64
+}
+
+// walkCommitted starts the tree check (rtree.Walk) of the committed tree
+// in s: recovery runs it whole, the scrub a budget at a time. A page whose
+// epoch is more than slack past the committed header is a fault — a torn
+// flush overwrote committed state — and one rewritten since the walk
+// began is skipped with its subtree: its content belongs to a newer tree.
+// Also returns the committed metadata and its applied WAL LSN.
+func walkCommitted(s committedStore, slack uint64) (*rtree.Walk, rtree.Meta, uint64, error) {
+	m, appliedLSN, err := decodeMeta(s.Aux())
+	if err != nil {
+		return nil, rtree.Meta{}, 0, err
+	}
+	passSeq := s.CommittedSeq()
+	w := rtree.NewWalk(m, s.NumPages(), func(id pager.PageID, buf []byte) (bool, error) {
+		epoch, err := s.ReadPageEpoch(id, buf)
+		if err != nil {
+			return false, err
+		}
+		if seq := s.CommittedSeq(); epoch > seq+slack {
+			return false, fmt.Errorf("page %d carries epoch %d newer than committed header %d (torn flush overwrote committed state)",
+				id, epoch, seq)
+		}
+		return epoch > passSeq, nil
+	})
+	return w, m, appliedLSN, nil
 }
 
 // journal leaves a queryable record of the recovery in the process-wide
@@ -462,112 +503,35 @@ func (r RecoveryReport) journal() {
 		})
 }
 
-// verifyTree walks the committed tree breadth-first from the root,
-// checking each page's checksum, epoch, level, and fanout, and returns
-// the set of reachable pages.
-func verifyTree(fs *pager.FileStore, m rtree.Meta, rep *RecoveryReport) (map[pager.PageID]bool, error) {
-	seq := fs.CommittedSeq()
-	count := uint32(fs.NumPages())
-	reachable := make(map[pager.PageID]bool)
-	if m.Root == pager.InvalidPage {
-		return reachable, nil
-	}
-	type frame struct {
-		id    pager.PageID
-		level int
-	}
-	queue := []frame{{m.Root, m.Height - 1}}
-	buf := make([]byte, pager.PageSize)
-	for len(queue) > 0 {
-		fr := queue[0]
-		queue = queue[1:]
-		if reachable[fr.id] {
-			return nil, fmt.Errorf("%w: page %d reachable through two tree paths", ErrCorrupt, fr.id)
-		}
-		if uint32(fr.id) >= count {
-			return nil, fmt.Errorf("%w: child pointer %d beyond allocated pages (%d)", ErrCorrupt, fr.id, count)
-		}
-		reachable[fr.id] = true
-		epoch, err := fs.ReadPageEpoch(fr.id, buf)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-		}
-		if epoch > seq {
-			// The page was rewritten after the commit this header
-			// describes: an unfinished flush clobbered committed state.
-			return nil, fmt.Errorf("%w: page %d carries epoch %d newer than committed header %d (torn flush overwrote committed state)",
-				ErrCorrupt, fr.id, epoch, seq)
-		}
-		v, err := rtree.OpenView(m.Config, fr.id, buf)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-		}
-		if v.Level() != fr.level {
-			return nil, fmt.Errorf("%w: page %d stores level %d, tree position implies %d", ErrCorrupt, fr.id, v.Level(), fr.level)
-		}
-		if v.Leaf() {
-			rep.LeafPages++
-			rep.Segments += v.Len()
-			continue
-		}
-		rep.InternalPages++
-		if v.Len() == 0 {
-			return nil, fmt.Errorf("%w: internal page %d has no children", ErrCorrupt, fr.id)
-		}
-		for k := 0; k < v.Len(); k++ {
-			queue = append(queue, frame{v.ChildID(k), fr.level - 1})
-		}
-	}
-	rep.PagesChecked = len(reachable)
-	if rep.Segments != m.Size {
-		return nil, fmt.Errorf("%w: tree holds %d segments, metadata claims %d", ErrCorrupt, rep.Segments, m.Size)
-	}
-	return reachable, nil
-}
-
 // recoverFreeList checks that the on-disk free chain is exactly the
 // complement of the reachable set and rebuilds it from the tree when it
 // is not (broken links, pages orphaned by a crash between Alloc and
 // commit). A rebuild is committed immediately so the repair survives.
-func recoverFreeList(fs *pager.FileStore, reachable map[pager.PageID]bool, rep *RecoveryReport) error {
+func recoverFreeList(fs *pager.FileStore, reachable map[pager.PageID]struct{}, rep *RecoveryReport) error {
 	var unreachable []pager.PageID
 	for id := pager.PageID(0); uint32(id) < uint32(fs.NumPages()); id++ {
-		if !reachable[id] {
+		if _, ok := reachable[id]; !ok {
 			unreachable = append(unreachable, id)
 		}
 	}
 	rep.FreePages = len(unreachable)
 
+	// FreeList fails on a broken link or a cycle, so a chain it returns
+	// is intact when it holds every unreachable page and no more.
 	chain, chainErr := fs.FreeList()
-	intact := chainErr == nil && len(chain) == len(unreachable)
 	onChain := make(map[pager.PageID]bool, len(chain))
-	if chainErr == nil {
-		for _, id := range chain {
-			onChain[id] = true
-		}
-		for _, id := range unreachable {
-			if !onChain[id] {
-				intact = false
-			}
-		}
-		if len(onChain) != len(chain) {
-			intact = false // duplicate links
-		}
-		for _, id := range chain {
-			if reachable[id] {
-				// A live tree page on the free chain would be handed out
-				// by Alloc and overwritten. Always rebuild.
-				intact = false
-			}
+	for _, id := range chain {
+		onChain[id] = true
+	}
+	intact := chainErr == nil && len(chain) == len(unreachable)
+	for _, id := range unreachable {
+		if !onChain[id] {
+			intact = false
+			rep.OrphanPages++
 		}
 	}
 	if intact {
 		return nil
-	}
-	for _, id := range unreachable {
-		if !onChain[id] {
-			rep.OrphanPages++
-		}
 	}
 	rep.FreeListRebuilt = true
 	if err := fs.ResetFreeList(unreachable); err != nil {

@@ -320,7 +320,7 @@ func TestShardedStatsAndCost(t *testing.T) {
 	if st.Segments != sdb.Len() {
 		t.Fatalf("aggregate stats count %d segments, Len says %d", st.Segments, sdb.Len())
 	}
-	per, err := sdb.statsByUnit()
+	per, err := sdb.units.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -487,11 +487,11 @@ func (s *crashSoak) ackedPhase(db *engine) error {
 // recovered fewer segments than its acknowledged state — lost acked
 // data, the invariant the soak exists to catch.
 func (s *crashSoak) reconcileAsync(db *engine) (int, error) {
-	gotStats, err := db.statsByUnit()
+	gotStats, err := db.units.Stats()
 	if err != nil {
 		return 0, err
 	}
-	baseStats, err := s.replica.statsByUnit()
+	baseStats, err := s.replica.units.Stats()
 	if err != nil {
 		return 0, err
 	}
