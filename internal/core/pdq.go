@@ -59,10 +59,15 @@ type PDQ struct {
 	slab rtree.Slab // where kept entries' points are copied off the page
 
 	// Scratch reused across expansions.
-	set   geom.IntervalSet // one entry's visibility episodes
-	box   geom.Box         // one child box
-	lines []geom.Linear    // the leaf entry under test, a linear form per dimension
-	entry rtree.LeafEntry  // the same, decoded, for an Instant trajectory
+	set    geom.IntervalSet // one entry's visibility episodes
+	box    geom.Box         // one child box
+	lines  []geom.Linear    // the leaf entry under test, a linear form per dimension
+	x0, x1 []float64        // the same entry's end points, for the gate
+	entry  rtree.LeafEntry  // the same, decoded, for an Instant trajectory
+
+	// gate counts the leaf entries that reached the swept-box gate and
+	// those it kept from OverlapMotion (tests hold it to a floor).
+	gate struct{ tested, rejected int }
 }
 
 // NewPDQ starts a predictive dynamic query session over the tree for the
@@ -71,7 +76,10 @@ func NewPDQ(tree *rtree.Tree, traj *trajectory.Trajectory, opts PDQOptions, c *s
 	if traj.Dims() != tree.Config().Dims {
 		return nil, fmt.Errorf("core: trajectory has %d dims, index has %d", traj.Dims(), tree.Config().Dims)
 	}
-	p := &PDQ{tree: tree, traj: traj, c: c, box: make(geom.Box, traj.Dims()+2), lines: make([]geom.Linear, traj.Dims())}
+	d := traj.Dims()
+	p := &PDQ{tree: tree, traj: traj, c: c, box: make(geom.Box, d+2), lines: make([]geom.Linear, d)}
+	ends := make([]float64, 2*d)
+	p.x0, p.x1 = ends[:d:d], ends[d:]
 	p.seedFromRoot()
 	if opts.LiveUpdates {
 		p.unsub = tree.OnUpdate(p.enqueueUpdate)
@@ -317,6 +325,13 @@ func (p *PDQ) expandLeaf(v rtree.NodeView, tStart float64) {
 			v.Entry(k, &p.entry)
 			p.traj.OverlapSegment(p.entry.Seg, set)
 		} else {
+			// The gate rejects, by comparisons, what lies beyond the box
+			// the whole trajectory sweeps: OverlapMotion would find nothing.
+			p.gate.tested++
+			if p.traj.SweptMisses(v.EntryEnds(k, p.x0, p.x1), p.x0, p.x1) {
+				p.gate.rejected++
+				continue
+			}
 			p.traj.OverlapMotion(v.EntryLines(k, p.lines), p.lines, set)
 		}
 		// Episodes are sorted and disjoint: those already over come first.

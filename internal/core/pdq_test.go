@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"dynq/internal/rtree"
 	"dynq/internal/stats"
 	"dynq/internal/trajectory"
+	"dynq/internal/workload"
 )
 
 // buildIndex creates a tree over a synthetic population.
@@ -680,4 +682,90 @@ func TestPDQQueueSlotsReleased(t *testing.T) {
 			t.Fatalf("after the whole span: %d items queued, %d slots held (%d duplicates seen)", len(pdq.pq), held(pdq), duplicates)
 		}
 	})
+}
+
+// TestPDQGateOnPaperWorkload is the count guard of the swept-box gate
+// (trajectory.SweptMisses). On the paper's population (a tenth of it) and
+// queries (every overlap and range), sessions drained frame by frame keep
+// most of the leaf entries that reach the gate from OverlapMotion. And for
+// every entry of a leaf, a trajectory whose swept box begins 1–4 float64
+// ulps beyond the entry's end points is declined, too near to prove, while
+// the same box a clear step further rejects it. A gate that is unwired,
+// never fires or fires without its margin fails here.
+func TestPDQGateOnPaperWorkload(t *testing.T) {
+	cfg := rtree.DefaultConfig()
+	cfg.DualTime = true
+	tree, _, err := workload.BuildIndex(cfg, 0.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	tested, rejected := 0, 0
+	for _, overlap := range workload.Overlaps {
+		for _, side := range workload.Ranges {
+			q, err := workload.Generate(workload.PaperQuery(overlap, side), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPDQ(tree, q.Traj, PDQOptions{}, &stats.Counters{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tw := range q.Times {
+				if _, err := p.Drain(tw.Lo, tw.Hi); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tested, rejected = tested+p.gate.tested, rejected+p.gate.rejected
+			p.Close()
+		}
+	}
+	t.Logf("the gate rejected %d of %d entries", rejected, tested)
+	if share := float64(rejected) / float64(tested); tested < 10000 || share < 0.75 {
+		t.Errorf("the gate rejected %d of %d entries (%.3f): want at least 0.75 of at least 10 000", rejected, tested, share)
+	}
+
+	leaf, level, _ := tree.Root()
+	for ; level > 0; level-- {
+		if err := tree.View(leaf, nil, func(v rtree.NodeView) error { leaf = v.ChildID(0); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x0, x1 := make([]float64, 2), make([]float64, 2)
+	declined, cleared := 0, 0
+	err = tree.View(leaf, nil, func(v rtree.NodeView) error {
+		for k := 0; k < v.Len(); k++ {
+			tv := v.EntryEnds(k, x0, x1)
+			// A box beginning lo on axis 0, the whole of axis 1, over the
+			// entry's validity and beyond.
+			box := func(lo float64) *trajectory.Trajectory {
+				w := geom.Box{{Lo: lo, Hi: lo + 10}, {Lo: -1000, Hi: 1000}}
+				tr, err := trajectory.New([]trajectory.Key{{T: tv.Lo - 1, Window: w}, {T: tv.Hi + 1, Window: w}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tr
+			}
+			near := max(x0[0], x1[0])
+			for n := 0; n <= k%4; n++ {
+				near = math.Nextafter(near, math.Inf(1))
+			}
+			if !box(near).SweptMisses(tv, x0, x1) {
+				declined++
+			}
+			if box(near+0.01).SweptMisses(tv, x0, x1) {
+				cleared++
+			}
+		}
+		if declined != v.Len() || cleared != v.Len() {
+			t.Errorf("of %d entries the gate declined %d a few ulps beyond the box and rejected %d a clear step beyond", v.Len(), declined, cleared)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if declined < 50 {
+		t.Errorf("only %d near-border entries tried", declined)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"dynq/internal/geom"
 	"dynq/internal/pager"
 	"dynq/internal/stats"
+	"dynq/internal/trajectory"
 )
 
 func benchEntries(n int, seed int64) []LeafEntry {
@@ -87,7 +88,8 @@ func BenchmarkNodeEncodeDecode(b *testing.B) {
 // BenchmarkLeafTest is the exact test over one full leaf: on the page, one
 // entry per call (inplace) or scanning (scan), and as the leaf loop ran it
 // before the kernel (clip the validity in place, decode what is left, test
-// the decoded segment).
+// the decoded segment); NPDQ's box scan (box); PDQ's forms (lines) and its
+// gated leaf scan (pdq).
 func BenchmarkLeafTest(b *testing.B) {
 	// A leaf as the bulk loader packs one — a slab of time, a tile of space
 	// — under a fly-through frame: most entries are valid during the frame
@@ -172,6 +174,33 @@ func BenchmarkLeafTest(b *testing.B) {
 	run("lines", func() (n int) {
 		for k := 0; k < v.Len(); k++ {
 			if v.EntryLines(k, x).Hi > 50 && x[0].B > 0 {
+				n++
+			}
+		}
+		return n
+	})
+	// PDQ's leaf scan (core.PDQ.expandLeaf without the queue): validity
+	// against the trajectory's span, the swept-box gate, and OverlapMotion
+	// on the forms of what the gate passes, for a window that slides one
+	// unit along x over the frame.
+	tr, err := trajectory.New([]trajectory.Key{
+		{T: 50, Window: geom.Box{{Lo: 40, Hi: 48}, {Lo: 40, Hi: 48}}},
+		{T: 50.5, Window: geom.Box{{Lo: 41, Hi: 49}, {Lo: 40, Hi: 48}}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	span := tr.TimeSpan()
+	x0, x1 := make([]float64, cfg.Dims), make([]float64, cfg.Dims)
+	var set geom.IntervalSet
+	run("pdq", func() (n int) {
+		for k := 0; k < v.Len(); k++ {
+			if v.EntryTime(k).Intersect(span).Empty() || tr.SweptMisses(v.EntryEnds(k, x0, x1), x0, x1) {
+				continue
+			}
+			set.Reset()
+			tr.OverlapMotion(v.EntryLines(k, x), x, &set)
+			if !set.Empty() {
 				n++
 			}
 		}

@@ -350,6 +350,20 @@ func (v NodeView) EntryLines(k int, x []geom.Linear) geom.Interval {
 	return t
 }
 
+// EntryEnds fills x0 and x1 (Dims values each, caller-owned) with leaf
+// entry k's start and end point and returns its validity: the values
+// EntryLines makes its forms of, read where they lie. They are the operands
+// of trajectory.SweptMisses, PDQ's gate ahead of the forms.
+func (v NodeView) EntryEnds(k int, x0, x1 []float64) geom.Interval {
+	e := v.entry(k)
+	d := int(v.dims)
+	x0, x1 = x0[:d], x1[:d]
+	for i := range x0 {
+		x0[i], x1[i] = f32At(e, 8+4*i), f32At(e, 8+4*(d+i))
+	}
+	return intervalAt(e, 8+8*d)
+}
+
 // Slab is the coordinate storage of the leaf entries one traversal or one
 // predictive session copies out of its pages (Keep): a chunk per growth
 // step instead of an allocation per entry. The zero value is ready. A

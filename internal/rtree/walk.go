@@ -48,10 +48,38 @@ type Walk struct {
 	stack   []walkFrame
 	reached map[pager.PageID]struct{}
 	buf     []byte
-	box     geom.Box // one entry's box, scratch
 
 	leaves, internals         int
 	leafEntries, childEntries int
+}
+
+// inside reports whether entry k's box lies inside b (Dims+2 extents), as
+// b.Contains decides on the box EntryBox or ChildBox fills, from the page's
+// values compared where they lie. A leaf entry's box is never empty: each
+// spatial end point and each validity bound must lie in its extent of b,
+// and a NaN never does. A child box with an empty extent is empty, and an
+// empty box lies inside every box.
+func (v NodeView) inside(k int, b geom.Box) bool {
+	e := v.entry(k)
+	d := int(v.dims)
+	if v.Leaf() {
+		for i := 0; i < d; i++ {
+			x0, x1, c := f32At(e, 8+4*i), f32At(e, 8+4*(d+i)), b[i]
+			if !(c.Lo <= x0 && c.Lo <= x1 && x0 <= c.Hi && x1 <= c.Hi) {
+				return false
+			}
+		}
+		return b[d].ContainsValue(f32At(e, 8+8*d)) && b[d+1].ContainsValue(f32At(e, 12+8*d))
+	}
+	ts, te := v.timeAxes(e)
+	in := b[d].Lo <= ts.Lo && ts.Hi <= b[d].Hi && b[d+1].Lo <= te.Lo && te.Hi <= b[d+1].Hi
+	empty := ts.Empty() || te.Empty()
+	for i := 0; i < d; i++ {
+		x, c := intervalAt(e, 8*i), b[i]
+		in = in && c.Lo <= x.Lo && x.Hi <= c.Hi
+		empty = empty || x.Empty()
+	}
+	return in || empty
 }
 
 // walkFrame is a page the walk has yet to check: where its parent points
@@ -71,7 +99,6 @@ func NewWalk(m Meta, pages int, read PageReader) *Walk {
 		read:    read,
 		reached: make(map[pager.PageID]struct{}),
 		buf:     make([]byte, pager.PageSize),
-		box:     make(geom.Box, m.Config.boxDims()),
 	}
 	if m.Root != pager.InvalidPage {
 		w.stack = append(w.stack, walkFrame{id: m.Root, level: m.Height - 1})
@@ -116,12 +143,7 @@ func (w *Walk) visit(fr walkFrame) error {
 		return fmt.Errorf("rtree: internal page %d has no children", fr.id)
 	}
 	for k := 0; fr.within != nil && k < v.Len(); k++ {
-		if v.Leaf() {
-			v.EntryBox(k, w.box)
-		} else {
-			v.ChildBox(k, w.box)
-		}
-		if !fr.within.Contains(w.box) {
+		if !v.inside(k, fr.within) {
 			return fmt.Errorf("rtree: page %d entry %d escapes its parent entry %v", fr.id, k, fr.within)
 		}
 	}
@@ -132,7 +154,7 @@ func (w *Walk) visit(fr walkFrame) error {
 	}
 	w.internals++
 	w.childEntries += v.Len()
-	bd := len(w.box)
+	bd := w.meta.Config.boxDims()
 	boxes := make(geom.Box, v.Len()*bd) // the children's entry boxes, one slab
 	for k := 0; k < v.Len(); k++ {
 		within := boxes[k*bd : (k+1)*bd : (k+1)*bd]

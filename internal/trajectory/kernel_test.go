@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dynq/internal/geom"
@@ -71,11 +72,17 @@ func fuzzLeaf(t *testing.T, src *fuzzSrc, dims int) *rtree.Tree {
 			seg.Start[i], seg.End[i] = src.coord(), src.coord()
 		}
 		seg.T.Lo = src.coord()
-		switch sel := src.take(1); sel % 3 {
+		switch sel := src.take(1); sel % 4 {
 		case 0:
 			seg.T.Hi = seg.T.Lo // degenerate
 		case 1:
-			seg.T.Hi = float64(float32(seg.T.Lo + float64(sel/3)/4))
+			seg.T.Hi = float64(float32(seg.T.Lo + float64(sel/4)/4))
+		case 2: // a few float32 ulps long: steep if the end points differ
+			hi := float32(seg.T.Lo)
+			for n := 1 + sel/4%4; n > 0; n-- {
+				hi = math.Nextafter32(hi, float32(math.Inf(1)))
+			}
+			seg.T.Hi = float64(hi)
 		default:
 			seg.T.Hi = src.coord()
 		}
@@ -96,10 +103,21 @@ func fuzzLeaf(t *testing.T, src *fuzzSrc, dims int) *rtree.Tree {
 	return tree
 }
 
+// nudge moves x 1–4 float64 ulps up or down, as the source says.
+func (s *fuzzSrc) nudge(x float64) float64 {
+	sel := s.take(1)
+	dir := math.Inf(int(sel%2)*2 - 1)
+	for n := 1 + sel/2%4; n > 0; n-- {
+		x = math.Nextafter(x, dir)
+	}
+	return x
+}
+
 // fuzzTrajectory deals 1–6 keys of dims dimensions: key times on a grid,
 // a hair apart or at the leaf's validity ends; windows that are points,
-// pass through the leaf's coordinates, or leap clear of the previous one so
-// that a border crosses where the opposite border was.
+// pass through the leaf's coordinates or a few ulps off them, or leap clear
+// of the previous one so that a border crosses where the opposite border
+// was.
 func fuzzTrajectory(src *fuzzSrc, dims int, leaf []rtree.LeafEntry) (*Trajectory, error) {
 	pick := func() geom.Segment { return leaf[int(src.take(1))%len(leaf)].Seg }
 	keys := make([]Key, 1+int(src.take(1))%6)
@@ -122,12 +140,15 @@ func fuzzTrajectory(src *fuzzSrc, dims int, leaf []rtree.LeafEntry) (*Trajectory
 		w := make(geom.Box, dims)
 		for i := range w {
 			lo, hi := src.border(), src.border()
-			switch sel := src.take(1); sel % 5 {
+			switch sel := src.take(1); sel % 6 {
 			case 0:
 				hi = lo // a point: its borders touch
 			case 1:
 				s := pick()
 				lo, hi = min(s.Start[i], s.End[i]), max(s.Start[i], s.End[i])
+			case 5: // just beyond or inside an entry's end points: the gate's margin
+				s := pick()
+				lo, hi = src.nudge(min(s.Start[i], s.End[i])), src.nudge(max(s.Start[i], s.End[i]))
 			case 2:
 				if j > 0 { // clear of the previous window along this axis
 					prev := keys[j-1].Window[i]
@@ -157,13 +178,68 @@ func sameSet(a, b *geom.IntervalSet) bool {
 	return true
 }
 
+// gateCounts tallies what the swept-box gate (SweptMisses) did.
+type gateCounts struct {
+	hits     int // entries with an episode
+	rejected int // entries the gate kept from OverlapMotion
+	declined int // entries beyond the swept box on an axis, too near to prove
+	variants int // entries turned NaN, infinite or inverted, the gate declining
+}
+
+func (c *gateCounts) add(o gateCounts) {
+	c.hits += o.hits
+	c.rejected += o.rejected
+	c.declined += o.declined
+	c.variants += o.variants
+}
+
+// beyond reports whether some axis of an entry has both end points
+// strictly beyond one border of the trajectory's swept box.
+func beyond(tr *Trajectory, x0, x1 []float64) bool {
+	for i, ax := range tr.swept {
+		if gap, _ := geom.BeyondGap(x0[i], x1[i], ax.lo, ax.hi); gap > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// checkGate holds the swept-box gate to its promise on one entry: where
+// SweptMisses rejects validity t and end points x0, x1, OverlapMotion on
+// the forms EntryLines would make of them and the reference on the same
+// segment are both empty.
+func checkGate(t *testing.T, tr *Trajectory, tv geom.Interval, x0, x1 []float64) bool {
+	t.Helper()
+	if !tr.SweptMisses(tv, x0, x1) {
+		return false
+	}
+	seg := geom.Segment{T: tv, Start: geom.Point(x0), End: geom.Point(x1)}
+	x := make([]geom.Linear, len(x0))
+	for i := range x {
+		x[i] = geom.LinearBetween(tv.Lo, x0[i], tv.Hi, x1[i])
+	}
+	var got, want geom.IntervalSet
+	tr.OverlapMotion(tv, x, &got)
+	refOverlapSegment(tr, seg, &want)
+	if !got.Empty() || !want.Empty() {
+		t.Fatalf("%d keys %+v (swept %+v), entry %+v: the gate rejected it, but\n OverlapMotion %v\n reference     %v",
+			len(tr.keys), tr.keys, tr.swept, seg, got.Intervals(), want.Intervals())
+	}
+	return true
+}
+
 // checkOverlapMotion builds a leaf and a trajectory from data and requires,
 // for every entry of the leaf, that the reference (ref_test.go) on the
 // decoded entry, OverlapSegment on the decoded entry, and OverlapMotion on
 // the forms EntryLines reads off the page return the same episodes, bit for
 // bit; and that OverlapBox returns the reference's episodes for the entry's
-// box. It returns how many entries had an episode.
-func checkOverlapMotion(t *testing.T, data []byte) (hits int) {
+// box. Where the swept-box gate rejects the values EntryEnds reads off the
+// page, both episode sets must be empty (checkGate). Each entry then turns
+// into a variant the gate must decline — validity inverted, or a NaN or an
+// infinity in its validity or first axis — and, further along, a NaN or an
+// infinity on a later axis, where the gate may reject only what stays
+// empty.
+func checkOverlapMotion(t *testing.T, data []byte) (counts gateCounts) {
 	t.Helper()
 	src := &fuzzSrc{b: data}
 	dims := 1 + int(src.take(1))%3
@@ -175,9 +251,10 @@ func checkOverlapMotion(t *testing.T, data []byte) (hits int) {
 	}
 	tr, err := fuzzTrajectory(src, dims, leaf.Entries)
 	if err != nil {
-		return 0 // two keys at one time after all
+		return counts // two keys at one time after all
 	}
 	x := make([]geom.Linear, dims)
+	x0, x1 := make([]float64, dims), make([]float64, dims)
 	var e rtree.LeafEntry
 	var want, got, onPage geom.IntervalSet
 	err = tree.View(root, nil, func(v rtree.NodeView) error {
@@ -198,7 +275,17 @@ func checkOverlapMotion(t *testing.T, data []byte) (hits int) {
 					len(tr.keys), tr.keys, e.Seg, want.Intervals(), got.Intervals(), onPage.Intervals())
 			}
 			if !want.Empty() {
-				hits++
+				counts.hits++
+			}
+			if !tr.Instant() {
+				tv := v.EntryEnds(k, x0, x1)
+				switch {
+				case checkGate(t, tr, tv, x0, x1):
+					counts.rejected++
+				case beyond(tr, x0, x1):
+					counts.declined++
+				}
+				counts.variants += checkVariant(t, tr, src, tv, x0, x1)
 			}
 			box := e.Box(dims)
 			want.Reset()
@@ -214,14 +301,60 @@ func checkOverlapMotion(t *testing.T, data []byte) (hits int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hits
+	return counts
+}
+
+// checkVariant turns an entry's values into one the gate must treat with
+// care, as src says, and checks the gate on it: an inverted validity, or a
+// NaN or ±Inf in its validity or on its first axis, must be declined; the
+// same on a later axis may be rejected only where the episodes stay empty.
+// It returns 1 for a variant that must be declined, else 0.
+func checkVariant(t *testing.T, tr *Trajectory, src *fuzzSrc, tv geom.Interval, x0, x1 []float64) int {
+	t.Helper()
+	sel := src.take(1)
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[sel/8%3]
+	a, b := slices.Clone(x0), slices.Clone(x1)
+	switch sel % 8 {
+	case 0:
+		if tv.Lo == tv.Hi {
+			return 0
+		}
+		tv.Lo, tv.Hi = tv.Hi, tv.Lo
+	case 1:
+		tv.Lo = bad
+	case 2:
+		tv.Hi = bad
+	case 3:
+		a[0] = bad
+	case 4:
+		b[0] = bad
+	case 5: // a later axis: no promise but the episodes'
+		a[len(a)-1] = bad
+		checkGate(t, tr, tv, a, b)
+		return 0
+	default:
+		return 0
+	}
+	if tr.SweptMisses(tv, a, b) {
+		t.Fatalf("%d keys %+v, validity %v, end points %v %v: the gate rejected values its proof does not cover",
+			len(tr.keys), tr.keys, tv, a, b)
+	}
+	return 1
 }
 
 // FuzzOverlapMotion: whatever the trajectory — one to six keys in one to
-// three dimensions, point windows, borders through the leaf's coordinates,
-// windows leaping clear of the last — and whatever the leaf holds, the
-// predictive leaf test on the page returns the floats the test on the
-// decoded entry returned before the borders were precomputed.
+// three dimensions, point windows, borders through the leaf's coordinates
+// or a few ulps off them, windows leaping clear of the last — and whatever
+// the leaf holds, the predictive leaf test on the page returns the floats
+// the test on the decoded entry returned before the borders were
+// precomputed, and the swept-box gate rejects only entries both find
+// empty (checkOverlapMotion). The seed corpus
+// (testdata/fuzz/FuzzOverlapMotion) names its cases: end points on a
+// border of the swept box, beyond it by less than the margin and by more,
+// instants, ±0, ±MaxFloat32, NaN and infinite variants, inverted validity,
+// steep entries valid a few float32 ulps, and one input each that a gate
+// mutant fails on (one end point only, the margin dropped, a comparison
+// flipped, the box of the first key only).
 func FuzzOverlapMotion(f *testing.F) {
 	r := rand.New(rand.NewSource(29))
 	for i := 0; i < 12; i++ {
@@ -237,16 +370,18 @@ func FuzzOverlapMotion(f *testing.F) {
 }
 
 // The same comparison over many random inputs, requiring enough of them to
-// see something that the comparison is not of empty sets alone.
+// see something that the comparison is not of empty sets alone, and the
+// gate to reject, to decline near a border and to meet its variants often.
 func TestOverlapMotionMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	hits := 0
+	var counts gateCounts
 	for i := 0; i < 600; i++ {
 		data := make([]byte, 64+r.Intn(1024))
 		r.Read(data)
-		hits += checkOverlapMotion(t, data)
+		counts.add(checkOverlapMotion(t, data))
 	}
-	if hits < 300 {
-		t.Fatalf("only %d entries with an episode compared: the trajectories miss the leaves", hits)
+	t.Logf("%+v", counts)
+	if counts.hits < 300 || counts.rejected < 150 || counts.declined < 250 || counts.variants < 2000 {
+		t.Fatalf("compared %+v: the trajectories miss the leaves or the gate's cases", counts)
 	}
 }

@@ -29,6 +29,7 @@ type PredictiveOptions struct {
 // session's lifetime. Not safe for concurrent use by multiple goroutines.
 type PredictiveSession struct {
 	pdq *shard.PDQ
+	got []core.Result // Fetch's answer, gathered before conversion
 }
 
 // buildTrajectory converts API waypoints into the core trajectory form.
@@ -78,17 +79,26 @@ func (s *PredictiveSession) Next(t0, t1 float64) (*Result, error) {
 // Fetch returns every object becoming visible during [t0, t1] — the
 // per-frame fetch loop of a rendering client.
 func (s *PredictiveSession) Fetch(t0, t1 float64) ([]Result, error) {
-	var out []Result
+	// The answer is gathered in the session's scratch and converted into
+	// one slice of its final length; the scratch then drops its references.
+	defer func() {
+		clear(s.got)
+		s.got = s.got[:0]
+	}()
 	for {
 		r, ok, err := s.pdq.GetNext(t0, t1)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			return out, nil
+			break
 		}
-		out = append(out, fromResult(r))
+		s.got = append(s.got, r)
 	}
+	if len(s.got) == 0 {
+		return nil, nil
+	}
+	return fromResults(s.got), nil
 }
 
 // Close releases the session (and its live-update subscriptions).
