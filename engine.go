@@ -15,23 +15,23 @@ import (
 )
 
 // engine is the one implementation behind DB: N units, each a page store,
-// a buffered NSI R-tree, cost counters and a reader-writer lock (a
-// shard.Shard), plus — index-aligned with them — an optional write-ahead
-// log per unit. Open builds one unit in the single-file layout;
-// OpenSharded builds N units, objects placed by a hash of their id.
+// a buffered NSI R-tree and cost counters (a shard.Shard), plus —
+// index-aligned with them — an optional write-ahead log per unit. Open
+// builds one unit in the single-file layout; OpenSharded builds N units,
+// objects placed by a hash of their id.
 //
-// Concurrency and lock order: the database lock mu, then at most one
-// unit lock at a time (multi-unit readers take theirs in ascending
-// order inside shard.Engine). Data writes (Insert, ApplyUpdates)
-// hold mu SHARED and their owner unit's lock exclusively, so a write
-// burst on one unit never blocks a read on another — and with one unit
-// the unit lock alone serializes writers against queries. Queries hold
-// mu shared plus unit read locks inside their tasks. Sync, BulkLoad,
-// Close and the background scrub take mu exclusively: with every writer
-// excluded, a log's checkpoint never races an append. Cost and buffer
-// accessors are atomic; session types are single-goroutine but run
-// alongside queries and writers, synchronizing at index-node granularity
-// as the paper's live-update semantics require.
+// Concurrency and lock order: the database lock mu, then tree locks. A
+// unit's tree lock is its only lock. Data writes (Insert, ApplyUpdates)
+// hold mu SHARED and hold their owner unit's tree exclusively for one
+// rtree.Batch, so a write burst on one unit never blocks a read on
+// another. Queries hold mu shared plus, inside each unit's task, that
+// tree's lock shared; a join takes two tree locks, in address order.
+// Sync, BulkLoad, Close and the background scrub take mu exclusively:
+// with every writer excluded, a log's checkpoint never races an append
+// and BulkLoad may swap the trees. Cost and buffer accessors are atomic;
+// session types are single-goroutine but run alongside queries and
+// writers, synchronizing at index-node granularity as the paper's
+// live-update semantics require.
 type engine struct {
 	mu     sync.RWMutex
 	units  *shard.Engine

@@ -3,6 +3,7 @@ package dynq
 import (
 	"context"
 	"dynq/internal/rtree"
+	"dynq/internal/shard"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -83,7 +84,7 @@ func TestFailedDeleteLeavesUnitUntouched(t *testing.T) {
 				// An insert and a delete of a never-inserted object that
 				// share a unit, so the insert is in the portion that fails.
 				ins, missing := ObjectID(1000), ObjectID(2000)
-				for db.units.ShardFor(rtree.ObjectID(missing)) != db.units.ShardFor(rtree.ObjectID(ins)) {
+				for shard.Place(rtree.ObjectID(missing), db.units.Shards()) != shard.Place(rtree.ObjectID(ins), db.units.Shards()) {
 					missing++
 				}
 				err = db.ApplyUpdates(ctx, []MotionUpdate{

@@ -19,8 +19,6 @@ import (
 func (e *Engine) Snapshot(ctx context.Context, spatial geom.Box, tw geom.Interval, limit int) ([]rtree.Match, error) {
 	parts := make([][]rtree.Match, len(e.shards))
 	err := e.fanOutTraced(ctx, "snapshot/shard", "snapshot", func(i int, sh *Shard) error {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
 		ms, err := sh.Tree.RangeSearchCtx(ctx, spatial, tw, rtree.SearchOptions{Limit: limit}, &sh.Counters)
 		parts[i] = ms
 		return err
@@ -45,8 +43,6 @@ func (e *Engine) Snapshot(ctx context.Context, spatial geom.Box, tw geom.Interva
 func (e *Engine) KNN(ctx context.Context, p geom.Point, t float64, k int) ([]core.Neighbor, error) {
 	parts := make([][]core.Neighbor, len(e.shards))
 	err := e.fanOutTraced(ctx, "knn/shard", "knn", func(i int, sh *Shard) error {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
 		nbs, err := core.KNNCtx(ctx, sh.Tree, p, t, k, &sh.Counters)
 		parts[i] = nbs
 		return err
@@ -79,19 +75,10 @@ func (e *Engine) SelfJoin(delta, t float64) ([]core.JoinPair, error) {
 	parts := make([][]core.JoinPair, n*(n+1)/2)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			i, j := i, j
 			slot := len(fns)
 			fns = append(fns, func() error {
+				// DistanceJoin takes both tree locks, in address order.
 				a, b := e.shards[i], e.shards[j]
-				// Both shard locks, in ascending shard order (i <= j):
-				// with writers holding at most one shard lock and every
-				// multi-shard reader ordering ascending, no cycle forms.
-				a.mu.RLock()
-				defer a.mu.RUnlock()
-				if j != i {
-					b.mu.RLock()
-					defer b.mu.RUnlock()
-				}
 				pairs, err := core.DistanceJoin(a.Tree, b.Tree, delta, t, &a.Counters)
 				parts[slot] = pairs
 				return err

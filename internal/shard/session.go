@@ -169,7 +169,7 @@ func (e *Engine) NewNPDQ() *NPDQ {
 // (ties by object id, then segment start) for a deterministic merge.
 func (n *NPDQ) Next(window geom.Box, tw geom.Interval) ([]core.Result, error) {
 	parts := make([][]core.Result, len(n.sessions))
-	err := n.e.fanOut(func(i int, _ *Shard) error {
+	err := n.e.FanOut(nil, func(i int, _ *Shard) error {
 		rs, err := n.sessions[i].Next(window, tw)
 		parts[i] = rs
 		return err
@@ -213,7 +213,7 @@ func (e *Engine) NewAdaptive(opts core.AdaptiveOptions) (*Adaptive, error) {
 // returns the union of newly visible objects, sorted by appearance.
 func (a *Adaptive) Frame(window geom.Box, tw geom.Interval) ([]core.Result, error) {
 	parts := make([][]core.Result, len(a.sessions))
-	err := a.e.fanOut(func(i int, _ *Shard) error {
+	err := a.e.FanOut(nil, func(i int, _ *Shard) error {
 		rs, err := a.sessions[i].Frame(window, tw)
 		parts[i] = rs
 		return err

@@ -7,9 +7,10 @@
 // no pool, every task on the caller's goroutine, every merge the
 // identity.
 //
-// Writes (ApplyBatch, UpdateShards) touch only the shards owning the
-// batch's objects. Set queries (Snapshot, KNN, distance joins) run per
-// shard in parallel and merge deterministically. Dynamic-query sessions (PDQ, NPDQ, adaptive) drive
+// Writes (ApplyBatch, and the database's write path through FanOut and
+// Apply) touch only the shards owning the batch's objects. Set queries
+// (Snapshot, KNN, distance joins) run per shard in parallel and merge
+// deterministically. Dynamic-query sessions (PDQ, NPDQ, adaptive) drive
 // one per-shard cursor each and merge their streams through an
 // appearance-time min-heap, preserving the paper's "each object reported
 // once, in order of appearance" contract: an object lives in exactly one
@@ -60,20 +61,15 @@ func (o Options) validate() error {
 }
 
 // Shard is one partition: an R-tree over its own store, with its own cost
-// counters so per-shard load is observable.
-//
-// mu serializes writers per shard and isolates readers from half-applied
-// write batches: a batch's per-shard portion holds it exclusively,
-// single-shard query tasks hold it shared. Because every
-// writer holds at most ONE shard lock at a time and multi-shard readers
-// (self joins) acquire theirs in ascending shard order, no lock cycle
-// can form — which is what lets a write on shard 3 proceed while reads
-// drain shard 7.
+// counters so per-shard load is observable. The tree's lock is the
+// partition's lock: a write portion holds it exclusively for one
+// rtree.Batch, from Begin to End, and every read holds it shared for the
+// span it reads. A join reads two trees and takes their locks in address
+// order (core.DistanceJoin), so no lock cycle forms.
 type Shard struct {
 	Tree     *rtree.Tree
 	Counters stats.Counters
 	store    pager.Store
-	mu       sync.RWMutex
 }
 
 // Engine is the sharded query engine. All methods are safe for concurrent
@@ -199,11 +195,6 @@ func Place(id rtree.ObjectID, shards int) int {
 	return int(mix(uint64(id)) % uint64(shards))
 }
 
-// ShardFor returns the partition owning an object's segments.
-func (e *Engine) ShardFor(id rtree.ObjectID) int {
-	return Place(id, len(e.shards))
-}
-
 // Update is one element of an ApplyBatch write batch: an insertion, or
 // (with Delete set) the removal of the object's segment starting at T0.
 type Update struct {
@@ -214,45 +205,56 @@ type Update struct {
 }
 
 // ApplyBatch partitions a write batch by owner shard and applies every
-// per-shard sub-batch in parallel, each under ONE shard-lock
-// acquisition: relative order within a shard is preserved (an object's
-// delete-then-reinsert works, because both route to the same shard), and
-// readers of a shard never observe a half-applied sub-batch. Cross-shard
-// visibility is not atomic — shards finish independently.
-//
-// Each sub-batch is one rtree.Batch, as on the database's write path: a
-// delete followed at once by a reinsertion of the same object at the same
-// start time is one Batch.Correct, and an error rolls the sub-batch back
-// whole. A delete of a missing segment fails its shard's sub-batch with
-// rtree.ErrNotFound; the first error in shard order is returned, and
-// other shards may have applied their sub-batches fully.
+// per-shard portion in parallel, each with Apply in one rtree.Batch:
+// relative order within a shard is preserved (an object's
+// delete-then-reinsert works, because both route to the same shard),
+// readers of a shard never observe a half-applied portion, and an error
+// rolls the portion back whole. Cross-shard visibility is not atomic —
+// shards finish independently. A delete of a missing segment fails its
+// shard's portion with rtree.ErrNotFound; the first error in shard order
+// is returned, and other shards may have applied their portions fully.
 func (e *Engine) ApplyBatch(updates []Update) error {
 	parts := make([][]Update, len(e.shards))
 	touched := make([]bool, len(e.shards))
 	for _, u := range updates {
-		i := e.ShardFor(u.ID)
+		i := Place(u.ID, len(e.shards))
 		parts[i] = append(parts[i], u)
 		touched[i] = true
 	}
-	return e.UpdateShards(touched, func(i int, sh *Shard) error {
+	return e.FanOut(touched, func(i int, sh *Shard) error {
 		b := sh.Tree.Begin()
-		return b.End(applyPart(b, parts[i]))
+		return b.End(Apply(b, parts[i], false))
 	})
 }
 
-// applyPart applies one shard's sub-batch to its open batch, in order.
-func applyPart(b rtree.Batch, part []Update) error {
+// Apply applies one shard's portion of a write batch to its open batch,
+// in order — the one write loop, behind ApplyBatch, the database's live
+// writes and its log replay. A delete followed at once by a reinsertion of
+// the same object at the same float32 start time is a correction, one
+// Batch.Correct: it looks the old segment up where the new one starts and
+// rewrites the leaf entry in place when the new segment fits. The choice
+// depends on the tree and the updates alone, so a replayed portion edits
+// the pages the live one did. In replay mode a delete of a missing segment
+// is skipped rather than failed, and a correction's reinsertion still
+// made: the segment may have died to a later record the first time
+// around, then been checkpointed. The caller ends the batch.
+func Apply(b rtree.Batch, part []Update, replay bool) error {
 	for k := 0; k < len(part); k++ {
 		u := part[k]
 		var err error
 		switch {
 		case !u.Delete:
 			err = b.Insert(u.ID, u.Seg)
-		case k+1 < len(part) && corrects(u, part[k+1]):
+		case k+1 < len(part) && !part[k+1].Delete && part[k+1].ID == u.ID &&
+			float32(part[k+1].Seg.T.Lo) == float32(u.T0):
 			k++
-			err = b.Correct(u.ID, u.T0, part[k].Seg)
+			if err = b.Correct(u.ID, u.T0, part[k].Seg); err == rtree.ErrNotFound && replay {
+				err = b.Insert(u.ID, part[k].Seg)
+			}
 		default:
-			err = b.Delete(u.ID, u.T0)
+			if err = b.Delete(u.ID, u.T0); err == rtree.ErrNotFound && replay {
+				err = nil
+			}
 		}
 		if err != nil {
 			return err
@@ -261,47 +263,11 @@ func applyPart(b rtree.Batch, part []Update) error {
 	return nil
 }
 
-// corrects reports whether del and next are a correction: a deletion and
-// a reinsertion of the same object at the same float32 start time.
-func corrects(del, next Update) bool {
-	return !next.Delete && next.ID == del.ID && float32(next.Seg.T.Lo) == float32(del.T0)
-}
-
-// UpdateShards runs fn once per shard where touched[i] is true, on the
-// worker pool, each invocation holding that shard's exclusive lock and
-// timed into its latency histogram. It is the primitive behind every
-// batch write: the caller partitions the batch itself and, when logging,
-// must append each sub-batch to the shard's log under the SAME lock
-// acquisition that applies it, so the log's record order matches the
-// order mutations became visible on that shard. Cross-shard visibility
-// is not atomic; the first error in shard order is returned and other
-// shards may have completed.
-func (e *Engine) UpdateShards(touched []bool, fn func(i int, sh *Shard) error) error {
-	fns := make([]func() error, 0, len(e.shards))
-	for i := range e.shards {
-		if i >= len(touched) || !touched[i] {
-			continue
-		}
-		i := i
-		fns = append(fns, func() error {
-			sh := e.shards[i]
-			start := time.Now()
-			defer func() { e.latency[i].ObserveDuration(time.Since(start)) }()
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			return fn(i, sh)
-		})
-	}
-	return e.run(fns)
-}
-
 // Size returns the total number of indexed segments.
 func (e *Engine) Size() int {
 	n := 0
 	for _, sh := range e.shards {
-		sh.mu.RLock()
 		n += sh.Tree.Size()
-		sh.mu.RUnlock()
 	}
 	return n
 }
@@ -319,13 +285,11 @@ func (e *Engine) BulkLoad(entries []rtree.LeafEntry) error {
 	if len(e.shards) > 1 {
 		parts = make([][]rtree.LeafEntry, len(e.shards))
 		for _, en := range entries {
-			i := e.ShardFor(en.ID)
+			i := Place(en.ID, len(e.shards))
 			parts[i] = append(parts[i], en)
 		}
 	}
-	return e.fanOut(func(i int, sh *Shard) error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+	return e.FanOut(nil, func(i int, sh *Shard) error {
 		tree, err := rtree.BulkLoad(e.cfg, sh.store, parts[i])
 		if err != nil {
 			return err
@@ -361,9 +325,7 @@ func (e *Engine) ResetCost() {
 // shapes, in shard order.
 func (e *Engine) Stats() ([]rtree.TreeStats, error) {
 	out := make([]rtree.TreeStats, len(e.shards))
-	err := e.fanOut(func(i int, sh *Shard) error {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
+	err := e.FanOut(nil, func(i int, sh *Shard) error {
 		st, err := sh.Tree.Stats()
 		out[i] = st
 		return err
@@ -373,9 +335,7 @@ func (e *Engine) Stats() ([]rtree.TreeStats, error) {
 
 // Validate checks every shard's structural invariants (rtree.Walk).
 func (e *Engine) Validate() error {
-	return e.fanOut(func(_ int, sh *Shard) error {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
+	return e.FanOut(nil, func(_ int, sh *Shard) error {
 		return sh.Tree.Validate()
 	})
 }
@@ -443,22 +403,30 @@ func (e *Engine) run(fns []func() error) error {
 	return nil
 }
 
-// fanOut runs fn once per shard on the worker pool, timing each task into
-// the shard's latency histogram.
-func (e *Engine) fanOut(fn func(i int, sh *Shard) error) error {
-	fns := make([]func() error, len(e.shards))
-	for i := range e.shards {
-		i := i
-		fns[i] = func() error {
+// FanOut runs fn once per shard where touched[i] is true — on every
+// shard when touched is nil — on the worker pool, timing each task into
+// the shard's latency histogram. It is the fan-out behind every parallel
+// operation and every batch write: a writer partitions its batch itself
+// and, when logging, appends each portion to its shard's log inside the
+// rtree.Batch that applies it, so the log's record order is the order the
+// shard's writes became visible. The first error in shard order is
+// returned; other shards may have completed.
+func (e *Engine) FanOut(touched []bool, fn func(i int, sh *Shard) error) error {
+	fns := make([]func() error, 0, len(e.shards))
+	for i, sh := range e.shards {
+		if touched != nil && !touched[i] {
+			continue
+		}
+		fns = append(fns, func() error {
 			start := time.Now()
 			defer func() { e.latency[i].ObserveDuration(time.Since(start)) }()
-			return fn(i, e.shards[i])
-		}
+			return fn(i, sh)
+		})
 	}
 	return e.run(fns)
 }
 
-// fanOutTraced is fanOut plus trace recording. When the context carries
+// fanOutTraced is FanOut plus trace recording. When the context carries
 // both a trace context and a tracer (the netq server arms both per
 // request via obs.ContextWithTrace/ContextWithTracer), every shard task
 // records one child span — parented to the caller's span, tagged with
@@ -468,12 +436,12 @@ func (e *Engine) fanOut(fn func(i int, sh *Shard) error) error {
 // work charged by overlapping operations (same caveat as the server-wide
 // op spans). Without a trace in the context, or with a single shard —
 // whose one child would only repeat the caller's own span — it degrades
-// to plain fanOut.
+// to plain FanOut.
 func (e *Engine) fanOutTraced(ctx context.Context, op, engine string, fn func(i int, sh *Shard) error) error {
 	tc, okTrace := obs.TraceFromContext(ctx)
 	tracer, okTracer := obs.TracerFromContext(ctx)
 	if !okTrace || !okTracer || len(e.shards) == 1 {
-		return e.fanOut(fn)
+		return e.FanOut(nil, fn)
 	}
 	fns := make([]func() error, len(e.shards))
 	for i := range e.shards {

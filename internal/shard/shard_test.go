@@ -65,7 +65,7 @@ func TestRoutingAndDistribution(t *testing.T) {
 	// Sequential ids must spread across shards (the point of the hash).
 	hit := make([]int, 4)
 	for id := 0; id < 1000; id++ {
-		hit[e.ShardFor(rtree.ObjectID(id))]++
+		hit[Place(rtree.ObjectID(id), e.Shards())]++
 	}
 	for i, n := range hit {
 		if n < 100 {
@@ -78,7 +78,7 @@ func TestRoutingAndDistribution(t *testing.T) {
 	if e.Size() != len(entries) {
 		t.Fatalf("Size=%d after %d inserts", e.Size(), len(entries))
 	}
-	// Every segment must live on its ShardFor shard.
+	// Every segment must live on its Place shard.
 	for i := 0; i < e.Shards(); i++ {
 		sh := e.Shard(i)
 		if sh.Tree.Size() == 0 {
@@ -324,7 +324,7 @@ func TestOneWorkerRunsTasksInline(t *testing.T) {
 		t.Fatalf("one worker: pool %v, %d workers; want no pool", inline.tasks != nil, inline.Workers())
 	}
 	var order []int
-	if err := inline.fanOut(func(i int, _ *Shard) error { order = append(order, i); return nil }); err != nil || !slices.Equal(order, []int{0, 1, 2, 3}) {
+	if err := inline.FanOut(nil, func(i int, _ *Shard) error { order = append(order, i); return nil }); err != nil || !slices.Equal(order, []int{0, 1, 2, 3}) {
 		t.Fatalf("tasks ran in order %v, err %v", order, err)
 	}
 	q := geom.Box{{Lo: 10, Hi: 50}, {Lo: 10, Hi: 50}}

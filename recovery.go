@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"dynq/internal/geom"
 	"dynq/internal/obs"
 	"dynq/internal/pager"
 	"dynq/internal/rtree"
@@ -350,12 +349,13 @@ func replayLog(path string, wopts wal.Options, tree *rtree.Tree, dims, unit, uni
 		if derr != nil {
 			return fmt.Errorf("%w: wal record %d%s: %v", ErrCorrupt, lsn, at, derr)
 		}
-		segs := make([]geom.Segment, len(ups))
+		part := make([]shard.Update, len(ups))
 		for i, u := range ups {
 			if got := shard.Place(rtree.ObjectID(u.ID), units); got != unit {
 				return fmt.Errorf("%w: wal record %d%s routes object %d to shard %d — log written under a different shard count?",
 					ErrCorrupt, lsn, at, u.ID, got)
 			}
+			part[i] = shard.Update{ID: rtree.ObjectID(u.ID), T0: u.Segment.T0, Delete: u.Delete}
 			if u.Delete {
 				continue
 			}
@@ -363,10 +363,10 @@ func replayLog(path string, wopts wal.Options, tree *rtree.Tree, dims, unit, uni
 			if serr != nil {
 				return fmt.Errorf("%w: wal record %d%s: %v", ErrCorrupt, lsn, at, serr)
 			}
-			segs[i] = g
+			part[i].Seg = g
 		}
 		b := tree.Begin()
-		if aerr := b.End(applyPortion(b, ups, segs, true)); aerr != nil {
+		if aerr := b.End(shard.Apply(b, part, true)); aerr != nil {
 			return fmt.Errorf("dynq: wal replay record %d%s: %w", lsn, at, aerr)
 		}
 		records++

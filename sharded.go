@@ -18,7 +18,7 @@ type ShardOptions struct {
 	Shards int
 	// WAL arms a write-ahead log sidecar per shard ("<Path>.shard<i>.wal"):
 	// each shard's sub-batch is logged as one crash-atomic record under
-	// that shard's write lock, and Sync checkpoints every log against its
+	// that shard's tree lock, and Sync checkpoints every log against its
 	// shard's committed metadata. Requires Options.Path (the logs recover
 	// against the shard page files). Options.WALPath is rejected here —
 	// a sharded database has one log PER SHARD, not one log total.

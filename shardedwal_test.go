@@ -3,6 +3,7 @@ package dynq
 import (
 	"context"
 	"dynq/internal/rtree"
+	"dynq/internal/shard"
 	"errors"
 	"fmt"
 	"os"
@@ -242,7 +243,7 @@ func TestShardedWALOneTornLog(t *testing.T) {
 	// in the log we are about to tear.
 	var shard0 []MotionUpdate
 	for id := ObjectID(1000); len(shard0) < 8; id++ {
-		if db.units.ShardFor(rtree.ObjectID(id)) == 0 {
+		if shard.Place(rtree.ObjectID(id), db.units.Shards()) == 0 {
 			shard0 = append(shard0, MotionUpdate{ID: id, Segment: shardSeg(float64(id % 97))})
 		}
 	}
@@ -313,7 +314,7 @@ func TestShardedWALCheckpointLagDivergence(t *testing.T) {
 	// from its checkpoint while shard 1's stays flush.
 	var only0 []MotionUpdate
 	for id := ObjectID(2000); len(only0) < 10; id++ {
-		if db.units.ShardFor(rtree.ObjectID(id)) == 0 {
+		if shard.Place(rtree.ObjectID(id), db.units.Shards()) == 0 {
 			only0 = append(only0, MotionUpdate{ID: id, Segment: shardSeg(float64(id % 89))})
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"dynq/internal/fault"
 	"dynq/internal/pager"
 	"dynq/internal/rtree"
+	"dynq/internal/shard"
 )
 
 // The crash soaks check the durability form of the paper's contract:
@@ -505,7 +506,7 @@ func (s *crashSoak) reconcileAsync(db *engine) (int, error) {
 	for b, batch := range s.pendingAsync {
 		parts := make([][]soakSeg, n)
 		for _, seg := range batch {
-			u := db.units.ShardFor(rtree.ObjectID(seg.id))
+			u := shard.Place(rtree.ObjectID(seg.id), db.units.Shards())
 			parts[u] = append(parts[u], seg)
 		}
 		for u, p := range parts {

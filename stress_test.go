@@ -3,9 +3,13 @@ package dynq
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
+
+	"dynq/internal/rtree"
+	"dynq/internal/shard"
 )
 
 // stressSegment places a static object at a deterministic position
@@ -392,5 +396,232 @@ func TestConcurrentEditsBufferedPool(t *testing.T) {
 	}
 	if bs := db.BufferStats(); bs.Evictions == 0 || bs.WriteBacks == 0 {
 		t.Errorf("pool never evicted a dirty frame (%+v): the test does not exercise write-back beside in-place edits", bs)
+	}
+}
+
+// TestConcurrentBatchesAtomicPerUnit holds the write path to the paper's
+// update rule (§4.1) on every unit: a query sees a write batch whole or
+// not at all. Each batch's objects all place on one unit, so each batch is
+// one unit's portion, one rtree.Batch under that tree's lock. Writers
+// insert groups of 16–32 objects in one batch each, then correct every
+// object of a group in one batch: the end time shrinks (the new segment
+// fits its leaf), and every third version moves the group far (it does
+// not). Readers check that every Snapshot, KNN (k = every object) and
+// Within answer (a join, two tree locks at once across units) shows each
+// group all or none and at one version, and each object once; a live
+// predictive session runs beside them. The final state must equal a
+// serial replay of the same batches.
+func TestConcurrentBatchesAtomicPerUnit(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			open := func() *DB {
+				db, err := OpenSharded(ShardOptions{Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { db.Close() })
+				return db
+			}
+			runBatchAtomicity(t, open(), open(), shards)
+		})
+	}
+}
+
+func runBatchAtomicity(t *testing.T, db, serial *DB, shards int) {
+	const (
+		groups  = 12
+		writers = 3
+		rounds  = 6 // corrections per object after its insert
+	)
+	// Group g sits on a 4×3 grid, its members 0.4 apart in rows of 8, so
+	// that Within(0.5) pairs every member with a neighbour and no group
+	// with another; version v lives until 100-v and, from v = 3 to 5, 40
+	// to the east.
+	members := make([][]ObjectID, groups)
+	groupOf := map[ObjectID]int{}
+	next := ObjectID(1)
+	for g := range members {
+		for len(members[g]) < 16+(g*5)%17 {
+			if shard.Place(rtree.ObjectID(next), shards) == g%shards {
+				members[g] = append(members[g], next)
+				groupOf[next] = g
+			}
+			next++
+		}
+	}
+	seg := func(g, j, v int) Segment {
+		x := 2 + float64(g%4)*10 + float64(j%8)*0.4 + 40*float64(v/3%2)
+		y := 2 + float64(g/4)*10 + float64(j/8)*0.4
+		return Segment{T0: 0, T1: 100 - float64(v), From: []float64{x, y}, To: []float64{x, y}}
+	}
+	batch := func(g, v int) []MotionUpdate {
+		var ups []MotionUpdate
+		for j, id := range members[g] {
+			if v > 0 {
+				ups = append(ups, MotionUpdate{ID: id, Segment: Segment{T0: 0}, Delete: true})
+			}
+			ups = append(ups, MotionUpdate{ID: id, Segment: seg(g, j, v)})
+		}
+		return ups
+	}
+
+	// check holds one answer, given as (object, version) sightings, to the
+	// rule: known objects, one version per group, each group's objects all
+	// or none, and — when once — each object sighted once.
+	type sighting struct {
+		id ObjectID
+		v  float64
+	}
+	check := func(seen []sighting, once bool) error {
+		version := map[int]float64{}
+		ids := make([]map[ObjectID]bool, groups)
+		for _, s := range seen {
+			g, ok := groupOf[s.id]
+			if !ok {
+				return fmt.Errorf("unknown object %d", s.id)
+			}
+			if ids[g] == nil {
+				ids[g], version[g] = map[ObjectID]bool{}, s.v
+			}
+			if version[g] != s.v {
+				return fmt.Errorf("group %d shows versions %g and %g at once", g, version[g], s.v)
+			}
+			if once && ids[g][s.id] {
+				return fmt.Errorf("object %d shows twice", s.id)
+			}
+			ids[g][s.id] = true
+		}
+		for g, in := range ids {
+			if in != nil && len(in) != len(members[g]) {
+				return fmt.Errorf("group %d shows %d of its %d objects", g, len(in), len(members[g]))
+			}
+		}
+		return nil
+	}
+	view := Rect{Min: []float64{0, 0}, Max: []float64{100, 100}}
+
+	done := make(chan struct{})
+	errCh := make(chan error, writers+4)
+	var readers, writing sync.WaitGroup
+	reader := func(name string, pass func() error) {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					if i >= 3 {
+						return
+					}
+				default:
+				}
+				if err := pass(); err != nil {
+					errCh <- fmt.Errorf("%s, pass %d: %w", name, i, err)
+					return
+				}
+			}
+		}()
+	}
+	reader("snapshot", func() error {
+		rs, err := db.Snapshot(view, 0, 50)
+		if err != nil {
+			return err
+		}
+		seen := make([]sighting, len(rs))
+		for i, r := range rs {
+			seen[i] = sighting{r.ID, 100 - r.Segment.T1}
+		}
+		return check(seen, true)
+	})
+	reader("knn", func() error {
+		nbs, err := db.KNN([]float64{45, 45}, 10, len(groupOf))
+		if err != nil {
+			return err
+		}
+		seen := make([]sighting, len(nbs))
+		for i, n := range nbs {
+			seen[i] = sighting{n.ID, 100 - n.Segment.T1}
+		}
+		return check(seen, true)
+	})
+	reader("within", func() error {
+		pairs, err := db.Within(0.5, 10)
+		if err != nil {
+			return err
+		}
+		var seen []sighting
+		for _, p := range pairs {
+			seen = append(seen, sighting{p.A, 100 - p.SegmentA.T1}, sighting{p.B, 100 - p.SegmentB.T1})
+		}
+		return check(seen, false)
+	})
+	reader("live predictive session", func() error {
+		s, err := db.Predictive([]Waypoint{{T: 0, View: view}, {T: 50, View: view}}, PredictiveOptions{Live: true})
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		for f := 0; f < 5; f++ {
+			rs, err := s.Fetch(float64(10*f), float64(10*f+10))
+			if err != nil {
+				return err
+			}
+			for _, r := range rs {
+				if _, ok := groupOf[r.ID]; !ok {
+					return fmt.Errorf("unknown object %d", r.ID)
+				}
+			}
+		}
+		return nil
+	})
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for v := 0; v <= rounds; v++ {
+				for g := w; g < groups; g += writers {
+					if err := db.ApplyUpdates(context.Background(), batch(g, v), WriteOptions{}); err != nil {
+						errCh <- fmt.Errorf("writer %d, group %d, version %d: %w", w, g, v, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	readers.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	for g := range members {
+		for v := 0; v <= rounds; v++ {
+			if err := serial.ApplyUpdates(context.Background(), batch(g, v), WriteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	state := func(db *DB) []string {
+		rs, err := db.Snapshot(view, 0, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(rs))
+		for i, r := range rs {
+			out[i] = fmt.Sprint(r.ID, r.Segment)
+		}
+		sort.Strings(out)
+		return out
+	}
+	if got, want := state(db), state(serial); !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent run holds %d segments, the serial replay %d, or they differ", len(got), len(want))
+	}
+	if got := db.Len(); got != len(groupOf) {
+		t.Fatalf("%d segments after the run, want %d", got, len(groupOf))
 	}
 }

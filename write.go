@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dynq/internal/geom"
 	"dynq/internal/rtree"
 	"dynq/internal/shard"
 )
@@ -111,7 +110,7 @@ func (e *engine) Insert(id ObjectID, seg Segment) error {
 // ApplyUpdates applies a batch of motion updates as one write — the
 // high-rate ingest path for dead-reckoning bursts. The batch is
 // partitioned by owner unit and each unit's portion applies under that
-// unit's lock alone, in slice order within the unit (a delete-then-
+// unit's tree lock alone, in slice order within the unit (a delete-then-
 // reinsert of the same object works within one batch) — so concurrent
 // batches touching disjoint units proceed in parallel and readers of
 // untouched units are never blocked. Cross-unit order within one batch
@@ -182,23 +181,25 @@ func (e *engine) applyUpdates(ctx context.Context, updates []MotionUpdate, opts 
 	// nothing and a logged batch never fails conversion on replay.
 	mark := ws.now()
 	n := e.units.Shards()
-	segs := make([]geom.Segment, len(updates))
+	ups := make([]shard.Update, len(updates))
 	for i, u := range updates {
+		ups[i] = shard.Update{ID: rtree.ObjectID(u.ID), T0: u.Segment.T0, Delete: u.Delete}
 		if !u.Delete {
-			if segs[i], err = newSegmentDims(u.Segment, e.dims); err != nil {
+			if ups[i].Seg, err = newSegmentDims(u.Segment, e.dims); err != nil {
 				return err
 			}
 		}
 	}
-	// One unit owns the whole batch as it stands; several get a portion
-	// each, in slice order.
-	parts, partSegs, touched := [][]MotionUpdate{updates}, [][]geom.Segment{segs}, []bool{true}
+	// One unit owns the whole batch as it stands (touched nil: every
+	// unit); several get a portion each, in slice order, kept both as
+	// applied and as logged.
+	parts, logged, touched := [][]shard.Update{ups}, [][]MotionUpdate{updates}, []bool(nil)
 	if n > 1 {
-		parts, partSegs, touched = make([][]MotionUpdate, n), make([][]geom.Segment, n), make([]bool, n)
-		for i, u := range updates {
-			s := shard.Place(rtree.ObjectID(u.ID), n)
+		parts, logged, touched = make([][]shard.Update, n), make([][]MotionUpdate, n), make([]bool, n)
+		for i, u := range ups {
+			s := shard.Place(u.ID, n)
 			parts[s] = append(parts[s], u)
-			partSegs[s] = append(partSegs[s], segs[i])
+			logged[s] = append(logged[s], updates[i])
 			touched[s] = true
 		}
 	}
@@ -222,17 +223,17 @@ func (e *engine) applyUpdates(ctx context.Context, updates []MotionUpdate, opts 
 	lsns := make([]uint64, n)
 	var walNS atomic.Int64
 	mark = ws.now()
-	err = e.units.UpdateShards(touched, func(i int, sh *shard.Shard) error {
+	err = e.units.FanOut(touched, func(i int, sh *shard.Shard) error {
 		// Apply, log, commit: the portion is applied in one batch, then
 		// logged, and only then made final. Whatever fails first — a
 		// missing segment, a storage error, the append — rolls the portion
 		// back before anything of it is logged, so a portion the caller saw
 		// fail never replays after a crash.
 		b := sh.Tree.Begin()
-		err := applyPortion(b, parts[i], partSegs[i], false)
+		err := shard.Apply(b, parts[i], false)
 		if err == nil && e.logs != nil {
 			t := ws.now()
-			lsn, werr := e.logs[i].Append(encodeUpdates(e.dims, parts[i]))
+			lsn, werr := e.logs[i].Append(encodeUpdates(e.dims, logged[i]))
 			walNS.Add(int64(ws.since(t)))
 			if werr != nil {
 				err = fmt.Errorf("dynq: wal append%s: %w", where(i, n), werr)
@@ -305,54 +306,6 @@ func (e *engine) waitDurable(lsns []uint64, now bool) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// corrects reports whether updates[i] is a correction's delete: a deletion
-// followed at once by a reinsertion of the same object at the same float32
-// start time.
-func corrects(updates []MotionUpdate, i int) bool {
-	if !updates[i].Delete || i+1 == len(updates) {
-		return false
-	}
-	u, next := updates[i], updates[i+1]
-	return !next.Delete && next.ID == u.ID && float32(next.Segment.T0) == float32(u.Segment.T0)
-}
-
-// applyPortion applies converted updates to one tree's open batch in slice
-// order — the mutation loop behind live writes and log replay. segs[i]
-// holds the pre-converted geometry for insert updates. A correction — a
-// delete and the reinsertion right after it — is one Batch.Correct, which
-// looks the old segment up where the new one starts and rewrites the leaf
-// entry in place when the new segment fits; the choice depends on the tree
-// and the updates alone, so a replayed batch edits the pages the live one
-// did. In replay mode a delete of a missing segment is skipped rather than
-// failed (and a correction's reinsertion still made): the segment may have
-// been removed by a later replayed record the first time around, then
-// checkpointed. The caller commits or rolls back the batch and owns health
-// accounting.
-func applyPortion(b rtree.Batch, updates []MotionUpdate, segs []geom.Segment, replay bool) error {
-	for i := 0; i < len(updates); i++ {
-		u := updates[i]
-		id := rtree.ObjectID(u.ID)
-		var err error
-		switch {
-		case !u.Delete:
-			err = b.Insert(id, segs[i])
-		case corrects(updates, i):
-			i++
-			if err = b.Correct(id, u.Segment.T0, segs[i]); err == rtree.ErrNotFound && replay {
-				err = b.Insert(id, segs[i])
-			}
-		default:
-			if err = b.Delete(id, u.Segment.T0); err == rtree.ErrNotFound && replay {
-				err = nil
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // BulkLoadUpdates builds the index from an ordered batch at a 0.5 fill

@@ -550,11 +550,11 @@ func correctionBatches(base []MotionUpdate, n int, seed int64, move func(r *rand
 	return batches
 }
 
-// treePages reads every page of a one-unit database's tree, walking it
-// from the root.
-func treePages(t *testing.T, db *DB) map[pager.PageID]string {
+// treePages reads every page of a database's unit tree, walking it from
+// the root.
+func treePages(t *testing.T, db *DB, unit int) map[pager.PageID]string {
 	t.Helper()
-	tree := db.units.Shard(0).Tree
+	tree := db.units.Shard(unit).Tree
 	pages := map[pager.PageID]string{}
 	var walk func(id pager.PageID)
 	walk = func(id pager.PageID) {
@@ -588,52 +588,71 @@ func treePages(t *testing.T, db *DB) map[pager.PageID]string {
 // update alone, not on the path the live write found. A logged database
 // takes 20 000 inserts and then 2 000 corrections, most of them small
 // moves, some far; it crashes with no checkpoint taken, and recovery
-// replays the whole log. Every page of the tree is the live database's,
-// stamps included.
+// replays the whole log. Every page of every unit's tree is the live
+// database's, stamps included: on one unit, and on four, whose portions
+// are logged and replayed per unit.
 func TestReplayedCorrectionsMatchLive(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corrections.dynq")
-	db, err := Open(Options{Path: path, WALPath: path + ".wal", DualTimeAxes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := paperUpdates(t, 20_000, 3)
-	for i := 0; i < len(base); i += 500 {
-		if err := db.ApplyUpdates(context.Background(), base[i:i+500], WriteOptions{Durability: DurabilityAsync}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batches := correctionBatches(base, 2000, 4, func(r *rand.Rand, s Segment) []float64 {
-		step := 0.5
-		if r.Intn(8) == 0 {
-			step = 20
-		}
-		return []float64{s.To[0] + r.NormFloat64()*step, s.To[1] + r.NormFloat64()*step}
-	})
-	for _, b := range batches {
-		if err := db.ApplyUpdates(context.Background(), b, WriteOptions{Durability: DurabilityAsync}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	live := treePages(t, db)
-	if err := db.crash(); err != nil {
-		t.Fatal(err)
-	}
-	rdb, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	defer rdb.Close()
-	if rep.WALUpdatesReplayed != len(base)+4000 {
-		t.Fatalf("replayed %d updates, want %d (%s)", rep.WALUpdatesReplayed, len(base)+4000, rep)
-	}
-	got := treePages(t, rdb)
-	if len(got) != len(live) {
-		t.Fatalf("recovered tree has %d pages, the live one %d", len(got), len(live))
-	}
-	for id, p := range live {
-		if got[id] != p {
-			t.Fatalf("page %d differs between the live and the recovered tree", id)
-		}
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "corrections.dynq")
+			opts := Options{Path: path, DualTimeAxes: true}
+			var db *DB
+			var err error
+			if shards == 0 {
+				opts.WALPath = path + ".wal"
+				db, err = Open(opts)
+			} else {
+				db, err = OpenSharded(ShardOptions{Options: opts, Shards: shards, WAL: true})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := paperUpdates(t, 20_000, 3)
+			for i := 0; i < len(base); i += 500 {
+				if err := db.ApplyUpdates(context.Background(), base[i:i+500], WriteOptions{Durability: DurabilityAsync}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batches := correctionBatches(base, 2000, 4, func(r *rand.Rand, s Segment) []float64 {
+				step := 0.5
+				if r.Intn(8) == 0 {
+					step = 20
+				}
+				return []float64{s.To[0] + r.NormFloat64()*step, s.To[1] + r.NormFloat64()*step}
+			})
+			for _, b := range batches {
+				if err := db.ApplyUpdates(context.Background(), b, WriteOptions{Durability: DurabilityAsync}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			units := db.units.Shards()
+			live := make([]map[pager.PageID]string, units)
+			for u := range live {
+				live[u] = treePages(t, db, u)
+			}
+			if err := db.crash(); err != nil {
+				t.Fatal(err)
+			}
+			rdb, rep, err := OpenFileRecoverWith(path, RecoverOptions{Shards: shards})
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			defer rdb.Close()
+			if rep.WALUpdatesReplayed != len(base)+4000 {
+				t.Fatalf("replayed %d updates, want %d (%s)", rep.WALUpdatesReplayed, len(base)+4000, rep)
+			}
+			for u := range live {
+				got := treePages(t, rdb, u)
+				if len(got) != len(live[u]) {
+					t.Fatalf("unit %d: recovered tree has %d pages, the live one %d", u, len(got), len(live[u]))
+				}
+				for id, p := range live[u] {
+					if got[id] != p {
+						t.Fatalf("unit %d: page %d differs between the live and the recovered tree", u, id)
+					}
+				}
+			}
+		})
 	}
 }
 
