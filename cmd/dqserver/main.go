@@ -7,13 +7,11 @@
 //	/metrics          Prometheus text format (per-op request counts,
 //	                  latency histograms, rolling-window quantiles,
 //	                  buffer-pool hit ratio, runtime gauges, ...)
-//	/debug/vars       the same metrics as expvar-style JSON
 //	/debug/trace      recent query spans (per-stage cost deltas) as JSONL
 //	/debug/slow       operations that exceeded -slow-query (reads) or
 //	                  -slow-write (writes), spans included; ?op= filters
 //	/debug/events     the operational event journal (recovery, degraded
 //	                  mode, overload bursts, checksum failures)
-//	/debug/runtime    the runtime collector's time series
 //	/debug/telemetry  the full stats snapshot (same payload as the netq
 //	                  telemetry op that dqtop polls)
 //	/debug/pprof/*    the standard runtime profiles
@@ -54,7 +52,6 @@
 //	         [-auto-checkpoint-bytes N] [-auto-checkpoint-age 30s]
 //	         [-scrub-rate 50000] [-probe-backoff 1s]
 //	         [-slow-query 250ms] [-slow-write 250ms]
-//	         [-slo-latency 100ms] [-slo-write-latency 50ms] [-slo-window 5m]
 //	         [-log-level info] [-log-format text]
 package main
 
@@ -80,28 +77,25 @@ import (
 
 // options holds the parsed command line.
 type options struct {
-	addr            string
-	metrics         string
-	path            string
-	scale           float64
-	seed            int64
-	dual            bool
-	shards          int
-	walArm          bool
-	gcWin           time.Duration
-	autoCkptBytes   int64
-	autoCkptAge     time.Duration
-	scrubRate       int
-	probeBackoff    time.Duration
-	maxConc         int
-	maxQue          int
-	slowQuery       time.Duration
-	slowWrite       time.Duration
-	sloLatency      time.Duration
-	sloWriteLatency time.Duration
-	sloWindow       time.Duration
-	logLevel        string
-	logFormat       string
+	addr          string
+	metrics       string
+	path          string
+	scale         float64
+	seed          int64
+	dual          bool
+	shards        int
+	walArm        bool
+	gcWin         time.Duration
+	autoCkptBytes int64
+	autoCkptAge   time.Duration
+	scrubRate     int
+	probeBackoff  time.Duration
+	maxConc       int
+	maxQue        int
+	slowQuery     time.Duration
+	slowWrite     time.Duration
+	logLevel      string
+	logFormat     string
 }
 
 // newFlags declares every dqserver flag on a fresh set bound to o.
@@ -124,9 +118,6 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.IntVar(&o.maxQue, "max-queue", 0, "max read queries waiting for a slot before rejection (0 = 4x max-concurrent)")
 	fs.DurationVar(&o.slowQuery, "slow-query", obs.DefSlowThreshold, "capture queries slower than this into /debug/slow (negative disables)")
 	fs.DurationVar(&o.slowWrite, "slow-write", obs.DefSlowThreshold, "capture writes slower than this into /debug/slow (negative disables)")
-	fs.DurationVar(&o.sloLatency, "slo-latency", 100*time.Millisecond, "latency SLO target per read request")
-	fs.DurationVar(&o.sloWriteLatency, "slo-write-latency", 50*time.Millisecond, "durability-wait latency SLO target per acknowledged write")
-	fs.DurationVar(&o.sloWindow, "slo-window", 5*time.Minute, "window over which SLO attainment is computed")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error (debug logs every request)")
 	fs.StringVar(&o.logFormat, "log-format", "text", "log format: text or json")
 	return fs
@@ -201,8 +192,6 @@ func main() {
 	srv.WithLogger(logger)
 	srv.WithSlowQueryThreshold(o.slowQuery)
 	srv.WithSlowWriteThreshold(o.slowWrite)
-	srv.WithSLO(obs.SLOConfig{Window: o.sloWindow, LatencyTarget: o.sloLatency})
-	srv.WithWriteSLO(obs.SLOConfig{Window: o.sloWindow, LatencyTarget: o.sloWriteLatency})
 	if recovery != nil {
 		srv.WithRecoveryReport(recovery)
 		logger.Info("recovery-on-open", "report", recovery.String())
@@ -230,7 +219,6 @@ func main() {
 			Tracer:    srv.Tracer(),
 			SlowLog:   srv.SlowLog(),
 			Journal:   srv.Journal(),
-			Collector: srv.Collector(),
 			Telemetry: srv.Telemetry,
 			Health: func() error {
 				if db.Degraded() {
@@ -241,7 +229,7 @@ func main() {
 		})}
 		logger.Info("observability endpoint up",
 			"addr", ml.Addr().String(),
-			"paths", "/metrics /healthz /debug/vars /debug/trace /debug/slow /debug/events /debug/runtime /debug/telemetry /debug/pprof")
+			"paths", "/metrics /healthz /debug/trace /debug/slow /debug/events /debug/telemetry /debug/pprof")
 		go func() {
 			if err := hs.Serve(ml); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("metrics server", "err", err)

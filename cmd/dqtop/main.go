@@ -166,12 +166,9 @@ func render(out *strings.Builder, addr string, tel netq.Telemetry, eventLimit in
 		fmt.Fprintf(out, "  !! DEGRADED%s — rejecting writes until a recovery probe succeeds\n", age)
 	}
 	if r := tel.Runtime; r != nil {
-		fmt.Fprintf(out, "  goroutines %d  heap %s  gc %d (last pause %v)",
-			r.Goroutines, sizeof(r.HeapAllocBytes), r.NumGC, r.LastGCPause.Round(time.Microsecond))
-		if v, ok := r.Extra["buffer_frames"]; ok {
-			fmt.Fprintf(out, "  buffer %d frames", int(v))
-		}
-		out.WriteByte('\n')
+		fmt.Fprintf(out, "  goroutines %d  heap %s  gc %d (last pause %v)  buffer %d frames\n",
+			r.Goroutines, sizeof(r.HeapAllocBytes), r.NumGC, r.LastGCPause.Round(time.Microsecond),
+			tel.BufferFrames)
 	}
 
 	if len(tel.Ops) > 0 {

@@ -138,60 +138,3 @@ func TestSlowLogConcurrent(t *testing.T) {
 		t.Errorf("captured = %d, want 4000", got)
 	}
 }
-
-func TestCollectorSamplesAndSources(t *testing.T) {
-	c := NewCollector(time.Hour, 4) // interval irrelevant: we sample by hand
-	depth := 7.0
-	c.Source("queue_depth", func() float64 { return depth })
-
-	s := c.SampleOnce()
-	if s.Goroutines <= 0 || s.HeapAllocBytes == 0 {
-		t.Errorf("sample = %+v, want live runtime readings", s)
-	}
-	if s.Extra["queue_depth"] != 7 {
-		t.Errorf("extra = %v, want queue_depth 7", s.Extra)
-	}
-	depth = 9
-	c.SampleOnce()
-	latest, ok := c.Latest()
-	if !ok || latest.Extra["queue_depth"] != 9 {
-		t.Errorf("latest = %+v ok=%v, want queue_depth 9", latest, ok)
-	}
-	for i := 0; i < 10; i++ {
-		c.SampleOnce()
-	}
-	if got := len(c.Samples()); got != 4 {
-		t.Errorf("ring length = %d, want capacity 4", got)
-	}
-
-	// Register exposes the latest readings as gauges.
-	reg := NewRegistry()
-	c.Register(reg)
-	exp := reg.Export()
-	if exp["dynq_goroutines"].(float64) <= 0 {
-		t.Errorf("dynq_goroutines gauge = %v, want > 0", exp["dynq_goroutines"])
-	}
-	if exp["dynq_runtime_queue_depth"].(float64) != 9 {
-		t.Errorf("dynq_runtime_queue_depth gauge = %v, want 9", exp["dynq_runtime_queue_depth"])
-	}
-}
-
-func TestCollectorStartStop(t *testing.T) {
-	c := NewCollector(time.Millisecond, 64)
-	c.Start()
-	c.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for len(c.Samples()) < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := len(c.Samples()); got < 3 {
-		t.Fatalf("samples after run = %d, want >= 3", got)
-	}
-	c.Stop()
-	c.Stop() // idempotent
-	n := len(c.Samples())
-	time.Sleep(5 * time.Millisecond)
-	if got := len(c.Samples()); got != n {
-		t.Errorf("samples grew after Stop: %d -> %d", n, got)
-	}
-}

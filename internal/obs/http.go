@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"strconv"
 )
 
@@ -16,12 +15,11 @@ const maxDebugLimit = 100000
 // HandlerConfig names the observability state NewHandler serves. Any
 // field may be nil/zero to disable its endpoints.
 type HandlerConfig struct {
-	Registry  *Registry        // /metrics, /debug/vars
+	Registry  *Registry        // /metrics
 	Tracer    *Tracer          // /debug/trace
 	Health    func() error     // /healthz: 503 with its error, else 200 (nil func always healthy)
 	SlowLog   *SlowLog         // /debug/slow
 	Journal   *Journal         // /debug/events
-	Collector *Collector       // /debug/runtime
 	Telemetry func() Telemetry // /debug/telemetry (the netq stats snapshot)
 }
 
@@ -67,34 +65,20 @@ func writeJSON(w http.ResponseWriter, doc any) {
 //
 //	/metrics          Prometheus text exposition format
 //	/healthz          liveness probe (503 while unhealthy)
-//	/debug/vars       expvar-style JSON (metrics + runtime memstats)
 //	/debug/trace      recent query spans (?trace=<id>, ?format=json, ?limit=N)
 //	/debug/slow       captured slow operations with full spans (?limit=N, ?op=NAME)
 //	/debug/events     the operational event journal (?limit=N, ?since=SEQ)
-//	/debug/runtime    runtime collector time series (?limit=N)
 //	/debug/telemetry  the full stats snapshot served over netq
-//	/debug/pprof/*    the standard runtime profiles
+//	/debug/pprof/*    the standard runtime profiles (heap?debug=1 prints
+//	                  the full runtime.MemStats)
+//
+// Every endpoint reads its state when asked; nothing is sampled ahead.
 func NewHandler(cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	if cfg.Registry != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			cfg.Registry.WritePrometheus(w)
-		})
-		mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			writeJSON(w, map[string]any{
-				"metrics": cfg.Registry.Export(),
-				"memstats": map[string]any{
-					"alloc":       ms.Alloc,
-					"total_alloc": ms.TotalAlloc,
-					"sys":         ms.Sys,
-					"heap_alloc":  ms.HeapAlloc,
-					"num_gc":      ms.NumGC,
-				},
-				"goroutines": runtime.NumGoroutine(),
-			})
 		})
 	}
 	if cfg.Tracer != nil {
@@ -143,26 +127,6 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 				doc["events"] = es
 			} else {
 				doc["events"] = cfg.Journal.Recent(limit)
-			}
-			writeJSON(w, doc)
-		})
-	}
-	if cfg.Collector != nil {
-		mux.HandleFunc("/debug/runtime", func(w http.ResponseWriter, r *http.Request) {
-			limit, ok := parseLimit(w, r)
-			if !ok {
-				return
-			}
-			samples := cfg.Collector.Samples()
-			if limit > 0 && len(samples) > limit {
-				samples = samples[len(samples)-limit:]
-			}
-			doc := map[string]any{
-				"interval_ns": cfg.Collector.Interval(),
-				"samples":     samples,
-			}
-			if latest, ok := cfg.Collector.Latest(); ok {
-				doc["latest"] = latest
 			}
 			writeJSON(w, doc)
 		})

@@ -88,14 +88,11 @@ func TestDebugSlowEventsRuntimeEndpoints(t *testing.T) {
 	j := NewJournal(8)
 	j.Record(EventDegradedEnter, SeverityError, "write failures", nil)
 	j.Record(EventDegradedExit, SeverityInfo, "operator cleared", nil)
-	col := NewCollector(time.Hour, 8)
-	col.SampleOnce()
 
 	hs := httptest.NewServer(NewHandler(HandlerConfig{
 		Registry:  NewRegistry(),
 		SlowLog:   slow,
 		Journal:   j,
-		Collector: col,
 		Telemetry: func() Telemetry { return Telemetry{GoVersion: "gotest"} },
 	}))
 	defer hs.Close()
@@ -130,12 +127,15 @@ func TestDebugSlowEventsRuntimeEndpoints(t *testing.T) {
 		t.Errorf("bad limit: %d %v, want 400 with error", code, doc)
 	}
 
-	code, doc = getJSON(t, hs.URL, "/debug/runtime")
-	if code != 200 || doc["latest"] == nil {
-		t.Errorf("/debug/runtime: %d %v", code, doc)
+	// The runtime reading rides in the telemetry snapshot; there is no
+	// sampled series of its own.
+	resp, err := http.Get(hs.URL + "/debug/runtime")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if samples := doc["samples"].([]any); len(samples) != 1 {
-		t.Errorf("/debug/runtime samples = %v", samples)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/runtime: %d, want 404", resp.StatusCode)
 	}
 
 	code, doc = getJSON(t, hs.URL, "/debug/telemetry")

@@ -34,19 +34,12 @@ func TestHandlerEndpoints(t *testing.T) {
 	if code != 200 || !strings.Contains(body, "requests_total 5") {
 		t.Errorf("/metrics: %d %q", code, body)
 	}
-	code, body = get("/debug/vars")
-	if code != 200 {
-		t.Fatalf("/debug/vars: %d", code)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if _, ok := doc["metrics"]; !ok {
-		t.Error("/debug/vars missing metrics")
-	}
-	if _, ok := doc["memstats"]; !ok {
-		t.Error("/debug/vars missing memstats")
+	// The registry has one rendering: no JSON mirror, no sampled runtime
+	// series (the runtime gauges are read when /metrics renders).
+	for _, gone := range []string{"/debug/vars", "/debug/runtime"} {
+		if code, _ := get(gone); code != http.StatusNotFound {
+			t.Errorf("%s: %d, want 404", gone, code)
+		}
 	}
 	code, body = get("/debug/trace")
 	if code != 200 || !strings.Contains(body, `"op":"snapshot"`) {

@@ -98,9 +98,9 @@ func (m *metric) series(extra ...Label) string {
 }
 
 // Registry holds named metrics and renders them as Prometheus text
-// exposition format or expvar-style JSON. Lookups are idempotent: asking
-// for an existing (name, labels) pair returns the same metric, so callers
-// can re-resolve instead of caching.
+// exposition format. Lookups are idempotent: asking for an existing
+// (name, labels) pair returns the same metric, so callers can re-resolve
+// instead of caching.
 type Registry struct {
 	mu      sync.RWMutex
 	metrics []*metric
@@ -278,32 +278,4 @@ func writePromHistogram(w io.Writer, m *metric) error {
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n",
 		m.name, strings.TrimPrefix(m.series(), m.name), cum)
 	return err
-}
-
-// Export returns the registry contents as a JSON-marshalable map: one
-// entry per series, histograms expanded to count/sum/p50/p95/p99.
-func (r *Registry) Export() map[string]any {
-	r.mu.RLock()
-	metrics := append([]*metric(nil), r.metrics...)
-	r.mu.RUnlock()
-	out := make(map[string]any, len(metrics))
-	for _, m := range metrics {
-		switch m.kind {
-		case kindCounter:
-			out[m.series()] = m.counter.Value()
-		case kindGauge:
-			out[m.series()] = m.gauge.Value()
-		case kindGaugeFunc:
-			out[m.series()] = m.fn()
-		case kindHistogram:
-			out[m.series()] = map[string]any{
-				"count": m.hist.Count(),
-				"sum":   m.hist.Sum(),
-				"p50":   m.hist.Quantile(0.50),
-				"p95":   m.hist.Quantile(0.95),
-				"p99":   m.hist.Quantile(0.99),
-			}
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -55,26 +56,6 @@ func TestRegistryIdempotentLookup(t *testing.T) {
 	}
 }
 
-func TestRegistryExport(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(7)
-	r.Gauge("g").Add(1.5)
-	h := r.Histogram("h", []float64{1, 2})
-	h.Observe(0.5)
-	h.Observe(1.5)
-	out := r.Export()
-	if out["c"] != int64(7) {
-		t.Errorf("c = %v", out["c"])
-	}
-	if out["g"] != 1.5 {
-		t.Errorf("g = %v", out["g"])
-	}
-	hm, ok := out["h"].(map[string]any)
-	if !ok || hm["count"] != int64(2) {
-		t.Errorf("h = %v", out["h"])
-	}
-}
-
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -95,5 +76,47 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("hits").Value(); got != 4000 {
 		t.Errorf("hits = %d, want 4000", got)
+	}
+}
+
+// TestRuntimeGaugesReadAtRender checks that the runtime gauges read the
+// Go runtime when /metrics renders: goroutines started after
+// registration show in the next rendering (with slack for goroutines
+// other tests left behind that exit meanwhile).
+func TestRuntimeGaugesReadAtRender(t *testing.T) {
+	reg := NewRegistry()
+	RegisterRuntime(reg)
+	goroutines := func() float64 {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "dynq_goroutines "); ok {
+				n, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no dynq_goroutines line:\n%s", b.String())
+		return 0
+	}
+	const started = 64
+	before := goroutines()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range started {
+		wg.Add(1)
+		go func() { defer wg.Done(); <-stop }()
+	}
+	if after := goroutines(); after < before+started/2 {
+		t.Errorf("dynq_goroutines = %v after starting %d beside %v", after, started, before)
+	}
+	close(stop)
+	wg.Wait()
+	if s := ReadRuntime(); s.Goroutines <= 0 || s.HeapAllocBytes == 0 || s.Time.IsZero() {
+		t.Errorf("ReadRuntime = %+v, want live readings", s)
 	}
 }

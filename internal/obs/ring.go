@@ -4,9 +4,8 @@ import "time"
 
 // recordRing is a fixed-capacity ring of records numbered 0, 1, 2, … in
 // the order they were added; once full, each add overwrites the oldest.
-// It backs the tracer, the slow log, the journal and the runtime
-// collector. It has no lock of its own: each owner guards its ring with
-// its own mutex.
+// It backs the tracer, the slow log and the journal. It has no lock of
+// its own: each owner guards its ring with its own mutex.
 type recordRing[T any] struct {
 	buf  []T
 	next uint64 // records ever added; also the next record's number

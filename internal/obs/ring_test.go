@@ -50,7 +50,7 @@ func TestRingReadsAreBounded(t *testing.T) {
 func TestSlotRotationDoesNotAllocate(t *testing.T) {
 	clk := newFakeClock()
 	w := NewWindowedHistogram(nil, time.Second, 5*time.Second).WithClock(clk.Now)
-	slo := NewSLOTracker(SLOConfig{}).WithClock(clk.Now)
+	slo := NewSLOTracker(5*time.Minute, 100*time.Millisecond).WithClock(clk.Now)
 	w.Observe(0.001)
 	slo.Record("snapshot", time.Millisecond, false)
 	for _, gap := range []time.Duration{time.Second, time.Hour} {

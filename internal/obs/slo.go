@@ -6,33 +6,13 @@ import (
 	"time"
 )
 
-// SLOConfig defines the service-level objectives an SLOTracker measures
-// attainment against, over a rolling window rotated every
-// DefWindowInterval: availabilityObjective of requests answered without
-// error, latencyObjective of them faster than LatencyTarget.
-type SLOConfig struct {
-	// Window is the rolling evaluation window (0 gets 5 minutes).
-	Window time.Duration
-	// LatencyTarget is the per-request latency objective; a request slower
-	// than this is "slow" even if it succeeds (0 gets 100ms).
-	LatencyTarget time.Duration
-}
-
-// The objectives every tracker measures against.
+// The objectives every tracker measures against: availabilityObjective
+// of requests answered without error, latencyObjective of them faster
+// than the tracker's latency target.
 const (
 	availabilityObjective = 0.999
 	latencyObjective      = 0.99
 )
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Window <= 0 {
-		c.Window = 5 * time.Minute
-	}
-	if c.LatencyTarget <= 0 {
-		c.LatencyTarget = 100 * time.Millisecond
-	}
-	return c
-}
 
 // SLOStatus is one operation's objective attainment over the tracker's
 // rolling window.
@@ -78,18 +58,20 @@ func (s *sloSlot) reset() { *s = sloSlot{} }
 // operation over a rolling window, with error-budget burn rates. Safe
 // for concurrent use.
 type SLOTracker struct {
-	cfg SLOConfig
+	window time.Duration // rolling evaluation window, rotated every DefWindowInterval
+	target time.Duration // per-request latency target
 
 	mu     sync.Mutex
 	series map[string]*slotRing[sloSlot, *sloSlot] // one ring of outcome slots per op
 	now    func() time.Time
 }
 
-// NewSLOTracker creates a tracker with the given objectives (zero fields
-// get defaults: 5m window, 99.9% availability, 99% under 100ms).
-func NewSLOTracker(cfg SLOConfig) *SLOTracker {
+// NewSLOTracker creates a tracker over the given rolling window that
+// counts a successful request slower than target as slow.
+func NewSLOTracker(window, target time.Duration) *SLOTracker {
 	return &SLOTracker{
-		cfg:    cfg.withDefaults(),
+		window: window,
+		target: target,
 		series: make(map[string]*slotRing[sloSlot, *sloSlot]),
 		now:    time.Now,
 	}
@@ -105,11 +87,11 @@ func (t *SLOTracker) WithClock(now func() time.Time) *SLOTracker {
 // failed. Failed requests consume availability budget; successful ones
 // slower than the latency target consume latency budget.
 func (t *SLOTracker) Record(op string, d time.Duration, failed bool) {
-	slow := d > t.cfg.LatencyTarget
+	slow := d > t.target
 	t.mu.Lock()
 	s, ok := t.series[op]
 	if !ok {
-		r := newSlotRing[sloSlot](DefWindowInterval, t.cfg.Window, func() sloSlot { return sloSlot{} })
+		r := newSlotRing[sloSlot](DefWindowInterval, t.window, func() sloSlot { return sloSlot{} })
 		s = &r
 		t.series[op] = s
 	}
@@ -132,12 +114,12 @@ func (t *SLOTracker) Status() []SLOStatus {
 	for op, s := range t.series {
 		st := SLOStatus{
 			Op:                    op,
-			Window:                t.cfg.Window,
+			Window:                t.window,
 			AvailabilityObjective: availabilityObjective,
-			LatencyTargetSeconds:  t.cfg.LatencyTarget.Seconds(),
+			LatencyTargetSeconds:  t.target.Seconds(),
 			LatencyObjective:      latencyObjective,
 		}
-		s.each(now, t.cfg.Window, func(sl *sloSlot) {
+		s.each(now, t.window, func(sl *sloSlot) {
 			st.Total += sl.total
 			st.Errors += sl.errors
 			st.Slow += sl.slow

@@ -20,7 +20,7 @@ type OpTelemetry struct {
 }
 
 // Telemetry is one server's stats snapshot: windowed and cumulative
-// per-op latency, SLO attainment, the latest runtime sample, and recent
+// per-op latency, SLO attainment, a runtime reading, and recent
 // operational events. It is the payload of the netq telemetry op (so
 // non-HTTP clients and the future cluster router can poll it) and of the
 // /debug/telemetry endpoint.
@@ -35,6 +35,7 @@ type Telemetry struct {
 	ActiveConns    int `json:"active_conns"`
 	InflightOps    int `json:"inflight_ops"`
 	ReadQueueDepth int `json:"read_queue_depth"`
+	BufferFrames   int `json:"buffer_frames"` // frames the buffer pool holds
 
 	Ops  []OpTelemetry `json:"ops,omitempty"`
 	SLOs []SLOStatus   `json:"slos,omitempty"`

@@ -130,10 +130,7 @@ func TestWindowedHistogramConcurrent(t *testing.T) {
 
 func TestSLOTrackerAttainmentAndBurn(t *testing.T) {
 	clk := newFakeClock()
-	tr := NewSLOTracker(SLOConfig{
-		Window:        time.Minute,
-		LatencyTarget: 100 * time.Millisecond,
-	}).WithClock(clk.Now)
+	tr := NewSLOTracker(time.Minute, 100*time.Millisecond).WithClock(clk.Now)
 
 	// 100 requests: 2 errors, 20 slow successes, 78 fast successes.
 	for i := 0; i < 78; i++ {
@@ -186,7 +183,7 @@ func TestSLOTrackerAttainmentAndBurn(t *testing.T) {
 }
 
 func TestSLOTrackerNoTraffic(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{})
+	tr := NewSLOTracker(5*time.Minute, 100*time.Millisecond)
 	if sts := tr.Status(); len(sts) != 0 {
 		t.Errorf("status with no traffic = %v, want empty", sts)
 	}
@@ -198,7 +195,7 @@ func TestSLOTrackerNoTraffic(t *testing.T) {
 }
 
 func TestSLOTrackerConcurrent(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{Window: time.Second})
+	tr := NewSLOTracker(time.Second, 100*time.Millisecond)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

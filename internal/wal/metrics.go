@@ -148,15 +148,15 @@ func (l *Log) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.AttachHistogram("dynq_wal_checkpoint_seconds", l.met.checkpoint.Cumulative(), labels...)
 
 	reg.SetHelp("dynq_wal_appends_total", "Records appended to the WAL.")
-	reg.GaugeFunc("dynq_wal_appends_total", func() float64 { return float64(l.stAppends.Load()) }, labels...)
+	reg.GaugeFunc("dynq_wal_appends_total", func() float64 { return float64(l.Stats().Appends) }, labels...)
 	reg.SetHelp("dynq_wal_appended_bytes_total", "Record bytes appended to the WAL (headers excluded).")
-	reg.GaugeFunc("dynq_wal_appended_bytes_total", func() float64 { return float64(l.stBytes.Load()) }, labels...)
+	reg.GaugeFunc("dynq_wal_appended_bytes_total", func() float64 { return float64(l.Stats().AppendedBytes) }, labels...)
 	reg.SetHelp("dynq_wal_fsyncs_total", "Fsync syscalls issued by group-commit rounds.")
 	reg.GaugeFunc("dynq_wal_fsyncs_total", func() float64 { return float64(l.stFsyncs.Load()) }, labels...)
 	reg.SetHelp("dynq_wal_coalesced_total", "Durability waits satisfied by another writer's fsync.")
 	reg.GaugeFunc("dynq_wal_coalesced_total", func() float64 { return float64(l.stCoalesced.Load()) }, labels...)
 	reg.SetHelp("dynq_wal_checkpoints_total", "WAL checkpoint truncations.")
-	reg.GaugeFunc("dynq_wal_checkpoints_total", func() float64 { return float64(l.stCheckpoints.Load()) }, labels...)
+	reg.GaugeFunc("dynq_wal_checkpoints_total", func() float64 { return float64(l.Stats().Checkpoints) }, labels...)
 
 	reg.SetHelp("dynq_wal_coalesce_ratio", "Fraction of durability waits satisfied by another writer's fsync.")
 	reg.GaugeFunc("dynq_wal_coalesce_ratio", func() float64 { return coalesceRatio(l.Stats()) }, labels...)

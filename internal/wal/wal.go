@@ -156,7 +156,9 @@ type Log struct {
 	durable uint64 // highest LSN known fsynced (or checkpointed)
 	syncErr error  // sticky fsync failure; cleared only by RetrySync
 
-	stAppends, stBytes, stFsyncs, stCoalesced, stCheckpoints atomic.Int64
+	// Appends, appended bytes and checkpoints are counted once, by the
+	// cumulative sides of met.appendBytes and met.checkpoint (Stats).
+	stFsyncs, stCoalesced atomic.Int64
 
 	// Instrumentation (metrics.go). nowFn is the injectable time source
 	// behind duration measurements; set via WithClock before use.
@@ -412,8 +414,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.nextLSN++
 	l.tail += int64(len(rec))
 	l.appended.Store(lsn)
-	l.stAppends.Add(1)
-	l.stBytes.Add(int64(len(rec)))
 	l.met.appendBytes.Observe(float64(len(rec)))
 	return lsn, nil
 }
@@ -571,7 +571,6 @@ func (l *Log) Checkpoint(lsn uint64) error {
 		l.mu.Unlock()
 		return fmt.Errorf("wal: checkpoint commit: %w", err)
 	}
-	l.stCheckpoints.Add(1)
 	l.met.checkpoint.ObserveDuration(l.nowFn().Sub(start))
 	l.mu.Unlock()
 
@@ -642,14 +641,17 @@ func (l *Log) DurableLSN() uint64 {
 	return l.durable
 }
 
-// Stats snapshots the log's counters.
+// Stats snapshots the log's counters. Appends, appended bytes and
+// checkpoints are the append-size and checkpoint histograms' cumulative
+// count and sum; the float sum of whole byte counts is exact below 2⁵³.
 func (l *Log) Stats() Stats {
+	appends := l.met.appendBytes.Cumulative()
 	return Stats{
-		Appends:       l.stAppends.Load(),
-		AppendedBytes: l.stBytes.Load(),
+		Appends:       appends.Count(),
+		AppendedBytes: int64(appends.Sum()),
 		Fsyncs:        l.stFsyncs.Load(),
 		Coalesced:     l.stCoalesced.Load(),
-		Checkpoints:   l.stCheckpoints.Load(),
+		Checkpoints:   l.met.checkpoint.Cumulative().Count(),
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"net"
 	"strconv"
 
-	"dynq"
 	"dynq/internal/obs"
 	"dynq/internal/pager"
 )
@@ -40,13 +39,16 @@ type serverMetrics struct {
 	versionMismatches *obs.Counter
 
 	// Contention observability for the concurrent read path.
-	inflightOps    *obs.Gauge     // ops currently executing (all kinds)
-	readQueueDepth *obs.Gauge     // read ops waiting for an execution slot
-	admissionWait  *obs.Histogram // seconds a read spent waiting to start
-	overloads      *obs.Counter   // reads rejected by admission control
+	inflightOps   *obs.Gauge     // ops currently executing (all kinds)
+	admissionWait *obs.Histogram // seconds a read spent waiting to start
+	overloads     *obs.Counter   // reads rejected by admission control
 }
 
-func newServerMetrics(reg *obs.Registry, db dynq.Database) *serverMetrics {
+// newServerMetrics registers s's metrics in its registry. Values owned
+// elsewhere — the read queue, the buffer pool, the engine's costs, the
+// Go runtime — are render-time gauges over their one store.
+func newServerMetrics(s *Server) *serverMetrics {
+	reg, db := s.reg, s.db
 	reg.SetHelp("netq_requests_total", "Requests received, by protocol op.")
 	reg.SetHelp("netq_request_errors_total", "Requests answered with an error, by protocol op.")
 	reg.SetHelp("netq_active_connections", "Currently open client connections.")
@@ -82,10 +84,11 @@ func newServerMetrics(reg *obs.Registry, db dynq.Database) *serverMetrics {
 	m.unknownOps = reg.Counter("netq_unknown_ops_total")
 	m.versionMismatches = reg.Counter("netq_version_mismatches_total")
 	m.inflightOps = reg.Gauge("netq_inflight_ops")
-	m.readQueueDepth = reg.Gauge("netq_read_queue_depth")
+	reg.GaugeFunc("netq_read_queue_depth", func() float64 { return float64(s.queued.Load()) })
 	m.admissionWait = reg.Histogram("netq_read_admission_wait_seconds", nil)
 	m.overloads = reg.Counter("netq_overload_rejections_total")
 	obs.RegisterBuildInfo(reg)
+	obs.RegisterRuntime(reg)
 
 	// Buffer pool and engine totals are owned by the database; expose
 	// them as render-time gauges over its live (atomic) accounting.

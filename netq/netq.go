@@ -142,9 +142,10 @@ type Server struct {
 	tel     *serverTelemetry
 	logger  *slog.Logger
 
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-	done  bool
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	serving bool // between the first Serve and Close: journals server_start/server_stop
+	done    bool
 }
 
 // TracerCapacity is the number of recent query spans a server retains.
@@ -153,18 +154,17 @@ const TracerCapacity = 512
 // NewServer wraps a database of one unit or many; the wire protocol is
 // the same for both.
 func NewServer(db dynq.Database) *Server {
-	reg := obs.NewRegistry()
 	s := &Server{
-		db:      db,
-		conns:   make(map[net.Conn]struct{}),
-		reg:     reg,
-		tracer:  obs.NewTracer(TracerCapacity),
-		metrics: newServerMetrics(reg, db),
-		logger:  obs.NopLogger(),
+		db:     db,
+		conns:  make(map[net.Conn]struct{}),
+		reg:    obs.NewRegistry(),
+		tracer: obs.NewTracer(TracerCapacity),
+		logger: obs.NopLogger(),
 	}
+	s.metrics = newServerMetrics(s)
 	s.tracing = obs.ContextWithTracer(context.Background(), s.tracer)
 	s.WithConcurrency(runtime.GOMAXPROCS(0), 0)
-	s.tel = newServerTelemetry(s)
+	s.tel = newServerTelemetry(s.reg)
 	return s
 }
 
@@ -245,10 +245,8 @@ func (s *Server) admitRead() (func(), error) {
 		s.queued.Add(-1)
 		return nil, fmt.Errorf("%w (%d executing, %d queued)", ErrOverloaded, s.maxConcurrent, s.maxQueue)
 	}
-	s.metrics.readQueueDepth.Inc()
 	s.readSem <- struct{}{}
 	s.queued.Add(-1)
-	s.metrics.readQueueDepth.Dec()
 	s.metrics.admissionWait.Observe(time.Since(start).Seconds())
 	return release, nil
 }
@@ -263,18 +261,26 @@ func (s *Server) WithLogger(l *slog.Logger) *Server {
 	return s
 }
 
-// Registry exposes the server's metric registry (for the /metrics and
-// /debug/vars endpoints).
+// Registry exposes the server's metric registry (for /metrics).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Tracer exposes the server's query tracer (for /debug/trace).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Serve accepts connections until the listener closes. It always returns
-// a non-nil error (net.ErrClosed after Close). The first Serve starts
-// the runtime collector; Close stops it.
+// a non-nil error (net.ErrClosed after Close). The first Serve of an
+// open server journals server_start.
 func (s *Server) Serve(l net.Listener) error {
-	s.startCollector()
+	s.mu.Lock()
+	start := !s.serving && !s.done
+	if start {
+		s.serving = true
+	}
+	s.mu.Unlock()
+	if start {
+		obs.DefaultJournal().Record(obs.EventServerStart, obs.SeverityInfo,
+			"netq server accepting connections", nil)
+	}
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -292,8 +298,9 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Close terminates all client connections and stops the runtime
-// collector.
+// Close terminates all client connections and journals the overload
+// burst still open, if any; a server that served journals server_stop
+// on its first Close.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.done = true
@@ -301,9 +308,11 @@ func (s *Server) Close() {
 		c.Close()
 	}
 	clear(s.conns)
+	stop := s.serving
+	s.serving = false
 	s.mu.Unlock()
-	if s.tel.collectorOn.Swap(false) {
-		s.tel.collector.Stop()
+	s.flushOverload()
+	if stop {
 		obs.DefaultJournal().Record(obs.EventServerStop, obs.SeverityInfo,
 			"netq server shut down", nil)
 	}
@@ -426,7 +435,7 @@ func (s *Server) serve(sess *connSessions, req Request) Response {
 		m.unknownOps.Inc()
 	case ErrKindOverloaded:
 		m.overloads.Inc()
-		s.tel.noteOverload(s.maxConcurrent, s.maxQueue)
+		s.noteOverload()
 	}
 
 	span := obs.Span{

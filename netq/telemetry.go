@@ -29,12 +29,21 @@ const telemetryEventLimit = 16
 // storm of rejected reads cannot flood the journal.
 const overloadBurstInterval = 10 * time.Second
 
+// The service-level objectives every server tracks, over one rolling
+// window: reads against a per-request latency target, writes against a
+// durability-wait target per acknowledged write. Both also carry the
+// availability objective (obs.SLOStatus).
+const (
+	sloWindow       = 5 * time.Minute
+	sloReadLatency  = 100 * time.Millisecond
+	sloWriteLatency = 50 * time.Millisecond
+)
+
 // serverTelemetry is the server's rolling-window observability state:
 // per-op windowed latency, SLO attainment (reads and writes tracked
-// against separate objectives), the slow-op log and the runtime
-// collector; operational events go to the process-wide journal. It
-// lives beside the cumulative serverMetrics, which feed /metrics since
-// boot.
+// against separate objectives) and the slow-op log; operational events
+// go to the process-wide journal. It lives beside the cumulative
+// serverMetrics, which feed /metrics since boot.
 type serverTelemetry struct {
 	started   time.Time
 	winSpans  []time.Duration
@@ -43,16 +52,17 @@ type serverTelemetry struct {
 	sloWrite  *obs.SLOTracker // write objectives (availability + durability-wait latency)
 	slowLog   *obs.SlowLog    // one shared ring; writes use their own bar
 	slowWrite atomic.Int64    // slow-write capture threshold, nanoseconds
-	collector *obs.Collector
 	recovery  *dynq.RecoveryReport
 
-	collectorOnce sync.Once
-	collectorOn   atomic.Bool
-
 	// Overload burst aggregation (see noteOverload).
-	burstMu   sync.Mutex
-	burstAcc  int64
-	lastBurst time.Time
+	burstMu sync.Mutex
+	burst   *overloadBurst // the open burst; nil in a quiet period
+}
+
+// overloadBurst is one run of overload intervals.
+type overloadBurst struct {
+	n     int64       // rejections since the burst's last event
+	timer *time.Timer // closes the open interval
 }
 
 // newServerTelemetry builds the rolling-window state for a server. Each
@@ -60,18 +70,17 @@ type serverTelemetry struct {
 // observed into: its cumulative side is /metrics' netq_request_seconds,
 // and its windowed percentiles are render-time gauges,
 // netq_request_window_seconds{op,window,quantile}.
-func newServerTelemetry(s *Server) *serverTelemetry {
+func newServerTelemetry(reg *obs.Registry) *serverTelemetry {
 	t := &serverTelemetry{
 		started:  time.Now(),
 		winSpans: obs.DefWindows(),
 		windows:  make(map[Op]*obs.WindowedHistogram, len(knownOps)),
-		slo:      obs.NewSLOTracker(obs.SLOConfig{}),
-		sloWrite: obs.NewSLOTracker(obs.SLOConfig{}),
+		slo:      obs.NewSLOTracker(sloWindow, sloReadLatency),
+		sloWrite: obs.NewSLOTracker(sloWindow, sloWriteLatency),
 		slowLog:  obs.NewSlowLog(SlowLogCapacity, obs.DefSlowThreshold),
 	}
 	t.slowWrite.Store(int64(obs.DefSlowThreshold))
 	maxWin := t.winSpans[len(t.winSpans)-1]
-	reg := s.reg
 	reg.SetHelp("netq_request_seconds", "Request handling latency in seconds, by protocol op.")
 	reg.SetHelp("netq_request_window_seconds",
 		"Rolling-window request latency quantiles in seconds, by op, window, and quantile.")
@@ -86,23 +95,6 @@ func newServerTelemetry(s *Server) *serverTelemetry {
 	}
 	reg.GaugeFunc("netq_slow_queries_total", func() float64 { return float64(t.slowLog.Captured()) })
 	reg.GaugeFunc("netq_journal_events_total", func() float64 { return float64(obs.DefaultJournal().Total()) })
-
-	// The runtime collector samples scheduler/heap/GC state plus the
-	// server's own load signals into a time series for /debug/runtime.
-	col := obs.NewCollector(0, 0)
-	col.Source("buffer_frames", func() float64 { return float64(s.db.BufferStats().Len) })
-	col.Source("buffer_occupancy", func() float64 {
-		bs := s.db.BufferStats()
-		if bs.Capacity == 0 {
-			return 0
-		}
-		return float64(bs.Len) / float64(bs.Capacity)
-	})
-	col.Source("read_queue_depth", func() float64 { return float64(s.queued.Load()) })
-	col.Source("inflight_ops", func() float64 { return s.metrics.inflightOps.Value() })
-	col.Source("active_conns", func() float64 { return s.metrics.activeConns.Value() })
-	col.Register(reg)
-	t.collector = col
 	return t
 }
 
@@ -125,26 +117,69 @@ func (t *serverTelemetry) record(op Op, elapsed time.Duration, failed bool, span
 }
 
 // noteOverload aggregates admission-control rejections into journal
-// burst events: the first rejection of a quiet period is journaled
-// immediately, then further rejections accumulate until
-// overloadBurstInterval passes, when one event carries the whole burst.
-func (t *serverTelemetry) noteOverload(executing, queued int) {
+// burst events, at most one per overloadBurstInterval: the first
+// rejection of a quiet period is journaled at once and opens an
+// interval, later ones accumulate, and when the interval closes their
+// count is journaled and the next interval opens. An interval that
+// closes with nothing accumulated ends the burst; Close flushes an open
+// one.
+func (s *Server) noteOverload() {
+	t := s.tel
 	t.burstMu.Lock()
-	t.burstAcc++
-	now := time.Now()
-	if now.Sub(t.lastBurst) < overloadBurstInterval {
-		t.burstMu.Unlock()
+	defer t.burstMu.Unlock()
+	if t.burst != nil {
+		t.burst.n++
 		return
 	}
-	n := t.burstAcc
-	t.burstAcc = 0
-	t.lastBurst = now
-	t.burstMu.Unlock()
+	b := &overloadBurst{}
+	b.timer = time.AfterFunc(overloadBurstInterval, func() { s.closeOverloadInterval(b) })
+	t.burst = b
+	s.journalOverload(1)
+}
+
+// closeOverloadInterval journals what burst b accumulated in the
+// interval that just closed and opens the next one, or ends b when
+// nothing accumulated. A burst that Close already flushed is left alone.
+func (s *Server) closeOverloadInterval(b *overloadBurst) {
+	t := s.tel
+	t.burstMu.Lock()
+	defer t.burstMu.Unlock()
+	if t.burst != b {
+		return
+	}
+	if b.n == 0 {
+		t.burst = nil
+		return
+	}
+	s.journalOverload(b.n)
+	b.n = 0
+	b.timer.Reset(overloadBurstInterval)
+}
+
+// flushOverload ends the open burst, journaling what it accumulated.
+func (s *Server) flushOverload() {
+	t := s.tel
+	t.burstMu.Lock()
+	defer t.burstMu.Unlock()
+	b := t.burst
+	if b == nil {
+		return
+	}
+	b.timer.Stop()
+	t.burst = nil
+	if b.n > 0 {
+		s.journalOverload(b.n)
+	}
+}
+
+// journalOverload records one overload burst event of n rejections,
+// with the admission bounds they hit.
+func (s *Server) journalOverload(n int64) {
 	obs.DefaultJournal().Record(obs.EventOverloadBurst, obs.SeverityWarn,
 		"read admission control rejecting requests", map[string]string{
-			"rejections": strconv.FormatInt(n, 10),
-			"executing":  strconv.Itoa(executing),
-			"queue_cap":  strconv.Itoa(queued),
+			"rejections":     strconv.FormatInt(n, 10),
+			"max_concurrent": strconv.Itoa(s.maxConcurrent),
+			"max_queue":      strconv.Itoa(s.maxQueue),
 		})
 }
 
@@ -153,14 +188,6 @@ func (t *serverTelemetry) noteOverload(executing, queued int) {
 // negative disables capture). Safe to call at any time.
 func (s *Server) WithSlowQueryThreshold(d time.Duration) *Server {
 	s.tel.slowLog.SetThreshold(d)
-	return s
-}
-
-// WithSLO replaces the default service-level objectives (99.9%
-// availability, 99% of requests under 100ms, over a 5-minute window).
-// Call before Serve.
-func (s *Server) WithSLO(cfg obs.SLOConfig) *Server {
-	s.tel.slo = obs.NewSLOTracker(cfg)
 	return s
 }
 
@@ -173,14 +200,6 @@ func (s *Server) WithSlowWriteThreshold(d time.Duration) *Server {
 		d = obs.DefSlowThreshold
 	}
 	s.tel.slowWrite.Store(int64(d))
-	return s
-}
-
-// WithWriteSLO replaces the write ops' service-level objectives,
-// tracked separately from reads: availability plus a durability-wait
-// latency target per acknowledged write. Call before Serve.
-func (s *Server) WithWriteSLO(cfg obs.SLOConfig) *Server {
-	s.tel.sloWrite = obs.NewSLOTracker(cfg)
 	return s
 }
 
@@ -219,24 +238,10 @@ func (s *Server) SlowLog() *obs.SlowLog { return s.tel.slowLog }
 // into (for /debug/events): the process-wide default journal.
 func (s *Server) Journal() *obs.Journal { return obs.DefaultJournal() }
 
-// Collector exposes the server's runtime collector (for
-// /debug/runtime). Serve starts it; Close stops it.
-func (s *Server) Collector() *obs.Collector { return s.tel.collector }
-
-// startCollector launches the runtime sampling goroutine, once.
-func (s *Server) startCollector() {
-	s.tel.collectorOnce.Do(func() {
-		s.tel.collector.Start()
-		s.tel.collectorOn.Store(true)
-		obs.DefaultJournal().Record(obs.EventServerStart, obs.SeverityInfo,
-			"netq server accepting connections", nil)
-	})
-}
-
 // Telemetry assembles the live stats snapshot served by the telemetry
 // op and /debug/telemetry: rolling-window and cumulative per-op
-// latency, SLO attainment, the latest runtime sample, slow-query and
-// event-journal summaries.
+// latency, SLO attainment, a runtime reading, slow-query and
+// event-journal summaries, each read from its one store now.
 func (s *Server) Telemetry() Telemetry {
 	goVersion, revision := obs.BuildInfo()
 	tel := Telemetry{
@@ -248,18 +253,15 @@ func (s *Server) Telemetry() Telemetry {
 		ActiveConns:    int(s.metrics.activeConns.Value()),
 		InflightOps:    int(s.metrics.inflightOps.Value()),
 		ReadQueueDepth: int(s.queued.Load()),
+		BufferFrames:   s.db.BufferStats().Len,
 		SLOs:           append(s.tel.slo.Status(), s.tel.sloWrite.Status()...),
 		SlowThreshold:  s.tel.slowLog.Threshold(),
 		SlowCaptured:   s.tel.slowLog.Captured(),
 		EventsTotal:    obs.DefaultJournal().Total(),
 		Events:         obs.DefaultJournal().Recent(telemetryEventLimit),
 	}
-	if sample, ok := s.tel.collector.Latest(); ok {
-		tel.Runtime = &sample
-	} else {
-		sample := s.tel.collector.SampleOnce()
-		tel.Runtime = &sample
-	}
+	rt := obs.ReadRuntime()
+	tel.Runtime = &rt
 	if w, ok := s.db.WALTelemetry(s.tel.winSpans); ok {
 		tel.WAL = &w
 	}

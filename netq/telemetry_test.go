@@ -1,7 +1,9 @@
 package netq
 
 import (
+	"net"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -96,8 +98,8 @@ func TestTelemetryOpOverTheWire(t *testing.T) {
 	if tel.Runtime == nil || tel.Runtime.Goroutines <= 0 {
 		t.Errorf("runtime sample missing: %+v", tel.Runtime)
 	}
-	if _, ok := tel.Runtime.Extra["buffer_frames"]; !ok {
-		t.Errorf("runtime sample lacks server sources: %+v", tel.Runtime.Extra)
+	if want := db.BufferStats().Len; tel.BufferFrames != want {
+		t.Errorf("BufferFrames = %d, want the pool's %d", tel.BufferFrames, want)
 	}
 	// Serve journaled server_start into the process journal; the snapshot
 	// rides the most recent events along.
@@ -404,4 +406,189 @@ func TestTelemetryBypassesAdmissionControl(t *testing.T) {
 		t.Errorf("burst events = %d, want 1 (rate-limited aggregation)", bursts)
 	}
 	<-srv.readSem
+
+	// The storm stops here. Close journals what the open interval
+	// accumulated, so the journal accounts for every rejection the
+	// counter saw.
+	srv.Close()
+	var journaled int64
+	for _, ev := range j.Since(since) {
+		if ev.Type != obs.EventOverloadBurst {
+			continue
+		}
+		n, err := strconv.ParseInt(ev.Fields["rejections"], 10, 64)
+		if err != nil {
+			t.Fatalf("burst event rejections = %q", ev.Fields["rejections"])
+		}
+		journaled += n
+		if ev.Fields["max_concurrent"] != "1" || ev.Fields["max_queue"] != "1" {
+			t.Errorf("burst event bounds = %v, want max_concurrent 1, max_queue 1", ev.Fields)
+		}
+	}
+	if total := srv.metrics.overloads.Value(); journaled != total || total != 2 {
+		t.Errorf("journaled rejections = %d, netq_overload_rejections_total = %d, want 2 and 2", journaled, total)
+	}
+}
+
+// TestOverloadIntervalFlushesOnItsOwn checks that a burst's accumulated
+// rejections reach the journal when its interval closes, with no later
+// rejection or Close to carry them, and that an interval closing empty
+// ends the burst.
+func TestOverloadIntervalFlushesOnItsOwn(t *testing.T) {
+	srv := NewServer(testDB(t)).WithConcurrency(1, 1)
+	defer srv.Close()
+	j := obs.DefaultJournal()
+	since := j.Total()
+	srv.noteOverload() // opens a burst, journaled at once
+	srv.noteOverload()
+	srv.noteOverload()
+	b := srv.tel.burst
+	srv.closeOverloadInterval(b) // the interval timer's work, run by hand
+	srv.closeOverloadInterval(b) // an empty interval ends the burst
+	var counts []string
+	for _, ev := range j.Since(since) {
+		if ev.Type == obs.EventOverloadBurst {
+			counts = append(counts, ev.Fields["rejections"])
+		}
+	}
+	if strings.Join(counts, ",") != "1,2" {
+		t.Errorf("burst events carry rejections %v, want [1 2]", counts)
+	}
+	if srv.tel.burst != nil {
+		t.Error("burst still open after an empty interval")
+	}
+}
+
+// TestOverloadBurstsCountEveryRejection rejects from several goroutines
+// while intervals close under them (the timer's work, run by hand), then
+// closes the server: the journal accounts for every rejection once.
+func TestOverloadBurstsCountEveryRejection(t *testing.T) {
+	srv := NewServer(testDB(t)).WithConcurrency(1, 1)
+	j := obs.DefaultJournal()
+	since := j.Total()
+	const workers, each = 4, 100 // at most 400 events: within the journal ring
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				srv.noteOverload()
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	closer := make(chan struct{})
+	go func() {
+		defer close(closer)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			srv.tel.burstMu.Lock()
+			b := srv.tel.burst
+			srv.tel.burstMu.Unlock()
+			if b != nil {
+				srv.closeOverloadInterval(b)
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-closer
+	srv.Close()
+	var journaled int64
+	for _, ev := range j.Since(since) {
+		if ev.Type == obs.EventOverloadBurst {
+			n, err := strconv.ParseInt(ev.Fields["rejections"], 10, 64)
+			if err != nil {
+				t.Fatalf("burst event rejections = %q", ev.Fields["rejections"])
+			}
+			journaled += n
+		}
+	}
+	if journaled != workers*each {
+		t.Errorf("journaled rejections = %d, want %d", journaled, workers*each)
+	}
+}
+
+// TestWriteSLOTarget checks the objectives a plain server tracks: an
+// apply-updates is held to the 50 ms durability-wait target, a read to
+// 100 ms.
+func TestWriteSLOTarget(t *testing.T) {
+	db := testDB(t)
+	srv := NewServer(db)
+	defer srv.Close()
+	sess := &connSessions{npdq: db.NonPredictive(dynq.NonPredictiveOptions{})}
+	seg := dynq.Segment{T0: 0, T1: 1, From: []float64{5, 5}, To: []float64{6, 6}}
+	if resp := srv.serve(sess, Request{Op: OpApplyUpdates, Updates: []dynq.MotionUpdate{{ID: 4242, Segment: seg}}}); resp.Err != "" {
+		t.Fatalf("apply-updates: %s", resp.Err)
+	}
+	view := dynq.Rect{Min: []float64{0, 0}, Max: []float64{50, 100}}
+	if resp := srv.serve(sess, Request{Op: OpSnapshot, View: view, T0: 0, T1: 1}); resp.Err != "" {
+		t.Fatalf("snapshot: %s", resp.Err)
+	}
+	targets := map[string]float64{}
+	for _, st := range srv.Telemetry().SLOs {
+		targets[st.Op] = st.LatencyTargetSeconds
+	}
+	if got := targets[string(OpApplyUpdates)]; got != 0.05 {
+		t.Errorf("apply-updates latency target = %v s, want 0.05", got)
+	}
+	if got := targets[string(OpSnapshot)]; got != 0.1 {
+		t.Errorf("snapshot latency target = %v s, want 0.1", got)
+	}
+}
+
+// TestServerLifecycleEvents checks that server_start and server_stop are
+// journaled once per served lifetime: not for a server that never
+// served, once by the first Serve, once by the first Close after it.
+func TestServerLifecycleEvents(t *testing.T) {
+	j := obs.DefaultJournal()
+	count := func(since uint64) (start, stop int) {
+		for _, ev := range j.Since(since) {
+			switch ev.Type {
+			case obs.EventServerStart:
+				start++
+			case obs.EventServerStop:
+				stop++
+			}
+		}
+		return start, stop
+	}
+	db := testDB(t)
+
+	since := j.Total()
+	NewServer(db).Close()
+	if start, stop := count(since); start != 0 || stop != 0 {
+		t.Errorf("unserved server journaled %d starts, %d stops; want none", start, stop)
+	}
+
+	since = j.Total()
+	srv := NewServer(db)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for start, _ := count(since); start == 0 && time.Now().Before(deadline); start, _ = count(since) {
+		time.Sleep(time.Millisecond)
+	}
+	if start, stop := count(since); start != 1 || stop != 0 {
+		t.Errorf("after Serve: %d starts, %d stops; want 1, 0", start, stop)
+	}
+	srv.Close()
+	l.Close()
+	<-served
+	if start, stop := count(since); start != 1 || stop != 1 {
+		t.Errorf("after Close: %d starts, %d stops; want 1, 1", start, stop)
+	}
+	srv.Close()
+	if start, stop := count(since); start != 1 || stop != 1 {
+		t.Errorf("after a second Close: %d starts, %d stops; want 1, 1", start, stop)
+	}
 }

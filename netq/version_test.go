@@ -85,8 +85,8 @@ func refusedPeer(t *testing.T, opening []byte) {
 	if len(answer) > 0 || err != nil && !errors.Is(err, syscall.ECONNRESET) {
 		t.Fatalf("server answered %q and ended with %v, want a close without an answer", answer, err)
 	}
-	if got := srv.Registry().Export()["netq_version_mismatches_total"]; got != int64(1) {
-		t.Errorf("netq_version_mismatches_total = %v, want 1", got)
+	if got := srv.metrics.versionMismatches.Value(); got != 1 {
+		t.Errorf("netq_version_mismatches_total = %d, want 1", got)
 	}
 	if !strings.Contains(log.String(), "rejected peer") {
 		t.Errorf("log = %q, want the rejected peer", log.String())

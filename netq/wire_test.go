@@ -176,8 +176,8 @@ func (g gen) response(code int, results int) Response {
 	if f&fTelemetry != 0 && g.r.Intn(3) > 0 {
 		resp.Telemetry = &obs.Telemetry{
 			Time: time.Unix(1700000000, 123456789).UTC(), UptimeSeconds: 12.5, GoVersion: "go1.x",
-			ActiveConns: 2, Ops: []obs.OpTelemetry{{Op: "snapshot", Count: 3, P99: 0.001}},
-			Runtime: &obs.RuntimeSample{Goroutines: 9, Extra: map[string]float64{"buffer_frames": 4}},
+			ActiveConns: 2, BufferFrames: 4, Ops: []obs.OpTelemetry{{Op: "snapshot", Count: 3, P99: 0.001}},
+			Runtime: &obs.RuntimeSample{Goroutines: 9},
 		}
 	}
 	return resp

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dynq"
-	"dynq/internal/obs"
 	"dynq/netq"
 )
 
@@ -22,7 +21,7 @@ func TestOptionsMatchREADME(t *testing.T) {
 		dynq.Options{}, dynq.ShardOptions{}, dynq.RecoverOptions{},
 		dynq.MaintenanceOptions{}, dynq.CheckpointPolicy{}, dynq.WriteOptions{},
 		dynq.PredictiveOptions{}, dynq.AdaptiveOptions{}, dynq.TrackerOptions{},
-		netq.DialOptions{}, obs.SLOConfig{},
+		netq.DialOptions{},
 	} {
 		typ := reflect.TypeOf(v)
 		structs[typ.Name()] = typ

@@ -8,8 +8,8 @@
 #
 # <name> suffixes the files (telemetry-smoke/<surface>-<name>.{txt,json});
 # -addr and -metrics are the script's to set. Surfaces: dqtop, metrics,
-# telemetry, slow, slow-writes (/debug/slow?op=apply-updates), events,
-# runtime. A server armed with -wal also gets dqtop's write probe.
+# telemetry, slow, slow-writes (/debug/slow?op=apply-updates), events.
+# A server armed with -wal also gets dqtop's write probe.
 set -euo pipefail
 
 name=$1
@@ -51,7 +51,6 @@ curl -sf "http://$http/debug/telemetry" -o "$out/telemetry-$name.json"
 curl -sf "http://$http/debug/slow" -o "$out/slow-$name.json"
 curl -sf "http://$http/debug/slow?op=apply-updates" -o "$out/slow-writes-$name.json"
 curl -sf "http://$http/debug/events" -o "$out/events-$name.json"
-curl -sf "http://$http/debug/runtime" -o "$out/runtime-$name.json"
 kill "$srv"
 wait "$srv" || true
 
