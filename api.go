@@ -46,7 +46,6 @@ type Database interface {
 	Stats() (IndexStats, error)
 	CostSnapshot() stats.Snapshot
 	BufferStats() BufferStats
-	BufferSegments() []BufferSegmentStats
 	// WALTelemetry snapshots the armed logs' instrumentation; ok is false
 	// when the database runs without a write-ahead log.
 	WALTelemetry(windows []time.Duration) (obs.WALTelemetry, bool)

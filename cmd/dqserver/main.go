@@ -17,8 +17,8 @@
 //	/debug/pprof/*    the standard runtime profiles
 //
 // A -db file is opened through recovery: every reachable page is
-// verified and repairs are journaled and exported as dynq_recovery_*
-// gauges before the server takes traffic.
+// verified, and what was checked and repaired is journaled as a
+// recovery event (/debug/events) before the server takes traffic.
 //
 // SIGINT/SIGTERM shut the server down gracefully, logging a final
 // cumulative cost summary; a second signal forces exit.
@@ -193,7 +193,6 @@ func main() {
 	srv.WithSlowQueryThreshold(o.slowQuery)
 	srv.WithSlowWriteThreshold(o.slowWrite)
 	if recovery != nil {
-		srv.WithRecoveryReport(recovery)
 		logger.Info("recovery-on-open", "report", recovery.String())
 	}
 	if o.maxConc != 0 || o.maxQue != 0 {
@@ -291,7 +290,7 @@ func openDB(path string, scale float64, seed int64, dual bool, shards int, walAr
 	if path != "" {
 		// Open through recovery so the server never takes traffic on an
 		// unverified file: every unit is verified and its log replayed, and
-		// the report feeds dynq_recovery_* gauges. -shards 1 is the single
+		// the report is logged at startup. -shards 1 is the single
 		// file, N > 1 the <path>.shard<i> set. -wal forces the log sidecars
 		// into existence; without the flag existing ones are still detected
 		// and replayed. A set that does not exist yet is created fresh, with

@@ -218,25 +218,6 @@ func (b BufferStats) HitRatio() float64 {
 	return float64(b.Hits) / float64(total)
 }
 
-// BufferSegmentStats is a point-in-time view of one lock segment of the
-// buffer pool, for contention observability: a cold or thrashing segment
-// shows up as a hit-ratio outlier.
-type BufferSegmentStats struct {
-	Hits     int64
-	Misses   int64
-	Len      int
-	Capacity int
-}
-
-// HitRatio returns hits/(hits+misses), or 0 when no requests were made.
-func (b BufferSegmentStats) HitRatio() float64 {
-	total := b.Hits + b.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(b.Hits) / float64(total)
-}
-
 // IndexStats describes the physical index shape.
 type IndexStats struct {
 	Height        int

@@ -307,31 +307,6 @@ func (e *engine) BufferStats() BufferStats {
 	return out
 }
 
-// BufferSegments reports per-segment buffer-pool accounting, in segment
-// order and summed across units by segment index (every unit's pool has
-// the same layout; empty for a bufferless pass-through pool).
-func (e *engine) BufferSegments() []BufferSegmentStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var out []BufferSegmentStats
-	for i := 0; i < e.units.Shards(); i++ {
-		segs := e.units.Shard(i).Tree.Pool().SegmentStats()
-		if out == nil {
-			out = make([]BufferSegmentStats, len(segs))
-		}
-		for j, s := range segs {
-			if j >= len(out) {
-				break
-			}
-			out[j].Hits += s.Hits
-			out[j].Misses += s.Misses
-			out[j].Len += s.Len
-			out[j].Capacity += s.Capacity
-		}
-	}
-	return out
-}
-
 // Stats checks the index (rtree.Walk) and reports its shape. Across
 // several units, node and segment counts sum, height and fanout take the
 // maximum, and fill factors are weighted by node count.

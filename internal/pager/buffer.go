@@ -512,8 +512,8 @@ func (bp *BufferPool) Len() int { return int(bp.size.Load()) }
 // Capacity reports the pool's frame capacity.
 func (bp *BufferPool) Capacity() int { return bp.capacity }
 
-// SegmentStats is a point-in-time view of one pool segment, for the
-// per-segment hit-ratio gauges.
+// SegmentStats is a point-in-time view of one pool segment, for tests
+// that check the segment layout and that no lease is left pinned.
 type SegmentStats struct {
 	Hits     int64
 	Misses   int64

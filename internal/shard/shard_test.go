@@ -227,8 +227,8 @@ func TestRegisterMetrics(t *testing.T) {
 	text := sb.String()
 	for _, want := range []string{
 		`dynq_shards 2`,
-		`dynq_shard_page_reads_total{shard="0"}`,
-		`dynq_shard_page_reads_total{shard="1"}`,
+		`dynq_page_reads_total{shard="0"}`,
+		`dynq_page_reads_total{shard="1"}`,
 		`dynq_shard_segments{shard="0"}`,
 		`dynq_shard_task_seconds`,
 	} {

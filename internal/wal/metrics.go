@@ -132,11 +132,12 @@ func (l *Log) Telemetry(windows []time.Duration) obs.WALTelemetry {
 }
 
 // RegisterMetrics exposes the log's instrumentation in a registry:
-// cumulative histograms, counter totals, and live gauges, plus rolling
-// fsync-latency quantiles matching the netq per-op window gauges. The
-// labels are stamped on every series — a sharded database registers
-// each shard's log with a {shard="i"} label, so the dynq_wal_* families
-// carry one series per log instead of colliding on the same name.
+// cumulative histograms, fsync and coalesce totals, and live gauges,
+// plus rolling fsync-latency quantiles matching the netq per-op window
+// gauges. The labels are stamped on every series — a sharded database
+// registers each shard's log with a {shard="i"} label, so the dynq_wal_*
+// families carry one series per log instead of colliding on the same
+// name.
 func (l *Log) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.SetHelp("dynq_wal_fsync_seconds", "Group-commit fsync latency in seconds.")
 	reg.SetHelp("dynq_wal_batch_records", "Records made durable per group-commit fsync round.")
@@ -147,19 +148,13 @@ func (l *Log) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.AttachHistogram("dynq_wal_append_bytes", l.met.appendBytes.Cumulative(), labels...)
 	reg.AttachHistogram("dynq_wal_checkpoint_seconds", l.met.checkpoint.Cumulative(), labels...)
 
-	reg.SetHelp("dynq_wal_appends_total", "Records appended to the WAL.")
-	reg.GaugeFunc("dynq_wal_appends_total", func() float64 { return float64(l.Stats().Appends) }, labels...)
-	reg.SetHelp("dynq_wal_appended_bytes_total", "Record bytes appended to the WAL (headers excluded).")
-	reg.GaugeFunc("dynq_wal_appended_bytes_total", func() float64 { return float64(l.Stats().AppendedBytes) }, labels...)
+	// Appends, appended bytes and checkpoints are the count and sum of
+	// dynq_wal_append_bytes and the count of dynq_wal_checkpoint_seconds;
+	// the fsync count below also counts the attempts that failed.
 	reg.SetHelp("dynq_wal_fsyncs_total", "Fsync syscalls issued by group-commit rounds.")
 	reg.GaugeFunc("dynq_wal_fsyncs_total", func() float64 { return float64(l.stFsyncs.Load()) }, labels...)
 	reg.SetHelp("dynq_wal_coalesced_total", "Durability waits satisfied by another writer's fsync.")
 	reg.GaugeFunc("dynq_wal_coalesced_total", func() float64 { return float64(l.stCoalesced.Load()) }, labels...)
-	reg.SetHelp("dynq_wal_checkpoints_total", "WAL checkpoint truncations.")
-	reg.GaugeFunc("dynq_wal_checkpoints_total", func() float64 { return float64(l.Stats().Checkpoints) }, labels...)
-
-	reg.SetHelp("dynq_wal_coalesce_ratio", "Fraction of durability waits satisfied by another writer's fsync.")
-	reg.GaugeFunc("dynq_wal_coalesce_ratio", func() float64 { return coalesceRatio(l.Stats()) }, labels...)
 	reg.SetHelp("dynq_wal_log_bytes", "Current WAL file size in bytes, headers included.")
 	reg.GaugeFunc("dynq_wal_log_bytes", func() float64 { return float64(l.Size()) }, labels...)
 	reg.SetHelp("dynq_wal_checkpoint_lag_records", "Records appended but not yet checkpointed into the base file.")

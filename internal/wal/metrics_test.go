@@ -152,30 +152,42 @@ func TestCheckpointTelemetry(t *testing.T) {
 }
 
 // TestRegisterMetricsExport checks the registry wiring: the histograms
-// and gauges land under their dynq_wal_* names with live values.
+// and gauges land under their dynq_wal_* names with live values, and the
+// append and checkpoint totals Stats reports are the histograms' count
+// and sum.
 func TestRegisterMetricsExport(t *testing.T) {
 	l, _ := createClocked(t)
 	reg := obs.NewRegistry()
 	l.RegisterMetrics(reg)
-	appendSync(t, l, "exported")
+	first := appendSync(t, l, "exported")
+	if err := l.Checkpoint(first); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	appendSync(t, l, "exported again")
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	dump := buf.String()
+	st := l.Stats()
+	if st.Appends != 2 || st.Checkpoints != 1 || st.Fsyncs == 0 {
+		t.Fatalf("Stats = %+v, want 2 appends, 1 checkpoint, some fsyncs", st)
+	}
 	for _, want := range []string{
-		"dynq_wal_fsync_seconds",
-		"dynq_wal_batch_records",
-		"dynq_wal_append_bytes",
-		"dynq_wal_checkpoint_seconds",
-		"dynq_wal_appends_total 1",
-		"dynq_wal_checkpoint_lag_records 1",
-		"dynq_wal_coalesce_ratio",
-		"dynq_wal_log_bytes",
+		fmt.Sprintf("dynq_wal_append_bytes_count %d\n", st.Appends),
+		fmt.Sprintf("dynq_wal_append_bytes_sum %d\n", st.AppendedBytes),
+		fmt.Sprintf("dynq_wal_checkpoint_seconds_count %d\n", st.Checkpoints),
+		fmt.Sprintf("dynq_wal_fsyncs_total %d\n", st.Fsyncs),
+		fmt.Sprintf("dynq_wal_coalesced_total %d\n", st.Coalesced),
+		fmt.Sprintf("dynq_wal_log_bytes %d\n", l.Size()),
+		"dynq_wal_checkpoint_lag_records 1\n",
+		"dynq_wal_fsync_seconds_count ",
+		"dynq_wal_batch_records_count ",
+		`dynq_wal_fsync_window_seconds{window="1m0s",quantile="0.99"}`,
 	} {
 		if !strings.Contains(dump, want) {
-			t.Errorf("registry dump missing %q", want)
+			t.Errorf("registry dump missing %q:\n%s", want, dump)
 		}
 	}
 }

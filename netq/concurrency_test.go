@@ -6,7 +6,6 @@ import (
 	"net"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -202,55 +201,6 @@ func TestAdmissionControlQueueing(t *testing.T) {
 	<-srv.readSem
 	if err := <-done; err != nil {
 		t.Fatalf("queued snapshot failed: %v", err)
-	}
-}
-
-// TestSegmentHitRatioGauges serves a buffered, file-backed database and
-// checks the per-segment buffer gauges land on /metrics after traffic.
-func TestSegmentHitRatioGauges(t *testing.T) {
-	db, err := dynq.Open(dynq.Options{Path: t.TempDir() + "/seg.dqi", BufferPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	for i := 0; i < 200; i++ {
-		x := float64(i % 100)
-		if err := db.Insert(dynq.ObjectID(i), dynq.Segment{
-			T0: 0, T1: 100, From: []float64{x, 50}, To: []float64{x, 50},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	addr, srv, stop := startServerWith(t, db, nil)
-	defer stop()
-
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := cl.Snapshot(dynq.Rect{Min: []float64{0, 0}, Max: []float64{100, 100}}, 0, 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var buf strings.Builder
-	srv.Registry().WritePrometheus(&buf)
-	out := buf.String()
-	if !strings.Contains(out, `pager_buffer_segment_hit_ratio{segment="0"}`) {
-		t.Fatalf("per-segment hit-ratio gauges missing from scrape:\n%s", out)
-	}
-	segs := db.BufferSegments()
-	if len(segs) == 0 {
-		t.Fatal("buffered DB reports no segments")
-	}
-	var traffic int64
-	for _, s := range segs {
-		traffic += s.Hits + s.Misses
-	}
-	if traffic == 0 {
-		t.Error("segments saw no traffic after buffered snapshots")
 	}
 }
 

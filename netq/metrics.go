@@ -2,7 +2,6 @@ package netq
 
 import (
 	"net"
-	"strconv"
 
 	"dynq/internal/obs"
 	"dynq/internal/pager"
@@ -26,9 +25,8 @@ type opMetrics struct {
 }
 
 // serverMetrics is the server's registry-backed instrumentation: per-op
-// request and error counts, connection and
-// session gauges, byte counters, and pager/engine gauges that read the
-// database's live cost counters at render time.
+// request and error counts, connection and session gauges, byte
+// counters, and the database's gauges, read at render time.
 type serverMetrics struct {
 	perOp             map[Op]*opMetrics
 	activeConns       *obs.Gauge
@@ -45,7 +43,7 @@ type serverMetrics struct {
 }
 
 // newServerMetrics registers s's metrics in its registry. Values owned
-// elsewhere — the read queue, the buffer pool, the engine's costs, the
+// elsewhere — the read queue, the buffer pool, the units' costs, the
 // Go runtime — are render-time gauges over their one store.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg, db := s.reg, s.db
@@ -61,12 +59,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.SetHelp("netq_read_queue_depth", "Read operations waiting for an execution slot.")
 	reg.SetHelp("netq_read_admission_wait_seconds", "Time read operations spent waiting for an execution slot.")
 	reg.SetHelp("netq_overload_rejections_total", "Read operations rejected because the wait queue was full.")
-	reg.SetHelp("pager_buffer_segment_hit_ratio", "Per-lock-segment buffer pool hits / (hits + misses).")
-	reg.SetHelp("pager_buffer_hit_ratio", "Buffer pool hits / (hits + misses).")
-	reg.SetHelp("dynq_page_reads_total", "Cumulative index node fetches (the paper's disk-access metric).")
-	reg.SetHelp("dynq_distance_comps_total", "Cumulative geometric predicate evaluations (the paper's CPU metric).")
 	reg.SetHelp("pager_checksum_failures_total", "Pages whose CRC32C trailer failed verification on read.")
-	reg.SetHelp("netq_retries_total", "Transparent redial-and-retry attempts by reconnecting clients in this process.")
 	reg.SetHelp("dynq_degraded_mode", "1 when the database has degraded to read-only after storage write failures.")
 
 	m := &serverMetrics{perOp: make(map[Op]*opMetrics, len(knownOps))}
@@ -90,20 +83,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 	obs.RegisterBuildInfo(reg)
 	obs.RegisterRuntime(reg)
 
-	// Buffer pool and engine totals are owned by the database; expose
-	// them as render-time gauges over its live (atomic) accounting.
-	reg.GaugeFunc("pager_buffer_hit_ratio", func() float64 { return db.BufferStats().HitRatio() })
+	// Buffer pool totals are owned by the database; expose them as
+	// render-time gauges over its live (atomic) accounting. The cost
+	// counters are per unit (db.RegisterMetrics); a ratio is left to the
+	// reader, who has both of its terms on this page.
 	reg.GaugeFunc("pager_buffer_hits_total", func() float64 { return float64(db.BufferStats().Hits) })
 	reg.GaugeFunc("pager_buffer_misses_total", func() float64 { return float64(db.BufferStats().Misses) })
 	reg.GaugeFunc("pager_buffer_writebacks_total", func() float64 { return float64(db.BufferStats().WriteBacks) })
 	reg.GaugeFunc("pager_buffer_frames", func() float64 { return float64(db.BufferStats().Len) })
-	reg.GaugeFunc("dynq_page_reads_total", func() float64 { return float64(db.CostSnapshot().Reads()) })
-	reg.GaugeFunc("dynq_page_writes_total", func() float64 { return float64(db.CostSnapshot().PageWrites) })
-	reg.GaugeFunc("dynq_distance_comps_total", func() float64 { return float64(db.CostSnapshot().DistanceComps) })
-	reg.GaugeFunc("dynq_pruned_nodes_total", func() float64 { return float64(db.CostSnapshot().PrunedNodes) })
-	reg.GaugeFunc("dynq_results_total", func() float64 { return float64(db.CostSnapshot().Results) })
 	reg.GaugeFunc("pager_checksum_failures_total", func() float64 { return float64(pager.ChecksumFailures()) })
-	reg.GaugeFunc("netq_retries_total", func() float64 { return float64(RetriesTotal()) })
 	reg.GaugeFunc("dynq_degraded_mode", func() float64 {
 		if db.Degraded() {
 			return 1
@@ -111,21 +99,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		return 0
 	})
 
-	// One hit-ratio gauge per buffer pool lock segment: a cold or
-	// thrashing segment shows up as an outlier. The segment count is
-	// fixed by the pool's capacity, so registration at startup is safe.
-	for i := range db.BufferSegments() {
-		idx := i
-		reg.GaugeFunc("pager_buffer_segment_hit_ratio", func() float64 {
-			segs := db.BufferSegments()
-			if idx >= len(segs) {
-				return 0
-			}
-			return segs[idx].HitRatio()
-		}, obs.L("segment", strconv.Itoa(i)))
-	}
-
-	// Per-unit gauges and fan-out latency histograms.
+	// Per-unit cost counters, segment counts and fan-out latency
+	// histograms.
 	db.RegisterMetrics(reg)
 	// A database with a WAL armed exposes the log's group-commit
 	// instrumentation (fsync latency, batch sizes, checkpoint lag), one

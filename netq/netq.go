@@ -594,12 +594,8 @@ var ErrConnectionLost = errors.New("netq: connection lost")
 var ErrClientClosed = errors.New("netq: client closed")
 
 // retriesTotal counts transparent redial-and-retry attempts across all
-// clients in the process, exported for the netq_retries_total metric.
+// clients in the process.
 var retriesTotal atomic.Int64
-
-// RetriesTotal reports the cumulative number of transparent retries
-// performed by reconnecting clients in this process.
-func RetriesTotal() int64 { return retriesTotal.Load() }
 
 // Client is a connection to a dqserver. Request methods are safe for
 // sequential use only (one request in flight per connection); Close may

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dynq"
 	"dynq/internal/obs"
 )
 
@@ -52,7 +51,6 @@ type serverTelemetry struct {
 	sloWrite  *obs.SLOTracker // write objectives (availability + durability-wait latency)
 	slowLog   *obs.SlowLog    // one shared ring; writes use their own bar
 	slowWrite atomic.Int64    // slow-write capture threshold, nanoseconds
-	recovery  *dynq.RecoveryReport
 
 	// Overload burst aggregation (see noteOverload).
 	burstMu sync.Mutex
@@ -200,34 +198,6 @@ func (s *Server) WithSlowWriteThreshold(d time.Duration) *Server {
 		d = obs.DefSlowThreshold
 	}
 	s.tel.slowWrite.Store(int64(d))
-	return s
-}
-
-// WithRecoveryReport attaches the report from OpenFileRecoverWith, exposing
-// what open-time verification checked and repaired as dynq_recovery_*
-// gauges (the recovery event itself is journaled by the open). Call
-// before Serve.
-func (s *Server) WithRecoveryReport(rep *dynq.RecoveryReport) *Server {
-	if rep == nil {
-		return s
-	}
-	s.tel.recovery = rep
-	reg := s.reg
-	reg.SetHelp("dynq_recovery_pages_checked", "Pages verified by recovery at open.")
-	reg.SetHelp("dynq_recovery_orphan_pages", "Unreachable pages reclaimed to the free list by recovery.")
-	reg.SetHelp("dynq_recovery_repairs", "1 when recovery repaired a torn header or rebuilt the free list.")
-	r := *rep
-	reg.GaugeFunc("dynq_recovery_header_seq", func() float64 { return float64(r.HeaderSeq) })
-	reg.GaugeFunc("dynq_recovery_pages_checked", func() float64 { return float64(r.PagesChecked) })
-	reg.GaugeFunc("dynq_recovery_segments", func() float64 { return float64(r.Segments) })
-	reg.GaugeFunc("dynq_recovery_free_pages", func() float64 { return float64(r.FreePages) })
-	reg.GaugeFunc("dynq_recovery_orphan_pages", func() float64 { return float64(r.OrphanPages) })
-	reg.GaugeFunc("dynq_recovery_repairs", func() float64 {
-		if r.TornHeaderRepaired || r.FreeListRebuilt {
-			return 1
-		}
-		return 0
-	})
 	return s
 }
 

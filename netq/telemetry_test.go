@@ -277,8 +277,9 @@ func TestDegradedEventsReachTelemetry(t *testing.T) {
 }
 
 // TestRecoveryReportInTelemetry opens a committed file through recovery
-// and checks the journaled event reaches telemetry and the report's
-// gauges reach /metrics.
+// and checks the journaled event, the report's one surface, reaches
+// telemetry with the report's fields, beside the telemetry families on
+// /metrics.
 func TestRecoveryReportInTelemetry(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tel.dynq")
 	seed, err := dynq.Open(dynq.Options{Path: path})
@@ -307,7 +308,7 @@ func TestRecoveryReportInTelemetry(t *testing.T) {
 	}
 	defer db.Close()
 
-	srv := NewServer(db).WithRecoveryReport(rep)
+	srv := NewServer(db)
 	addr, stop := serveOn(t, srv)
 	defer stop()
 	cl, err := Dial(addr)
@@ -320,17 +321,33 @@ func TestRecoveryReportInTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The event is the report's one surface: its fields carry what the
+	// open checked and repaired.
+	want := map[string]string{
+		"header_seq":           strconv.FormatUint(rep.HeaderSeq, 10),
+		"pages_checked":        strconv.Itoa(rep.PagesChecked),
+		"segments":             strconv.Itoa(rep.Segments),
+		"free_pages":           strconv.Itoa(rep.FreePages),
+		"orphan_pages":         strconv.Itoa(rep.OrphanPages),
+		"torn_header_repaired": strconv.FormatBool(rep.TornHeaderRepaired),
+		"free_list_rebuilt":    strconv.FormatBool(rep.FreeListRebuilt),
+	}
 	var recovered bool
 	for _, ev := range tel.Events {
 		if ev.Type == obs.EventRecovery && ev.Seq >= marker {
 			recovered = true
-			if ev.Fields["pages_checked"] == "" || ev.Fields["segments"] == "" {
-				t.Errorf("recovery event lacks fields: %+v", ev)
+			for k, v := range want {
+				if ev.Fields[k] != v {
+					t.Errorf("recovery event field %s = %q, want %q (report %+v)", k, ev.Fields[k], v, *rep)
+				}
 			}
 		}
 	}
 	if !recovered {
 		t.Errorf("no recovery event in telemetry after OpenFileRecoverWith: %+v", tel.Events)
+	}
+	if rep.PagesChecked == 0 || rep.Segments != 30 {
+		t.Errorf("report = %+v, want pages checked and 30 segments", *rep)
 	}
 
 	var prom strings.Builder
@@ -338,7 +355,6 @@ func TestRecoveryReportInTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, metric := range []string{
-		"dynq_recovery_pages_checked", "dynq_recovery_segments", "dynq_recovery_repairs",
 		"netq_request_window_seconds", "netq_slow_queries_total", "netq_journal_events_total",
 	} {
 		if !strings.Contains(prom.String(), metric) {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -372,7 +373,16 @@ func seedFrames() (names []string, frames [][]byte) {
 		if code == 0 {
 			name = "unknown-op"
 		}
-		frame, _ := appendRequest(nil, g.request(code))
+		// gen draws trace ids at random, as a client does; a seed pins
+		// them, so seedFrames writes the same bytes every run.
+		req := g.request(code)
+		if req.TraceID != "" {
+			req.TraceID = fmt.Sprintf("%032x", code+1)
+		}
+		if req.SpanID != "" {
+			req.SpanID = fmt.Sprintf("%016x", code+1)
+		}
+		frame, _ := appendRequest(nil, req)
 		add("request-"+name, frame)
 	}
 	for code, w := range wireOps[1:] {
@@ -396,17 +406,28 @@ var brokenSeeds = map[string]bool{"inflated-count": true, "truncated-request": t
 // TestFuzzCorpusIsCurrent holds the named seeds in
 // testdata/fuzz/FuzzDecodeFrame to today's codec: each one but the
 // deliberately broken ones decodes as the op its name says and re-encodes
-// to its own bytes, and the broken ones fail to decode. A renumbering or a
-// field change fails here instead of quietly orphaning the corpus;
-// regenerate the files from seedFrames.
+// to its own bytes, and the broken ones fail to decode. Each file is, byte
+// for byte, the frame seedFrames writes under its name. A renumbering, a
+// field change or a change to the seeds fails here instead of quietly
+// orphaning the corpus; regenerate the files from seedFrames.
 func TestFuzzCorpusIsCurrent(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecodeFrame", "*"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no corpus (err %v)", err)
 	}
+	names, frames := seedFrames()
+	seeds := make(map[string][]byte, len(names))
+	for i, name := range names {
+		seeds[name] = frames[i]
+	}
 	for _, file := range files {
 		name := filepath.Base(file)
 		data := readCorpusFile(t, file)
+		if seed, ok := seeds[name]; !ok {
+			t.Errorf("%s: seedFrames writes no frame of that name", name)
+		} else if !bytes.Equal(data, seed) {
+			t.Errorf("%s: differs from the frame seedFrames writes", name)
+		}
 		l := &link{r: bufio.NewReader(bytes.NewReader(data))}
 		body, err := l.recv()
 		var again []byte

@@ -226,9 +226,6 @@ func TestConcurrentReadersBufferedFile(t *testing.T) {
 	if bs.Hits+bs.Misses == 0 {
 		t.Error("buffer pool saw no traffic; test is not exercising the sharded pool")
 	}
-	if len(db.BufferSegments()) == 0 {
-		t.Error("no buffer segments reported")
-	}
 }
 
 // TestConcurrentEditsBufferedPool runs snapshots and live PDQ and NPDQ
