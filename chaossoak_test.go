@@ -34,8 +34,8 @@ const (
 	chaosScrubEvery = 2
 )
 
-// chaosClock is the injected time source: maintenance backoff and
-// checkpoint aging advance only when the soak says so.
+// chaosClock is the injected time source: maintenance backoff advances
+// only when the soak says so.
 type chaosClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -95,10 +95,10 @@ func chaosSoak(dir string, seed int64, cycles int) *crashSoak {
 		logged: true, bufferPages: walSoakBufferPages, maxSegments: walSoakMaxSegments,
 		line: chaosLine,
 	}
-	mopts := MaintenanceOptions{
-		Checkpoint:       CheckpointPolicy{MaxBytes: chaosMaxWALBytes},
-		ScrubPagesPerSec: 200_000, // one tick covers the whole working set
-		ProbeBackoff:     10 * time.Millisecond,
+	mopts := maintPolicy{
+		checkpointBytes:  chaosMaxWALBytes,
+		scrubPagesPerSec: 200_000, // one tick covers the whole working set
+		probeBackoff:     10 * time.Millisecond,
 	}
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 	hook := &chaosWALFault{}

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	dqbench [-fig N] [-scale F] [-trajectories N] [-seed N] [-csv] [-mixed]
-//	        [-json FILE] [-compare FILE] [-log-level L] [-log-format F]
+//	        [-json FILE] [-compare FILE]
 //
 //	-fig 0            regenerate all figures (6-13); or a single figure
 //	-scale 0.2        object population scale (1.0 = the paper's 5000
@@ -22,8 +22,6 @@
 //	-compare FILE     gate this run against a baseline report: every cost
 //	                  counter of every cell of the figures run must equal
 //	                  the baseline's; exits 3 on any difference
-//	-log-level info   diagnostic log level: debug, info, warn, error
-//	-log-format text  diagnostic log format: text or json
 //
 // SIGINT/SIGTERM finishes the current figure and exits cleanly; a second
 // signal forces exit.
@@ -32,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -40,7 +39,6 @@ import (
 
 	"dynq/internal/bench"
 	"dynq/internal/bench/compare"
-	"dynq/internal/obs"
 	"dynq/internal/stats"
 )
 
@@ -52,8 +50,7 @@ type options struct {
 	seed         int64
 	mixed, csv   bool
 
-	jsonOut, compare    string
-	logLevel, logFormat string
+	jsonOut, compare string
 }
 
 // newFlags declares every dqbench flag on a fresh set bound to o.
@@ -67,8 +64,6 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.csv, "csv", false, "emit machine-readable CSV instead of tables")
 	fs.StringVar(&o.jsonOut, "json", "", "write a machine-readable benchmark report (BENCH_*.json) to this file")
 	fs.StringVar(&o.compare, "compare", "", "baseline BENCH_*.json whose cost counters this run must equal")
-	fs.StringVar(&o.logLevel, "log-level", "info", "diagnostic log level: debug, info, warn, error")
-	fs.StringVar(&o.logFormat, "log-format", "text", "diagnostic log format: text or json")
 	return fs
 }
 
@@ -77,11 +72,7 @@ func main() {
 	fs := newFlags(&o)
 	fs.Parse(os.Args[1:])
 
-	logger, err := obs.NewLogger(os.Stderr, o.logLevel, o.logFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dqbench:", err)
-		os.Exit(2)
-	}
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)) // text, info and up
 	fatal := func(err error) {
 		logger.Error("dqbench failed", "err", err)
 		os.Exit(1)

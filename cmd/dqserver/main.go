@@ -8,8 +8,8 @@
 //	                  latency histograms, rolling-window quantiles,
 //	                  buffer-pool hit ratio, runtime gauges, ...)
 //	/debug/trace      recent query spans (per-stage cost deltas) as JSONL
-//	/debug/slow       operations that exceeded -slow-query (reads) or
-//	                  -slow-write (writes), spans included; ?op= filters
+//	/debug/slow       operations (reads and writes) that exceeded
+//	                  -slow-query, spans included; ?op= filters
 //	/debug/events     the operational event journal (recovery, degraded
 //	                  mode, overload bursts, checksum failures)
 //	/debug/telemetry  the full stats snapshot (same payload as the netq
@@ -20,8 +20,10 @@
 // verified, and what was checked and repaired is journaled as a
 // recovery event (/debug/events) before the server takes traffic.
 //
-// SIGINT/SIGTERM shut the server down gracefully, logging a final
-// cumulative cost summary; a second signal forces exit.
+// SIGINT/SIGTERM shut the server down gracefully: it logs a final
+// cumulative cost summary and syncs the database before closing it, so
+// every acknowledged write is in the page files and an armed log is
+// truncated. A second signal forces exit.
 //
 // Diagnostics go to stderr through log/slog; -log-format json makes them
 // machine-parseable and request-scoped lines carry trace/span ids.
@@ -36,23 +38,16 @@
 // when present; the shard count must match the one the files were
 // created with.
 //
-// The self-healing maintenance loop is opt-in through four flags:
-// -auto-checkpoint-bytes and -auto-checkpoint-age bound the WAL by
-// checkpointing when live bytes or record age cross the threshold,
-// -scrub-rate verifies committed pages in the background at the given
-// pages/sec, and -probe-backoff sets the initial retry backoff for
-// degraded-mode recovery probes. Any of them enables the loop, which
-// also probes a degraded store until a durable write round-trips and
-// then returns the server to read-write on its own.
+// A -db database runs the self-healing maintenance loop
+// (dynq.Options.Maintenance): it checkpoints a log whose live bytes reach
+// its bound, scrubs the committed pages in the background, and probes a
+// degraded store until a durable write round-trips, then returns the
+// server to read-write on its own.
 //
 // Usage:
 //
 //	dqserver [-addr :7207] [-metrics :7208] [-db db.dynq [-shards N] | -scale F -seed N [-dual] [-shards N]]
-//	         [-wal] [-group-commit-window 2ms]
-//	         [-auto-checkpoint-bytes N] [-auto-checkpoint-age 30s]
-//	         [-scrub-rate 50000] [-probe-backoff 1s]
-//	         [-slow-query 250ms] [-slow-write 250ms]
-//	         [-log-level info] [-log-format text]
+//	         [-wal] [-slow-query 250ms] [-log-level info] [-log-format text]
 package main
 
 import (
@@ -77,25 +72,19 @@ import (
 
 // options holds the parsed command line.
 type options struct {
-	addr          string
-	metrics       string
-	path          string
-	scale         float64
-	seed          int64
-	dual          bool
-	shards        int
-	walArm        bool
-	gcWin         time.Duration
-	autoCkptBytes int64
-	autoCkptAge   time.Duration
-	scrubRate     int
-	probeBackoff  time.Duration
-	maxConc       int
-	maxQue        int
-	slowQuery     time.Duration
-	slowWrite     time.Duration
-	logLevel      string
-	logFormat     string
+	addr      string
+	metrics   string
+	path      string
+	scale     float64
+	seed      int64
+	dual      bool
+	shards    int
+	walArm    bool
+	maxConc   int
+	maxQue    int
+	slowQuery time.Duration
+	logLevel  string
+	logFormat string
 }
 
 // newFlags declares every dqserver flag on a fresh set bound to o.
@@ -109,15 +98,9 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.dual, "dual", false, "dual temporal axes for the synthetic index")
 	fs.IntVar(&o.shards, "shards", 1, "partition the index across N parallel shards; with -db, serves the sharded file set <db>.shard<i> (created fresh or recovered)")
 	fs.BoolVar(&o.walArm, "wal", false, "arm a write-ahead log for durable writes; requires -db (sidecar <db>.wal, or one <db>.shard<i>.wal per shard with -shards)")
-	fs.DurationVar(&o.gcWin, "group-commit-window", 0, "WAL group-commit coalescing window (0 = 2ms default, negative fsyncs every commit round)")
-	fs.Int64Var(&o.autoCkptBytes, "auto-checkpoint-bytes", 0, "auto-checkpoint any WAL whose live bytes reach this many (0 disables; needs -wal)")
-	fs.DurationVar(&o.autoCkptAge, "auto-checkpoint-age", 0, "auto-checkpoint any WAL whose oldest un-checkpointed record is this old (0 disables; needs -wal)")
-	fs.IntVar(&o.scrubRate, "scrub-rate", 0, "background scrub rate over committed pages, in pages/sec (0 disables; needs -db)")
-	fs.DurationVar(&o.probeBackoff, "probe-backoff", 0, "initial backoff between degraded-mode recovery probes (0 = 1s once any maintenance flag enables the loop; setting it alone enables probing)")
 	fs.IntVar(&o.maxConc, "max-concurrent", 0, "max concurrently executing read queries (0 = GOMAXPROCS, <0 = unlimited)")
 	fs.IntVar(&o.maxQue, "max-queue", 0, "max read queries waiting for a slot before rejection (0 = 4x max-concurrent)")
-	fs.DurationVar(&o.slowQuery, "slow-query", obs.DefSlowThreshold, "capture queries slower than this into /debug/slow (negative disables)")
-	fs.DurationVar(&o.slowWrite, "slow-write", obs.DefSlowThreshold, "capture writes slower than this into /debug/slow (negative disables)")
+	fs.DurationVar(&o.slowQuery, "slow-query", obs.DefSlowThreshold, "capture operations (reads and writes) slower than this into /debug/slow (negative disables)")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error (debug logs every request)")
 	fs.StringVar(&o.logFormat, "log-format", "text", "log format: text or json")
 	return fs
@@ -143,26 +126,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dqserver:", err)
 		os.Exit(2)
 	}
-	if (o.autoCkptBytes > 0 || o.autoCkptAge > 0) && !o.walArm {
-		fmt.Fprintln(os.Stderr, "dqserver: -auto-checkpoint-bytes/-auto-checkpoint-age need -wal: without a log there is nothing to checkpoint")
-		os.Exit(2)
-	}
-	if o.scrubRate > 0 && o.path == "" {
-		fmt.Fprintln(os.Stderr, "dqserver: -scrub-rate needs -db: an in-memory index has no pages to scrub")
-		os.Exit(2)
-	}
-
-	maint := dynq.MaintenanceOptions{
-		Checkpoint:       dynq.CheckpointPolicy{MaxBytes: o.autoCkptBytes, MaxAge: o.autoCkptAge},
-		ScrubPagesPerSec: o.scrubRate,
-		ProbeBackoff:     o.probeBackoff,
-	}
-
-	db, recovery, err := openDB(o.path, o.scale, o.seed, o.dual, o.shards, o.walArm, o.gcWin, maint, logger)
+	db, recovery, err := openDB(o.path, o.scale, o.seed, o.dual, o.shards, o.walArm, logger)
 	if err != nil {
 		fatal("open database", err)
 	}
-	defer db.Close()
 	st, err := db.Stats()
 	if err != nil {
 		fatal("read index stats", err)
@@ -180,18 +147,13 @@ func main() {
 		"leaf_nodes", st.LeafNodes,
 		"workers", db.Workers(),
 		"shards", db.Shards())
-	if maint.Enabled() {
-		logger.Info("self-healing maintenance loop running",
-			"auto_checkpoint_bytes", o.autoCkptBytes,
-			"auto_checkpoint_age", o.autoCkptAge,
-			"scrub_pages_per_sec", o.scrubRate,
-			"probe_backoff", o.probeBackoff)
+	if _, ok := db.MaintenanceTelemetry(); ok {
+		logger.Info("self-healing maintenance loop running")
 	}
 
 	srv := netq.NewServer(db)
 	srv.WithLogger(logger)
 	srv.WithSlowQueryThreshold(o.slowQuery)
-	srv.WithSlowWriteThreshold(o.slowWrite)
 	if recovery != nil {
 		logger.Info("recovery-on-open", "report", recovery.String())
 	}
@@ -268,7 +230,22 @@ func main() {
 		"frames", bs.Len, "capacity", bs.Capacity,
 		"hits", bs.Hits, "misses", bs.Misses,
 		"hit_ratio", bs.HitRatio(), "writebacks", bs.WriteBacks)
+	if err := shutdown(db, logger); err != nil {
+		fatal("close database", err)
+	}
 	logger.Info("bye")
+}
+
+// shutdown syncs the database, then closes it. The wire has no Sync op,
+// so without this a -db server would lose every acknowledged write that
+// no log holds, and an armed log would replay its whole tail on the next
+// open. A failed Sync (a degraded database refuses it) is logged, and
+// Close still runs: with a log armed, the tail it keeps is replayed.
+func shutdown(db *dynq.DB, logger *slog.Logger) error {
+	if err := db.Sync(); err != nil {
+		logger.Error("final sync", "err", err, "degraded", db.Degraded())
+	}
+	return db.Close()
 }
 
 // validateFlags rejects bad flag combinations up front, before any
@@ -283,7 +260,10 @@ func validateFlags(path string, shards int, walArm bool) error {
 	return nil
 }
 
-func openDB(path string, scale float64, seed int64, dual bool, shards int, walArm bool, gcWin time.Duration, maint dynq.MaintenanceOptions, logger *slog.Logger) (*dynq.DB, *dynq.RecoveryReport, error) {
+// openDB opens what the flags name. A -db database runs the maintenance
+// loop; the synthetic in-memory one has no file to scrub or log to bound,
+// and runs none.
+func openDB(path string, scale float64, seed int64, dual bool, shards int, walArm bool, logger *slog.Logger) (*dynq.DB, *dynq.RecoveryReport, error) {
 	if err := validateFlags(path, shards, walArm); err != nil {
 		return nil, nil, err
 	}
@@ -300,14 +280,13 @@ func openDB(path string, scale float64, seed int64, dual bool, shards int, walAr
 			units = shards
 		}
 		db, rep, err := dynq.OpenFileRecoverWith(path, dynq.RecoverOptions{
-			Shards:            units,
-			WAL:               walArm,
-			GroupCommitWindow: gcWin,
-			Maintenance:       maint,
+			Shards:      units,
+			WAL:         walArm,
+			Maintenance: true,
 		})
 		if units > 0 && errors.Is(err, os.ErrNotExist) {
 			db, err = dynq.OpenSharded(dynq.ShardOptions{
-				Options: dynq.Options{Path: path, DualTimeAxes: dual, GroupCommitWindow: gcWin, Maintenance: maint},
+				Options: dynq.Options{Path: path, DualTimeAxes: dual, Maintenance: true},
 				Shards:  shards,
 				WAL:     walArm,
 			})
@@ -344,7 +323,7 @@ func openDB(path string, scale float64, seed int64, dual bool, shards int, walAr
 	}
 	// In memory there is no file layout: one shard is what Open builds.
 	db, err := dynq.OpenSharded(dynq.ShardOptions{
-		Options: dynq.Options{DualTimeAxes: dual, Maintenance: maint},
+		Options: dynq.Options{DualTimeAxes: dual},
 		Shards:  shards,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"io"
 	"log/slog"
@@ -64,7 +65,7 @@ func TestOpenDBShardedDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "srv.dynq")
 	logger := discardLogger()
 
-	db, rep, err := openDB(path, 0, 1, false, 4, true, 0, dynq.MaintenanceOptions{}, logger)
+	db, rep, err := openDB(path, 0, 1, false, 4, true, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestOpenDBShardedDurable(t *testing.T) {
 	}
 
 	// Reopen: recovery path, contents preserved, report merged.
-	db2, rep2, err := openDB(path, 0, 1, false, 4, true, 0, dynq.MaintenanceOptions{}, logger)
+	db2, rep2, err := openDB(path, 0, 1, false, 4, true, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestOpenDBShardedDurable(t *testing.T) {
 
 	// A mismatched shard count is refused cleanly, the single file too.
 	for _, shards := range []int{2, 1} {
-		if _, _, err := openDB(path, 0, 1, false, shards, true, 0, dynq.MaintenanceOptions{}, logger); err == nil {
+		if _, _, err := openDB(path, 0, 1, false, shards, true, logger); err == nil {
 			t.Fatalf("reopen with -shards %d succeeded", shards)
 		} else if !strings.Contains(err.Error(), "shard count") {
 			t.Fatalf("-shards %d: wrong-count error should explain the shard-count rule, got: %v", shards, err)
@@ -123,7 +124,7 @@ func TestOpenDBShardedDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass, want := range []int{0, 1} {
-		db, rep, err := openDB(path, 0, 1, false, 1, true, 0, dynq.MaintenanceOptions{}, logger)
+		db, rep, err := openDB(path, 0, 1, false, 1, true, logger)
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
@@ -153,7 +154,7 @@ func TestOpenDBShardedDurable(t *testing.T) {
 func TestOpenDBShardedKeepsTreeShape(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dual.dynq")
 	for _, pass := range []string{"fresh", "reopen"} {
-		db, _, err := openDB(path, 0, 1, true, 2, true, 0, dynq.MaintenanceOptions{}, discardLogger())
+		db, _, err := openDB(path, 0, 1, true, 2, true, discardLogger())
 		if err != nil {
 			t.Fatalf("%s: %v", pass, err)
 		}
@@ -166,6 +167,115 @@ func TestOpenDBShardedKeepsTreeShape(t *testing.T) {
 		}
 		if err := db.Close(); err != nil {
 			t.Fatalf("%s: %v", pass, err)
+		}
+	}
+}
+
+// newDBFile creates an empty single-file database, as dqload leaves one.
+func newDBFile(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "srv.dynq")
+	db, err := dynq.Open(dynq.Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// applyInserts acknowledges n inserts through the server's write op.
+func applyInserts(t *testing.T, db *dynq.DB, n int) {
+	t.Helper()
+	ups := make([]dynq.MotionUpdate, n)
+	for i := range ups {
+		x := float64(i % 100)
+		ups[i] = dynq.MotionUpdate{ID: dynq.ObjectID(i + 1), Segment: dynq.Segment{
+			T0: float64(i % 50), T1: float64(i%50) + 1,
+			From: []float64{x, x}, To: []float64{x + 1, x + 1},
+		}}
+	}
+	if err := db.ApplyUpdates(context.Background(), ups, dynq.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShutdownSyncs: a graceful shutdown makes every acknowledged write
+// durable in the page file. Without a log nothing else holds them; with
+// one, the sync truncates the log back to its header.
+func TestShutdownSyncs(t *testing.T) {
+	const n = 3000
+	logger := discardLogger()
+	t.Run("db", func(t *testing.T) {
+		path := newDBFile(t)
+		db, _, err := openDB(path, 0, 1, false, 1, false, logger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applyInserts(t, db, n)
+		if err := shutdown(db, logger); err != nil {
+			t.Fatal(err)
+		}
+		db, _, err = openDB(path, 0, 1, false, 1, false, logger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if got := db.Len(); got != n {
+			t.Fatalf("reopen after shutdown found %d segments, want %d", got, n)
+		}
+	})
+	t.Run("db wal", func(t *testing.T) {
+		path := newDBFile(t)
+		db, _, err := openDB(path, 0, 1, false, 1, true, logger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header := fileSize(t, path+".wal")
+		applyInserts(t, db, n)
+		if got := fileSize(t, path+".wal"); got <= header {
+			t.Fatalf("log of %d bytes after %d acknowledged inserts, header %d", got, n, header)
+		}
+		if err := shutdown(db, logger); err != nil {
+			t.Fatal(err)
+		}
+		if got := fileSize(t, path+".wal"); got != header {
+			t.Fatalf("log of %d bytes after shutdown, want its %d-byte header", got, header)
+		}
+	})
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestOpenDBRunsMaintenance: -db starts the self-healing loop, the
+// synthetic in-memory open does not.
+func TestOpenDBRunsMaintenance(t *testing.T) {
+	logger := discardLogger()
+	for _, tc := range []struct {
+		name string
+		path string
+		want bool
+	}{
+		{"db", newDBFile(t), true},
+		{"synthetic", "", false},
+	} {
+		db, _, err := openDB(tc.path, 0.001, 1, false, 1, false, logger)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, ok := db.MaintenanceTelemetry(); ok != tc.want {
+			t.Errorf("%s: maintenance loop running %v, want %v", tc.name, ok, tc.want)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

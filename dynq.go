@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"dynq/internal/core"
 	"dynq/internal/geom"
@@ -100,15 +99,11 @@ type Options struct {
 	// the nested benchmark module sets it to that value. OpenSharded
 	// rejects it: ShardOptions.WAL arms one log per shard.
 	WALPath string
-	// GroupCommitWindow is how long a group-commit leader waits for
-	// concurrent writers to pile into its fsync (0 = the 2ms default; a
-	// negative value disables coalescing — every commit round fsyncs
-	// immediately). Only meaningful with a log armed.
-	GroupCommitWindow time.Duration
-	// Maintenance configures the self-healing maintenance loop
-	// (auto-checkpoint policy, background scrub, degraded-mode recovery
-	// probe). The zero value disables it.
-	Maintenance MaintenanceOptions
+	// Maintenance runs the self-healing maintenance loop: it checkpoints
+	// a log whose live bytes reach 8 MiB, scrubs the committed pages of a
+	// file at 250 pages a second, and probes a degraded database back to
+	// read-write (maintain.go).
+	Maintenance bool
 }
 
 // DB is a mobile-object database: NSI R-tree units plus the dynamic query

@@ -47,7 +47,7 @@ type engine struct {
 	// database was opened through a recovering open, nil otherwise.
 	recovery []*RecoveryReport
 	// maint is the self-healing maintenance loop, nil when
-	// Options.Maintenance left it disabled.
+	// Options.Maintenance is off.
 	maint *maintainer
 }
 
@@ -137,7 +137,7 @@ func createEngine(opts Options, n int, lay layout, logged bool) (*engine, error)
 	if logged {
 		e.logs = make([]*wal.Log, n)
 		for i := range e.logs {
-			w, err := wal.Create(lay.log(i), wal.Options{GroupCommitWindow: opts.GroupCommitWindow})
+			w, err := wal.Create(lay.log(i), wal.Options{})
 			if err != nil {
 				e.Close()
 				return nil, fmt.Errorf("dynq: create wal%s: %w", where(i, n), err)
@@ -145,7 +145,7 @@ func createEngine(opts Options, n int, lay layout, logged bool) (*engine, error)
 			e.logs[i] = w
 		}
 	}
-	e.maint = startMaintainer(e, opts.Maintenance, nil)
+	e.maint = startMaintainer(e, maintFor(opts.Maintenance), nil)
 	return e, nil
 }
 

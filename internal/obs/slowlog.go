@@ -20,10 +20,9 @@ type SlowEntry struct {
 // SlowLog ring-buffers every operation — read queries and writes alike —
 // whose wall time met or exceeded a configurable threshold, keeping the
 // operation's full trace span (per-stage cost deltas, view parameters,
-// trace ids) for post-hoc diagnosis. One ring can serve several
-// operation classes with distinct bars via RecordAt; entries are
-// filterable by op name with RecentOp. Safe for concurrent use; the
-// threshold can be adjusted at runtime.
+// trace ids) for post-hoc diagnosis. Entries are filterable by op name
+// with RecentOp. Safe for concurrent use; the threshold can be adjusted
+// at runtime.
 type SlowLog struct {
 	threshold atomic.Int64 // nanoseconds; <=0 disables capture
 
@@ -57,18 +56,7 @@ func (l *SlowLog) Threshold() time.Duration {
 // Record captures the span if its wall time meets the log's threshold,
 // reporting whether it was kept.
 func (l *SlowLog) Record(s Span) bool {
-	return l.RecordAt(s, time.Duration(l.threshold.Load()))
-}
-
-// RecordAt is Record with an explicit threshold, letting one shared ring
-// apply per-class bars (e.g. a tighter slow-write threshold alongside
-// the query threshold). Zero falls back to the log's own threshold;
-// negative disables capture for this span.
-func (l *SlowLog) RecordAt(s Span, threshold time.Duration) bool {
-	th := int64(threshold)
-	if th == 0 {
-		th = l.threshold.Load()
-	}
+	th := l.threshold.Load()
 	if th < 0 || s.WallNS < th {
 		return false
 	}

@@ -9,27 +9,24 @@ func span(op string, wall time.Duration) Span {
 	return Span{Op: op, WallNS: wall.Nanoseconds()}
 }
 
-// TestRecordAtThresholds checks the per-call bar: an explicit threshold
-// wins over the log's default, zero falls back to the default, and a
-// negative threshold disables capture for that call.
-func TestRecordAtThresholds(t *testing.T) {
+// TestRecordThreshold checks the one bar: a span at or over the
+// threshold is kept, one under it is not, and a negative threshold
+// disables capture.
+func TestRecordThreshold(t *testing.T) {
 	l := NewSlowLog(8, 100*time.Millisecond)
 
-	if l.RecordAt(span("read", 50*time.Millisecond), 0) {
-		t.Error("50ms under the 100ms default was captured with threshold 0")
+	if l.Record(span("read", 50*time.Millisecond)) {
+		t.Error("50ms under the 100ms bar was captured")
 	}
-	if !l.RecordAt(span("read", 150*time.Millisecond), 0) {
-		t.Error("150ms over the 100ms default was dropped with threshold 0")
+	if !l.Record(span("read", 150*time.Millisecond)) {
+		t.Error("150ms over the 100ms bar was dropped")
 	}
-	// Writes can run a stricter bar over the same ring.
-	if !l.RecordAt(span("write", 20*time.Millisecond), 10*time.Millisecond) {
-		t.Error("20ms over an explicit 10ms bar was dropped")
+	if !l.Record(span("write", 100*time.Millisecond)) {
+		t.Error("a write at the 100ms bar was dropped")
 	}
-	if l.RecordAt(span("write", 5*time.Millisecond), 10*time.Millisecond) {
-		t.Error("5ms under an explicit 10ms bar was captured")
-	}
-	if l.RecordAt(span("write", time.Hour), -1) {
-		t.Error("a negative threshold must disable capture for that call")
+	l.SetThreshold(-1)
+	if l.Record(span("write", time.Hour)) {
+		t.Error("a negative threshold must disable capture")
 	}
 	if got := l.Captured(); got != 2 {
 		t.Errorf("Captured = %d, want 2", got)

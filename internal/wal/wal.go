@@ -82,8 +82,9 @@ var ErrCorruptRecord = errors.New("wal: corrupt record")
 // Options configure a log.
 type Options struct {
 	// GroupCommitWindow is how long a group-commit leader waits for
-	// concurrent writers before fsyncing (0 = the 2ms default; negative
-	// = fsync immediately, no coalescing delay).
+	// concurrent writers before fsyncing (0 = DefaultGroupCommitWindow,
+	// which the database always uses; negative = fsync immediately, no
+	// coalescing delay). Only this package's tests set it.
 	GroupCommitWindow time.Duration
 
 	// Fault, when non-nil, is consulted before every physical

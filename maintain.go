@@ -12,11 +12,11 @@ package dynq
 //
 // The loop has three jobs, all driven from one clock-injectable tick:
 //
-//   - Auto-checkpoint: when a write-ahead log crosses a CheckpointPolicy
-//     threshold (live bytes or age of the oldest un-checkpointed record),
-//     the loop checkpoints it through the same
-//     Sync machinery callers use — worst-pressure log first when there
-//     are several — so the log stays bounded with no caller cooperation.
+//   - Auto-checkpoint: when a write-ahead log's live bytes reach the
+//     policy's bound, the loop checkpoints it through the same Sync
+//     machinery callers use — worst-pressure log first when there are
+//     several — so the log, and the replay a reopen pays, stays bounded
+//     with no caller cooperation.
 //
 //   - Degraded-mode probe: once the database trips read-only, the loop
 //     periodically clears sticky log sync errors, re-verifies the page
@@ -49,68 +49,46 @@ import (
 	"dynq/internal/rtree"
 )
 
-// CheckpointPolicy bounds a write-ahead log without caller cooperation:
-// the maintenance loop checkpoints any log that crosses one of the
-// thresholds. The zero value disables policy-driven checkpointing.
-type CheckpointPolicy struct {
-	// MaxBytes checkpoints a log once its live record bytes (bytes
-	// appended since the last checkpoint) reach this many. 0 disables.
-	MaxBytes int64
-	// MaxAge checkpoints a log once its oldest un-checkpointed record is
-	// this old. 0 disables.
-	MaxAge time.Duration
+// maintPolicy is what the maintenance loop runs on. A database opened
+// with Options.Maintenance or RecoverOptions.Maintenance runs the
+// shipped one, maintFor(true); tests set their own through
+// recoverSpec.maint. A zero field turns its job off (probeBackoff 0
+// means maintProbeBackoff), and the zero policy starts no loop.
+type maintPolicy struct {
+	checkpointBytes  int64         // checkpoint a log once its live bytes reach this
+	scrubPagesPerSec int           // committed pages verified per second, spread across ticks
+	probeBackoff     time.Duration // first spacing of degraded-mode probes, doubling to 32×
 }
 
-func (p CheckpointPolicy) enabled() bool {
-	return p.MaxBytes > 0 || p.MaxAge > 0
-}
-
-// pressure is how close a log is to its nearest threshold: the maximum
-// ratio across enabled thresholds, so >= 1 means the log is due.
-func (p CheckpointPolicy) pressure(live int64, since, now time.Time) float64 {
-	var m float64
-	if p.MaxBytes > 0 {
-		if r := float64(live) / float64(p.MaxBytes); r > m {
-			m = r
-		}
-	}
-	if p.MaxAge > 0 && !since.IsZero() {
-		if r := float64(now.Sub(since)) / float64(p.MaxAge); r > m {
-			m = r
-		}
-	}
-	return m
-}
-
-// MaintenanceOptions configure the self-healing maintenance loop, which
-// ticks every 250ms. The zero value disables it entirely; setting any of
-// Checkpoint, ScrubPagesPerSec, or ProbeBackoff starts it. Whenever the
-// loop runs, degraded-mode probing is on — ProbeBackoff only tunes its
-// pacing.
-type MaintenanceOptions struct {
-	// Checkpoint is the auto-checkpoint policy (WAL-armed databases
-	// only; without a log there is nothing to bound).
-	Checkpoint CheckpointPolicy
-	// ScrubPagesPerSec rate-limits the background scrubber (pages
-	// verified per second, spread across ticks). 0 disables scrubbing.
-	// Only file-backed stores can be scrubbed; an in-memory database
-	// records one "unsupported" error and stops.
-	ScrubPagesPerSec int
-	// ProbeBackoff is the initial spacing between degraded-mode recovery
-	// probes; each failure doubles it up to 32x. 0 means the 1s default.
-	ProbeBackoff time.Duration
-}
-
-// Enabled reports whether these options start a maintenance loop.
-func (m MaintenanceOptions) Enabled() bool {
-	return m.Checkpoint.enabled() || m.ScrubPagesPerSec > 0 || m.ProbeBackoff > 0
-}
-
+// The shipped policy's constants. DESIGN.md "The maintenance loop"
+// records the measurement behind each and the test that holds it.
 const (
+	// maintCheckpointBytes bounds a log's live bytes, and so the replay a
+	// reopen pays: replay runs at about 9 MB/s, so 8 MiB replays in about
+	// a second.
+	maintCheckpointBytes = 8 << 20
+	// maintScrubPagesPerSec paces the scrubber: at about 3 µs a page, 62
+	// or 63 pages a tick hold the database lock about 0.2 ms in 250 ms.
+	maintScrubPagesPerSec = 250
+	// maintProbeBackoff is the first spacing of degraded-mode probes.
+	maintProbeBackoff = time.Second
+
 	maintInterval         = 250 * time.Millisecond
-	defaultProbeBackoff   = time.Second
 	maxProbeBackoffFactor = 32
 )
+
+// maintFor is the policy of a database opened with the Maintenance
+// option on or off: the shipped one, or none.
+func maintFor(on bool) maintPolicy {
+	if !on {
+		return maintPolicy{}
+	}
+	return maintPolicy{
+		checkpointBytes:  maintCheckpointBytes,
+		scrubPagesPerSec: maintScrubPagesPerSec,
+		probeBackoff:     maintProbeBackoff,
+	}
+}
 
 // maintProbeID is the reserved object id the recovery probe inserts and
 // deletes. It is distinct from dqtop's write-probe base (1<<60) so an
@@ -126,7 +104,7 @@ var errScrubUnsupported = errors.New("dynq: store does not support scrubbing (no
 // telemetry readers synchronize through atomics and mu.
 type maintainer struct {
 	target *engine
-	opts   MaintenanceOptions
+	opts   maintPolicy
 	now    func() time.Time
 
 	manual   bool
@@ -150,8 +128,7 @@ type maintainer struct {
 
 	// Episodic state, guarded by mu (tick mutates, telemetry reads).
 	mu            sync.Mutex
-	lagSince      []time.Time // per log: when it was first seen lagging
-	degradedAt    time.Time   // start of the current degraded episode
+	degradedAt    time.Time // start of the current degraded episode
 	nextProbe     time.Time
 	probeDelay    time.Duration
 	episodeProbes int
@@ -165,14 +142,14 @@ type maintainer struct {
 
 // startMaintainer builds and starts the maintenance loop for a database.
 // With a clock it starts no goroutine: the caller ticks the loop under
-// that clock (the chaos soak and tests). Returns nil when the options
-// disable the loop.
-func startMaintainer(t *engine, opts MaintenanceOptions, clock func() time.Time) *maintainer {
-	if !opts.Enabled() {
+// that clock (the chaos soak and tests). Returns nil for the zero
+// policy.
+func startMaintainer(t *engine, opts maintPolicy, clock func() time.Time) *maintainer {
+	if opts == (maintPolicy{}) {
 		return nil
 	}
-	if opts.ProbeBackoff <= 0 {
-		opts.ProbeBackoff = defaultProbeBackoff
+	if opts.probeBackoff <= 0 {
+		opts.probeBackoff = maintProbeBackoff
 	}
 	m := &maintainer{
 		target: t,
@@ -181,8 +158,8 @@ func startMaintainer(t *engine, opts MaintenanceOptions, clock func() time.Time)
 		stopc:  make(chan struct{}),
 		donec:  make(chan struct{}),
 	}
-	if _, ok := t.units.Shard(0).Store().(committedStore); !ok && opts.ScrubPagesPerSec > 0 {
-		m.lastScrubErr, m.opts.ScrubPagesPerSec = errScrubUnsupported.Error(), 0
+	if _, ok := t.units.Shard(0).Store().(committedStore); !ok && opts.scrubPagesPerSec > 0 {
+		m.lastScrubErr, m.opts.scrubPagesPerSec = errScrubUnsupported.Error(), 0
 	}
 	if clock != nil {
 		m.now, m.manual = clock, true
@@ -243,23 +220,16 @@ func (m *maintainer) tick() {
 	m.degradedAt, m.nextProbe, m.episodeProbes = time.Time{}, time.Time{}, 0
 	m.probeDelay = 0
 	m.mu.Unlock()
-	m.checkpointTick(now)
+	m.checkpointTick()
 	m.scrubTick(now)
 }
 
-// checkpointTick evaluates the checkpoint policy against every armed
-// log and checkpoints the ones past a threshold, worst pressure first.
-func (m *maintainer) checkpointTick(now time.Time) {
-	if !m.opts.Checkpoint.enabled() {
-		return
-	}
+// checkpointTick checkpoints every armed log whose live bytes reached
+// the policy's bound, worst pressure (live bytes over the bound) first.
+func (m *maintainer) checkpointTick() {
 	logs := m.target.logs
-	if logs == nil {
+	if m.opts.checkpointBytes <= 0 || logs == nil {
 		return
-	}
-	m.mu.Lock()
-	if len(m.lagSince) != len(logs) {
-		m.lagSince = make([]time.Time, len(logs))
 	}
 	type dueLog struct {
 		idx      int
@@ -268,21 +238,12 @@ func (m *maintainer) checkpointTick(now time.Time) {
 	var due []dueLog
 	var maxP float64
 	for i, w := range logs {
-		lag := w.CheckpointLag()
-		if lag == 0 {
-			m.lagSince[i] = time.Time{}
-		} else if m.lagSince[i].IsZero() {
-			m.lagSince[i] = now
-		}
-		p := m.opts.Checkpoint.pressure(w.LiveBytes(), m.lagSince[i], now)
-		if p > maxP {
-			maxP = p
-		}
+		p := float64(w.LiveBytes()) / float64(m.opts.checkpointBytes)
+		maxP = max(maxP, p)
 		if p >= 1 {
 			due = append(due, dueLog{i, p})
 		}
 	}
-	m.mu.Unlock()
 	m.pressureBits.Store(math.Float64bits(maxP))
 	if len(due) == 0 {
 		return
@@ -302,13 +263,6 @@ func (m *maintainer) checkpointTick(now time.Time) {
 		return
 	}
 	m.autoCheckpoints.Add(1)
-	m.mu.Lock()
-	for _, d := range due {
-		if d.idx < len(m.lagSince) {
-			m.lagSince[d.idx] = time.Time{}
-		}
-	}
-	m.mu.Unlock()
 	m.pressureBits.Store(0)
 	obs.DefaultJournal().Record(obs.EventAutoCheckpoint, obs.SeverityInfo,
 		"auto-checkpoint: policy threshold crossed; log truncated",
@@ -325,7 +279,7 @@ func (m *maintainer) probeTick(now time.Time) {
 	m.mu.Lock()
 	if m.degradedAt.IsZero() {
 		m.degradedAt = now
-		m.probeDelay = m.opts.ProbeBackoff
+		m.probeDelay = m.opts.probeBackoff
 		m.nextProbe = now // first probe fires immediately
 		m.episodeProbes = 0
 	}
@@ -348,9 +302,7 @@ func (m *maintainer) probeTick(now time.Time) {
 		m.mu.Lock()
 		m.lastProbeErr = err.Error()
 		m.probeDelay *= 2
-		if max := m.opts.ProbeBackoff * maxProbeBackoffFactor; m.probeDelay > max {
-			m.probeDelay = max
-		}
+		m.probeDelay = min(m.probeDelay, m.opts.probeBackoff*maxProbeBackoffFactor)
 		m.nextProbe = now.Add(m.probeDelay)
 		delay := m.probeDelay
 		m.mu.Unlock()
@@ -381,11 +333,11 @@ func (m *maintainer) probeTick(now time.Time) {
 
 // scrubTick spends this tick's page budget walking the committed tree.
 func (m *maintainer) scrubTick(now time.Time) {
-	if m.opts.ScrubPagesPerSec <= 0 {
+	if m.opts.scrubPagesPerSec <= 0 {
 		return
 	}
 	m.mu.Lock()
-	m.scrubBudget += float64(m.opts.ScrubPagesPerSec) * maintInterval.Seconds()
+	m.scrubBudget += float64(m.opts.scrubPagesPerSec) * maintInterval.Seconds()
 	budget := int(m.scrubBudget)
 	if budget < 1 {
 		m.mu.Unlock()
@@ -481,7 +433,7 @@ func (m *maintainer) registerMetrics(reg *obs.Registry) {
 	reg.SetHelp("dynq_maintenance_ticks_total", "Maintenance loop iterations.")
 	reg.SetHelp("dynq_maintenance_checkpoints_total", "Policy-driven WAL checkpoints completed by the maintenance loop.")
 	reg.SetHelp("dynq_maintenance_checkpoint_failures_total", "Policy-driven WAL checkpoints that failed.")
-	reg.SetHelp("dynq_maintenance_checkpoint_pressure", "Worst log's fraction of its nearest checkpoint threshold (>= 1 means due).")
+	reg.SetHelp("dynq_maintenance_checkpoint_pressure", "Worst log's live bytes as a fraction of the checkpoint bound (>= 1 means due).")
 	reg.SetHelp("dynq_maintenance_probes_total", "Degraded-mode recovery probes attempted.")
 	reg.SetHelp("dynq_maintenance_probe_failures_total", "Degraded-mode recovery probes that failed.")
 	reg.SetHelp("dynq_maintenance_heals_total", "Degraded episodes cleared by a successful probe.")

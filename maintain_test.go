@@ -16,7 +16,7 @@ import (
 
 // openMaintTest opens a WAL-armed file database with a fault-injecting
 // store and a manual maintenance loop driven by the returned clock.
-func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStore, *fault.Store, *chaosClock) {
+func openMaintTest(t *testing.T, mopts maintPolicy) (*DB, *pager.FileStore, *fault.Store, *chaosClock) {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.dynq")
@@ -38,60 +38,42 @@ func openMaintTest(t *testing.T, mopts MaintenanceOptions) (*DB, *pager.FileStor
 }
 
 // TestAutoCheckpointBoundsWAL is the headline acceptance check for the
-// checkpoint policy: sustained ingest with NO caller Sync must keep the
-// write-ahead log's live bytes bounded, because the maintenance tick
-// checkpoints it whenever MaxBytes is crossed.
+// shipped checkpoint bound: sustained ingest with NO caller Sync must
+// keep the write-ahead log's live bytes under maintCheckpointBytes,
+// because the maintenance tick checkpoints the log once it reaches them.
+// The writer corrects the segments of a fixed fleet, as moving objects
+// report, so the log grows while the tree does not.
 func TestAutoCheckpointBoundsWAL(t *testing.T) {
-	const maxBytes = 4 << 10
-	db, _, _, _ := openMaintTest(t, MaintenanceOptions{
-		Checkpoint: CheckpointPolicy{MaxBytes: maxBytes},
-	})
+	db, _, _, _ := openMaintTest(t, maintFor(true))
 	r := rand.New(rand.NewSource(7))
 	var next ObjectID = 1
 	ctx := context.Background()
-	for i := 0; i < 40; i++ {
-		ups := toUpdates(genSoakBatch(r, 16, &next))
-		if err := db.ApplyUpdates(ctx, ups, WriteOptions{Durability: DurabilitySync}); err != nil {
+	fleet := toUpdates(genSoakBatch(r, 1000, &next))
+	if err := db.ApplyUpdates(ctx, fleet, WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; db.maint.autoCheckpoints.Load() == 0; i++ {
+		ups := make([]MotionUpdate, 0, 2*len(fleet))
+		for j, u := range fleet {
+			to := []float64{u.Segment.From[0] + float64(i%2), u.Segment.From[1]}
+			fleet[j].Segment.To = to
+			ups = append(ups, MotionUpdate{ID: u.ID, Segment: Segment{T0: u.Segment.T0}, Delete: true}, fleet[j])
+		}
+		if err := db.ApplyUpdates(ctx, ups, WriteOptions{}); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		db.maint.tick()
-		// Right after a tick the log is either under threshold or was
-		// just truncated by the policy checkpoint; either way bounded.
-		if lb := db.logs[0].LiveBytes(); lb >= maxBytes {
-			t.Fatalf("batch %d: %d live bytes after a maintenance tick, policy MaxBytes %d", i, lb, maxBytes)
+		// Right after a tick the log is either under the bound or was
+		// just truncated by the maintenance checkpoint; either way bounded.
+		if lb := db.logs[0].LiveBytes(); lb >= maintCheckpointBytes {
+			t.Fatalf("batch %d: %d live bytes after a maintenance tick, bound %d", i, lb, maintCheckpointBytes)
 		}
-	}
-	if n := db.maint.autoCheckpoints.Load(); n == 0 {
-		t.Fatal("40 durable batches with no caller Sync took zero auto-checkpoints")
+		if i == 1000 {
+			t.Fatal("1000 batches took no auto-checkpoint")
+		}
 	}
 	if n := db.maint.checkpointFailures.Load(); n != 0 {
 		t.Fatalf("%d auto-checkpoints failed on a healthy store", n)
-	}
-}
-
-// TestAutoCheckpointMaxAge: a log under the byte threshold still gets
-// checkpointed once its oldest un-checkpointed record outlives MaxAge.
-func TestAutoCheckpointMaxAge(t *testing.T) {
-	db, _, _, clk := openMaintTest(t, MaintenanceOptions{
-		Checkpoint: CheckpointPolicy{MaxBytes: 1 << 30, MaxAge: time.Minute},
-	})
-	r := rand.New(rand.NewSource(11))
-	var next ObjectID = 1
-	ups := toUpdates(genSoakBatch(r, 4, &next))
-	if err := db.ApplyUpdates(context.Background(), ups, WriteOptions{Durability: DurabilitySync}); err != nil {
-		t.Fatal(err)
-	}
-	db.maint.tick() // marks the log as lagging, far from both thresholds
-	if n := db.maint.autoCheckpoints.Load(); n != 0 {
-		t.Fatalf("checkpointed %d times while %v under MaxAge", n, time.Minute)
-	}
-	clk.Advance(2 * time.Minute)
-	db.maint.tick()
-	if n := db.maint.autoCheckpoints.Load(); n != 1 {
-		t.Fatalf("auto-checkpoints after MaxAge elapsed = %d, want 1", n)
-	}
-	if lb := db.logs[0].LiveBytes(); lb != 0 {
-		t.Fatalf("%d live bytes after the age-policy checkpoint, want 0", lb)
 	}
 }
 
@@ -100,8 +82,8 @@ func TestAutoCheckpointMaxAge(t *testing.T) {
 // error, probes fail (with backoff) while the device is full, and the
 // first probe after space returns heals it — no operator involved.
 func TestProbeHealsDiskFull(t *testing.T) {
-	db, _, faults, clk := openMaintTest(t, MaintenanceOptions{
-		ProbeBackoff: 10 * time.Millisecond,
+	db, _, faults, clk := openMaintTest(t, maintPolicy{
+		probeBackoff: 10 * time.Millisecond,
 	})
 	r := rand.New(rand.NewSource(3))
 	var next ObjectID = 1
@@ -176,9 +158,9 @@ func TestProbeHealsDiskFull(t *testing.T) {
 // trip read-only mode, and pause probing until a clean pass — then the
 // probe path heals the database once the page verifies again.
 func TestScrubDetectsCorruptionAndHoldsDegraded(t *testing.T) {
-	db, fs, _, clk := openMaintTest(t, MaintenanceOptions{
-		ScrubPagesPerSec: 1_000_000, // whole tree per tick
-		ProbeBackoff:     10 * time.Millisecond,
+	db, fs, _, clk := openMaintTest(t, maintPolicy{
+		scrubPagesPerSec: 1_000_000, // whole tree per tick
+		probeBackoff:     10 * time.Millisecond,
 	})
 	r := rand.New(rand.NewSource(5))
 	var next ObjectID = 1
@@ -317,21 +299,18 @@ func TestFailedCheckpointKeepsWALRecords(t *testing.T) {
 // database until the loop has ticked a few times; the race detector
 // referees.
 func TestShardedMaintenanceRace(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenSharded(ShardOptions{
-		Options: Options{
-			Path: filepath.Join(dir, "db.dynq"),
-			Maintenance: MaintenanceOptions{
-				Checkpoint:   CheckpointPolicy{MaxBytes: 8 << 10},
-				ProbeBackoff: time.Second,
-			},
-		},
-		Shards: 4,
-		WAL:    true,
+	path := filepath.Join(t.TempDir(), "db.dynq")
+	if err := createFiles(shardLayout(path), 4, true, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	e, err := recoverEngine(recoverSpec{
+		lay: shardLayout(path), units: 4, forceWAL: true,
+		maint: maintPolicy{checkpointBytes: 8 << 10, probeBackoff: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := &DB{e}
 	defer db.Close()
 	ctx := context.Background()
 	ticked := func() bool { return db.maint.ticks.Load() >= 3 }
@@ -366,5 +345,46 @@ func TestShardedMaintenanceRace(t *testing.T) {
 	wg.Wait()
 	if _, ok := db.MaintenanceTelemetry(); !ok {
 		t.Fatal("maintenance loop not running on the sharded database")
+	}
+}
+
+// TestShippedMaintenancePacing holds the shipped policy's pacing: the
+// scrubber verifies maintScrubPagesPerSec pages a second, 62 or 63 a tick
+// with the half page carried over, and a failing probe waits twice as
+// long as the last one, from maintProbeBackoff to 32 times it.
+func TestShippedMaintenancePacing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.dynq")
+	buildCheckFile(t, path, 30000)
+	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
+	db, faults, err := openFaulted(path, recoverSpec{forceWAL: true, maint: maintFor(true), clock: clk.Now}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	st, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages := st.LeafNodes + st.InternalNodes; pages <= maintScrubPagesPerSec {
+		t.Fatalf("the tree has %d pages, too few to time a second of scrubbing", pages)
+	}
+	for i, want := range []int64{62, 125, 187, 250} {
+		db.maint.tick()
+		if got := db.maint.scrubPageCount.Load(); got != want {
+			t.Fatalf("tick %d: %d pages scrubbed, want %d", i+1, got, want)
+		}
+	}
+
+	faults.ArmNoSpace(1, true)
+	if err := db.Sync(); !errors.Is(err, ErrDiskFull) {
+		t.Fatalf("Sync on a full device returned %v, want ErrDiskFull", err)
+	}
+	for probes, want := range []time.Duration{2, 4, 8, 16, 32, 32} {
+		db.maint.tick()
+		tel, _ := db.MaintenanceTelemetry()
+		if tel.Probes != int64(probes+1) || tel.NextProbeInSeconds != (want*maintProbeBackoff).Seconds() {
+			t.Fatalf("after %d failed probes: %+v, want the next in %v", probes+1, tel, want*maintProbeBackoff)
+		}
+		clk.Advance(want * maintProbeBackoff)
 	}
 }

@@ -51,12 +51,9 @@ func armedServer(t *testing.T) (*dynq.DB, *Server) {
 		t.Fatal(err)
 	}
 	db, _, err := dynq.OpenFileRecoverWith(path, dynq.RecoverOptions{
-		Shards: 2,
-		WAL:    true,
-		Maintenance: dynq.MaintenanceOptions{
-			Checkpoint:       dynq.CheckpointPolicy{MaxBytes: 1 << 20},
-			ScrubPagesPerSec: 100,
-		},
+		Shards:      2,
+		WAL:         true,
+		Maintenance: true,
 	})
 	if err != nil {
 		t.Fatal(err)

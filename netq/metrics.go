@@ -112,7 +112,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 }
 
 // isWriteOp classifies the one op that mutates the index, apply-updates,
-// for separate SLO tracking and slow-write capture.
+// for separate SLO tracking.
 func isWriteOp(op Op) bool { return op == OpApplyUpdates }
 
 // engineFor names the query engine behind an op, for the tracer's stage

@@ -593,10 +593,6 @@ var ErrConnectionLost = errors.New("netq: connection lost")
 // Client.Close.
 var ErrClientClosed = errors.New("netq: client closed")
 
-// retriesTotal counts transparent redial-and-retry attempts across all
-// clients in the process.
-var retriesTotal atomic.Int64
-
 // Client is a connection to a dqserver. Request methods are safe for
 // sequential use only (one request in flight per connection); Close may
 // be called concurrently and interrupts an in-flight call.
@@ -848,7 +844,6 @@ func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 			}
 			return Response{}, fmt.Errorf("%w: %w", ErrConnectionLost, terr.err)
 		}
-		retriesTotal.Add(1)
 		if err := sleepBackoff(ctx, attempt); err != nil {
 			return Response{}, err
 		}

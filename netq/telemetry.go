@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dynq/internal/obs"
@@ -44,13 +43,12 @@ const (
 // go to the process-wide journal. It lives beside the cumulative
 // serverMetrics, which feed /metrics since boot.
 type serverTelemetry struct {
-	started   time.Time
-	winSpans  []time.Duration
-	windows   map[Op]*obs.WindowedHistogram
-	slo       *obs.SLOTracker // read/query objectives
-	sloWrite  *obs.SLOTracker // write objectives (availability + durability-wait latency)
-	slowLog   *obs.SlowLog    // one shared ring; writes use their own bar
-	slowWrite atomic.Int64    // slow-write capture threshold, nanoseconds
+	started  time.Time
+	winSpans []time.Duration
+	windows  map[Op]*obs.WindowedHistogram
+	slo      *obs.SLOTracker // read/query objectives
+	sloWrite *obs.SLOTracker // write objectives (availability + durability-wait latency)
+	slowLog  *obs.SlowLog    // one ring and one bar for reads and writes
 
 	// Overload burst aggregation (see noteOverload).
 	burstMu sync.Mutex
@@ -77,7 +75,6 @@ func newServerTelemetry(reg *obs.Registry) *serverTelemetry {
 		sloWrite: obs.NewSLOTracker(sloWindow, sloWriteLatency),
 		slowLog:  obs.NewSlowLog(SlowLogCapacity, obs.DefSlowThreshold),
 	}
-	t.slowWrite.Store(int64(obs.DefSlowThreshold))
 	maxWin := t.winSpans[len(t.winSpans)-1]
 	reg.SetHelp("netq_request_seconds", "Request handling latency in seconds, by protocol op.")
 	reg.SetHelp("netq_request_window_seconds",
@@ -98,19 +95,18 @@ func newServerTelemetry(reg *obs.Registry) *serverTelemetry {
 
 // record folds one finished request into the rolling-window state:
 // windowed latency, SLO accounting against the op class's objectives,
-// and — past the class's threshold — the slow-op log, span (with its
-// per-stage cost deltas) included. Writes are tracked separately from
-// reads: their own SLO tracker and their own slow capture bar.
+// and — past the slow-capture threshold — the slow-op log, span (with
+// its per-stage cost deltas) included. Writes are tracked against their
+// own SLO objectives.
 func (t *serverTelemetry) record(op Op, elapsed time.Duration, failed bool, span obs.Span) {
 	if w := t.windows[op]; w != nil {
 		w.ObserveDuration(elapsed)
 	}
 	if isWriteOp(op) {
 		t.sloWrite.Record(string(op), elapsed, failed)
-		t.slowLog.RecordAt(span, time.Duration(t.slowWrite.Load()))
-		return
+	} else {
+		t.slo.Record(string(op), elapsed, failed)
 	}
-	t.slo.Record(string(op), elapsed, failed)
 	t.slowLog.Record(span)
 }
 
@@ -181,23 +177,12 @@ func (s *Server) journalOverload(n int64) {
 		})
 }
 
-// WithSlowQueryThreshold sets the latency above which a query is
-// captured into the slow-query log (default obs.DefSlowThreshold;
-// negative disables capture). Safe to call at any time.
+// WithSlowQueryThreshold sets the latency above which an operation, a
+// read or a write, is captured into the slow-op log (default
+// obs.DefSlowThreshold; negative disables capture). Safe to call at any
+// time.
 func (s *Server) WithSlowQueryThreshold(d time.Duration) *Server {
 	s.tel.slowLog.SetThreshold(d)
-	return s
-}
-
-// WithSlowWriteThreshold sets the latency above which a WRITE op
-// (apply-updates) is captured into the shared slow-op log,
-// independently of the query threshold (default obs.DefSlowThreshold;
-// negative disables write capture). Safe to call at any time.
-func (s *Server) WithSlowWriteThreshold(d time.Duration) *Server {
-	if d == 0 {
-		d = obs.DefSlowThreshold
-	}
-	s.tel.slowWrite.Store(int64(d))
 	return s
 }
 

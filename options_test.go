@@ -19,7 +19,7 @@ func TestOptionsMatchREADME(t *testing.T) {
 	structs := map[string]reflect.Type{}
 	for _, v := range []any{
 		dynq.Options{}, dynq.ShardOptions{}, dynq.RecoverOptions{},
-		dynq.MaintenanceOptions{}, dynq.CheckpointPolicy{}, dynq.WriteOptions{},
+		dynq.WriteOptions{},
 		dynq.PredictiveOptions{}, dynq.AdaptiveOptions{}, dynq.TrackerOptions{},
 		netq.DialOptions{},
 	} {

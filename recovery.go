@@ -105,12 +105,9 @@ type RecoverOptions struct {
 	// when not. Without it logs are auto-detected: if ANY sidecar exists,
 	// every unit is armed — a database is logged as a whole or not at all.
 	WAL bool
-	// GroupCommitWindow is each armed log's coalescing window (see
-	// Options.GroupCommitWindow).
-	GroupCommitWindow time.Duration
-	// Maintenance configures the self-healing maintenance loop (see
+	// Maintenance runs the self-healing maintenance loop (see
 	// Options.Maintenance).
-	Maintenance MaintenanceOptions
+	Maintenance bool
 }
 
 // OpenFileRecoverWith reopens a file-backed database of either layout,
@@ -121,8 +118,7 @@ type RecoverOptions struct {
 // error wrapping ErrCorrupt. Every unit is verified and its log replayed
 // independently; the returned report, saying what was checked and
 // repaired, is the units' reports merged. The options can force-arm the
-// logs (dqserver -wal), set the group-commit window and start the
-// maintenance loop.
+// logs (dqserver -wal) and start the maintenance loop.
 //
 // A path with no database files fails with an error satisfying
 // errors.Is(err, os.ErrNotExist): creating a database takes the tree
@@ -136,8 +132,7 @@ func OpenFileRecoverWith(path string, opts RecoverOptions) (*DB, *RecoveryReport
 		lay:      lay,
 		units:    units,
 		forceWAL: opts.WAL,
-		window:   opts.GroupCommitWindow,
-		maint:    opts.Maintenance,
+		maint:    maintFor(opts.Maintenance),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -224,8 +219,7 @@ type recoverSpec struct {
 	// are auto-detected: if ANY unit's sidecar exists every unit is armed —
 	// a database is logged as a whole or not at all.
 	forceWAL bool
-	window   time.Duration
-	maint    MaintenanceOptions
+	maint    maintPolicy
 
 	// Soak and test hooks. bufferPages gives every unit a page buffer of
 	// that capacity (0: the WAL buffering floor when logs are armed, none
@@ -308,7 +302,7 @@ func recoverEngine(s recoverSpec) (_ *engine, err error) {
 	}
 	if armed {
 		logs = make([]*wal.Log, n)
-		wopts := wal.Options{GroupCommitWindow: s.window, Fault: s.walFault}
+		wopts := wal.Options{Fault: s.walFault}
 		for i := range logs {
 			if logs[i], err = replayLog(s.lay.log(i), wopts, trees[i], cfg.Dims, i, n, applied[i], reps[i]); err != nil {
 				return nil, err

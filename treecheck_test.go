@@ -212,7 +212,7 @@ func TestCorruptCommittedFilesAreRefused(t *testing.T) {
 			}
 			clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 			db, faults, err := openFaulted(path, recoverSpec{
-				maint: MaintenanceOptions{ScrubPagesPerSec: 1_000_000}, clock: clk.Now,
+				maint: maintPolicy{scrubPagesPerSec: 1_000_000}, clock: clk.Now,
 			}, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -237,7 +237,7 @@ func TestCorruptCommittedFilesAreRefused(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
 		clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 		db, _, err := openFaulted(clean, recoverSpec{
-			maint: MaintenanceOptions{ScrubPagesPerSec: 1_000_000}, clock: clk.Now,
+			maint: maintPolicy{scrubPagesPerSec: 1_000_000}, clock: clk.Now,
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +277,7 @@ func TestScrubBudgetUnderRewrites(t *testing.T) {
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 	e, err := recoverEngine(recoverSpec{
 		lay: singleLayout(path), units: 1, clock: clk.Now,
-		maint: MaintenanceOptions{ScrubPagesPerSec: 4}, // 1 page per 250 ms tick
+		maint: maintPolicy{scrubPagesPerSec: 4}, // 1 page per 250 ms tick
 		wrapStore: func(_ int, fs *pager.FileStore) pager.Store {
 			reads.FileStore = fs
 			return reads
@@ -374,7 +374,7 @@ func TestScrubHoldLastsUntilACleanPass(t *testing.T) {
 	buildCheckFile(t, path, 6000)
 	clk := &chaosClock{t: time.Unix(1_700_000_000, 0)}
 	db, _, err := openFaulted(path, recoverSpec{
-		maint: MaintenanceOptions{ScrubPagesPerSec: 4, ProbeBackoff: 10 * time.Millisecond},
+		maint: maintPolicy{scrubPagesPerSec: 4, probeBackoff: 10 * time.Millisecond},
 		clock: clk.Now,
 	}, nil)
 	if err != nil {
@@ -406,7 +406,7 @@ func TestScrubHoldLastsUntilACleanPass(t *testing.T) {
 // while the loop scrubs a few pages per tick; the race detector referees
 // the scrub cursor both sides touch.
 func TestMaintenanceTelemetryDuringScrub(t *testing.T) {
-	db, _, _, _ := openMaintTest(t, MaintenanceOptions{ScrubPagesPerSec: 8})
+	db, _, _, _ := openMaintTest(t, maintPolicy{scrubPagesPerSec: 8})
 	var next ObjectID = 1
 	ups := toUpdates(genSoakBatch(rand.New(rand.NewSource(4)), 2000, &next))
 	if err := db.ApplyUpdates(context.Background(), ups, WriteOptions{}); err != nil {
