@@ -22,12 +22,12 @@ type PDQOptions struct {
 }
 
 // PDQ evaluates a predictive dynamic query: the observer's trajectory is
-// registered up front and results are pulled incrementally with GetNext,
-// in order of the time they become visible. Each index node is read at
+// registered up front and results are drained window by window, in order
+// of the time they become visible. Each index node is read at
 // most once over the whole dynamic query, which is the source of the
 // paper's I/O improvement (Figure 6).
 //
-// A PDQ is not safe for concurrent GetNext calls; concurrent index
+// A PDQ is not safe for concurrent Drain calls; concurrent index
 // insertions are safe when LiveUpdates is enabled.
 type PDQ struct {
 	tree *rtree.Tree
@@ -59,11 +59,10 @@ type PDQ struct {
 	slab rtree.Slab // where kept entries' points are copied off the page
 
 	// Scratch reused across expansions.
-	set    geom.IntervalSet // one entry's visibility episodes
-	box    geom.Box         // one child box
-	lines  []geom.Linear    // the leaf entry under test, a linear form per dimension
-	x0, x1 []float64        // the same entry's end points, for the gate
-	entry  rtree.LeafEntry  // the same, decoded, for an Instant trajectory
+	set   geom.IntervalSet // one entry's visibility episodes
+	box   geom.Box         // one child box
+	lines []geom.Linear    // the leaf entry under test, a linear form per dimension
+	entry rtree.LeafEntry  // the same, decoded, for an Instant trajectory
 
 	// gate counts the leaf entries that reached the swept-box gate and
 	// those it kept from OverlapMotion (tests hold it to a floor).
@@ -78,8 +77,6 @@ func NewPDQ(tree *rtree.Tree, traj *trajectory.Trajectory, opts PDQOptions, c *s
 	}
 	d := traj.Dims()
 	p := &PDQ{tree: tree, traj: traj, c: c, box: make(geom.Box, d+2), lines: make([]geom.Linear, d)}
-	ends := make([]float64, 2*d)
-	p.x0, p.x1 = ends[:d:d], ends[d:]
 	p.seedFromRoot()
 	if opts.LiveUpdates {
 		p.unsub = tree.OnUpdate(p.enqueueUpdate)
@@ -96,18 +93,18 @@ const inboxCap = 4096
 // seedFromRoot computes the root's overlap with the trajectory and primes
 // the queue (the first step of Section 4.1's algorithm).
 func (p *PDQ) seedFromRoot() {
-	root, level, ok := p.tree.Root()
+	root, _, ok := p.tree.Root()
 	if !ok {
 		return
 	}
 	// The root's box is not stored anywhere above it; treat it as always
 	// potentially overlapping and let exploration refine. Seeding with the
 	// whole trajectory span is sound: the root is popped once.
-	p.pushNode(root, level, p.traj.TimeSpan())
+	p.pushNode(root, p.traj.TimeSpan())
 }
 
 // enqueueUpdate receives update notifications. It runs under the tree
-// lock, so it only records the update; GetNext integrates the inbox before
+// lock, so it only records the update; Drain integrates the inbox before
 // consulting the queue. A reseed notification (a deletion freed pages the
 // queue may name), or one more update than the inbox holds, forces a
 // rebuild from the root, which reads every update made until then; every
@@ -128,8 +125,12 @@ func (p *PDQ) enqueueUpdate(u rtree.Update) {
 
 // drainInbox integrates pending update notifications into the priority
 // queue: subtree notifications enqueue the subtree root with its overlap
-// episodes, entry notifications enqueue the segment directly.
+// episodes, entry notifications enqueue the segment directly. A session
+// without a subscription has nothing to integrate.
 func (p *PDQ) drainInbox() {
+	if p.unsub == nil {
+		return
+	}
 	p.inboxMu.Lock()
 	inbox := p.inbox
 	p.inbox = nil
@@ -171,30 +172,30 @@ func (p *PDQ) drainInbox() {
 			p.c.AddDistanceComps(1)
 			p.traj.OverlapBox(u.Box, set)
 			for _, iv := range set.Intervals() {
-				p.pushNode(u.Node, u.Level, iv)
+				p.pushNode(u.Node, iv)
 			}
 		}
 	}
 }
 
-// GetNext returns the next object that becomes visible during
-// [tStart, tEnd]; ok is false when no (further) object appears in that
-// window. It is Algorithm 4.1 of the paper: items are popped in
-// visibility-start order; expired items (already invisible before tStart)
-// are dropped; node items are expanded by computing each child's overlap
-// episodes; duplicate items produced by update management are eliminated
-// on pop.
+// DrainTo appends to out every object that becomes visible during
+// [tStart, tEnd] and has not been delivered yet, and returns the extended
+// slice. It is Algorithm 4.1 of the paper, getNext run until the window
+// has nothing more: items are popped in visibility-start order; expired
+// items (already invisible before tStart) are dropped; node items are
+// expanded by computing each child's overlap episodes; duplicate items
+// produced by update management are eliminated on pop.
 //
 // Callers advance tStart/tEnd monotonically along the trajectory (one
 // window per pair of key snapshots, or per rendered frame). After an error
-// the session stays usable: a retried window delivers what the failed one
-// did not.
-func (p *PDQ) GetNext(tStart, tEnd float64) (r Result, ok bool, err error) {
+// the returned slice holds what the window gathered before it, and the
+// session stays usable: a retried window delivers the rest.
+func (p *PDQ) DrainTo(tStart, tEnd float64, out []Result) ([]Result, error) {
 	if p.closed {
-		return r, false, fmt.Errorf("core: GetNext on closed PDQ")
+		return out, fmt.Errorf("core: Drain on closed PDQ")
 	}
 	if tEnd < tStart {
-		return r, false, fmt.Errorf("core: GetNext window [%g,%g] is empty", tStart, tEnd)
+		return out, fmt.Errorf("core: Drain window [%g,%g] is empty", tStart, tEnd)
 	}
 	p.drainInbox()
 	// An episode over before this window cannot be delivered again.
@@ -237,7 +238,8 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (r Result, ok bool, err error) {
 			if item.shared || !last {
 				e.Seg = e.Seg.Clone()
 			}
-			return Result{ID: e.ID, Seg: e.Seg, Appear: item.key.iv.Lo, Disappear: item.key.iv.Hi}, true, nil
+			out = append(out, Result{ID: e.ID, Seg: e.Seg, Appear: item.key.iv.Lo, Disappear: item.key.iv.Hi})
+			continue
 		}
 		if err := p.expand(item, tStart); err != nil {
 			if p.stale() {
@@ -251,10 +253,16 @@ func (p *PDQ) GetNext(tStart, tEnd float64) (r Result, ok bool, err error) {
 			// pops it first and must not take it for its own duplicate.
 			p.pq.push(item)
 			p.havePop = false
-			return r, false, err
+			return out, err
 		}
 	}
-	return r, false, nil
+	return out, nil
+}
+
+// Drain is DrainTo into a new slice: the per-frame fetch loop of the
+// visualization client.
+func (p *PDQ) Drain(tStart, tEnd float64) ([]Result, error) {
+	return p.DrainTo(tStart, tEnd, nil)
 }
 
 // errStale ends an expansion that found a reseed notification pending.
@@ -299,7 +307,7 @@ func (p *PDQ) expand(item pdqItem, tStart float64) error {
 			}
 			for _, iv := range set.Intervals() {
 				if tStart <= iv.Hi {
-					p.pushNode(v.ChildID(k), v.Level()-1, iv)
+					p.pushNode(v.ChildID(k), iv)
 				}
 			}
 		}
@@ -312,26 +320,25 @@ func (p *PDQ) expand(item pdqItem, tStart float64) error {
 // and queues every episode not over before tStart.
 func (p *PDQ) expandLeaf(v rtree.NodeView, tStart float64) {
 	set := &p.set
-	span := p.traj.TimeSpan()
-	for k := 0; k < v.Len(); k++ {
-		// Every episode lies inside validity ∩ trajectory span
-		// (OverlapMotion's first step), so an entry that is over by then,
-		// or never valid on the way, is not tested.
-		if w := v.EntryTime(k).Intersect(span); w.Empty() || tStart > w.Hi {
-			continue
+	swept := p.traj.Swept()
+	instant := p.traj.Instant()
+	for k, n := 0, v.Len(); ; k++ {
+		// The scan skips, in place, what OverlapMotion would find nothing
+		// in: an entry never valid on the way or over by tStart, and one
+		// the swept-box gate rejects, by comparisons.
+		var rejected int
+		k, rejected = v.NextSwept(k, n, tStart, swept)
+		p.gate.tested += rejected
+		p.gate.rejected += rejected
+		if k == n {
+			return
 		}
 		set.Reset()
-		if p.traj.Instant() {
+		if instant {
 			v.Entry(k, &p.entry)
 			p.traj.OverlapSegment(p.entry.Seg, set)
 		} else {
-			// The gate rejects, by comparisons, what lies beyond the box
-			// the whole trajectory sweeps: OverlapMotion would find nothing.
 			p.gate.tested++
-			if p.traj.SweptMisses(v.EntryEnds(k, p.x0, p.x1), p.x0, p.x1) {
-				p.gate.rejected++
-				continue
-			}
 			p.traj.OverlapMotion(v.EntryLines(k, p.lines), p.lines, set)
 		}
 		// Episodes are sorted and disjoint: those already over come first.
@@ -353,20 +360,6 @@ func (p *PDQ) expandLeaf(v rtree.NodeView, tStart float64) {
 	}
 }
 
-// Drain pulls every remaining result visible during [tStart, tEnd],
-// repeatedly calling GetNext. It is the per-frame fetch loop of the
-// visualization client.
-func (p *PDQ) Drain(tStart, tEnd float64) ([]Result, error) {
-	var out []Result
-	for {
-		r, ok, err := p.GetNext(tStart, tEnd)
-		if err != nil || !ok {
-			return out, err
-		}
-		out = append(out, r)
-	}
-}
-
 // Close releases the session's update subscription. The session must not
 // be used afterwards.
 func (p *PDQ) Close() {
@@ -381,13 +374,13 @@ func (p *PDQ) Close() {
 	p.kept = pdqArena{}
 }
 
-func (p *PDQ) pushNode(id pager.PageID, level int, iv geom.Interval) {
+func (p *PDQ) pushNode(id pager.PageID, iv geom.Interval) {
 	if iv.Empty() {
 		return
 	}
 	p.seq++
 	p.pq.push(pdqItem{
-		key: pdqKey{iv: iv, node: id, level: level},
+		key: pdqKey{iv: iv, node: id},
 		seq: p.seq,
 	})
 }
@@ -411,12 +404,11 @@ func (p *PDQ) pushObject(iv geom.Interval, slot int32, shared bool) {
 
 // pdqKey identifies a queue item for ordering and duplicate elimination.
 // Two notifications for the same node (or the same segment episode)
-// produce equal keys and pop adjacently.
+// produce equal keys and pop adjacently. A node's page fixes its level.
 type pdqKey struct {
 	iv       geom.Interval
 	obj      rtree.ObjectID
 	segStart float64
-	level    int
 	node     pager.PageID
 	isObj    bool
 }

@@ -249,12 +249,12 @@ func TestPDQWindowValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pdq.GetNext(5, 4); err == nil {
+	if _, err := pdq.Drain(5, 4); err == nil {
 		t.Error("inverted window should error")
 	}
 	pdq.Close()
-	if _, _, err := pdq.GetNext(0, 1); err == nil {
-		t.Error("GetNext after Close should error")
+	if _, err := pdq.Drain(0, 1); err == nil {
+		t.Error("Drain after Close should error")
 	}
 	pdq.Close() // double close is a no-op
 	// Dimension mismatch.
@@ -282,9 +282,8 @@ func TestPDQEmptyTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pdq.Close()
-	r, ok, err := pdq.GetNext(0, 10)
-	if err != nil || ok {
-		t.Errorf("empty tree GetNext = %v, %v, %v", r, ok, err)
+	if rs, err := pdq.Drain(0, 10); err != nil || len(rs) != 0 {
+		t.Errorf("empty tree Drain = %v, %v", rs, err)
 	}
 }
 
@@ -685,7 +684,7 @@ func TestPDQQueueSlotsReleased(t *testing.T) {
 }
 
 // TestPDQGateOnPaperWorkload is the count guard of the swept-box gate
-// (trajectory.SweptMisses). On the paper's population (a tenth of it) and
+// (geom.SweptBox, applied by rtree.NodeView.NextSwept). On the paper's population (a tenth of it) and
 // queries (every overlap and range), sessions drained frame by frame keep
 // most of the leaf entries that reach the gate from OverlapMotion. And for
 // every entry of a leaf, a trajectory whose swept box begins 1–4 float64
@@ -731,11 +730,12 @@ func TestPDQGateOnPaperWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	x0, x1 := make([]float64, 2), make([]float64, 2)
+	var e rtree.LeafEntry
 	declined, cleared := 0, 0
 	err = tree.View(leaf, nil, func(v rtree.NodeView) error {
 		for k := 0; k < v.Len(); k++ {
-			tv := v.EntryEnds(k, x0, x1)
+			v.Entry(k, &e)
+			tv, x0, x1 := e.Seg.T, e.Seg.Start, e.Seg.End
 			// A box beginning lo on axis 0, the whole of axis 1, over the
 			// entry's validity and beyond.
 			box := func(lo float64) *trajectory.Trajectory {
@@ -750,10 +750,11 @@ func TestPDQGateOnPaperWorkload(t *testing.T) {
 			for n := 0; n <= k%4; n++ {
 				near = math.Nextafter(near, math.Inf(1))
 			}
-			if !box(near).SweptMisses(tv, x0, x1) {
+			// The scan returns the entry it cannot reject, k, or k+1.
+			if next, _ := v.NextSwept(k, k+1, tv.Lo, box(near).Swept()); next == k {
 				declined++
 			}
-			if box(near+0.01).SweptMisses(tv, x0, x1) {
+			if _, rejected := v.NextSwept(k, k+1, tv.Lo, box(near+0.01).Swept()); rejected == 1 {
 				cleared++
 			}
 		}

@@ -162,8 +162,8 @@ func refPDQDrain(tree *rtree.Tree, traj *trajectory.Trajectory, tStart, tEnd flo
 			heap.Push(&pq, it)
 		}
 	}
-	if root, level, ok := tree.Root(); ok {
-		push(refItem{pdqItem: pdqItem{key: pdqKey{iv: traj.TimeSpan(), node: root, level: level}}})
+	if root, _, ok := tree.Root(); ok {
+		push(refItem{pdqItem: pdqItem{key: pdqKey{iv: traj.TimeSpan(), node: root}}})
 	}
 	for len(pq) > 0 && tEnd >= pq[0].key.iv.Lo {
 		item := heap.Pop(&pq).(refItem)
@@ -202,7 +202,7 @@ func refPDQDrain(tree *rtree.Tree, traj *trajectory.Trajectory, tStart, tEnd flo
 			}
 			for _, iv := range set.Intervals() {
 				if tStart <= iv.Hi {
-					push(refItem{pdqItem: pdqItem{key: pdqKey{iv: iv, node: ch.ID, level: n.Level - 1}}})
+					push(refItem{pdqItem: pdqItem{key: pdqKey{iv: iv, node: ch.ID}}})
 				}
 			}
 		}

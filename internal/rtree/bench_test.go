@@ -179,10 +179,10 @@ func BenchmarkLeafTest(b *testing.B) {
 		}
 		return n
 	})
-	// PDQ's leaf scan (core.PDQ.expandLeaf without the queue): validity
-	// against the trajectory's span, the swept-box gate, and OverlapMotion
-	// on the forms of what the gate passes, for a window that slides one
-	// unit along x over the frame.
+	// PDQ's leaf scan (core.PDQ.expandLeaf without the queue): NextSwept
+	// (validity against the trajectory's span and the swept-box gate, in
+	// place) and OverlapMotion on the forms of what it passes, for a window
+	// that slides one unit along x over the frame.
 	tr, err := trajectory.New([]trajectory.Key{
 		{T: 50, Window: geom.Box{{Lo: 40, Hi: 48}, {Lo: 40, Hi: 48}}},
 		{T: 50.5, Window: geom.Box{{Lo: 41, Hi: 49}, {Lo: 40, Hi: 48}}},
@@ -190,13 +190,12 @@ func BenchmarkLeafTest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	span := tr.TimeSpan()
-	x0, x1 := make([]float64, cfg.Dims), make([]float64, cfg.Dims)
+	swept := tr.Swept()
 	var set geom.IntervalSet
 	run("pdq", func() (n int) {
-		for k := 0; k < v.Len(); k++ {
-			if v.EntryTime(k).Intersect(span).Empty() || tr.SweptMisses(v.EntryEnds(k, x0, x1), x0, x1) {
-				continue
+		for k := 0; ; k++ {
+			if k, _ = v.NextSwept(k, v.Len(), swept.Span().Lo, swept); k == v.Len() {
+				return n
 			}
 			set.Reset()
 			tr.OverlapMotion(v.EntryLines(k, x), x, &set)
@@ -204,7 +203,6 @@ func BenchmarkLeafTest(b *testing.B) {
 				n++
 			}
 		}
-		return n
 	})
 }
 

@@ -27,7 +27,7 @@ var perEntryAccessors = map[string]any{
 	"NodeView.NextOverlap":      NodeView.NextOverlap,
 	"NodeView.nextCandidate":    NodeView.nextCandidate,
 	"NodeView.EntryLines":       NodeView.EntryLines,
-	"NodeView.EntryEnds":        NodeView.EntryEnds,
+	"NodeView.NextSwept":        NodeView.NextSwept,
 	"NodeView.EntryBox":         NodeView.EntryBox,
 	"NodeView.Keep":             NodeView.Keep,
 	"NodeView.KeepSeg":          NodeView.KeepSeg,

@@ -350,18 +350,35 @@ func (v NodeView) EntryLines(k int, x []geom.Linear) geom.Interval {
 	return t
 }
 
-// EntryEnds fills x0 and x1 (Dims values each, caller-owned) with leaf
-// entry k's start and end point and returns its validity: the values
-// EntryLines makes its forms of, read where they lie. They are the operands
-// of trajectory.SweptMisses, PDQ's gate ahead of the forms.
-func (v NodeView) EntryEnds(k int, x0, x1 []float64) geom.Interval {
-	e := v.entry(k)
+// NextSwept is PDQ's leaf scan: it scans leaf entries from, from+1, …
+// before to and returns the first one whose episodes with the trajectory
+// that swept g may still be due, or to; rejected counts the entries g's
+// gate skipped on the way. It skips, reading each entry's float32
+// validity and end points where they lie:
+//   - an entry whose validity ∩ g.Span is empty or over before tStart,
+//     exactly as Interval.Intersect and Empty decide it: every episode
+//     lies inside it (OverlapMotion's first step);
+//   - an entry g's gate (geom.SweptBox.Rejects) rejects: OverlapMotion
+//     finds it empty.
+func (v NodeView) NextSwept(from, to int, tStart float64, g *geom.SweptBox) (k, rejected int) {
 	d := int(v.dims)
-	x0, x1 = x0[:d], x1[:d]
-	for i := range x0 {
-		x0[i], x1[i] = f32At(e, 8+4*i), f32At(e, 8+4*(d+i))
+	span := g.Span()
+	var x0, x1 [maxDims]float64
+	for k = from; k < to; k++ {
+		e := v.entry(k)
+		t0, t1 := f32At(e, 8+8*d), f32At(e, 12+8*d)
+		if lo, hi := max(t0, span.Lo), min(t1, span.Hi); lo > hi || tStart > hi {
+			continue
+		}
+		for i := 0; i < d; i++ {
+			x0[i], x1[i] = f32At(e, 8+4*i), f32At(e, 8+4*(d+i))
+		}
+		if !g.Rejects(t0, t1, x0[:d], x1[:d]) {
+			return k, rejected
+		}
+		rejected++
 	}
-	return intervalAt(e, 8+8*d)
+	return to, rejected
 }
 
 // Slab is the coordinate storage of the leaf entries one traversal or one

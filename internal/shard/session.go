@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"slices"
 
 	"dynq/internal/core"
@@ -10,35 +9,24 @@ import (
 )
 
 // PDQ is a predictive dynamic query over a sharded engine: one core.PDQ
-// cursor per shard, all registered on the same observer trajectory, merged
-// through an appearance-time min-heap. Each per-shard stream delivers its
-// results in order of appearance within a window, so taking the earliest
-// buffered head across shards preserves the paper's "report each object
+// cursor per shard, all registered on the same observer trajectory. A
+// window's answer is every cursor's drain of it. One shard's drain is the
+// answer as it comes; several shards drain in parallel, and their union,
+// sorted by core.CompareResults, keeps the paper's "report each object
 // once, in order of appearance" contract — an object lives in exactly one
-// shard, so the merge can introduce no duplicates.
+// shard, so the union holds no duplicates.
 //
 // Not safe for concurrent use by multiple goroutines; concurrent inserts
 // to the engine are safe when the session was started with LiveUpdates.
 type PDQ struct {
 	e       *Engine
 	cursors []*core.PDQ
-	heads   []core.Result // buffered head per shard, where held
-	held    []bool        // heads[i] is buffered; false = needs refill
-	done    []bool        // shard exhausted for the current window
-	t0, t1  float64
-	haveWin bool
-	closed  bool
+	parts   [][]core.Result // with several shards, each one's drain of the window
 }
 
 // NewPDQ starts one predictive cursor per shard over the trajectory.
 func (e *Engine) NewPDQ(traj *trajectory.Trajectory, opts core.PDQOptions) (*PDQ, error) {
-	p := &PDQ{
-		e:       e,
-		cursors: make([]*core.PDQ, len(e.shards)),
-		heads:   make([]core.Result, len(e.shards)),
-		held:    make([]bool, len(e.shards)),
-		done:    make([]bool, len(e.shards)),
-	}
+	p := &PDQ{e: e, cursors: make([]*core.PDQ, len(e.shards)), parts: make([][]core.Result, len(e.shards))}
 	for i, sh := range e.shards {
 		c, err := core.NewPDQ(sh.Tree, traj, opts, &sh.Counters)
 		if err != nil {
@@ -50,95 +38,37 @@ func (e *Engine) NewPDQ(traj *trajectory.Trajectory, opts core.PDQOptions) (*PDQ
 	return p, nil
 }
 
-// GetNext returns the next object becoming visible during [tStart, tEnd]
-// across all shards; ok is false when no further object appears in that
-// window. Windows must advance monotonically, as for a single-tree PDQ.
-func (p *PDQ) GetNext(tStart, tEnd float64) (r core.Result, ok bool, err error) {
-	if p.closed {
-		return r, false, fmt.Errorf("shard: GetNext on closed PDQ")
+// Fetch appends to out every object becoming visible during [t0, t1]
+// across all shards and not delivered yet, and returns the extended slice.
+// One shard appends in its cursor's order. With several, the whole slice,
+// what out held included, comes back sorted by core.CompareResults, so
+// that results a caller held over from an earlier fetch merge in. Windows
+// must advance monotonically, as for a single-tree PDQ. After an error the
+// slice holds what every shard gathered before it, and a retried window
+// delivers the rest.
+func (p *PDQ) Fetch(t0, t1 float64, out []core.Result) ([]core.Result, error) {
+	if len(p.cursors) == 1 {
+		return p.cursors[0].DrainTo(t0, t1, out)
 	}
-	if tEnd < tStart {
-		return r, false, fmt.Errorf("shard: GetNext window [%g,%g] is empty", tStart, tEnd)
-	}
-	if !p.haveWin || tStart != p.t0 || tEnd != p.t1 {
-		// New window: shards exhausted for the previous window may have
-		// more to deliver in this one.
-		for i := range p.done {
-			p.done[i] = false
-		}
-		p.t0, p.t1, p.haveWin = tStart, tEnd, true
-	}
-	if err := p.refill(); err != nil {
-		return r, false, err
-	}
-	best := -1
-	for i := range p.heads {
-		if p.held[i] && (best == -1 || core.CompareResults(p.heads[i], p.heads[best]) < 0) {
-			best = i
-		}
-	}
-	if best == -1 {
-		return r, false, nil
-	}
-	r, p.heads[best], p.held[best] = p.heads[best], core.Result{}, false
-	return r, true, nil
-}
-
-// refill pulls a head from every shard cursor that has none. The
-// per-window seeding touches every shard and fans out in parallel; the
-// refill after a pop touches only the shard just popped and is called
-// directly. Buffered heads whose visibility ended before the window are
-// dropped and re-pulled, mirroring the expiry rule of core.PDQ.GetNext.
-func (p *PDQ) refill() error {
-	need, last := 0, 0
-	for i := range p.cursors {
-		if p.held[i] && p.heads[i].Disappear < p.t0 {
-			p.heads[i], p.held[i] = core.Result{}, false // expired between windows
-		}
-		if !p.held[i] && !p.done[i] {
-			need, last = need+1, i
-		}
-	}
-	if need <= 1 {
-		if need == 0 {
-			return nil
-		}
-		return p.pull(last)
-	}
-	fns := make([]func() error, 0, need)
-	for i := range p.cursors {
-		if !p.held[i] && !p.done[i] {
-			fns = append(fns, func() error { return p.pull(i) })
-		}
-	}
-	return p.e.run(fns)
-}
-
-// pull advances shard i's cursor to its next result still visible in the
-// current window, buffering it as the shard's head.
-func (p *PDQ) pull(i int) error {
-	for {
-		r, ok, err := p.cursors[i].GetNext(p.t0, p.t1)
-		if err != nil {
+	drains := make([]func() error, len(p.cursors))
+	for i, c := range p.cursors {
+		drains[i] = func() (err error) {
+			p.parts[i], err = c.DrainTo(t0, t1, p.parts[i])
 			return err
 		}
-		if !ok {
-			p.done[i] = true
-			return nil
-		}
-		if r.Disappear >= p.t0 {
-			p.heads[i], p.held[i] = r, true
-			return nil
-		}
 	}
+	err := p.e.run(drains)
+	for i, part := range p.parts {
+		out = append(out, part...)
+		clear(part) // the answer is the caller's now
+		p.parts[i] = part[:0]
+	}
+	slices.SortStableFunc(out, core.CompareResults)
+	return out, err
 }
 
 // Close releases every per-shard cursor (and live-update subscription).
 func (p *PDQ) Close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
 	for _, c := range p.cursors {
 		if c != nil {
 			c.Close()

@@ -165,6 +165,13 @@ func fuzzTrajectory(src *fuzzSrc, dims int, leaf []rtree.LeafEntry) (*Trajectory
 	return New(keys)
 }
 
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func sameSet(a, b *geom.IntervalSet) bool {
 	x, y := a.Intervals(), b.Intervals()
 	if len(x) != len(y) {
@@ -178,11 +185,11 @@ func sameSet(a, b *geom.IntervalSet) bool {
 	return true
 }
 
-// gateCounts tallies what the swept-box gate (SweptMisses) did.
+// gateCounts tallies what the swept-box gate (geom.SweptBox) did.
 type gateCounts struct {
 	hits     int // entries with an episode
 	rejected int // entries the gate kept from OverlapMotion
-	declined int // entries beyond the swept box on an axis, too near to prove
+	declined int // entries beyond the key windows' hull on an axis, not rejected
 	variants int // entries turned NaN, infinite or inverted, the gate declining
 }
 
@@ -194,10 +201,14 @@ func (c *gateCounts) add(o gateCounts) {
 }
 
 // beyond reports whether some axis of an entry has both end points
-// strictly beyond one border of the trajectory's swept box.
+// strictly beyond one border of the hull of the trajectory's key windows.
 func beyond(tr *Trajectory, x0, x1 []float64) bool {
-	for i, ax := range tr.swept {
-		if gap, _ := geom.BeyondGap(x0[i], x1[i], ax.lo, ax.hi); gap > 0 {
+	for i := range x0 {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, k := range tr.keys {
+			lo, hi = min(lo, k.Window[i].Lo), max(hi, k.Window[i].Hi)
+		}
+		if gap, _ := geom.BeyondGap(x0[i], x1[i], lo, hi); gap > 0 {
 			return true
 		}
 	}
@@ -205,12 +216,12 @@ func beyond(tr *Trajectory, x0, x1 []float64) bool {
 }
 
 // checkGate holds the swept-box gate to its promise on one entry: where
-// SweptMisses rejects validity t and end points x0, x1, OverlapMotion on
-// the forms EntryLines would make of them and the reference on the same
-// segment are both empty.
+// it rejects validity t and end points x0, x1, OverlapMotion on the forms
+// EntryLines would make of them and the reference on the same segment are
+// both empty.
 func checkGate(t *testing.T, tr *Trajectory, tv geom.Interval, x0, x1 []float64) bool {
 	t.Helper()
-	if !tr.SweptMisses(tv, x0, x1) {
+	if !tr.Swept().Rejects(tv.Lo, tv.Hi, x0, x1) {
 		return false
 	}
 	seg := geom.Segment{T: tv, Start: geom.Point(x0), End: geom.Point(x1)}
@@ -233,8 +244,10 @@ func checkGate(t *testing.T, tr *Trajectory, tv geom.Interval, x0, x1 []float64)
 // decoded entry, OverlapSegment on the decoded entry, and OverlapMotion on
 // the forms EntryLines reads off the page return the same episodes, bit for
 // bit; and that OverlapBox returns the reference's episodes for the entry's
-// box. Where the swept-box gate rejects the values EntryEnds reads off the
-// page, both episode sets must be empty (checkGate). Each entry then turns
+// box. Where the swept-box gate rejects the entry's values, both episode
+// sets must be empty (checkGate); PDQ's leaf scan (rtree.NodeView.NextSwept)
+// must skip exactly the entries the gate rejects and those never valid
+// during the trajectory's span, whose episodes are empty too. Each entry then turns
 // into a variant the gate must decline — validity inverted, or a NaN or an
 // infinity in its validity or first axis — and, further along, a NaN or an
 // infinity on a later axis, where the gate may reject only what stays
@@ -254,7 +267,6 @@ func checkOverlapMotion(t *testing.T, data []byte) (counts gateCounts) {
 		return counts // two keys at one time after all
 	}
 	x := make([]geom.Linear, dims)
-	x0, x1 := make([]float64, dims), make([]float64, dims)
 	var e rtree.LeafEntry
 	var want, got, onPage geom.IntervalSet
 	err = tree.View(root, nil, func(v rtree.NodeView) error {
@@ -277,10 +289,17 @@ func checkOverlapMotion(t *testing.T, data []byte) (counts gateCounts) {
 			if !want.Empty() {
 				counts.hits++
 			}
+			tv, x0, x1 := e.Seg.T, []float64(e.Seg.Start), []float64(e.Seg.End)
+			rejects := !tr.Instant() && checkGate(t, tr, tv, x0, x1)
+			next, rejected := v.NextSwept(k, k+1, math.Inf(-1), tr.Swept())
+			if valid := !tv.Intersect(tr.TimeSpan()).Empty(); rejected != b2i(valid && rejects) || (next == k) != (valid && !rejects) ||
+				(next != k && !want.Empty()) {
+				t.Fatalf("%d keys %+v (swept %+v), entry %+v with episodes %v: the scan skipped %v, rejected %d; the gate rejects %v",
+					len(tr.keys), tr.keys, tr.swept, e.Seg, want.Intervals(), next != k, rejected, rejects)
+			}
 			if !tr.Instant() {
-				tv := v.EntryEnds(k, x0, x1)
 				switch {
-				case checkGate(t, tr, tv, x0, x1):
+				case rejects:
 					counts.rejected++
 				case beyond(tr, x0, x1):
 					counts.declined++
@@ -335,7 +354,7 @@ func checkVariant(t *testing.T, tr *Trajectory, src *fuzzSrc, tv geom.Interval, 
 	default:
 		return 0
 	}
-	if tr.SweptMisses(tv, a, b) {
+	if tr.Swept().Rejects(tv.Lo, tv.Hi, a, b) {
 		t.Fatalf("%d keys %+v, validity %v, end points %v %v: the gate rejected values its proof does not cover",
 			len(tr.keys), tr.keys, tv, a, b)
 	}

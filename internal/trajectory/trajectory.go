@@ -36,20 +36,9 @@ type Trajectory struct {
 	// window's lower and upper border between keys j and j+1 as linear
 	// forms of time: computed once here instead of per tested entry.
 	borders []border
-	// swept is, per dimension, the box the window sweeps over the whole
-	// span and the scales of its margin: PDQ's gate (SweptMisses). Where
-	// the margin's proof does not hold its bounds are infinite, so that
-	// nothing lies beyond them.
-	swept []sweptAxis
-	tau   float64 // the key times' scale, at least 2⁻¹⁰⁰
-}
-
-// sweptAxis is one dimension of the swept box: the hull of every key
-// window's extent, the largest magnitude of a key bound (Λ), and the
-// largest magnitude of a border's slope (β). Λ and β are at least 2⁻¹⁰⁰⁰.
-type sweptAxis struct {
-	lo, hi       float64
-	scale, slope float64
+	// swept is the box the window sweeps over the whole span and the
+	// scales of its margin: PDQ's gate (geom.SweptBox).
+	swept geom.SweptBox
 }
 
 // border is one dimension of one trapezoid of Figure 3: the window's two
@@ -96,37 +85,32 @@ func New(keys []Key) (*Trajectory, error) {
 	return tr, nil
 }
 
-// sweep computes the swept box and its margin's scales. The borders
-// interpolate linearly between keys, so in exact arithmetic the window at
-// every instant of the span lies inside the hull of the key windows. The
-// gate stays off (infinite bounds) for an Instant trajectory, and for keys
-// outside the ranges sweptMargin's proof assumes: a NaN or infinite key,
-// a key bound beyond 2⁸⁰⁰, a key time or border slope beyond 2⁴⁰⁰.
+// sweep computes the swept box: per axis the hull of the key windows and
+// the largest key bound and border slope, which geom.NewSweptBox turns into
+// the gate, or into no gate where the margin's proof does not hold (an
+// Instant trajectory among them).
 func (tr *Trajectory) sweep() {
-	n := len(tr.keys)
-	tr.tau = max(math.Abs(tr.keys[0].T), math.Abs(tr.keys[n-1].T), 0x1p-100)
-	tr.swept = make([]sweptAxis, tr.dims)
-	ok := n > 1 && tr.tau <= 0x1p400
-	for i := range tr.swept {
-		ax := sweptAxis{lo: math.Inf(1), hi: math.Inf(-1), scale: 0x1p-1000, slope: 0x1p-1000}
+	axes := make([]geom.SweptAxis, tr.dims)
+	for i := range axes {
+		ax := geom.SweptAxis{Lo: math.Inf(1), Hi: math.Inf(-1)}
 		for _, k := range tr.keys {
 			b := k.Window[i]
-			ax.lo, ax.hi = min(ax.lo, b.Lo), max(ax.hi, b.Hi)
-			ax.scale = max(ax.scale, math.Abs(b.Lo), math.Abs(b.Hi))
+			ax.Lo, ax.Hi = min(ax.Lo, b.Lo), max(ax.Hi, b.Hi)
+			ax.Scale = max(ax.Scale, math.Abs(b.Lo), math.Abs(b.Hi))
 		}
 		for j := i; j < len(tr.borders); j += tr.dims {
 			b := tr.borders[j]
-			ax.slope = max(ax.slope, math.Abs(b.lower.B), math.Abs(b.upper.B))
+			ax.Slope = max(ax.Slope, math.Abs(b.lower.B), math.Abs(b.upper.B))
 		}
-		ok = ok && ax.scale <= 0x1p800 && ax.slope <= 0x1p400
-		tr.swept[i] = ax
+		axes[i] = ax
 	}
-	if !ok {
-		for i := range tr.swept {
-			tr.swept[i].lo, tr.swept[i].hi = math.Inf(-1), math.Inf(1)
-		}
-	}
+	tr.swept = geom.NewSweptBox(tr.TimeSpan(), axes)
 }
+
+// Swept returns the box the window sweeps over the trajectory's span, PDQ's
+// gate ahead of OverlapMotion: an entry it rejects is one OverlapMotion
+// finds empty.
+func (tr *Trajectory) Swept() *geom.SweptBox { return &tr.swept }
 
 // Dims returns the spatial dimensionality of the query windows.
 func (tr *Trajectory) Dims() int { return tr.dims }
@@ -302,96 +286,4 @@ func (tr *Trajectory) overlapMotionSegment(j int, x []geom.Linear, span geom.Int
 		w = borders[i].upper.Sub(x[i]).SolveGE(0, w)
 	}
 	return w
-}
-
-// SweptMisses is PDQ's gate ahead of OverlapMotion: it reports, by
-// comparisons and sweptMargin's test, without dividing, that OverlapMotion
-// is empty for an object valid over t whose coordinate on axis i runs from
-// x0[i] to x1[i] — the values EntryLines makes its forms of, float32 values
-// as a page stores them. It rejects an object with, on some axis, both end
-// points beyond one border of the swept box by more than the margin, where
-// every earlier axis holds finite values. It declines (returns false)
-// wherever the margin's proof does not hold: a NaN or infinite validity
-// bound or coordinate up to that axis, an inverted validity, or a
-// trajectory whose gate is off (Instant, or keys beyond sweep's ranges).
-// OverlapMotion's non-empty results are untouched by construction: callers
-// skip it only where it returns nothing.
-func (tr *Trajectory) SweptMisses(t geom.Interval, x0, x1 []float64) bool {
-	if dt := t.Hi - t.Lo; !(dt >= 0 && dt-dt == 0) {
-		return false
-	}
-	for i := range tr.swept {
-		a, b := x0[i], x1[i]
-		if a-a != 0 || b-b != 0 {
-			return false // a NaN here could make a later axis' window NaN, which is not empty
-		}
-		ax := &tr.swept[i]
-		if gap, w := geom.BeyondGap(a, b, ax.lo, ax.hi); gap > 0 && tr.sweptMargin(i, t.Lo, t.Hi, gap, w, max(a, -a)+max(b, -b)) {
-			return true
-		}
-	}
-	return false
-}
-
-// sweptMarginRel is sweptMargin's margin, relative to the scales of the
-// values: 2⁻⁴⁴, 512 times the unit roundoff, where the proof needs 16.2.
-const sweptMarginRel = 0x1p-44
-
-// sweptMargin is the one statement of PDQ's gate margin: an object valid
-// over [t0, t1] whose end points on axis i lie w = |x1 − x0| apart,
-// xmag = |x0| + |x1|, the nearer gap > 0 beyond a border of the swept box,
-// lies far enough beyond it that OverlapMotion's rounding cannot bring the
-// computed overlap back: every query segment's episode comes out empty.
-// t0 ≤ t1 and all four values must be finite float32 values.
-//
-// The proof. Take the lower border (the upper one mirrors it). Write
-// u = 2⁻⁵³, dt = t1 − t0, τ = tr.tau + |t0| + |t1| (tr.tau bounds every
-// key time), W = |x1 − x0|, Λ and β the axis' scale and slope,
-// K = xmag + Λ + 2τβ, and Bx for the object's computed slope: 0 when
-// dt = 0 (LinearBetween's constant), else within 3.01u of (x1−x0)/dt. Fix
-// a query segment j and a window w ⊂ [T_j, T_j+1] ∩ [t0, t1]; OverlapMotion
-// solves on such windows only, each axis narrowing the last one's.
-//   - The forms, exactly. On [t0, t1] the object's form stays within
-//     3.01u·W of its end points' hull: its slope is a difference over a
-//     difference, three roundings. On [T_j, T_j+1] the stored border stays
-//     within 3.01u·|L_j+1 − L_j| ≤ 6.02uΛ of its keys' hull, which lies
-//     inside the swept box. So x − lower ≤ −gap + 3.01uW + 6.02uΛ on w.
-//   - The difference. Linear.Sub rebases one form to the other's
-//     reference time T (t0 for the lower border, T_j for the upper) and
-//     subtracts: four roundings of terms bounded by |x0|, Λ, βτ and |Bx|τ,
-//     and one of the slope difference, which moves the form at t ∈ w by
-//     u(|Bx| + β)·|t − T|, where |t − T| ≤ 2τ, and ≤ dt when T = t0.
-//     Summed, the form SolveGE solves, taken exactly, is below
-//     −gap + 8.04u·(K + |Bx|τ) on w; with gap ≥ 16.1u·(K + |Bx|τ), below
-//     −gap/2.
-//   - The crossing. A zero slope leaves a negative constant, which
-//     SolveLE compares directly: empty. Otherwise the exact root lies
-//     δ ≥ gap/(2.02(|Bx| + β)) beyond w, on the side SolveGE cuts away.
-//     SolveLE computes it as T + q, q the quotient, in two roundings: for
-//     a root δ' ≥ δ from w, within 2.01u·(δ' + 2τ) + uτ of it, which is
-//     less than δ' once δ > 5.03uτ, and gap > 10.07u·τ·(|Bx| + β) ensures
-//     that (K holds 2τβ). A quotient that overflows goes to the infinity
-//     on the root's side. The window is empty, and stays empty.
-//   - Both bounds hold when gap·dt > 16.2u·(dt·K + τ·W), and for dt = 0
-//     when gap > 16.2u·K. The test below, the roundings of gap, w and its
-//     own eight included, implies that with 2⁻⁴⁴(1 − 14u) for 16.2u.
-//   - Ranges. sweep's floors (2⁻¹⁰⁰ on the key times' scale, 2⁻¹⁰⁰⁰ on Λ
-//     and β) keep the absolute error of an underflowing step, at most
-//     2⁻¹⁰⁷⁴, below a hundredth of uK and of uτ; its caps (Λ ≤ 2⁸⁰⁰,
-//     key times and β ≤ 2⁴⁰⁰) and float32 entries keep every step but the
-//     quotient finite.
-//   - The other axes. Finite values make finite windows, each inside the
-//     last, so once one axis' solve is empty the episode is, whatever the
-//     later axes hold. A NaN or infinity on an earlier axis could make the
-//     window NaN, which Interval.Empty calls non-empty: SweptMisses declines
-//     there.
-func (tr *Trajectory) sweptMargin(i int, t0, t1, gap, w, xmag float64) bool {
-	ax := &tr.swept[i]
-	tau := tr.tau + max(t0, -t0) + max(t1, -t1)
-	dt := t1 - t0
-	if dt == 0 {
-		dt, w = 1, 0 // a constant form: the object's slope is 0
-	}
-	k := xmag + ax.scale + 2*tau*ax.slope
-	return gap*dt > sweptMarginRel*(tau*w+dt*k)
 }
