@@ -11,7 +11,6 @@ import (
 // PredictiveCursor is the predictive dynamic query session surface
 // (*PredictiveSession implements it).
 type PredictiveCursor interface {
-	Next(t0, t1 float64) (*Result, error)
 	Fetch(t0, t1 float64) ([]Result, error)
 	Close()
 }
@@ -41,7 +40,6 @@ type Database interface {
 	KNNCtx(ctx context.Context, point []float64, t float64, k int) ([]Neighbor, error)
 	Predictive(waypoints []Waypoint, opts PredictiveOptions) (PredictiveCursor, error)
 	NonPredictive(opts NonPredictiveOptions) NonPredictiveCursor
-	Dims() int
 	Len() int
 	Stats() (IndexStats, error)
 	CostSnapshot() stats.Snapshot
@@ -62,8 +60,6 @@ type Database interface {
 	// Degraded reports whether the database entered read-only mode after
 	// persistent storage write failures (mutations return ErrReadOnly).
 	Degraded() bool
-	// SetReadOnly manually enters or clears read-only mode.
-	SetReadOnly(on bool)
 	Close() error
 }
 

@@ -20,11 +20,12 @@ func NewViewCache() *ViewCache {
 // Apply upserts a batch of query results. A result for an object whose
 // cached visibility episode is still open (the incoming Appear is not
 // after the cached Disappear) is a re-announcement of that same episode —
-// PDQ can re-send one when a concurrent insert lands mid-frame — and is
-// merged into it: the cache keeps the earliest appearance and the latest
-// disappearance, so a stale re-send can never shrink the deadline. A
-// result starting strictly after the cached episode ends (or for an
-// uncached object) opens a new episode.
+// PDQ re-sends one only with a different segment, after a correction that
+// kept the episode and moved the object, so it carries the new motion — and
+// is merged into it: the cache keeps the new segment, the earliest
+// appearance and the latest disappearance, so a re-send can never shrink
+// the deadline. A result starting strictly after the cached episode ends
+// (or for an uncached object) opens a new episode.
 func (v *ViewCache) Apply(results []Result) {
 	for _, r := range results {
 		if cur, ok := v.c.Get(r.ID); ok && r.Appear <= cur.Disappear {

@@ -50,8 +50,8 @@ func TestOpenValidation(t *testing.T) {
 func TestInsertSnapshotRoundTrip(t *testing.T) {
 	db := newTestDB(t, Options{})
 	populate(t, db, 50, 1)
-	if db.Len() == 0 || db.Dims() != 2 {
-		t.Fatalf("len=%d dims=%d", db.Len(), db.Dims())
+	if db.Len() == 0 || db.dims != 2 {
+		t.Fatalf("len=%d dims=%d", db.Len(), db.dims)
 	}
 	if err := db.Validate(); err != nil {
 		t.Fatal(err)
@@ -291,8 +291,8 @@ func TestFilePersistence(t *testing.T) {
 	if re.Len() != wantLen {
 		t.Fatalf("reopened len = %d, want %d", re.Len(), wantLen)
 	}
-	if re.Dims() != 2 {
-		t.Errorf("reopened dims = %d", re.Dims())
+	if re.dims != 2 {
+		t.Errorf("reopened dims = %d", re.dims)
 	}
 	res2, err := re.Snapshot(Rect{Min: []float64{0, 0}, Max: []float64{100, 100}}, 0, 100)
 	if err != nil {
@@ -342,7 +342,8 @@ func TestBufferedDBCounts(t *testing.T) {
 	}
 }
 
-func TestPredictiveSessionNext(t *testing.T) {
+// Fetch returns each object once: a window fetched again returns nothing.
+func TestPredictiveSessionFetch(t *testing.T) {
 	db := newTestDB(t, Options{})
 	for i := 0; i < 5; i++ {
 		err := db.Insert(ObjectID(i), Segment{
@@ -361,26 +362,20 @@ func TestPredictiveSessionNext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	seen := 0
-	for {
-		r, err := sess.Next(0, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r == nil {
-			break
-		}
+	rs, err := sess.Fetch(0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
 		if r.Appear > r.Disappear {
 			t.Errorf("inverted episode: %+v", r)
 		}
-		seen++
 	}
-	if seen != 5 {
-		t.Errorf("Next delivered %d results, want 5", seen)
+	if len(rs) != 5 {
+		t.Errorf("Fetch delivered %d results, want 5", len(rs))
 	}
-	// Exhausted session keeps returning nil without error.
-	if r, err := sess.Next(0, 10); err != nil || r != nil {
-		t.Errorf("drained session Next = %v, %v", r, err)
+	if rs, err := sess.Fetch(0, 10); err != nil || rs != nil {
+		t.Errorf("the window fetched again = %v, %v", rs, err)
 	}
 }
 
@@ -388,8 +383,8 @@ func TestPredictiveSessionNext(t *testing.T) {
 // shrink with the extra dimension, queries and sessions behave the same.
 func TestThreeDimensionalEndToEnd(t *testing.T) {
 	db := newTestDB(t, Options{Dims: 3})
-	if db.Dims() != 3 {
-		t.Fatalf("dims = %d", db.Dims())
+	if db.dims != 3 {
+		t.Fatalf("dims = %d", db.dims)
 	}
 	// A column of drones climbing at different rates.
 	for i := 0; i < 20; i++ {

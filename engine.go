@@ -164,9 +164,6 @@ func (e *engine) Close() error {
 	return errors.Join(append(errs, e.units.Close())...)
 }
 
-// Dims returns the spatial dimensionality.
-func (e *engine) Dims() int { return e.dims }
-
 // Len returns the number of indexed motion segments.
 func (e *engine) Len() int {
 	e.mu.RLock()

@@ -59,14 +59,11 @@ func ExampleDB_Predictive() {
 	}
 	defer sess.Close()
 
-	for {
-		r, err := sess.Next(0, 20)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if r == nil {
-			break
-		}
+	rs, err := sess.Fetch(0, 20)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range rs {
 		fmt.Printf("object %d appears at t=%.0f\n", r.ID, r.Appear)
 	}
 	// Output:

@@ -95,9 +95,9 @@ func TestPDQCatchesUpAfterInboxOverflow(t *testing.T) {
 				}
 			}
 			pdq.inboxMu.Lock()
-			behind := pdq.rebuild && pdq.behind
+			overflowed := pdq.rebuild
 			pdq.inboxMu.Unlock()
-			if !behind {
+			if !overflowed {
 				t.Fatal("the inserts did not overflow the inbox")
 			}
 		}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 	"sync"
 
@@ -44,15 +46,17 @@ type PDQ struct {
 	inboxMu sync.Mutex
 	inbox   []rtree.Update // at most inboxCap
 	rebuild bool
-	behind  bool // the rebuild is for an overflowed inbox alone
 
-	// A live session keeps the episodes it delivered that may still be
-	// visible. A rebuild for an overflowed inbox catches up on what the
-	// session missed and skips those when it finds them again; a reseed
-	// starts over and delivers them anew.
-	shown     []pdqKey
-	shownTrim int             // len(shown) past which expired episodes are dropped
-	skip      map[pdqKey]bool // what a catch-up skips, until all of it is over (skipEnd)
+	// A live session reports each episode once per segment. It records
+	// what it delivered that may still be visible (shown), and arms skip
+	// from that record wherever it may find one of them again: a rebuild
+	// from the root, a new subtree that meets the trajectory, and a
+	// notified entry, whose leaf may still be queued. While armed, an
+	// episode skip holds with the same segment print is not delivered, and
+	// every delivery joins it; it disarms once all of it is over (skipEnd).
+	shown     []shownEp
+	shownTrim int // len(shown) past which expired episodes are dropped
+	skip      map[pdqKey]uint64
 	skipEnd   float64
 
 	kept pdqArena   // the leaf entries object items name
@@ -107,17 +111,15 @@ func (p *PDQ) seedFromRoot() {
 // lock, so it only records the update; Drain integrates the inbox before
 // consulting the queue. A reseed notification (a deletion freed pages the
 // queue may name), or one more update than the inbox holds, forces a
-// rebuild from the root, which reads every update made until then; every
-// other update is patched in by LCA re-insertion.
+// rebuild from the root, which reads every update made until then, so the
+// inbox is dropped; every other update is patched in by LCA re-insertion.
 func (p *PDQ) enqueueUpdate(u rtree.Update) {
 	p.inboxMu.Lock()
 	defer p.inboxMu.Unlock()
 	switch {
-	case u.Kind == rtree.UpdateReseed:
-		p.rebuild, p.behind, p.inbox = true, false, nil
 	case p.rebuild:
-	case len(p.inbox) == inboxCap:
-		p.rebuild, p.behind, p.inbox = true, true, nil
+	case u.Kind == rtree.UpdateReseed || len(p.inbox) == inboxCap:
+		p.rebuild, p.inbox = true, nil
 	default:
 		p.inbox = append(p.inbox, u)
 	}
@@ -125,33 +127,19 @@ func (p *PDQ) enqueueUpdate(u rtree.Update) {
 
 // drainInbox integrates pending update notifications into the priority
 // queue: subtree notifications enqueue the subtree root with its overlap
-// episodes, entry notifications enqueue the segment directly. A session
-// without a subscription has nothing to integrate.
-func (p *PDQ) drainInbox() {
+// episodes, entry notifications enqueue the segment directly. A pending
+// rebuild it reports instead, for the caller to reseed outside any node
+// view (seedFromRoot takes the tree's lock).
+func (p *PDQ) drainInbox() (rebuild bool) {
 	if p.unsub == nil {
-		return
+		return false
 	}
 	p.inboxMu.Lock()
-	inbox := p.inbox
+	inbox, rebuild := p.inbox, p.rebuild
 	p.inbox = nil
-	rebuild, behind := p.rebuild, p.behind
-	p.rebuild, p.behind = false, false
 	p.inboxMu.Unlock()
-
 	if rebuild {
-		p.pq = p.pq[:0]
-		p.kept.reset()
-		p.havePop = false
-		p.skip, p.skipEnd = nil, 0
-		if behind {
-			p.skip = make(map[pdqKey]bool, len(p.shown))
-			for _, k := range p.shown {
-				p.skip[k] = true
-				p.skipEnd = max(p.skipEnd, k.iv.Hi)
-			}
-		}
-		p.seedFromRoot()
-		return
+		return true
 	}
 	set := &p.set
 	for _, u := range inbox {
@@ -171,11 +159,59 @@ func (p *PDQ) drainInbox() {
 		case rtree.UpdateSubtree:
 			p.c.AddDistanceComps(1)
 			p.traj.OverlapBox(u.Box, set)
+			if !set.Empty() {
+				p.arm() // its entries left a node the session may have read
+			}
 			for _, iv := range set.Intervals() {
 				p.pushNode(u.Node, iv)
 			}
 		}
 	}
+	return false
+}
+
+// reseed answers a pending rebuild: it drops the queue and every queued
+// entry and starts over from the root, skipping what it delivered.
+func (p *PDQ) reseed() {
+	p.inboxMu.Lock()
+	p.rebuild = false
+	p.inboxMu.Unlock()
+	p.pq, p.havePop = p.pq[:0], false
+	p.kept.reset()
+	p.arm()
+	p.seedFromRoot()
+}
+
+// arm fills skip from what the session delivered, unless it is armed: an
+// armed skip already holds every delivery since it was filled.
+func (p *PDQ) arm() {
+	if p.skip != nil {
+		return
+	}
+	p.skip, p.skipEnd = make(map[pdqKey]uint64, len(p.shown)), math.Inf(-1)
+	for _, s := range p.shown {
+		p.skip[s.key] = s.seg
+		p.skipEnd = max(p.skipEnd, s.key.iv.Hi)
+	}
+}
+
+// shownEp is one delivered episode and the print of its segment.
+type shownEp struct {
+	key pdqKey
+	seg uint64 // segPrint of the segment delivered
+}
+
+// segPrint folds a segment's end time and points into 64 bits, FNV-1a
+// style over whole words: two segments that differ in one of them always
+// print differently. The key holds the start time.
+func segPrint(s geom.Segment) uint64 {
+	h := uint64(14695981039346656037)
+	for _, xs := range [][]float64{{s.T.Hi}, s.Start, s.End} {
+		for _, x := range xs {
+			h = (h ^ math.Float64bits(x)) * 1099511628211
+		}
+	}
+	return h
 }
 
 // DrainTo appends to out every object that becomes visible during
@@ -197,14 +233,17 @@ func (p *PDQ) DrainTo(tStart, tEnd float64, out []Result) ([]Result, error) {
 	if tEnd < tStart {
 		return out, fmt.Errorf("core: Drain window [%g,%g] is empty", tStart, tEnd)
 	}
-	p.drainInbox()
 	// An episode over before this window cannot be delivered again.
 	if len(p.shown) > p.shownTrim {
-		p.shown = slices.DeleteFunc(p.shown, func(k pdqKey) bool { return k.iv.Hi < tStart })
+		p.shown = slices.DeleteFunc(p.shown, func(s shownEp) bool { return s.key.iv.Hi < tStart })
+		maps.DeleteFunc(p.skip, func(k pdqKey, _ uint64) bool { return k.iv.Hi < tStart })
 		p.shownTrim = 2*len(p.shown) + 64
 	}
-	if p.skip != nil && tStart > p.skipEnd {
+	if tStart > p.skipEnd {
 		p.skip = nil
+	}
+	if p.drainInbox() {
+		p.reseed()
 	}
 	for len(p.pq) > 0 && tEnd >= p.pq[0].key.iv.Lo {
 		item := p.pq.pop()
@@ -226,11 +265,19 @@ func (p *PDQ) DrainTo(tStart, tEnd float64, out []Result) ([]Result, error) {
 			continue
 		}
 		if item.key.isObj {
-			if p.skip != nil && p.skip[item.key] {
-				continue // delivered before the rebuild found it again
-			}
 			if p.unsub != nil {
-				p.shown = append(p.shown, item.key)
+				sp := segPrint(e.Seg)
+				if got, ok := p.skip[item.key]; ok && got == sp {
+					continue // delivered before, as it is now
+				}
+				if item.shared {
+					p.arm() // its leaf may still be queued, and show it again
+				}
+				if p.skip != nil {
+					p.skip[item.key] = sp
+					p.skipEnd = max(p.skipEnd, item.key.iv.Hi)
+				}
+				p.shown = append(p.shown, shownEp{item.key, sp})
 			}
 			p.c.AddResults(1)
 			// A result's memory is the caller's alone: an entry that later
@@ -242,11 +289,11 @@ func (p *PDQ) DrainTo(tStart, tEnd float64, out []Result) ([]Result, error) {
 			continue
 		}
 		if err := p.expand(item, tStart); err != nil {
-			if p.stale() {
+			if p.drainInbox() {
 				// A deletion freed pages after the inbox was drained: the
 				// node just asked for may be one of them, or re-used by
 				// now. Start over from the root, as the notification asks.
-				p.drainInbox()
+				p.reseed()
 				continue
 			}
 			// The node was not read: queue it again for the retry, which
@@ -265,26 +312,17 @@ func (p *PDQ) Drain(tStart, tEnd float64) ([]Result, error) {
 	return p.DrainTo(tStart, tEnd, nil)
 }
 
-// errStale ends an expansion that found a reseed notification pending.
+// errStale ends an expansion that found a rebuild pending.
 var errStale = errors.New("core: predictive queue names freed pages")
-
-// stale reports whether a reseed notification is waiting in the inbox.
-// Notifications are sent under the tree's exclusive lock, so inside a View
-// (which holds the shared lock) the answer covers every deletion so far.
-func (p *PDQ) stale() bool {
-	if p.unsub == nil {
-		return false
-	}
-	p.inboxMu.Lock()
-	defer p.inboxMu.Unlock()
-	return p.rebuild
-}
 
 // expand reads a node in place (one disk access) and enqueues every child
 // whose visibility has not already ended.
 func (p *PDQ) expand(item pdqItem, tStart float64) error {
 	return p.tree.View(item.key.node, p.c, func(v rtree.NodeView) error {
-		if p.stale() {
+		// Every write the page shows has notified the session, under the
+		// tree's exclusive lock: draining here queues an entry the page
+		// shows after its notification, and sees every rebuild so far.
+		if p.drainInbox() {
 			return errStale // the page may have been re-used: v is not the node that was queued
 		}
 		// One distance computation per entry examined.
@@ -469,7 +507,9 @@ func (a *pdqArena) reset() {
 }
 
 // less is a strict total order (seq is unique), so the pop order does not
-// depend on how the heap arranges equal priorities.
+// depend on how the heap arranges equal priorities. Among equal keys the
+// item queued last pops first: it was read from the newest state of the
+// index, so a copy queued before a correction is the duplicate dropped.
 func (a *pdqItem) less(b *pdqItem) bool {
 	ka, kb := &a.key, &b.key
 	if ka.iv.Lo != kb.iv.Lo {
@@ -494,5 +534,5 @@ func (a *pdqItem) less(b *pdqItem) bool {
 	if ka.iv.Hi != kb.iv.Hi {
 		return ka.iv.Hi < kb.iv.Hi
 	}
-	return a.seq < b.seq
+	return a.seq > b.seq
 }

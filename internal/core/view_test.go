@@ -622,8 +622,9 @@ func TestSessionsMatchLoadReference(t *testing.T) {
 
 // Deleting under a live predictive session until leaves empty and their
 // pages are freed (and reused by later inserts) must not break it: no
-// error, and what it delivers covers what a fresh scan of the surviving
-// segments says is visible from the deletion on.
+// error, what it delivers covers what a fresh scan of the surviving
+// segments says is visible from the deletion on, and the rebuild from the
+// root that follows delivers nothing the first drain did.
 func TestPDQLiveSurvivesPageFreeingDeletes(t *testing.T) {
 	tree, entries := buildIndex(t, rtree.DefaultConfig(), 100, 100, 31)
 	tr := straightTraj(t, 10, 30, 30, 0.5, 5, 95)
@@ -633,7 +634,8 @@ func TestPDQLiveSurvivesPageFreeingDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pdq.Close()
-	if _, err := pdq.Drain(5, 30); err != nil {
+	first, err := pdq.Drain(5, 30)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pdq.pq) == 0 {
@@ -672,8 +674,13 @@ func TestPDQLiveSurvivesPageFreeingDeletes(t *testing.T) {
 		t.Fatalf("drain after page-freeing deletes: %v", err)
 	}
 	got := map[episodeKey]bool{}
-	for _, r := range rest {
-		got[episodeKey{id: r.ID, segStart: r.Seg.T.Lo, appear: r.Appear}] = true
+	repeats := 0
+	for _, r := range append(first, rest...) {
+		k := episodeKey{id: r.ID, segStart: r.Seg.T.Lo, appear: r.Appear}
+		if got[k] {
+			repeats++
+		}
+		got[k] = true
 	}
 	missing := 0
 	for k, iv := range bruteEpisodes(live, tr) {
@@ -681,8 +688,8 @@ func TestPDQLiveSurvivesPageFreeingDeletes(t *testing.T) {
 			missing++
 		}
 	}
-	if missing > 0 {
-		t.Errorf("%d episodes visible from t=30 on were never delivered (%d delivered)", missing, len(rest))
+	if missing > 0 || repeats > 0 {
+		t.Errorf("%d episodes visible from t=30 on were never delivered and %d were delivered twice (%d, then %d delivered)", missing, repeats, len(first), len(rest))
 	}
 }
 

@@ -12,16 +12,19 @@ import (
 // cursor per shard, all registered on the same observer trajectory. A
 // window's answer is every cursor's drain of it. One shard's drain is the
 // answer as it comes; several shards drain in parallel, and their union,
-// sorted by core.CompareResults, keeps the paper's "report each object
-// once, in order of appearance" contract — an object lives in exactly one
-// shard, so the union holds no duplicates.
+// merged by merge, keeps the paper's "report each object once, in order of
+// appearance" contract — an object lives in exactly one shard, so the
+// union holds no duplicates.
 //
 // Not safe for concurrent use by multiple goroutines; concurrent inserts
 // to the engine are safe when the session was started with LiveUpdates.
 type PDQ struct {
 	e       *Engine
 	cursors []*core.PDQ
-	parts   [][]core.Result // with several shards, each one's drain of the window
+	// parts holds each shard's drain of the window; after a failed Fetch,
+	// what each gathered before the error, which the next Fetch still owes.
+	parts [][]core.Result
+	out   []core.Result // the last answer: merge's scratch, or the one shard's buffer
 }
 
 // NewPDQ starts one predictive cursor per shard over the trajectory.
@@ -38,33 +41,44 @@ func (e *Engine) NewPDQ(traj *trajectory.Trajectory, opts core.PDQOptions) (*PDQ
 	return p, nil
 }
 
-// Fetch appends to out every object becoming visible during [t0, t1]
-// across all shards and not delivered yet, and returns the extended slice.
-// One shard appends in its cursor's order. With several, the whole slice,
-// what out held included, comes back sorted by core.CompareResults, so
-// that results a caller held over from an earlier fetch merge in. Windows
-// must advance monotonically, as for a single-tree PDQ. After an error the
-// slice holds what every shard gathered before it, and a retried window
-// delivers the rest.
-func (p *PDQ) Fetch(t0, t1 float64, out []core.Result) ([]core.Result, error) {
-	if len(p.cursors) == 1 {
-		return p.cursors[0].DrainTo(t0, t1, out)
-	}
-	drains := make([]func() error, len(p.cursors))
-	for i, c := range p.cursors {
-		drains[i] = func() (err error) {
-			p.parts[i], err = c.DrainTo(t0, t1, p.parts[i])
-			return err
-		}
-	}
-	err := p.e.run(drains)
+// Fetch returns every object becoming visible during [t0, t1] across all
+// shards and not delivered yet, merged by merge. The slice is the
+// session's own, valid until the next Fetch. Windows must advance
+// monotonically, as for a single-tree PDQ. After an error nothing is lost:
+// the next Fetch returns what this one gathered, as far as it is still
+// visible then — on one shard ahead of the rest of its window.
+func (p *PDQ) Fetch(t0, t1 float64) ([]core.Result, error) {
+	clear(p.out) // the last answer is its caller's
+	p.out = p.out[:0]
 	for i, part := range p.parts {
-		out = append(out, part...)
-		clear(part) // the answer is the caller's now
-		p.parts[i] = part[:0]
+		// A held result over before this window is dropped, as a cursor
+		// drops an item.
+		p.parts[i] = slices.DeleteFunc(part, func(r core.Result) bool { return t0 > r.Disappear })
 	}
-	slices.SortStableFunc(out, core.CompareResults)
-	return out, err
+	var err error
+	if len(p.cursors) == 1 {
+		p.parts[0], err = p.cursors[0].DrainTo(t0, t1, p.parts[0])
+	} else {
+		drains := make([]func() error, len(p.cursors))
+		for i, c := range p.cursors {
+			drains[i] = func() (err error) {
+				p.parts[i], err = c.DrainTo(t0, t1, p.parts[i])
+				return err
+			}
+		}
+		err = p.e.run(drains)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.out = merge(p.out, p.parts)
+	for i, part := range p.parts {
+		if len(p.parts) > 1 {
+			clear(part) // the answer is in out
+		}
+		p.parts[i] = part[:0] // one shard's is the answer, and takes the next
+	}
+	return p.out, nil
 }
 
 // Close releases every per-shard cursor (and live-update subscription).
@@ -83,6 +97,7 @@ func (p *PDQ) Close() {
 type NPDQ struct {
 	e        *Engine
 	sessions []*core.NPDQ
+	out      []core.Result // the last answer; with several shards, merge's scratch
 }
 
 // NewNPDQ starts one non-predictive session per shard.
@@ -95,8 +110,8 @@ func (e *Engine) NewNPDQ() *NPDQ {
 }
 
 // Next evaluates the snapshot on every shard in parallel and returns the
-// union of the per-shard incremental answers, sorted by appearance time
-// (ties by object id, then segment start) for a deterministic merge.
+// union of the per-shard incremental answers, merged by merge. The slice
+// is valid until the next Next.
 func (n *NPDQ) Next(window geom.Box, tw geom.Interval) ([]core.Result, error) {
 	parts := make([][]core.Result, len(n.sessions))
 	err := n.e.FanOut(nil, func(i int, _ *Shard) error {
@@ -107,7 +122,8 @@ func (n *NPDQ) Next(window geom.Box, tw geom.Interval) ([]core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mergeResults(parts), nil
+	n.out = merge(n.out, parts)
+	return n.out, nil
 }
 
 // Reset forgets every shard's previous snapshot (observer teleported).
@@ -123,6 +139,7 @@ func (n *NPDQ) Reset() {
 type Adaptive struct {
 	e        *Engine
 	sessions []*core.Adaptive
+	out      []core.Result // the last answer; with several shards, merge's scratch
 }
 
 // NewAdaptive starts one adaptive session per shard.
@@ -140,7 +157,8 @@ func (e *Engine) NewAdaptive(opts core.AdaptiveOptions) (*Adaptive, error) {
 }
 
 // Frame reports the observer's view to every shard in parallel and
-// returns the union of newly visible objects, sorted by appearance.
+// returns the union of newly visible objects, merged by merge. The slice
+// is valid until the next Frame.
 func (a *Adaptive) Frame(window geom.Box, tw geom.Interval) ([]core.Result, error) {
 	parts := make([][]core.Result, len(a.sessions))
 	err := a.e.FanOut(nil, func(i int, _ *Shard) error {
@@ -151,7 +169,8 @@ func (a *Adaptive) Frame(window geom.Box, tw geom.Interval) ([]core.Result, erro
 	if err != nil {
 		return nil, err
 	}
-	return mergeResults(parts), nil
+	a.out = merge(a.out, parts)
+	return a.out, nil
 }
 
 // Predictive reports whether every shard session is currently running on
@@ -185,14 +204,17 @@ func (a *Adaptive) Close() {
 	}
 }
 
-// mergeResults flattens per-shard result batches and sorts them by
-// appearance time (ties by id, then segment start); a single batch is
-// returned as it is.
-func mergeResults(parts [][]core.Result) []core.Result {
+// merge returns the shards' parts of an answer as one slice: a single part
+// as it is, in its session's order; several appended to scratch, whose last
+// answer it clears first, and sorted by core.CompareResults, by
+// appearance. An object lives in one shard, so the order is total and does
+// not depend on which shard finished first.
+func merge(scratch []core.Result, parts [][]core.Result) []core.Result {
 	if len(parts) == 1 {
-		return parts[0] // one session's own order is the answer
+		return parts[0]
 	}
-	var out []core.Result
+	clear(scratch) // the last answer is its caller's
+	out := scratch[:0]
 	for _, rs := range parts {
 		out = append(out, rs...)
 	}

@@ -908,12 +908,7 @@ func (c *Client) ApplyUpdatesCtx(ctx context.Context, updates []dynq.MotionUpdat
 	return err
 }
 
-// KNN asks for the k objects nearest to point at time t.
-func (c *Client) KNN(point []float64, t float64, k int) ([]dynq.Neighbor, error) {
-	return c.KNNCtx(context.Background(), point, t, k)
-}
-
-// KNNCtx is KNN with cooperative cancellation.
+// KNNCtx asks for the k objects nearest to point at time t.
 func (c *Client) KNNCtx(ctx context.Context, point []float64, t float64, k int) ([]dynq.Neighbor, error) {
 	resp, err := c.roundTrip(ctx, Request{Op: OpKNN, Point: point, T0: t, K: k})
 	return resp.Neighbors, err

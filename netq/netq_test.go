@@ -11,6 +11,11 @@ import (
 	"dynq"
 )
 
+// KNN is KNNCtx without a deadline.
+func (c *Client) KNN(point []float64, t float64, k int) ([]dynq.Neighbor, error) {
+	return c.KNNCtx(context.Background(), point, t, k)
+}
+
 func startServer(t *testing.T, db dynq.Database) (addr string, stop func()) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -23,11 +23,11 @@ import (
 // the declarations listed in testdata/api.txt. The test type-checks their
 // non-test files with the default build tags and follows references from
 // the roots. A method also counts as reached when its receiver type is
-// reached and some interface declares a method of that name and signature:
-// a named or anonymous one in the shipped code, one exported by the
-// standard library, or one the errors package asserts in its function
-// bodies. Packages that no entry point imports are test support and are
-// not checked.
+// reached and an interface method of that name and signature may call it:
+// one of a shipped interface, named or anonymous, that reached code calls,
+// one exported by the standard library, or one the errors package asserts
+// in its function bodies. Packages that no entry point imports are test
+// support and are not checked.
 //
 // An api.txt line is library surface that no main package calls yet, kept
 // for the paper result its reason names; the exported methods of a type
@@ -117,10 +117,10 @@ const modulePath = "dynq"
 const errorsIfaces = `package p
 
 type (
-	_ interface{ Unwrap() error }
-	_ interface{ Unwrap() []error }
-	_ interface{ Is(error) bool }
-	_ interface{ As(any) bool }
+	unwrap    interface{ Unwrap() error }
+	unwrapAll interface{ Unwrap() []error }
+	is        interface{ Is(error) bool }
+	as        interface{ As(any) bool }
 )
 `
 
@@ -292,7 +292,9 @@ func (sc *reachScan) unreached(entries []string, api map[string]bool) (out, badA
 		}
 	}
 
-	ifaces := sc.interfaceMethods(shipped)
+	std := sc.stdMethods(shipped)
+	called := make(map[string][]*types.Signature) // the shipped interface methods reached code calls
+	waiting := make(map[string][]*types.Func)     // methods of reached types that no rule has reached yet
 	reached := make(map[types.Object]bool)
 	visit := func(queue []types.Object, exported bool) {
 		for len(queue) > 0 {
@@ -303,9 +305,19 @@ func (sc *reachScan) unreached(entries []string, api map[string]bool) (out, badA
 			}
 			reached[obj] = true
 			queue = append(queue, refs[obj]...)
+			if fn, ok := obj.(*types.Func); ok && isInterfaceMethod(fn) {
+				called[fn.Name()] = append(called[fn.Name()], fn.Type().(*types.Signature))
+				for _, m := range waiting[fn.Name()] {
+					if declared(called, m) {
+						queue = append(queue, m)
+					}
+				}
+			}
 			for _, m := range methods[obj] {
-				if isMain[m.Pkg()] || exported && m.Exported() || declared(ifaces, m) {
+				if isMain[m.Pkg()] || exported && m.Exported() || declared(std, m) || declared(called, m) {
 					queue = append(queue, m)
+				} else {
+					waiting[m.Name()] = append(waiting[m.Name()], m)
 				}
 			}
 		}
@@ -431,6 +443,13 @@ func origin(obj types.Object) types.Object {
 
 func isMethod(fn *types.Func) bool { return fn.Type().(*types.Signature).Recv() != nil }
 
+// isInterfaceMethod reports whether fn is declared by an interface, so
+// that calling it calls whatever method implements it.
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
 // recvType is the type name a method is declared on.
 func recvType(fn *types.Func) types.Object {
 	t := fn.Type().(*types.Signature).Recv().Type()
@@ -447,10 +466,9 @@ func declName(obj types.Object) string {
 	return obj.Pkg().Path() + "." + obj.Name()
 }
 
-// interfaceMethods indexes by name the methods of every interface the
-// shipped sources spell out, the standard library exports and the errors
-// package asserts.
-func (sc *reachScan) interfaceMethods(shipped []*reachPkg) map[string][]*types.Signature {
+// stdMethods indexes by name the methods of every interface the standard
+// library exports and the errors package asserts.
+func (sc *reachScan) stdMethods(shipped []*reachPkg) map[string][]*types.Signature {
 	out := make(map[string][]*types.Signature)
 	add := func(it *types.Interface) {
 		for i := range it.NumMethods() {
@@ -458,33 +476,7 @@ func (sc *reachScan) interfaceMethods(shipped []*reachPkg) map[string][]*types.S
 			out[m.Name()] = append(out[m.Name()], m.Type().(*types.Signature))
 		}
 	}
-	// Source interfaces, the anonymous ones included: each method name is
-	// defined where the interface spells it; an embedded interface is
-	// spelled where it is declared.
-	addSource := func(info *types.Info, f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if it, ok := n.(*ast.InterfaceType); ok {
-				for _, field := range it.Methods.List {
-					for _, name := range field.Names {
-						m := info.Defs[name].(*types.Func)
-						out[m.Name()] = append(out[m.Name()], m.Type().(*types.Signature))
-					}
-				}
-			}
-			return true
-		})
-	}
 	add(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
-	extra, err := parser.ParseFile(sc.fset, "errors_ifaces.go", errorsIfaces, 0)
-	if err != nil {
-		panic(err)
-	}
-	extraInfo := &types.Info{Defs: make(map[*ast.Ident]types.Object)}
-	if _, err := new(types.Config).Check("p", sc.fset, []*ast.File{extra}, extraInfo); err != nil {
-		panic(err)
-	}
-	addSource(extraInfo, extra)
-
 	seen := make(map[*types.Package]bool)
 	var walkStd func(*types.Package)
 	walkStd = func(p *types.Package) {
@@ -506,11 +498,17 @@ func (sc *reachScan) interfaceMethods(shipped []*reachPkg) map[string][]*types.S
 			walkStd(q)
 		}
 	}
+	extra, err := parser.ParseFile(sc.fset, "errors_ifaces.go", errorsIfaces, 0)
+	if err != nil {
+		panic(err)
+	}
+	errs, err := new(types.Config).Check("p", sc.fset, []*ast.File{extra}, nil)
+	if err != nil {
+		panic(err)
+	}
+	walkStd(errs)
 	for _, p := range shipped {
 		walkStd(p.pkg)
-		for _, f := range p.files {
-			addSource(p.info, f)
-		}
 	}
 	return out
 }

@@ -25,17 +25,11 @@ type PredictiveOptions struct {
 
 // PredictiveSession is a running predictive dynamic query (PDQ): one
 // cursor per unit, each drained once per window, the units' answers merged
-// in order of appearance. Results are pulled with Next or Fetch; each
-// index node is read at most once over the session's lifetime. Not safe
-// for concurrent use by multiple goroutines.
+// in order of appearance. Results are pulled with Fetch; each index node
+// is read at most once over the session's lifetime. Not safe for
+// concurrent use by multiple goroutines.
 type PredictiveSession struct {
 	pdq *shard.PDQ
-	// got holds what the units delivered and the session has not returned
-	// yet, from got[next]: the rest of window win, which Next serves one
-	// by one, or what a failed Fetch gathered before its error.
-	got  []core.Result
-	next int
-	win  [2]float64
 }
 
 // buildTrajectory converts API waypoints into the core trajectory form.
@@ -70,65 +64,18 @@ func (e *engine) Predictive(waypoints []Waypoint, opts PredictiveOptions) (Predi
 	return &PredictiveSession{pdq: pdq}, nil
 }
 
-// fill makes got hold what the session owes for [t0, t1]: what it still
-// holds that is visible at t0 (a window abandoned half-read, a failed
-// fetch) and what the units drain of the window now, merged as
-// shard.PDQ.Fetch merges them. After an error got keeps what was gathered,
-// for the retry.
-func (s *PredictiveSession) fill(t0, t1 float64) error {
-	owed := s.got[:0]
-	for _, r := range s.got[s.next:] {
-		if t0 > r.Disappear {
-			continue // over before this window, as a unit drops it
-		}
-		owed = append(owed, r)
-	}
-	clear(s.got[len(owed):]) // returned or over: the references go
-	var err error
-	s.got, err = s.pdq.Fetch(t0, t1, owed)
-	s.next, s.win = 0, [2]float64{t0, t1}
-	return err
-}
-
-// Next returns the next object becoming visible during [t0, t1], or nil
-// when no further object appears in that window. Windows must advance
-// monotonically along the trajectory. Next serves a window from one fetch
-// of it, so the results it returns for a window, in order, are those Fetch
-// would have returned.
-func (s *PredictiveSession) Next(t0, t1 float64) (*Result, error) {
-	if s.next == len(s.got) || s.win != [2]float64{t0, t1} {
-		if err := s.fill(t0, t1); err != nil {
-			return nil, err
-		}
-		if len(s.got) == 0 {
-			return nil, nil
-		}
-	}
-	out := fromResult(s.got[s.next])
-	s.got[s.next] = core.Result{}
-	s.next++
-	return &out, nil
-}
-
 // Fetch returns every object becoming visible during [t0, t1] — the
-// per-frame fetch loop of a rendering client. What the session holds from
-// an earlier window and is still visible is part of the answer: on one
-// unit ahead of the rest, on several in order of appearance with it.
-// After an error nothing is lost: the next Fetch returns what this one
-// gathered, as far as it is still visible then.
+// per-frame fetch loop of a rendering client. Windows must advance
+// monotonically along the trajectory. After an error nothing is lost: the
+// next Fetch returns what this one gathered, as far as it is still visible
+// then — on one unit ahead of the rest, on several in order of appearance
+// with it.
 func (s *PredictiveSession) Fetch(t0, t1 float64) ([]Result, error) {
-	if err := s.fill(t0, t1); err != nil {
+	rs, err := s.pdq.Fetch(t0, t1)
+	if err != nil || len(rs) == 0 {
 		return nil, err
 	}
-	if len(s.got) == 0 {
-		return nil, nil
-	}
-	// The answer is gathered in the session's scratch and converted into
-	// one slice of its final length; the scratch then drops its references.
-	out := fromResults(s.got)
-	clear(s.got)
-	s.got = s.got[:0]
-	return out, nil
+	return fromResults(rs), nil
 }
 
 // Close releases the session (and its live-update subscriptions).

@@ -2,15 +2,21 @@ package dynq
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dynq/internal/fault"
 	"dynq/internal/geom"
 	"dynq/internal/pager"
+	"dynq/internal/rtree"
 )
 
 // flight is a 40×40 view crossing the paper's world along x from time 10
@@ -47,18 +53,17 @@ func answerOrder(a, b Result) int {
 	return cmp.Compare(a.Segment.T0, b.Segment.T0)
 }
 
-// Next over a window returns, in order, what Fetch returns for it: on one
-// unit and on four, with and without live updates arriving between
-// frames, and across windows Next abandoned half-read, whose rest still
-// visible joins the next window: ahead of it on one unit, in appearance
-// order with it on four. The four-unit answer of every frame is sorted by
-// appearance, and on the paper's population alone it is the one-unit
-// answer as a multiset.
-func TestPredictiveNextServesFetchesAnswer(t *testing.T) {
+// A predictive session's answer does not depend on how many units hold
+// the index: frame by frame, one unit and four return the same episodes,
+// with and without live inserts arriving between frames, and each episode
+// once. The four-unit answer of every frame is in appearance order. The
+// inserts are objects standing in the view's centre from frames 1, 5, 9, …
+// on, which land in leaves the session has not read yet.
+func TestPredictiveFetchSameOnOneUnitAndFour(t *testing.T) {
 	ups := paperUpdates(t, 20000, 5)
 	path, frames, centre := flight()
 	for _, live := range []bool{false, true} {
-		answers := map[int][][]Result{} // units → each frame's Fetch answer
+		answers := map[int][][]Result{} // units → each frame's answer
 		for _, units := range []int{1, 4} {
 			t.Run(fmt.Sprintf("live=%v/units=%d", live, units), func(t *testing.T) {
 				var db *DB
@@ -75,81 +80,63 @@ func TestPredictiveNextServesFetchesAnswer(t *testing.T) {
 				if err := db.BulkLoadUpdates(ups); err != nil {
 					t.Fatal(err)
 				}
-				fetch, err := db.Predictive(path, PredictiveOptions{Live: live})
+				s, err := db.Predictive(path, PredictiveOptions{Live: live})
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer fetch.Close()
-				next, err := db.Predictive(path, PredictiveOptions{Live: live})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer next.Close()
+				defer s.Close()
 
-				var owed []Result // what Next left of the last window
-				halves, carried, inserted := 0, 0, 0
+				type episode struct {
+					id         ObjectID
+					t0, appear float64
+				}
+				seen := map[episode]bool{}
+				inserted := map[ObjectID]bool{} // → delivered
 				for f, tw := range frames {
 					if live && f%4 == 1 {
-						// An object standing in the view's centre from now on.
 						c := centre(tw.Lo)
-						seg := Segment{T0: tw.Lo, T1: tw.Hi + 5, From: c, To: c}
-						if err := db.Insert(ObjectID(1_000_000+f), seg); err != nil {
+						id := ObjectID(1_000_000 + f)
+						if err := db.Insert(id, Segment{T0: tw.Lo, T1: tw.Hi + 5, From: c, To: c}); err != nil {
 							t.Fatal(err)
 						}
-						inserted++
+						inserted[id] = false
 					}
-					want, err := fetch.Fetch(tw.Lo, tw.Hi)
+					rs, err := s.Fetch(tw.Lo, tw.Hi)
 					if err != nil {
 						t.Fatal(err)
 					}
-					answers[units] = append(answers[units], want)
-					if units > 1 && !slices.IsSortedFunc(want, answerOrder) {
+					if units > 1 && !slices.IsSortedFunc(rs, answerOrder) {
 						t.Fatalf("frame %d: the %d-unit answer is not in appearance order", f, units)
 					}
-					var expect []Result
-					for _, r := range owed {
-						if r.Disappear >= tw.Lo {
-							expect = append(expect, r)
-							carried++
+					for _, r := range rs {
+						k := episode{r.ID, r.Segment.T0, r.Appear}
+						if seen[k] {
+							t.Errorf("frame %d: object %d's episode from %g delivered again", f, r.ID, r.Appear)
+						}
+						seen[k] = true
+						if _, ok := inserted[r.ID]; ok {
+							inserted[r.ID] = true
 						}
 					}
-					expect = append(expect, want...)
-					if units > 1 {
-						slices.SortStableFunc(expect, answerOrder)
-					}
-					n := len(expect)
-					if f%5 == 3 && n > 1 {
-						n /= 2 // abandon the window half-read
-						halves++
-					}
-					for i := 0; i < n; i++ {
-						r, err := next.Next(tw.Lo, tw.Hi)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if r == nil || !sameEpisode(*r, expect[i]) {
-							t.Fatalf("frame %d: Next's result %d is %+v, Fetch's %+v", f, i, r, expect[i])
-						}
-					}
-					if n == len(expect) {
-						if r, err := next.Next(tw.Lo, tw.Hi); err != nil || r != nil {
-							t.Fatalf("frame %d: Next after the window's %d results = %+v, %v", f, n, r, err)
-						}
-					}
-					owed = expect[n:]
+					answers[units] = append(answers[units], rs)
 				}
-				if halves < 3 || carried == 0 || (live && inserted == 0) {
-					t.Fatalf("%d windows abandoned half-read, %d results carried over, %d inserted: too few to mean anything", halves, carried, inserted)
+				for id, delivered := range inserted {
+					if !delivered {
+						t.Errorf("inserted object %d never delivered", id)
+					}
+				}
+				if live && len(inserted) == 0 {
+					t.Fatal("nothing inserted: the live run shows nothing")
 				}
 			})
 		}
-		if live {
-			continue
+		if t.Failed() {
+			return
 		}
 		one, four := answers[1], answers[4]
 		total := 0
 		for f := range one {
-			sameResults(t, fmt.Sprintf("frame %d", f), slices.Clone(one[f]), slices.Clone(four[f]))
+			sameResults(t, fmt.Sprintf("live=%v: frame %d", live, f), slices.Clone(one[f]), slices.Clone(four[f]))
 			total += len(one[f])
 		}
 		if total < 300 {
@@ -271,5 +258,132 @@ func TestPredictiveFetchKeepsWhatAFailedFetchGathered(t *testing.T) {
 			}
 			sameResults(t, "the faulted run", all, faulted)
 		})
+	}
+}
+
+// A live session fetching while a writer inserts and deletes reports each
+// episode at most once. The writer puts objects at the view's leading
+// edge, which land in leaves the session is about to read; bursts beside
+// the path, which split nodes; and deletes a strip of the population just
+// ahead of the view, which frees pages and makes the session rebuild from
+// the root. CI's concurrency step runs it repeatedly under -race.
+func TestConcurrentLivePDQDeliversOnce(t *testing.T) {
+	ups := paperUpdates(t, 20000, 9)
+	db := newTestDB(t, Options{DualTimeAxes: true})
+	if err := db.BulkLoadUpdates(ups); err != nil {
+		t.Fatal(err)
+	}
+	var subtrees, reseeds atomic.Int64
+	defer db.units.Shard(0).Tree.OnUpdate(func(u rtree.Update) {
+		switch u.Kind {
+		case rtree.UpdateSubtree:
+			subtrees.Add(1)
+		case rtree.UpdateReseed:
+			reseeds.Add(1)
+		}
+	})()
+	path, frames, _ := flight()
+	s, err := db.Predictive(path, PredictiveOptions{Live: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	var now atomic.Uint64 // the frame being fetched, as float64 bits
+	now.Store(math.Float64bits(frames[0].Lo))
+	stop, finished := make(chan struct{}), make(chan struct{})
+	wrote := make(chan struct{}, 1) // a round of writes was applied
+	var werr error                  // the writer's, read once finished is closed
+	var once sync.Once
+	halt := func() {
+		once.Do(func() { close(stop) })
+		<-finished
+	}
+	defer halt()
+	go func() {
+		defer close(finished)
+		r := rand.New(rand.NewSource(10))
+		gone := make([]bool, len(ups))
+		id := ObjectID(1_000_000)
+		for round := 0; ; round++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tw := math.Float64frombits(now.Load())
+			var batch []MotionUpdate
+			for range 5 {
+				// On the leading edge half a time unit from now.
+				at, y := tw+0.5, 30+r.Float64()*40
+				p := []float64{at + 40 - r.Float64(), y}
+				batch = append(batch, MotionUpdate{ID: id, Segment: Segment{T0: at, T1: at + 5, From: p, To: p}})
+				id++
+			}
+			if round%3 == 0 {
+				for range 150 {
+					at, x := tw+r.Float64()*10, tw+r.Float64()*40
+					batch = append(batch, MotionUpdate{ID: id, Segment: Segment{T0: at, T1: at + 1, From: []float64{x, 71 + r.Float64()*4}, To: []float64{x + 1, 71}}})
+					id++
+				}
+			}
+			if round%5 == 0 {
+				x := tw + 40 + r.Float64()*10
+				for i, u := range ups {
+					if !gone[i] && u.Segment.From[0] >= x && u.Segment.From[0] < x+3 {
+						gone[i] = true
+						batch = append(batch, MotionUpdate{ID: u.ID, Segment: u.Segment, Delete: true})
+					}
+				}
+			}
+			if werr = db.ApplyUpdates(context.Background(), batch, WriteOptions{}); werr != nil {
+				return
+			}
+			select {
+			case wrote <- struct{}{}:
+			default:
+			}
+		}
+	}()
+
+	type episode struct {
+		id         ObjectID
+		t0, appear float64
+	}
+	seen := map[episode]bool{}
+	repeats := 0
+	for _, tw := range frames {
+		// At least one round of writes a time unit, however the goroutines
+		// are scheduled.
+		select {
+		case <-wrote:
+		case <-finished:
+			t.Fatalf("the writer stopped: %v", werr)
+		}
+		for lo := tw.Lo; lo < tw.Hi; lo += 0.25 {
+			now.Store(math.Float64bits(lo))
+			rs, err := s.Fetch(lo, lo+0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rs {
+				k := episode{r.ID, r.Segment.T0, r.Appear}
+				if seen[k] {
+					repeats++
+					t.Logf("frame [%g, %g]: object %d's episode from %g delivered again", lo, lo+0.25, r.ID, r.Appear)
+				}
+				seen[k] = true
+			}
+		}
+	}
+	halt()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if repeats > 0 {
+		t.Errorf("%d episodes delivered more than once", repeats)
+	}
+	if subtrees.Load() == 0 || reseeds.Load() == 0 {
+		t.Fatalf("%d splits and %d page-freeing deletes: the writer did not exercise the session", subtrees.Load(), reseeds.Load())
 	}
 }

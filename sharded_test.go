@@ -207,30 +207,20 @@ func TestShardedPredictiveEquivalence(t *testing.T) {
 	}
 }
 
-// collectShardedPDQ drains one window via Next, checking the appearance
-// ordering contract along the way.
+// collectShardedPDQ fetches one window, checking the appearance ordering
+// contract: results come in order of the time they enter the window.
 func collectShardedPDQ(t *testing.T, s PredictiveCursor, t0, t1 float64) []Result {
 	t.Helper()
-	var out []Result
-	last := -1.0
-	for {
-		r, err := s.Next(t0, t1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r == nil {
-			return out
-		}
-		appear := r.Appear
-		if appear < t0 {
-			appear = t0
-		}
-		if appear < last {
-			t.Fatalf("pdq stream out of appearance order: %g after %g", r.Appear, last)
-		}
-		last = appear
-		out = append(out, *r)
+	rs, err := s.Fetch(t0, t1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := 1; i < len(rs); i++ {
+		if last, appear := max(rs[i-1].Appear, t0), max(rs[i].Appear, t0); appear < last {
+			t.Fatalf("pdq answer out of appearance order: %g after %g", rs[i].Appear, rs[i-1].Appear)
+		}
+	}
+	return rs
 }
 
 func TestShardedNonPredictiveEquivalence(t *testing.T) {
