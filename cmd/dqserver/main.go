@@ -60,7 +60,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -80,8 +79,6 @@ type options struct {
 	dual      bool
 	shards    int
 	walArm    bool
-	maxConc   int
-	maxQue    int
 	slowQuery time.Duration
 	logLevel  string
 	logFormat string
@@ -98,8 +95,6 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.dual, "dual", false, "dual temporal axes for the synthetic index")
 	fs.IntVar(&o.shards, "shards", 1, "partition the index across N parallel shards; with -db, serves the sharded file set <db>.shard<i> (created fresh or recovered)")
 	fs.BoolVar(&o.walArm, "wal", false, "arm a write-ahead log for durable writes; requires -db (sidecar <db>.wal, or one <db>.shard<i>.wal per shard with -shards)")
-	fs.IntVar(&o.maxConc, "max-concurrent", 0, "max concurrently executing read queries (0 = GOMAXPROCS, <0 = unlimited)")
-	fs.IntVar(&o.maxQue, "max-queue", 0, "max read queries waiting for a slot before rejection (0 = 4x max-concurrent)")
 	fs.DurationVar(&o.slowQuery, "slow-query", obs.DefSlowThreshold, "capture operations (reads and writes) slower than this into /debug/slow (negative disables)")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error (debug logs every request)")
 	fs.StringVar(&o.logFormat, "log-format", "text", "log format: text or json")
@@ -156,13 +151,6 @@ func main() {
 	srv.WithSlowQueryThreshold(o.slowQuery)
 	if recovery != nil {
 		logger.Info("recovery-on-open", "report", recovery.String())
-	}
-	if o.maxConc != 0 || o.maxQue != 0 {
-		n := o.maxConc
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		srv.WithConcurrency(n, o.maxQue)
 	}
 	logger.Info("read admission control",
 		"max_concurrent", srv.MaxConcurrent(), "max_queue", srv.MaxQueue())

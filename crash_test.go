@@ -1,9 +1,11 @@
 package dynq
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dynq/internal/fault"
@@ -210,5 +212,100 @@ func insertAll(t *testing.T, db *DB, segs []soakSeg) {
 		if err := db.Insert(s.id, s.seg); err != nil {
 			t.Fatalf("insert %d: %v", s.id, err)
 		}
+	}
+}
+
+// TestCrashAfterFreesReopens crashes a database after deletes that free
+// pages, with no Sync since the inserts. Freeing and reusing a page write
+// nothing over the committed tree, so the reopen finds every acknowledged
+// update with a log, and the synced state without one: one unit with a
+// log and the default buffer, one without a log behind a 1 024-page
+// buffer, and four units with logs.
+func TestCrashAfterFreesReopens(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		shards, buffer int
+		wal            bool
+	}{
+		{"one unit with a log", 0, 0, true},
+		{"one unit without a log", 0, 1024, false},
+		{"four units with logs", 4, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "frees.dynq")
+			opts := Options{Path: path, DualTimeAxes: true, BufferPages: tc.buffer}
+			var (
+				db  *DB
+				err error
+			)
+			if tc.shards > 0 {
+				db, err = OpenSharded(ShardOptions{Options: opts, Shards: tc.shards, WAL: tc.wal})
+			} else {
+				if tc.wal {
+					opts.WALPath = path + ".wal"
+				}
+				db, err = Open(opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			apply := func(ups []MotionUpdate) {
+				t.Helper()
+				if err := db.ApplyUpdates(context.Background(), ups, WriteOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wrand := rand.New(rand.NewSource(1))
+			var (
+				nextID ObjectID
+				live   []soakSeg
+			)
+			for range 50 {
+				batch := genSoakBatch(wrand, 100, &nextID)
+				apply(toUpdates(batch))
+				live = append(live, batch...)
+			}
+			if err := db.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			synced := slices.Clone(live)
+			wrand.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+			for range 40 {
+				ups := toUpdates(live[:100])
+				for i := range ups {
+					ups[i].Delete = true
+				}
+				apply(ups)
+				live = live[100:]
+			}
+			if err := db.crash(); err != nil {
+				t.Fatal(err)
+			}
+
+			re, _, err := OpenFileRecoverWith(path, RecoverOptions{Shards: tc.shards})
+			if err != nil {
+				t.Fatalf("reopen after frees: %v", err)
+			}
+			defer re.Close()
+			want := live
+			if !tc.wal {
+				want = synced
+			}
+			if re.Len() != len(want) {
+				t.Fatalf("reopened with %d segments, want %d", re.Len(), len(want))
+			}
+			if err := re.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			replica := mustReplica(t, want)
+			defer replica.Close()
+			wrong, compared, err := compareAnswers(re, replica, rand.New(rand.NewSource(2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wrong != 0 {
+				t.Fatalf("reopened database gave %d/%d wrong answers", wrong, compared)
+			}
+		})
 	}
 }

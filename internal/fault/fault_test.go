@@ -17,7 +17,11 @@ func TestRecordSizeMatchesFileLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for range 2 {
-		if _, err := s.Alloc(); err != nil {
+		id, err := s.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WritePage(id, make([]byte, pager.PageSize)); err != nil {
 			t.Fatal(err)
 		}
 	}

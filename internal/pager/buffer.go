@@ -432,7 +432,7 @@ func (bp *BufferPool) Put(id PageID, data []byte) error {
 	return nil
 }
 
-// Alloc allocates a fresh page in the underlying store.
+// Alloc allocates a page in the underlying store; see Store.Alloc.
 func (bp *BufferPool) Alloc() (PageID, error) { return bp.store.Alloc() }
 
 // Free drops any buffered frame for the page and releases it in the

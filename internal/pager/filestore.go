@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -17,9 +18,9 @@ import (
 //
 //	offset 0   8 bytes  magic "DYNQPG02"
 //	offset 8   8 bytes  commit sequence number (little endian)
-//	offset 16  4 bytes  number of data pages (allocated + freed)
-//	offset 20  4 bytes  free-list head page id (InvalidPage if none)
-//	offset 24  4 bytes  root page id (unused; kept as read)
+//	offset 16  4 bytes  number of data pages (in use + free)
+//	offset 20  8 bytes  unused, written as two InvalidPage words (older
+//	                    writers kept a free-chain head and a root id here)
 //	offset 28  2 bytes  aux length
 //	offset 32  ...      aux bytes (up to MaxAux)
 //	offset PageSize-4   CRC32C over bytes [0, PageSize-4)
@@ -29,14 +30,18 @@ import (
 // If the write tears, the other slot still holds the previous committed
 // header; Open picks the valid slot with the highest sequence number.
 //
-// Allocation state (count, free list head, aux) lives in memory
-// between commits; Sync and Close commit it. Data pages are written in
-// place with a checksum + epoch trailer (see checksum.go); a page written
-// after commit S carries epoch S+1, so recovery can tell whether any part
-// of the committed snapshot was overwritten by an unfinished flush.
+// Allocation state (count, free pages, aux) lives in memory between
+// commits; Sync and Close commit the count and aux. Data pages are written
+// in place with a checksum + epoch trailer (see checksum.go); a page
+// written after commit S carries epoch S+1, so recovery can tell whether
+// any part of the committed snapshot was overwritten by an unfinished
+// flush.
 //
-// Free pages are chained through their first 4 bytes; freeing rewrites
-// the whole page (link + zeros) so freed pages stay checksummed.
+// Which pages are free is not stored: a free page is one the committed
+// tree does not reach. Recovery's tree walk finds them and hands them to
+// Reuse. Alloc and Free keep the list in memory and write nothing, so
+// freeing or reusing a page never overwrites what the committed tree
+// holds; only WritePage writes a data page.
 const fileMagic = "DYNQPG02"
 
 // fileMagicV1 is the pre-checksum single-header format, recognized only
@@ -47,8 +52,7 @@ const (
 	hdrMagicOff  = 0
 	hdrSeqOff    = 8
 	hdrCountOff  = 16
-	hdrFreeOff   = 20
-	hdrRootOff   = 24
+	hdrUnusedOff = 20
 	hdrAuxLenOff = 28
 	hdrAuxOff    = 32
 	hdrCRCOff    = PageSize - 4
@@ -75,20 +79,16 @@ const MaxAux = 256
 // SetAux, Sync) is the writer's, under the index's exclusive lock.
 type FileStore struct {
 	f         *os.File
-	seq       uint64 // last committed header sequence number
-	count     uint32 // data pages in the file (allocated + freed)
-	free      PageID // head of free-page chain
-	root      PageID // the header's root field, written back as read
-	aux       []byte // caller metadata (see SetAux)
-	bothValid bool   // both header slots decoded cleanly at open
+	seq       uint64   // last committed header sequence number
+	count     uint32   // data pages in the file (in use + free)
+	free      []PageID // pages to reuse, the next one last
+	aux       []byte   // caller metadata (see SetAux)
+	bothValid bool     // both header slots decoded cleanly at open
 	closed    bool
 }
 
 // recScratch recycles physical-record buffers across calls and stores.
 var recScratch = sync.Pool{New: func() any { return new(recBuf) }}
-
-// zeroPage is what a freshly allocated page holds. Read-only.
-var zeroPage [PageSize]byte
 
 // CreateFileStore creates (truncating) a page file at path.
 func CreateFileStore(path string) (*FileStore, error) {
@@ -96,7 +96,7 @@ func CreateFileStore(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pager: create %s: %w", path, err)
 	}
-	fs := &FileStore{f: f, free: InvalidPage, root: InvalidPage, bothValid: true}
+	fs := &FileStore{f: f, bothValid: true}
 	// Write the initial committed header to both slots so either survives
 	// a torn first commit.
 	hdr := fs.encodeHeader(1)
@@ -186,8 +186,6 @@ func decodeHeader(f *os.File, buf []byte) (*FileStore, bool) {
 		f:     f,
 		seq:   binary.LittleEndian.Uint64(buf[hdrSeqOff:]),
 		count: binary.LittleEndian.Uint32(buf[hdrCountOff:]),
-		free:  PageID(binary.LittleEndian.Uint32(buf[hdrFreeOff:])),
-		root:  PageID(binary.LittleEndian.Uint32(buf[hdrRootOff:])),
 		aux:   append([]byte(nil), buf[hdrAuxOff:hdrAuxOff+auxLen]...),
 	}, true
 }
@@ -199,8 +197,8 @@ func (fs *FileStore) encodeHeader(seq uint64) []byte {
 	copy(hdr[hdrMagicOff:], fileMagic)
 	binary.LittleEndian.PutUint64(hdr[hdrSeqOff:], seq)
 	binary.LittleEndian.PutUint32(hdr[hdrCountOff:], fs.count)
-	binary.LittleEndian.PutUint32(hdr[hdrFreeOff:], uint32(fs.free))
-	binary.LittleEndian.PutUint32(hdr[hdrRootOff:], uint32(fs.root))
+	binary.LittleEndian.PutUint32(hdr[hdrUnusedOff:], uint32(InvalidPage))
+	binary.LittleEndian.PutUint32(hdr[hdrUnusedOff+4:], uint32(InvalidPage))
 	binary.LittleEndian.PutUint16(hdr[hdrAuxLenOff:], uint16(len(fs.aux)))
 	copy(hdr[hdrAuxOff:], fs.aux)
 	binary.LittleEndian.PutUint32(hdr[hdrCRCOff:], crc32Of(hdr[:hdrCRCOff]))
@@ -330,99 +328,39 @@ func (fs *FileStore) FlipBit(id PageID, bit int) error {
 	return err
 }
 
-// Alloc implements Store. Allocation state is in memory until the next
+// Alloc implements Store: it reuses the page freed last, or extends the
+// file by one page. It writes nothing; the caller writes the page whole
+// before reading it. Allocation state is in memory until the next
 // Sync/Close commit.
 func (fs *FileStore) Alloc() (PageID, error) {
 	if fs.closed {
 		return InvalidPage, ErrClosed
 	}
-	zero := zeroPage[:]
-	if fs.free != InvalidPage {
-		id := fs.free
-		link, err := fs.freeLink(id)
-		if err != nil {
-			return InvalidPage, err
-		}
-		if err := fs.WritePage(id, zero); err != nil {
-			return InvalidPage, err
-		}
-		fs.free = link
+	if n := len(fs.free); n > 0 {
+		id := fs.free[n-1]
+		fs.free = fs.free[:n-1]
 		return id, nil
 	}
 	id := PageID(fs.count)
 	fs.count++
-	if err := fs.WritePage(id, zero); err != nil {
-		fs.count--
-		return InvalidPage, err
-	}
 	return id, nil
 }
 
-// freeLink reads the next-free link stored in a freed page, verifying its
-// checksum.
-func (fs *FileStore) freeLink(id PageID) (PageID, error) {
-	rec := recScratch.Get().(*recBuf)
-	defer recScratch.Put(rec)
-	if _, err := fs.readRecord(id, rec); err != nil {
-		return InvalidPage, err
-	}
-	return PageID(binary.LittleEndian.Uint32(rec[:])), nil
-}
-
-// Free implements Store. The freed page is rewritten in full (link +
-// zeros) so it remains checksummed on disk.
+// Free implements Store. It writes nothing: the page keeps its bytes,
+// which the committed tree may still reach, until it is reused.
 func (fs *FileStore) Free(id PageID) error {
-	rec := recScratch.Get().(*recBuf)
-	defer recScratch.Put(rec)
-	clear(rec[:PageSize])
-	binary.LittleEndian.PutUint32(rec[:], uint32(fs.free))
-	if err := fs.writeRecord(id, rec, physPageSize); err != nil {
+	if err := fs.check(id); err != nil {
 		return err
 	}
-	fs.free = id
+	fs.free = append(fs.free, id)
 	return nil
 }
 
-// FreeList walks the on-disk free chain and returns it in order. It
-// fails on checksum errors, out-of-range links, or cycles.
-func (fs *FileStore) FreeList() ([]PageID, error) {
-	if fs.closed {
-		return nil, ErrClosed
-	}
-	var list []PageID
-	seen := make(map[PageID]bool)
-	for id := fs.free; id != InvalidPage; {
-		if uint32(id) >= fs.count {
-			return nil, fmt.Errorf("%w: free-list link %d >= %d", ErrPageOutOfRange, id, fs.count)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("pager: free-list cycle at page %d", id)
-		}
-		seen[id] = true
-		list = append(list, id)
-		next, err := fs.freeLink(id)
-		if err != nil {
-			return nil, err
-		}
-		id = next
-	}
-	return list, nil
-}
-
-// ResetFreeList discards the in-memory free chain and rebuilds it so that
-// it contains exactly ids (head first), rewriting each page's link. The
-// caller commits via Sync.
-func (fs *FileStore) ResetFreeList(ids []PageID) error {
-	if fs.closed {
-		return ErrClosed
-	}
-	fs.free = InvalidPage
-	for i := len(ids) - 1; i >= 0; i-- {
-		if err := fs.Free(ids[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+// Reuse makes ids the free pages, handed out by Alloc in the order given.
+// Recovery passes the pages its walk of the committed tree did not reach.
+func (fs *FileStore) Reuse(ids []PageID) {
+	fs.free = slices.Clone(ids)
+	slices.Reverse(fs.free)
 }
 
 // NumPages implements Store. Freed pages remain counted until reused; the

@@ -3,6 +3,7 @@ package pager
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -149,7 +150,10 @@ func TestFileStoreCrashLosesUncommitted(t *testing.T) {
 	}
 }
 
-// The free list survives commit, walks correctly, and can be rebuilt.
+// The free list lives in memory: Free and Alloc write nothing, so a freed
+// page keeps its committed bytes and epoch, a new page does not grow the
+// file until it is written, and a reopen starts with no free pages until
+// Reuse names them, handed out in the order given.
 func TestFileStoreFreeList(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db")
 	s := mustCreate(t, path)
@@ -157,10 +161,41 @@ func TestFileStoreFreeList(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ids = append(ids, mustAllocWrite(t, s, byte(i)))
 	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := size()
 	for _, id := range []PageID{ids[1], ids[3]} {
 		if err := s.Free(id); err != nil {
 			t.Fatal(err)
 		}
+	}
+	buf := make([]byte, PageSize)
+	for _, i := range []int{1, 3} {
+		epoch, err := s.ReadPageEpoch(ids[i], buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, fillPage(byte(i))) || epoch > s.CommittedSeq() {
+			t.Fatalf("freed page %d rewritten (epoch %d, committed %d)", ids[i], epoch, s.CommittedSeq())
+		}
+	}
+	// LIFO, then the file grows by one page id but not one byte.
+	for _, want := range []PageID{ids[3], ids[1], 5} {
+		if id, err := s.Alloc(); err != nil || id != want {
+			t.Fatalf("Alloc = %d, %v; want %d", id, err, want)
+		}
+	}
+	if got := size(); got != before {
+		t.Fatalf("Free and Alloc wrote: file is %d bytes, was %d", got, before)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -171,39 +206,14 @@ func TestFileStoreFreeList(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	list, err := s2.FreeList()
-	if err != nil {
-		t.Fatal(err)
+	if s2.NumPages() != 6 {
+		t.Fatalf("NumPages after reopen = %d, want 6", s2.NumPages())
 	}
-	want := []PageID{ids[3], ids[1]} // LIFO
-	if len(list) != len(want) || list[0] != want[0] || list[1] != want[1] {
-		t.Fatalf("FreeList = %v, want %v", list, want)
-	}
-
-	if err := s2.ResetFreeList([]PageID{ids[1], ids[3], ids[0]}); err != nil {
-		t.Fatal(err)
-	}
-	list, err = s2.FreeList()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 3 || list[0] != ids[1] || list[1] != ids[3] || list[2] != ids[0] {
-		t.Fatalf("FreeList after rebuild = %v", list)
-	}
-	// Alloc pops the rebuilt head and zeroes it.
-	id, err := s2.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != ids[1] {
-		t.Errorf("Alloc after rebuild = %d, want %d", id, ids[1])
-	}
-	buf := make([]byte, PageSize)
-	if err := s2.ReadPage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, make([]byte, PageSize)) {
-		t.Error("reused page not zeroed")
+	s2.Reuse([]PageID{ids[1], 5, ids[0]})
+	for _, want := range []PageID{ids[1], 5, ids[0], 6} {
+		if id, err := s2.Alloc(); err != nil || id != want {
+			t.Fatalf("Alloc after Reuse = %d, %v; want %d", id, err, want)
+		}
 	}
 }
 

@@ -42,7 +42,8 @@ type Store interface {
 	ReadPage(id PageID, buf []byte) error
 	// WritePage replaces the page's contents with buf (len PageSize).
 	WritePage(id PageID, buf []byte) error
-	// Alloc returns a fresh (zeroed) page.
+	// Alloc returns an id whose contents are undefined until written
+	// whole: a caller writes the page before it reads it.
 	Alloc() (PageID, error)
 	// Free releases a page for reuse.
 	Free(id PageID) error
@@ -58,11 +59,10 @@ type Store interface {
 // experiments: page fetches are counted, not timed, so memory is a
 // faithful stand-in for disk under the paper's cost model.
 type MemStore struct {
-	pages    [][]byte
-	free     []PageID
-	freeSet  map[PageID]bool
-	closed   bool
-	allocCnt int
+	pages   [][]byte
+	free    []PageID
+	freeSet map[PageID]bool
+	closed  bool
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -120,7 +120,6 @@ func (m *MemStore) Alloc() (PageID, error) {
 	if m.closed {
 		return InvalidPage, ErrClosed
 	}
-	m.allocCnt++
 	if n := len(m.free); n > 0 {
 		id := m.free[n-1]
 		m.free = m.free[:n-1]

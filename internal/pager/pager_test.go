@@ -52,7 +52,7 @@ func testStoreRoundTrip(t *testing.T, s Store) {
 	if s.NumPages() != 2 {
 		t.Errorf("NumPages = %d, want 2", s.NumPages())
 	}
-	// Freed pages are reused and zeroed.
+	// Freed pages are reused; a reused page holds what is written to it.
 	if err := s.Free(id1); err != nil {
 		t.Fatalf("free: %v", err)
 	}
@@ -63,11 +63,14 @@ func testStoreRoundTrip(t *testing.T, s Store) {
 	if id3 != id1 {
 		t.Errorf("expected freed page %d to be reused, got %d", id1, id3)
 	}
+	if err := s.WritePage(id3, fillPage(0xCC)); err != nil {
+		t.Fatalf("write reused: %v", err)
+	}
 	if err := s.ReadPage(id3, buf); err != nil {
 		t.Fatalf("read reused: %v", err)
 	}
-	if !bytes.Equal(buf, make([]byte, PageSize)) {
-		t.Error("reused page not zeroed")
+	if !bytes.Equal(buf, fillPage(0xCC)) {
+		t.Error("reused page corrupted")
 	}
 	// Short buffers are rejected.
 	if err := s.ReadPage(id3, make([]byte, 10)); !errors.Is(err, ErrBadPageData) {
@@ -112,7 +115,7 @@ func TestFileStore(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Reopen: contents and free list survive.
+	// Reopen: contents survive.
 	s2, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -213,7 +216,8 @@ func TestOpenFileStoreSurvivesTornHeaderSlot(t *testing.T) {
 }
 
 // Property: any interleaving of alloc/write/free against the MemStore and
-// FileStore behaves identically to a map-based model.
+// FileStore behaves identically to a map-based model. A page's contents
+// are undefined until it is written whole, so each alloc writes its page.
 func TestStoreModelProperty(t *testing.T) {
 	dir := t.TempDir()
 	f := func(seed int64) bool {
@@ -240,7 +244,13 @@ func TestStoreModelProperty(t *testing.T) {
 				if ids[0] != ids[1] {
 					return false // both stores must allocate identically
 				}
-				model[ids[0]] = make([]byte, PageSize)
+				p := fillPage(byte(r.Intn(256)))
+				for _, s := range stores {
+					if err := s.WritePage(ids[0], p); err != nil {
+						return false
+					}
+				}
+				model[ids[0]] = p
 				live = append(live, ids[0])
 			case op == 1: // write
 				id := live[r.Intn(len(live))]

@@ -258,7 +258,8 @@ func FuzzChooseChild(f *testing.F) {
 // want, written by the decode-mutate-encode reference (refwrite_test.go).
 // After every operation the two must be indistinguishable. A third tree,
 // twin, takes every correction as a delete and an insert: its answers must
-// be got's.
+// be got's. Got and twin store their pages in an unwrittenStore, so the
+// write path never reads a page it allocated before writing it.
 type editRig struct {
 	t         testing.TB
 	cfg       Config
@@ -292,8 +293,8 @@ func newEditRig(t testing.TB, cfg Config, capacity int, base []LeafEntry) *editR
 		}
 		return tree
 	}
-	r.got, r.want = build(r.gs, &r.gu), build(r.ws, &r.wu)
-	r.twin = build(pager.NewMemStore(), nil)
+	r.got, r.want = build(newUnwrittenStore(r.gs), &r.gu), build(r.ws, &r.wu)
+	r.twin = build(newUnwrittenStore(pager.NewMemStore()), nil)
 	r.live = append(r.live, base...)
 	r.nextID = ObjectID(len(base))
 	r.check()

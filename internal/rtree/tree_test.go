@@ -37,7 +37,7 @@ func randSegment(r *rand.Rand) geom.Segment {
 func buildRandomTree(t *testing.T, cfg Config, n int, seed int64) (*Tree, []LeafEntry) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	tree, err := New(cfg, pager.NewMemStore())
+	tree, err := New(cfg, newUnwrittenStore(pager.NewMemStore()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,9 +328,7 @@ func TestRecoveryReportInTelemetry(t *testing.T) {
 		"pages_checked":        strconv.Itoa(rep.PagesChecked),
 		"segments":             strconv.Itoa(rep.Segments),
 		"free_pages":           strconv.Itoa(rep.FreePages),
-		"orphan_pages":         strconv.Itoa(rep.OrphanPages),
 		"torn_header_repaired": strconv.FormatBool(rep.TornHeaderRepaired),
-		"free_list_rebuilt":    strconv.FormatBool(rep.FreeListRebuilt),
 	}
 	var recovered bool
 	for _, ev := range tel.Events {

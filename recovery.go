@@ -40,16 +40,10 @@ type RecoveryReport struct {
 	// Segments is the number of leaf entries found, cross-checked
 	// against the committed metadata.
 	Segments int
-	// FreePages is the number of allocated-but-unreachable pages, all on
-	// the free list after recovery.
+	// FreePages is the number of pages in the file the walk did not
+	// reach: they are free, and the next allocations reuse them, lowest
+	// id first.
 	FreePages int
-	// FreeListRebuilt is true when the on-disk free chain disagreed with
-	// the reachability walk (broken links, orphaned pages) and was
-	// rebuilt from the tree.
-	FreeListRebuilt bool
-	// OrphanPages is the number of unreachable pages that were not on
-	// the free chain and were returned to it.
-	OrphanPages int
 	// WALArmed is true when a write-ahead log was opened (and re-armed)
 	// alongside the page file; the fields below are meaningful only then.
 	WALArmed bool
@@ -73,9 +67,6 @@ func (r RecoveryReport) String() string {
 		r.HeaderSeq, r.PagesChecked, r.InternalPages, r.LeafPages, r.Segments, r.FreePages)
 	if r.TornHeaderRepaired {
 		s += ", repaired torn header slot"
-	}
-	if r.FreeListRebuilt {
-		s += fmt.Sprintf(", rebuilt free list (%d orphans)", r.OrphanPages)
 	}
 	if r.WALArmed {
 		s += fmt.Sprintf(", wal: replayed %d records (%d updates) past checkpoint %d",
@@ -113,12 +104,12 @@ type RecoverOptions struct {
 // OpenFileRecoverWith reopens a file-backed database of either layout,
 // verifying the committed tree before handing it out: every reachable
 // page's checksum and epoch are checked, the structure is validated
-// against the committed metadata, and the free list is rebuilt from the
-// tree if the on-disk chain is damaged. Corruption surfaces as a typed
-// error wrapping ErrCorrupt. Every unit is verified and its log replayed
-// independently; the returned report, saying what was checked and
-// repaired, is the units' reports merged. The options can force-arm the
-// logs (dqserver -wal) and start the maintenance loop.
+// against the committed metadata, and the pages the tree does not reach
+// become the free pages. Corruption surfaces as a typed error wrapping
+// ErrCorrupt. Every unit is verified and its log replayed independently;
+// the returned report, saying what was checked and repaired, is the
+// units' reports merged. The options can force-arm the logs (dqserver
+// -wal) and start the maintenance loop.
 //
 // A path with no database files fails with an error satisfying
 // errors.Is(err, os.ErrNotExist): creating a database takes the tree
@@ -199,8 +190,6 @@ func mergeReports(reps []*RecoveryReport) *RecoveryReport {
 		out.InternalPages += r.InternalPages
 		out.Segments += r.Segments
 		out.FreePages += r.FreePages
-		out.FreeListRebuilt = out.FreeListRebuilt || r.FreeListRebuilt
-		out.OrphanPages += r.OrphanPages
 		out.WALArmed = out.WALArmed || r.WALArmed
 		out.WALCheckpointLSN += r.WALCheckpointLSN
 		out.WALRecordsReplayed += r.WALRecordsReplayed
@@ -398,11 +387,11 @@ func replayLog(path string, wopts wal.Options, tree *rtree.Tree, dims, unit, uni
 }
 
 // recoverStoreTree is the tree-level half of recovery: it verifies the
-// committed state of fs (checksums, epochs, structure, free list),
-// repairs what it can, and restores the tree reading through treeStore —
-// normally fs itself, but the soaks pass a fault.Store wrapping it. The
-// returned applied-LSN is the committed metadata's WAL watermark —
-// replay starts past it.
+// committed state of fs (checksums, epochs, structure), hands fs the pages
+// the walk did not reach as its free pages, repairs a torn header slot,
+// and restores the tree reading through treeStore — normally fs itself,
+// but the soaks pass a fault.Store wrapping it. The returned applied-LSN
+// is the committed metadata's WAL watermark — replay starts past it.
 func recoverStoreTree(fs *pager.FileStore, treeStore pager.Store) (*rtree.Tree, rtree.Meta, uint64, *RecoveryReport, error) {
 	fail := func(err error) (*rtree.Tree, rtree.Meta, uint64, *RecoveryReport, error) {
 		return nil, rtree.Meta{}, 0, nil, err
@@ -425,10 +414,16 @@ func recoverStoreTree(fs *pager.FileStore, treeStore pager.Store) (*rtree.Tree, 
 		InternalPages:      st.InternalNodes,
 		Segments:           st.Segments,
 	}
-	if err := recoverFreeList(fs, w.Reached(), rep); err != nil {
-		return fail(err)
+	reached := w.Reached()
+	var free []pager.PageID
+	for id := pager.PageID(0); int(id) < fs.NumPages(); id++ {
+		if _, ok := reached[id]; !ok {
+			free = append(free, id)
+		}
 	}
-	if rep.TornHeaderRepaired && !rep.FreeListRebuilt {
+	fs.Reuse(free)
+	rep.FreePages = len(free)
+	if rep.TornHeaderRepaired {
 		// Re-commit so the stale header slot is rewritten and the file
 		// tolerates another torn commit.
 		if err := fs.Sync(); err != nil {
@@ -482,7 +477,7 @@ func walkCommitted(s committedStore, slack uint64) (*rtree.Walk, rtree.Meta, uin
 // without having run `dqload inspect`.
 func (r RecoveryReport) journal() {
 	sev := obs.SeverityInfo
-	if r.TornHeaderRepaired || r.FreeListRebuilt {
+	if r.TornHeaderRepaired {
 		sev = obs.SeverityWarn
 	}
 	obs.DefaultJournal().Record(obs.EventRecovery, sev,
@@ -491,48 +486,6 @@ func (r RecoveryReport) journal() {
 			"pages_checked":        strconv.Itoa(r.PagesChecked),
 			"segments":             strconv.Itoa(r.Segments),
 			"free_pages":           strconv.Itoa(r.FreePages),
-			"orphan_pages":         strconv.Itoa(r.OrphanPages),
 			"torn_header_repaired": strconv.FormatBool(r.TornHeaderRepaired),
-			"free_list_rebuilt":    strconv.FormatBool(r.FreeListRebuilt),
 		})
-}
-
-// recoverFreeList checks that the on-disk free chain is exactly the
-// complement of the reachable set and rebuilds it from the tree when it
-// is not (broken links, pages orphaned by a crash between Alloc and
-// commit). A rebuild is committed immediately so the repair survives.
-func recoverFreeList(fs *pager.FileStore, reachable map[pager.PageID]struct{}, rep *RecoveryReport) error {
-	var unreachable []pager.PageID
-	for id := pager.PageID(0); uint32(id) < uint32(fs.NumPages()); id++ {
-		if _, ok := reachable[id]; !ok {
-			unreachable = append(unreachable, id)
-		}
-	}
-	rep.FreePages = len(unreachable)
-
-	// FreeList fails on a broken link or a cycle, so a chain it returns
-	// is intact when it holds every unreachable page and no more.
-	chain, chainErr := fs.FreeList()
-	onChain := make(map[pager.PageID]bool, len(chain))
-	for _, id := range chain {
-		onChain[id] = true
-	}
-	intact := chainErr == nil && len(chain) == len(unreachable)
-	for _, id := range unreachable {
-		if !onChain[id] {
-			intact = false
-			rep.OrphanPages++
-		}
-	}
-	if intact {
-		return nil
-	}
-	rep.FreeListRebuilt = true
-	if err := fs.ResetFreeList(unreachable); err != nil {
-		return fmt.Errorf("dynq: rebuild free list: %w", err)
-	}
-	if err := fs.Sync(); err != nil {
-		return fmt.Errorf("dynq: commit rebuilt free list: %w", err)
-	}
-	return nil
 }

@@ -1,9 +1,12 @@
 package dynq
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dynq/internal/pager"
@@ -36,7 +39,7 @@ func TestOpenFileRecoverCleanFile(t *testing.T) {
 	if rep.PagesChecked != rep.LeafPages+rep.InternalPages {
 		t.Fatalf("page partition inconsistent: %s", rep)
 	}
-	if rep.TornHeaderRepaired || rep.FreeListRebuilt {
+	if rep.TornHeaderRepaired {
 		t.Fatalf("clean file reported repairs: %s", rep)
 	}
 	st, err := db.Stats()
@@ -72,19 +75,18 @@ func TestOpenFileRecoverDetectsBitRot(t *testing.T) {
 	}
 }
 
-// TestOpenFileRecoverRebuildsFreeList simulates a crash between Alloc
-// and commit by appending an orphan page record beyond the tree:
-// recovery must fold it back into the free list and commit the repair.
-func TestOpenFileRecoverRebuildsFreeList(t *testing.T) {
+// TestOpenFileRecoverReusesOrphanPage commits a page the tree never
+// references, as a crash between Alloc and the commit of the tree that
+// would use it leaves one: recovery counts it in FreePages, on every
+// open, and hands it out at the next allocation.
+func TestOpenFileRecoverReusesOrphanPage(t *testing.T) {
 	path, segs := seedFile(t, 300)
 
-	// Allocate and write a page, then commit — but never reference it
-	// from the tree, leaving it neither reachable nor on the free chain.
 	fs, err := pager.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := fs.Alloc()
+	orphan, err := fs.Alloc()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,36 +94,29 @@ func TestOpenFileRecoverRebuildsFreeList(t *testing.T) {
 	for i := range buf {
 		buf[i] = 0xAB
 	}
-	if err := fs.WritePage(id, buf); err != nil {
+	if err := fs.WritePage(orphan, buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Close(); err != nil { // Close syncs: the orphan is committed
 		t.Fatal(err)
 	}
 
-	db, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
-	if err != nil {
-		t.Fatalf("recovery should repair an orphan page, got: %v", err)
-	}
-	defer db.Close()
-	if !rep.FreeListRebuilt || rep.OrphanPages != 1 {
-		t.Fatalf("expected a free-list rebuild with 1 orphan, got: %s", rep)
-	}
-	if rep.Segments != len(segs) {
-		t.Fatalf("repair changed the data: %d segments, want %d", rep.Segments, len(segs))
-	}
-
-	// The repair was committed: a second open is clean.
-	db2, rep2, err := OpenFileRecoverWith(path, RecoverOptions{})
-	if err != nil {
-		t.Fatalf("second open: %v", err)
-	}
-	defer db2.Close()
-	if rep2.FreeListRebuilt {
-		t.Fatalf("free-list repair did not stick: %s", rep2)
-	}
-	if rep2.FreePages != 1 {
-		t.Fatalf("orphan not on the free list after repair: %s", rep2)
+	for open := 1; open <= 2; open++ {
+		db, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
+		if err != nil {
+			t.Fatalf("open %d: %v", open, err)
+		}
+		if rep.FreePages != 1 || rep.Segments != len(segs) {
+			t.Fatalf("open %d: want 1 free page and %d segments, got: %s", open, len(segs), rep)
+		}
+		id, err := db.units.Shard(0).Store().Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != orphan {
+			t.Fatalf("open %d: allocated page %d, want the orphan %d", open, id, orphan)
+		}
+		db.Close() // the allocation is never written or referenced: still an orphan
 	}
 }
 
@@ -148,5 +143,72 @@ func TestOpenFileRecoverDetectsMetaMismatch(t *testing.T) {
 	_, _, err = OpenFileRecoverWith(path, RecoverOptions{})
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("segment-count mismatch not detected as ErrCorrupt: %v", err)
+	}
+}
+
+// TestOpenFileWithFreeChain opens testdata/free-chain.dynq, written by a
+// build that kept the free pages as a chain on disk: 300 segments
+// inserted, 260 of them deleted, synced. Its header's word 20 heads the
+// chain, and each chained page's first word links to the next. The
+// chained pages are the ones the tree does not reach, so they count in
+// FreePages and the next allocations reuse them, lowest id first. The
+// next commit writes the retired header words 20 and 24 as InvalidPage.
+func TestOpenFileWithFreeChain(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "free-chain.dynq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "chain.dynq")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// committedWord reads a header word of the slot with the higher
+	// sequence number.
+	committedWord := func(raw []byte, off int) uint32 {
+		slot := 0
+		if binary.LittleEndian.Uint64(raw[pager.PageSize+8:]) > binary.LittleEndian.Uint64(raw[8:]) {
+			slot = pager.PageSize
+		}
+		return binary.LittleEndian.Uint32(raw[slot+off:])
+	}
+	fs, err := pager.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chain []pager.PageID
+	buf := make([]byte, pager.PageSize)
+	for id := pager.PageID(committedWord(raw, 20)); id != pager.InvalidPage; id = pager.PageID(binary.LittleEndian.Uint32(buf)) {
+		chain = append(chain, id)
+		if err := fs.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.Crash()
+	if len(chain) == 0 {
+		t.Fatal("the fixture's free chain is empty")
+	}
+	slices.Sort(chain)
+
+	db, rep, err := OpenFileRecoverWith(path, RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FreePages != len(chain) || rep.Segments != 40 {
+		t.Fatalf("want %d free pages and 40 segments, got: %s", len(chain), rep)
+	}
+	store := db.units.Shard(0).Store()
+	for _, want := range append(chain, pager.PageID(store.NumPages())) {
+		if id, err := store.Alloc(); err != nil || id != want {
+			t.Fatalf("Alloc = %d, %v; want %d (chain %v)", id, err, want, chain)
+		}
+	}
+	if err := errors.Join(db.Validate(), db.Sync(), db.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if w20, w24 := committedWord(raw, 20), committedWord(raw, 24); w20 != uint32(pager.InvalidPage) || w24 != uint32(pager.InvalidPage) {
+		t.Fatalf("committed header words 20 and 24 are %#x and %#x, want InvalidPage", w20, w24)
 	}
 }
